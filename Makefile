@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race chaos fuzz bench bench-paper vet build api
+.PHONY: check test race chaos fuzz bench bench-paper vet build api loc
 
 # The full verification gate: vet + build + tests (+race) + perf smoke.
 check:
@@ -50,6 +50,14 @@ bench:
 # reviewed surface change (scripts/check.sh gates against it).
 api:
 	$(GO) run ./cmd/apidump > api/exported.txt
+
+# The two size numbers ROADMAP tracks: non-test Go lines per package
+# directory, and the exported-surface line count.
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%6d %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l)" "$$d"; \
+	done
+	@wc -l api/exported.txt
 
 # Regenerate every paper artifact at full fidelity.
 bench-paper:

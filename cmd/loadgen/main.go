@@ -37,12 +37,17 @@
 //
 //	loadgen -cluster node-a=http://h1:8080,node-b=http://h2:8080,node-c=http://h3:8080
 //
+// Plain runs (no -client, no -cluster) drive one of the production
+// client's bare transports (client.NewTransport): its encoders,
+// connection pool and error typing with none of its coalescing, retries,
+// hedging, breaker or fallback, so every call goes on the network and
+// sheds, transport failures and server errors are counted as they
+// happen. Every mode speaks /v2/decide.
+//
 // Wire format: -wire binary switches the decide traffic to the compact
-// frame encoding on POST /v2/decide (internal/wire) — slot-form binding
-// vectors going out, ranked-candidate frames coming back. JSON plain
-// runs drive the frozen /v1 endpoint; -client runs always speak /v2 and
-// in binary mode downgrade to JSON automatically if the daemon is too
-// old to answer frames:
+// frame encoding — slot-form binding vectors going out, ranked-candidate
+// frames coming back; -client runs downgrade to JSON automatically if the
+// daemon is too old to answer frames:
 //
 //	loadgen -addr http://127.0.0.1:8080 -wire binary -batch 64 -duration 5s
 //
@@ -50,9 +55,9 @@
 // long-lived connections carrying pipelined decide frames, dialed raw
 // at -stream-addr (hybridseld -stream-addr) or negotiated over the
 // HTTP port via Upgrade when -stream-addr is empty. Plain stream runs
-// pipeline through a small shared connection pool; -client stream runs
-// set the production client's Stream mode, failing over to HTTP per
-// attempt when a connection dies:
+// pipeline each batch over one connection of a small shared pool;
+// -client stream runs set the production client's Stream mode, failing
+// over to HTTP per attempt when a connection dies:
 //
 //	loadgen -addr http://127.0.0.1:8080 -wire stream -duration 5s
 //	loadgen -addr http://127.0.0.1:8080 -stream-addr 127.0.0.1:8090 -wire stream -client
@@ -64,9 +69,8 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -80,7 +84,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/client"
 	"github.com/hybridsel/hybridsel/internal/faultnet"
 	"github.com/hybridsel/hybridsel/internal/machine"
@@ -88,9 +91,7 @@ import (
 	"github.com/hybridsel/hybridsel/internal/polybench"
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/sim"
-	"github.com/hybridsel/hybridsel/internal/symbolic"
 	"github.com/hybridsel/hybridsel/internal/trace"
-	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
 func main() {
@@ -125,17 +126,15 @@ func main() {
 		"persistent connections for plain -wire stream runs (0 = 2)")
 	flag.Parse()
 
-	binary, stream := false, false
-	switch *wireFormat {
-	case "json":
-	case "binary":
-		binary = true
-	case "stream":
-		stream = true
-	default:
+	kind, ok := map[string]string{
+		"json":   client.TransportHTTPJSON,
+		"binary": client.TransportHTTPBinary,
+		"stream": client.TransportStream,
+	}[*wireFormat]
+	if !ok {
 		fatal(fmt.Errorf("loadgen: -wire %q: want json, binary or stream", *wireFormat))
 	}
-	if stream && *faults != "" && !*useClient {
+	if kind == client.TransportStream && *faults != "" && !*useClient {
 		fatal(fmt.Errorf("loadgen: -wire stream -faults needs -client (the HTTP fault proxy cannot carry stream connections)"))
 	}
 	if *clusterSet != "" && *wireFormat != "json" {
@@ -192,51 +191,58 @@ func main() {
 		}()
 	}
 
+	loop := "closed loop"
+	if *rate > 0 {
+		loop = fmt.Sprintf("open loop (%d req/s)", *rate)
+	}
 	fmt.Printf("loadgen: %s, %d workers, batch %d, %s wire, %v against %s (%d distinct requests)\n",
-		loopName(*rate), *concurrency, *batch, *wireFormat, *duration, target, len(reqs))
+		loop, *concurrency, *batch, *wireFormat, *duration, target, len(reqs))
 
-	var st *stats
-	var rc *client.Client
-	if *clusterSet != "" {
-		cc, err := newClusterLoadClient(*clusterSet, *kernels, *noFallback, *seed)
+	// One client.Config for every mode; the mode picks what is built.
+	cfg := client.Config{
+		BaseURL: target, Seed: *seed,
+		Binary: kind == client.TransportHTTPBinary,
+		Stream: kind == client.TransportStream, StreamAddr: *streamAddr, StreamConns: *streamConns,
+	}
+	if kind != client.TransportHTTPJSON {
+		params := polybenchParams(*kernels)
+		cfg.RegionParams = func(region string) []string { return params[region] }
+	}
+	raw := !*useClient && *clusterSet == ""
+	if !raw && !*noFallback {
+		if cfg.Fallback, err = fallbackRuntime(*kernels); err != nil {
+			fatal(err)
+		}
+	}
+	var d decider
+	var report func(io.Writer)
+	switch {
+	case *clusterSet != "":
+		cc, err := newClusterLoadClient(*clusterSet, cfg.Fallback, *seed)
 		if err != nil {
 			fatal(err)
 		}
 		defer cc.Close()
-		st = runClient(cc, reqs, *concurrency, *rate, *batch, *duration)
-		st.report(os.Stdout)
-		reportCluster(cc, os.Stdout)
-		if *scrape {
-			scrapeMetrics(httpClient, *addr, os.Stdout)
-		}
-		if err := st.gateErr(*minThroughput); err != nil {
-			fatal(err)
-		}
-		if err := st.hardErr(); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *useClient {
-		rc, err = newResilientClient(target, *kernels, *noFallback, binary, stream, *streamAddr, *streamConns, *seed)
+		d, report = resilient(cc), func(w io.Writer) { reportCluster(cc, w) }
+	case *useClient:
+		rc, err := client.New(cfg)
 		if err != nil {
 			fatal(err)
 		}
 		defer rc.Close()
-		st = runClient(rc, reqs, *concurrency, *rate, *batch, *duration)
-	} else if stream {
-		st = runStream(target, *streamAddr, reqs, polybenchParams(*kernels),
-			*concurrency, *rate, *batch, *duration, *streamConns)
-	} else if binary {
-		st = runWire(httpClient, target, reqs, polybenchParams(*kernels),
-			*concurrency, *rate, *batch, *duration)
-	} else {
-		st = run(httpClient, target, reqs, *concurrency, *rate, *batch, *duration)
+		d, report = resilient(rc), func(w io.Writer) { reportClient(rc, w) }
+	default:
+		cfg.HTTPClient = httpClient
+		t, err := client.NewTransport(kind, cfg)
+		if err != nil {
+			fatal(err)
+		}
+		defer t.Close()
+		d, report = t.Send, func(io.Writer) {}
 	}
+	st := drive(d, raw, reqs, *concurrency, *rate, *batch, *duration)
 	st.report(os.Stdout)
-	if rc != nil {
-		reportClient(rc, os.Stdout)
-	}
+	report(os.Stdout)
 
 	if *scrape {
 		scrapeMetrics(httpClient, *addr, os.Stdout)
@@ -247,13 +253,6 @@ func main() {
 	if err := st.hardErr(); err != nil {
 		fatal(err)
 	}
-}
-
-func loopName(rate int) string {
-	if rate > 0 {
-		return fmt.Sprintf("open loop (%d req/s)", rate)
-	}
-	return "closed loop"
 }
 
 // ------------------------------------------------------------ workload --
@@ -290,12 +289,6 @@ func buildWorkload(traceIn, kernels, mode string, distinct int, execute bool, se
 	default:
 		return nil, fmt.Errorf("unknown mode %q", mode)
 	}
-	want := map[string]bool{}
-	for _, name := range strings.Split(kernels, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			want[name] = true
-		}
-	}
 	if distinct < 1 {
 		distinct = 1
 	}
@@ -305,10 +298,7 @@ func buildWorkload(traceIn, kernels, mode string, distinct int, execute bool, se
 	// zipf-like weights (variant v appears distinct-v times) so most
 	// traffic repeats hot binding sets.
 	var reqs []server.DecideRequest
-	for _, k := range polybench.Suite() {
-		if len(want) > 0 && !want[k.Name] {
-			continue
-		}
+	for _, k := range selected(kernels) {
 		base := k.Bindings(m)
 		for v := 0; v < distinct; v++ {
 			b := map[string]int64{}
@@ -335,16 +325,20 @@ func buildWorkload(traceIn, kernels, mode string, distinct int, execute bool, se
 
 // ----------------------------------------------------------------- run --
 
+// transports are the verdict transport tags, in report order.
+var transports = [...]string{client.TransportHTTPJSON, client.TransportHTTPBinary,
+	client.TransportStream, client.TransportLocal}
+
 type stats struct {
-	ok atomic.Uint64 // HTTP 200 calls
-	// shed counts 429 responses: deliberate load shedding by an
-	// overloaded daemon doing its job, reported and gated separately
-	// from hard failures.
+	ok atomic.Uint64 // calls answered with verdicts
+	// shed counts calls the daemon refused as deliberate load shedding
+	// (RemoteError.Shed): an overloaded daemon doing its job, reported
+	// and gated separately from hard failures.
 	shed      atomic.Uint64
 	transport atomic.Uint64 // transport failures (dial, reset, timeout)
-	serverErr atomic.Uint64 // hard HTTP errors: 5xx and unexpected statuses
-	decisions atomic.Uint64 // decision results inside 200 responses
-	itemErrs  atomic.Uint64 // per-item errors inside batch responses
+	serverErr atomic.Uint64 // every other refusal: 5xx and unexpected statuses
+	decisions atomic.Uint64 // verdicts carrying a decision
+	itemErrs  atomic.Uint64 // verdicts carrying a per-item error
 	dropped   atomic.Uint64 // open loop: dispatches the client queue refused
 
 	// Client-mode accounting: verdict provenance and calls the resilient
@@ -364,13 +358,10 @@ type stats struct {
 	// Per-transport accepted-decision tallies, so a stream run that
 	// silently fell back to HTTP shows up in the gate line rather than
 	// hiding inside one aggregate.
-	tJSON   atomic.Uint64 // decisions answered over HTTP JSON
-	tBinary atomic.Uint64 // decisions answered over HTTP binary frames
-	tStream atomic.Uint64 // decisions answered over the stream transport
-	tLocal  atomic.Uint64 // decisions answered by the in-process fallback
+	byTransport [len(transports)]atomic.Uint64
 
 	mu        sync.Mutex
-	latencies []int64 // ns per HTTP call
+	latencies []int64 // ns per call
 	elapsed   time.Duration
 }
 
@@ -416,24 +407,16 @@ func (st *stats) gateErr(min float64) error {
 // verdicts locally, is visible in the throughput line and gate message
 // rather than hiding inside one aggregate.
 func (st *stats) transportBreakdown() string {
-	parts := []struct {
-		name string
-		n    uint64
-	}{
-		{"http-json", st.tJSON.Load()},
-		{"http-binary", st.tBinary.Load()},
-		{"stream", st.tStream.Load()},
-		{"local", st.tLocal.Load()},
-	}
 	var b strings.Builder
-	for _, p := range parts {
-		if p.n == 0 {
+	for i, name := range transports {
+		n := st.byTransport[i].Load()
+		if n == 0 {
 			continue
 		}
 		if b.Len() > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s %d", p.name, p.n)
+		fmt.Fprintf(&b, "%s %d", name, n)
 	}
 	return b.String()
 }
@@ -452,212 +435,12 @@ func (st *stats) hardErr() error {
 	return fmt.Errorf("%d transport errors, %d server errors, %d incomplete client calls", t, s, f)
 }
 
-func run(client *http.Client, addr string, reqs []server.DecideRequest,
-	concurrency, rate, batch int, duration time.Duration) *stats {
-	st := &stats{}
-	var next atomic.Uint64
-
-	fire := func() {
-		i := int(next.Add(1)-1) % len(reqs)
-		body, n := encodeCall(reqs, i, batch)
-		start := time.Now()
-		resp, err := client.Post(addr+"/v1/decide", "application/json", bytes.NewReader(body))
-		if err != nil {
-			st.transport.Add(1)
-			return
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		st.observe(time.Since(start))
-		switch resp.StatusCode {
-		case http.StatusOK:
-			st.ok.Add(1)
-			good := uint64(n - countItemErrors(raw, n, st))
-			st.decisions.Add(good)
-			st.tJSON.Add(good)
-		case http.StatusTooManyRequests:
-			st.shed.Add(1)
-		default:
-			st.serverErr.Add(1)
-		}
-	}
-
-	drive(st, concurrency, rate, duration, fire)
-	return st
-}
-
-// runWire is run's counterpart over the binary frame format: the same
-// loop models against POST /v2/decide with frame bodies — slot-form
-// binding vectors whenever the region's parameter set is known, named
-// bindings otherwise.
-func runWire(client *http.Client, addr string, reqs []server.DecideRequest,
-	params map[string][]string, concurrency, rate, batch int, duration time.Duration) *stats {
-	st := &stats{}
-	var next atomic.Uint64
-
-	fire := func() {
-		i := int(next.Add(1)-1) % len(reqs)
-		body := encodeWireCall(reqs, i, batch, params)
-		start := time.Now()
-		resp, err := client.Post(addr+"/v2/decide", wire.ContentType, bytes.NewReader(body))
-		if err != nil {
-			st.transport.Add(1)
-			return
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		st.observe(time.Since(start))
-		switch resp.StatusCode {
-		case http.StatusOK:
-			st.ok.Add(1)
-			good := uint64(countWireDecisions(raw, st))
-			st.decisions.Add(good)
-			st.tBinary.Add(good)
-		case http.StatusTooManyRequests:
-			st.shed.Add(1)
-		default:
-			st.serverErr.Add(1)
-		}
-	}
-
-	drive(st, concurrency, rate, duration, fire)
-	return st
-}
-
-// loadStreamSlot is one persistent stream connection in runStream's
-// pool, redialed in place when it dies or is drained by a Goaway.
-type loadStreamSlot struct {
-	mu   sync.Mutex
-	conn *client.StreamConn
-}
-
-func (s *loadStreamSlot) get(dial func() (*client.StreamConn, error)) (*client.StreamConn, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.conn != nil && s.conn.Usable() {
-		return s.conn, nil
-	}
-	if s.conn != nil {
-		s.conn.Close()
-		s.conn = nil
-	}
-	c, err := dial()
-	if err != nil {
-		return nil, err
-	}
-	s.conn = c
-	return c, nil
-}
-
-// runStream is run's counterpart over the persistent stream transport:
-// a small shared pool of long-lived connections carries pipelined
-// decide frames, each call correlating its reply by stream ID. Batch
-// calls pipeline their decisions concurrently over one connection. A
-// dead connection costs the calls riding it (transport errors) and is
-// redialed in place by the next call landing on the slot.
-func runStream(addr, streamAddr string, reqs []server.DecideRequest,
-	params map[string][]string, concurrency, rate, batch int,
-	duration time.Duration, conns int) *stats {
-	st := &stats{}
-	var next atomic.Uint64
-	if conns <= 0 {
-		conns = 2
-	}
-	pool := make([]*loadStreamSlot, conns)
-	for i := range pool {
-		pool[i] = &loadStreamSlot{}
-	}
-	defer func() {
-		for _, s := range pool {
-			s.mu.Lock()
-			if s.conn != nil {
-				s.conn.Close()
-			}
-			s.mu.Unlock()
-		}
-	}()
-	dial := func() (*client.StreamConn, error) {
-		return client.DialStream(client.StreamDialConfig{
-			Addr: streamAddr, URL: addr, DialTimeout: 2 * time.Second,
-		})
-	}
-	ctx := context.Background()
-
-	// tally classifies one stream response: accepted decision, credit /
-	// admission shed, or hard server error.
-	tally := func(resp *wire.Response) {
-		switch {
-		case resp.Err == nil:
-			st.decisions.Add(1)
-			st.tStream.Add(1)
-		case resp.Err.Code == server.ErrCodeQueueFull:
-			st.shed.Add(1)
-		default:
-			st.serverErr.Add(1)
-		}
-	}
-
-	fire := func() {
-		n := next.Add(1) - 1
-		i := int(n) % len(reqs)
-		sc, err := pool[int(n)%conns].get(dial)
-		if err != nil {
-			st.transport.Add(1)
-			return
-		}
-		start := time.Now()
-		if batch <= 1 {
-			wr := toWireRequest(reqs[i], params)
-			resp, err := sc.Decide(ctx, &wr)
-			st.observe(time.Since(start))
-			if err != nil {
-				st.transport.Add(1)
-				return
-			}
-			st.ok.Add(1)
-			tally(resp)
-			return
-		}
-		// Pipelined batch: all decisions in flight on one connection at
-		// once, completing out of order.
-		var wg sync.WaitGroup
-		var deaths atomic.Uint64
-		for j := 0; j < batch; j++ {
-			wr := toWireRequest(reqs[(i+j)%len(reqs)], params)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := sc.Decide(ctx, &wr)
-				if err != nil {
-					deaths.Add(1)
-					return
-				}
-				tally(resp)
-			}()
-		}
-		wg.Wait()
-		st.observe(time.Since(start))
-		if deaths.Load() > 0 {
-			st.transport.Add(1)
-			return
-		}
-		st.ok.Add(1)
-	}
-
-	drive(st, concurrency, rate, duration, fire)
-	return st
-}
-
 // polybenchParams maps each (selected) suite kernel to its sorted
 // parameter names — what the slot wire form needs to agree with the
 // daemon on a region's binding layout.
 func polybenchParams(kernels string) map[string][]string {
-	want := kernelSubset(kernels)
 	params := map[string][]string{}
-	for _, k := range polybench.Suite() {
-		if len(want) > 0 && !want[k.Name] {
-			continue
-		}
+	for _, k := range selected(kernels) {
 		b := k.Bindings(polybench.Test)
 		names := make([]string, 0, len(b))
 		for name := range b {
@@ -669,99 +452,65 @@ func polybenchParams(kernels string) map[string][]string {
 	return params
 }
 
-// kernelSubset parses the -kernels flag (empty = whole suite).
-func kernelSubset(kernels string) map[string]bool {
+// selected returns the suite kernels the -kernels flag names (empty =
+// the whole suite).
+func selected(kernels string) []*polybench.Kernel {
 	want := map[string]bool{}
 	for _, name := range strings.Split(kernels, ",") {
 		if name = strings.TrimSpace(name); name != "" {
 			want[name] = true
 		}
 	}
-	return want
+	return slices.DeleteFunc(polybench.Suite(),
+		func(k *polybench.Kernel) bool { return len(want) > 0 && !want[k.Name] })
 }
 
-// encodeWireCall is encodeCall in frames: one request frame for batch 1,
-// a batch frame above.
-func encodeWireCall(reqs []server.DecideRequest, i, batch int, params map[string][]string) []byte {
-	if batch <= 1 {
-		wr := toWireRequest(reqs[i], params)
-		return wire.AppendRequest(nil, &wr)
-	}
-	window := make([]wire.Request, batch)
-	for j := 0; j < batch; j++ {
-		window[j] = toWireRequest(reqs[(i+j)%len(reqs)], params)
-	}
-	return wire.AppendBatchRequest(nil, window)
-}
+// decider makes one call: reqs in the batch form, or — batch unset — the
+// one request reqs holds in the single form. A raw transport's Send is
+// one as it is; the resilient clients are through resilient.
+type decider func(ctx context.Context, reqs []server.DecideRequest, batch bool) ([]client.Verdict, error)
 
-// toWireRequest picks the slot form when the kernel's parameter set is
-// known and matches the bindings exactly, falling back to named form.
-func toWireRequest(req server.DecideRequest, params map[string][]string) wire.Request {
-	names := make([]string, 0, len(req.Bindings))
-	for name := range req.Bindings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	values := make([]int64, len(names))
-	for i, name := range names {
-		values[i] = req.Bindings[name]
-	}
-	wr := wire.Request{Region: req.Region, Execute: req.Execute, Values: values}
-	if p, ok := params[req.Region]; ok && slices.Equal(p, names) {
-		wr.SlotForm = true
-		wr.KeyHash = attrdb.BindingsHash(symbolic.Bindings(req.Bindings))
-		return wr
-	}
-	wr.Names = names
-	return wr
-}
-
-// countWireDecisions tallies successful decisions (and item errors) in
-// a 200 frame body.
-func countWireDecisions(raw []byte, st *stats) int {
-	frames, err := wire.DecodeAll(raw)
-	if err != nil {
-		return 0
-	}
-	decisions := 0
-	count := func(r *wire.Response) {
-		if r.Err != nil {
-			st.itemErrs.Add(1)
-			return
-		}
-		decisions++
-	}
-	for _, fr := range frames {
-		switch fr.Type {
-		case wire.TypeResponse:
-			count(fr.Resp)
-		case wire.TypeBatchResponse:
-			for j := range fr.Resps {
-				count(&fr.Resps[j])
-			}
-		}
-	}
-	return decisions
-}
-
-// decider is the request surface runClient drives: both the
-// single-daemon resilient client and the cluster client satisfy it.
-type decider interface {
+func resilient(c interface {
 	Decide(context.Context, server.DecideRequest) (*client.Verdict, error)
 	DecideBatch(context.Context, []server.DecideRequest) ([]client.Verdict, error)
+}) decider {
+	return func(ctx context.Context, reqs []server.DecideRequest, batch bool) ([]client.Verdict, error) {
+		if batch {
+			return c.DecideBatch(ctx, reqs)
+		}
+		v, err := c.Decide(ctx, reqs[0])
+		if err != nil {
+			return nil, err
+		}
+		return []client.Verdict{*v}, nil
+	}
 }
 
-// runClient is run's counterpart over the resilient client: same loop
-// models and ring, but every call goes through retries, hedging, the
-// breaker and (when configured) the in-process fallback, and every
-// verdict's provenance is tallied.
-func runClient(c decider, reqs []server.DecideRequest,
+// drive is the one load loop — closed (workers back-to-back) or open
+// (dispatch on schedule into a bounded queue) until the deadline — over
+// the one decider. A failed call is classified from the client's typed
+// error when d is a raw transport, and is an incomplete call when d is a
+// resilient client, which was supposed to absorb the fault.
+func drive(d decider, raw bool, reqs []server.DecideRequest,
 	concurrency, rate, batch int, duration time.Duration) *stats {
 	st := &stats{}
 	var next atomic.Uint64
 	ctx := context.Background()
 
-	note := func(v client.Verdict) {
+	fail := func(err error) {
+		var re *client.RemoteError
+		switch {
+		case !raw:
+			st.failed.Add(1)
+		case !errors.As(err, &re):
+			st.transport.Add(1)
+		case re.Shed():
+			st.shed.Add(1)
+		default:
+			st.serverErr.Add(1)
+		}
+	}
+	note := func(v *client.Verdict) {
 		switch v.Provenance {
 		case client.ProvenanceHedged:
 			st.hedged.Add(1)
@@ -775,96 +524,59 @@ func runClient(c decider, reqs []server.DecideRequest,
 		}
 		if v.Response.Error != nil {
 			st.itemErrs.Add(1)
-		} else {
-			st.decisions.Add(1)
-			switch v.Transport {
-			case client.TransportStream:
-				st.tStream.Add(1)
-			case client.TransportHTTPBinary:
-				st.tBinary.Add(1)
-			case client.TransportLocal:
-				st.tLocal.Add(1)
-			default:
-				st.tJSON.Add(1)
-			}
-			switch v.Response.Provenance {
-			case offload.ProvenanceLearned:
-				st.learned.Add(1)
-			case offload.ProvenanceAnalytical:
-				st.analytical.Add(1)
-			}
-		}
-	}
-
-	fire := func() {
-		i := int(next.Add(1)-1) % len(reqs)
-		start := time.Now()
-		if batch <= 1 {
-			v, err := c.Decide(ctx, reqs[i])
-			st.observe(time.Since(start))
-			if err != nil {
-				st.failed.Add(1)
-				return
-			}
-			st.ok.Add(1)
-			note(*v)
 			return
 		}
-		window := make([]server.DecideRequest, batch)
-		for j := 0; j < batch; j++ {
-			window[j] = reqs[(i+j)%len(reqs)]
+		st.decisions.Add(1)
+		st.byTransport[slices.Index(transports[:], v.Transport)].Add(1)
+		switch v.Response.Provenance {
+		case offload.ProvenanceLearned:
+			st.learned.Add(1)
+		case offload.ProvenanceAnalytical:
+			st.analytical.Add(1)
 		}
-		vs, err := c.DecideBatch(ctx, window)
+	}
+	fire := func() {
+		i := int(next.Add(1)-1) % len(reqs)
+		window := reqs[i : i+1]
+		if batch > 1 {
+			window = make([]server.DecideRequest, batch)
+			for j := range window {
+				window[j] = reqs[(i+j)%len(reqs)]
+			}
+		}
+		start := time.Now()
+		vs, err := d(ctx, window, batch > 1)
 		st.observe(time.Since(start))
 		if err != nil {
-			st.failed.Add(1)
+			fail(err)
 			return
 		}
 		st.ok.Add(1)
-		for _, v := range vs {
-			note(v)
+		for j := range vs {
+			note(&vs[j])
 		}
 	}
 
-	drive(st, concurrency, rate, duration, fire)
-	return st
-}
-
-// drive runs the shared load loop — closed (workers back-to-back) or
-// open (dispatch on schedule into a bounded queue) — until the deadline.
-func drive(st *stats, concurrency, rate int, duration time.Duration, fire func()) {
-	deadline := time.Now().Add(duration)
 	start := time.Now()
+	deadline := start.Add(duration)
+	// Closed loop: workers fire back-to-back until the deadline. Open
+	// loop: they drain a bounded client queue fed on schedule.
+	jobs := make(chan struct{}, concurrency*1024)
 	var wg sync.WaitGroup
-	if rate <= 0 {
-		// Closed loop: workers back-to-back until the deadline.
-		for w := 0; w < concurrency; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					fire()
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		// Open loop: dispatch on schedule into a bounded client queue.
-		jobs := make(chan struct{}, concurrency*1024)
-		for w := 0; w < concurrency; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for range jobs {
-					fire()
-				}
-			}()
-		}
-		interval := time.Second / time.Duration(rate)
-		if interval <= 0 {
-			interval = time.Microsecond
-		}
-		ticker := time.NewTicker(interval)
+	for w := 0; w < concurrency; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rate <= 0 && time.Now().Before(deadline) {
+				fire()
+			}
+			for range jobs {
+				fire()
+			}
+		}()
+	}
+	if rate > 0 {
+		ticker := time.NewTicker(max(time.Second/time.Duration(rate), time.Microsecond))
 		for time.Now().Before(deadline) {
 			<-ticker.C
 			select {
@@ -874,56 +586,36 @@ func drive(st *stats, concurrency, rate int, duration time.Duration, fire func()
 			}
 		}
 		ticker.Stop()
-		close(jobs)
-		wg.Wait()
 	}
+	close(jobs)
+	wg.Wait()
 	st.elapsed = time.Since(start)
+	return st
 }
 
-// newResilientClient builds the production client for -client mode. The
-// fallback runtime mirrors hybridseld's defaults (same platform, thread
+// fallbackRuntime builds the in-process runtime the resilient modes
+// degrade to. It mirrors hybridseld's defaults (same platform, thread
 // count and kernel subset), so degraded verdicts match what the daemon
 // would have answered.
-func newResilientClient(baseURL, kernels string, noFallback, binary, stream bool,
-	streamAddr string, streamConns int, seed int64) (*client.Client, error) {
-	cfg := client.Config{BaseURL: baseURL, Seed: seed}
-	if binary {
-		params := polybenchParams(kernels)
-		cfg.Binary = true
-		cfg.RegionParams = func(region string) []string { return params[region] }
-	}
-	if stream {
-		params := polybenchParams(kernels)
-		cfg.Stream = true
-		cfg.StreamAddr = streamAddr
-		cfg.StreamConns = streamConns
-		cfg.RegionParams = func(region string) []string { return params[region] }
-	}
-	if !noFallback {
-		rt := offload.NewRuntime(offload.Config{
-			Platform: machine.PlatformP9V100(),
-			Threads:  160,
-			CPUSim:   sim.CPUConfig{SampleItems: 8, MaxLoopSample: 32},
-			GPUSim:   sim.GPUConfig{SampleWarps: 2, MaxLoopSample: 32, MaxRepSample: 1},
-		})
-		want := kernelSubset(kernels)
-		for _, k := range polybench.Suite() {
-			if len(want) > 0 && !want[k.Name] {
-				continue
-			}
-			if _, err := rt.Register(k.IR); err != nil {
-				return nil, err
-			}
+func fallbackRuntime(kernels string) (*offload.Runtime, error) {
+	rt := offload.NewRuntime(offload.Config{
+		Platform: machine.PlatformP9V100(),
+		Threads:  160,
+		CPUSim:   sim.CPUConfig{SampleItems: 8, MaxLoopSample: 32},
+		GPUSim:   sim.GPUConfig{SampleWarps: 2, MaxLoopSample: 32, MaxRepSample: 1},
+	})
+	for _, k := range selected(kernels) {
+		if _, err := rt.Register(k.IR); err != nil {
+			return nil, err
 		}
-		cfg.Fallback = rt
 	}
-	return client.New(cfg)
+	return rt, nil
 }
 
 // newClusterLoadClient builds the cluster client for -cluster mode from
 // the id=base-url member list.
-func newClusterLoadClient(members, kernels string, noFallback bool, seed int64) (*client.ClusterClient, error) {
-	ccfg := client.ClusterConfig{Replica: client.Config{Seed: seed}}
+func newClusterLoadClient(members string, fallback *offload.Runtime, seed int64) (*client.ClusterClient, error) {
+	ccfg := client.ClusterConfig{Replica: client.Config{Seed: seed}, Fallback: fallback}
 	for _, part := range strings.Split(members, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -934,24 +626,6 @@ func newClusterLoadClient(members, kernels string, noFallback bool, seed int64) 
 			return nil, fmt.Errorf("-cluster entry %q: want id=base-url", part)
 		}
 		ccfg.Members = append(ccfg.Members, client.ClusterMember{ID: id, BaseURL: url})
-	}
-	if !noFallback {
-		rt := offload.NewRuntime(offload.Config{
-			Platform: machine.PlatformP9V100(),
-			Threads:  160,
-			CPUSim:   sim.CPUConfig{SampleItems: 8, MaxLoopSample: 32},
-			GPUSim:   sim.GPUConfig{SampleWarps: 2, MaxLoopSample: 32, MaxRepSample: 1},
-		})
-		want := kernelSubset(kernels)
-		for _, k := range polybench.Suite() {
-			if len(want) > 0 && !want[k.Name] {
-				continue
-			}
-			if _, err := rt.Register(k.IR); err != nil {
-				return nil, err
-			}
-		}
-		ccfg.Fallback = rt
 	}
 	return client.NewCluster(ccfg)
 }
@@ -986,43 +660,6 @@ func reportClient(c *client.Client, w io.Writer) {
 		fmt.Fprintf(w, "stream       %d calls, %d fallbacks to HTTP, %d reconnects, %d downgrades\n",
 			m.StreamCalls, m.StreamFallbacks, m.StreamReconnects, m.StreamDowngrades)
 	}
-}
-
-// encodeCall builds the request body starting at ring index i: the
-// single-object shape for batch 1, the {"requests": [...]} shape above.
-// It returns the body and the number of decisions requested.
-func encodeCall(reqs []server.DecideRequest, i, batch int) ([]byte, int) {
-	if batch <= 1 {
-		b, _ := json.Marshal(reqs[i])
-		return b, 1
-	}
-	window := make([]server.DecideRequest, batch)
-	for j := 0; j < batch; j++ {
-		window[j] = reqs[(i+j)%len(reqs)]
-	}
-	b, _ := json.Marshal(struct {
-		Requests []server.DecideRequest `json:"requests"`
-	}{window})
-	return b, batch
-}
-
-// countItemErrors inspects a 200 response for per-item batch errors.
-func countItemErrors(raw []byte, n int, st *stats) int {
-	if n <= 1 {
-		return 0
-	}
-	var br server.BatchResponse
-	if err := json.Unmarshal(raw, &br); err != nil {
-		return 0
-	}
-	errs := 0
-	for _, r := range br.Results {
-		if r.Error != "" {
-			errs++
-		}
-	}
-	st.itemErrs.Add(uint64(errs))
-	return errs
 }
 
 // -------------------------------------------------------------- report --

@@ -3,84 +3,163 @@ package main
 import (
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/hybridsel/hybridsel/internal/client"
 	"github.com/hybridsel/hybridsel/internal/faultnet"
 	"github.com/hybridsel/hybridsel/internal/machine"
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/polybench"
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/sim"
+	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
-// TestRunClassifiesResponses drives the generator against a stub daemon
-// that cycles 200 / 429 / 500: sheds and hard server errors must land in
-// separate counters, and only 200 responses count decisions.
-func TestRunClassifiesResponses(t *testing.T) {
-	var calls atomic.Uint64
+// rawModes are the three plain (no -client) modes: one bare transport
+// each, all driven by the same drive loop.
+var rawModes = []string{client.TransportHTTPJSON, client.TransportHTTPBinary, client.TransportStream}
+
+func rawDecider(t *testing.T, kind, baseURL, streamAddr string) decider {
+	t.Helper()
+	tr, err := client.NewTransport(kind, client.Config{BaseURL: baseURL, StreamAddr: streamAddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tr.Close)
+	return tr.Send
+}
+
+// cyclingStub is a daemon that answers every call, in turn, with a
+// decision, a shed and a hard server error — over HTTP (JSON or frame
+// bodies, matching the request) and over a raw stream listener. calls
+// counts what it served.
+func cyclingStub(t *testing.T) (baseURL, streamAddr string, calls *atomic.Uint64) {
+	t.Helper()
+	calls = new(atomic.Uint64)
+	verdict := wire.Response{Region: "gemm", Verdict: "gpu/base", Kind: "gpu"}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/decide" {
+		if r.URL.Path != "/v2/decide" {
 			t.Errorf("unexpected path %s", r.URL.Path)
 		}
 		switch calls.Add(1) % 3 {
 		case 1:
+			if wire.IsFrameContent(r.Header.Get("Content-Type")) {
+				w.Header().Set("Content-Type", wire.ContentType)
+				w.Write(wire.AppendResponse(nil, &verdict))
+				return
+			}
 			w.Header().Set("Content-Type", "application/json")
-			w.Write([]byte(`{"region":"gemm","target":"gpu"}`))
+			w.Write([]byte(`{"region":"gemm","verdict":"gpu/base","kind":"gpu"}`))
 		case 2:
 			w.WriteHeader(http.StatusTooManyRequests)
 		default:
 			w.WriteHeader(http.StatusInternalServerError)
 		}
 	}))
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, err := conn.Write(wire.AppendCredit(nil, 8)); err != nil {
+					return
+				}
+				sr := wire.NewStreamReader(conn)
+				for {
+					f, err := sr.Next()
+					if err != nil || f.Type != wire.TypeStreamRequest {
+						return
+					}
+					resp := verdict
+					switch calls.Add(1) % 3 {
+					case 2:
+						resp = wire.Response{Err: &wire.Error{Code: server.ErrCodeQueueFull, Message: "stream credit exhausted"}}
+					case 0:
+						resp = wire.Response{Err: &wire.Error{Code: server.ErrCodeInternal, Message: "boom"}}
+					}
+					if _, err := conn.Write(wire.AppendStreamResponse(nil, f.StreamID, &resp)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ts.URL, l.Addr().String(), calls
+}
+
+// TestRunClassifiesResponses drives each raw mode against a stub daemon
+// that cycles decision / shed / server error: sheds and hard server
+// errors must land in separate counters, and only decisions count.
+func TestRunClassifiesResponses(t *testing.T) {
 	reqs := []server.DecideRequest{{Region: "gemm", Bindings: map[string]int64{"n": 64}}}
-	st := run(ts.Client(), ts.URL, reqs, 1, 0, 1, 150*time.Millisecond)
+	for _, kind := range rawModes {
+		t.Run(kind, func(t *testing.T) {
+			url, streamAddr, calls := cyclingStub(t)
+			st := drive(rawDecider(t, kind, url, streamAddr), true, reqs, 1, 0, 1, 150*time.Millisecond)
 
-	total := calls.Load()
-	if total == 0 {
-		t.Fatal("stub saw no traffic")
-	}
-	if got := st.ok.Load() + st.shed.Load() + st.serverErr.Load(); got != total {
-		t.Fatalf("classified %d calls, stub served %d", got, total)
-	}
-	if st.ok.Load() == 0 || st.shed.Load() == 0 || st.serverErr.Load() == 0 {
-		t.Fatalf("missing a class: ok=%d shed=%d serverErr=%d",
-			st.ok.Load(), st.shed.Load(), st.serverErr.Load())
-	}
-	if st.transport.Load() != 0 {
-		t.Fatalf("transport errors against a live stub: %d", st.transport.Load())
-	}
-	if st.decisions.Load() != st.ok.Load() {
-		t.Fatalf("decisions %d != ok calls %d (batch 1)",
-			st.decisions.Load(), st.ok.Load())
-	}
-	if err := st.hardErr(); err == nil {
-		t.Fatal("5xx responses did not fail hardErr")
+			total := calls.Load()
+			if total == 0 {
+				t.Fatal("stub saw no traffic")
+			}
+			if got := st.ok.Load() + st.shed.Load() + st.serverErr.Load(); got != total {
+				t.Fatalf("classified %d calls, stub served %d", got, total)
+			}
+			if st.ok.Load() == 0 || st.shed.Load() == 0 || st.serverErr.Load() == 0 {
+				t.Fatalf("missing a class: ok=%d shed=%d serverErr=%d",
+					st.ok.Load(), st.shed.Load(), st.serverErr.Load())
+			}
+			if st.transport.Load() != 0 || st.failed.Load() != 0 {
+				t.Fatalf("transport errors against a live stub: %d (+%d incomplete)",
+					st.transport.Load(), st.failed.Load())
+			}
+			if st.decisions.Load() != st.ok.Load() {
+				t.Fatalf("decisions %d != ok calls %d (batch 1)",
+					st.decisions.Load(), st.ok.Load())
+			}
+			if err := st.hardErr(); err == nil {
+				t.Fatal("5xx responses did not fail hardErr")
+			}
+		})
 	}
 }
 
-// TestTransportErrorsCounted points the generator at a closed port.
+// TestTransportErrorsCounted points each raw mode at a closed port.
 func TestTransportErrorsCounted(t *testing.T) {
 	ts := httptest.NewServer(http.NotFoundHandler())
 	url := ts.URL
 	ts.Close() // nothing listens here any more
 
 	reqs := []server.DecideRequest{{Region: "gemm", Bindings: map[string]int64{"n": 64}}}
-	st := run(http.DefaultClient, url, reqs, 1, 0, 1, 50*time.Millisecond)
-	if st.transport.Load() == 0 {
-		t.Fatal("no transport errors against a dead endpoint")
-	}
-	if st.serverErr.Load() != 0 || st.shed.Load() != 0 {
-		t.Fatalf("dead endpoint misclassified: serverErr=%d shed=%d",
-			st.serverErr.Load(), st.shed.Load())
-	}
-	if err := st.hardErr(); err == nil {
-		t.Fatal("transport errors did not fail hardErr")
+	for _, kind := range rawModes {
+		t.Run(kind, func(t *testing.T) {
+			st := drive(rawDecider(t, kind, url, strings.TrimPrefix(url, "http://")), true, reqs, 1, 0, 1, 50*time.Millisecond)
+			if st.transport.Load() == 0 {
+				t.Fatal("no transport errors against a dead endpoint")
+			}
+			if st.serverErr.Load() != 0 || st.shed.Load() != 0 || st.ok.Load() != 0 {
+				t.Fatalf("dead endpoint misclassified: serverErr=%d shed=%d ok=%d",
+					st.serverErr.Load(), st.shed.Load(), st.ok.Load())
+			}
+			if err := st.hardErr(); err == nil {
+				t.Fatal("transport errors did not fail hardErr")
+			}
+		})
 	}
 }
 
@@ -107,7 +186,11 @@ func TestClientModeCompletesUnderFaults(t *testing.T) {
 	}
 	proxy.SetFaults(sc.Steps[0].Faults)
 
-	c, err := newResilientClient("http://"+paddr, "mvt1", false, false, false, "", 0, 1)
+	rt, err := fallbackRuntime("mvt1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.New(client.Config{BaseURL: "http://" + paddr, Seed: 1, Fallback: rt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +200,7 @@ func TestClientModeCompletesUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := runClient(c, reqs, 4, 0, 1, 300*time.Millisecond)
+	st := drive(resilient(c), false, reqs, 4, 0, 1, 300*time.Millisecond)
 
 	if st.ok.Load() == 0 {
 		t.Fatal("no calls completed")
@@ -204,8 +287,20 @@ func TestRunWireAgainstRealDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 8} {
-		st := runWire(ts.Client(), ts.URL, reqs, polybenchParams("mvt1"),
-			2, 0, batch, 100*time.Millisecond)
+		params := polybenchParams("mvt1")
+		tr, err := client.NewTransport(client.TransportHTTPBinary, client.Config{
+			BaseURL: ts.URL, HTTPClient: ts.Client(),
+			RegionParams: func(region string) []string { return params[region] },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := drive(tr.Send, true, reqs, 2, 0, batch, 100*time.Millisecond)
+		tr.Close()
+		if got := st.byTransport[1].Load(); got != st.decisions.Load() {
+			t.Fatalf("batch %d: %d of %d decisions tagged %s",
+				batch, got, st.decisions.Load(), transports[1])
+		}
 		if st.ok.Load() == 0 {
 			t.Fatalf("batch %d: no wire calls completed", batch)
 		}

@@ -25,10 +25,8 @@ type batcher struct {
 
 // batchItem is one caller waiting for its slice of a batched call.
 type batchItem struct {
-	req  server.DecideRequest
-	done chan struct{}
-	v    *Verdict
-	err  error
+	req server.DecideRequest
+	flight
 }
 
 func newBatcher(c *Client, window time.Duration, max int) *batcher {
@@ -37,7 +35,7 @@ func newBatcher(c *Client, window time.Duration, max int) *batcher {
 
 // decide enqueues one request and waits for its batch to flush.
 func (b *batcher) decide(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
-	it := &batchItem{req: req, done: make(chan struct{})}
+	it := &batchItem{req: req, flight: flight{done: make(chan struct{})}}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()

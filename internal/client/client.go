@@ -25,15 +25,12 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,7 +40,6 @@ import (
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
-	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
 // Provenance says which path produced a Verdict.
@@ -74,8 +70,8 @@ type Verdict struct {
 	Response server.DecideResponseV2
 	// Provenance is remote, hedged, or fallback.
 	Provenance Provenance
-	// Attempts counts HTTP attempts consumed (0 for a pure-fallback
-	// verdict served while the breaker was open).
+	// Attempts counts passes down the transport ladder consumed (0 for
+	// a pure-fallback verdict served while the breaker was open).
 	Attempts int
 	// Coalesced marks a verdict served by another caller's identical
 	// in-flight request rather than a network call of its own.
@@ -106,6 +102,9 @@ const (
 	DefaultBreakerCooldown = 500 * time.Millisecond
 	DefaultHedgeMinSamples = 20
 	DefaultMaxBatch        = 64
+	// DefaultStreamConns is the stream connection pool size when
+	// Config.StreamConns is zero.
+	DefaultStreamConns = 2
 )
 
 // Config parameterizes a Client.
@@ -122,8 +121,9 @@ type Config struct {
 	// fallback verdicts match the daemon's bit-for-bit.
 	Fallback *offload.Runtime
 
-	// MaxAttempts bounds HTTP attempts per logical call, first try
-	// included. 0 selects DefaultMaxAttempts; 1 disables retries.
+	// MaxAttempts bounds passes down the transport ladder per logical
+	// call, first try included. 0 selects DefaultMaxAttempts; 1 disables
+	// retries.
 	MaxAttempts int
 	// RetryBackoff is the base backoff, doubled per attempt with ±50%
 	// jitter, capped at MaxBackoff. A server Retry-After longer than the
@@ -156,13 +156,12 @@ type Config struct {
 	// Seed fixes the backoff-jitter RNG for reproducible runs (0 = 1).
 	Seed int64
 
-	// Binary switches /v2/decide traffic to the compact frame format
-	// (wire.ContentType) over the same pooled, long-lived connections.
-	// If the peer turns out not to speak frames — an old daemon or a
-	// JSON-rewriting middlebox answers a frame body with a JSON
-	// bad_request envelope, or a 200 body fails to decode — the client
-	// downgrades to JSON once, stickily, and retries; no verdict is
-	// lost to the negotiation (Metrics.WireDowngrades counts it).
+	// Binary puts the compact frame format (wire.ContentType) on the
+	// transport ladder above JSON, over the same pooled connections. A
+	// peer that turns out not to speak frames — an old daemon, a
+	// JSON-rewriting middlebox — demotes the rung once, stickily, and the
+	// same attempt goes out again as JSON: no verdict is lost to the
+	// negotiation (Metrics.WireDowngrades counts it).
 	Binary bool
 	// RegionParams, when non-nil with Binary set, returns a region's
 	// canonical parameter names in sorted order (nil/mismatched length
@@ -173,15 +172,13 @@ type Config struct {
 	// still far cheaper than JSON.
 	RegionParams func(region string) []string
 
-	// Stream routes decide-only single requests over a small pool of
-	// persistent multiplexed frame-stream connections (StreamConns of
-	// them, automatically redialed with backoff), falling back to HTTP
-	// inside the same attempt whenever a stream connection is dead,
-	// drained, or mid-reconnect — a dying connection costs latency,
-	// never a verdict. An endpoint that does not speak the stream
-	// dialect (version skew, refused upgrade) latches a sticky
-	// downgrade to HTTP framing, mirroring the binary→JSON ladder.
-	// Execute and batch requests always use HTTP.
+	// Stream puts a small pool of persistent multiplexed frame-stream
+	// connections (StreamConns of them, redialed with backoff) on top of
+	// the ladder for decide-only single requests. A dead, drained or
+	// reconnecting connection falls through to HTTP inside the same
+	// attempt — it costs latency, never a verdict; an endpoint that does
+	// not speak the stream dialect demotes the rung stickily. Execute
+	// and batch requests always use HTTP.
 	Stream bool
 	// StreamAddr is the daemon's raw TCP stream listener
 	// (hybridseld -stream-addr). Empty negotiates the stream over the
@@ -195,24 +192,16 @@ type Config struct {
 // Client is a resilient hybridseld client. Safe for concurrent use.
 type Client struct {
 	cfg     Config
-	http    *http.Client
 	breaker *breaker
 	met     metrics
+	ladder  []*rung // stream, HTTP frames, HTTP JSON: those Config enables
 	// Hedge-delay estimation is per transport: stream and HTTP attempt
 	// latencies live in different regimes (no per-request framing vs
 	// full request/response cycles), so mixing them would fire stream
 	// hedges on stale HTTP p99s and vice versa.
-	latHTTP   *latencySampler
-	latStream *latencySampler
+	latHTTP   latencySampler
+	latStream latencySampler
 	batcher   *batcher
-
-	// wireDown latches a sticky downgrade from binary frames to JSON
-	// after the peer proves it does not speak the frame protocol.
-	wireDown atomic.Bool
-	// streamDown latches the analogous sticky downgrade from the
-	// stream transport to HTTP framing.
-	streamDown atomic.Bool
-	spool      *streamPool
 
 	jmu sync.Mutex
 	rng *rand.Rand
@@ -221,49 +210,34 @@ type Client struct {
 	inflight map[string]*flight
 }
 
-// flight is one in-progress decide shared by coalesced callers.
+// flight is one in-progress decide its callers wait on: shared by
+// coalesced callers, or one item of a window batch.
 type flight struct {
 	done chan struct{}
 	v    *Verdict
 	err  error
 }
 
-// New builds a client for the daemon at cfg.BaseURL.
-func New(cfg Config) (*Client, error) {
+// withDefaults validates cfg and fills its zero fields with defaults.
+func (cfg Config) withDefaults() (Config, error) {
 	if cfg.BaseURL == "" {
-		return nil, errors.New("client: Config.BaseURL is required")
+		return cfg, errors.New("client: Config.BaseURL is required")
 	}
 	cfg.BaseURL = strings.TrimSuffix(cfg.BaseURL, "/")
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = DefaultMaxAttempts
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultMaxBackoff
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
-	}
-	if cfg.BreakerFailures <= 0 {
-		cfg.BreakerFailures = DefaultBreakerFailures
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if cfg.HedgeMinSamples <= 0 {
-		cfg.HedgeMinSamples = DefaultHedgeMinSamples
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
+	orDefault(&cfg.MaxAttempts, DefaultMaxAttempts)
+	orDefault(&cfg.RetryBackoff, DefaultRetryBackoff)
+	orDefault(&cfg.MaxBackoff, DefaultMaxBackoff)
+	orDefault(&cfg.Timeout, DefaultTimeout)
+	orDefault(&cfg.BreakerFailures, DefaultBreakerFailures)
+	orDefault(&cfg.BreakerCooldown, DefaultBreakerCooldown)
+	orDefault(&cfg.HedgeMinSamples, DefaultHedgeMinSamples)
+	orDefault(&cfg.MaxBatch, DefaultMaxBatch)
+	orDefault(&cfg.StreamConns, DefaultStreamConns)
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{
+	if cfg.HTTPClient == nil {
+		cfg.HTTPClient = &http.Client{
 			Transport: &http.Transport{
 				MaxIdleConns:        128,
 				MaxIdleConnsPerHost: 128,
@@ -271,22 +245,33 @@ func New(cfg Config) (*Client, error) {
 			},
 		}
 	}
+	return cfg, nil
+}
+
+// orDefault replaces a zero (or negative) setting with its default.
+func orDefault[T int | time.Duration](v *T, d T) {
+	if *v <= 0 {
+		*v = d
+	}
+}
+
+// New builds a client for the daemon at cfg.BaseURL.
+func New(cfg Config) (*Client, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	c := &Client{
-		cfg:       cfg,
-		http:      hc,
-		latHTTP:   newLatencySampler(),
-		latStream: newLatencySampler(),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		inflight:  map[string]*flight{},
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		inflight: map[string]*flight{},
 	}
 	c.breaker = newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown,
 		func(from, to BreakerState) { c.met.breakerTransition(to) })
 	if cfg.BatchWindow > 0 {
 		c.batcher = newBatcher(c, cfg.BatchWindow, cfg.MaxBatch)
 	}
-	if cfg.Stream {
-		c.spool = newStreamPool(c)
-	}
+	c.buildLadder()
 	return c, nil
 }
 
@@ -297,8 +282,8 @@ func (c *Client) Close() {
 	if c.batcher != nil {
 		c.batcher.close()
 	}
-	if c.spool != nil {
-		c.spool.close()
+	for _, r := range c.ladder {
+		r.Close()
 	}
 }
 
@@ -307,13 +292,6 @@ func (c *Client) BreakerState() BreakerState { return c.breaker.State() }
 
 // Metrics returns a snapshot of the client's instrumentation.
 func (c *Client) Metrics() Metrics { return c.met.snapshot(c.breaker.State()) }
-
-// WritePrometheus renders the client metrics in the Prometheus text
-// exposition format under the hybridselc_ namespace — the client-side
-// mirror of the daemon's /metrics.
-func (c *Client) WritePrometheus(w io.Writer) error {
-	return c.Metrics().WritePrometheus(w)
-}
 
 // requestKey canonicalizes a request for coalescing.
 func requestKey(req server.DecideRequest) string {
@@ -333,7 +311,7 @@ func (c *Client) Decide(ctx context.Context, req server.DecideRequest) (*Verdict
 	if req.Execute {
 		// Execute dispatches work on the daemon: no coalescing with
 		// decide-only traffic, no batching, and never hedged.
-		return c.decideRemoteOrFallback(ctx, req)
+		return c.decideOne(ctx, req)
 	}
 	if c.batcher != nil {
 		return c.batcher.decide(ctx, req)
@@ -365,7 +343,7 @@ func (c *Client) decideCoalesced(ctx context.Context, req server.DecideRequest) 
 	c.inflight[key] = fl
 	c.fmu.Unlock()
 
-	v, err := c.decideRemoteOrFallback(ctx, req)
+	v, err := c.decideOne(ctx, req)
 	fl.v, fl.err = v, err
 	c.fmu.Lock()
 	delete(c.inflight, key)
@@ -374,45 +352,13 @@ func (c *Client) decideCoalesced(ctx context.Context, req server.DecideRequest) 
 	return v, err
 }
 
-// decideRemoteOrFallback is the per-request pipeline: breaker → retries
-// (+hedging) → fallback.
-func (c *Client) decideRemoteOrFallback(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
-	body, err := json.Marshal(req)
+// decideOne sends one request in the single form.
+func (c *Client) decideOne(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
+	vs, err := c.remoteOrFallback(ctx, []server.DecideRequest{req}, false)
 	if err != nil {
-		return nil, fmt.Errorf("client: encode request: %w", err)
+		return nil, err
 	}
-	p := payload{json: body}
-	if c.wireEnabled() {
-		p.wire = c.encodeWireSingle(req)
-	}
-	if !req.Execute && c.streamEnabled() {
-		wr := c.toWireRequest(req)
-		p.wreq = &wr
-	}
-	res, hedged, attempts, rerr := c.roundTrip(ctx, p, !req.Execute)
-	if rerr == nil {
-		var resp server.DecideResponseV2
-		if res.frame != nil {
-			resp = wireToResponseV2(res.frame.Resp)
-		} else if err := json.Unmarshal(res.data, &resp); err != nil {
-			return nil, fmt.Errorf("client: decode response: %w", err)
-		}
-		prov := ProvenanceRemote
-		if hedged {
-			prov = ProvenanceHedged
-		}
-		c.met.remoteOK.Add(1)
-		return &Verdict{Response: resp, Provenance: prov, Attempts: attempts, Transport: res.transport}, nil
-	}
-	var perm *permanentError
-	if errors.As(rerr, &perm) {
-		return nil, rerr
-	}
-	v, ferr := c.fallbackOne(req, attempts)
-	if ferr != nil {
-		return nil, fmt.Errorf("%w (fallback: %w)", rerr, ferr)
-	}
-	return v, nil
+	return &vs[0], nil
 }
 
 // DecideBatch returns verdicts for a slice of requests, positionally.
@@ -433,165 +379,83 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []server.DecideRequest) (
 func (c *Client) decideBatch(ctx context.Context, reqs []server.DecideRequest) ([]Verdict, error) {
 	c.met.batchCalls.Add(1)
 
-	// Client-side coalescing: send each distinct request once.
+	// Client-side coalescing: send each distinct request once, marking a
+	// request Coalesced as its key is found to have been seen.
+	out := make([]Verdict, len(reqs))
 	unique := make([]server.DecideRequest, 0, len(reqs))
 	slot := make([]int, len(reqs)) // request index -> unique index
 	byKey := map[string]int{}
-	canHedge := true
 	for i, req := range reqs {
-		if req.Execute {
-			canHedge = false
-		}
 		key := requestKey(req)
-		u, ok := byKey[key]
-		if !ok {
+		u, seen := byKey[key]
+		if !seen {
 			u = len(unique)
 			byKey[key] = u
 			unique = append(unique, req)
 		} else {
 			c.met.coalesced.Add(1)
 		}
-		slot[i] = u
+		slot[i], out[i].Coalesced = u, seen
 	}
 
-	results, prov, transport, attempts, err := c.batchRemoteOrFallback(ctx, unique, canHedge)
+	vs, err := c.remoteOrFallback(ctx, unique, true)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Verdict, len(reqs))
 	for i, u := range slot {
-		out[i] = Verdict{
-			Response:   results[u],
-			Provenance: prov,
-			Attempts:   attempts,
-			Coalesced:  slot[i] != i && i > 0 && sameSlotEarlier(slot, i),
-			Transport:  transport,
-		}
+		dup := out[i].Coalesced
+		out[i] = vs[u]
+		out[i].Coalesced = dup
 	}
 	return out, nil
 }
 
-// sameSlotEarlier reports whether an earlier request already claimed this
-// item's unique slot (i.e. this verdict was coalesced client-side).
-func sameSlotEarlier(slot []int, i int) bool {
-	for j := 0; j < i; j++ {
-		if slot[j] == slot[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// batchRemoteOrFallback sends one batched call, degrading every item to
-// the fallback runtime if the remote is unavailable.
-func (c *Client) batchRemoteOrFallback(ctx context.Context, unique []server.DecideRequest, canHedge bool) ([]server.DecideResponseV2, Provenance, string, int, error) {
-	body, err := json.Marshal(struct {
-		Requests []server.DecideRequest `json:"requests"`
-	}{unique})
-	if err != nil {
-		return nil, "", "", 0, fmt.Errorf("client: encode batch: %w", err)
-	}
-	p := payload{json: body, batch: true}
-	if c.wireEnabled() {
-		p.wire = c.encodeWireBatch(unique)
-	}
-	res, hedged, attempts, rerr := c.roundTrip(ctx, p, canHedge)
+// remoteOrFallback is the per-call pipeline of single and batch calls
+// alike: breaker → retries (+hedging) down the transport ladder → the
+// in-process fallback runtime. batch selects the batch form; otherwise
+// reqs holds exactly one request.
+func (c *Client) remoteOrFallback(ctx context.Context, reqs []server.DecideRequest, batch bool) ([]Verdict, error) {
+	vs, attempts, rerr := c.roundTrip(ctx, reqs, batch)
 	if rerr == nil {
-		var results []server.DecideResponseV2
-		if res.frame != nil {
-			results = make([]server.DecideResponseV2, len(res.frame.Resps))
-			for i := range res.frame.Resps {
-				results[i] = wireToResponseV2(&res.frame.Resps[i])
-			}
-		} else {
-			var br server.BatchResponseV2
-			if err := json.Unmarshal(res.data, &br); err != nil {
-				return nil, "", "", 0, fmt.Errorf("client: decode batch response: %w", err)
-			}
-			results = br.Results
-		}
-		if len(results) != len(unique) {
-			return nil, "", "", 0, fmt.Errorf("client: batch returned %d results for %d requests",
-				len(results), len(unique))
-		}
-		prov := ProvenanceRemote
-		if hedged {
-			prov = ProvenanceHedged
-		}
 		c.met.remoteOK.Add(1)
-		return results, prov, res.transport, attempts, nil
+		return vs, nil
 	}
-	var perm *permanentError
-	if errors.As(rerr, &perm) {
-		return nil, "", "", 0, rerr
+	if permanent(rerr) {
+		return nil, rerr
 	}
-	results := make([]server.DecideResponseV2, len(unique))
-	for i, req := range unique {
-		v, ferr := c.fallbackOne(req, attempts)
-		if ferr != nil {
-			return nil, "", "", 0, fmt.Errorf("%w (fallback: %w)", rerr, ferr)
+	if c.cfg.Fallback == nil {
+		return nil, fmt.Errorf("%w (fallback: %w)", rerr, errNoFallback)
+	}
+	vs = make([]Verdict, len(reqs))
+	for i, req := range reqs {
+		vs[i] = localVerdict(c.cfg.Fallback, req, attempts)
+		if vs[i].Response.Error != nil {
+			c.met.fallbackErrors.Add(1)
 		}
-		results[i] = v.Response
+		c.met.fallbacks.Add(1)
 	}
-	return results, ProvenanceFallback, TransportLocal, attempts, nil
+	return vs, nil
 }
 
-// fallbackOne serves one verdict from the in-process runtime. Item-level
-// model errors (unknown region, unbound symbol) are carried in
-// Response.Error with the daemon's own error codes (server.ClassifyError),
+var errNoFallback = errors.New("client: no fallback runtime configured")
+
+// localVerdict serves one verdict from an in-process runtime through the
+// daemon's own decide core: item-level model errors (unknown region,
+// unbound symbol) are carried in Response.Error with the daemon's codes,
 // so a degraded client behaves like the daemon it replaces.
-func (c *Client) fallbackOne(req server.DecideRequest, attempts int) (*Verdict, error) {
-	rt := c.cfg.Fallback
-	if rt == nil {
-		return nil, errors.New("client: no fallback runtime configured")
+func localVerdict(rt *offload.Runtime, req server.DecideRequest, attempts int) Verdict {
+	return Verdict{
+		Response:   server.DecideLocal(rt, req),
+		Provenance: ProvenanceFallback,
+		Attempts:   attempts,
+		Transport:  TransportLocal,
 	}
-	resp := server.DecideResponseV2{Region: req.Region}
-	b := symbolic.Bindings(req.Bindings)
-	var out *offload.Outcome
-	region, err := rt.Region(req.Region)
-	if err == nil {
-		if req.Execute {
-			out, err = region.Launch(b)
-		} else {
-			out, err = region.Decide(b)
-		}
-	}
-	if err != nil {
-		c.met.fallbackErrors.Add(1)
-		resp.Error = server.ClassifyError(err)
-	} else {
-		resp.Verdict = out.TargetID
-		resp.Kind = out.Target.String()
-		resp.Policy = out.Policy.Name()
-		resp.Candidates = out.Candidates
-		resp.SplitFraction = out.SplitFraction
-		resp.CacheHit = out.CacheHit
-		resp.ActualSeconds = out.ActualSeconds
-		resp.DecisionNanos = out.DecisionOverhead.Nanoseconds()
-	}
-	c.met.fallbacks.Add(1)
-	return &Verdict{Response: resp, Provenance: ProvenanceFallback, Attempts: attempts, Transport: TransportLocal}, nil
 }
 
-// ------------------------------------------------------------ transport --
+// ------------------------------------------------------------ retries --
 
-// permanentError marks a response that retrying cannot fix (the request
-// itself is wrong: bad_request, unknown_region, unbound_symbol, ...). It
-// bypasses both retries and fallback.
-type permanentError struct {
-	status int
-	code   string
-	msg    string
-}
-
-func (e *permanentError) Error() string {
-	if e.code != "" {
-		return fmt.Sprintf("client: permanent HTTP %d (%s): %s", e.status, e.code, e.msg)
-	}
-	return fmt.Sprintf("client: permanent HTTP %d: %s", e.status, e.msg)
-}
-
-// callErr classifies one failed attempt.
+// callErr is one failed attempt, classified for the retry loop; attempt
+// returns no other kind of error.
 type callErr struct {
 	err        error
 	retryable  bool
@@ -599,29 +463,46 @@ type callErr struct {
 	retryAfter time.Duration
 }
 
+func (e *callErr) Error() string { return e.err.Error() }
+
 // roundTrip runs the breaker → hedged attempt → backoff loop and returns
-// the decoded 200 response: the raw body for JSON attempts, the decoded
-// frame for binary ones.
-func (c *Client) roundTrip(ctx context.Context, p payload, canHedge bool) (rtResult, bool, int, error) {
+// the verdicts of the first attempt that succeeds, stamped with the
+// attempt count and, when the hedge won the race, hedged provenance.
+func (c *Client) roundTrip(ctx context.Context, reqs []server.DecideRequest, batch bool) ([]Verdict, int, error) {
+	// Only idempotent calls are hedged: an Execute request dispatches
+	// work and is never duplicated.
+	canHedge := !slices.ContainsFunc(reqs, func(r server.DecideRequest) bool { return r.Execute })
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		if !c.breaker.Allow() {
 			if lastErr != nil {
-				return rtResult{}, false, attempt - 1, fmt.Errorf("%w after %w", ErrCircuitOpen, lastErr)
+				return nil, attempt - 1, fmt.Errorf("%w after %w", ErrCircuitOpen, lastErr)
 			}
-			return rtResult{}, false, attempt - 1, ErrCircuitOpen
+			return nil, attempt - 1, ErrCircuitOpen
 		}
-		res, hedgeWon, cerr := c.hedgedAttempt(ctx, p, canHedge)
-		if cerr == nil {
+		vs, hedgeWon, err := c.hedgedAttempt(ctx, reqs, batch, canHedge)
+		if err == nil {
 			c.breaker.Success()
-			return res, hedgeWon, attempt, nil
+			for i := range vs {
+				vs[i].Attempts = attempt
+				if hedgeWon {
+					vs[i].Provenance = ProvenanceHedged
+				}
+			}
+			return vs, attempt, nil
+		}
+		var cerr *callErr
+		if !errors.As(err, &cerr) {
+			// The caller's context ended the race: final, and not the
+			// daemon's fault.
+			cerr = &callErr{err: err}
 		}
 		if cerr.breaker {
 			c.breaker.Failure()
 		}
 		lastErr = cerr.err
 		if !cerr.retryable {
-			return rtResult{}, false, attempt, lastErr
+			return nil, attempt, lastErr
 		}
 		if attempt == c.cfg.MaxAttempts || ctx.Err() != nil {
 			break
@@ -635,10 +516,10 @@ func (c *Client) roundTrip(ctx context.Context, p payload, canHedge bool) (rtRes
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():
-			return rtResult{}, false, attempt, fmt.Errorf("client: %w (last attempt: %w)", ctx.Err(), lastErr)
+			return nil, attempt, fmt.Errorf("client: %w (last attempt: %w)", ctx.Err(), lastErr)
 		}
 	}
-	return rtResult{}, false, c.cfg.MaxAttempts,
+	return nil, c.cfg.MaxAttempts,
 		fmt.Errorf("client: %d attempts failed, last: %w", c.cfg.MaxAttempts, lastErr)
 }
 
@@ -657,57 +538,65 @@ func (c *Client) backoff(attempt int) time.Duration {
 
 // hedgedAttempt runs one attempt, racing a duplicate after the hedge
 // delay when allowed. It reports whether the hedge produced the result.
-func (c *Client) hedgedAttempt(ctx context.Context, p payload, canHedge bool) (rtResult, bool, *callErr) {
-	delay := c.hedgeDelay(canHedge, p.wreq != nil && c.streamEnabled())
+func (c *Client) hedgedAttempt(ctx context.Context, reqs []server.DecideRequest, batch, canHedge bool) ([]Verdict, bool, error) {
+	delay := c.hedgeDelay(canHedge, c.startsOnStream(streamable(reqs, batch)))
 	if delay <= 0 {
-		res, cerr := c.attempt(ctx, p)
-		return res, false, cerr
+		vs, err := c.attempt(ctx, reqs, batch)
+		return vs, false, err
 	}
+	vs, hedgeWon, _, err := hedgeRace(ctx, delay, &c.met.hedges, &c.met.hedgeWins,
+		func(ctx context.Context, _ bool) ([]Verdict, error) { return c.attempt(ctx, reqs, batch) })
+	return vs, hedgeWon, err
+}
 
+// hedgeRace runs run(ctx, false) and, if delay passes before it returns,
+// run(ctx, true) beside it. The first success wins and cancels the
+// other; when all have failed the primary's error is preferred (the
+// hedge's is usually a cancellation echo). launched says how many ran;
+// hedges and wins count duplicates launched and won.
+func hedgeRace[T any](ctx context.Context, delay time.Duration, hedges, wins *atomic.Uint64,
+	run func(ctx context.Context, hedge bool) (T, error)) (v T, hedgeWon bool, launched int, err error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
-		res   rtResult
-		cerr  *callErr
+		v     T
+		err   error
 		hedge bool
 	}
 	results := make(chan outcome, 2)
 	launch := func(hedge bool) {
-		res, cerr := c.attempt(actx, p)
-		results <- outcome{res: res, cerr: cerr, hedge: hedge}
+		v, err := run(actx, hedge)
+		results <- outcome{v: v, err: err, hedge: hedge}
 	}
 	go launch(false)
 
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
-	launched, returned := 1, 0
-	var firstErr *callErr
-	for {
+	launched = 1
+	for returned := 0; ; {
 		select {
 		case out := <-results:
 			returned++
-			if out.cerr == nil {
+			if out.err == nil {
 				if out.hedge {
-					c.met.hedgeWins.Add(1)
+					wins.Add(1)
 				}
-				return out.res, out.hedge, nil
+				return out.v, out.hedge, launched, nil
 			}
-			if firstErr == nil || !out.hedge {
-				// Prefer reporting the primary's error: the hedge's is
-				// usually a cancellation echo.
-				firstErr = out.cerr
+			if err == nil || !out.hedge {
+				err = out.err
 			}
 			if returned == launched {
-				return rtResult{}, false, firstErr
+				return v, false, launched, err
 			}
 		case <-timer.C:
 			if launched == 1 {
 				launched = 2
-				c.met.hedges.Add(1)
+				hedges.Add(1)
 				go launch(true)
 			}
 		case <-ctx.Done():
-			return rtResult{}, false, &callErr{err: ctx.Err(), retryable: false}
+			return v, false, launched, ctx.Err()
 		}
 	}
 }
@@ -724,9 +613,9 @@ func (c *Client) hedgeDelay(canHedge, stream bool) time.Duration {
 	if c.cfg.HedgeAfter > 0 {
 		return c.cfg.HedgeAfter
 	}
-	lat := c.latHTTP
+	lat := &c.latHTTP
 	if stream {
-		lat = c.latStream
+		lat = &c.latStream
 	}
 	p99 := lat.p99(c.cfg.HedgeMinSamples)
 	if p99 <= 0 {
@@ -743,198 +632,6 @@ func (c *Client) hedgeDelay(canHedge, stream bool) time.Duration {
 	return p99
 }
 
-// attempt is one try at the daemon: the stream transport first when
-// enabled for this request, then HTTP POST /v2/decide — a JSON body, or
-// a frame body when binary mode is on and the peer hasn't been demoted
-// to JSON. A stream failure at the transport level (dead connection,
-// Goaway, reconnect backoff) falls through to HTTP inside this same
-// attempt, so connection death never costs a verdict — the in-flight
-// request fails over immediately.
-func (c *Client) attempt(ctx context.Context, p payload) (rtResult, *callErr) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	if p.wreq != nil && c.streamEnabled() {
-		if res, cerr, resolved := c.streamAttempt(actx, p); resolved {
-			return res, cerr
-		}
-		c.met.streamFallbacks.Add(1)
-	}
-	body, contentType := p.json, "application/json"
-	useWire := p.wire != nil && !c.wireDown.Load()
-	if useWire {
-		body, contentType = p.wire, wire.ContentType
-	}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost,
-		c.cfg.BaseURL+"/v2/decide", bytes.NewReader(body))
-	if err != nil {
-		return rtResult{}, &callErr{err: err}
-	}
-	req.Header.Set("Content-Type", contentType)
-	if useWire {
-		c.met.wireCalls.Add(1)
-	}
-	start := time.Now()
-	resp, err := c.http.Do(req)
-	if err != nil {
-		c.met.transportErrors.Add(1)
-		return rtResult{}, &callErr{err: err, retryable: true, breaker: true}
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		// Truncated or reset mid-body: the response cannot be trusted.
-		c.met.transportErrors.Add(1)
-		return rtResult{}, &callErr{
-			err:       fmt.Errorf("read body (HTTP %d): %w", resp.StatusCode, err),
-			retryable: true, breaker: true,
-		}
-	}
-	if resp.StatusCode == http.StatusOK {
-		c.latHTTP.observe(time.Since(start))
-		if !useWire {
-			return rtResult{data: data, transport: TransportHTTPJSON}, nil
-		}
-		fr, cerr := c.decodeWireOK(p, data, resp.Header.Get("Content-Type"))
-		if cerr != nil {
-			return rtResult{}, cerr
-		}
-		return rtResult{frame: fr, transport: TransportHTTPBinary}, nil
-	}
-	// Classify on the envelope's structured code when the daemon sent
-	// one; the HTTP status is the fallback for proxies and old daemons.
-	// A binary attempt reads the code from a TypeError frame when the
-	// peer answered in frames, falling back to the JSON envelope (errors
-	// raised before content negotiation — shedding, drain — stay JSON).
-	var re remoteErr
-	isWireErr := false
-	if useWire && wire.IsFrameContent(resp.Header.Get("Content-Type")) {
-		re, isWireErr = parseWireErrBody(data)
-	}
-	if !isWireErr {
-		re = parseErrBody(data)
-	}
-	retryAfter := parseRetryAfter(resp.Header.Get("Retry-After"))
-	if retryAfter == 0 {
-		retryAfter = re.retryAfter
-	}
-	if useWire && !isWireErr && re.code == server.ErrCodeBadRequest {
-		// A JSON bad_request answering a frame body is a peer that does
-		// not speak frames (an old daemon failing to parse them as
-		// JSON). Downgrade stickily and retry as JSON; the breaker does
-		// not count it — the daemon is healthy, just older.
-		c.downgradeWire()
-		return rtResult{}, &callErr{
-			err: fmt.Errorf("HTTP %d answering frames: %s (downgrading to JSON)",
-				resp.StatusCode, re.String()),
-			retryable: true,
-		}
-	}
-	switch {
-	case re.code == server.ErrCodeQueueFull ||
-		(re.code == "" && resp.StatusCode == http.StatusTooManyRequests):
-		// Deliberate shedding: retry later, but the daemon is healthy —
-		// the breaker does not count it.
-		c.met.sheds.Add(1)
-		return rtResult{}, &callErr{
-			err:        fmt.Errorf("HTTP %d: %s", resp.StatusCode, re.String()),
-			retryable:  true,
-			retryAfter: retryAfter,
-		}
-	case re.retryable(resp.StatusCode):
-		c.met.serverErrors.Add(1)
-		return rtResult{}, &callErr{
-			err:        fmt.Errorf("HTTP %d: %s", resp.StatusCode, re.String()),
-			retryable:  true,
-			breaker:    true,
-			retryAfter: retryAfter,
-		}
-	default:
-		c.met.permanentErrors.Add(1)
-		return rtResult{}, &callErr{
-			err: &permanentError{status: resp.StatusCode, code: re.code, msg: re.msg},
-		}
-	}
-}
-
-// remoteErr is the parsed body of a non-2xx response: the structured
-// envelope {"error": {code, message, retry_after?}} when the daemon sent
-// one, otherwise the legacy {"error": "..."} string or the raw body.
-type remoteErr struct {
-	code       string
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e remoteErr) String() string {
-	if e.code != "" {
-		return e.code + ": " + e.msg
-	}
-	return e.msg
-}
-
-// retryable reports whether the failure is transient. A structured code
-// decides outright; without one the HTTP status has to.
-func (e remoteErr) retryable(status int) bool {
-	switch e.code {
-	case server.ErrCodeQueueFull, server.ErrCodeDraining,
-		server.ErrCodeDeadlineExceeded, server.ErrCodeInternal:
-		return true
-	case "":
-		return status == http.StatusTooManyRequests || status >= 500
-	}
-	return false
-}
-
-// parseErrBody extracts the daemon's error from a non-2xx body.
-func parseErrBody(data []byte) remoteErr {
-	var env struct {
-		Error json.RawMessage `json:"error"`
-	}
-	if json.Unmarshal(data, &env) == nil && len(env.Error) > 0 {
-		var ei server.ErrorInfo
-		if env.Error[0] == '{' && json.Unmarshal(env.Error, &ei) == nil && ei.Code != "" {
-			return remoteErr{
-				code:       ei.Code,
-				msg:        ei.Message,
-				retryAfter: time.Duration(ei.RetryAfter * float64(time.Second)),
-			}
-		}
-		var s string
-		if json.Unmarshal(env.Error, &s) == nil && s != "" {
-			return remoteErr{msg: s}
-		}
-	}
-	s := strings.TrimSpace(string(data))
-	if len(s) > 200 {
-		s = s[:200] + "..."
-	}
-	return remoteErr{msg: s}
-}
-
-// parseRetryAfter accepts both RFC 9110 Retry-After forms: delay-seconds
-// (integer, plus the float extension the daemon emits for sub-second
-// hints) and an HTTP-date, honored as the delay from now. A date in the
-// past, like a negative delay, means "retry immediately" — zero.
-func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	if sec, err := strconv.ParseFloat(v, 64); err == nil {
-		if sec < 0 {
-			return 0
-		}
-		return time.Duration(sec * float64(time.Second))
-	}
-	t, err := http.ParseTime(v)
-	if err != nil {
-		return 0
-	}
-	if d := time.Until(t); d > 0 {
-		return d
-	}
-	return 0
-}
-
 // --------------------------------------------------------- latency p99 --
 
 // latencySampler keeps a ring of recent successful attempt latencies and
@@ -946,8 +643,6 @@ type latencySampler struct {
 	cached  time.Duration
 	cachedN int
 }
-
-func newLatencySampler() *latencySampler { return &latencySampler{} }
 
 func (s *latencySampler) observe(d time.Duration) {
 	s.mu.Lock()

@@ -161,29 +161,40 @@ func TestParseErrBodyShapes(t *testing.T) {
 	cases := []struct {
 		name string
 		body string
-		want remoteErr
+		want RemoteError
 	}{
 		{"envelope", `{"error":{"code":"queue_full","message":"full","retry_after":2}}`,
-			remoteErr{code: "queue_full", msg: "full", retryAfter: 2 * time.Second}},
+			RemoteError{Code: "queue_full", Message: "full", RetryAfter: 2 * time.Second}},
 		{"envelope-no-retry", `{"error":{"code":"draining","message":"bye"}}`,
-			remoteErr{code: "draining", msg: "bye"}},
-		{"legacy-string", `{"error":"boom"}`, remoteErr{msg: "boom"}},
-		{"raw", "bad gateway", remoteErr{msg: "bad gateway"}},
+			RemoteError{Code: "draining", Message: "bye"}},
+		{"legacy-string", `{"error":"boom"}`, RemoteError{Message: "boom"}},
+		{"raw", "bad gateway", RemoteError{Message: "bad gateway"}},
 	}
 	for _, tc := range cases {
-		if got := parseErrBody([]byte(tc.body)); got != tc.want {
+		if got := parseErrBody([]byte(tc.body)); *got != tc.want {
 			t.Errorf("%s: parseErrBody = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
-	// Structured codes drive retry classification regardless of status.
-	if !(remoteErr{code: "queue_full"}).retryable(200) {
-		t.Error("queue_full not retryable")
-	}
-	if (remoteErr{code: "unknown_region"}).retryable(500) {
-		t.Error("unknown_region retryable despite a 5xx status")
-	}
-	if !(remoteErr{}).retryable(503) || (remoteErr{}).retryable(404) {
-		t.Error("status fallback classification wrong")
+	// Structured codes drive retry classification regardless of status;
+	// without one the status decides. want is {retryable, breaker}.
+	for _, tc := range []struct {
+		re   RemoteError
+		want [2]bool
+	}{
+		{RemoteError{Status: 200, Code: "queue_full"}, [2]bool{true, false}},
+		{RemoteError{Status: 500, Code: "unknown_region"}, [2]bool{false, false}},
+		{RemoteError{Status: 400, Code: "draining"}, [2]bool{true, true}},
+		{RemoteError{Status: 503}, [2]bool{true, true}},
+		{RemoteError{Status: 429}, [2]bool{true, false}},
+		{RemoteError{Status: 404}, [2]bool{false, false}},
+	} {
+		retryable, breaker := tc.re.class()
+		if got := [2]bool{retryable, breaker}; got != tc.want {
+			t.Errorf("%+v: class = %v, want %v", tc.re, got, tc.want)
+		}
+		if tc.re.Shed() != (tc.want == [2]bool{true, false}) {
+			t.Errorf("%+v: Shed = %v", tc.re, tc.re.Shed())
+		}
 	}
 }
 
@@ -203,12 +214,12 @@ func TestPermanent4xxFailsFastWithoutFallback(t *testing.T) {
 	if err == nil {
 		t.Fatal("404 produced a verdict")
 	}
-	var perm *permanentError
-	if !errors.As(err, &perm) || perm.status != http.StatusNotFound {
+	var perm *RemoteError
+	if !errors.As(err, &perm) || !permanent(err) || perm.Status != http.StatusNotFound {
 		t.Fatalf("error %v", err)
 	}
-	if perm.code != server.ErrCodeUnknownRegion {
-		t.Fatalf("structured code %q, want %q", perm.code, server.ErrCodeUnknownRegion)
+	if perm.Code != server.ErrCodeUnknownRegion {
+		t.Fatalf("structured code %q, want %q", perm.Code, server.ErrCodeUnknownRegion)
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("4xx retried: %d calls", calls.Load())
@@ -437,14 +448,13 @@ func TestWindowBatchingMergesConcurrentCalls(t *testing.T) {
 }
 
 func TestDecideBatchPositionsAndClientCoalescing(t *testing.T) {
+	var sent atomic.Int64
 	ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
 		var batch struct {
 			Requests []server.DecideRequest `json:"requests"`
 		}
 		_ = json.NewDecoder(r.Body).Decode(&batch)
-		if len(batch.Requests) != 2 {
-			t.Errorf("duplicates not coalesced: %d unique requests", len(batch.Requests))
-		}
+		sent.Store(int64(len(batch.Requests)))
 		results := make([]server.DecideResponseV2, len(batch.Requests))
 		for i, req := range batch.Requests {
 			results[i] = server.DecideResponseV2{Region: req.Region, Verdict: "gpu/base"}
@@ -453,26 +463,35 @@ func TestDecideBatchPositionsAndClientCoalescing(t *testing.T) {
 	})
 	c := newTestClient(t, Config{BaseURL: ts.URL, DisableHedging: true})
 
-	reqs := []server.DecideRequest{
-		{Region: "gemm", Bindings: map[string]int64{"n": 8}},
-		{Region: "mvt1", Bindings: map[string]int64{"n": 8}},
-		{Region: "gemm", Bindings: map[string]int64{"n": 8}}, // dup of [0]
-	}
-	out, err := c.DecideBatch(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("got %d verdicts", len(out))
-	}
-	for i, want := range []string{"gemm", "mvt1", "gemm"} {
-		if out[i].Response.Region != want {
-			t.Fatalf("verdict %d region %q", i, out[i].Response.Region)
+	// Each letter is a distinct request; a repeat is a duplicate of its
+	// first occurrence and must come back Coalesced, first occurrences
+	// must not, and every position must carry its own region.
+	regions := map[byte]string{'A': "gemm", 'B': "mvt1"}
+	for _, pattern := range []string{"ABA", "AA", "ABB", "AAB", "ABAB", "A"} {
+		reqs := make([]server.DecideRequest, len(pattern))
+		for i := range pattern {
+			reqs[i] = server.DecideRequest{Region: regions[pattern[i]], Bindings: map[string]int64{"n": 8}}
 		}
-	}
-	if out[2].Coalesced != true || out[0].Coalesced || out[1].Coalesced {
-		t.Fatalf("coalesced flags: %v %v %v",
-			out[0].Coalesced, out[1].Coalesced, out[2].Coalesced)
+		out, err := c.DecideBatch(context.Background(), reqs)
+		if err != nil {
+			t.Fatalf("%s: %v", pattern, err)
+		}
+		if len(out) != len(pattern) {
+			t.Fatalf("%s: got %d verdicts", pattern, len(out))
+		}
+		seen := map[byte]bool{}
+		for i := range pattern {
+			if out[i].Response.Region != regions[pattern[i]] {
+				t.Errorf("%s: verdict %d region %q", pattern, i, out[i].Response.Region)
+			}
+			if out[i].Coalesced != seen[pattern[i]] {
+				t.Errorf("%s: verdict %d Coalesced = %v, want %v", pattern, i, out[i].Coalesced, seen[pattern[i]])
+			}
+			seen[pattern[i]] = true
+		}
+		if int(sent.Load()) != len(seen) {
+			t.Errorf("%s: duplicates not coalesced: %d requests sent for %d distinct", pattern, sent.Load(), len(seen))
+		}
 	}
 }
 
@@ -514,7 +533,7 @@ func TestWritePrometheusExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := c.WritePrometheus(&sb); err != nil {
+	if err := c.Metrics().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -7,10 +7,12 @@
 package client
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,7 +96,6 @@ type ClusterClient struct {
 	cfg     ClusterConfig
 	ring    *cluster.Ring
 	clients map[string]*Client
-	fb      *Client // fallback-only; never touches the network
 	met     clusterMetrics
 }
 
@@ -130,16 +131,6 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 		}
 		cc.clients[m.ID] = rc
 	}
-	if cfg.Fallback != nil {
-		fbCfg := cfg.Replica
-		fbCfg.BaseURL = "http://cluster-fallback.invalid"
-		fbCfg.Fallback = cfg.Fallback
-		fbCfg.Stream = false
-		cc.fb, err = New(fbCfg)
-		if err != nil {
-			return nil, err
-		}
-	}
 	return cc, nil
 }
 
@@ -147,9 +138,6 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 func (cc *ClusterClient) Close() {
 	for _, c := range cc.clients {
 		c.Close()
-	}
-	if cc.fb != nil {
-		cc.fb.Close()
 	}
 }
 
@@ -169,28 +157,13 @@ func (cc *ClusterClient) Route(req server.DecideRequest) []string {
 	if cc.cfg.Health == nil {
 		return order
 	}
-	ranked := make([]string, 0, len(order))
-	for _, class := range []cluster.Health{cluster.Alive, cluster.Suspect, cluster.Dead} {
-		for _, id := range order {
-			if cc.cfg.Health(id) == class {
-				ranked = append(ranked, id)
-			}
-		}
-	}
-	// Members with out-of-range health verdicts route last rather than
-	// vanish.
-	if len(ranked) < len(order) {
-		seen := map[string]bool{}
-		for _, id := range ranked {
-			seen[id] = true
-		}
-		for _, id := range order {
-			if !seen[id] {
-				ranked = append(ranked, id)
-			}
-		}
-	}
-	if len(ranked) > 0 && len(order) > 0 && ranked[0] != order[0] {
+	// A stable sort by health class: a member gossip cannot classify
+	// routes last rather than vanish.
+	ranked := slices.Clone(order)
+	slices.SortStableFunc(ranked, func(a, b string) int {
+		return cmp.Compare(min(cc.cfg.Health(a), cluster.Dead+1), min(cc.cfg.Health(b), cluster.Dead+1))
+	})
+	if ranked[0] != order[0] {
 		cc.met.demoted.Add(1)
 	}
 	return ranked
@@ -204,12 +177,8 @@ func (cc *ClusterClient) Decide(ctx context.Context, req server.DecideRequest) (
 	order := cc.Route(req)
 
 	v, tried, err := cc.decidePrimary(ctx, req, order)
-	if err == nil {
-		return v, nil
-	}
-	var perm *permanentError
-	if errors.As(err, &perm) {
-		return nil, err
+	if err == nil || permanent(err) {
+		return v, err
 	}
 	// Failover: everyone the primary race consumed has failed; walk the
 	// remaining successors.
@@ -218,25 +187,38 @@ func (cc *ClusterClient) Decide(ctx context.Context, req server.DecideRequest) (
 			break
 		}
 		cc.met.failovers.Add(1)
-		v, ferr := cc.clients[id].Decide(ctx, req)
-		if ferr == nil {
-			v.Replica = id
-			return v, nil
+		if v, err = cc.decideOn(ctx, id, req); err == nil || permanent(err) {
+			return v, err
 		}
-		if errors.As(ferr, &perm) {
-			return nil, ferr
-		}
-		err = ferr
 	}
-	if cc.fb != nil {
-		cc.met.fallbacks.Add(1)
-		v, ferr := cc.fb.fallbackOne(req, 0)
-		if ferr != nil {
-			return nil, fmt.Errorf("%w (fallback: %w)", err, ferr)
-		}
-		return v, nil
+	vs, err := cc.fallback([]server.DecideRequest{req}, err)
+	if err != nil {
+		return nil, err
 	}
-	return nil, err
+	return &vs[0], nil
+}
+
+// decideOn asks one replica, stamping the verdict with it.
+func (cc *ClusterClient) decideOn(ctx context.Context, id string, req server.DecideRequest) (*Verdict, error) {
+	v, err := cc.clients[id].Decide(ctx, req)
+	if err == nil {
+		v.Replica = id
+	}
+	return v, err
+}
+
+// fallback serves reqs from the cluster-level in-process runtime after
+// every routable replica failed with err, or returns err without one.
+func (cc *ClusterClient) fallback(reqs []server.DecideRequest, err error) ([]Verdict, error) {
+	if cc.cfg.Fallback == nil {
+		return nil, err
+	}
+	cc.met.fallbacks.Add(1)
+	vs := make([]Verdict, len(reqs))
+	for i, req := range reqs {
+		vs[i] = localVerdict(cc.cfg.Fallback, req, 0)
+	}
+	return vs, nil
 }
 
 // decidePrimary races the owner replica against a hedge at the first
@@ -245,77 +227,31 @@ func (cc *ClusterClient) Decide(ctx context.Context, req server.DecideRequest) (
 // own hedge. tried reports how many replicas of the order the race
 // consumed, so failover resumes after them.
 func (cc *ClusterClient) decidePrimary(ctx context.Context, req server.DecideRequest, order []string) (v *Verdict, tried int, err error) {
-	primary := cc.clients[order[0]]
-	delay := cc.hedgeDelay(primary, req, len(order) > 1)
+	delay := cc.cfg.HedgeAfter
+	switch {
+	case req.Execute || len(order) < 2 || cc.cfg.Replica.DisableHedging:
+		delay = 0
+	case delay <= 0:
+		// Derive from the owner's own per-transport p99 — the question a
+		// hedge answers is "is the owner slower than it usually is".
+		owner := cc.clients[order[0]]
+		delay = owner.hedgeDelay(true, owner.startsOnStream(true))
+	}
 	if delay <= 0 {
-		v, err := primary.Decide(ctx, req)
-		if err == nil {
-			v.Replica = order[0]
-		}
+		v, err := cc.decideOn(ctx, order[0], req)
 		return v, 1, err
 	}
-
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		v     *Verdict
-		err   error
-		hedge bool
-	}
-	results := make(chan outcome, 2)
-	launch := func(id string, hedge bool) {
-		v, err := cc.clients[id].Decide(actx, req)
-		if v != nil {
-			v.Replica = id
-		}
-		results <- outcome{v: v, err: err, hedge: hedge}
-	}
-	go launch(order[0], false)
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	launched, returned := 1, 0
-	var firstErr error
-	for {
-		select {
-		case out := <-results:
-			returned++
-			if out.err == nil {
-				if out.hedge {
-					cc.met.crossHedgeWins.Add(1)
-					out.v.Provenance = ProvenanceHedged
-				}
-				return out.v, launched, nil
+	v, hedgeWon, tried, err := hedgeRace(ctx, delay, &cc.met.crossHedges, &cc.met.crossHedgeWins,
+		func(ctx context.Context, hedge bool) (*Verdict, error) {
+			if hedge {
+				return cc.decideOn(ctx, order[1], req)
 			}
-			if firstErr == nil || !out.hedge {
-				firstErr = out.err
-			}
-			if returned == launched {
-				return nil, launched, firstErr
-			}
-		case <-timer.C:
-			if launched == 1 {
-				launched = 2
-				cc.met.crossHedges.Add(1)
-				go launch(order[1], true)
-			}
-		case <-ctx.Done():
-			return nil, launched, ctx.Err()
-		}
+			return cc.decideOn(ctx, order[0], req)
+		})
+	if hedgeWon {
+		v.Provenance = ProvenanceHedged
 	}
-}
-
-// hedgeDelay picks the cross-replica hedge delay for one request.
-func (cc *ClusterClient) hedgeDelay(primary *Client, req server.DecideRequest, haveSuccessor bool) time.Duration {
-	if req.Execute || !haveSuccessor || cc.cfg.Replica.DisableHedging {
-		return 0
-	}
-	if cc.cfg.HedgeAfter > 0 {
-		return cc.cfg.HedgeAfter
-	}
-	// Derive from the owner's own per-transport p99 — the question a
-	// hedge answers is "is the owner slower than it usually is".
-	return primary.hedgeDelay(true, primary.streamEnabled())
+	return v, tried, err
 }
 
 // DecideBatch returns verdicts positionally, sharding the batch by each
@@ -330,6 +266,9 @@ func (cc *ClusterClient) DecideBatch(ctx context.Context, reqs []server.DecideRe
 	type group struct {
 		order []string
 		idx   []int
+		sub   []server.DecideRequest
+		vs    []Verdict
+		err   error
 	}
 	groups := map[string]*group{}
 	for i, req := range reqs {
@@ -339,36 +278,26 @@ func (cc *ClusterClient) DecideBatch(ctx context.Context, reqs []server.DecideRe
 			g = &group{order: order}
 			groups[order[0]] = g
 		}
-		g.idx = append(g.idx, i)
+		g.idx, g.sub = append(g.idx, i), append(g.sub, req)
 	}
 
-	out := make([]Verdict, len(reqs))
-	errs := make([]error, 0, len(groups))
-	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, g := range groups {
 		wg.Add(1)
-		go func(g *group) {
+		go func() {
 			defer wg.Done()
-			sub := make([]server.DecideRequest, len(g.idx))
-			for j, i := range g.idx {
-				sub[j] = reqs[i]
-			}
-			vs, err := cc.batchGroup(ctx, sub, g.order)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, err)
-				return
-			}
-			for j, i := range g.idx {
-				out[i] = vs[j]
-			}
-		}(g)
+			g.vs, g.err = cc.batchGroup(ctx, g.sub, g.order)
+		}()
 	}
 	wg.Wait()
-	if len(errs) > 0 {
-		return nil, errs[0]
+	out := make([]Verdict, len(reqs))
+	for _, g := range groups {
+		if g.err != nil {
+			return nil, g.err
+		}
+		for j, i := range g.idx {
+			out[i] = g.vs[j]
+		}
 	}
 	return out, nil
 }
@@ -388,8 +317,7 @@ func (cc *ClusterClient) batchGroup(ctx context.Context, sub []server.DecideRequ
 			}
 			return vs, nil
 		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
+		if permanent(err) {
 			return nil, err
 		}
 		lastErr = err
@@ -397,19 +325,7 @@ func (cc *ClusterClient) batchGroup(ctx context.Context, sub []server.DecideRequ
 			break
 		}
 	}
-	if cc.fb != nil {
-		cc.met.fallbacks.Add(1)
-		vs := make([]Verdict, len(sub))
-		for i, req := range sub {
-			v, ferr := cc.fb.fallbackOne(req, 0)
-			if ferr != nil {
-				return nil, fmt.Errorf("%w (fallback: %w)", lastErr, ferr)
-			}
-			vs[i] = *v
-		}
-		return vs, nil
-	}
-	return nil, lastErr
+	return cc.fallback(sub, lastErr)
 }
 
 // Metrics returns a snapshot of the cluster layer plus every replica

@@ -25,13 +25,13 @@ type metrics struct {
 
 	retryAfterHonored atomic.Uint64
 
-	wireCalls      atomic.Uint64
-	wireDowngrades atomic.Uint64
+	wireCalls     atomic.Uint64
+	wireDemotions atomic.Uint64
 
 	streamCalls      atomic.Uint64
 	streamFallbacks  atomic.Uint64
 	streamReconnects atomic.Uint64
-	streamDowngrades atomic.Uint64
+	streamDemotions  atomic.Uint64
 
 	breakerOpened   atomic.Uint64
 	breakerHalfOpen atomic.Uint64
@@ -124,11 +124,11 @@ func (m *metrics) snapshot(state BreakerState) Metrics {
 		PermanentErrors:   m.permanentErrors.Load(),
 		RetryAfterHonored: m.retryAfterHonored.Load(),
 		WireCalls:         m.wireCalls.Load(),
-		WireDowngrades:    m.wireDowngrades.Load(),
+		WireDowngrades:    m.wireDemotions.Load(),
 		StreamCalls:       m.streamCalls.Load(),
 		StreamFallbacks:   m.streamFallbacks.Load(),
 		StreamReconnects:  m.streamReconnects.Load(),
-		StreamDowngrades:  m.streamDowngrades.Load(),
+		StreamDowngrades:  m.streamDemotions.Load(),
 		BreakerOpened:     m.breakerOpened.Load(),
 		BreakerHalfOpen:   m.breakerHalfOpen.Load(),
 		BreakerClosed:     m.breakerClosed.Load(),

@@ -9,6 +9,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http/httptest"
@@ -246,7 +247,7 @@ func TestNWayConcurrentDecides(t *testing.T) {
 					return
 				}
 				if !ids[v.Response.Verdict] || len(v.Response.Candidates) != rt.Targets().Len() {
-					errs <- &permanentError{msg: "malformed verdict " + v.Response.Verdict}
+					errs <- errors.New("malformed verdict " + v.Response.Verdict)
 					return
 				}
 			}

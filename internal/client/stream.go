@@ -22,30 +22,18 @@ import (
 // so steady-state decisions cost one frame write and one frame read —
 // no per-request HTTP parsing, no connection churn.
 //
-// Resilience composes with the existing pipeline rather than replacing
-// it: a stream attempt that fails at the transport level (dial refused,
-// connection death mid-flight, server Goaway, reconnect backoff) falls
-// through to the HTTP attempt inside the same retry slot, so a dying
-// stream connection costs latency, never a verdict. Per-stream error
-// responses (queue_full, draining, unknown_region, ...) classify
-// exactly like their HTTP envelope twins. An endpoint that provably
-// does not speak the stream dialect — wrong version byte, no credit
-// handshake, upgrade refused — latches a sticky downgrade to HTTP
-// framing, mirroring the binary→JSON downgrade ladder.
-
-// DefaultStreamConns is the connection pool size when Config.StreamConns
-// is zero.
-const DefaultStreamConns = 2
+// Which of its failures fall through to HTTP and which demote the rung
+// is the ladder's business (ladder.go); here a peer that provably does
+// not speak the dialect (wrong version byte, no credit handshake, upgrade
+// refused) is errDialect, and a per-stream error response a *RemoteError.
 
 // Stream transport errors. All are transport-level: the request was
 // never (or may never be) answered, and the caller should fail over to
-// HTTP. errStreamProtocol additionally means the peer does not speak
-// the stream dialect at all, so the client downgrades stickily.
+// HTTP.
 var (
-	errStreamProtocol = errors.New("client: peer does not speak the stream protocol")
-	errStreamBroken   = errors.New("client: stream connection broken")
-	errStreamGoaway   = errors.New("client: stream connection drained by server")
-	errStreamBackoff  = errors.New("client: stream reconnect backing off")
+	errStreamBroken  = errors.New("client: stream connection broken")
+	errStreamGoaway  = errors.New("client: stream connection drained by server")
+	errStreamBackoff = errors.New("client: stream reconnect backing off")
 )
 
 // StreamDialConfig configures one raw stream connection (DialStream).
@@ -68,7 +56,6 @@ type StreamDialConfig struct {
 // of order without blocking one another.
 type StreamConn struct {
 	conn   net.Conn
-	credit int
 	sem    chan struct{} // credit tokens
 	nextID atomic.Uint64
 
@@ -111,7 +98,7 @@ func DialStream(cfg StreamDialConfig) (*StreamConn, error) {
 	if err != nil || f.Type != wire.TypeCredit || f.Credit == 0 {
 		conn.Close()
 		if errors.Is(err, wire.ErrVersion) || errors.Is(err, wire.ErrMalformed) || err == nil {
-			return nil, fmt.Errorf("%w: handshake: %v", errStreamProtocol, err)
+			return nil, fmt.Errorf("%w: handshake: %v", errDialect, err)
 		}
 		return nil, fmt.Errorf("stream handshake: %w", err)
 	}
@@ -119,7 +106,6 @@ func DialStream(cfg StreamDialConfig) (*StreamConn, error) {
 	credit := int(min(f.Credit, 1<<16))
 	sc := &StreamConn{
 		conn:    conn,
-		credit:  credit,
 		sem:     make(chan struct{}, credit),
 		waiters: make(map[uint64]chan *wire.Response, credit),
 		done:    make(chan struct{}),
@@ -137,10 +123,10 @@ func DialStream(cfg StreamDialConfig) (*StreamConn, error) {
 func dialUpgrade(base string, timeout time.Duration) (net.Conn, error) {
 	u, err := url.Parse(base)
 	if err != nil {
-		return nil, fmt.Errorf("%w: parse URL: %v", errStreamProtocol, err)
+		return nil, fmt.Errorf("%w: parse URL: %v", errDialect, err)
 	}
 	if u.Scheme != "http" {
-		return nil, fmt.Errorf("%w: cannot upgrade %q endpoints", errStreamProtocol, u.Scheme)
+		return nil, fmt.Errorf("%w: cannot upgrade %q endpoints", errDialect, u.Scheme)
 	}
 	host := u.Host
 	if u.Port() == "" {
@@ -152,7 +138,7 @@ func dialUpgrade(base string, timeout time.Duration) (net.Conn, error) {
 	}
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	req := "GET /v1/stream HTTP/1.1\r\nHost: " + u.Host +
-		"\r\nConnection: Upgrade\r\nUpgrade: hybridsel-stream\r\n\r\n"
+		"\r\nConnection: Upgrade\r\nUpgrade: " + server.StreamUpgradeProto + "\r\n\r\n"
 	if _, err := conn.Write([]byte(req)); err != nil {
 		conn.Close()
 		return nil, err
@@ -161,12 +147,12 @@ func dialUpgrade(base string, timeout time.Duration) (net.Conn, error) {
 	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("%w: upgrade response: %v", errStreamProtocol, err)
+		return nil, fmt.Errorf("%w: upgrade response: %v", errDialect, err)
 	}
 	if resp.StatusCode != http.StatusSwitchingProtocols {
 		resp.Body.Close()
 		conn.Close()
-		return nil, fmt.Errorf("%w: upgrade refused with HTTP %d", errStreamProtocol, resp.StatusCode)
+		return nil, fmt.Errorf("%w: upgrade refused with HTTP %d", errDialect, resp.StatusCode)
 	}
 	_ = conn.SetDeadline(time.Time{})
 	// The server speaks immediately after the 101; any bytes it
@@ -182,9 +168,6 @@ type bufferedConn struct {
 }
 
 func (c *bufferedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-// Credit returns the server-granted in-flight window.
-func (sc *StreamConn) Credit() int { return sc.credit }
 
 // Usable reports whether the connection can accept new streams (alive
 // and not drained by a server Goaway).
@@ -297,7 +280,7 @@ func (sc *StreamConn) readLoop(sr *wire.StreamReader) {
 			sc.die(fmt.Errorf("%w: server: %s: %s", errStreamBroken, f.Err.Code, f.Err.Message))
 			return
 		default:
-			sc.die(fmt.Errorf("%w: unexpected frame type %d", errStreamProtocol, f.Type))
+			sc.die(fmt.Errorf("%w: unexpected frame type %d", errDialect, f.Type))
 			return
 		}
 	}
@@ -328,17 +311,18 @@ func (sc *StreamConn) deathErr() error {
 	return errStreamBroken
 }
 
-// ------------------------------------------------------------- pooling --
+// ----------------------------------------------------------- transport --
 
-// streamPool keeps Config.StreamConns persistent connections, redialing
-// dead slots with exponential backoff. Calls round-robin across slots;
-// a slot mid-backoff or mid-drain answers errStreamBackoff and the
-// caller fails over to HTTP for that attempt.
-type streamPool struct {
-	c    *Client
-	next atomic.Uint64
-
-	slots []streamSlot
+// streamTransport is the stream rung: a pool of persistent connections,
+// dead slots redialed with exponential backoff. Calls round-robin across
+// slots; a slot mid-backoff or mid-drain answers errStreamBackoff and
+// the ladder fails over to HTTP for that attempt.
+type streamTransport struct {
+	dial   StreamDialConfig
+	params func(region string) []string
+	met    *metrics
+	next   atomic.Uint64
+	slots  []streamSlot
 }
 
 type streamSlot struct {
@@ -349,18 +333,10 @@ type streamSlot struct {
 	backoff time.Duration
 }
 
-func newStreamPool(c *Client) *streamPool {
-	n := c.cfg.StreamConns
-	if n <= 0 {
-		n = DefaultStreamConns
-	}
-	return &streamPool{c: c, slots: make([]streamSlot, n)}
-}
-
 // get returns a usable connection from the next slot, dialing if the
 // slot is empty or its connection has died or drained.
-func (p *streamPool) get() (*StreamConn, error) {
-	sl := &p.slots[int(p.next.Add(1))%len(p.slots)]
+func (t *streamTransport) get() (*StreamConn, error) {
+	sl := &t.slots[int(t.next.Add(1))%len(t.slots)]
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	if sl.conn != nil && sl.conn.Usable() {
@@ -373,28 +349,14 @@ func (p *streamPool) get() (*StreamConn, error) {
 	if time.Now().Before(sl.retryAt) {
 		return nil, errStreamBackoff
 	}
-	sc, err := DialStream(StreamDialConfig{
-		Addr:        p.c.cfg.StreamAddr,
-		URL:         p.c.cfg.BaseURL,
-		DialTimeout: p.c.cfg.Timeout,
-	})
+	sc, err := DialStream(t.dial)
 	if err != nil {
-		if sl.backoff <= 0 {
-			sl.backoff = 20 * time.Millisecond
-		} else {
-			sl.backoff *= 2
-			if sl.backoff > 2*time.Second {
-				sl.backoff = 2 * time.Second
-			}
-		}
+		sl.backoff = min(max(2*sl.backoff, 20*time.Millisecond), 2*time.Second)
 		sl.retryAt = time.Now().Add(sl.backoff)
-		if errors.Is(err, errStreamProtocol) {
-			p.c.downgradeStream()
-		}
 		return nil, err
 	}
 	if sl.dialed {
-		p.c.met.streamReconnects.Add(1)
+		t.met.streamReconnects.Add(1)
 	}
 	sl.dialed = true
 	sl.backoff = 0
@@ -402,10 +364,10 @@ func (p *streamPool) get() (*StreamConn, error) {
 	return sc, nil
 }
 
-// close tears down every pooled connection.
-func (p *streamPool) close() {
-	for i := range p.slots {
-		sl := &p.slots[i]
+// Close tears down every pooled connection.
+func (t *streamTransport) Close() {
+	for i := range t.slots {
+		sl := &t.slots[i]
 		sl.mu.Lock()
 		if sl.conn != nil {
 			sl.conn.Close()
@@ -415,76 +377,48 @@ func (p *streamPool) close() {
 	}
 }
 
-// -------------------------------------------------------- client glue --
-
-// streamEnabled reports whether the next decide should try the stream
-// transport first.
-func (c *Client) streamEnabled() bool {
-	return c.cfg.Stream && !c.streamDown.Load()
+// Send runs the call over one pooled connection. A batch on a stream is
+// its items pipelined on that connection, completing out of order, with
+// item refusals riding inside the verdicts like any batch; a single's
+// refusal is the call's error.
+func (t *streamTransport) Send(ctx context.Context, reqs []server.DecideRequest, batch bool) ([]Verdict, error) {
+	sc, err := t.get()
+	if err != nil {
+		return nil, err
+	}
+	vs := make([]Verdict, len(reqs))
+	if !batch {
+		if err := t.one(ctx, sc, reqs[0], &vs[0]); err != nil {
+			return nil, err
+		}
+		if e := vs[0].Response.Error; e != nil {
+			return nil, refused(e.Code, e.Message, e.RetryAfter)
+		}
+		return vs, nil
+	}
+	errs := make(chan error, len(reqs))
+	for i := range reqs {
+		go func() { errs <- t.one(ctx, sc, reqs[i], &vs[i]) }()
+	}
+	for range reqs {
+		if e := <-errs; e != nil {
+			err = e
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return vs, nil
 }
 
-// downgradeStream latches the sticky downgrade from stream transport to
-// HTTP framing, counting the first flip only.
-func (c *Client) downgradeStream() {
-	if c.streamDown.CompareAndSwap(false, true) {
-		c.met.streamDowngrades.Add(1)
-	}
-}
-
-// streamAttempt runs one decide over the stream transport. The second
-// return distinguishes a classified outcome (resolved: deliver or
-// retry via the normal loop) from a transport-level failure (not
-// resolved: the caller falls through to HTTP inside the same attempt).
-func (c *Client) streamAttempt(ctx context.Context, p payload) (rtResult, *callErr, bool) {
-	sc, err := c.spool.get()
+// one sends one request on sc and fills v from the response.
+func (t *streamTransport) one(ctx context.Context, sc *StreamConn, req server.DecideRequest, v *Verdict) error {
+	wr := toWireRequest(req, t.params)
+	t.met.streamCalls.Add(1)
+	resp, err := sc.Decide(ctx, &wr)
 	if err != nil {
-		return rtResult{}, nil, false
+		return err
 	}
-	c.met.streamCalls.Add(1)
-	start := time.Now()
-	resp, err := sc.Decide(ctx, p.wreq)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The attempt deadline cut the wait short: that is this
-			// attempt's outcome, not the connection's fault.
-			return rtResult{}, &callErr{err: err, retryable: true, breaker: true}, true
-		}
-		return rtResult{}, nil, false
-	}
-	if resp.Err != nil {
-		re := remoteErr{
-			code:       resp.Err.Code,
-			msg:        resp.Err.Message,
-			retryAfter: time.Duration(resp.Err.RetryAfterSeconds * float64(time.Second)),
-		}
-		switch {
-		case re.code == server.ErrCodeQueueFull:
-			// Credit-window or admission shedding: retry later, the
-			// daemon is healthy.
-			c.met.sheds.Add(1)
-			return rtResult{}, &callErr{
-				err:        fmt.Errorf("stream: %s", re.String()),
-				retryable:  true,
-				retryAfter: re.retryAfter,
-			}, true
-		case re.retryable(0):
-			c.met.serverErrors.Add(1)
-			return rtResult{}, &callErr{
-				err:        fmt.Errorf("stream: %s", re.String()),
-				retryable:  true,
-				breaker:    true,
-				retryAfter: re.retryAfter,
-			}, true
-		default:
-			c.met.permanentErrors.Add(1)
-			return rtResult{}, &callErr{
-				err: &permanentError{status: resp.Err.Status, code: re.code, msg: re.msg},
-			}, true
-		}
-	}
-	c.latStream.observe(time.Since(start))
-	return rtResult{
-		frame:     &wire.Frame{Type: wire.TypeStreamResponse, Resp: resp},
-		transport: TransportStream,
-	}, nil, true
+	*v = Verdict{Response: wireToResponseV2(resp), Provenance: ProvenanceRemote, Attempts: 1, Transport: TransportStream}
+	return nil
 }

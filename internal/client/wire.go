@@ -1,10 +1,8 @@
 package client
 
 import (
-	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/offload"
@@ -13,49 +11,8 @@ import (
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
-// This file is the client half of the binary frame protocol
-// (internal/wire). Binary mode changes only the encoding of /v2/decide
-// traffic: every request still flows through the same coalescing,
-// batching, breaker, retry, hedging and fallback machinery, and
-// frame-level errors classify exactly like JSON envelope codes. If the
-// peer turns out not to speak frames, the client downgrades to JSON
-// once, stickily, and the attempt retries — negotiation never costs a
-// verdict.
-
-// payload carries one request body in both encodings. wire is nil when
-// binary mode is off (or the request was built after a downgrade);
-// batch records which frame type a 200 must carry; wreq is the decoded
-// request for the stream transport (decide-only singles with streaming
-// on), which routes the attempt onto a persistent connection first.
-type payload struct {
-	json  []byte
-	wire  []byte
-	wreq  *wire.Request
-	batch bool
-}
-
-// rtResult is one successful round trip: the raw body for a JSON
-// attempt, the decoded frame for a binary or stream one (exactly one of
-// the two is set). transport tags which path served it.
-type rtResult struct {
-	data      []byte
-	frame     *wire.Frame
-	transport string
-}
-
-// wireEnabled reports whether the next request should carry a frame
-// encoding alongside JSON.
-func (c *Client) wireEnabled() bool {
-	return c.cfg.Binary && !c.wireDown.Load()
-}
-
-// downgradeWire latches the sticky JSON downgrade, counting the first
-// flip only (concurrent attempts may all hit the same broken peer).
-func (c *Client) downgradeWire() {
-	if c.wireDown.CompareAndSwap(false, true) {
-		c.met.wireDowngrades.Add(1)
-	}
-}
+// This file maps between the JSON-shaped types callers see and the frame
+// format (internal/wire) the frame and stream transports speak.
 
 // toWireRequest projects a JSON-shaped request onto the frame format.
 // When the RegionParams hook confirms the binding names are exactly the
@@ -63,7 +20,7 @@ func (c *Client) downgradeWire() {
 // canonical order plus a key hash the daemon verifies before dropping
 // them into its pooled slot vectors. Otherwise the frame carries named
 // bindings, which the daemon resolves like a JSON map.
-func (c *Client) toWireRequest(req server.DecideRequest) wire.Request {
+func toWireRequest(req server.DecideRequest, regionParams func(region string) []string) wire.Request {
 	names := make([]string, 0, len(req.Bindings))
 	for name := range req.Bindings {
 		names = append(names, name)
@@ -74,8 +31,8 @@ func (c *Client) toWireRequest(req server.DecideRequest) wire.Request {
 		values[i] = req.Bindings[name]
 	}
 	wr := wire.Request{Region: req.Region, Execute: req.Execute, Values: values}
-	if c.cfg.RegionParams != nil && len(names) > 0 {
-		if params := c.cfg.RegionParams(req.Region); slices.Equal(params, names) {
+	if regionParams != nil && len(names) > 0 {
+		if params := regionParams(req.Region); slices.Equal(params, names) {
 			wr.SlotForm = true
 			wr.KeyHash = attrdb.BindingsHash(symbolic.Bindings(req.Bindings))
 			return wr
@@ -83,68 +40,6 @@ func (c *Client) toWireRequest(req server.DecideRequest) wire.Request {
 	}
 	wr.Names = names
 	return wr
-}
-
-func (c *Client) encodeWireSingle(req server.DecideRequest) []byte {
-	wr := c.toWireRequest(req)
-	return wire.AppendRequest(nil, &wr)
-}
-
-func (c *Client) encodeWireBatch(reqs []server.DecideRequest) []byte {
-	wrs := make([]wire.Request, len(reqs))
-	for i := range reqs {
-		wrs[i] = c.toWireRequest(reqs[i])
-	}
-	return wire.AppendBatchRequest(nil, wrs)
-}
-
-// decodeWireOK decodes a 200 body answering a frame request. Anything
-// other than exactly the expected frame shape means the peer is not
-// actually speaking the protocol (a rewriting proxy, or a body produced
-// by something older): downgrade stickily and retry as JSON. The
-// breaker does not count it — the response arrived fine, it just wasn't
-// frames.
-func (c *Client) decodeWireOK(p payload, data []byte, ct string) (*wire.Frame, *callErr) {
-	fail := func(why string) (*wire.Frame, *callErr) {
-		c.downgradeWire()
-		return nil, &callErr{
-			err:       fmt.Errorf("client: frame response: %s (downgrading to JSON)", why),
-			retryable: true,
-		}
-	}
-	if !wire.IsFrameContent(ct) {
-		return fail("unexpected Content-Type " + ct)
-	}
-	frames, err := wire.DecodeAll(data)
-	if err != nil {
-		return fail(err.Error())
-	}
-	if len(frames) != 1 {
-		return fail(fmt.Sprintf("%d frames in a single-call response", len(frames)))
-	}
-	var want byte = wire.TypeResponse
-	if p.batch {
-		want = wire.TypeBatchResponse
-	}
-	if frames[0].Type != want {
-		return fail(fmt.Sprintf("frame type %d, want %d", frames[0].Type, want))
-	}
-	return frames[0], nil
-}
-
-// parseWireErrBody extracts the daemon's error from a non-2xx frame
-// body — the binary analogue of parseErrBody over the JSON envelope.
-func parseWireErrBody(data []byte) (remoteErr, bool) {
-	frames, err := wire.DecodeAll(data)
-	if err != nil || len(frames) != 1 || frames[0].Type != wire.TypeError {
-		return remoteErr{}, false
-	}
-	e := frames[0].Err
-	return remoteErr{
-		code:       e.Code,
-		msg:        e.Message,
-		retryAfter: time.Duration(e.RetryAfterSeconds * float64(time.Second)),
-	}, true
 }
 
 // kindFromWire maps a wire kind string back onto the registry enum.

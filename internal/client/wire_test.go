@@ -121,8 +121,8 @@ func TestBinaryDecideMatchesJSON(t *testing.T) {
 	_, err := binClient.Decide(ctx, server.DecideRequest{
 		Region: "no-such-region", Bindings: map[string]int64{"n": 8},
 	})
-	var perm *permanentError
-	if !errors.As(err, &perm) || perm.code != server.ErrCodeUnknownRegion {
+	var perm *RemoteError
+	if !errors.As(err, &perm) || !permanent(err) || perm.Code != server.ErrCodeUnknownRegion {
 		t.Fatalf("binary unknown region error %v", err)
 	}
 
@@ -140,8 +140,9 @@ func TestBinaryDecideMatchesJSON(t *testing.T) {
 
 // TestBinaryDowngradesAgainstJSONOnlyDaemon: an old daemon that answers
 // a frame body with a JSON bad_request envelope triggers exactly one
-// sticky downgrade; the retry goes out as JSON and the verdict arrives
-// without touching the fallback runtime or the breaker.
+// sticky downgrade; the same attempt goes out again as JSON and the
+// verdict arrives without touching the retry budget, the fallback
+// runtime or the breaker.
 func TestBinaryDowngradesAgainstJSONOnlyDaemon(t *testing.T) {
 	ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
 		if wire.IsFrameContent(r.Header.Get("Content-Type")) {
@@ -164,7 +165,7 @@ func TestBinaryDowngradesAgainstJSONOnlyDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Provenance != ProvenanceRemote || v.Attempts != 2 || v.Response.Verdict != "gpu/base" {
+	if v.Provenance != ProvenanceRemote || v.Attempts != 1 || v.Response.Verdict != "gpu/base" {
 		t.Fatalf("verdict %+v", v)
 	}
 	if c.BreakerState() != BreakerClosed {
@@ -179,14 +180,14 @@ func TestBinaryDowngradesAgainstJSONOnlyDaemon(t *testing.T) {
 	if m.WireCalls != 1 || m.WireDowngrades != 1 {
 		t.Fatalf("wire metrics %+v", m)
 	}
-	if m.Retries != 1 || m.PermanentErrors != 0 || m.Fallbacks != 0 {
+	if m.Retries != 0 || m.PermanentErrors != 0 || m.Fallbacks != 0 {
 		t.Fatalf("downgrade misclassified: %+v", m)
 	}
 }
 
 // TestBinaryDowngradesOnUndecodable200: a 200 whose body is not the
 // frame protocol (a rewriting proxy injecting JSON) downgrades and
-// retries rather than surfacing garbage or losing the verdict.
+// resends as JSON rather than surfacing garbage or losing the verdict.
 func TestBinaryDowngradesOnUndecodable200(t *testing.T) {
 	ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
 		// Claims frames, answers JSON: Content-Type lies.
@@ -205,7 +206,7 @@ func TestBinaryDowngradesOnUndecodable200(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Response.Verdict != "cpu/base" || v.Attempts != 2 {
+	if v.Response.Verdict != "cpu/base" || v.Attempts != 1 {
 		t.Fatalf("verdict %+v", v)
 	}
 	if m := c.Metrics(); m.WireDowngrades != 1 {
@@ -337,11 +338,11 @@ func TestToWireRequestForms(t *testing.T) {
 			return nil
 		},
 	})
-	wr := c.toWireRequest(gemmReq())
+	wr := toWireRequest(gemmReq(), c.cfg.RegionParams)
 	if !wr.SlotForm || wr.KeyHash == 0 || len(wr.Names) != 0 {
 		t.Fatalf("slot form not chosen: %+v", wr)
 	}
-	wr = c.toWireRequest(server.DecideRequest{Region: "other", Bindings: map[string]int64{"b": 2, "a": 1}})
+	wr = toWireRequest(server.DecideRequest{Region: "other", Bindings: map[string]int64{"b": 2, "a": 1}}, c.cfg.RegionParams)
 	if wr.SlotForm || !reflect.DeepEqual(wr.Names, []string{"a", "b"}) ||
 		!reflect.DeepEqual(wr.Values, []int64{1, 2}) {
 		t.Fatalf("named form wrong: %+v", wr)

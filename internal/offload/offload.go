@@ -830,40 +830,8 @@ func fracOrZero(f float64) float64 {
 // returns the full ranking). Results are memoized in the region's
 // decision cache.
 func (r *Region) Predict(b symbolic.Bindings) (cpuSec, gpuSec float64, err error) {
-	rt := r.rt
-	if cm := r.compiled; cm != nil {
-		sv := cm.getVecs()
-		defer cm.putVecs(sv)
-		if cm.layout.Fill(b, sv.vals) {
-			hash := cm.layout.Hash(sv.vals)
-			if ent, ok := r.decisions.getVec(hash, cm.layout, sv.vals); ok {
-				return ent.predCPU, ent.predGPU, nil
-			}
-			if err := r.evalCompiled(cm, sv, r.branchProb()); err != nil {
-				return 0, 0, err
-			}
-			cands := rt.newCandidates(sv.preds)
-			cpuSec, gpuSec = rt.basePreds(cands)
-			rankCandidates(cands)
-			r.storeEntry(decisionEntry{key: cm.layout.Key(sv.vals), hash: hash,
-				cands: cands, predCPU: cpuSec, predGPU: gpuSec})
-			return cpuSec, gpuSec, nil
-		}
-	}
-	key := attrdb.BindingsKey(b)
-	if ent, ok := r.decisions.get(attrdb.KeyHash(key), key); ok {
-		return ent.predCPU, ent.predGPU, nil
-	}
-	preds, err := r.evalTargets(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	cands := rt.newCandidates(preds)
-	cpuSec, gpuSec = rt.basePreds(cands)
-	rankCandidates(cands)
-	r.storeEntry(decisionEntry{key: key, hash: attrdb.KeyHash(key),
-		cands: cands, predCPU: cpuSec, predGPU: gpuSec})
-	return cpuSec, gpuSec, nil
+	ent, err := r.predicted(b)
+	return ent.predCPU, ent.predGPU, err
 }
 
 // PredictTargets evaluates every registered target's analytical model
@@ -872,45 +840,54 @@ func (r *Region) Predict(b symbolic.Bindings) (cpuSec, gpuSec float64, err error
 // CalSeconds == PredSeconds. Calibration and constraints apply at
 // decision time, not here. The returned slice is the caller's to keep.
 func (r *Region) PredictTargets(b symbolic.Bindings) ([]Candidate, error) {
-	rt := r.rt
+	ent, err := r.predicted(b)
+	if err != nil {
+		return nil, err
+	}
+	// The entry may have been decided since (calibrated, re-ranked):
+	// rebuild the raw ranking from it rather than trust its order.
+	cands := r.rt.reorderedCopy(ent.cands)
+	rankCandidates(cands)
+	return cands, nil
+}
+
+// predicted returns the decision-cache entry holding the region's raw
+// predictions under b: the memoized one, or — evaluating every target's
+// model, compiled when b is exactly the region's parameter set and
+// interpreted otherwise — a fresh prediction-only entry, stored.
+func (r *Region) predicted(b symbolic.Bindings) (decisionEntry, error) {
+	var ent decisionEntry
+	var preds []float64
 	if cm := r.compiled; cm != nil {
 		sv := cm.getVecs()
 		defer cm.putVecs(sv)
 		if cm.layout.Fill(b, sv.vals) {
-			hash := cm.layout.Hash(sv.vals)
-			if ent, ok := r.decisions.getVec(hash, cm.layout, sv.vals); ok {
-				cands := rt.reorderedCopy(ent.cands)
-				rankCandidates(cands)
-				return cands, nil
+			ent.hash = cm.layout.Hash(sv.vals)
+			if hit, ok := r.decisions.getVec(ent.hash, cm.layout, sv.vals); ok {
+				return hit, nil
 			}
 			if err := r.evalCompiled(cm, sv, r.branchProb()); err != nil {
-				return nil, err
+				return ent, err
 			}
-			cands := rt.newCandidates(sv.preds)
-			cpu, gpu := rt.basePreds(cands)
-			rankCandidates(cands)
-			r.storeEntry(decisionEntry{key: cm.layout.Key(sv.vals), hash: hash,
-				cands: cands, predCPU: cpu, predGPU: gpu})
-			return append([]Candidate(nil), cands...), nil
+			ent.key, preds = cm.layout.Key(sv.vals), sv.preds
 		}
 	}
-	key := attrdb.BindingsKey(b)
-	hash := attrdb.KeyHash(key)
-	if ent, ok := r.decisions.get(hash, key); ok {
-		cands := rt.reorderedCopy(ent.cands)
-		rankCandidates(cands)
-		return cands, nil
+	if preds == nil {
+		ent.key = attrdb.BindingsKey(b)
+		ent.hash = attrdb.KeyHash(ent.key)
+		if hit, ok := r.decisions.get(ent.hash, ent.key); ok {
+			return hit, nil
+		}
+		var err error
+		if preds, err = r.evalTargets(b); err != nil {
+			return ent, err
+		}
 	}
-	preds, err := r.evalTargets(b)
-	if err != nil {
-		return nil, err
-	}
-	cands := rt.newCandidates(preds)
-	cpu, gpu := rt.basePreds(cands)
-	rankCandidates(cands)
-	r.storeEntry(decisionEntry{key: key, hash: hash,
-		cands: cands, predCPU: cpu, predGPU: gpu})
-	return append([]Candidate(nil), cands...), nil
+	ent.cands = r.rt.newCandidates(preds)
+	ent.predCPU, ent.predGPU = r.rt.basePreds(ent.cands)
+	rankCandidates(ent.cands)
+	r.storeEntry(ent)
+	return ent, nil
 }
 
 // evalCompiled runs every target's compiled model for the full iteration

@@ -69,13 +69,13 @@ func FuzzDecideBody(f *testing.F) {
 			return
 		}
 		// Decode with the shape the request selected: batch bodies answer
-		// with BatchResponse, everything else with a single response.
+		// with batchResponse, everything else with a single response.
 		var probe decideBody
 		isBatch := json.Unmarshal(body, &probe) == nil && probe.Requests != nil
 		if isBatch {
-			var br BatchResponse
+			var br batchResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
-				t.Fatalf("200 batch response is not a BatchResponse: %v (body %q)", err, body)
+				t.Fatalf("200 batch response is not a batchResponse: %v (body %q)", err, body)
 			}
 			if len(br.Results) != len(probe.Requests) {
 				t.Fatalf("batch of %d answered with %d results (body %q)",

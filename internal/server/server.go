@@ -52,12 +52,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/audit"
 	"github.com/hybridsel/hybridsel/internal/cluster"
 	"github.com/hybridsel/hybridsel/internal/learn"
 	"github.com/hybridsel/hybridsel/internal/offload"
-	"github.com/hybridsel/hybridsel/internal/symbolic"
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
@@ -66,6 +64,9 @@ const (
 	DefaultQueueDepth     = 1024
 	DefaultRequestTimeout = 5 * time.Second
 	DefaultMaxBatch       = 4096
+	// DefaultStreamCredit is the per-connection in-flight window granted
+	// when Config.StreamCredit is zero.
+	DefaultStreamCredit = 64
 )
 
 // Config parameterizes a Server.
@@ -158,6 +159,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
+	if cfg.StreamCredit <= 0 {
+		cfg.StreamCredit = DefaultStreamCredit
+	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -170,7 +174,8 @@ func New(cfg Config) (*Server, error) {
 		slots:   make(chan struct{}, cfg.Concurrency),
 		start:   time.Now(),
 	}
-	s.mux.HandleFunc("POST /v1/decide", s.admit(s.deprecated(s.handleDecideV1)))
+	s.mux.HandleFunc("POST /v1/decide", s.admit(s.deprecated(
+		func(w http.ResponseWriter, r *http.Request) { s.handleDecideJSON(w, r, false) })))
 	s.mux.HandleFunc("POST /v2/decide", s.admit(s.handleDecideV2))
 	s.mux.HandleFunc("GET /v1/stream", s.handleStreamUpgrade)
 	s.mux.HandleFunc("GET /v1/regions", s.instrument(s.handleRegions))
@@ -223,9 +228,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return serr
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // ------------------------------------------------------------ admission --
 
@@ -365,10 +367,10 @@ type decideBody struct {
 	Requests []DecideRequest `json:"requests"`
 }
 
-// BatchResponse is the body of a batched /v1 decide call. Coalesced
+// batchResponse is the body of a batched /v1 decide call. Coalesced
 // counts duplicate (region, bindings, execute) items served from one
 // decision.
-type BatchResponse struct {
+type batchResponse struct {
 	Results   []DecideResponse `json:"results"`
 	Coalesced int              `json:"coalesced"`
 }
@@ -411,214 +413,45 @@ func (s *Server) parseDecide(w http.ResponseWriter, r *http.Request) (*decideBod
 	return &req, true
 }
 
-func (s *Server) handleDecideV1(w http.ResponseWriter, r *http.Request) {
+// handleDecideJSON is the JSON codec of the decide core: one body shape
+// in, the /v1 or /v2 projection out. A single-object body surfaces its
+// failure as the HTTP status; a batch answers 200 with per-item errors.
+func (s *Server) handleDecideJSON(w http.ResponseWriter, r *http.Request, v2 bool) {
 	req, ok := s.parseDecide(w, r)
 	if !ok {
 		return
 	}
 	if req.Requests == nil {
-		out, ei := s.decideOne(r.Context(), req.DecideRequest)
-		if ei != nil {
+		it := jsonItem(&req.DecideRequest)
+		out, ei := decide(r.Context(), s.rt, &it)
+		switch {
+		case ei != nil:
 			httpError(w, ei.status, ei.Code, ei.Message)
-			return
+		case v2:
+			writeJSON(w, http.StatusOK, v2Response(req.Region, out, nil))
+		default:
+			writeJSON(w, http.StatusOK, v1Response(req.Region, out, nil))
 		}
-		writeJSON(w, http.StatusOK, v1Response(req.Region, out))
 		return
 	}
-	results := make([]DecideResponse, len(req.Requests))
-	coalesced := decideBatch(s, r.Context(), req.Requests, results,
-		func(req DecideRequest, out *offload.Outcome, ei *ErrorInfo) DecideResponse {
-			if ei != nil {
-				return DecideResponse{Region: req.Region, Error: ei.Message}
-			}
-			return v1Response(req.Region, out)
-		},
-		func(resp DecideResponse) DecideResponse {
-			// The duplicate was answered by the first item's decision.
-			resp.CacheHit = resp.Error == ""
-			return resp
-		})
-	writeJSON(w, http.StatusOK, BatchResponse{Results: results, Coalesced: coalesced})
+	ds, coalesced := decideBatch(r.Context(), s.rt, len(req.Requests),
+		func(i int) item { return jsonItem(&req.Requests[i]) })
+	if v2 {
+		writeJSON(w, http.StatusOK, BatchResponseV2{Results: batchV2(req.Requests, ds), Coalesced: coalesced})
+	} else {
+		writeJSON(w, http.StatusOK, batchResponse{Results: batchV1(req.Requests, ds), Coalesced: coalesced})
+	}
 }
 
+// handleDecideV2 is content negotiation: a Content-Type of
+// wire.ContentType switches the whole exchange to the compact binary
+// framing; anything else stays on the default JSON path. /v1 never
+// negotiates.
 func (s *Server) handleDecideV2(w http.ResponseWriter, r *http.Request) {
-	// Content negotiation: a Content-Type of wire.ContentType switches
-	// the whole exchange to the compact binary framing; anything else
-	// stays on the default JSON path. /v1 never negotiates.
 	if wire.IsFrameContent(r.Header.Get("Content-Type")) {
 		s.handleDecideWire(w, r)
-		return
-	}
-	req, ok := s.parseDecide(w, r)
-	if !ok {
-		return
-	}
-	if req.Requests == nil {
-		out, ei := s.decideOne(r.Context(), req.DecideRequest)
-		if ei != nil {
-			httpError(w, ei.status, ei.Code, ei.Message)
-			return
-		}
-		writeJSON(w, http.StatusOK, v2Response(req.Region, out))
-		return
-	}
-	results := make([]DecideResponseV2, len(req.Requests))
-	coalesced := decideBatch(s, r.Context(), req.Requests, results,
-		func(req DecideRequest, out *offload.Outcome, ei *ErrorInfo) DecideResponseV2 {
-			if ei != nil {
-				return DecideResponseV2{Region: req.Region, Error: ei}
-			}
-			return v2Response(req.Region, out)
-		},
-		func(resp DecideResponseV2) DecideResponseV2 {
-			resp.CacheHit = resp.Error == nil
-			return resp
-		})
-	writeJSON(w, http.StatusOK, BatchResponseV2{Results: results, Coalesced: coalesced})
-}
-
-// v1Response projects an outcome onto the frozen /v1 shape.
-func v1Response(region string, out *offload.Outcome) DecideResponse {
-	return DecideResponse{
-		Region:         region,
-		Target:         out.Target.String(),
-		PredCPUSeconds: out.PredCPUSeconds,
-		PredGPUSeconds: out.PredGPUSeconds,
-		SplitFraction:  out.SplitFraction,
-		CacheHit:       out.CacheHit,
-		ActualSeconds:  out.ActualSeconds,
-		DecisionNanos:  out.DecisionOverhead.Nanoseconds(),
-	}
-}
-
-// v2Response projects an outcome onto the ranked /v2 shape.
-func v2Response(region string, out *offload.Outcome) DecideResponseV2 {
-	return DecideResponseV2{
-		Region:        region,
-		Verdict:       out.TargetID,
-		Kind:          out.Target.String(),
-		Policy:        out.Policy.Name(),
-		Candidates:    out.Candidates,
-		SplitFraction: out.SplitFraction,
-		CacheHit:      out.CacheHit,
-		Provenance:    out.Provenance,
-		ActualSeconds: out.ActualSeconds,
-		DecisionNanos: out.DecisionOverhead.Nanoseconds(),
-	}
-}
-
-// decideOne serves a single decision; a non-nil *ErrorInfo describes the
-// failure with its classification and HTTP status.
-func (s *Server) decideOne(ctx context.Context, req DecideRequest) (*offload.Outcome, *ErrorInfo) {
-	if req.Region == "" {
-		return nil, errInfo(http.StatusBadRequest, ErrCodeBadRequest, "missing region")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, errInfo(http.StatusServiceUnavailable, ErrCodeDeadlineExceeded, "deadline exceeded")
-	}
-	region, err := s.rt.Region(req.Region)
-	if err != nil {
-		return nil, classify(err)
-	}
-	b := symbolic.Bindings(req.Bindings)
-	var out *offload.Outcome
-	if req.Execute {
-		out, err = region.Launch(b)
 	} else {
-		out, err = region.Decide(b)
-	}
-	if err != nil {
-		return nil, classify(err)
-	}
-	return out, nil
-}
-
-// decideBatch serves a batch, coalescing duplicate (region, bindings,
-// execute) items: each distinct key is decided once — and every decide
-// after the first for a key is itself a decision-cache hit, so a batch
-// of identical requests costs one model evaluation at most. project
-// renders one decision; dup marks a coalesced duplicate's response.
-func decideBatch[R any](s *Server, ctx context.Context, reqs []DecideRequest, results []R,
-	project func(DecideRequest, *offload.Outcome, *ErrorInfo) R, dup func(R) R) int {
-	byKey := map[string]int{}
-	coalesced := 0
-	for i, req := range reqs {
-		key := req.Region + "\x00" + attrdb.BindingsKey(symbolic.Bindings(req.Bindings))
-		if req.Execute {
-			key += "\x00x"
-		}
-		if first, ok := byKey[key]; ok {
-			results[i] = dup(results[first])
-			coalesced++
-			continue
-		}
-		out, ei := s.decideOne(ctx, req)
-		byKey[key] = i
-		results[i] = project(req, out, ei)
-	}
-	return coalesced
-}
-
-// -------------------------------------------------------------- errors --
-
-// Error codes carried by the unified error envelope. Clients classify on
-// these instead of parsing messages.
-const (
-	ErrCodeBadRequest       = "bad_request"
-	ErrCodeUnknownRegion    = "unknown_region"
-	ErrCodeUnboundSymbol    = "unbound_symbol"
-	ErrCodeDeadlineExceeded = "deadline_exceeded"
-	ErrCodeQueueFull        = "queue_full"
-	ErrCodeDraining         = "draining"
-	ErrCodeBatchTooLarge    = "batch_too_large"
-	ErrCodeNotFound         = "not_found"
-	ErrCodeInternal         = "internal"
-)
-
-// ErrorInfo is the unified error body: a machine-classifiable code, a
-// human-readable message, and — on transient rejections — the same
-// retry hint the Retry-After header carries, in (possibly fractional)
-// seconds. RetryAfter is a float so a sub-second header hint like "0.5"
-// survives into the envelope instead of silently vanishing; integral
-// hints still encode as bare integers ("retry_after":1), so /v1 bodies
-// are byte-identical to the historical int field.
-type ErrorInfo struct {
-	Code       string  `json:"code"`
-	Message    string  `json:"message"`
-	RetryAfter float64 `json:"retry_after,omitempty"`
-
-	// status is the HTTP status the error maps to (not serialized; the
-	// envelope is self-describing through Code).
-	status int `json:"-"`
-}
-
-// ErrorEnvelope wraps every non-2xx response body.
-type ErrorEnvelope struct {
-	Error ErrorInfo `json:"error"`
-}
-
-func errInfo(status int, code, msg string) *ErrorInfo {
-	return &ErrorInfo{Code: code, Message: msg, status: status}
-}
-
-// ClassifyError maps a runtime error onto the envelope entry the daemon
-// would serve for it. Exported so a degraded client (serving verdicts
-// from its in-process fallback runtime) reports item-level failures with
-// exactly the daemon's error codes.
-func ClassifyError(err error) *ErrorInfo { return classify(err) }
-
-// classify maps a runtime error onto its envelope entry via the
-// runtime's sentinel errors.
-func classify(err error) *ErrorInfo {
-	switch {
-	case errors.Is(err, offload.ErrUnknownRegion):
-		return errInfo(http.StatusNotFound, ErrCodeUnknownRegion, err.Error())
-	case errors.Is(err, offload.ErrUnboundSymbol):
-		return errInfo(http.StatusUnprocessableEntity, ErrCodeUnboundSymbol, err.Error())
-	case errors.Is(err, context.DeadlineExceeded):
-		return errInfo(http.StatusServiceUnavailable, ErrCodeDeadlineExceeded, err.Error())
-	default:
-		return errInfo(http.StatusInternalServerError, ErrCodeInternal, err.Error())
+		s.handleDecideJSON(w, r, true)
 	}
 }
 

@@ -164,7 +164,7 @@ func TestDecideBatchCoalesces(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	var br BatchResponse
+	var br batchResponse
 	if err := json.Unmarshal(raw, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestHealthzAndDrain(t *testing.T) {
 
 	// Give Shutdown a moment to flip the drain flag, then release the
 	// in-flight request: it must complete normally.
-	for !s.Draining() {
+	for !s.draining.Load() {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

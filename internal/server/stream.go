@@ -22,7 +22,7 @@ import (
 // the same per-connection machinery:
 //
 //   - one reader goroutine decoding frames incrementally,
-//   - a small worker pool running decideOneWire under the shared
+//   - a small worker pool running the decide core under the shared
 //     execution slots (the same workers that bound the HTTP path),
 //   - a combining writer: workers append encoded response frames to a
 //     shared pending buffer and whichever worker finds the writer idle
@@ -33,10 +33,6 @@ import (
 //     own stream, and each response implicitly returns one unit,
 //   - graceful drain by Goaway: in-flight streams complete, later ones
 //     answer a draining error, nothing is left hanging.
-
-// DefaultStreamCredit is the per-connection in-flight window granted
-// when Config.StreamCredit is zero.
-const DefaultStreamCredit = 64
 
 // StreamUpgradeProto is the Upgrade token negotiating a stream
 // connection over the HTTP port.
@@ -79,7 +75,7 @@ func (s *Server) ServeStream(l net.Listener) error {
 			}
 			return err
 		}
-		go s.serveStreamConn(conn)
+		go s.serveStreamConn(conn, conn)
 	}
 }
 
@@ -116,7 +112,7 @@ func (s *Server) handleStreamUpgrade(w http.ResponseWriter, r *http.Request) {
 	}
 	// bufrw.Reader may hold bytes the client pipelined behind the
 	// upgrade request; serve from it, not the bare conn.
-	s.serveStreamConnBuffered(conn, bufrw.Reader)
+	s.serveStreamConn(conn, bufrw.Reader)
 }
 
 // streamJob is one admitted stream request awaiting a worker.
@@ -152,15 +148,11 @@ type streamConn struct {
 	werr     error
 }
 
-func (s *Server) serveStreamConn(conn net.Conn) {
-	s.serveStreamConnBuffered(conn, nil)
-}
-
-func (s *Server) serveStreamConnBuffered(conn net.Conn, pre io.Reader) {
+// serveStreamConn runs one stream connection to completion, reading
+// requests from src: conn itself, or an upgraded connection's buffered
+// reader.
+func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 	credit := int64(s.cfg.StreamCredit)
-	if credit <= 0 {
-		credit = DefaultStreamCredit
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	sc := &streamConn{
 		s:      s,
@@ -202,10 +194,6 @@ func (s *Server) serveStreamConnBuffered(conn net.Conn, pre io.Reader) {
 		go sc.worker()
 	}
 
-	var src io.Reader = conn
-	if pre != nil {
-		src = pre
-	}
 	sr := wire.NewStreamReader(src)
 	var scratch []byte
 	for {
@@ -271,16 +259,21 @@ func (sc *streamConn) worker() {
 		if s.holdForTest != nil {
 			s.holdForTest()
 		}
-		out, ei := s.decideOneWire(sc.ctx, job.req)
+		it := wireItem(job.req)
+		out, ei := decide(sc.ctx, s.rt, &it)
 		<-s.slots
 		resp := projectWireInto(job.req.Region, out, ei, cands[:0])
 		if resp.Candidates != nil {
 			cands = resp.Candidates
 		}
 		scratch = wire.AppendStreamResponse(scratch[:0], job.id, &resp)
-		sc.send(scratch)
+		// Return the credit unit before the response can reach the
+		// client, which reuses it the moment it reads the response: a
+		// request arriving ahead of the decrement would be shed against
+		// a window the client never overran.
 		sc.inflight.Add(-1)
 		s.met.streamInflight.Add(-1)
+		sc.send(scratch)
 		sc.wg.Done()
 	}
 }

@@ -1,27 +1,21 @@
 package server
 
 import (
-	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 
-	"github.com/hybridsel/hybridsel/internal/attrdb"
-	"github.com/hybridsel/hybridsel/internal/offload"
-	"github.com/hybridsel/hybridsel/internal/symbolic"
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
-// This file is the binary face of POST /v2/decide: the same decisions,
-// admission pipeline and error classification as the JSON path, framed
-// with internal/wire instead of encoding/json. Semantics are identical
-// by construction — both paths run through decideOne-shaped helpers and
-// classify — and enforced by TestWireMatchesJSON. Envelope errors
-// raised before negotiation (admission shedding, drain) still arrive as
-// JSON; everything after the Content-Type check answers in frames.
+// This file is the binary face of POST /v2/decide: the frame codec of
+// the decide core (decide.go), behind the same admission pipeline as the
+// JSON codec; TestCodecEquivalence holds the two to the same answers.
+// Envelope errors raised before negotiation (admission shedding, drain)
+// still arrive as JSON; everything after the Content-Type check answers
+// in frames.
 
 // handleDecideWire serves a body of one or more request frames. A body
 // holding exactly one TypeRequest frame mirrors the single-object JSON
@@ -54,7 +48,8 @@ func (s *Server) handleDecideWire(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if n == len(body) && first.Type == wire.TypeRequest {
-		out, ei := s.decideOneWire(r.Context(), first.Req)
+		it := wireItem(first.Req)
+		out, ei := decide(r.Context(), s.rt, &it)
 		if ei != nil {
 			wireError(w, ei.status, ei.Code, ei.Message)
 			return
@@ -95,14 +90,15 @@ func (s *Server) handleDecideWire(w http.ResponseWriter, r *http.Request) {
 	b := sc.enc[:0]
 	for _, fr := range frames {
 		if fr.Type == wire.TypeRequest {
-			out, ei := s.decideOneWire(r.Context(), fr.Req)
-			resp := projectWire(fr.Req.Region, out, ei)
+			it := wireItem(fr.Req)
+			out, ei := decide(r.Context(), s.rt, &it)
+			resp := projectWireInto(fr.Req.Region, out, ei, nil)
 			b = wire.AppendResponse(b, &resp)
 			continue
 		}
-		results := make([]wire.Response, len(fr.Reqs))
-		coalesced := s.decideWireBatch(r.Context(), fr.Reqs, results)
-		b = wire.AppendBatchResponse(b, coalesced, results)
+		ds, coalesced := decideBatch(r.Context(), s.rt, len(fr.Reqs),
+			func(i int) item { return wireItem(&fr.Reqs[i]) })
+		b = wire.AppendBatchResponse(b, coalesced, batchWire(fr.Reqs, ds))
 	}
 	sc.enc = b
 	writeFrames(w, http.StatusOK, b)
@@ -128,171 +124,6 @@ func appendBody(dst []byte, w http.ResponseWriter, r *http.Request) ([]byte, err
 		if err != nil {
 			return dst, err
 		}
-	}
-}
-
-// decideOneWire is decideOne over a wire request. Slot-form bindings
-// skip the map entirely on the decide path: after verifying the key
-// hash (an end-to-end checksum of the client's idea of the region's
-// parameter set), the values drop straight into the region's pooled
-// slot vectors via DecideVals.
-func (s *Server) decideOneWire(ctx context.Context, req *wire.Request) (*offload.Outcome, *ErrorInfo) {
-	if req.Region == "" {
-		return nil, errInfo(http.StatusBadRequest, ErrCodeBadRequest, "missing region")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, errInfo(http.StatusServiceUnavailable, ErrCodeDeadlineExceeded, "deadline exceeded")
-	}
-	region, err := s.rt.Region(req.Region)
-	if err != nil {
-		return nil, classify(err)
-	}
-	if req.SlotForm {
-		names := region.ParamNames()
-		if len(req.Values) != len(names) {
-			return nil, errInfo(http.StatusUnprocessableEntity, ErrCodeUnboundSymbol,
-				fmt.Sprintf("offload: unbound symbol: region %s wants %d parameters, got %d slot values",
-					req.Region, len(names), len(req.Values)))
-		}
-		if got := region.KeyHashVals(req.Values); got != req.KeyHash {
-			return nil, errInfo(http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Sprintf("slot vector key hash %#x does not match region layout (%#x): client and server disagree on %s's parameter set",
-					req.KeyHash, got, req.Region))
-		}
-		if !req.Execute {
-			out, err := region.DecideVals(req.Values)
-			if err != nil {
-				return nil, classify(err)
-			}
-			return out, nil
-		}
-		// Execution still wants the map form (Launch logs bindings).
-		b := make(symbolic.Bindings, len(names))
-		for i, name := range names {
-			b[name] = req.Values[i]
-		}
-		out, err := region.Launch(b)
-		if err != nil {
-			return nil, classify(err)
-		}
-		return out, nil
-	}
-	b := make(symbolic.Bindings, len(req.Values))
-	for i, name := range req.Names {
-		b[name] = req.Values[i]
-	}
-	var out *offload.Outcome
-	if req.Execute {
-		out, err = region.Launch(b)
-	} else {
-		out, err = region.Decide(b)
-	}
-	if err != nil {
-		return nil, classify(err)
-	}
-	return out, nil
-}
-
-// decideWireBatch mirrors decideBatch's coalescing contract over wire
-// requests: duplicate (region, bindings, execute) items are answered by
-// the first item's decision and marked CacheHit.
-func (s *Server) decideWireBatch(ctx context.Context, reqs []wire.Request, results []wire.Response) int {
-	byKey := map[string]int{}
-	coalesced := 0
-	var keyBuf []byte
-	for i := range reqs {
-		keyBuf = wireCoalesceKey(keyBuf[:0], &reqs[i])
-		key := string(keyBuf)
-		if first, ok := byKey[key]; ok {
-			results[i] = results[first]
-			results[i].CacheHit = results[i].Err == nil
-			coalesced++
-			continue
-		}
-		out, ei := s.decideOneWire(ctx, &reqs[i])
-		byKey[key] = i
-		results[i] = projectWire(reqs[i].Region, out, ei)
-	}
-	return coalesced
-}
-
-// wireCoalesceKey builds the duplicate-detection key for one request.
-// Slot-form values are already canonical (sorted-name order), so their
-// raw encoding is the key; named form canonicalizes through
-// attrdb.BindingsKey exactly like the JSON batch path.
-func wireCoalesceKey(dst []byte, req *wire.Request) []byte {
-	dst = append(dst, req.Region...)
-	dst = append(dst, 0)
-	if req.Execute {
-		dst = append(dst, 'x')
-	}
-	dst = append(dst, 0)
-	if req.SlotForm {
-		dst = append(dst, 's')
-		for _, v := range req.Values {
-			dst = binary.AppendVarint(dst, v)
-		}
-		return dst
-	}
-	b := make(symbolic.Bindings, len(req.Values))
-	for i, name := range req.Names {
-		b[name] = req.Values[i]
-	}
-	return append(dst, attrdb.BindingsKey(b)...)
-}
-
-// projectWire renders one outcome (or per-item failure) as a response
-// payload, mirroring v2Response field for field.
-func projectWire(region string, out *offload.Outcome, ei *ErrorInfo) wire.Response {
-	return projectWireInto(region, out, ei, nil)
-}
-
-// projectWireInto is projectWire with a caller-recycled candidate
-// slice: hot paths (single-frame HTTP, stream workers) hand back the
-// previous response's slice so steady state does not allocate one per
-// decision. The returned Response aliases cands.
-func projectWireInto(region string, out *offload.Outcome, ei *ErrorInfo, cands []wire.Candidate) wire.Response {
-	if ei != nil {
-		return wire.Response{Region: region, Err: &wire.Error{
-			Code: ei.Code, Message: ei.Message, RetryAfterSeconds: ei.RetryAfter,
-		}}
-	}
-	d := &out.Decision
-	resp := wire.Response{
-		Region:        region,
-		Verdict:       d.TargetID,
-		Kind:          d.Target.String(),
-		Policy:        d.Policy.Name(),
-		Provenance:    d.Provenance,
-		SplitFraction: d.SplitFraction,
-		CacheHit:      d.CacheHit,
-		ActualSeconds: d.ActualSeconds,
-		DecisionNanos: d.DecisionOverhead.Nanoseconds(),
-	}
-	if len(d.Candidates) > 0 {
-		for i := range d.Candidates {
-			c := &d.Candidates[i]
-			cands = append(cands, wire.Candidate{
-				Target:      c.Target,
-				Kind:        c.Kind.String(),
-				PredSeconds: c.PredSeconds,
-				CalSeconds:  c.CalSeconds,
-			})
-		}
-		resp.Candidates = cands
-	}
-	return resp
-}
-
-// frameBufs pools response frame buffers, the binary analogue of
-// encodeBufs: steady-state responses encode into a recycled slice and
-// ship with an exact Content-Length.
-var frameBufs = sync.Pool{New: func() any { b := make([]byte, 0, 2048); return &b }}
-
-func putFrameBuf(buf *[]byte, b []byte) {
-	if cap(b) <= maxPooledEncodeBuf {
-		*buf = b[:0]
-		frameBufs.Put(buf)
 	}
 }
 
@@ -330,8 +161,5 @@ func writeFrames(w http.ResponseWriter, code int, b []byte) {
 // Retry-After conventions, delivered as a TypeError frame.
 func wireError(w http.ResponseWriter, status int, code, msg string) {
 	e := wire.Error{Status: status, Code: code, Message: msg, RetryAfterSeconds: retryHint(w, status)}
-	buf := frameBufs.Get().(*[]byte)
-	b := wire.AppendError((*buf)[:0], &e)
-	writeFrames(w, status, b)
-	putFrameBuf(buf, b)
+	writeFrames(w, status, wire.AppendError(nil, &e))
 }

@@ -18,6 +18,9 @@ echo "== api surface gate =="
 # regenerated (make api) and reviewed alongside the change.
 go run ./cmd/apidump -check api/exported.txt
 
+echo "== size: non-test lines per directory, exported surface =="
+make -s loc
+
 echo "== go test =="
 go test ./...
 
