@@ -20,6 +20,8 @@ race:
 		./internal/server/ ./internal/trace/ ./internal/client/ \
 		./internal/faultnet/ ./internal/regiongen/ ./internal/learn/ \
 		./internal/wire/ ./internal/cluster/
+	$(GO) test -race -count=20 -run 'TestStream(BurstSharesWrites|OutOfOrder|CreditExhaustion|FullWindowNeverShed|DrainGoaway|PipelinedStress)' ./internal/server/
+	$(GO) test -race -count=20 -run 'TestStream(WriteCombining|CombinedWriteFailure)' ./internal/client/
 
 # Chaos regression suite: scripted fault scenarios driven through the
 # fault-injection proxy against a live in-process daemon, race detector on.

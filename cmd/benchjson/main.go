@@ -6,7 +6,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench 'Predict|Decide' -benchmem . | benchjson -out BENCH_decide.json
-//	go test -run '^$' -bench 'Serve' -benchmem . | benchjson -out BENCH_serve.json -min-wire-speedup 2 -min-stream-speedup 3
+//	go test -run '^$' -bench 'Serve' -benchmem . | benchjson -out BENCH_serve.json -min-wire-speedup 2 -min-stream-speedup 3 -min-pipeline-speedup 3
 //	... | benchjson -gate BENCH_decide.json          # fail on regression, write nothing
 //
 // The ledger records per-benchmark ns/op, B/op and allocs/op plus two
@@ -66,6 +66,10 @@ type Summary struct {
 	// decisions/s ÷ JSON single decisions/s — what killing per-request
 	// HTTP overhead buys the decide path on this machine in this run.
 	StreamVsJSONSingle float64 `json:"streamVsJsonSingle,omitempty"`
+	// StreamPipelinedVsSingle = 64-in-flight stream decisions/s ÷
+	// single-in-flight stream decisions/s on one connection — what
+	// pipelining buys once both ends write once per burst.
+	StreamPipelinedVsSingle float64 `json:"streamPipelinedVsSingle,omitempty"`
 }
 
 // Ledger is the BENCH_decide.json schema.
@@ -87,6 +91,7 @@ const (
 	serveJSONBatch    = "BenchmarkServeJSONBatch64"
 	serveBinaryBatch  = "BenchmarkServeBinaryBatch64"
 	serveStreamSingle = "BenchmarkServeStreamSingle"
+	serveStreamPiped  = "BenchmarkServeStreamPipelined64"
 )
 
 func main() {
@@ -102,6 +107,8 @@ func main() {
 		"minimum binary-vs-JSON batched decisions/s ratio (0 = no floor; serve ledger only)")
 	minStreamSpeedup := flag.Float64("min-stream-speedup", 0,
 		"minimum stream-vs-JSON single decisions/s ratio (0 = no floor; serve ledger only)")
+	minPipelineSpeedup := flag.Float64("min-pipeline-speedup", 0,
+		"minimum stream pipelined-vs-single decisions/s ratio (0 = no floor; serve ledger only)")
 	flag.Parse()
 
 	ledger, err := parse(os.Stdin)
@@ -139,6 +146,16 @@ func main() {
 		}
 	}
 
+	if *minPipelineSpeedup > 0 {
+		if ledger.Summary.StreamPipelinedVsSingle == 0 {
+			fatal(fmt.Errorf("-min-pipeline-speedup set but the run holds no stream serve benchmarks"))
+		}
+		if ledger.Summary.StreamPipelinedVsSingle < *minPipelineSpeedup {
+			fatal(fmt.Errorf("stream pipelined-vs-single ratio %.2fx below the %.2fx floor",
+				ledger.Summary.StreamPipelinedVsSingle, *minPipelineSpeedup))
+		}
+	}
+
 	if *gate != "" {
 		old, err := readLedger(*gate)
 		if err != nil {
@@ -152,6 +169,9 @@ func main() {
 				*gate, ledger.Summary.BinaryVsJSONBatched)
 			if ledger.Summary.StreamVsJSONSingle > 0 {
 				line += fmt.Sprintf(", stream/json single %.1fx", ledger.Summary.StreamVsJSONSingle)
+			}
+			if ledger.Summary.StreamPipelinedVsSingle > 0 {
+				line += fmt.Sprintf(", stream pipelined/single %.1fx", ledger.Summary.StreamPipelinedVsSingle)
 			}
 			fmt.Fprintln(os.Stderr, line+")")
 		} else {
@@ -262,6 +282,7 @@ func summarize(benchmarks []Benchmark) Summary {
 	s.BinaryVsJSONSingle = serveRatio(byName, serveBinarySingle, serveJSONSingle)
 	s.BinaryVsJSONBatched = serveRatio(byName, serveBinaryBatch, serveJSONBatch)
 	s.StreamVsJSONSingle = serveRatio(byName, serveStreamSingle, serveJSONSingle)
+	s.StreamPipelinedVsSingle = serveRatio(byName, serveStreamPiped, serveStreamSingle)
 	return s
 }
 
@@ -328,6 +349,11 @@ func compare(old, cur *Ledger, tol float64) error {
 		cur.Summary.StreamVsJSONSingle < old.Summary.StreamVsJSONSingle*(1-tol) {
 		return fmt.Errorf("stream-vs-JSON single ratio regressed %.2fx -> %.2fx (>%.0f%%)",
 			old.Summary.StreamVsJSONSingle, cur.Summary.StreamVsJSONSingle, tol*100)
+	}
+	if old.Summary.StreamPipelinedVsSingle > 0 &&
+		cur.Summary.StreamPipelinedVsSingle < old.Summary.StreamPipelinedVsSingle*(1-tol) {
+		return fmt.Errorf("stream pipelined-vs-single ratio regressed %.2fx -> %.2fx (>%.0f%%)",
+			old.Summary.StreamPipelinedVsSingle, cur.Summary.StreamPipelinedVsSingle, tol*100)
 	}
 	return nil
 }

@@ -29,6 +29,7 @@ type metrics struct {
 	wireDemotions atomic.Uint64
 
 	streamCalls      atomic.Uint64
+	streamWrites     atomic.Uint64
 	streamFallbacks  atomic.Uint64
 	streamReconnects atomic.Uint64
 	streamDemotions  atomic.Uint64
@@ -96,6 +97,7 @@ type Metrics struct {
 	// died; StreamDowngrades counts sticky downgrades to HTTP framing
 	// after the peer proved it does not speak the stream dialect.
 	StreamCalls      uint64
+	StreamWrites     uint64 // conn.Write calls that carried StreamCalls: fewer, when callers share them
 	StreamFallbacks  uint64
 	StreamReconnects uint64
 	StreamDowngrades uint64
@@ -126,6 +128,7 @@ func (m *metrics) snapshot(state BreakerState) Metrics {
 		WireCalls:         m.wireCalls.Load(),
 		WireDowngrades:    m.wireDemotions.Load(),
 		StreamCalls:       m.streamCalls.Load(),
+		StreamWrites:      m.streamWrites.Load(),
 		StreamFallbacks:   m.streamFallbacks.Load(),
 		StreamReconnects:  m.streamReconnects.Load(),
 		StreamDowngrades:  m.streamDemotions.Load(),
@@ -166,6 +169,7 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 	counter("hybridselc_wire_calls_total", "Attempts sent in the binary frame format.", m.WireCalls)
 	counter("hybridselc_wire_downgrades_total", "Sticky downgrades from binary frames to JSON.", m.WireDowngrades)
 	counter("hybridselc_stream_calls_total", "Decides sent over the stream transport.", m.StreamCalls)
+	counter("hybridselc_stream_writes_total", "conn.Write calls on stream connections; below calls when requests share a write.", m.StreamWrites)
 	counter("hybridselc_stream_fallbacks_total", "Attempts that failed over from stream to HTTP.", m.StreamFallbacks)
 	counter("hybridselc_stream_reconnects_total", "Stream pool slots redialed after connection death.", m.StreamReconnects)
 	counter("hybridselc_stream_downgrades_total", "Sticky downgrades from stream transport to HTTP.", m.StreamDowngrades)

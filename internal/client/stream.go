@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,8 +20,8 @@ import (
 // This file is the client half of the persistent stream transport
 // (internal/wire stream envelope): a small pool of long-lived
 // connections carrying pipelined decide frames tagged with stream IDs,
-// so steady-state decisions cost one frame write and one frame read —
-// no per-request HTTP parsing, no connection churn.
+// so steady-state decisions cost one frame each way, concurrent callers
+// sharing writes — no per-request HTTP parsing, no connection churn.
 //
 // Which of its failures fall through to HTTP and which demote the rung
 // is the ladder's business (ladder.go); here a peer that provably does
@@ -66,8 +67,12 @@ type StreamConn struct {
 	err     error
 	done    chan struct{} // closed when the connection dies
 
-	wmu  sync.Mutex
-	wbuf []byte
+	wmu      sync.Mutex // guards the combining writer's state: see write
+	wbuf     []byte
+	wspare   []byte
+	flushing bool
+	bursty   atomic.Bool    // the read loop's last drain held several responses
+	writes   *atomic.Uint64 // conn.Write calls; a pool points it at its metrics
 }
 
 // DialStream opens and handshakes one stream connection: dial (raw TCP
@@ -83,15 +88,17 @@ func DialStream(cfg StreamDialConfig) (*StreamConn, error) {
 	var err error
 	if cfg.Addr != "" {
 		conn, err = net.DialTimeout("tcp", cfg.Addr, timeout)
-		if err != nil {
-			return nil, err
-		}
 	} else {
 		conn, err = dialUpgrade(cfg.URL, timeout)
-		if err != nil {
-			return nil, err
-		}
 	}
+	if err != nil {
+		return nil, err
+	}
+	return newStreamConn(conn, deadline)
+}
+
+// newStreamConn handshakes a dialed connection, closing it on failure.
+func newStreamConn(conn net.Conn, deadline time.Time) (*StreamConn, error) {
 	_ = conn.SetDeadline(deadline)
 	sr := wire.NewStreamReader(conn)
 	f, err := sr.Next()
@@ -110,6 +117,7 @@ func DialStream(cfg StreamDialConfig) (*StreamConn, error) {
 		waiters: make(map[uint64]chan *wire.Response, credit),
 		done:    make(chan struct{}),
 		wbuf:    make([]byte, 0, 2048),
+		writes:  new(atomic.Uint64),
 	}
 	for i := 0; i < credit; i++ {
 		sc.sem <- struct{}{}
@@ -213,12 +221,7 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 	sc.waiters[id] = ch
 	sc.mu.Unlock()
 
-	if err := sc.write(id, req); err != nil {
-		sc.mu.Lock()
-		delete(sc.waiters, id)
-		sc.mu.Unlock()
-		return nil, err
-	}
+	sc.write(id, req)
 	select {
 	case resp := <-ch:
 		return resp, nil
@@ -234,23 +237,48 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 	}
 }
 
-// write encodes and sends one stream request frame. The shared encode
-// buffer doubles as a write combiner: requests from concurrent callers
-// serialize on wmu and ride consecutive writes.
-func (sc *StreamConn) write(id uint64, req *wire.Request) error {
+// write encodes one stream request frame into the shared buffer. The
+// caller that finds no flusher at work writes the buffer out, and again
+// while frames were appended meanwhile: theirs ride its conn.Write, and
+// a failed write fails flusher and riders alike, through die. While
+// responses arrive several to a read the flusher yields once per write,
+// so that the callers they woke get their next requests aboard.
+func (sc *StreamConn) write(id uint64, req *wire.Request) {
 	sc.wmu.Lock()
-	sc.wbuf = wire.AppendStreamRequest(sc.wbuf[:0], id, req)
-	_, err := sc.conn.Write(sc.wbuf)
+	sc.wbuf = wire.AppendStreamRequest(sc.wbuf, id, req)
+	if sc.flushing {
+		sc.wmu.Unlock()
+		return
+	}
+	sc.flushing = true
+	var err error
+	for err == nil && len(sc.wbuf) > 0 {
+		if sc.bursty.Load() {
+			sc.wmu.Unlock()
+			runtime.Gosched()
+			sc.wmu.Lock()
+		}
+		buf := sc.wbuf
+		sc.wbuf, sc.wspare = sc.wspare[:0], buf[:0] // swapped back only after the write
+		sc.wmu.Unlock()
+		sc.writes.Add(1)
+		_, err = sc.conn.Write(buf)
+		sc.wmu.Lock()
+	}
+	sc.flushing = false
 	sc.wmu.Unlock()
 	if err != nil {
 		sc.die(fmt.Errorf("%w: write: %v", errStreamBroken, err))
-		return sc.deathErr()
 	}
-	return nil
 }
 
 func (sc *StreamConn) readLoop(sr *wire.StreamReader) {
+	delivered := 0 // responses since the reader's buffer last ran dry
 	for {
+		if !sr.FrameBuffered() {
+			sc.bursty.Store(delivered > 1)
+			delivered = 0
+		}
 		f, err := sr.Next()
 		if err != nil {
 			sc.die(fmt.Errorf("%w: read: %v", errStreamBroken, err))
@@ -265,6 +293,7 @@ func (sc *StreamConn) readLoop(sr *wire.StreamReader) {
 			if ch != nil {
 				ch <- f.Resp
 			}
+			delivered++
 			// Return the credit unit (also for abandoned waiters).
 			select {
 			case sc.sem <- struct{}{}:
@@ -360,6 +389,7 @@ func (t *streamTransport) get() (*StreamConn, error) {
 	}
 	sl.dialed = true
 	sl.backoff = 0
+	sc.writes = &t.met.streamWrites
 	sl.conn = sc
 	return sc, nil
 }

@@ -2,6 +2,9 @@ package client
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -9,11 +12,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hybridsel/hybridsel/internal/faultnet"
 	"github.com/hybridsel/hybridsel/internal/server"
+	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
 // realStreamDaemon stands up a live server over the fallback-runtime
@@ -341,4 +346,168 @@ func TestChaosStreamMidKillLosesNoVerdicts(t *testing.T) {
 	}
 	t.Logf("chaos stream: transports %v, reconnects=%d fallbacks=%d proxy=%+v",
 		total, m.StreamReconnects, m.StreamFallbacks, proxy.Stats())
+}
+
+// countingConn counts Write calls; an armed gate parks each Write until
+// the test releases it, with the error the Write is to fail with or nil
+// to let it through.
+type countingConn struct {
+	net.Conn
+	writes  atomic.Int64
+	gate    atomic.Pointer[chan error]
+	entered chan struct{}
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	if g := c.gate.Load(); g != nil {
+		c.entered <- struct{}{}
+		if err := <-*g; err != nil {
+			return 0, err
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+// dialCounted opens a StreamConn to addr whose writes go through a
+// countingConn.
+func dialCounted(t *testing.T, addr string) (*StreamConn, *countingConn) {
+	t.Helper()
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: raw, entered: make(chan struct{}, 1)}
+	sc, err := newStreamConn(cc, time.Now().Add(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sc.Close() })
+	return sc, cc
+}
+
+// TestStreamWriteCombining: concurrent callers of one StreamConn share
+// conn.Write calls — fewer writes than calls — and every verdict still
+// equals the reference's; a connection used one call at a time makes
+// exactly one write per call.
+func TestStreamWriteCombining(t *testing.T) {
+	_, addr := realStreamDaemon(t)
+	ref := fallbackRuntime(t)
+	sc, cc := dialCounted(t, addr)
+
+	decide := func(n int64) error {
+		req := server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": n}}
+		wr := toWireRequest(req, nil)
+		resp, err := sc.Decide(context.Background(), &wr)
+		if err != nil {
+			return err
+		}
+		// Compared as the JSON both would be served as: the reference's
+		// candidates carry an in-process field the wire does not.
+		got, _ := json.Marshal(normalizeV2(wireToResponseV2(resp)))
+		want, _ := json.Marshal(normalizeV2(server.DecideLocal(ref, req)))
+		if string(got) != string(want) {
+			return fmt.Errorf("n=%d: stream verdict %s, reference %s", n, got, want)
+		}
+		return nil
+	}
+
+	const callers, perCaller = 32, 50
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		go func() {
+			for i := 0; i < perCaller; i++ {
+				if err := decide(int64(64 + (g*perCaller+i)%512)); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < callers; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w := cc.writes.Load(); w >= callers*perCaller {
+		t.Fatalf("%d concurrent calls took %d writes: nothing was combined", callers*perCaller, w)
+	}
+
+	before := cc.writes.Load()
+	for i := 0; i < perCaller; i++ {
+		if err := decide(int64(700 + i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w := cc.writes.Load() - before; w != perCaller {
+		t.Fatalf("%d one-at-a-time calls took %d writes, want one each", perCaller, w)
+	}
+}
+
+// TestStreamCombinedWriteFailureFailsEveryRider: callers whose frames
+// sit in the shared buffer have already returned from write, so when the
+// write that carries them fails — the flusher's conn.Write itself, or
+// the connection killed under it — each must still get a transport
+// error, and none may hang.
+func TestStreamCombinedWriteFailureFailsEveryRider(t *testing.T) {
+	_, addr := realStreamDaemon(t)
+	proxy := faultnet.NewTCP(addr, 7)
+	proxyAddr, err := proxy.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = proxy.Close() })
+
+	for name, fail := range map[string]func() error{
+		"flusher's write fails": func() error { return errors.New("injected write failure") },
+		"killed while buffered": func() error { proxy.KillActive(); return nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			sc, cc := dialCounted(t, proxyAddr)
+			wr := toWireRequest(gemmReq(), nil)
+			if _, err := sc.Decide(context.Background(), &wr); err != nil {
+				t.Fatalf("healthy connection: %v", err)
+			}
+
+			gate := make(chan error)
+			cc.gate.Store(&gate)
+			const callers = 8
+			errs := make(chan error, callers)
+			for g := 0; g < callers; g++ {
+				go func() {
+					_, err := sc.Decide(context.Background(), &wr)
+					errs <- err
+				}()
+			}
+			<-cc.entered // the flusher is parked inside conn.Write ...
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				sc.wmu.Lock()
+				aboard, err := wire.DecodeAll(sc.wbuf)
+				sc.wmu.Unlock()
+				if err == nil && len(aboard) == callers-1 {
+					break // ... and every other caller's frame rides the buffer
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d frames aboard (%v), want %d", len(aboard), err, callers-1)
+				}
+			}
+			cc.gate.Store(nil) // later writes, if the parked one gets through, pass
+			gate <- fail()
+
+			for g := 0; g < callers; g++ {
+				select {
+				case err := <-errs:
+					if !errors.Is(err, errStreamBroken) {
+						t.Fatalf("caller returned %v, want a transport error", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("caller %d of %d hangs after the combined write failed", g+1, callers)
+				}
+			}
+			if sc.Usable() {
+				t.Fatal("connection still usable after its write failed")
+			}
+		})
+	}
 }

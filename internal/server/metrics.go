@@ -33,6 +33,7 @@ type serverMetrics struct {
 	streamConns     atomic.Int64  // active stream connections
 	streamInflight  atomic.Int64  // streams dispatched, not yet answered
 	streamRequests  atomic.Uint64 // stream request frames received
+	streamSheds     atomic.Uint64 // of those, refused unadmitted: over the window, or past a Goaway
 	streamWrites    atomic.Uint64 // write syscalls on stream conns
 	streamCoalesced atomic.Uint64 // response frames that rode a shared write
 
@@ -104,6 +105,8 @@ func (m *serverMetrics) write(w io.Writer, s *Server) {
 	fmt.Fprintf(w, "# TYPE hybridsel_stream_inflight gauge\nhybridsel_stream_inflight %d\n", m.streamInflight.Load())
 	fmt.Fprintf(w, "# HELP hybridsel_stream_requests_total Stream request frames received.\n")
 	fmt.Fprintf(w, "# TYPE hybridsel_stream_requests_total counter\nhybridsel_stream_requests_total %d\n", m.streamRequests.Load())
+	fmt.Fprintf(w, "# HELP hybridsel_stream_sheds_total Stream requests refused without dispatch (queue_full over the credit window, draining after Goaway).\n")
+	fmt.Fprintf(w, "# TYPE hybridsel_stream_sheds_total counter\nhybridsel_stream_sheds_total %d\n", m.streamSheds.Load())
 	fmt.Fprintf(w, "# HELP hybridsel_stream_writes_total Write syscalls on stream connections.\n")
 	fmt.Fprintf(w, "# TYPE hybridsel_stream_writes_total counter\nhybridsel_stream_writes_total %d\n", m.streamWrites.Load())
 	fmt.Fprintf(w, "# HELP hybridsel_stream_coalesced_total Response frames that shared a coalesced write.\n")

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -25,9 +26,9 @@ import (
 //   - a small worker pool running the decide core under the shared
 //     execution slots (the same workers that bound the HTTP path),
 //   - a combining writer: workers append encoded response frames to a
-//     shared pending buffer and whichever worker finds the writer idle
-//     flushes the whole batch in one syscall, so bursts of completions
-//     coalesce without a latency-adding flush timer,
+//     shared pending buffer and flush it when no admitted request is
+//     waiting for them, so a burst of completions leaves in one syscall
+//     with no flush timer and a lone response never waits,
 //   - flow control by credit instead of 429 churn: the server grants a
 //     window on connect, requests beyond it answer queue_full on their
 //     own stream, and each response implicitly returns one unit,
@@ -137,9 +138,8 @@ type streamConn struct {
 	away         atomic.Bool   // Goaway sent
 	awayLast     atomic.Uint64 // LastStreamID carried in our Goaway
 
-	// Combining writer state: workers append frames to pending under
-	// wmu; the appender that finds the writer idle becomes the flusher
-	// and writes batches until pending drains.
+	// Combining writer state (send): frames are appended to pending
+	// under wmu; one flusher at a time writes it out until it drains.
 	wmu      sync.Mutex
 	pending  []byte
 	pendingN int
@@ -187,7 +187,7 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 		sc.away.Store(true)
 		hello = wire.AppendGoaway(hello, &wire.Goaway{Reason: "draining"})
 	}
-	sc.send(hello)
+	sc.send(hello, false)
 
 	workers := int(min(int64(streamWorkersPerConn), credit))
 	for i := 0; i < workers; i++ {
@@ -234,7 +234,7 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 			// frame and drop the connection.
 			e := &wire.Error{Code: ErrCodeBadRequest,
 				Message: fmt.Sprintf("unexpected frame type %d on stream connection", f.Type)}
-			sc.send(wire.AppendError(scratch[:0], e))
+			sc.send(wire.AppendError(scratch[:0], e), false)
 			return
 		}
 	}
@@ -245,68 +245,91 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 func (sc *streamConn) rejectStream(scratch []byte, id uint64, code, msg string) []byte {
 	resp := wire.Response{Err: &wire.Error{Code: code, Message: msg, RetryAfterSeconds: 0.05}}
 	scratch = wire.AppendStreamResponse(scratch[:0], id, &resp)
-	sc.send(scratch)
+	sc.s.met.streamSheds.Add(1)
+	sc.send(scratch, false)
 	return scratch
 }
 
-// worker runs admitted stream jobs under the shared execution slots.
+// worker runs admitted stream jobs under the shared execution slots. A
+// response rides the pending buffer while the next job is already here,
+// and leaves before an empty queue, an execute or a wait for a slot.
 func (sc *streamConn) worker() {
 	s := sc.s
 	scratch := make([]byte, 0, 2048)
 	var cands []wire.Candidate
 	for job := range sc.jobs {
-		s.slots <- struct{}{}
-		if s.holdForTest != nil {
-			s.holdForTest()
+		for riding := true; riding; {
+			select {
+			case s.slots <- struct{}{}:
+			default:
+				sc.send(nil, false)
+				s.slots <- struct{}{}
+			}
+			if s.holdForTest != nil {
+				s.holdForTest()
+			}
+			it := wireItem(job.req)
+			out, ei := decide(sc.ctx, s.rt, &it)
+			<-s.slots
+			resp := projectWireInto(job.req.Region, out, ei, cands[:0])
+			if resp.Candidates != nil {
+				cands = resp.Candidates
+			}
+			scratch = wire.AppendStreamResponse(scratch[:0], job.id, &resp)
+			// Return the credit unit before the response can reach the
+			// client, which reuses it the moment it reads the response: a
+			// request arriving ahead of the decrement would be shed against
+			// a window the client never overran.
+			sc.inflight.Add(-1)
+			s.met.streamInflight.Add(-1)
+			// The next job, taken before this one is done, keeps sc.wg
+			// held until this response has left with that one's.
+			select {
+			case next := <-sc.jobs:
+				sc.send(scratch, !next.req.Execute)
+				job = next
+			default:
+				sc.send(scratch, false)
+				riding = false
+			}
+			sc.wg.Done()
 		}
-		it := wireItem(job.req)
-		out, ei := decide(sc.ctx, s.rt, &it)
-		<-s.slots
-		resp := projectWireInto(job.req.Region, out, ei, cands[:0])
-		if resp.Candidates != nil {
-			cands = resp.Candidates
-		}
-		scratch = wire.AppendStreamResponse(scratch[:0], job.id, &resp)
-		// Return the credit unit before the response can reach the
-		// client, which reuses it the moment it reads the response: a
-		// request arriving ahead of the decrement would be shed against
-		// a window the client never overran.
-		sc.inflight.Add(-1)
-		s.met.streamInflight.Add(-1)
-		sc.send(scratch)
-		sc.wg.Done()
 	}
 }
 
-// send appends one encoded frame to the connection's pending buffer and
-// flushes if no other goroutine is already writing. The caller's buffer
-// is copied, so callers reuse their scratch immediately. Batches that
-// pile up while a write syscall is in progress go out together on the
-// next write — write coalescing without a flush timer, so a lone
-// request never waits.
-func (sc *streamConn) send(frame []byte) {
+// send appends one encoded frame (nil: none) to the pending buffer,
+// copying it so that callers reuse their scratch, and unless told to
+// hold it for a later send writes the buffer out in one syscall — and
+// again while frames were appended meanwhile. No timer: a flusher that
+// sees other requests of this connection still being decided yields
+// once, so that their responses share its write.
+func (sc *streamConn) send(frame []byte, hold bool) {
 	sc.wmu.Lock()
-	if sc.werr != nil {
-		sc.wmu.Unlock()
-		return
+	if frame != nil && sc.werr == nil {
+		sc.pending = append(sc.pending, frame...)
+		sc.pendingN++
 	}
-	sc.pending = append(sc.pending, frame...)
-	sc.pendingN++
-	if sc.flushing {
+	if hold || sc.flushing {
 		sc.wmu.Unlock()
 		return
 	}
 	sc.flushing = true
 	for sc.werr == nil && len(sc.pending) > 0 {
+		if sc.inflight.Load() > 0 {
+			sc.wmu.Unlock()
+			runtime.Gosched()
+			sc.wmu.Lock()
+		}
 		buf, n := sc.pending, sc.pendingN
 		sc.pending, sc.pendingN = sc.spare[:0], 0
 		sc.wmu.Unlock()
 
-		_, err := sc.conn.Write(buf)
+		// Counted first: whoever holds a response can rely on the count.
 		sc.s.met.streamWrites.Add(1)
 		if n > 1 {
 			sc.s.met.streamCoalesced.Add(uint64(n - 1))
 		}
+		_, err := sc.conn.Write(buf)
 
 		sc.wmu.Lock()
 		if cap(buf) <= maxPooledEncodeBuf {
@@ -329,7 +352,7 @@ func (sc *streamConn) goaway(reason string) {
 		return
 	}
 	sc.awayLast.Store(sc.lastAccepted.Load())
-	sc.send(wire.AppendGoaway(nil, &wire.Goaway{LastStreamID: sc.awayLast.Load(), Reason: reason}))
+	sc.send(wire.AppendGoaway(nil, &wire.Goaway{LastStreamID: sc.awayLast.Load(), Reason: reason}), false)
 }
 
 func (s *Server) registerStream(sc *streamConn) bool {

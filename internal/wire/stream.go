@@ -137,6 +137,20 @@ func NewStreamReader(r io.Reader) *StreamReader {
 	return &StreamReader{br: br, buf: make([]byte, 0, 2048)}
 }
 
+// FrameBuffered reports whether the next frame — header and whole
+// payload — already sits in the reader's buffer, so Next would return it
+// without touching the connection. It is never true on a partial frame.
+// A reader that has just drained a burst uses it to see where the burst
+// ends.
+func (sr *StreamReader) FrameBuffered() bool {
+	n := sr.br.Buffered()
+	if n < headerLen {
+		return false
+	}
+	hdr, _ := sr.br.Peek(headerLen) // buffered already: cannot fail or block
+	return uint64(n-headerLen) >= uint64(binary.LittleEndian.Uint32(hdr[4:]))
+}
+
 // Next reads and decodes the next frame. io.EOF is returned untouched
 // on a clean end-of-stream between frames; a connection that dies
 // mid-frame surfaces io.ErrUnexpectedEOF. The returned frame does not

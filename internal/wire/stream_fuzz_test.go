@@ -8,9 +8,10 @@ import (
 
 // FuzzStreamFrame feeds arbitrary bytes to the incremental stream
 // reader. Invariants: Next never panics, the incremental reader agrees
-// frame-for-frame with the whole-body decoder on the same bytes, and
+// frame-for-frame with the whole-body decoder on the same bytes,
 // every stream frame it accepts re-encodes canonically (decode∘encode
-// is the identity on the decoder's image).
+// is the identity on the decoder's image), and FrameBuffered keeps its
+// contract with the bytes delivered in two pieces.
 func FuzzStreamFrame(f *testing.F) {
 	req := Request{Region: "gemm", SlotForm: true, KeyHash: 0xfeedface, Values: []int64{1100}}
 	f.Add(AppendStreamRequest(nil, 1, &req))
@@ -37,6 +38,8 @@ func FuzzStreamFrame(f *testing.F) {
 	f.Add([]byte{'H', 'S', 2, TypeCredit, 1, 0, 0, 0, 64}) // version skew
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFrameBuffered(t, data, len(data)/2)
+		checkFrameBuffered(t, data, len(data))
 		sr := NewStreamReader(bytes.NewReader(data))
 		rest := data
 		for {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -127,5 +128,81 @@ func TestStreamReaderNoAlias(t *testing.T) {
 	}
 	if f1.Req.Region != "first" || f1.Req.Names[0] != "n" {
 		t.Fatalf("first frame mutated by second read: %+v", f1.Req)
+	}
+}
+
+// cutReader hands out data[:cut] on its first Read and the rest on its
+// second, the way a burst of frames arrives split across two segments,
+// and counts the Reads.
+type cutReader struct {
+	data      []byte
+	cut, off  int
+	readCalls int
+}
+
+func (r *cutReader) Read(p []byte) (int, error) {
+	r.readCalls++
+	end := len(r.data)
+	if r.off < r.cut {
+		end = r.cut
+	}
+	if r.off == end {
+		return 0, io.EOF
+	}
+	n := copy(p, r.data[r.off:end])
+	r.off += n
+	return n, nil
+}
+
+// checkFrameBuffered walks data, delivered in two pieces split at cut,
+// through a StreamReader and holds FrameBuffered to its contract before
+// every Next: true exactly when the bytes delivered so far and not yet
+// consumed hold the next frame's header and whole payload, and when
+// true, Next does not touch the connection. Shared by the property test
+// and FuzzStreamFrame, so data need not be well-formed.
+func checkFrameBuffered(t *testing.T, data []byte, cut int) {
+	t.Helper()
+	r := &cutReader{data: data, cut: cut}
+	sr := NewStreamReader(r)
+	consumed := 0
+	for {
+		have := r.off - consumed
+		whole := have >= headerLen &&
+			uint64(have-headerLen) >= uint64(binary.LittleEndian.Uint32(data[consumed+4:]))
+		got := sr.FrameBuffered()
+		if got != whole {
+			t.Fatalf("cut %d, offset %d, %d bytes delivered: FrameBuffered = %v, want %v",
+				cut, consumed, r.off, got, whole)
+		}
+		before := r.readCalls
+		_, err := sr.Next()
+		if got && r.readCalls != before {
+			t.Fatalf("cut %d, offset %d: FrameBuffered was true but Next read the connection", cut, consumed)
+		}
+		if err != nil {
+			return
+		}
+		consumed += headerLen + int(binary.LittleEndian.Uint32(data[consumed+4:]))
+	}
+}
+
+// TestStreamReaderFrameBuffered: a pipelined frame stream cut at every
+// byte offset never reports a whole frame early (nor late), whichever
+// frame the cut falls in and wherever in it — header or payload.
+func TestStreamReaderFrameBuffered(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	var stream []byte
+	for i := 0; i < 3; i++ {
+		req, resp := randRequest(r), randResponse(r)
+		stream = AppendStreamRequest(stream, r.Uint64(), &req)
+		stream = AppendCredit(stream, r.Uint64())
+		stream = AppendStreamResponse(stream, r.Uint64(), &resp)
+		stream = AppendGoaway(stream, &Goaway{LastStreamID: r.Uint64(), Reason: randString(r, 32)})
+	}
+	for cut := 0; cut <= len(stream); cut++ {
+		checkFrameBuffered(t, stream, cut)
+	}
+	if sr := NewStreamReader(bytes.NewReader(nil)); sr.FrameBuffered() {
+		t.Fatal("FrameBuffered true on an empty stream")
 	}
 }

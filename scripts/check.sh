@@ -77,10 +77,10 @@ go test -run '^$' \
 echo "== serve ledger: parse + regression gate =="
 # Same idea for the serving benchmarks: the committed ledger must parse
 # and the binary frame format and stream transport must stay
-# meaningfully faster than JSON. Short CI runs over a live server are
-# noisier than the in-process micro-benchmarks, so the floors are
-# relaxed relative to the 2x/3x bars bench.sh enforces when the ledger
-# is regenerated.
+# meaningfully faster than JSON, and a pipelined stream than one used a
+# call at a time. Short CI runs over a live server are noisier than the
+# in-process micro-benchmarks, so the floors are relaxed relative to
+# the 2x/3x/3x bars bench.sh enforces when the ledger is regenerated.
 if [ ! -f BENCH_serve.json ]; then
 	echo "serve ledger: BENCH_serve.json missing (run make bench)"; exit 1
 fi
@@ -88,7 +88,7 @@ go test -run '^$' \
 	-bench 'BenchmarkServe(JSON|Binary)(Single|Batch64)$|BenchmarkServeStream(Single|Pipelined64)$' \
 	-benchtime=0.2s -benchmem . \
 	| go run ./cmd/benchjson -gate BENCH_serve.json -tolerance 0.5 \
-		-min-wire-speedup 1.5 -min-stream-speedup 2
+		-min-wire-speedup 1.5 -min-stream-speedup 2 -min-pipeline-speedup 2
 
 echo "== daemon smoke: serve, decide, scrape, drain =="
 tmp=$(mktemp -d)
@@ -141,6 +141,18 @@ if ! "$tmp/loadgen" -addr "http://$addr" -stream-addr "$stream_addr" \
 	exit 1
 fi
 echo "daemon smoke: stream transport served on $stream_addr"
+# Pipelined responses must share writes in a real multi-P daemon too, not
+# only on the benchmark's one P: fewer write syscalls than requests.
+stream_counts=$(curl -s "http://$addr/metrics" | awk '
+	/^hybridsel_stream_writes_total /   { w = $2 }
+	/^hybridsel_stream_requests_total / { r = $2 }
+	END { print w + 0, r + 0 }')
+if ! echo "$stream_counts" | awk '{ exit !($2 > 0 && $1 < $2) }'; then
+	echo "daemon smoke: stream writes/requests = $stream_counts, want writes < requests"
+	kill "$daemon" 2>/dev/null || true
+	exit 1
+fi
+echo "daemon smoke: stream responses coalesced ($stream_counts writes/requests)"
 # The shadow auditor must have sampled the served decisions: scrape the
 # accuracy gauges off /metrics (retrying briefly — audits run on
 # background workers and may land just after the load stops).
