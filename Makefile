@@ -19,7 +19,8 @@ race:
 	$(GO) test -race ./internal/offload/ ./internal/experiments/ \
 		./internal/server/ ./internal/trace/ ./internal/client/ \
 		./internal/faultnet/ ./internal/regiongen/ ./internal/learn/ \
-		./internal/wire/ ./internal/cluster/
+		./internal/wire/ ./internal/cluster/ ./internal/metrics/ \
+		./internal/audit/
 	$(GO) test -race -count=20 -run 'TestStream(BurstSharesWrites|OutOfOrder|CreditExhaustion|FullWindowNeverShed|DrainGoaway|PipelinedStress)' ./internal/server/
 	$(GO) test -race -count=20 -run 'TestStream(WriteCombining|CombinedWriteFailure)' ./internal/client/
 

@@ -1,7 +1,7 @@
 // Command apidump prints the exported API surface of the stable model
 // packages (internal/offload, internal/machine, internal/learn,
-// internal/wire, internal/server, internal/client, internal/cluster
-// by default) in a
+// internal/wire, internal/server, internal/client, internal/cluster,
+// internal/metrics by default) in a
 // deterministic, diff-friendly text
 // form: one line per
 // exported declaration, const/var blocks kept whole so enum ordering is
@@ -42,7 +42,7 @@ func main() {
 	if len(dirs) == 0 {
 		dirs = []string{"internal/offload", "internal/machine", "internal/learn",
 			"internal/wire", "internal/server", "internal/client",
-			"internal/cluster"}
+			"internal/cluster", "internal/metrics"}
 	}
 
 	var out bytes.Buffer

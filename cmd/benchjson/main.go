@@ -23,8 +23,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -194,9 +196,9 @@ func main() {
 	}
 }
 
-// parse reads `go test -bench` output, keeping benchmark lines and the
-// goos/cpu header lines.
-func parse(f *os.File) (*Ledger, error) {
+// parse reads `go test -bench` output, keeping the goos/cpu header lines
+// and one line per benchmark (see medians).
+func parse(f io.Reader) (*Ledger, error) {
 	l := &Ledger{Note: "generated by scripts/bench.sh; gated by scripts/check.sh (allocs and in-run ratios only)"}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
@@ -216,8 +218,31 @@ func parse(f *os.File) (*Ledger, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	l.Benchmarks = medians(l.Benchmarks)
 	l.Summary = summarize(l.Benchmarks)
 	return l, nil
+}
+
+// medians collapses the repeated lines of a -count=N run to one per
+// benchmark, in first-appearance order: the sample with the median ns/op
+// (the upper of an even count), kept whole so a line's metrics all come
+// from one run. A single short sample on a shared box swings enough to
+// trip a ratio floor neither side of the ratio moved.
+func medians(all []Benchmark) []Benchmark {
+	samples := map[string][]Benchmark{}
+	var out []Benchmark
+	for _, b := range all {
+		if samples[b.Name] == nil {
+			out = append(out, b)
+		}
+		samples[b.Name] = append(samples[b.Name], b)
+	}
+	for i := range out {
+		s := samples[out[i].Name]
+		sort.Slice(s, func(i, j int) bool { return s[i].NsPerOp < s[j].NsPerOp })
+		out[i] = s[len(s)/2]
+	}
+	return out
 }
 
 // parseLine parses one result line:

@@ -69,6 +69,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -87,6 +88,7 @@ import (
 	"github.com/hybridsel/hybridsel/internal/client"
 	"github.com/hybridsel/hybridsel/internal/faultnet"
 	"github.com/hybridsel/hybridsel/internal/machine"
+	"github.com/hybridsel/hybridsel/internal/metrics"
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/polybench"
 	"github.com/hybridsel/hybridsel/internal/server"
@@ -245,7 +247,9 @@ func main() {
 	report(os.Stdout)
 
 	if *scrape {
-		scrapeMetrics(httpClient, *addr, os.Stdout)
+		if err := scrapeMetrics(httpClient, *addr, os.Stdout); err != nil {
+			fatal(err)
+		}
 	}
 	if err := st.gateErr(*minThroughput); err != nil {
 		fatal(err)
@@ -705,18 +709,22 @@ func (st *stats) report(w io.Writer) {
 }
 
 // scrapeMetrics prints the daemon-side counters that matter for a load
-// run: decision volume, cache efficiency, shedding.
-func scrapeMetrics(client *http.Client, addr string, w io.Writer) {
+// run: decision volume, cache efficiency, shedding. An unreachable
+// /metrics is only reported; an exposition a Prometheus scraper would
+// reject is an error.
+func scrapeMetrics(client *http.Client, addr string, w io.Writer) error {
+	var body []byte
 	resp, err := client.Get(addr + "/metrics")
+	if err == nil {
+		body, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
 	if err != nil {
 		fmt.Fprintf(w, "metrics scrape failed: %v\n", err)
-		return
+		return nil
 	}
-	defer resp.Body.Close()
 	fmt.Fprintln(w, "daemon:")
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
+	for _, line := range strings.Split(string(body), "\n") {
 		for _, prefix := range []string{
 			"hybridsel_decides_total",
 			"hybridsel_launches_total",
@@ -730,6 +738,10 @@ func scrapeMetrics(client *http.Client, addr string, w io.Writer) {
 			}
 		}
 	}
+	if err := metrics.Lint(bytes.NewReader(body)); err != nil {
+		return fmt.Errorf("daemon /metrics is not a valid exposition: %w", err)
+	}
+	return nil
 }
 
 func waitHealthy(client *http.Client, addr string, timeout time.Duration) error {

@@ -316,4 +316,30 @@ func TestRunWireAgainstRealDaemon(t *testing.T) {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
 	}
+	// The scrape that closes a run lints what the daemon serves.
+	var out strings.Builder
+	if err := scrapeMetrics(ts.Client(), ts.URL, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "  hybridsel_decides_total ") {
+		t.Fatalf("scrape printed:\n%s", out.String())
+	}
+}
+
+// TestScrapeRejectsMalformedExposition: a /metrics body a Prometheus
+// scraper would refuse fails the run; an unreachable one is only reported.
+func TestScrapeRejectsMalformedExposition(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		const fam = "# HELP hybridseld_shed_total Sheds.\n# TYPE hybridseld_shed_total counter\nhybridseld_shed_total 0\n"
+		io.WriteString(w, fam+"# Replica b\n"+fam)
+	}))
+	var out strings.Builder
+	err := scrapeMetrics(ts.Client(), ts.URL, &out)
+	if err == nil || !strings.Contains(err.Error(), "duplicate family") {
+		t.Fatalf("scrape of a duplicated family: %v", err)
+	}
+	ts.Close()
+	if err := scrapeMetrics(ts.Client(), ts.URL, &out); err != nil || !strings.Contains(out.String(), "scrape failed") {
+		t.Fatalf("scrape of a closed daemon: %v\n%s", err, out.String())
+	}
 }

@@ -3,10 +3,12 @@ package audit
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/hybridsel/hybridsel/internal/machine"
+	"github.com/hybridsel/hybridsel/internal/metrics"
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/polybench"
 	"github.com/hybridsel/hybridsel/internal/sim"
@@ -206,10 +208,21 @@ func TestInlineAuditAccounting(t *testing.T) {
 	if samples != rep.Samples || wrong != rep.Mispredicts || regret != rep.RegretSeconds {
 		t.Fatalf("region rows do not sum to aggregates: %+v", rep)
 	}
-	// AddTo folds the audit aggregates into a metrics snapshot.
-	m := rep.AddTo(rt.Metrics())
-	if m.AuditSamples != rep.Samples || m.AuditMispredicts != rep.Mispredicts {
-		t.Fatalf("AddTo: %+v", m)
+	// The same aggregates and rows reach the exposition.
+	var set metrics.Set
+	a.RegisterMetrics(&set)
+	var sb strings.Builder
+	if err := set.Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("hybridsel_audit_samples_total %d\n", rep.Samples),
+		fmt.Sprintf("hybridsel_mispredict_total %d\n", rep.Mispredicts),
+		fmt.Sprintf("hybridsel_audit_region_samples_total{region=\"mvt1\"} %d\n", rep.Regions[1].Samples),
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, sb.String())
+		}
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/hybridsel/hybridsel/internal/offload"
+	"github.com/hybridsel/hybridsel/internal/metrics"
 )
 
 // regionStats accumulates one region's verdicts, guarded by the Auditor's
@@ -142,34 +142,44 @@ func (a *Auditor) Report() Report {
 	return rep
 }
 
-// AddTo folds the report's aggregate accounting into a runtime metrics
-// snapshot, so one Metrics value carries the serving picture through
-// String and WritePrometheus.
-func (r Report) AddTo(m offload.Metrics) offload.Metrics {
-	m.AuditSamples += r.Samples
-	m.AuditMispredicts += r.Mispredicts
-	m.AuditDropped += r.Dropped
-	m.AuditRegretSeconds += r.RegretSeconds
-	return m
-}
-
-// Accuracy projects the per-region accounting onto the exposition rows
-// WriteAccuracyPrometheus renders.
-func (r Report) Accuracy() []offload.RegionAccuracy {
-	rows := make([]offload.RegionAccuracy, len(r.Regions))
-	for i, rr := range r.Regions {
-		rows[i] = offload.RegionAccuracy{
-			Region:        rr.Region,
-			Samples:       rr.Samples,
-			Mispredicts:   rr.Mispredicts,
-			RegretSeconds: rr.RegretSeconds,
-			CPUFactor:     rr.CPU.Factor,
-			GPUFactor:     rr.GPU.Factor,
-			MeanLogErrCPU: rr.CPU.Mean,
-			MeanLogErrGPU: rr.GPU.Mean,
+// RegisterMetrics declares the shadow-audit series on s, all derived from
+// one Report per scrape. A nil auditor declares them too, the aggregates
+// reading zero and the per-region families empty, so dashboards and the
+// CI scrape keep the series when auditing is off.
+func (a *Auditor) RegisterMetrics(s *metrics.Set) {
+	samples := s.Rows("hybridsel_audit_samples_total", "counter",
+		"Served decisions audited against ground truth.")
+	mispredicts := s.Rows("hybridsel_mispredict_total", "counter",
+		"Audited decisions whose chosen target was not the measured-faster one.")
+	dropped := s.Rows("hybridsel_audit_dropped_total", "counter",
+		"Sampled decisions dropped because the audit queue was full.")
+	regret := s.Rows("hybridsel_audit_regret_seconds_total", "counter",
+		"Cumulative time lost to mispredicted targets (actual chosen minus actual best).")
+	regionSamples := s.Rows("hybridsel_audit_region_samples_total", "counter",
+		"Audited decisions by region.")
+	regionMispredicts := s.Rows("hybridsel_audit_region_mispredict_total", "counter",
+		"Audited mispredictions by region.")
+	regionRegret := s.Rows("hybridsel_audit_region_regret_seconds_total", "counter",
+		"Time lost to mispredicted targets by region.")
+	factor := s.Rows("hybridsel_correction_factor", "gauge",
+		"Multiplicative calibration applied to a model's predicted seconds (1 = uncorrected).")
+	s.Collect(func() {
+		var rep Report
+		if a != nil {
+			rep = a.Report()
 		}
-	}
-	return rows
+		samples(float64(rep.Samples))
+		mispredicts(float64(rep.Mispredicts))
+		dropped(float64(rep.Dropped))
+		regret(rep.RegretSeconds)
+		for _, r := range rep.Regions {
+			regionSamples(float64(r.Samples), "region", r.Region)
+			regionMispredicts(float64(r.Mispredicts), "region", r.Region)
+			regionRegret(r.RegretSeconds, "region", r.Region)
+			factor(r.CPU.Factor, "region", r.Region, "model", "cpu")
+			factor(r.GPU.Factor, "region", r.Region, "model", "gpu")
+		}
+	})
 }
 
 // String renders the report as an aligned summary, worst regions (by

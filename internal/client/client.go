@@ -193,7 +193,7 @@ type Config struct {
 type Client struct {
 	cfg     Config
 	breaker *breaker
-	met     metrics
+	met     counters
 	ladder  []*rung // stream, HTTP frames, HTTP JSON: those Config enables
 	// Hedge-delay estimation is per transport: stream and HTTP attempt
 	// latencies live in different regimes (no per-request framing vs

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/hybridsel/hybridsel/internal/machine"
+	"github.com/hybridsel/hybridsel/internal/metrics"
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/polybench"
 	"github.com/hybridsel/hybridsel/internal/server"
@@ -532,11 +533,7 @@ func TestWritePrometheusExposition(t *testing.T) {
 	if _, err := c.Decide(context.Background(), gemmReq()); err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := c.Metrics().WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := expose(t, func(s *metrics.Set) { c.RegisterMetrics(s) })
 	for _, want := range []string{
 		"hybridselc_requests_total 1",
 		"hybridselc_remote_ok_total 1",

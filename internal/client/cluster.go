@@ -11,15 +11,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/cluster"
+	"github.com/hybridsel/hybridsel/internal/metrics"
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
@@ -61,12 +59,12 @@ type ClusterConfig struct {
 // clusterMetrics is the cluster layer's own instrumentation, on top of
 // each replica client's Metrics.
 type clusterMetrics struct {
-	requests       atomic.Uint64
-	failovers      atomic.Uint64
-	crossHedges    atomic.Uint64
-	crossHedgeWins atomic.Uint64
-	fallbacks      atomic.Uint64
-	demoted        atomic.Uint64
+	requests       metrics.Counter
+	failovers      metrics.Counter
+	crossHedges    metrics.Counter
+	crossHedgeWins metrics.Counter
+	fallbacks      metrics.Counter
+	demoted        metrics.Counter
 }
 
 // ClusterMetrics is a point-in-time snapshot of the cluster layer.
@@ -346,40 +344,18 @@ func (cc *ClusterClient) Metrics() ClusterMetrics {
 	return m
 }
 
-// WritePrometheus renders the cluster-layer counters plus each replica
-// client's exposition, replica series prefixed per member so one scrape
-// covers the whole routing stack.
-func (cc *ClusterClient) WritePrometheus(w io.Writer) error {
-	m := cc.Metrics()
-	var err error
-	counter := func(name, help string, v uint64) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-				name, help, name, name, v)
-		}
+// RegisterMetrics declares the cluster-layer series on s, then every
+// replica client's with a replica=<id> label, so each hybridselc_ family
+// appears once however many replicas there are.
+func (cc *ClusterClient) RegisterMetrics(s *metrics.Set) {
+	m := &cc.met
+	s.Counter("hybridselc_cluster_requests_total", "Logical requests entering the cluster client.", &m.requests)
+	s.Counter("hybridselc_cluster_failovers_total", "Calls re-routed to a ring successor.", &m.failovers)
+	s.Counter("hybridselc_cluster_hedges_total", "Hedges launched at the ring successor.", &m.crossHedges)
+	s.Counter("hybridselc_cluster_hedge_wins_total", "Successor hedges that finished first.", &m.crossHedgeWins)
+	s.Counter("hybridselc_cluster_fallback_total", "Verdicts served by the cluster fallback runtime.", &m.fallbacks)
+	s.Counter("hybridselc_cluster_demoted_total", "Routes where gossip demoted the ring owner.", &m.demoted)
+	for _, m := range cc.cfg.Members {
+		cc.clients[m.ID].RegisterMetrics(s, "replica", m.ID)
 	}
-	counter("hybridselc_cluster_requests_total", "Logical requests entering the cluster client.", m.Requests)
-	counter("hybridselc_cluster_failovers_total", "Calls re-routed to a ring successor.", m.Failovers)
-	counter("hybridselc_cluster_hedges_total", "Hedges launched at the ring successor.", m.CrossHedges)
-	counter("hybridselc_cluster_hedge_wins_total", "Successor hedges that finished first.", m.CrossHedgeWins)
-	counter("hybridselc_cluster_fallback_total", "Verdicts served by the cluster fallback runtime.", m.Fallbacks)
-	counter("hybridselc_cluster_demoted_total", "Routes where gossip demoted the ring owner.", m.Demoted)
-	if err != nil {
-		return err
-	}
-	ids := make([]string, 0, len(m.Replicas))
-	for id := range m.Replicas {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if _, err = fmt.Fprintf(w, "# Replica %s\n", id); err != nil {
-			return err
-		}
-		rm := m.Replicas[id]
-		if err = rm.WritePrometheus(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -299,18 +299,15 @@ func TestClusterFallbackWhenAllReplicasDown(t *testing.T) {
 		t.Fatalf("fallbacks %d, want one per failed call", m.Fallbacks)
 	}
 
-	var sb strings.Builder
-	if err := cc.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
+	out := expose(t, cc.RegisterMetrics)
 	for _, series := range []string{
 		"hybridselc_cluster_requests_total 3",
 		"hybridselc_cluster_fallback_total",
-		"# Replica node-a",
-		"# Replica node-b",
+		`hybridselc_requests_total{replica="node-a"}`,
+		`hybridselc_requests_total{replica="node-b"}`,
 	} {
-		if !strings.Contains(sb.String(), series) {
-			t.Fatalf("exposition missing %q:\n%s", series, sb.String())
+		if !strings.Contains(out, series) {
+			t.Fatalf("exposition missing %q:\n%s", series, out)
 		}
 	}
 }

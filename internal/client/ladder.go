@@ -53,14 +53,14 @@ func NewTransport(kind string, cfg Config) (Transport, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := newTransport(kind, &cfg, new(metrics))
+	t := newTransport(kind, &cfg, new(counters))
 	if t == nil {
 		return nil, fmt.Errorf("client: unknown transport %q", kind)
 	}
 	return t, nil
 }
 
-func newTransport(kind string, cfg *Config, met *metrics) Transport {
+func newTransport(kind string, cfg *Config, met *counters) Transport {
 	switch kind {
 	case TransportStream:
 		return &streamTransport{
@@ -266,7 +266,7 @@ type httpTransport struct {
 	hc     *http.Client
 	url    string
 	params func(region string) []string
-	met    *metrics
+	met    *counters
 }
 
 func (t *httpTransport) Close() {}

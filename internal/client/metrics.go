@@ -1,46 +1,42 @@
 package client
 
-import (
-	"fmt"
-	"io"
-	"sync/atomic"
-)
+import "github.com/hybridsel/hybridsel/internal/metrics"
 
-// metrics is the client's hot-path instrumentation: plain atomics, no
+// counters is the client's hot-path instrumentation: plain atomics, no
 // locks on the request path.
-type metrics struct {
-	requests        atomic.Uint64
-	remoteOK        atomic.Uint64
-	retries         atomic.Uint64
-	hedges          atomic.Uint64
-	hedgeWins       atomic.Uint64
-	fallbacks       atomic.Uint64
-	fallbackErrors  atomic.Uint64
-	coalesced       atomic.Uint64
-	batchCalls      atomic.Uint64
-	sheds           atomic.Uint64
-	transportErrors atomic.Uint64
-	serverErrors    atomic.Uint64
-	permanentErrors atomic.Uint64
+type counters struct {
+	requests        metrics.Counter
+	remoteOK        metrics.Counter
+	retries         metrics.Counter
+	hedges          metrics.Counter
+	hedgeWins       metrics.Counter
+	fallbacks       metrics.Counter
+	fallbackErrors  metrics.Counter
+	coalesced       metrics.Counter
+	batchCalls      metrics.Counter
+	sheds           metrics.Counter
+	transportErrors metrics.Counter
+	serverErrors    metrics.Counter
+	permanentErrors metrics.Counter
 
-	retryAfterHonored atomic.Uint64
+	retryAfterHonored metrics.Counter
 
-	wireCalls     atomic.Uint64
-	wireDemotions atomic.Uint64
+	wireCalls     metrics.Counter
+	wireDemotions metrics.Counter
 
-	streamCalls      atomic.Uint64
-	streamWrites     atomic.Uint64
-	streamFallbacks  atomic.Uint64
-	streamReconnects atomic.Uint64
-	streamDemotions  atomic.Uint64
+	streamCalls      metrics.Counter
+	streamWrites     metrics.Counter
+	streamFallbacks  metrics.Counter
+	streamReconnects metrics.Counter
+	streamDemotions  metrics.Counter
 
-	breakerOpened   atomic.Uint64
-	breakerHalfOpen atomic.Uint64
-	breakerClosed   atomic.Uint64
+	breakerOpened   metrics.Counter
+	breakerHalfOpen metrics.Counter
+	breakerClosed   metrics.Counter
 }
 
 // breakerTransition records a breaker state change by destination state.
-func (m *metrics) breakerTransition(to BreakerState) {
+func (m *counters) breakerTransition(to BreakerState) {
 	switch to {
 	case BreakerOpen:
 		m.breakerOpened.Add(1)
@@ -109,78 +105,60 @@ type Metrics struct {
 	BreakerState    BreakerState
 }
 
-func (m *metrics) snapshot(state BreakerState) Metrics {
-	return Metrics{
-		Requests:          m.requests.Load(),
-		RemoteOK:          m.remoteOK.Load(),
-		Retries:           m.retries.Load(),
-		Hedges:            m.hedges.Load(),
-		HedgeWins:         m.hedgeWins.Load(),
-		Fallbacks:         m.fallbacks.Load(),
-		FallbackErrors:    m.fallbackErrors.Load(),
-		Coalesced:         m.coalesced.Load(),
-		BatchCalls:        m.batchCalls.Load(),
-		Sheds:             m.sheds.Load(),
-		TransportErrors:   m.transportErrors.Load(),
-		ServerErrors:      m.serverErrors.Load(),
-		PermanentErrors:   m.permanentErrors.Load(),
-		RetryAfterHonored: m.retryAfterHonored.Load(),
-		WireCalls:         m.wireCalls.Load(),
-		WireDowngrades:    m.wireDemotions.Load(),
-		StreamCalls:       m.streamCalls.Load(),
-		StreamWrites:      m.streamWrites.Load(),
-		StreamFallbacks:   m.streamFallbacks.Load(),
-		StreamReconnects:  m.streamReconnects.Load(),
-		StreamDowngrades:  m.streamDemotions.Load(),
-		BreakerOpened:     m.breakerOpened.Load(),
-		BreakerHalfOpen:   m.breakerHalfOpen.Load(),
-		BreakerClosed:     m.breakerClosed.Load(),
-		BreakerState:      state,
+// series is the one table of the client's counters: exposition name and
+// help, the live counter, and the field of out a snapshot reads it into.
+func (m *counters) series(out *Metrics) []counterSeries {
+	return []counterSeries{
+		{"hybridselc_requests_total", "Logical decision requests handed to the client.", &m.requests, &out.Requests},
+		{"hybridselc_remote_ok_total", "Network calls that returned a usable response.", &m.remoteOK, &out.RemoteOK},
+		{"hybridselc_retries_total", "Re-attempts after retryable failures.", &m.retries, &out.Retries},
+		{"hybridselc_hedges_total", "Hedged duplicate requests launched.", &m.hedges, &out.Hedges},
+		{"hybridselc_hedge_wins_total", "Hedged duplicates that finished first.", &m.hedgeWins, &out.HedgeWins},
+		{"hybridselc_fallback_total", "Verdicts served by the in-process fallback runtime.", &m.fallbacks, &out.Fallbacks},
+		{"hybridselc_fallback_errors_total", "Item-level model errors inside fallback verdicts.", &m.fallbackErrors, &out.FallbackErrors},
+		{"hybridselc_coalesced_total", "Requests served by another caller's in-flight call.", &m.coalesced, &out.Coalesced},
+		{"hybridselc_batch_calls_total", "Batched network calls issued.", &m.batchCalls, &out.BatchCalls},
+		{"hybridselc_shed_total", "429 responses from daemon admission control.", &m.sheds, &out.Sheds},
+		{"hybridselc_transport_errors_total", "Connection, timeout, and truncated-body failures.", &m.transportErrors, &out.TransportErrors},
+		{"hybridselc_server_errors_total", "HTTP 5xx responses.", &m.serverErrors, &out.ServerErrors},
+		{"hybridselc_permanent_errors_total", "Non-retryable HTTP 4xx responses.", &m.permanentErrors, &out.PermanentErrors},
+		{"hybridselc_retry_after_honored_total", "Backoffs stretched to a server Retry-After.", &m.retryAfterHonored, &out.RetryAfterHonored},
+		{"hybridselc_wire_calls_total", "Attempts sent in the binary frame format.", &m.wireCalls, &out.WireCalls},
+		{"hybridselc_wire_downgrades_total", "Sticky downgrades from binary frames to JSON.", &m.wireDemotions, &out.WireDowngrades},
+		{"hybridselc_stream_calls_total", "Decides sent over the stream transport.", &m.streamCalls, &out.StreamCalls},
+		{"hybridselc_stream_writes_total", "conn.Write calls on stream connections; below calls when requests share a write.", &m.streamWrites, &out.StreamWrites},
+		{"hybridselc_stream_fallbacks_total", "Attempts that failed over from stream to HTTP.", &m.streamFallbacks, &out.StreamFallbacks},
+		{"hybridselc_stream_reconnects_total", "Stream pool slots redialed after connection death.", &m.streamReconnects, &out.StreamReconnects},
+		{"hybridselc_stream_downgrades_total", "Sticky downgrades from stream transport to HTTP.", &m.streamDemotions, &out.StreamDowngrades},
+		{"hybridselc_breaker_open_total", "Circuit breaker transitions to open.", &m.breakerOpened, &out.BreakerOpened},
+		{"hybridselc_breaker_half_open_total", "Circuit breaker transitions to half-open.", &m.breakerHalfOpen, &out.BreakerHalfOpen},
+		{"hybridselc_breaker_close_total", "Circuit breaker transitions to closed.", &m.breakerClosed, &out.BreakerClosed},
 	}
 }
 
-// WritePrometheus renders the snapshot in the Prometheus text exposition
-// format. The hybridselc_ namespace mirrors the daemon's hybridseld_ and
-// the runtime's hybridsel_ expositions, so one scrape config covers all
-// three sides of a deployment.
-func (m Metrics) WritePrometheus(w io.Writer) error {
-	var err error
-	counter := func(name, help string, v uint64) {
-		if err != nil {
-			return
-		}
-		_, err = fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			name, help, name, name, v)
+type counterSeries struct {
+	name, help string
+	counter    *metrics.Counter
+	field      *uint64
+}
+
+func (m *counters) snapshot(state BreakerState) Metrics {
+	out := Metrics{BreakerState: state}
+	for _, s := range m.series(&out) {
+		*s.field = s.counter.Load()
 	}
-	counter("hybridselc_requests_total", "Logical decision requests handed to the client.", m.Requests)
-	counter("hybridselc_remote_ok_total", "Network calls that returned a usable response.", m.RemoteOK)
-	counter("hybridselc_retries_total", "Re-attempts after retryable failures.", m.Retries)
-	counter("hybridselc_hedges_total", "Hedged duplicate requests launched.", m.Hedges)
-	counter("hybridselc_hedge_wins_total", "Hedged duplicates that finished first.", m.HedgeWins)
-	counter("hybridselc_fallback_total", "Verdicts served by the in-process fallback runtime.", m.Fallbacks)
-	counter("hybridselc_fallback_errors_total", "Item-level model errors inside fallback verdicts.", m.FallbackErrors)
-	counter("hybridselc_coalesced_total", "Requests served by another caller's in-flight call.", m.Coalesced)
-	counter("hybridselc_batch_calls_total", "Batched network calls issued.", m.BatchCalls)
-	counter("hybridselc_shed_total", "429 responses from daemon admission control.", m.Sheds)
-	counter("hybridselc_transport_errors_total", "Connection, timeout, and truncated-body failures.", m.TransportErrors)
-	counter("hybridselc_server_errors_total", "HTTP 5xx responses.", m.ServerErrors)
-	counter("hybridselc_permanent_errors_total", "Non-retryable HTTP 4xx responses.", m.PermanentErrors)
-	counter("hybridselc_retry_after_honored_total", "Backoffs stretched to a server Retry-After.", m.RetryAfterHonored)
-	counter("hybridselc_wire_calls_total", "Attempts sent in the binary frame format.", m.WireCalls)
-	counter("hybridselc_wire_downgrades_total", "Sticky downgrades from binary frames to JSON.", m.WireDowngrades)
-	counter("hybridselc_stream_calls_total", "Decides sent over the stream transport.", m.StreamCalls)
-	counter("hybridselc_stream_writes_total", "conn.Write calls on stream connections; below calls when requests share a write.", m.StreamWrites)
-	counter("hybridselc_stream_fallbacks_total", "Attempts that failed over from stream to HTTP.", m.StreamFallbacks)
-	counter("hybridselc_stream_reconnects_total", "Stream pool slots redialed after connection death.", m.StreamReconnects)
-	counter("hybridselc_stream_downgrades_total", "Sticky downgrades from stream transport to HTTP.", m.StreamDowngrades)
-	counter("hybridselc_breaker_open_total", "Circuit breaker transitions to open.", m.BreakerOpened)
-	counter("hybridselc_breaker_half_open_total", "Circuit breaker transitions to half-open.", m.BreakerHalfOpen)
-	counter("hybridselc_breaker_close_total", "Circuit breaker transitions to closed.", m.BreakerClosed)
-	if err != nil {
-		return err
+	return out
+}
+
+// RegisterMetrics declares the client's series on s under the hybridselc_
+// namespace (beside the daemon's hybridseld_ and the runtime's hybridsel_,
+// so one scrape config covers all three sides of a deployment). labels
+// are key, value pairs put on every sample: a ClusterClient registers its
+// replica clients with replica=<id> so each family appears once.
+func (c *Client) RegisterMetrics(s *metrics.Set, labels ...string) {
+	for _, d := range c.met.series(new(Metrics)) {
+		s.Counter(d.name, d.help, d.counter, labels...)
 	}
-	_, err = fmt.Fprintf(w,
-		"# HELP hybridselc_breaker_state Current breaker state (0=closed, 1=open, 2=half-open).\n# TYPE hybridselc_breaker_state gauge\nhybridselc_breaker_state %d\n",
-		int(m.BreakerState))
-	return err
+	s.GaugeFunc("hybridselc_breaker_state", "Current breaker state (0=closed, 1=open, 2=half-open).",
+		func() float64 { return float64(c.breaker.State()) }, labels...)
 }

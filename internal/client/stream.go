@@ -349,7 +349,7 @@ func (sc *StreamConn) deathErr() error {
 type streamTransport struct {
 	dial   StreamDialConfig
 	params func(region string) []string
-	met    *metrics
+	met    *counters
 	next   atomic.Uint64
 	slots  []streamSlot
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/hybridsel/hybridsel/internal/metrics"
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
@@ -356,8 +357,10 @@ func TestStatusPrometheus(t *testing.T) {
 	mesh.down["mem://node-c"] = true
 	mesh.mu.Unlock()
 	tickAll(nodes[:1], 6) // node-a alone: node-b reachable, node-c down
+	var set metrics.Set
+	nodes[0].RegisterMetrics(&set)
 	var buf bytes.Buffer
-	if err := nodes[0].Status().WritePrometheus(&buf); err != nil {
+	if err := set.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

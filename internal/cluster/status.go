@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"sort"
+
+	"github.com/hybridsel/hybridsel/internal/metrics"
 )
 
 // MemberStatus is one member's row in a Status snapshot.
@@ -74,43 +74,29 @@ func (n *Node) Status() Status {
 	return st
 }
 
-// WritePrometheus renders the node's cluster metrics in the Prometheus
-// text exposition format under the hybridsel_cluster_ namespace.
-func (s Status) WritePrometheus(w io.Writer) error {
-	var err error
-	emit := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
+// RegisterMetrics declares the node's series (hybridsel_cluster_
+// namespace) on s: the gossip counters, and gauges read off the member
+// table at scrape time.
+func (n *Node) RegisterMetrics(s *metrics.Set) {
+	members := s.Rows("hybridsel_cluster_members", "gauge", "Cluster members by current health verdict.")
+	incarnation := s.Rows("hybridsel_cluster_incarnation", "gauge", "The local member's incarnation number.")
+	s.Collect(func() {
+		var byHealth [Dead + 1]int // a verdict worse than Dead counts as dead
+		n.mu.Lock()
+		for _, m := range n.members {
+			byHealth[min(m.health, Dead)]++
 		}
-	}
-	alive, suspect, dead := 0, 0, 0
-	for _, m := range s.Members {
-		switch m.Health {
-		case "alive":
-			alive++
-		case "suspect":
-			suspect++
-		default:
-			dead++
+		self := n.members[n.cfg.Self.ID].incarnation
+		n.mu.Unlock()
+		for h, count := range byHealth {
+			members(float64(count), "health", Health(h).String())
 		}
-	}
-	emit("# HELP hybridsel_cluster_members Cluster members by current health verdict.\n# TYPE hybridsel_cluster_members gauge\n")
-	emit("hybridsel_cluster_members{health=\"alive\"} %d\n", alive)
-	emit("hybridsel_cluster_members{health=\"suspect\"} %d\n", suspect)
-	emit("hybridsel_cluster_members{health=\"dead\"} %d\n", dead)
-	counter := func(name, help string, v uint64) {
-		emit("# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("hybridsel_cluster_gossip_ticks_total", "Gossip rounds started.", s.Ticks)
-	counter("hybridsel_cluster_gossip_exchanges_total", "Gossip exchanges attempted.", s.Exchanges)
-	counter("hybridsel_cluster_gossip_exchange_fails_total", "Gossip exchanges that failed.", s.ExchangeFails)
-	counter("hybridsel_cluster_gossip_states_applied_total", "Peer state blobs folded into local replicas.", s.StatesApplied)
-	counter("hybridsel_cluster_gossip_state_errors_total", "Peer state blobs rejected by a source.", s.StateErrors)
-	counter("hybridsel_cluster_gossip_refutes_total", "Rumors about the local member refuted.", s.Refutes)
-	for _, m := range s.Members {
-		if m.Self {
-			emit("# HELP hybridsel_cluster_incarnation The local member's incarnation number.\n# TYPE hybridsel_cluster_incarnation gauge\nhybridsel_cluster_incarnation %d\n", m.Incarnation)
-		}
-	}
-	return err
+		incarnation(float64(self))
+	})
+	s.Counter("hybridsel_cluster_gossip_ticks_total", "Gossip rounds started.", &n.ticks)
+	s.Counter("hybridsel_cluster_gossip_exchanges_total", "Gossip exchanges attempted.", &n.exchanges)
+	s.Counter("hybridsel_cluster_gossip_exchange_fails_total", "Gossip exchanges that failed.", &n.exchangeFails)
+	s.Counter("hybridsel_cluster_gossip_states_applied_total", "Peer state blobs folded into local replicas.", &n.statesApplied)
+	s.Counter("hybridsel_cluster_gossip_state_errors_total", "Peer state blobs rejected by a source.", &n.stateErrors)
+	s.Counter("hybridsel_cluster_gossip_refutes_total", "Rumors about the local member refuted.", &n.refutes)
 }

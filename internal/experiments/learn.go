@@ -51,7 +51,7 @@ type LearnResult struct {
 	RegretEWMA  float64
 	RegretLearn float64
 	// Stats is the learner's verdict/model accounting after the study.
-	Stats offload.LearnerStats
+	Stats learn.Stats
 }
 
 // learnPoints derives `points` distinct binding points from a kernel's

@@ -35,9 +35,9 @@ package learn
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"github.com/hybridsel/hybridsel/internal/audit"
+	"github.com/hybridsel/hybridsel/internal/metrics"
 	"github.com/hybridsel/hybridsel/internal/offload"
 )
 
@@ -233,10 +233,10 @@ type Learner struct {
 	global  map[string]*model
 	regions map[string]map[string]*model
 
-	samples    atomic.Uint64
-	updates    atomic.Uint64
-	learned    atomic.Uint64
-	analytical atomic.Uint64
+	samples    metrics.Counter
+	updates    metrics.Counter
+	learned    metrics.Counter
+	analytical metrics.Counter
 }
 
 var (
@@ -440,9 +440,57 @@ func (l *Learner) Multiplier(region, target string, predSeconds float64, f offlo
 	return m.multiplier(&x), true
 }
 
-// Stats snapshots the learner's aggregate state for /metrics.
-func (l *Learner) Stats() offload.LearnerStats {
-	s := offload.LearnerStats{
+// Stats is a learner's aggregate state: how much audit ground truth it
+// has absorbed, how many models exist (and are past the confidence
+// gate), and how its verdicts split between learned and analytical
+// provenance.
+type Stats struct {
+	// Samples counts absorbed (target, point) ground-truth observations;
+	// Updates counts weight-vector recomputations that materially moved a
+	// correction (the >1% invalidation rule).
+	Samples uint64 `json:"samples"`
+	Updates uint64 `json:"updates"`
+	// LearnedVerdicts/AnalyticalVerdicts count CorrectFeatures outcomes
+	// by returned provenance.
+	LearnedVerdicts    uint64 `json:"learnedVerdicts"`
+	AnalyticalVerdicts uint64 `json:"analyticalVerdicts"`
+	// RegionModels counts per-(region, target) models; GlobalModels the
+	// per-target fallbacks; ConfidentModels those past the gate.
+	RegionModels    int `json:"regionModels"`
+	GlobalModels    int `json:"globalModels"`
+	ConfidentModels int `json:"confidentModels"`
+	// MinSamples is the configured confidence-gate floor.
+	MinSamples int `json:"minSamples"`
+}
+
+// RegisterMetrics declares the learner's series (hybridsel_learner_
+// namespace) on s.
+func (l *Learner) RegisterMetrics(s *metrics.Set) {
+	s.Counter("hybridsel_learner_samples_total",
+		"Ground-truth observations absorbed by the residual learner.", &l.samples)
+	s.Counter("hybridsel_learner_updates_total",
+		"Learner weight updates that materially moved a correction.", &l.updates)
+	const verdicts = "Corrected verdicts by provenance."
+	s.Counter("hybridsel_learner_verdicts_total", verdicts, &l.learned,
+		"provenance", offload.ProvenanceLearned)
+	s.Counter("hybridsel_learner_verdicts_total", verdicts, &l.analytical,
+		"provenance", offload.ProvenanceAnalytical)
+	regionModels := s.Rows("hybridsel_learner_region_models", "gauge", "Per-(region, target) residual models.")
+	globalModels := s.Rows("hybridsel_learner_global_models", "gauge", "Per-target global fallback models.")
+	confident := s.Rows("hybridsel_learner_confident_models", "gauge", "Residual models past the confidence gate.")
+	minSamples := s.Rows("hybridsel_learner_min_samples", "gauge", "Configured confidence-gate sample floor.")
+	s.Collect(func() { // one walk of the model tables per scrape
+		st := l.Stats()
+		regionModels(float64(st.RegionModels))
+		globalModels(float64(st.GlobalModels))
+		confident(float64(st.ConfidentModels))
+		minSamples(float64(st.MinSamples))
+	})
+}
+
+// Stats snapshots the learner's aggregate state.
+func (l *Learner) Stats() Stats {
+	s := Stats{
 		Samples:            l.samples.Load(),
 		Updates:            l.updates.Load(),
 		LearnedVerdicts:    l.learned.Load(),

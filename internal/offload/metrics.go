@@ -3,196 +3,68 @@ package offload
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
+
+	"github.com/hybridsel/hybridsel/internal/metrics"
 )
-
-// latencyBuckets are the upper bounds of the model-evaluation latency
-// histogram (the last bucket is unbounded). Model evaluation is "solving
-// two equations", so the interesting resolution is microseconds to
-// milliseconds.
-var latencyBuckets = [...]time.Duration{
-	10 * time.Microsecond,
-	50 * time.Microsecond,
-	100 * time.Microsecond,
-	500 * time.Microsecond,
-	time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-}
-
-// latencyHist is a fixed-bucket concurrent histogram.
-type latencyHist struct {
-	buckets  [len(latencyBuckets) + 1]atomic.Uint64
-	count    atomic.Uint64
-	sumNanos atomic.Uint64
-	maxNanos atomic.Uint64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	i := 0
-	for ; i < len(latencyBuckets); i++ {
-		if d <= latencyBuckets[i] {
-			break
-		}
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNanos.Add(uint64(d))
-	for {
-		old := h.maxNanos.Load()
-		if uint64(d) <= old || h.maxNanos.CompareAndSwap(old, uint64(d)) {
-			return
-		}
-	}
-}
-
-func (h *latencyHist) snapshot() LatencyStats {
-	s := LatencyStats{
-		Count:    h.count.Load(),
-		SumNanos: h.sumNanos.Load(),
-		Max:      time.Duration(h.maxNanos.Load()),
-		Buckets:  make([]LatencyBucket, len(latencyBuckets)+1),
-	}
-	for i := range s.Buckets {
-		var ub time.Duration
-		if i < len(latencyBuckets) {
-			ub = latencyBuckets[i]
-		}
-		s.Buckets[i] = LatencyBucket{UpperBound: ub, Count: h.buckets[i].Load()}
-	}
-	return s
-}
-
-// LatencyBucket is one histogram bin; UpperBound == 0 marks the unbounded
-// overflow bin.
-type LatencyBucket struct {
-	UpperBound time.Duration
-	Count      uint64
-}
-
-// LatencyStats is an immutable latency-histogram snapshot.
-type LatencyStats struct {
-	Count    uint64
-	SumNanos uint64
-	Max      time.Duration
-	Buckets  []LatencyBucket
-}
-
-// Mean returns the mean observed latency (0 when empty).
-func (s LatencyStats) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNanos / s.Count)
-}
-
-// Quantile estimates the q-th latency quantile (0 < q < 1) from the
-// histogram by locating the bucket holding the q-th observation and
-// interpolating linearly within it. The unbounded overflow bucket
-// interpolates toward the observed maximum. Fixed buckets bound the
-// error to one bucket width — plenty for "is the decision path still
-// microseconds" dashboards.
-func (s LatencyStats) Quantile(q float64) time.Duration {
-	if s.Count == 0 || q <= 0 {
-		return 0
-	}
-	if q >= 1 {
-		return s.Max
-	}
-	rank := q * float64(s.Count)
-	var cum uint64
-	var lower time.Duration
-	for i, b := range s.Buckets {
-		upper := b.UpperBound
-		if upper == 0 && i > 0 {
-			upper = s.Max // overflow bucket: interpolate to the observed max
-			if upper < lower {
-				upper = lower
-			}
-		}
-		if b.Count > 0 && float64(cum+b.Count) >= rank {
-			frac := (rank - float64(cum)) / float64(b.Count)
-			est := lower + time.Duration(frac*float64(upper-lower))
-			if est > s.Max {
-				est = s.Max // wide top buckets must not estimate past reality
-			}
-			return est
-		}
-		cum += b.Count
-		lower = upper
-	}
-	return s.Max
-}
-
-// LatencyQuantiles is the standard percentile summary of a latency
-// histogram.
-type LatencyQuantiles struct {
-	P50, P95, P99 time.Duration
-}
-
-// Quantiles summarizes a histogram as p50/p95/p99.
-func (s LatencyStats) Quantiles() LatencyQuantiles {
-	return LatencyQuantiles{
-		P50: s.Quantile(0.50),
-		P95: s.Quantile(0.95),
-		P99: s.Quantile(0.99),
-	}
-}
-
-// String renders the summary, e.g. "p50 12µs p95 85µs p99 220µs".
-func (q LatencyQuantiles) String() string {
-	return fmt.Sprintf("p50 %v p95 %v p99 %v",
-		q.P50.Round(time.Microsecond), q.P95.Round(time.Microsecond),
-		q.P99.Round(time.Microsecond))
-}
-
-// merge accumulates another snapshot into a new snapshot; neither input
-// is modified. Snapshots usually share a bucket layout; when layouts
-// differ in length, surplus counts from the longer layout fold into the
-// unbounded overflow bucket so sum(Buckets) == Count always holds after a
-// merge (dropping them silently made Quantile misestimate and the bucket
-// sum disagree with Count).
-func (s LatencyStats) merge(o LatencyStats) LatencyStats {
-	s.Count += o.Count
-	s.SumNanos += o.SumNanos
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	buckets := append([]LatencyBucket(nil), s.Buckets...)
-	if len(buckets) == 0 {
-		buckets = append(buckets, o.Buckets...)
-	} else {
-		for i, b := range o.Buckets {
-			j := i
-			if j >= len(buckets) {
-				j = len(buckets) - 1 // fold the surplus into the overflow bin
-			}
-			buckets[j].Count += b.Count
-		}
-	}
-	s.Buckets = buckets
-	return s
-}
 
 // counters is the runtime's live instrumentation, all lock-free.
 type counters struct {
-	launches      atomic.Uint64
-	decides       atomic.Uint64
-	predictions   atomic.Uint64
-	compiledEvals atomic.Uint64
-	dispatch      [3]atomic.Uint64 // indexed by Target
+	launches      metrics.Counter
+	decides       metrics.Counter
+	predictions   metrics.Counter
+	compiledEvals metrics.Counter
+	dispatch      [3]metrics.Counter // indexed by Target
 
-	decisionHits      atomic.Uint64
-	decisionMisses    atomic.Uint64
-	decisionEvictions atomic.Uint64
-	execHits          atomic.Uint64
-	execMisses        atomic.Uint64
+	decisionHits      metrics.Counter
+	decisionMisses    metrics.Counter
+	decisionEvictions metrics.Counter
+	execHits          metrics.Counter
+	execMisses        metrics.Counter
 
-	modelEval latencyHist
+	modelEval metrics.Histogram
+}
+
+// RegisterMetrics declares the runtime's series (hybridsel_ namespace) on
+// s: the counters above, the per-target dispatch counts, and gauges read
+// off the region table at scrape time.
+func (rt *Runtime) RegisterMetrics(s *metrics.Set) {
+	m := &rt.met
+	regions := s.Rows("hybridsel_regions", "gauge", "Registered target regions.")
+	s.Counter("hybridsel_launches_total", "Launch calls (decide + dispatch).", &m.launches)
+	s.Counter("hybridsel_decides_total", "Decide-only calls (no dispatch).", &m.decides)
+	s.Counter("hybridsel_model_evaluations_total",
+		"Analytical model-pair evaluations performed.", &m.predictions)
+	s.Counter("hybridsel_compiled_model_evaluations_total",
+		"Model-pair evaluations served by the compiled decision programs.", &m.compiledEvals)
+	compiled := s.Rows("hybridsel_compiled_regions", "gauge", "Registered regions whose decision path is compiled.")
+	for _, t := range []Target{TargetCPU, TargetGPU, TargetSplit} {
+		s.Counter("hybridsel_dispatch_total", "Completed launches by execution target.",
+			&m.dispatch[t], "target", t.String())
+	}
+	for i := range rt.dispatchID {
+		s.Counter("hybridsel_dispatch_target_total", "Completed launches by registry target ID.",
+			&rt.dispatchID[i], "target", rt.dispatchTargetID(i))
+	}
+	s.Counter("hybridsel_decision_cache_hits_total",
+		"Decisions served from the memoized decision cache.", &m.decisionHits)
+	s.Counter("hybridsel_decision_cache_misses_total",
+		"Decisions that required model evaluation.", &m.decisionMisses)
+	s.Counter("hybridsel_decision_cache_evictions_total",
+		"Entries evicted from the bounded decision caches.", &m.decisionEvictions)
+	cacheEntries := s.Rows("hybridsel_decision_cache_entries", "gauge", "Live entries across all per-region decision caches.")
+	s.Collect(func() { // one walk of the region table per scrape
+		r, c, e := rt.regionGauges()
+		regions(float64(r))
+		compiled(float64(c))
+		cacheEntries(float64(e))
+	})
+	s.Counter("hybridsel_exec_cache_hits_total",
+		"Ground-truth executions served from the memoization cache.", &m.execHits)
+	s.Counter("hybridsel_exec_cache_misses_total",
+		"Ground-truth executions actually simulated.", &m.execMisses)
+	s.Histogram("hybridsel_model_eval_seconds",
+		"Latency of full model evaluations (both analytical models).", &m.modelEval)
 }
 
 // Metrics is an immutable snapshot of the runtime's instrumentation.
@@ -238,23 +110,7 @@ type Metrics struct {
 
 	// ModelEval is the latency distribution of full model evaluations
 	// (both analytical models for one launch or prediction).
-	ModelEval LatencyStats
-
-	// Shadow-audit accuracy accounting (see internal/audit). The runtime
-	// itself never fills these; audit.Report.AddTo folds an auditor's
-	// accounting into a snapshot so one Metrics value carries the whole
-	// serving picture through Merge/String/WritePrometheus.
-	//
-	// AuditSamples counts completed ground-truth audits of served
-	// decisions; AuditMispredicts those where the policy's chosen target
-	// was not the measured-faster one; AuditRegretSeconds the cumulative
-	// time lost to those wrong choices (actual chosen minus actual best);
-	// AuditDropped the sampled decisions discarded because the audit
-	// queue was full (backpressure protecting the serving path).
-	AuditSamples       uint64
-	AuditMispredicts   uint64
-	AuditDropped       uint64
-	AuditRegretSeconds float64
+	ModelEval metrics.LatencyStats
 }
 
 // Merge combines two snapshots (e.g. across the per-platform runtimes of
@@ -290,17 +146,9 @@ func (m Metrics) Merge(o Metrics) Metrics {
 	m.DecisionCacheSize += o.DecisionCacheSize
 	m.ExecCacheHits += o.ExecCacheHits
 	m.ExecCacheMisses += o.ExecCacheMisses
-	m.ModelEval = m.ModelEval.merge(o.ModelEval)
-	m.AuditSamples += o.AuditSamples
-	m.AuditMispredicts += o.AuditMispredicts
-	m.AuditDropped += o.AuditDropped
-	m.AuditRegretSeconds += o.AuditRegretSeconds
+	m.ModelEval = m.ModelEval.Merge(o.ModelEval)
 	return m
 }
-
-// Quantiles summarizes the model-evaluation latency histogram as
-// p50/p95/p99.
-func (m Metrics) Quantiles() LatencyQuantiles { return m.ModelEval.Quantiles() }
 
 // String renders the snapshot as an aligned report.
 func (m Metrics) String() string {
@@ -327,13 +175,8 @@ func (m Metrics) String() string {
 			m.CompiledRegions, m.CompiledModelEvals)
 	}
 	if m.ModelEval.Count > 0 {
-		fmt.Fprintf(&sb, "  eval latency         %s\n", m.ModelEval.Quantiles())
-	}
-	if m.AuditSamples > 0 || m.AuditDropped > 0 {
-		fmt.Fprintf(&sb, "  shadow audits        %d sampled, %d mispredicts (%.1f%%), %.6fs regret, %d dropped\n",
-			m.AuditSamples, m.AuditMispredicts,
-			rate(m.AuditMispredicts, m.AuditSamples-m.AuditMispredicts),
-			m.AuditRegretSeconds, m.AuditDropped)
+		q := func(q float64) time.Duration { return m.ModelEval.Quantile(q).Round(time.Microsecond) }
+		fmt.Fprintf(&sb, "  eval latency         p50 %v p95 %v p99 %v\n", q(0.50), q(0.95), q(0.99))
 	}
 	return sb.String()
 }

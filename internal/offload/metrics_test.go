@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/hybridsel/hybridsel/internal/metrics"
 )
 
 // TestParsePolicyRejections pins the failure mode of every malformed
@@ -55,28 +57,27 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 // TestLatencyQuantiles feeds a histogram with a known distribution and
 // checks the interpolated percentiles land in the right buckets.
 func TestLatencyQuantiles(t *testing.T) {
-	var h latencyHist
-	// 90 fast observations in (10µs, 50µs], 9 in (500µs, 1ms], one slow
-	// outlier in the overflow bucket.
+	var h metrics.Histogram
+	// 90 fast observations in (20µs, 50µs], 9 in (500µs, 1ms], one slow
+	// outlier far above them.
 	for i := 0; i < 90; i++ {
-		h.observe(30 * time.Microsecond)
+		h.Observe(30 * time.Microsecond)
 	}
 	for i := 0; i < 9; i++ {
-		h.observe(800 * time.Microsecond)
+		h.Observe(800 * time.Microsecond)
 	}
-	h.observe(250 * time.Millisecond)
+	h.Observe(250 * time.Millisecond)
 
-	s := h.snapshot()
-	q := s.Quantiles()
-	if q.P50 <= 10*time.Microsecond || q.P50 > 50*time.Microsecond {
-		t.Fatalf("p50 = %v, want in (10µs, 50µs]", q.P50)
+	s := h.Snapshot()
+	if p50 := s.Quantile(0.50); p50 <= 10*time.Microsecond || p50 > 50*time.Microsecond {
+		t.Fatalf("p50 = %v, want in (10µs, 50µs]", p50)
 	}
-	if q.P95 <= 500*time.Microsecond || q.P95 > time.Millisecond {
-		t.Fatalf("p95 = %v, want in (500µs, 1ms]", q.P95)
+	if p95 := s.Quantile(0.95); p95 <= 500*time.Microsecond || p95 > time.Millisecond {
+		t.Fatalf("p95 = %v, want in (500µs, 1ms]", p95)
 	}
 	// p99 rank 99 is the last in-bounds observation; p100 is the outlier.
-	if q.P99 <= 500*time.Microsecond || q.P99 > time.Millisecond {
-		t.Fatalf("p99 = %v, want in (500µs, 1ms]", q.P99)
+	if p99 := s.Quantile(0.99); p99 <= 500*time.Microsecond || p99 > time.Millisecond {
+		t.Fatalf("p99 = %v, want in (500µs, 1ms]", p99)
 	}
 	if got := s.Quantile(1.0); got != 250*time.Millisecond {
 		t.Fatalf("p100 = %v, want observed max 250ms", got)
@@ -90,11 +91,11 @@ func TestLatencyQuantiles(t *testing.T) {
 // TestLatencyQuantileClampedToMax: with all mass in one wide bucket the
 // interpolated high percentiles must not estimate past the observed max.
 func TestLatencyQuantileClampedToMax(t *testing.T) {
-	var h latencyHist
+	var h metrics.Histogram
 	for i := 0; i < 100; i++ {
-		h.observe(2 * time.Millisecond) // (1ms, 10ms] bucket, upper bound 10ms
+		h.Observe(1500 * time.Microsecond) // (1ms, 2ms] bucket, upper bound 2ms
 	}
-	s := h.snapshot()
+	s := h.Snapshot()
 	for _, q := range []float64{0.5, 0.95, 0.99} {
 		if got := s.Quantile(q); got > s.Max {
 			t.Fatalf("q=%v = %v exceeds observed max %v", q, got, s.Max)
@@ -102,75 +103,63 @@ func TestLatencyQuantileClampedToMax(t *testing.T) {
 	}
 }
 
-// TestLatencyMergeMismatchedBuckets: merging snapshots whose bucket
-// layouts differ in length must fold the surplus counts into the overflow
-// bucket instead of silently dropping them — sum(Buckets) == Count has to
-// hold after every merge or Quantile misestimates.
-func TestLatencyMergeMismatchedBuckets(t *testing.T) {
-	bucketSum := func(s LatencyStats) uint64 {
+// TestLatencyMerge: sum(Buckets) == Count has to hold after every merge
+// or Quantile misestimates, and neither input may be modified.
+func TestLatencyMerge(t *testing.T) {
+	bucketSum := func(s metrics.LatencyStats) uint64 {
 		var sum uint64
-		for _, b := range s.Buckets {
-			sum += b.Count
+		for _, n := range s.Buckets {
+			sum += n
 		}
 		return sum
 	}
-	// A current-layout snapshot with observations spread over the bins.
-	var h latencyHist
+	var h, g metrics.Histogram
 	for i := 0; i < 7; i++ {
-		h.observe(30 * time.Microsecond)
+		h.Observe(30 * time.Microsecond)
 	}
-	h.observe(250 * time.Millisecond)
-	s := h.snapshot()
+	h.Observe(250 * time.Millisecond)
+	g.Observe(2 * time.Second)
+	g.Observe(time.Minute) // overflow bucket
+	s, o := h.Snapshot(), g.Snapshot()
 
-	// A foreign snapshot with a longer layout, as an older/newer build
-	// with extra bins would serialize: counts beyond s's layout must not
-	// vanish.
-	o := LatencyStats{SumNanos: uint64(5 * time.Second), Max: 2 * time.Second}
-	for i := 0; i < len(s.Buckets)+3; i++ {
-		o.Buckets = append(o.Buckets, LatencyBucket{Count: 1})
-		o.Count++
-	}
-
-	for _, m := range []LatencyStats{s.merge(o), o.merge(s)} {
-		if m.Count != s.Count+o.Count {
-			t.Fatalf("merged Count = %d, want %d", m.Count, s.Count+o.Count)
+	for _, m := range []metrics.LatencyStats{s.Merge(o), o.Merge(s)} {
+		if m.Count != s.Count+o.Count || m.SumNanos != s.SumNanos+o.SumNanos || m.Max != time.Minute {
+			t.Fatalf("merged %+v from %+v and %+v", m, s, o)
 		}
 		if got := bucketSum(m); got != m.Count {
 			t.Fatalf("sum(Buckets) = %d disagrees with Count = %d", got, m.Count)
 		}
 	}
-	// Same-layout and empty-side merges keep the invariant too.
-	for _, m := range []LatencyStats{s.merge(s), s.merge(LatencyStats{}), LatencyStats{}.merge(s)} {
+	// Self and empty-side merges keep the invariant too.
+	for _, m := range []metrics.LatencyStats{s.Merge(s), s.Merge(metrics.LatencyStats{}), metrics.LatencyStats{}.Merge(s)} {
 		if got := bucketSum(m); got != m.Count {
 			t.Fatalf("sum(Buckets) = %d disagrees with Count = %d", got, m.Count)
 		}
 	}
-	// Neither input may be mutated by the merge.
-	if got := bucketSum(s); got != s.Count {
-		t.Fatalf("merge mutated its receiver: sum %d, count %d", got, s.Count)
+	if s != h.Snapshot() {
+		t.Fatalf("merge mutated its receiver: %+v", s)
 	}
 }
 
 // TestLatencyQuantilesEdgeCases: empty histograms and degenerate q.
 func TestLatencyQuantilesEdgeCases(t *testing.T) {
-	var empty LatencyStats
+	var empty metrics.LatencyStats
 	if got := empty.Quantile(0.5); got != 0 {
 		t.Fatalf("empty p50 = %v, want 0", got)
 	}
-	var h latencyHist
-	h.observe(20 * time.Microsecond)
-	s := h.snapshot()
+	var h metrics.Histogram
+	h.Observe(20 * time.Microsecond)
+	s := h.Snapshot()
 	if got := s.Quantile(0); got != 0 {
 		t.Fatalf("q=0 = %v, want 0", got)
 	}
 	if got := s.Quantile(2); got != s.Max {
 		t.Fatalf("q=2 = %v, want max %v", got, s.Max)
 	}
-	qs := s.Quantiles()
-	if qs.P50 == 0 || qs.P99 > 50*time.Microsecond {
-		t.Fatalf("single-sample quantiles out of bucket: %+v", qs)
+	if p50, p99 := s.Quantile(0.50), s.Quantile(0.99); p50 == 0 || p99 > 50*time.Microsecond {
+		t.Fatalf("single-sample quantiles out of bucket: p50 %v p99 %v", p50, p99)
 	}
-	if !strings.Contains(qs.String(), "p95") {
-		t.Fatalf("String() = %q", qs.String())
+	if report := (Metrics{ModelEval: s}).String(); !strings.Contains(report, "p95") {
+		t.Fatalf("String() = %q", report)
 	}
 }

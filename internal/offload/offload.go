@@ -473,7 +473,7 @@ func (rt *Runtime) Metrics() Metrics {
 		DecisionCacheEvictions: rt.met.decisionEvictions.Load(),
 		ExecCacheHits:          rt.met.execHits.Load(),
 		ExecCacheMisses:        rt.met.execMisses.Load(),
-		ModelEval:              rt.met.modelEval.snapshot(),
+		ModelEval:              rt.met.modelEval.Snapshot(),
 		Dispatch: map[Target]uint64{
 			TargetCPU:   rt.met.dispatch[TargetCPU].Load(),
 			TargetGPU:   rt.met.dispatch[TargetGPU].Load(),
@@ -481,32 +481,41 @@ func (rt *Runtime) Metrics() Metrics {
 		},
 		DispatchTargets: rt.snapshotDispatchTargets(),
 	}
-	rt.regmu.RLock()
-	m.Regions = len(rt.regions)
-	for _, r := range rt.regions {
-		m.DecisionCacheSize += r.decisions.len()
-		if r.compiled != nil {
-			m.CompiledRegions++
-		}
-	}
-	rt.regmu.RUnlock()
+	m.Regions, m.CompiledRegions, m.DecisionCacheSize = rt.regionGauges()
 	return m
 }
 
+// regionGauges walks the region table for the values that are states
+// rather than counts: regions registered, how many of them are compiled,
+// and the live decision-cache entries across all of them.
+func (rt *Runtime) regionGauges() (regions, compiled, cacheEntries int) {
+	rt.regmu.RLock()
+	defer rt.regmu.RUnlock()
+	for _, r := range rt.regions {
+		cacheEntries += r.decisions.len()
+		if r.compiled != nil {
+			compiled++
+		}
+	}
+	return len(rt.regions), compiled, cacheEntries
+}
+
+// dispatchTargetID names slot i of dispatchID: a registry ID, or the
+// split pseudo-target in the last slot.
+func (rt *Runtime) dispatchTargetID(i int) string {
+	if i == rt.targets.Len() {
+		return TargetIDSplit
+	}
+	return rt.targets.specs[i].ID
+}
+
 // snapshotDispatchTargets reads the per-target dispatch counters into a
-// map keyed by registry ID (plus the split pseudo-target), omitting
-// zero rows.
+// map keyed by dispatchTargetID, omitting zero rows.
 func (rt *Runtime) snapshotDispatchTargets() map[string]uint64 {
 	m := make(map[string]uint64)
 	for i := range rt.dispatchID {
-		n := rt.dispatchID[i].Load()
-		if n == 0 {
-			continue
-		}
-		if i == rt.targets.Len() {
-			m[TargetIDSplit] = n
-		} else {
-			m[rt.targets.specs[i].ID] = n
+		if n := rt.dispatchID[i].Load(); n != 0 {
+			m[rt.dispatchTargetID(i)] = n
 		}
 	}
 	return m
@@ -591,7 +600,7 @@ func (r *Region) evalTargets(b symbolic.Bindings) ([]float64, error) {
 		preds[i] = sec
 	}
 	rt.met.predictions.Add(1)
-	rt.met.modelEval.observe(time.Since(start))
+	rt.met.modelEval.Observe(time.Since(start))
 	return preds, nil
 }
 
@@ -906,7 +915,7 @@ func (r *Region) evalCompiled(cm *compiledModels, sv *slotVecs, branchProb float
 	}
 	rt.met.predictions.Add(1)
 	rt.met.compiledEvals.Add(1)
-	rt.met.modelEval.observe(time.Since(start))
+	rt.met.modelEval.Observe(time.Since(start))
 	return nil
 }
 

@@ -6,32 +6,36 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/hybridsel/hybridsel/internal/metrics"
 )
 
-// TestWritePrometheus checks the exposition output is well-formed text
+// TestWritePrometheus checks the runtime's exposition is well-formed text
 // format 0.0.4: every sample preceded by HELP/TYPE, histogram buckets
-// cumulative and capped by +Inf, and the counters matching the snapshot.
+// cumulative and capped by +Inf, and the samples matching the counters.
 func TestWritePrometheus(t *testing.T) {
-	var h latencyHist
-	h.observe(30 * time.Microsecond)
-	h.observe(30 * time.Microsecond)
-	h.observe(2 * time.Millisecond)
-	m := Metrics{
-		Regions:                3,
-		Launches:               10,
-		Decides:                4,
-		Predictions:            3,
-		Dispatch:               map[Target]uint64{TargetCPU: 4, TargetGPU: 6},
-		DecisionCacheHits:      11,
-		DecisionCacheMisses:    3,
-		DecisionCacheEvictions: 1,
-		DecisionCacheSize:      2,
-		ExecCacheHits:          5,
-		ExecCacheMisses:        5,
-		ModelEval:              h.snapshot(),
-	}
+	rt := newRT(t, ModelGuided)
+	m := &rt.met
+	m.modelEval.Observe(30 * time.Microsecond)
+	m.modelEval.Observe(30 * time.Microsecond)
+	m.modelEval.Observe(2 * time.Millisecond)
+	m.launches.Store(10)
+	m.decides.Store(4)
+	m.predictions.Store(3)
+	m.dispatch[TargetCPU].Store(4)
+	m.dispatch[TargetGPU].Store(6)
+	m.decisionHits.Store(11)
+	m.decisionMisses.Store(3)
+	m.decisionEvictions.Store(1)
+	m.execHits.Store(5)
+	m.execMisses.Store(5)
+	var set metrics.Set
+	rt.RegisterMetrics(&set)
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, m); err != nil {
+	if err := set.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := metrics.Lint(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

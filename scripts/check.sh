@@ -28,7 +28,8 @@ echo "== go test -race (concurrent packages) =="
 go test -race ./internal/offload/ ./internal/experiments/ \
 	./internal/server/ ./internal/trace/ ./internal/audit/ \
 	./internal/client/ ./internal/faultnet/ ./internal/regiongen/ \
-	./internal/learn/ ./internal/wire/ ./internal/cluster/
+	./internal/learn/ ./internal/wire/ ./internal/cluster/ \
+	./internal/metrics/
 
 echo "== fuzz smoke (10s per parser) =="
 # Short randomized runs on top of the checked-in seed corpora, one
@@ -79,14 +80,15 @@ echo "== serve ledger: parse + regression gate =="
 # and the binary frame format and stream transport must stay
 # meaningfully faster than JSON, and a pipelined stream than one used a
 # call at a time. Short CI runs over a live server are noisier than the
-# in-process micro-benchmarks, so the floors are relaxed relative to
-# the 2x/3x/3x bars bench.sh enforces when the ledger is regenerated.
+# in-process micro-benchmarks, so each runs three times with benchjson
+# keeping the median sample, and the floors are relaxed relative to the
+# 2x/3x/3x bars bench.sh enforces when the ledger is regenerated.
 if [ ! -f BENCH_serve.json ]; then
 	echo "serve ledger: BENCH_serve.json missing (run make bench)"; exit 1
 fi
 go test -run '^$' \
 	-bench 'BenchmarkServe(JSON|Binary)(Single|Batch64)$|BenchmarkServeStream(Single|Pipelined64)$' \
-	-benchtime=0.2s -benchmem . \
+	-benchtime=0.2s -count=3 -benchmem . \
 	| go run ./cmd/benchjson -gate BENCH_serve.json -tolerance 0.5 \
 		-min-wire-speedup 1.5 -min-stream-speedup 2 -min-pipeline-speedup 2
 
@@ -234,8 +236,9 @@ echo "== cluster smoke: 3-replica ring, mid-run kill, 100% completion =="
 # Three real daemons form a gossip ring; loadgen drives the cluster
 # client across them while one replica is SIGKILLed mid-run. The bar:
 # every call completes with a verdict (the killed replica's keys fail
-# over to their ring successor), and the survivors' /v1/cluster must
-# report the dead peer.
+# over to their ring successor), node-a's /metrics (with the
+# hybridsel_cluster_ series) lints clean, and the survivors' /v1/cluster
+# must report the dead peer.
 ca=127.0.0.1:18931; cb=127.0.0.1:18932; cc=127.0.0.1:18933
 ga=127.0.0.1:18941; gb=127.0.0.1:18942; gc=127.0.0.1:18943
 "$tmp/hybridseld" -addr "$ca" -regions gemm,mvt1,2dconv \
@@ -255,8 +258,8 @@ killer=$!
 if ! "$tmp/loadgen" -addr "http://$ca" -wait 10s \
 	-cluster "node-a=http://$ca,node-b=http://$cb,node-c=http://$cc" \
 	-duration 5s -concurrency 4 -kernels gemm,mvt1,2dconv -mode test \
-	-scrape=false; then
-	echo "cluster smoke: loadgen lost verdicts during the kill; logs:"
+	-scrape; then
+	echo "cluster smoke: loadgen lost verdicts or node-a served a malformed /metrics; logs:"
 	cat "$tmp/node-a.log" "$tmp/node-b.log" "$tmp/node-c.log"
 	kill "$node_a" "$node_b" "$node_c" 2>/dev/null || true
 	exit 1
