@@ -21,8 +21,8 @@ race:
 		./internal/faultnet/ ./internal/regiongen/ ./internal/learn/ \
 		./internal/wire/ ./internal/cluster/ ./internal/metrics/ \
 		./internal/audit/
-	$(GO) test -race -count=20 -run 'TestStream(BurstSharesWrites|OutOfOrder|CreditExhaustion|FullWindowNeverShed|DrainGoaway|PipelinedStress)' ./internal/server/
-	$(GO) test -race -count=20 -run 'TestStream(WriteCombining|CombinedWriteFailure)' ./internal/client/
+	$(GO) test -race -count=20 -run 'TestStream(BurstSharesWrites|OutOfOrder|CreditExhaustion|FullWindowNeverShed|DrainGoaway|PipelinedStress|RequestRecycling)' ./internal/server/
+	$(GO) test -race -count=20 -run 'TestStream(WriteCombining|CombinedWriteFailure|ResponsesStayIntact)' ./internal/client/
 
 # Chaos regression suite: scripted fault scenarios driven through the
 # fault-injection proxy against a live in-process daemon, race detector on.
@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLearnSnapshot$$' -fuzztime $(FUZZTIME) ./internal/learn/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamFrame$$' -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoderReuse$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzGossipFrame$$' -fuzztime $(FUZZTIME) ./internal/wire/
 
 # Run the decision hot-path micro-benchmarks and the end-to-end serving

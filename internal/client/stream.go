@@ -62,6 +62,7 @@ type StreamConn struct {
 
 	mu      sync.Mutex
 	waiters map[uint64]chan *wire.Response
+	idle    []chan *wire.Response // waiter channels of answered calls, empty again
 	away    bool
 	dead    bool
 	err     error
@@ -207,7 +208,6 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 		return nil, ctx.Err()
 	}
 	id := sc.nextID.Add(1)
-	ch := make(chan *wire.Response, 1)
 	sc.mu.Lock()
 	if sc.dead {
 		sc.mu.Unlock()
@@ -218,12 +218,23 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 		sc.sem <- struct{}{}
 		return nil, errStreamGoaway
 	}
+	var ch chan *wire.Response
+	if n := len(sc.idle); n > 0 {
+		ch, sc.idle = sc.idle[n-1], sc.idle[:n-1]
+	} else {
+		ch = make(chan *wire.Response, 1)
+	}
 	sc.waiters[id] = ch
 	sc.mu.Unlock()
 
 	sc.write(id, req)
 	select {
 	case resp := <-ch:
+		// The one send ch was registered for has been received: it is empty
+		// and the reader has let go of it. A call giving up below leaves its ch.
+		sc.mu.Lock()
+		sc.idle = append(sc.idle, ch)
+		sc.mu.Unlock()
 		return resp, nil
 	case <-sc.done:
 		return nil, sc.deathErr()
@@ -279,8 +290,8 @@ func (sc *StreamConn) readLoop(sr *wire.StreamReader) {
 			sc.bursty.Store(delivered > 1)
 			delivered = 0
 		}
-		f, err := sr.Next()
-		if err != nil {
+		var f wire.Frame // in place: only the Response the caller keeps is allocated
+		if err := sr.NextInto(&f); err != nil {
 			sc.die(fmt.Errorf("%w: read: %v", errStreamBroken, err))
 			return
 		}

@@ -312,7 +312,11 @@ func (l *Learner) confidentLocked(region, target string) *model {
 // mixing learned and EWMA-scaled seconds inside one ranking would
 // compare incommensurable corrections.
 func (l *Learner) CorrectFeatures(region string, f offload.Features, cands []offload.Candidate) string {
-	mults := make([]float64, len(cands))
+	var buf [8]float64 // on the stack; a registry of more targets pays one allocation
+	mults := buf[:]
+	if len(cands) > len(buf) {
+		mults = make([]float64, len(cands))
+	}
 	confident := len(cands) > 0
 	l.mu.RLock()
 	for i := range cands {

@@ -198,6 +198,12 @@ func TestConfidenceGate(t *testing.T) {
 	if st.LearnedVerdicts != 1 || st.AnalyticalVerdicts != 1 {
 		t.Fatalf("verdict counters = %+v", st)
 	}
+
+	// The correction sits on every cache miss: its multipliers stay on the
+	// stack for any registry of up to eight targets.
+	if allocs := testing.AllocsPerRun(100, func() { l.CorrectFeatures(region, f, cands) }); allocs != 0 {
+		t.Fatalf("a learned correction allocates %v times, want 0", allocs)
+	}
 	if st.ConfidentModels == 0 {
 		t.Fatalf("no confident models after gate: %+v", st)
 	}

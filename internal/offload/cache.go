@@ -226,7 +226,19 @@ func (c *decisionCache) put(e decisionEntry) int {
 		s.promote(n)
 		return 0
 	}
-	n := &cacheNode{entry: e}
+	// Make room first: the node a full shard evicts is the node the new
+	// entry moves into. Nodes never leave the cache (get copies entries out).
+	var n *cacheNode
+	evicted := 0
+	for s.size >= s.capacity && s.tail != nil {
+		n = s.tail
+		s.unlink(n)
+		evicted++
+	}
+	if n == nil {
+		n = new(cacheNode)
+	}
+	n.entry = e
 	n.chain = s.index[e.hash]
 	s.index[e.hash] = n
 	n.next = s.head
@@ -238,12 +250,6 @@ func (c *decisionCache) put(e decisionEntry) int {
 		s.tail = n
 	}
 	s.size++
-	evicted := 0
-	for s.size > s.capacity {
-		victim := s.tail
-		s.unlink(victim)
-		evicted++
-	}
 	return evicted
 }
 

@@ -235,3 +235,62 @@ func TestCacheConcurrentCollisionStress(t *testing.T) {
 		t.Fatalf("len = %d exceeds capacity", got)
 	}
 }
+
+// TestCacheNodeReuse: a full shard stores a new key in the node it
+// evicts, and that must never be observable. An entry get copied out
+// before its node was evicted and reused is unchanged (its candidate
+// slice included), the evicted keys are gone, the new ones read back as
+// put, and the stores allocated no node.
+func TestCacheNodeReuse(t *testing.T) {
+	dc := newDecisionCache(2)
+	entry := func(i int) decisionEntry {
+		e := collidingEntry(uint64(i), i, true)
+		e.cands = []Candidate{{Target: fmt.Sprintf("t%d", i), PredSeconds: float64(i)}}
+		return e
+	}
+	dc.put(entry(1))
+	dc.put(entry(2))
+	held, ok := dc.get(1, entry(1).key) // promotes 1: the next victim is 2
+	if !ok {
+		t.Fatal("entry 1 missing")
+	}
+	victim, ok := dc.get(2, entry(2).key)
+	if !ok {
+		t.Fatal("entry 2 missing")
+	}
+	dc.get(1, entry(1).key)
+
+	// Eleven more keys through the two nodes (AllocsPerRun calls once to
+	// warm up): the first evicts 2 and moves into its node.
+	var fresh []decisionEntry
+	for i := 3; i < 14; i++ {
+		fresh = append(fresh, entry(i))
+	}
+	evicted, next := 0, 0
+	if allocs := testing.AllocsPerRun(10, func() {
+		evicted += dc.put(fresh[next])
+		next++
+	}); allocs != 0 {
+		t.Errorf("put into a full shard allocated %v times, want 0 (the evicted node is reused)", allocs)
+	}
+	if evicted != len(fresh) || dc.len() != 2 {
+		t.Fatalf("evicted %d, %d live entries; want %d and 2", evicted, dc.len(), len(fresh))
+	}
+	for _, i := range []int{1, 2, 11} {
+		if _, ok := dc.get(uint64(i), entry(i).key); ok {
+			t.Fatalf("evicted entry %d still served", i)
+		}
+	}
+	for _, i := range []int{12, 13} {
+		if got, ok := dc.get(uint64(i), entry(i).key); !ok || got.predCPU != float64(i) || got.cands[0].Target != fmt.Sprintf("t%d", i) {
+			t.Fatalf("entry %d read back as %+v, %v", i, got, ok)
+		}
+	}
+	if want := entry(2); victim.key != want.key || victim.predCPU != want.predCPU ||
+		victim.target != want.target || len(victim.cands) != 1 || victim.cands[0] != want.cands[0] {
+		t.Fatalf("the copy of entry 2 taken before its node was reused changed: %+v", victim)
+	}
+	if want := entry(1); held.key != want.key || held.cands[0] != want.cands[0] {
+		t.Fatalf("the copy of entry 1 changed: %+v", held)
+	}
+}

@@ -64,30 +64,46 @@ func (r *Region) KeyHashVals(vals []int64) uint64 {
 // map form). Interpreted regions fall back to the map path. The slice
 // is not retained; callers may reuse it immediately.
 func (r *Region) DecideVals(vals []int64) (*Outcome, error) {
+	out := new(Outcome)
+	if err := r.DecideValsInto(vals, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DecideValsInto is DecideVals writing the outcome over *out, so a
+// caller that decides in a loop brings its own: a cache hit then
+// allocates nothing. After an error *out holds nothing usable.
+func (r *Region) DecideValsInto(vals []int64, out *Outcome) error {
 	names := r.ParamNames()
 	if len(vals) != len(names) {
-		return nil, fmt.Errorf("%w: region %s wants %d parameters, got %d slot values",
+		return fmt.Errorf("%w: region %s wants %d parameters, got %d slot values",
 			ErrUnboundSymbol, r.Name, len(names), len(vals))
 	}
 	cm := r.compiled
 	if cm == nil {
-		return r.Decide(r.bindingsFromVals(vals))
+		o, err := r.Decide(r.bindingsFromVals(vals))
+		if err == nil {
+			*out = *o
+		}
+		return err
 	}
 	rt := r.rt
 	rt.met.decides.Add(1)
-	d := Decision{Region: r.Name, Policy: rt.cfg.Policy}
+	d := &out.Decision
+	*d = Decision{Region: r.Name, Policy: rt.cfg.Policy}
 	if rt.obs.Load() != nil {
 		d.Bindings = r.bindingsFromVals(vals)
 	}
 	start := time.Now()
 	sv := cm.getVecs()
 	copy(sv.vals[:cm.layout.Len()], vals)
-	_, err := r.decideCompiled(cm, sv, &d)
+	_, err := r.decideCompiled(cm, sv, d)
 	cm.putVecs(sv)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d.DecisionOverhead = time.Since(start)
-	rt.notify(d)
-	return &Outcome{Decision: d}, nil
+	rt.notify(*d)
+	return nil
 }

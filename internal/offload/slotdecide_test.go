@@ -3,6 +3,8 @@ package offload
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
@@ -136,6 +138,73 @@ func TestDecideValsLengthMismatch(t *testing.T) {
 		}
 		if _, err := r.DecideVals(make([]int64, n)); !errors.Is(err, ErrUnboundSymbol) {
 			t.Fatalf("len %d: got %v, want ErrUnboundSymbol", n, err)
+		}
+	}
+}
+
+// TestDecideValsIntoAllocationBudget pins what a served decision costs
+// the heap once the caller brings its own Outcome: a cache hit nothing,
+// and a miss on a full cache the ranked candidates and the key string —
+// the evicted node is reused, the corrector's multipliers sit on the
+// stack.
+func TestDecideValsIntoAllocationBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	skipIfPoolsDrop(t) // the slot vectors are pooled
+	const capacity = 8
+	rt := NewRuntime(Config{Platform: machine.PlatformP9V100(), Policy: ModelGuided, DecisionCacheSize: capacity})
+	k, err := polybench.Get("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := rt.Register(k.IR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := k.Bindings(polybench.Benchmark)
+	names := region.ParamNames()
+	vals := make([]int64, len(names))
+	for i, name := range names {
+		vals[i] = b[name]
+	}
+	var out Outcome
+	decide := func() {
+		if err := region.DecideValsInto(vals, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decide()
+	if hit := testing.AllocsPerRun(200, decide); hit != 0 || !out.CacheHit {
+		t.Errorf("hit: %v allocs (cache hit %v), want 0", hit, out.CacheHit)
+	}
+	fresh, err := region.DecideVals(vals)
+	if err != nil || !reflect.DeepEqual(fresh.Decision.Candidates, out.Candidates) || fresh.TargetID != out.TargetID {
+		t.Fatalf("DecideVals and DecideValsInto disagree: %+v vs %+v (%v)", fresh, out, err)
+	}
+
+	next := vals[0]
+	miss := testing.AllocsPerRun(200, func() { // every run a key never seen: the cache, full after 8, evicts
+		next++
+		vals[0] = next
+		decide()
+	})
+	if miss > 2 || out.CacheHit {
+		t.Errorf("miss on a full cache: %v allocs (cache hit %v), want <= 2", miss, out.CacheHit)
+	}
+	if m := rt.Metrics(); m.DecisionCacheEvictions == 0 {
+		t.Errorf("the misses evicted nothing: %+v", m)
+	}
+}
+
+// skipIfPoolsDrop skips an allocation budget that counts on sync.Pool
+// handing back what it was given: under the race detector Put drops a
+// quarter of it, by design, and the budget would be measuring that. Call
+// it on one P.
+func skipIfPoolsDrop(t *testing.T) {
+	var p sync.Pool
+	for i := 0; i < 100; i++ {
+		p.Put(t)
+		if p.Get() == nil {
+			t.Skip("sync.Pool drops puts under the race detector; allocation budgets are checked without it")
 		}
 	}
 }

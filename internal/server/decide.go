@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"net/http"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
@@ -17,10 +19,10 @@ import (
 // JSON, HTTP frames, the stream workers, a degraded client's local
 // fallback (DecideLocal) — is a codec around the same two functions:
 //
-//	decode → item → decide / decideBatch → (*Outcome, *ErrorInfo) → project
+//	decode → item → decide / batchScratch.decide → (Outcome, *ErrorInfo) → project
 //
 // decide is the only function in this package that reaches
-// Region.Decide, DecideVals or Launch; the codecs differ only in how
+// Region.Decide, DecideValsInto or Launch; the codecs differ only in how
 // they build an item and which response shape they project onto.
 
 // item is one decide request in the core's form. Bindings arrive either
@@ -54,33 +56,36 @@ func wireItem(req *wire.Request) item {
 	return it
 }
 
-// decide serves one item against rt; a non-nil *ErrorInfo describes the
-// failure with its classification and HTTP status. Slot-form bindings
-// skip the map entirely on the decide path: after verifying the key hash
-// (an end-to-end checksum of the client's idea of the region's parameter
+// decide serves one item against rt, writing the outcome over *out; a
+// non-nil *ErrorInfo describes the failure with its classification and
+// HTTP status (and leaves *out unusable). Slot-form bindings skip the map
+// entirely on the decide path: after verifying the key hash (an
+// end-to-end checksum of the client's idea of the region's parameter
 // set), the values drop straight into the region's pooled slot vectors
-// via DecideVals. it is not retained, so callers keep it on their stack.
-func decide(ctx context.Context, rt *offload.Runtime, it *item) (*offload.Outcome, *ErrorInfo) {
+// via DecideValsInto. Neither it nor out is retained: a stream worker
+// decides every job into the one Outcome on its stack, a batch into its
+// scratch.
+func decide(ctx context.Context, rt *offload.Runtime, it *item, out *offload.Outcome) *ErrorInfo {
 	if it.region == "" {
-		return nil, errInfo(http.StatusBadRequest, ErrCodeBadRequest, "missing region")
+		return errInfo(http.StatusBadRequest, ErrCodeBadRequest, "missing region")
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, errInfo(http.StatusServiceUnavailable, ErrCodeDeadlineExceeded, "deadline exceeded")
+		return errInfo(http.StatusServiceUnavailable, ErrCodeDeadlineExceeded, "deadline exceeded")
 	}
 	region, err := rt.Region(it.region)
 	if err != nil {
-		return nil, classify(err)
+		return classify(err)
 	}
 	b := it.bindings
 	if it.slot {
 		names := region.ParamNames()
 		if len(it.values) != len(names) {
-			return nil, errInfo(http.StatusUnprocessableEntity, ErrCodeUnboundSymbol,
+			return errInfo(http.StatusUnprocessableEntity, ErrCodeUnboundSymbol,
 				fmt.Sprintf("offload: unbound symbol: region %s wants %d parameters, got %d slot values",
 					it.region, len(names), len(it.values)))
 		}
 		if got := region.KeyHashVals(it.values); got != it.keyHash {
-			return nil, errInfo(http.StatusBadRequest, ErrCodeBadRequest,
+			return errInfo(http.StatusBadRequest, ErrCodeBadRequest,
 				fmt.Sprintf("slot vector key hash %#x does not match region layout (%#x): client and server disagree on %s's parameter set",
 					it.keyHash, got, it.region))
 		}
@@ -92,52 +97,94 @@ func decide(ctx context.Context, rt *offload.Runtime, it *item) (*offload.Outcom
 			}
 		}
 	}
-	var out *offload.Outcome
+	var o *offload.Outcome
 	switch {
 	case it.execute:
-		out, err = region.Launch(b)
+		o, err = region.Launch(b)
 	case it.slot:
-		out, err = region.DecideVals(it.values)
+		err = region.DecideValsInto(it.values, out)
 	default:
-		out, err = region.Decide(b)
+		o, err = region.Decide(b)
 	}
 	if err != nil {
-		return nil, classify(err)
+		return classify(err)
 	}
-	return out, nil
+	if o != nil {
+		*out = *o
+	}
+	return nil
 }
 
 // decided is one batch item's answer: the core's verdict, or — first
-// not being the item's own index — the earlier identical item's.
+// not being the item's own index — the earlier identical item's. out
+// points into the batchScratch that decided it.
 type decided struct {
 	out   *offload.Outcome
 	err   *ErrorInfo
 	first int
+	key   []byte // the item's duplicate-detection key, inside batchScratch.keys
 }
 
-// decideBatch serves a batch of n items, coalescing duplicate (region,
+// batchScratch is the working set of one decided batch. A codec that
+// keeps one across batches (the frame codec's wireScratch) allocates
+// nothing per item in steady state; the zero value is ready to use. What
+// decide returns is valid until the next decide.
+type batchScratch struct {
+	res    []decided
+	outs   []offload.Outcome
+	keys   []byte         // every distinct item's key, back to back
+	byHash map[uint64]int // key hash → the first item with that hash
+}
+
+// keySeed seeds the duplicate index's hash; per process, so no client can
+// aim for collisions.
+var keySeed = maphash.MakeSeed()
+
+// decide serves a batch of n items, coalescing duplicate (region,
 // bindings, execute) items: each distinct key is decided once — and
 // every decide after the first for a key is itself a decision-cache hit,
 // so a batch of identical requests costs one model evaluation at most.
 // at decodes item i, once. The second result counts the duplicates.
-func decideBatch(ctx context.Context, rt *offload.Runtime, n int, at func(i int) item) ([]decided, int) {
-	res := make([]decided, n)
-	byKey := map[string]int{}
-	var key []byte
+//
+// The duplicate index is keyed by a hash of the key bytes, not a string
+// built from them, and a hit is confirmed against the first item's bytes;
+// two distinct keys colliding in all 64 bits are simply both decided.
+func (bs *batchScratch) decide(ctx context.Context, rt *offload.Runtime, n int, at func(i int) item) ([]decided, int) {
+	bs.res, bs.outs, bs.keys = sized(bs.res, n), sized(bs.outs, n), bs.keys[:0]
+	if bs.byHash == nil {
+		bs.byHash = make(map[uint64]int, n)
+	}
+	clear(bs.byHash)
 	coalesced := 0
-	for i := range res {
+	for i := range bs.res {
 		it := at(i)
-		key = it.appendKey(key[:0])
-		if first, ok := byKey[string(key)]; ok {
-			res[i].first = first
+		mark := len(bs.keys)
+		bs.keys = it.appendKey(bs.keys)
+		key := bs.keys[mark:]
+		h := maphash.Bytes(keySeed, key)
+		first, seen := bs.byHash[h]
+		if seen && bytes.Equal(bs.res[first].key, key) {
+			bs.res[i] = decided{first: first}
+			bs.keys = bs.keys[:mark]
 			coalesced++
 			continue
 		}
-		byKey[string(key)] = i
-		out, ei := decide(ctx, rt, &it)
-		res[i] = decided{out: out, err: ei, first: i}
+		if !seen {
+			bs.byHash[h] = i
+		}
+		ei := decide(ctx, rt, &it, &bs.outs[i])
+		bs.res[i] = decided{out: &bs.outs[i], err: ei, first: i, key: key}
 	}
-	return res, coalesced
+	return bs.res, coalesced
+}
+
+// sized returns s with length n, reallocating when it is too short;
+// elements keep whatever they held, for the caller to overwrite.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // appendKey builds the duplicate-detection key for one item. Slot-form
@@ -168,8 +215,9 @@ func (it *item) appendKey(dst []byte) []byte {
 // item-level failure, carried in Error — is the daemon's by construction.
 func DecideLocal(rt *offload.Runtime, req DecideRequest) DecideResponseV2 {
 	it := jsonItem(&req)
-	out, ei := decide(context.Background(), rt, &it)
-	return v2Response(req.Region, out, ei)
+	var out offload.Outcome
+	ei := decide(context.Background(), rt, &it, &out)
+	return v2Response(req.Region, &out, ei)
 }
 
 // -------------------------------------------------------- projections --
@@ -240,17 +288,27 @@ func batchV2(reqs []DecideRequest, ds []decided) []DecideResponseV2 {
 	return results
 }
 
-func batchWire(reqs []wire.Request, ds []decided) []wire.Response {
-	results := make([]wire.Response, len(ds))
+// batchWire does so into the caller's recycled results and one candidate
+// arena, sized by a count taken first so that no response's slice moves
+// while a later one is appended; both come back for the next batch.
+func batchWire(reqs []wire.Request, ds []decided, results []wire.Response, cands []wire.Candidate) ([]wire.Response, []wire.Candidate) {
+	total := 0
+	for i, d := range ds {
+		if d.first == i && d.err == nil {
+			total += len(d.out.Candidates)
+		}
+	}
+	results, cands = sized(results, len(ds)), sized(cands, total)[:0]
 	for i, d := range ds {
 		if d.first != i {
 			results[i] = results[d.first]
 			results[i].CacheHit = results[i].Err == nil
 			continue
 		}
-		results[i] = projectWireInto(reqs[i].Region, d.out, d.err, nil)
+		results[i] = projectWireInto(reqs[i].Region, d.out, d.err, cands[len(cands):])
+		cands = cands[:len(cands)+len(results[i].Candidates)]
 	}
-	return results
+	return results, cands
 }
 
 // projectWireInto renders one outcome (or per-item failure) as a

@@ -1,0 +1,263 @@
+package server
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/hybridsel/hybridsel/internal/symbolic"
+	"github.com/hybridsel/hybridsel/internal/wire"
+)
+
+// This file holds the serving path's recycling contracts: what the
+// server keeps between requests (decoder, batch scratch, stream requests)
+// must cost nothing per decision and must never be observable.
+
+func postFrames(s *Server, w http.ResponseWriter, body []byte) {
+	r := httptest.NewRequest(http.MethodPost, "/v2/decide", bytes.NewReader(body))
+	r.Header.Set("Content-Type", wire.ContentType)
+	s.Handler().ServeHTTP(w, r)
+}
+
+// TestWireBatchCountCheckedBeforeAllocation: a frame of a few bytes
+// claiming 2^23 items is refused as batch_too_large by its count alone.
+// (At the parent commit the same count in a 16 MB body allocated 80 bytes
+// an item, ~640 MB, before the limit was looked at.)
+func TestWireBatchCountCheckedBeforeAllocation(t *testing.T) {
+	s := testServer(t, Config{})
+	hostile := []byte{'H', 'S', wire.Version, wire.TypeBatchRequest, 4, 0, 0, 0, 0x80, 0x80, 0x80, 0x04}
+	postFrames(s, httptest.NewRecorder(), hostile) // warm the pools and the route's counters
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := httptest.NewRecorder()
+	postFrames(s, w, hostile)
+	runtime.ReadMemStats(&after)
+
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %q", w.Code, w.Body.Bytes())
+	}
+	fr, _, err := wire.DecodeFrame(w.Body.Bytes())
+	if err != nil || fr.Type != wire.TypeError || fr.Err.Code != ErrCodeBatchTooLarge {
+		t.Fatalf("answer %+v (%v), want a %s error frame", fr, err, ErrCodeBatchTooLarge)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing a count of 2^23 allocated %d bytes, want < 1 MB", grew)
+	}
+}
+
+// skipIfPoolsDrop skips an allocation budget that counts on sync.Pool
+// handing back what it was given: under the race detector Put drops a
+// quarter of it, by design, and the budget would be measuring that. Call
+// it on one P.
+func skipIfPoolsDrop(t *testing.T) {
+	var p sync.Pool
+	for i := 0; i < 100; i++ {
+		p.Put(t)
+		if p.Get() == nil {
+			t.Skip("sync.Pool drops puts under the race detector; allocation budgets are checked without it")
+		}
+	}
+}
+
+// sink is a ResponseWriter that keeps its buffers between requests, so
+// that what a request allocates is the server's doing.
+type sink struct {
+	h    http.Header
+	code int
+	body []byte
+}
+
+func (w *sink) Header() http.Header  { return w.h }
+func (w *sink) WriteHeader(code int) { w.code = code }
+func (w *sink) Write(b []byte) (int, error) {
+	w.body = append(w.body, b...)
+	return len(b), nil
+}
+
+// TestWireBatchAllocatesNothingPerItem: through the whole frame codec —
+// decode, duplicate index, decide, project, encode — a batch of cache
+// hits costs the same number of allocations at 128 items as at 64: what
+// is left is per request (net/http's, the admission pipeline's), and a
+// decision adds nothing.
+func TestWireBatchAllocatesNothingPerItem(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	skipIfPoolsDrop(t) // the scratch and the slot vectors are pooled
+	s := testServer(t, Config{})
+	regions := []string{"gemm", "mvt1", "atax2"}
+	var reqs []wire.Request
+	for i := 0; i < 128; i++ {
+		reqs = append(reqs, wireReqFor(regions[i%3], symbolic.Bindings{"n": int64(64 + i)}))
+	}
+	w := &sink{h: http.Header{}}
+	measure := func(n int) float64 {
+		body := wire.AppendBatchRequest(nil, reqs[:n])
+		return testing.AllocsPerRun(50, func() {
+			w.body = w.body[:0]
+			postFrames(s, w, body)
+		})
+	}
+	measure(128) // decide every key once; size the pooled scratch
+	small, large := measure(64), measure(128)
+	fr, _, err := wire.DecodeFrame(w.body)
+	if err != nil || w.code != http.StatusOK || len(fr.Resps) != 128 {
+		t.Fatalf("batch answered %d, %+v (%v)", w.code, fr, err)
+	}
+	for i, resp := range fr.Resps {
+		if resp.Err != nil || !resp.CacheHit || resp.Region != reqs[i].Region || len(resp.Candidates) != 2 {
+			t.Fatalf("item %d: %+v", i, resp)
+		}
+	}
+	if large != small {
+		t.Fatalf("a 128-item batch costs %v allocations and a 64-item batch %v: %v per item, want 0",
+			large, small, (large-small)/64)
+	}
+}
+
+// TestWireScratchPooling: a scratch a huge batch grew is not pooled, and
+// one that is pooled has let go of its outcomes.
+func TestWireScratchPooling(t *testing.T) {
+	s := testServer(t, Config{})
+	var reqs []wire.Request
+	for i := 0; i < maxPooledBatch+1; i++ {
+		reqs = append(reqs, wireReqFor("mvt1", symbolic.Bindings{"n": int64(64 + i)}))
+	}
+	for _, n := range []int{64, len(reqs)} {
+		w := httptest.NewRecorder()
+		postFrames(s, w, wire.AppendBatchRequest(nil, reqs[:n]))
+		if w.Code != http.StatusOK {
+			t.Fatalf("batch of %d: status %d", n, w.Code)
+		}
+		// Whichever scratch the pool hands out next, it is not one the
+		// large batch grew, and it holds no outcome.
+		sc := wireScratches.Get().(*wireScratch)
+		if sc.big || cap(sc.batch.res) > maxPooledBatch || cap(sc.resps) > maxPooledBatch {
+			t.Fatalf("after a batch of %d the pool holds a scratch sized for %d items", n, cap(sc.batch.res))
+		}
+		for i, out := range sc.batch.outs[:cap(sc.batch.outs)] {
+			if out.Candidates != nil || out.Region != "" {
+				t.Fatalf("after a batch of %d pooled outcome %d still holds %+v", n, i, out)
+			}
+		}
+		wireScratches.Put(sc)
+	}
+}
+
+// TestStreamRequestRecycling: a request goes back on the connection's
+// free list only when its worker is done with it. First the workers are
+// parked mid-decide — holding a slot, the request not yet read — while
+// the reader decodes a whole credit window over whatever the free list
+// offers: a request left in the reader's frame after dispatch, or
+// recycled before the window was read, is overwritten under its worker,
+// and that stream answered with another stream's region and sizes. Then
+// nothing is parked and the window is kept full one request at a time, so
+// that the reader is always decoding while workers decide — which is
+// where the race detector sees a request recycled a moment early. Run
+// under -race -count=20.
+func TestStreamRequestRecycling(t *testing.T) {
+	const credit = 16
+	var gate atomic.Pointer[chan struct{}]
+	s := testServer(t, Config{Concurrency: 4, StreamCredit: credit})
+	s.holdForTest = func() {
+		if g := gate.Load(); g != nil {
+			<-*g
+		}
+	}
+	addr := startStreamServer(t, s)
+	conn, sr, _ := dialStream(t, addr)
+
+	regions := []string{"gemm", "mvt1", "atax2"}
+	want := map[uint64]wire.Request{}
+	id := uint64(0)
+	request := func(dst []byte) []byte {
+		id++
+		want[id] = wireReqFor(regions[int(id)%3], symbolic.Bindings{"n": int64(64 + id)})
+		req := want[id]
+		return wire.AppendStreamRequest(dst, id, &req)
+	}
+	answer := func() {
+		t.Helper()
+		f, err := sr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, ok := want[f.StreamID]
+		if !ok || f.Type != wire.TypeStreamResponse || f.Resp.Err != nil {
+			t.Fatalf("unexpected frame %+v", f)
+		}
+		delete(want, f.StreamID)
+		ref, err := s.rt.Decide(req.Region, symbolic.Bindings{"n": req.Values[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantResp := projectWireInto(req.Region, ref, nil, nil)
+		if f.Resp.Region != req.Region || f.Resp.Verdict != wantResp.Verdict ||
+			!reflect.DeepEqual(f.Resp.Candidates, wantResp.Candidates) {
+			t.Fatalf("stream %d (%s n=%d) answered %+v, want %+v",
+				f.StreamID, req.Region, req.Values[0], f.Resp, wantResp)
+		}
+	}
+
+	for round := 0; round < 4; round++ {
+		g := make(chan struct{})
+		if round > 0 { // round 0 runs free and stocks the free list
+			gate.Store(&g)
+		}
+		var burst []byte
+		for i := 0; i < credit; i++ {
+			burst = request(burst)
+		}
+		if _, err := conn.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		// The reader has decoded the whole window once every request is
+		// admitted; only then do the parked workers read theirs.
+		for deadline := time.Now().Add(5 * time.Second); s.met.streamRequests.Load() < id; {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: reader admitted %d of %d requests", round, s.met.streamRequests.Load(), id)
+			}
+			runtime.Gosched()
+		}
+		close(g)
+		for len(want) > 0 {
+			answer()
+		}
+	}
+
+	gate.Store(nil)
+	for i := 0; i < 1500 || len(want) > 0; i++ {
+		if i < 1500 {
+			if _, err := conn.Write(request(nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(want) == credit || i >= 1500 {
+			answer()
+		}
+	}
+
+	// What a huge request grew is not kept: its answer read, no request on
+	// the free list holds more than a pooled scratch would.
+	huge := wire.Request{Region: "gemm", SlotForm: true, Values: make([]int64, maxPooledBatch+1)}
+	if _, err := conn.Write(wire.AppendStreamRequest(nil, id+1, &huge)); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := sr.Next(); err != nil || f.Resp.Err == nil || f.Resp.Err.Code != ErrCodeUnboundSymbol {
+		t.Fatalf("a request of %d slot values answered %+v (%v)", len(huge.Values), f, err)
+	}
+	s.streams.mu.Lock()
+	defer s.streams.mu.Unlock()
+	for sc := range s.streams.conns {
+		for len(sc.free) > 0 {
+			if req := <-sc.free; cap(req.Values) > maxPooledBatch {
+				t.Fatalf("the free list holds a request with room for %d values", cap(req.Values))
+			}
+		}
+	}
+}

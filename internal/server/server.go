@@ -445,18 +445,20 @@ func (s *Server) handleDecideJSON(w http.ResponseWriter, r *http.Request, v2 boo
 	}
 	if req.Requests == nil {
 		it := jsonItem(&req.DecideRequest)
-		out, ei := decide(r.Context(), s.rt, &it)
+		var out offload.Outcome
+		ei := decide(r.Context(), s.rt, &it, &out)
 		switch {
 		case ei != nil:
 			httpError(w, ei.status, ei.Code, ei.Message)
 		case v2:
-			writeJSON(w, http.StatusOK, v2Response(req.Region, out, nil))
+			writeJSON(w, http.StatusOK, v2Response(req.Region, &out, nil))
 		default:
-			writeJSON(w, http.StatusOK, v1Response(req.Region, out, nil))
+			writeJSON(w, http.StatusOK, v1Response(req.Region, &out, nil))
 		}
 		return
 	}
-	ds, coalesced := decideBatch(r.Context(), s.rt, len(req.Requests),
+	var bs batchScratch
+	ds, coalesced := bs.decide(r.Context(), s.rt, len(req.Requests),
 		func(i int) item { return jsonItem(&req.Requests[i]) })
 	if v2 {
 		writeJSON(w, http.StatusOK, BatchResponseV2{Results: batchV2(req.Requests, ds), Coalesced: coalesced})

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
@@ -138,6 +139,10 @@ type streamConn struct {
 	away         atomic.Bool   // Goaway sent
 	awayLast     atomic.Uint64 // LastStreamID carried in our Goaway
 
+	// free holds the requests the reader decodes into, handed back by the
+	// worker that answered them; sized to the window, the most there are.
+	free chan *wire.Request
+
 	// Combining writer state (send): frames are appended to pending
 	// under wmu; one flusher at a time writes it out until it drains.
 	wmu      sync.Mutex
@@ -161,6 +166,7 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   make(chan streamJob, credit),
+		free:   make(chan *wire.Request, credit),
 		spare:  make([]byte, 0, 4096),
 	}
 	if !s.registerStream(sc) {
@@ -196,9 +202,17 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 
 	sr := wire.NewStreamReader(src)
 	var scratch []byte
+	var f wire.Frame
 	for {
-		f, err := sr.Next()
-		if err != nil {
+		// Decode over a request the workers are done with (one refused below
+		// is still in f); with none to hand the decoder allocates one.
+		if f.Req == nil {
+			select {
+			case f.Req = <-sc.free:
+			default:
+			}
+		}
+		if err := sr.NextInto(&f); err != nil {
 			// EOF (clean or mid-frame) and decode failures all end the
 			// connection; in-flight work still completes via the
 			// deferred wg.Wait.
@@ -224,6 +238,7 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 			s.met.streamInflight.Add(1)
 			sc.wg.Add(1)
 			sc.jobs <- streamJob{id: f.StreamID, req: f.Req}
+			f.Req = nil // the worker's, until it recycles it
 		case wire.TypeGoaway:
 			// Client is leaving; keep answering what's in flight and
 			// let its close of the write side end the loop.
@@ -250,13 +265,15 @@ func (sc *streamConn) rejectStream(scratch []byte, id uint64, code, msg string) 
 	return scratch
 }
 
-// worker runs admitted stream jobs under the shared execution slots. A
-// response rides the pending buffer while the next job is already here,
-// and leaves before an empty queue, an execute or a wait for a slot.
+// worker runs admitted stream jobs under the shared execution slots,
+// deciding each into its own Outcome. A response rides the pending
+// buffer while the next job is already here, and leaves before an empty
+// queue, an execute or a wait for a slot.
 func (sc *streamConn) worker() {
 	s := sc.s
 	scratch := make([]byte, 0, 2048)
 	var cands []wire.Candidate
+	var out offload.Outcome
 	for job := range sc.jobs {
 		for riding := true; riding; {
 			select {
@@ -269,13 +286,20 @@ func (sc *streamConn) worker() {
 				s.holdForTest()
 			}
 			it := wireItem(job.req)
-			out, ei := decide(sc.ctx, s.rt, &it)
+			ei := decide(sc.ctx, s.rt, &it, &out)
 			<-s.slots
-			resp := projectWireInto(job.req.Region, out, ei, cands[:0])
+			resp := projectWireInto(job.req.Region, &out, ei, cands[:0])
 			if resp.Candidates != nil {
 				cands = resp.Candidates
 			}
 			scratch = wire.AppendStreamResponse(scratch[:0], job.id, &resp)
+			// Done with job.req: recycled, unless a huge request grew it.
+			if cap(job.req.Values) <= maxPooledBatch {
+				select {
+				case sc.free <- job.req:
+				default:
+				}
+			}
 			// Return the credit unit before the response can reach the
 			// client, which reuses it the moment it reads the response: a
 			// request arriving ahead of the decrement would be shed against

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 
+	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
@@ -24,10 +26,11 @@ import (
 // 200 with matching response frames in order, per-item failures riding
 // inside them — the frame analogue of the JSON batch contract.
 //
-// The single-frame case is the hot path and stays allocation-lean: the
-// body reads into a pooled buffer, exactly one frame decodes (no frame
-// slice), and the response encodes into the same scratch with its
-// candidate slice recycled across requests.
+// Nothing here allocates per decision in steady state: the body reads
+// into a pooled buffer, the pooled Decoder decodes the first frame in
+// place (all frames are validated before any is served, so a pipelined
+// body's later frames get Decoders of their own), and a batch is decided,
+// projected and encoded inside the scratch.
 func (s *Server) handleDecideWire(w http.ResponseWriter, r *http.Request) {
 	sc := wireScratches.Get().(*wireScratch)
 	defer putWireScratch(sc)
@@ -41,64 +44,57 @@ func (s *Server) handleDecideWire(w http.ResponseWriter, r *http.Request) {
 		wireError(w, http.StatusBadRequest, ErrCodeBadRequest, "decode frames: empty body")
 		return
 	}
-	first, n, err := wire.DecodeFrame(body)
-	if err != nil {
-		wireError(w, http.StatusBadRequest, ErrCodeBadRequest, "decode frames: "+err.Error())
-		return
+	frames := make([]*wire.Frame, 0, 1) // on the stack; a pipelined body grows it
+	for rest := body; len(rest) > 0; {
+		dec := &sc.dec
+		if len(frames) > 0 {
+			dec = new(wire.Decoder) // sc.dec's frame is still to be served
+		}
+		dec.MaxItems = s.cfg.MaxBatch
+		fr, n, err := dec.Decode(rest)
+		switch {
+		case errors.Is(err, wire.ErrTooLarge):
+			wireError(w, http.StatusRequestEntityTooLarge, ErrCodeBatchTooLarge, err.Error())
+			return
+		case err != nil:
+			wireError(w, http.StatusBadRequest, ErrCodeBadRequest, "decode frames: "+err.Error())
+			return
+		case fr.Type != wire.TypeRequest && fr.Type != wire.TypeBatchRequest:
+			wireError(w, http.StatusBadRequest, ErrCodeBadRequest,
+				fmt.Sprintf("unexpected frame type %d in request body", fr.Type))
+			return
+		}
+		sc.big = sc.big || len(fr.Reqs) > maxPooledBatch
+		frames, rest = append(frames, fr), rest[n:]
 	}
 
-	if n == len(body) && first.Type == wire.TypeRequest {
+	var out offload.Outcome
+	if first := frames[0]; len(frames) == 1 && first.Type == wire.TypeRequest {
 		it := wireItem(first.Req)
-		out, ei := decide(r.Context(), s.rt, &it)
-		if ei != nil {
+		if ei := decide(r.Context(), s.rt, &it, &out); ei != nil {
 			wireError(w, ei.status, ei.Code, ei.Message)
 			return
 		}
-		resp := projectWireInto(first.Req.Region, out, nil, sc.cands[:0])
+		resp := projectWireInto(first.Req.Region, &out, nil, sc.cands[:0])
 		sc.enc = wire.AppendResponse(sc.enc[:0], &resp)
 		sc.cands = resp.Candidates[:0]
 		writeFrames(w, http.StatusOK, sc.enc)
 		return
 	}
 
-	frames := []*wire.Frame{first}
-	for rest := body[n:]; len(rest) > 0; {
-		fr, adv, err := wire.DecodeFrame(rest)
-		if err != nil {
-			wireError(w, http.StatusBadRequest, ErrCodeBadRequest, "decode frames: "+err.Error())
-			return
-		}
-		frames = append(frames, fr)
-		rest = rest[adv:]
-	}
-	for _, fr := range frames {
-		switch fr.Type {
-		case wire.TypeRequest:
-		case wire.TypeBatchRequest:
-			if len(fr.Reqs) > s.cfg.MaxBatch {
-				wireError(w, http.StatusRequestEntityTooLarge, ErrCodeBatchTooLarge,
-					fmt.Sprintf("batch of %d exceeds limit %d", len(fr.Reqs), s.cfg.MaxBatch))
-				return
-			}
-		default:
-			wireError(w, http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Sprintf("unexpected frame type %d in request body", fr.Type))
-			return
-		}
-	}
-
 	b := sc.enc[:0]
 	for _, fr := range frames {
 		if fr.Type == wire.TypeRequest {
 			it := wireItem(fr.Req)
-			out, ei := decide(r.Context(), s.rt, &it)
-			resp := projectWireInto(fr.Req.Region, out, ei, nil)
+			ei := decide(r.Context(), s.rt, &it, &out)
+			resp := projectWireInto(fr.Req.Region, &out, ei, sc.cands[:0])
 			b = wire.AppendResponse(b, &resp)
 			continue
 		}
-		ds, coalesced := decideBatch(r.Context(), s.rt, len(fr.Reqs),
+		ds, coalesced := sc.batch.decide(r.Context(), s.rt, len(fr.Reqs),
 			func(i int) item { return wireItem(&fr.Reqs[i]) })
-		b = wire.AppendBatchResponse(b, coalesced, batchWire(fr.Reqs, ds))
+		sc.resps, sc.cands = batchWire(fr.Reqs, ds, sc.resps, sc.cands)
+		b = wire.AppendBatchResponse(b, coalesced, sc.resps)
 	}
 	sc.enc = b
 	writeFrames(w, http.StatusOK, b)
@@ -128,12 +124,16 @@ func appendBody(dst []byte, w http.ResponseWriter, r *http.Request) ([]byte, err
 }
 
 // wireScratch is the per-request working set of the binary decide
-// path: body read buffer, response encode buffer, and the candidate
-// slice recycled between single-frame responses.
+// path: body read buffer, frame decoder, batch scratch, the responses and
+// candidate arena they are projected into, and the encode buffer.
 type wireScratch struct {
 	body  []byte
 	enc   []byte
+	dec   wire.Decoder
+	batch batchScratch
+	resps []wire.Response
 	cands []wire.Candidate
+	big   bool // a batch of more than maxPooledBatch items passed through
 }
 
 var wireScratches = sync.Pool{New: func() any {
@@ -143,10 +143,19 @@ var wireScratches = sync.Pool{New: func() any {
 	}
 }}
 
+// maxPooledBatch is maxPooledEncodeBuf for per-item storage, in elements.
+const maxPooledBatch = 256
+
+// putWireScratch pools sc again, unless a huge request grew it: a
+// 4096-item batch leaves megabytes behind in the decoder's requests and
+// the scratch's outcomes, responses, candidates and key bytes. What is
+// pooled forgets its outcomes, which would keep the candidate slices of
+// evicted cache entries alive.
 func putWireScratch(sc *wireScratch) {
-	if cap(sc.body) > maxPooledEncodeBuf || cap(sc.enc) > maxPooledEncodeBuf {
+	if sc.big || max(cap(sc.body), cap(sc.enc), cap(sc.batch.keys)) > maxPooledEncodeBuf {
 		return
 	}
+	clear(sc.batch.outs) // those past its length were cleared by the put after their batch
 	wireScratches.Put(sc)
 }
 

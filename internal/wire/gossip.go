@@ -81,21 +81,13 @@ func AppendGossip(dst []byte, g *GossipMsg) []byte {
 	return endFrame(dst, at)
 }
 
+// bytes reads an opaque blob into memory of its own (nil when empty).
 func (r *reader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
+	b, err := r.raw()
+	if len(b) == 0 {
 		return nil, err
 	}
-	if n > maxStringLen || r.i+int(n) > len(r.b) {
-		return nil, fmt.Errorf("%w: bytes length %d out of range", ErrMalformed, n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b := make([]byte, n)
-	copy(b, r.b[r.i:r.i+int(n)])
-	r.i += int(n)
-	return b, nil
+	return append([]byte(nil), b...), nil
 }
 
 func (r *reader) byte() (byte, error) {
@@ -113,7 +105,7 @@ func decodeGossipPayload(r *reader) (*GossipMsg, error) {
 	if g.From, err = r.string(); err != nil {
 		return nil, err
 	}
-	n, err := r.count(4)
+	n, err := r.count(4, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +129,7 @@ func decodeGossipPayload(r *reader) (*GossipMsg, error) {
 		if e.Health > GossipDead {
 			return nil, fmt.Errorf("%w: unknown gossip health %d", ErrMalformed, e.Health)
 		}
-		m, err := r.count(3)
+		m, err := r.count(3, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,293 @@
+package wire
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// This file holds the decoder's ownership and allocation contracts:
+// decoding in place must never be observable (a recycled Decoder or
+// StreamReader returns what a fresh DecodeFrame returns, whatever it
+// decoded before), and the steady-state allocation counts are budgets,
+// not anecdotes.
+
+// batch64 builds a 64-item slot-form batch request and the batch response
+// that answers it, over the benchmark's shape: 24 regions, two slot
+// values, four ranked targets.
+func batch64() (reqs []Request, resps []Response) {
+	targets := []string{"gpu/base", "gpu/prev", "cpu/base", "cpu/half"}
+	for i := 0; i < 64; i++ {
+		region := fmt.Sprintf("kernel%02d", i%24)
+		reqs = append(reqs, Request{Region: region, SlotForm: true, KeyHash: uint64(i) * 0x9e3779b97f4a7c15,
+			Values: []int64{int64(256 + i), int64(1100 + i)}})
+		resp := Response{Region: region, Verdict: targets[0], Kind: "gpu", Policy: "model-guided",
+			Provenance: "learned", DecisionNanos: int64(700 + i)}
+		for j, tg := range targets {
+			resp.Candidates = append(resp.Candidates, Candidate{Target: tg, Kind: tg[:3],
+				PredSeconds: float64(i+j) * 1e-3, CalSeconds: float64(i+j) * 1.1e-3})
+		}
+		resps = append(resps, resp)
+	}
+	return reqs, resps
+}
+
+// allocsPerRun is testing.AllocsPerRun on one P, where nothing else
+// allocates into the count.
+func allocsPerRun(runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return testing.AllocsPerRun(runs, fn)
+}
+
+// skipIfPoolsDrop skips an allocation budget that counts on sync.Pool
+// handing back what it was given: under the race detector Put drops a
+// quarter of it, by design, and the budget would be measuring that. Call
+// it on one P.
+func skipIfPoolsDrop(t *testing.T) {
+	var p sync.Pool
+	for i := 0; i < 100; i++ {
+		p.Put(t)
+		if p.Get() == nil {
+			t.Skip("sync.Pool drops puts under the race detector; allocation budgets are checked without it")
+		}
+	}
+}
+
+func TestDecoderBatchRequestDoesNotAllocate(t *testing.T) {
+	reqs, _ := batch64()
+	body := AppendBatchRequest(nil, reqs)
+	dec := &Decoder{MaxItems: 4096}
+	var err error
+	got := allocsPerRun(100, func() { _, _, err = dec.Decode(body) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 0 {
+		t.Fatalf("Decoder.Decode of a 64-item slot-form batch: %v allocs, want 0", got)
+	}
+	fr, _, _ := dec.Decode(body)
+	if !reflect.DeepEqual(fr.Reqs, reqs) {
+		t.Fatalf("decoded batch differs from what was encoded")
+	}
+}
+
+func TestDecodeFrameBatchResponseBudget(t *testing.T) {
+	skipIfPoolsDrop(t) // DecodeFrame's intern tables are pooled
+	_, resps := batch64()
+	body := AppendBatchResponse(nil, 0, resps)
+	distinct := map[string]bool{}
+	for _, r := range resps {
+		for _, s := range []string{r.Region, r.Verdict, r.Kind, r.Policy, r.Provenance} {
+			distinct[s] = true
+		}
+		for _, c := range r.Candidates {
+			distinct[c.Target], distinct[c.Kind] = true, true
+		}
+	}
+	var fr *Frame
+	got := allocsPerRun(100, func() { fr, _, _ = DecodeFrame(body) })
+	// The Frame, the responses and one candidate arena, plus each name once.
+	if budget := float64(3 + len(distinct)); got > budget {
+		t.Fatalf("DecodeFrame of a 64-item batch response: %v allocs, budget %v (3 + %d distinct strings)",
+			got, budget, len(distinct))
+	}
+	if !reflect.DeepEqual(fr.Resps, resps) {
+		t.Fatalf("decoded batch differs from what was encoded")
+	}
+}
+
+// TestDecoderItemLimit: the count of a batch request is checked against
+// the Decoder's limit before anything is sized by it — a frame of a few
+// bytes claiming 2^23 items fails with ErrTooLarge having allocated next
+// to nothing — while DecodeFrame and batch responses stay payload-bounded.
+func TestDecoderItemLimit(t *testing.T) {
+	reqs, resps := batch64()
+	dec := &Decoder{MaxItems: 63}
+	if _, _, err := dec.Decode(AppendBatchRequest(nil, reqs)); !errors.Is(err, ErrTooLarge) || errors.Is(err, ErrMalformed) {
+		t.Fatalf("64 items past a limit of 63: %v, want ErrTooLarge", err)
+	}
+	if _, _, err := dec.Decode(AppendBatchRequest(nil, reqs[:63])); err != nil {
+		t.Fatalf("63 items at a limit of 63: %v", err)
+	}
+	if _, _, err := dec.Decode(AppendBatchResponse(nil, 0, resps)); err != nil {
+		t.Fatalf("a batch response is not bounded by MaxItems: %v", err)
+	}
+	if _, _, err := DecodeFrame(AppendBatchRequest(nil, reqs)); err != nil {
+		t.Fatalf("DecodeFrame has no item limit: %v", err)
+	}
+
+	hostile := []byte{'H', 'S', Version, TypeBatchRequest, 4, 0, 0, 0, 0x80, 0x80, 0x80, 0x04} // count 2^23
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := dec.Decode(hostile)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("count 2^23: %v, want ErrTooLarge", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
+		t.Fatalf("refusing a count of 2^23 allocated %d bytes", grew)
+	}
+	if _, _, err := DecodeFrame(hostile); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("DecodeFrame of a count past the payload: %v, want ErrMalformed", err)
+	}
+}
+
+// TestInternTableBound: a peer inventing names cannot grow the table past
+// its bound, every name still decodes exactly, and the real vocabulary is
+// interned again as soon as it is seen again.
+func TestInternTableBound(t *testing.T) {
+	var stream bytes.Buffer
+	sr := NewStreamReader(&stream)
+	var f Frame
+	decode := func(region string) {
+		t.Helper()
+		stream.Write(AppendStreamRequest(nil, 1, &Request{Region: region, SlotForm: true, Values: []int64{7}}))
+		if err := sr.NextInto(&f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Req.Region != region {
+			t.Fatalf("decoded region %q, want %q", f.Req.Region, region)
+		}
+	}
+	decode("gemm")
+	for i := 0; i < 10000; i++ {
+		decode("invented-" + strconv.Itoa(i))
+		if n := len(sr.r.in); n > maxInterned {
+			t.Fatalf("intern table holds %d entries after %d names, bound %d", n, i+1, maxInterned)
+		}
+	}
+	decode(strings.Repeat("x", maxInternLen+1))
+	if _, ok := sr.r.in[strings.Repeat("x", maxInternLen+1)]; ok {
+		t.Fatalf("a name of more than %d bytes was interned", maxInternLen)
+	}
+	decode("gemm") // first sighting since the table last started over, at the latest
+	frame := AppendStreamRequest(nil, 2, &Request{Region: "gemm", SlotForm: true, Values: []int64{7}})
+	if got := allocsPerRun(100, func() {
+		stream.Write(frame)
+		if err := sr.NextInto(&f); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("decoding a known name into a recycled request: %v allocs, want 0", got)
+	}
+}
+
+// corpusOf parses the checked-in corpus of another fuzz target of this
+// package (the go test fuzz v1 files holding one []byte each).
+func corpusOf(t testing.TB, target string) [][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus for %s: %v", target, err)
+	}
+	var out [][]byte
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, ok := strings.Cut(string(raw), "[]byte(")
+		if !ok {
+			t.Fatalf("%s: not a []byte corpus file", name)
+		}
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, []byte(s))
+	}
+	return out
+}
+
+// FuzzDecoderReuse: recycling must never be observable. One Decoder and
+// one StreamReader (decoding into one Frame, over whatever Request the
+// last frame left in it) live across the whole corpus —
+// valid, truncated and malformed inputs interleaved, in whatever order
+// the engine runs them. Frame for frame they must return what a fresh
+// DecodeFrame of the same bytes returns, fail where it fails, and after
+// every input, whatever it did to them, still decode a frame of each
+// storage-carrying kind exactly.
+func FuzzDecoderReuse(f *testing.F) {
+	for _, target := range []string{"FuzzWireFrame", "FuzzStreamFrame", "FuzzGossipFrame"} {
+		for _, data := range corpusOf(f, target) {
+			f.Add(data)
+		}
+	}
+	reqs, resps := batch64()
+	named := Request{Region: "mvt1", Names: []string{"m", "n"}, Values: []int64{128, 1100}}
+	probes := [][]byte{
+		AppendBatchRequest(nil, reqs[:5]),
+		AppendStreamRequest(nil, 3, &reqs[7]),
+		AppendRequest(nil, &named),
+		AppendRequest(nil, &Request{Region: "bare"}), // nil slices again, not the last frame's emptied
+		AppendBatchResponse(nil, 1, resps[:5]),
+		AppendStreamResponse(nil, 4, &resps[9]),
+		AppendStreamResponse(nil, 5, &Response{Region: "bare", Verdict: "cpu/base"}),
+		AppendResponse(nil, &Response{Region: "x", Err: &Error{Code: "unknown_region", Message: "no"}}),
+	}
+	for _, p := range probes {
+		f.Add(p)
+		f.Add(p[:len(p)-3])
+		f.Add(append(append([]byte(nil), p...), p[:len(p)/2]...))
+	}
+
+	dec := new(Decoder)
+	var src bytes.Reader
+	sr := NewStreamReader(&src)
+	var into Frame
+
+	// same decodes data — a body of back-to-back frames — three ways and
+	// compares frame by frame.
+	same := func(t *testing.T, data []byte) {
+		src.Reset(data)
+		sr.br.Reset(&src) // drop what a malformed input left unread
+		for rest := data; len(rest) > 0; {
+			want, n, werr := DecodeFrame(rest)
+			got, m, derr := dec.Decode(rest)
+			if (werr == nil) != (derr == nil) || m != n {
+				t.Fatalf("Decoder: (%d bytes, %v), DecodeFrame: (%d bytes, %v)", m, derr, n, werr)
+			}
+			serr := sr.NextInto(&into)
+			if werr != nil {
+				if serr == nil {
+					t.Fatalf("StreamReader accepted what DecodeFrame rejects: %v", werr)
+				}
+				return
+			}
+			if serr != nil {
+				t.Fatalf("StreamReader rejected (%v) what DecodeFrame accepts", serr)
+			}
+			// DeepEqual, except that it never equates a NaN — not even
+			// between two fresh decodes of the same bytes, which is how such
+			// a frame is told; those compare by canonical encoding.
+			equal := func(got *Frame) bool {
+				if reflect.DeepEqual(got, want) {
+					return true
+				}
+				twin, _, _ := DecodeFrame(rest)
+				return !reflect.DeepEqual(twin, want) && bytes.Equal(reencode(got), reencode(want))
+			}
+			if !equal(got) {
+				t.Fatalf("reused Decoder:\n got %+v\nwant %+v", got, want)
+			}
+			if !equal(&into) {
+				t.Fatalf("reused StreamReader:\n got %+v\nwant %+v", &into, want)
+			}
+			rest = rest[n:]
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		same(t, data)
+		for _, p := range probes {
+			same(t, p)
+		}
+	})
+}

@@ -26,7 +26,6 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 )
 
@@ -86,31 +85,13 @@ func AppendGoaway(dst []byte, g *Goaway) []byte {
 	return endFrame(dst, at)
 }
 
-func decodeStreamRequestPayload(r *reader) (uint64, *Request, error) {
-	id, err := r.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	req, err := decodeRequestPayload(r)
-	return id, req, err
-}
-
-func decodeStreamResponsePayload(r *reader) (uint64, *Response, error) {
-	id, err := r.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := decodeResponsePayload(r)
-	return id, resp, err
-}
-
 func decodeGoawayPayload(r *reader) (*Goaway, error) {
 	last, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	g := &Goaway{LastStreamID: last}
-	if g.Reason, err = r.string(); err != nil {
+	if g.Reason, err = r.text(); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -119,12 +100,15 @@ func decodeGoawayPayload(r *reader) (*Goaway, error) {
 // ---- Incremental reading ----
 
 // A StreamReader decodes frames incrementally from a long-lived
-// connection, reusing one payload buffer across frames so steady-state
-// reads cost no buffer allocations. It is not safe for concurrent use;
-// each connection owns exactly one reader goroutine.
+// connection. Payload buffer, header and decode state are its own and
+// names are interned across the connection's frames (see maxInterned), so
+// steady-state reads allocate only what the frames hold. It is not safe
+// for concurrent use; each connection owns exactly one reader goroutine.
 type StreamReader struct {
 	br  *bufio.Reader
 	buf []byte
+	hdr [headerLen]byte
+	r   reader
 }
 
 // NewStreamReader wraps r (buffering it if it is not already a
@@ -134,7 +118,7 @@ func NewStreamReader(r io.Reader) *StreamReader {
 	if !ok {
 		br = bufio.NewReaderSize(r, 32<<10)
 	}
-	return &StreamReader{br: br, buf: make([]byte, 0, 2048)}
+	return &StreamReader{br: br, buf: make([]byte, 0, 2048), r: reader{in: interner{}}}
 }
 
 // FrameBuffered reports whether the next frame — header and whole
@@ -153,31 +137,40 @@ func (sr *StreamReader) FrameBuffered() bool {
 
 // Next reads and decodes the next frame. io.EOF is returned untouched
 // on a clean end-of-stream between frames; a connection that dies
-// mid-frame surfaces io.ErrUnexpectedEOF. The returned frame does not
-// alias the reader's internal buffer and remains valid after further
-// Next calls.
+// mid-frame surfaces io.ErrUnexpectedEOF. The returned frame is the
+// caller's: it does not alias the reader's internal buffer, nothing is
+// decoded into it again, and it remains valid after further Next calls.
 func (sr *StreamReader) Next() (*Frame, error) {
-	var hdr [headerLen]byte
+	f := new(Frame)
+	if err := sr.NextInto(f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// NextInto is Next decoding in place: it overwrites *f with the frame a
+// Next would have returned. A request frame is decoded over the Request
+// *f arrives pointing at, item slices included while they are large
+// enough (any other frame drops it) — so a caller that hands a frame's
+// Request on clears f.Req first. Responses are always allocated. After
+// an error *f holds nothing usable.
+func (sr *StreamReader) NextInto(f *Frame) error {
+	sr.r.vals, sr.r.names, sr.r.cands = nil, nil, nil // what a frame was cut from goes with the frame
+	hdr := sr.hdr[:]
 	if _, err := io.ReadFull(sr.br, hdr[:1]); err != nil {
-		return nil, err // clean EOF between frames stays io.EOF
+		return err // clean EOF between frames stays io.EOF
 	}
 	if _, err := io.ReadFull(sr.br, hdr[1:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return err
 	}
-	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return nil, fmt.Errorf("%w: bad magic %#02x%02x", ErrMalformed, hdr[0], hdr[1])
+	typ, plen, err := checkHeader(hdr)
+	if err != nil {
+		return err
 	}
-	if hdr[2] != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, hdr[2], Version)
-	}
-	plen := binary.LittleEndian.Uint32(hdr[4:])
-	if plen > maxFrameLen {
-		return nil, fmt.Errorf("%w: payload length %d exceeds cap", ErrMalformed, plen)
-	}
-	if cap(sr.buf) < int(plen) {
+	if cap(sr.buf) < plen {
 		sr.buf = make([]byte, plen)
 	}
 	payload := sr.buf[:plen]
@@ -185,11 +178,7 @@ func (sr *StreamReader) Next() (*Frame, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return err
 	}
-	f, err := decodePayload(hdr[3], payload)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return sr.r.decodePayloadInto(f, typ, payload)
 }

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 )
 
 // ContentType is the negotiated media type for binary decide frames.
@@ -93,12 +94,14 @@ const (
 	maxFrameLen  = 64 << 20
 )
 
-// Decode errors. All decoder failures wrap ErrMalformed; ErrVersion
-// additionally tags version mismatches so callers can distinguish
-// "speaks an unknown dialect" from "corrupt bytes".
+// Decode errors. A frame the decoder cannot read wraps ErrMalformed;
+// ErrVersion additionally tags version mismatches so callers can
+// distinguish "speaks an unknown dialect" from "corrupt bytes". A batch
+// request of more items than its Decoder accepts is ErrTooLarge instead.
 var (
 	ErrMalformed = errors.New("wire: malformed frame")
 	ErrVersion   = fmt.Errorf("%w: version mismatch", ErrMalformed)
+	ErrTooLarge  = errors.New("wire: frame too large")
 )
 
 // Request is one decide request. Bindings travel in one of two shapes:
@@ -319,10 +322,49 @@ func AppendError(dst []byte, e *Error) []byte {
 
 // ---- Decoding ----
 
-// reader is a bounds-checked cursor over one frame payload.
+// The intern table's bounds. A decoder meets the same few dozen region,
+// target, kind, policy and provenance names over and over; reader.string
+// hands every sighting after the first the same immutable string. The
+// bounds are constants, not knobs: 256 entries is several times any
+// deployment's vocabulary, and a lookup standing in for an allocation
+// must not become a cache somebody sizes. A table that fills (a peer
+// inventing names) is emptied and starts over; longer strings are never
+// entered, so a table pins at most 256 × 64 bytes.
+const (
+	maxInterned  = 256
+	maxInternLen = 64
+)
+
+// interner is the bounded string table behind reader.string; nil: none.
+type interner map[string]string
+
+func (in interner) get(b []byte) string {
+	if s, ok := in[string(b)]; ok { // a lookup by converted bytes does not allocate
+		return s
+	}
+	s := string(b)
+	if in != nil && len(b) <= maxInternLen {
+		if len(in) >= maxInterned {
+			clear(in)
+		}
+		in[s] = s
+	}
+	return s
+}
+
+// reader is the decode state of one frame: a bounds-checked cursor over
+// the payload, the intern table, the item limit and the item arenas.
 type reader struct {
 	b []byte
 	i int
+
+	in       interner
+	maxItems int // a batch request of more items is ErrTooLarge; 0: payload-bounded
+	left     int // items of the frame not yet decoded, the current one included
+
+	vals  []int64
+	names []string
+	cands []Candidate
 }
 
 func (r *reader) uvarint() (uint64, error) {
@@ -344,43 +386,57 @@ func (r *reader) varint() (int64, error) {
 }
 
 func (r *reader) float() (float64, error) {
-	if r.i+8 > len(r.b) {
-		return 0, fmt.Errorf("%w: truncated float", ErrMalformed)
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.i:]))
-	r.i += 8
-	return v, nil
+	v, err := r.uint64()
+	return math.Float64frombits(v), err
 }
 
 func (r *reader) uint64() (uint64, error) {
 	if r.i+8 > len(r.b) {
-		return 0, fmt.Errorf("%w: truncated uint64", ErrMalformed)
+		return 0, fmt.Errorf("%w: truncated 8-byte field", ErrMalformed)
 	}
 	v := binary.LittleEndian.Uint64(r.b[r.i:])
 	r.i += 8
 	return v, nil
 }
 
-func (r *reader) string() (string, error) {
+// raw reads a length-prefixed byte string without copying it.
+func (r *reader) raw() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > maxStringLen || r.i+int(n) > len(r.b) {
-		return "", fmt.Errorf("%w: string length %d out of range", ErrMalformed, n)
+		return nil, fmt.Errorf("%w: string length %d out of range", ErrMalformed, n)
 	}
-	s := string(r.b[r.i : r.i+int(n)])
+	b := r.b[r.i : r.i+int(n)]
 	r.i += int(n)
-	return s, nil
+	return b, nil
 }
 
-// count reads a collection length and sanity-checks it against the
-// remaining payload: every element costs at least min bytes, so a count
-// that could not possibly fit is rejected before allocating.
-func (r *reader) count(min int) (int, error) {
+// string reads a name of the wire vocabulary through the intern table:
+// the (immutable) result may be shared with other frames.
+func (r *reader) string() (string, error) {
+	b, err := r.raw()
+	return r.in.get(b), err
+}
+
+// text reads free text (error message, goaway reason): never interned.
+func (r *reader) text() (string, error) {
+	b, err := r.raw()
+	return string(b), err
+}
+
+// count reads a collection length and checks it before anything is sized
+// by it: against limit (0: none), and against the remaining payload —
+// every element costs at least min bytes, so a count that could not
+// possibly fit is rejected.
+func (r *reader) count(min, limit int) (int, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return 0, err
+	}
+	if limit > 0 && n > uint64(limit) {
+		return 0, fmt.Errorf("%w: batch of %d exceeds limit %d", ErrTooLarge, n, limit)
 	}
 	if remain := len(r.b) - r.i; n > uint64(remain/min)+1 {
 		return 0, fmt.Errorf("%w: count %d exceeds payload", ErrMalformed, n)
@@ -395,50 +451,67 @@ func (r *reader) done() error {
 	return nil
 }
 
-func decodeRequestPayload(r *reader) (*Request, error) {
+// slots returns storage for the n elements of one item: own, what the
+// item arrived holding, when that is large enough, otherwise a cut of the
+// frame's arena *a. An arena too short for the cut is first replaced by
+// one sized for every item the frame still holds, n elements each — one
+// allocation per frame of like items — but for no more than the rest of
+// the payload could encode at size bytes an element. Earlier cuts keep
+// the chunk they came from.
+func slots[T any](r *reader, own []T, a *[]T, n, size int) []T {
+	if cap(own) >= n {
+		return own[:n]
+	}
+	if cap(*a)-len(*a) < n {
+		*a = make([]T, 0, max(n, min(n*r.left, (len(r.b)-r.i)/size)))
+	}
+	at := len(*a)
+	*a = (*a)[:at+n]
+	return (*a)[at : at+n : at+n]
+}
+
+// decodeRequestInto decodes one request payload over *req; a recycled
+// stream request keeps its Values and Names storage (see slots).
+func decodeRequestInto(r *reader, req *Request) error {
 	flags, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req := &Request{
+	vals, names := req.Values, req.Names
+	*req = Request{
 		Execute:  flags&reqFlagExecute != 0,
 		SlotForm: flags&reqFlagSlotForm != 0,
 	}
 	if req.Region, err = r.string(); err != nil {
-		return nil, err
+		return err
 	}
-	n, err := r.count(1)
+	n, err := r.count(1, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if req.SlotForm {
 		if req.KeyHash, err = r.uint64(); err != nil {
-			return nil, err
+			return err
 		}
-		if n > 0 {
-			req.Values = make([]int64, n)
-		}
-		for i := range req.Values {
-			if req.Values[i], err = r.varint(); err != nil {
-				return nil, err
-			}
-		}
-		return req, nil
 	}
 	if n == 0 {
-		return req, nil
+		return nil
 	}
-	req.Names = make([]string, n)
-	req.Values = make([]int64, n)
+	req.Values = slots(r, vals, &r.vals, n, 1)
+	if !req.SlotForm {
+		req.Names = slots(r, names, &r.names, n, 1)
+	}
 	for i := range req.Values {
-		if req.Names[i], err = r.string(); err != nil {
-			return nil, err
+		if !req.SlotForm {
+			if req.Names[i], err = r.string(); err != nil {
+				return err
+			}
 		}
 		if req.Values[i], err = r.varint(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return req, nil
+	return nil
 }
 
 func decodeErrorPayload(r *reader) (*Error, error) {
@@ -450,7 +523,7 @@ func decodeErrorPayload(r *reader) (*Error, error) {
 	if e.Code, err = r.string(); err != nil {
 		return nil, err
 	}
-	if e.Message, err = r.string(); err != nil {
+	if e.Message, err = r.text(); err != nil {
 		return nil, err
 	}
 	if e.RetryAfterSeconds, err = r.float(); err != nil {
@@ -459,135 +532,149 @@ func decodeErrorPayload(r *reader) (*Error, error) {
 	return e, nil
 }
 
-func decodeResponsePayload(r *reader) (*Response, error) {
+// decodeResponseInto decodes one response payload over the zero *resp,
+// its Candidates a cut of the frame's arena.
+func decodeResponseInto(r *reader, resp *Response) error {
 	flags, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	resp := &Response{CacheHit: flags&respFlagCacheHit != 0}
+	resp.CacheHit = flags&respFlagCacheHit != 0
 	if resp.Region, err = r.string(); err != nil {
-		return nil, err
+		return err
 	}
 	if flags&respFlagError != 0 {
-		if resp.Err, err = decodeErrorPayload(r); err != nil {
-			return nil, err
-		}
-		return resp, nil
+		resp.Err, err = decodeErrorPayload(r)
+		return err
 	}
 	if resp.Verdict, err = r.string(); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Kind, err = r.string(); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Policy, err = r.string(); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Provenance, err = r.string(); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.SplitFraction, err = r.float(); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.ActualSeconds, err = r.float(); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.DecisionNanos, err = r.varint(); err != nil {
-		return nil, err
+		return err
 	}
-	n, err := r.count(4)
-	if err != nil {
-		return nil, err
+	n, err := r.count(4, 0)
+	if err != nil || n == 0 {
+		return err
 	}
-	if n > 0 {
-		resp.Candidates = make([]Candidate, n)
-	}
+	resp.Candidates = slots(r, nil, &r.cands, n, 18)
 	for i := range resp.Candidates {
 		c := &resp.Candidates[i]
 		if c.Target, err = r.string(); err != nil {
-			return nil, err
+			return err
 		}
 		if c.Kind, err = r.string(); err != nil {
-			return nil, err
+			return err
 		}
 		if c.PredSeconds, err = r.float(); err != nil {
-			return nil, err
+			return err
 		}
 		if c.CalSeconds, err = r.float(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return resp, nil
+	return nil
 }
 
-// DecodeFrame decodes the first frame in data and returns it along with
-// the number of bytes consumed.
-func DecodeFrame(data []byte) (*Frame, int, error) {
+// checkHeader validates a frame header: its type and payload length.
+func checkHeader(hdr []byte) (typ byte, plen int, err error) {
+	if hdr[0] != magic0 || hdr[1] != magic1 {
+		return 0, 0, fmt.Errorf("%w: bad magic %#02x%02x", ErrMalformed, hdr[0], hdr[1])
+	}
+	if hdr[2] != Version {
+		return 0, 0, fmt.Errorf("%w: got %d, want %d", ErrVersion, hdr[2], Version)
+	}
+	n := binary.LittleEndian.Uint32(hdr[4:])
+	if n > maxFrameLen {
+		return 0, 0, fmt.Errorf("%w: payload length %d exceeds cap", ErrMalformed, n)
+	}
+	return hdr[3], int(n), nil
+}
+
+// decodeFrameInto is decodePayloadInto for the first frame in data.
+func (r *reader) decodeFrameInto(f *Frame, data []byte) (int, error) {
 	if len(data) < headerLen {
-		return nil, 0, fmt.Errorf("%w: %d bytes, want %d-byte header", ErrMalformed, len(data), headerLen)
+		return 0, fmt.Errorf("%w: %d bytes, want %d-byte header", ErrMalformed, len(data), headerLen)
 	}
-	if data[0] != magic0 || data[1] != magic1 {
-		return nil, 0, fmt.Errorf("%w: bad magic %#02x%02x", ErrMalformed, data[0], data[1])
-	}
-	if data[2] != Version {
-		return nil, 0, fmt.Errorf("%w: got %d, want %d", ErrVersion, data[2], Version)
-	}
-	typ := data[3]
-	plen := binary.LittleEndian.Uint32(data[4:])
-	if plen > maxFrameLen || headerLen+int(plen) > len(data) {
-		return nil, 0, fmt.Errorf("%w: payload length %d exceeds body", ErrMalformed, plen)
-	}
-	f, err := decodePayload(typ, data[headerLen:headerLen+int(plen)])
+	typ, plen, err := checkHeader(data)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return f, headerLen + int(plen), nil
+	if headerLen+plen > len(data) {
+		return 0, fmt.Errorf("%w: payload length %d exceeds body", ErrMalformed, plen)
+	}
+	return headerLen + plen, r.decodePayloadInto(f, typ, data[headerLen:headerLen+plen])
 }
 
-// decodePayload decodes one frame payload whose header has already been
-// validated. It is shared between DecodeFrame (whole-body decoding) and
-// StreamReader.Next (incremental connection reads).
-func decodePayload(typ byte, payload []byte) (*Frame, error) {
-	r := &reader{b: payload}
-	f := &Frame{Type: typ}
+// decodePayloadInto is the one payload decoder: DecodeFrame,
+// Decoder.Decode and StreamReader.NextInto all end here, the header
+// already validated. It overwrites every field of *f, so that a frame
+// decoded in place is the frame a fresh decode returns. Requests are
+// decoded over what *f arrived holding (the Request it points at with its
+// item slices, the Reqs slice; a frame of another type drops them);
+// everything else is allocated. After an error *f holds nothing usable.
+func (r *reader) decodePayloadInto(f *Frame, typ byte, payload []byte) error {
+	r.b, r.i, r.left = payload, 0, 1
+	req, reqs := f.Req, f.Reqs
+	*f = Frame{Type: typ}
 	var err error
+	if typ == TypeStreamRequest || typ == TypeStreamResponse {
+		if f.StreamID, err = r.uvarint(); err != nil {
+			return err
+		}
+	}
 	switch typ {
-	case TypeRequest:
-		f.Req, err = decodeRequestPayload(r)
+	case TypeRequest, TypeStreamRequest:
+		if f.Req = req; req == nil {
+			f.Req = new(Request)
+		}
+		err = decodeRequestInto(r, f.Req)
 	case TypeBatchRequest:
 		var n int
-		if n, err = r.count(2); err == nil {
-			f.Reqs = make([]Request, 0, n)
+		if n, err = r.count(2, r.maxItems); err == nil {
+			if reqs == nil || cap(reqs) < n {
+				reqs = make([]Request, n) // never nil: an empty batch is an empty slice
+			}
+			f.Reqs = reqs[:n]
+			clear(f.Reqs) // no item may find the storage it held in the last frame
 			for i := 0; i < n && err == nil; i++ {
-				var req *Request
-				if req, err = decodeRequestPayload(r); err == nil {
-					f.Reqs = append(f.Reqs, *req)
-				}
+				r.left = n - i
+				err = decodeRequestInto(r, &f.Reqs[i])
 			}
 		}
-	case TypeResponse:
-		f.Resp, err = decodeResponsePayload(r)
+	case TypeResponse, TypeStreamResponse:
+		f.Resp = new(Response)
+		err = decodeResponseInto(r, f.Resp)
 	case TypeBatchResponse:
 		var co uint64
 		if co, err = r.uvarint(); err == nil {
 			f.Coalesced = int(co)
 			var n int
-			if n, err = r.count(2); err == nil {
-				f.Resps = make([]Response, 0, n)
+			if n, err = r.count(2, 0); err == nil {
+				f.Resps = make([]Response, n)
 				for i := 0; i < n && err == nil; i++ {
-					var resp *Response
-					if resp, err = decodeResponsePayload(r); err == nil {
-						f.Resps = append(f.Resps, *resp)
-					}
+					r.left = n - i
+					err = decodeResponseInto(r, &f.Resps[i])
 				}
 			}
 		}
 	case TypeError:
 		f.Err, err = decodeErrorPayload(r)
-	case TypeStreamRequest:
-		f.StreamID, f.Req, err = decodeStreamRequestPayload(r)
-	case TypeStreamResponse:
-		f.StreamID, f.Resp, err = decodeStreamResponsePayload(r)
 	case TypeCredit:
 		f.Credit, err = r.uvarint()
 	case TypeGoaway:
@@ -598,12 +685,68 @@ func decodePayload(typ byte, payload []byte) (*Frame, error) {
 		err = fmt.Errorf("%w: unknown frame type %d", ErrMalformed, typ)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := r.done(); err != nil {
-		return nil, err
+	return r.done()
+}
+
+// frameInterners pools DecodeFrame's tables; each is empty while pooled.
+var frameInterners = sync.Pool{New: func() any { return interner{} }}
+
+// DecodeFrame decodes the first frame in data and returns it along with
+// the number of bytes consumed. The frame is the caller's: nothing in it
+// is decoded into again. Names are interned within a batch frame, where
+// they repeat; a single frame repeats next to nothing. A batch's items are
+// bounded by its payload only (a client trusts its own server's
+// responses); a server uses a Decoder with MaxItems.
+func DecodeFrame(data []byte) (*Frame, int, error) {
+	r, f := reader{}, new(Frame)
+	if len(data) > 3 && (data[3] == TypeBatchRequest || data[3] == TypeBatchResponse) {
+		r.in = frameInterners.Get().(interner)
+		defer func() { clear(r.in); frameInterners.Put(r.in) }()
 	}
-	return f, nil
+	n, err := r.decodeFrameInto(f, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	return f, n, nil
+}
+
+// A Decoder decodes request frames one after another into storage it
+// keeps, so that in steady state decoding them allocates nothing: the
+// frame Decode returns, and everything it points at, is valid until the
+// next Decode. Names are interned across frames (see maxInterned). The
+// zero value is ready to use; a Decoder is not safe for concurrent use.
+type Decoder struct {
+	// MaxItems, when positive, bounds the items of a TypeBatchRequest
+	// frame: a larger count fails with ErrTooLarge before anything is
+	// sized by it. Batch responses stay bounded by their payload alone.
+	MaxItems int
+
+	r     reader
+	frame Frame
+	req   Request
+	reqs  []Request
+}
+
+// Decode decodes the first frame in data and returns it along with the
+// number of bytes consumed. It invalidates the previous frame.
+func (d *Decoder) Decode(data []byte) (*Frame, int, error) {
+	r, f := &d.r, &d.frame
+	if r.in == nil {
+		r.in = interner{}
+	}
+	r.maxItems = d.MaxItems
+	r.vals, r.names, r.cands = r.vals[:0], r.names[:0], r.cands[:0]
+	f.Req, f.Reqs = &d.req, d.reqs
+	n, err := r.decodeFrameInto(f, data)
+	if f.Reqs != nil {
+		d.reqs = f.Reqs
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return f, n, nil
 }
 
 // DecodeAll decodes a body of one or more back-to-back frames. It

@@ -30,6 +30,10 @@ go test -race ./internal/offload/ ./internal/experiments/ \
 	./internal/client/ ./internal/faultnet/ ./internal/regiongen/ \
 	./internal/learn/ ./internal/wire/ ./internal/cluster/ \
 	./internal/metrics/
+# Recycling on the stream path is a race or nothing: a request or a
+# response decoded over while somebody still holds it.
+go test -race -count=20 -run 'TestStreamRequestRecycling' ./internal/server/
+go test -race -count=20 -run 'TestStreamResponsesStayIntact' ./internal/client/
 
 echo "== fuzz smoke (10s per parser) =="
 # Short randomized runs on top of the checked-in seed corpora, one
@@ -41,6 +45,7 @@ go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 10s ./internal/trace/
 go test -run '^$' -fuzz '^FuzzLearnSnapshot$' -fuzztime 10s ./internal/learn/
 go test -run '^$' -fuzz '^FuzzWireFrame$' -fuzztime 10s ./internal/wire/
 go test -run '^$' -fuzz '^FuzzStreamFrame$' -fuzztime 10s ./internal/wire/
+go test -run '^$' -fuzz '^FuzzDecoderReuse$' -fuzztime 10s ./internal/wire/
 go test -run '^$' -fuzz '^FuzzGossipFrame$' -fuzztime 10s ./internal/wire/
 
 echo "== perf smoke: cached vs interpreted-model launch =="
