@@ -2,7 +2,8 @@ GO ?= go
 
 .PHONY: check test race chaos fuzz bench bench-paper vet build api loc
 
-# The full verification gate: vet + build + tests (+race) + perf smoke.
+# The full verification gate: vet + build + tests (+race, fuzz) + allocs
+# gates + daemon and cluster smokes.
 check:
 	./scripts/check.sh
 

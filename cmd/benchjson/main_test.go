@@ -6,8 +6,7 @@ import (
 )
 
 // TestParseKeepsMedianSample: a -count=3 run collapses to one line per
-// benchmark, the median by ns/op with that run's other metrics, and the
-// summary ratios are computed from those medians.
+// benchmark, the median by ns/op with that run's other metrics.
 func TestParseKeepsMedianSample(t *testing.T) {
 	const out = `goos: linux
 cpu: test
@@ -24,12 +23,12 @@ PASS
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Benchmarks) != 3 || l.Benchmarks[0].Name != serveJSONSingle ||
+	if len(l.Benchmarks) != 3 || l.Benchmarks[0].Name != "BenchmarkServeJSONSingle" ||
 		l.Benchmarks[0].DecisionsPerSec != 20000 || l.Benchmarks[1].DecisionsPerSec != 80000 ||
 		l.Benchmarks[2].NsPerOp != 100 {
 		t.Fatalf("benchmarks: %+v", l.Benchmarks)
 	}
-	if got := l.Summary.StreamVsJSONSingle; got != 4 {
-		t.Fatalf("stream/json single = %v, want 4 (median ÷ median)", got)
+	if l.Benchmarks[0].AllocsPerOp != 10 || l.Benchmarks[1].AllocsPerOp != 5 {
+		t.Fatalf("allocs/op: %+v", l.Benchmarks)
 	}
 }

@@ -192,9 +192,9 @@ func main() {
 		fatal(err)
 	}
 	how := "CPU host"
-	if out.Target == offload.TargetGPU {
+	if out.Target == offload.KindGPU {
 		how = "GPU offload"
-	} else if out.Target == offload.TargetSplit {
+	} else if out.Target == offload.KindSplit {
 		how = "cooperative split"
 	}
 	fmt.Printf("\n=== Decision: %s (%s, policy %s) ===\n",

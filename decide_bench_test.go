@@ -10,24 +10,23 @@ import (
 )
 
 // The decide benchmarks measure the decision hot path itself — no
-// simulated execution — in its four interesting states: compiled vs
-// interpreted model evaluation (uncached), and cache-hit lookups for
-// Predict and Decide. scripts/bench.sh runs them with -benchmem and
-// freezes the results into BENCH_decide.json; the check gate recomputes
-// the compiled-vs-interpreted ratios (machine-independent) and fails on
-// regression.
+// simulated execution — in its three interesting states: a model
+// evaluation through the slot programs (uncached), and cache-hit lookups
+// for Predict and Decide. scripts/bench.sh runs them with -benchmem and
+// freezes the results into BENCH_decide.json; the check gate compares
+// their allocs/op (machine-independent) and fails on regression. Timing
+// claims live in bench/ (BENCHMARK.json), not here.
 //
 // decideKernels is a small cross-section of the suite: a dense matrix
 // kernel, a bandwidth-bound vector kernel and a stencil, so the headline
 // ratios do not hinge on one kernel's expression shapes.
 var decideKernels = []string{"gemm", "mvt1", "2dconv"}
 
-func decideRuntime(b *testing.B, cacheSize int, interpreted bool) []*offload.Region {
+func decideRuntime(b *testing.B, cacheSize int) []*offload.Region {
 	b.Helper()
 	rt := offload.NewRuntime(offload.Config{
-		Platform:              machine.PlatformP9V100(),
-		DecisionCacheSize:     cacheSize,
-		DisableCompiledModels: interpreted,
+		Platform:          machine.PlatformP9V100(),
+		DecisionCacheSize: cacheSize,
 	})
 	regions := make([]*offload.Region, len(decideKernels))
 	for i, name := range decideKernels {
@@ -38,15 +37,14 @@ func decideRuntime(b *testing.B, cacheSize int, interpreted bool) []*offload.Reg
 		if regions[i], err = rt.Register(k.IR); err != nil {
 			b.Fatal(err)
 		}
-		if !interpreted && !regions[i].Compiled() {
-			b.Fatalf("%s did not compile", name)
-		}
 	}
 	return regions
 }
 
-func benchPredictUncached(b *testing.B, interpreted bool) {
-	regions := decideRuntime(b, -1, interpreted) // cache disabled: every call evaluates the models
+// BenchmarkPredictUncached is the headline number: one full model-pair
+// evaluation through the per-region slot programs.
+func BenchmarkPredictUncached(b *testing.B) {
+	regions := decideRuntime(b, -1) // cache disabled: every call evaluates the models
 	bind := symbolic.Bindings{"n": 1100}
 	for _, r := range regions { // shake out one-time work
 		if _, _, err := r.Predict(bind); err != nil {
@@ -62,19 +60,10 @@ func benchPredictUncached(b *testing.B, interpreted bool) {
 	}
 }
 
-// BenchmarkPredictUncached is the headline number: one full model-pair
-// evaluation through the compiled per-region decision programs.
-func BenchmarkPredictUncached(b *testing.B) { benchPredictUncached(b, false) }
-
-// BenchmarkPredictUncachedInterpreted is the same workload through the
-// interpreted models (DisableCompiledModels) — the baseline the compiled
-// path is measured against.
-func BenchmarkPredictUncachedInterpreted(b *testing.B) { benchPredictUncached(b, true) }
-
 // BenchmarkPredictCached measures the memoized lookup: hash the slot
 // vector, confirm the key in place, return the stored predictions.
 func BenchmarkPredictCached(b *testing.B) {
-	regions := decideRuntime(b, 0, false)
+	regions := decideRuntime(b, 0)
 	bind := symbolic.Bindings{"n": 1100}
 	for _, r := range regions {
 		if _, _, err := r.Predict(bind); err != nil {
@@ -91,9 +80,9 @@ func BenchmarkPredictCached(b *testing.B) {
 }
 
 // BenchmarkDecideCached measures the steady-state decision service:
-// cache hit, policy already applied, decision log append.
+// cache hit, policy already applied.
 func BenchmarkDecideCached(b *testing.B) {
-	regions := decideRuntime(b, 0, false)
+	regions := decideRuntime(b, 0)
 	bind := symbolic.Bindings{"n": 1100}
 	for _, r := range regions { // warm: first Decide runs the policy
 		if _, err := r.Decide(bind); err != nil {
@@ -113,7 +102,7 @@ func BenchmarkDecideCached(b *testing.B) {
 // GOMAXPROCS goroutines across regions: the sharded decision cache
 // should scale instead of serializing on a region mutex.
 func BenchmarkDecideCachedParallel(b *testing.B) {
-	regions := decideRuntime(b, 0, false)
+	regions := decideRuntime(b, 0)
 	bind := symbolic.Bindings{"n": 1100}
 	for _, r := range regions {
 		if _, err := r.Decide(bind); err != nil {

@@ -34,7 +34,7 @@ func main() {
 		"gemm: model-guided target across problem sizes (POWER9 + V100)",
 		"n", "pred cpu", "pred gpu", "target", "executed")
 	var flipped string
-	prev := offload.TargetCPU
+	prev := offload.KindCPU
 	for _, n := range []int64{16, 32, 64, 128, 256, 512, 1024, 2048} {
 		out, err := rt.Launch("gemm", map[string]int64{"n": n})
 		if err != nil {
@@ -45,7 +45,7 @@ func main() {
 			fmt.Sprintf("%.3gs", out.PredGPUSeconds),
 			out.Target.String(),
 			fmt.Sprintf("%.3gs", out.ActualSeconds))
-		if out.Target == offload.TargetGPU && prev == offload.TargetCPU && flipped == "" {
+		if out.Target == offload.KindGPU && prev == offload.KindCPU && flipped == "" {
 			flipped = fmt.Sprintf("selector crosses over to the GPU at n=%d", n)
 		}
 		prev = out.Target

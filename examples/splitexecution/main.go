@@ -44,16 +44,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cpuOnly, err := rt.Execute(name, offload.TargetCPU, b)
+		cpuOnly, err := rt.ExecuteTarget(name, offload.TargetIDCPUBase, b)
 		if err != nil {
 			log.Fatal(err)
 		}
-		gpuOnly, err := rt.Execute(name, offload.TargetGPU, b)
+		gpuOnly, err := rt.ExecuteTarget(name, offload.TargetIDGPUBase, b)
 		if err != nil {
 			log.Fatal(err)
 		}
 		share := "-"
-		if out.Target == offload.TargetSplit {
+		if out.Target == offload.KindSplit {
 			share = fmt.Sprintf("%.0f%%", out.SplitFraction*100)
 		}
 		t.AddRow(name, out.Target.String(), share,

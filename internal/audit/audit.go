@@ -130,8 +130,8 @@ type Verdict struct {
 	// and BestID carry the registry target IDs — the authoritative
 	// comparison in an N-way registry (two targets of the same kind are
 	// different verdicts by ID but not by kind).
-	Chosen   offload.Target
-	Best     offload.Target
+	Chosen   offload.TargetKind
+	Best     offload.TargetKind
 	ChosenID string
 	BestID   string
 	// Targets holds every registered target's measurement, in registry
@@ -233,7 +233,7 @@ func (a *Auditor) Observer(next func(offload.Decision)) func(offload.Decision) {
 func (a *Auditor) Offer(d offload.Decision) {
 	// Only single-target decisions have a counterfactual to audit:
 	// oracle and split launches already execute both targets.
-	if d.Target != offload.TargetCPU && d.Target != offload.TargetGPU {
+	if d.Target == offload.KindSplit {
 		return
 	}
 	if d.Policy == offload.Oracle {
@@ -361,7 +361,7 @@ func (a *Auditor) audit(d offload.Decision) {
 		return
 	}
 	v.BestID = v.Targets[best].Target
-	v.Best = reg.At(best).Kind.LegacyTarget()
+	v.Best = reg.At(best).Kind
 	v.Mispredict = v.ChosenID != v.BestID
 	if v.Mispredict {
 		v.RegretSeconds = v.Targets[chosen].ActualSeconds - v.Targets[best].ActualSeconds

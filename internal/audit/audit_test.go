@@ -90,7 +90,7 @@ func TestCalibratorEWMA(t *testing.T) {
 		{Target: cpuID, Kind: offload.KindCPU, PredSeconds: 10, CalSeconds: 10},
 		{Target: gpuID, Kind: offload.KindGPU, PredSeconds: 10, CalSeconds: 10},
 	}
-	c.Correct("r", cands)
+	c.CorrectFeatures("r", offload.Features{}, cands)
 	if math.Abs(cands[0].CalSeconds-20) > 1e-9 || math.Abs(cands[1].CalSeconds-5) > 1e-9 {
 		t.Fatalf("Correct = %v, %v", cands[0].CalSeconds, cands[1].CalSeconds)
 	}
@@ -132,7 +132,7 @@ func TestCalibratorEWMA(t *testing.T) {
 		t.Fatalf("unaudited factors %v %v %d", a, b, n)
 	}
 	other := []offload.Candidate{{Target: cpuID, PredSeconds: 3, CalSeconds: 3}}
-	c.Correct("other", other)
+	c.CorrectFeatures("other", offload.Features{}, other)
 	if other[0].CalSeconds != 3 {
 		t.Fatalf("unaudited Correct %v", other[0].CalSeconds)
 	}
@@ -175,9 +175,9 @@ func TestInlineAuditAccounting(t *testing.T) {
 	}
 	for _, v := range verdicts {
 		// Best is the measured-faster target; regret only on mispredicts.
-		best := offload.TargetCPU
+		best := offload.KindCPU
 		if v.ActualGPUSeconds < v.ActualCPUSeconds {
-			best = offload.TargetGPU
+			best = offload.KindGPU
 		}
 		if v.Best != best {
 			t.Fatalf("%s: best %v, actuals cpu=%v gpu=%v",
@@ -235,7 +235,7 @@ func TestOfferSkipsOracleAndMultiTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Offer(out.Decision)
-	a.Offer(offload.Decision{Region: "gemm", Target: offload.TargetSplit})
+	a.Offer(offload.Decision{Region: "gemm", Target: offload.KindSplit})
 	if rep := a.Report(); rep.Offered != 0 || rep.Samples != 0 {
 		t.Fatalf("oracle/split decisions audited: %+v", rep)
 	}
@@ -266,17 +266,17 @@ func TestCalibrationFlipsMispredictedKernel(t *testing.T) {
 	// Establish the precondition: the model must actually mispredict
 	// here. If the models or simulators change this point, pick another
 	// from the mispredict scan rather than weakening the test.
-	actCPU, err := rt.Execute("mvt1", offload.TargetCPU, b)
+	actCPU, err := rt.ExecuteTarget("mvt1", offload.TargetIDCPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	actGPU, err := rt.Execute("mvt1", offload.TargetGPU, b)
+	actGPU, err := rt.ExecuteTarget("mvt1", offload.TargetIDGPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := offload.TargetCPU
+	best := offload.KindCPU
 	if actGPU < actCPU {
-		best = offload.TargetGPU
+		best = offload.KindGPU
 	}
 	if first.Target == best {
 		t.Skipf("model no longer mispredicts mvt1 n=1100 at 4 threads "+
@@ -337,7 +337,7 @@ func TestAsyncNonBlockingDrop(t *testing.T) {
 	// First offer reaches the worker and stalls in OnVerdict.
 	a.Offer(offload.Decision{
 		Region: "gemm", Bindings: symbolic.Bindings{"n": 64},
-		Policy: offload.ModelGuided, Target: offload.TargetCPU,
+		Policy: offload.ModelGuided, Target: offload.KindCPU,
 		TargetID:       offload.TargetIDCPUBase,
 		PredCPUSeconds: 1, PredGPUSeconds: 1,
 	})
@@ -349,7 +349,7 @@ func TestAsyncNonBlockingDrop(t *testing.T) {
 	for i := 0; i < extra; i++ {
 		a.Offer(offload.Decision{
 			Region: "gemm", Bindings: symbolic.Bindings{"n": int64(100 + i)},
-			Policy: offload.ModelGuided, Target: offload.TargetCPU,
+			Policy: offload.ModelGuided, Target: offload.KindCPU,
 			TargetID:       offload.TargetIDCPUBase,
 			PredCPUSeconds: 1, PredGPUSeconds: 1,
 		})
@@ -368,7 +368,7 @@ func TestAsyncNonBlockingDrop(t *testing.T) {
 	// Offers after Close are dropped, not audited and not deadlocked.
 	a.Offer(offload.Decision{
 		Region: "gemm", Bindings: symbolic.Bindings{"n": 9999},
-		Policy: offload.ModelGuided, Target: offload.TargetCPU,
+		Policy: offload.ModelGuided, Target: offload.KindCPU,
 		TargetID:       offload.TargetIDCPUBase,
 		PredCPUSeconds: 1, PredGPUSeconds: 1,
 	})
@@ -392,7 +392,7 @@ func TestConcurrentOfferClose(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				a.Offer(offload.Decision{
 					Region: "gemm", Bindings: symbolic.Bindings{"n": int64(64 + g*50 + i)},
-					Policy: offload.ModelGuided, Target: offload.TargetGPU,
+					Policy: offload.ModelGuided, Target: offload.KindGPU,
 					TargetID:       offload.TargetIDGPUBase,
 					PredCPUSeconds: 1, PredGPUSeconds: 1,
 				})

@@ -43,8 +43,8 @@ type calState struct {
 type targetCal struct {
 	n    uint64
 	ewma float64
-	// fac caches exp(ewma) so Correct stays multiplication-only on the
-	// decision hot path.
+	// fac caches exp(ewma) so CorrectFeatures stays multiplication-only
+	// on the decision miss path.
 	fac float64
 }
 
@@ -101,22 +101,21 @@ func relChange(old, new float64) float64 {
 	return math.Abs(new-old) / old
 }
 
-// Correct implements offload.Calibrator: it scales each candidate's
-// calibrated seconds by its target's current correction factor (identity
-// for targets never audited).
-func (c *Calibrator) Correct(region string, cands []offload.Candidate) {
+// CorrectFeatures implements offload.Calibrator: it scales each
+// candidate's calibrated seconds by its target's current correction
+// factor (identity for targets never audited). The scalar correction does
+// not read the features; the verdict stays analytical.
+func (c *Calibrator) CorrectFeatures(region string, _ offload.Features, cands []offload.Candidate) string {
 	c.mu.RLock()
-	s := c.regions[region]
-	if s == nil {
-		c.mu.RUnlock()
-		return
-	}
-	for i := range cands {
-		if t := s.targets[cands[i].Target]; t != nil {
-			cands[i].CalSeconds = cands[i].PredSeconds * t.fac
+	defer c.mu.RUnlock()
+	if s := c.regions[region]; s != nil {
+		for i := range cands {
+			if t := s.targets[cands[i].Target]; t != nil {
+				cands[i].CalSeconds = cands[i].PredSeconds * t.fac
+			}
 		}
 	}
-	c.mu.RUnlock()
+	return offload.ProvenanceAnalytical
 }
 
 // Factor returns one target's current correction factor for the region

@@ -20,8 +20,7 @@ type CompileInput struct {
 	Threads int
 
 	// Estimator defaults to MCAEstimator. Only MCAEstimator and FixedCPI
-	// compile; any other implementation returns an error, keeping such
-	// configurations on the interpreted path.
+	// compile; any other implementation returns an error.
 	Estimator CPIEstimator
 
 	// IPDA is the compiled stride analysis (nil models the interpreted
@@ -83,8 +82,8 @@ func (f fixedEstCompiled) cycles(vals []int64, branchProb float64, defaultTrip i
 	return l.Total() * f.cpi
 }
 
-// Compile specializes the Liao model to the region. It fails — sending
-// the region to the interpreted path — when the iteration space is not
+// Compile specializes the Liao model to the region. It fails — and with
+// it the region's registration — when the iteration space is not
 // resolvable from the raw parameters or the estimator is not a known
 // compilable implementation; this mirrors exactly the configurations
 // where the interpreted Predict would error or diverge.

@@ -95,11 +95,11 @@ func (r *Runner) AuditStudy(m polybench.Mode, threads, rounds int, rate float64)
 	res.Rows = make([]AuditRow, len(r.kernels))
 	err = r.forEachKernel(func(i int, k *polybench.Kernel) error {
 		b := k.Bindings(m)
-		actCPU, err := rtU.Execute(k.Name, offload.TargetCPU, b)
+		actCPU, err := rtU.ExecuteTarget(k.Name, offload.TargetIDCPUBase, b)
 		if err != nil {
 			return err
 		}
-		actGPU, err := rtU.Execute(k.Name, offload.TargetGPU, b)
+		actGPU, err := rtU.ExecuteTarget(k.Name, offload.TargetIDGPUBase, b)
 		if err != nil {
 			return err
 		}
@@ -120,10 +120,10 @@ func (r *Runner) AuditStudy(m polybench.Mode, threads, rounds int, rate float64)
 			// The two runtimes simulate identically, so the uncalibrated
 			// side's memoized actuals price both variants' choices.
 			chosenU, chosenC := actCPU, actCPU
-			if outU.Target == offload.TargetGPU {
+			if outU.Target == offload.KindGPU {
 				chosenU = actGPU
 			}
-			if outC.Target == offload.TargetGPU {
+			if outC.Target == offload.KindGPU {
 				chosenC = actGPU
 			}
 			row.TotalSeconds += chosenU

@@ -133,7 +133,7 @@ func (r *Runner) CPUSeconds(k *polybench.Kernel, m polybench.Mode,
 	if err != nil {
 		return 0, err
 	}
-	return rt.Execute(k.Name, offload.TargetCPU, k.Bindings(m))
+	return rt.ExecuteTarget(k.Name, offload.TargetIDCPUBase, k.Bindings(m))
 }
 
 // GPUSeconds returns the ground-truth offload time (kernel + transfer).
@@ -145,7 +145,7 @@ func (r *Runner) GPUSeconds(k *polybench.Kernel, m polybench.Mode,
 	if err != nil {
 		return 0, err
 	}
-	return rt.Execute(k.Name, offload.TargetGPU, k.Bindings(m))
+	return rt.ExecuteTarget(k.Name, offload.TargetIDGPUBase, k.Bindings(m))
 }
 
 // forEach runs fn over n work cells on a bounded worker pool, returning

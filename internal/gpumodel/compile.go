@@ -61,9 +61,9 @@ type Compiled struct {
 	defaultTrip int64
 }
 
-// Compile specializes the model to the region. It fails — keeping the
-// region interpreted — exactly when the interpreted Predict would error
-// per call: unresolvable iteration space or array sizes, or an IPDA
+// Compile specializes the model to the region. It fails — and with it
+// the region's registration — exactly when the interpreted Predict would
+// error per call: unresolvable iteration space or array sizes, or an IPDA
 // coalescing source with no analysis supplied.
 func Compile(in CompileInput) (*Compiled, error) {
 	if in.Kernel == nil || in.GPU == nil {

@@ -17,8 +17,8 @@ import (
 // Whether a stride Eval succeeds depends only on the bound-name set, so
 // it is decided here at compile time: thread strides are required to
 // resolve (an unresolvable one would make the interpreted GPUCoalescing
-// error — such regions must stay on the interpreted path, so CompileResult
-// rejects them); inner and outer strides get an ok flag because the
+// error under the region's own parameters, so CompileResult rejects
+// them); inner and outer strides get an ok flag because the
 // interpreted paths treat their failures as behavior, not errors.
 type CompiledResult struct {
 	Sites []CompiledSite

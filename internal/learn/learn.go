@@ -221,7 +221,7 @@ func (m *model) variance() float64 {
 }
 
 // Learner is the online residual learner. It implements
-// offload.Corrector (wire as offload.Config.Calibrator) and
+// offload.Calibrator (wire as offload.Config.Calibrator) and
 // audit.VerdictLearner (wire as audit.Config.Learner). Safe for
 // concurrent use.
 type Learner struct {
@@ -240,7 +240,7 @@ type Learner struct {
 }
 
 var (
-	_ offload.Corrector    = (*Learner)(nil)
+	_ offload.Calibrator   = (*Learner)(nil)
 	_ audit.VerdictLearner = (*Learner)(nil)
 )
 
@@ -304,11 +304,11 @@ func (l *Learner) confidentLocked(region, target string) *model {
 	return nil
 }
 
-// CorrectFeatures implements offload.Corrector: when every candidate
+// CorrectFeatures implements offload.Calibrator: when every candidate
 // target has a confident model, each candidate's CalSeconds becomes
 // PredSeconds times its learned multiplier and the verdict is learned;
 // otherwise the whole verdict delegates to the Fallback calibrator
-// (identity without one) and stays analytical. Gating is whole-verdict:
+// (identity without one) and carries its provenance. Gating is whole-verdict:
 // mixing learned and EWMA-scaled seconds inside one ranking would
 // compare incommensurable corrections.
 func (l *Learner) CorrectFeatures(region string, f offload.Features, cands []offload.Candidate) string {
@@ -336,7 +336,7 @@ func (l *Learner) CorrectFeatures(region string, f offload.Features, cands []off
 	if !confident {
 		l.analytical.Add(1)
 		if l.cfg.Fallback != nil {
-			l.cfg.Fallback.Correct(region, cands)
+			return l.cfg.Fallback.CorrectFeatures(region, f, cands)
 		}
 		return offload.ProvenanceAnalytical
 	}
@@ -345,15 +345,6 @@ func (l *Learner) CorrectFeatures(region string, f offload.Features, cands []off
 	}
 	l.learned.Add(1)
 	return offload.ProvenanceLearned
-}
-
-// Correct implements the plain offload.Calibrator half of the Corrector
-// contract by delegating to the Fallback — feature-less callers get the
-// analytical correction.
-func (l *Learner) Correct(region string, cands []offload.Candidate) {
-	if l.cfg.Fallback != nil {
-		l.cfg.Fallback.Correct(region, cands)
-	}
 }
 
 // ObserveVerdict implements audit.VerdictLearner: it folds every

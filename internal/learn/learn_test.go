@@ -155,7 +155,7 @@ func TestConfidenceGate(t *testing.T) {
 	if prov := l.CorrectFeatures(region, f, cands); prov != offload.ProvenanceAnalytical {
 		t.Fatalf("cold verdict provenance = %q", prov)
 	}
-	cal.Correct(region, want)
+	cal.CorrectFeatures(region, offload.Features{}, want)
 	for i := range cands {
 		if math.Float64bits(cands[i].CalSeconds) != math.Float64bits(want[i].CalSeconds) {
 			t.Fatalf("cold verdict does not match EWMA fallback: %v vs %v",

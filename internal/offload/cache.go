@@ -27,9 +27,9 @@ type decisionEntry struct {
 
 	// decided is set once a Launch has run the policy on this key.
 	decided bool
-	// targetIdx is the chosen target's registry index (-1 for a split).
+	// targetIdx is the chosen target's registry index (Registry.Len() for
+	// a split, the pseudo-target's dispatch slot).
 	targetIdx int
-	target    Target
 	// frac is the host share chosen by a split decision (0 otherwise).
 	frac float64
 	// prov is the decision's provenance (set with decided), so cache hits

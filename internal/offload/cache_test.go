@@ -58,11 +58,7 @@ func collidingEntry(hash uint64, i int, decided bool) decisionEntry {
 		decided: decided,
 	}
 	if decided {
-		if i%2 == 0 {
-			e.target = TargetCPU
-		} else {
-			e.target = TargetGPU
-		}
+		e.targetIdx = i % 2 // cpu/base for even keys, gpu/base for odd
 	}
 	return e
 }
@@ -104,7 +100,7 @@ func TestCacheHashCollision(t *testing.T) {
 	undecided := collidingEntry(h, 3, false)
 	dc.put(undecided)
 	ent, ok := dc.get(h, "n=3;")
-	if !ok || !ent.decided || ent.target != TargetGPU {
+	if !ok || !ent.decided || ent.targetIdx != 1 {
 		t.Fatalf("undecided refresh erased the decision: %+v", ent)
 	}
 	// Overflow the shard so eviction walks through the collision chain:
@@ -206,8 +202,8 @@ func TestCacheConcurrentCollisionStress(t *testing.T) {
 							t.Errorf("get n=%d served %v", n, ent.predCPU)
 							return
 						}
-						if ent.decided && (ent.target == TargetCPU) != (n%2 == 0) {
-							t.Errorf("get n=%d served wrong target %v", n, ent.target)
+						if ent.decided && ent.targetIdx != n%2 {
+							t.Errorf("get n=%d served wrong target %v", n, ent.targetIdx)
 							return
 						}
 					}
@@ -287,7 +283,7 @@ func TestCacheNodeReuse(t *testing.T) {
 		}
 	}
 	if want := entry(2); victim.key != want.key || victim.predCPU != want.predCPU ||
-		victim.target != want.target || len(victim.cands) != 1 || victim.cands[0] != want.cands[0] {
+		victim.targetIdx != want.targetIdx || len(victim.cands) != 1 || victim.cands[0] != want.cands[0] {
 		t.Fatalf("the copy of entry 2 taken before its node was reused changed: %+v", victim)
 	}
 	if want := entry(1); held.key != want.key || held.cands[0] != want.cands[0] {

@@ -1,24 +1,88 @@
 package offload
 
+import (
+	"github.com/hybridsel/hybridsel/internal/ipda"
+	"github.com/hybridsel/hybridsel/internal/symbolic"
+)
+
+// Decision provenance values: which correction stage produced the
+// ranking the verdict was taken from.
+const (
+	// ProvenanceAnalytical marks a verdict ranked by the analytical
+	// models, possibly scaled by the scalar EWMA calibration — the
+	// pre-learner behaviour, and the fallback whenever the learner's
+	// confidence gate does not pass.
+	ProvenanceAnalytical = "analytical"
+	// ProvenanceLearned marks a verdict whose ranking was corrected by a
+	// confident learned residual model for every candidate target.
+	ProvenanceLearned = "learned"
+)
+
+// Features is the fixed per-decision feature view handed to a Calibrator:
+// the launch-invariant analytical quantities a learner regresses
+// residuals over, evaluated by the same evaluator the decision itself
+// used. Per-target predicted seconds travel separately on each Candidate.
+type Features struct {
+	// Iterations is the region's full iteration-space size at the bound
+	// point (the product of loop trip counts).
+	Iterations int64 `json:"iterations"`
+	// TransferBytes is the host-device transfer volume the GPU model
+	// charges for the region.
+	TransferBytes int64 `json:"transferBytes"`
+	// CoalescedFrac is the IPDA stride analysis' weighted fraction of
+	// coalesced global-memory accesses in [0, 1].
+	CoalescedFrac float64 `json:"coalescedFrac"`
+}
+
 // Calibrator corrects analytical-model predictions with measured
-// feedback. The decide path calls Correct with the freshly evaluated
-// candidates just before ranking; implementations rewrite each
-// candidate's CalSeconds in place (candidates arrive with CalSeconds ==
-// PredSeconds) keyed by Candidate.Target. The raw PredSeconds must stay
-// untouched — logs and traces keep the raw model output; the calibrated
+// feedback. The decide path calls CorrectFeatures with the freshly
+// evaluated candidates and the decision's feature vector just before
+// ranking; implementations rewrite each candidate's CalSeconds in place
+// (candidates arrive with CalSeconds == PredSeconds) keyed by
+// Candidate.Target, and return the provenance recorded on the Decision:
+// ProvenanceLearned only when a confident learned correction was applied
+// to every candidate, ProvenanceAnalytical otherwise. The raw PredSeconds
+// must stay untouched — traces keep the raw model output; the calibrated
 // values only steer the ranking and policy. internal/audit provides the
-// standard implementation: a per-region, per-target EWMA multiplicative
-// correction fed by shadow audits.
+// per-region, per-target EWMA multiplicative correction fed by shadow
+// audits (it ignores the features), internal/learn the residual learner
+// that falls back to it.
 //
 // Implementations must be safe for concurrent use from many launching
-// goroutines, and cheap — Correct sits on the decision hot path.
+// goroutines, and cheap — CorrectFeatures sits on the decision miss path.
 //
 // A calibration update changes the inputs of future decisions but not of
 // already-memoized ones; whoever mutates the calibrator should call
 // Runtime.InvalidateDecisions (or Region.InvalidateDecisions) for the
 // affected region so stale cached verdicts are re-decided.
 type Calibrator interface {
-	Correct(region string, cands []Candidate)
+	CorrectFeatures(region string, f Features, cands []Candidate) string
+}
+
+// Features evaluates the region's decision feature vector at the bound
+// point — the inputs a Calibrator is handed.
+func (r *Region) Features(b symbolic.Bindings) (Features, error) {
+	ev := r.bind(b)
+	defer ev.release()
+	return ev.features()
+}
+
+// Features is the name-based wrapper around Region.Features.
+func (rt *Runtime) Features(name string, b symbolic.Bindings) (Features, error) {
+	r, err := rt.Region(name)
+	if err != nil {
+		return Features{}, err
+	}
+	return r.Features(b)
+}
+
+// warpGeom is the platform's warp geometry, the one the IPDA coalescing
+// analysis resolves strides against.
+func (rt *Runtime) warpGeom() ipda.WarpGeom {
+	return ipda.WarpGeom{
+		WarpSize:         rt.cfg.Platform.GPU.WarpSize,
+		TransactionBytes: rt.cfg.Platform.GPU.L2.LineBytes,
+	}
 }
 
 // InvalidateDecisions drops the region's memoized decisions so the next

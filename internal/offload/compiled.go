@@ -15,9 +15,8 @@ import (
 // targetProg is one registry target's compiled analytical model. Exactly
 // one of cpu/gpu is non-nil, matching the target's kind.
 type targetProg struct {
-	kind TargetKind
-	cpu  *cpumodel.Compiled
-	gpu  *gpumodel.Compiled
+	cpu *cpumodel.Compiled
+	gpu *gpumodel.Compiled
 }
 
 // compiledModels is a region's decision program: every registered
@@ -25,59 +24,40 @@ type targetProg struct {
 // descriptor and configuration. The expensive launch-invariant work —
 // MCA pipeline simulation, stride analysis compilation, expression
 // walking, binding canonicalization layout — happens once here per
-// target; each subsequent Predict is slot-vector polynomial evaluation
-// producing bit-for-bit the interpreted models' output (pinned by
-// TestCompiledRuntimeMatchesInterpreted). The kernel-shape analyses
+// target; each subsequent evaluation is slot-vector polynomial
+// evaluation producing bit-for-bit the map-form models' output (pinned
+// by the equivalence law in compiled_test.go). The kernel-shape analyses
 // (layout, augment, count, IPDA compilation) are shared across targets:
 // only the machine-specific model specialization is per-target.
 //
-// The fast path engages only when a launch's binding names are exactly
-// the kernel parameters (KeyLayout.Fill); anything else — extra names,
-// missing names, regions whose expressions are not resolvable from the
-// parameters alone, exotic estimators — falls back to the interpreted
-// path, which also owns all error reporting. Compilation is
-// all-or-nothing across targets: one target failing to compile sends
-// the whole region to the interpreted path, so the two paths always
-// agree on which targets exist.
+// Every registered region has one: compilation is all-or-nothing across
+// targets, and a region it rejects fails Register with ErrNotCompilable.
+// The programs price every launch whose binding names are exactly the
+// kernel parameters (KeyLayout.Fill); a launch under any other name set
+// is priced by the map-form evaluator, which also owns the reporting of
+// unbound symbols.
 type compiledModels struct {
 	layout *attrdb.KeyLayout
 	aug    *ir.Augment
-	// progs is indexed by registry position; baseCPU/baseGPU mirror the
-	// registry's first-of-kind indices (-1 when that kind is absent).
-	progs   []targetProg
-	baseCPU int
-	baseGPU int
-	nslots  int
-	pool    sync.Pool // of *slotVecs
+	// progs is indexed by registry position.
+	progs []targetProg
+	pool  sync.Pool // of *slotVecs
 
 	// Decision feature programs (see Region.Features): the iteration
 	// space and transfer-byte expressions as slot polynomials, and the
 	// compiled IPDA result for the coalesced fraction — evaluated only
-	// when a Corrector is configured.
+	// when a Calibrator is configured.
 	iterProg  symbolic.Compiled
 	bytesProg symbolic.Compiled
 	ipda      *ipda.CompiledResult
-	geom      ipda.WarpGeom
 }
-
-// slotVecs is the per-evaluation scratch state: the raw parameter vector,
-// its midpoint-augmented copy, a scratch vector the CPU model's edge
-// probes overwrite, and the per-target prediction vector predictAll
-// fills (indexed by registry position). Pooled so the steady-state
-// decision path allocates only on a cache miss.
-type slotVecs struct {
-	vals, mid, scratch []int64
-	preds              []float64
-}
-
-func (cm *compiledModels) getVecs() *slotVecs   { return cm.pool.Get().(*slotVecs) }
-func (cm *compiledModels) putVecs(sv *slotVecs) { cm.pool.Put(sv) }
 
 // compileRegion specializes every registered target's model for a region
-// at Register time. An error means the region stays on the interpreted
-// path — which is exactly the set of regions where the interpreted
-// path's per-launch validation (attrdb Resolve, model errors) can fire.
-func compileRegion(cfg *Config, reg *Registry, k *ir.Kernel, attrs *attrdb.RegionAttrs, an *ipda.Result) (*compiledModels, error) {
+// at Register time. The regions it rejects are exactly those where the
+// map-form evaluation's per-launch validation (attrdb Resolve, model
+// errors) could fire under the region's own parameter set.
+func compileRegion(r *Region) (*compiledModels, error) {
+	k, reg := r.Kernel, r.rt.targets
 	layout, err := attrdb.NewKeyLayout(k.Params)
 	if err != nil {
 		return nil, err
@@ -100,13 +80,12 @@ func compileRegion(cfg *Config, reg *Registry, k *ir.Kernel, attrs *attrdb.Regio
 			n++
 		}
 	}
-	// The interpreted decide path validates bindings via Attrs.Resolve
-	// before evaluating the models; its possible errors are the iteration
-	// space (gated by both model compilers), the thread strides (gated by
+	// The map-form evaluation validates bindings via Attrs.Resolve before
+	// evaluating the models; its possible errors are the iteration space
+	// (gated by both model compilers), the thread strides (gated by
 	// ipda.CompileResult) and the transfer-byte sum, gated here.
-	if !ir.Resolvable(attrs.TransferBytes, bound) {
-		return nil, fmt.Errorf("offload: compile %s: transfer bytes %s not resolvable from parameters",
-			k.Name, attrs.TransferBytes)
+	if !ir.Resolvable(r.Attrs.TransferBytes, bound) {
+		return nil, fmt.Errorf("transfer bytes %s not resolvable from parameters", r.Attrs.TransferBytes)
 	}
 	aug, augBound, err := ir.CompileAugment(k, slots, bound)
 	if err != nil {
@@ -116,203 +95,150 @@ func compileRegion(cfg *Config, reg *Registry, k *ir.Kernel, attrs *attrdb.Regio
 	if err != nil {
 		return nil, err
 	}
-	ic, err := ipda.CompileResult(an, slots, bound, augBound)
+	ic, err := ipda.CompileResult(r.Analysis, slots, bound, augBound)
 	if err != nil {
 		return nil, err
 	}
-	iterProg, err := symbolic.Compile(attrs.IterSpace, slots)
+	iterProg, err := symbolic.Compile(r.Attrs.IterSpace, slots)
 	if err != nil {
 		return nil, err
 	}
-	bytesProg, err := symbolic.Compile(attrs.TransferBytes, slots)
+	bytesProg, err := symbolic.Compile(r.Attrs.TransferBytes, slots)
 	if err != nil {
 		return nil, err
 	}
 	progs := make([]targetProg, reg.Len())
 	for i := range progs {
-		sp := reg.At(i)
+		sp := &reg.specs[i]
 		switch sp.Kind {
 		case KindCPU:
-			cpuC, err := cpumodel.Compile(cpumodel.CompileInput{
+			progs[i].cpu, err = cpumodel.Compile(cpumodel.CompileInput{
 				Kernel:      k,
 				CPU:         sp.CPU,
 				Threads:     sp.Threads,
-				Estimator:   cfg.Estimator,
 				IPDA:        ic,
 				Count:       count,
 				Augment:     aug,
 				Slots:       slots,
 				Bound:       bound,
 				AugBound:    augBound,
-				DefaultTrip: 128,
+				DefaultTrip: defaultTrip,
 			})
-			if err != nil {
-				return nil, fmt.Errorf("offload: compile %s for %s: %w", k.Name, sp.ID, err)
-			}
-			progs[i] = targetProg{kind: KindCPU, cpu: cpuC}
 		case KindGPU:
-			gpuC, err := gpumodel.Compile(gpumodel.CompileInput{
+			progs[i].gpu, err = gpumodel.Compile(gpumodel.CompileInput{
 				Kernel:      k,
 				GPU:         sp.GPU,
 				Link:        sp.Link,
-				Options:     *cfg.GPUOptions,
+				Options:     gpumodel.DefaultOptions(),
 				IPDA:        ic,
 				Count:       count,
 				Slots:       slots,
 				Bound:       bound,
-				DefaultTrip: 128,
+				DefaultTrip: defaultTrip,
 			})
-			if err != nil {
-				return nil, fmt.Errorf("offload: compile %s for %s: %w", k.Name, sp.ID, err)
-			}
-			progs[i] = targetProg{kind: KindGPU, gpu: gpuC}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("target %s: %w", sp.ID, err)
 		}
 	}
 	cm := &compiledModels{
 		layout:    layout,
 		aug:       aug,
 		progs:     progs,
-		baseCPU:   reg.baseCPU,
-		baseGPU:   reg.baseGPU,
-		nslots:    n,
 		iterProg:  iterProg,
 		bytesProg: bytesProg,
 		ipda:      ic,
-		geom: ipda.WarpGeom{
-			WarpSize:         cfg.Platform.GPU.WarpSize,
-			TransactionBytes: cfg.Platform.GPU.L2.LineBytes,
-		},
 	}
-	nt := len(progs)
 	cm.pool.New = func() any {
 		return &slotVecs{
+			r:       r,
+			cm:      cm,
 			vals:    make([]int64, n),
 			mid:     make([]int64, n),
 			scratch: make([]int64, n),
-			preds:   make([]float64, nt),
+			preds:   make([]float64, len(progs)),
 		}
 	}
 	return cm, nil
 }
 
-// features evaluates the decision feature vector over a filled slot
-// vector — the compiled counterpart of Region.featuresInterpreted.
-func (cm *compiledModels) features(sv *slotVecs) Features {
-	return Features{
-		Iterations:    cm.iterProg.Eval(sv.vals),
-		TransferBytes: cm.bytesProg.Eval(sv.vals),
-		CoalescedFrac: cm.ipda.CoalescedFraction(sv.vals, cm.geom),
-	}
+// slotVecs is the slot-program evaluator of one launch point and its
+// scratch state: the raw parameter vector, its midpoint-augmented copy, a
+// scratch vector the CPU model's edge probes overwrite, and the
+// per-target prediction vector predictAll fills (indexed by registry
+// position). Pooled per region, so the steady-state decision path
+// allocates only on a cache miss.
+type slotVecs struct {
+	r  *Region
+	cm *compiledModels
+
+	vals, mid, scratch []int64
+	preds              []float64
+	hash               uint64 // of vals; set by lookup
+
+	// primed reports that mid and branchProb hold this point's values;
+	// a cache hit never needs them, so the first model evaluation fills
+	// them.
+	primed     bool
+	branchProb float64
 }
 
-// predictOne evaluates one target's compiled model with the given work
-// fraction (0 = whole kernel).
-func (cm *compiledModels) predictOne(i int, sv *slotVecs, branchProb, frac float64) (float64, error) {
-	p := &cm.progs[i]
-	if p.kind == KindCPU {
-		cp, err := p.cpu.Predict(sv.vals, sv.mid, sv.scratch, branchProb, frac)
-		if err != nil {
-			return 0, wrapUnbound(err)
-		}
-		return cp.Seconds, nil
-	}
-	gp, err := p.gpu.Predict(sv.vals, sv.mid, branchProb, frac)
-	if err != nil {
-		return 0, wrapUnbound(err)
-	}
-	return gp.Seconds, nil
+// slots returns a pooled slot evaluator of the region, vals unfilled.
+func (r *Region) slots() *slotVecs {
+	sv := r.compiled.pool.Get().(*slotVecs)
+	sv.primed = false
+	return sv
 }
 
-// predictAll evaluates every target's compiled model over the current
-// slot vectors, filling sv.preds in registry order.
-func (cm *compiledModels) predictAll(sv *slotVecs, branchProb float64) error {
-	for i := range cm.progs {
-		s, err := cm.predictOne(i, sv, branchProb, 0)
+func (sv *slotVecs) release() { sv.cm.pool.Put(sv) }
+
+func (sv *slotVecs) lookup(c *decisionCache) (decisionEntry, bool) {
+	sv.hash = sv.cm.layout.Hash(sv.vals)
+	return c.getVec(sv.hash, sv.cm.layout, sv.vals)
+}
+
+func (sv *slotVecs) key() (string, uint64) { return sv.cm.layout.Key(sv.vals), sv.hash }
+
+// prime fills the midpoint vector and reads the branch probability once
+// per point. No validation of the values is needed: compileRegion proved
+// every expression resolvable from the parameters, and Fill (or the slot
+// count check of DecideVals) proved the parameters are what was bound.
+func (sv *slotVecs) prime() {
+	if sv.primed {
+		return
+	}
+	copy(sv.mid, sv.vals)
+	sv.cm.aug.Midpoint(sv.mid)
+	sv.branchProb = sv.r.branchProb()
+	sv.primed = true
+}
+
+func (sv *slotVecs) predictAt(i int, frac float64) (float64, error) {
+	sv.prime()
+	if p := &sv.cm.progs[i]; p.cpu != nil {
+		cp, err := p.cpu.Predict(sv.vals, sv.mid, sv.scratch, sv.branchProb, frac)
+		return cp.Seconds, wrapUnbound(err)
+	}
+	gp, err := sv.cm.progs[i].gpu.Predict(sv.vals, sv.mid, sv.branchProb, frac)
+	return gp.Seconds, wrapUnbound(err)
+}
+
+func (sv *slotVecs) predictAll() ([]float64, error) {
+	for i := range sv.preds {
+		s, err := sv.predictAt(i, 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sv.preds[i] = s
 	}
-	return nil
+	sv.r.rt.met.compiledEvals.Add(1)
+	return sv.preds, nil
 }
 
-// predictFraction is the compiled counterpart of Region.predictFraction:
-// the base CPU/GPU pair evaluated at a work split. sv.vals must hold the
-// raw parameter vector and sv.mid its midpoint-augmented copy. Callers
-// (the split planner) only reach here when both base kinds exist.
-func (cm *compiledModels) predictFraction(sv *slotVecs, branchProb, cpuFrac, gpuFrac float64) (cpuSec, gpuSec float64, err error) {
-	cp, err := cm.predictOne(cm.baseCPU, sv, branchProb, fracOrZero(cpuFrac))
-	if err != nil {
-		return 0, 0, err
-	}
-	gp, err := cm.predictOne(cm.baseGPU, sv, branchProb, fracOrZero(gpuFrac))
-	if err != nil {
-		return 0, 0, err
-	}
-	return cp, gp, nil
-}
-
-// bestSplit is the compiled counterpart of Region.bestSplit (same
-// bisection, same convergence).
-func (cm *compiledModels) bestSplit(sv *slotVecs, branchProb float64) (float64, error) {
-	lo, hi := 0.01, 0.99
-	cpuLo, gpuLo, err := cm.predictFraction(sv, branchProb, lo, 1-lo)
-	if err != nil {
-		return 0, err
-	}
-	cpuHi, gpuHi, err := cm.predictFraction(sv, branchProb, hi, 1-hi)
-	if err != nil {
-		return 0, err
-	}
-	if cpuLo >= gpuLo {
-		return 0, nil // CPU slower even with 1% of the work: all-GPU
-	}
-	if cpuHi <= gpuHi {
-		return 1, nil // CPU faster even with 99% of the work: all-CPU
-	}
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		c, g, err := cm.predictFraction(sv, branchProb, mid, 1-mid)
-		if err != nil {
-			return 0, err
-		}
-		if c < g {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
-// planSplit is the compiled counterpart of Region.planSplit.
-func (cm *compiledModels) planSplit(sv *slotVecs, branchProb, cpuPred, gpuPred float64) (Target, float64, error) {
-	f, err := cm.bestSplit(sv, branchProb)
-	if err != nil {
-		return 0, 0, err
-	}
-	const minGain = 0.10
-	useSplit := f > 0.03 && f < 0.97
-	if useSplit {
-		c, g, err := cm.predictFraction(sv, branchProb, f, 1-f)
-		if err != nil {
-			return 0, 0, err
-		}
-		makespan := maxf(c, g)
-		best := cpuPred
-		if gpuPred < best {
-			best = gpuPred
-		}
-		if makespan > best*(1-minGain) {
-			useSplit = false
-		}
-	}
-	switch {
-	case useSplit:
-		return TargetSplit, f, nil
-	case gpuPred < cpuPred:
-		return TargetGPU, 0, nil
-	default:
-		return TargetCPU, 0, nil
-	}
+func (sv *slotVecs) features() (Features, error) {
+	return Features{
+		Iterations:    sv.cm.iterProg.Eval(sv.vals),
+		TransferBytes: sv.cm.bytesProg.Eval(sv.vals),
+		CoalescedFrac: sv.cm.ipda.CoalescedFraction(sv.vals, sv.r.rt.warpGeom()),
+	}, nil
 }

@@ -16,6 +16,10 @@ var (
 	ErrUnknownRegion = errors.New("offload: unknown region")
 	// ErrDuplicateRegion reports a second registration of a region name.
 	ErrDuplicateRegion = errors.New("offload: region already registered")
+	// ErrNotCompilable reports a kernel whose models cannot be
+	// specialized to slot programs at Register time: some expression the
+	// decision needs is not resolvable from the kernel's parameters alone.
+	ErrNotCompilable = errors.New("offload: region not compilable")
 	// ErrUnboundSymbol reports runtime bindings that are missing a value
 	// one of the region's symbolic attributes needs (an array size or
 	// loop trip count the compiler transformation must supply).

@@ -2,6 +2,7 @@ package offload
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -14,7 +15,6 @@ type counters struct {
 	decides       metrics.Counter
 	predictions   metrics.Counter
 	compiledEvals metrics.Counter
-	dispatch      [3]metrics.Counter // indexed by Target
 
 	decisionHits      metrics.Counter
 	decisionMisses    metrics.Counter
@@ -26,8 +26,8 @@ type counters struct {
 }
 
 // RegisterMetrics declares the runtime's series (hybridsel_ namespace) on
-// s: the counters above, the per-target dispatch counts, and gauges read
-// off the region table at scrape time.
+// s: the counters above, the per-target dispatch counts (and their sums by
+// kind), and gauges read off the region table at scrape time.
 func (rt *Runtime) RegisterMetrics(s *metrics.Set) {
 	m := &rt.met
 	regions := s.Rows("hybridsel_regions", "gauge", "Registered target regions.")
@@ -37,14 +37,11 @@ func (rt *Runtime) RegisterMetrics(s *metrics.Set) {
 		"Analytical model-pair evaluations performed.", &m.predictions)
 	s.Counter("hybridsel_compiled_model_evaluations_total",
 		"Model-pair evaluations served by the compiled decision programs.", &m.compiledEvals)
-	compiled := s.Rows("hybridsel_compiled_regions", "gauge", "Registered regions whose decision path is compiled.")
-	for _, t := range []Target{TargetCPU, TargetGPU, TargetSplit} {
-		s.Counter("hybridsel_dispatch_total", "Completed launches by execution target.",
-			&m.dispatch[t], "target", t.String())
-	}
+	byKind := s.Rows("hybridsel_dispatch_total", "counter", "Completed launches by execution target.")
 	for i := range rt.dispatchID {
+		id, _ := rt.dispatchTarget(i)
 		s.Counter("hybridsel_dispatch_target_total", "Completed launches by registry target ID.",
-			&rt.dispatchID[i], "target", rt.dispatchTargetID(i))
+			&rt.dispatchID[i], "target", id)
 	}
 	s.Counter("hybridsel_decision_cache_hits_total",
 		"Decisions served from the memoized decision cache.", &m.decisionHits)
@@ -54,10 +51,17 @@ func (rt *Runtime) RegisterMetrics(s *metrics.Set) {
 		"Entries evicted from the bounded decision caches.", &m.decisionEvictions)
 	cacheEntries := s.Rows("hybridsel_decision_cache_entries", "gauge", "Live entries across all per-region decision caches.")
 	s.Collect(func() { // one walk of the region table per scrape
-		r, c, e := rt.regionGauges()
+		r, e := rt.regionGauges()
 		regions(float64(r))
-		compiled(float64(c))
 		cacheEntries(float64(e))
+		var n [KindSplit + 1]uint64
+		for i := range rt.dispatchID {
+			_, kind := rt.dispatchTarget(i)
+			n[kind] += rt.dispatchID[i].Load()
+		}
+		for kind := range n {
+			byKind(float64(n[kind]), "target", TargetKind(kind).String())
+		}
 	})
 	s.Counter("hybridsel_exec_cache_hits_total",
 		"Ground-truth executions served from the memoization cache.", &m.execHits)
@@ -81,17 +85,11 @@ type Metrics struct {
 	// (cache misses and standalone Predict calls).
 	Predictions uint64
 	// CompiledModelEvals counts the subset of Predictions served by the
-	// compiled (Register-time specialized) models rather than the
-	// interpreted ones.
+	// slot programs; the rest priced launches bound under names other
+	// than the region's parameters.
 	CompiledModelEvals uint64
-	// CompiledRegions is the number of registered regions whose decision
-	// path is compiled.
-	CompiledRegions int
-	// Dispatch counts completed launches per execution-target kind (the
-	// legacy binary view plus split); DispatchTargets counts them per
-	// registry target ID (plus the "split" pseudo-target), omitting
-	// zero rows.
-	Dispatch        map[Target]uint64
+	// DispatchTargets counts completed launches per registry target ID
+	// (plus the "split" pseudo-target), omitting zero rows.
 	DispatchTargets map[string]uint64
 
 	// Decision cache accounting. Every Launch and every decide-only call
@@ -121,25 +119,14 @@ func (m Metrics) Merge(o Metrics) Metrics {
 	m.Decides += o.Decides
 	m.Predictions += o.Predictions
 	m.CompiledModelEvals += o.CompiledModelEvals
-	m.CompiledRegions += o.CompiledRegions
-	dispatch := make(map[Target]uint64, len(m.Dispatch))
-	for t, n := range m.Dispatch {
-		dispatch[t] = n
+	byID := make(map[string]uint64, len(m.DispatchTargets))
+	for id, n := range m.DispatchTargets {
+		byID[id] = n
 	}
-	for t, n := range o.Dispatch {
-		dispatch[t] += n
+	for id, n := range o.DispatchTargets {
+		byID[id] += n
 	}
-	m.Dispatch = dispatch
-	if len(m.DispatchTargets) > 0 || len(o.DispatchTargets) > 0 {
-		byID := make(map[string]uint64, len(m.DispatchTargets))
-		for id, n := range m.DispatchTargets {
-			byID[id] = n
-		}
-		for id, n := range o.DispatchTargets {
-			byID[id] += n
-		}
-		m.DispatchTargets = byID
-	}
+	m.DispatchTargets = byID
 	m.DecisionCacheHits += o.DecisionCacheHits
 	m.DecisionCacheMisses += o.DecisionCacheMisses
 	m.DecisionCacheEvictions += o.DecisionCacheEvictions
@@ -159,8 +146,12 @@ func (m Metrics) String() string {
 	if m.Decides > 0 {
 		fmt.Fprintf(&sb, "  decide-only calls    %d\n", m.Decides)
 	}
-	fmt.Fprintf(&sb, "  dispatched           cpu %d, gpu %d, split %d\n",
-		m.Dispatch[TargetCPU], m.Dispatch[TargetGPU], m.Dispatch[TargetSplit])
+	ids := make([]string, 0, len(m.DispatchTargets))
+	for id := range m.DispatchTargets {
+		ids = append(ids, fmt.Sprintf("%s %d", id, m.DispatchTargets[id]))
+	}
+	sort.Strings(ids)
+	fmt.Fprintf(&sb, "  dispatched           %s\n", strings.Join(ids, ", "))
 	fmt.Fprintf(&sb, "  decision cache       %d hits, %d misses (%.1f%% hit rate), %d evictions, %d live\n",
 		m.DecisionCacheHits, m.DecisionCacheMisses,
 		rate(m.DecisionCacheHits, m.DecisionCacheMisses),
@@ -170,9 +161,9 @@ func (m Metrics) String() string {
 	fmt.Fprintf(&sb, "  model evaluations    %d (mean %v, max %v)\n",
 		m.Predictions, m.ModelEval.Mean().Round(time.Microsecond),
 		m.ModelEval.Max.Round(time.Microsecond))
-	if m.CompiledRegions > 0 || m.CompiledModelEvals > 0 {
-		fmt.Fprintf(&sb, "  compiled decisions   %d regions compiled, %d compiled evals\n",
-			m.CompiledRegions, m.CompiledModelEvals)
+	if m.Predictions > m.CompiledModelEvals {
+		fmt.Fprintf(&sb, "  foreign bindings     %d evaluations outside the slot programs\n",
+			m.Predictions-m.CompiledModelEvals)
 	}
 	if m.ModelEval.Count > 0 {
 		q := func(q float64) time.Duration { return m.ModelEval.Quantile(q).Round(time.Microsecond) }

@@ -11,28 +11,13 @@ import (
 // registry at exactly the classic CPU+GPU pair (the default), the ranked
 // verdict's top-1 must be bit-for-bit the historical binary rule
 // "offload iff gpuSec < cpuSec" — for every Polybench kernel, on both
-// paper platforms, in both dataset modes, through both the compiled and
-// the interpreted decision path.
+// paper platforms, in both dataset modes, through both evaluators.
 func TestClassicPairRankedParity(t *testing.T) {
-	platforms := []struct {
-		name string
-		p    machine.Platform
-	}{
-		{"p9-v100", machine.PlatformP9V100()},
-		{"p8-k80", machine.PlatformP8K80()},
-	}
-	for _, plat := range platforms {
-		for _, disable := range []bool{false, true} {
-			path := "compiled"
-			if disable {
-				path = "interpreted"
-			}
+	for _, plat := range lawPlatforms {
+		for _, path := range []string{"compiled", "interpreted"} {
 			t.Run(plat.name+"/"+path, func(t *testing.T) {
-				rt := NewRuntime(Config{
-					Platform:              plat.p,
-					Policy:                ModelGuided,
-					DisableCompiledModels: disable,
-				})
+				rt := NewRuntime(Config{Platform: plat.p, Policy: ModelGuided})
+				rt.mapEvalOnly = path == "interpreted"
 				if !rt.Targets().IsClassicPair() {
 					t.Fatal("default registry is not the classic pair")
 				}
@@ -47,9 +32,9 @@ func TestClassicPairRankedParity(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s/%v: predict: %v", k.Name, mode, err)
 						}
-						wantID, wantTarget := TargetIDCPUBase, TargetCPU
+						wantID, wantTarget := TargetIDCPUBase, KindCPU
 						if gpuSec < cpuSec {
-							wantID, wantTarget = TargetIDGPUBase, TargetGPU
+							wantID, wantTarget = TargetIDGPUBase, KindGPU
 						}
 						out, err := rt.Decide(k.Name, b)
 						if err != nil {
@@ -85,14 +70,9 @@ func TestClassicPairRankedParity(t *testing.T) {
 func TestSyntheticRankingTotalOrderAndStable(t *testing.T) {
 	plat := machine.PlatformP9V100()
 	reg := SyntheticTargets(plat, 160)
-	for _, disable := range []bool{false, true} {
-		rt := NewRuntime(Config{
-			Platform:              plat,
-			Threads:               160,
-			Policy:                ModelGuided,
-			Targets:               reg,
-			DisableCompiledModels: disable,
-		})
+	for _, mapForm := range []bool{false, true} {
+		rt := NewRuntime(Config{Platform: plat, Threads: 160, Policy: ModelGuided, Targets: reg})
+		rt.mapEvalOnly = mapForm
 		for _, name := range []string{"gemm", "mvt1", "2dconv", "atax2"} {
 			k, err := polybench.Get(name)
 			if err != nil {
@@ -161,48 +141,51 @@ func TestSyntheticRankingTotalOrderAndStable(t *testing.T) {
 	}
 }
 
-// TestCompiledSyntheticMatchesInterpreted extends the PR-4 cross-check
-// to N-way registries: per-target compiled programs must reproduce the
-// interpreted models' ranking bit-for-bit for every synthetic target,
-// not just the classic pair.
+// TestCompiledSyntheticMatchesInterpreted runs the equivalence law (see
+// compiled_test.go) over an N-way registry: the per-target slot programs
+// must reproduce the map-form models' ranking bit-for-bit for every
+// synthetic target, not just the classic pair, under every calibrator.
 func TestCompiledSyntheticMatchesInterpreted(t *testing.T) {
-	for _, plat := range []machine.Platform{machine.PlatformP9V100(), machine.PlatformP8K80()} {
-		reg := SyntheticTargets(plat, 160)
-		crt := NewRuntime(Config{Platform: plat, Threads: 160, Targets: reg})
-		irt := NewRuntime(Config{Platform: plat, Threads: 160, Targets: reg,
-			DisableCompiledModels: true})
-		for _, k := range polybench.Suite() {
-			cr, err := crt.Register(k.IR)
-			if err != nil {
-				t.Fatalf("%s: %v", k.Name, err)
-			}
-			if !cr.Compiled() {
-				t.Fatalf("%s: synthetic registry did not compile", k.Name)
-			}
-			if _, err := irt.Register(k.IR); err != nil {
-				t.Fatalf("%s: %v", k.Name, err)
-			}
-			for _, mode := range []polybench.Mode{polybench.Test, polybench.Benchmark} {
-				b := k.Bindings(mode)
-				cc, err := crt.PredictTargets(k.Name, b)
-				if err != nil {
-					t.Fatalf("%s/%v: compiled: %v", k.Name, mode, err)
-				}
-				ic, err := irt.PredictTargets(k.Name, b)
-				if err != nil {
-					t.Fatalf("%s/%v: interpreted: %v", k.Name, mode, err)
-				}
-				if len(cc) != len(ic) {
-					t.Fatalf("%s/%v: %d vs %d candidates", k.Name, mode, len(cc), len(ic))
-				}
-				for i := range cc {
-					if cc[i].Target != ic[i].Target || cc[i].PredSeconds != ic[i].PredSeconds {
-						t.Errorf("%s/%v: rank %d diverges: compiled %s %v, interpreted %s %v",
-							k.Name, mode, i,
-							cc[i].Target, cc[i].PredSeconds, ic[i].Target, ic[i].PredSeconds)
-					}
-				}
-			}
+	for _, plat := range lawPlatforms {
+		for _, cal := range lawCalibrators {
+			checkSuiteLaw(t, Config{Platform: plat.p, Threads: 160,
+				Targets: SyntheticTargets(plat.p, 160), Calibrator: cal},
+				polybench.Test, polybench.Benchmark)
+		}
+	}
+}
+
+// TestRegistryRejectsUnregistrableSpecs: a registry holds machines, and
+// the split pseudo-target is neither a registrable ID nor a registrable
+// kind — it exists only as the kind and ID of a cooperative verdict.
+func TestRegistryRejectsUnregistrableSpecs(t *testing.T) {
+	p := machine.PlatformP9V100()
+	cpu := TargetSpec{ID: TargetIDCPUBase, Kind: KindCPU, CPU: p.CPU}
+	for name, specs := range map[string][]TargetSpec{
+		"empty registry":      nil,
+		"empty ID":            {{Kind: KindCPU, CPU: p.CPU}},
+		"reserved split ID":   {{ID: TargetIDSplit, Kind: KindCPU, CPU: p.CPU}},
+		"split kind":          {{ID: "split/base", Kind: KindSplit, CPU: p.CPU, GPU: p.GPU}},
+		"cpu without machine": {{ID: "cpu/x", Kind: KindCPU}},
+		"gpu without machine": {{ID: "gpu/x", Kind: KindGPU}},
+		"duplicate ID":        {cpu, cpu},
+	} {
+		if g, err := NewRegistry(specs...); err == nil {
+			t.Errorf("%s: registered %v", name, g.IDs())
+		}
+	}
+	if _, err := NewRegistry(cpu); err != nil {
+		t.Fatalf("a one-target registry must build: %v", err)
+	}
+	// The kind's names are the wire vocabulary of /v1 and /v2 ("target",
+	// "kind") and of the trace: they must print what the binary enum
+	// printed, and round-trip through JSON.
+	for kind, want := range map[TargetKind]string{KindCPU: "cpu", KindGPU: "gpu", KindSplit: "split"} {
+		enc, err := kind.MarshalJSON()
+		var back TargetKind
+		if kind.String() != want || err != nil || string(enc) != `"`+want+`"` ||
+			back.UnmarshalJSON(enc) != nil || back != kind {
+			t.Errorf("kind %d: String %q, JSON %s (%v), back %d", kind, kind, enc, err, back)
 		}
 	}
 }

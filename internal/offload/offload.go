@@ -2,15 +2,24 @@
 // automatic target selection (Figure 2) as a concurrent decision service.
 //
 // Register plays the compiler role: it outlines a target region (an IR
-// kernel), generates both "code versions" (host and device execution
-// paths), runs the static analyses and stores their results in the
-// Program Attribute Database. It returns a *Region handle whose Launch
-// plays the OpenMP runtime role: on reaching a target region it binds the
-// runtime values, completes the CPU and GPU analytical models, picks the
-// target with the lower predicted time — solving two equations, so
-// decision time is negligible — and dispatches execution to the chosen
-// processor (the ground-truth simulators standing in for the physical
-// machines).
+// kernel), generates the "code versions" (one execution path per
+// registered target), runs the static analyses, stores their results in
+// the Program Attribute Database and specializes every target's
+// analytical model to the region as a slot program — a region the
+// specializer cannot take fails with ErrNotCompilable. It returns a
+// *Region handle whose Launch plays the OpenMP runtime role: on reaching
+// a target region it binds the runtime values, completes the models,
+// picks the target with the lowest predicted time — solving the stored
+// equations, so decision time is negligible — and dispatches execution to
+// the chosen processor (the ground-truth simulators standing in for the
+// physical machines).
+//
+// Targets are named by registry ID ("cpu/base", "gpu/prev", ...); a
+// target's kind (TargetKind: cpu, gpu, or split for a cooperative
+// verdict) is a projection of the chosen ID, not a second vocabulary.
+// There is one decide body: it runs over an evaluator of the bound launch
+// point, and the slot programs are the evaluator of every launch bound
+// under exactly the region's parameter names (evaluator.go has the other).
 //
 // The runtime is built for heavy concurrent traffic:
 //
@@ -25,8 +34,8 @@
 //     repeatedly under different policies.
 //   - Every stage is instrumented with lock-free counters and a
 //     model-evaluation latency histogram, exported via Metrics().
-//   - The decision log is sharded; DecisionLog() returns an immutable,
-//     launch-ordered snapshot.
+//   - Nothing is retained per launch: a caller that wants a decision
+//     log installs an Observer, which sees every completed Decision.
 //
 // Policies reproduce the paper's experimental configurations (see
 // policy.go): the compiler default of always offloading, the model-guided
@@ -44,37 +53,12 @@ import (
 	"time"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
-	"github.com/hybridsel/hybridsel/internal/cpumodel"
-	"github.com/hybridsel/hybridsel/internal/gpumodel"
 	"github.com/hybridsel/hybridsel/internal/ipda"
 	"github.com/hybridsel/hybridsel/internal/ir"
 	"github.com/hybridsel/hybridsel/internal/machine"
 	"github.com/hybridsel/hybridsel/internal/sim"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
-
-// Target is an execution destination.
-type Target int
-
-// Targets.
-const (
-	TargetCPU Target = iota
-	TargetGPU
-	// TargetSplit executes a leading fraction of the iteration space on
-	// the host concurrently with the rest on the device.
-	TargetSplit
-)
-
-// String names the target.
-func (t Target) String() string {
-	switch t {
-	case TargetGPU:
-		return "gpu"
-	case TargetSplit:
-		return "split"
-	}
-	return "cpu"
-}
 
 // defaultDecisionCacheSize bounds each region's decision cache unless the
 // Config overrides it.
@@ -125,26 +109,14 @@ type Config struct {
 	// only steer the ranking and policy.
 	Calibrator Calibrator
 
-	// GPUOptions default to the paper's configuration (IPDA coalescing,
-	// #OMP_Rep on, transfers included).
-	GPUOptions *gpumodel.Options
-	// Estimator defaults to the MCA-driven estimator.
-	Estimator cpumodel.CPIEstimator
-
-	// DisableCompiledModels forces every region onto the interpreted
-	// model-evaluation path, skipping the Register-time specialization.
-	// The compiled path is bit-for-bit identical to the interpreted one,
-	// so this exists only as a benchmarking baseline and escape hatch.
-	DisableCompiledModels bool
-
 	// Simulation fidelity knobs (defaults applied by the simulators).
 	CPUSim sim.CPUConfig
 	GPUSim sim.GPUConfig
 }
 
-// Region is one registered target region with its two generated versions,
+// Region is one registered target region with its generated versions,
 // stored attributes, and per-region caches. Handles are created by
-// Runtime.Register; their Launch/Predict/Execute methods skip the
+// Runtime.Register; their Launch/Predict/ExecuteTarget methods skip the
 // name-lookup of the equivalent Runtime methods.
 type Region struct {
 	Name     string
@@ -155,9 +127,7 @@ type Region struct {
 	rt *Runtime
 
 	// compiled holds the region's decision program, specialized at
-	// Register time (nil when compilation was disabled or the region's
-	// expressions are not resolvable from its parameters alone — such
-	// regions stay on the interpreted path).
+	// Register time.
 	compiled *compiledModels
 
 	// mu guards the per-region mutable state below (the decision cache
@@ -166,22 +136,20 @@ type Region struct {
 	mu      sync.Mutex
 	profile *ProfileData
 	exec    map[string]float64
-	// paramNames caches the sorted parameter names for interpreted
-	// regions (compiled regions read them off the key layout).
-	paramNames []string
 
 	decisions *decisionCache
 }
 
-// Decision records one launch for the decision log.
+// Decision records one launch or decide-only call, as handed to the
+// Observer and returned in the Outcome.
 type Decision struct {
 	Region   string
 	Bindings symbolic.Bindings
 	Policy   Policy
-	// Target is the chosen target's kind as the legacy binary enum
-	// (TargetSplit for a cooperative split); TargetID is its registry ID
-	// ("cpu/base", "gpu/prev", ..., or TargetIDSplit).
-	Target   Target
+	// TargetID is the chosen target's registry ID ("cpu/base",
+	// "gpu/prev", ..., or TargetIDSplit); Target is its kind (KindSplit
+	// for a cooperative split).
+	Target   TargetKind
 	TargetID string
 
 	// Candidates is the full ranked verdict: every registered target
@@ -204,8 +172,8 @@ type Decision struct {
 	CacheHit bool
 	// Provenance records which correction stage produced the ranking:
 	// ProvenanceAnalytical (models + EWMA calibration, the default) or
-	// ProvenanceLearned (a confident learned residual correction from a
-	// configured Corrector).
+	// ProvenanceLearned (a confident learned residual correction by the
+	// configured Calibrator).
 	Provenance string
 	// ActualSeconds is the executed (simulated) time of the chosen
 	// target; for Oracle both actuals are filled.
@@ -214,7 +182,8 @@ type Decision struct {
 	ActualGPUSeconds float64 // 0 if the base GPU target was not executed
 	DecisionOverhead time.Duration
 
-	// targetIdx is the chosen target's registry index (-1 for a split),
+	// targetIdx is the chosen target's registry index (Registry.Len(), the
+	// pseudo-target's dispatch slot, for a split),
 	// carried so dispatch accounting avoids an ID lookup.
 	targetIdx int
 }
@@ -251,18 +220,16 @@ type Runtime struct {
 	dispatchObs []DispatchObserver
 	hasDynamic  bool
 
-	// corrector is Config.Calibrator when it implements the feature-aware
-	// Corrector superset; such calibrators are consulted through
-	// CorrectFeatures (with the decision's feature vector) instead of
-	// Correct.
-	corrector Corrector
+	// mapEvalOnly prices every launch with the map-form evaluator. Only
+	// the in-package tests set it, to build the reference the slot
+	// programs are compared against.
+	mapEvalOnly bool
 
 	regmu   sync.RWMutex
 	regions map[string]*Region
 	db      *attrdb.DB
 
 	met counters
-	log decisionLog
 }
 
 // NewRuntime builds a runtime for the platform.
@@ -275,13 +242,6 @@ func NewRuntime(cfg Config) *Runtime {
 	}
 	if cfg.DecisionCacheSize == 0 {
 		cfg.DecisionCacheSize = defaultDecisionCacheSize
-	}
-	if cfg.GPUOptions == nil {
-		o := gpumodel.DefaultOptions()
-		cfg.GPUOptions = &o
-	}
-	if cfg.Estimator == nil {
-		cfg.Estimator = cpumodel.MCAEstimator{}
 	}
 	reg := cfg.Targets
 	if reg == nil || reg.Len() == 0 {
@@ -303,9 +263,6 @@ func NewRuntime(cfg Config) *Runtime {
 		if o, ok := c.(DispatchObserver); ok {
 			rt.dispatchObs = append(rt.dispatchObs, o)
 		}
-	}
-	if cor, ok := cfg.Calibrator.(Corrector); ok {
-		rt.corrector = cor
 	}
 	if cfg.Observer != nil {
 		rt.obs.Store(&cfg.Observer)
@@ -335,8 +292,12 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 func (rt *Runtime) DB() *attrdb.DB { return rt.db }
 
 // Register outlines a target region: validates the kernel, runs the
-// static analyses, stores the attribute record, and returns the region
-// handle for lookup-free launches.
+// static analyses, specializes every target's model (the compiler role:
+// per-launch evaluations become slot-vector evaluations), stores the
+// attribute record, and returns the region handle for lookup-free
+// launches. A kernel the specializer rejects — an expression the
+// parameters alone do not resolve — fails with ErrNotCompilable and
+// leaves nothing registered.
 func (rt *Runtime) Register(k *ir.Kernel) (*Region, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -358,13 +319,8 @@ func (rt *Runtime) Register(k *ir.Kernel) (*Region, error) {
 		decisions: newDecisionCache(rt.cfg.DecisionCacheSize),
 		exec:      map[string]float64{},
 	}
-	if !rt.cfg.DisableCompiledModels {
-		// Specialize every target's model now (the compiler role):
-		// per-launch Predicts become slot-vector evaluations. Failure is
-		// not an error — the region simply stays on the interpreted path.
-		if cm, err := compileRegion(&rt.cfg, rt.targets, k, attrs, an); err == nil {
-			r.compiled = cm
-		}
+	if r.compiled, err = compileRegion(r); err != nil {
+		return nil, fmt.Errorf("%w: %s: %w", ErrNotCompilable, k.Name, err)
 	}
 	rt.regmu.Lock()
 	defer rt.regmu.Unlock()
@@ -441,15 +397,6 @@ func (rt *Runtime) PredictTargets(name string, b symbolic.Bindings) ([]Candidate
 	return r.PredictTargets(b)
 }
 
-// Execute is the name-based wrapper around Region.Execute.
-func (rt *Runtime) Execute(name string, t Target, b symbolic.Bindings) (float64, error) {
-	r, err := rt.Region(name)
-	if err != nil {
-		return 0, err
-	}
-	return r.Execute(t, b)
-}
-
 // ExecuteTarget is the name-based wrapper around Region.ExecuteTarget.
 func (rt *Runtime) ExecuteTarget(name, targetID string, b symbolic.Bindings) (float64, error) {
 	r, err := rt.Region(name)
@@ -474,68 +421,40 @@ func (rt *Runtime) Metrics() Metrics {
 		ExecCacheHits:          rt.met.execHits.Load(),
 		ExecCacheMisses:        rt.met.execMisses.Load(),
 		ModelEval:              rt.met.modelEval.Snapshot(),
-		Dispatch: map[Target]uint64{
-			TargetCPU:   rt.met.dispatch[TargetCPU].Load(),
-			TargetGPU:   rt.met.dispatch[TargetGPU].Load(),
-			TargetSplit: rt.met.dispatch[TargetSplit].Load(),
-		},
-		DispatchTargets: rt.snapshotDispatchTargets(),
+		DispatchTargets:        make(map[string]uint64),
 	}
-	m.Regions, m.CompiledRegions, m.DecisionCacheSize = rt.regionGauges()
+	for i := range rt.dispatchID {
+		if n := rt.dispatchID[i].Load(); n != 0 {
+			id, _ := rt.dispatchTarget(i)
+			m.DispatchTargets[id] = n
+		}
+	}
+	m.Regions, m.DecisionCacheSize = rt.regionGauges()
 	return m
 }
 
 // regionGauges walks the region table for the values that are states
-// rather than counts: regions registered, how many of them are compiled,
-// and the live decision-cache entries across all of them.
-func (rt *Runtime) regionGauges() (regions, compiled, cacheEntries int) {
+// rather than counts: regions registered, and the live decision-cache
+// entries across all of them.
+func (rt *Runtime) regionGauges() (regions, cacheEntries int) {
 	rt.regmu.RLock()
 	defer rt.regmu.RUnlock()
 	for _, r := range rt.regions {
 		cacheEntries += r.decisions.len()
-		if r.compiled != nil {
-			compiled++
-		}
 	}
-	return len(rt.regions), compiled, cacheEntries
+	return len(rt.regions), cacheEntries
 }
 
-// dispatchTargetID names slot i of dispatchID: a registry ID, or the
-// split pseudo-target in the last slot.
-func (rt *Runtime) dispatchTargetID(i int) string {
+// dispatchTarget names slot i of dispatchID: a registry target's ID and
+// kind, or the split pseudo-target in the last slot.
+func (rt *Runtime) dispatchTarget(i int) (string, TargetKind) {
 	if i == rt.targets.Len() {
-		return TargetIDSplit
+		return TargetIDSplit, KindSplit
 	}
-	return rt.targets.specs[i].ID
+	return rt.targets.specs[i].ID, rt.targets.specs[i].Kind
 }
-
-// snapshotDispatchTargets reads the per-target dispatch counters into a
-// map keyed by dispatchTargetID, omitting zero rows.
-func (rt *Runtime) snapshotDispatchTargets() map[string]uint64 {
-	m := make(map[string]uint64)
-	for i := range rt.dispatchID {
-		if n := rt.dispatchID[i].Load(); n != 0 {
-			m[rt.dispatchTargetID(i)] = n
-		}
-	}
-	return m
-}
-
-// DecisionLog returns an immutable, launch-ordered snapshot of every
-// logged decision.
-func (rt *Runtime) DecisionLog() *DecisionLog { return rt.log.snapshot() }
-
-// Decisions returns the launch log as a slice.
-//
-// Deprecated: use DecisionLog, which returns an immutable snapshot with
-// query helpers.
-func (rt *Runtime) Decisions() []Decision { return rt.log.snapshot().All() }
 
 // ------------------------------------------------------ region methods --
-
-// Compiled reports whether the region's decision path runs the compiled
-// (Register-time specialized) models rather than the interpreted ones.
-func (r *Region) Compiled() bool { return r.compiled != nil }
 
 // Profile returns the region's recorded profiling observations (nil until
 // ProfileRegion has run).
@@ -565,97 +484,18 @@ func (r *Region) setProfile(p *ProfileData) {
 	r.mu.Unlock()
 }
 
-// countOpt is the hybrid counting configuration: the runtime supplies
-// loop trip counts (paper Section IV: "array sizes, loop trip counts,
-// arbitrary variable values"), with parallel indices substituted at their
-// midpoint so triangular inner loops resolve to their mean; loops that
-// still do not resolve fall back to the 128-iteration assumption, and
-// branches to 50% (or the measured rate after ProfileRegion).
-func (r *Region) countOpt(b symbolic.Bindings) ir.CountOptions {
-	return ir.CountOptions{DefaultTrip: 128, BranchProb: r.branchProb(),
-		Bindings: ir.MidpointBindings(r.Kernel, b)}
-}
-
-// evalTargets runs the analytical model of every registered target for
-// the full iteration space, in registry order, recording one model-pass
+// evalAll runs the analytical model of every registered target for the
+// full iteration space, in registry order, recording one model-pass
 // evaluation in the latency histogram.
-func (r *Region) evalTargets(b symbolic.Bindings) ([]float64, error) {
-	rt := r.rt
+func (r *Region) evalAll(ev evaluator) ([]float64, error) {
 	start := time.Now()
-	// Resolving the stored attributes validates that every runtime
-	// value the symbolic expressions need has been supplied.
-	if _, err := r.Attrs.Resolve(b, ipda.WarpGeom{
-		WarpSize:         rt.cfg.Platform.GPU.WarpSize,
-		TransactionBytes: rt.cfg.Platform.GPU.L2.LineBytes,
-	}); err != nil {
-		return nil, wrapUnbound(err)
+	preds, err := ev.predictAll()
+	if err != nil {
+		return nil, err
 	}
-	opt := r.countOpt(b)
-	preds := make([]float64, rt.targets.Len())
-	for i := range preds {
-		sec, err := r.predictTargetSpec(&rt.targets.specs[i], b, opt, 0)
-		if err != nil {
-			return nil, err
-		}
-		preds[i] = sec
-	}
-	rt.met.predictions.Add(1)
-	rt.met.modelEval.Observe(time.Since(start))
+	r.rt.met.predictions.Add(1)
+	r.rt.met.modelEval.Observe(time.Since(start))
 	return preds, nil
-}
-
-// predictTargetSpec evaluates one target's analytical model. frac uses
-// the models' zero-value convention (0 means the whole iteration space).
-func (r *Region) predictTargetSpec(sp *TargetSpec, b symbolic.Bindings, opt ir.CountOptions, frac float64) (float64, error) {
-	rt := r.rt
-	if sp.Kind == KindCPU {
-		cp, err := cpumodel.Predict(cpumodel.Input{
-			Kernel:       r.Kernel,
-			CPU:          sp.CPU,
-			Threads:      sp.Threads,
-			Bindings:     b,
-			CountOpt:     opt,
-			IPDA:         r.Analysis,
-			Estimator:    rt.cfg.Estimator,
-			IterFraction: frac,
-		})
-		if err != nil {
-			return 0, wrapUnbound(err)
-		}
-		return cp.Seconds, nil
-	}
-	gp, err := gpumodel.Predict(gpumodel.Input{
-		Kernel:       r.Kernel,
-		GPU:          sp.GPU,
-		Link:         sp.Link,
-		Bindings:     b,
-		CountOpt:     opt,
-		IPDA:         r.Analysis,
-		Options:      *rt.cfg.GPUOptions,
-		IterFraction: frac,
-	})
-	if err != nil {
-		return 0, wrapUnbound(err)
-	}
-	return gp.Seconds, nil
-}
-
-// predictFraction evaluates the base CPU/GPU pair's models with the host
-// running cpuFrac of the iteration space and the device gpuFrac (both 1
-// for a full single-target prediction). Callers (the split planner)
-// guarantee the registry has both kinds.
-func (r *Region) predictFraction(b symbolic.Bindings, cpuFrac, gpuFrac float64) (cpuSec, gpuSec float64, err error) {
-	rt := r.rt
-	opt := r.countOpt(b)
-	cpuSec, err = r.predictTargetSpec(&rt.targets.specs[rt.targets.baseCPU], b, opt, fracOrZero(cpuFrac))
-	if err != nil {
-		return 0, 0, err
-	}
-	gpuSec, err = r.predictTargetSpec(&rt.targets.specs[rt.targets.baseGPU], b, opt, fracOrZero(gpuFrac))
-	if err != nil {
-		return 0, 0, err
-	}
-	return cpuSec, gpuSec, nil
 }
 
 // newCandidates builds the registry-ordered candidate list from raw
@@ -699,12 +539,10 @@ func (rt *Runtime) reorderedCopy(cands []Candidate) []Candidate {
 }
 
 // setChosen fills the decision's chosen-target fields from a registry
-// index.
+// index (Registry.Len() for a cooperative split).
 func (rt *Runtime) setChosen(d *Decision, idx int) {
-	sp := &rt.targets.specs[idx]
-	d.Target = sp.Kind.LegacyTarget()
-	d.TargetID = sp.ID
 	d.targetIdx = idx
+	d.TargetID, d.Target = rt.dispatchTarget(idx)
 }
 
 // filterEligible applies the configured constraints to the ranked
@@ -743,29 +581,21 @@ func filterEligible(ranked []Candidate, cs []Constraint) []Candidate {
 	return elig
 }
 
-// splitPlanner resolves a split request against the calibrated base-pair
-// predictions (interpreted or compiled, depending on the decide path).
-type splitPlanner func(calCPU, calGPU float64) (Target, float64, error)
-
-// selectTarget is the selection stage shared by both decide paths over
-// freshly built (or recalibration-reset) registry-ordered candidates:
-// calibrate, rank, filter by constraints, run the policy, and resolve
-// split requests. It fills the decision's verdict fields (including
-// provenance); the ranked slice lands in d.Candidates for memoization.
-// feats lazily evaluates the decision's feature vector — it is invoked
-// only when a Corrector is configured, so the legacy calibration path
-// pays nothing for it.
-func (r *Region) selectTarget(d *Decision, cands []Candidate, feats func() (Features, error), plan splitPlanner) error {
+// selectTarget is decide's selection stage over freshly built (or
+// recalibration-reset) registry-ordered candidates: calibrate, rank,
+// filter by constraints, run the policy, and resolve split requests. It
+// fills the decision's verdict fields (including provenance); the ranked
+// slice lands in d.Candidates for memoization. The feature vector is
+// evaluated only when a Calibrator is configured.
+func (r *Region) selectTarget(d *Decision, cands []Candidate, ev evaluator) error {
 	rt := r.rt
 	d.Provenance = ProvenanceAnalytical
-	if rt.corrector != nil {
-		f, err := feats()
+	if cal := rt.cfg.Calibrator; cal != nil {
+		f, err := ev.features()
 		if err != nil {
 			return err
 		}
-		d.Provenance = rt.corrector.CorrectFeatures(r.Name, f, cands)
-	} else if rt.cfg.Calibrator != nil {
-		rt.cfg.Calibrator.Correct(r.Name, cands)
+		d.Provenance = cal.CorrectFeatures(r.Name, f, cands)
 	}
 	// The split planner compares against the calibrated base pair;
 	// capture before ranking permutes the slice.
@@ -786,20 +616,13 @@ func (r *Region) selectTarget(d *Decision, cands []Candidate, feats func() (Feat
 		elig = filterEligible(cands, rt.cfg.Constraints)
 	}
 	sel := d.Policy.Select(r, elig)
-	if sel.Split && plan != nil && rt.targets.baseCPU >= 0 && rt.targets.baseGPU >= 0 {
-		t, f, err := plan(calCPU, calGPU)
+	if sel.Split && rt.targets.baseCPU >= 0 && rt.targets.baseGPU >= 0 {
+		idx, f, err := r.planSplit(ev, calCPU, calGPU)
 		if err != nil {
 			return err
 		}
-		switch t {
-		case TargetSplit:
-			d.Target, d.TargetID = TargetSplit, TargetIDSplit
-			d.SplitFraction, d.targetIdx = f, -1
-		case TargetGPU:
-			rt.setChosen(d, rt.targets.baseGPU)
-		default:
-			rt.setChosen(d, rt.targets.baseCPU)
-		}
+		rt.setChosen(d, idx)
+		d.SplitFraction = f
 		return nil
 	}
 	i := sel.Index
@@ -808,29 +631,6 @@ func (r *Region) selectTarget(d *Decision, cands []Candidate, feats func() (Feat
 	}
 	rt.setChosen(d, elig[i].order)
 	return nil
-}
-
-// fillFromEntry serves a decision from a decided cache entry.
-func (r *Region) fillFromEntry(d *Decision, ent *decisionEntry) {
-	d.PredCPUSeconds, d.PredGPUSeconds = ent.predCPU, ent.predGPU
-	d.Candidates = ent.cands
-	d.SplitFraction = ent.frac
-	d.CacheHit = true
-	d.Provenance = ent.prov
-	if ent.targetIdx < 0 {
-		d.Target, d.TargetID, d.targetIdx = TargetSplit, TargetIDSplit, -1
-		return
-	}
-	r.rt.setChosen(d, ent.targetIdx)
-}
-
-// fracOrZero maps a full-space fraction to the models' zero-value
-// convention (0 and 1 both mean "whole iteration space").
-func fracOrZero(f float64) float64 {
-	if f >= 1 {
-		return 0
-	}
-	return f
 }
 
 // Predict evaluates the analytical models for the region under runtime
@@ -862,61 +662,23 @@ func (r *Region) PredictTargets(b symbolic.Bindings) ([]Candidate, error) {
 
 // predicted returns the decision-cache entry holding the region's raw
 // predictions under b: the memoized one, or — evaluating every target's
-// model, compiled when b is exactly the region's parameter set and
-// interpreted otherwise — a fresh prediction-only entry, stored.
+// model — a fresh prediction-only entry, stored.
 func (r *Region) predicted(b symbolic.Bindings) (decisionEntry, error) {
-	var ent decisionEntry
-	var preds []float64
-	if cm := r.compiled; cm != nil {
-		sv := cm.getVecs()
-		defer cm.putVecs(sv)
-		if cm.layout.Fill(b, sv.vals) {
-			ent.hash = cm.layout.Hash(sv.vals)
-			if hit, ok := r.decisions.getVec(ent.hash, cm.layout, sv.vals); ok {
-				return hit, nil
-			}
-			if err := r.evalCompiled(cm, sv, r.branchProb()); err != nil {
-				return ent, err
-			}
-			ent.key, preds = cm.layout.Key(sv.vals), sv.preds
-		}
+	ev := r.bind(b)
+	defer ev.release()
+	if hit, ok := ev.lookup(r.decisions); ok {
+		return hit, nil
 	}
-	if preds == nil {
-		ent.key = attrdb.BindingsKey(b)
-		ent.hash = attrdb.KeyHash(ent.key)
-		if hit, ok := r.decisions.get(ent.hash, ent.key); ok {
-			return hit, nil
-		}
-		var err error
-		if preds, err = r.evalTargets(b); err != nil {
-			return ent, err
-		}
+	preds, err := r.evalAll(ev)
+	if err != nil {
+		return decisionEntry{}, err
 	}
-	ent.cands = r.rt.newCandidates(preds)
+	ent := decisionEntry{cands: r.rt.newCandidates(preds)}
+	ent.key, ent.hash = ev.key()
 	ent.predCPU, ent.predGPU = r.rt.basePreds(ent.cands)
 	rankCandidates(ent.cands)
 	r.storeEntry(ent)
 	return ent, nil
-}
-
-// evalCompiled runs every target's compiled model for the full iteration
-// space (sv.vals already filled; it fills sv.mid and sv.preds), with the
-// same accounting as evalTargets. The interpreted path's Attrs.Resolve
-// validation is unnecessary here: compileRegion proved every expression
-// resolvable from the parameters, and Fill proved the parameters are
-// exactly what was bound.
-func (r *Region) evalCompiled(cm *compiledModels, sv *slotVecs, branchProb float64) error {
-	rt := r.rt
-	start := time.Now()
-	copy(sv.mid, sv.vals)
-	cm.aug.Midpoint(sv.mid)
-	if err := cm.predictAll(sv, branchProb); err != nil {
-		return err
-	}
-	rt.met.predictions.Add(1)
-	rt.met.compiledEvals.Add(1)
-	rt.met.modelEval.Observe(time.Since(start))
-	return nil
 }
 
 // storeEntry inserts a cache entry, counting evictions. The cache itself
@@ -939,34 +701,6 @@ func execKey(targetID, bkey string, frac float64) string {
 	buf = append(buf, '/')
 	buf = append(buf, bkey...)
 	return string(buf)
-}
-
-// baseIndex resolves the binary-enum view onto the registry: the first
-// registered target of the kind.
-func (rt *Runtime) baseIndex(t Target) (int, error) {
-	switch t {
-	case TargetCPU:
-		if rt.targets.baseCPU >= 0 {
-			return rt.targets.baseCPU, nil
-		}
-	case TargetGPU:
-		if rt.targets.baseGPU >= 0 {
-			return rt.targets.baseGPU, nil
-		}
-	}
-	return 0, fmt.Errorf("offload: no registered %v-kind target", t)
-}
-
-// Execute runs the region on the base target of the given kind (ground
-// truth) and returns the wall-clock seconds — the historical two-target
-// entry point; ExecuteTarget addresses any registered target. Results
-// are memoized per (target, bindings).
-func (r *Region) Execute(t Target, b symbolic.Bindings) (float64, error) {
-	idx, err := r.rt.baseIndex(t)
-	if err != nil {
-		return 0, err
-	}
-	return r.execute(&r.rt.targets.specs[idx], b, 1, attrdb.BindingsKey(b))
 }
 
 // ExecuteTarget runs the region on a registered target by ID (ground
@@ -1023,106 +757,32 @@ func (r *Region) execute(sp *TargetSpec, b symbolic.Bindings, frac float64, bkey
 	return sec, nil
 }
 
-// bestSplit finds the host share that balances the two models: the CPU
-// side's predicted time increases with f and the GPU side's decreases, so
-// the makespan max(cpu(f), gpu(1-f)) is minimized where they cross.
-func (r *Region) bestSplit(b symbolic.Bindings) (float64, error) {
-	lo, hi := 0.01, 0.99
-	cpuLo, gpuLo, err := r.predictFraction(b, lo, 1-lo)
-	if err != nil {
-		return 0, err
-	}
-	cpuHi, gpuHi, err := r.predictFraction(b, hi, 1-hi)
-	if err != nil {
-		return 0, err
-	}
-	// No crossing: one side dominates over the whole range.
-	if cpuLo >= gpuLo {
-		return 0, nil // CPU slower even with 1% of the work: all-GPU
-	}
-	if cpuHi <= gpuHi {
-		return 1, nil // CPU faster even with 99% of the work: all-CPU
-	}
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		c, g, err := r.predictFraction(b, mid, 1-mid)
-		if err != nil {
-			return 0, err
-		}
-		if c < g {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
-// planSplit resolves a TargetSplit request into a final target and host
-// fraction: it balances the models and only keeps the split when the
-// predicted makespan beats the best single target by a meaningful margin
-// — tiny predicted gains are inside the models' error bars and not worth
-// the coordination.
-func (r *Region) planSplit(b symbolic.Bindings, cpuPred, gpuPred float64) (Target, float64, error) {
-	f, err := r.bestSplit(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	const minGain = 0.10
-	useSplit := f > 0.03 && f < 0.97
-	if useSplit {
-		c, g, err := r.predictFraction(b, f, 1-f)
-		if err != nil {
-			return 0, 0, err
-		}
-		makespan := maxf(c, g)
-		best := cpuPred
-		if gpuPred < best {
-			best = gpuPred
-		}
-		if makespan > best*(1-minGain) {
-			useSplit = false
-		}
-	}
-	switch {
-	case useSplit:
-		return TargetSplit, f, nil
-	case gpuPred < cpuPred:
-		return TargetGPU, 0, nil
-	default:
-		return TargetCPU, 0, nil
-	}
-}
-
-// decide runs the selection stage shared by Launch and Decide: consult
-// the memoized decision cache, evaluate every registered target's model
-// on a miss, rank, filter, run the policy (planning the split when
+// decide is the one selection body behind Launch, Decide and DecideVals:
+// consult the memoized decision cache, evaluate every registered target's
+// model on a miss, rank, filter, run the policy (planning the split when
 // asked), and memoize the result. It returns the canonical bindings key
 // (from the cache entry on a hit, so the steady-state hot path never
-// re-canonicalizes the bindings).
-func (r *Region) decide(b symbolic.Bindings, d *Decision) (string, error) {
+// re-canonicalizes the bindings). Over the slot evaluator the hit
+// performs zero allocations and zero map lookups — one hash, one
+// sharded-LRU probe (the ranked candidate list is shared with the
+// immutable cache entry).
+func (r *Region) decide(ev evaluator, d *Decision) (string, error) {
 	rt := r.rt
-	if cm := r.compiled; cm != nil {
-		sv := cm.getVecs()
-		defer cm.putVecs(sv)
-		if cm.layout.Fill(b, sv.vals) {
-			return r.decideCompiled(cm, sv, d)
-		}
-	}
-
-	key := attrdb.BindingsKey(b)
-	hash := attrdb.KeyHash(key)
-	ent, ok := r.decisions.get(hash, key)
+	ent, ok := ev.lookup(r.decisions)
 	if ok && ent.decided {
-		r.fillFromEntry(d, &ent)
+		d.PredCPUSeconds, d.PredGPUSeconds = ent.predCPU, ent.predGPU
+		d.Candidates = ent.cands
+		d.SplitFraction = ent.frac
+		d.CacheHit = true
+		d.Provenance = ent.prov
+		rt.setChosen(d, ent.targetIdx)
 		rt.met.decisionHits.Add(1)
-		return key, nil
+		return ent.key, nil
 	}
-
 	rt.met.decisionMisses.Add(1)
 	var cands []Candidate
 	if !ok {
-		preds, err := r.evalTargets(b)
+		preds, err := r.evalAll(ev)
 		if err != nil {
 			return "", err
 		}
@@ -1134,92 +794,55 @@ func (r *Region) decide(b symbolic.Bindings, d *Decision) (string, error) {
 		cands = rt.reorderedCopy(ent.cands)
 		d.PredCPUSeconds, d.PredGPUSeconds = ent.predCPU, ent.predGPU
 	}
-	err := r.selectTarget(d, cands,
-		func() (Features, error) { return r.featuresInterpreted(b) },
-		func(calCPU, calGPU float64) (Target, float64, error) {
-			return r.planSplit(b, calCPU, calGPU)
-		})
-	if err != nil {
+	if err := r.selectTarget(d, cands, ev); err != nil {
 		return "", err
 	}
+	key, hash := ev.key()
 	r.storeEntry(decisionEntry{key: key, hash: hash, cands: d.Candidates,
 		predCPU: d.PredCPUSeconds, predGPU: d.PredGPUSeconds,
 		decided: !rt.hasDynamic, targetIdx: d.targetIdx,
-		target: d.Target, frac: d.SplitFraction, prov: d.Provenance})
+		frac: d.SplitFraction, prov: d.Provenance})
 	return key, nil
 }
 
-// decideCompiled is decide's fast path: sv.vals already holds the launch
-// parameters in slot order. On the steady-state hit it performs zero
-// allocations and zero map lookups — one hash, one sharded-LRU probe
-// (the ranked candidate list is shared with the immutable cache entry).
-func (r *Region) decideCompiled(cm *compiledModels, sv *slotVecs, d *Decision) (string, error) {
+// decideOnly is the decide-only call behind Decide and DecideVals: it
+// decides the point ev prices into *out, releases ev and fires the
+// observer. start is when the caller began binding, so the reported
+// overhead covers it.
+func (r *Region) decideOnly(ev evaluator, start time.Time, b symbolic.Bindings, out *Outcome) error {
 	rt := r.rt
-	hash := cm.layout.Hash(sv.vals)
-	ent, ok := r.decisions.getVec(hash, cm.layout, sv.vals)
-	if ok && ent.decided {
-		r.fillFromEntry(d, &ent)
-		rt.met.decisionHits.Add(1)
-		return ent.key, nil
-	}
-	rt.met.decisionMisses.Add(1)
-	branchProb := r.branchProb()
-	var cands []Candidate
-	if !ok {
-		if err := r.evalCompiled(cm, sv, branchProb); err != nil {
-			return "", err
-		}
-		cands = rt.newCandidates(sv.preds)
-		d.PredCPUSeconds, d.PredGPUSeconds = rt.basePreds(cands)
-	} else {
-		// Prediction-only entry (stored by Predict): the models are
-		// already evaluated, but the split planner below may still need
-		// the midpoint vector.
-		copy(sv.mid, sv.vals)
-		cm.aug.Midpoint(sv.mid)
-		cands = rt.reorderedCopy(ent.cands)
-		d.PredCPUSeconds, d.PredGPUSeconds = ent.predCPU, ent.predGPU
-	}
-	err := r.selectTarget(d, cands,
-		func() (Features, error) { return cm.features(sv), nil },
-		func(calCPU, calGPU float64) (Target, float64, error) {
-			return cm.planSplit(sv, branchProb, calCPU, calGPU)
-		})
+	rt.met.decides.Add(1)
+	d := &out.Decision
+	*d = Decision{Region: r.Name, Bindings: b, Policy: rt.cfg.Policy}
+	_, err := r.decide(ev, d)
+	ev.release()
 	if err != nil {
-		return "", err
+		return err
 	}
-	key := cm.layout.Key(sv.vals)
-	r.storeEntry(decisionEntry{key: key, hash: hash, cands: d.Candidates,
-		predCPU: d.PredCPUSeconds, predGPU: d.PredGPUSeconds,
-		decided: !rt.hasDynamic, targetIdx: d.targetIdx,
-		target: d.Target, frac: d.SplitFraction, prov: d.Provenance})
-	return key, nil
+	d.DecisionOverhead = time.Since(start)
+	rt.notify(*d)
+	return nil
 }
 
 // Decide runs the selection stage only — cache lookup, model evaluation
 // on a miss, policy decision — without dispatching any execution. It is
-// the serving path of a pure decision service: the caller owns the two
+// the serving path of a pure decision service: the caller owns the
 // generated code versions and just needs to know which one to run.
 // Decisions are memoized in (and served from) the same cache as Launch,
 // so a Decide followed by a Launch with the same bindings costs one model
-// evaluation total. The observer hook fires; the launch log does not
-// record decide-only calls.
+// evaluation total. The observer hook fires.
 func (r *Region) Decide(b symbolic.Bindings) (*Outcome, error) {
-	rt := r.rt
-	rt.met.decides.Add(1)
-	d := Decision{Region: r.Name, Bindings: b, Policy: rt.cfg.Policy}
+	out := new(Outcome)
 	start := time.Now()
-	if _, err := r.decide(b, &d); err != nil {
+	if err := r.decideOnly(r.bind(b), start, b, out); err != nil {
 		return nil, err
 	}
-	d.DecisionOverhead = time.Since(start)
-	rt.notify(d)
-	return &Outcome{Decision: d}, nil
+	return out, nil
 }
 
 // Launch reaches the target region with the given runtime values,
 // selects a target per the policy (memoizing the decision), executes it,
-// and logs the decision.
+// and hands the completed decision to the observer.
 func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 	rt := r.rt
 	pol := rt.cfg.Policy
@@ -1227,7 +850,9 @@ func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 	d := Decision{Region: r.Name, Bindings: b, Policy: pol}
 	start := time.Now()
 
-	key, err := r.decide(b, &d)
+	ev := r.bind(b)
+	key, err := r.decide(ev, &d)
+	ev.release()
 	if err != nil {
 		return nil, err
 	}
@@ -1261,7 +886,7 @@ func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 	rt.beginDispatch(d.TargetID)
 	defer rt.endDispatch(d.TargetID)
 
-	if d.Target == TargetSplit {
+	if d.Target == KindSplit {
 		cpuSp := &rt.targets.specs[rt.targets.baseCPU]
 		gpuSp := &rt.targets.specs[rt.targets.baseGPU]
 		cpuSec, err := r.execute(cpuSp, b, d.SplitFraction, key)
@@ -1294,17 +919,10 @@ func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 	return r.finish(d)
 }
 
-// finish counts the dispatch (by legacy kind and by target ID), appends
-// the decision to the log, and fires the observer hook.
+// finish counts the dispatch by target ID and fires the observer hook.
 func (r *Region) finish(d Decision) (*Outcome, error) {
 	rt := r.rt
-	rt.met.dispatch[d.Target].Add(1)
-	idx := d.targetIdx
-	if idx < 0 || idx >= len(rt.dispatchID)-1 {
-		idx = len(rt.dispatchID) - 1 // split pseudo-target slot
-	}
-	rt.dispatchID[idx].Add(1)
-	rt.log.append(d)
+	rt.dispatchID[d.targetIdx].Add(1)
 	rt.notify(d)
 	return &Outcome{Decision: d}, nil
 }

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"github.com/hybridsel/hybridsel/internal/gpumodel"
 	"github.com/hybridsel/hybridsel/internal/ir"
 	"github.com/hybridsel/hybridsel/internal/machine"
 	"github.com/hybridsel/hybridsel/internal/polybench"
@@ -27,6 +27,24 @@ func newRT(t *testing.T, p Policy) *Runtime {
 		}
 	}
 	return rt
+}
+
+// observed installs an observer on rt that keeps every completed decision
+// in completion order — what a caller that wants a decision log does —
+// and returns a function snapshotting what it has seen so far.
+func observed(rt *Runtime) func() []Decision {
+	var mu sync.Mutex
+	var seen []Decision
+	rt.SetObserver(func(d Decision) {
+		mu.Lock()
+		seen = append(seen, d)
+		mu.Unlock()
+	})
+	return func() []Decision {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]Decision(nil), seen...)
+	}
 }
 
 func TestRegisterAndRegion(t *testing.T) {
@@ -73,6 +91,7 @@ func TestPoliciesExecuteChosenTarget(t *testing.T) {
 	b := symbolic.Bindings{"n": 256}
 	for _, p := range []Policy{AlwaysCPU, AlwaysGPU, ModelGuided, Oracle} {
 		rt := newRT(t, p)
+		log := observed(rt)
 		out, err := rt.Launch("gemm", b)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
@@ -82,12 +101,12 @@ func TestPoliciesExecuteChosenTarget(t *testing.T) {
 		}
 		switch p {
 		case AlwaysCPU:
-			if out.Target != TargetCPU {
-				t.Fatalf("AlwaysCPU chose %v", out.Target)
+			if out.TargetID != TargetIDCPUBase {
+				t.Fatalf("AlwaysCPU chose %v", out.TargetID)
 			}
 		case AlwaysGPU:
-			if out.Target != TargetGPU {
-				t.Fatalf("AlwaysGPU chose %v", out.Target)
+			if out.TargetID != TargetIDGPUBase {
+				t.Fatalf("AlwaysGPU chose %v", out.TargetID)
 			}
 		case Oracle:
 			if out.ActualCPUSeconds <= 0 || out.ActualGPUSeconds <= 0 {
@@ -98,8 +117,8 @@ func TestPoliciesExecuteChosenTarget(t *testing.T) {
 				t.Fatal("oracle did not keep the faster target")
 			}
 		}
-		if len(rt.Decisions()) != 1 {
-			t.Fatalf("%v: log = %d entries", p, len(rt.Decisions()))
+		if n := len(log()); n != 1 {
+			t.Fatalf("%v: observer saw %d decisions", p, n)
 		}
 	}
 }
@@ -114,7 +133,7 @@ func TestModelGuidedTracksPredictions(t *testing.T) {
 		t.Fatalf("predictions = %v / %v", out.PredCPUSeconds, out.PredGPUSeconds)
 	}
 	wantGPU := out.PredGPUSeconds < out.PredCPUSeconds
-	if (out.Target == TargetGPU) != wantGPU {
+	if (out.Target == KindGPU) != wantGPU {
 		t.Fatalf("target %v inconsistent with predictions %v/%v",
 			out.Target, out.PredCPUSeconds, out.PredGPUSeconds)
 	}
@@ -137,11 +156,11 @@ func TestDecisionOverheadNegligible(t *testing.T) {
 func TestExecuteMemoization(t *testing.T) {
 	rt := newRT(t, Oracle)
 	b := symbolic.Bindings{"n": 256}
-	s1, err := rt.Execute("mvt1", TargetCPU, b)
+	s1, err := rt.ExecuteTarget("mvt1", TargetIDCPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := rt.Execute("mvt1", TargetCPU, b)
+	s2, err := rt.ExecuteTarget("mvt1", TargetIDCPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +168,7 @@ func TestExecuteMemoization(t *testing.T) {
 		t.Fatalf("memoized execution differs: %v vs %v", s1, s2)
 	}
 	// Different bindings are distinct cache entries.
-	s3, err := rt.Execute("mvt1", TargetCPU, symbolic.Bindings{"n": 512})
+	s3, err := rt.ExecuteTarget("mvt1", TargetIDCPUBase, symbolic.Bindings{"n": 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,17 +193,14 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Threads != 160 {
 		t.Fatalf("threads clamped to %d", cfg.Threads)
 	}
-	if cfg.GPUOptions == nil || cfg.GPUOptions.Coalescing != gpumodel.UseIPDA {
-		t.Fatal("GPU options not defaulted to the paper configuration")
-	}
-	if cfg.Estimator == nil {
-		t.Fatal("estimator not defaulted")
+	if cfg.Policy != ModelGuided || cfg.DecisionCacheSize != defaultDecisionCacheSize {
+		t.Fatalf("policy %v, cache size %d not defaulted", cfg.Policy, cfg.DecisionCacheSize)
 	}
 }
 
 func TestStringers(t *testing.T) {
-	if TargetCPU.String() != "cpu" || TargetGPU.String() != "gpu" {
-		t.Fatal("target stringers")
+	if KindCPU.String() != "cpu" || KindGPU.String() != "gpu" {
+		t.Fatal("target kind stringers")
 	}
 	for p, want := range map[Policy]string{
 		ModelGuided: "model-guided", AlwaysGPU: "always-gpu",
@@ -208,43 +224,6 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("nope"); err == nil {
 		t.Fatal("unknown policy accepted")
-	}
-}
-
-func TestDecisionLogSnapshotIsImmutable(t *testing.T) {
-	rt := newRT(t, AlwaysCPU)
-	if _, err := rt.Launch("mvt1", symbolic.Bindings{"n": 128}); err != nil {
-		t.Fatal(err)
-	}
-	snap := rt.DecisionLog()
-	if snap.Len() != 1 {
-		t.Fatalf("snapshot has %d entries", snap.Len())
-	}
-	if _, err := rt.Launch("mvt1", symbolic.Bindings{"n": 256}); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Len() != 1 {
-		t.Fatal("old snapshot grew after a new launch")
-	}
-	full := rt.DecisionLog()
-	if full.Len() != 2 {
-		t.Fatalf("new snapshot has %d entries", full.Len())
-	}
-	// Launch order is preserved and query helpers agree.
-	if full.At(0).Bindings["n"] != 128 || full.At(1).Bindings["n"] != 256 {
-		t.Fatal("snapshot not in launch order")
-	}
-	if n := len(full.ByRegion("mvt1")); n != 2 {
-		t.Fatalf("ByRegion = %d", n)
-	}
-	if full.PerTarget()[TargetCPU] != 2 {
-		t.Fatalf("PerTarget = %v", full.PerTarget())
-	}
-	// Mutating the copy returned by All must not corrupt the snapshot.
-	all := full.All()
-	all[0].Region = "corrupted"
-	if full.At(0).Region != "mvt1" {
-		t.Fatal("All() aliases the snapshot")
 	}
 }
 
@@ -289,7 +268,7 @@ func TestRegionHandleLaunch(t *testing.T) {
 	if out.PredCPUSeconds != cpuSec || out.PredGPUSeconds != gpuSec {
 		t.Fatal("handle launch disagrees with handle predict")
 	}
-	sec, err := region.Execute(out.Target, b)
+	sec, err := region.ExecuteTarget(out.TargetID, b)
 	if err != nil || sec != out.ActualSeconds {
 		t.Fatalf("handle execute = %v, %v (launch saw %v)", sec, err, out.ActualSeconds)
 	}
@@ -305,6 +284,7 @@ func TestRegionHandleLaunch(t *testing.T) {
 
 func TestDecisionCacheHitsSkipModelEvaluation(t *testing.T) {
 	rt := newRT(t, ModelGuided)
+	seen := observed(rt)
 	b := symbolic.Bindings{"n": 256}
 	for i := 0; i < 5; i++ {
 		if _, err := rt.Launch("gemm", b); err != nil {
@@ -321,13 +301,13 @@ func TestDecisionCacheHitsSkipModelEvaluation(t *testing.T) {
 	if m.Predictions != 1 {
 		t.Fatalf("model evaluated %d times for identical bindings", m.Predictions)
 	}
-	log := rt.DecisionLog()
-	if log.At(0).CacheHit || !log.At(4).CacheHit {
-		t.Fatal("CacheHit flags wrong in decision log")
+	log := seen()
+	if log[0].CacheHit || !log[4].CacheHit {
+		t.Fatal("CacheHit flags wrong in observed decisions")
 	}
 	// Identical predictions and target from the cached path.
-	if log.At(0).Target != log.At(4).Target ||
-		log.At(0).PredCPUSeconds != log.At(4).PredCPUSeconds {
+	if log[0].TargetID != log[4].TargetID ||
+		log[0].PredCPUSeconds != log[4].PredCPUSeconds {
 		t.Fatal("cached decision differs from evaluated decision")
 	}
 	// Different bindings are distinct cache entries.
@@ -400,6 +380,7 @@ func TestDecisionCacheEviction(t *testing.T) {
 
 func TestMetricsConsistency(t *testing.T) {
 	rt := newRT(t, ModelGuided)
+	log := observed(rt)
 	for _, n := range []int64{128, 128, 256} {
 		if _, err := rt.Launch("gemm", symbolic.Bindings{"n": n}); err != nil {
 			t.Fatal(err)
@@ -420,14 +401,14 @@ func TestMetricsConsistency(t *testing.T) {
 			m.DecisionCacheHits, m.DecisionCacheMisses, m.Launches)
 	}
 	var dispatched uint64
-	for _, n := range m.Dispatch {
+	for _, n := range m.DispatchTargets {
 		dispatched += n
 	}
 	if dispatched != m.Launches {
 		t.Fatalf("dispatch sum %d != launches %d", dispatched, m.Launches)
 	}
-	if int(m.Launches) != rt.DecisionLog().Len() {
-		t.Fatal("decision log disagrees with launch counter")
+	if int(m.Launches) != len(log()) {
+		t.Fatal("observer disagrees with launch counter")
 	}
 	if m.ModelEval.Count != m.Predictions || m.Predictions == 0 {
 		t.Fatalf("latency histogram count %d, predictions %d",
@@ -442,7 +423,7 @@ func TestMetricsConsistency(t *testing.T) {
 	}
 	// Merge doubles every counter.
 	sum := m.Merge(m)
-	if sum.Launches != 2*m.Launches || sum.Dispatch[TargetCPU] != 2*m.Dispatch[TargetCPU] ||
+	if sum.Launches != 2*m.Launches || sum.DispatchTargets[TargetIDCPUBase] != 2*m.DispatchTargets[TargetIDCPUBase] ||
 		sum.ModelEval.Count != 2*m.ModelEval.Count {
 		t.Fatal("Merge did not accumulate")
 	}
@@ -508,7 +489,7 @@ func TestCacheInvariantMixedTraffic(t *testing.T) {
 // enough to force the policy across the decision boundary in tests.
 type fixedCalibrator struct{ cpu, gpu float64 }
 
-func (c fixedCalibrator) Correct(_ string, cands []Candidate) {
+func (c fixedCalibrator) CorrectFeatures(_ string, _ Features, cands []Candidate) string {
 	for i := range cands {
 		f := c.cpu
 		if cands[i].Kind == KindGPU {
@@ -516,6 +497,7 @@ func (c fixedCalibrator) Correct(_ string, cands []Candidate) {
 		}
 		cands[i].CalSeconds = cands[i].PredSeconds * f
 	}
+	return ProvenanceAnalytical
 }
 
 // TestCalibratorSteersDecision: a calibration factor large enough to flip
@@ -532,7 +514,7 @@ func TestCalibratorSteersDecision(t *testing.T) {
 
 	// Penalize whichever target won by 1000x: the decision must flip.
 	cal := fixedCalibrator{cpu: 1, gpu: 1}
-	if out.Target == TargetGPU {
+	if out.Target == KindGPU {
 		cal.gpu = 1000
 	} else {
 		cal.cpu = 1000

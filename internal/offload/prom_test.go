@@ -22,8 +22,8 @@ func TestWritePrometheus(t *testing.T) {
 	m.launches.Store(10)
 	m.decides.Store(4)
 	m.predictions.Store(3)
-	m.dispatch[TargetCPU].Store(4)
-	m.dispatch[TargetGPU].Store(6)
+	rt.dispatchID[0].Store(4) // cpu/base
+	rt.dispatchID[1].Store(6) // gpu/base
 	m.decisionHits.Store(11)
 	m.decisionMisses.Store(3)
 	m.decisionEvictions.Store(1)
@@ -47,6 +47,8 @@ func TestWritePrometheus(t *testing.T) {
 		"hybridsel_model_evaluations_total 3",
 		`hybridsel_dispatch_total{target="cpu"} 4`,
 		`hybridsel_dispatch_total{target="gpu"} 6`,
+		`hybridsel_dispatch_total{target="split"} 0`,
+		`hybridsel_dispatch_target_total{target="gpu/base"} 6`,
 		"hybridsel_decision_cache_hits_total 11",
 		"hybridsel_decision_cache_evictions_total 1",
 		"hybridsel_model_eval_seconds_count 3",

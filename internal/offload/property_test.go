@@ -3,8 +3,8 @@ package offload
 // Property-based model suite: seeded random regions (internal/regiongen)
 // drive metamorphic invariants of the analytical models — monotonicity
 // in trip count and transfer bytes, the split-bisection bracket
-// invariants, and bit-for-bit agreement between the compiled and
-// interpreted model paths on every generated region. Failures print the
+// invariants, and the equivalence law of compiled_test.go (bit-for-bit
+// agreement of the two evaluators) on every generated region. Failures print the
 // generating Shape, which together with the fixed seed reproduces the
 // kernel exactly.
 
@@ -47,12 +47,8 @@ func registerShape(t *testing.T, rt *Runtime, s regiongen.Shape, name string, pa
 // apart), so monotonicity invariants only hold within one scheduling
 // regime; 4 threads with problem sizes ≥ 256 keeps every generated
 // shape's chunk·stride·elem at or beyond the line size throughout.
-func propRuntime(disableCompiled bool) *Runtime {
-	return NewRuntime(Config{
-		Platform:              machine.PlatformP9V100(),
-		Threads:               4,
-		DisableCompiledModels: disableCompiled,
-	})
+func propRuntime() *Runtime {
+	return NewRuntime(Config{Platform: machine.PlatformP9V100(), Threads: 4})
 }
 
 // TestPropPredictedTimesMonotoneInTripCount: both predicted times must be
@@ -60,7 +56,7 @@ func propRuntime(disableCompiled bool) *Runtime {
 // predicted faster.
 func TestPropPredictedTimesMonotoneInTripCount(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
-	rt := propRuntime(false)
+	rt := propRuntime()
 	scales := []int64{256, 512, 1024, 2048, 4096}
 	for trial := 0; trial < propTrials(t, 60); trial++ {
 		s := regiongen.NewShape(r)
@@ -93,7 +89,7 @@ func TestPropPredictedTimesMonotoneInTripCount(t *testing.T) {
 // not decrease and the CPU prediction (no transfers) must be unchanged.
 func TestPropGPUTimeMonotoneInTransferBytes(t *testing.T) {
 	r := rand.New(rand.NewSource(202))
-	rtA, rtB := propRuntime(false), propRuntime(false)
+	rtA, rtB := propRuntime(), propRuntime()
 	grew := false
 	for trial := 0; trial < propTrials(t, 60); trial++ {
 		s := regiongen.NewShape(r)
@@ -140,20 +136,20 @@ func TestPropGPUTimeMonotoneInTransferBytes(t *testing.T) {
 // counts), so the bisection converges to a jump, not a root.
 func TestPropSplitBisectionBracket(t *testing.T) {
 	r := rand.New(rand.NewSource(303))
-	rt := propRuntime(false)
+	rt := propRuntime()
 	for trial := 0; trial < propTrials(t, 40); trial++ {
 		s := regiongen.NewShape(r)
 		region := registerShape(t, rt, s, fmt.Sprintf("split-%03d", trial), 0, 0)
 		for _, n := range []int64{256, 1024, 4096} {
-			b := regiongen.Bindings(n)
-			f, err := region.bestSplit(b)
+			ev := region.bind(regiongen.Bindings(n))
+			f, err := region.bestSplit(ev)
 			if err != nil {
 				t.Fatalf("shape %v n=%d: %v", s, n, err)
 			}
 			if f < 0 || f > 1 || math.IsNaN(f) {
 				t.Fatalf("shape %v n=%d: fraction %g outside [0, 1]", s, n, f)
 			}
-			again, err := region.bestSplit(b)
+			again, err := region.bestSplit(ev)
 			if err != nil || again != f {
 				t.Fatalf("shape %v n=%d: bestSplit not deterministic: %g vs %g (%v)",
 					s, n, f, again, err)
@@ -165,7 +161,7 @@ func TestPropSplitBisectionBracket(t *testing.T) {
 			// of the false-sharing chunk threshold (see propRuntime).
 			prevCPU, prevGPU := -1.0, math.Inf(1)
 			for _, frac := range []float64{0.25, 0.5, 0.75, 0.95} {
-				c, g, err := region.predictFraction(b, frac, 1-frac)
+				c, g, err := region.predictFraction(ev, frac, 1-frac)
 				if err != nil {
 					t.Fatalf("shape %v n=%d frac=%g: %v", s, n, frac, err)
 				}
@@ -180,11 +176,11 @@ func TestPropSplitBisectionBracket(t *testing.T) {
 				prevCPU, prevGPU = c, g
 			}
 
-			cpuLo, gpuLo, err := region.predictFraction(b, 0.01, 0.99)
+			cpuLo, gpuLo, err := region.predictFraction(ev, 0.01, 0.99)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cpuHi, gpuHi, err := region.predictFraction(b, 0.99, 0.01)
+			cpuHi, gpuHi, err := region.predictFraction(ev, 0.99, 0.01)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,53 +206,46 @@ func TestPropSplitBisectionBracket(t *testing.T) {
 						s, n, f, cpuLo, gpuLo, cpuHi, gpuHi)
 				}
 			}
+			ev.release()
 		}
 	}
 }
 
-// TestPropCompiledMatchesInterpretedOnGeneratedRegions: every generated
-// region must predict and decide bit-for-bit identically through the
-// compiled decision programs and the interpreted model evaluator.
+// TestPropCompiledMatchesInterpretedOnGeneratedRegions runs the
+// equivalence law over generated regions: each trial draws a shape and a
+// cell of {ModelGuided, Split} × calibrators × {classic, synthetic}, and
+// every probe of it must come out bit-for-bit identical through the slot
+// programs and the map-form evaluator.
 func TestPropCompiledMatchesInterpretedOnGeneratedRegions(t *testing.T) {
 	r := rand.New(rand.NewSource(404))
-	compiled := propRuntime(false)
-	interp := propRuntime(true)
+	plat := machine.PlatformP9V100()
+	type pair struct{ slot, ref *Runtime }
+	cells := map[[3]int]pair{}
 	for trial := 0; trial < propTrials(t, 60); trial++ {
 		s := regiongen.NewShape(r)
+		cell := [3]int{trial % 2, (trial / 2) % len(lawCalibrators), (trial / 6) % 2}
+		p, ok := cells[cell]
+		if !ok {
+			cfg := Config{Platform: plat, Threads: 4, Policy: []Policy{ModelGuided, Split}[cell[0]],
+				Calibrator: lawCalibrators[cell[1]]}
+			if cell[2] == 1 {
+				cfg.Targets = SyntheticTargets(plat, 4)
+			}
+			p.slot, p.ref = evaluatorPair(t, cfg)
+			cells[cell] = p
+		}
 		name := fmt.Sprintf("xcheck-%03d", trial)
-		rc := registerShape(t, compiled, s, name, 0, 0)
-		ri := registerShape(t, interp, s, name, 0, 0)
-		if !rc.Compiled() {
-			t.Fatalf("shape %v did not compile", s)
-		}
+		registerShape(t, p.slot, s, name, 0, 0)
+		registerShape(t, p.ref, s, name, 0, 0)
 		for probe := 0; probe < 4; probe++ {
-			n := int64(8 + r.Intn(2000))
-			b := regiongen.Bindings(n)
-			cc, cg, err := rc.Predict(b)
-			if err != nil {
-				t.Fatalf("shape %v n=%d compiled: %v", s, n, err)
-			}
-			ic, ig, err := ri.Predict(b)
-			if err != nil {
-				t.Fatalf("shape %v n=%d interpreted: %v", s, n, err)
-			}
-			if cc != ic || cg != ig {
-				t.Fatalf("shape %v n=%d: compiled (%g, %g) != interpreted (%g, %g)",
-					s, n, cc, cg, ic, ig)
-			}
-			oc, err := rc.Decide(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oi, err := ri.Decide(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if oc.Target != oi.Target || oc.SplitFraction != oi.SplitFraction {
-				t.Fatalf("shape %v n=%d: decisions diverge: %v/%g vs %v/%g",
-					s, n, oc.Target, oc.SplitFraction, oi.Target, oi.SplitFraction)
-			}
+			checkLaw(t, p.slot, p.ref, name, regiongen.Bindings(int64(8+r.Intn(2000))))
 		}
+	}
+	if len(cells) != 12 {
+		t.Fatalf("%d of the 12 cells drawn", len(cells))
+	}
+	for _, p := range cells {
+		checkLawCounts(t, p.slot, p.ref)
 	}
 }
 
@@ -275,7 +264,7 @@ func TestPropCompiledMatchesInterpretedOnGeneratedRegions(t *testing.T) {
 // bit-for-bit by the IPDA translation property test.
 func TestPropPredictionsInvariantUnderIterationTranslation(t *testing.T) {
 	r := rand.New(rand.NewSource(505))
-	rtA, rtB := propRuntime(false), propRuntime(false)
+	rtA, rtB := propRuntime(), propRuntime()
 	for trial := 0; trial < propTrials(t, 40); trial++ {
 		s := regiongen.NewShape(r)
 		name := fmt.Sprintf("shift-%03d", trial)

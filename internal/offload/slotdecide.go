@@ -2,36 +2,22 @@ package offload
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
 // This file is the slot-vector face of the decision service: the binary
 // wire protocol (internal/wire) ships bindings as values in canonical
 // parameter order plus a key hash, and these entry points let the server
-// copy them straight into the pooled compiled slot vectors without ever
+// copy them straight into the pooled slot vectors without ever
 // materializing a bindings map on the hot path.
 
 // ParamNames returns the region's parameter names in canonical (sorted)
-// order — the slot order of the compiled key layout, and the order
+// order — the slot order of the key layout, and the order
 // attrdb.BindingsKey canonicalizes to. The returned slice is shared;
 // callers must not mutate it.
-func (r *Region) ParamNames() []string {
-	if cm := r.compiled; cm != nil {
-		return cm.layout.Names()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.paramNames == nil {
-		names := append([]string(nil), r.Attrs.Params...)
-		sort.Strings(names)
-		r.paramNames = names
-	}
-	return r.paramNames
-}
+func (r *Region) ParamNames() []string { return r.compiled.layout.Names() }
 
 // bindingsFromVals builds the map form of a canonical slot vector.
 // len(vals) must equal len(ParamNames()); callers validate first.
@@ -50,19 +36,13 @@ func (r *Region) bindingsFromVals(vals []int64) symbolic.Bindings {
 // disagrees with the server about the region's parameter set produces a
 // different hash and the request is rejected instead of mispriced.
 // len(vals) must equal len(ParamNames()).
-func (r *Region) KeyHashVals(vals []int64) uint64 {
-	if cm := r.compiled; cm != nil && len(vals) == cm.layout.Len() {
-		return cm.layout.Hash(vals)
-	}
-	return attrdb.BindingsHash(r.bindingsFromVals(vals))
-}
+func (r *Region) KeyHashVals(vals []int64) uint64 { return r.compiled.layout.Hash(vals) }
 
 // DecideVals is Decide over a canonical slot vector: vals holds the
-// runtime bindings in ParamNames() order. On compiled regions the
-// values are copied straight into a pooled slot vector — no bindings
-// map is built unless an observer is registered (observers receive the
-// map form). Interpreted regions fall back to the map path. The slice
-// is not retained; callers may reuse it immediately.
+// runtime bindings in ParamNames() order. The values are copied straight
+// into a pooled slot vector — no bindings map is built unless an observer
+// is registered (observers receive the map form). The slice is not
+// retained; callers may reuse it immediately.
 func (r *Region) DecideVals(vals []int64) (*Outcome, error) {
 	out := new(Outcome)
 	if err := r.DecideValsInto(vals, out); err != nil {
@@ -75,35 +55,14 @@ func (r *Region) DecideVals(vals []int64) (*Outcome, error) {
 // caller that decides in a loop brings its own: a cache hit then
 // allocates nothing. After an error *out holds nothing usable.
 func (r *Region) DecideValsInto(vals []int64, out *Outcome) error {
-	names := r.ParamNames()
-	if len(vals) != len(names) {
+	if n := len(r.ParamNames()); len(vals) != n {
 		return fmt.Errorf("%w: region %s wants %d parameters, got %d slot values",
-			ErrUnboundSymbol, r.Name, len(names), len(vals))
-	}
-	cm := r.compiled
-	if cm == nil {
-		o, err := r.Decide(r.bindingsFromVals(vals))
-		if err == nil {
-			*out = *o
-		}
-		return err
-	}
-	rt := r.rt
-	rt.met.decides.Add(1)
-	d := &out.Decision
-	*d = Decision{Region: r.Name, Policy: rt.cfg.Policy}
-	if rt.obs.Load() != nil {
-		d.Bindings = r.bindingsFromVals(vals)
+			ErrUnboundSymbol, r.Name, n, len(vals))
 	}
 	start := time.Now()
-	sv := cm.getVecs()
-	copy(sv.vals[:cm.layout.Len()], vals)
-	_, err := r.decideCompiled(cm, sv, d)
-	cm.putVecs(sv)
-	if err != nil {
-		return err
+	var b symbolic.Bindings
+	if r.rt.obs.Load() != nil {
+		b = r.bindingsFromVals(vals)
 	}
-	d.DecisionOverhead = time.Since(start)
-	rt.notify(*d)
-	return nil
+	return r.decideOnly(r.bindVals(vals), start, b, out)
 }

@@ -15,23 +15,15 @@ import (
 
 // TestDecideValsMatchesDecide proves the slot-vector entry point is the
 // same decision function as the map form: over the whole Polybench
-// suite, on both compiled and interpreted runtimes, DecideVals with the
-// canonical vector must produce bit-for-bit the verdict Decide produces
-// with the equivalent bindings map (fresh runtimes each side, so both
-// start cold and both hit their own cache identically).
+// suite, under both evaluators, DecideVals with the canonical vector must
+// produce bit-for-bit the verdict Decide produces with the equivalent
+// bindings map (fresh runtimes each side, so both start cold and both hit
+// their own cache identically).
 func TestDecideValsMatchesDecide(t *testing.T) {
-	crt, irt := newSuitePair(t, machine.PlatformP9V100(), ModelGuided)
-	vrt := NewRuntime(Config{Platform: machine.PlatformP9V100(), Policy: ModelGuided})
-	virt := NewRuntime(Config{Platform: machine.PlatformP9V100(), Policy: ModelGuided, DisableCompiledModels: true})
-	for _, k := range polybench.Suite() {
-		if _, err := vrt.Register(k.IR); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := virt.Register(k.IR); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, pair := range [][2]*Runtime{{crt, vrt}, {irt, virt}} {
+	cfg := Config{Platform: machine.PlatformP9V100(), Policy: ModelGuided}
+	mapSlot, mapRef := evaluatorPair(t, cfg, suiteKernels()...)
+	vecSlot, vecRef := evaluatorPair(t, cfg, suiteKernels()...)
+	for _, pair := range [][2]*Runtime{{mapSlot, vecSlot}, {mapRef, vecRef}} {
 		mapRT, vecRT := pair[0], pair[1]
 		for _, k := range polybench.Suite() {
 			mr, err := mapRT.Region(k.Name)
@@ -43,15 +35,7 @@ func TestDecideValsMatchesDecide(t *testing.T) {
 				t.Fatal(err)
 			}
 			b := k.Bindings(polybench.Benchmark)
-			names := vr.ParamNames()
-			vals := make([]int64, len(names))
-			for i, name := range names {
-				v, ok := b[name]
-				if !ok {
-					t.Fatalf("%s: ParamNames has %q not in bindings", k.Name, name)
-				}
-				vals[i] = v
-			}
+			vals := slotVals(t, vr, b)
 			if got, want := vr.KeyHashVals(vals), attrdb.BindingsHash(b); got != want {
 				t.Fatalf("%s: KeyHashVals %#x != BindingsHash %#x", k.Name, got, want)
 			}
@@ -65,11 +49,7 @@ func TestDecideValsMatchesDecide(t *testing.T) {
 				if merr != nil {
 					continue
 				}
-				md, vd := mo.Decision, vo.Decision
-				// Overheads are wall-clock; bindings map presence differs
-				// by design (no observer registered here).
-				md.DecisionOverhead, vd.DecisionOverhead = 0, 0
-				md.Bindings, vd.Bindings = nil, nil
+				md, vd := scrubbed(mo), scrubbed(vo)
 				if !reflect.DeepEqual(md, vd) {
 					t.Fatalf("%s pass %d:\n map %+v\nvals %+v", k.Name, pass, md, vd)
 				}
@@ -95,11 +75,7 @@ func TestDecideValsObserverGetsBindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := k.Bindings(polybench.Test)
-	names := r.ParamNames()
-	vals := make([]int64, len(names))
-	for i, name := range names {
-		vals[i] = b[name]
-	}
+	vals := slotVals(t, r, b)
 
 	out, err := r.DecideVals(vals)
 	if err != nil {
@@ -160,12 +136,7 @@ func TestDecideValsIntoAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := k.Bindings(polybench.Benchmark)
-	names := region.ParamNames()
-	vals := make([]int64, len(names))
-	for i, name := range names {
-		vals[i] = b[name]
-	}
+	vals := slotVals(t, region, k.Bindings(polybench.Benchmark))
 	var out Outcome
 	decide := func() {
 		if err := region.DecideValsInto(vals, &out); err != nil {

@@ -32,14 +32,14 @@ func TestSplitDegeneratesToSingleTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Target != TargetGPU {
+	if out.TargetID != TargetIDGPUBase {
 		t.Fatalf("gemm split target = %v (fraction %v)", out.Target, out.SplitFraction)
 	}
 	out, err = rt.Launch("gesummv", symbolic.Bindings{"n": 1100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Target != TargetCPU {
+	if out.TargetID != TargetIDCPUBase {
 		t.Fatalf("gesummv split target = %v (fraction %v)", out.Target, out.SplitFraction)
 	}
 }
@@ -54,18 +54,18 @@ func TestSplitBalancedKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Target != TargetSplit {
+	if out.Target != KindSplit || out.TargetID != TargetIDSplit {
 		t.Skipf("model did not choose a split (target %v, fraction %.2f); "+
 			"balance point moved", out.Target, out.SplitFraction)
 	}
 	if out.SplitFraction <= 0.03 || out.SplitFraction >= 0.97 {
 		t.Fatalf("split fraction = %v", out.SplitFraction)
 	}
-	cpuFull, err := rt.Execute("mvt2", TargetCPU, b)
+	cpuFull, err := rt.ExecuteTarget("mvt2", TargetIDCPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpuFull, err := rt.Execute("mvt2", TargetGPU, b)
+	gpuFull, err := rt.ExecuteTarget("mvt2", TargetIDGPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +88,11 @@ func TestSplitPredictionMonotonicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := symbolic.Bindings{"n": 9600}
+	ev := r.bind(symbolic.Bindings{"n": 9600})
+	defer ev.release()
 	var prevCPU, prevGPU float64
 	for i, f := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		c, g, err := r.predictFraction(b, f, 1-f)
+		c, g, err := r.predictFraction(ev, f, 1-f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestSplitPredictionMonotonicity(t *testing.T) {
 }
 
 func TestSplitStringers(t *testing.T) {
-	if TargetSplit.String() != "split" || Split.Name() != "split" {
+	if KindSplit.String() != "split" || Split.Name() != "split" {
 		t.Fatal("split stringers")
 	}
 }

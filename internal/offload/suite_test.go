@@ -20,6 +20,7 @@ func TestFullSuiteEndToEnd(t *testing.T) {
 		GPUSim:   sim.GPUConfig{SampleWarps: 4, MaxLoopSample: 48, MaxRepSample: 1},
 	}
 	rt := NewRuntime(fast)
+	seen := observed(rt)
 	for _, k := range polybench.Suite() {
 		if _, err := rt.Register(k.IR); err != nil {
 			t.Fatalf("%s: register: %v", k.Name, err)
@@ -42,15 +43,16 @@ func TestFullSuiteEndToEnd(t *testing.T) {
 		}
 		// The decision must be consistent with the predictions.
 		wantGPU := out.PredGPUSeconds < out.PredCPUSeconds
-		if (out.Target == TargetGPU) != wantGPU {
+		if (out.Target == KindGPU) != wantGPU {
 			t.Errorf("%s: target %v inconsistent with predictions", k.Name, out.Target)
 		}
 		if out.DecisionOverhead <= 0 {
 			t.Errorf("%s: no decision overhead recorded", k.Name)
 		}
 	}
-	if len(rt.Decisions()) != len(polybench.Suite()) {
-		t.Fatalf("decision log has %d entries", len(rt.Decisions()))
+	guidedLog := seen()
+	if len(guidedLog) != len(polybench.Suite()) {
+		t.Fatalf("observer saw %d decisions", len(guidedLog))
 	}
 
 	// Oracle over the same runtime state must never lose to the guided
@@ -67,7 +69,7 @@ func TestFullSuiteEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		guided := rt.Decisions()[i]
+		guided := guidedLog[i]
 		if o.ActualSeconds > guided.ActualSeconds*(1+1e-9) {
 			t.Errorf("%s: oracle %.4g slower than guided %.4g",
 				k.Name, o.ActualSeconds, guided.ActualSeconds)
@@ -84,6 +86,7 @@ func TestSuiteConcurrentLaunches(t *testing.T) {
 		CPUSim:   sim.CPUConfig{SampleItems: 8, MaxLoopSample: 32},
 		GPUSim:   sim.GPUConfig{SampleWarps: 2, MaxLoopSample: 32, MaxRepSample: 1},
 	})
+	seen := observed(rt)
 	names := []string{"gemm", "mvt1", "2dconv", "atax2", "gesummv", "syrk"}
 	for _, name := range names {
 		k, _ := polybench.Get(name)
@@ -106,7 +109,7 @@ func TestSuiteConcurrentLaunches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(rt.Decisions()) != len(names)*2 {
-		t.Fatalf("log entries = %d", len(rt.Decisions()))
+	if n := len(seen()); n != len(names)*2 {
+		t.Fatalf("observer saw %d decisions", n)
 	}
 }

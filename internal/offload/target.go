@@ -18,26 +18,24 @@ type TargetKind uint8
 const (
 	KindCPU TargetKind = iota
 	KindGPU
+	// KindSplit is the kind of a cooperative verdict — a leading fraction
+	// of the iteration space on the base host concurrently with the rest
+	// on the base device. No registered target has it.
+	KindSplit
 )
 
 // String names the kind.
 func (k TargetKind) String() string {
-	if k == KindGPU {
+	switch k {
+	case KindGPU:
 		return "gpu"
+	case KindSplit:
+		return "split"
 	}
 	return "cpu"
 }
 
-// LegacyTarget maps a kind onto the binary Target enum kept for
-// compatibility (split decisions map separately to TargetSplit).
-func (k TargetKind) LegacyTarget() Target {
-	if k == KindGPU {
-		return TargetGPU
-	}
-	return TargetCPU
-}
-
-// MarshalJSON encodes the kind as its name ("cpu"/"gpu").
+// MarshalJSON encodes the kind as its name ("cpu"/"gpu"/"split").
 func (k TargetKind) MarshalJSON() ([]byte, error) {
 	return strconv.AppendQuote(nil, k.String()), nil
 }
@@ -53,6 +51,8 @@ func (k *TargetKind) UnmarshalJSON(b []byte) error {
 		*k = KindCPU
 	case "gpu":
 		*k = KindGPU
+	case "split":
+		*k = KindSplit
 	default:
 		return fmt.Errorf("offload: unknown target kind %q", s)
 	}
@@ -105,7 +105,7 @@ func (s TargetSpec) validate() error {
 			return fmt.Errorf("offload: target %q: GPU kind without GPU descriptor", s.ID)
 		}
 	default:
-		return fmt.Errorf("offload: target %q: unknown kind %d", s.ID, s.Kind)
+		return fmt.Errorf("offload: target %q: kind %d is not registrable", s.ID, s.Kind)
 	}
 	return nil
 }

@@ -40,9 +40,7 @@ func launchRuntime(b *testing.B, cacheSize int, kernels ...string) (*offload.Run
 
 // BenchmarkLaunchCached measures the steady-state launch path: the
 // decision comes from the memoized decision cache and the execution from
-// the ground-truth cache, so the remaining cost is lookup + dispatch +
-// logging. The perf-smoke check requires this to be >=5x cheaper than
-// BenchmarkLaunchUncachedInterpreted.
+// the ground-truth cache, so the remaining cost is lookup + dispatch.
 func BenchmarkLaunchCached(b *testing.B) {
 	_, regions := launchRuntime(b, 0, "gemm")
 	bind := symbolic.Bindings{"n": 128}
@@ -60,8 +58,7 @@ func BenchmarkLaunchCached(b *testing.B) {
 // BenchmarkLaunchUncached disables the decision cache so every launch
 // re-evaluates both analytical models (the execution cache stays warm, so
 // the difference against BenchmarkLaunchCached isolates model evaluation).
-// With the compiled decision programs this lands within ~2x of the cached
-// path; the decide benchmarks in decide_bench_test.go track that margin.
+// With the slot programs this lands within ~2x of the cached path.
 func BenchmarkLaunchUncached(b *testing.B) {
 	_, regions := launchRuntime(b, -1, "gemm")
 	bind := symbolic.Bindings{"n": 128}
@@ -71,34 +68,6 @@ func BenchmarkLaunchUncached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := regions[0].Launch(bind); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLaunchUncachedInterpreted is the historical baseline the
-// perf-smoke bar was set against: every launch re-evaluates the models
-// through the interpreted path (DisableCompiledModels), as all launches
-// did before the compiled decision programs landed.
-func BenchmarkLaunchUncachedInterpreted(b *testing.B) {
-	cfg := launchConfig(-1)
-	cfg.DisableCompiledModels = true
-	rt := offload.NewRuntime(cfg)
-	k, err := polybench.Get("gemm")
-	if err != nil {
-		b.Fatal(err)
-	}
-	region, err := rt.Register(k.IR)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bind := symbolic.Bindings{"n": 128}
-	if _, err := region.Launch(bind); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := region.Launch(bind); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,7 @@
 #!/bin/sh
 # check.sh — the repo's verification gate: static checks, the full test
-# suite (race detector on the concurrent packages), and a perf smoke test
-# asserting the decision cache keeps the hot launch path at least 5x
-# cheaper than re-evaluating the analytical models.
+# suite (race detector on the concurrent packages), a fuzz smoke, the
+# allocs/op gate against the bench ledgers, and daemon and cluster smokes.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -25,77 +24,39 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (concurrent packages) =="
-go test -race ./internal/offload/ ./internal/experiments/ \
-	./internal/server/ ./internal/trace/ ./internal/audit/ \
-	./internal/client/ ./internal/faultnet/ ./internal/regiongen/ \
-	./internal/learn/ ./internal/wire/ ./internal/cluster/ \
-	./internal/metrics/
-# Recycling on the stream path is a race or nothing: a request or a
-# response decoded over while somebody still holds it.
-go test -race -count=20 -run 'TestStreamRequestRecycling' ./internal/server/
-go test -race -count=20 -run 'TestStreamResponsesStayIntact' ./internal/client/
+# The package and -count=20 lists live in the Makefile, once.
+make -s race
 
 echo "== fuzz smoke (10s per parser) =="
-# Short randomized runs on top of the checked-in seed corpora, one
-# invocation per target (go test allows a single -fuzz per package run).
-go test -run '^$' -fuzz '^FuzzParsePolicy$' -fuzztime 10s ./internal/offload/
-go test -run '^$' -fuzz '^FuzzDecideBody$' -fuzztime 10s ./internal/server/
-go test -run '^$' -fuzz '^FuzzDecideBodyV2$' -fuzztime 10s ./internal/server/
-go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 10s ./internal/trace/
-go test -run '^$' -fuzz '^FuzzLearnSnapshot$' -fuzztime 10s ./internal/learn/
-go test -run '^$' -fuzz '^FuzzWireFrame$' -fuzztime 10s ./internal/wire/
-go test -run '^$' -fuzz '^FuzzStreamFrame$' -fuzztime 10s ./internal/wire/
-go test -run '^$' -fuzz '^FuzzDecoderReuse$' -fuzztime 10s ./internal/wire/
-go test -run '^$' -fuzz '^FuzzGossipFrame$' -fuzztime 10s ./internal/wire/
-
-echo "== perf smoke: cached vs interpreted-model launch =="
-# The bar predates the compiled decision programs: a cached launch must
-# stay >=5x cheaper than re-evaluating the models the way every launch
-# used to (interpreted). The compiled uncached path is benchmarked and
-# gated separately via the bench ledger below.
-out=$(go test -run='^$' \
-	-bench='BenchmarkLaunch(Cached|UncachedInterpreted)$' -benchtime=0.2s .)
-echo "$out"
-echo "$out" | awk '
-	/BenchmarkLaunchCached/              { cached = $3 }
-	/BenchmarkLaunchUncachedInterpreted/ { uncached = $3 }
-	END {
-		if (cached == "" || uncached == "") {
-			print "perf smoke: benchmarks did not run"; exit 1
-		}
-		ratio = uncached / cached
-		printf "perf smoke: interpreted-uncached/cached = %.1fx (need >= 5x)\n", ratio
-		if (ratio < 5) exit 1
-	}'
+# Short randomized runs on top of the checked-in seed corpora.
+make -s fuzz
 
 echo "== bench ledger: parse + regression gate =="
 # The committed ledger must parse, and a quick re-run must not regress
-# its machine-independent numbers (allocs/op, compiled-vs-interpreted
-# ratios) by more than 20%. Raw ns/op is never compared across machines.
+# its machine-independent numbers (allocs/op) by more than 20%. Neither
+# raw ns/op nor a ratio of them is ever gated here: timing claims are
+# made against bench/ (BENCHMARK.json).
 if [ ! -f BENCH_decide.json ]; then
 	echo "bench ledger: BENCH_decide.json missing (run make bench)"; exit 1
 fi
 go test -run '^$' \
-	-bench 'BenchmarkPredict(Uncached|UncachedInterpreted|Cached)$|BenchmarkDecideCached(Parallel)?$' \
+	-bench 'BenchmarkPredict(Uncached|Cached)$|BenchmarkDecideCached(Parallel)?$' \
 	-benchtime=0.2s -benchmem . \
 	| go run ./cmd/benchjson -gate BENCH_decide.json
 
 echo "== serve ledger: parse + regression gate =="
 # Same idea for the serving benchmarks: the committed ledger must parse
-# and the binary frame format and stream transport must stay
-# meaningfully faster than JSON, and a pipelined stream than one used a
-# call at a time. Short CI runs over a live server are noisier than the
-# in-process micro-benchmarks, so each runs three times with benchjson
-# keeping the median sample, and the floors are relaxed relative to the
-# 2x/3x/3x bars bench.sh enforces when the ledger is regenerated.
+# and allocs/op per served decision must hold. Short runs over a live
+# server are noisier than the in-process micro-benchmarks, so each runs
+# three times with benchjson keeping the median sample, and the
+# tolerance is wider.
 if [ ! -f BENCH_serve.json ]; then
 	echo "serve ledger: BENCH_serve.json missing (run make bench)"; exit 1
 fi
 go test -run '^$' \
 	-bench 'BenchmarkServe(JSON|Binary)(Single|Batch64)$|BenchmarkServeStream(Single|Pipelined64)$' \
 	-benchtime=0.2s -count=3 -benchmem . \
-	| go run ./cmd/benchjson -gate BENCH_serve.json -tolerance 0.5 \
-		-min-wire-speedup 1.5 -min-stream-speedup 2 -min-pipeline-speedup 2
+	| go run ./cmd/benchjson -gate BENCH_serve.json -tolerance 0.5
 
 echo "== daemon smoke: serve, decide, scrape, drain =="
 tmp=$(mktemp -d)
