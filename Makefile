@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check test race chaos fuzz bench bench-paper vet build api loc
+.PHONY: check test race chaos fuzz bench-paper vet build api loc
 
-# The full verification gate: vet + build + tests (+race, fuzz) + allocs
-# gates + daemon and cluster smokes.
+# The full verification gate: vet + build + tests (+race, fuzz) + daemon
+# and cluster smokes.
 check:
 	./scripts/check.sh
 
@@ -24,6 +24,7 @@ race:
 		./internal/audit/
 	$(GO) test -race -count=20 -run 'TestStream(BurstSharesWrites|OutOfOrder|CreditExhaustion|FullWindowNeverShed|DrainGoaway|PipelinedStress|RequestRecycling)' ./internal/server/
 	$(GO) test -race -count=20 -run 'TestStream(WriteCombining|CombinedWriteFailure|ResponsesStayIntact)' ./internal/client/
+	$(GO) test -race -count=20 -run 'TestStreamWriter' ./internal/wire/
 
 # Chaos regression suite: scripted fault scenarios driven through the
 # fault-injection proxy against a live in-process daemon, race detector on.
@@ -45,24 +46,22 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoderReuse$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzGossipFrame$$' -fuzztime $(FUZZTIME) ./internal/wire/
 
-# Run the decision hot-path micro-benchmarks and the end-to-end serving
-# benchmarks, refreshing both ledgers (BENCH_decide.json and
-# BENCH_serve.json). BENCHTIME=3s make bench for steadier numbers.
-bench:
-	./scripts/bench.sh
-
 # Refresh the committed exported-API snapshot after an intentional,
 # reviewed surface change (scripts/check.sh gates against it).
 api:
 	$(GO) run ./cmd/apidump > api/exported.txt
 
-# The two size numbers ROADMAP tracks: non-test Go lines per package
-# directory, and the exported-surface line count.
+# The size numbers ROADMAP tracks: non-test Go lines per package
+# directory, the exported-surface line count, and the options the two
+# serving commands take.
 loc:
 	@for d in internal/* cmd/*; do \
 		printf '%6d %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l)" "$$d"; \
 	done
 	@wc -l api/exported.txt
+	@for d in cmd/hybridseld cmd/loadgen; do \
+		printf '%6d flags %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -c 'flag\.[A-Z][A-Za-z0-9]*(\"')" "$$d"; \
+	done
 
 # Regenerate every paper artifact at full fidelity.
 bench-paper:

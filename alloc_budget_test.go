@@ -1,0 +1,50 @@
+//go:build !race
+
+package hybridsel
+
+import (
+	"flag"
+	"testing"
+)
+
+// TestAllocationBudgets holds the decide and serve benchmarks to their
+// allocations per operation, the one number they report that does not
+// depend on the machine (timing claims are made against bench/, see
+// BENCHMARK.json). Each body runs a fixed number of iterations, enough to
+// amortise what a connection or a cache allocates once. The budgets are what
+// the code costs today; the HTTP rows carry a few allocations of slack for
+// what net/http pools or does not from run to run. Not built under the race
+// detector, where sync.Pool drops a quarter of what it is given.
+func TestAllocationBudgets(t *testing.T) {
+	benchtime := flag.Lookup("test.benchtime")
+	defer benchtime.Value.Set(benchtime.Value.String())
+	for _, c := range []struct {
+		name   string
+		bench  func(*testing.B)
+		iters  string
+		budget int64
+	}{
+		{"PredictUncached", BenchmarkPredictUncached, "1000x", 2},
+		{"PredictCached", BenchmarkPredictCached, "1000x", 0},
+		{"DecideCached", BenchmarkDecideCached, "1000x", 1},
+		{"DecideCachedParallel", BenchmarkDecideCachedParallel, "1000x", 1},
+		{"ServeJSONSingle", BenchmarkServeJSONSingle, "200x", 130},
+		{"ServeBinarySingle", BenchmarkServeBinarySingle, "200x", 110},
+		{"ServeJSONBatch64", BenchmarkServeJSONBatch64, "200x", 810},
+		{"ServeBinaryBatch64", BenchmarkServeBinaryBatch64, "200x", 112},
+		{"ServeStreamSingle", BenchmarkServeStreamSingle, "3000x", 2},
+		{"ServeStreamPipelined64", BenchmarkServeStreamPipelined64, "6400x", 4},
+	} {
+		if err := benchtime.Value.Set(c.iters); err != nil {
+			t.Fatal(err)
+		}
+		r := testing.Benchmark(c.bench)
+		if r.N == 0 {
+			t.Fatalf("%s: the benchmark failed", c.name)
+		}
+		if got := r.AllocsPerOp(); got > c.budget {
+			t.Errorf("%s: %d allocs/op (%d over %d iterations), budget %d",
+				c.name, got, r.MemAllocs, r.N, c.budget)
+		}
+	}
+}

@@ -19,17 +19,8 @@
 //	hybridseld -pprof-addr 127.0.0.1:6060           # profiling on its own listener
 //	hybridseld -attrdb-out snapshot.json -dry-run   # write the DB and exit
 //	hybridseld -attrdb snapshot.json                # verify DB against snapshot
-//	hybridseld -chaos flap -chaos-addr :8081        # faulty front door for drills
 //	hybridseld -node node-a -gossip-addr :7946 \
 //	    -peers node-b=http://h2:7946,node-c=http://h3:7946   # 3-replica ring
-//
-// With -chaos the daemon additionally listens on -chaos-addr behind a
-// deterministic fault-injection proxy (internal/faultnet) replaying the
-// given scenario — a preset name (flap, brownout, partition-heal,
-// faults30) or the scenario DSL — in a loop until shutdown. The clean
-// listener on -addr is unaffected; point resilient clients at the chaos
-// port to drill retries, hedging and breaker behaviour against a live
-// daemon.
 //
 // With -audit-rate > 0 the daemon shadow-audits a deterministic sample of
 // served decisions on background workers: both targets are measured, the
@@ -96,7 +87,6 @@ import (
 	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/audit"
 	"github.com/hybridsel/hybridsel/internal/cluster"
-	"github.com/hybridsel/hybridsel/internal/faultnet"
 	"github.com/hybridsel/hybridsel/internal/learn"
 	"github.com/hybridsel/hybridsel/internal/machine"
 	"github.com/hybridsel/hybridsel/internal/offload"
@@ -157,11 +147,6 @@ func main() {
 		"gossip exchange cadence")
 	pprofAddr := flag.String("pprof-addr", "",
 		"serve net/http/pprof on this separate listener (empty = off; keep it loopback)")
-	chaos := flag.String("chaos", "",
-		"front the daemon with a fault-injection listener replaying this scenario (preset or DSL)")
-	chaosAddr := flag.String("chaos-addr", "127.0.0.1:0",
-		"listen address for the -chaos fault-injection proxy")
-	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection RNG seed")
 	logFormat := flag.String("log", "text", "log format: text|json")
 	logLevel := flag.String("log-level", "info",
 		"log level: debug|info|warn (debug includes per-request lines)")
@@ -248,18 +233,12 @@ func main() {
 	// (when present) behind monotonic versions. They are created even
 	// before cluster mode is decided so the audit hook below can bump
 	// them unconditionally — a bump is one atomic add.
-	var calSrc, lrnSrc *cluster.VersionedSource
+	var sources []*cluster.VersionedSource
 	if cal != nil {
-		calSrc = cluster.NewVersionedSource("calibration", cal.SnapshotState, cal.MergeState)
+		sources = append(sources, cluster.NewVersionedSource("calibration", cal.SnapshotState, cal.MergeState))
 	}
 	if lrn != nil {
-		lrnSrc = cluster.NewVersionedSource("learner", lrn.EncodeState, func(data []byte) (bool, error) {
-			s, err := learn.DecodeState(data)
-			if err != nil {
-				return false, err
-			}
-			return lrn.Merge(s)
-		})
+		sources = append(sources, cluster.NewVersionedSource("learner", lrn.SnapshotState, lrn.MergeState))
 	}
 
 	rt := offload.NewRuntime(cfg)
@@ -284,19 +263,16 @@ func main() {
 		if tw != nil {
 			acfg.OnVerdict = audit.RecordObserver(tw)
 		}
-		if calSrc != nil {
-			// Every completed audit verdict may have moved calibration (and
-			// learner) state: mark both for replication on the next gossip
-			// exchange.
-			prev := acfg.OnVerdict
-			acfg.OnVerdict = func(v audit.Verdict) {
-				if prev != nil {
-					prev(v)
-				}
-				calSrc.Bump()
-				if lrnSrc != nil {
-					lrnSrc.Bump()
-				}
+		// Every completed audit verdict may have moved calibration (and
+		// learner) state: mark both for replication on the next gossip
+		// exchange.
+		prev := acfg.OnVerdict
+		acfg.OnVerdict = func(v audit.Verdict) {
+			if prev != nil {
+				prev(v)
+			}
+			for _, src := range sources {
+				src.Bump()
 			}
 		}
 		auditor = audit.New(acfg)
@@ -365,11 +341,8 @@ func main() {
 		if err != nil {
 			fatal(logger, err)
 		}
-		if calSrc != nil {
-			node.Register(calSrc.Source())
-		}
-		if lrnSrc != nil {
-			node.Register(lrnSrc.Source())
+		for _, src := range sources {
+			node.Register(src.Source())
 		}
 		gossipSrv = &http.Server{Handler: node.Handler()}
 		go func() {
@@ -415,36 +388,6 @@ func main() {
 		syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	// The chaos listener fronts the daemon's own service address and
-	// replays its scenario until shutdown. It only dials on demand, so it
-	// can start before the service listener is up.
-	var chaosProxy *faultnet.Proxy
-	if *chaos != "" {
-		sc, err := faultnet.ParseScenario(*chaos)
-		if err != nil {
-			fatal(logger, err)
-		}
-		target := *addr
-		if strings.HasPrefix(target, ":") {
-			target = "127.0.0.1" + target
-		}
-		chaosProxy = faultnet.New("http://"+target, *chaosSeed)
-		paddr, err := chaosProxy.Start(*chaosAddr)
-		if err != nil {
-			fatal(logger, err)
-		}
-		logger.Info("chaos listener up",
-			"addr", paddr, "scenario", sc.Name, "pass", sc.Total().String())
-		go func() {
-			for ctx.Err() == nil {
-				_ = chaosProxy.Run(ctx, sc, func(i int, s faultnet.Step) {
-					logger.Info("chaos step", "step", i,
-						"faults", s.Faults.String(), "hold", s.Duration.String())
-				})
-			}
-		}()
-	}
-
 	// The raw stream listener serves the persistent frame transport next
 	// to the HTTP port (the Upgrade path on -addr works regardless);
 	// srv.Shutdown drains it with Goaway under the same -drain grace.
@@ -476,7 +419,6 @@ func main() {
 		if err := srv.Shutdown(dctx); err != nil {
 			logger.Error("drain incomplete", "err", err)
 			closeCluster(logger, gossipStop, gossipSrv)
-			closeChaos(logger, chaosProxy)
 			closePprof(logger, pprofSrv, dctx)
 			closeAudit(logger, auditor)
 			closeLearn(logger, lrn, *learnOut)
@@ -492,7 +434,6 @@ func main() {
 			"cache_hits", m.DecisionCacheHits, "cache_misses", m.DecisionCacheMisses)
 	}
 	closeCluster(logger, gossipStop, gossipSrv)
-	closeChaos(logger, chaosProxy)
 	closePprof(logger, pprofSrv, context.Background())
 	closeAudit(logger, auditor)
 	closeLearn(logger, lrn, *learnOut)
@@ -577,16 +518,6 @@ func closeCluster(logger *slog.Logger, stop func(), srv *http.Server) {
 		if err := srv.Close(); err != nil {
 			logger.Error("gossip listener close", "err", err)
 		}
-	}
-}
-
-// closeChaos stops the fault-injection listener, if one was started.
-func closeChaos(logger *slog.Logger, p *faultnet.Proxy) {
-	if p == nil {
-		return
-	}
-	if err := p.Close(); err != nil {
-		logger.Error("chaos listener close", "err", err)
 	}
 }
 

@@ -56,10 +56,13 @@ func main() {
 	rt := offload.NewRuntime(offload.Config{
 		Platform: plat, Threads: *threads, Policy: p,
 	})
+	regions := map[string]*offload.Region{}
 	for _, k := range polybench.Suite() {
-		if _, err := rt.Register(k.IR); err != nil {
+		r, err := rt.Register(k.IR)
+		if err != nil {
 			fatal(err)
 		}
+		regions[k.Name] = r
 	}
 
 	fmt.Printf("Polybench OpenMP suite — %s mode, %s policy, %s, %d host threads\n\n",
@@ -70,7 +73,7 @@ func main() {
 	var overhead time.Duration
 	start := time.Now()
 	for _, k := range polybench.Suite() {
-		out, err := rt.Launch(k.Name, k.Bindings(m))
+		out, err := regions[k.Name].Launch(k.Bindings(m))
 		if err != nil {
 			fatal(err)
 		}

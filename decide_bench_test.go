@@ -12,10 +12,9 @@ import (
 // The decide benchmarks measure the decision hot path itself — no
 // simulated execution — in its three interesting states: a model
 // evaluation through the slot programs (uncached), and cache-hit lookups
-// for Predict and Decide. scripts/bench.sh runs them with -benchmem and
-// freezes the results into BENCH_decide.json; the check gate compares
-// their allocs/op (machine-independent) and fails on regression. Timing
-// claims live in bench/ (BENCHMARK.json), not here.
+// for Predict and Decide. TestAllocationBudgets holds each to its
+// allocs/op (machine-independent). Timing claims live in bench/
+// (BENCHMARK.json), not here.
 //
 // decideKernels is a small cross-section of the suite: a dense matrix
 // kernel, a bandwidth-bound vector kernel and a stencil, so the headline

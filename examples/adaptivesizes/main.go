@@ -26,7 +26,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := rt.Register(gemm.IR); err != nil {
+	region, err := rt.Register(gemm.IR)
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -36,7 +37,7 @@ func main() {
 	var flipped string
 	prev := offload.KindCPU
 	for _, n := range []int64{16, 32, 64, 128, 256, 512, 1024, 2048} {
-		out, err := rt.Launch("gemm", map[string]int64{"n": n})
+		out, err := region.Launch(map[string]int64{"n": n})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -51,7 +51,8 @@ func main() {
 		Platform: machine.PlatformP9V100(),
 		Policy:   offload.ModelGuided,
 	})
-	if _, err := rt.Register(kernel); err != nil {
+	region, err := rt.Register(kernel)
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -63,7 +64,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, err := rt.Launch("paper-example", b)
+		out, err := region.Launch(b)
 		if err != nil {
 			log.Fatal(err)
 		}

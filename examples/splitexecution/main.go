@@ -25,12 +25,13 @@ func main() {
 	// mvt2 at benchmark size is nearly balanced between host and device
 	// — the interesting case; gemm and gesummv are lopsided and should
 	// degenerate to a single target.
+	regions := map[string]*offload.Region{}
 	for _, name := range []string{"mvt2", "atax2", "gemm", "gesummv"} {
 		k, err := polybench.Get(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := rt.Register(k.IR); err != nil {
+		if regions[name], err = rt.Register(k.IR); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -40,15 +41,16 @@ func main() {
 	for _, name := range []string{"mvt2", "atax2", "gemm", "gesummv"} {
 		k, _ := polybench.Get(name)
 		b := k.Bindings(polybench.Benchmark)
-		out, err := rt.Launch(name, b)
+		r := regions[name]
+		out, err := r.Launch(b)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cpuOnly, err := rt.ExecuteTarget(name, offload.TargetIDCPUBase, b)
+		cpuOnly, err := r.ExecuteTarget(offload.TargetIDCPUBase, b)
 		if err != nil {
 			log.Fatal(err)
 		}
-		gpuOnly, err := rt.ExecuteTarget(name, offload.TargetIDGPUBase, b)
+		gpuOnly, err := r.ExecuteTarget(offload.TargetIDGPUBase, b)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -56,7 +56,11 @@ func main() {
 		{"2dconv", 9600}, {"gemm", 1100}, {"mvt1", 512},
 	}
 	for _, w := range workload {
-		out, err := rt.Launch(w.region, symbolic.Bindings{"n": w.n})
+		r, err := rt.Region(w.region)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, err := r.Launch(symbolic.Bindings{"n": w.n})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -37,17 +37,19 @@ import (
 	"github.com/hybridsel/hybridsel/internal/offload"
 )
 
-// Defaults applied by New for zero Config fields.
-const (
-	DefaultQueueDepth = 256
-	DefaultRecent     = 4096
-)
+// DefaultQueueDepth is the async audit queue bound New applies to a zero
+// Config.QueueDepth.
+const DefaultQueueDepth = 256
+
+// recentKeys bounds the recently-audited key set: a key is not re-audited
+// while it remains in the set, so hot keys are audited once per eviction
+// cycle rather than once per launch.
+const recentKeys = 4096
 
 // Config parameterizes an Auditor.
 type Config struct {
-	// Runtime supplies the ground-truth executions (Region.Execute,
-	// memoized) and receives decision-cache invalidations after
-	// calibration updates. Required.
+	// Runtime supplies the ground-truth executions
+	// (Region.ExecuteTarget, memoized). Required.
 	Runtime *offload.Runtime
 
 	// Rate is the sampling probability over distinct (region, bindings)
@@ -67,25 +69,16 @@ type Config struct {
 	// DefaultQueueDepth.
 	QueueDepth int
 
-	// Recent bounds the recently-audited key set: a key is not
-	// re-audited while it remains in the set, so hot keys are audited
-	// once per eviction cycle rather than once per launch. 0 selects
-	// DefaultRecent.
-	Recent int
-
 	// Calibrator, when non-nil, receives every verdict's signed
 	// log-errors and in turn supplies the runtime's prediction
-	// corrections. The auditor invalidates the region's memoized
-	// decisions whenever an update moves a correction factor materially,
-	// so stale cached targets are re-decided.
+	// corrections. (It tells the runtime itself when an update made the
+	// region's memoized decisions stale; see offload.Calibrator.)
 	Calibrator *Calibrator
 
 	// Learner, when non-nil, receives every verdict's per-target
 	// ground-truth measurements together with the decision's feature
 	// vector (see offload.Features) — the training stream of the residual
-	// learner in internal/learn. When an update moves a learned
-	// correction materially the auditor invalidates the region's memoized
-	// decisions, exactly as it does for the EWMA calibrator.
+	// learner in internal/learn.
 	Learner VerdictLearner
 
 	// OnVerdict, when non-nil, is invoked with every completed verdict
@@ -98,11 +91,10 @@ type Config struct {
 // VerdictLearner consumes audit ground truth incrementally: one call per
 // verdict with the decision's feature vector and every target's
 // measured-vs-predicted seconds. It reports whether the update moved any
-// correction materially (the caller invalidates the region's memoized
-// decisions). Implementations must be safe for concurrent use — async
-// auditors call from worker goroutines. The interface lives here (not in
-// internal/learn) so the learner can depend on the audit types without a
-// package cycle.
+// correction materially. Implementations must be safe for concurrent use
+// — async auditors call from worker goroutines. The interface lives here
+// (not in internal/learn) so the learner can depend on the audit types
+// without a package cycle.
 type VerdictLearner interface {
 	ObserveVerdict(region string, f offload.Features, ms []TargetMeasurement) (changed bool)
 }
@@ -190,12 +182,9 @@ func New(cfg Config) *Auditor {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.Recent <= 0 {
-		cfg.Recent = DefaultRecent
-	}
 	a := &Auditor{
 		cfg:     cfg,
-		recent:  newKeyLRU(cfg.Recent),
+		recent:  newKeyLRU(recentKeys),
 		regions: map[string]*regionStats{},
 	}
 	if cfg.Workers > 0 {
@@ -301,6 +290,11 @@ func Sampled(key string, rate float64) bool {
 func (a *Auditor) audit(d offload.Decision) {
 	rt := a.cfg.Runtime
 	reg := rt.Targets()
+	region, err := rt.Region(d.Region)
+	if err != nil {
+		a.execErrs.Add(1)
+		return
+	}
 
 	// Raw predictions by target ID, from the decision's ranked candidate
 	// list (PredSeconds is the uncalibrated model output).
@@ -320,7 +314,7 @@ func (a *Auditor) audit(d offload.Decision) {
 	seenCPU, seenGPU := false, false
 	for i := 0; i < reg.Len(); i++ {
 		sp := reg.At(i)
-		act, err := rt.ExecuteTarget(d.Region, sp.ID, d.Bindings)
+		act, err := region.ExecuteTarget(sp.ID, d.Bindings)
 		if err != nil {
 			a.execErrs.Add(1)
 			return
@@ -386,23 +380,14 @@ func (a *Auditor) audit(d offload.Decision) {
 		for _, tm := range v.Targets {
 			logErrs[tm.Target] = tm.LogErr
 		}
-		if a.cfg.Calibrator.Observe(v.Region, logErrs) {
-			// The correction moved materially: memoized decisions for
-			// the region were taken under stale factors.
-			_ = rt.InvalidateDecisions(v.Region)
-		}
+		a.cfg.Calibrator.Observe(v.Region, logErrs)
 	}
 	if a.cfg.Learner != nil {
 		// Feed the residual learner the same ground truth, keyed by the
 		// decision's feature vector. A feature-evaluation failure only
 		// skips training — the audit accounting above already landed.
-		if f, err := rt.Features(v.Region, d.Bindings); err == nil {
-			if a.cfg.Learner.ObserveVerdict(v.Region, f, v.Targets) {
-				// A learned correction moved materially (the same >1%
-				// rule the EWMA calibrator applies): cached verdicts for
-				// the region were taken under stale weights.
-				_ = rt.InvalidateDecisions(v.Region)
-			}
+		if f, err := region.Features(d.Bindings); err == nil {
+			a.cfg.Learner.ObserveVerdict(v.Region, f, v.Targets)
 		}
 	}
 	if a.cfg.OnVerdict != nil {

@@ -35,6 +35,16 @@ func newRT(t *testing.T, cfg offload.Config, kernels ...string) *offload.Runtime
 	return rt
 }
 
+// regionOf resolves a registered region's handle.
+func regionOf(t testing.TB, rt *offload.Runtime, name string) *offload.Region {
+	t.Helper()
+	r, err := rt.Region(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestSampledDeterministic(t *testing.T) {
 	key := "gemm\x00n=256"
 	first := Sampled(key, 0.5)
@@ -154,7 +164,7 @@ func TestInlineAuditAccounting(t *testing.T) {
 	defer a.Close()
 
 	launch := func(region string, n int64) offload.Decision {
-		out, err := rt.Launch(region, symbolic.Bindings{"n": n})
+		out, err := regionOf(t, rt, region).Launch(symbolic.Bindings{"n": n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +240,7 @@ func TestOfferSkipsOracleAndMultiTarget(t *testing.T) {
 	rt := newRT(t, offload.Config{Policy: offload.Oracle}, "gemm")
 	a := New(Config{Runtime: rt, Rate: 1})
 	defer a.Close()
-	out, err := rt.Launch("gemm", symbolic.Bindings{"n": 128})
+	out, err := regionOf(t, rt, "gemm").Launch(symbolic.Bindings{"n": 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +267,7 @@ func TestCalibrationFlipsMispredictedKernel(t *testing.T) {
 	defer a.Close()
 
 	b := symbolic.Bindings{"n": 1100}
-	out, err := rt.Decide("mvt1", b)
+	out, err := regionOf(t, rt, "mvt1").Decide(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +276,11 @@ func TestCalibrationFlipsMispredictedKernel(t *testing.T) {
 	// Establish the precondition: the model must actually mispredict
 	// here. If the models or simulators change this point, pick another
 	// from the mispredict scan rather than weakening the test.
-	actCPU, err := rt.ExecuteTarget("mvt1", offload.TargetIDCPUBase, b)
+	actCPU, err := regionOf(t, rt, "mvt1").ExecuteTarget(offload.TargetIDCPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	actGPU, err := rt.ExecuteTarget("mvt1", offload.TargetIDGPUBase, b)
+	actGPU, err := regionOf(t, rt, "mvt1").ExecuteTarget(offload.TargetIDGPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +302,7 @@ func TestCalibrationFlipsMispredictedKernel(t *testing.T) {
 	// One audit seeds the EWMA, so calibrated predictions equal actuals
 	// and the next decision must choose the measured-faster target. The
 	// auditor must also have invalidated the memoized first decision.
-	out, err = rt.Decide("mvt1", b)
+	out, err = regionOf(t, rt, "mvt1").Decide(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,9 @@ type Calibrator struct {
 
 	mu      sync.RWMutex
 	regions map[string]*calState
+	// changed is the runtime's invalidation hook (OnCorrectionChange; a
+	// no-op until one is installed), called without mu held.
+	changed func(region string)
 }
 
 type calState struct {
@@ -56,42 +59,71 @@ func NewCalibrator(alpha float64) *Calibrator {
 	if alpha <= 0 || alpha > 1 {
 		alpha = DefaultAlpha
 	}
-	return &Calibrator{alpha: alpha, regions: map[string]*calState{}}
+	return &Calibrator{alpha: alpha, regions: map[string]*calState{}, changed: func(string) {}}
+}
+
+// OnCorrectionChange implements offload.Calibrator.
+func (c *Calibrator) OnCorrectionChange(changed func(region string)) {
+	c.mu.Lock()
+	c.changed = changed
+	c.mu.Unlock()
 }
 
 // Observe folds one audit's signed log-errors — keyed by registry target
 // ID — into the region's per-target EWMAs. The first observation of a
 // target seeds its EWMA directly (there is no prior to damp against). It
-// reports whether any correction factor moved by more than 1% — the
-// signal that memoized decisions for the region are stale.
+// reports whether any correction factor moved by more than 1% — in which
+// case the region's memoized decisions are stale and the runtime has been
+// told so.
 func (c *Calibrator) Observe(region string, logErrs map[string]float64) (changed bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	s := c.state(region)
+	for id, le := range logErrs {
+		t := s.target(id)
+		ewma := le
+		if t.n > 0 {
+			ewma = (1-c.alpha)*t.ewma + c.alpha*le
+		}
+		if t.set(t.n+1, ewma) {
+			changed = true
+		}
+	}
+	s.n++
+	notify := c.changed
+	c.mu.Unlock()
+	if changed {
+		notify(region)
+	}
+	return changed
+}
+
+// state returns the region's row, creating it. Caller holds c.mu.
+func (c *Calibrator) state(region string) *calState {
 	s := c.regions[region]
 	if s == nil {
 		s = &calState{targets: map[string]*targetCal{}}
 		c.regions[region] = s
 	}
-	for id, le := range logErrs {
-		t := s.targets[id]
-		if t == nil {
-			t = &targetCal{fac: 1}
-			s.targets[id] = t
-		}
-		old := t.fac
-		if t.n == 0 {
-			t.ewma = le
-		} else {
-			t.ewma = (1-c.alpha)*t.ewma + c.alpha*le
-		}
-		t.n++
-		t.fac = math.Exp(t.ewma)
-		if relChange(old, t.fac) > changeThreshold {
-			changed = true
-		}
+	return s
+}
+
+// target returns one target's correction, creating it at the identity.
+func (s *calState) target(id string) *targetCal {
+	t := s.targets[id]
+	if t == nil {
+		t = &targetCal{fac: 1}
+		s.targets[id] = t
 	}
-	s.n++
-	return changed
+	return t
+}
+
+// set replaces the correction and reports whether its factor moved by more
+// than changeThreshold — the one rule, for an observation and a merge alike,
+// of when memoized decisions are stale.
+func (t *targetCal) set(n uint64, ewma float64) (moved bool) {
+	old := t.fac
+	t.n, t.ewma, t.fac = n, ewma, math.Exp(ewma)
+	return relChange(old, t.fac) > changeThreshold
 }
 
 func relChange(old, new float64) float64 {

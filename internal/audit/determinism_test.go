@@ -45,7 +45,7 @@ func TestReplayReproducesVerdictsByteIdentical(t *testing.T) {
 		defer a.Close()
 		rt.SetObserver(a.Observer(w.Observer()))
 		workload(func(name string, b symbolic.Bindings) {
-			if _, err := rt.Launch(name, b); err != nil {
+			if _, err := regionOf(t, rt, name).Launch(b); err != nil {
 				t.Fatal(err)
 			}
 		})

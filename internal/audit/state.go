@@ -70,8 +70,10 @@ func moreEvolved(local CalTargetState, remote CalTargetState) bool {
 // MergeState folds a peer replica's serialized state into this
 // calibrator: per (region, target), the more-evolved entry (see
 // moreEvolved) wins and its correction factor is recomputed. It reports
-// whether anything changed — the signal that memoized decisions may be
-// stale and that this replica's own gossiped state has a new version.
+// whether anything changed — the signal that this replica's own gossiped
+// state has a new version. Regions in which a replaced factor moved by
+// more than 1% are reported to the runtime exactly as Observe reports
+// them.
 func (c *Calibrator) MergeState(data []byte) (changed bool, err error) {
 	var st CalState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -87,31 +89,30 @@ func (c *Calibrator) MergeState(data []byte) (changed bool, err error) {
 			}
 		}
 	}
+	var stale []string
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	for region, rs := range st.Regions {
-		s := c.regions[region]
-		if s == nil {
-			s = &calState{targets: map[string]*targetCal{}}
-			c.regions[region] = s
-		}
+		s := c.state(region)
 		if rs.N > s.n {
 			s.n = rs.N
 			changed = true
 		}
+		moved := false
 		for id, ts := range rs.Targets {
-			t := s.targets[id]
-			if t == nil {
-				t = &targetCal{fac: 1}
-				s.targets[id] = t
-			}
+			t := s.target(id)
 			if moreEvolved(CalTargetState{N: t.n, EWMA: t.ewma}, ts) {
-				t.n = ts.N
-				t.ewma = ts.EWMA
-				t.fac = math.Exp(ts.EWMA)
+				moved = t.set(ts.N, ts.EWMA) || moved
 				changed = true
 			}
 		}
+		if moved {
+			stale = append(stale, region)
+		}
+	}
+	notify := c.changed
+	c.mu.Unlock()
+	for _, region := range stale {
+		notify(region)
 	}
 	return changed, nil
 }

@@ -16,8 +16,8 @@
 //     daemon would have served.
 //
 // The resilience pipeline, outermost first: request coalescing (identical
-// in-flight decide-only requests share one network call) and optional
-// time-window batching; a consecutive-failure circuit breaker; retries
+// in-flight decide-only requests share one network call, duplicates inside
+// a DecideBatch one item); a consecutive-failure circuit breaker; retries
 // with exponential backoff + jitter that honor Retry-After; hedging of
 // idempotent requests; connection pooling. Every stage is instrumented
 // (Metrics / WritePrometheus, hybridselc_ namespace), mirroring the
@@ -96,16 +96,17 @@ var ErrCircuitOpen = errors.New("client: circuit breaker open")
 const (
 	DefaultMaxAttempts     = 4
 	DefaultRetryBackoff    = 20 * time.Millisecond
-	DefaultMaxBackoff      = time.Second
 	DefaultTimeout         = 2 * time.Second
 	DefaultBreakerFailures = 5
 	DefaultBreakerCooldown = 500 * time.Millisecond
 	DefaultHedgeMinSamples = 20
-	DefaultMaxBatch        = 64
 	// DefaultStreamConns is the stream connection pool size when
 	// Config.StreamConns is zero.
 	DefaultStreamConns = 2
 )
+
+// maxBackoff caps the exponential retry backoff.
+const maxBackoff = time.Second
 
 // Config parameterizes a Client.
 type Config struct {
@@ -126,10 +127,9 @@ type Config struct {
 	// retries.
 	MaxAttempts int
 	// RetryBackoff is the base backoff, doubled per attempt with ±50%
-	// jitter, capped at MaxBackoff. A server Retry-After longer than the
+	// jitter, capped at one second. A server Retry-After longer than the
 	// computed backoff wins.
 	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
 	// Timeout is the per-attempt deadline. 0 selects DefaultTimeout.
 	Timeout time.Duration
 
@@ -145,13 +145,6 @@ type Config struct {
 	// it stays open for BreakerCooldown, then half-opens for one probe.
 	BreakerFailures int
 	BreakerCooldown time.Duration
-
-	// BatchWindow > 0 enables transparent batching: concurrent Decide
-	// calls are collected for up to BatchWindow (or MaxBatch requests)
-	// and sent as one /v2/decide batch. Duplicate (region, bindings)
-	// pairs inside a window are coalesced client-side.
-	BatchWindow time.Duration
-	MaxBatch    int
 
 	// Seed fixes the backoff-jitter RNG for reproducible runs (0 = 1).
 	Seed int64
@@ -201,7 +194,6 @@ type Client struct {
 	// hedges on stale HTTP p99s and vice versa.
 	latHTTP   latencySampler
 	latStream latencySampler
-	batcher   *batcher
 
 	jmu sync.Mutex
 	rng *rand.Rand
@@ -210,8 +202,7 @@ type Client struct {
 	inflight map[string]*flight
 }
 
-// flight is one in-progress decide its callers wait on: shared by
-// coalesced callers, or one item of a window batch.
+// flight is one in-progress decide, shared by its coalesced callers.
 type flight struct {
 	done chan struct{}
 	v    *Verdict
@@ -226,12 +217,10 @@ func (cfg Config) withDefaults() (Config, error) {
 	cfg.BaseURL = strings.TrimSuffix(cfg.BaseURL, "/")
 	orDefault(&cfg.MaxAttempts, DefaultMaxAttempts)
 	orDefault(&cfg.RetryBackoff, DefaultRetryBackoff)
-	orDefault(&cfg.MaxBackoff, DefaultMaxBackoff)
 	orDefault(&cfg.Timeout, DefaultTimeout)
 	orDefault(&cfg.BreakerFailures, DefaultBreakerFailures)
 	orDefault(&cfg.BreakerCooldown, DefaultBreakerCooldown)
 	orDefault(&cfg.HedgeMinSamples, DefaultHedgeMinSamples)
-	orDefault(&cfg.MaxBatch, DefaultMaxBatch)
 	orDefault(&cfg.StreamConns, DefaultStreamConns)
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -268,20 +257,13 @@ func New(cfg Config) (*Client, error) {
 	}
 	c.breaker = newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown,
 		func(from, to BreakerState) { c.met.breakerTransition(to) })
-	if cfg.BatchWindow > 0 {
-		c.batcher = newBatcher(c, cfg.BatchWindow, cfg.MaxBatch)
-	}
 	c.buildLadder()
 	return c, nil
 }
 
-// Close stops the background batcher and tears down any pooled stream
-// connections. In-flight calls finish (stream in-flight fail over to
-// HTTP via the normal retry path).
+// Close tears down any pooled stream connections. In-flight calls finish
+// (stream in-flight fail over to HTTP via the normal retry path).
 func (c *Client) Close() {
-	if c.batcher != nil {
-		c.batcher.close()
-	}
 	for _, r := range c.ladder {
 		r.Close()
 	}
@@ -303,18 +285,13 @@ func requestKey(req server.DecideRequest) string {
 }
 
 // Decide returns a verdict for one decision request. Identical
-// decide-only requests in flight at once share a single network call;
-// with batching enabled (Config.BatchWindow) concurrent calls ride one
-// batched request.
+// decide-only requests in flight at once share a single network call.
 func (c *Client) Decide(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
 	c.met.requests.Add(1)
 	if req.Execute {
 		// Execute dispatches work on the daemon: no coalescing with
-		// decide-only traffic, no batching, and never hedged.
+		// decide-only traffic, and never hedged.
 		return c.decideOne(ctx, req)
-	}
-	if c.batcher != nil {
-		return c.batcher.decide(ctx, req)
 	}
 	return c.decideCoalesced(ctx, req)
 }
@@ -371,12 +348,6 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []server.DecideRequest) (
 		return nil, nil
 	}
 	c.met.requests.Add(uint64(len(reqs)))
-	return c.decideBatch(ctx, reqs)
-}
-
-// decideBatch is DecideBatch without the request count (the window
-// batcher counts items as callers enter Decide).
-func (c *Client) decideBatch(ctx context.Context, reqs []server.DecideRequest) ([]Verdict, error) {
 	c.met.batchCalls.Add(1)
 
 	// Client-side coalescing: send each distinct request once, marking a
@@ -526,8 +497,8 @@ func (c *Client) roundTrip(ctx context.Context, reqs []server.DecideRequest, bat
 // backoff computes the jittered exponential delay after a given attempt.
 func (c *Client) backoff(attempt int) time.Duration {
 	d := c.cfg.RetryBackoff << (attempt - 1)
-	if d > c.cfg.MaxBackoff || d <= 0 {
-		d = c.cfg.MaxBackoff
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	c.jmu.Lock()
 	j := c.rng.Float64()

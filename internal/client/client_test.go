@@ -397,57 +397,6 @@ func TestIdenticalInflightRequestsCoalesce(t *testing.T) {
 	}
 }
 
-func TestWindowBatchingMergesConcurrentCalls(t *testing.T) {
-	var calls atomic.Int64
-	ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		var batch struct {
-			Requests []server.DecideRequest `json:"requests"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-			t.Errorf("batch decode: %v", err)
-		}
-		results := make([]server.DecideResponseV2, len(batch.Requests))
-		for i, req := range batch.Requests {
-			results[i] = server.DecideResponseV2{Region: req.Region, Verdict: "cpu/base"}
-		}
-		_ = json.NewEncoder(w).Encode(server.BatchResponseV2{Results: results})
-	})
-	c := newTestClient(t, Config{
-		BaseURL: ts.URL, BatchWindow: 30 * time.Millisecond, DisableHedging: true,
-	})
-
-	var wg sync.WaitGroup
-	regions := []string{"gemm", "mvt1", "gemm"}
-	verdicts := make([]*Verdict, len(regions))
-	for i, region := range regions {
-		wg.Add(1)
-		go func(i int, region string) {
-			defer wg.Done()
-			v, err := c.Decide(context.Background(),
-				server.DecideRequest{Region: region, Bindings: map[string]int64{"n": 64}})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			verdicts[i] = v
-		}(i, region)
-	}
-	wg.Wait()
-
-	if calls.Load() != 1 {
-		t.Fatalf("window batching made %d network calls", calls.Load())
-	}
-	for i, v := range verdicts {
-		if v == nil || v.Response.Region != regions[i] {
-			t.Fatalf("verdict %d: %+v", i, v)
-		}
-	}
-	if m := c.Metrics(); m.BatchCalls != 1 || m.Requests != 3 {
-		t.Fatalf("metrics %+v", m)
-	}
-}
-
 func TestDecideBatchPositionsAndClientCoalescing(t *testing.T) {
 	var sent atomic.Int64
 	ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {

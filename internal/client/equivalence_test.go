@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/hybridsel/hybridsel/internal/offload"
@@ -20,7 +22,8 @@ import (
 // and the client's local fallback; each must produce, row for row, the
 // DecideResponseV2 an in-process offload.Runtime reference yields
 // (modulo CacheHit and DecisionNanos, which depend on who asked first)
-// or the row's error code.
+// or the row's error code. Whatever the spelling, the daemon prices every
+// row with the slot programs.
 func TestCodecEquivalence(t *testing.T) {
 	url, streamAddr := realStreamDaemon(t)
 	params := regionParamsHook(fallbackRuntime(t))
@@ -31,6 +34,9 @@ func TestCodecEquivalence(t *testing.T) {
 	// A slot vector whose hash is not the hash of its values.
 	mismatch := toWireRequest(gemm(512), params)
 	mismatch.KeyHash ^= 0xbad
+	// The slot vector that a bindings map naming more than the parameters
+	// is projected onto.
+	exact := toWireRequest(gemm(300), params)
 	rows := []struct {
 		name string
 		req  server.DecideRequest
@@ -46,6 +52,8 @@ func TestCodecEquivalence(t *testing.T) {
 		{name: "other region", req: server.DecideRequest{Region: "mvt1", Bindings: map[string]int64{"n": 4000}}},
 		{name: "execute", req: server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 96}, Execute: true}},
 		{name: "duplicate inside a batch", req: gemm(700)},
+		{name: "a name beyond the parameters", frame: &exact,
+			req: server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 300, "extra": 1}}},
 		{name: "unknown region", req: server.DecideRequest{Region: "nope", Bindings: map[string]int64{"n": 8}},
 			code: server.ErrCodeUnknownRegion},
 		{name: "unbound symbol", req: server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"m": 8}},
@@ -269,5 +277,23 @@ func TestCodecEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	resp, err := http.Get(url + "/metrics")
+	must(err)
+	defer resp.Body.Close()
+	exposition, err := io.ReadAll(resp.Body)
+	must(err)
+	series := func(name string) (v float64) {
+		for _, line := range strings.Split(string(exposition), "\n") {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				v, err = strconv.ParseFloat(rest, 64)
+				must(err)
+			}
+		}
+		return v
+	}
+	if all, compiled := series("hybridsel_model_evaluations_total"), series("hybridsel_compiled_model_evaluations_total"); all == 0 || all != compiled {
+		t.Errorf("the daemon made %v model evaluations, %v of them by the slot programs; want all", all, compiled)
 	}
 }

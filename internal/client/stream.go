@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,12 +67,14 @@ type StreamConn struct {
 	err     error
 	done    chan struct{} // closed when the connection dies
 
-	wmu      sync.Mutex // guards the combining writer's state: see write
-	wbuf     []byte
-	wspare   []byte
-	flushing bool
-	bursty   atomic.Bool    // the read loop's last drain held several responses
-	writes   *atomic.Uint64 // conn.Write calls; a pool points it at its metrics
+	// out combines concurrent callers' request frames into shared writes:
+	// theirs ride the flusher's conn.Write, and a failed write fails flusher
+	// and riders alike, through die. While responses arrive several to a
+	// read (bursty) the flusher yields once per write, so that the callers
+	// they woke get their next requests aboard.
+	out    *wire.StreamWriter
+	bursty atomic.Bool    // the read loop's last drain held several responses
+	writes *atomic.Uint64 // conn.Write calls; a pool points it at its metrics
 }
 
 // DialStream opens and handshakes one stream connection: dial (raw TCP
@@ -117,9 +118,11 @@ func newStreamConn(conn net.Conn, deadline time.Time) (*StreamConn, error) {
 		sem:     make(chan struct{}, credit),
 		waiters: make(map[uint64]chan *wire.Response, credit),
 		done:    make(chan struct{}),
-		wbuf:    make([]byte, 0, 2048),
 		writes:  new(atomic.Uint64),
 	}
+	sc.out = &wire.StreamWriter{W: conn, Yield: sc.bursty.Load,
+		Wrote: func(int) { sc.writes.Add(1) },
+		Fail:  func(err error) { sc.die(fmt.Errorf("%w: write: %v", errStreamBroken, err)) }}
 	for i := 0; i < credit; i++ {
 		sc.sem <- struct{}{}
 	}
@@ -227,7 +230,7 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 	sc.waiters[id] = ch
 	sc.mu.Unlock()
 
-	sc.write(id, req)
+	sc.out.End(wire.AppendStreamRequest(sc.out.Begin(), id, req), false)
 	select {
 	case resp := <-ch:
 		// The one send ch was registered for has been received: it is empty
@@ -245,41 +248,6 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 		// The credit unit stays claimed until the server's response
 		// arrives; the reader returns it even with no waiter left.
 		return nil, ctx.Err()
-	}
-}
-
-// write encodes one stream request frame into the shared buffer. The
-// caller that finds no flusher at work writes the buffer out, and again
-// while frames were appended meanwhile: theirs ride its conn.Write, and
-// a failed write fails flusher and riders alike, through die. While
-// responses arrive several to a read the flusher yields once per write,
-// so that the callers they woke get their next requests aboard.
-func (sc *StreamConn) write(id uint64, req *wire.Request) {
-	sc.wmu.Lock()
-	sc.wbuf = wire.AppendStreamRequest(sc.wbuf, id, req)
-	if sc.flushing {
-		sc.wmu.Unlock()
-		return
-	}
-	sc.flushing = true
-	var err error
-	for err == nil && len(sc.wbuf) > 0 {
-		if sc.bursty.Load() {
-			sc.wmu.Unlock()
-			runtime.Gosched()
-			sc.wmu.Lock()
-		}
-		buf := sc.wbuf
-		sc.wbuf, sc.wspare = sc.wspare[:0], buf[:0] // swapped back only after the write
-		sc.wmu.Unlock()
-		sc.writes.Add(1)
-		_, err = sc.conn.Write(buf)
-		sc.wmu.Lock()
-	}
-	sc.flushing = false
-	sc.wmu.Unlock()
-	if err != nil {
-		sc.die(fmt.Errorf("%w: write: %v", errStreamBroken, err))
 	}
 }
 

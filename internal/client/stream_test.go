@@ -18,7 +18,6 @@ import (
 
 	"github.com/hybridsel/hybridsel/internal/faultnet"
 	"github.com/hybridsel/hybridsel/internal/server"
-	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
 // realStreamDaemon stands up a live server over the fallback-runtime
@@ -482,14 +481,14 @@ func TestStreamCombinedWriteFailureFailsEveryRider(t *testing.T) {
 			}
 			<-cc.entered // the flusher is parked inside conn.Write ...
 			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-				sc.wmu.Lock()
-				aboard, err := wire.DecodeAll(sc.wbuf)
-				sc.wmu.Unlock()
-				if err == nil && len(aboard) == callers-1 {
-					break // ... and every other caller's frame rides the buffer
+				sc.mu.Lock()
+				waiting := len(sc.waiters)
+				sc.mu.Unlock()
+				if waiting == callers {
+					break // ... and every other caller is at, or past, putting its frame in the buffer
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("%d frames aboard (%v), want %d", len(aboard), err, callers-1)
+					t.Fatalf("%d callers waiting, want %d", waiting, callers)
 				}
 			}
 			cc.gate.Store(nil) // later writes, if the parked one gets through, pass

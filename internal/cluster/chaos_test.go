@@ -16,16 +16,22 @@ import (
 
 	"github.com/hybridsel/hybridsel/internal/audit"
 	"github.com/hybridsel/hybridsel/internal/faultnet"
+	"github.com/hybridsel/hybridsel/internal/machine"
+	"github.com/hybridsel/hybridsel/internal/offload"
+	"github.com/hybridsel/hybridsel/internal/polybench"
+	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
-// gossipChaosRig is three gossip nodes, each with its own calibrator,
-// wired through per-edge fault proxies.
+// gossipChaosRig is three gossip nodes, each with its own calibrator —
+// and gemm on a runtime of its own that the calibrator corrects — wired
+// through per-edge fault proxies.
 type gossipChaosRig struct {
 	mesh  *faultnet.Mesh
 	ids   []string
 	nodes map[string]*Node
 	cals  map[string]*audit.Calibrator
 	srcs  map[string]*VersionedSource
+	gemm  map[string]*offload.Region
 }
 
 func newGossipChaosRig(t *testing.T, seed int64) *gossipChaosRig {
@@ -36,6 +42,7 @@ func newGossipChaosRig(t *testing.T, seed int64) *gossipChaosRig {
 		nodes: map[string]*Node{},
 		cals:  map[string]*audit.Calibrator{},
 		srcs:  map[string]*VersionedSource{},
+		gemm:  map[string]*offload.Region{},
 	}
 	t.Cleanup(func() { _ = rig.mesh.Close() })
 
@@ -94,8 +101,24 @@ func newGossipChaosRig(t *testing.T, seed int64) *gossipChaosRig {
 		rig.nodes[id] = node
 		rig.cals[id] = cal
 		rig.srcs[id] = src
+		rig.gemm[id] = gemmOn(t, cal)
 	}
 	return rig
+}
+
+// gemmOn registers gemm on a new runtime corrected by cal.
+func gemmOn(t *testing.T, cal *audit.Calibrator) *offload.Region {
+	t.Helper()
+	rt := offload.NewRuntime(offload.Config{Platform: machine.PlatformP9V100(), Calibrator: cal})
+	k, err := polybench.Get("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := rt.Register(k.IR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func (rig *gossipChaosRig) tickAll(rounds int) {
@@ -204,5 +227,49 @@ func TestChaosGossipNodeKillRecovery(t *testing.T) {
 	}
 	if rig.nodes["node-c"].Status().Refutes == 0 {
 		t.Fatal("node-c never refuted its death rumor")
+	}
+}
+
+// TestChaosLearnedFactorReachesCachedVerdicts: a correction one replica
+// learns changes what the other two answer for a key they had already
+// decided and memoized, within two gossip rounds and with nobody
+// invalidating anything by hand — each then answers what a runtime started
+// in its calibration state would.
+func TestChaosLearnedFactorReachesCachedVerdicts(t *testing.T) {
+	rig := newGossipChaosRig(t, 41)
+	rig.tickAll(2)
+	b := symbolic.Bindings{"n": 300}
+	for _, id := range rig.ids {
+		for _, wantHit := range []bool{false, true} {
+			out, err := rig.gemm[id].Decide(b)
+			if err != nil || out.TargetID != offload.TargetIDGPUBase || out.CacheHit != wantHit {
+				t.Fatalf("%s before any evidence: %+v, %v; want %s, cache hit %v",
+					id, out, err, offload.TargetIDGPUBase, wantHit)
+			}
+		}
+	}
+
+	// node-a's audits find the GPU model under-estimating gemm about 55x.
+	rig.cals["node-a"].Observe("gemm", map[string]float64{offload.TargetIDGPUBase: 4})
+	rig.srcs["node-a"].Bump()
+	rig.tickAll(2)
+
+	for _, id := range rig.ids {
+		fresh := audit.NewCalibrator(0.25)
+		if _, err := fresh.MergeState(rig.cals[id].SnapshotState()); err != nil {
+			t.Fatal(err)
+		}
+		want, err := gemmOn(t, fresh).Decide(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rig.gemm[id].Decide(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.CacheHit || got.TargetID != want.TargetID || want.TargetID != offload.TargetIDCPUBase {
+			t.Errorf("%s answers %s (cache hit %v) two rounds after node-a learned; a runtime started in its state answers %s",
+				id, got.TargetID, got.CacheHit, want.TargetID)
+		}
 	}
 }

@@ -56,6 +56,13 @@ type Source struct {
 	Apply    func(origin string, version uint64, data []byte) error
 }
 
+// suspectAfter and deadAfter are the consecutive direct-exchange failures
+// after which a peer is locally marked suspect and dead.
+const (
+	suspectAfter = 1
+	deadAfter    = 3
+)
+
 // Config configures a cluster node.
 type Config struct {
 	// Self identifies the local replica; Peers the rest of the static
@@ -66,11 +73,6 @@ type Config struct {
 	Vnodes int
 	// Transport performs gossip exchanges. Defaults to an HTTPTransport.
 	Transport Transport
-	// SuspectAfter and DeadAfter are the consecutive direct-exchange
-	// failures after which a peer is locally marked suspect and dead
-	// (defaults 1 and 3).
-	SuspectAfter int
-	DeadAfter    int
 	// Logger receives gossip lifecycle events; nil discards them.
 	Logger *slog.Logger
 }
@@ -117,12 +119,6 @@ type Node struct {
 func New(cfg Config) (*Node, error) {
 	if cfg.Self.ID == "" {
 		return nil, fmt.Errorf("cluster: config needs a self member ID")
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 1
-	}
-	if cfg.DeadAfter <= cfg.SuspectAfter {
-		cfg.DeadAfter = cfg.SuspectAfter + 2
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = &HTTPTransport{}
@@ -378,9 +374,9 @@ func (n *Node) noteExchangeFailure(id string) {
 	m.fails++
 	was := m.health
 	switch {
-	case m.fails >= n.cfg.DeadAfter:
+	case m.fails >= deadAfter:
 		m.health = Dead
-	case m.fails >= n.cfg.SuspectAfter && m.health == Alive:
+	case m.fails >= suspectAfter && m.health == Alive:
 		m.health = Suspect
 	}
 	if m.health != was {

@@ -63,28 +63,12 @@ func (r *Runner) AuditStudy(m polybench.Mode, threads, rounds int, rate float64)
 	plat := machine.PlatformP9V100()
 	res := AuditResult{Mode: m, Threads: threads, Rounds: rounds, Rate: rate}
 
-	build := func(cal offload.Calibrator) (*offload.Runtime, error) {
-		rt := offload.NewRuntime(offload.Config{
-			Platform:   plat,
-			Threads:    threads,
-			Policy:     offload.ModelGuided,
-			CPUSim:     r.opts.CPUSim,
-			GPUSim:     r.opts.GPUSim,
-			Calibrator: cal,
-		})
-		for _, k := range r.kernels {
-			if _, err := rt.Register(k.IR); err != nil {
-				return nil, err
-			}
-		}
-		return rt, nil
-	}
-	rtU, err := build(nil)
+	_, regU, err := r.newRuntime(plat, threads, nil)
 	if err != nil {
 		return res, err
 	}
 	cal := audit.NewCalibrator(0)
-	rtC, err := build(cal)
+	rtC, regC, err := r.newRuntime(plat, threads, cal)
 	if err != nil {
 		return res, err
 	}
@@ -95,11 +79,11 @@ func (r *Runner) AuditStudy(m polybench.Mode, threads, rounds int, rate float64)
 	res.Rows = make([]AuditRow, len(r.kernels))
 	err = r.forEachKernel(func(i int, k *polybench.Kernel) error {
 		b := k.Bindings(m)
-		actCPU, err := rtU.ExecuteTarget(k.Name, offload.TargetIDCPUBase, b)
+		actCPU, err := regU[i].ExecuteTarget(offload.TargetIDCPUBase, b)
 		if err != nil {
 			return err
 		}
-		actGPU, err := rtU.ExecuteTarget(k.Name, offload.TargetIDGPUBase, b)
+		actGPU, err := regU[i].ExecuteTarget(offload.TargetIDGPUBase, b)
 		if err != nil {
 			return err
 		}
@@ -109,11 +93,11 @@ func (r *Runner) AuditStudy(m polybench.Mode, threads, rounds int, rate float64)
 		}
 		row := AuditRow{Kernel: k.Name, FlipRound: -1}
 		for round := 1; round <= rounds; round++ {
-			outU, err := rtU.Launch(k.Name, b)
+			outU, err := regU[i].Launch(b)
 			if err != nil {
 				return err
 			}
-			outC, err := rtC.Launch(k.Name, b)
+			outC, err := regC[i].Launch(b)
 			if err != nil {
 				return err
 			}

@@ -97,20 +97,44 @@ func (r *Runner) runtime(plat machine.Platform, threads int) (*offload.Runtime, 
 	if rt, ok := r.rts[key]; ok {
 		return rt, nil
 	}
-	rt := offload.NewRuntime(offload.Config{
-		Platform: plat,
-		Threads:  threads,
-		Policy:   offload.ModelGuided,
-		CPUSim:   r.opts.CPUSim,
-		GPUSim:   r.opts.GPUSim,
-	})
-	for _, k := range r.kernels {
-		if _, err := rt.Register(k.IR); err != nil {
-			return nil, err
-		}
+	rt, _, err := r.newRuntime(plat, threads, nil)
+	if err != nil {
+		return nil, err
 	}
 	r.rts[key] = rt
 	return rt, nil
+}
+
+// newRuntime builds a model-guided runtime for the platform and host
+// thread count, corrected by cal (nil: not at all), and registers the
+// runner's kernels on it: the handles come back in r.kernels order.
+func (r *Runner) newRuntime(plat machine.Platform, threads int, cal offload.Calibrator) (*offload.Runtime, []*offload.Region, error) {
+	rt := offload.NewRuntime(offload.Config{
+		Platform:   plat,
+		Threads:    threads,
+		Policy:     offload.ModelGuided,
+		CPUSim:     r.opts.CPUSim,
+		GPUSim:     r.opts.GPUSim,
+		Calibrator: cal,
+	})
+	regions := make([]*offload.Region, len(r.kernels))
+	for i, k := range r.kernels {
+		var err error
+		if regions[i], err = rt.Register(k.IR); err != nil {
+			return nil, nil, err
+		}
+	}
+	return rt, regions, nil
+}
+
+// region returns kernel k's handle on the shared runtime of one platform
+// and host thread count.
+func (r *Runner) region(k *polybench.Kernel, plat machine.Platform, threads int) (*offload.Region, error) {
+	rt, err := r.runtime(plat, threads)
+	if err != nil {
+		return nil, err
+	}
+	return rt.Region(k.Name)
 }
 
 // Metrics aggregates the instrumentation of every runtime the runner has
@@ -129,11 +153,11 @@ func (r *Runner) Metrics() offload.Metrics {
 // thread count, memoized in the runtime's execution cache.
 func (r *Runner) CPUSeconds(k *polybench.Kernel, m polybench.Mode,
 	plat machine.Platform, threads int) (float64, error) {
-	rt, err := r.runtime(plat, threads)
+	reg, err := r.region(k, plat, threads)
 	if err != nil {
 		return 0, err
 	}
-	return rt.ExecuteTarget(k.Name, offload.TargetIDCPUBase, k.Bindings(m))
+	return reg.ExecuteTarget(offload.TargetIDCPUBase, k.Bindings(m))
 }
 
 // GPUSeconds returns the ground-truth offload time (kernel + transfer).
@@ -141,11 +165,11 @@ func (r *Runner) CPUSeconds(k *polybench.Kernel, m polybench.Mode,
 // shared through the platform's default runtime.
 func (r *Runner) GPUSeconds(k *polybench.Kernel, m polybench.Mode,
 	plat machine.Platform) (float64, error) {
-	rt, err := r.runtime(plat, 0)
+	reg, err := r.region(k, plat, 0)
 	if err != nil {
 		return 0, err
 	}
-	return rt.ExecuteTarget(k.Name, offload.TargetIDGPUBase, k.Bindings(m))
+	return reg.ExecuteTarget(offload.TargetIDGPUBase, k.Bindings(m))
 }
 
 // forEach runs fn over n work cells on a bounded worker pool, returning
@@ -313,12 +337,8 @@ type PredRow struct {
 // POWER9+V100 platform.
 func (r *Runner) Figure(m polybench.Mode, threads int) ([]PredRow, error) {
 	plat := machine.PlatformP9V100()
-	rt, err := r.runtime(plat, threads)
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]PredRow, len(r.kernels))
-	err = r.forEachKernel(func(i int, k *polybench.Kernel) error {
+	err := r.forEachKernel(func(i int, k *polybench.Kernel) error {
 		cpuSec, err := r.CPUSeconds(k, m, plat, threads)
 		if err != nil {
 			return err
@@ -327,7 +347,11 @@ func (r *Runner) Figure(m polybench.Mode, threads int) ([]PredRow, error) {
 		if err != nil {
 			return err
 		}
-		predCPU, predGPU, err := rt.Predict(k.Name, k.Bindings(m))
+		reg, err := r.region(k, plat, threads)
+		if err != nil {
+			return err
+		}
+		predCPU, predGPU, err := reg.Predict(k.Bindings(m))
 		if err != nil {
 			return err
 		}
@@ -367,12 +391,8 @@ type Fig8Result struct {
 // platform with the full 160-thread host.
 func (r *Runner) Figure8(m polybench.Mode) (Fig8Result, error) {
 	plat := machine.PlatformP9V100()
-	rt, err := r.runtime(plat, 0)
-	if err != nil {
-		return Fig8Result{Mode: m}, err
-	}
 	res := Fig8Result{Mode: m, Rows: make([]Fig8Row, len(r.kernels))}
-	err = r.forEachKernel(func(i int, k *polybench.Kernel) error {
+	err := r.forEachKernel(func(i int, k *polybench.Kernel) error {
 		cpuSec, err := r.CPUSeconds(k, m, plat, 0)
 		if err != nil {
 			return err
@@ -381,7 +401,11 @@ func (r *Runner) Figure8(m polybench.Mode) (Fig8Result, error) {
 		if err != nil {
 			return err
 		}
-		predCPU, predGPU, err := rt.Predict(k.Name, k.Bindings(m))
+		reg, err := r.region(k, plat, 0)
+		if err != nil {
+			return err
+		}
+		predCPU, predGPU, err := reg.Predict(k.Bindings(m))
 		if err != nil {
 			return err
 		}

@@ -103,25 +103,8 @@ func (r *Runner) LearnStudy(m polybench.Mode, threads, rounds, points int, rate 
 		Rate: rate, MinSamples: LearnMinSamples,
 	}
 
-	build := func(cal offload.Calibrator) (*offload.Runtime, error) {
-		rt := offload.NewRuntime(offload.Config{
-			Platform:   plat,
-			Threads:    threads,
-			Policy:     offload.ModelGuided,
-			CPUSim:     r.opts.CPUSim,
-			GPUSim:     r.opts.GPUSim,
-			Calibrator: cal,
-		})
-		for _, k := range r.kernels {
-			if _, err := rt.Register(k.IR); err != nil {
-				return nil, err
-			}
-		}
-		return rt, nil
-	}
-
 	calE := audit.NewCalibrator(0)
-	rtE, err := build(calE)
+	rtE, regE, err := r.newRuntime(plat, threads, calE)
 	if err != nil {
 		return res, err
 	}
@@ -131,7 +114,7 @@ func (r *Runner) LearnStudy(m polybench.Mode, threads, rounds, points int, rate 
 
 	calL := audit.NewCalibrator(0)
 	lrn := learn.New(learn.Config{Fallback: calL, MinSamples: LearnMinSamples})
-	rtL, err := build(lrn)
+	rtL, regL, err := r.newRuntime(plat, threads, lrn)
 	if err != nil {
 		return res, err
 	}
@@ -141,14 +124,14 @@ func (r *Runner) LearnStudy(m polybench.Mode, threads, rounds, points int, rate 
 
 	// A third, uncalibrated runtime prices everyone's choices: its
 	// memoized ExecuteTarget actuals are the shared ground truth.
-	rtP, err := build(nil)
+	rtP, regP, err := r.newRuntime(plat, threads, nil)
 	if err != nil {
 		return res, err
 	}
 	ids := rtP.Targets().IDs()
 
 	res.Rows = make([]LearnRow, 0, len(r.kernels))
-	for _, k := range r.kernels {
+	for ki, k := range r.kernels {
 		pts := learnPoints(k, m, points)
 		row := LearnRow{Kernel: k.Name, FlipRound: -1}
 		for round := 1; round <= rounds; round++ {
@@ -156,7 +139,7 @@ func (r *Runner) LearnStudy(m polybench.Mode, threads, rounds, points int, rate 
 				best := 0.0
 				actual := make(map[string]float64, len(ids))
 				for i, id := range ids {
-					a, err := rtP.ExecuteTarget(k.Name, id, b)
+					a, err := regP[ki].ExecuteTarget(id, b)
 					if err != nil {
 						return res, err
 					}
@@ -165,11 +148,11 @@ func (r *Runner) LearnStudy(m polybench.Mode, threads, rounds, points int, rate 
 						best = a
 					}
 				}
-				outE, err := rtE.Launch(k.Name, b)
+				outE, err := regE[ki].Launch(b)
 				if err != nil {
 					return res, err
 				}
-				outL, err := rtL.Launch(k.Name, b)
+				outL, err := regL[ki].Launch(b)
 				if err != nil {
 					return res, err
 				}

@@ -232,6 +232,9 @@ type Learner struct {
 	// target ID); regions the per-(region, target) models.
 	global  map[string]*model
 	regions map[string]map[string]*model
+	// changed is the runtime's invalidation hook (OnCorrectionChange; a
+	// no-op until one is installed), called without mu held.
+	changed func(region string)
 
 	samples    metrics.Counter
 	updates    metrics.Counter
@@ -260,6 +263,18 @@ func New(cfg Config) *Learner {
 		cfg:     cfg,
 		global:  map[string]*model{},
 		regions: map[string]map[string]*model{},
+		changed: func(string) {},
+	}
+}
+
+// OnCorrectionChange implements offload.Calibrator; the Fallback reports
+// its own movements through the same function.
+func (l *Learner) OnCorrectionChange(changed func(region string)) {
+	l.mu.Lock()
+	l.changed = changed
+	l.mu.Unlock()
+	if l.cfg.Fallback != nil {
+		l.cfg.Fallback.OnCorrectionChange(changed)
 	}
 }
 
@@ -351,8 +366,8 @@ func (l *Learner) CorrectFeatures(region string, f offload.Features, cands []off
 // measured target of one audit verdict into the region's and the global
 // models, in slice order (deterministic for a deterministic audit
 // stream). It reports whether any learned correction at the observed
-// point moved materially — including a gate transition — the signal to
-// invalidate the region's memoized decisions.
+// point moved materially — including a gate transition — in which case the
+// region's memoized decisions are stale and the runtime has been told so.
 func (l *Learner) ObserveVerdict(region string, f offload.Features, ms []audit.TargetMeasurement) (changed bool) {
 	l.mu.Lock()
 	for i := range ms {
@@ -391,9 +406,11 @@ func (l *Learner) ObserveVerdict(region string, f offload.Features, ms []audit.T
 			changed = true
 		}
 	}
+	notify := l.changed
 	l.mu.Unlock()
 	if changed {
 		l.updates.Add(1)
+		notify(region)
 	}
 	return changed
 }

@@ -334,16 +334,18 @@ func TestCorrectorZeroStateMatchesEWMA(t *testing.T) {
 			}
 
 			for _, k := range polybench.Suite() {
-				if _, err := rtA.Register(k.IR); err != nil {
+				regionA, err := rtA.Register(k.IR)
+				if err != nil {
 					t.Fatalf("%s: %v", k.Name, err)
 				}
-				if _, err := rtB.Register(k.IR); err != nil {
+				regionB, err := rtB.Register(k.IR)
+				if err != nil {
 					t.Fatalf("%s: %v", k.Name, err)
 				}
 				for _, mode := range []polybench.Mode{polybench.Test, polybench.Benchmark} {
 					b := k.Bindings(mode)
-					outA, errA := rtA.Decide(k.Name, b)
-					outB, errB := rtB.Decide(k.Name, b)
+					outA, errA := regionA.Decide(b)
+					outB, errB := regionB.Decide(b)
 					if (errA != nil) != (errB != nil) {
 						t.Fatalf("%s/%s %s %v: error mismatch: %v vs %v",
 							plat.Name, regName, k.Name, mode, errA, errB)

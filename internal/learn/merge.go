@@ -8,7 +8,7 @@ import (
 
 // Replica merge: a cluster of daemons gossips learner snapshots so any
 // replica's residual models are warm for any region. Like the audit
-// calibrator's MergeState, the rule below is a join semilattice over
+// calibrator's, the merge rule below is a join semilattice over
 // per-model entries — idempotent, commutative, associative — so all
 // replicas converge to identical models (and identical snapshot bytes)
 // once every state has reached every replica.
@@ -26,29 +26,48 @@ func modelWins(local, remote ModelSnapshot) bool {
 	return bytes.Compare(rb, lb) > 0
 }
 
-// Merge folds a peer replica's snapshot into this learner: per model
-// (global and per-region), the winning side's sufficient statistics are
-// kept and the weights re-solved with the local lambda. Hyperparameters
-// stay local. It reports whether anything changed — the signal that this
-// replica's own gossiped snapshot has a new version.
-func (l *Learner) Merge(s *Snapshot) (changed bool, err error) {
-	if err := validateSnapshot(s); err != nil {
+// SnapshotState serializes the learner's snapshot compactly and
+// deterministically: the gossip payload, in the replication shape of
+// audit.Calibrator.
+func (l *Learner) SnapshotState() []byte {
+	b, err := json.Marshal(l.Snapshot())
+	if err != nil {
+		panic("learn: marshal snapshot: " + err.Error())
+	}
+	return b
+}
+
+// MergeState folds a peer replica's SnapshotState into this learner: per
+// model (global and per-region), the winning side's sufficient statistics
+// are kept and the weights re-solved with the local lambda.
+// Hyperparameters stay local. It reports whether anything changed — the
+// signal that this replica's own gossiped snapshot has a new version. A
+// region is reported stale to the runtime when one of its models was
+// replaced and the old or the new one clears the confidence gate: a
+// correction moved, or the gate flipped. A replaced global model
+// invalidates nothing, as when trained locally — ObserveVerdict reports
+// only the region it observed.
+func (l *Learner) MergeState(data []byte) (changed bool, err error) {
+	var s Snapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		return false, fmt.Errorf("learn: decode state: %w", err)
+	}
+	if err := validateSnapshot(&s); err != nil {
 		return false, fmt.Errorf("learn: merge: %w", err)
 	}
+	var stale []string
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	lambda := l.cfg.Lambda
-	mergeInto := func(dst map[string]*model, id string, ms ModelSnapshot) {
+	// mergeInto reports whether a model that corrects verdicts, before or
+	// after, was replaced.
+	mergeInto := func(dst map[string]*model, id string, ms ModelSnapshot) bool {
 		m := dst[id]
-		if m == nil {
-			dst[id] = restoreModel(ms, lambda)
-			changed = true
-			return
+		if m != nil && !modelWins(snapshotModel(m), ms) {
+			return false
 		}
-		if modelWins(snapshotModel(m), ms) {
-			dst[id] = restoreModel(ms, lambda)
-			changed = true
-		}
+		dst[id] = restoreModel(ms, lambda)
+		changed = true
+		return l.passesGate(m) || l.passesGate(dst[id])
 	}
 	for id, ms := range s.Global {
 		mergeInto(l.global, id, ms)
@@ -59,31 +78,18 @@ func (l *Learner) Merge(s *Snapshot) (changed bool, err error) {
 			dst = make(map[string]*model, len(rm))
 			l.regions[region] = dst
 		}
+		moved := false
 		for id, ms := range rm {
-			mergeInto(dst, id, ms)
+			moved = mergeInto(dst, id, ms) || moved
+		}
+		if moved {
+			stale = append(stale, region)
 		}
 	}
+	notify := l.changed
+	l.mu.Unlock()
+	for _, region := range stale {
+		notify(region)
+	}
 	return changed, nil
-}
-
-// EncodeState serializes the learner's snapshot compactly and
-// deterministically for gossip. DecodeState is its inverse.
-func (l *Learner) EncodeState() []byte {
-	b, err := json.Marshal(l.Snapshot())
-	if err != nil {
-		panic("learn: marshal snapshot: " + err.Error())
-	}
-	return b
-}
-
-// DecodeState deserializes a snapshot encoded by EncodeState.
-func DecodeState(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("learn: decode state: %w", err)
-	}
-	if err := validateSnapshot(&s); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }

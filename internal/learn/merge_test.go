@@ -19,31 +19,23 @@ func TestLearnerMergeConverges(t *testing.T) {
 			b.ObserveVerdict(s.region, s.f, s.ms)
 		}
 	}
-	if bytes.Equal(a.EncodeState(), b.EncodeState()) {
+	sa, sb := a.SnapshotState(), b.SnapshotState()
+	if bytes.Equal(sa, sb) {
 		t.Fatal("replicas started identical; the test has no teeth")
 	}
-
-	sa, err := DecodeState(a.EncodeState())
-	if err != nil {
-		t.Fatalf("DecodeState: %v", err)
+	if changed, err := a.MergeState(sb); err != nil || !changed {
+		t.Fatalf("a.MergeState(b): changed=%v err=%v", changed, err)
 	}
-	sb, err := DecodeState(b.EncodeState())
-	if err != nil {
-		t.Fatalf("DecodeState: %v", err)
+	if changed, err := b.MergeState(sa); err != nil || !changed {
+		t.Fatalf("b.MergeState(a): changed=%v err=%v", changed, err)
 	}
-	if changed, err := a.Merge(sb); err != nil || !changed {
-		t.Fatalf("a.Merge(b): changed=%v err=%v", changed, err)
-	}
-	if changed, err := b.Merge(sa); err != nil || !changed {
-		t.Fatalf("b.Merge(a): changed=%v err=%v", changed, err)
-	}
-	ea, eb := a.EncodeState(), b.EncodeState()
+	ea, eb := a.SnapshotState(), b.SnapshotState()
 	if !bytes.Equal(ea, eb) {
 		t.Fatalf("post-exchange state diverges:\n a %s\n b %s", ea, eb)
 	}
 
 	// Idempotent: merging either side again changes nothing.
-	if changed, err := a.Merge(sb); err != nil || changed {
+	if changed, err := a.MergeState(sb); err != nil || changed {
 		t.Fatalf("re-merge reported change: %v %v", changed, err)
 	}
 	// And the merged learner still answers: every model kept the side
@@ -68,31 +60,33 @@ func TestLearnerMergeOrderIndependent(t *testing.T) {
 			y.ObserveVerdict(s.region, s.f, s.ms)
 		}
 	}
-	sx, _ := DecodeState(x.EncodeState())
-	sy, _ := DecodeState(y.EncodeState())
+	sx, sy := x.SnapshotState(), y.SnapshotState()
 
 	xy, yx := New(cfg), New(cfg)
-	for _, s := range []*Snapshot{sx, sy} {
-		if _, err := xy.Merge(s); err != nil {
+	for _, s := range [][]byte{sx, sy} {
+		if _, err := xy.MergeState(s); err != nil {
 			t.Fatalf("merge: %v", err)
 		}
 	}
-	for _, s := range []*Snapshot{sy, sx} {
-		if _, err := yx.Merge(s); err != nil {
+	for _, s := range [][]byte{sy, sx} {
+		if _, err := yx.MergeState(s); err != nil {
 			t.Fatalf("merge: %v", err)
 		}
 	}
-	if !bytes.Equal(xy.EncodeState(), yx.EncodeState()) {
+	if !bytes.Equal(xy.SnapshotState(), yx.SnapshotState()) {
 		t.Fatal("merge order changed the learner state")
 	}
 }
 
 func TestLearnerMergeRejectsMalformed(t *testing.T) {
 	l := New(Config{MinSamples: 2})
-	if _, err := DecodeState([]byte(`{"version":99}`)); err == nil {
-		t.Error("DecodeState accepted unsupported version")
+	if _, err := l.MergeState([]byte(`{"version":99}`)); err == nil {
+		t.Error("MergeState accepted unsupported version")
 	}
-	if _, err := l.Merge(&Snapshot{Version: 1}); err == nil {
-		t.Error("Merge accepted snapshot with zero hyperparameters")
+	if _, err := l.MergeState([]byte(`{"version":`)); err == nil {
+		t.Error("MergeState accepted truncated state")
+	}
+	if _, err := l.MergeState([]byte(`{"version":1}`)); err == nil {
+		t.Error("MergeState accepted snapshot with zero hyperparameters")
 	}
 }

@@ -80,7 +80,8 @@ func snapshotModel(m *model) ModelSnapshot {
 // Restore replaces the learner's models (and hyperparameters, which the
 // stored weights depend on) with the snapshot's state, re-solving every
 // weight vector deterministically. The verdict/sample counters are not
-// part of the state and keep counting.
+// part of the state and keep counting. Every region's memoized decisions
+// are reported stale to the runtime.
 func (l *Learner) Restore(s *Snapshot) error {
 	if err := validateSnapshot(s); err != nil {
 		return err
@@ -103,7 +104,9 @@ func (l *Learner) Restore(s *Snapshot) error {
 	l.cfg.MaxVariance = s.MaxVariance
 	l.global = global
 	l.regions = regions
+	notify := l.changed
 	l.mu.Unlock()
+	notify("")
 	return nil
 }
 

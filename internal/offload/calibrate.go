@@ -52,28 +52,27 @@ type Features struct {
 // goroutines, and cheap — CorrectFeatures sits on the decision miss path.
 //
 // A calibration update changes the inputs of future decisions but not of
-// already-memoized ones; whoever mutates the calibrator should call
-// Runtime.InvalidateDecisions (or Region.InvalidateDecisions) for the
-// affected region so stale cached verdicts are re-decided.
+// memoized ones. Dropping those is the corrector's own job, not its
+// feeders': however its state moves (an audit, a gossip merge, a restore)
+// it calls the function NewRuntime installed through OnCorrectionChange.
 type Calibrator interface {
 	CorrectFeatures(region string, f Features, cands []Candidate) string
+	// OnCorrectionChange installs changed, which the calibrator calls —
+	// holding none of its own locks — with each region whose corrections
+	// moved materially, or with "" when any region's may have. A calibrator
+	// serves one runtime: a second call replaces the first.
+	OnCorrectionChange(changed func(region string))
 }
 
 // Features evaluates the region's decision feature vector at the bound
 // point — the inputs a Calibrator is handed.
 func (r *Region) Features(b symbolic.Bindings) (Features, error) {
-	ev := r.bind(b)
-	defer ev.release()
-	return ev.features()
-}
-
-// Features is the name-based wrapper around Region.Features.
-func (rt *Runtime) Features(name string, b symbolic.Bindings) (Features, error) {
-	r, err := rt.Region(name)
+	ev, err := r.bind(b)
 	if err != nil {
 		return Features{}, err
 	}
-	return r.Features(b)
+	defer ev.release()
+	return ev.features()
 }
 
 // warpGeom is the platform's warp geometry, the one the IPDA coalescing
@@ -86,16 +85,15 @@ func (rt *Runtime) warpGeom() ipda.WarpGeom {
 }
 
 // InvalidateDecisions drops the region's memoized decisions so the next
-// launch re-evaluates the models and re-runs the policy — required after
-// anything that changes decision inputs out of band (e.g. a calibration
-// update). The execution memoization is untouched: ground truth does not
+// launch re-evaluates the models and re-runs the policy — for a change of
+// decision inputs the runtime cannot see (a configured Calibrator reports
+// its own). The execution memoization is untouched: ground truth does not
 // change.
 func (r *Region) InvalidateDecisions() {
 	r.decisions.clear()
 }
 
-// InvalidateDecisions is the name-based wrapper around
-// Region.InvalidateDecisions.
+// InvalidateDecisions is Region.InvalidateDecisions by region name.
 func (rt *Runtime) InvalidateDecisions(name string) error {
 	r, err := rt.Region(name)
 	if err != nil {
@@ -103,4 +101,20 @@ func (rt *Runtime) InvalidateDecisions(name string) error {
 	}
 	r.InvalidateDecisions()
 	return nil
+}
+
+// correctionChanged is what the Calibrator is given to call: it drops the
+// memoized decisions of the named region, or of every region for "". A
+// name never registered here is fine: replicated calibration state covers
+// every replica's regions.
+func (rt *Runtime) correctionChanged(region string) {
+	rt.regmu.RLock()
+	defer rt.regmu.RUnlock()
+	if r := rt.regions[region]; r != nil {
+		r.decisions.clear()
+	} else if region == "" {
+		for _, r := range rt.regions {
+			r.decisions.clear()
+		}
+	}
 }

@@ -19,14 +19,14 @@ func TestProvenanceDefaultsAnalytical(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := k.Bindings(polybench.Test)
-	out, err := rt.Decide("gemm", b)
+	out, err := regionOf(t, rt, "gemm").Decide(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Provenance != ProvenanceAnalytical {
 		t.Fatalf("miss provenance = %q, want %q", out.Provenance, ProvenanceAnalytical)
 	}
-	hit, err := rt.Decide("gemm", b)
+	hit, err := regionOf(t, rt, "gemm").Decide(b)
 	if err != nil {
 		t.Fatal(err)
 	}

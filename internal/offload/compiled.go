@@ -32,10 +32,9 @@ type targetProg struct {
 //
 // Every registered region has one: compilation is all-or-nothing across
 // targets, and a region it rejects fails Register with ErrNotCompilable.
-// The programs price every launch whose binding names are exactly the
-// kernel parameters (KeyLayout.Fill); a launch under any other name set
-// is priced by the map-form evaluator, which also owns the reporting of
-// unbound symbols.
+// The programs price every launch: Region.bind projects the launch's
+// bindings onto the kernel parameters and refuses a launch that leaves one
+// out.
 type compiledModels struct {
 	layout *attrdb.KeyLayout
 	aug    *ir.Augment
@@ -201,8 +200,8 @@ func (sv *slotVecs) key() (string, uint64) { return sv.cm.layout.Key(sv.vals), s
 
 // prime fills the midpoint vector and reads the branch probability once
 // per point. No validation of the values is needed: compileRegion proved
-// every expression resolvable from the parameters, and Fill (or the slot
-// count check of DecideVals) proved the parameters are what was bound.
+// every expression resolvable from the parameters, and bind (or the slot
+// count check of DecideVals) proved every parameter bound.
 func (sv *slotVecs) prime() {
 	if sv.primed {
 		return

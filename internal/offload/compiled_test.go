@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/hybridsel/hybridsel/internal/ir"
@@ -71,6 +73,8 @@ func (featureCalibrator) CorrectFeatures(_ string, f Features, cands []Candidate
 	}
 	return ProvenanceLearned
 }
+
+func (featureCalibrator) OnCorrectionChange(func(string)) {} // never moves
 
 // lawCalibrators is the calibrator axis of the law.
 var lawCalibrators = []Calibrator{nil, factorCalibrator, featureCalibrator{}}
@@ -329,12 +333,12 @@ func TestRegisterRejectsNonCompilable(t *testing.T) {
 	}
 }
 
-// TestCompiledFallbackOnForeignBindings pins the per-launch choice of
-// evaluator: a launch whose binding names are not exactly the kernel
-// parameters (here, one extra name) is priced by the map form — the only
-// way to reach it outside these tests — and, the extra binding being
-// unused, agrees with the exact-bindings verdict.
-func TestCompiledFallbackOnForeignBindings(t *testing.T) {
+// TestForeignBindingsProject pins how a launch's bindings reach the slot
+// programs: projected onto the region's parameters. A name beyond them is
+// ignored — the launch is the exact bindings' launch, cache entry included,
+// and nothing is priced by the map form — and a parameter left out is
+// ErrUnboundSymbol naming it, from every entry point.
+func TestForeignBindingsProject(t *testing.T) {
 	rt := NewRuntime(Config{Platform: machine.PlatformP9V100(), Policy: Split,
 		Calibrator: featureCalibrator{}})
 	k, err := polybench.Get("gemm")
@@ -350,34 +354,45 @@ func TestCompiledFallbackOnForeignBindings(t *testing.T) {
 	for name, v := range plain {
 		foreign[name] = v
 	}
-	fcpu, fgpu, err := r.Predict(foreign)
-	if err != nil {
-		t.Fatalf("foreign-bindings predict: %v", err)
-	}
-	fout, err := r.Decide(foreign)
-	if err != nil {
-		t.Fatalf("foreign-bindings decide: %v", err)
-	}
-	if m := rt.Metrics(); m.CompiledModelEvals != 0 || m.Predictions != 1 {
-		t.Fatalf("foreign bindings: %d evaluations, %d by the slot programs; want 1 and 0",
-			m.Predictions, m.CompiledModelEvals)
-	}
-	pcpu, pgpu, err := r.Predict(plain)
-	if err != nil {
+	if _, err := r.Decide(plain); err != nil {
 		t.Fatal(err)
 	}
 	pout, err := r.Decide(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := rt.Metrics(); m.CompiledModelEvals != 1 || m.Predictions != 2 {
-		t.Fatalf("exact bindings: %d evaluations, %d by the slot programs; want 2 and 1",
-			m.Predictions, m.CompiledModelEvals)
+	fout, err := r.Decide(foreign)
+	if err != nil {
+		t.Fatalf("foreign-bindings decide: %v", err)
 	}
-	if fcpu != pcpu || fgpu != pgpu {
-		t.Fatalf("foreign vs exact predictions diverge: %v/%v vs %v/%v", fcpu, fgpu, pcpu, pgpu)
+	if !fout.CacheHit {
+		t.Fatal("a launch with an extra binding missed the exact bindings' cache entry")
 	}
 	if fd, pd := scrubbed(fout), scrubbed(pout); !reflect.DeepEqual(fd, pd) {
 		t.Fatalf("foreign vs exact verdicts diverge:\n %+v\n %+v", fd, pd)
+	}
+	fcpu, fgpu, err := r.Predict(foreign)
+	if err != nil {
+		t.Fatalf("foreign-bindings predict: %v", err)
+	}
+	if pcpu, pgpu, _ := r.Predict(plain); fcpu != pcpu || fgpu != pgpu {
+		t.Fatalf("foreign vs exact predictions diverge: %v/%v vs %v/%v", fcpu, fgpu, pcpu, pgpu)
+	}
+	if m := rt.Metrics(); m.Predictions != 1 || m.CompiledModelEvals != 1 {
+		t.Fatalf("%d evaluations, %d by the slot programs; want 1 and 1 (none by the map form)",
+			m.Predictions, m.CompiledModelEvals)
+	}
+
+	missing := symbolic.Bindings{"unused": 7}
+	_, errDecide := r.Decide(missing)
+	_, errLaunch := r.Launch(missing)
+	_, _, errPredict := r.Predict(missing)
+	_, errTargets := r.PredictTargets(missing)
+	_, errFeatures := r.Features(missing)
+	for entry, err := range map[string]error{"Decide": errDecide, "Launch": errLaunch,
+		"Predict": errPredict, "PredictTargets": errTargets, "Features": errFeatures} {
+		if !errors.Is(err, ErrUnboundSymbol) || !strings.Contains(err.Error(), strconv.Quote(r.ParamNames()[0])) {
+			t.Errorf("%s without %q: %v, want ErrUnboundSymbol naming it", entry, r.ParamNames()[0], err)
+		}
 	}
 }

@@ -126,12 +126,14 @@ func TestConcurrentLaunchStress(t *testing.T) {
 func TestConcurrentMixedOperations(t *testing.T) {
 	rt := NewRuntime(stressConfig(ModelGuided))
 	seen := observed(rt)
-	names := []string{"gemm", "mvt1", "2dconv"}
-	for _, name := range names {
+	var regions []*Region
+	for _, name := range []string{"gemm", "mvt1", "2dconv"} {
 		k, _ := polybench.Get(name)
-		if _, err := rt.Register(k.IR); err != nil {
+		r, err := rt.Register(k.IR)
+		if err != nil {
 			t.Fatal(err)
 		}
+		regions = append(regions, r)
 	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, 16)
@@ -140,18 +142,18 @@ func TestConcurrentMixedOperations(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				name := names[(w+i)%len(names)]
+				r := regions[(w+i)%len(regions)]
 				b := symbolic.Bindings{"n": int64(64 + 32*(i%3))}
-				if _, err := rt.Launch(name, b); err != nil {
+				if _, err := r.Launch(b); err != nil {
 					errCh <- err
 					return
 				}
-				if _, _, err := rt.Predict(name, b); err != nil {
+				if _, _, err := r.Predict(b); err != nil {
 					errCh <- err
 					return
 				}
 				if i%4 == 0 {
-					if _, err := rt.ProfileRegion(name, b); err != nil {
+					if _, err := r.ProfileBranches(b); err != nil {
 						errCh <- err
 						return
 					}

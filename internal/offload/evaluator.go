@@ -1,6 +1,8 @@
 package offload
 
 import (
+	"fmt"
+
 	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/cpumodel"
 	"github.com/hybridsel/hybridsel/internal/gpumodel"
@@ -14,11 +16,9 @@ const defaultTrip = 128
 
 // evaluator prices one launch point — a region under one set of runtime
 // values — for the decide body, which never looks at the values itself.
-// There are two: the region's slot programs (slotVecs, compiled.go), which
-// serve every launch bound under exactly the region's parameter names, and
-// the map form below, which prices the launches bound under any other
-// name set and is the reference the in-package tests hold the slot
-// programs to, bit for bit.
+// Every launch is priced by the region's slot programs (slotVecs,
+// compiled.go); the map form below is the reference the in-package tests
+// hold them to, bit for bit, and is built only under Runtime.mapEvalOnly.
 type evaluator interface {
 	// lookup probes the region's decision cache for the point.
 	lookup(c *decisionCache) (decisionEntry, bool)
@@ -38,18 +38,26 @@ type evaluator interface {
 	release()
 }
 
-// bind returns the evaluator of a launch under b: the slot programs when
-// b names exactly the region's parameters, the map form otherwise.
-func (r *Region) bind(b symbolic.Bindings) evaluator {
-	if !r.rt.mapEvalOnly {
-		sv := r.slots()
-		if r.compiled.layout.Fill(b, sv.vals) {
-			return sv
-		}
-		sv.release()
+// bind returns the evaluator of a launch under b: the slot programs over b
+// projected onto the region's parameters. Names b binds beyond them are
+// ignored — nothing the region evaluates can read them — so the launch
+// shares the exact bindings' cache entry; a parameter b leaves out is
+// ErrUnboundSymbol.
+func (r *Region) bind(b symbolic.Bindings) (evaluator, error) {
+	if r.rt.mapEvalOnly {
+		key := attrdb.BindingsKey(b)
+		return &mapEval{r: r, b: b, k: key, h: attrdb.KeyHash(key)}, nil
 	}
-	key := attrdb.BindingsKey(b)
-	return &mapEval{r: r, b: b, k: key, h: attrdb.KeyHash(key)}
+	sv := r.slots()
+	for i, name := range r.ParamNames() {
+		v, ok := b[name]
+		if !ok {
+			sv.release()
+			return nil, fmt.Errorf("%w: region %s is launched without %q", ErrUnboundSymbol, r.Name, name)
+		}
+		sv.vals[i] = v
+	}
+	return sv, nil
 }
 
 // bindVals is bind for a canonical slot vector (len(vals) already checked
@@ -57,7 +65,8 @@ func (r *Region) bind(b symbolic.Bindings) evaluator {
 // slot vector, and no bindings map is built.
 func (r *Region) bindVals(vals []int64) evaluator {
 	if r.rt.mapEvalOnly {
-		return r.bind(r.bindingsFromVals(vals))
+		ev, _ := r.bind(r.bindingsFromVals(vals)) // the map form binds anything
+		return ev
 	}
 	sv := r.slots()
 	copy(sv.vals, vals)

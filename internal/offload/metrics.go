@@ -84,9 +84,9 @@ type Metrics struct {
 	// Predictions counts model-pair evaluations actually performed
 	// (cache misses and standalone Predict calls).
 	Predictions uint64
-	// CompiledModelEvals counts the subset of Predictions served by the
-	// slot programs; the rest priced launches bound under names other
-	// than the region's parameters.
+	// CompiledModelEvals counts the Predictions served by the slot
+	// programs: all of them, outside the in-package tests' map-form
+	// reference.
 	CompiledModelEvals uint64
 	// DispatchTargets counts completed launches per registry target ID
 	// (plus the "split" pseudo-target), omitting zero rows.
@@ -161,10 +161,6 @@ func (m Metrics) String() string {
 	fmt.Fprintf(&sb, "  model evaluations    %d (mean %v, max %v)\n",
 		m.Predictions, m.ModelEval.Mean().Round(time.Microsecond),
 		m.ModelEval.Max.Round(time.Microsecond))
-	if m.Predictions > m.CompiledModelEvals {
-		fmt.Fprintf(&sb, "  foreign bindings     %d evaluations outside the slot programs\n",
-			m.Predictions-m.CompiledModelEvals)
-	}
 	if m.ModelEval.Count > 0 {
 		q := func(q float64) time.Duration { return m.ModelEval.Quantile(q).Round(time.Microsecond) }
 		fmt.Fprintf(&sb, "  eval latency         p50 %v p95 %v p99 %v\n", q(0.50), q(0.95), q(0.99))

@@ -36,7 +36,7 @@ func TestClassicPairRankedParity(t *testing.T) {
 						if gpuSec < cpuSec {
 							wantID, wantTarget = TargetIDGPUBase, KindGPU
 						}
-						out, err := rt.Decide(k.Name, b)
+						out, err := regionOf(t, rt, k.Name).Decide(b)
 						if err != nil {
 							t.Fatalf("%s/%v: decide: %v", k.Name, mode, err)
 						}
@@ -83,7 +83,7 @@ func TestSyntheticRankingTotalOrderAndStable(t *testing.T) {
 			}
 			for _, mode := range []polybench.Mode{polybench.Test, polybench.Benchmark} {
 				b := k.Bindings(mode)
-				first, err := rt.PredictTargets(name, b)
+				first, err := regionOf(t, rt, name).PredictTargets(b)
 				if err != nil {
 					t.Fatalf("%s/%v: %v", name, mode, err)
 				}
@@ -110,7 +110,7 @@ func TestSyntheticRankingTotalOrderAndStable(t *testing.T) {
 				// Stability: re-ranking the same point returns the same
 				// ranking, value for value.
 				for rep := 0; rep < 4; rep++ {
-					again, err := rt.PredictTargets(name, b)
+					again, err := regionOf(t, rt, name).PredictTargets(b)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -125,7 +125,7 @@ func TestSyntheticRankingTotalOrderAndStable(t *testing.T) {
 				}
 				// The policy-chosen verdict is the ranking's top-1 and the
 				// decision carries the full ranking.
-				out, err := rt.Decide(name, b)
+				out, err := regionOf(t, rt, name).Decide(b)
 				if err != nil {
 					t.Fatal(err)
 				}

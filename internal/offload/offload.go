@@ -18,8 +18,10 @@
 // target's kind (TargetKind: cpu, gpu, or split for a cooperative
 // verdict) is a projection of the chosen ID, not a second vocabulary.
 // There is one decide body: it runs over an evaluator of the bound launch
-// point, and the slot programs are the evaluator of every launch bound
-// under exactly the region's parameter names (evaluator.go has the other).
+// point, and the slot programs are the evaluator of every launch — a
+// bindings map is projected onto the region's parameters, names beyond them
+// ignored and a missing one refused with ErrUnboundSymbol (evaluator.go has
+// the map form the in-package tests hold the programs to).
 //
 // The runtime is built for heavy concurrent traffic:
 //
@@ -115,9 +117,9 @@ type Config struct {
 }
 
 // Region is one registered target region with its generated versions,
-// stored attributes, and per-region caches. Handles are created by
-// Runtime.Register; their Launch/Predict/ExecuteTarget methods skip the
-// name-lookup of the equivalent Runtime methods.
+// stored attributes, and per-region caches. The handle — created by
+// Runtime.Register, looked up by Runtime.Region — is how a region is
+// launched, decided, predicted, executed and profiled.
 type Region struct {
 	Name     string
 	Kernel   *ir.Kernel
@@ -194,9 +196,9 @@ type Outcome struct {
 }
 
 // Runtime is the offloading runtime. Registration is typically performed
-// up front (the compiler role); Launch, Predict and Execute are safe for
-// arbitrary concurrent use, including concurrently with Register and
-// ProfileRegion.
+// up front (the compiler role); a Region's Launch, Decide, Predict and
+// ExecuteTarget are safe for arbitrary concurrent use, including
+// concurrently with Register and ProfileBranches.
 type Runtime struct {
 	cfg Config
 
@@ -267,6 +269,9 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Observer != nil {
 		rt.obs.Store(&cfg.Observer)
 	}
+	if cfg.Calibrator != nil {
+		cfg.Calibrator.OnCorrectionChange(rt.correctionChanged)
+	}
 	return rt
 }
 
@@ -336,17 +341,11 @@ func (rt *Runtime) Register(k *ir.Kernel) (*Region, error) {
 func (rt *Runtime) Region(name string) (*Region, error) {
 	rt.regmu.RLock()
 	r, ok := rt.regions[name]
-	if ok {
-		rt.regmu.RUnlock()
-		return r, nil
-	}
-	known := make([]string, 0, len(rt.regions))
-	for k := range rt.regions {
-		known = append(known, k)
-	}
 	rt.regmu.RUnlock()
-	sort.Strings(known)
-	return nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownRegion, name, known)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownRegion, name, rt.Regions())
+	}
+	return r, nil
 }
 
 // Regions returns the registered region names, sorted.
@@ -359,51 +358,6 @@ func (rt *Runtime) Regions() []string {
 	rt.regmu.RUnlock()
 	sort.Strings(names)
 	return names
-}
-
-// Launch is the name-based wrapper around Region.Launch.
-func (rt *Runtime) Launch(name string, b symbolic.Bindings) (*Outcome, error) {
-	r, err := rt.Region(name)
-	if err != nil {
-		return nil, err
-	}
-	return r.Launch(b)
-}
-
-// Decide is the name-based wrapper around Region.Decide.
-func (rt *Runtime) Decide(name string, b symbolic.Bindings) (*Outcome, error) {
-	r, err := rt.Region(name)
-	if err != nil {
-		return nil, err
-	}
-	return r.Decide(b)
-}
-
-// Predict is the name-based wrapper around Region.Predict.
-func (rt *Runtime) Predict(name string, b symbolic.Bindings) (cpuSec, gpuSec float64, err error) {
-	r, err := rt.Region(name)
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.Predict(b)
-}
-
-// PredictTargets is the name-based wrapper around Region.PredictTargets.
-func (rt *Runtime) PredictTargets(name string, b symbolic.Bindings) ([]Candidate, error) {
-	r, err := rt.Region(name)
-	if err != nil {
-		return nil, err
-	}
-	return r.PredictTargets(b)
-}
-
-// ExecuteTarget is the name-based wrapper around Region.ExecuteTarget.
-func (rt *Runtime) ExecuteTarget(name, targetID string, b symbolic.Bindings) (float64, error) {
-	r, err := rt.Region(name)
-	if err != nil {
-		return 0, err
-	}
-	return r.ExecuteTarget(targetID, b)
 }
 
 // Metrics returns a point-in-time snapshot of the runtime's
@@ -664,7 +618,10 @@ func (r *Region) PredictTargets(b symbolic.Bindings) ([]Candidate, error) {
 // predictions under b: the memoized one, or — evaluating every target's
 // model — a fresh prediction-only entry, stored.
 func (r *Region) predicted(b symbolic.Bindings) (decisionEntry, error) {
-	ev := r.bind(b)
+	ev, err := r.bind(b)
+	if err != nil {
+		return decisionEntry{}, err
+	}
 	defer ev.release()
 	if hit, ok := ev.lookup(r.decisions); ok {
 		return hit, nil
@@ -834,7 +791,11 @@ func (r *Region) decideOnly(ev evaluator, start time.Time, b symbolic.Bindings, 
 func (r *Region) Decide(b symbolic.Bindings) (*Outcome, error) {
 	out := new(Outcome)
 	start := time.Now()
-	if err := r.decideOnly(r.bind(b), start, b, out); err != nil {
+	ev, err := r.bind(b)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.decideOnly(ev, start, b, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -850,7 +811,10 @@ func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 	d := Decision{Region: r.Name, Bindings: b, Policy: pol}
 	start := time.Now()
 
-	ev := r.bind(b)
+	ev, err := r.bind(b)
+	if err != nil {
+		return nil, err
+	}
 	key, err := r.decide(ev, &d)
 	ev.release()
 	if err != nil {

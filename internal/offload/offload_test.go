@@ -29,6 +29,16 @@ func newRT(t *testing.T, p Policy) *Runtime {
 	return rt
 }
 
+// regionOf resolves a registered region's handle.
+func regionOf(t testing.TB, rt *Runtime, name string) *Region {
+	t.Helper()
+	r, err := rt.Region(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // observed installs an observer on rt that keeps every completed decision
 // in completion order — what a caller that wants a decision log does —
 // and returns a function snapshotting what it has seen so far.
@@ -92,7 +102,7 @@ func TestPoliciesExecuteChosenTarget(t *testing.T) {
 	for _, p := range []Policy{AlwaysCPU, AlwaysGPU, ModelGuided, Oracle} {
 		rt := newRT(t, p)
 		log := observed(rt)
-		out, err := rt.Launch("gemm", b)
+		out, err := regionOf(t, rt, "gemm").Launch(b)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -125,7 +135,7 @@ func TestPoliciesExecuteChosenTarget(t *testing.T) {
 
 func TestModelGuidedTracksPredictions(t *testing.T) {
 	rt := newRT(t, ModelGuided)
-	out, err := rt.Launch("gemm", symbolic.Bindings{"n": 1100})
+	out, err := regionOf(t, rt, "gemm").Launch(symbolic.Bindings{"n": 1100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +154,7 @@ func TestDecisionOverheadNegligible(t *testing.T) {
 	// analytical models is just solving equations. Ensure a decision
 	// costs well under a millisecond even in this unoptimized prototype.
 	rt := newRT(t, ModelGuided)
-	out, err := rt.Launch("2dconv", symbolic.Bindings{"n": 1100})
+	out, err := regionOf(t, rt, "2dconv").Launch(symbolic.Bindings{"n": 1100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +166,11 @@ func TestDecisionOverheadNegligible(t *testing.T) {
 func TestExecuteMemoization(t *testing.T) {
 	rt := newRT(t, Oracle)
 	b := symbolic.Bindings{"n": 256}
-	s1, err := rt.ExecuteTarget("mvt1", TargetIDCPUBase, b)
+	s1, err := regionOf(t, rt, "mvt1").ExecuteTarget(TargetIDCPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := rt.ExecuteTarget("mvt1", TargetIDCPUBase, b)
+	s2, err := regionOf(t, rt, "mvt1").ExecuteTarget(TargetIDCPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +178,7 @@ func TestExecuteMemoization(t *testing.T) {
 		t.Fatalf("memoized execution differs: %v vs %v", s1, s2)
 	}
 	// Different bindings are distinct cache entries.
-	s3, err := rt.ExecuteTarget("mvt1", TargetIDCPUBase, symbolic.Bindings{"n": 512})
+	s3, err := regionOf(t, rt, "mvt1").ExecuteTarget(TargetIDCPUBase, symbolic.Bindings{"n": 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +189,10 @@ func TestExecuteMemoization(t *testing.T) {
 
 func TestLaunchErrors(t *testing.T) {
 	rt := newRT(t, ModelGuided)
-	if _, err := rt.Launch("nope", symbolic.Bindings{"n": 10}); err == nil {
-		t.Fatal("unknown region launched")
+	if _, err := rt.Region("nope"); err == nil {
+		t.Fatal("unknown region resolved")
 	}
-	if _, err := rt.Launch("gemm", nil); err == nil {
+	if _, err := regionOf(t, rt, "gemm").Launch(nil); err == nil {
 		t.Fatal("launch without runtime values accepted")
 	}
 }
@@ -229,10 +239,6 @@ func TestParsePolicy(t *testing.T) {
 
 func TestSentinelErrors(t *testing.T) {
 	rt := newRT(t, ModelGuided)
-	_, err := rt.Launch("nope", symbolic.Bindings{"n": 10})
-	if !errors.Is(err, ErrUnknownRegion) {
-		t.Fatalf("unknown region error = %v", err)
-	}
 	if _, err := rt.Region("nope"); !errors.Is(err, ErrUnknownRegion) {
 		t.Fatalf("Region error = %v", err)
 	}
@@ -241,10 +247,10 @@ func TestSentinelErrors(t *testing.T) {
 		t.Fatalf("duplicate registration error = %v", err)
 	}
 	// Missing bindings surface as ErrUnboundSymbol from every entry point.
-	if _, err := rt.Launch("gemm", nil); !errors.Is(err, ErrUnboundSymbol) {
+	if _, err := regionOf(t, rt, "gemm").Launch(nil); !errors.Is(err, ErrUnboundSymbol) {
 		t.Fatalf("launch without bindings = %v", err)
 	}
-	if _, _, err := rt.Predict("gemm", symbolic.Bindings{"wrong": 4}); !errors.Is(err, ErrUnboundSymbol) {
+	if _, _, err := regionOf(t, rt, "gemm").Predict(symbolic.Bindings{"wrong": 4}); !errors.Is(err, ErrUnboundSymbol) {
 		t.Fatalf("predict with wrong bindings = %v", err)
 	}
 }
@@ -272,7 +278,7 @@ func TestRegionHandleLaunch(t *testing.T) {
 	if err != nil || sec != out.ActualSeconds {
 		t.Fatalf("handle execute = %v, %v (launch saw %v)", sec, err, out.ActualSeconds)
 	}
-	// The name-based wrappers resolve to the same handle.
+	// A lookup by name resolves to the same handle.
 	viaName, err := rt.Region("gemm")
 	if err != nil || viaName != region {
 		t.Fatalf("Region lookup = %v, %v", viaName, err)
@@ -287,7 +293,7 @@ func TestDecisionCacheHitsSkipModelEvaluation(t *testing.T) {
 	seen := observed(rt)
 	b := symbolic.Bindings{"n": 256}
 	for i := 0; i < 5; i++ {
-		if _, err := rt.Launch("gemm", b); err != nil {
+		if _, err := regionOf(t, rt, "gemm").Launch(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +317,7 @@ func TestDecisionCacheHitsSkipModelEvaluation(t *testing.T) {
 		t.Fatal("cached decision differs from evaluated decision")
 	}
 	// Different bindings are distinct cache entries.
-	if _, err := rt.Launch("gemm", symbolic.Bindings{"n": 300}); err != nil {
+	if _, err := regionOf(t, rt, "gemm").Launch(symbolic.Bindings{"n": 300}); err != nil {
 		t.Fatal(err)
 	}
 	if got := rt.Metrics().DecisionCacheMisses; got != 2 {
@@ -328,7 +334,7 @@ func TestDecisionCacheDisabled(t *testing.T) {
 	}
 	b := symbolic.Bindings{"n": 256}
 	for i := 0; i < 3; i++ {
-		if _, err := rt.Launch("gemm", b); err != nil {
+		if _, err := regionOf(t, rt, "gemm").Launch(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,10 +388,10 @@ func TestMetricsConsistency(t *testing.T) {
 	rt := newRT(t, ModelGuided)
 	log := observed(rt)
 	for _, n := range []int64{128, 128, 256} {
-		if _, err := rt.Launch("gemm", symbolic.Bindings{"n": n}); err != nil {
+		if _, err := regionOf(t, rt, "gemm").Launch(symbolic.Bindings{"n": n}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.Launch("mvt1", symbolic.Bindings{"n": n}); err != nil {
+		if _, err := regionOf(t, rt, "mvt1").Launch(symbolic.Bindings{"n": n}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -432,13 +438,13 @@ func TestMetricsConsistency(t *testing.T) {
 func TestProfileInvalidatesDecisionCache(t *testing.T) {
 	rt := newRT(t, ModelGuided)
 	b := symbolic.Bindings{"n": 256}
-	if _, err := rt.Launch("2dconv", b); err != nil {
+	if _, err := regionOf(t, rt, "2dconv").Launch(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.ProfileRegion("2dconv", b); err != nil {
+	if _, err := regionOf(t, rt, "2dconv").ProfileBranches(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Launch("2dconv", b); err != nil {
+	if _, err := regionOf(t, rt, "2dconv").Launch(b); err != nil {
 		t.Fatal(err)
 	}
 	m := rt.Metrics()
@@ -458,22 +464,22 @@ func TestCacheInvariantMixedTraffic(t *testing.T) {
 	hot := symbolic.Bindings{"n": 256}
 	cold := symbolic.Bindings{"n": 300}
 	for i := 0; i < 3; i++ {
-		if _, err := rt.Launch("gemm", hot); err != nil {
+		if _, err := regionOf(t, rt, "gemm").Launch(hot); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.Decide("gemm", hot); err != nil {
+		if _, err := regionOf(t, rt, "gemm").Decide(hot); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.Decide("mvt1", cold); err != nil {
+		if _, err := regionOf(t, rt, "mvt1").Decide(cold); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := rt.Launch("mvt1", cold); err != nil {
+	if _, err := regionOf(t, rt, "mvt1").Launch(cold); err != nil {
 		t.Fatal(err)
 	}
 	// A standalone Predict consults the cache without counting: the
 	// invariant must survive it.
-	if _, _, err := rt.Predict("2dconv", hot); err != nil {
+	if _, _, err := regionOf(t, rt, "2dconv").Predict(hot); err != nil {
 		t.Fatal(err)
 	}
 	m := rt.Metrics()
@@ -488,6 +494,8 @@ func TestCacheInvariantMixedTraffic(t *testing.T) {
 // fixedCalibrator scales each kind's predictions by a constant factor —
 // enough to force the policy across the decision boundary in tests.
 type fixedCalibrator struct{ cpu, gpu float64 }
+
+func (fixedCalibrator) OnCorrectionChange(func(string)) {} // never moves
 
 func (c fixedCalibrator) CorrectFeatures(_ string, _ Features, cands []Candidate) string {
 	for i := range cands {
@@ -507,7 +515,7 @@ func (c fixedCalibrator) CorrectFeatures(_ string, _ Features, cands []Candidate
 func TestCalibratorSteersDecision(t *testing.T) {
 	b := symbolic.Bindings{"n": 1100}
 	base := newRT(t, ModelGuided)
-	out, err := base.Decide("gemm", b)
+	out, err := regionOf(t, base, "gemm").Decide(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +536,7 @@ func TestCalibratorSteersDecision(t *testing.T) {
 	if _, err := rt.Register(k.IR); err != nil {
 		t.Fatal(err)
 	}
-	flipped, err := rt.Decide("gemm", b)
+	flipped, err := regionOf(t, rt, "gemm").Decide(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +550,7 @@ func TestCalibratorSteersDecision(t *testing.T) {
 
 	// A cached decision survives calibrator hot-swaps by design until the
 	// region is invalidated.
-	again, err := rt.Decide("gemm", b)
+	again, err := regionOf(t, rt, "gemm").Decide(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +564,7 @@ func TestCalibratorSteersDecision(t *testing.T) {
 	if err := rt.InvalidateDecisions("nope"); err == nil {
 		t.Fatal("invalidating an unknown region must error")
 	}
-	fresh, err := rt.Decide("gemm", b)
+	fresh, err := regionOf(t, rt, "gemm").Decide(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,15 +36,6 @@ func (e *profileEngine) Branch(taken, act int, scale float64) {
 	e.total += float64(act) * scale
 }
 
-// ProfileRegion is the name-based wrapper around Region.ProfileBranches.
-func (rt *Runtime) ProfileRegion(name string, b symbolic.Bindings) (*ProfileData, error) {
-	r, err := rt.Region(name)
-	if err != nil {
-		return nil, err
-	}
-	return r.ProfileBranches(b)
-}
-
 // ProfileBranches samples a few work items of the region (with the given
 // runtime values) and records the observed branch behaviour. Subsequent
 // Predict and Launch calls for the region use the measured probability

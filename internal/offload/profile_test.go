@@ -19,7 +19,7 @@ func TestProfileMeasuresBranchRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := symbolic.Bindings{"n": 256}
-	p, err := rt.ProfileRegion("corr_std", b)
+	p, err := regionOf(t, rt, "corr_std").ProfileBranches(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,18 +57,18 @@ func TestProfileShiftsAsymmetricPrediction(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := symbolic.Bindings{"n": 2048}
-	before, _, err := rt.Predict("asym", b)
+	before, _, err := regionOf(t, rt, "asym").Predict(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := rt.ProfileRegion("asym", b)
+	p, err := regionOf(t, rt, "asym").ProfileBranches(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.BranchProb < 0.05 || p.BranchProb > 0.45 {
 		t.Fatalf("take rate = %v, want ~0.25", p.BranchProb)
 	}
-	after, _, err := rt.Predict("asym", b)
+	after, _, err := regionOf(t, rt, "asym").Predict(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +88,18 @@ func TestProfileBranchlessKernel(t *testing.T) {
 	// Branch): the profile stays at the 50% default and predictions are
 	// unchanged.
 	b := symbolic.Bindings{"n": 128}
-	before, _, err := rt.Predict("gemm", b)
+	before, _, err := regionOf(t, rt, "gemm").Predict(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := rt.ProfileRegion("gemm", b)
+	p, err := regionOf(t, rt, "gemm").ProfileBranches(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.BranchProb != 0.5 {
 		t.Fatalf("branchless kernel profile = %v", p.BranchProb)
 	}
-	after, _, err := rt.Predict("gemm", b)
+	after, _, err := regionOf(t, rt, "gemm").Predict(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestProfileBalancedBranch(t *testing.T) {
 	if _, err := rt.Register(k); err != nil {
 		t.Fatal(err)
 	}
-	p, err := rt.ProfileRegion("coin", symbolic.Bindings{"n": 4096})
+	p, err := regionOf(t, rt, "coin").ProfileBranches(symbolic.Bindings{"n": 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +138,11 @@ func TestProfileBalancedBranch(t *testing.T) {
 
 func TestProfileErrors(t *testing.T) {
 	rt := NewRuntime(Config{Platform: machine.PlatformP9V100()})
-	if _, err := rt.ProfileRegion("nope", nil); err == nil {
-		t.Fatal("unknown region profiled")
-	}
 	k, _ := polybench.Get("gemm")
 	if _, err := rt.Register(k.IR); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.ProfileRegion("gemm", nil); err == nil {
+	if _, err := regionOf(t, rt, "gemm").ProfileBranches(nil); err == nil {
 		t.Fatal("profile without bindings accepted")
 	}
 }

@@ -141,7 +141,10 @@ func TestPropSplitBisectionBracket(t *testing.T) {
 		s := regiongen.NewShape(r)
 		region := registerShape(t, rt, s, fmt.Sprintf("split-%03d", trial), 0, 0)
 		for _, n := range []int64{256, 1024, 4096} {
-			ev := region.bind(regiongen.Bindings(n))
+			ev, err := region.bind(regiongen.Bindings(n))
+			if err != nil {
+				t.Fatalf("shape %v n=%d: %v", s, n, err)
+			}
 			f, err := region.bestSplit(ev)
 			if err != nil {
 				t.Fatalf("shape %v n=%d: %v", s, n, err)

@@ -28,14 +28,14 @@ func TestSplitDegeneratesToSingleTarget(t *testing.T) {
 	// to all-GPU. gesummv is CPU-favoured: all-CPU.
 	rt := splitRT(t, "gemm", "gesummv")
 	b := symbolic.Bindings{"n": 4096}
-	out, err := rt.Launch("gemm", b)
+	out, err := regionOf(t, rt, "gemm").Launch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.TargetID != TargetIDGPUBase {
 		t.Fatalf("gemm split target = %v (fraction %v)", out.Target, out.SplitFraction)
 	}
-	out, err = rt.Launch("gesummv", symbolic.Bindings{"n": 1100})
+	out, err = regionOf(t, rt, "gesummv").Launch(symbolic.Bindings{"n": 1100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSplitBalancedKernel(t *testing.T) {
 	// should beat both single-target executions.
 	rt := splitRT(t, "mvt2")
 	b := symbolic.Bindings{"n": 9600}
-	out, err := rt.Launch("mvt2", b)
+	out, err := regionOf(t, rt, "mvt2").Launch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestSplitBalancedKernel(t *testing.T) {
 	if out.SplitFraction <= 0.03 || out.SplitFraction >= 0.97 {
 		t.Fatalf("split fraction = %v", out.SplitFraction)
 	}
-	cpuFull, err := rt.ExecuteTarget("mvt2", TargetIDCPUBase, b)
+	cpuFull, err := regionOf(t, rt, "mvt2").ExecuteTarget(TargetIDCPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpuFull, err := rt.ExecuteTarget("mvt2", TargetIDGPUBase, b)
+	gpuFull, err := regionOf(t, rt, "mvt2").ExecuteTarget(TargetIDGPUBase, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,10 @@ func TestSplitPredictionMonotonicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := r.bind(symbolic.Bindings{"n": 9600})
+	ev, err := r.bind(symbolic.Bindings{"n": 9600})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ev.release()
 	var prevCPU, prevGPU float64
 	for i, f := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {

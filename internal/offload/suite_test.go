@@ -31,7 +31,7 @@ func TestFullSuiteEndToEnd(t *testing.T) {
 	}
 
 	for _, k := range polybench.Suite() {
-		out, err := rt.Launch(k.Name, k.Bindings(polybench.Test))
+		out, err := regionOf(t, rt, k.Name).Launch(k.Bindings(polybench.Test))
 		if err != nil {
 			t.Fatalf("%s: launch: %v", k.Name, err)
 		}
@@ -65,7 +65,7 @@ func TestFullSuiteEndToEnd(t *testing.T) {
 		}
 	}
 	for i, k := range polybench.Suite() {
-		o, err := oracle.Launch(k.Name, k.Bindings(polybench.Test))
+		o, err := regionOf(t, oracle, k.Name).Launch(k.Bindings(polybench.Test))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,11 +97,12 @@ func TestSuiteConcurrentLaunches(t *testing.T) {
 	done := make(chan error, len(names)*2)
 	for rep := 0; rep < 2; rep++ {
 		for _, name := range names {
-			go func(name string) {
-				k, _ := polybench.Get(name)
-				_, err := rt.Launch(name, k.Bindings(polybench.Test))
+			r := regionOf(t, rt, name)
+			go func() {
+				k, _ := polybench.Get(r.Name)
+				_, err := r.Launch(k.Bindings(polybench.Test))
 				done <- err
-			}(name)
+			}()
 		}
 	}
 	for i := 0; i < len(names)*2; i++ {

@@ -24,6 +24,15 @@ type serverMetrics struct {
 	streamCoalesced metrics.Counter // response frames that rode a shared write
 }
 
+// streamWrote counts one write of a stream connection carrying frames
+// frames, before it is made: whoever holds a response can rely on the count.
+func (m *serverMetrics) streamWrote(frames int) {
+	m.streamWrites.Add(1)
+	if frames > 1 {
+		m.streamCoalesced.Add(uint64(frames - 1))
+	}
+}
+
 // register declares the server-level series on the server's set.
 func (m *serverMetrics) register(s *Server) {
 	set := &s.set

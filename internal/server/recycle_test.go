@@ -192,7 +192,7 @@ func TestStreamRequestRecycling(t *testing.T) {
 			t.Fatalf("unexpected frame %+v", f)
 		}
 		delete(want, f.StreamID)
-		ref, err := s.rt.Decide(req.Region, symbolic.Bindings{"n": req.Values[0]})
+		ref, err := regionOf(t, s.rt, req.Region).Decide(symbolic.Bindings{"n": req.Values[0]})
 		if err != nil {
 			t.Fatal(err)
 		}

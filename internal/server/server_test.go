@@ -41,6 +41,16 @@ func testRuntime(t *testing.T) *offload.Runtime {
 	return rt
 }
 
+// regionOf resolves a registered region's handle.
+func regionOf(t testing.TB, rt *offload.Runtime, name string) *offload.Region {
+	t.Helper()
+	r, err := rt.Region(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func testServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Runtime == nil {

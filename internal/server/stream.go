@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -26,9 +25,9 @@ import (
 //   - one reader goroutine decoding frames incrementally,
 //   - a small worker pool running the decide core under the shared
 //     execution slots (the same workers that bound the HTTP path),
-//   - a combining writer: workers append encoded response frames to a
-//     shared pending buffer and flush it when no admitted request is
-//     waiting for them, so a burst of completions leaves in one syscall
+//   - a combining writer (wire.StreamWriter): workers encode response
+//     frames into its pending buffer and flush it when no admitted request
+//     is waiting for them, so a burst of completions leaves in one syscall
 //     with no flush timer and a lone response never waits,
 //   - flow control by credit instead of 429 churn: the server grants a
 //     window on connect, requests beyond it answer queue_full on their
@@ -143,14 +142,12 @@ type streamConn struct {
 	// worker that answered them; sized to the window, the most there are.
 	free chan *wire.Request
 
-	// Combining writer state (send): frames are appended to pending
-	// under wmu; one flusher at a time writes it out until it drains.
-	wmu      sync.Mutex
-	pending  []byte
-	pendingN int
-	spare    []byte
-	flushing bool
-	werr     error
+	// out combines the frames of reader and workers into shared writes. A
+	// flusher that sees other requests of this connection still being
+	// decided yields once, so that their responses share its write; after
+	// a failed write frames are dropped, and the reader's next read ends
+	// the connection.
+	out *wire.StreamWriter
 }
 
 // serveStreamConn runs one stream connection to completion, reading
@@ -167,8 +164,9 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 		cancel: cancel,
 		jobs:   make(chan streamJob, credit),
 		free:   make(chan *wire.Request, credit),
-		spare:  make([]byte, 0, 4096),
 	}
+	sc.out = &wire.StreamWriter{W: conn, Wrote: s.met.streamWrote,
+		Yield: func() bool { return sc.inflight.Load() > 0 }}
 	if !s.registerStream(sc) {
 		conn.Close()
 		cancel()
@@ -185,15 +183,14 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 	}()
 
 	// The server speaks first: grant the flow-control window.
-	var hello []byte
-	hello = wire.AppendCredit(hello, uint64(credit))
+	hello := wire.AppendCredit(sc.out.Begin(), uint64(credit))
 	if s.draining.Load() {
 		// Raced with drain: still a valid stream conn, but nothing
 		// will be accepted. Say so immediately.
 		sc.away.Store(true)
 		hello = wire.AppendGoaway(hello, &wire.Goaway{Reason: "draining"})
 	}
-	sc.send(hello, false)
+	sc.out.End(hello, false)
 
 	workers := int(min(int64(streamWorkersPerConn), credit))
 	for i := 0; i < workers; i++ {
@@ -201,7 +198,6 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 	}
 
 	sr := wire.NewStreamReader(src)
-	var scratch []byte
 	var f wire.Frame
 	for {
 		// Decode over a request the workers are done with (one refused below
@@ -225,13 +221,13 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 				sc.lastAccepted.Store(f.StreamID)
 			}
 			if sc.away.Load() && f.StreamID > sc.awayLast.Load() {
-				scratch = sc.rejectStream(scratch, f.StreamID, ErrCodeDraining, "draining")
+				sc.rejectStream(f.StreamID, ErrCodeDraining, "draining")
 				continue
 			}
 			if sc.inflight.Load() >= sc.credit {
 				// Client overran its credit window: shed on this
 				// stream only, the stream analogue of a 429.
-				scratch = sc.rejectStream(scratch, f.StreamID, ErrCodeQueueFull, "stream credit exhausted")
+				sc.rejectStream(f.StreamID, ErrCodeQueueFull, "stream credit exhausted")
 				continue
 			}
 			sc.inflight.Add(1)
@@ -249,29 +245,26 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 			// frame and drop the connection.
 			e := &wire.Error{Code: ErrCodeBadRequest,
 				Message: fmt.Sprintf("unexpected frame type %d on stream connection", f.Type)}
-			sc.send(wire.AppendError(scratch[:0], e), false)
+			sc.out.End(wire.AppendError(sc.out.Begin(), e), false)
 			return
 		}
 	}
 }
 
 // rejectStream answers one stream with an error response without
-// dispatching a worker. Returns the reusable scratch buffer.
-func (sc *streamConn) rejectStream(scratch []byte, id uint64, code, msg string) []byte {
+// dispatching a worker.
+func (sc *streamConn) rejectStream(id uint64, code, msg string) {
 	resp := wire.Response{Err: &wire.Error{Code: code, Message: msg, RetryAfterSeconds: 0.05}}
-	scratch = wire.AppendStreamResponse(scratch[:0], id, &resp)
 	sc.s.met.streamSheds.Add(1)
-	sc.send(scratch, false)
-	return scratch
+	sc.out.End(wire.AppendStreamResponse(sc.out.Begin(), id, &resp), false)
 }
 
 // worker runs admitted stream jobs under the shared execution slots,
-// deciding each into its own Outcome. A response rides the pending
-// buffer while the next job is already here, and leaves before an empty
-// queue, an execute or a wait for a slot.
+// deciding each into its own Outcome. A response rides the writer's
+// pending buffer while the next job is already here, and leaves before an
+// empty queue, an execute or a wait for a slot.
 func (sc *streamConn) worker() {
 	s := sc.s
-	scratch := make([]byte, 0, 2048)
 	var cands []wire.Candidate
 	var out offload.Outcome
 	for job := range sc.jobs {
@@ -279,7 +272,7 @@ func (sc *streamConn) worker() {
 			select {
 			case s.slots <- struct{}{}:
 			default:
-				sc.send(nil, false)
+				sc.out.Flush()
 				s.slots <- struct{}{}
 			}
 			if s.holdForTest != nil {
@@ -292,7 +285,13 @@ func (sc *streamConn) worker() {
 			if resp.Candidates != nil {
 				cands = resp.Candidates
 			}
-			scratch = wire.AppendStreamResponse(scratch[:0], job.id, &resp)
+			// Return the credit unit before the response can reach the
+			// client, which reuses it the moment it reads the response: a
+			// request arriving ahead of the decrement would be shed against
+			// a window the client never overran.
+			sc.inflight.Add(-1)
+			s.met.streamInflight.Add(-1)
+			sc.out.End(wire.AppendStreamResponse(sc.out.Begin(), job.id, &resp), true)
 			// Done with job.req: recycled, unless a huge request grew it.
 			if cap(job.req.Values) <= maxPooledBatch {
 				select {
@@ -300,73 +299,20 @@ func (sc *streamConn) worker() {
 				default:
 				}
 			}
-			// Return the credit unit before the response can reach the
-			// client, which reuses it the moment it reads the response: a
-			// request arriving ahead of the decrement would be shed against
-			// a window the client never overran.
-			sc.inflight.Add(-1)
-			s.met.streamInflight.Add(-1)
 			// The next job, taken before this one is done, keeps sc.wg
 			// held until this response has left with that one's.
 			select {
-			case next := <-sc.jobs:
-				sc.send(scratch, !next.req.Execute)
-				job = next
+			case job = <-sc.jobs:
+				if job.req.Execute {
+					sc.out.Flush()
+				}
 			default:
-				sc.send(scratch, false)
+				sc.out.Flush()
 				riding = false
 			}
 			sc.wg.Done()
 		}
 	}
-}
-
-// send appends one encoded frame (nil: none) to the pending buffer,
-// copying it so that callers reuse their scratch, and unless told to
-// hold it for a later send writes the buffer out in one syscall — and
-// again while frames were appended meanwhile. No timer: a flusher that
-// sees other requests of this connection still being decided yields
-// once, so that their responses share its write.
-func (sc *streamConn) send(frame []byte, hold bool) {
-	sc.wmu.Lock()
-	if frame != nil && sc.werr == nil {
-		sc.pending = append(sc.pending, frame...)
-		sc.pendingN++
-	}
-	if hold || sc.flushing {
-		sc.wmu.Unlock()
-		return
-	}
-	sc.flushing = true
-	for sc.werr == nil && len(sc.pending) > 0 {
-		if sc.inflight.Load() > 0 {
-			sc.wmu.Unlock()
-			runtime.Gosched()
-			sc.wmu.Lock()
-		}
-		buf, n := sc.pending, sc.pendingN
-		sc.pending, sc.pendingN = sc.spare[:0], 0
-		sc.wmu.Unlock()
-
-		// Counted first: whoever holds a response can rely on the count.
-		sc.s.met.streamWrites.Add(1)
-		if n > 1 {
-			sc.s.met.streamCoalesced.Add(uint64(n - 1))
-		}
-		_, err := sc.conn.Write(buf)
-
-		sc.wmu.Lock()
-		if cap(buf) <= maxPooledEncodeBuf {
-			sc.spare = buf[:0]
-		} else {
-			sc.spare = make([]byte, 0, 4096)
-		}
-		if err != nil {
-			sc.werr = err
-		}
-	}
-	sc.flushing = false
-	sc.wmu.Unlock()
 }
 
 // goaway announces drain on this connection: streams accepted so far
@@ -376,7 +322,8 @@ func (sc *streamConn) goaway(reason string) {
 		return
 	}
 	sc.awayLast.Store(sc.lastAccepted.Load())
-	sc.send(wire.AppendGoaway(nil, &wire.Goaway{LastStreamID: sc.awayLast.Load(), Reason: reason}), false)
+	g := wire.Goaway{LastStreamID: sc.awayLast.Load(), Reason: reason}
+	sc.out.End(wire.AppendGoaway(sc.out.Begin(), &g), false)
 }
 
 func (s *Server) registerStream(sc *streamConn) bool {

@@ -18,7 +18,7 @@ func TestAppendAuditRoundTrip(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Observer = w.Observer()
 	rt := newRuntime(t, cfg, "gemm")
-	if _, err := rt.Launch("gemm", symbolic.Bindings{"n": 64}); err != nil {
+	if _, err := regionOf(t, rt, "gemm").Launch(symbolic.Bindings{"n": 64}); err != nil {
 		t.Fatal(err)
 	}
 	audit := Record{
@@ -81,7 +81,7 @@ func TestReplaySkipsAuditRecords(t *testing.T) {
 	cfg.Observer = w.Observer()
 	rt := newRuntime(t, cfg, "gemm", "mvt1")
 	for _, name := range []string{"gemm", "mvt1"} {
-		if _, err := rt.Launch(name, symbolic.Bindings{"n": 96}); err != nil {
+		if _, err := regionOf(t, rt, name).Launch(symbolic.Bindings{"n": 96}); err != nil {
 			t.Fatal(err)
 		}
 		// The region name is one the runtime does not know: the replay

@@ -256,12 +256,14 @@ func Replay(rt *offload.Runtime, recs []Record, execute bool) (*Result, error) {
 		}
 		res.Total++
 		b := symbolic.Bindings(rec.Bindings)
+		r, err := rt.Region(rec.Region)
 		var out *offload.Outcome
-		var err error
-		if execute {
-			out, err = rt.Launch(rec.Region, b)
-		} else {
-			out, err = rt.Decide(rec.Region, b)
+		switch {
+		case err != nil:
+		case execute:
+			out, err = r.Launch(b)
+		default:
+			out, err = r.Decide(b)
 		}
 		if err != nil {
 			return res, fmt.Errorf("trace: seq %d (%s): %w", rec.Seq, rec.Region, err)

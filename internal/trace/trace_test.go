@@ -40,6 +40,16 @@ func newRuntime(t *testing.T, cfg offload.Config, kernels ...string) *offload.Ru
 // TestRecordReplayByteIdentical is the subsystem's core guarantee: a
 // recorded trace, replayed through a fresh identically configured
 // runtime while recording again, reproduces the original byte stream.
+// regionOf resolves a registered region's handle.
+func regionOf(t testing.TB, rt *offload.Runtime, name string) *offload.Region {
+	t.Helper()
+	r, err := rt.Region(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestRecordReplayByteIdentical(t *testing.T) {
 	kernels := []string{"gemm", "mvt1", "atax2"}
 	var first bytes.Buffer
@@ -49,7 +59,7 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 	rt1 := newRuntime(t, cfg, kernels...)
 	for i, name := range []string{"gemm", "mvt1", "gemm", "atax2", "mvt1", "gemm"} {
 		n := int64(96 + 32*(i%2))
-		if _, err := rt1.Launch(name, symbolic.Bindings{"n": n}); err != nil {
+		if _, err := regionOf(t, rt1, name).Launch(symbolic.Bindings{"n": n}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +105,7 @@ func TestReplayDecideOnly(t *testing.T) {
 	cfg.Observer = w.Observer()
 	rt := newRuntime(t, cfg, "gemm")
 	for _, n := range []int64{64, 128, 64} {
-		if _, err := rt.Decide("gemm", symbolic.Bindings{"n": n}); err != nil {
+		if _, err := regionOf(t, rt, "gemm").Decide(symbolic.Bindings{"n": n}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +136,7 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Observer = w.Observer()
 	rt := newRuntime(t, cfg, "gemm")
-	if _, err := rt.Launch("gemm", symbolic.Bindings{"n": 128}); err != nil {
+	if _, err := regionOf(t, rt, "gemm").Launch(symbolic.Bindings{"n": 128}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -171,14 +181,14 @@ func TestConcurrentObserver(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Observer = w.Observer()
 	rt := newRuntime(t, cfg, "gemm", "mvt1")
+	regions := []*offload.Region{regionOf(t, rt, "gemm"), regionOf(t, rt, "mvt1")}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			names := []string{"gemm", "mvt1"}
 			for i := 0; i < 10; i++ {
-				_, err := rt.Launch(names[(g+i)%2],
+				_, err := regions[(g+i)%2].Launch(
 					symbolic.Bindings{"n": int64(64 + 32*(i%2))})
 				if err != nil {
 					t.Error(err)

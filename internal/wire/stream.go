@@ -1,6 +1,6 @@
-// Stream frame envelope: the frame types and incremental reader that
-// turn the request/response framing into a persistent, multiplexed
-// connection protocol.
+// Stream frame envelope: the frame types, the incremental reader and the
+// combining writer that turn the request/response framing into a
+// persistent, multiplexed connection protocol.
 //
 // A stream connection carries pipelined TypeStreamRequest /
 // TypeStreamResponse frames. Each is an ordinary request or response
@@ -27,6 +27,8 @@ import (
 	"bufio"
 	"encoding/binary"
 	"io"
+	"runtime"
+	"sync"
 )
 
 // Stream frame types, extending the request/response set.
@@ -181,4 +183,100 @@ func (sr *StreamReader) NextInto(f *Frame) error {
 		return err
 	}
 	return sr.r.decodePayloadInto(f, typ, payload)
+}
+
+// ---- Combined writing ----
+
+// maxKeptWriteBuf bounds the buffers a StreamWriter keeps between writes:
+// one a burst grew past it goes with the write that carried the burst.
+const maxKeptWriteBuf = 64 << 10
+
+// A StreamWriter is the write half of a stream connection, shared by the
+// goroutines that answer (or ask) on it. Each appends its frame to a
+// pending buffer under the writer's lock — in place, so nothing is copied
+// — and whichever finds no flusher at work writes the buffer out in one
+// Write, and again while frames were appended meanwhile: a burst of frames
+// leaves in one syscall with no flush timer, and a lone frame never waits.
+// Two buffers swap roles, so frames are appended while a Write is under
+// way.
+//
+// The exported fields are set once, before the first Begin. A failed Write
+// is latched: the flusher hands the error to Fail, once, and frames
+// appended afterwards are dropped.
+type StreamWriter struct {
+	W io.Writer
+	// Yield is asked before every Write whether more frames are about to
+	// be appended (requests of the connection still being decided, callers
+	// a burst of responses just woke); if so the flusher yields the
+	// processor once, for them to share its Write.
+	Yield func() bool
+	// Wrote is told how many frames each Write carries, before it is made;
+	// Fail, unless nil, receives the first Write error. The flusher calls
+	// both with no lock held.
+	Wrote func(frames int)
+	Fail  func(error)
+
+	mu       sync.Mutex
+	pending  []byte
+	frames   int    // in pending
+	spare    []byte // the flusher's: the buffer it wrote last
+	flushing bool
+	err      error
+}
+
+// Begin locks the writer and returns its pending bytes for the caller to
+// append one frame to and pass to End, without blocking in between.
+func (sw *StreamWriter) Begin() []byte {
+	sw.mu.Lock()
+	return sw.pending
+}
+
+// End takes back the buffer Begin returned, one frame longer, and unlocks
+// the writer. The frame then leaves as by Flush, unless hold says that the
+// caller is about to append another, or to Flush.
+func (sw *StreamWriter) End(buf []byte, hold bool) {
+	if sw.err == nil {
+		sw.pending = buf
+		sw.frames++
+	}
+	sw.flush(hold)
+}
+
+// Flush writes out what is pending, unless a flusher is at work: what is
+// pending then leaves in that flusher's next Write.
+func (sw *StreamWriter) Flush() {
+	sw.mu.Lock()
+	sw.flush(false)
+}
+
+// flush is entered with the lock held and releases it.
+func (sw *StreamWriter) flush(hold bool) {
+	if hold || sw.flushing {
+		sw.mu.Unlock()
+		return
+	}
+	sw.flushing = true
+	var err error
+	for sw.err == nil && len(sw.pending) > 0 {
+		if sw.Yield() {
+			sw.mu.Unlock()
+			runtime.Gosched()
+			sw.mu.Lock()
+		}
+		buf, n := sw.pending, sw.frames
+		sw.pending, sw.frames, sw.spare = sw.spare[:0], 0, buf[:0] // spare is not looked at again before buf is written
+		if cap(buf) > maxKeptWriteBuf {
+			sw.spare = nil
+		}
+		sw.mu.Unlock()
+		sw.Wrote(n)
+		_, err = sw.W.Write(buf)
+		sw.mu.Lock()
+		sw.err = err
+	}
+	sw.flushing = false
+	sw.mu.Unlock()
+	if err != nil && sw.Fail != nil {
+		sw.Fail(err)
+	}
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the repo's verification gate: static checks, the full test
-# suite (race detector on the concurrent packages), a fuzz smoke, the
-# allocs/op gate against the bench ledgers, and daemon and cluster smokes.
+# suite (allocation budgets included; race detector on the concurrent
+# packages), a fuzz smoke, and daemon and cluster smokes.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -30,33 +30,6 @@ make -s race
 echo "== fuzz smoke (10s per parser) =="
 # Short randomized runs on top of the checked-in seed corpora.
 make -s fuzz
-
-echo "== bench ledger: parse + regression gate =="
-# The committed ledger must parse, and a quick re-run must not regress
-# its machine-independent numbers (allocs/op) by more than 20%. Neither
-# raw ns/op nor a ratio of them is ever gated here: timing claims are
-# made against bench/ (BENCHMARK.json).
-if [ ! -f BENCH_decide.json ]; then
-	echo "bench ledger: BENCH_decide.json missing (run make bench)"; exit 1
-fi
-go test -run '^$' \
-	-bench 'BenchmarkPredict(Uncached|Cached)$|BenchmarkDecideCached(Parallel)?$' \
-	-benchtime=0.2s -benchmem . \
-	| go run ./cmd/benchjson -gate BENCH_decide.json
-
-echo "== serve ledger: parse + regression gate =="
-# Same idea for the serving benchmarks: the committed ledger must parse
-# and allocs/op per served decision must hold. Short runs over a live
-# server are noisier than the in-process micro-benchmarks, so each runs
-# three times with benchjson keeping the median sample, and the
-# tolerance is wider.
-if [ ! -f BENCH_serve.json ]; then
-	echo "serve ledger: BENCH_serve.json missing (run make bench)"; exit 1
-fi
-go test -run '^$' \
-	-bench 'BenchmarkServe(JSON|Binary)(Single|Batch64)$|BenchmarkServeStream(Single|Pipelined64)$' \
-	-benchtime=0.2s -count=3 -benchmem . \
-	| go run ./cmd/benchjson -gate BENCH_serve.json -tolerance 0.5
 
 echo "== daemon smoke: serve, decide, scrape, drain =="
 tmp=$(mktemp -d)

@@ -5,11 +5,10 @@ package hybridsel
 // state), response encode — across the transports: JSON and binary
 // frames on /v2/decide (single and 64-item batched), and the
 // persistent multiplexed stream transport (single in-flight and 64
-// pipelined). scripts/bench.sh freezes the results into
-// BENCH_serve.json; the machine-independent headlines are the
-// binary-vs-JSON and stream-vs-JSON decisions/s ratios, which
-// scripts/check.sh gates. Per-request p50/p99 latencies ride along as
-// custom metrics for the curious.
+// pipelined). TestAllocationBudgets holds each to its allocs/op; timing
+// claims are made against bench/ (BENCHMARK.json). Decisions/s and
+// per-request p50/p99 latencies ride along as custom metrics for the
+// curious.
 
 import (
 	"bytes"
