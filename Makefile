@@ -25,6 +25,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestStream(BurstSharesWrites|OutOfOrder|CreditExhaustion|FullWindowNeverShed|DrainGoaway|PipelinedStress|RequestRecycling)' ./internal/server/
 	$(GO) test -race -count=20 -run 'TestStream(WriteCombining|CombinedWriteFailure|ResponsesStayIntact)' ./internal/client/
 	$(GO) test -race -count=20 -run 'TestStreamWriter' ./internal/wire/
+	$(GO) test -race -count=20 -run 'TestCache|TestVerdictPricedBeforeInvalidation|TestOutcomeOwnsCandidates' ./internal/offload/
 
 # Chaos regression suite: scripted fault scenarios driven through the
 # fault-injection proxy against a live in-process daemon, race detector on.

@@ -24,10 +24,12 @@ func TestAllocationBudgets(t *testing.T) {
 		iters  string
 		budget int64
 	}{
-		{"PredictUncached", BenchmarkPredictUncached, "1000x", 2},
+		{"PredictUncached", BenchmarkPredictUncached, "1000x", 0},
 		{"PredictCached", BenchmarkPredictCached, "1000x", 0},
 		{"DecideCached", BenchmarkDecideCached, "1000x", 1},
 		{"DecideCachedParallel", BenchmarkDecideCachedParallel, "1000x", 1},
+		{"DecideMiss", BenchmarkDecideMiss, "1000x", 0},
+		{"DecideColdCycle", BenchmarkDecideColdCycle, "2000x", 0},
 		{"ServeJSONSingle", BenchmarkServeJSONSingle, "200x", 130},
 		{"ServeBinarySingle", BenchmarkServeBinarySingle, "200x", 110},
 		{"ServeJSONBatch64", BenchmarkServeJSONBatch64, "200x", 810},

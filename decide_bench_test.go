@@ -1,8 +1,11 @@
 package hybridsel
 
 import (
+	"math"
 	"testing"
 
+	"github.com/hybridsel/hybridsel/internal/audit"
+	"github.com/hybridsel/hybridsel/internal/learn"
 	"github.com/hybridsel/hybridsel/internal/machine"
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/polybench"
@@ -119,4 +122,116 @@ func BenchmarkDecideCachedParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// coldCycle mirrors the benchmark's batch-cold world (bench/workload.go)
+// in process: all 24 Polybench regions over the synthetic four-target
+// registry, a learner trained until its confidence gate is open, a
+// 1024-entry decision LRU per region and, per region, a cycle of 2048
+// sizes — twice the LRU, so a key is evicted before it comes round again.
+const (
+	coldCacheSize = 1024
+	coldKeys      = 2 * coldCacheSize
+)
+
+func coldCycleRuntime(b *testing.B) []*offload.Region {
+	b.Helper()
+	plat := machine.PlatformP9V100()
+	lrn := learn.New(learn.Config{Fallback: audit.NewCalibrator(0)})
+	rt := offload.NewRuntime(offload.Config{
+		Platform:          plat,
+		Targets:           offload.SyntheticTargets(plat, 0),
+		DecisionCacheSize: coldCacheSize,
+		Calibrator:        lrn,
+	})
+	var regions []*offload.Region
+	for _, k := range polybench.Suite() {
+		r, err := rt.Register(k.IR)
+		if err != nil {
+			b.Fatal(err)
+		}
+		regions = append(regions, r)
+	}
+	for _, r := range regions { // bench/workload.go:train
+		for p := 0; p < 8; p++ {
+			bind := symbolic.Bindings{}
+			for _, param := range r.ParamNames() {
+				bind[param] = int64(192 + 160*p)
+			}
+			cands, err := r.PredictTargets(bind)
+			if err != nil {
+				b.Fatal(err)
+			}
+			f, err := r.Features(bind)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ms := make([]audit.TargetMeasurement, len(cands))
+			for i, c := range cands {
+				factor := 1.1 + 0.07*float64(i)
+				ms[i] = audit.TargetMeasurement{Target: c.Target, PredSeconds: c.PredSeconds,
+					ActualSeconds: c.PredSeconds * factor, LogErr: math.Log(factor)}
+			}
+			lrn.ObserveVerdict(r.Name, f, ms)
+		}
+		r.InvalidateDecisions()
+	}
+	return regions
+}
+
+// BenchmarkDecideColdCycle is batch-cold's decide path without its
+// transport: decisions dealt round-robin over the regions, each region
+// stepping through its own cycle, so every call misses, prices four
+// targets, has the learner correct them, ranks, and stores over the
+// shard's least recently used entry.
+func BenchmarkDecideColdCycle(b *testing.B) {
+	regions := coldCycleRuntime(b)
+	vals := make([][]int64, len(regions))
+	for i, r := range regions {
+		vals[i] = make([]int64, len(r.ParamNames()))
+	}
+	var out offload.Outcome
+	decide := func(d int) {
+		ri := d % len(regions)
+		n := int64(300 + (d/len(regions))%coldKeys)
+		for j := range vals[ri] {
+			vals[ri][j] = n
+		}
+		if err := regions[ri].DecideValsInto(vals[ri], &out); err != nil {
+			b.Fatal(err)
+		}
+		if out.CacheHit || out.Provenance != offload.ProvenanceLearned {
+			b.Fatalf("%s n=%d: cache hit %v, provenance %s; want a learned miss",
+				regions[ri].Name, n, out.CacheHit, out.Provenance)
+		}
+	}
+	warm := len(regions) * coldCacheSize // fills every LRU: each store evicts from here on
+	for d := 0; d < warm; d++ {
+		decide(d)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decide(warm + i)
+	}
+}
+
+// BenchmarkDecideMiss is stream-single-miss's decide path: the classic
+// pair, no calibrator, the key's region invalidated before every decide.
+func BenchmarkDecideMiss(b *testing.B) {
+	regions := decideRuntime(b, 0)
+	vals := []int64{1100}
+	var out offload.Outcome
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := regions[i%len(regions)]
+		r.InvalidateDecisions()
+		if err := r.DecideValsInto(vals, &out); err != nil {
+			b.Fatal(err)
+		}
+		if out.CacheHit {
+			b.Fatal("a decide after an invalidation hit the cache")
+		}
+	}
 }

@@ -85,23 +85,14 @@ func Build(k *ir.Kernel, opt ir.CountOptions) (*RegionAttrs, error) {
 	}
 	l := ir.Count(k, opt)
 	ra := &RegionAttrs{
-		Region:    k.Name,
-		Params:    append([]string(nil), k.Params...),
-		IterSpace: k.IterSpace(),
+		Region:        k.Name,
+		Params:        append([]string(nil), k.Params...),
+		IterSpace:     k.IterSpace(),
+		TransferBytes: k.TransferBytes(),
 		Loadout: LoadoutAttr{FPAdd: l.FPAdd, FPMul: l.FPMul, FPDiv: l.FPDiv,
 			FPSpecial: l.FPSpecial, IntOps: l.IntOps, Loads: l.Loads,
 			Stores: l.Stores, Branches: l.Branches},
 	}
-	transfer := symbolic.Zero()
-	for _, a := range k.Arrays {
-		if a.In {
-			transfer = transfer.Add(a.Bytes())
-		}
-		if a.Out {
-			transfer = transfer.Add(a.Bytes())
-		}
-	}
-	ra.TransferBytes = transfer
 	for _, s := range an.Sites {
 		ra.Sites = append(ra.Sites, StrideAttr{
 			Ref:          s.Access.Ref.String(),

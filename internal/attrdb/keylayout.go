@@ -20,12 +20,12 @@ const (
 // at Register time. BindingsKey re-sorts the variable names on every
 // call; a KeyLayout hoists the sort (and the "name=" encoding work) so
 // the per-launch cost of key construction is a single string allocation,
-// and hashing or comparing against a stored key allocates nothing.
+// and hashing allocates nothing.
 //
 // All methods take the values as a slot vector ordered by Slot: vals[i]
-// is the value of the i-th name in sorted order. Key, AppendKey, Hash and
-// MatchesKey are all defined to agree exactly with BindingsKey /
-// BindingsHash over the bindings map the vector was filled from.
+// is the value of the i-th name in sorted order. Key, AppendKey and Hash
+// are all defined to agree exactly with BindingsKey / BindingsHash over
+// the bindings map the vector was filled from.
 type KeyLayout struct {
 	names    []string
 	prefixes []string // prefixes[i] = (i>0 ? "," : "") + names[i] + "="
@@ -129,26 +129,4 @@ func (l *KeyLayout) Hash(vals []int64) uint64 {
 		}
 	}
 	return h
-}
-
-// MatchesKey reports whether key is exactly the canonical encoding of
-// vals, without allocating. The sharded decision cache uses it to confirm
-// a hash hit against the stored key string.
-func (l *KeyLayout) MatchesKey(key string, vals []int64) bool {
-	var buf [20]byte
-	pos := 0
-	for i, p := range l.prefixes {
-		end := pos + len(p)
-		if end > len(key) || key[pos:end] != p {
-			return false
-		}
-		pos = end
-		d := strconv.AppendInt(buf[:0], vals[i], 10)
-		end = pos + len(d)
-		if end > len(key) || key[pos:end] != string(buf[:len(d)]) {
-			return false
-		}
-		pos = end
-	}
-	return pos == len(key)
 }

@@ -7,13 +7,11 @@ import (
 	"github.com/hybridsel/hybridsel/internal/ir"
 	"github.com/hybridsel/hybridsel/internal/machine"
 	"github.com/hybridsel/hybridsel/internal/mca"
-	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
-// CompileInput gathers the kernel, machine and pre-compiled analyses a
-// region compiles its CPU model against. The slot layout, bound sets,
-// augment, count program and IPDA result are shared with the GPU model,
-// so the caller (the offload runtime) builds them once per region.
+// CompileInput gathers what a region compiles its CPU model against: the
+// kernel, the machine, and the region's Shape, which the GPU model and
+// every other target share.
 type CompileInput struct {
 	Kernel  *ir.Kernel
 	CPU     *machine.CPU
@@ -23,42 +21,25 @@ type CompileInput struct {
 	// compile; any other implementation returns an error.
 	Estimator CPIEstimator
 
-	// IPDA is the compiled stride analysis (nil models the interpreted
-	// nil-IPDA fallback paths).
-	IPDA *ipda.CompiledResult
-
-	// Count is the compiled instruction counter and Augment the compiled
-	// midpoint/fraction binding augmentation, both over Slots.
-	Count   *ir.CountProgram
-	Augment *ir.Augment
-
-	// Slots is the slot layout; Bound is the raw (parameter) name set and
-	// AugBound the augmented set the midpoint/fraction vectors bind.
-	Slots    map[string]int
-	Bound    map[string]bool
-	AugBound map[string]bool
-
-	// DefaultTrip is the CountOptions.DefaultTrip the compiled model
-	// replicates (0 selects ir.DefaultCountOptions().DefaultTrip).
-	DefaultTrip int64
+	Shape *ipda.Shape
 }
 
 // Compiled is Predict specialized to one (kernel, CPU, thread count)
-// region: the MCA pipeline simulation, stride compilation and expression
-// walking all happened at compile time, so each Predict call is slot-
-// vector polynomial evaluation plus the model's own arithmetic —
-// bit-for-bit identical to the interpreted Predict because it replays
-// the same float operations in the same order.
+// region: the MCA pipeline simulation happened at compile time and the
+// kernel analysis is read off the launch's resolved ipda.Point, so each
+// call is the model's own arithmetic over the machine's parameters —
+// bit-for-bit identical to the interpreted Predict because it replays the
+// same float operations in the same order.
 type Compiled struct {
-	cpu         *machine.CPU
-	threads     int
-	ipda        *ipda.CompiledResult
-	count       *ir.CountProgram
-	aug         *ir.Augment
-	iterSpace   symbolic.Compiled
-	est         compiledEstimator
-	defaultTrip int64
-	streamCost  float64
+	cpu        *machine.CPU
+	threads    int
+	shape      *ipda.Shape
+	est        compiledEstimator
+	streamCost float64
+	// edgesVary reports that a work item's cost can differ across the
+	// iteration space, so the static schedule's slowest thread has to be
+	// looked for at its edges.
+	edgesVary bool
 }
 
 // compiledEstimator is a CPIEstimator specialized to the slot layout.
@@ -83,40 +64,18 @@ func (f fixedEstCompiled) cycles(vals []int64, branchProb float64, defaultTrip i
 }
 
 // Compile specializes the Liao model to the region. It fails — and with
-// it the region's registration — when the iteration space is not
-// resolvable from the raw parameters or the estimator is not a known
-// compilable implementation; this mirrors exactly the configurations
-// where the interpreted Predict would error or diverge.
+// it the region's registration — when the estimator is not a known
+// compilable implementation (CompileShape already rejected a region whose
+// iteration space the parameters do not resolve); this mirrors exactly the
+// configurations where the interpreted Predict would error or diverge.
 func Compile(in CompileInput) (*Compiled, error) {
-	if in.Kernel == nil || in.CPU == nil {
-		return nil, fmt.Errorf("cpumodel: nil kernel or CPU")
+	if in.Kernel == nil || in.CPU == nil || in.Shape == nil {
+		return nil, fmt.Errorf("cpumodel: compile: nil kernel, CPU or shape")
 	}
-	if in.Count == nil || in.Augment == nil {
-		return nil, fmt.Errorf("cpumodel: compile: missing count program or augment")
-	}
-	c := &Compiled{
-		cpu:         in.CPU,
-		ipda:        in.IPDA,
-		count:       in.Count,
-		aug:         in.Augment,
-		defaultTrip: in.DefaultTrip,
-	}
-	if c.defaultTrip == 0 {
-		c.defaultTrip = int64(ir.DefaultCountOptions().DefaultTrip)
-	}
-	c.threads = in.Threads
+	c := &Compiled{cpu: in.CPU, shape: in.Shape, threads: in.Threads, edgesVary: tripsVary(in.Kernel)}
 	if c.threads <= 0 || c.threads > in.CPU.Threads() {
 		c.threads = in.CPU.Threads()
 	}
-	space := in.Kernel.IterSpace()
-	if !ir.Resolvable(space, in.Bound) {
-		return nil, fmt.Errorf("cpumodel: compile: iteration space %s not resolvable from parameters", space)
-	}
-	cs, err := symbolic.Compile(space, in.Slots)
-	if err != nil {
-		return nil, err
-	}
-	c.iterSpace = cs
 
 	est := in.Estimator
 	if est == nil {
@@ -124,13 +83,13 @@ func Compile(in CompileInput) (*Compiled, error) {
 	}
 	switch e := est.(type) {
 	case MCAEstimator:
-		cc, err := mca.CompileCPI(in.Kernel, in.CPU, in.Slots, in.AugBound)
+		cc, err := mca.CompileCPI(in.Kernel, in.CPU, in.Shape.Slots, in.Shape.AugBound)
 		if err != nil {
 			return nil, err
 		}
 		c.est = mcaEstCompiled{cc}
 	case FixedCPI:
-		c.est = fixedEstCompiled{prog: in.Count, cpi: e.CPI}
+		c.est = fixedEstCompiled{prog: in.Shape.Count, cpi: e.CPI}
 	default:
 		return nil, fmt.Errorf("cpumodel: compile: unsupported estimator %s", est.Name())
 	}
@@ -142,14 +101,59 @@ func Compile(in CompileInput) (*Compiled, error) {
 	return c, nil
 }
 
-// Predict replays the interpreted Predict over slot vectors. vals is the
-// raw parameter vector, mid the midpoint-augmented copy, and scratch a
-// caller-owned buffer of the same length the edge-CPI probes overwrite
-// (so the hot path allocates nothing). It models the default static
-// schedule (DynamicChunk == 0), which is the only schedule the offload
-// runtime requests.
-func (c *Compiled) Predict(vals, mid, scratch []int64, branchProb, iterFraction float64) (Prediction, error) {
-	iters := c.iterSpace.Eval(vals)
+// tripsVary reports whether some loop of a work item has a bound naming a
+// parallel loop variable. The estimators read a slot vector only through
+// those bounds, so where none does, the cost at any point of the iteration
+// space is, bit for bit, the cost at its midpoint.
+func tripsVary(k *ir.Kernel) bool {
+	var walk func(ss []ir.Stmt) bool
+	walk = func(ss []ir.Stmt) bool {
+		for _, s := range ss {
+			switch s := s.(type) {
+			case *ir.Loop:
+				for _, p := range k.ParallelLoops() {
+					if s.Lower.Uses(p.Var) || s.Upper.Uses(p.Var) {
+						return true
+					}
+				}
+				if walk(s.Body) {
+					return true
+				}
+			case *ir.If:
+				if walk(s.Then) || walk(s.Else) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return walk(k.InnerBody())
+}
+
+// Seconds is the predicted time of the region's launch at pt with the
+// host running iterFraction of the iteration space (0: all of it) — what a
+// decision needs of Predict.
+func (c *Compiled) Seconds(pt *ipda.Point, iterFraction float64) (float64, error) {
+	var p Prediction
+	err := c.predict(pt, iterFraction, &p)
+	return p.Seconds, err
+}
+
+// Predict is Seconds with the model's whole additive breakdown, the form
+// the equivalence tests compare field by field against the interpreted
+// Predict.
+func (c *Compiled) Predict(pt *ipda.Point, iterFraction float64) (Prediction, error) {
+	var p Prediction
+	err := c.predict(pt, iterFraction, &p)
+	return p, err
+}
+
+// predict replays the interpreted Predict over the launch's resolved
+// point into *p (zero on entry). It models the default static schedule
+// (DynamicChunk == 0), which is the only schedule the offload runtime
+// requests.
+func (c *Compiled) predict(pt *ipda.Point, iterFraction float64, p *Prediction) error {
+	iters := pt.Iters
 	if f := iterFraction; f > 0 && f < 1 {
 		iters = int64(float64(iters)*f + 0.5)
 		if iters < 1 {
@@ -157,31 +161,32 @@ func (c *Compiled) Predict(vals, mid, scratch []int64, branchProb, iterFraction 
 		}
 	}
 	if iters <= 0 {
-		return Prediction{}, fmt.Errorf("cpumodel: empty iteration space (%d)", iters)
+		return fmt.Errorf("cpumodel: empty iteration space (%d)", iters)
 	}
 	threads := c.threads
 	if int64(threads) > iters {
 		threads = int(iters)
 	}
+	p.Threads = threads
 
-	cpi := c.est.cycles(mid, branchProb, c.defaultTrip)
+	defaultTrip := c.shape.DefaultTrip
+	cpi := c.est.cycles(pt.Mid, pt.BranchProb, defaultTrip)
 
-	p := Prediction{Threads: threads}
-
-	// Edge-of-iteration-space probes for the static-schedule maximum.
-	if threads > 1 {
+	// Edge-of-iteration-space probes for the static-schedule maximum:
+	// skipped where they could only find the midpoint's cost again.
+	if threads > 1 && c.edgesVary {
 		for _, frac := range [2]float64{1 / (2 * float64(threads)),
 			1 - 1/(2*float64(threads))} {
-			copy(scratch, vals)
-			c.aug.Fraction(scratch, frac)
-			if edgeCPI := c.est.cycles(scratch, branchProb, c.defaultTrip); edgeCPI > cpi {
+			copy(pt.Scratch, pt.Vals)
+			c.shape.Augment.Fraction(pt.Scratch, frac)
+			if edgeCPI := c.est.cycles(pt.Scratch, pt.BranchProb, defaultTrip); edgeCPI > cpi {
 				cpi = edgeCPI
 			}
 		}
 	}
 
 	cm := c.cpu
-	if c.ipda != nil && c.ipda.Vectorizable(vals) {
+	if pt.Vectorizable {
 		vf := 1 + float64(cm.VectorLanesF64-1)*cm.VecEfficiency
 		cpi /= vf
 		p.Vectorized = true
@@ -203,70 +208,45 @@ func (c *Compiled) Predict(vals, mid, scratch []int64, branchProb, iterFraction 
 	p.ChunkWork = cpi * float64(chunk) * slowdown
 	p.LoopOverhead = float64(cm.OMP.LoopOverheadIter) * float64(chunk)
 
-	load := c.count.Eval(mid, branchProb, c.defaultTrip)
-	if c.ipda != nil {
-		var memCycles float64
-		for i := range c.ipda.Sites {
-			s := &c.ipda.Sites[i]
-			var (
-				affine   bool
-				st       int64
-				strideOK bool
-			)
-			if s.HasInner {
-				affine = s.InnerAffine
-				if affine {
-					st, strideOK = s.InnerStrideVal(vals)
-				}
-			} else {
-				affine = s.ThreadAffine
-				if affine {
-					st, strideOK = s.ThreadStrideVal(vals), true
-				}
-			}
-			lat := c.streamCost
-			if affine {
-				if strideOK {
-					elem := s.ElemSize
-					switch {
-					case st == 0:
-						lat = float64(cm.L1.LatencyCycle)
-					case st == 1 || st == -1:
-						lat = c.streamCost
-					default:
-						lat = float64(cm.MemLatency)
-						if s.ThreadAffine {
-							if ts := s.ThreadStrideVal(vals); ts >= -1 && ts <= 1 {
-								lat = float64(cm.L2.LatencyCycle)
-							}
-						}
-						if abs64(st*elem) >= cm.PageBytes {
-							lat += float64(cm.TLBMissPenalty)
-						}
-					}
-				}
-			} else {
+	var memCycles float64
+	for i := range c.shape.Sites {
+		s, sp := &c.shape.Sites[i], &pt.Sites[i]
+		// Locality axis: the innermost sequential loop when there is one,
+		// else consecutive work items of the same thread.
+		affine, st, strideOK := s.ThreadAffine, sp.Thread, true
+		if s.HasInner {
+			affine, st, strideOK = s.InnerAffine, sp.Inner, sp.InnerOK
+		}
+		lat := c.streamCost
+		if !affine {
+			lat = float64(cm.MemLatency)
+		} else if strideOK {
+			switch {
+			case st == 0:
+				lat = float64(cm.L1.LatencyCycle)
+			case st == 1 || st == -1:
+				lat = c.streamCost
+			default:
 				lat = float64(cm.MemLatency)
+				if s.ThreadAffine && sp.Thread >= -1 && sp.Thread <= 1 {
+					lat = float64(cm.L2.LatencyCycle)
+				}
+				if abs64(st*s.ElemSize) >= cm.PageBytes {
+					lat += float64(cm.TLBMissPenalty)
+				}
 			}
-			memCycles += s.Weight * lat
 		}
-		p.Cache = memCycles * float64(chunk)
-	} else {
-		pages := float64(chunk) * load.Mem() * 8 / float64(cm.PageBytes)
-		p.Cache = load.Mem()*c.streamCost*float64(chunk) +
-			pages*float64(cm.TLBMissPenalty)
+		memCycles += s.Weight * lat
 	}
+	p.Cache = memCycles * float64(chunk)
 
-	if c.ipda != nil {
-		risk := c.ipda.FalseSharingRisk(vals, chunk, cm.L1.LineBytes)
-		if risk > 0 {
-			storesPerChunk := load.Stores * float64(chunk)
-			p.FalseSharing = risk * storesPerChunk * float64(cm.L3.LatencyCycle)
-		}
+	if risk := pt.FalseSharingRisk(chunk, cm.L1.LineBytes); risk > 0 {
+		storesPerChunk := pt.Load.Stores * float64(chunk)
+		p.FalseSharing = risk * storesPerChunk * float64(cm.L3.LatencyCycle)
 	}
 
 	p.Cycles = p.Fork + p.Schedule + p.ChunkWork + p.LoopOverhead +
 		p.Cache + p.Join + p.FalseSharing
 	p.Seconds = p.Cycles / (cm.FreqGHz * 1e9)
-	return p, nil
+	return nil
 }

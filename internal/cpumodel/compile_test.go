@@ -10,66 +10,36 @@ import (
 	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
-// compiledFixture builds everything the offload runtime would hand to
-// Compile for one kernel: slot layout, bound sets, augment, count
-// program and compiled IPDA.
+// compiledFixture is what the offload runtime would hand to Compile for
+// one kernel: the interpreted analysis and the Shape compiled from it.
 type compiledFixture struct {
-	slots    map[string]int
-	bound    map[string]bool
-	augBound map[string]bool
-	aug      *ir.Augment
-	count    *ir.CountProgram
-	an       *ipda.Result
-	ic       *ipda.CompiledResult
-	nslots   int
+	an    *ipda.Result
+	shape *ipda.Shape
 }
 
 func buildFixture(t *testing.T, k *ir.Kernel) *compiledFixture {
 	t.Helper()
-	f := &compiledFixture{slots: map[string]int{}, bound: map[string]bool{}}
-	n := 0
-	for _, p := range k.Params {
-		f.slots[p] = n
-		f.bound[p] = true
-		n++
-	}
-	for _, l := range k.ParallelLoops() {
-		if _, ok := f.slots[l.Var]; !ok {
-			f.slots[l.Var] = n
-			n++
-		}
-	}
-	f.nslots = n
-	var err error
-	f.aug, f.augBound, err = ir.CompileAugment(k, f.slots, f.bound)
-	if err != nil {
-		t.Fatalf("%s: augment: %v", k.Name, err)
-	}
-	f.count, err = ir.CompileCount(k, f.slots, f.augBound)
-	if err != nil {
-		t.Fatalf("%s: count: %v", k.Name, err)
-	}
-	f.an, err = ipda.Analyze(k, ir.DefaultCountOptions())
+	an, err := ipda.Analyze(k, ir.DefaultCountOptions())
 	if err != nil {
 		t.Fatalf("%s: ipda: %v", k.Name, err)
 	}
-	f.ic, err = ipda.CompileResult(f.an, f.slots, f.bound, f.augBound)
+	shape, err := ipda.CompileShape(an, k.Params, 128)
 	if err != nil {
-		t.Fatalf("%s: ipda compile: %v", k.Name, err)
+		t.Fatalf("%s: shape: %v", k.Name, err)
 	}
-	return f
+	return &compiledFixture{an: an, shape: shape}
 }
 
-func (f *compiledFixture) vectors(b symbolic.Bindings) (vals, mid, scratch []int64) {
-	vals = make([]int64, f.nslots)
+// point resolves the shape at b, as the runtime does once per launch.
+func (f *compiledFixture) point(b symbolic.Bindings) *ipda.Point {
+	pt := f.shape.NewPoint()
 	for name, v := range b {
-		if i, ok := f.slots[name]; ok {
-			vals[i] = v
+		if i, ok := f.shape.Slots[name]; ok {
+			pt.Vals[i] = v
 		}
 	}
-	mid = append([]int64(nil), vals...)
-	f.aug.Midpoint(mid)
-	return vals, mid, make([]int64, f.nslots)
+	f.shape.Resolve(pt, 0.5)
+	return pt
 }
 
 // TestCompiledPredictMatchesInterpreted pins the tentpole contract: the
@@ -85,9 +55,7 @@ func TestCompiledPredictMatchesInterpreted(t *testing.T) {
 		for _, plat := range platforms {
 			c, err := Compile(CompileInput{
 				Kernel: k, CPU: plat.CPU,
-				IPDA: f.ic, Count: f.count, Augment: f.aug,
-				Slots: f.slots, Bound: f.bound, AugBound: f.augBound,
-				DefaultTrip: 128,
+				Shape: f.shape,
 			})
 			if err != nil {
 				t.Fatalf("%s on %s: compile: %v", pk.Name, plat.Name, err)
@@ -96,7 +64,7 @@ func TestCompiledPredictMatchesInterpreted(t *testing.T) {
 				b := pk.Bindings(mode)
 				opt := ir.CountOptions{DefaultTrip: 128, BranchProb: 0.5,
 					Bindings: ir.MidpointBindings(k, b)}
-				vals, mid, scratch := f.vectors(b)
+				pt := f.point(b)
 				for _, frac := range fracs {
 					want, err := Predict(Input{
 						Kernel: k, CPU: plat.CPU, Bindings: b,
@@ -105,7 +73,7 @@ func TestCompiledPredictMatchesInterpreted(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s on %s: %v", pk.Name, plat.Name, err)
 					}
-					got, err := c.Predict(vals, mid, scratch, 0.5, frac)
+					got, err := c.Predict(pt, frac)
 					if err != nil {
 						t.Fatalf("%s on %s: compiled: %v", pk.Name, plat.Name, err)
 					}
@@ -128,9 +96,7 @@ func TestCompiledPredictFixedCPI(t *testing.T) {
 		f := buildFixture(t, k)
 		c, err := Compile(CompileInput{
 			Kernel: k, CPU: plat.CPU, Estimator: est,
-			IPDA: f.ic, Count: f.count, Augment: f.aug,
-			Slots: f.slots, Bound: f.bound, AugBound: f.augBound,
-			DefaultTrip: 128,
+			Shape: f.shape,
 		})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", pk.Name, err)
@@ -145,8 +111,7 @@ func TestCompiledPredictFixedCPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals, mid, scratch := f.vectors(b)
-		got, err := c.Predict(vals, mid, scratch, 0.5, 0)
+		got, err := c.Predict(f.point(b), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,8 +129,7 @@ func TestCompileRejectsUnknownEstimator(t *testing.T) {
 	plat := machine.PlatformP9V100()
 	_, err := Compile(CompileInput{
 		Kernel: pk.IR, CPU: plat.CPU, Estimator: fakeEstimator{},
-		IPDA: f.ic, Count: f.count, Augment: f.aug,
-		Slots: f.slots, Bound: f.bound, AugBound: f.augBound,
+		Shape: f.shape,
 	})
 	if err == nil {
 		t.Fatal("unknown estimator compiled; want error")

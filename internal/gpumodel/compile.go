@@ -7,130 +7,77 @@ import (
 	"github.com/hybridsel/hybridsel/internal/ipda"
 	"github.com/hybridsel/hybridsel/internal/ir"
 	"github.com/hybridsel/hybridsel/internal/machine"
-	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
-// CompileInput gathers the kernel, device and pre-compiled analyses a
-// region compiles its GPU model against; the slot layout and compiled
-// analyses are shared with the CPU model.
+// CompileInput gathers what a region compiles its GPU model against: the
+// kernel, the device and its link, and the region's Shape, which the CPU
+// model and every other target share.
 type CompileInput struct {
 	Kernel  *ir.Kernel
 	GPU     *machine.GPU
 	Link    machine.Link
 	Options Options
 
-	// IPDA is the compiled stride analysis; required when
-	// Options.Coalescing == UseIPDA (as the interpreted model requires
-	// the interpreted analysis).
-	IPDA *ipda.CompiledResult
-
-	// Count is the compiled instruction counter over Slots.
-	Count *ir.CountProgram
-
-	// Slots is the slot layout and Bound the raw (parameter) name set.
-	Slots map[string]int
-	Bound map[string]bool
-
-	// DefaultTrip is the CountOptions.DefaultTrip the compiled model
-	// replicates (0 selects ir.DefaultCountOptions().DefaultTrip).
-	DefaultTrip int64
+	Shape *ipda.Shape
 }
 
-// compiledTransfer is one array's compiled byte-size expression; times is
-// 1 for one-directional arrays and 2 when the array crosses the link both
-// ways (In and Out).
-type compiledTransfer struct {
-	bytes symbolic.Compiled
-	times int
-}
-
-// Compiled is the Hong–Kim Predict specialized to one (kernel, GPU,
-// link, options) region: grid-independent occupancy bounds, stride
-// classification programs and transfer-size polynomials are fixed at
-// compile time, so each Predict call is slot-vector evaluation plus the
-// model's own arithmetic, bit-for-bit identical to the interpreted
-// Predict.
+// Compiled is the Hong–Kim Predict specialized to one (kernel, GPU, link,
+// options) region: the kernel analysis is read off the launch's resolved
+// ipda.Point, so each call is the model's own arithmetic over the device's
+// parameters, bit-for-bit identical to the interpreted Predict.
 type Compiled struct {
-	g           *machine.GPU
-	link        machine.Link
-	opts        Options
-	ipda        *ipda.CompiledResult
-	count       *ir.CountProgram
-	iterSpace   symbolic.Compiled
-	transfers   []compiledTransfer
-	defaultTrip int64
+	g     *machine.GPU
+	link  machine.Link
+	opts  Options
+	shape *ipda.Shape
+	geom  ipda.WarpGeom
 }
 
-// Compile specializes the model to the region. It fails — and with it
-// the region's registration — exactly when the interpreted Predict would
-// error per call: unresolvable iteration space or array sizes, or an IPDA
-// coalescing source with no analysis supplied.
+// Compile specializes the model to the region. It fails — and with it the
+// region's registration — exactly when the interpreted Predict would error
+// per call and CompileShape has not already: an array whose size the
+// parameters do not resolve.
 func Compile(in CompileInput) (*Compiled, error) {
-	if in.Kernel == nil || in.GPU == nil {
-		return nil, fmt.Errorf("gpumodel: nil kernel or GPU")
+	if in.Kernel == nil || in.GPU == nil || in.Shape == nil {
+		return nil, fmt.Errorf("gpumodel: compile: nil kernel, GPU or shape")
 	}
-	if in.Count == nil {
-		return nil, fmt.Errorf("gpumodel: compile: missing count program")
-	}
-	if in.Options.Coalescing == UseIPDA && in.IPDA == nil {
-		return nil, fmt.Errorf("gpumodel: coalescing source is IPDA but no analysis supplied")
-	}
-	c := &Compiled{
-		g:           in.GPU,
-		link:        in.Link,
-		opts:        in.Options,
-		ipda:        in.IPDA,
-		count:       in.Count,
-		defaultTrip: in.DefaultTrip,
-	}
-	if c.defaultTrip == 0 {
-		c.defaultTrip = ir.DefaultCountOptions().DefaultTrip
-	}
-	space := in.Kernel.IterSpace()
-	if !ir.Resolvable(space, in.Bound) {
-		return nil, fmt.Errorf("gpumodel: compile: iteration space %s not resolvable from parameters", space)
-	}
-	cs, err := symbolic.Compile(space, in.Slots)
-	if err != nil {
-		return nil, err
-	}
-	c.iterSpace = cs
-
 	if in.Options.IncludeTransfer {
+		// The interpreted TransferBytes sizes every array, erroring on
+		// any unresolvable one even if it never crosses the link.
 		for _, a := range in.Kernel.Arrays {
-			// The interpreted TransferBytes sizes every array, erroring on
-			// any unresolvable one even if it never crosses the link.
-			bexpr := a.Bytes()
-			if !ir.Resolvable(bexpr, in.Bound) {
+			if bexpr := a.Bytes(); !ir.Resolvable(bexpr, in.Shape.Bound) {
 				return nil, fmt.Errorf("gpumodel: compile: sizing %s: %s not resolvable from parameters",
 					a.Name, bexpr)
 			}
-			times := 0
-			if a.In {
-				times++
-			}
-			if a.Out {
-				times++
-			}
-			if times == 0 {
-				continue
-			}
-			cb, err := symbolic.Compile(bexpr, in.Slots)
-			if err != nil {
-				return nil, err
-			}
-			c.transfers = append(c.transfers, compiledTransfer{bytes: cb, times: times})
 		}
 	}
-	return c, nil
+	return &Compiled{g: in.GPU, link: in.Link, opts: in.Options, shape: in.Shape,
+		geom: ipda.WarpGeom{WarpSize: in.GPU.WarpSize, TransactionBytes: in.GPU.L2.LineBytes}}, nil
 }
 
-// Predict replays the interpreted Predict over slot vectors. vals is the
-// raw parameter vector and mid the midpoint-augmented copy (the hybrid
-// counting bindings).
-func (c *Compiled) Predict(vals, mid []int64, branchProb, iterFraction float64) (Prediction, error) {
+// Seconds is the predicted time of the region's launch at pt with the
+// device running iterFraction of the iteration space (0: all of it) — what
+// a decision needs of Predict.
+func (c *Compiled) Seconds(pt *ipda.Point, iterFraction float64) (float64, error) {
+	var p Prediction
+	err := c.predict(pt, iterFraction, &p)
+	return p.Seconds, err
+}
+
+// Predict is Seconds with the model's whole breakdown, the form the
+// equivalence tests compare field by field against the interpreted
+// Predict.
+func (c *Compiled) Predict(pt *ipda.Point, iterFraction float64) (Prediction, error) {
+	var p Prediction
+	err := c.predict(pt, iterFraction, &p)
+	return p, err
+}
+
+// predict replays the interpreted Predict over the launch's resolved
+// point into *p (zero on entry).
+func (c *Compiled) predict(pt *ipda.Point, iterFraction float64, p *Prediction) error {
 	g := c.g
-	iters := c.iterSpace.Eval(vals)
+	iters := pt.Iters
 	frac := 1.0
 	if f := iterFraction; f > 0 && f < 1 {
 		frac = f
@@ -140,10 +87,8 @@ func (c *Compiled) Predict(vals, mid []int64, branchProb, iterFraction float64) 
 		}
 	}
 	if iters <= 0 {
-		return Prediction{}, fmt.Errorf("gpumodel: empty iteration space (%d)", iters)
+		return fmt.Errorf("gpumodel: empty iteration space (%d)", iters)
 	}
-
-	var p Prediction
 
 	tpb := g.DefaultBlockSize
 	blocks := (iters + int64(tpb) - 1) / int64(tpb)
@@ -187,16 +132,15 @@ func (c *Compiled) Predict(vals, mid []int64, branchProb, iterFraction float64) 
 		p.Rep = 1
 	}
 
-	load := c.count.Eval(mid, branchProb, c.defaultTrip)
+	load := &pt.Load
 	memInsts := load.Mem()
 	compInsts := load.Total() - memInsts
 	p.MemInsts = memInsts
 
-	geom := ipda.WarpGeom{WarpSize: g.WarpSize, TransactionBytes: g.L2.LineBytes}
 	coalFrac := 1.0
 	switch c.opts.Coalescing {
 	case UseIPDA:
-		coalFrac = c.ipda.CoalescedFraction(vals, geom)
+		coalFrac = pt.Warp(c.geom).CoalescedFrac
 	case AssumeAllCoalesced:
 		coalFrac = 1
 	case AssumeAllUncoalesced:
@@ -216,8 +160,8 @@ func (c *Compiled) Predict(vals, mid []int64, branchProb, iterFraction float64) 
 	p.MemLatencyUnc = memL + (float64(g.WarpSize)-1)*g.DepartureDelayUncoal
 
 	var memCycles float64
-	if c.opts.CacheAware && c.opts.Coalescing == UseIPDA && c.ipda != nil {
-		memCycles = c.cacheAwareMemCycles(vals, mid, geom)
+	if c.opts.CacheAware && c.opts.Coalescing == UseIPDA {
+		memCycles = c.cacheAwareMemCycles(pt)
 	} else {
 		nCoal := memInsts * coalFrac
 		nUncoal := memInsts * (1 - coalFrac)
@@ -270,58 +214,42 @@ func (c *Compiled) Predict(vals, mid []int64, branchProb, iterFraction float64) 
 	sec += launchOverheadSec
 
 	if c.opts.IncludeTransfer {
-		var bytes int64
-		for i := range c.transfers {
-			t := &c.transfers[i]
-			n := t.bytes.Eval(vals)
-			for j := 0; j < t.times; j++ {
-				bytes += n
-			}
-		}
-		bytes = int64(float64(bytes) * frac)
+		bytes := int64(float64(pt.TransferBytes) * frac)
 		p.TransferBytes = bytes
 		p.TransferSeconds = c.link.TransferSeconds(bytes)
 		sec += p.TransferSeconds
 	}
 	p.Seconds = sec
-	return p, nil
+	return nil
 }
 
 // cacheAwareMemCycles replays the interpreted cacheAwareMemCycles over
 // the compiled sites (same site order, same fallbacks).
-func (c *Compiled) cacheAwareMemCycles(vals, mid []int64, geom ipda.WarpGeom) float64 {
+func (c *Compiled) cacheAwareMemCycles(pt *ipda.Point) float64 {
 	g := c.g
 	uncoalPerTx := g.DepartureDelayUncoal
+	access := pt.Warp(c.geom).Access
 	var total float64
-	for i := range c.ipda.Sites {
-		s := &c.ipda.Sites[i]
-		wa := s.ResolveGPU(vals, geom)
+	for i := range c.shape.Sites {
+		s, sp, wa := &c.shape.Sites[i], &pt.Sites[i], &access[i]
 		lat := float64(g.MemLatency)
 		switch wa.Class {
 		case ipda.Uniform:
 			lat = float64(g.L1HitLatency)
 		case ipda.Coalesced:
-			if s.HasInner && s.InnerAffine {
-				if st, ok := s.InnerStrideVal(vals); ok && st == 0 {
-					lat = float64(g.L1HitLatency)
-				}
+			if s.HasInner && sp.InnerOK && sp.Inner == 0 {
+				lat = float64(g.L1HitLatency)
 			}
 		case ipda.Strided, ipda.Uncoalesced, ipda.NonUniform:
 			lat = float64(g.MemLatency) +
 				float64(wa.Transactions-1)*uncoalPerTx
-			if s.InnerAffine {
-				if st, ok := s.InnerStrideVal(vals); ok && (st == 1 || st == -1) {
-					fr := float64(s.ElemSize) / float64(g.L1.LineBytes)
-					lat = float64(g.L1HitLatency) + lat*fr
-				}
+			if sp.InnerOK && (sp.Inner == 1 || sp.Inner == -1) {
+				fr := float64(s.ElemSize) / float64(g.L1.LineBytes)
+				lat = float64(g.L1HitLatency) + lat*fr
 			}
 		}
 		if s.SeqDepth >= 2 {
-			trip := c.defaultTrip
-			if t, ok := s.SeqTrip.Eval(mid); ok {
-				trip = t
-			}
-			fp := trip * int64(wa.Transactions) * g.L2.LineBytes
+			fp := sp.SeqTrip * int64(wa.Transactions) * g.L2.LineBytes
 			if fp <= g.L2.SizeBytes && float64(g.L2HitLatency) < lat {
 				lat = float64(g.L2HitLatency)
 			}

@@ -7,221 +7,293 @@ import (
 	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
-// CompiledResult is an IPDA Result specialized to a slot layout: every
-// affine stride polynomial is compiled to slot-indexed form so the
-// downstream cost models can resolve strides per launch without map
-// lookups. The evaluation methods replay the interpreted ones (same site
-// order, same accumulation order, same error fallbacks), so results are
-// bit-for-bit identical.
+// Shape is a kernel's launch analysis specialized to a slot layout: the
+// executable form of what the paper's compiler leaves in the Program
+// Attribute Database. It covers everything about a launch that depends on
+// the bound values but on no machine — iteration space, transfer volume,
+// per-work-item loadout, every access site's strides and warp classes —
+// so a region compiles one Shape, Resolve evaluates it once per launch
+// point into a Point, and each target's cost model is machine arithmetic
+// over that Point. The evaluations replay the interpreted analyses (same
+// site order, same accumulation order, same error fallbacks), so a model
+// reading a Point computes bit-for-bit what it computes re-analysing the
+// kernel under a bindings map.
 //
 // Whether a stride Eval succeeds depends only on the bound-name set, so
 // it is decided here at compile time: thread strides are required to
 // resolve (an unresolvable one would make the interpreted GPUCoalescing
-// error under the region's own parameters, so CompileResult rejects
-// them); inner and outer strides get an ok flag because the
-// interpreted paths treat their failures as behavior, not errors.
-type CompiledResult struct {
+// error under the region's own parameters, so CompileShape rejects
+// them); inner and outer strides get an ok flag because the interpreted
+// paths treat their failures as behavior, not errors.
+type Shape struct {
 	Sites []CompiledSite
+
+	// Slots is the layout: the parameters in the order CompileShape was
+	// given them, then the parallel loop variables the augmented vectors
+	// bind (one shadowing a parameter reuses its slot — the augmentation
+	// overwrites it exactly as MidpointBindings overwrites the map entry).
+	// Bound names the former, AugBound also the latter.
+	Slots           map[string]int
+	Bound, AugBound map[string]bool
+
+	// Augment writes the parallel loop variables into a slot vector, Count
+	// is the per-work-item loadout counter over an augmented vector, and
+	// DefaultTrip the count both assume for a loop that does not resolve.
+	Augment     *ir.Augment
+	Count       *ir.CountProgram
+	DefaultTrip int64
+
+	iters, bytes symbolic.Compiled
 }
 
-// CompiledSite is one access site's compiled stride set.
+// CompiledSite is what the analysis fixes about one access site at
+// compile time; SitePoint holds its strides at a launch point.
 type CompiledSite struct {
 	Weight   float64
 	ElemSize int64
 	Kind     ir.AccessKind
 	HasInner bool
 
-	ThreadAffine bool
-	thread       symbolic.Compiled
+	ThreadAffine, InnerAffine bool
 
-	OuterAffine bool
-	outerOK     bool
-	outer       symbolic.Compiled
-
-	InnerAffine bool
-	innerOK     bool
-	inner       symbolic.Compiled
-
-	// SeqTrip is the innermost sequential loop's compiled trip count,
-	// meaningful when SeqDepth >= 2 (the GPU model's re-walked-footprint
-	// refinement).
-	SeqTrip  ir.CompiledTrip
+	// SeqDepth counts the sequential loops around the access; at two or
+	// more, SitePoint.SeqTrip is the innermost one's trip count (the GPU
+	// model's re-walked-footprint refinement).
 	SeqDepth int
+
+	outerOK, innerOK     bool
+	thread, outer, inner symbolic.Compiled
+	seqTrip              ir.CompiledTrip
 }
 
-// CompileResult specializes r to the slot layout. bound is the raw
-// bindings name set (kernel parameters) — strides are evaluated under
-// raw bindings by both models. augBound is the midpoint-augmented name
-// set used for sequential-loop trip counts.
-func CompileResult(r *Result, slots map[string]int, bound, augBound map[string]bool) (*CompiledResult, error) {
-	c := &CompiledResult{Sites: make([]CompiledSite, len(r.Sites))}
+// CompileShape specializes the analysis r of a kernel to the slot layout
+// that starts with params (the kernel's parameters, in the caller's
+// canonical order). It fails — and with it the region's registration —
+// when the iteration space, the transfer volume or a thread stride does
+// not resolve from the parameters alone: exactly the configurations in
+// which the map-form evaluation would error at every launch.
+func CompileShape(r *Result, params []string, defaultTrip int64) (*Shape, error) {
+	k := r.Kernel
+	if defaultTrip == 0 {
+		defaultTrip = ir.DefaultCountOptions().DefaultTrip
+	}
+	sh := &Shape{Slots: map[string]int{}, Bound: map[string]bool{}, DefaultTrip: defaultTrip}
+	for i, name := range params {
+		sh.Slots[name] = i
+		sh.Bound[name] = true
+	}
+	for _, l := range k.ParallelLoops() {
+		if _, ok := sh.Slots[l.Var]; !ok {
+			sh.Slots[l.Var] = len(sh.Slots)
+		}
+	}
+	var err error
+	if sh.iters, err = sh.compile("iteration space", k.IterSpace()); err != nil {
+		return nil, err
+	}
+	if sh.bytes, err = sh.compile("transfer bytes", k.TransferBytes()); err != nil {
+		return nil, err
+	}
+	if sh.Augment, sh.AugBound, err = ir.CompileAugment(k, sh.Slots, sh.Bound); err != nil {
+		return nil, err
+	}
+	if sh.Count, err = ir.CompileCount(k, sh.Slots, sh.AugBound); err != nil {
+		return nil, err
+	}
+	sh.Sites = make([]CompiledSite, len(r.Sites))
 	for i := range r.Sites {
 		s := &r.Sites[i]
-		cs := CompiledSite{
+		cs := &sh.Sites[i]
+		*cs = CompiledSite{
 			Weight:       s.Access.Weight,
 			ElemSize:     s.Access.Elem.Size(),
 			Kind:         s.Access.Kind,
 			HasInner:     s.HasInner,
 			ThreadAffine: s.ThreadAffine,
-			OuterAffine:  s.OuterAffine,
 			InnerAffine:  s.InnerAffine,
 		}
 		if s.ThreadAffine {
-			if !ir.Resolvable(s.ThreadStride, bound) {
-				return nil, fmt.Errorf("ipda: compile: site %d thread stride %s not resolvable",
-					i, s.ThreadStride)
-			}
-			ct, err := symbolic.Compile(s.ThreadStride, slots)
-			if err != nil {
+			if cs.thread, err = sh.compile(fmt.Sprintf("site %d thread stride", i), s.ThreadStride); err != nil {
 				return nil, err
 			}
-			cs.thread = ct
 		}
-		if s.OuterAffine && ir.Resolvable(s.OuterStride, bound) {
-			co, err := symbolic.Compile(s.OuterStride, slots)
-			if err != nil {
+		if cs.outerOK = s.OuterAffine && ir.Resolvable(s.OuterStride, sh.Bound); cs.outerOK {
+			if cs.outer, err = symbolic.Compile(s.OuterStride, sh.Slots); err != nil {
 				return nil, err
 			}
-			cs.outerOK, cs.outer = true, co
 		}
-		if s.InnerAffine && ir.Resolvable(s.InnerStride, bound) {
-			ci, err := symbolic.Compile(s.InnerStride, slots)
-			if err != nil {
+		if cs.innerOK = s.InnerAffine && ir.Resolvable(s.InnerStride, sh.Bound); cs.innerOK {
+			if cs.inner, err = symbolic.Compile(s.InnerStride, sh.Slots); err != nil {
 				return nil, err
 			}
-			cs.innerOK, cs.inner = true, ci
 		}
-		seq := sequentialLoopsOf(s.Access.Loops)
-		cs.SeqDepth = len(seq)
-		if len(seq) >= 2 {
-			ct, err := ir.CompileTrip(seq[len(seq)-1], slots, augBound)
-			if err != nil {
+		var seq []*ir.Loop
+		for _, l := range s.Access.Loops {
+			if !l.Parallel {
+				seq = append(seq, l)
+			}
+		}
+		if cs.SeqDepth = len(seq); cs.SeqDepth >= 2 {
+			if cs.seqTrip, err = ir.CompileTrip(seq[len(seq)-1], sh.Slots, sh.AugBound); err != nil {
 				return nil, err
 			}
-			cs.SeqTrip = ct
-		}
-		c.Sites[i] = cs
-	}
-	return c, nil
-}
-
-// sequentialLoopsOf filters the non-parallel loops of an access context.
-func sequentialLoopsOf(loops []*ir.Loop) []*ir.Loop {
-	var out []*ir.Loop
-	for _, l := range loops {
-		if !l.Parallel {
-			out = append(out, l)
 		}
 	}
-	return out
+	return sh, nil
 }
 
-// ThreadStrideVal evaluates the thread stride under raw bindings.
-// Only meaningful when ThreadAffine (compile guarantees resolvability).
-func (s *CompiledSite) ThreadStrideVal(vals []int64) int64 {
-	return s.thread.Eval(vals)
-}
-
-// InnerStrideVal evaluates the inner stride; ok=false reproduces the
-// interpreted Eval-error fallback.
-func (s *CompiledSite) InnerStrideVal(vals []int64) (int64, bool) {
-	if !s.innerOK {
-		return 0, false
+// compile compiles an expression every launch must be able to evaluate.
+func (sh *Shape) compile(what string, e symbolic.Expr) (symbolic.Compiled, error) {
+	if !ir.Resolvable(e, sh.Bound) {
+		return symbolic.Compiled{}, fmt.Errorf("ipda: compile: %s %s not resolvable from parameters", what, e)
 	}
-	return s.inner.Eval(vals), true
+	return symbolic.Compile(e, sh.Slots)
 }
 
-// OuterStrideVal evaluates the outer stride; ok=false reproduces the
-// interpreted Eval-error fallback.
-func (s *CompiledSite) OuterStrideVal(vals []int64) (int64, bool) {
-	if !s.outerOK {
-		return 0, false
+// Point is a Shape resolved at one launch point, and the scratch the
+// resolution needs: a caller keeps one per goroutine (NewPoint), writes
+// the launch's parameter values into Vals and calls Resolve.
+type Point struct {
+	// Vals is the raw slot vector, Mid its midpoint-augmented copy (the
+	// hybrid counting bindings), Scratch a third the CPU model's
+	// edge-of-iteration-space probes overwrite.
+	Vals, Mid, Scratch []int64
+
+	BranchProb    float64
+	Iters         int64      // the whole iteration space
+	TransferBytes int64      // every In array plus every Out array
+	Load          ir.Loadout // of one work item at the midpoint
+	Vectorizable  bool       // Result.Vectorizable
+	Sites         []SitePoint
+
+	shape *Shape
+	warps []WarpPoint // resolved on demand, one per geometry asked for
+}
+
+// SitePoint is one site's strides at a launch point, in elements. Thread
+// is meaningful when the site is ThreadAffine; InnerOK and OuterOK are
+// false where the interpreted stride evaluation would have failed (or the
+// stride is not affine).
+type SitePoint struct {
+	Thread, Inner, Outer int64
+	InnerOK, OuterOK     bool
+	// SeqTrip is the innermost sequential loop's trip count at the
+	// midpoint (DefaultTrip when it does not resolve), for SeqDepth >= 2.
+	SeqTrip int64
+}
+
+// WarpPoint is a launch point's coalescing behaviour under one warp
+// geometry: Site.ResolveGPU per site, and
+// Result.GPUCoalescing(...).CoalescedFraction.
+type WarpPoint struct {
+	Geom          WarpGeom
+	CoalescedFrac float64
+	Access        []WarpAccess
+}
+
+// NewPoint returns a Point sized for the shape.
+func (sh *Shape) NewPoint() *Point {
+	n := len(sh.Slots)
+	vecs := make([]int64, 3*n)
+	return &Point{shape: sh, Sites: make([]SitePoint, len(sh.Sites)),
+		Vals: vecs[:n:n], Mid: vecs[n : 2*n : 2*n], Scratch: vecs[2*n:]}
+}
+
+// Resolve evaluates the shape at the launch whose parameter values are in
+// p.Vals. No validation of the values is needed: CompileShape proved every
+// expression resolvable from the parameters.
+func (sh *Shape) Resolve(p *Point, branchProb float64) {
+	copy(p.Mid, p.Vals)
+	sh.Augment.Midpoint(p.Mid)
+	p.BranchProb = branchProb
+	p.Iters = sh.iters.Eval(p.Vals)
+	p.TransferBytes = sh.bytes.Eval(p.Vals)
+	p.Load = sh.Count.Eval(p.Mid, branchProb, sh.DefaultTrip)
+	p.warps = p.warps[:0]
+
+	// Result.Vectorizable: every access inside a sequential loop has an
+	// inner stride of 0 or 1; a body without one vectorizes along the
+	// thread dimension under the same rule.
+	anyInner, innerVec, threadVec := false, true, true
+	for i := range sh.Sites {
+		s, sp := &sh.Sites[i], &p.Sites[i]
+		*sp = SitePoint{InnerOK: s.innerOK, OuterOK: s.outerOK, SeqTrip: sh.DefaultTrip}
+		if s.ThreadAffine {
+			sp.Thread = s.thread.Eval(p.Vals)
+		}
+		if s.innerOK {
+			sp.Inner = s.inner.Eval(p.Vals)
+		}
+		if s.outerOK {
+			sp.Outer = s.outer.Eval(p.Vals)
+		}
+		if s.SeqDepth >= 2 {
+			if t, ok := s.seqTrip.Eval(p.Mid); ok {
+				sp.SeqTrip = t
+			}
+		}
+		if s.HasInner {
+			anyInner = true
+			innerVec = innerVec && sp.InnerOK && (sp.Inner == 0 || sp.Inner == 1)
+		}
+		threadVec = threadVec && s.ThreadAffine && (sp.Thread == 0 || sp.Thread == 1)
 	}
-	return s.outer.Eval(vals), true
-}
-
-// ResolveGPU replicates Site.ResolveGPU: non-affine sites classify as
-// NonUniform; affine ones classify their concrete byte stride.
-func (s *CompiledSite) ResolveGPU(vals []int64, g WarpGeom) WarpAccess {
-	if !s.ThreadAffine {
-		return WarpAccess{Class: NonUniform, Transactions: g.WarpSize}
+	p.Vectorizable = innerVec
+	if !anyInner {
+		p.Vectorizable = threadVec
 	}
-	stride := s.thread.Eval(vals)
-	return ClassifyStride(stride*s.ElemSize, s.ElemSize, g)
 }
 
-// CoalescedFraction replicates Result.GPUCoalescing(...).CoalescedFraction.
-func (c *CompiledResult) CoalescedFraction(vals []int64, g WarpGeom) float64 {
+// Warp returns the point's coalescing behaviour under g, classifying the
+// sites the first time a geometry is asked for: targets that share a
+// geometry — every shipped GPU is {32, 128 B} — share the walk.
+func (p *Point) Warp(g WarpGeom) *WarpPoint {
+	for i := range p.warps {
+		if p.warps[i].Geom == g {
+			return &p.warps[i]
+		}
+	}
+	if len(p.warps) < cap(p.warps) {
+		p.warps = p.warps[:len(p.warps)+1] // keeps the recycled Access
+	} else {
+		p.warps = append(p.warps, WarpPoint{})
+	}
+	wp := &p.warps[len(p.warps)-1]
+	wp.Geom, wp.Access = g, wp.Access[:0]
 	var coal, total float64
-	for i := range c.Sites {
-		s := &c.Sites[i]
-		wa := s.ResolveGPU(vals, g)
-		w := s.Weight
-		total += w
+	for i := range p.shape.Sites {
+		s := &p.shape.Sites[i]
+		wa := WarpAccess{Class: NonUniform, Transactions: g.WarpSize}
+		if s.ThreadAffine {
+			wa = ClassifyStride(p.Sites[i].Thread*s.ElemSize, s.ElemSize, g)
+		}
+		wp.Access = append(wp.Access, wa)
+		total += s.Weight
 		switch wa.Class {
 		case Uniform, Coalesced:
-			coal += w
+			coal += s.Weight
 		}
 	}
-	if total == 0 {
-		return 1
+	wp.CoalescedFrac = 1
+	if total != 0 {
+		wp.CoalescedFrac = coal / total
 	}
-	return coal / total
+	return wp
 }
 
-// Vectorizable replicates Result.Vectorizable over the slot vector.
-func (c *CompiledResult) Vectorizable(vals []int64) bool {
-	anyInner := false
-	for i := range c.Sites {
-		s := &c.Sites[i]
-		if !s.HasInner {
-			continue
-		}
-		anyInner = true
-		if !s.InnerAffine {
-			return false
-		}
-		st, ok := s.InnerStrideVal(vals)
-		if !ok {
-			return false
-		}
-		if st != 0 && st != 1 {
-			return false
-		}
-	}
-	if anyInner {
-		return true
-	}
-	for i := range c.Sites {
-		s := &c.Sites[i]
-		if !s.ThreadAffine {
-			return false
-		}
-		st := s.ThreadStrideVal(vals)
-		if st != 0 && st != 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// FalseSharingRisk replicates Result.FalseSharingRisk.
-func (c *CompiledResult) FalseSharingRisk(vals []int64, chunkIters, lineBytes int64) float64 {
+// FalseSharingRisk replicates Result.FalseSharingRisk at the point.
+func (p *Point) FalseSharingRisk(chunkIters, lineBytes int64) float64 {
 	var stores, risky float64
-	for i := range c.Sites {
-		s := &c.Sites[i]
+	for i := range p.shape.Sites {
+		s := &p.shape.Sites[i]
 		if s.Kind != ir.AccStore {
 			continue
 		}
 		stores += s.Weight
-		if !s.OuterAffine {
+		if !p.Sites[i].OuterOK {
 			continue
 		}
-		st, ok := s.OuterStrideVal(vals)
-		if !ok {
-			continue
-		}
-		dist := st * chunkIters * s.ElemSize
+		dist := p.Sites[i].Outer * chunkIters * s.ElemSize
 		if dist < 0 {
 			dist = -dist
 		}

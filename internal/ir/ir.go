@@ -168,6 +168,22 @@ func (k *Kernel) IterSpace() symbolic.Expr {
 	return n
 }
 
+// TransferBytes returns the symbolic volume an offload of the kernel moves
+// across the link: the bytes of every In array (host to device) plus
+// those of every Out array (device to host).
+func (k *Kernel) TransferBytes() symbolic.Expr {
+	n := symbolic.Zero()
+	for _, a := range k.Arrays {
+		if a.In {
+			n = n.Add(a.Bytes())
+		}
+		if a.Out {
+			n = n.Add(a.Bytes())
+		}
+	}
+	return n
+}
+
 // Stmt is a statement in a kernel body.
 type Stmt interface {
 	isStmt()

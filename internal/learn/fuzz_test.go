@@ -51,6 +51,7 @@ func FuzzLearnSnapshot(f *testing.F) {
 		if err := lr.Restore(s); err != nil {
 			t.Fatalf("accepted snapshot failed to restore: %v", err)
 		}
+		checkGateCache(t, lr)
 		var first, second bytes.Buffer
 		if err := WriteSnapshot(&first, lr.Snapshot()); err != nil {
 			t.Fatal(err)

@@ -61,6 +61,7 @@ func TestMergedCalibrationInvalidatesCache(t *testing.T) {
 				ActualSeconds: c.PredSeconds * math.Exp(logErr), LogErr: logErr}
 		}
 		peerLrn.ObserveVerdict("gemm", f, ms)
+		checkGateCache(t, peerLrn)
 	}
 
 	newLearner := func() offload.Calibrator { return New(Config{MinSamples: 2}) }
@@ -88,6 +89,9 @@ func TestMergedCalibrationInvalidatesCache(t *testing.T) {
 			local, fresh := c.corrector(), c.corrector()
 			if _, err := c.arrive(fresh); err != nil {
 				t.Fatal(err)
+			}
+			if l, ok := fresh.(*Learner); ok {
+				checkGateCache(t, l)
 			}
 			region := gemmRuntime(t, local)
 			before, err := region.Decide(b)

@@ -109,9 +109,13 @@ type model struct {
 	gram  [NumFeatures][NumFeatures]float64
 	mom   [NumFeatures]float64
 	sumT2 float64
-	// w is the solved weight vector (valid when ok).
-	w  [NumFeatures]float64
-	ok bool
+	// w is the solved weight vector (valid when ok), and resVar the
+	// in-sample residual variance under it — the confidence gate's input,
+	// cached because solve is the only thing that moves it and the gate is
+	// consulted per candidate per verdict.
+	w      [NumFeatures]float64
+	ok     bool
+	resVar float64
 }
 
 // add folds one observation and re-solves the weights (a 5x5 system —
@@ -128,11 +132,19 @@ func (m *model) add(x *[NumFeatures]float64, t, lambda float64) {
 	m.solve(lambda)
 }
 
-// solve recomputes w from the accumulated sums: (gram + Λ) w = mom with
-// Λ = diag(biasLambda, lambda, ..., lambda), by Gaussian elimination
-// with partial pivoting in fixed order — deterministic for a given
-// state, so snapshot restores reproduce weights bit-for-bit.
+// solve recomputes w — and with it ok and resVar — from the accumulated
+// sums. Every path that changes the sums ends here: add, and restoreModel
+// for MergeState and Restore.
 func (m *model) solve(lambda float64) {
+	m.ok = m.solveWeights(lambda)
+	m.resVar = m.variance()
+}
+
+// solveWeights solves (gram + Λ) w = mom with Λ = diag(biasLambda,
+// lambda, ..., lambda), by Gaussian elimination with partial pivoting in
+// fixed order — deterministic for a given state, so snapshot restores
+// reproduce weights bit-for-bit. It reports whether w is usable.
+func (m *model) solveWeights(lambda float64) bool {
 	var a [NumFeatures][NumFeatures + 1]float64
 	for i := 0; i < NumFeatures; i++ {
 		for j := 0; j < NumFeatures; j++ {
@@ -152,8 +164,7 @@ func (m *model) solve(lambda float64) {
 			}
 		}
 		if a[pivot][col] == 0 {
-			m.ok = false
-			return
+			return false
 		}
 		a[col], a[pivot] = a[pivot], a[col]
 		for row := col + 1; row < NumFeatures; row++ {
@@ -170,13 +181,12 @@ func (m *model) solve(lambda float64) {
 		}
 		m.w[i] = s / a[i][i]
 	}
-	m.ok = true
 	for i := 0; i < NumFeatures; i++ {
 		if math.IsNaN(m.w[i]) || math.IsInf(m.w[i], 0) {
-			m.ok = false
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // residual predicts the log-space correction w·x at a feature point.
@@ -202,7 +212,7 @@ func (m *model) multiplier(x *[NumFeatures]float64) float64 {
 
 // variance is the in-sample residual variance SSE/n of the current
 // weights, computable from the accumulated sums alone:
-// SSE = sum(t²) - 2 w·mom + wᵀ gram w.
+// SSE = sum(t²) - 2 w·mom + wᵀ gram w. solve caches it as resVar.
 func (m *model) variance() float64 {
 	if m.n == 0 || !m.ok {
 		return math.Inf(1)
@@ -298,20 +308,21 @@ func (l *Learner) passesGate(m *model) bool {
 	if m == nil || !m.ok || m.n < uint64(l.cfg.MinSamples) {
 		return false
 	}
-	if l.cfg.MaxVariance > 0 && m.variance() > l.cfg.MaxVariance {
-		return false
-	}
-	return true
+	return !(l.cfg.MaxVariance > 0 && m.resVar > l.cfg.MaxVariance)
 }
 
 // confidentLocked resolves the model that would correct (region, target)
 // — the region model when it clears the gate, else the global fallback
 // when it does, else nil. Callers hold l.mu (either side).
 func (l *Learner) confidentLocked(region, target string) *model {
-	if rm := l.regions[region]; rm != nil {
-		if m := rm[target]; l.passesGate(m) {
-			return m
-		}
+	return l.confidentIn(l.regions[region], target)
+}
+
+// confidentIn is confidentLocked with the region's models already
+// resolved (nil for a region never observed).
+func (l *Learner) confidentIn(rm map[string]*model, target string) *model {
+	if m := rm[target]; l.passesGate(m) {
+		return m
 	}
 	if m := l.global[target]; l.passesGate(m) {
 		return m
@@ -333,18 +344,21 @@ func (l *Learner) CorrectFeatures(region string, f offload.Features, cands []off
 		mults = make([]float64, len(cands))
 	}
 	confident := len(cands) > 0
+	// Of the feature vector only ln(pred) differs between candidates.
+	x := featVec(1, f)
 	l.mu.RLock()
+	rm := l.regions[region]
 	for i := range cands {
 		if cands[i].PredSeconds <= 0 {
 			confident = false
 			break
 		}
-		m := l.confidentLocked(region, cands[i].Target)
+		m := l.confidentIn(rm, cands[i].Target)
 		if m == nil {
 			confident = false
 			break
 		}
-		x := featVec(cands[i].PredSeconds, f)
+		x[1] = math.Log(cands[i].PredSeconds)
 		mults[i] = m.multiplier(&x)
 	}
 	l.mu.RUnlock()

@@ -59,6 +59,89 @@ func seedStream(points int) []struct {
 	return out
 }
 
+// checkGateCache holds the learner to the law that makes caching the
+// confidence gate's input sound: every model's cached residual variance is,
+// bit for bit, what variance() computes from its sums now.
+func checkGateCache(t *testing.T, l *Learner) {
+	t.Helper()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	check := func(where, target string, m *model) {
+		if got, want := m.resVar, m.variance(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s/%s: cached gate variance %v, variance() = %v", where, target, got, want)
+		}
+	}
+	for target, m := range l.global {
+		check("global", target, m)
+	}
+	for region, rm := range l.regions {
+		for target, m := range rm {
+			check(region, target, m)
+		}
+	}
+}
+
+// referenceCorrect is CorrectFeatures as it stood before the gate input was
+// cached and the region resolved once per verdict: per candidate, two map
+// lookups, a fresh variance() and a whole feature vector. The production
+// method must agree with it bit for bit.
+func referenceCorrect(l *Learner, region string, f offload.Features, cands []offload.Candidate) string {
+	passes := func(m *model) bool {
+		if m == nil || !m.ok || m.n < uint64(l.cfg.MinSamples) {
+			return false
+		}
+		return !(l.cfg.MaxVariance > 0 && m.variance() > l.cfg.MaxVariance)
+	}
+	mults := make([]float64, len(cands))
+	confident := len(cands) > 0
+	for i := range cands {
+		if cands[i].PredSeconds <= 0 {
+			confident = false
+			break
+		}
+		var m *model
+		if rm := l.regions[region]; rm != nil && passes(rm[cands[i].Target]) {
+			m = rm[cands[i].Target]
+		} else if g := l.global[cands[i].Target]; passes(g) {
+			m = g
+		}
+		if m == nil {
+			confident = false
+			break
+		}
+		x := featVec(cands[i].PredSeconds, f)
+		mults[i] = m.multiplier(&x)
+	}
+	if !confident {
+		if l.cfg.Fallback != nil {
+			return l.cfg.Fallback.CorrectFeatures(region, f, cands)
+		}
+		return offload.ProvenanceAnalytical
+	}
+	for i := range cands {
+		cands[i].CalSeconds = cands[i].PredSeconds * mults[i]
+	}
+	return offload.ProvenanceLearned
+}
+
+// checkCorrectMatchesReference corrects one verdict both ways and compares.
+func checkCorrectMatchesReference(t *testing.T, l *Learner, region string, f offload.Features, cands []offload.Candidate) {
+	t.Helper()
+	got := append([]offload.Candidate(nil), cands...)
+	want := append([]offload.Candidate(nil), cands...)
+	gotProv, wantProv := l.CorrectFeatures(region, f, got), referenceCorrect(l, region, f, want)
+	if gotProv != wantProv {
+		t.Fatalf("%s: provenance %q, reference %q", region, gotProv, wantProv)
+	}
+	for i := range got {
+		if got[i].Target != want[i].Target ||
+			math.Float64bits(got[i].CalSeconds) != math.Float64bits(want[i].CalSeconds) ||
+			math.Float64bits(got[i].PredSeconds) != math.Float64bits(want[i].PredSeconds) {
+			t.Fatalf("%s: candidate %d corrected to %+v, reference %+v", region, i, got[i], want[i])
+		}
+	}
+}
+
 // TestDeterministicConvergence feeds two independent learners the same
 // audit stream and requires bit-for-bit identical weights, state and
 // corrections — the seeded-determinism guarantee record/replay rides on.
@@ -69,6 +152,7 @@ func TestDeterministicConvergence(t *testing.T) {
 	for _, s := range stream {
 		ca := a.ObserveVerdict(s.region, s.f, s.ms)
 		cb := b.ObserveVerdict(s.region, s.f, s.ms)
+		checkGateCache(t, a)
 		if ca != cb {
 			t.Fatalf("divergent changed signal on %s", s.region)
 		}
@@ -238,6 +322,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	stream := seedStream(5)
 	for _, s := range stream {
 		l.ObserveVerdict(s.region, s.f, s.ms)
+		checkGateCache(t, l)
 	}
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, l.Snapshot()); err != nil {
@@ -253,6 +338,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := restored.Restore(s); err != nil {
 		t.Fatal(err)
 	}
+	checkGateCache(t, restored)
 	if !statesEqual(stripCounters(l.State()), stripCounters(restored.State())) {
 		t.Fatalf("restored state diverges:\n%+v\n%+v", l.State(), restored.State())
 	}
@@ -263,6 +349,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if la != lb || math.Float64bits(ma) != math.Float64bits(mb) {
 				t.Fatalf("restored multiplier diverges for %s/%s", sp.region, m.Target)
 			}
+		}
+		// Whole verdicts, learned ones included, corrected as before the
+		// gate cache — a region the stream never named falls to the globals.
+		for _, region := range []string{sp.region, "unseen"} {
+			cands := make([]offload.Candidate, len(sp.ms))
+			for i, m := range sp.ms {
+				cands[i] = offload.Candidate{Target: m.Target, PredSeconds: m.PredSeconds, CalSeconds: m.PredSeconds}
+			}
+			checkCorrectMatchesReference(t, l, region, sp.f, cands)
+			checkCorrectMatchesReference(t, restored, region, sp.f, cands)
 		}
 	}
 	var again bytes.Buffer
@@ -317,9 +413,9 @@ func TestCorrectorZeroStateMatchesEWMA(t *testing.T) {
 			calB := audit.NewCalibrator(0)
 			rtA := offload.NewRuntime(offload.Config{
 				Platform: plat, Targets: regA, Calibrator: calA})
+			lrnB := New(Config{Fallback: calB})
 			rtB := offload.NewRuntime(offload.Config{
-				Platform: plat, Targets: regB,
-				Calibrator: New(Config{Fallback: calB})})
+				Platform: plat, Targets: regB, Calibrator: lrnB})
 
 			// Seed both EWMAs with an identical deterministic stream so
 			// the fallback path is exercised with real corrections.
@@ -353,6 +449,15 @@ func TestCorrectorZeroStateMatchesEWMA(t *testing.T) {
 					if errA != nil {
 						continue
 					}
+					raw, err := regionB.PredictTargets(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f, err := regionB.Features(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkCorrectMatchesReference(t, lrnB, k.Name, f, raw)
 					tag := fmt.Sprintf("%s/%s %s %v", plat.Name, regName, k.Name, mode)
 					if outA.TargetID != outB.TargetID || outA.Target != outB.Target ||
 						outA.SplitFraction != outB.SplitFraction {

@@ -18,6 +18,8 @@ func TestLearnerMergeConverges(t *testing.T) {
 		} else {
 			b.ObserveVerdict(s.region, s.f, s.ms)
 		}
+		checkGateCache(t, a)
+		checkGateCache(t, b)
 	}
 	sa, sb := a.SnapshotState(), b.SnapshotState()
 	if bytes.Equal(sa, sb) {
@@ -29,6 +31,8 @@ func TestLearnerMergeConverges(t *testing.T) {
 	if changed, err := b.MergeState(sa); err != nil || !changed {
 		t.Fatalf("b.MergeState(a): changed=%v err=%v", changed, err)
 	}
+	checkGateCache(t, a)
+	checkGateCache(t, b)
 	ea, eb := a.SnapshotState(), b.SnapshotState()
 	if !bytes.Equal(ea, eb) {
 		t.Fatalf("post-exchange state diverges:\n a %s\n b %s", ea, eb)
@@ -67,11 +71,13 @@ func TestLearnerMergeOrderIndependent(t *testing.T) {
 		if _, err := xy.MergeState(s); err != nil {
 			t.Fatalf("merge: %v", err)
 		}
+		checkGateCache(t, xy)
 	}
 	for _, s := range [][]byte{sy, sx} {
 		if _, err := yx.MergeState(s); err != nil {
 			t.Fatalf("merge: %v", err)
 		}
+		checkGateCache(t, yx)
 	}
 	if !bytes.Equal(xy.SnapshotState(), yx.SnapshotState()) {
 		t.Fatal("merge order changed the learner state")

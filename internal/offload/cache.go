@@ -1,66 +1,42 @@
 package offload
 
 import (
+	"math"
 	"sync"
-
-	"github.com/hybridsel/hybridsel/internal/attrdb"
 )
 
-// decisionEntry is one memoized model evaluation, keyed by the canonical
-// encoding of the launch bindings (and its 64-bit hash). The ranked
-// candidates are always present; the decided target (and split fraction)
-// is filled the first time a Launch completes the policy decision for
-// the key — Predict alone stores the prediction half so a later Launch
-// still skips the model evaluation.
-type decisionEntry struct {
-	key  string
-	hash uint64
-	// cands is the ranked candidate list (ascending calibrated seconds).
-	// The slice is immutable once stored: hits share it (get copies the
-	// entry struct, not the slice), and refreshes replace the whole
-	// slice — concurrent readers keep their old snapshot.
-	cands []Candidate
-	// predCPU/predGPU are the raw predictions of the base CPU/GPU-kind
-	// targets (0 when the registry has none), kept denormalized so the
-	// hot hit path fills the legacy Decision fields without scanning.
-	predCPU, predGPU float64
-
-	// decided is set once a Launch has run the policy on this key.
+// verdict is the scalar half of a memoized decision; the per-target
+// seconds travel beside it as two registry-ordered slices.
+type verdict struct {
+	// decided is set once the policy has run on the key — Predict alone
+	// stores the prediction half, so a later Launch still skips the model
+	// evaluation.
 	decided bool
 	// targetIdx is the chosen target's registry index (Registry.Len() for
 	// a split, the pseudo-target's dispatch slot).
 	targetIdx int
 	// frac is the host share chosen by a split decision (0 otherwise).
 	frac float64
-	// prov is the decision's provenance (set with decided), so cache hits
-	// report the correction stage that produced the memoized verdict.
+	// prov is the decision's provenance, so cache hits report the
+	// correction stage that produced the memoized verdict.
 	prov string
 }
 
-// cacheNode is an entry's residence in one shard: an intrusive LRU link
-// plus a hash-collision chain (64-bit FNV collisions are vanishingly
-// rare, but correctness cannot ride on that).
-type cacheNode struct {
-	entry      decisionEntry
-	prev, next *cacheNode // LRU list; nil-terminated
-	chain      *cacheNode // next node with the same 64-bit hash
-}
-
-// cacheShard is one independently locked slice of the cache: a bounded
-// LRU indexed by the bindings hash.
-type cacheShard struct {
-	mu         sync.Mutex
-	capacity   int
-	index      map[uint64]*cacheNode
-	head, tail *cacheNode // head = most recently used
-	size       int
-}
-
-// decisionCache is a power-of-two sharded, hash-keyed LRU of
-// decisionEntry. Shards lock independently, so concurrent launches with
-// different bindings rarely contend; the hot lookup path needs only the
-// 64-bit hash and a slot vector (no key-string allocation), with the
-// stored key confirming against genuine hash collisions.
+// decisionCache is a region's store of memoized decisions: a power-of-two
+// sharded, exact-LRU table keyed by the launch's parameter values. Shards
+// lock independently, so concurrent launches with different bindings
+// rarely contend.
+//
+// A shard keeps its entries back to back in one []uint64 slab, finds them
+// through an open-addressed index of entry numbers and orders them with
+// entry-number links inside the entries themselves, so the store holds no
+// pointer — the collector never scans it — and storing allocates nothing
+// once the slab has grown to the shard's capacity: a full shard's new key
+// moves into the entry it evicts. An entry is entryHeader words, the key's
+// values, then every target's raw and calibrated seconds in registry
+// order. A lookup compares the 64-bit hash and then the values themselves,
+// as integers, so correctness never rides on the hash. The ranking is not
+// stored: it is a function of the calibrated seconds (rankCandidates).
 //
 // Small capacities collapse to a single shard so the configured bound
 // behaves as one exact global LRU (the semantics the eviction tests and
@@ -76,7 +52,39 @@ const (
 	minShardCapacity = 32
 )
 
-func newDecisionCache(capacity int) *decisionCache {
+// The words of an entry. Links and index slots name an entry by its
+// number in the slab plus one; zero is "none". An index slot carries the
+// entry's tag — the upper half of its mixed hash, whose top bits are its
+// home slot — above the number, so probing and deleting read the slab only
+// where the tag matches.
+const (
+	wHash  = iota
+	wLinks // LRU neighbours: previous (towards the head) <<32 | next
+	wMeta  // chosen index <<32 | provenance index <<8 | decided
+	wFrac
+	entryHeader
+)
+
+// cacheShard is one independently locked slice of the cache.
+type cacheShard struct {
+	mu       sync.Mutex
+	capacity int
+	// gen counts clears. get hands it to the put that follows a miss, and
+	// put drops an entry priced before a clear it was stored after.
+	gen uint64
+
+	nvals, stride int      // values per key; words per entry
+	slab          []uint64 // size entries, grown on demand up to capacity
+	index         []uint64 // tag<<32 | entry; at most half full, so probe runs stay short
+	shift         uint     // 32 - log2(len(index))
+	head, tail    uint32   // head = most recently used
+	size          int
+	provs         []string // the provenance strings entries index
+}
+
+// newDecisionCache sizes a cache of capacity entries (none when it is not
+// positive) for keys of nvals values over ntargets targets.
+func newDecisionCache(capacity, nvals, ntargets int) *decisionCache {
 	if capacity <= 0 {
 		return &decisionCache{}
 	}
@@ -89,9 +97,14 @@ func newDecisionCache(capacity int) *decisionCache {
 		mask:   uint64(nshards - 1),
 	}
 	per := capacity / nshards
+	bits := uint(1)
+	for 1<<bits < 2*per {
+		bits++
+	}
 	for i := range c.shards {
-		c.shards[i].capacity = per
-		c.shards[i].index = make(map[uint64]*cacheNode, per)
+		s := &c.shards[i]
+		s.capacity, s.nvals, s.stride = per, nvals, entryHeader+nvals+2*ntargets
+		s.index, s.shift = make([]uint64, 1<<bits), 32-bits
 	}
 	return c
 }
@@ -100,167 +113,205 @@ func (c *decisionCache) shard(hash uint64) *cacheShard {
 	return &c.shards[hash&c.mask]
 }
 
-// find walks the collision chain for hash; match reports whether a
-// node's key is the one sought. Caller holds s.mu.
-func (s *cacheShard) find(hash uint64, key string) *cacheNode {
-	for n := s.index[hash]; n != nil; n = n.chain {
-		if n.entry.key == key {
-			return n
+func (s *cacheShard) entry(e uint32) []uint64 {
+	b := int(e-1) * s.stride
+	return s.slab[b : b+s.stride]
+}
+
+// tagOf mixes hash — the shard took its low bits — into the tag an index
+// slot carries; home is where the probe for a tag starts.
+func tagOf(hash uint64) uint32 { return uint32(hash * 0x9e3779b97f4a7c15 >> 32) }
+
+func (s *cacheShard) home(tag uint32) int { return int(tag >> s.shift) }
+
+// find probes for (hash, vals) and returns its entry, or 0 and the index
+// slot a new entry for the key goes into. Caller holds s.mu.
+func (s *cacheShard) find(hash uint64, vals []int64) (e uint32, slot int) {
+	tag := tagOf(hash)
+	for slot = s.home(tag); ; slot = (slot + 1) & (len(s.index) - 1) {
+		v := s.index[slot]
+		if v == 0 {
+			return 0, slot
+		}
+		if uint32(v>>32) != tag {
+			continue
+		}
+		if ent := s.entry(uint32(v)); ent[wHash] == hash && equalVals(ent[entryHeader:entryHeader+s.nvals], vals) {
+			return uint32(v), slot
 		}
 	}
-	return nil
 }
 
-// promote moves n to the LRU front. Caller holds s.mu.
-func (s *cacheShard) promote(n *cacheNode) {
-	if s.head == n {
-		return
+func equalVals(stored []uint64, vals []int64) bool {
+	for i, v := range vals {
+		if stored[i] != uint64(v) {
+			return false
+		}
 	}
-	// Unlink.
-	if n.prev != nil {
-		n.prev.next = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	}
-	if s.tail == n {
-		s.tail = n.prev
-	}
-	// Push front.
-	n.prev = nil
-	n.next = s.head
-	if s.head != nil {
-		s.head.prev = n
-	}
-	s.head = n
-	if s.tail == nil {
-		s.tail = n
-	}
+	return true
 }
 
-// unlink removes n from both the LRU list and the hash index. Caller
+// unindex empties the index slot holding e, moving back every later entry
+// of the probe run that the hole would cut off from its home. Caller
 // holds s.mu.
-func (s *cacheShard) unlink(n *cacheNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		s.head = n.next
+func (s *cacheShard) unindex(e uint32) {
+	mask := len(s.index) - 1
+	i := s.home(tagOf(s.entry(e)[wHash]))
+	for uint32(s.index[i]) != e {
+		i = (i + 1) & mask
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		s.tail = n.prev
+	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		// The entry at j stays when its home lies cyclically in (i, j].
+		if k := s.home(uint32(s.index[j] >> 32)); (k-i-1)&mask >= (j-i)&mask {
+			s.index[i], i = s.index[j], j
+		}
 	}
-	n.prev, n.next = nil, nil
-	h := n.entry.hash
-	if s.index[h] == n {
-		if n.chain != nil {
-			s.index[h] = n.chain
-		} else {
-			delete(s.index, h)
+	s.index[i] = 0
+}
+
+// detach takes e out of the LRU list, pushFront puts it at the head,
+// promote moves it there. Caller holds s.mu.
+func (s *cacheShard) detach(e uint32) {
+	links := s.entry(e)[wLinks]
+	prev, next := uint32(links>>32), uint32(links)
+	if prev != 0 {
+		p := s.entry(prev)
+		p[wLinks] = p[wLinks]&^math.MaxUint32 | uint64(next)
+	} else {
+		s.head = next
+	}
+	if next != 0 {
+		n := s.entry(next)
+		n[wLinks] = n[wLinks]&math.MaxUint32 | uint64(prev)<<32
+	} else {
+		s.tail = prev
+	}
+}
+
+func (s *cacheShard) pushFront(e uint32) {
+	s.entry(e)[wLinks] = uint64(s.head)
+	if s.head != 0 {
+		h := s.entry(s.head)
+		h[wLinks] = h[wLinks]&math.MaxUint32 | uint64(e)<<32
+	} else {
+		s.tail = e
+	}
+	s.head = e
+}
+
+func (s *cacheShard) promote(e uint32) {
+	if s.head != e {
+		s.detach(e)
+		s.pushFront(e)
+	}
+}
+
+// get looks the key up and, when it is there, promotes it to most recently
+// used, copies its per-target seconds into pred and cal and returns the
+// rest. Hit or miss, it reports the shard's generation for the put that
+// may follow.
+func (c *decisionCache) get(hash uint64, vals []int64, pred, cal []float64) (v verdict, gen uint64, ok bool) {
+	if len(c.shards) == 0 {
+		return verdict{}, 0, false
+	}
+	s := c.shard(hash)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, _ := s.find(hash, vals)
+	if e == 0 {
+		return verdict{}, s.gen, false
+	}
+	s.promote(e)
+	ent := s.entry(e)
+	secs := ent[entryHeader+s.nvals:]
+	for i := range pred {
+		pred[i], cal[i] = math.Float64frombits(secs[i]), math.Float64frombits(secs[len(pred)+i])
+	}
+	meta := ent[wMeta]
+	return verdict{decided: meta&1 != 0, targetIdx: int(meta >> 32),
+		frac: math.Float64frombits(ent[wFrac]), prov: s.provs[meta>>8&0xffffff]}, s.gen, true
+}
+
+// put inserts (or refreshes) the key's entry, evicting the least recently
+// used one when its shard is full, and reports how many were evicted. An
+// existing decided entry is preserved against an undecided refresh for the
+// same key (Predict must not erase a Launch's decision); the check is
+// atomic with the insert under the shard lock. gen is what the get that
+// missed reported: when the shard has been cleared since, what was priced
+// is older than the invalidation, and put drops it and reports it stale.
+func (c *decisionCache) put(hash uint64, vals []int64, pred, cal []float64, v verdict, gen uint64) (evicted int, stale bool) {
+	if len(c.shards) == 0 {
+		return 0, false
+	}
+	s := c.shard(hash)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if gen != s.gen {
+		return 0, true
+	}
+	e, slot := s.find(hash, vals)
+	if e != 0 {
+		s.promote(e)
+		if s.entry(e)[wMeta]&1 != 0 && !v.decided {
+			return 0, false
 		}
 	} else {
-		for p := s.index[h]; p != nil; p = p.chain {
-			if p.chain == n {
-				p.chain = n.chain
-				break
+		if s.size < s.capacity {
+			s.size++
+			e = uint32(s.size)
+			if need := s.size * s.stride; need > cap(s.slab) {
+				grown := make([]uint64, need, min(max(2*need, 8*s.stride), s.capacity*s.stride))
+				copy(grown, s.slab)
+				s.slab = grown
+			} else {
+				s.slab = s.slab[:need]
 			}
+		} else {
+			// The entry a full shard evicts is the one the new key moves into.
+			e, evicted = s.tail, 1
+			s.unindex(e)
+			s.detach(e)
+			_, slot = s.find(hash, vals)
 		}
+		s.index[slot] = uint64(tagOf(hash))<<32 | uint64(e)
+		s.pushFront(e)
 	}
-	n.chain = nil
-	s.size--
+	prov := 0
+	for prov < len(s.provs) && s.provs[prov] != v.prov {
+		prov++
+	}
+	if prov == len(s.provs) {
+		s.provs = append(s.provs, v.prov)
+	}
+	ent := s.entry(e)
+	ent[wHash] = hash
+	ent[wMeta] = uint64(v.targetIdx)<<32 | uint64(prov)<<8
+	if v.decided {
+		ent[wMeta] |= 1
+	}
+	ent[wFrac] = math.Float64bits(v.frac)
+	for i, x := range vals {
+		ent[entryHeader+i] = uint64(x)
+	}
+	secs := ent[entryHeader+s.nvals:]
+	for i := range pred {
+		secs[i], secs[len(pred)+i] = math.Float64bits(pred[i]), math.Float64bits(cal[i])
+	}
+	return evicted, false
 }
 
-// get returns (a copy of) the entry for (hash, key), promoting it to
-// most-recently-used.
-func (c *decisionCache) get(hash uint64, key string) (decisionEntry, bool) {
-	if len(c.shards) == 0 {
-		return decisionEntry{}, false
-	}
-	s := c.shard(hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.find(hash, key)
-	if n == nil {
-		return decisionEntry{}, false
-	}
-	s.promote(n)
-	return n.entry, true
-}
-
-// getVec is get for the hot path: the caller has only the slot vector
-// and its hash, and the stored key string is compared in place via the
-// layout — no key allocation on a hit.
-func (c *decisionCache) getVec(hash uint64, l *attrdb.KeyLayout, vals []int64) (decisionEntry, bool) {
-	if len(c.shards) == 0 {
-		return decisionEntry{}, false
-	}
-	s := c.shard(hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for n := s.index[hash]; n != nil; n = n.chain {
-		if l.MatchesKey(n.entry.key, vals) {
-			s.promote(n)
-			return n.entry, true
-		}
-	}
-	return decisionEntry{}, false
-}
-
-// put inserts (or refreshes) an entry, evicting least-recently-used
-// entries when its shard is over capacity, and reports how many were
-// evicted. An existing decided entry is preserved against an undecided
-// refresh for the same key (Predict must not erase a Launch's decision);
-// the check is atomic with the insert under the shard lock.
-func (c *decisionCache) put(e decisionEntry) int {
-	if len(c.shards) == 0 {
-		return 0
-	}
-	s := c.shard(e.hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := s.find(e.hash, e.key); n != nil {
-		if !(n.entry.decided && !e.decided) {
-			n.entry = e
-		}
-		s.promote(n)
-		return 0
-	}
-	// Make room first: the node a full shard evicts is the node the new
-	// entry moves into. Nodes never leave the cache (get copies entries out).
-	var n *cacheNode
-	evicted := 0
-	for s.size >= s.capacity && s.tail != nil {
-		n = s.tail
-		s.unlink(n)
-		evicted++
-	}
-	if n == nil {
-		n = new(cacheNode)
-	}
-	n.entry = e
-	n.chain = s.index[e.hash]
-	s.index[e.hash] = n
-	n.next = s.head
-	if s.head != nil {
-		s.head.prev = n
-	}
-	s.head = n
-	if s.tail == nil {
-		s.tail = n
-	}
-	s.size++
-	return evicted
-}
-
-// clear drops every entry (used when profiling or calibration changes
-// the model inputs).
+// clear drops every entry (profiling or calibration changed the model
+// inputs) and starts a new generation in every shard. Only the index is
+// reset: the slab keeps its storage for the entries to come.
 func (c *decisionCache) clear() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		clear(s.index)
-		s.head, s.tail, s.size = nil, nil, 0
+		s.gen++
+		if s.size > 0 {
+			clear(s.index)
+			s.head, s.tail, s.size, s.slab, s.provs = 0, 0, 0, s.slab[:0], s.provs[:0]
+		}
 		s.mu.Unlock()
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"github.com/hybridsel/hybridsel/internal/cpumodel"
 	"github.com/hybridsel/hybridsel/internal/gpumodel"
 	"github.com/hybridsel/hybridsel/internal/ipda"
-	"github.com/hybridsel/hybridsel/internal/ir"
-	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
 // targetProg is one registry target's compiled analytical model. Exactly
@@ -19,16 +17,16 @@ type targetProg struct {
 	gpu *gpumodel.Compiled
 }
 
-// compiledModels is a region's decision program: every registered
-// target's analytical model specialized at Register time to the kernel,
-// descriptor and configuration. The expensive launch-invariant work —
-// MCA pipeline simulation, stride analysis compilation, expression
-// walking, binding canonicalization layout — happens once here per
-// target; each subsequent evaluation is slot-vector polynomial
-// evaluation producing bit-for-bit the map-form models' output (pinned
-// by the equivalence law in compiled_test.go). The kernel-shape analyses
-// (layout, augment, count, IPDA compilation) are shared across targets:
-// only the machine-specific model specialization is per-target.
+// compiledModels is a region's decision program, built at Register time in
+// the two halves of the paper's split: the kernel's Shape — everything a
+// prediction needs that depends on the launch's values but on no machine,
+// compiled once and shared — and per registered target a model that is
+// machine arithmetic over a resolved Shape. The expensive launch-invariant
+// work — MCA pipeline simulation, stride analysis compilation, expression
+// walking, binding canonicalization layout — happens once here; pricing a
+// launch is one Shape.Resolve plus N such arithmetics, producing bit-for-bit
+// the map-form models' output (pinned by the equivalence law in
+// compiled_test.go).
 //
 // Every registered region has one: compilation is all-or-nothing across
 // targets, and a region it rejects fails Register with ErrNotCompilable.
@@ -37,18 +35,10 @@ type targetProg struct {
 // out.
 type compiledModels struct {
 	layout *attrdb.KeyLayout
-	aug    *ir.Augment
+	shape  *ipda.Shape
 	// progs is indexed by registry position.
 	progs []targetProg
 	pool  sync.Pool // of *slotVecs
-
-	// Decision feature programs (see Region.Features): the iteration
-	// space and transfer-byte expressions as slot polynomials, and the
-	// compiled IPDA result for the coalesced fraction — evaluated only
-	// when a Calibrator is configured.
-	iterProg  symbolic.Compiled
-	bytesProg symbolic.Compiled
-	ipda      *ipda.CompiledResult
 }
 
 // compileRegion specializes every registered target's model for a region
@@ -62,47 +52,8 @@ func compileRegion(r *Region) (*compiledModels, error) {
 		return nil, err
 	}
 	// Slot layout: parameters in the layout's canonical (sorted) order,
-	// parallel loop variables appended for the augmented vectors. A
-	// parallel variable shadowing a parameter reuses its slot — the
-	// augmentation overwrites it exactly as MidpointBindings overwrites
-	// the map entry.
-	slots := map[string]int{}
-	bound := map[string]bool{}
-	for i, name := range layout.Names() {
-		slots[name] = i
-		bound[name] = true
-	}
-	n := layout.Len()
-	for _, l := range k.ParallelLoops() {
-		if _, ok := slots[l.Var]; !ok {
-			slots[l.Var] = n
-			n++
-		}
-	}
-	// The map-form evaluation validates bindings via Attrs.Resolve before
-	// evaluating the models; its possible errors are the iteration space
-	// (gated by both model compilers), the thread strides (gated by
-	// ipda.CompileResult) and the transfer-byte sum, gated here.
-	if !ir.Resolvable(r.Attrs.TransferBytes, bound) {
-		return nil, fmt.Errorf("transfer bytes %s not resolvable from parameters", r.Attrs.TransferBytes)
-	}
-	aug, augBound, err := ir.CompileAugment(k, slots, bound)
-	if err != nil {
-		return nil, err
-	}
-	count, err := ir.CompileCount(k, slots, augBound)
-	if err != nil {
-		return nil, err
-	}
-	ic, err := ipda.CompileResult(r.Analysis, slots, bound, augBound)
-	if err != nil {
-		return nil, err
-	}
-	iterProg, err := symbolic.Compile(r.Attrs.IterSpace, slots)
-	if err != nil {
-		return nil, err
-	}
-	bytesProg, err := symbolic.Compile(r.Attrs.TransferBytes, slots)
+	// then the parallel loop variables of the augmented vectors.
+	shape, err := ipda.CompileShape(r.Analysis, layout.Names(), defaultTrip)
 	if err != nil {
 		return nil, err
 	}
@@ -112,74 +63,41 @@ func compileRegion(r *Region) (*compiledModels, error) {
 		switch sp.Kind {
 		case KindCPU:
 			progs[i].cpu, err = cpumodel.Compile(cpumodel.CompileInput{
-				Kernel:      k,
-				CPU:         sp.CPU,
-				Threads:     sp.Threads,
-				IPDA:        ic,
-				Count:       count,
-				Augment:     aug,
-				Slots:       slots,
-				Bound:       bound,
-				AugBound:    augBound,
-				DefaultTrip: defaultTrip,
-			})
+				Kernel: k, CPU: sp.CPU, Threads: sp.Threads, Shape: shape})
 		case KindGPU:
 			progs[i].gpu, err = gpumodel.Compile(gpumodel.CompileInput{
-				Kernel:      k,
-				GPU:         sp.GPU,
-				Link:        sp.Link,
-				Options:     gpumodel.DefaultOptions(),
-				IPDA:        ic,
-				Count:       count,
-				Slots:       slots,
-				Bound:       bound,
-				DefaultTrip: defaultTrip,
-			})
+				Kernel: k, GPU: sp.GPU, Link: sp.Link, Options: gpumodel.DefaultOptions(), Shape: shape})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("target %s: %w", sp.ID, err)
 		}
 	}
-	cm := &compiledModels{
-		layout:    layout,
-		aug:       aug,
-		progs:     progs,
-		iterProg:  iterProg,
-		bytesProg: bytesProg,
-		ipda:      ic,
-	}
+	cm := &compiledModels{layout: layout, shape: shape, progs: progs}
 	cm.pool.New = func() any {
-		return &slotVecs{
-			r:       r,
-			cm:      cm,
-			vals:    make([]int64, n),
-			mid:     make([]int64, n),
-			scratch: make([]int64, n),
-			preds:   make([]float64, len(progs)),
-		}
+		n := len(progs)
+		secs := make([]float64, 2*n)
+		return &slotVecs{r: r, cm: cm, pt: shape.NewPoint(), preds: secs[:n:n], cals: secs[n:]}
 	}
 	return cm, nil
 }
 
 // slotVecs is the slot-program evaluator of one launch point and its
-// scratch state: the raw parameter vector, its midpoint-augmented copy, a
-// scratch vector the CPU model's edge probes overwrite, and the
-// per-target prediction vector predictAll fills (indexed by registry
-// position). Pooled per region, so the steady-state decision path
-// allocates only on a cache miss.
+// scratch state: the point the region's Shape resolves into (the raw
+// parameter vector, first of all), and the registry-ordered per-target
+// seconds that predictAll fills and that travel to and from the decision
+// cache. Pooled per region, so the decision path allocates nothing.
 type slotVecs struct {
 	r  *Region
 	cm *compiledModels
 
-	vals, mid, scratch []int64
-	preds              []float64
-	hash               uint64 // of vals; set by lookup
+	pt          *ipda.Point
+	preds, cals []float64
+	hash        uint64 // of the parameter values; set by bind
+	gen         uint64 // of the cache shard when lookup probed it
 
-	// primed reports that mid and branchProb hold this point's values;
-	// a cache hit never needs them, so the first model evaluation fills
-	// them.
-	primed     bool
-	branchProb float64
+	// primed reports that pt is resolved at this point; a cache hit never
+	// needs that, so the first model evaluation does it.
+	primed bool
 }
 
 // slots returns a pooled slot evaluator of the region, vals unfilled.
@@ -191,35 +109,51 @@ func (r *Region) slots() *slotVecs {
 
 func (sv *slotVecs) release() { sv.cm.pool.Put(sv) }
 
-func (sv *slotVecs) lookup(c *decisionCache) (decisionEntry, bool) {
-	sv.hash = sv.cm.layout.Hash(sv.vals)
-	return c.getVec(sv.hash, sv.cm.layout, sv.vals)
+// params is the launch's parameter values, the decision cache's key.
+func (sv *slotVecs) params() []int64 { return sv.pt.Vals[:sv.cm.layout.Len()] }
+
+func (sv *slotVecs) lookup() (v verdict, preds, cals []float64, ok bool) {
+	v, sv.gen, ok = sv.r.decisions.get(sv.hash, sv.params(), sv.preds, sv.cals)
+	return v, sv.preds, sv.cals, ok
 }
 
-func (sv *slotVecs) key() (string, uint64) { return sv.cm.layout.Key(sv.vals), sv.hash }
-
-// prime fills the midpoint vector and reads the branch probability once
-// per point. No validation of the values is needed: compileRegion proved
-// every expression resolvable from the parameters, and bind (or the slot
-// count check of DecideVals) proved every parameter bound.
-func (sv *slotVecs) prime() {
-	if sv.primed {
-		return
+// store hands the decision cache the generation lookup saw: when the
+// region was invalidated in between, what was priced since may be older
+// than the invalidation, and the cache drops it (counted, not an error).
+func (sv *slotVecs) store(ranked []Candidate, v verdict) {
+	if ranked == nil {
+		copy(sv.cals, sv.preds)
 	}
-	copy(sv.mid, sv.vals)
-	sv.cm.aug.Midpoint(sv.mid)
-	sv.branchProb = sv.r.branchProb()
-	sv.primed = true
+	for i := range ranked {
+		c := &ranked[i]
+		sv.preds[c.order], sv.cals[c.order] = c.PredSeconds, c.CalSeconds
+	}
+	evicted, stale := sv.r.decisions.put(sv.hash, sv.params(), sv.preds, sv.cals, v, sv.gen)
+	if evicted > 0 {
+		sv.r.rt.met.decisionEvictions.Add(uint64(evicted))
+	}
+	if stale {
+		sv.r.rt.met.decisionStale.Add(1)
+	}
+}
+
+func (sv *slotVecs) key() string { return sv.cm.layout.Key(sv.params()) }
+
+// prime resolves the region's shape at the point, once, and reads the
+// branch probability it is counted under.
+func (sv *slotVecs) prime() {
+	if !sv.primed {
+		sv.cm.shape.Resolve(sv.pt, sv.r.branchProb())
+		sv.primed = true
+	}
 }
 
 func (sv *slotVecs) predictAt(i int, frac float64) (float64, error) {
 	sv.prime()
 	if p := &sv.cm.progs[i]; p.cpu != nil {
-		cp, err := p.cpu.Predict(sv.vals, sv.mid, sv.scratch, sv.branchProb, frac)
-		return cp.Seconds, wrapUnbound(err)
+		return p.cpu.Seconds(sv.pt, frac)
 	}
-	gp, err := sv.cm.progs[i].gpu.Predict(sv.vals, sv.mid, sv.branchProb, frac)
-	return gp.Seconds, wrapUnbound(err)
+	return sv.cm.progs[i].gpu.Seconds(sv.pt, frac)
 }
 
 func (sv *slotVecs) predictAll() ([]float64, error) {
@@ -235,9 +169,10 @@ func (sv *slotVecs) predictAll() ([]float64, error) {
 }
 
 func (sv *slotVecs) features() (Features, error) {
+	sv.prime()
 	return Features{
-		Iterations:    sv.cm.iterProg.Eval(sv.vals),
-		TransferBytes: sv.cm.bytesProg.Eval(sv.vals),
-		CoalescedFrac: sv.cm.ipda.CoalescedFraction(sv.vals, sv.r.rt.warpGeom()),
+		Iterations:    sv.pt.Iters,
+		TransferBytes: sv.pt.TransferBytes,
+		CoalescedFrac: sv.pt.Warp(sv.r.rt.warpGeom()).CoalescedFrac,
 	}, nil
 }

@@ -89,7 +89,16 @@ type lawTrace struct {
 	CPU, GPU            float64  // Predict after an invalidation
 	Ranked              []Candidate
 	ViaVals, ViaValsHit Decision // DecideVals over Predict's entry, then again
+	// AtFraction is every target priced on lawFractions of the iteration
+	// space from one bound evaluator, as the split planner prices them:
+	// what a launch point shares between its targets (the loadout, the
+	// strides) is not scaled, the iteration count is.
+	AtFraction [][]float64
 }
+
+// lawFractions are the ends of the split planner's bisection and a point
+// inside it.
+var lawFractions = []float64{0.01, 0.37, 0.99}
 
 func traceLaw(t *testing.T, rt *Runtime, region string, b symbolic.Bindings) lawTrace {
 	t.Helper()
@@ -120,6 +129,20 @@ func traceLaw(t *testing.T, rt *Runtime, region string, b symbolic.Bindings) law
 	vals := slotVals(t, r, b)
 	tr.ViaVals = scrub(r.DecideVals(vals))
 	tr.ViaValsHit = scrub(r.DecideVals(vals))
+	ev, err := r.bind(b)
+	if err != nil {
+		t.Fatalf("%s %v: bind: %v", region, b, err)
+	}
+	for i := 0; i < rt.targets.Len(); i++ {
+		secs := make([]float64, len(lawFractions))
+		for j, f := range lawFractions {
+			if secs[j], err = ev.predictAt(i, f); err != nil {
+				t.Fatalf("%s %v: target %d on %v of the space: %v", region, b, i, f, err)
+			}
+		}
+		tr.AtFraction = append(tr.AtFraction, secs)
+	}
+	ev.release()
 
 	// Within one runtime the entry points are one decision function.
 	if tr.Fresh.CacheHit || !tr.Hit.CacheHit || tr.ViaVals.CacheHit || !tr.ViaValsHit.CacheHit {

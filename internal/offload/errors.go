@@ -24,6 +24,10 @@ var (
 	// one of the region's symbolic attributes needs (an array size or
 	// loop trip count the compiler transformation must supply).
 	ErrUnboundSymbol = errors.New("offload: unbound symbol")
+	// ErrKeyHashMismatch reports a slot vector whose claimed key hash is
+	// not the hash of its values under the region's parameter layout: the
+	// caller and the runtime disagree on the region's parameter set.
+	ErrKeyHashMismatch = errors.New("offload: key hash mismatch")
 )
 
 // wrapUnbound tags errors caused by missing runtime bindings with

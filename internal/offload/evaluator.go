@@ -3,7 +3,6 @@ package offload
 import (
 	"fmt"
 
-	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/cpumodel"
 	"github.com/hybridsel/hybridsel/internal/gpumodel"
 	"github.com/hybridsel/hybridsel/internal/ir"
@@ -19,12 +18,19 @@ const defaultTrip = 128
 // Every launch is priced by the region's slot programs (slotVecs,
 // compiled.go); the map form below is the reference the in-package tests
 // hold them to, bit for bit, and is built only under Runtime.mapEvalOnly.
+// Both probe and fill the decision cache the same way, by the point's
+// parameter values.
 type evaluator interface {
-	// lookup probes the region's decision cache for the point.
-	lookup(c *decisionCache) (decisionEntry, bool)
-	// key returns the point's canonical bindings key and its hash, for
-	// storing what lookup missed.
-	key() (string, uint64)
+	// lookup probes the region's decision cache for the point. A found
+	// entry's per-target raw and calibrated seconds come back in registry
+	// order; the slices are the evaluator's, valid until release.
+	lookup() (v verdict, preds, cals []float64, ok bool)
+	// store memoizes v for the point lookup did not find decided, over the
+	// ranked candidates — or, ranked being nil, over the raw predictions
+	// predictAll just returned.
+	store(ranked []Candidate, v verdict)
+	// key returns the point's canonical bindings key.
+	key() string
 	// predictAll evaluates every registered target's model over the
 	// whole iteration space, in registry order. The slice is the
 	// evaluator's, valid until release.
@@ -44,42 +50,53 @@ type evaluator interface {
 // shares the exact bindings' cache entry; a parameter b leaves out is
 // ErrUnboundSymbol.
 func (r *Region) bind(b symbolic.Bindings) (evaluator, error) {
-	if r.rt.mapEvalOnly {
-		key := attrdb.BindingsKey(b)
-		return &mapEval{r: r, b: b, k: key, h: attrdb.KeyHash(key)}, nil
-	}
 	sv := r.slots()
+	vals := sv.params()
 	for i, name := range r.ParamNames() {
 		v, ok := b[name]
 		if !ok {
 			sv.release()
 			return nil, fmt.Errorf("%w: region %s is launched without %q", ErrUnboundSymbol, r.Name, name)
 		}
-		sv.vals[i] = v
+		vals[i] = v
 	}
+	sv.hash = r.compiled.layout.Hash(vals)
+	return r.evaluatorOf(sv, b), nil
+}
+
+// bindVals is bind for a canonical slot vector — the values in
+// ParamNames() order, copied straight into the pooled slot vector: no
+// bindings map is built.
+func (r *Region) bindVals(vals []int64) (*slotVecs, error) {
+	if n := len(r.ParamNames()); len(vals) != n {
+		return nil, fmt.Errorf("%w: region %s wants %d parameters, got %d slot values",
+			ErrUnboundSymbol, r.Name, n, len(vals))
+	}
+	sv := r.slots()
+	copy(sv.params(), vals)
+	sv.hash = r.compiled.layout.Hash(vals)
 	return sv, nil
 }
 
-// bindVals is bind for a canonical slot vector (len(vals) already checked
-// against ParamNames): the values are copied straight into the pooled
-// slot vector, and no bindings map is built.
-func (r *Region) bindVals(vals []int64) evaluator {
-	if r.rt.mapEvalOnly {
-		ev, _ := r.bind(r.bindingsFromVals(vals)) // the map form binds anything
-		return ev
+// evaluatorOf is the evaluator over a bound sv: sv itself, unless the runtime
+// is a test's map-form reference — then the map form over b (or over the
+// map the values spell, when the caller has none).
+func (r *Region) evaluatorOf(sv *slotVecs, b symbolic.Bindings) evaluator {
+	if !r.rt.mapEvalOnly {
+		return sv
 	}
-	sv := r.slots()
-	copy(sv.vals, vals)
-	return sv
+	if b == nil {
+		b = r.bindingsFromVals(sv.params())
+	}
+	return &mapEval{slotVecs: sv, b: b}
 }
 
 // mapEval is the map-form evaluator: cpumodel.Predict and gpumodel.Predict
-// re-analysing the kernel under a bindings map at every call.
+// re-analysing the kernel under a bindings map at every call. It keeps the
+// slot evaluator's cache probe, so the two forms share one store.
 type mapEval struct {
-	r *Region
+	*slotVecs
 	b symbolic.Bindings
-	k string
-	h uint64
 
 	// opt is the hybrid counting configuration, built at the first model
 	// evaluation: the runtime supplies loop trip counts (paper Section
@@ -88,21 +105,15 @@ type mapEval struct {
 	// inner loops resolve to their mean; loops that still do not resolve
 	// fall back to defaultTrip, and branches to 50% (or the measured rate
 	// after ProfileRegion).
-	opt    ir.CountOptions
-	primed bool
+	opt     ir.CountOptions
+	counted bool
 }
 
-func (m *mapEval) release() {}
-
-func (m *mapEval) lookup(c *decisionCache) (decisionEntry, bool) { return c.get(m.h, m.k) }
-
-func (m *mapEval) key() (string, uint64) { return m.k, m.h }
-
 func (m *mapEval) predictAt(i int, frac float64) (float64, error) {
-	if !m.primed {
+	if !m.counted {
 		m.opt = ir.CountOptions{DefaultTrip: defaultTrip, BranchProb: m.r.branchProb(),
 			Bindings: ir.MidpointBindings(m.r.Kernel, m.b)}
-		m.primed = true
+		m.counted = true
 	}
 	sp := &m.r.rt.targets.specs[i]
 	if sp.Kind == KindCPU {
@@ -136,7 +147,7 @@ func (m *mapEval) predictAll() ([]float64, error) {
 	if _, err := m.r.Attrs.Resolve(m.b, m.r.rt.warpGeom()); err != nil {
 		return nil, wrapUnbound(err)
 	}
-	preds := make([]float64, m.r.rt.targets.Len())
+	preds := m.preds
 	for i := range preds {
 		sec, err := m.predictAt(i, 0)
 		if err != nil {

@@ -19,6 +19,7 @@ type counters struct {
 	decisionHits      metrics.Counter
 	decisionMisses    metrics.Counter
 	decisionEvictions metrics.Counter
+	decisionStale     metrics.Counter
 	execHits          metrics.Counter
 	execMisses        metrics.Counter
 
@@ -101,6 +102,10 @@ type Metrics struct {
 	DecisionCacheMisses    uint64
 	DecisionCacheEvictions uint64
 	DecisionCacheSize      int
+	// DecisionCacheStale counts verdicts priced across an invalidation of
+	// their region and therefore not memoized: the caller got its answer,
+	// the next launch of the key prices it again.
+	DecisionCacheStale uint64
 
 	// Ground-truth execution memoization accounting.
 	ExecCacheHits   uint64
@@ -131,6 +136,7 @@ func (m Metrics) Merge(o Metrics) Metrics {
 	m.DecisionCacheMisses += o.DecisionCacheMisses
 	m.DecisionCacheEvictions += o.DecisionCacheEvictions
 	m.DecisionCacheSize += o.DecisionCacheSize
+	m.DecisionCacheStale += o.DecisionCacheStale
 	m.ExecCacheHits += o.ExecCacheHits
 	m.ExecCacheMisses += o.ExecCacheMisses
 	m.ModelEval = m.ModelEval.Merge(o.ModelEval)

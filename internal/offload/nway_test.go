@@ -5,6 +5,7 @@ import (
 
 	"github.com/hybridsel/hybridsel/internal/machine"
 	"github.com/hybridsel/hybridsel/internal/polybench"
+	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
 // TestClassicPairRankedParity is the API-redesign parity gate: with the
@@ -151,6 +152,48 @@ func TestCompiledSyntheticMatchesInterpreted(t *testing.T) {
 			checkSuiteLaw(t, Config{Platform: plat.p, Threads: 160,
 				Targets: SyntheticTargets(plat.p, 160), Calibrator: cal},
 				polybench.Test, polybench.Benchmark)
+		}
+	}
+	// A launch point's coalescing is resolved once per distinct warp
+	// geometry and shared by the targets (and the feature vector) that have
+	// it. Every shipped GPU is {32, 128 B}; this registry adds a copy of the
+	// accelerator with 64-byte transactions, so the law also runs where two
+	// targets must not share the walk — at the dataset sizes, and at a size
+	// whose row strides (12 elements, 96 bytes) the two geometries class
+	// differently.
+	plat := machine.PlatformP9V100()
+	tx64 := *plat.GPU
+	tx64.Name, tx64.L2.LineBytes = plat.GPU.Name+"/tx64", 64
+	reg, err := NewRegistry(append(SyntheticTargets(plat, 160).specs,
+		TargetSpec{ID: "gpu/tx64", Kind: KindGPU, GPU: &tx64, Link: plat.Link})...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []Policy{ModelGuided, Split} {
+		cfg := Config{Platform: plat, Threads: 160, Policy: pol, Targets: reg, Calibrator: featureCalibrator{}}
+		checkSuiteLaw(t, cfg, polybench.Test, polybench.Benchmark)
+		slot, ref := evaluatorPair(t, cfg, suiteKernels()...)
+		differ := 0
+		for _, k := range polybench.Suite() {
+			b := symbolic.Bindings{}
+			for _, param := range k.IR.Params {
+				b[param] = 12
+			}
+			checkLaw(t, slot, ref, k.Name, b)
+			cands, err := regionOf(t, slot, k.Name).PredictTargets(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			secs := map[string]float64{}
+			for _, c := range cands {
+				secs[c.Target] = c.PredSeconds
+			}
+			if secs["gpu/tx64"] != secs[TargetIDGPUBase] {
+				differ++
+			}
+		}
+		if differ == 0 {
+			t.Error("no kernel prices differently under 64-byte transactions: the second geometry is not exercised")
 		}
 	}
 }

@@ -48,6 +48,7 @@ package offload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -156,8 +157,10 @@ type Decision struct {
 
 	// Candidates is the full ranked verdict: every registered target
 	// ascending by calibrated predicted seconds (ties in registration
-	// order). The slice is shared with the decision cache and must not
-	// be mutated.
+	// order). The slice is owned by the Outcome the decision was made
+	// into: DecideInto and DecideValsInto reuse its storage, so it is valid
+	// until the Outcome is decided into again; an Observer gets a copy of
+	// its own.
 	Candidates []Candidate
 
 	// PredCPUSeconds/PredGPUSeconds are the raw predictions of the base
@@ -316,17 +319,17 @@ func (rt *Runtime) Register(k *ir.Kernel) (*Region, error) {
 		return nil, err
 	}
 	r := &Region{
-		Name:      k.Name,
-		Kernel:    k,
-		Attrs:     attrs,
-		Analysis:  an,
-		rt:        rt,
-		decisions: newDecisionCache(rt.cfg.DecisionCacheSize),
-		exec:      map[string]float64{},
+		Name:     k.Name,
+		Kernel:   k,
+		Attrs:    attrs,
+		Analysis: an,
+		rt:       rt,
+		exec:     map[string]float64{},
 	}
 	if r.compiled, err = compileRegion(r); err != nil {
 		return nil, fmt.Errorf("%w: %s: %w", ErrNotCompilable, k.Name, err)
 	}
+	r.decisions = newDecisionCache(rt.cfg.DecisionCacheSize, r.compiled.layout.Len(), rt.targets.Len())
 	rt.regmu.Lock()
 	defer rt.regmu.Unlock()
 	if _, ok := rt.regions[k.Name]; ok {
@@ -372,6 +375,7 @@ func (rt *Runtime) Metrics() Metrics {
 		DecisionCacheHits:      rt.met.decisionHits.Load(),
 		DecisionCacheMisses:    rt.met.decisionMisses.Load(),
 		DecisionCacheEvictions: rt.met.decisionEvictions.Load(),
+		DecisionCacheStale:     rt.met.decisionStale.Load(),
 		ExecCacheHits:          rt.met.execHits.Load(),
 		ExecCacheMisses:        rt.met.execMisses.Load(),
 		ModelEval:              rt.met.modelEval.Snapshot(),
@@ -452,44 +456,29 @@ func (r *Region) evalAll(ev evaluator) ([]float64, error) {
 	return preds, nil
 }
 
-// newCandidates builds the registry-ordered candidate list from raw
-// per-target predictions (preds in registry order), with calibration
-// initialized to the raw values.
-func (rt *Runtime) newCandidates(preds []float64) []Candidate {
-	cands := make([]Candidate, rt.targets.Len())
-	for i := range cands {
+// appendCandidates appends the registry-ordered candidate list over the
+// per-target raw (preds) and calibrated (cals) seconds to dst, growing it
+// at most once.
+func (rt *Runtime) appendCandidates(dst []Candidate, preds, cals []float64) []Candidate {
+	dst = slices.Grow(dst, len(rt.targets.specs))
+	for i := range rt.targets.specs {
 		sp := &rt.targets.specs[i]
-		cands[i] = Candidate{Target: sp.ID, Kind: sp.Kind,
-			PredSeconds: preds[i], CalSeconds: preds[i], order: i}
+		dst = append(dst, Candidate{Target: sp.ID, Kind: sp.Kind,
+			PredSeconds: preds[i], CalSeconds: cals[i], order: i})
 	}
-	return cands
+	return dst
 }
 
-// basePreds extracts the raw base-pair predictions from a candidate list
-// in any order (0 for a kind the registry lacks).
-func (rt *Runtime) basePreds(cands []Candidate) (cpu, gpu float64) {
-	for i := range cands {
-		switch cands[i].order {
-		case rt.targets.baseCPU:
-			cpu = cands[i].PredSeconds
-		case rt.targets.baseGPU:
-			gpu = cands[i].PredSeconds
-		}
+// basePreds extracts the base pair's raw predictions from registry-ordered
+// ones (0 for a kind the registry lacks).
+func (rt *Runtime) basePreds(preds []float64) (cpu, gpu float64) {
+	if i := rt.targets.baseCPU; i >= 0 {
+		cpu = preds[i]
+	}
+	if i := rt.targets.baseGPU; i >= 0 {
+		gpu = preds[i]
 	}
 	return cpu, gpu
-}
-
-// reorderedCopy rebuilds a registry-ordered working copy of memoized
-// candidates with calibration reset to the raw predictions, so
-// re-selection over a prediction-only cache entry is bit-for-bit the
-// same as selection over a fresh evaluation.
-func (rt *Runtime) reorderedCopy(cands []Candidate) []Candidate {
-	out := make([]Candidate, len(cands))
-	for _, c := range cands {
-		c.CalSeconds = c.PredSeconds
-		out[c.order] = c
-	}
-	return out
 }
 
 // setChosen fills the decision's chosen-target fields from a registry
@@ -554,13 +543,11 @@ func (r *Region) selectTarget(d *Decision, cands []Candidate, ev evaluator) erro
 	// The split planner compares against the calibrated base pair;
 	// capture before ranking permutes the slice.
 	var calCPU, calGPU float64
-	for i := range cands {
-		switch cands[i].order {
-		case rt.targets.baseCPU:
-			calCPU = cands[i].CalSeconds
-		case rt.targets.baseGPU:
-			calGPU = cands[i].CalSeconds
-		}
+	if i := rt.targets.baseCPU; i >= 0 {
+		calCPU = cands[i].CalSeconds
+	}
+	if i := rt.targets.baseGPU; i >= 0 {
+		calGPU = cands[i].CalSeconds
 	}
 	rankCandidates(cands)
 	d.Candidates = cands
@@ -593,8 +580,8 @@ func (r *Region) selectTarget(d *Decision, cands []Candidate, ev evaluator) erro
 // returns the full ranking). Results are memoized in the region's
 // decision cache.
 func (r *Region) Predict(b symbolic.Bindings) (cpuSec, gpuSec float64, err error) {
-	ent, err := r.predicted(b)
-	return ent.predCPU, ent.predGPU, err
+	err = r.predicted(b, func(preds []float64) { cpuSec, gpuSec = r.rt.basePreds(preds) })
+	return cpuSec, gpuSec, err
 }
 
 // PredictTargets evaluates every registered target's analytical model
@@ -603,48 +590,34 @@ func (r *Region) Predict(b symbolic.Bindings) (cpuSec, gpuSec float64, err error
 // CalSeconds == PredSeconds. Calibration and constraints apply at
 // decision time, not here. The returned slice is the caller's to keep.
 func (r *Region) PredictTargets(b symbolic.Bindings) ([]Candidate, error) {
-	ent, err := r.predicted(b)
-	if err != nil {
-		return nil, err
-	}
-	// The entry may have been decided since (calibrated, re-ranked):
-	// rebuild the raw ranking from it rather than trust its order.
-	cands := r.rt.reorderedCopy(ent.cands)
-	rankCandidates(cands)
-	return cands, nil
+	// The memoized entry may have been decided (calibrated): the raw
+	// ranking is rebuilt from its predictions alone.
+	var cands []Candidate
+	err := r.predicted(b, func(preds []float64) {
+		cands = r.rt.appendCandidates(nil, preds, preds)
+		rankCandidates(cands)
+	})
+	return cands, err
 }
 
-// predicted returns the decision-cache entry holding the region's raw
-// predictions under b: the memoized one, or — evaluating every target's
-// model — a fresh prediction-only entry, stored.
-func (r *Region) predicted(b symbolic.Bindings) (decisionEntry, error) {
+// predicted hands use the region's registry-ordered raw predictions under
+// b — the memoized ones, or, evaluating every target's model, fresh ones,
+// stored as a prediction-only entry. The slice is valid during the call.
+func (r *Region) predicted(b symbolic.Bindings, use func(preds []float64)) error {
 	ev, err := r.bind(b)
 	if err != nil {
-		return decisionEntry{}, err
+		return err
 	}
 	defer ev.release()
-	if hit, ok := ev.lookup(r.decisions); ok {
-		return hit, nil
+	_, preds, _, ok := ev.lookup()
+	if !ok {
+		if preds, err = r.evalAll(ev); err != nil {
+			return err
+		}
+		ev.store(nil, verdict{})
 	}
-	preds, err := r.evalAll(ev)
-	if err != nil {
-		return decisionEntry{}, err
-	}
-	ent := decisionEntry{cands: r.rt.newCandidates(preds)}
-	ent.key, ent.hash = ev.key()
-	ent.predCPU, ent.predGPU = r.rt.basePreds(ent.cands)
-	rankCandidates(ent.cands)
-	r.storeEntry(ent)
-	return ent, nil
-}
-
-// storeEntry inserts a cache entry, counting evictions. The cache itself
-// preserves an already-decided entry against an undecided refresh of the
-// same key (Predict must not erase a Launch's decision).
-func (r *Region) storeEntry(e decisionEntry) {
-	if evicted := r.decisions.put(e); evicted > 0 {
-		r.rt.met.decisionEvictions.Add(uint64(evicted))
-	}
+	use(preds)
+	return nil
 }
 
 // execKey builds the memoization key for a ground-truth execution from a
@@ -717,68 +690,78 @@ func (r *Region) execute(sp *TargetSpec, b symbolic.Bindings, frac float64, bkey
 // decide is the one selection body behind Launch, Decide and DecideVals:
 // consult the memoized decision cache, evaluate every registered target's
 // model on a miss, rank, filter, run the policy (planning the split when
-// asked), and memoize the result. It returns the canonical bindings key
-// (from the cache entry on a hit, so the steady-state hot path never
-// re-canonicalizes the bindings). Over the slot evaluator the hit
-// performs zero allocations and zero map lookups — one hash, one
-// sharded-LRU probe (the ranked candidate list is shared with the
-// immutable cache entry).
-func (r *Region) decide(ev evaluator, d *Decision) (string, error) {
+// asked), and memoize the result. The ranked candidates are written into
+// d.Candidates' own storage, which the caller hands in (possibly empty)
+// and keeps: over the slot evaluator a decide into a recycled Outcome
+// allocates nothing, hit or miss — one hash, one sharded-LRU probe, and on
+// a miss one shape resolution, N model arithmetics and a store into the
+// entry the shard evicts.
+func (r *Region) decide(ev evaluator, d *Decision) error {
 	rt := r.rt
-	ent, ok := ev.lookup(r.decisions)
-	if ok && ent.decided {
-		d.PredCPUSeconds, d.PredGPUSeconds = ent.predCPU, ent.predGPU
-		d.Candidates = ent.cands
-		d.SplitFraction = ent.frac
+	v, preds, cals, ok := ev.lookup()
+	if ok && v.decided {
+		d.PredCPUSeconds, d.PredGPUSeconds = rt.basePreds(preds)
+		d.Candidates = rt.appendCandidates(d.Candidates[:0], preds, cals)
+		rankCandidates(d.Candidates)
+		d.SplitFraction = v.frac
 		d.CacheHit = true
-		d.Provenance = ent.prov
-		rt.setChosen(d, ent.targetIdx)
+		d.Provenance = v.prov
+		rt.setChosen(d, v.targetIdx)
 		rt.met.decisionHits.Add(1)
-		return ent.key, nil
+		return nil
 	}
 	rt.met.decisionMisses.Add(1)
-	var cands []Candidate
 	if !ok {
-		preds, err := r.evalAll(ev)
-		if err != nil {
-			return "", err
+		var err error
+		if preds, err = r.evalAll(ev); err != nil {
+			return err
 		}
-		cands = rt.newCandidates(preds)
-		d.PredCPUSeconds, d.PredGPUSeconds = rt.basePreds(cands)
-	} else {
-		// Prediction-only entry (stored by Predict): reuse the memoized
-		// evaluations on a fresh registry-ordered copy.
-		cands = rt.reorderedCopy(ent.cands)
-		d.PredCPUSeconds, d.PredGPUSeconds = ent.predCPU, ent.predGPU
 	}
-	if err := r.selectTarget(d, cands, ev); err != nil {
-		return "", err
+	// Fresh evaluations, or those of a prediction-only entry (stored by
+	// Predict, or under a dynamic constraint): selection starts from the
+	// raw predictions either way, so it is bit-for-bit the same.
+	d.PredCPUSeconds, d.PredGPUSeconds = rt.basePreds(preds)
+	if err := r.selectTarget(d, rt.appendCandidates(d.Candidates[:0], preds, preds), ev); err != nil {
+		return err
 	}
-	key, hash := ev.key()
-	r.storeEntry(decisionEntry{key: key, hash: hash, cands: d.Candidates,
-		predCPU: d.PredCPUSeconds, predGPU: d.PredGPUSeconds,
-		decided: !rt.hasDynamic, targetIdx: d.targetIdx,
+	ev.store(d.Candidates, verdict{decided: !rt.hasDynamic, targetIdx: d.targetIdx,
 		frac: d.SplitFraction, prov: d.Provenance})
-	return key, nil
+	return nil
 }
 
 // decideOnly is the decide-only call behind Decide and DecideVals: it
-// decides the point ev prices into *out, releases ev and fires the
-// observer. start is when the caller began binding, so the reported
-// overhead covers it.
+// decides the point ev prices into *out — reusing the candidate storage
+// *out brings — releases ev and fires the observer. start is when the
+// caller began binding, so the reported overhead covers it.
 func (r *Region) decideOnly(ev evaluator, start time.Time, b symbolic.Bindings, out *Outcome) error {
 	rt := r.rt
 	rt.met.decides.Add(1)
 	d := &out.Decision
-	*d = Decision{Region: r.Name, Bindings: b, Policy: rt.cfg.Policy}
-	_, err := r.decide(ev, d)
+	*d = Decision{Region: r.Name, Bindings: b, Policy: rt.cfg.Policy, Candidates: d.Candidates[:0]}
+	err := r.decide(ev, d)
 	ev.release()
 	if err != nil {
 		return err
 	}
 	d.DecisionOverhead = time.Since(start)
-	rt.notify(*d)
+	rt.notify(d)
 	return nil
+}
+
+// inlineCandidates is the number of candidates an Outcome the runtime
+// allocates carries in the same allocation; a larger registry's ranking
+// costs a second one.
+const inlineCandidates = 4
+
+// newOutcome allocates an Outcome together with storage for its
+// candidates.
+func newOutcome() *Outcome {
+	o := new(struct {
+		Outcome
+		cands [inlineCandidates]Candidate
+	})
+	o.Candidates = o.cands[:0]
+	return &o.Outcome
 }
 
 // Decide runs the selection stage only — cache lookup, model evaluation
@@ -787,18 +770,25 @@ func (r *Region) decideOnly(ev evaluator, start time.Time, b symbolic.Bindings, 
 // generated code versions and just needs to know which one to run.
 // Decisions are memoized in (and served from) the same cache as Launch,
 // so a Decide followed by a Launch with the same bindings costs one model
-// evaluation total. The observer hook fires.
+// evaluation total. The observer hook fires. The Outcome is the caller's.
 func (r *Region) Decide(b symbolic.Bindings) (*Outcome, error) {
-	out := new(Outcome)
-	start := time.Now()
-	ev, err := r.bind(b)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.decideOnly(ev, start, b, out); err != nil {
+	out := newOutcome()
+	if err := r.DecideInto(b, out); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// DecideInto is Decide writing the outcome over *out, candidate storage
+// included, so a caller that decides in a loop brings its own. After an
+// error *out holds nothing usable.
+func (r *Region) DecideInto(b symbolic.Bindings, out *Outcome) error {
+	start := time.Now()
+	ev, err := r.bind(b)
+	if err != nil {
+		return err
+	}
+	return r.decideOnly(ev, start, b, out)
 }
 
 // Launch reaches the target region with the given runtime values,
@@ -808,14 +798,17 @@ func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 	rt := r.rt
 	pol := rt.cfg.Policy
 	rt.met.launches.Add(1)
-	d := Decision{Region: r.Name, Bindings: b, Policy: pol}
+	out := newOutcome()
+	d := &out.Decision
+	d.Region, d.Bindings, d.Policy = r.Name, b, pol
 	start := time.Now()
 
 	ev, err := r.bind(b)
 	if err != nil {
 		return nil, err
 	}
-	key, err := r.decide(ev, &d)
+	key := ev.key()
+	err = r.decide(ev, d)
 	ev.release()
 	if err != nil {
 		return nil, err
@@ -842,9 +835,9 @@ func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 				best, bestSec = i, sec
 			}
 		}
-		rt.setChosen(&d, best)
+		rt.setChosen(d, best)
 		d.ActualSeconds = bestSec
-		return r.finish(d)
+		return r.finish(out)
 	}
 
 	rt.beginDispatch(d.TargetID)
@@ -866,7 +859,7 @@ func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 		_, _, join := cpuSp.CPU.OverheadCycles(cpuSp.Threads)
 		d.ActualSeconds = maxf(cpuSec, gpuSec) +
 			join/(cpuSp.CPU.FreqGHz*1e9)
-		return r.finish(d)
+		return r.finish(out)
 	}
 
 	sec, err := r.execute(&rt.targets.specs[d.targetIdx], b, 1, key)
@@ -880,15 +873,15 @@ func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 	case rt.targets.baseGPU:
 		d.ActualGPUSeconds = sec
 	}
-	return r.finish(d)
+	return r.finish(out)
 }
 
 // finish counts the dispatch by target ID and fires the observer hook.
-func (r *Region) finish(d Decision) (*Outcome, error) {
+func (r *Region) finish(out *Outcome) (*Outcome, error) {
 	rt := r.rt
-	rt.dispatchID[d.targetIdx].Add(1)
-	rt.notify(d)
-	return &Outcome{Decision: d}, nil
+	rt.dispatchID[out.targetIdx].Add(1)
+	rt.notify(&out.Decision)
+	return out, nil
 }
 
 // beginDispatch/endDispatch bracket a dispatched execution for
@@ -905,10 +898,14 @@ func (rt *Runtime) endDispatch(targetID string) {
 	}
 }
 
-// notify fires the configured observer hook, if any.
-func (rt *Runtime) notify(d Decision) {
+// notify fires the configured observer hook, if any, with a copy of the
+// decision whose candidates are the observer's to keep: the Outcome's own
+// are overwritten by the next decide into it.
+func (rt *Runtime) notify(d *Decision) {
 	if fn := rt.obs.Load(); fn != nil {
-		(*fn)(d)
+		c := *d
+		c.Candidates = append([]Candidate(nil), d.Candidates...)
+		(*fn)(c)
 	}
 }
 

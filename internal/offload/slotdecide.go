@@ -44,25 +44,48 @@ func (r *Region) KeyHashVals(vals []int64) uint64 { return r.compiled.layout.Has
 // is registered (observers receive the map form). The slice is not
 // retained; callers may reuse it immediately.
 func (r *Region) DecideVals(vals []int64) (*Outcome, error) {
-	out := new(Outcome)
+	out := newOutcome()
 	if err := r.DecideValsInto(vals, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// DecideValsInto is DecideVals writing the outcome over *out, so a
-// caller that decides in a loop brings its own: a cache hit then
-// allocates nothing. After an error *out holds nothing usable.
+// DecideValsInto is DecideVals writing the outcome over *out, candidate
+// storage included, so a caller that decides in a loop brings its own:
+// neither a cache hit nor a miss then allocates. After an error *out
+// holds nothing usable.
 func (r *Region) DecideValsInto(vals []int64, out *Outcome) error {
-	if n := len(r.ParamNames()); len(vals) != n {
-		return fmt.Errorf("%w: region %s wants %d parameters, got %d slot values",
-			ErrUnboundSymbol, r.Name, n, len(vals))
-	}
 	start := time.Now()
+	sv, err := r.bindVals(vals)
+	if err != nil {
+		return err
+	}
+	return r.decideVals(sv, start, out)
+}
+
+// DecideKeyedInto is DecideValsInto for a caller that was handed the
+// vector together with its key hash (the wire protocol's checksum): the
+// claim is checked against the hash the cache lookup needs anyway, and a
+// vector that does not hash to it is refused with ErrKeyHashMismatch.
+func (r *Region) DecideKeyedInto(vals []int64, keyHash uint64, out *Outcome) error {
+	start := time.Now()
+	sv, err := r.bindVals(vals)
+	if err != nil {
+		return err
+	}
+	if sv.hash != keyHash {
+		sv.release()
+		return fmt.Errorf("%w: region %s: claimed %#x, values hash to %#x",
+			ErrKeyHashMismatch, r.Name, keyHash, sv.hash)
+	}
+	return r.decideVals(sv, start, out)
+}
+
+func (r *Region) decideVals(sv *slotVecs, start time.Time, out *Outcome) error {
 	var b symbolic.Bindings
 	if r.rt.obs.Load() != nil {
-		b = r.bindingsFromVals(vals)
+		b = r.bindingsFromVals(sv.params())
 	}
-	return r.decideOnly(r.bindVals(vals), start, b, out)
+	return r.decideOnly(r.evaluatorOf(sv, b), start, b, out)
 }

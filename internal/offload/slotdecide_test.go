@@ -119,10 +119,11 @@ func TestDecideValsLengthMismatch(t *testing.T) {
 }
 
 // TestDecideValsIntoAllocationBudget pins what a served decision costs
-// the heap once the caller brings its own Outcome: a cache hit nothing,
-// and a miss on a full cache the ranked candidates and the key string —
-// the evicted node is reused, the corrector's multipliers sit on the
-// stack.
+// the heap once the caller brings its own Outcome: nothing — not on a
+// cache hit, not on a miss into a full cache (the candidates are ranked in
+// the Outcome's own storage, the key is the values themselves, the evicted
+// entry is reused) and not on a miss after an invalidation (the store
+// keeps its slab).
 func TestDecideValsIntoAllocationBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	skipIfPoolsDrop(t) // the slot vectors are pooled
@@ -158,11 +159,65 @@ func TestDecideValsIntoAllocationBudget(t *testing.T) {
 		vals[0] = next
 		decide()
 	})
-	if miss > 2 || out.CacheHit {
-		t.Errorf("miss on a full cache: %v allocs (cache hit %v), want <= 2", miss, out.CacheHit)
+	if miss != 0 || out.CacheHit {
+		t.Errorf("miss on a full cache: %v allocs (cache hit %v), want 0", miss, out.CacheHit)
 	}
 	if m := rt.Metrics(); m.DecisionCacheEvictions == 0 {
 		t.Errorf("the misses evicted nothing: %+v", m)
+	}
+	if cleared := testing.AllocsPerRun(200, func() {
+		region.InvalidateDecisions()
+		decide()
+	}); cleared != 0 || out.CacheHit {
+		t.Errorf("miss after an invalidation: %v allocs (cache hit %v), want 0", cleared, out.CacheHit)
+	}
+	// An Outcome that brings no storage gets its candidates in one piece.
+	if empty := testing.AllocsPerRun(200, func() {
+		out.Candidates = nil
+		decide()
+	}); empty != 1 {
+		t.Errorf("decide into an Outcome without candidate storage: %v allocs, want 1", empty)
+	}
+}
+
+// TestDecideKeyedInto: the keyed entry point is DecideValsInto behind a
+// check of the claimed key hash — the same verdict for the right hash, a
+// typed refusal that decides nothing for any other.
+func TestDecideKeyedInto(t *testing.T) {
+	rt := NewRuntime(Config{Platform: machine.PlatformP9V100()})
+	k, err := polybench.Get("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := rt.Register(k.IR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := slotVals(t, region, k.Bindings(polybench.Test))
+	var keyed, plain Outcome
+	if err := region.DecideKeyedInto(vals, region.KeyHashVals(vals), &keyed); err != nil {
+		t.Fatal(err)
+	}
+	if err := region.DecideValsInto(vals, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if keyed.CacheHit || !plain.CacheHit {
+		t.Fatalf("cache hits %v/%v, want miss then hit", keyed.CacheHit, plain.CacheHit)
+	}
+	plain.CacheHit = false
+	if kd, pd := scrubbed(&keyed), scrubbed(&plain); !reflect.DeepEqual(kd, pd) {
+		t.Fatalf("keyed and plain verdicts diverge:\n %+v\n %+v", kd, pd)
+	}
+	before := rt.Metrics()
+	err = region.DecideKeyedInto(vals, region.KeyHashVals(vals)+1, &keyed)
+	if !errors.Is(err, ErrKeyHashMismatch) {
+		t.Fatalf("wrong key hash: %v, want ErrKeyHashMismatch", err)
+	}
+	if err := region.DecideKeyedInto(vals[:len(vals)-1], 0, &keyed); !errors.Is(err, ErrUnboundSymbol) {
+		t.Fatalf("short vector: %v, want ErrUnboundSymbol", err)
+	}
+	if after := rt.Metrics(); after.Decides != before.Decides || after.DecisionCacheHits != before.DecisionCacheHits {
+		t.Fatalf("refused vectors were decided: %+v", after)
 	}
 }
 

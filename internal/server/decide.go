@@ -22,7 +22,7 @@ import (
 //	decode → item → decide / batchScratch.decide → (Outcome, *ErrorInfo) → project
 //
 // decide is the only function in this package that reaches
-// Region.Decide, DecideValsInto or Launch; the codecs differ only in how
+// Region.DecideInto, DecideKeyedInto or Launch; the codecs differ only in how
 // they build an item and which response shape they project onto.
 
 // item is one decide request in the core's form. Bindings arrive either
@@ -59,12 +59,13 @@ func wireItem(req *wire.Request) item {
 // decide serves one item against rt, writing the outcome over *out; a
 // non-nil *ErrorInfo describes the failure with its classification and
 // HTTP status (and leaves *out unusable). Slot-form bindings skip the map
-// entirely on the decide path: after verifying the key hash (an
-// end-to-end checksum of the client's idea of the region's parameter
-// set), the values drop straight into the region's pooled slot vectors
-// via DecideValsInto. Neither it nor out is retained: a stream worker
-// decides every job into the one Outcome on its stack, a batch into its
-// scratch.
+// entirely on the decide path: the values drop straight into the region's
+// pooled slot vectors via DecideKeyedInto, which refuses them when they do
+// not hash to the key hash they came with (an end-to-end checksum of the
+// client's idea of the region's parameter set). Neither it nor out is
+// retained, and the outcome's candidates live in storage out owns and
+// brings back: a stream worker decides every job into the one Outcome on
+// its stack, a batch into its scratch.
 func decide(ctx context.Context, rt *offload.Runtime, it *item, out *offload.Outcome) *ErrorInfo {
 	if it.region == "" {
 		return errInfo(http.StatusBadRequest, ErrCodeBadRequest, "missing region")
@@ -77,42 +78,52 @@ func decide(ctx context.Context, rt *offload.Runtime, it *item, out *offload.Out
 		return classify(err)
 	}
 	b := it.bindings
-	if it.slot {
+	if it.slot && it.execute {
+		// Execution still wants the map form (Launch logs bindings), so
+		// the vector is checked here and spelled out.
 		names := region.ParamNames()
 		if len(it.values) != len(names) {
 			return errInfo(http.StatusUnprocessableEntity, ErrCodeUnboundSymbol,
 				fmt.Sprintf("offload: unbound symbol: region %s wants %d parameters, got %d slot values",
 					it.region, len(names), len(it.values)))
 		}
-		if got := region.KeyHashVals(it.values); got != it.keyHash {
-			return errInfo(http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Sprintf("slot vector key hash %#x does not match region layout (%#x): client and server disagree on %s's parameter set",
-					it.keyHash, got, it.region))
+		if region.KeyHashVals(it.values) != it.keyHash {
+			return keyHashMismatch(region, it)
 		}
-		if it.execute {
-			// Execution still wants the map form (Launch logs bindings).
-			b = make(symbolic.Bindings, len(names))
-			for i, name := range names {
-				b[name] = it.values[i]
-			}
+		b = make(symbolic.Bindings, len(names))
+		for i, name := range names {
+			b[name] = it.values[i]
 		}
 	}
-	var o *offload.Outcome
 	switch {
 	case it.execute:
-		o, err = region.Launch(b)
+		var o *offload.Outcome
+		if o, err = region.Launch(b); err == nil {
+			*out = *o
+		}
 	case it.slot:
-		err = region.DecideValsInto(it.values, out)
+		// The region checks the claimed hash against the one its cache
+		// lookup computes anyway.
+		err = region.DecideKeyedInto(it.values, it.keyHash, out)
 	default:
-		o, err = region.Decide(b)
+		err = region.DecideInto(b, out)
 	}
-	if err != nil {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, offload.ErrKeyHashMismatch):
+		return keyHashMismatch(region, it)
+	default:
 		return classify(err)
 	}
-	if o != nil {
-		*out = *o
-	}
-	return nil
+}
+
+// keyHashMismatch is the answer to a slot vector that does not hash to the
+// key hash it came with.
+func keyHashMismatch(region *offload.Region, it *item) *ErrorInfo {
+	return errInfo(http.StatusBadRequest, ErrCodeBadRequest,
+		fmt.Sprintf("slot vector key hash %#x does not match region layout (%#x): client and server disagree on %s's parameter set",
+			it.keyHash, region.KeyHashVals(it.values), it.region))
 }
 
 // decided is one batch item's answer: the core's verdict, or — first

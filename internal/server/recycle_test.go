@@ -82,46 +82,59 @@ func (w *sink) Write(b []byte) (int, error) {
 }
 
 // TestWireBatchAllocatesNothingPerItem: through the whole frame codec —
-// decode, duplicate index, decide, project, encode — a batch of cache
-// hits costs the same number of allocations at 128 items as at 64: what
-// is left is per request (net/http's, the admission pipeline's), and a
-// decision adds nothing.
+// decode, duplicate index, decide, project, encode — a batch costs the same
+// number of allocations at 128 items as at 64: what is left is per request
+// (net/http's, the admission pipeline's), and a decision adds nothing.
+// That holds for a batch of cache hits and for a cold one, every item of
+// which misses, prices, ranks and stores: the pooled scratch's outcomes own
+// the storage their candidates are decided into, and the decision cache
+// stores into the storage an invalidation left behind.
 func TestWireBatchAllocatesNothingPerItem(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	skipIfPoolsDrop(t) // the scratch and the slot vectors are pooled
-	s := testServer(t, Config{})
 	regions := []string{"gemm", "mvt1", "atax2"}
 	var reqs []wire.Request
 	for i := 0; i < 128; i++ {
 		reqs = append(reqs, wireReqFor(regions[i%3], symbolic.Bindings{"n": int64(64 + i)}))
 	}
-	w := &sink{h: http.Header{}}
-	measure := func(n int) float64 {
-		body := wire.AppendBatchRequest(nil, reqs[:n])
-		return testing.AllocsPerRun(50, func() {
-			w.body = w.body[:0]
-			postFrames(s, w, body)
-		})
-	}
-	measure(128) // decide every key once; size the pooled scratch
-	small, large := measure(64), measure(128)
-	fr, _, err := wire.DecodeFrame(w.body)
-	if err != nil || w.code != http.StatusOK || len(fr.Resps) != 128 {
-		t.Fatalf("batch answered %d, %+v (%v)", w.code, fr, err)
-	}
-	for i, resp := range fr.Resps {
-		if resp.Err != nil || !resp.CacheHit || resp.Region != reqs[i].Region || len(resp.Candidates) != 2 {
-			t.Fatalf("item %d: %+v", i, resp)
+	for _, cold := range []bool{false, true} {
+		s := testServer(t, Config{})
+		w := &sink{h: http.Header{}}
+		measure := func(n int) float64 {
+			body := wire.AppendBatchRequest(nil, reqs[:n])
+			return testing.AllocsPerRun(50, func() {
+				if cold {
+					for _, region := range regions {
+						if err := s.rt.InvalidateDecisions(region); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				w.body = w.body[:0]
+				postFrames(s, w, body)
+			})
 		}
-	}
-	if large != small {
-		t.Fatalf("a 128-item batch costs %v allocations and a 64-item batch %v: %v per item, want 0",
-			large, small, (large-small)/64)
+		measure(128) // decide every key once; size the pooled scratch
+		small, large := measure(64), measure(128)
+		fr, _, err := wire.DecodeFrame(w.body)
+		if err != nil || w.code != http.StatusOK || len(fr.Resps) != 128 {
+			t.Fatalf("cold %v: batch answered %d, %+v (%v)", cold, w.code, fr, err)
+		}
+		for i, resp := range fr.Resps {
+			if resp.Err != nil || resp.CacheHit == cold || resp.Region != reqs[i].Region || len(resp.Candidates) != 2 {
+				t.Fatalf("cold %v: item %d: %+v", cold, i, resp)
+			}
+		}
+		if large != small {
+			t.Fatalf("cold %v: a 128-item batch costs %v allocations and a 64-item batch %v: %v per item, want 0",
+				cold, large, small, (large-small)/64)
+		}
 	}
 }
 
-// TestWireScratchPooling: a scratch a huge batch grew is not pooled, and
-// one that is pooled has let go of its outcomes.
+// TestWireScratchPooling: a scratch a huge batch grew is not pooled; one
+// that is pooled keeps its outcomes, candidate storage and all, for the
+// next batch to decide into (they pin nothing of the decision cache).
 func TestWireScratchPooling(t *testing.T) {
 	s := testServer(t, Config{})
 	var reqs []wire.Request
@@ -135,14 +148,15 @@ func TestWireScratchPooling(t *testing.T) {
 			t.Fatalf("batch of %d: status %d", n, w.Code)
 		}
 		// Whichever scratch the pool hands out next, it is not one the
-		// large batch grew, and it holds no outcome.
+		// large batch grew.
 		sc := wireScratches.Get().(*wireScratch)
-		if sc.big || cap(sc.batch.res) > maxPooledBatch || cap(sc.resps) > maxPooledBatch {
+		if sc.big || cap(sc.batch.res) > maxPooledBatch || cap(sc.resps) > maxPooledBatch ||
+			cap(sc.batch.outs) > maxPooledBatch {
 			t.Fatalf("after a batch of %d the pool holds a scratch sized for %d items", n, cap(sc.batch.res))
 		}
 		for i, out := range sc.batch.outs[:cap(sc.batch.outs)] {
-			if out.Candidates != nil || out.Region != "" {
-				t.Fatalf("after a batch of %d pooled outcome %d still holds %+v", n, i, out)
+			if out.Region != "" && cap(out.Candidates) < 2 {
+				t.Fatalf("after a batch of %d pooled outcome %d gave up its candidate storage: %+v", n, i, out)
 			}
 		}
 		wireScratches.Put(sc)

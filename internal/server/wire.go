@@ -68,14 +68,14 @@ func (s *Server) handleDecideWire(w http.ResponseWriter, r *http.Request) {
 		frames, rest = append(frames, fr), rest[n:]
 	}
 
-	var out offload.Outcome
+	out := &sc.out
 	if first := frames[0]; len(frames) == 1 && first.Type == wire.TypeRequest {
 		it := wireItem(first.Req)
-		if ei := decide(r.Context(), s.rt, &it, &out); ei != nil {
+		if ei := decide(r.Context(), s.rt, &it, out); ei != nil {
 			wireError(w, ei.status, ei.Code, ei.Message)
 			return
 		}
-		resp := projectWireInto(first.Req.Region, &out, nil, sc.cands[:0])
+		resp := projectWireInto(first.Req.Region, out, nil, sc.cands[:0])
 		sc.enc = wire.AppendResponse(sc.enc[:0], &resp)
 		sc.cands = resp.Candidates[:0]
 		writeFrames(w, http.StatusOK, sc.enc)
@@ -86,8 +86,8 @@ func (s *Server) handleDecideWire(w http.ResponseWriter, r *http.Request) {
 	for _, fr := range frames {
 		if fr.Type == wire.TypeRequest {
 			it := wireItem(fr.Req)
-			ei := decide(r.Context(), s.rt, &it, &out)
-			resp := projectWireInto(fr.Req.Region, &out, ei, sc.cands[:0])
+			ei := decide(r.Context(), s.rt, &it, out)
+			resp := projectWireInto(fr.Req.Region, out, ei, sc.cands[:0])
 			b = wire.AppendResponse(b, &resp)
 			continue
 		}
@@ -124,12 +124,14 @@ func appendBody(dst []byte, w http.ResponseWriter, r *http.Request) ([]byte, err
 }
 
 // wireScratch is the per-request working set of the binary decide
-// path: body read buffer, frame decoder, batch scratch, the responses and
-// candidate arena they are projected into, and the encode buffer.
+// path: body read buffer, frame decoder, the outcome single frames are
+// decided into, batch scratch, the responses and candidate arena they are
+// projected into, and the encode buffer.
 type wireScratch struct {
 	body  []byte
 	enc   []byte
 	dec   wire.Decoder
+	out   offload.Outcome
 	batch batchScratch
 	resps []wire.Response
 	cands []wire.Candidate
@@ -149,13 +151,12 @@ const maxPooledBatch = 256
 // putWireScratch pools sc again, unless a huge request grew it: a
 // 4096-item batch leaves megabytes behind in the decoder's requests and
 // the scratch's outcomes, responses, candidates and key bytes. What is
-// pooled forgets its outcomes, which would keep the candidate slices of
-// evicted cache entries alive.
+// pooled keeps its outcomes: each owns the storage of its candidates —
+// nothing of the decision cache — and the next batch decides into it.
 func putWireScratch(sc *wireScratch) {
 	if sc.big || max(cap(sc.body), cap(sc.enc), cap(sc.batch.keys)) > maxPooledEncodeBuf {
 		return
 	}
-	clear(sc.batch.outs) // those past its length were cleared by the put after their batch
 	wireScratches.Put(sc)
 }
 
