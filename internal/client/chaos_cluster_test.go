@@ -10,10 +10,14 @@ package client
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,6 +27,7 @@ import (
 	"github.com/hybridsel/hybridsel/internal/polybench"
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/sim"
+	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
 // newDecideDaemon stands up one replica daemon with its own runtime.
@@ -115,7 +120,7 @@ func chaosClusterReqs(n int) []server.DecideRequest {
 func TestChaosRollingRestartLosesNoVerdicts(t *testing.T) {
 	rig := newClusterChaosRig(t, 3, ClusterConfig{
 		Replica: Config{
-			DisableHedging: true, MaxAttempts: 2, RetryBackoff: time.Millisecond,
+			DisableHedging: true, MaxAttempts: 2,
 			BreakerFailures: 1000, Timeout: 2 * time.Second,
 		},
 	})
@@ -181,7 +186,7 @@ func TestChaosClusterKillLoopReproducible(t *testing.T) {
 	run := func() []string {
 		rig := newClusterChaosRig(t, 17, ClusterConfig{
 			Replica: Config{
-				DisableHedging: true, MaxAttempts: 2, RetryBackoff: time.Millisecond,
+				DisableHedging: true, MaxAttempts: 2,
 				BreakerFailures: 1000, Timeout: 2 * time.Second,
 			},
 		})
@@ -223,8 +228,8 @@ func TestChaosClusterKillLoopReproducible(t *testing.T) {
 // successor and never spill to the third shard.
 func TestChaosClusterHedgeSuccessorOnly(t *testing.T) {
 	rig := newClusterChaosRig(t, 9, ClusterConfig{
-		HedgeAfter: 5 * time.Millisecond,
 		Replica: Config{
+			HedgeAfter:      5 * time.Millisecond,
 			BreakerFailures: 1000, Timeout: 2 * time.Second,
 		},
 	})
@@ -263,5 +268,206 @@ func TestChaosClusterHedgeSuccessorOnly(t *testing.T) {
 	}
 	if s := rig.mesh.Proxy("client", order[2]).Stats(); s.Requests != 0 {
 		t.Fatalf("hedge spilled past the successor: %d requests hit %s", s.Requests, order[2])
+	}
+}
+
+// TestClusterRouteEquivalence holds every way the loop can get a request
+// answered to the one answer: the request rows of TestCodecEquivalence
+// that a DecideRequest can spell, served by the owner, by a failed-over
+// successor, by a hedge, inside a batch sharded over owners with one
+// owner down, and by the fallback runtime with every replica down. Each
+// must be, row for row, the DecideResponseV2 an in-process
+// offload.Runtime yields (CacheHit and DecisionNanos aside, which depend
+// on who asked first) or the row's error code, stamped with the replica,
+// provenance and transport that route is documented to stamp.
+func TestClusterRouteEquivalence(t *testing.T) {
+	gemm := func(n int64) server.DecideRequest {
+		return server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": n}}
+	}
+	rows := []struct {
+		name string
+		req  server.DecideRequest
+		code string // expected error code, "" = a verdict
+	}{
+		{name: "miss", req: gemm(700)},
+		{name: "hit", req: gemm(700)},
+		{name: "other region", req: server.DecideRequest{Region: "mvt1", Bindings: map[string]int64{"n": 4000}}},
+		{name: "execute", req: server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 96}, Execute: true}},
+		{name: "duplicate inside a batch", req: gemm(700)},
+		{name: "a name beyond the parameters",
+			req: server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 300, "extra": 1}}},
+		{name: "unknown region", req: server.DecideRequest{Region: "nope", Bindings: map[string]int64{"n": 8}},
+			code: server.ErrCodeUnknownRegion},
+		{name: "unbound symbol", req: server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"m": 8}},
+			code: server.ErrCodeUnboundSymbol},
+		{name: "no bindings", req: server.DecideRequest{Region: "gemm"}, code: server.ErrCodeUnboundSymbol},
+		{name: "empty region", req: server.DecideRequest{Bindings: map[string]int64{"n": 8}},
+			code: server.ErrCodeBadRequest},
+	}
+
+	// Compared as served: through the JSON encoding, which is blind to
+	// Candidate's unexported bookkeeping.
+	asServed := func(r server.DecideResponseV2) (out server.DecideResponseV2) {
+		t.Helper()
+		r.CacheHit, r.DecisionNanos = false, 0
+		raw, err := json.Marshal(r)
+		if err == nil {
+			err = json.Unmarshal(raw, &out)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// The reference: the runtime asked directly, projected by hand.
+	ref := fallbackRuntime(t)
+	want := make([]server.DecideResponseV2, len(rows))
+	for i, row := range rows {
+		if row.code != "" {
+			continue
+		}
+		region, err := ref.Region(row.req.Region)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", row.name, err)
+		}
+		decide := region.Decide
+		if row.req.Execute {
+			decide = region.Launch
+		}
+		out, err := decide(symbolic.Bindings(row.req.Bindings))
+		if err != nil {
+			t.Fatalf("%s: reference: %v", row.name, err)
+		}
+		want[i] = asServed(server.DecideResponseV2{
+			Region: row.req.Region, Verdict: out.TargetID, Kind: out.Target.String(),
+			Policy: out.Policy.Name(), Candidates: out.Candidates, SplitFraction: out.SplitFraction,
+			Provenance: out.Provenance, ActualSeconds: out.ActualSeconds,
+		})
+	}
+
+	// One walk per call: with every replica down a second walk would only
+	// add three backoff sleeps to each row. Breakers stay out of the way,
+	// so a partitioned replica is asked, and fails, every time.
+	rig := newClusterChaosRig(t, 5, ClusterConfig{
+		Fallback: fallbackRuntime(t),
+		Replica:  Config{MaxAttempts: 1, BreakerFailures: 1000},
+	})
+	hedging := newClusterChaosRig(t, 5, ClusterConfig{
+		Replica: Config{HedgeAfter: 5 * time.Millisecond, BreakerFailures: 1000},
+	})
+	ctx := context.Background()
+	// under serves one request with faults on some client→replica edges,
+	// and heals them.
+	under := func(r *clusterChaosRig, f faultnet.Faults, req server.DecideRequest, edges ...string) (*Verdict, error) {
+		for _, id := range edges {
+			r.mesh.SetFaults("client", id, f)
+		}
+		v, err := r.cc.Decide(ctx, req)
+		for _, id := range edges {
+			r.mesh.SetFaults("client", id, faultnet.Faults{})
+		}
+		return v, err
+	}
+	// stamp is what a route documents about a verdict's delivery.
+	type stamp struct {
+		replica   string
+		prov      Provenance
+		transport string
+		attempts  int
+	}
+	order := func(i int) []string { return rig.cc.Route(rows[i].req) }
+	batchDown := order(0)[0]
+	var batch []Verdict
+
+	for _, route := range []struct {
+		name  string
+		serve func(i int) (*Verdict, error)
+		want  func(i int) stamp
+	}{
+		{"owner",
+			func(i int) (*Verdict, error) { return rig.cc.Decide(ctx, rows[i].req) },
+			func(i int) stamp { return stamp{order(i)[0], ProvenanceRemote, TransportHTTPJSON, 1} }},
+		{"failed-over successor",
+			func(i int) (*Verdict, error) {
+				return under(rig, faultnet.Faults{Partition: true}, rows[i].req, order(i)[0])
+			},
+			func(i int) stamp { return stamp{order(i)[1], ProvenanceRemote, TransportHTTPJSON, 2} }},
+		{"hedge",
+			func(i int) (*Verdict, error) {
+				return under(hedging, faultnet.Faults{Latency: 150 * time.Millisecond}, rows[i].req, order(i)[0])
+			},
+			func(i int) stamp {
+				if rows[i].req.Execute { // never duplicated: the slow owner's own answer
+					return stamp{order(i)[0], ProvenanceRemote, TransportHTTPJSON, 1}
+				}
+				return stamp{order(i)[1], ProvenanceHedged, TransportHTTPJSON, 1}
+			}},
+		{"batch sharded over owners, one owner down",
+			func(i int) (*Verdict, error) {
+				if batch == nil {
+					reqs := make([]server.DecideRequest, len(rows))
+					for j := range rows {
+						reqs[j] = rows[j].req
+					}
+					rig.mesh.SetFaults("client", batchDown, faultnet.Faults{Partition: true})
+					var err error
+					batch, err = rig.cc.DecideBatch(ctx, reqs)
+					rig.mesh.SetFaults("client", batchDown, faultnet.Faults{})
+					if err != nil {
+						return nil, err
+					}
+				}
+				if want := i > 0 && reflect.DeepEqual(rows[i].req, rows[0].req); batch[i].Coalesced != want {
+					t.Errorf("batch / %s: Coalesced = %v, want %v", rows[i].name, batch[i].Coalesced, want)
+				}
+				return &batch[i], nil
+			},
+			func(i int) stamp {
+				if o := order(i); o[0] == batchDown {
+					return stamp{o[1], ProvenanceRemote, TransportHTTPJSON, 2}
+				}
+				return stamp{order(i)[0], ProvenanceRemote, TransportHTTPJSON, 1}
+			}},
+		{"cluster fallback",
+			func(i int) (*Verdict, error) {
+				return under(rig, faultnet.Faults{Partition: true}, rows[i].req, rig.ids...)
+			},
+			func(i int) stamp { return stamp{"", ProvenanceFallback, TransportLocal, 3} }},
+	} {
+		for i, row := range rows {
+			v, err := route.serve(i)
+			var got server.DecideResponseV2
+			code := ""
+			var re *RemoteError
+			switch {
+			case errors.As(err, &re):
+				code = re.Code
+			case err != nil:
+				t.Fatalf("%s / %s: %v", route.name, row.name, err)
+			default:
+				if s := (stamp{v.Replica, v.Provenance, v.Transport, v.Attempts}); s != route.want(i) {
+					t.Errorf("%s / %s: stamped %+v, want %+v (route %v)", route.name, row.name, s, route.want(i), order(i))
+				}
+				if got = v.Response; got.Error != nil {
+					code = got.Error.Code
+				}
+			}
+			switch {
+			case code != row.code:
+				t.Errorf("%s / %s: error code %q, want %q", route.name, row.name, code, row.code)
+			case code == "" && !reflect.DeepEqual(asServed(got), want[i]):
+				t.Errorf("%s / %s: verdict diverges from the reference runtime\n  got:  %+v\n  want: %+v",
+					route.name, row.name, asServed(got), want[i])
+			}
+		}
+	}
+	if m := hedging.cc.Metrics(); m.CrossHedges == 0 || m.CrossHedgeWins == 0 || m.Failovers != 0 {
+		t.Errorf("the hedge route: %+v", m)
+	}
+	// Routing is the ring's alone: both rigs agree on every row.
+	for i := range rows {
+		if !slices.Equal(hedging.cc.Route(rows[i].req), order(i)) {
+			t.Fatalf("%s: the two rigs route differently", rows[i].name)
+		}
 	}
 }

@@ -15,12 +15,15 @@
 //     deterministic, a fallback verdict is bit-for-bit the verdict the
 //     daemon would have served.
 //
-// The resilience pipeline, outermost first: request coalescing (identical
-// in-flight decide-only requests share one network call, duplicates inside
-// a DecideBatch one item); a consecutive-failure circuit breaker; retries
-// with exponential backoff + jitter that honor Retry-After; hedging of
-// idempotent requests; connection pooling. Every stage is instrumented
-// (Metrics / WritePrometheus, hybridselc_ namespace), mirroring the
+// One loop (call) serves every verdict, single or batch, one daemon or a
+// cluster. Identical in-flight decide-only requests share one call
+// (duplicates inside a DecideBatch one item). The call walks its route —
+// one endpoint for a Client, the key's ring successors for a
+// ClusterClient — asking each endpoint whose circuit breaker admits it,
+// and sleeps (exponential backoff + jitter, or a longer Retry-After) only
+// when the route wraps. An idempotent attempt may be hedged, and when
+// the walks are spent the fallback runtime answers. Every step is counted
+// (Metrics / RegisterMetrics, hybridselc_ namespace), mirroring the
 // daemon's own exposition.
 package client
 
@@ -28,12 +31,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
@@ -70,8 +73,9 @@ type Verdict struct {
 	Response server.DecideResponseV2
 	// Provenance is remote, hedged, or fallback.
 	Provenance Provenance
-	// Attempts counts passes down the transport ladder consumed (0 for
-	// a pure-fallback verdict served while the breaker was open).
+	// Attempts counts the passes down a transport ladder the call
+	// consumed, over every endpoint it asked (0 for a pure-fallback
+	// verdict served while every breaker was open).
 	Attempts int
 	// Coalesced marks a verdict served by another caller's identical
 	// in-flight request rather than a network call of its own.
@@ -81,15 +85,15 @@ type Verdict struct {
 	// callers and load gates can attribute throughput per transport.
 	Transport string
 	// Replica is the cluster member ID that served the verdict when the
-	// call went through a ClusterClient ("" for single-daemon clients
-	// and for in-process fallback verdicts), so callers can audit
-	// routing: owner for plain verdicts, the ring successor for hedged
-	// and failed-over ones.
+	// call went through a ClusterClient or one of its views ("" for
+	// single-daemon clients and for in-process fallback verdicts), so
+	// callers can audit routing: owner for plain verdicts, a ring
+	// successor for hedged and failed-over ones.
 	Replica string
 }
 
-// ErrCircuitOpen reports that the breaker rejected the call and no
-// fallback runtime was configured.
+// ErrCircuitOpen reports that every breaker on the route rejected the
+// call and no fallback runtime was configured.
 var ErrCircuitOpen = errors.New("client: circuit breaker open")
 
 // Defaults applied by New for zero Config fields.
@@ -99,14 +103,18 @@ const (
 	DefaultTimeout         = 2 * time.Second
 	DefaultBreakerFailures = 5
 	DefaultBreakerCooldown = 500 * time.Millisecond
-	DefaultHedgeMinSamples = 20
 	// DefaultStreamConns is the stream connection pool size when
 	// Config.StreamConns is zero.
 	DefaultStreamConns = 2
 )
 
-// maxBackoff caps the exponential retry backoff.
-const maxBackoff = time.Second
+const (
+	// maxBackoff caps the exponential retry backoff.
+	maxBackoff = time.Second
+	// hedgeMinSamples is how many successful attempts an endpoint must
+	// have seen before a hedge delay is derived from their p99.
+	hedgeMinSamples = 20
+)
 
 // Config parameterizes a Client.
 type Config struct {
@@ -122,24 +130,34 @@ type Config struct {
 	// fallback verdicts match the daemon's bit-for-bit.
 	Fallback *offload.Runtime
 
-	// MaxAttempts bounds passes down the transport ladder per logical
-	// call, first try included. 0 selects DefaultMaxAttempts; 1 disables
-	// retries.
+	// MaxAttempts bounds the walks of the route per logical call, the
+	// first included. A walk asks each endpoint whose breaker admits it
+	// once: a single-daemon client makes at most MaxAttempts attempts, a
+	// cluster client that many per replica. 0 selects DefaultMaxAttempts;
+	// 1 disables retries (a cluster call still fails over).
 	MaxAttempts int
-	// RetryBackoff is the base backoff, doubled per attempt with ±50%
-	// jitter, capped at one second. A server Retry-After longer than the
-	// computed backoff wins.
+	// RetryBackoff is the base backoff, slept only when the route wraps
+	// (on a route of one, after every failed attempt): doubled per walk
+	// with ±50% jitter, capped at one second. A Retry-After longer than
+	// the computed backoff, sent by the endpoint about to be re-asked,
+	// wins.
 	RetryBackoff time.Duration
-	// Timeout is the per-attempt deadline. 0 selects DefaultTimeout.
+	// Timeout is the per-attempt deadline, hedge included. 0 selects
+	// DefaultTimeout.
 	Timeout time.Duration
 
-	// HedgeAfter fixes the hedging delay. 0 derives it from the observed
-	// p99 attempt latency (no hedging until HedgeMinSamples successes).
-	// Only idempotent (decide-only) calls are hedged — Execute requests
+	// HedgeAfter fixes the hedging delay. The duplicate goes to the next
+	// endpoint of the route whose breaker is closed — the endpoint itself
+	// on a route of one. 0 derives the delay from the endpoint's observed
+	// p99 attempt latency (no hedging before 20 successes) for a
+	// single-daemon Client, and leaves hedging off for a ClusterClient and
+	// its views: hedging in a cluster is opt-in, because a derived
+	// cross-replica delay never fired in any release and a hedge makes a
+	// successor the first replica to see a key (DESIGN.md §16). Only
+	// idempotent (decide-only) calls are hedged — Execute requests
 	// dispatch work and are never duplicated.
-	HedgeAfter      time.Duration
-	HedgeMinSamples int
-	DisableHedging  bool
+	HedgeAfter     time.Duration
+	DisableHedging bool
 
 	// BreakerFailures consecutive eligible failures open the breaker;
 	// it stays open for BreakerCooldown, then half-opens for one probe.
@@ -182,33 +200,6 @@ type Config struct {
 	StreamConns int
 }
 
-// Client is a resilient hybridseld client. Safe for concurrent use.
-type Client struct {
-	cfg     Config
-	breaker *breaker
-	met     counters
-	ladder  []*rung // stream, HTTP frames, HTTP JSON: those Config enables
-	// Hedge-delay estimation is per transport: stream and HTTP attempt
-	// latencies live in different regimes (no per-request framing vs
-	// full request/response cycles), so mixing them would fire stream
-	// hedges on stale HTTP p99s and vice versa.
-	latHTTP   latencySampler
-	latStream latencySampler
-
-	jmu sync.Mutex
-	rng *rand.Rand
-
-	fmu      sync.Mutex
-	inflight map[string]*flight
-}
-
-// flight is one in-progress decide, shared by its coalesced callers.
-type flight struct {
-	done chan struct{}
-	v    *Verdict
-	err  error
-}
-
 // withDefaults validates cfg and fills its zero fields with defaults.
 func (cfg Config) withDefaults() (Config, error) {
 	if cfg.BaseURL == "" {
@@ -220,7 +211,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	orDefault(&cfg.Timeout, DefaultTimeout)
 	orDefault(&cfg.BreakerFailures, DefaultBreakerFailures)
 	orDefault(&cfg.BreakerCooldown, DefaultBreakerCooldown)
-	orDefault(&cfg.HedgeMinSamples, DefaultHedgeMinSamples)
 	orDefault(&cfg.StreamConns, DefaultStreamConns)
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -244,98 +234,37 @@ func orDefault[T int | time.Duration](v *T, d T) {
 	}
 }
 
+// Client is a resilient client of one hybridseld daemon: the resilience
+// loop over a fixed route of one endpoint. Safe for concurrent use.
+type Client struct {
+	loop  *loop
+	route []*endpoint
+}
+
 // New builds a client for the daemon at cfg.BaseURL.
 func New(cfg Config) (*Client, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		inflight: map[string]*flight{},
-	}
-	c.breaker = newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown,
-		func(from, to BreakerState) { c.met.breakerTransition(to) })
-	c.buildLadder()
-	return c, nil
+	return &Client{loop: newLoop(&cfg), route: []*endpoint{newEndpoint("", &cfg)}}, nil
 }
 
 // Close tears down any pooled stream connections. In-flight calls finish
 // (stream in-flight fail over to HTTP via the normal retry path).
 func (c *Client) Close() {
-	for _, r := range c.ladder {
+	for _, r := range c.route[0].ladder {
 		r.Close()
 	}
 }
 
 // BreakerState returns the circuit breaker's current state.
-func (c *Client) BreakerState() BreakerState { return c.breaker.State() }
-
-// Metrics returns a snapshot of the client's instrumentation.
-func (c *Client) Metrics() Metrics { return c.met.snapshot(c.breaker.State()) }
-
-// requestKey canonicalizes a request for coalescing.
-func requestKey(req server.DecideRequest) string {
-	key := req.Region + "\x00" + attrdb.BindingsKey(symbolic.Bindings(req.Bindings))
-	if req.Execute {
-		key += "\x00x"
-	}
-	return key
-}
+func (c *Client) BreakerState() BreakerState { return c.route[0].breaker.State() }
 
 // Decide returns a verdict for one decision request. Identical
 // decide-only requests in flight at once share a single network call.
 func (c *Client) Decide(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
-	c.met.requests.Add(1)
-	if req.Execute {
-		// Execute dispatches work on the daemon: no coalescing with
-		// decide-only traffic, and never hedged.
-		return c.decideOne(ctx, req)
-	}
-	return c.decideCoalesced(ctx, req)
-}
-
-// decideCoalesced funnels identical concurrent decide-only requests into
-// one in-flight call.
-func (c *Client) decideCoalesced(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
-	key := requestKey(req)
-	c.fmu.Lock()
-	if fl, ok := c.inflight[key]; ok {
-		c.fmu.Unlock()
-		select {
-		case <-fl.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		c.met.coalesced.Add(1)
-		v := *fl.v
-		v.Coalesced = true
-		return &v, nil
-	}
-	fl := &flight{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.fmu.Unlock()
-
-	v, err := c.decideOne(ctx, req)
-	fl.v, fl.err = v, err
-	c.fmu.Lock()
-	delete(c.inflight, key)
-	c.fmu.Unlock()
-	close(fl.done)
-	return v, err
-}
-
-// decideOne sends one request in the single form.
-func (c *Client) decideOne(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
-	vs, err := c.remoteOrFallback(ctx, []server.DecideRequest{req}, false)
-	if err != nil {
-		return nil, err
-	}
-	return &vs[0], nil
+	return c.loop.decide(ctx, req, bindingsHash(req), c.route)
 }
 
 // DecideBatch returns verdicts for a slice of requests, positionally.
@@ -344,71 +273,262 @@ func (c *Client) decideOne(ctx context.Context, req server.DecideRequest) (*Verd
 // Response.Error envelope exactly as the daemon reports them. When the
 // daemon is unreachable every item degrades to the fallback runtime.
 func (c *Client) DecideBatch(ctx context.Context, reqs []server.DecideRequest) ([]Verdict, error) {
+	return c.loop.decideBatch(ctx, reqs, func(string, uint64) []*endpoint { return c.route })
+}
+
+// ------------------------------------------------------- the one loop --
+
+// loop is what the resilience loop keeps between calls: its knobs, the
+// jitter source, the flights identical requests share, and the counters
+// that say how calls were routed rather than what one endpoint did.
+type loop struct {
+	cfg     *Config
+	cluster bool // a ClusterClient's, views included: hedging is opt-in
+	cm      clusterMetrics
+
+	jmu sync.Mutex
+	rng *rand.Rand
+
+	fmu      sync.Mutex
+	inflight map[reqKey]*flight
+}
+
+func newLoop(cfg *Config) *loop {
+	return &loop{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), inflight: map[reqKey]*flight{}}
+}
+
+// reqKey identifies a request for coalescing. hash is bindingsHash, which
+// a cluster also routes by, so a request is canonicalized once per call;
+// a match is confirmed against the bindings themselves.
+type reqKey struct {
+	region  string
+	hash    uint64
+	execute bool
+}
+
+func bindingsHash(req server.DecideRequest) uint64 {
+	return attrdb.BindingsHash(symbolic.Bindings(req.Bindings))
+}
+
+// flight is one in-progress decide, shared by its coalesced callers.
+type flight struct {
+	bindings map[string]int64
+	done     chan struct{}
+	v        *Verdict
+	err      error
+}
+
+// decide is Decide over a route: one call, shared by the identical
+// decide-only requests in flight with it. hash is bindingsHash(req).
+func (l *loop) decide(ctx context.Context, req server.DecideRequest, hash uint64, route []*endpoint) (*Verdict, error) {
+	met := &route[0].met
+	met.requests.Add(1)
+	key := reqKey{region: req.Region, hash: hash}
+	var fl *flight
+	// Execute dispatches work on the daemon: never shared, never hedged.
+	if !req.Execute {
+		l.fmu.Lock()
+		lead, taken := l.inflight[key]
+		if taken && maps.Equal(lead.bindings, req.Bindings) {
+			l.fmu.Unlock()
+			select {
+			case <-lead.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if lead.err != nil {
+				return nil, lead.err
+			}
+			met.coalesced.Add(1)
+			v := *lead.v
+			v.Coalesced = true
+			return &v, nil
+		}
+		if !taken { // else another request has this hash: fly alone
+			fl = &flight{bindings: req.Bindings, done: make(chan struct{})}
+			l.inflight[key] = fl
+		}
+		l.fmu.Unlock()
+	}
+	var v *Verdict
+	vs, err := l.call(ctx, []server.DecideRequest{req}, false, route)
+	if err == nil {
+		v = &vs[0]
+	}
+	if fl != nil {
+		fl.v, fl.err = v, err
+		l.fmu.Lock()
+		delete(l.inflight, key)
+		l.fmu.Unlock()
+		close(fl.done)
+	}
+	return v, err
+}
+
+// decideBatch is DecideBatch over routeOf's routes: each distinct request
+// is sent once, in one batch call per first endpoint of a route — one in
+// all for a Client; for a ClusterClient one per owner replica, in flight
+// together, each failing over along the route of the shard's first item.
+func (l *loop) decideBatch(ctx context.Context, reqs []server.DecideRequest, routeOf func(region string, hash uint64) []*endpoint) ([]Verdict, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	c.met.requests.Add(uint64(len(reqs)))
-	c.met.batchCalls.Add(1)
-
-	// Client-side coalescing: send each distinct request once, marking a
-	// request Coalesced as its key is found to have been seen.
-	out := make([]Verdict, len(reqs))
-	unique := make([]server.DecideRequest, 0, len(reqs))
-	slot := make([]int, len(reqs)) // request index -> unique index
-	byKey := map[string]int{}
+	type shard struct {
+		route []*endpoint
+		sub   []server.DecideRequest
+		vs    []Verdict
+		err   error
+	}
+	type place struct {
+		s         *shard
+		i         int  // index in s.sub
+		coalesced bool // onto an earlier, identical request of the batch
+	}
+	var shards []*shard
+	first := make(map[reqKey]place, len(reqs)) // where each distinct request went
+	at := make([]place, len(reqs))
 	for i, req := range reqs {
-		key := requestKey(req)
-		u, seen := byKey[key]
-		if !seen {
-			u = len(unique)
-			byKey[key] = u
-			unique = append(unique, req)
+		key := reqKey{req.Region, bindingsHash(req), req.Execute}
+		p, seen := first[key]
+		if seen && maps.Equal(p.s.sub[p.i].Bindings, req.Bindings) {
+			p.coalesced = true
+			p.s.route[0].met.coalesced.Add(1)
 		} else {
-			c.met.coalesced.Add(1)
+			route := routeOf(req.Region, key.hash)
+			j := slices.IndexFunc(shards, func(s *shard) bool { return s.route[0] == route[0] })
+			if j < 0 {
+				j, shards = len(shards), append(shards, &shard{route: route})
+				route[0].met.batchCalls.Add(1)
+			}
+			p = place{s: shards[j], i: len(shards[j].sub)}
+			p.s.sub = append(p.s.sub, req)
+			if !seen {
+				first[key] = p
+			}
 		}
-		slot[i], out[i].Coalesced = u, seen
+		p.s.route[0].met.requests.Add(1)
+		at[i] = p
 	}
 
-	vs, err := c.remoteOrFallback(ctx, unique, true)
-	if err != nil {
-		return nil, err
+	var wg sync.WaitGroup
+	for _, s := range shards[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.vs, s.err = l.call(ctx, s.sub, true, s.route)
+		}()
 	}
-	for i, u := range slot {
-		dup := out[i].Coalesced
-		out[i] = vs[u]
-		out[i].Coalesced = dup
+	shards[0].vs, shards[0].err = l.call(ctx, shards[0].sub, true, shards[0].route)
+	wg.Wait()
+	out := make([]Verdict, len(reqs))
+	for i, p := range at {
+		if p.s.err != nil {
+			return nil, p.s.err
+		}
+		out[i] = p.s.vs[p.i]
+		out[i].Coalesced = p.coalesced
 	}
 	return out, nil
 }
 
-// remoteOrFallback is the per-call pipeline of single and batch calls
-// alike: breaker → retries (+hedging) down the transport ladder → the
-// in-process fallback runtime. batch selects the batch form; otherwise
-// reqs holds exactly one request.
-func (c *Client) remoteOrFallback(ctx context.Context, reqs []server.DecideRequest, batch bool) ([]Verdict, error) {
-	vs, attempts, rerr := c.roundTrip(ctx, reqs, batch)
-	if rerr == nil {
-		c.met.remoteOK.Add(1)
-		return vs, nil
-	}
-	if permanent(rerr) {
-		return nil, rerr
-	}
-	if c.cfg.Fallback == nil {
-		return nil, fmt.Errorf("%w (fallback: %w)", rerr, errNoFallback)
-	}
-	vs = make([]Verdict, len(reqs))
-	for i, req := range reqs {
-		vs[i] = localVerdict(c.cfg.Fallback, req, attempts)
-		if vs[i].Response.Error != nil {
-			c.met.fallbackErrors.Add(1)
+var errNoFallback = errors.New("client: no fallback runtime configured")
+
+// call is the resilience loop, the one path from Decide and DecideBatch
+// of either client to the network: walk the route, sleep when it wraps,
+// answer from the fallback runtime when the walks are spent. batch
+// selects the batch form; otherwise reqs holds exactly one request.
+//
+// The rule is walk before you wait. A retryable failure — transport
+// error, 5xx, shed — moves on to the next endpoint at once, and an
+// endpoint whose breaker refuses is passed over without spending an
+// attempt. Only when the route wraps does the loop sleep: the jittered
+// backoff, or a longer Retry-After from the endpoint it re-asks first.
+// On a route of one every step wraps, which is the classic retry loop; on
+// a cluster route a healthy successor answers after one failed attempt.
+func (l *loop) call(ctx context.Context, reqs []server.DecideRequest, batch bool, route []*endpoint) ([]Verdict, error) {
+	// Only idempotent calls are hedged: an Execute request dispatches
+	// work and is never duplicated.
+	canHedge := !l.cfg.DisableHedging &&
+		!slices.ContainsFunc(reqs, func(r server.DecideRequest) bool { return r.Execute })
+	attempts := 0
+	var err error
+walks:
+	for walk := 1; ; walk++ {
+		// first is the endpoint this walk asked first, which the next walk
+		// re-asks first, and retryAfter what it said about when.
+		var first *endpoint
+		var retryAfter time.Duration
+		for i, ep := range route {
+			if !ep.breaker.Allow() {
+				continue
+			}
+			if i > 0 {
+				l.cm.failovers.Add(1)
+			}
+			attempts++
+			vs, from, cerr := l.attempt(ctx, reqs, batch, route, i, canHedge)
+			if cerr == nil {
+				from.breaker.Success()
+				from.met.remoteOK.Add(1)
+				for j := range vs {
+					vs[j].Attempts, vs[j].Replica = attempts, from.id
+				}
+				return vs, nil
+			}
+			if cerr.breaker {
+				ep.breaker.Failure()
+			}
+			if !cerr.retryable {
+				// Permanent: the request itself is wrong, and no retry,
+				// failover or fallback would make it right.
+				return nil, cerr.err
+			}
+			if err = cerr.err; ctx.Err() != nil {
+				break walks // the caller gave up
+			}
+			if first == nil {
+				first, retryAfter = ep, cerr.retryAfter
+			}
 		}
-		c.met.fallbacks.Add(1)
+		if first == nil { // every breaker refused: nothing to wait for
+			if err == nil {
+				err = ErrCircuitOpen
+			} else {
+				err = fmt.Errorf("%w after %w", ErrCircuitOpen, err)
+			}
+			break
+		}
+		if walk == l.cfg.MaxAttempts {
+			err = fmt.Errorf("client: %d attempts failed, last: %w", attempts, err)
+			break
+		}
+		first.met.retries.Add(1)
+		d := l.backoff(walk)
+		if retryAfter > d {
+			d = retryAfter
+			first.met.retryAfterHonored.Add(1)
+		}
+		select {
+		case <-time.After(d):
+		case <-ctx.Done():
+			return nil, fmt.Errorf("client: %w (last attempt: %w)", ctx.Err(), err)
+		}
+	}
+	if l.cfg.Fallback == nil {
+		return nil, fmt.Errorf("%w (fallback: %w)", err, errNoFallback)
+	}
+	l.cm.fallbacks.Add(1)
+	met := &route[0].met
+	vs := make([]Verdict, len(reqs))
+	for i, req := range reqs {
+		vs[i] = localVerdict(l.cfg.Fallback, req, attempts)
+		if vs[i].Response.Error != nil {
+			met.fallbackErrors.Add(1)
+		}
+		met.fallbacks.Add(1)
 	}
 	return vs, nil
 }
-
-var errNoFallback = errors.New("client: no fallback runtime configured")
 
 // localVerdict serves one verdict from an in-process runtime through the
 // daemon's own decide core: item-level model errors (unknown region,
@@ -423,184 +543,98 @@ func localVerdict(rt *offload.Runtime, req server.DecideRequest, attempts int) V
 	}
 }
 
-// ------------------------------------------------------------ retries --
-
-// callErr is one failed attempt, classified for the retry loop; attempt
-// returns no other kind of error.
-type callErr struct {
-	err        error
-	retryable  bool
-	breaker    bool // counts toward the circuit breaker
-	retryAfter time.Duration
-}
-
-func (e *callErr) Error() string { return e.err.Error() }
-
-// roundTrip runs the breaker → hedged attempt → backoff loop and returns
-// the verdicts of the first attempt that succeeds, stamped with the
-// attempt count and, when the hedge won the race, hedged provenance.
-func (c *Client) roundTrip(ctx context.Context, reqs []server.DecideRequest, batch bool) ([]Verdict, int, error) {
-	// Only idempotent calls are hedged: an Execute request dispatches
-	// work and is never duplicated.
-	canHedge := !slices.ContainsFunc(reqs, func(r server.DecideRequest) bool { return r.Execute })
-	var lastErr error
-	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
-		if !c.breaker.Allow() {
-			if lastErr != nil {
-				return nil, attempt - 1, fmt.Errorf("%w after %w", ErrCircuitOpen, lastErr)
-			}
-			return nil, attempt - 1, ErrCircuitOpen
-		}
-		vs, hedgeWon, err := c.hedgedAttempt(ctx, reqs, batch, canHedge)
-		if err == nil {
-			c.breaker.Success()
-			for i := range vs {
-				vs[i].Attempts = attempt
-				if hedgeWon {
-					vs[i].Provenance = ProvenanceHedged
-				}
-			}
-			return vs, attempt, nil
-		}
-		var cerr *callErr
-		if !errors.As(err, &cerr) {
-			// The caller's context ended the race: final, and not the
-			// daemon's fault.
-			cerr = &callErr{err: err}
-		}
-		if cerr.breaker {
-			c.breaker.Failure()
-		}
-		lastErr = cerr.err
-		if !cerr.retryable {
-			return nil, attempt, lastErr
-		}
-		if attempt == c.cfg.MaxAttempts || ctx.Err() != nil {
-			break
-		}
-		c.met.retries.Add(1)
-		d := c.backoff(attempt)
-		if cerr.retryAfter > d {
-			d = cerr.retryAfter
-			c.met.retryAfterHonored.Add(1)
-		}
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return nil, attempt, fmt.Errorf("client: %w (last attempt: %w)", ctx.Err(), lastErr)
-		}
-	}
-	return nil, c.cfg.MaxAttempts,
-		fmt.Errorf("client: %d attempts failed, last: %w", c.cfg.MaxAttempts, lastErr)
-}
-
-// backoff computes the jittered exponential delay after a given attempt.
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.cfg.RetryBackoff << (attempt - 1)
+// backoff computes the jittered exponential delay after a given walk.
+func (l *loop) backoff(walk int) time.Duration {
+	d := l.cfg.RetryBackoff << (walk - 1)
 	if d > maxBackoff || d <= 0 {
 		d = maxBackoff
 	}
-	c.jmu.Lock()
-	j := c.rng.Float64()
-	c.jmu.Unlock()
+	l.jmu.Lock()
+	j := l.rng.Float64()
+	l.jmu.Unlock()
 	// Uniform in [d/2, 3d/2): desynchronizes retry storms.
 	return d/2 + time.Duration(j*float64(d))
 }
 
-// hedgedAttempt runs one attempt, racing a duplicate after the hedge
-// delay when allowed. It reports whether the hedge produced the result.
-func (c *Client) hedgedAttempt(ctx context.Context, reqs []server.DecideRequest, batch, canHedge bool) ([]Verdict, bool, error) {
-	delay := c.hedgeDelay(canHedge, c.startsOnStream(streamable(reqs, batch)))
-	if delay <= 0 {
-		vs, err := c.attempt(ctx, reqs, batch)
-		return vs, false, err
-	}
-	vs, hedgeWon, _, err := hedgeRace(ctx, delay, &c.met.hedges, &c.met.hedgeWins,
-		func(ctx context.Context, _ bool) ([]Verdict, error) { return c.attempt(ctx, reqs, batch) })
-	return vs, hedgeWon, err
-}
-
-// hedgeRace runs run(ctx, false) and, if delay passes before it returns,
-// run(ctx, true) beside it. The first success wins and cancels the
-// other; when all have failed the primary's error is preferred (the
-// hedge's is usually a cancellation echo). launched says how many ran;
-// hedges and wins count duplicates launched and won.
-func hedgeRace[T any](ctx context.Context, delay time.Duration, hedges, wins *atomic.Uint64,
-	run func(ctx context.Context, hedge bool) (T, error)) (v T, hedgeWon bool, launched int, err error) {
-	actx, cancel := context.WithCancel(ctx)
+// attempt asks route[i] under the per-attempt deadline, hedged when the
+// call allows it. The primary runs on the caller's goroutine and the
+// duplicate is armed with a timer, so a hedge that never fires costs the
+// timer, its function and dup: no goroutine, channel or context of its
+// own. The first success wins and ends the other; when both have failed
+// the primary's error is the attempt's (the hedge's is usually a
+// cancellation echo). from is the endpoint that answered.
+func (l *loop) attempt(ctx context.Context, reqs []server.DecideRequest, batch bool, route []*endpoint, i int, canHedge bool) (vs []Verdict, from *endpoint, err *callErr) {
+	actx, cancel := context.WithTimeout(ctx, l.cfg.Timeout)
 	defer cancel()
-	type outcome struct {
-		v     T
-		err   error
-		hedge bool
+	ep := route[i]
+	var to *endpoint
+	var delay time.Duration
+	if canHedge {
+		to, delay = l.hedgeFor(route, i, streamable(reqs, batch))
 	}
-	results := make(chan outcome, 2)
-	launch := func(hedge bool) {
-		v, err := run(actx, hedge)
-		results <- outcome{v: v, err: err, hedge: hedge}
+	if delay <= 0 {
+		vs, err = ep.send(actx, reqs, batch)
+		return vs, ep, err
 	}
-	go launch(false)
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	launched = 1
-	for returned := 0; ; {
-		select {
-		case out := <-results:
-			returned++
-			if out.err == nil {
-				if out.hedge {
-					wins.Add(1)
-				}
-				return out.v, out.hedge, launched, nil
-			}
-			if err == nil || !out.hedge {
-				err = out.err
-			}
-			if returned == launched {
-				return v, false, launched, err
-			}
-		case <-timer.C:
-			if launched == 1 {
-				launched = 2
-				hedges.Add(1)
-				go launch(true)
-			}
-		case <-ctx.Done():
-			return v, false, launched, ctx.Err()
+	var dup struct { // the duplicate's outcome, read once sent is done
+		sent sync.WaitGroup
+		vs   []Verdict
+		err  *callErr
+	}
+	dup.sent.Add(1)
+	timer := time.AfterFunc(delay, func() {
+		defer dup.sent.Done()
+		to.met.hedges.Add(1)
+		if to != ep {
+			l.cm.crossHedges.Add(1)
+		}
+		if dup.vs, dup.err = to.send(actx, reqs, batch); dup.err == nil {
+			cancel() // the duplicate won: stop waiting for the primary
+		}
+	})
+	vs, err = ep.send(actx, reqs, batch)
+	if timer.Stop() || err == nil {
+		return vs, ep, err // the hedge never fired, or the primary won anyway
+	}
+	if dup.sent.Wait(); dup.err != nil {
+		return nil, ep, err
+	}
+	to.met.hedgeWins.Add(1)
+	if to != ep {
+		l.cm.crossHedgeWins.Add(1)
+		// The loop settles the breaker of the endpoint that answered; the
+		// one asked first lost the race, and that is settled here.
+		if err.breaker {
+			ep.breaker.Failure()
 		}
 	}
+	for j := range dup.vs {
+		dup.vs[j].Provenance = ProvenanceHedged
+	}
+	return dup.vs, to, nil
 }
 
-// hedgeDelay returns the delay before a duplicate request is launched
-// (0 = hedging off for this call). stream selects which transport's
-// latency estimate to derive the delay from: the sampler matching the
-// transport the attempt will actually use, so a client that switched
-// transports never hedges on the other transport's stale p99.
-func (c *Client) hedgeDelay(canHedge, stream bool) time.Duration {
-	if !canHedge || c.cfg.DisableHedging {
-		return 0
+// hedgeFor says where and after how long an attempt at route[i] is
+// duplicated (a zero delay: not at all): after Config.HedgeAfter, to the
+// next endpoint of the route whose breaker is closed, which on a route of
+// one is the endpoint itself. Without HedgeAfter a single-daemon Client
+// hedges after its endpoint's own p99, and a cluster not at all.
+func (l *loop) hedgeFor(route []*endpoint, i int, streamable bool) (*endpoint, time.Duration) {
+	after := l.cfg.HedgeAfter
+	if after <= 0 && !l.cluster {
+		after = route[0].p99Delay(streamable, l.cfg.Timeout)
 	}
-	if c.cfg.HedgeAfter > 0 {
-		return c.cfg.HedgeAfter
+	if len(route) == 1 {
+		return route[0], after
 	}
-	lat := &c.latHTTP
-	if stream {
-		lat = &c.latStream
+	if after > 0 {
+		for _, to := range route[i+1:] {
+			if to.breaker.State() == BreakerClosed {
+				return to, after
+			}
+		}
 	}
-	p99 := lat.p99(c.cfg.HedgeMinSamples)
-	if p99 <= 0 {
-		return 0
-	}
-	// Clamp: hedging below 500µs just doubles load; above half the
-	// attempt timeout it cannot win before the primary times out.
-	if p99 < 500*time.Microsecond {
-		p99 = 500 * time.Microsecond
-	}
-	if max := c.cfg.Timeout / 2; p99 > max {
-		p99 = max
-	}
-	return p99
+	return nil, 0
 }
 
 // --------------------------------------------------------- latency p99 --

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -155,6 +156,92 @@ func TestShedRetryHonorsRetryAfter(t *testing.T) {
 	}
 }
 
+// TestSingleClientRetryLaw holds the loop on a route of one to what the
+// single-daemon retry loop did before it was also the cluster's: against
+// a stub failing its first k calls, the attempts made, what the verdict
+// says of them, the retries counted, the sleeps taken and the breaker's
+// transitions are the constants below, recorded by running this test at
+// the commit before the merge.
+func TestSingleClientRetryLaw(t *testing.T) {
+	const backoff = 4 * time.Millisecond
+	type law struct {
+		calls, attempts, retries int // stub calls; Verdict.Attempts; Metrics.Retries = sleeps
+		prov                     Provenance
+		opened                   uint64
+	}
+	for _, tc := range []struct {
+		breakerFailures int
+		want            []law // by k = 0 … DefaultMaxAttempts
+	}{
+		{4, []law{
+			{1, 1, 0, ProvenanceRemote, 0},
+			{2, 2, 1, ProvenanceRemote, 0},
+			{3, 3, 2, ProvenanceRemote, 0},
+			{4, 4, 3, ProvenanceRemote, 0},
+			{4, 4, 3, ProvenanceFallback, 1},
+		}},
+		// The breaker opens on the second failure; the loop still sleeps
+		// once more before it finds that out.
+		{2, []law{
+			{1, 1, 0, ProvenanceRemote, 0},
+			{2, 2, 1, ProvenanceRemote, 0},
+			{2, 2, 2, ProvenanceFallback, 1},
+			{2, 2, 2, ProvenanceFallback, 1},
+			{2, 2, 2, ProvenanceFallback, 1},
+		}},
+	} {
+		for k, want := range tc.want {
+			t.Run(fmt.Sprintf("threshold %d, k=%d", tc.breakerFailures, k), func(t *testing.T) {
+				var mu sync.Mutex
+				var arrivals []time.Time
+				ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
+					mu.Lock()
+					arrivals = append(arrivals, time.Now())
+					n := len(arrivals)
+					mu.Unlock()
+					if n <= k {
+						http.Error(w, `{"error":"boom"}`, http.StatusInternalServerError)
+						return
+					}
+					okResponse(w, "gemm", "cpu/base")
+				})
+				c := newTestClient(t, Config{
+					BaseURL: ts.URL, Fallback: fallbackRuntime(t), DisableHedging: true,
+					RetryBackoff: backoff, BreakerFailures: tc.breakerFailures, BreakerCooldown: time.Hour,
+				})
+				v, err := c.Decide(context.Background(), gemmReq())
+				end := time.Now()
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := c.Metrics()
+				mu.Lock() // the handlers have returned; this is for the race detector
+				defer mu.Unlock()
+				got := law{len(arrivals), v.Attempts, int(m.Retries), v.Provenance, m.BreakerOpened}
+				if got != want {
+					t.Fatalf("%+v, want %+v", got, want)
+				}
+				if m.BreakerHalfOpen != 0 || m.BreakerClosed != 0 || m.ServerErrors != uint64(want.calls-int(m.RemoteOK)) {
+					t.Errorf("metrics %+v", m)
+				}
+				// Every counted retry was slept for: sleep i lasts at least the
+				// jitter floor of its backoff, half of backoff doubled i times,
+				// and ends at the next attempt, or at the verdict when the
+				// breaker opened meanwhile.
+				for i := 0; i < want.retries; i++ {
+					until := end
+					if i+1 < len(arrivals) {
+						until = arrivals[i+1]
+					}
+					if slept, floor := until.Sub(arrivals[i]), (backoff<<i)/2; slept < floor {
+						t.Errorf("%v between attempt %d and what followed, want a sleep of at least %v", slept, i+1, floor)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestParseErrBodyShapes: the error classifier accepts the structured
 // /v2 envelope, the legacy {"error": "..."} string, and raw non-JSON
 // bodies, in that order of preference.
@@ -216,8 +303,11 @@ func TestPermanent4xxFailsFastWithoutFallback(t *testing.T) {
 		t.Fatal("404 produced a verdict")
 	}
 	var perm *RemoteError
-	if !errors.As(err, &perm) || !permanent(err) || perm.Status != http.StatusNotFound {
+	if !errors.As(err, &perm) || perm.Status != http.StatusNotFound {
 		t.Fatalf("error %v", err)
+	}
+	if retryable, _ := perm.class(); retryable {
+		t.Fatalf("error %v classified retryable", err)
 	}
 	if perm.Code != server.ErrCodeUnknownRegion {
 		t.Fatalf("structured code %q, want %q", perm.Code, server.ErrCodeUnknownRegion)
@@ -474,7 +564,7 @@ func TestDecideBatchFallsBackWholesale(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusExposition(t *testing.T) {
+func TestRegisterMetricsExposition(t *testing.T) {
 	ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
 		okResponse(w, "gemm", "gpu/base")
 	})

@@ -3,15 +3,19 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/cluster"
+	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
@@ -25,6 +29,10 @@ type replicaStub struct {
 	calls atomic.Int64
 	fail  atomic.Bool
 	delay atomic.Int64 // nanoseconds
+	// sheds is how many more calls answer 429 queue_full, exactly as
+	// server.admit does, with Retry-After: retryAfter.
+	sheds      atomic.Int64
+	retryAfter string
 }
 
 func newReplicaStub(t *testing.T, id, verdict string) *replicaStub {
@@ -37,6 +45,12 @@ func newReplicaStub(t *testing.T, id, verdict string) *replicaStub {
 		}
 		if rs.fail.Load() {
 			http.Error(w, `{"error":"stub down"}`, http.StatusInternalServerError)
+			return
+		}
+		if rs.sheds.Add(-1) >= 0 {
+			w.Header().Set("Retry-After", rs.retryAfter)
+			http.Error(w, `{"error":{"code":"queue_full","message":"admission queue full"}}`,
+				http.StatusTooManyRequests)
 			return
 		}
 		var body struct {
@@ -112,7 +126,7 @@ func TestClusterRouteMatchesRing(t *testing.T) {
 
 func TestClusterFailoverToSuccessor(t *testing.T) {
 	cc, stubs := testClusterClient(t, ClusterConfig{
-		Replica: Config{DisableHedging: true, RetryBackoff: time.Millisecond},
+		Replica: Config{DisableHedging: true},
 	})
 	req := clusterReq(1100)
 	order := cc.Route(req)
@@ -134,10 +148,158 @@ func TestClusterFailoverToSuccessor(t *testing.T) {
 	}
 }
 
+// TestClusterFailoverIsPrompt pins the loop's one rule, walk before you
+// wait, under production defaults: no retry, backoff, hedge or breaker
+// field is set. An owner that errors, refuses connections or sheds costs
+// the call one failed attempt and no sleep; the loop sleeps only when the
+// whole route has failed.
+func TestClusterFailoverIsPrompt(t *testing.T) {
+	build := func(t *testing.T, fallback *offload.Runtime) (*ClusterClient, map[string]*replicaStub) {
+		// The ring's default too, which the helper would otherwise shrink.
+		return testClusterClient(t, ClusterConfig{Vnodes: cluster.DefaultVnodes, Fallback: fallback})
+	}
+	// attempts is how many attempts were addressed to a replica, by what
+	// became of them.
+	attempts := func(m Metrics) uint64 {
+		return m.RemoteOK + m.ServerErrors + m.TransportErrors + m.Sheds + m.PermanentErrors
+	}
+	ctx := context.Background()
+
+	for _, failure := range []struct {
+		name string
+		set  func(owner *replicaStub)
+	}{
+		{"owner answers 500", func(owner *replicaStub) { owner.fail.Store(true) }},
+		{"owner's listener closed", func(owner *replicaStub) { owner.ts.Close() }},
+		{"owner sheds with Retry-After 1", func(owner *replicaStub) {
+			owner.retryAfter = "1"
+			owner.sheds.Store(1 << 30)
+		}},
+	} {
+		for _, batch := range []bool{false, true} {
+			name := failure.name + ", Decide"
+			if batch {
+				name += "Batch"
+			}
+			t.Run(name, func(t *testing.T) {
+				cc, stubs := build(t, fallbackRuntime(t))
+				// Two requests on one route, so the batch is one group of two.
+				reqs := []server.DecideRequest{clusterReq(1100)}
+				order := cc.Route(reqs[0])
+				for n := int64(1101); len(reqs) < 2; n++ {
+					if slices.Equal(cc.Route(clusterReq(n)), order) {
+						reqs = append(reqs, clusterReq(n))
+					}
+				}
+				failure.set(stubs[order[0]])
+
+				var vs []Verdict
+				var err error
+				start := time.Now()
+				if batch {
+					vs, err = cc.DecideBatch(ctx, reqs)
+				} else {
+					var v *Verdict
+					if v, err = cc.Decide(ctx, reqs[0]); err == nil {
+						vs = []Verdict{*v}
+					}
+				}
+				elapsed := time.Since(start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range vs {
+					if v.Replica != order[1] || v.Provenance != ProvenanceRemote || v.Attempts != 2 {
+						t.Errorf("verdict %d: replica %q, provenance %q after %d attempts; want %q, remote, 2 (order %v)",
+							i, v.Replica, v.Provenance, v.Attempts, order[1], order)
+					}
+				}
+				m := cc.Metrics()
+				if got := attempts(m.Replicas[order[0]]); got != 1 || stubs[order[0]].calls.Load() > 1 {
+					t.Errorf("the owner was asked %d times (its stub saw %d calls), want once", got, stubs[order[0]].calls.Load())
+				}
+				if got := stubs[order[1]].calls.Load(); got != 1 {
+					t.Errorf("the successor saw %d calls, want 1", got)
+				}
+				if got := stubs[order[2]].calls.Load(); got != 0 {
+					t.Errorf("the third replica saw %d calls, want none", got)
+				}
+				for id, r := range m.Replicas {
+					if r.Retries != 0 || r.RetryAfterHonored != 0 {
+						t.Errorf("%s: %d retries, %d Retry-After naps; a failover sleeps for neither", id, r.Retries, r.RetryAfterHonored)
+					}
+				}
+				if m.Failovers != 1 || m.Fallbacks != 0 {
+					t.Errorf("%d failovers, %d fallbacks; want 1 and 0", m.Failovers, m.Fallbacks)
+				}
+				if elapsed > 50*time.Millisecond {
+					t.Errorf("the call took %v: the loop waited before it walked", elapsed)
+				}
+				t.Logf("verdict after %v", elapsed)
+			})
+		}
+	}
+
+	t.Run("the route wraps", func(t *testing.T) {
+		cc, stubs := build(t, nil)
+		req := clusterReq(1100)
+		order := cc.Route(req)
+		for _, rs := range stubs {
+			rs.retryAfter = "0.05"
+			rs.sheds.Store(1)
+		}
+		start := time.Now()
+		v, err := cc.Decide(ctx, req)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Replica != order[0] || v.Attempts != 4 {
+			t.Errorf("served by %q after %d attempts; want the owner %q on the second walk, 4", v.Replica, v.Attempts, order[0])
+		}
+		if elapsed < 50*time.Millisecond {
+			t.Errorf("the call took %v: the owner's Retry-After of 50ms was not slept", elapsed)
+		}
+		m := cc.Metrics()
+		for i, id := range order {
+			r, want := m.Replicas[id], uint64(0)
+			if i == 0 {
+				want = 1 // one sleep, before the owner is asked again
+			}
+			if r.Retries != want || r.RetryAfterHonored != want || r.Sheds != 1 {
+				t.Errorf("%s (route[%d]): %d retries, %d Retry-After naps, %d sheds; want %d, %d, 1",
+					id, i, r.Retries, r.RetryAfterHonored, r.Sheds, want, want)
+			}
+		}
+		if m.Failovers != 2 {
+			t.Errorf("%d failovers, want the first walk's 2", m.Failovers)
+		}
+	})
+
+	t.Run("every replica down, no fallback", func(t *testing.T) {
+		cc, stubs := build(t, nil)
+		req := clusterReq(1100)
+		order := cc.Route(req)
+		stubs[order[0]].fail.Store(true)
+		stubs[order[1]].fail.Store(true)
+		stubs[order[2]].ts.Close()
+		_, err := cc.Decide(ctx, req)
+		if !errors.Is(err, syscall.ECONNREFUSED) || !errors.Is(err, errNoFallback) {
+			t.Fatalf("error %v; want the last endpoint's refused connection, and no fallback", err)
+		}
+		m := cc.Metrics()
+		if got := m.Replicas[order[0]].Retries; got != DefaultMaxAttempts-1 {
+			t.Errorf("%d sleeps before the owner was re-asked, want %d", got, DefaultMaxAttempts-1)
+		}
+		if want := uint64(2 * DefaultMaxAttempts); m.Failovers != want {
+			t.Errorf("%d failovers, want 2 on each of %d walks", m.Failovers, DefaultMaxAttempts)
+		}
+	})
+}
+
 func TestClusterCrossHedgeTargetsSuccessor(t *testing.T) {
 	cc, stubs := testClusterClient(t, ClusterConfig{
-		HedgeAfter: 5 * time.Millisecond,
-		Replica:    Config{RetryBackoff: time.Millisecond},
+		Replica: Config{HedgeAfter: 5 * time.Millisecond},
 	})
 	req := clusterReq(2048)
 	order := cc.Route(req)
@@ -168,7 +330,7 @@ func TestClusterHealthDemotesOwner(t *testing.T) {
 	var sick atomic.Value // string: member ID gossip calls dead
 	sick.Store("")
 	cc, stubs := testClusterClient(t, ClusterConfig{
-		Replica: Config{DisableHedging: true, RetryBackoff: time.Millisecond},
+		Replica: Config{DisableHedging: true},
 		Health: func(id string) cluster.Health {
 			if id == sick.Load().(string) {
 				return cluster.Dead
@@ -196,6 +358,39 @@ func TestClusterHealthDemotesOwner(t *testing.T) {
 	}
 	if m := cc.Metrics(); m.Demoted == 0 {
 		t.Fatalf("demotion not counted: %+v", m)
+	}
+}
+
+// TestClusterRouteIsAPureQuery: asking for a route counts nothing; a
+// demotion is counted where a call is routed, once per request sent.
+func TestClusterRouteIsAPureQuery(t *testing.T) {
+	var dead atomic.Value // string: member ID gossip calls dead
+	dead.Store("")
+	cc, _ := testClusterClient(t, ClusterConfig{
+		Health: func(id string) cluster.Health {
+			if id == dead.Load().(string) {
+				return cluster.Dead
+			}
+			return cluster.Alive
+		},
+	})
+	req := clusterReq(4096)
+	dead.Store(cc.Route(req)[0])
+	for i := 0; i < 5; i++ {
+		cc.Route(req)
+	}
+	if m := cc.Metrics(); m.Demoted != 0 || m.Requests != 0 {
+		t.Fatalf("Route counted: %+v", m)
+	}
+	if _, err := cc.Decide(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	// Two sent, the duplicate coalesced onto the first.
+	if _, err := cc.DecideBatch(context.Background(), []server.DecideRequest{req, req}); err != nil {
+		t.Fatal(err)
+	}
+	if m := cc.Metrics(); m.Demoted != 2 || m.Requests != 3 {
+		t.Fatalf("%d demotions over %d requests, want 2 over 3 (one Decide, one batch item sent)", m.Demoted, m.Requests)
 	}
 }
 
@@ -232,7 +427,7 @@ func TestClusterBatchShardsByOwner(t *testing.T) {
 
 func TestClusterBatchFailsOverPerGroup(t *testing.T) {
 	cc, stubs := testClusterClient(t, ClusterConfig{
-		Replica: Config{DisableHedging: true, RetryBackoff: time.Millisecond},
+		Replica: Config{DisableHedging: true},
 	})
 	reqs := make([]server.DecideRequest, 8)
 	for i := range reqs {

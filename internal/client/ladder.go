@@ -17,9 +17,10 @@ import (
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
-// This file is the client's transport ladder:
+// This file is what the client keeps per daemon (endpoint), chiefly its
+// transport ladder:
 //
-//	stream → HTTP frames → HTTP JSON → (retries exhausted) local fallback
+//	stream → HTTP frames → HTTP JSON → (walks exhausted) local fallback
 //
 // An attempt starts at the first rung that is configured, not demoted,
 // and able to carry the call, and moves down a rung on exactly two
@@ -33,7 +34,7 @@ import (
 
 // Transport is one bare route to the daemon: a single encoding over a
 // single kind of connection, with none of Client's coalescing, retries,
-// hedging, breaker or fallback around it. A Client is a ladder of them;
+// hedging, breaker or fallback around it. An endpoint is a ladder of them;
 // a load generator drives one directly so every call goes on the network.
 type Transport interface {
 	// Send makes one call and returns one verdict per request, in
@@ -141,19 +142,26 @@ func (e *RemoteError) Shed() bool {
 	return retryable && !breaker
 }
 
-// permanent reports whether err is a refusal retrying cannot fix.
-func permanent(err error) bool {
-	var re *RemoteError
-	if !errors.As(err, &re) {
-		return false
-	}
-	retryable, _ := re.class()
-	return !retryable
-}
-
 // --------------------------------------------------------------- ladder --
 
-// rung is one transport on a client's ladder.
+// endpoint is what the client keeps per daemon: the transport ladder,
+// the circuit breaker, the latency samplers hedge delays derive from, and
+// the counters of the attempts addressed to it. A Client has one; a
+// ClusterClient one per member, shared with that member's view.
+type endpoint struct {
+	id      string // cluster member ID, "" for a single-daemon client
+	breaker *breaker
+	met     counters
+	ladder  []*rung // stream, HTTP frames, HTTP JSON: those Config enables
+	// Hedge-delay estimation is per transport: stream and HTTP attempt
+	// latencies live in different regimes (no per-request framing vs
+	// full request/response cycles), so mixing them would fire stream
+	// hedges on stale HTTP p99s and vice versa.
+	latHTTP   latencySampler
+	latStream latencySampler
+}
+
+// rung is one transport on an endpoint's ladder.
 type rung struct {
 	Transport
 	name string
@@ -163,20 +171,25 @@ type rung struct {
 	downgrades *atomic.Uint64
 }
 
-func (c *Client) buildLadder() {
+// newEndpoint builds the endpoint for the daemon at cfg.BaseURL.
+func newEndpoint(id string, cfg *Config) *endpoint {
+	ep := &endpoint{id: id}
+	ep.breaker = newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown,
+		func(from, to BreakerState) { ep.met.breakerTransition(to) })
 	add := func(kind string, lat *latencySampler, downgrades *atomic.Uint64) {
-		c.ladder = append(c.ladder, &rung{
-			Transport: newTransport(kind, &c.cfg, &c.met),
+		ep.ladder = append(ep.ladder, &rung{
+			Transport: newTransport(kind, cfg, &ep.met),
 			name:      kind, lat: lat, downgrades: downgrades,
 		})
 	}
-	if c.cfg.Stream {
-		add(TransportStream, &c.latStream, &c.met.streamDemotions)
+	if cfg.Stream {
+		add(TransportStream, &ep.latStream, &ep.met.streamDemotions)
 	}
-	if c.cfg.Binary {
-		add(TransportHTTPBinary, &c.latHTTP, &c.met.wireDemotions)
+	if cfg.Binary {
+		add(TransportHTTPBinary, &ep.latHTTP, &ep.met.wireDemotions)
 	}
-	add(TransportHTTPJSON, &c.latHTTP, nil)
+	add(TransportHTTPJSON, &ep.latHTTP, nil)
+	return ep
 }
 
 // streamable reports whether the stream rung may carry the call: only
@@ -191,20 +204,38 @@ func (r *rung) carries(streamable bool) bool {
 	return !r.down.Load() && (streamable || r.name != TransportStream)
 }
 
-// startsOnStream reports whether an attempt at a call would go out on
-// the stream rung (always the top one) first — which latency regime its
-// hedge delay is in.
-func (c *Client) startsOnStream(streamable bool) bool {
-	return c.ladder[0].name == TransportStream && c.ladder[0].carries(streamable)
+// p99Delay derives a hedge delay from the endpoint's own attempt
+// latencies (0 = too few to tell), reading the sampler of the transport
+// an attempt at a call would go out on first — the stream rung, always
+// the top one, or HTTP — so an endpoint that switched transports never
+// hedges on the other transport's stale p99.
+func (ep *endpoint) p99Delay(streamable bool, timeout time.Duration) time.Duration {
+	lat := &ep.latHTTP
+	if ep.ladder[0].name == TransportStream && ep.ladder[0].carries(streamable) {
+		lat = &ep.latStream
+	}
+	p99 := lat.p99(hedgeMinSamples)
+	if p99 <= 0 {
+		return 0
+	}
+	// Clamp: hedging below 500µs just doubles load; above half the
+	// attempt timeout it cannot win before the primary times out.
+	return min(max(p99, 500*time.Microsecond), timeout/2)
 }
 
-// attempt is one pass down the ladder under the per-attempt deadline.
-func (c *Client) attempt(ctx context.Context, reqs []server.DecideRequest, batch bool) ([]Verdict, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
+// callErr is one failed attempt, classified for the resilience loop.
+type callErr struct {
+	err        error
+	retryable  bool
+	breaker    bool // counts toward the circuit breaker
+	retryAfter time.Duration
+}
+
+// send is one pass down the ladder, under the attempt's deadline.
+func (ep *endpoint) send(actx context.Context, reqs []server.DecideRequest, batch bool) ([]Verdict, *callErr) {
 	var err error
 	streamable := streamable(reqs, batch)
-	for _, r := range c.ladder {
+	for _, r := range ep.ladder {
 		if !r.carries(streamable) {
 			continue
 		}
@@ -217,7 +248,7 @@ func (c *Client) attempt(ctx context.Context, reqs []server.DecideRequest, batch
 		var re *RemoteError
 		switch {
 		case errors.As(err, &re):
-			return nil, c.classify(re)
+			return nil, ep.classify(re)
 		case errors.Is(err, errDialect):
 			// The daemon is healthy, just older (or behind a rewriting
 			// proxy): demote, and resend on the next rung now.
@@ -233,23 +264,23 @@ func (c *Client) attempt(ctx context.Context, reqs []server.DecideRequest, batch
 			return nil, &callErr{err: err, retryable: true, breaker: true}
 		}
 		if r.name == TransportStream {
-			c.met.streamFallbacks.Add(1)
+			ep.met.streamFallbacks.Add(1)
 		}
 	}
 	return nil, &callErr{err: err, retryable: true, breaker: true}
 }
 
-// classify turns a daemon refusal into the retry loop's terms, counting
-// it once.
-func (c *Client) classify(re *RemoteError) *callErr {
+// classify turns a daemon refusal into the resilience loop's terms,
+// counting it once.
+func (ep *endpoint) classify(re *RemoteError) *callErr {
 	retryable, breaker := re.class()
 	switch {
 	case !retryable:
-		c.met.permanentErrors.Add(1)
+		ep.met.permanentErrors.Add(1)
 	case breaker:
-		c.met.serverErrors.Add(1)
+		ep.met.serverErrors.Add(1)
 	default:
-		c.met.sheds.Add(1)
+		ep.met.sheds.Add(1)
 	}
 	return &callErr{err: re, retryable: retryable, breaker: breaker, retryAfter: re.RetryAfter}
 }

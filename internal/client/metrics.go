@@ -2,8 +2,11 @@ package client
 
 import "github.com/hybridsel/hybridsel/internal/metrics"
 
-// counters is the client's hot-path instrumentation: plain atomics, no
-// locks on the request path.
+// counters is one endpoint's hot-path instrumentation: plain atomics, no
+// locks on the request path. A counter that describes a call (requests,
+// coalesced, batchCalls, fallbacks, fallbackErrors) is bumped on the
+// first endpoint of the call's route; one that describes an attempt (the
+// rest) on the endpoint the attempt addressed.
 type counters struct {
 	requests        metrics.Counter
 	remoteOK        metrics.Counter
@@ -47,17 +50,20 @@ func (m *counters) breakerTransition(to BreakerState) {
 	}
 }
 
-// Metrics is a point-in-time snapshot of the client's counters.
+// Metrics is a point-in-time snapshot of one endpoint's counters: a
+// Client's, or one replica's of a ClusterClient.
 type Metrics struct {
 	// Requests counts logical decision requests handed to the client
-	// (each item of a DecideBatch counts once).
+	// (each item of a DecideBatch counts once) — in a cluster, those
+	// routed to this replica first.
 	Requests uint64
 	// RemoteOK counts network calls that returned a usable 200.
 	RemoteOK uint64
-	// Retries counts re-attempts after a retryable failure.
+	// Retries counts re-asks after a sleep: the route wrapped with this
+	// endpoint the first to be asked again.
 	Retries uint64
-	// Hedges counts duplicate requests launched; HedgeWins counts the
-	// hedged duplicate finishing first.
+	// Hedges counts duplicate requests launched at this endpoint;
+	// HedgeWins counts the hedged duplicate finishing first.
 	Hedges    uint64
 	HedgeWins uint64
 	// Fallbacks counts verdicts served by the in-process runtime;
@@ -67,8 +73,8 @@ type Metrics struct {
 	// Coalesced counts requests that shared another caller's network
 	// call instead of making their own.
 	Coalesced uint64
-	// BatchCalls counts batched network calls (DecideBatch or window
-	// batching).
+	// BatchCalls counts batch calls issued: one per DecideBatch, or per
+	// owner group of a cluster's.
 	BatchCalls uint64
 	// Sheds counts 429 responses (daemon admission control).
 	Sheds uint64
@@ -142,9 +148,11 @@ type counterSeries struct {
 	field      *uint64
 }
 
-func (m *counters) snapshot(state BreakerState) Metrics {
-	out := Metrics{BreakerState: state}
-	for _, s := range m.series(&out) {
+// Metrics returns a snapshot of the client's instrumentation.
+func (c *Client) Metrics() Metrics {
+	ep := c.route[0]
+	out := Metrics{BreakerState: ep.breaker.State()}
+	for _, s := range ep.met.series(&out) {
 		*s.field = s.counter.Load()
 	}
 	return out
@@ -154,11 +162,12 @@ func (m *counters) snapshot(state BreakerState) Metrics {
 // namespace (beside the daemon's hybridseld_ and the runtime's hybridsel_,
 // so one scrape config covers all three sides of a deployment). labels
 // are key, value pairs put on every sample: a ClusterClient registers its
-// replica clients with replica=<id> so each family appears once.
+// replicas' views with replica=<id> so each family appears once.
 func (c *Client) RegisterMetrics(s *metrics.Set, labels ...string) {
-	for _, d := range c.met.series(new(Metrics)) {
+	ep := c.route[0]
+	for _, d := range ep.met.series(new(Metrics)) {
 		s.Counter(d.name, d.help, d.counter, labels...)
 	}
 	s.GaugeFunc("hybridselc_breaker_state", "Current breaker state (0=closed, 1=open, 2=half-open).",
-		func() float64 { return float64(c.breaker.State()) }, labels...)
+		func() float64 { return float64(ep.breaker.State()) }, labels...)
 }

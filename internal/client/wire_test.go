@@ -122,8 +122,11 @@ func TestBinaryDecideMatchesJSON(t *testing.T) {
 		Region: "no-such-region", Bindings: map[string]int64{"n": 8},
 	})
 	var perm *RemoteError
-	if !errors.As(err, &perm) || !permanent(err) || perm.Code != server.ErrCodeUnknownRegion {
+	if !errors.As(err, &perm) || perm.Code != server.ErrCodeUnknownRegion {
 		t.Fatalf("binary unknown region error %v", err)
+	}
+	if retryable, _ := perm.class(); retryable {
+		t.Fatalf("binary unknown region error %v classified retryable", err)
 	}
 
 	m := binClient.Metrics()
@@ -338,11 +341,11 @@ func TestToWireRequestForms(t *testing.T) {
 			return nil
 		},
 	})
-	wr := toWireRequest(gemmReq(), c.cfg.RegionParams)
+	wr := toWireRequest(gemmReq(), c.loop.cfg.RegionParams)
 	if !wr.SlotForm || wr.KeyHash == 0 || len(wr.Names) != 0 {
 		t.Fatalf("slot form not chosen: %+v", wr)
 	}
-	wr = toWireRequest(server.DecideRequest{Region: "other", Bindings: map[string]int64{"b": 2, "a": 1}}, c.cfg.RegionParams)
+	wr = toWireRequest(server.DecideRequest{Region: "other", Bindings: map[string]int64{"b": 2, "a": 1}}, c.loop.cfg.RegionParams)
 	if wr.SlotForm || !reflect.DeepEqual(wr.Names, []string{"a", "b"}) ||
 		!reflect.DeepEqual(wr.Values, []int64{1, 2}) {
 		t.Fatalf("named form wrong: %+v", wr)

@@ -28,9 +28,6 @@ func NewVersionedSource(name string, snapshot func() []byte, merge func([]byte) 
 // observation fed to the calibrator, a learner update).
 func (s *VersionedSource) Bump() { s.ver.Add(1) }
 
-// Version returns the current local state version.
-func (s *VersionedSource) Version() uint64 { return s.ver.Load() }
-
 // Source returns the gossip Source to register on a Node.
 func (s *VersionedSource) Source() Source {
 	return Source{

@@ -2,7 +2,6 @@ package faultnet
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -149,18 +148,6 @@ func (m *Mesh) Stats() map[string]Stats {
 		out[key] = l.proxy.Stats()
 	}
 	return out
-}
-
-// Edges lists the wired edge names, sorted, for run summaries.
-func (m *Mesh) Edges() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([]string, 0, len(m.links))
-	for key := range m.links {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Close tears down every edge proxy.

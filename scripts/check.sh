@@ -197,13 +197,27 @@ killer=$!
 if ! "$tmp/loadgen" -addr "http://$ca" -wait 10s \
 	-cluster "node-a=http://$ca,node-b=http://$cb,node-c=http://$cc" \
 	-duration 5s -concurrency 4 -kernels gemm,mvt1,2dconv -mode test \
-	-scrape; then
+	-scrape >"$tmp/cluster.out"; then
+	cat "$tmp/cluster.out"
 	echo "cluster smoke: loadgen lost verdicts or node-a served a malformed /metrics; logs:"
 	cat "$tmp/node-a.log" "$tmp/node-b.log" "$tmp/node-c.log"
 	kill "$node_a" "$node_b" "$node_c" 2>/dev/null || true
 	exit 1
 fi
+cat "$tmp/cluster.out"
 wait "$killer" 2>/dev/null || true
+# Walk before you wait: the killed replica's keys cost one failed attempt
+# and a step to the successor, never a backoff sleep on the dead node. In
+# loadgen's cluster report that is failovers > 0 and "0 retries" on each
+# of the three replica lines.
+if ! awk '
+	$1 == "cluster" && $5 == "failovers," { failovers = $4 }
+	$3 == "retries," { replicas++; retries += $2 }
+	END { exit !(failovers > 0 && replicas == 3 && retries == 0) }' "$tmp/cluster.out"; then
+	echo "cluster smoke: want failovers > 0 and 0 retries on all three replicas"
+	kill "$node_a" "$node_b" 2>/dev/null || true
+	exit 1
+fi
 # The survivors' gossip must have declared the killed replica dead.
 dead=""
 for _ in 1 2 3 4 5 6 7 8 9 10; do

@@ -3,9 +3,9 @@ package hybridsel
 // The serve benchmarks measure end-to-end decide throughput over a
 // live server — request encode, admission, decision (cached steady
 // state), response encode — across the transports: JSON and binary
-// frames on /v2/decide (single and 64-item batched), and the
-// persistent multiplexed stream transport (single in-flight and 64
-// pipelined). TestAllocationBudgets holds each to its allocs/op; timing
+// frames on /v2/decide (single and 64-item batched), the persistent
+// multiplexed stream transport (single in-flight and 64 pipelined), and
+// the cluster client over three daemons. TestAllocationBudgets holds each to its allocs/op; timing
 // claims are made against bench/ (BENCHMARK.json). Decisions/s and
 // per-request p50/p99 latencies ride along as custom metrics for the
 // curious.
@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -310,4 +311,37 @@ func BenchmarkServeStreamSingle(b *testing.B) {
 // streams) in flight on one connection — the throughput-bound view.
 func BenchmarkServeStreamPipelined64(b *testing.B) {
 	runStreamBench(b, serveBenchStreamConn(b), serveBenchBatch)
+}
+
+// BenchmarkServeClusterJSON is BenchmarkServeJSONSingle's ring asked
+// through client.NewCluster with production defaults over three
+// in-process daemons: ring routing, the resilience loop and the client's
+// JSON codec on top of the same served decision (bench/'s cluster3-json,
+// without the gossip).
+func BenchmarkServeClusterJSON(b *testing.B) {
+	var members []client.ClusterMember
+	for _, id := range []string{"node-a", "node-b", "node-c"} {
+		url, _ := serveBenchServer(b)
+		members = append(members, client.ClusterMember{ID: id, BaseURL: strings.TrimSuffix(url, "/v2/decide")})
+	}
+	cc, err := client.NewCluster(client.ClusterConfig{Members: members})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(cc.Close)
+	reqs := serveBenchRequests()
+	decide := func(i int) {
+		if _, err := cc.Decide(context.Background(), reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm the decision caches and the connection pools off the clock.
+	for i := range reqs {
+		decide(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decide(i)
+	}
 }
