@@ -22,9 +22,9 @@ race:
 		./internal/faultnet/ ./internal/regiongen/ ./internal/learn/ \
 		./internal/wire/ ./internal/cluster/ ./internal/metrics/ \
 		./internal/audit/
-	$(GO) test -race -count=20 -run 'TestStream(BurstSharesWrites|OutOfOrder|CreditExhaustion|FullWindowNeverShed|DrainGoaway|PipelinedStress|RequestRecycling)' ./internal/server/
+	$(GO) test -race -count=20 -run 'TestStream(BurstSharesWrites|OutOfOrder|CreditExhaustion|FullWindowNeverShed|DrainGoaway|PipelinedStress|RequestRecycling|DecideNeverWaitsForASlot|ConnIsOneGoroutine|HeldResponsesSurviveABadFrame)' ./internal/server/
 	$(GO) test -race -count=20 -run 'TestStream(WriteCombining|CombinedWriteFailure|ResponsesStayIntact)' ./internal/client/
-	$(GO) test -race -count=20 -run 'TestCluster(FailoverIsPrompt|RouteEquivalence)' ./internal/client/
+	$(GO) test -race -count=20 -run 'TestCluster(FailoverIsPrompt|RouteEquivalence)|TestBreakerProbeAlwaysSettles' ./internal/client/
 	$(GO) test -race -count=20 -run 'TestStreamWriter' ./internal/wire/
 	$(GO) test -race -count=20 -run 'TestCache|TestVerdictPricedBeforeInvalidation|TestOutcomeOwnsCandidates' ./internal/offload/
 
@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/offload/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecideBody$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecideBodyV2$$' -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamConn$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzLearnSnapshot$$' -fuzztime $(FUZZTIME) ./internal/learn/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/wire/

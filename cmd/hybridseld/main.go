@@ -99,8 +99,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	streamAddr := flag.String("stream-addr", "",
 		"serve the persistent stream transport on this raw TCP address (empty = HTTP Upgrade only)")
-	streamCredit := flag.Int("stream-credit", 0,
-		"per-connection in-flight window on stream connections (0 = default)")
 	platform := flag.String("platform", "p9v100", "platform: p9v100|p8k80")
 	threads := flag.Int("threads", 160, "host thread count")
 	policy := flag.String("policy", "model-guided",
@@ -361,7 +359,6 @@ func main() {
 		Concurrency:    *workers,
 		QueueDepth:     *queue,
 		RequestTimeout: *timeout,
-		StreamCredit:   *streamCredit,
 		Logger:         logger,
 		Auditor:        auditor,
 		Learner:        lrn,

@@ -76,8 +76,9 @@ func (b *breaker) transition(to BreakerState) {
 }
 
 // Allow reports whether an attempt may go to the network now. In
-// half-open it admits exactly one in-flight probe; the probe's
-// Success/Failure settles the state.
+// half-open it admits exactly one in-flight probe. Every attempt Allow
+// admits ends in exactly one settle, or a probe that is never settled
+// keeps every later attempt out for good.
 func (b *breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -97,6 +98,24 @@ func (b *breaker) Allow() bool {
 		}
 		b.probing = true
 		return true
+	}
+}
+
+// settle ends an attempt Allow admitted, with the attempt's failure or
+// nil: Success, Failure when the failure is the endpoint's fault, and
+// otherwise — a shed, a refusal of the request itself — nothing about its
+// health was learned: the state stays as it was, and a half-open breaker
+// admits the next attempt as its probe.
+func (b *breaker) settle(err *callErr) {
+	switch {
+	case err == nil:
+		b.Success()
+	case err.breaker:
+		b.Failure()
+	default:
+		b.mu.Lock()
+		b.probing = false
+		b.mu.Unlock()
 	}
 }
 

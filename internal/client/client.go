@@ -467,16 +467,20 @@ walks:
 			}
 			attempts++
 			vs, from, cerr := l.attempt(ctx, reqs, batch, route, i, canHedge)
-			if cerr == nil {
+			ep.breaker.settle(cerr)
+			if from != ep {
+				// The hedge's endpoint answered. It was asked because its
+				// breaker was closed, not admitted by an Allow: there is no
+				// probe of its to settle, only a failure count to reset.
 				from.breaker.Success()
+				cerr = nil
+			}
+			if cerr == nil {
 				from.met.remoteOK.Add(1)
 				for j := range vs {
 					vs[j].Attempts, vs[j].Replica = attempts, from.id
 				}
 				return vs, nil
-			}
-			if cerr.breaker {
-				ep.breaker.Failure()
 			}
 			if !cerr.retryable {
 				// Permanent: the request itself is wrong, and no retry,
@@ -562,7 +566,10 @@ func (l *loop) backoff(walk int) time.Duration {
 // timer, its function and dup: no goroutine, channel or context of its
 // own. The first success wins and ends the other; when both have failed
 // the primary's error is the attempt's (the hedge's is usually a
-// cancellation echo). from is the endpoint that answered.
+// cancellation echo). from is the endpoint that answered, route[i] when
+// none did. err is route[i]'s own outcome, which settles its breaker: nil
+// if it answered, to the primary or to a hedge sent to itself, and its
+// failure even when the hedge to another endpoint answered.
 func (l *loop) attempt(ctx context.Context, reqs []server.DecideRequest, batch bool, route []*endpoint, i int, canHedge bool) (vs []Verdict, from *endpoint, err *callErr) {
 	actx, cancel := context.WithTimeout(ctx, l.cfg.Timeout)
 	defer cancel()
@@ -602,16 +609,13 @@ func (l *loop) attempt(ctx context.Context, reqs []server.DecideRequest, batch b
 	to.met.hedgeWins.Add(1)
 	if to != ep {
 		l.cm.crossHedgeWins.Add(1)
-		// The loop settles the breaker of the endpoint that answered; the
-		// one asked first lost the race, and that is settled here.
-		if err.breaker {
-			ep.breaker.Failure()
-		}
+	} else {
+		err = nil
 	}
 	for j := range dup.vs {
 		dup.vs[j].Provenance = ProvenanceHedged
 	}
-	return dup.vs, to, nil
+	return dup.vs, to, err
 }
 
 // hedgeFor says where and after how long an attempt at route[i] is

@@ -33,6 +33,7 @@ type replicaStub struct {
 	// server.admit does, with Retry-After: retryAfter.
 	sheds      atomic.Int64
 	retryAfter string
+	refuse     atomic.Bool // answer 400 bad_request
 }
 
 func newReplicaStub(t *testing.T, id, verdict string) *replicaStub {
@@ -51,6 +52,10 @@ func newReplicaStub(t *testing.T, id, verdict string) *replicaStub {
 			w.Header().Set("Retry-After", rs.retryAfter)
 			http.Error(w, `{"error":{"code":"queue_full","message":"admission queue full"}}`,
 				http.StatusTooManyRequests)
+			return
+		}
+		if rs.refuse.Load() {
+			http.Error(w, `{"error":{"code":"bad_request","message":"stub refuses"}}`, http.StatusBadRequest)
 			return
 		}
 		var body struct {

@@ -16,7 +16,7 @@ import (
 )
 
 // This file is the decide core. Every served decision — /v1 and /v2
-// JSON, HTTP frames, the stream workers, a degraded client's local
+// JSON, HTTP frames, a stream connection, a degraded client's local
 // fallback (DecideLocal) — is a codec around the same two functions:
 //
 //	decode → item → decide / batchScratch.decide → (Outcome, *ErrorInfo) → project
@@ -64,8 +64,8 @@ func wireItem(req *wire.Request) item {
 // not hash to the key hash they came with (an end-to-end checksum of the
 // client's idea of the region's parameter set). Neither it nor out is
 // retained, and the outcome's candidates live in storage out owns and
-// brings back: a stream worker decides every job into the one Outcome on
-// its stack, a batch into its scratch.
+// brings back: a stream connection's reader decides every request into
+// the one Outcome on its stack, a batch into its scratch.
 func decide(ctx context.Context, rt *offload.Runtime, it *item, out *offload.Outcome) *ErrorInfo {
 	if it.region == "" {
 		return errInfo(http.StatusBadRequest, ErrCodeBadRequest, "missing region")
@@ -325,7 +325,7 @@ func batchWire(reqs []wire.Request, ds []decided, results []wire.Response, cands
 // projectWireInto renders one outcome (or per-item failure) as a
 // response frame payload, mirroring v2Response field for field. cands is
 // a caller-recycled candidate slice: hot paths (single-frame HTTP,
-// stream workers) hand back the previous response's slice so steady
+// stream readers) hand back the previous response's slice so steady
 // state does not allocate one per decision. The returned Response
 // aliases cands.
 func projectWireInto(region string, out *offload.Outcome, ei *ErrorInfo, cands []wire.Candidate) wire.Response {

@@ -15,17 +15,14 @@ import (
 	"github.com/hybridsel/hybridsel/internal/sim"
 )
 
-// FuzzDecideBody throws arbitrary bytes at the /v1/decide decoder and the
-// decision path behind it. The handler runs without net/http's panic
-// recovery (ServeHTTP on a recorder), so any panic in JSON decoding,
-// binding evaluation, or the models surfaces as a crasher. Invariants:
-// never panic, always answer, and 200 responses must parse back as the
-// documented response shapes.
-func FuzzDecideBody(f *testing.F) {
+// fuzzRuntime is the runtime the fuzzers serve: one region, and
+// simulators sampled so thinly that an execute of any size stays cheap.
+func fuzzRuntime(f *testing.F, cal offload.Calibrator) *offload.Runtime {
 	rt := offload.NewRuntime(offload.Config{
-		Platform: machine.PlatformP9V100(),
-		CPUSim:   sim.CPUConfig{SampleItems: 8, MaxLoopSample: 32},
-		GPUSim:   sim.GPUConfig{SampleWarps: 2, MaxLoopSample: 32, MaxRepSample: 1},
+		Platform:   machine.PlatformP9V100(),
+		CPUSim:     sim.CPUConfig{SampleItems: 8, MaxLoopSample: 32},
+		GPUSim:     sim.GPUConfig{SampleWarps: 2, MaxLoopSample: 32, MaxRepSample: 1},
+		Calibrator: cal,
 	})
 	k, err := polybench.Get("mvt1")
 	if err != nil {
@@ -34,8 +31,18 @@ func FuzzDecideBody(f *testing.F) {
 	if _, err := rt.Register(k.IR); err != nil {
 		f.Fatal(err)
 	}
+	return rt
+}
+
+// FuzzDecideBody throws arbitrary bytes at the /v1/decide decoder and the
+// decision path behind it. The handler runs without net/http's panic
+// recovery (ServeHTTP on a recorder), so any panic in JSON decoding,
+// binding evaluation, or the models surfaces as a crasher. Invariants:
+// never panic, always answer, and 200 responses must parse back as the
+// documented response shapes.
+func FuzzDecideBody(f *testing.F) {
 	s, err := New(Config{
-		Runtime:  rt,
+		Runtime:  fuzzRuntime(f, nil),
 		MaxBatch: 8,
 		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
@@ -98,21 +105,8 @@ func FuzzDecideBody(f *testing.F) {
 // verdict carries a provenance.
 func FuzzDecideBodyV2(f *testing.F) {
 	lrn := learn.New(learn.Config{})
-	rt := offload.NewRuntime(offload.Config{
-		Platform:   machine.PlatformP9V100(),
-		CPUSim:     sim.CPUConfig{SampleItems: 8, MaxLoopSample: 32},
-		GPUSim:     sim.GPUConfig{SampleWarps: 2, MaxLoopSample: 32, MaxRepSample: 1},
-		Calibrator: lrn,
-	})
-	k, err := polybench.Get("mvt1")
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := rt.Register(k.IR); err != nil {
-		f.Fatal(err)
-	}
 	s, err := New(Config{
-		Runtime:  rt,
+		Runtime:  fuzzRuntime(f, lrn),
 		MaxBatch: 8,
 		Learner:  lrn,
 		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),

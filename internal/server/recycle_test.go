@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,8 +15,9 @@ import (
 )
 
 // This file holds the serving path's recycling contracts: what the
-// server keeps between requests (decoder, batch scratch, stream requests)
-// must cost nothing per decision and must never be observable.
+// server keeps between requests (decoder, batch scratch, a stream
+// connection's request) must cost nothing per decision and must never be
+// observable.
 
 func postFrames(s *Server, w http.ResponseWriter, body []byte) {
 	r := httptest.NewRequest(http.MethodPost, "/v2/decide", bytes.NewReader(body))
@@ -163,36 +163,31 @@ func TestWireScratchPooling(t *testing.T) {
 	}
 }
 
-// TestStreamRequestRecycling: a request goes back on the connection's
-// free list only when its worker is done with it. First the workers are
-// parked mid-decide — holding a slot, the request not yet read — while
-// the reader decodes a whole credit window over whatever the free list
-// offers: a request left in the reader's frame after dispatch, or
-// recycled before the window was read, is overwritten under its worker,
-// and that stream answered with another stream's region and sizes. Then
-// nothing is parked and the window is kept full one request at a time, so
-// that the reader is always decoding while workers decide — which is
-// where the race detector sees a request recycled a moment early. Run
-// under -race -count=20.
+// TestStreamRequestRecycling: the reader decodes every request over the
+// one before, except one it handed to an execute — that request is the
+// execute's from then on. A window of executes (less the one unit the
+// decides need) is parked before any has read its request: some hold a
+// slot in holdForTest, the rest wait for one. The reader then decodes and
+// answers 1500 decides of other regions and sizes; a request still in the
+// reader's frame after dispatch is overwritten under its execute, and that
+// stream answered with another stream's region and sizes. Run under -race
+// -count=20, where the same mistake is a reported race.
 func TestStreamRequestRecycling(t *testing.T) {
 	const credit = 16
-	var gate atomic.Pointer[chan struct{}]
+	gate := make(chan struct{})
 	s := testServer(t, Config{Concurrency: 4, StreamCredit: credit})
-	s.holdForTest = func() {
-		if g := gate.Load(); g != nil {
-			<-*g
-		}
-	}
+	s.holdForTest = func() { <-gate }
 	addr := startStreamServer(t, s)
 	conn, sr, _ := dialStream(t, addr)
 
 	regions := []string{"gemm", "mvt1", "atax2"}
 	want := map[uint64]wire.Request{}
 	id := uint64(0)
-	request := func(dst []byte) []byte {
+	request := func(dst []byte, execute bool) []byte {
 		id++
-		want[id] = wireReqFor(regions[int(id)%3], symbolic.Bindings{"n": int64(64 + id)})
-		req := want[id]
+		req := wireReqFor(regions[int(id)%3], symbolic.Bindings{"n": int64(64 + id)})
+		req.Execute = execute
+		want[id] = req
 		return wire.AppendStreamRequest(dst, id, &req)
 	}
 	answer := func() {
@@ -212,52 +207,39 @@ func TestStreamRequestRecycling(t *testing.T) {
 		}
 		wantResp := projectWireInto(req.Region, ref, nil, nil)
 		if f.Resp.Region != req.Region || f.Resp.Verdict != wantResp.Verdict ||
-			!reflect.DeepEqual(f.Resp.Candidates, wantResp.Candidates) {
-			t.Fatalf("stream %d (%s n=%d) answered %+v, want %+v",
-				f.StreamID, req.Region, req.Values[0], f.Resp, wantResp)
+			!reflect.DeepEqual(f.Resp.Candidates, wantResp.Candidates) ||
+			(f.Resp.ActualSeconds > 0) != req.Execute {
+			t.Fatalf("stream %d (%s n=%d execute=%v) answered %+v, want %+v",
+				f.StreamID, req.Region, req.Values[0], req.Execute, f.Resp, wantResp)
 		}
 	}
 
-	for round := 0; round < 4; round++ {
-		g := make(chan struct{})
-		if round > 0 { // round 0 runs free and stocks the free list
-			gate.Store(&g)
-		}
-		var burst []byte
-		for i := 0; i < credit; i++ {
-			burst = request(burst)
-		}
-		if _, err := conn.Write(burst); err != nil {
+	var burst []byte
+	for i := 0; i < credit-1; i++ {
+		burst = request(burst, true)
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1500; i++ {
+		if _, err := conn.Write(request(nil, false)); err != nil {
 			t.Fatal(err)
 		}
-		// The reader has decoded the whole window once every request is
-		// admitted; only then do the parked workers read theirs.
-		for deadline := time.Now().Add(5 * time.Second); s.met.streamRequests.Load() < id; {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: reader admitted %d of %d requests", round, s.met.streamRequests.Load(), id)
-			}
-			runtime.Gosched()
-		}
-		close(g)
-		for len(want) > 0 {
-			answer()
-		}
+		answer() // a decide's: every execute is parked
+	}
+	close(gate)
+	for len(want) > 0 {
+		answer()
 	}
 
-	gate.Store(nil)
-	for i := 0; i < 1500 || len(want) > 0; i++ {
-		if i < 1500 {
-			if _, err := conn.Write(request(nil)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(want) == credit || i >= 1500 {
-			answer()
-		}
+	// What a huge request grew is not kept: its answer read and the
+	// connection gone, the reader's frame holds no more than a pooled
+	// scratch would.
+	s.streams.mu.Lock()
+	var sc *streamConn
+	for sc = range s.streams.conns {
 	}
-
-	// What a huge request grew is not kept: its answer read, no request on
-	// the free list holds more than a pooled scratch would.
+	s.streams.mu.Unlock()
 	huge := wire.Request{Region: "gemm", SlotForm: true, Values: make([]int64, maxPooledBatch+1)}
 	if _, err := conn.Write(wire.AppendStreamRequest(nil, id+1, &huge)); err != nil {
 		t.Fatal(err)
@@ -265,13 +247,18 @@ func TestStreamRequestRecycling(t *testing.T) {
 	if f, err := sr.Next(); err != nil || f.Resp.Err == nil || f.Resp.Err.Code != ErrCodeUnboundSymbol {
 		t.Fatalf("a request of %d slot values answered %+v (%v)", len(huge.Values), f, err)
 	}
-	s.streams.mu.Lock()
-	defer s.streams.mu.Unlock()
-	for sc := range s.streams.conns {
-		for len(sc.free) > 0 {
-			if req := <-sc.free; cap(req.Values) > maxPooledBatch {
-				t.Fatalf("the free list holds a request with room for %d values", cap(req.Values))
-			}
+	streamReq(t, conn, id+2, "gemm", 64)
+	if f, err := sr.Next(); err != nil || f.StreamID != id+2 || f.Resp.Err != nil {
+		t.Fatalf("the request after the huge one answered %+v (%v)", f, err)
+	}
+	conn.Close()
+	for deadline := time.Now().Add(5 * time.Second); s.met.streamConns.Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("connection still registered after its client closed")
 		}
+		runtime.Gosched()
+	}
+	if req := sc.frame.Req; req != nil && cap(req.Values) > maxPooledBatch {
+		t.Fatalf("the reader kept a request with room for %d values", cap(req.Values))
 	}
 }

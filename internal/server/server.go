@@ -33,7 +33,9 @@
 // Concurrency execution slots, bounded by its deadline; the wait is the
 // "queue", the slots are the "workers". Every admitted request runs under
 // a context deadline (RequestTimeout), so a stuck model evaluation cannot
-// pin a slot forever.
+// pin a slot forever. A stream connection (stream.go) is bounded by its
+// credit window instead: its decides wait for nothing, and only its
+// executes take a slot.
 package server
 
 import (
@@ -76,8 +78,10 @@ type Config struct {
 	// Runtime is the decision runtime to serve (required).
 	Runtime *offload.Runtime
 
-	// Concurrency bounds simultaneously executing requests (the worker
-	// pool). 0 selects GOMAXPROCS.
+	// Concurrency bounds what executes at once of what can wait: HTTP
+	// requests and stream executes, one execution slot each. A decide-only
+	// stream request never waits and holds no slot — the reader of its
+	// connection answers it. 0 selects GOMAXPROCS.
 	Concurrency int
 	// QueueDepth bounds admitted-but-waiting requests on top of
 	// Concurrency; beyond it requests are shed with 429. 0 selects

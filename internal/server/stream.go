@@ -20,15 +20,17 @@ import (
 // per-request HTTP parsing. Two front doors lead here — a raw TCP
 // listener (ServeStream, hybridseld -stream-addr) and an HTTP
 // Upgrade/hijack on GET /v1/stream of the existing port — and both run
-// the same per-connection machinery:
+// serveStreamConn, one goroutine per connection:
 //
-//   - one reader goroutine decoding frames incrementally,
-//   - a small worker pool running the decide core under the shared
-//     execution slots (the same workers that bound the HTTP path),
-//   - a combining writer (wire.StreamWriter): workers encode response
-//     frames into its pending buffer and flush it when no admitted request
-//     is waiting for them, so a burst of completions leaves in one syscall
-//     with no flush timer and a lone response never waits,
+//   - the reader answers what it decodes: a decide never blocks, so the
+//     goroutine that decoded the frame decides it and appends the response
+//     to the connection's combining writer (wire.StreamWriter),
+//   - a response waits only while another whole request already sits in
+//     the reader's buffer, so a burst that arrived in one segment leaves
+//     in one write with no flush timer and a lone response never waits,
+//   - an execute — a simulated launch, the one stream request that can
+//     wait — leaves the reader for a goroutine of its own, which takes an
+//     execution slot; completions are therefore out of order by stream ID,
 //   - flow control by credit instead of 429 churn: the server grants a
 //     window on connect, requests beyond it answer queue_full on their
 //     own stream, and each response implicitly returns one unit,
@@ -38,10 +40,6 @@ import (
 // StreamUpgradeProto is the Upgrade token negotiating a stream
 // connection over the HTTP port.
 const StreamUpgradeProto = "hybridsel-stream"
-
-// streamWorkersPerConn caps the per-connection worker pool; the shared
-// execution slots still bound global concurrency across connections.
-const streamWorkersPerConn = 8
 
 // streamRegistry tracks live stream listeners and connections for
 // drain: Shutdown closes listeners, sends Goaway everywhere, and waits
@@ -116,12 +114,6 @@ func (s *Server) handleStreamUpgrade(w http.ResponseWriter, r *http.Request) {
 	s.serveStreamConn(conn, bufrw.Reader)
 }
 
-// streamJob is one admitted stream request awaiting a worker.
-type streamJob struct {
-	id  uint64
-	req *wire.Request
-}
-
 // streamConn is the server half of one stream connection.
 type streamConn struct {
 	s      *Server
@@ -130,43 +122,38 @@ type streamConn struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	jobs     chan streamJob
-	inflight atomic.Int64
-	wg       sync.WaitGroup // in-flight jobs
+	inflight atomic.Int64   // dispatched, not yet answered: the credit window's measure
+	wg       sync.WaitGroup // executes in flight
 
 	lastAccepted atomic.Uint64 // highest stream ID dispatched or answered
 	away         atomic.Bool   // Goaway sent
 	awayLast     atomic.Uint64 // LastStreamID carried in our Goaway
 
-	// free holds the requests the reader decodes into, handed back by the
-	// worker that answered them; sized to the window, the most there are.
-	free chan *wire.Request
+	// frame is the reader's alone: it decodes every frame into it, a
+	// request over the one before unless that one left with an execute.
+	frame wire.Frame
 
-	// out combines the frames of reader and workers into shared writes. A
-	// flusher that sees other requests of this connection still being
-	// decided yields once, so that their responses share its write; after
-	// a failed write frames are dropped, and the reader's next read ends
-	// the connection.
+	// out combines the frames of the reader, its executes and goaway into
+	// shared writes. After a failed write frames are dropped, and the
+	// reader's next read ends the connection.
 	out *wire.StreamWriter
 }
 
-// serveStreamConn runs one stream connection to completion, reading
-// requests from src: conn itself, or an upgraded connection's buffered
-// reader.
+// serveStreamConn runs one stream connection to completion on the calling
+// goroutine, reading requests from src: conn itself, or an upgraded
+// connection's buffered reader. It never blocks with a response held: a
+// response is held only while a whole frame is buffered behind its request,
+// and leaves with or before whatever that frame turns out to be.
 func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
-	credit := int64(s.cfg.StreamCredit)
 	ctx, cancel := context.WithCancel(context.Background())
 	sc := &streamConn{
 		s:      s,
 		conn:   conn,
-		credit: credit,
+		credit: int64(s.cfg.StreamCredit),
 		ctx:    ctx,
 		cancel: cancel,
-		jobs:   make(chan streamJob, credit),
-		free:   make(chan *wire.Request, credit),
+		out:    &wire.StreamWriter{W: conn, Wrote: s.met.streamWrote},
 	}
-	sc.out = &wire.StreamWriter{W: conn, Wrote: s.met.streamWrote,
-		Yield: func() bool { return sc.inflight.Load() > 0 }}
 	if !s.registerStream(sc) {
 		conn.Close()
 		cancel()
@@ -174,8 +161,8 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 	}
 	s.met.streamConns.Add(1)
 	defer func() {
-		sc.wg.Wait() // let in-flight responses flush
-		close(sc.jobs)
+		sc.out.Flush() // answers held behind a frame that ended the connection
+		sc.wg.Wait()   // let in-flight executes answer
 		conn.Close()
 		cancel()
 		s.met.streamConns.Add(-1)
@@ -183,7 +170,7 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 	}()
 
 	// The server speaks first: grant the flow-control window.
-	hello := wire.AppendCredit(sc.out.Begin(), uint64(credit))
+	hello := wire.AppendCredit(sc.out.Begin(), uint64(sc.credit))
 	if s.draining.Load() {
 		// Raced with drain: still a valid stream conn, but nothing
 		// will be accepted. Say so immediately.
@@ -192,54 +179,24 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 	}
 	sc.out.End(hello, false)
 
-	workers := int(min(int64(streamWorkersPerConn), credit))
-	for i := 0; i < workers; i++ {
-		go sc.worker()
-	}
-
 	sr := wire.NewStreamReader(src)
-	var f wire.Frame
+	f := &sc.frame
+	var cands []wire.Candidate
+	var out offload.Outcome
 	for {
-		// Decode over a request the workers are done with (one refused below
-		// is still in f); with none to hand the decoder allocates one.
-		if f.Req == nil {
-			select {
-			case f.Req = <-sc.free:
-			default:
-			}
+		if f.Req != nil && cap(f.Req.Values) > maxPooledBatch {
+			f.Req = nil // what a huge request grew is not kept
 		}
-		if err := sr.NextInto(&f); err != nil {
-			// EOF (clean or mid-frame) and decode failures all end the
-			// connection; in-flight work still completes via the
-			// deferred wg.Wait.
-			return
+		if err := sr.NextInto(f); err != nil {
+			return // EOF, clean or mid-frame, or a frame that does not decode
 		}
 		switch f.Type {
 		case wire.TypeStreamRequest:
-			s.met.streamRequests.Add(1)
-			if f.StreamID > sc.lastAccepted.Load() {
-				sc.lastAccepted.Store(f.StreamID)
-			}
-			if sc.away.Load() && f.StreamID > sc.awayLast.Load() {
-				sc.rejectStream(f.StreamID, ErrCodeDraining, "draining")
-				continue
-			}
-			if sc.inflight.Load() >= sc.credit {
-				// Client overran its credit window: shed on this
-				// stream only, the stream analogue of a 429.
-				sc.rejectStream(f.StreamID, ErrCodeQueueFull, "stream credit exhausted")
-				continue
-			}
-			sc.inflight.Add(1)
-			s.met.streamInflight.Add(1)
-			sc.wg.Add(1)
-			sc.jobs <- streamJob{id: f.StreamID, req: f.Req}
-			f.Req = nil // the worker's, until it recycles it
-		case wire.TypeGoaway:
-			// Client is leaving; keep answering what's in flight and
-			// let its close of the write side end the loop.
-		case wire.TypeCredit:
-			// Credit flows server→client only; ignore.
+		case wire.TypeGoaway, wire.TypeCredit:
+			// A leaving client's Goaway (its close of the write side ends
+			// the loop), or credit, which flows server→client only.
+			sc.out.Flush()
+			continue
 		default:
 			// Protocol error: answer with a connection-level error
 			// frame and drop the connection.
@@ -248,71 +205,72 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 			sc.out.End(wire.AppendError(sc.out.Begin(), e), false)
 			return
 		}
+		s.met.streamRequests.Add(1)
+		if f.StreamID > sc.lastAccepted.Load() {
+			sc.lastAccepted.Store(f.StreamID)
+		}
+		if sc.away.Load() && f.StreamID > sc.awayLast.Load() {
+			sc.rejectStream(f.StreamID, ErrCodeDraining, "draining")
+			continue
+		}
+		if sc.inflight.Load() >= sc.credit {
+			// Client overran its credit window: shed on this
+			// stream only, the stream analogue of a 429.
+			sc.rejectStream(f.StreamID, ErrCodeQueueFull, "stream credit exhausted")
+			continue
+		}
+		sc.inflight.Add(1)
+		s.met.streamInflight.Add(1)
+		if f.Req.Execute {
+			sc.out.Flush()
+			sc.wg.Add(1)
+			go sc.execute(f.StreamID, f.Req)
+			f.Req = nil // the execute's
+			continue
+		}
+		it := wireItem(f.Req)
+		ei := decide(sc.ctx, s.rt, &it, &out)
+		resp := projectWireInto(f.Req.Region, &out, ei, cands[:0])
+		if resp.Candidates != nil {
+			cands = resp.Candidates
+		}
+		sc.answer(f.StreamID, &resp, sr.FrameBuffered())
 	}
 }
 
+// execute runs one simulated launch off the reader, under an execution
+// slot like any HTTP request.
+func (sc *streamConn) execute(id uint64, req *wire.Request) {
+	defer sc.wg.Done()
+	s := sc.s
+	s.slots <- struct{}{}
+	if s.holdForTest != nil {
+		s.holdForTest()
+	}
+	it := wireItem(req)
+	var out offload.Outcome
+	ei := decide(sc.ctx, s.rt, &it, &out)
+	<-s.slots
+	resp := projectWireInto(req.Region, &out, ei, nil)
+	sc.answer(id, &resp, false)
+}
+
+// answer appends the response to a dispatched stream, having returned
+// its credit unit first: the client reuses the unit the moment it reads
+// the response, and a request arriving ahead of the decrement would be
+// shed against a window the client never overran.
+func (sc *streamConn) answer(id uint64, resp *wire.Response, hold bool) {
+	sc.inflight.Add(-1)
+	sc.s.met.streamInflight.Add(-1)
+	sc.out.End(wire.AppendStreamResponse(sc.out.Begin(), id, resp), hold)
+}
+
 // rejectStream answers one stream with an error response without
-// dispatching a worker.
+// dispatching it.
 func (sc *streamConn) rejectStream(id uint64, code, msg string) {
 	resp := wire.Response{Err: &wire.Error{Code: code, Message: msg, RetryAfterSeconds: 0.05}}
 	sc.s.met.streamSheds.Add(1)
 	sc.out.End(wire.AppendStreamResponse(sc.out.Begin(), id, &resp), false)
-}
-
-// worker runs admitted stream jobs under the shared execution slots,
-// deciding each into its own Outcome. A response rides the writer's
-// pending buffer while the next job is already here, and leaves before an
-// empty queue, an execute or a wait for a slot.
-func (sc *streamConn) worker() {
-	s := sc.s
-	var cands []wire.Candidate
-	var out offload.Outcome
-	for job := range sc.jobs {
-		for riding := true; riding; {
-			select {
-			case s.slots <- struct{}{}:
-			default:
-				sc.out.Flush()
-				s.slots <- struct{}{}
-			}
-			if s.holdForTest != nil {
-				s.holdForTest()
-			}
-			it := wireItem(job.req)
-			ei := decide(sc.ctx, s.rt, &it, &out)
-			<-s.slots
-			resp := projectWireInto(job.req.Region, &out, ei, cands[:0])
-			if resp.Candidates != nil {
-				cands = resp.Candidates
-			}
-			// Return the credit unit before the response can reach the
-			// client, which reuses it the moment it reads the response: a
-			// request arriving ahead of the decrement would be shed against
-			// a window the client never overran.
-			sc.inflight.Add(-1)
-			s.met.streamInflight.Add(-1)
-			sc.out.End(wire.AppendStreamResponse(sc.out.Begin(), job.id, &resp), true)
-			// Done with job.req: recycled, unless a huge request grew it.
-			if cap(job.req.Values) <= maxPooledBatch {
-				select {
-				case sc.free <- job.req:
-				default:
-				}
-			}
-			// The next job, taken before this one is done, keeps sc.wg
-			// held until this response has left with that one's.
-			select {
-			case job = <-sc.jobs:
-				if job.req.Execute {
-					sc.out.Flush()
-				}
-			default:
-				sc.out.Flush()
-				riding = false
-			}
-			sc.wg.Done()
-		}
-	}
 }
 
 // goaway announces drain on this connection: streams accepted so far

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -62,7 +61,20 @@ func dialStream(t *testing.T, addr string) (net.Conn, *wire.StreamReader, int) {
 
 func streamReq(t *testing.T, conn net.Conn, id uint64, region string, n int64) {
 	t.Helper()
-	req := wire.Request{Region: region, Names: []string{"n"}, Values: []int64{n}}
+	sendStream(t, conn, id, region, n, false)
+}
+
+// streamExec is streamReq for an execute: the one kind of stream request
+// that leaves the reader and holds an execution slot, so the one a test
+// can park in holdForTest.
+func streamExec(t *testing.T, conn net.Conn, id uint64, region string, n int64) {
+	t.Helper()
+	sendStream(t, conn, id, region, n, true)
+}
+
+func sendStream(t *testing.T, conn net.Conn, id uint64, region string, n int64, execute bool) {
+	t.Helper()
+	req := wire.Request{Region: region, Names: []string{"n"}, Values: []int64{n}, Execute: execute}
 	if _, err := conn.Write(wire.AppendStreamRequest(nil, id, &req)); err != nil {
 		t.Fatalf("write stream %d: %v", id, err)
 	}
@@ -133,8 +145,8 @@ func TestStreamOutOfOrder(t *testing.T) {
 	addr := startStreamServer(t, s)
 	conn, sr, _ := dialStream(t, addr)
 
-	streamReq(t, conn, 1, "gemm", 256)
-	<-blocked // stream 1 is parked inside its worker
+	streamExec(t, conn, 1, "gemm", 256)
+	<-blocked // stream 1 is parked inside its execute
 	streamReq(t, conn, 2, "mvt1", 512)
 
 	f, err := sr.Next()
@@ -171,9 +183,9 @@ func TestStreamCreditExhaustion(t *testing.T) {
 		t.Fatalf("credit = %d, want 2", credit)
 	}
 
-	streamReq(t, conn, 1, "gemm", 256)
-	streamReq(t, conn, 2, "gemm", 512)
-	<-entered // both in flight inside workers
+	streamExec(t, conn, 1, "gemm", 256)
+	streamExec(t, conn, 2, "gemm", 512)
+	<-entered // both in flight inside their executes
 	<-entered
 
 	streamReq(t, conn, 3, "gemm", 1100) // over the window
@@ -218,8 +230,8 @@ func TestStreamDrainGoaway(t *testing.T) {
 	addr := startStreamServer(t, s)
 	conn, sr, _ := dialStream(t, addr)
 
-	streamReq(t, conn, 1, "gemm", 256)
-	streamReq(t, conn, 2, "mvt1", 512)
+	streamExec(t, conn, 1, "gemm", 256)
+	streamExec(t, conn, 2, "mvt1", 512)
 	<-entered
 	<-entered
 
@@ -409,16 +421,12 @@ func TestStreamUpgrade(t *testing.T) {
 
 // TestStreamBurstSharesWrites: responses to requests that arrived
 // together leave together. 32 request frames in one segment are answered
-// correctly in at most one write per worker (each flushes only on
-// finding the queue empty), not one per decision; a lone request is
-// answered by exactly one write, with nothing behind it to trigger the
-// flush. On one P, like the benchmark, where the count is a property of
-// the code: with several, workers on other Ps can drain the queue while
-// the reader is still decoding the segment, and how often is the
-// scheduler's business (scripts/check.sh holds a multi-P daemon to
-// writes < requests).
+// correctly in exactly one write — the reader holds each response while
+// another whole request sits in its buffer — not one per decision; a lone
+// request is answered by exactly one write, with nothing behind it to
+// trigger the flush. The counts are a property of the code, whatever the
+// number of Ps: one goroutine reads the segment and answers it.
 func TestStreamBurstSharesWrites(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := testServer(t, Config{})
 	ref := testRuntime(t)
 	addr := startStreamServer(t, s)
@@ -453,8 +461,8 @@ func TestStreamBurstSharesWrites(t *testing.T) {
 			t.Fatalf("stream %d answered %+v, reference says %+v", f.StreamID, f.Resp, w)
 		}
 	}
-	if writes := s.met.streamWrites.Load() - before; writes > streamWorkersPerConn {
-		t.Fatalf("%d responses took %d writes, want at most %d", burst, writes, streamWorkersPerConn)
+	if writes := s.met.streamWrites.Load() - before; writes != 1 {
+		t.Fatalf("%d responses to one segment took %d writes, want exactly 1", burst, writes)
 	}
 
 	before = s.met.streamWrites.Load()
@@ -468,9 +476,8 @@ func TestStreamBurstSharesWrites(t *testing.T) {
 }
 
 // TestStreamOutOfOrderBehindHeld is TestStreamOutOfOrder with a third,
-// fast stream queued behind the fast one: whichever worker answers
-// stream 2 may go on to answer stream 3 in the same write, but neither
-// response may wait for the held stream 1.
+// fast stream queued behind the fast one: streams 2 and 3 may be answered
+// in the same write, but neither response may wait for the held stream 1.
 func TestStreamOutOfOrderBehindHeld(t *testing.T) {
 	release := make(chan struct{})
 	blocked := make(chan struct{}, 1)
@@ -486,8 +493,8 @@ func TestStreamOutOfOrderBehindHeld(t *testing.T) {
 	addr := startStreamServer(t, s)
 	conn, sr, _ := dialStream(t, addr)
 
-	streamReq(t, conn, 1, "gemm", 256)
-	<-blocked // stream 1 is parked inside its worker
+	streamExec(t, conn, 1, "gemm", 256)
+	<-blocked // stream 1 is parked inside its execute
 	var frames []byte
 	for id, region := range map[uint64]string{2: "mvt1", 3: "atax2"} {
 		frames = wire.AppendStreamRequest(frames, id,

@@ -19,18 +19,17 @@ import (
 // still arrive as JSON; everything after the Content-Type check answers
 // in frames.
 
-// handleDecideWire serves a body of one or more request frames. A body
-// holding exactly one TypeRequest frame mirrors the single-object JSON
-// body: semantic failures surface as HTTP statuses with a TypeError
-// frame. Any other mix (pipelined requests, batch frames) answers HTTP
-// 200 with matching response frames in order, per-item failures riding
-// inside them — the frame analogue of the JSON batch contract.
+// handleDecideWire serves a body of exactly one frame. A TypeRequest
+// frame mirrors the single-object JSON body: semantic failures surface as
+// HTTP statuses with a TypeError frame. A TypeBatchRequest frame answers
+// HTTP 200 with the matching batch response frame, per-item failures
+// riding inside it — the frame analogue of the JSON batch contract.
+// Anything after the frame refuses the body before anything is served:
+// many decisions in flight is what the batch frame and the stream are for.
 //
 // Nothing here allocates per decision in steady state: the body reads
-// into a pooled buffer, the pooled Decoder decodes the first frame in
-// place (all frames are validated before any is served, so a pipelined
-// body's later frames get Decoders of their own), and a batch is decided,
-// projected and encoded inside the scratch.
+// into a pooled buffer, the pooled Decoder decodes the frame in place,
+// and a batch is decided, projected and encoded inside the scratch.
 func (s *Server) handleDecideWire(w http.ResponseWriter, r *http.Request) {
 	sc := wireScratches.Get().(*wireScratch)
 	defer putWireScratch(sc)
@@ -40,64 +39,42 @@ func (s *Server) handleDecideWire(w http.ResponseWriter, r *http.Request) {
 		wireError(w, http.StatusBadRequest, ErrCodeBadRequest, "read body: "+err.Error())
 		return
 	}
-	if len(body) == 0 {
-		wireError(w, http.StatusBadRequest, ErrCodeBadRequest, "decode frames: empty body")
+	sc.dec.MaxItems = s.cfg.MaxBatch
+	fr, n, err := sc.dec.Decode(body)
+	switch {
+	case errors.Is(err, wire.ErrTooLarge):
+		wireError(w, http.StatusRequestEntityTooLarge, ErrCodeBatchTooLarge, err.Error())
+		return
+	case err != nil:
+		wireError(w, http.StatusBadRequest, ErrCodeBadRequest, "decode frames: "+err.Error())
+		return
+	case fr.Type != wire.TypeRequest && fr.Type != wire.TypeBatchRequest:
+		wireError(w, http.StatusBadRequest, ErrCodeBadRequest,
+			fmt.Sprintf("unexpected frame type %d in request body", fr.Type))
+		return
+	case n < len(body):
+		wireError(w, http.StatusBadRequest, ErrCodeBadRequest, "decode frames: trailing bytes after frame")
 		return
 	}
-	frames := make([]*wire.Frame, 0, 1) // on the stack; a pipelined body grows it
-	for rest := body; len(rest) > 0; {
-		dec := &sc.dec
-		if len(frames) > 0 {
-			dec = new(wire.Decoder) // sc.dec's frame is still to be served
-		}
-		dec.MaxItems = s.cfg.MaxBatch
-		fr, n, err := dec.Decode(rest)
-		switch {
-		case errors.Is(err, wire.ErrTooLarge):
-			wireError(w, http.StatusRequestEntityTooLarge, ErrCodeBatchTooLarge, err.Error())
-			return
-		case err != nil:
-			wireError(w, http.StatusBadRequest, ErrCodeBadRequest, "decode frames: "+err.Error())
-			return
-		case fr.Type != wire.TypeRequest && fr.Type != wire.TypeBatchRequest:
-			wireError(w, http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Sprintf("unexpected frame type %d in request body", fr.Type))
-			return
-		}
-		sc.big = sc.big || len(fr.Reqs) > maxPooledBatch
-		frames, rest = append(frames, fr), rest[n:]
-	}
+	sc.big = len(fr.Reqs) > maxPooledBatch
 
-	out := &sc.out
-	if first := frames[0]; len(frames) == 1 && first.Type == wire.TypeRequest {
-		it := wireItem(first.Req)
-		if ei := decide(r.Context(), s.rt, &it, out); ei != nil {
+	if fr.Type == wire.TypeRequest {
+		it := wireItem(fr.Req)
+		if ei := decide(r.Context(), s.rt, &it, &sc.out); ei != nil {
 			wireError(w, ei.status, ei.Code, ei.Message)
 			return
 		}
-		resp := projectWireInto(first.Req.Region, out, nil, sc.cands[:0])
+		resp := projectWireInto(fr.Req.Region, &sc.out, nil, sc.cands[:0])
 		sc.enc = wire.AppendResponse(sc.enc[:0], &resp)
 		sc.cands = resp.Candidates[:0]
 		writeFrames(w, http.StatusOK, sc.enc)
 		return
 	}
-
-	b := sc.enc[:0]
-	for _, fr := range frames {
-		if fr.Type == wire.TypeRequest {
-			it := wireItem(fr.Req)
-			ei := decide(r.Context(), s.rt, &it, out)
-			resp := projectWireInto(fr.Req.Region, out, ei, sc.cands[:0])
-			b = wire.AppendResponse(b, &resp)
-			continue
-		}
-		ds, coalesced := sc.batch.decide(r.Context(), s.rt, len(fr.Reqs),
-			func(i int) item { return wireItem(&fr.Reqs[i]) })
-		sc.resps, sc.cands = batchWire(fr.Reqs, ds, sc.resps, sc.cands)
-		b = wire.AppendBatchResponse(b, coalesced, sc.resps)
-	}
-	sc.enc = b
-	writeFrames(w, http.StatusOK, b)
+	ds, coalesced := sc.batch.decide(r.Context(), s.rt, len(fr.Reqs),
+		func(i int) item { return wireItem(&fr.Reqs[i]) })
+	sc.resps, sc.cands = batchWire(fr.Reqs, ds, sc.resps, sc.cands)
+	sc.enc = wire.AppendBatchResponse(sc.enc[:0], coalesced, sc.resps)
+	writeFrames(w, http.StatusOK, sc.enc)
 }
 
 // appendBody reads the request body into dst (pre-sizing from

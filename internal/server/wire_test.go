@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
@@ -289,55 +290,15 @@ func TestWireBatchMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestWirePipelined: several request frames in one body come back as
-// matching response frames in order — the persistent-connection framing
-// the streaming client batches on.
-func TestWirePipelined(t *testing.T) {
-	s := testServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	var body []byte
-	req1 := wireReqFor("mvt1", symbolic.Bindings{"n": 256})
-	req2 := wireReqFor("mvt1", symbolic.Bindings{"n": 300})
-	req3 := wire.Request{Region: "absent"}
-	body = wire.AppendRequest(body, &req1)
-	body = wire.AppendRequest(body, &req2)
-	body = wire.AppendRequest(body, &req3)
-
-	resp, raw := postWire(t, ts.URL, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	frames, err := wire.DecodeAll(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 3 {
-		t.Fatalf("%d frames, want 3", len(frames))
-	}
-	for i, fr := range frames {
-		if fr.Type != wire.TypeResponse {
-			t.Fatalf("frame %d type %d", i, fr.Type)
-		}
-	}
-	if frames[0].Resp.Region != "mvt1" || frames[0].Resp.Verdict == "" {
-		t.Fatalf("frame 0: %+v", frames[0].Resp)
-	}
-	if frames[2].Resp.Err == nil || frames[2].Resp.Err.Code != ErrCodeUnknownRegion {
-		t.Fatalf("frame 2: %+v", frames[2].Resp)
-	}
-}
-
-// TestWireRejections: malformed bodies, foreign frame types, key-hash
-// mismatches and oversized batches all answer with TypeError frames
-// carrying the stable envelope codes.
+// TestWireRejections: malformed bodies, foreign frame types, a second
+// frame, key-hash mismatches and oversized batches all answer with
+// TypeError frames carrying the stable envelope codes.
 func TestWireRejections(t *testing.T) {
 	s := testServer(t, Config{MaxBatch: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	expectErr := func(name string, body []byte, status int, code string) {
+	expectErr := func(name string, body []byte, status int, code string) *wire.Error {
 		t.Helper()
 		resp, raw := postWire(t, ts.URL, body)
 		if resp.StatusCode != status {
@@ -350,6 +311,7 @@ func TestWireRejections(t *testing.T) {
 		if frames[0].Err.Code != code {
 			t.Fatalf("%s: code %q, want %q", name, frames[0].Err.Code, code)
 		}
+		return frames[0].Err
 	}
 
 	expectErr("garbage", []byte("this is not a frame"), http.StatusBadRequest, ErrCodeBadRequest)
@@ -358,6 +320,18 @@ func TestWireRejections(t *testing.T) {
 	resp := wire.Response{Region: "gemm"}
 	expectErr("response frame in request", wire.AppendResponse(nil, &resp),
 		http.StatusBadRequest, ErrCodeBadRequest)
+
+	// A body is one frame: a second one refuses the whole body, the first
+	// frame's decision included.
+	one := wireReqFor("mvt1", symbolic.Bindings{"n": 256})
+	two := wire.AppendRequest(wire.AppendRequest(nil, &one), &one)
+	before := s.rt.Metrics().Decides
+	if e := expectErr("two frames", two, http.StatusBadRequest, ErrCodeBadRequest); !strings.Contains(e.Message, "trailing bytes after frame") {
+		t.Fatalf("two frames: message %q", e.Message)
+	}
+	if got := s.rt.Metrics().Decides - before; got != 0 {
+		t.Fatalf("two frames: %d decisions served before the body was refused", got)
+	}
 
 	big := wire.AppendBatchRequest(nil, make([]wire.Request, 3))
 	expectErr("oversized batch", big, http.StatusRequestEntityTooLarge, ErrCodeBatchTooLarge)

@@ -205,10 +205,9 @@ const maxKeptWriteBuf = 64 << 10
 // appended afterwards are dropped.
 type StreamWriter struct {
 	W io.Writer
-	// Yield is asked before every Write whether more frames are about to
-	// be appended (requests of the connection still being decided, callers
-	// a burst of responses just woke); if so the flusher yields the
-	// processor once, for them to share its Write.
+	// Yield, unless nil, is asked before every Write whether more frames
+	// are about to be appended (callers a burst of responses just woke); if
+	// so the flusher yields the processor once, for them to share its Write.
 	Yield func() bool
 	// Wrote is told how many frames each Write carries, before it is made;
 	// Fail, unless nil, receives the first Write error. The flusher calls
@@ -258,7 +257,7 @@ func (sw *StreamWriter) flush(hold bool) {
 	sw.flushing = true
 	var err error
 	for sw.err == nil && len(sw.pending) > 0 {
-		if sw.Yield() {
+		if sw.Yield != nil && sw.Yield() {
 			sw.mu.Unlock()
 			runtime.Gosched()
 			sw.mu.Lock()

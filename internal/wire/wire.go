@@ -17,9 +17,9 @@
 //	4       4     payload length (uint32)
 //	8       n     payload
 //
-// A request or response body is one or more frames back to back
-// (pipelining): the server answers each request frame with a matching
-// response frame in order. Payload scalars are varints
+// A /v2/decide request body is exactly one request or batch-request
+// frame, answered by one frame (many decisions in flight is what the batch
+// frame and the stream envelope are for). Payload scalars are varints
 // (binary.AppendUvarint / AppendVarint), float64s are 8-byte
 // little-endian IEEE 754 bit patterns, and strings are uvarint length
 // prefixes followed by UTF-8 bytes.
