@@ -36,8 +36,9 @@ func TestAllocationBudgets(t *testing.T) {
 		{"ServeBinaryBatch64", BenchmarkServeBinaryBatch64, "200x", 112},
 		{"ServeStreamSingle", BenchmarkServeStreamSingle, "3000x", 2},
 		{"ServeStreamPipelined64", BenchmarkServeStreamPipelined64, "6400x", 4},
-		// Measured 162; the slack is net/http's, as on the rows above.
-		{"ServeClusterJSON", BenchmarkServeClusterJSON, "200x", 165},
+		// Measured 7: 5 are the client's, 2 the server's for the named
+		// bindings a client without a fallback runtime sends.
+		{"ServeCluster", BenchmarkServeCluster, "3000x", 8},
 	} {
 		if err := benchtime.Value.Set(c.iters); err != nil {
 			t.Fatal(err)

@@ -32,8 +32,10 @@
 //
 // Cluster runs: -cluster takes the replica set as comma-separated
 // id=base-url pairs and drives the cluster client instead — every key
-// routes to its consistent-hash owner, hedges go to the ring successor,
-// and a killed replica's traffic fails over without losing verdicts:
+// routes to its consistent-hash owner on the stream that replica's
+// endpoint upgrades to (HTTP beneath it), and a killed replica's traffic
+// fails over to the ring successor without losing verdicts; the report
+// says per replica which transport carried what:
 //
 //	loadgen -cluster node-a=http://h1:8080,node-b=http://h2:8080,node-c=http://h3:8080
 //
@@ -140,7 +142,7 @@ func main() {
 		fatal(fmt.Errorf("loadgen: -wire stream -faults needs -client (the HTTP fault proxy cannot carry stream connections)"))
 	}
 	if *clusterSet != "" && *wireFormat != "json" {
-		fatal(fmt.Errorf("loadgen: -cluster supports -wire json only"))
+		fatal(fmt.Errorf("loadgen: -cluster takes no -wire: every replica endpoint starts on the stream, by Upgrade, with HTTP beneath"))
 	}
 	if *clusterSet != "" && *faults != "" {
 		fatal(fmt.Errorf("loadgen: -cluster and -faults are mutually exclusive (a single proxy cannot front a replica set; kill replicas instead)"))
@@ -647,8 +649,9 @@ func reportCluster(cc *client.ClusterClient, w io.Writer) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		rm := m.Replicas[id]
-		fmt.Fprintf(w, "  %-10s %d retries, %d fallbacks, breaker %s (opened %d)\n",
-			id, rm.Retries, rm.Fallbacks, rm.BreakerState, rm.BreakerOpened)
+		fmt.Fprintf(w, "  %-10s %d retries, %d fallbacks, breaker %s (opened %d); stream %d calls, %d fallbacks to HTTP, %d reconnects, %d downgrades\n",
+			id, rm.Retries, rm.Fallbacks, rm.BreakerState, rm.BreakerOpened,
+			rm.StreamCalls, rm.StreamFallbacks, rm.StreamReconnects, rm.StreamDowngrades)
 	}
 }
 

@@ -18,6 +18,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,6 +95,117 @@ func newClusterChaosRig(t *testing.T, seed int64, ccfg ClusterConfig) *clusterCh
 	}
 	t.Cleanup(cc.Close)
 	return &clusterChaosRig{mesh: mesh, cc: cc, ids: ids}
+}
+
+// streamClusterRig is a 3-replica decision plane with every
+// client→replica edge behind a byte-level faultnet.TCPProxy. HTTP and the
+// stream a replica's endpoint upgrades to both cross it, so a cut edge
+// takes both away, as a killed daemon does.
+type streamClusterRig struct {
+	t     *testing.T
+	cc    *ClusterClient
+	ids   []string
+	edges map[string]*faultnet.TCPProxy
+}
+
+func newStreamClusterRig(t *testing.T, seed int64, ccfg ClusterConfig) *streamClusterRig {
+	t.Helper()
+	r := &streamClusterRig{t: t, ids: []string{"node-a", "node-b", "node-c"}, edges: map[string]*faultnet.TCPProxy{}}
+	for i, id := range r.ids {
+		ts := newDecideDaemon(t)
+		edge := faultnet.NewTCP(strings.TrimPrefix(ts.URL, "http://"), seed+int64(i))
+		addr, err := edge.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = edge.Close() })
+		r.edges[id] = edge
+		ccfg.Members = append(ccfg.Members, ClusterMember{ID: id, BaseURL: "http://" + addr})
+	}
+	if ccfg.Vnodes == 0 {
+		ccfg.Vnodes = 64
+	}
+	cc, err := NewCluster(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cc.Close)
+	r.cc = cc
+	return r
+}
+
+// cut puts f on every connection the replicas' edges accept from now on
+// and kills the ones they carry, pooled HTTP and upgraded streams alike.
+func (r *streamClusterRig) cut(f faultnet.TCPFaults, ids ...string) {
+	for _, id := range ids {
+		r.edges[id].SetFaults(f)
+		r.edges[id].KillActive()
+	}
+}
+
+// heal lifts the faults and waits until each replica answers a key it
+// owns on a redialed stream, once per pooled connection in a row: the
+// redial backoff a cut leaves behind has lapsed on all of them.
+func (r *streamClusterRig) heal(ids ...string) {
+	r.t.Helper()
+	for _, id := range ids {
+		r.edges[id].SetFaults(faultnet.TCPFaults{})
+		probe := server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 1}}
+		for r.cc.Route(probe)[0] != id {
+			probe.Bindings["n"]++
+		}
+		until := time.Now().Add(10 * time.Second)
+		for row := 0; row < r.cc.loop.cfg.StreamConns; {
+			v, err := r.cc.Decide(context.Background(), probe)
+			switch {
+			case err == nil && v.Replica == id && v.Transport == TransportStream:
+				row++
+			case time.Now().After(until):
+				r.t.Fatalf("%s is not back on its stream 10s after the heal (last: %+v, %v)", id, v, err)
+			default:
+				row = 0
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+	}
+}
+
+// asServed is a response as a caller sees it: through the JSON encoding,
+// which is blind to Candidate's unexported bookkeeping, and without
+// CacheHit and DecisionNanos, which depend on who asked first.
+func asServed(t *testing.T, r server.DecideResponseV2) (out server.DecideResponseV2) {
+	t.Helper()
+	r.CacheHit, r.DecisionNanos = false, 0
+	raw, err := json.Marshal(r)
+	if err == nil {
+		err = json.Unmarshal(raw, &out)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// referenceResponse is the runtime asked directly, projected by hand.
+func referenceResponse(t *testing.T, ref *offload.Runtime, req server.DecideRequest) server.DecideResponseV2 {
+	t.Helper()
+	region, err := ref.Region(req.Region)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	decide := region.Decide
+	if req.Execute {
+		decide = region.Launch
+	}
+	out, err := decide(symbolic.Bindings(req.Bindings))
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	return asServed(t, server.DecideResponseV2{
+		Region: req.Region, Verdict: out.TargetID, Kind: out.Target.String(),
+		Policy: out.Policy.Name(), Candidates: out.Candidates, SplitFraction: out.SplitFraction,
+		Provenance: out.Provenance, ActualSeconds: out.ActualSeconds,
+	})
 }
 
 // chaosClusterReqs is the fixed request mix the cluster chaos tests
@@ -305,67 +418,37 @@ func TestClusterRouteEquivalence(t *testing.T) {
 			code: server.ErrCodeBadRequest},
 	}
 
-	// Compared as served: through the JSON encoding, which is blind to
-	// Candidate's unexported bookkeeping.
-	asServed := func(r server.DecideResponseV2) (out server.DecideResponseV2) {
-		t.Helper()
-		r.CacheHit, r.DecisionNanos = false, 0
-		raw, err := json.Marshal(r)
-		if err == nil {
-			err = json.Unmarshal(raw, &out)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	// The reference: the runtime asked directly, projected by hand.
 	ref := fallbackRuntime(t)
 	want := make([]server.DecideResponseV2, len(rows))
 	for i, row := range rows {
-		if row.code != "" {
-			continue
+		if row.code == "" {
+			want[i] = referenceResponse(t, ref, row.req)
 		}
-		region, err := ref.Region(row.req.Region)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", row.name, err)
-		}
-		decide := region.Decide
-		if row.req.Execute {
-			decide = region.Launch
-		}
-		out, err := decide(symbolic.Bindings(row.req.Bindings))
-		if err != nil {
-			t.Fatalf("%s: reference: %v", row.name, err)
-		}
-		want[i] = asServed(server.DecideResponseV2{
-			Region: row.req.Region, Verdict: out.TargetID, Kind: out.Target.String(),
-			Policy: out.Policy.Name(), Candidates: out.Candidates, SplitFraction: out.SplitFraction,
-			Provenance: out.Provenance, ActualSeconds: out.ActualSeconds,
-		})
 	}
 
 	// One walk per call: with every replica down a second walk would only
 	// add three backoff sleeps to each row. Breakers stay out of the way,
-	// so a partitioned replica is asked, and fails, every time.
-	rig := newClusterChaosRig(t, 5, ClusterConfig{
+	// so a cut replica is asked, and fails, every time; one pooled stream
+	// connection per replica, so a healed one is back on it for every call.
+	// rig carries a fallback runtime and so sends slot-form frames, hedging
+	// has none and sends named bindings.
+	rig := newStreamClusterRig(t, 5, ClusterConfig{
 		Fallback: fallbackRuntime(t),
-		Replica:  Config{MaxAttempts: 1, BreakerFailures: 1000},
+		Replica:  Config{MaxAttempts: 1, BreakerFailures: 1000, StreamConns: 1},
 	})
-	hedging := newClusterChaosRig(t, 5, ClusterConfig{
-		Replica: Config{HedgeAfter: 5 * time.Millisecond, BreakerFailures: 1000},
+	hedging := newStreamClusterRig(t, 5, ClusterConfig{
+		Replica: Config{HedgeAfter: 5 * time.Millisecond, BreakerFailures: 1000, StreamConns: 1},
 	})
+	// refusing's edges are HTTP proxies, which refuse the Upgrade.
+	refusing := newClusterChaosRig(t, 5, ClusterConfig{Replica: Config{MaxAttempts: 1}})
 	ctx := context.Background()
-	// under serves one request with faults on some client→replica edges,
-	// and heals them.
-	under := func(r *clusterChaosRig, f faultnet.Faults, req server.DecideRequest, edges ...string) (*Verdict, error) {
-		for _, id := range edges {
-			r.mesh.SetFaults("client", id, f)
-		}
+	partition := faultnet.TCPFaults{Partition: true}
+	// under serves one request with the edges to some replicas cut, and
+	// heals them.
+	under := func(r *streamClusterRig, f faultnet.TCPFaults, req server.DecideRequest, edges ...string) (*Verdict, error) {
+		r.cut(f, edges...)
 		v, err := r.cc.Decide(ctx, req)
-		for _, id := range edges {
-			r.mesh.SetFaults("client", id, faultnet.Faults{})
-		}
+		r.heal(edges...)
 		return v, err
 	}
 	// stamp is what a route documents about a verdict's delivery.
@@ -376,6 +459,14 @@ func TestClusterRouteEquivalence(t *testing.T) {
 		attempts  int
 	}
 	order := func(i int) []string { return rig.cc.Route(rows[i].req) }
+	// via is what a single rides to a replica that speaks the stream: the
+	// stream, unless it is an Execute, which keeps to HTTP like a batch.
+	via := func(i int) string {
+		if rows[i].req.Execute {
+			return TransportHTTPJSON
+		}
+		return TransportStream
+	}
 	batchDown := order(0)[0]
 	var batch []Verdict
 
@@ -386,22 +477,26 @@ func TestClusterRouteEquivalence(t *testing.T) {
 	}{
 		{"owner",
 			func(i int) (*Verdict, error) { return rig.cc.Decide(ctx, rows[i].req) },
-			func(i int) stamp { return stamp{order(i)[0], ProvenanceRemote, TransportHTTPJSON, 1} }},
+			func(i int) stamp { return stamp{order(i)[0], ProvenanceRemote, via(i), 1} }},
+		// The owner's stream dies and its redial and its HTTP rung are
+		// refused, all inside the one attempt; then the call walks.
 		{"failed-over successor",
-			func(i int) (*Verdict, error) {
-				return under(rig, faultnet.Faults{Partition: true}, rows[i].req, order(i)[0])
-			},
-			func(i int) stamp { return stamp{order(i)[1], ProvenanceRemote, TransportHTTPJSON, 2} }},
+			func(i int) (*Verdict, error) { return under(rig, partition, rows[i].req, order(i)[0]) },
+			func(i int) stamp { return stamp{order(i)[1], ProvenanceRemote, via(i), 2} }},
+		// The owner accepts and answers 150ms late; the hedge is sent 5ms in.
 		{"hedge",
 			func(i int) (*Verdict, error) {
-				return under(hedging, faultnet.Faults{Latency: 150 * time.Millisecond}, rows[i].req, order(i)[0])
+				return under(hedging, faultnet.TCPFaults{StallRate: 1, Stall: 150 * time.Millisecond}, rows[i].req, order(i)[0])
 			},
 			func(i int) stamp {
 				if rows[i].req.Execute { // never duplicated: the slow owner's own answer
 					return stamp{order(i)[0], ProvenanceRemote, TransportHTTPJSON, 1}
 				}
-				return stamp{order(i)[1], ProvenanceHedged, TransportHTTPJSON, 1}
+				return stamp{order(i)[1], ProvenanceHedged, TransportStream, 1}
 			}},
+		{"owner that refuses the stream",
+			func(i int) (*Verdict, error) { return refusing.cc.Decide(ctx, rows[i].req) },
+			func(i int) stamp { return stamp{order(i)[0], ProvenanceRemote, TransportHTTPJSON, 1} }},
 		{"batch sharded over owners, one owner down",
 			func(i int) (*Verdict, error) {
 				if batch == nil {
@@ -409,10 +504,10 @@ func TestClusterRouteEquivalence(t *testing.T) {
 					for j := range rows {
 						reqs[j] = rows[j].req
 					}
-					rig.mesh.SetFaults("client", batchDown, faultnet.Faults{Partition: true})
+					rig.cut(partition, batchDown)
 					var err error
 					batch, err = rig.cc.DecideBatch(ctx, reqs)
-					rig.mesh.SetFaults("client", batchDown, faultnet.Faults{})
+					rig.heal(batchDown)
 					if err != nil {
 						return nil, err
 					}
@@ -428,9 +523,11 @@ func TestClusterRouteEquivalence(t *testing.T) {
 				}
 				return stamp{order(i)[0], ProvenanceRemote, TransportHTTPJSON, 1}
 			}},
+		// Last: nothing is healed after it.
 		{"cluster fallback",
 			func(i int) (*Verdict, error) {
-				return under(rig, faultnet.Faults{Partition: true}, rows[i].req, rig.ids...)
+				rig.cut(partition, rig.ids...)
+				return rig.cc.Decide(ctx, rows[i].req)
 			},
 			func(i int) stamp { return stamp{"", ProvenanceFallback, TransportLocal, 3} }},
 	} {
@@ -455,19 +552,177 @@ func TestClusterRouteEquivalence(t *testing.T) {
 			switch {
 			case code != row.code:
 				t.Errorf("%s / %s: error code %q, want %q", route.name, row.name, code, row.code)
-			case code == "" && !reflect.DeepEqual(asServed(got), want[i]):
+			case code == "" && !reflect.DeepEqual(asServed(t, got), want[i]):
 				t.Errorf("%s / %s: verdict diverges from the reference runtime\n  got:  %+v\n  want: %+v",
-					route.name, row.name, asServed(got), want[i])
+					route.name, row.name, asServed(t, got), want[i])
 			}
 		}
 	}
 	if m := hedging.cc.Metrics(); m.CrossHedges == 0 || m.CrossHedgeWins == 0 || m.Failovers != 0 {
 		t.Errorf("the hedge route: %+v", m)
 	}
-	// Routing is the ring's alone: both rigs agree on every row.
-	for i := range rows {
-		if !slices.Equal(hedging.cc.Route(rows[i].req), order(i)) {
-			t.Fatalf("%s: the two rigs route differently", rows[i].name)
+	// Cuts cost latency and attempts, never the rung: only a replica that
+	// answered the Upgrade with a refusal lost it, once, on its first single.
+	refused := uint64(0)
+	for _, r := range []*ClusterClient{rig.cc, hedging.cc, refusing.cc} {
+		for id, m := range r.Metrics().Replicas {
+			if r == refusing.cc && m.StreamDowngrades <= 1 {
+				refused += m.StreamDowngrades
+			} else if m.StreamDowngrades != 0 {
+				t.Errorf("%s demoted its stream rung %d times (refusing rig: %v)", id, m.StreamDowngrades, r == refusing.cc)
+			}
 		}
+	}
+	if refused == 0 {
+		t.Error("no replica behind an HTTP proxy demoted its stream rung: who refused the Upgrade?")
+	}
+	// Routing is the ring's alone: the rigs agree on every row.
+	for i := range rows {
+		if !slices.Equal(hedging.cc.Route(rows[i].req), order(i)) || !slices.Equal(refusing.cc.Route(rows[i].req), order(i)) {
+			t.Fatalf("%s: the rigs route differently", rows[i].name)
+		}
+	}
+}
+
+// TestChaosClusterStreamKill: production defaults over three real daemons,
+// every edge a byte-level proxy, callers running throughout. Mid-run one
+// replica is killed — its live connections reset, new ones refused — and
+// later comes back. No call is lost or answered by the fallback runtime
+// while a successor lives, every verdict is the reference runtime's, and
+// once healed the victim serves its keys again on a redialed stream: the
+// kill cost it connections, not the rung.
+func TestChaosClusterStreamKill(t *testing.T) {
+	rig := newStreamClusterRig(t, 11, ClusterConfig{Fallback: fallbackRuntime(t)})
+	ref := fallbackRuntime(t)
+	reqs := chaosClusterReqs(24)
+	want := make([]server.DecideResponseV2, len(reqs))
+	for i, req := range reqs {
+		want[i] = referenceResponse(t, ref, req)
+	}
+	victim := rig.cc.Route(reqs[0])[0]
+	ctx := context.Background()
+	// check holds one verdict to the laws that hold in every phase.
+	check := func(i int, v *Verdict, err error) error {
+		order := rig.cc.Route(reqs[i])
+		switch {
+		case err != nil:
+			return fmt.Errorf("request %d lost: %w", i, err)
+		case v.Provenance == ProvenanceFallback:
+			return fmt.Errorf("request %d answered by the fallback runtime after %d attempts", i, v.Attempts)
+		case v.Replica != order[0] && (order[0] != victim || v.Replica != order[1]):
+			return fmt.Errorf("request %d served by %q (order %v, victim %s)", i, v.Replica, order, victim)
+		case !reflect.DeepEqual(asServed(t, v.Response), want[i]):
+			return fmt.Errorf("request %d diverges from the reference runtime:\n  got:  %+v\n  want: %+v", i, asServed(t, v.Response), want[i])
+		}
+		return nil
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var callers sync.WaitGroup
+	for g := 0; g < cap(errs); g++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			for i := g; ; i = (i + 1) % len(reqs) {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v, err := rig.cc.Decide(ctx, reqs[i])
+				if err = check(i, v, err); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	time.Sleep(30 * time.Millisecond)
+	rig.cut(faultnet.TCPFaults{Partition: true}, victim)
+	time.Sleep(60 * time.Millisecond)
+	rig.heal(victim)
+	time.Sleep(30 * time.Millisecond)
+	close(stop)
+	callers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	// Healed, every key is its owner's again, on the stream.
+	for i, req := range reqs {
+		v, err := rig.cc.Decide(ctx, req)
+		if err = check(i, v, err); err != nil {
+			t.Fatal(err)
+		}
+		if v.Replica != rig.cc.Route(req)[0] || v.Transport != TransportStream {
+			t.Fatalf("after the heal request %d was served by %q over %s, want its owner %q on the stream",
+				i, v.Replica, v.Transport, rig.cc.Route(req)[0])
+		}
+	}
+	m := rig.cc.Metrics()
+	if m.Failovers == 0 {
+		t.Error("the kill caused no failover: it never bit")
+	}
+	if r := m.Replicas[victim]; r.StreamReconnects == 0 || r.StreamFallbacks == 0 {
+		t.Errorf("the victim redialed %d streams and fell to HTTP %d times; want both to have happened", r.StreamReconnects, r.StreamFallbacks)
+	}
+	for id, r := range m.Replicas {
+		if r.StreamDowngrades != 0 || r.StreamCalls == 0 {
+			t.Errorf("%s: %d stream calls, rung demoted %d times; a kill must not cost the rung", id, r.StreamCalls, r.StreamDowngrades)
+		}
+	}
+	t.Logf("failovers=%d victim: reconnects=%d stream→HTTP=%d breaker opens=%d",
+		m.Failovers, m.Replicas[victim].StreamReconnects, m.Replicas[victim].StreamFallbacks, m.Replicas[victim].BreakerOpened)
+}
+
+// TestClusterStreamDialIsBounded: a replica that accepts connections and
+// then says nothing, to the Upgrade or to anything else, costs a call the
+// one attempt's deadline — or nothing, when a hedge answered meanwhile and
+// the attempt was given up — and leaves the slot in redial backoff with
+// its lock free, not held by a dial nobody is waiting for.
+func TestClusterStreamDialIsBounded(t *testing.T) {
+	silent := faultnet.TCPFaults{StallRate: 1, Stall: 600 * time.Millisecond}
+	for _, c := range []struct {
+		name     string
+		replica  Config
+		prov     Provenance
+		attempts int
+		atLeast  time.Duration
+		atMost   time.Duration
+	}{
+		{"the attempt's deadline", Config{Timeout: 100 * time.Millisecond, MaxAttempts: 1, StreamConns: 1},
+			ProvenanceRemote, 2, 100 * time.Millisecond, 400 * time.Millisecond},
+		{"a hedge's answer", Config{HedgeAfter: 5 * time.Millisecond, StreamConns: 1},
+			ProvenanceHedged, 1, 5 * time.Millisecond, 400 * time.Millisecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rig := newStreamClusterRig(t, 7, ClusterConfig{Replica: c.replica})
+			req := chaosClusterReqs(1)[0]
+			order := rig.cc.Route(req)
+			rig.cut(silent, order[0])
+			start := time.Now()
+			v, err := rig.cc.Decide(context.Background(), req)
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Replica != order[1] || v.Provenance != c.prov || v.Transport != TransportStream || v.Attempts != c.attempts {
+				t.Errorf("served by %q (%s, %s) after %d attempts; want the successor %q (%s, stream) after %d",
+					v.Replica, v.Provenance, v.Transport, v.Attempts, order[1], c.prov, c.attempts)
+			}
+			if elapsed < c.atLeast || elapsed > c.atMost {
+				t.Errorf("the call took %v, want between %v and %v: the silent owner's dial ran past what bounded it", elapsed, c.atLeast, c.atMost)
+			}
+			sl := &rig.cc.views[order[0]].route[0].ladder[0].Transport.(*streamTransport).slots[0]
+			if !sl.mu.TryLock() {
+				t.Fatal("the owner's slot is still locked: its dial outlived the attempt")
+			}
+			defer sl.mu.Unlock()
+			if sl.conn != nil || !time.Now().Before(sl.retryAt) {
+				t.Errorf("the owner's slot holds conn %v and may redial at %v; want none, and a backoff still running", sl.conn, sl.retryAt)
+			}
+		})
 	}
 }

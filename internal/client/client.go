@@ -43,6 +43,7 @@ import (
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
+	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
 // Provenance says which path produced a Verdict.
@@ -174,18 +175,19 @@ type Config struct {
 	// same attempt goes out again as JSON: no verdict is lost to the
 	// negotiation (Metrics.WireDowngrades counts it).
 	Binary bool
-	// RegionParams, when non-nil with Binary set, returns a region's
-	// canonical parameter names in sorted order (nil/mismatched length
-	// = unknown region). Requests whose binding names are exactly those
-	// params ride the slot-vector wire form — values only plus a key
-	// hash — which the daemon copies straight into its pooled slot
-	// vectors. Without the hook, frames carry named bindings, which is
-	// still far cheaper than JSON.
+	// RegionParams returns a region's canonical parameter names in sorted
+	// order (nil/mismatched length = unknown region). Requests whose
+	// binding names are exactly those params ride the slot-vector wire
+	// form — values only plus a key hash — which the daemon copies straight
+	// into its pooled slot vectors. Nil asks the Fallback runtime, which
+	// knows the layout of every region it has registered; with neither,
+	// frames carry named bindings, which is still far cheaper than JSON.
 	RegionParams func(region string) []string
 
 	// Stream puts a small pool of persistent multiplexed frame-stream
 	// connections (StreamConns of them, redialed with backoff) on top of
-	// the ladder for decide-only single requests. A dead, drained or
+	// the ladder for decide-only single requests; NewCluster sets it for
+	// every replica. A dead, drained or
 	// reconnecting connection falls through to HTTP inside the same
 	// attempt — it costs latency, never a verdict; an endpoint that does
 	// not speak the stream dialect demotes the rung stickily. Execute
@@ -193,7 +195,7 @@ type Config struct {
 	Stream bool
 	// StreamAddr is the daemon's raw TCP stream listener
 	// (hybridseld -stream-addr). Empty negotiates the stream over the
-	// HTTP port via Upgrade on GET /v1/stream.
+	// HTTP port via Upgrade on GET /v1/stream, as a cluster always does.
 	StreamAddr string
 	// StreamConns is the stream connection pool size. 0 selects
 	// DefaultStreamConns.
@@ -214,6 +216,14 @@ func (cfg Config) withDefaults() (Config, error) {
 	orDefault(&cfg.StreamConns, DefaultStreamConns)
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
+	}
+	if rt := cfg.Fallback; cfg.RegionParams == nil && rt != nil {
+		cfg.RegionParams = func(region string) []string {
+			if r, err := rt.Region(region); err == nil {
+				return r.ParamNames()
+			}
+			return nil
+		}
 	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = &http.Client{
@@ -264,7 +274,7 @@ func (c *Client) BreakerState() BreakerState { return c.route[0].breaker.State()
 // Decide returns a verdict for one decision request. Identical
 // decide-only requests in flight at once share a single network call.
 func (c *Client) Decide(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
-	return c.loop.decide(ctx, req, bindingsHash(req), c.route)
+	return c.loop.decide(ctx, c.loop.single(req), c.route)
 }
 
 // DecideBatch returns verdicts for a slice of requests, positionally.
@@ -290,11 +300,11 @@ type loop struct {
 	rng *rand.Rand
 
 	fmu      sync.Mutex
-	inflight map[reqKey]*flight
+	inflight map[reqKey]*ask // the decide-only singles on the network now
 }
 
 func newLoop(cfg *Config) *loop {
-	return &loop{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), inflight: map[reqKey]*flight{}}
+	return &loop{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), inflight: map[reqKey]*ask{}}
 }
 
 // reqKey identifies a request for coalescing. hash is bindingsHash, which
@@ -310,29 +320,54 @@ func bindingsHash(req server.DecideRequest) uint64 {
 	return attrdb.BindingsHash(symbolic.Bindings(req.Bindings))
 }
 
-// flight is one in-progress decide, shared by its coalesced callers.
-type flight struct {
-	bindings map[string]int64
-	done     chan struct{}
-	v        *Verdict
-	err      error
+// ask is one call on its way through the loop: a batch shard, or a single
+// with, in this one allocation, the canonical form of its bindings —
+// worked out once for routing, coalescing and the frame it rides a stream
+// in — and the flight identical requests arriving while it is out share.
+type ask struct {
+	reqs  []server.DecideRequest // one request unless batch
+	batch bool
+	hash  uint64       // a single's bindingsHash
+	wr    wire.Request // a single's frame, slot form when Config.RegionParams agrees
+	// done is made by the first coalesced caller to arrive, so a call
+	// nobody joins has no channel; once closed, v and err are the outcome.
+	done chan struct{}
+	v    *Verdict
+	err  error
+	// What the slices above point into.
+	req    [1]server.DecideRequest
+	names  [4]string
+	values [4]int64
+}
+
+// single prepares the ask for one request.
+func (l *loop) single(req server.DecideRequest) *ask {
+	a := &ask{}
+	a.req[0], a.reqs = req, a.req[:]
+	a.wr, a.hash = toWireRequest(req, l.cfg.RegionParams, a.names[:0], a.values[:0])
+	return a
 }
 
 // decide is Decide over a route: one call, shared by the identical
-// decide-only requests in flight with it. hash is bindingsHash(req).
-func (l *loop) decide(ctx context.Context, req server.DecideRequest, hash uint64, route []*endpoint) (*Verdict, error) {
+// decide-only requests in flight with it.
+func (l *loop) decide(ctx context.Context, a *ask, route []*endpoint) (*Verdict, error) {
 	met := &route[0].met
 	met.requests.Add(1)
-	key := reqKey{region: req.Region, hash: hash}
-	var fl *flight
+	req := &a.req[0]
+	key := reqKey{region: req.Region, hash: a.hash}
 	// Execute dispatches work on the daemon: never shared, never hedged.
+	leads := false
 	if !req.Execute {
 		l.fmu.Lock()
 		lead, taken := l.inflight[key]
-		if taken && maps.Equal(lead.bindings, req.Bindings) {
+		if taken && maps.Equal(lead.req[0].Bindings, req.Bindings) {
+			if lead.done == nil {
+				lead.done = make(chan struct{})
+			}
+			done := lead.done
 			l.fmu.Unlock()
 			select {
-			case <-lead.done:
+			case <-done:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -344,25 +379,25 @@ func (l *loop) decide(ctx context.Context, req server.DecideRequest, hash uint64
 			v.Coalesced = true
 			return &v, nil
 		}
-		if !taken { // else another request has this hash: fly alone
-			fl = &flight{bindings: req.Bindings, done: make(chan struct{})}
-			l.inflight[key] = fl
+		if leads = !taken; leads { // else another request has this hash: fly alone
+			l.inflight[key] = a
 		}
 		l.fmu.Unlock()
 	}
-	var v *Verdict
-	vs, err := l.call(ctx, []server.DecideRequest{req}, false, route)
-	if err == nil {
-		v = &vs[0]
+	vs, err := l.call(ctx, a, route)
+	if a.err = err; err == nil {
+		a.v = &vs[0]
 	}
-	if fl != nil {
-		fl.v, fl.err = v, err
+	if leads {
 		l.fmu.Lock()
 		delete(l.inflight, key)
+		done := a.done
 		l.fmu.Unlock()
-		close(fl.done)
+		if done != nil {
+			close(done)
+		}
 	}
-	return v, err
+	return a.v, err
 }
 
 // decideBatch is DecideBatch over routeOf's routes: each distinct request
@@ -415,10 +450,10 @@ func (l *loop) decideBatch(ctx context.Context, reqs []server.DecideRequest, rou
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.vs, s.err = l.call(ctx, s.sub, true, s.route)
+			s.vs, s.err = l.call(ctx, &ask{reqs: s.sub, batch: true}, s.route)
 		}()
 	}
-	shards[0].vs, shards[0].err = l.call(ctx, shards[0].sub, true, shards[0].route)
+	shards[0].vs, shards[0].err = l.call(ctx, &ask{reqs: shards[0].sub, batch: true}, shards[0].route)
 	wg.Wait()
 	out := make([]Verdict, len(reqs))
 	for i, p := range at {
@@ -435,8 +470,7 @@ var errNoFallback = errors.New("client: no fallback runtime configured")
 
 // call is the resilience loop, the one path from Decide and DecideBatch
 // of either client to the network: walk the route, sleep when it wraps,
-// answer from the fallback runtime when the walks are spent. batch
-// selects the batch form; otherwise reqs holds exactly one request.
+// answer from the fallback runtime when the walks are spent.
 //
 // The rule is walk before you wait. A retryable failure — transport
 // error, 5xx, shed — moves on to the next endpoint at once, and an
@@ -445,11 +479,11 @@ var errNoFallback = errors.New("client: no fallback runtime configured")
 // backoff, or a longer Retry-After from the endpoint it re-asks first.
 // On a route of one every step wraps, which is the classic retry loop; on
 // a cluster route a healthy successor answers after one failed attempt.
-func (l *loop) call(ctx context.Context, reqs []server.DecideRequest, batch bool, route []*endpoint) ([]Verdict, error) {
+func (l *loop) call(ctx context.Context, a *ask, route []*endpoint) ([]Verdict, error) {
 	// Only idempotent calls are hedged: an Execute request dispatches
 	// work and is never duplicated.
 	canHedge := !l.cfg.DisableHedging &&
-		!slices.ContainsFunc(reqs, func(r server.DecideRequest) bool { return r.Execute })
+		!slices.ContainsFunc(a.reqs, func(r server.DecideRequest) bool { return r.Execute })
 	attempts := 0
 	var err error
 walks:
@@ -466,7 +500,7 @@ walks:
 				l.cm.failovers.Add(1)
 			}
 			attempts++
-			vs, from, cerr := l.attempt(ctx, reqs, batch, route, i, canHedge)
+			vs, from, cerr := l.attempt(ctx, a, route, i, canHedge)
 			ep.breaker.settle(cerr)
 			if from != ep {
 				// The hedge's endpoint answered. It was asked because its
@@ -523,8 +557,8 @@ walks:
 	}
 	l.cm.fallbacks.Add(1)
 	met := &route[0].met
-	vs := make([]Verdict, len(reqs))
-	for i, req := range reqs {
+	vs := make([]Verdict, len(a.reqs))
+	for i, req := range a.reqs {
 		vs[i] = localVerdict(l.cfg.Fallback, req, attempts)
 		if vs[i].Response.Error != nil {
 			met.fallbackErrors.Add(1)
@@ -561,28 +595,31 @@ func (l *loop) backoff(walk int) time.Duration {
 }
 
 // attempt asks route[i] under the per-attempt deadline, hedged when the
-// call allows it. The primary runs on the caller's goroutine and the
+// call allows it. An attempt that arms no hedge, as none of a cluster's
+// does by default, has no context of its own. Otherwise the primary runs
+// on the caller's goroutine and the
 // duplicate is armed with a timer, so a hedge that never fires costs the
-// timer, its function and dup: no goroutine, channel or context of its
-// own. The first success wins and ends the other; when both have failed
+// context, the timer, its function and dup: no goroutine or channel of
+// its own. The first success wins and ends the other; when both have failed
 // the primary's error is the attempt's (the hedge's is usually a
 // cancellation echo). from is the endpoint that answered, route[i] when
 // none did. err is route[i]'s own outcome, which settles its breaker: nil
 // if it answered, to the primary or to a hedge sent to itself, and its
 // failure even when the hedge to another endpoint answered.
-func (l *loop) attempt(ctx context.Context, reqs []server.DecideRequest, batch bool, route []*endpoint, i int, canHedge bool) (vs []Verdict, from *endpoint, err *callErr) {
-	actx, cancel := context.WithTimeout(ctx, l.cfg.Timeout)
-	defer cancel()
+func (l *loop) attempt(ctx context.Context, a *ask, route []*endpoint, i int, canHedge bool) (vs []Verdict, from *endpoint, err *callErr) {
+	deadline := time.Now().Add(l.cfg.Timeout)
 	ep := route[i]
 	var to *endpoint
 	var delay time.Duration
 	if canHedge {
-		to, delay = l.hedgeFor(route, i, streamable(reqs, batch))
+		to, delay = l.hedgeFor(route, i, a.streamable())
 	}
 	if delay <= 0 {
-		vs, err = ep.send(actx, reqs, batch)
+		vs, err = ep.send(ctx, deadline, a)
 		return vs, ep, err
 	}
+	actx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
 	var dup struct { // the duplicate's outcome, read once sent is done
 		sent sync.WaitGroup
 		vs   []Verdict
@@ -595,11 +632,11 @@ func (l *loop) attempt(ctx context.Context, reqs []server.DecideRequest, batch b
 		if to != ep {
 			l.cm.crossHedges.Add(1)
 		}
-		if dup.vs, dup.err = to.send(actx, reqs, batch); dup.err == nil {
+		if dup.vs, dup.err = to.send(actx, deadline, a); dup.err == nil {
 			cancel() // the duplicate won: stop waiting for the primary
 		}
 	})
-	vs, err = ep.send(actx, reqs, batch)
+	vs, err = ep.send(actx, deadline, a)
 	if timer.Stop() || err == nil {
 		return vs, ep, err // the hedge never fired, or the primary won anyway
 	}

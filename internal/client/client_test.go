@@ -41,10 +41,16 @@ func fallbackRuntime(t *testing.T) *offload.Runtime {
 	return rt
 }
 
-// stubDaemon answers /v2/decide with a canned per-request handler.
+// stubDaemon answers /v2/decide with a canned per-request handler. Like
+// any daemon that predates the stream it has no /v1/stream, so a client
+// that starts on the stream rung demotes it on its first call and h sees
+// decide calls only.
 func stubDaemon(t *testing.T, h http.HandlerFunc) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(h)
+	mux := http.NewServeMux()
+	mux.Handle("/v1/stream", http.NotFoundHandler())
+	mux.Handle("/", h)
+	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
 }

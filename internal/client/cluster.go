@@ -114,6 +114,8 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 	for _, m := range cfg.Members {
 		rcfg := cfg.Replica
 		rcfg.BaseURL = m.BaseURL
+		// The stream by Upgrade over its own BaseURL: refused, the rung demotes.
+		rcfg.Stream, rcfg.StreamAddr = true, ""
 		if rcfg, err = rcfg.withDefaults(); err != nil {
 			return nil, fmt.Errorf("client: cluster member %s: %w", m.ID, err)
 		}
@@ -148,14 +150,14 @@ func (cc *ClusterClient) Client(id string) *Client { return cc.views[id] }
 // key's ring successor list, alive members first, suspect next, dead
 // last, ring order preserved within each class.
 func (cc *ClusterClient) Route(req server.DecideRequest) []string {
-	order, _ := cc.order(req.Region, bindingsHash(req))
+	order, _ := cc.order(nil, req.Region, bindingsHash(req))
 	return order
 }
 
-// order is Route from an already-hashed request, and whether gossip
-// demoted the ring owner.
-func (cc *ClusterClient) order(region string, hash uint64) (order []string, demoted bool) {
-	order = cc.ring.Successors(cluster.RegionKey(region, hash), 0)
+// order is Route from an already-hashed request, appended to buf, and
+// whether gossip demoted the ring owner.
+func (cc *ClusterClient) order(buf []string, region string, hash uint64) (order []string, demoted bool) {
+	order = cc.ring.Successors(buf, cluster.RegionKey(region, hash), 0)
 	if cc.cfg.Health == nil {
 		return order, false
 	}
@@ -170,7 +172,8 @@ func (cc *ClusterClient) order(region string, hash uint64) (order []string, demo
 
 // route appends a request's endpoints, in Route order, to buf.
 func (cc *ClusterClient) route(buf []*endpoint, region string, hash uint64) []*endpoint {
-	order, demoted := cc.order(region, hash)
+	var ids [8]string // on the stack for rings of up to eight
+	order, demoted := cc.order(ids[:0], region, hash)
 	if demoted {
 		cc.loop.cm.demoted.Add(1)
 	}
@@ -185,9 +188,9 @@ func (cc *ClusterClient) route(buf []*endpoint, region string, hash uint64) []*e
 // finally the in-process fallback runtime.
 func (cc *ClusterClient) Decide(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
 	cc.loop.cm.requests.Add(1)
-	hash := bindingsHash(req)
+	a := cc.loop.single(req)
 	// On the stack for rings of up to eight: the loop keeps no route.
-	return cc.loop.decide(ctx, req, hash, cc.route(make([]*endpoint, 0, 8), req.Region, hash))
+	return cc.loop.decide(ctx, a, cc.route(make([]*endpoint, 0, 8), req.Region, a.hash))
 }
 
 // DecideBatch returns verdicts positionally, sharding the batch by each

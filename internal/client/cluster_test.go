@@ -39,7 +39,7 @@ type replicaStub struct {
 func newReplicaStub(t *testing.T, id, verdict string) *replicaStub {
 	t.Helper()
 	rs := &replicaStub{id: id}
-	rs.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	rs.ts = stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
 		rs.calls.Add(1)
 		if d := rs.delay.Load(); d > 0 {
 			time.Sleep(time.Duration(d))
@@ -75,8 +75,7 @@ func newReplicaStub(t *testing.T, id, verdict string) *replicaStub {
 			return
 		}
 		okResponse(w, body.Region, verdict)
-	}))
-	t.Cleanup(rs.ts.Close)
+	})
 	return rs
 }
 
@@ -111,7 +110,7 @@ func TestClusterRouteMatchesRing(t *testing.T) {
 	for n := int64(1); n <= 32; n++ {
 		req := clusterReq(n * 97)
 		key := cluster.RegionKey(req.Region, attrdb.BindingsHash(symbolic.Bindings(req.Bindings)))
-		want := cc.Ring().Successors(key, 0)
+		want := cc.Ring().Successors(nil, key, 0)
 		got := cc.Route(req)
 		if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 			t.Fatalf("n=%d: route %v, ring successors %v", n, got, want)

@@ -32,11 +32,11 @@ func TestCodecEquivalence(t *testing.T) {
 		return server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": n}}
 	}
 	// A slot vector whose hash is not the hash of its values.
-	mismatch := toWireRequest(gemm(512), params)
+	mismatch, _ := toWireRequest(gemm(512), params, nil, nil)
 	mismatch.KeyHash ^= 0xbad
 	// The slot vector that a bindings map naming more than the parameters
 	// is projected onto.
-	exact := toWireRequest(gemm(300), params)
+	exact, _ := toWireRequest(gemm(300), params, nil, nil)
 	rows := []struct {
 		name string
 		req  server.DecideRequest
@@ -128,7 +128,7 @@ func TestCodecEquivalence(t *testing.T) {
 		if rows[i].frame != nil {
 			return rows[i].frame
 		}
-		wr := toWireRequest(rows[i].req, params)
+		wr, _ := toWireRequest(rows[i].req, params, nil, nil)
 		return &wr
 	}
 

@@ -195,8 +195,8 @@ func newEndpoint(id string, cfg *Config) *endpoint {
 // streamable reports whether the stream rung may carry the call: only
 // decide-only singles. A stream failure resends over HTTP, which must
 // never duplicate an Execute's side effects.
-func streamable(reqs []server.DecideRequest, batch bool) bool {
-	return !batch && !reqs[0].Execute
+func (a *ask) streamable() bool {
+	return !a.batch && !a.reqs[0].Execute
 }
 
 // carries reports whether the rung may take a call right now.
@@ -231,17 +231,29 @@ type callErr struct {
 	retryAfter time.Duration
 }
 
-// send is one pass down the ladder, under the attempt's deadline.
-func (ep *endpoint) send(actx context.Context, reqs []server.DecideRequest, batch bool) ([]Verdict, *callErr) {
+// send is one pass down the ladder, over by deadline. The stream rung
+// takes a single in the frame form the call already has, and the deadline
+// as it is; an HTTP rung gets it as a context.
+func (ep *endpoint) send(ctx context.Context, deadline time.Time, a *ask) ([]Verdict, *callErr) {
 	var err error
-	streamable := streamable(reqs, batch)
+	streamable := a.streamable()
 	for _, r := range ep.ladder {
 		if !r.carries(streamable) {
 			continue
 		}
 		start := time.Now()
 		var vs []Verdict
-		if vs, err = r.Send(actx, reqs, batch); err == nil {
+		if st, ok := r.Transport.(*streamTransport); ok {
+			vs, err = st.single(ctx, deadline, &a.wr)
+		} else {
+			hctx, cancel := ctx, context.CancelFunc(func() {})
+			if d, ok := ctx.Deadline(); !ok || deadline.Before(d) { // else a hedged attempt's own context
+				hctx, cancel = context.WithDeadline(ctx, deadline)
+			}
+			vs, err = r.Send(hctx, a.reqs, a.batch)
+			cancel()
+		}
+		if err == nil {
 			r.lat.observe(time.Since(start))
 			return vs, nil
 		}
@@ -255,12 +267,12 @@ func (ep *endpoint) send(actx context.Context, reqs []server.DecideRequest, batc
 			if r.down.CompareAndSwap(false, true) {
 				r.downgrades.Add(1)
 			}
-		case r.name == TransportStream && actx.Err() == nil:
+		case r.name == TransportStream && ctx.Err() == nil && time.Now().Before(deadline):
 			// Dead connection, Goaway, reconnect backoff: the in-flight
 			// request fails over to HTTP now, and costs no verdict.
 		default:
 			// An HTTP failure — or the attempt deadline cutting a stream
-			// wait short: this attempt's outcome, not the connection's.
+			// dial or wait short: this attempt's outcome, not the connection's.
 			return nil, &callErr{err: err, retryable: true, breaker: true}
 		}
 		if r.name == TransportStream {
@@ -350,11 +362,11 @@ func (t *httpTransport) encode(reqs []server.DecideRequest, batch bool) (body []
 	case t.frames && batch:
 		wrs := make([]wire.Request, len(reqs))
 		for i := range reqs {
-			wrs[i] = toWireRequest(reqs[i], t.params)
+			wrs[i], _ = toWireRequest(reqs[i], t.params, nil, nil)
 		}
 		return wire.AppendBatchRequest(nil, wrs), wire.ContentType, nil
 	case t.frames:
-		wr := toWireRequest(reqs[0], t.params)
+		wr, _ := toWireRequest(reqs[0], t.params, nil, nil)
 		return wire.AppendRequest(nil, &wr), wire.ContentType, nil
 	case batch:
 		body, err = json.Marshal(struct {

@@ -45,22 +45,29 @@ func TestGoldenMetricsFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := expose(t, cc.RegisterMetrics)
-	if n := strings.Count(out, "# TYPE hybridselc_requests_total "); n != 1 {
-		t.Fatalf("hybridselc_requests_total declared %d times", n)
-	}
 	fams, err := metrics.Parse(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
 	var got bytes.Buffer
+	stream := 0 // the transport every replica starts on: which one a cluster is on is read per replica
 	for _, f := range fams {
+		if n := strings.Count(out, "# TYPE "+f.Name+" "); n != 1 {
+			t.Errorf("%s declared %d times", f.Name, n)
+		}
+		if strings.HasPrefix(f.Name, "hybridselc_stream_") {
+			stream++
+		}
 		perReplica := !strings.HasPrefix(f.Name, "hybridselc_cluster_")
 		if slices.Contains(f.Labels, "replica") != perReplica {
 			t.Errorf("%s: label keys %v", f.Name, f.Labels)
 		}
 		keys := slices.DeleteFunc(f.Labels, func(k string) bool { return k == "replica" })
 		fmt.Fprintf(&got, "%s %s [%s] %s\n", f.Name, f.Type, strings.Join(keys, ","), f.Help)
+	}
+	if stream != 5 {
+		t.Errorf("%d hybridselc_stream_ families, want calls, writes, fallbacks, reconnects and downgrades", stream)
 	}
 	path := filepath.Join("testdata", "golden", "metrics_families.txt")
 	if *update {

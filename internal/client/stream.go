@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -81,22 +82,57 @@ type StreamConn struct {
 // or HTTP Upgrade), then read the server's TypeCredit grant. A peer
 // that answers with anything else does not speak the protocol.
 func DialStream(cfg StreamDialConfig) (*StreamConn, error) {
+	return dialStream(context.Background(), cfg, time.Time{})
+}
+
+// dialStream is DialStream for a caller that may give up: dial and
+// handshake end with ctx, and by the earliest of ctx's deadline, the
+// given one (zero: none) and DialTimeout.
+func dialStream(ctx context.Context, cfg StreamDialConfig, deadline time.Time) (*StreamConn, error) {
 	timeout := cfg.DialTimeout
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	deadline := time.Now().Add(timeout)
-	var conn net.Conn
-	var err error
-	if cfg.Addr != "" {
-		conn, err = net.DialTimeout("tcp", cfg.Addr, timeout)
-	} else {
-		conn, err = dialUpgrade(cfg.URL, timeout)
+	if by := time.Now().Add(timeout); deadline.IsZero() || by.Before(deadline) {
+		deadline = by
 	}
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
+	deadline, _ = ctx.Deadline()
+	addr, host := cfg.Addr, ""
+	if addr == "" {
+		u, err := url.Parse(cfg.URL)
+		if err != nil {
+			return nil, fmt.Errorf("%w: parse URL: %v", errDialect, err)
+		}
+		if u.Scheme != "http" {
+			return nil, fmt.Errorf("%w: cannot upgrade %q endpoints", errDialect, u.Scheme)
+		}
+		if addr, host = u.Host, u.Host; u.Port() == "" {
+			addr = net.JoinHostPort(u.Hostname(), "80")
+		}
+	}
+	raw, err := new(net.Dialer).DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return newStreamConn(conn, deadline)
+	// A caller that gives up mid-handshake — its hedge answered — is not
+	// kept to the deadline by a peer that accepted and says nothing.
+	stop := context.AfterFunc(ctx, func() { _ = raw.SetDeadline(time.Now()) })
+	defer stop()
+	conn := raw
+	if host != "" {
+		_ = raw.SetDeadline(deadline)
+		if conn, err = upgrade(raw, host); err != nil {
+			return nil, err
+		}
+	}
+	sc, err := newStreamConn(conn, deadline)
+	if err == nil && !stop() { // ctx ended with the handshake: its deadline may land on the live connection
+		sc.Close()
+		return nil, ctx.Err()
+	}
+	return sc, err
 }
 
 // newStreamConn handshakes a dialed connection, closing it on failure.
@@ -130,26 +166,12 @@ func newStreamConn(conn net.Conn, deadline time.Time) (*StreamConn, error) {
 	return sc, nil
 }
 
-// dialUpgrade negotiates a stream connection over the HTTP port via
-// GET /v1/stream with Upgrade: hybridsel-stream.
-func dialUpgrade(base string, timeout time.Duration) (net.Conn, error) {
-	u, err := url.Parse(base)
-	if err != nil {
-		return nil, fmt.Errorf("%w: parse URL: %v", errDialect, err)
-	}
-	if u.Scheme != "http" {
-		return nil, fmt.Errorf("%w: cannot upgrade %q endpoints", errDialect, u.Scheme)
-	}
-	host := u.Host
-	if u.Port() == "" {
-		host = net.JoinHostPort(u.Hostname(), "80")
-	}
-	conn, err := net.DialTimeout("tcp", host, timeout)
-	if err != nil {
-		return nil, err
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	req := "GET /v1/stream HTTP/1.1\r\nHost: " + u.Host +
+// upgrade negotiates the stream over a connection to the HTTP port via
+// GET /v1/stream with Upgrade: hybridsel-stream, closing it on failure.
+// Only an answer proves the peer does not speak the dialect; a connection
+// that fails before one is a transport failure like any other.
+func upgrade(conn net.Conn, host string) (net.Conn, error) {
+	req := "GET /v1/stream HTTP/1.1\r\nHost: " + host +
 		"\r\nConnection: Upgrade\r\nUpgrade: " + server.StreamUpgradeProto + "\r\n\r\n"
 	if _, err := conn.Write([]byte(req)); err != nil {
 		conn.Close()
@@ -157,19 +179,21 @@ func dialUpgrade(base string, timeout time.Duration) (net.Conn, error) {
 	}
 	br := bufio.NewReader(conn)
 	resp, err := http.ReadResponse(br, nil)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("%w: upgrade response: %v", errDialect, err)
+	if err == nil && resp.StatusCode == http.StatusSwitchingProtocols {
+		// The server speaks immediately after the 101; any bytes it
+		// pipelined behind the response sit in br, so wrap it.
+		return &bufferedConn{Conn: conn, r: br}, nil
 	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
+	conn.Close()
+	var ne net.Error
+	switch {
+	case err == nil:
 		resp.Body.Close()
-		conn.Close()
 		return nil, fmt.Errorf("%w: upgrade refused with HTTP %d", errDialect, resp.StatusCode)
+	case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &ne):
+		return nil, fmt.Errorf("upgrade response: %w", err)
 	}
-	_ = conn.SetDeadline(time.Time{})
-	// The server speaks immediately after the 101; any bytes it
-	// pipelined behind the response sit in br, so wrap it.
-	return &bufferedConn{Conn: conn, r: br}, nil
+	return nil, fmt.Errorf("%w: upgrade response: %v", errDialect, err)
 }
 
 // bufferedConn reads through the bufio.Reader that may hold bytes the
@@ -201,6 +225,11 @@ func (sc *StreamConn) Close() error {
 // over; a response with Err set is returned as-is for the caller to
 // classify, exactly like an HTTP error envelope.
 func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	return sc.decide(ctx, req, nil)
+}
+
+// decide is Decide, given up on when expire fires too.
+func (sc *StreamConn) decide(ctx context.Context, req *wire.Request, expire <-chan time.Time) (*wire.Response, error) {
 	// Claim a unit of the credit window; the reader returns it when the
 	// response (any response) arrives.
 	select {
@@ -209,6 +238,8 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 		return nil, sc.deathErr()
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	case <-expire:
+		return nil, context.DeadlineExceeded
 	}
 	id := sc.nextID.Add(1)
 	sc.mu.Lock()
@@ -231,6 +262,7 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 	sc.mu.Unlock()
 
 	sc.out.End(wire.AppendStreamRequest(sc.out.Begin(), id, req), false)
+	var err error
 	select {
 	case resp := <-ch:
 		// The one send ch was registered for has been received: it is empty
@@ -242,13 +274,16 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 	case <-sc.done:
 		return nil, sc.deathErr()
 	case <-ctx.Done():
-		sc.mu.Lock()
-		delete(sc.waiters, id)
-		sc.mu.Unlock()
-		// The credit unit stays claimed until the server's response
-		// arrives; the reader returns it even with no waiter left.
-		return nil, ctx.Err()
+		err = ctx.Err()
+	case <-expire:
+		err = context.DeadlineExceeded
 	}
+	sc.mu.Lock()
+	delete(sc.waiters, id)
+	sc.mu.Unlock()
+	// The credit unit stays claimed until the server's response
+	// arrives; the reader returns it even with no waiter left.
+	return nil, err
 }
 
 func (sc *StreamConn) readLoop(sr *wire.StreamReader) {
@@ -342,8 +377,9 @@ type streamSlot struct {
 }
 
 // get returns a usable connection from the next slot, dialing if the
-// slot is empty or its connection has died or drained.
-func (t *streamTransport) get() (*StreamConn, error) {
+// slot is empty or its connection has died or drained — under ctx and by
+// deadline, so a silent peer costs the attempt, not a stuck slot.
+func (t *streamTransport) get(ctx context.Context, deadline time.Time) (*StreamConn, error) {
 	sl := &t.slots[int(t.next.Add(1))%len(t.slots)]
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
@@ -357,7 +393,7 @@ func (t *streamTransport) get() (*StreamConn, error) {
 	if time.Now().Before(sl.retryAt) {
 		return nil, errStreamBackoff
 	}
-	sc, err := DialStream(t.dial)
+	sc, err := dialStream(ctx, t.dial, deadline)
 	if err != nil {
 		sl.backoff = min(max(2*sl.backoff, 20*time.Millisecond), 2*time.Second)
 		sl.retryAt = time.Now().Add(sl.backoff)
@@ -391,23 +427,21 @@ func (t *streamTransport) Close() {
 // item refusals riding inside the verdicts like any batch; a single's
 // refusal is the call's error.
 func (t *streamTransport) Send(ctx context.Context, reqs []server.DecideRequest, batch bool) ([]Verdict, error) {
-	sc, err := t.get()
+	if !batch {
+		wr, _ := toWireRequest(reqs[0], t.params, nil, nil)
+		return t.single(ctx, time.Time{}, &wr)
+	}
+	sc, err := t.get(ctx, time.Time{})
 	if err != nil {
 		return nil, err
 	}
 	vs := make([]Verdict, len(reqs))
-	if !batch {
-		if err := t.one(ctx, sc, reqs[0], &vs[0]); err != nil {
-			return nil, err
-		}
-		if e := vs[0].Response.Error; e != nil {
-			return nil, refused(e.Code, e.Message, e.RetryAfter)
-		}
-		return vs, nil
-	}
 	errs := make(chan error, len(reqs))
 	for i := range reqs {
-		go func() { errs <- t.one(ctx, sc, reqs[i], &vs[i]) }()
+		go func() {
+			wr, _ := toWireRequest(reqs[i], t.params, nil, nil)
+			errs <- t.one(ctx, nil, sc, &wr, &vs[i])
+		}()
 	}
 	for range reqs {
 		if e := <-errs; e != nil {
@@ -420,11 +454,42 @@ func (t *streamTransport) Send(ctx context.Context, reqs []server.DecideRequest,
 	return vs, nil
 }
 
+// timers holds stopped timers: a ladder attempt's deadline costs a Reset,
+// not a context and a timer of its own.
+var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
+
+// single sends one decide-only request, already in frame form, and gives
+// the wait up at deadline (zero: with ctx alone).
+func (t *streamTransport) single(ctx context.Context, deadline time.Time, wr *wire.Request) ([]Verdict, error) {
+	sc, err := t.get(ctx, deadline)
+	if err != nil {
+		return nil, err
+	}
+	var expire <-chan time.Time
+	if !deadline.IsZero() {
+		timer := timers.Get().(*time.Timer)
+		select { // the tick of a deadline that lapsed just as its wait was answered
+		case <-timer.C:
+		default:
+		}
+		timer.Reset(time.Until(deadline))
+		defer func() { timer.Stop(); timers.Put(timer) }()
+		expire = timer.C
+	}
+	vs := make([]Verdict, 1)
+	if err = t.one(ctx, expire, sc, wr, &vs[0]); err != nil {
+		return nil, err
+	}
+	if e := vs[0].Response.Error; e != nil {
+		return nil, refused(e.Code, e.Message, e.RetryAfter)
+	}
+	return vs, nil
+}
+
 // one sends one request on sc and fills v from the response.
-func (t *streamTransport) one(ctx context.Context, sc *StreamConn, req server.DecideRequest, v *Verdict) error {
-	wr := toWireRequest(req, t.params)
+func (t *streamTransport) one(ctx context.Context, expire <-chan time.Time, sc *StreamConn, wr *wire.Request, v *Verdict) error {
 	t.met.streamCalls.Add(1)
-	resp, err := sc.Decide(ctx, &wr)
+	resp, err := sc.decide(ctx, wr, expire)
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,8 @@ import (
 
 func slotRequest(region string, n int64) wire.Request {
 	req := server.DecideRequest{Region: region, Bindings: map[string]int64{"n": n}}
-	return toWireRequest(req, func(string) []string { return []string{"n"} })
+	wr, _ := toWireRequest(req, func(string) []string { return []string{"n"} }, nil, nil)
+	return wr
 }
 
 // TestStreamResponsesStayIntact: 32 callers pipeline 20 000 decisions on

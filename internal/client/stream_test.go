@@ -396,7 +396,7 @@ func TestStreamWriteCombining(t *testing.T) {
 
 	decide := func(n int64) error {
 		req := server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": n}}
-		wr := toWireRequest(req, nil)
+		wr, _ := toWireRequest(req, nil, nil, nil)
 		resp, err := sc.Decide(context.Background(), &wr)
 		if err != nil {
 			return err
@@ -464,7 +464,7 @@ func TestStreamCombinedWriteFailureFailsEveryRider(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			sc, cc := dialCounted(t, proxyAddr)
-			wr := toWireRequest(gemmReq(), nil)
+			wr, _ := toWireRequest(gemmReq(), nil, nil, nil)
 			if _, err := sc.Decide(context.Background(), &wr); err != nil {
 				t.Fatalf("healthy connection: %v", err)
 			}

@@ -2,7 +2,6 @@ package client
 
 import (
 	"slices"
-	"sort"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
 	"github.com/hybridsel/hybridsel/internal/offload"
@@ -14,32 +13,23 @@ import (
 // This file maps between the JSON-shaped types callers see and the frame
 // format (internal/wire) the frame and stream transports speak.
 
-// toWireRequest projects a JSON-shaped request onto the frame format.
-// When the RegionParams hook confirms the binding names are exactly the
-// region's parameter set, the request rides the slot form — values in
-// canonical order plus a key hash the daemon verifies before dropping
-// them into its pooled slot vectors. Otherwise the frame carries named
-// bindings, which the daemon resolves like a JSON map.
-func toWireRequest(req server.DecideRequest, regionParams func(region string) []string) wire.Request {
-	names := make([]string, 0, len(req.Bindings))
-	for name := range req.Bindings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	values := make([]int64, len(names))
-	for i, name := range names {
-		values[i] = req.Bindings[name]
-	}
+// toWireRequest projects a JSON-shaped request onto the frame format and
+// returns attrdb.BindingsHash of its bindings, both from one canonical
+// pass appending to names and values (nil buffers allocate). When the
+// RegionParams hook confirms the binding names are exactly the region's
+// parameter set, the request rides the slot form — values in canonical
+// order plus the key hash the daemon verifies before dropping them into
+// its pooled slot vectors. Otherwise the frame carries named bindings,
+// which the daemon resolves like a JSON map.
+func toWireRequest(req server.DecideRequest, regionParams func(region string) []string, names []string, values []int64) (wire.Request, uint64) {
+	names, values, hash := attrdb.Canonical(symbolic.Bindings(req.Bindings), names, values)
 	wr := wire.Request{Region: req.Region, Execute: req.Execute, Values: values}
-	if regionParams != nil && len(names) > 0 {
-		if params := regionParams(req.Region); slices.Equal(params, names) {
-			wr.SlotForm = true
-			wr.KeyHash = attrdb.BindingsHash(symbolic.Bindings(req.Bindings))
-			return wr
-		}
+	if regionParams != nil && len(names) > 0 && slices.Equal(regionParams(req.Region), names) {
+		wr.SlotForm, wr.KeyHash = true, hash
+	} else {
+		wr.Names = names
 	}
-	wr.Names = names
-	return wr
+	return wr, hash
 }
 
 // kindFromWire maps a wire kind string back onto the registry enum.

@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -142,23 +143,22 @@ func (r *Ring) Owner(key uint64) string {
 	return r.points[r.at(key)].id
 }
 
-// Successors returns up to n distinct members in ring order starting at
-// the key's owner: the owner first, then the members whose virtual
-// nodes follow clockwise. This is the deterministic failover and
-// hedging order for the key — every replica computes the same list.
-func (r *Ring) Successors(key uint64, n int) []string {
+// Successors appends to dst up to n distinct members in ring order
+// starting at the key's owner: the owner first, then the members whose
+// virtual nodes follow clockwise. This is the deterministic failover and
+// hedging order for the key — every replica computes the same list. With
+// room in dst it allocates nothing.
+func (r *Ring) Successors(dst []string, key uint64, n int) []string {
 	if n <= 0 || n > len(r.ids) {
 		n = len(r.ids)
 	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
+	first := len(dst)
 	start := r.at(key)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
+	for i := 0; i < len(r.points) && len(dst)-first < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.id] {
-			seen[p.id] = true
-			out = append(out, p.id)
+		if !slices.Contains(dst[first:], p.id) {
+			dst = append(dst, p.id)
 		}
 	}
-	return out
+	return dst
 }

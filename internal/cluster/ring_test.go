@@ -50,7 +50,7 @@ func TestRingOwnershipDeterministic(t *testing.T) {
 		if a.Owner(key) != b.Owner(key) {
 			t.Fatalf("owner disagreement for %#x: %s vs %s", key, a.Owner(key), b.Owner(key))
 		}
-		sa, sb := a.Successors(key, 3), b.Successors(key, 3)
+		sa, sb := a.Successors(nil, key, 3), b.Successors(nil, key, 3)
 		if !reflect.DeepEqual(sa, sb) {
 			t.Fatalf("successor disagreement for %#x: %v vs %v", key, sa, sb)
 		}

@@ -225,6 +225,12 @@ func (p *Proxy) draw() (f Faults, reset, errp, trunc, jit float64) {
 
 // ServeHTTP applies the active fault set to one request.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// Whole responses are relayed, so no upgraded connection: refused before
+	// the draw, so a client probing for one moves no seeded fault schedule.
+	if r.Header.Get("Upgrade") != "" {
+		http.Error(w, "faultnet: cannot relay an Upgrade", http.StatusNotImplemented)
+		return
+	}
 	p.requests.Add(1)
 	f, reset, errp, trunc, jit := p.draw()
 
@@ -271,6 +277,12 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out.Header = r.Header.Clone()
+	// RFC 9110 §7.6.1: what describes the client's connection to the proxy,
+	// and what its Connection header names, is not forwarded onto the next.
+	for _, h := range append(strings.Split(strings.Join(r.Header.Values("Connection"), ","), ","),
+		"Connection", "Keep-Alive", "Proxy-Connection", "TE", "Transfer-Encoding", "Upgrade") {
+		out.Header.Del(strings.TrimSpace(h))
+	}
 	resp, err := p.client.Do(out)
 	if err != nil {
 		p.upstreamErr.Add(1)

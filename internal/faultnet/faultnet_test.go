@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -274,5 +275,71 @@ func TestChaosScenarioRunHonorsContext(t *testing.T) {
 	}
 	if f := p.Faults(); f.Active() {
 		t.Fatal("faults not cleared after cancelled scenario")
+	}
+}
+
+// TestProxyIsHopByHopClean: the proxy relays whole responses, so it
+// refuses an Upgrade itself — 501, at once, before a fault is drawn, so a
+// client probing for an upgraded protocol moves no seeded schedule — and
+// forwards no header that describes the client's connection to it.
+func TestProxyIsHopByHopClean(t *testing.T) {
+	seen := make(chan http.Header, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Clone()
+	}))
+	t.Cleanup(ts.Close)
+	// schedule is the fate of ten plain requests under a seeded fault set,
+	// after the given number of Upgrade probes.
+	schedule := func(probes int) (fates []bool, st Stats) {
+		p, base := startProxy(t, ts, 7)
+		p.SetFaults(Faults{ErrorRate: 0.5})
+		for i := 0; i < probes; i++ {
+			req, _ := http.NewRequest(http.MethodGet, base+"/v1/stream", nil)
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", "hybridsel-stream")
+			start := time.Now()
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotImplemented || time.Since(start) > time.Second {
+				t.Fatalf("an Upgrade was answered %d after %v, want 501 at once", resp.StatusCode, time.Since(start))
+			}
+		}
+		for i := 0; i < 10; i++ {
+			resp, _, err := get(t, base+"/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fates = append(fates, resp.StatusCode == http.StatusOK); resp.StatusCode == http.StatusOK {
+				<-seen
+			}
+		}
+		return fates, p.Stats()
+	}
+	plain, _ := schedule(0)
+	probed, st := schedule(3)
+	if !reflect.DeepEqual(plain, probed) {
+		t.Errorf("three Upgrade probes moved the fault schedule:\n without: %v\n with:    %v", plain, probed)
+	}
+	if st.Requests != 10 {
+		t.Errorf("the proxy counted %d requests, want the 10 it drew faults for", st.Requests)
+	}
+
+	_, base := startProxy(t, ts, 1)
+	req, _ := http.NewRequest(http.MethodGet, base+"/", nil)
+	req.Header.Set("Connection", "X-Hop")
+	req.Header.Set("X-Hop", "1")
+	req.Header.Set("Keep-Alive", "timeout=5")
+	req.Header.Set("X-End-To-End", "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	h := <-seen
+	if h.Get("X-Hop") != "" || h.Get("Keep-Alive") != "" || h.Get("Connection") != "" || h.Get("X-End-To-End") != "1" {
+		t.Errorf("forwarded headers %v: want X-End-To-End and nothing of the client's connection", h)
 	}
 }

@@ -313,12 +313,13 @@ func BenchmarkServeStreamPipelined64(b *testing.B) {
 	runStreamBench(b, serveBenchStreamConn(b), serveBenchBatch)
 }
 
-// BenchmarkServeClusterJSON is BenchmarkServeJSONSingle's ring asked
-// through client.NewCluster with production defaults over three
-// in-process daemons: ring routing, the resilience loop and the client's
-// JSON codec on top of the same served decision (bench/'s cluster3-json,
-// without the gossip).
-func BenchmarkServeClusterJSON(b *testing.B) {
+// BenchmarkServeCluster is BenchmarkServeJSONSingle's ring asked through
+// client.NewCluster with production defaults over three in-process
+// daemons: ring routing and the resilience loop on top of a decision
+// served on the stream every replica endpoint upgrades to (bench/'s
+// cluster3-json, without the gossip and the fallback runtime, so frames
+// carry named bindings).
+func BenchmarkServeCluster(b *testing.B) {
 	var members []client.ClusterMember
 	for _, id := range []string{"node-a", "node-b", "node-c"} {
 		url, _ := serveBenchServer(b)
