@@ -55,8 +55,8 @@ api:
 	$(GO) run ./cmd/apidump > api/exported.txt
 
 # The size numbers ROADMAP tracks: non-test Go lines per package
-# directory, the exported-surface line count, and the options the two
-# serving commands take.
+# directory, the exported-surface line count, the options the two serving
+# commands take, and the internal/ + cmd/ total ROADMAP and CHANGES.md quote.
 loc:
 	@for d in internal/* cmd/*; do \
 		printf '%6d %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l)" "$$d"; \
@@ -65,6 +65,7 @@ loc:
 	@for d in cmd/hybridseld cmd/loadgen; do \
 		printf '%6d flags %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -c 'flag\.[A-Z][A-Za-z0-9]*(\"')" "$$d"; \
 	done
+	@printf '%6d total internal/ + cmd/ non-test Go\n' "$$(cat $$(ls internal/*/*.go cmd/*/*.go | grep -v _test.go) | wc -l)"
 
 # Regenerate every paper artifact at full fidelity.
 bench-paper:

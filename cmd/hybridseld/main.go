@@ -542,10 +542,14 @@ func closeAudit(logger *slog.Logger, a *audit.Auditor) {
 		"dropped", rep.Dropped, "mispredicts", rep.Mispredicts,
 		"regret_seconds", rep.RegretSeconds)
 	for _, rr := range rep.Regions {
+		factors := make([]any, 0, 2*len(rr.Targets))
+		for _, me := range rr.Targets {
+			factors = append(factors, me.Target, me.Factor)
+		}
 		logger.Info("audit region",
 			"region", rr.Region, "samples", rr.Samples,
 			"mispredicts", rr.Mispredicts, "regret_seconds", rr.RegretSeconds,
-			"cpu_factor", rr.CPU.Factor, "gpu_factor", rr.GPU.Factor)
+			slog.Group("factors", factors...))
 	}
 }
 

@@ -37,8 +37,9 @@ import (
 	"github.com/hybridsel/hybridsel/internal/offload"
 )
 
-// DefaultQueueDepth is the async audit queue bound New applies to a zero
-// Config.QueueDepth.
+// DefaultQueueDepth bounds the async audit queue (Workers > 0). When the
+// queue is full, further samples are dropped and counted — the audit loop
+// must never apply backpressure to the serving path.
 const DefaultQueueDepth = 256
 
 // recentKeys bounds the recently-audited key set: a key is not re-audited
@@ -62,12 +63,6 @@ type Config struct {
 	// used by replays, studies and tests; a serving daemon wants >= 1 so
 	// ground-truth simulation never runs on the request path.
 	Workers int
-
-	// QueueDepth bounds the async audit queue (Workers > 0). When the
-	// queue is full, further samples are dropped and counted — the audit
-	// loop must never apply backpressure to the serving path. 0 selects
-	// DefaultQueueDepth.
-	QueueDepth int
 
 	// Calibrator, when non-nil, receives every verdict's signed
 	// log-errors and in turn supplies the runtime's prediction
@@ -127,24 +122,14 @@ type Verdict struct {
 	ChosenID string
 	BestID   string
 	// Targets holds every registered target's measurement, in registry
-	// order.
+	// order: the raw model output as the decision recorded it against the
+	// ground-truth (simulated) time.
 	Targets []TargetMeasurement
-	// Predictions as the decision recorded them for the base CPU/GPU
-	// pair (raw model output; 0 when the registry lacks that kind).
-	PredCPUSeconds float64
-	PredGPUSeconds float64
-	// Ground-truth (simulated) times for the base CPU/GPU pair.
-	ActualCPUSeconds float64
-	ActualGPUSeconds float64
 	// Mispredict reports ChosenID != BestID; RegretSeconds is the time
 	// the wrong choice cost (actual chosen minus actual best, 0 when
 	// right).
 	Mispredict    bool
 	RegretSeconds float64
-	// LogErrCPU/GPU are the signed log-errors ln(actual/predicted) of
-	// the base pair's models on this point.
-	LogErrCPU float64
-	LogErrGPU float64
 }
 
 // Auditor samples completed decisions and audits them against ground
@@ -175,12 +160,11 @@ type Auditor struct {
 
 // New builds an auditor and starts its workers (if any). cfg.Runtime is
 // required.
-func New(cfg Config) *Auditor {
+func New(cfg Config) *Auditor { return newAuditor(cfg, DefaultQueueDepth) }
+
+func newAuditor(cfg Config, queueDepth int) *Auditor {
 	if cfg.Runtime == nil {
 		panic("audit: Config.Runtime is required")
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
 	}
 	a := &Auditor{
 		cfg:     cfg,
@@ -188,7 +172,7 @@ func New(cfg Config) *Auditor {
 		regions: map[string]*regionStats{},
 	}
 	if cfg.Workers > 0 {
-		a.queue = make(chan offload.Decision, cfg.QueueDepth)
+		a.queue = make(chan offload.Decision, queueDepth)
 		for i := 0; i < cfg.Workers; i++ {
 			a.wg.Add(1)
 			go func() {
@@ -311,7 +295,6 @@ func (a *Auditor) audit(d offload.Decision) {
 		Targets:  make([]TargetMeasurement, reg.Len()),
 	}
 	best, chosen := -1, -1
-	seenCPU, seenGPU := false, false
 	for i := 0; i < reg.Len(); i++ {
 		sp := reg.At(i)
 		act, err := region.ExecuteTarget(sp.ID, d.Bindings)
@@ -332,20 +315,6 @@ func (a *Auditor) audit(d offload.Decision) {
 		}
 		if sp.ID == v.ChosenID {
 			chosen = i
-		}
-		// The base (first-of-kind) pair also populates the legacy
-		// CPU/GPU fields.
-		switch {
-		case sp.Kind == offload.KindCPU && !seenCPU:
-			seenCPU = true
-			v.PredCPUSeconds = preds[sp.ID]
-			v.ActualCPUSeconds = act
-			v.LogErrCPU = v.Targets[i].LogErr
-		case sp.Kind == offload.KindGPU && !seenGPU:
-			seenGPU = true
-			v.PredGPUSeconds = preds[sp.ID]
-			v.ActualGPUSeconds = act
-			v.LogErrGPU = v.Targets[i].LogErr
 		}
 	}
 	if best < 0 || chosen < 0 {

@@ -92,7 +92,13 @@ func TestCalibratorEWMA(t *testing.T) {
 	if !c.Observe("r", map[string]float64{cpuID: ln2, gpuID: -ln2}) {
 		t.Fatal("seeding observation reported no change")
 	}
-	fc, fg, n := c.Factors("r")
+	factors := func() (fc, fg float64) {
+		fc, _ = c.Factor("r", cpuID)
+		fg, _ = c.Factor("r", gpuID)
+		return fc, fg
+	}
+	fc, n := c.Factor("r", cpuID)
+	fg, _ := c.Factor("r", gpuID)
 	if n != 1 || math.Abs(fc-2) > 1e-12 || math.Abs(fg-0.5) > 1e-12 {
 		t.Fatalf("seeded factors cpu=%v gpu=%v n=%d", fc, fg, n)
 	}
@@ -112,7 +118,7 @@ func TestCalibratorEWMA(t *testing.T) {
 	if !c.Observe("r", map[string]float64{cpuID: 0, gpuID: 0}) {
 		t.Fatal("halving observation reported no change")
 	}
-	fc, fg, _ = c.Factors("r")
+	fc, fg = factors()
 	want := math.Exp(ln2 / 2)
 	if math.Abs(fc-want) > 1e-12 || math.Abs(fg-1/want) > 1e-12 {
 		t.Fatalf("blended factors cpu=%v gpu=%v, want %v, %v", fc, fg, want, 1/want)
@@ -124,7 +130,7 @@ func TestCalibratorEWMA(t *testing.T) {
 	}) {
 		t.Fatal("negligible movement reported as changed")
 	}
-	_, fg, _ = c.Factors("r")
+	_, fg = factors()
 
 	// Targets beyond the base pair calibrate independently.
 	if !c.Observe("r", map[string]float64{"gpu/prev": ln2}) {
@@ -138,8 +144,8 @@ func TestCalibratorEWMA(t *testing.T) {
 	}
 
 	// Unaudited regions are identity.
-	if a, b, n := c.Factors("other"); a != 1 || b != 1 || n != 0 {
-		t.Fatalf("unaudited factors %v %v %d", a, b, n)
+	if f, n := c.Factor("other", cpuID); f != 1 || n != 0 {
+		t.Fatalf("unaudited factor %v %d", f, n)
 	}
 	other := []offload.Candidate{{Target: cpuID, PredSeconds: 3, CalSeconds: 3}}
 	c.CorrectFeatures("other", offload.Features{}, other)
@@ -185,13 +191,17 @@ func TestInlineAuditAccounting(t *testing.T) {
 	}
 	for _, v := range verdicts {
 		// Best is the measured-faster target; regret only on mispredicts.
+		cpu, gpu := v.Targets[0], v.Targets[1]
+		if cpu.Target != offload.TargetIDCPUBase || gpu.Target != offload.TargetIDGPUBase {
+			t.Fatalf("%s: targets %q, %q out of registry order", v.Region, cpu.Target, gpu.Target)
+		}
 		best := offload.KindCPU
-		if v.ActualGPUSeconds < v.ActualCPUSeconds {
+		if gpu.ActualSeconds < cpu.ActualSeconds {
 			best = offload.KindGPU
 		}
 		if v.Best != best {
 			t.Fatalf("%s: best %v, actuals cpu=%v gpu=%v",
-				v.Region, v.Best, v.ActualCPUSeconds, v.ActualGPUSeconds)
+				v.Region, v.Best, cpu.ActualSeconds, gpu.ActualSeconds)
 		}
 		if v.Mispredict != (v.Chosen != v.Best) {
 			t.Fatalf("%s: mispredict flag inconsistent", v.Region)
@@ -202,9 +212,9 @@ func TestInlineAuditAccounting(t *testing.T) {
 		if v.Mispredict && v.RegretSeconds <= 0 {
 			t.Fatalf("%s: mispredict with regret %v", v.Region, v.RegretSeconds)
 		}
-		wantErr := math.Log(v.ActualCPUSeconds / v.PredCPUSeconds)
-		if math.Abs(v.LogErrCPU-wantErr) > 1e-12 {
-			t.Fatalf("%s: logErrCPU %v, want %v", v.Region, v.LogErrCPU, wantErr)
+		wantErr := math.Log(cpu.ActualSeconds / cpu.PredSeconds)
+		if math.Abs(cpu.LogErr-wantErr) > 1e-12 {
+			t.Fatalf("%s: cpu logErr %v, want %v", v.Region, cpu.LogErr, wantErr)
 		}
 	}
 	// The report's region rows reconcile with the aggregates.
@@ -321,7 +331,9 @@ func TestCalibrationFlipsMispredictedKernel(t *testing.T) {
 	}
 	// The report carries the live correction factors for the region.
 	rep = a.Report()
-	if len(rep.Regions) != 1 || rep.Regions[0].CPU.Factor == 1 {
+	if len(rep.Regions) != 1 || len(rep.Regions[0].Targets) != 2 ||
+		rep.Regions[0].Targets[0].Target != offload.TargetIDCPUBase ||
+		rep.Regions[0].Targets[0].Factor == 1 {
 		t.Fatalf("report missing correction factors: %+v", rep.Regions)
 	}
 }
@@ -333,16 +345,15 @@ func TestAsyncNonBlockingDrop(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	stalled := make(chan struct{})
-	a := New(Config{
-		Runtime:    rt,
-		Rate:       1,
-		Workers:    1,
-		QueueDepth: 2,
+	a := newAuditor(Config{
+		Runtime: rt,
+		Rate:    1,
+		Workers: 1,
 		OnVerdict: func(Verdict) {
 			once.Do(func() { close(stalled) })
 			<-release
 		},
-	})
+	}, 2)
 
 	// First offer reaches the worker and stalls in OnVerdict.
 	a.Offer(offload.Decision{
@@ -353,7 +364,7 @@ func TestAsyncNonBlockingDrop(t *testing.T) {
 	})
 	<-stalled
 
-	// The queue holds at most QueueDepth more; everything beyond that
+	// The queue holds at most its depth (2) more; everything beyond that
 	// must be dropped without blocking this goroutine.
 	const extra = 8
 	for i := 0; i < extra; i++ {
@@ -393,7 +404,7 @@ func TestAsyncNonBlockingDrop(t *testing.T) {
 func TestConcurrentOfferClose(t *testing.T) {
 	rt := newRT(t, offload.Config{Policy: offload.ModelGuided}, "gemm")
 	cal := NewCalibrator(0)
-	a := New(Config{Runtime: rt, Rate: 1, Workers: 2, QueueDepth: 4, Calibrator: cal})
+	a := newAuditor(Config{Runtime: rt, Rate: 1, Workers: 2, Calibrator: cal}, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

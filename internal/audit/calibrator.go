@@ -165,23 +165,3 @@ func (c *Calibrator) Factor(region, targetID string) (factor float64, n uint64) 
 	}
 	return t.fac, t.n
 }
-
-// Factors returns the region's current correction factors for the base
-// CPU/GPU pair and how many audits shaped them (1, 1, 0 for regions
-// never audited) — the classic-pair view of the per-target state.
-func (c *Calibrator) Factors(region string) (cpuFactor, gpuFactor float64, n uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	s := c.regions[region]
-	if s == nil {
-		return 1, 1, 0
-	}
-	cpuFactor, gpuFactor = 1, 1
-	if t := s.targets[offload.TargetIDCPUBase]; t != nil {
-		cpuFactor = t.fac
-	}
-	if t := s.targets[offload.TargetIDGPUBase]; t != nil {
-		gpuFactor = t.fac
-	}
-	return cpuFactor, gpuFactor, s.n
-}

@@ -15,7 +15,9 @@ type regionStats struct {
 	samples     uint64
 	mispredicts uint64
 	regretSec   float64
-	cpu, gpu    errAgg
+	// targets is one signed log-error distribution per registered target,
+	// in registry order.
+	targets []errAgg
 }
 
 func (rs *regionStats) observe(v Verdict) {
@@ -24,8 +26,12 @@ func (rs *regionStats) observe(v Verdict) {
 		rs.mispredicts++
 	}
 	rs.regretSec += v.RegretSeconds
-	rs.cpu.observe(v.LogErrCPU)
-	rs.gpu.observe(v.LogErrGPU)
+	if rs.targets == nil {
+		rs.targets = make([]errAgg, len(v.Targets))
+	}
+	for i := range v.Targets {
+		rs.targets[i].observe(v.Targets[i].LogErr)
+	}
 }
 
 // errAgg is a running signed log-error distribution.
@@ -62,26 +68,28 @@ func (a *errAgg) summary() ModelError {
 	}
 }
 
-// ModelError summarizes one analytical model's signed log-error
+// ModelError summarizes one registered target's signed log-error
 // distribution ln(actual/predicted) over a region's audits (positive =
 // the model underestimates) plus the correction factor currently applied.
 type ModelError struct {
-	Mean float64 `json:"mean"`
-	Std  float64 `json:"std"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
+	// Target is the registry target ID.
+	Target string  `json:"target"`
+	Mean   float64 `json:"mean"`
+	Std    float64 `json:"std"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
 	// Factor is the live multiplicative correction (1 = uncorrected).
 	Factor float64 `json:"factor"`
 }
 
 // RegionReport is one region's accuracy accounting.
 type RegionReport struct {
-	Region        string     `json:"region"`
-	Samples       uint64     `json:"samples"`
-	Mispredicts   uint64     `json:"mispredicts"`
-	RegretSeconds float64    `json:"regretSeconds"`
-	CPU           ModelError `json:"cpu"`
-	GPU           ModelError `json:"gpu"`
+	Region        string  `json:"region"`
+	Samples       uint64  `json:"samples"`
+	Mispredicts   uint64  `json:"mispredicts"`
+	RegretSeconds float64 `json:"regretSeconds"`
+	// Targets is every registered target's model error, in registry order.
+	Targets []ModelError `json:"targets"`
 }
 
 // Report is a point-in-time snapshot of the auditor's accounting.
@@ -115,6 +123,7 @@ func (a *Auditor) Report() Report {
 		Dropped:    a.dropped.Load(),
 		ExecErrors: a.execErrs.Load(),
 	}
+	reg := a.cfg.Runtime.Targets()
 	a.mu.Lock()
 	rep.Samples = a.samples
 	rep.Mispredicts = a.mispredicts
@@ -126,12 +135,15 @@ func (a *Auditor) Report() Report {
 			Samples:       rs.samples,
 			Mispredicts:   rs.mispredicts,
 			RegretSeconds: rs.regretSec,
-			CPU:           rs.cpu.summary(),
-			GPU:           rs.gpu.summary(),
+			Targets:       make([]ModelError, len(rs.targets)),
 		}
-		rr.CPU.Factor, rr.GPU.Factor = 1, 1
-		if a.cfg.Calibrator != nil {
-			rr.CPU.Factor, rr.GPU.Factor, _ = a.cfg.Calibrator.Factors(name)
+		for i := range rs.targets {
+			me := rs.targets[i].summary()
+			me.Target, me.Factor = reg.At(i).ID, 1
+			if a.cfg.Calibrator != nil {
+				me.Factor, _ = a.cfg.Calibrator.Factor(name, me.Target)
+			}
+			rr.Targets[i] = me
 		}
 		rep.Regions = append(rep.Regions, rr)
 	}
@@ -176,8 +188,9 @@ func (a *Auditor) RegisterMetrics(s *metrics.Set) {
 			regionSamples(float64(r.Samples), "region", r.Region)
 			regionMispredicts(float64(r.Mispredicts), "region", r.Region)
 			regionRegret(r.RegretSeconds, "region", r.Region)
-			factor(r.CPU.Factor, "region", r.Region, "model", "cpu")
-			factor(r.GPU.Factor, "region", r.Region, "model", "gpu")
+			for _, me := range r.Targets {
+				factor(me.Factor, "region", r.Region, "target", me.Target)
+			}
 		}
 	})
 }
@@ -206,9 +219,12 @@ func (r Report) String() string {
 			fmt.Fprintf(&sb, "  ... %d more regions\n", len(worst)-i)
 			break
 		}
-		fmt.Fprintf(&sb, "  %-12s %3d audits, %3d wrong, regret %.6fs, factors cpu %.3f gpu %.3f\n",
-			rr.Region, rr.Samples, rr.Mispredicts, rr.RegretSeconds,
-			rr.CPU.Factor, rr.GPU.Factor)
+		fmt.Fprintf(&sb, "  %-12s %3d audits, %3d wrong, regret %.6fs, factors",
+			rr.Region, rr.Samples, rr.Mispredicts, rr.RegretSeconds)
+		for _, me := range rr.Targets {
+			fmt.Fprintf(&sb, " %s %.3f", me.Target, me.Factor)
+		}
+		sb.WriteByte('\n')
 	}
 	return sb.String()
 }

@@ -413,6 +413,7 @@ func TestClusterRouteEquivalence(t *testing.T) {
 			code: server.ErrCodeUnknownRegion},
 		{name: "unbound symbol", req: server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"m": 8}},
 			code: server.ErrCodeUnboundSymbol},
+		{name: "empty iteration space", req: gemm(0), code: server.ErrCodeOutOfRange},
 		{name: "no bindings", req: server.DecideRequest{Region: "gemm"}, code: server.ErrCodeUnboundSymbol},
 		{name: "empty region", req: server.DecideRequest{Bindings: map[string]int64{"n": 8}},
 			code: server.ErrCodeBadRequest},

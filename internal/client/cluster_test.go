@@ -522,3 +522,47 @@ func TestNewClusterRejectsBadConfig(t *testing.T) {
 		t.Fatal("member without ID accepted")
 	}
 }
+
+// TestClusterOutOfRangeIsPermanent: bindings that leave a region an empty
+// iteration space are the caller's mistake, so the cluster treats the 422
+// like any other permanent answer — one attempt at the owner, no walk to a
+// successor, no retry, no fallback verdict, and nothing fed to a breaker.
+// (Served as 500 internal, the same call was retried on every replica and
+// counted against each one's breaker.)
+func TestClusterOutOfRangeIsPermanent(t *testing.T) {
+	rig := newStreamClusterRig(t, 5, ClusterConfig{Fallback: fallbackRuntime(t)})
+	req := server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 0}}
+	owner := rig.cc.Route(req)[0]
+	for _, via := range []string{"stream", "http"} {
+		if via == "http" {
+			req.Execute = true // an Execute keeps to the HTTP rungs
+		}
+		v, err := rig.cc.Decide(context.Background(), req)
+		var re *RemoteError
+		switch {
+		case errors.As(err, &re):
+			// A stream frame carries the code alone; HTTP its status too.
+			if re.Code != server.ErrCodeOutOfRange || (via == "http" && re.Status != http.StatusUnprocessableEntity) {
+				t.Fatalf("%s: %v (HTTP %d), want 422 %s", via, err, re.Status, server.ErrCodeOutOfRange)
+			}
+		case err != nil:
+			t.Fatalf("%s: %v", via, err)
+		case v.Response.Error == nil || v.Response.Error.Code != server.ErrCodeOutOfRange ||
+			v.Replica != owner || v.Attempts != 1 || v.Provenance != ProvenanceRemote:
+			t.Fatalf("%s: %+v, want %s from the owner's first attempt", via, v, server.ErrCodeOutOfRange)
+		}
+	}
+	m := rig.cc.Metrics()
+	if m.Failovers != 0 || m.Fallbacks != 0 || m.CrossHedges != 0 {
+		t.Errorf("the call left the owner: %+v", m)
+	}
+	for id, rm := range m.Replicas {
+		asked := rm.RemoteOK + rm.PermanentErrors + rm.ServerErrors + rm.TransportErrors
+		if want := map[bool]uint64{true: 2, false: 0}[id == owner]; asked != want || rm.Retries != 0 {
+			t.Errorf("%s answered %d attempts after %d retries, want %d and 0: %+v", id, asked, rm.Retries, want, rm)
+		}
+		if rm.BreakerState != BreakerClosed || rm.BreakerOpened != 0 {
+			t.Errorf("%s: breaker %v, opened %d times", id, rm.BreakerState, rm.BreakerOpened)
+		}
+	}
+}

@@ -58,6 +58,7 @@ func TestCodecEquivalence(t *testing.T) {
 			code: server.ErrCodeUnknownRegion},
 		{name: "unbound symbol", req: server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"m": 8}},
 			code: server.ErrCodeUnboundSymbol},
+		{name: "empty iteration space", req: gemm(0), code: server.ErrCodeOutOfRange},
 		{name: "wrong slot count", req: server.DecideRequest{Region: "gemm"},
 			frame: &wire.Request{Region: "gemm", SlotForm: true, Values: make([]int64, 9)},
 			code:  server.ErrCodeUnboundSymbol},

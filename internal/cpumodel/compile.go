@@ -24,43 +24,44 @@ type CompileInput struct {
 	Shape *ipda.Shape
 }
 
-// Compiled is Predict specialized to one (kernel, CPU, thread count)
+// Compiled is the model specialized to one (kernel, CPU, thread count)
 // region: the MCA pipeline simulation happened at compile time and the
 // kernel analysis is read off the launch's resolved ipda.Point, so each
-// call is the model's own arithmetic over the machine's parameters —
-// bit-for-bit identical to the interpreted Predict because it replays the
-// same float operations in the same order.
-type Compiled struct {
-	cpu        *machine.CPU
-	threads    int
-	shape      *ipda.Shape
-	est        compiledEstimator
-	streamCost float64
-	// edgesVary reports that a work item's cost can differ across the
-	// iteration space, so the static schedule's slowest thread has to be
-	// looked for at its edges.
-	edgesVary bool
+// call is the model's arithmetic — the same price Predict runs — over the
+// machine's parameters and the slot programs' work-item costs.
+type Compiled struct{ m model }
+
+// slotVector is the augmented slot vector a slot estimator evaluates for
+// workItemCost's edge: the point's midpoint vector, or its scratch vector
+// with the parallel indices pinned at the fraction.
+func slotVector(sh *ipda.Shape, pt *ipda.Point, edge float64) []int64 {
+	if edge == 0 {
+		return pt.Mid
+	}
+	copy(pt.Scratch, pt.Vals)
+	sh.Augment.Fraction(pt.Scratch, edge)
+	return pt.Scratch
 }
 
-// compiledEstimator is a CPIEstimator specialized to the slot layout.
-type compiledEstimator interface {
-	cycles(vals []int64, branchProb float64, defaultTrip int64) float64
+// mcaSlotCost is MCAEstimator specialized to the slot layout.
+type mcaSlotCost struct {
+	c  *mca.CompiledCPI
+	sh *ipda.Shape
 }
 
-type mcaEstCompiled struct{ c *mca.CompiledCPI }
-
-func (m mcaEstCompiled) cycles(vals []int64, branchProb float64, defaultTrip int64) float64 {
-	return m.c.CyclesPerWorkItem(vals, branchProb, defaultTrip)
+func (m mcaSlotCost) cycles(pt *ipda.Point, edge float64) (float64, error) {
+	return m.c.CyclesPerWorkItem(slotVector(m.sh, pt, edge), pt.BranchProb, m.sh.DefaultTrip), nil
 }
 
-type fixedEstCompiled struct {
-	prog *ir.CountProgram
-	cpi  float64
+// fixedSlotCost is FixedCPI specialized to the slot layout.
+type fixedSlotCost struct {
+	cpi float64
+	sh  *ipda.Shape
 }
 
-func (f fixedEstCompiled) cycles(vals []int64, branchProb float64, defaultTrip int64) float64 {
-	l := f.prog.Eval(vals, branchProb, defaultTrip)
-	return l.Total() * f.cpi
+func (f fixedSlotCost) cycles(pt *ipda.Point, edge float64) (float64, error) {
+	l := f.sh.Count.Eval(slotVector(f.sh, pt, edge), pt.BranchProb, f.sh.DefaultTrip)
+	return l.Total() * f.cpi, nil
 }
 
 // Compile specializes the Liao model to the region. It fails — and with
@@ -72,32 +73,25 @@ func Compile(in CompileInput) (*Compiled, error) {
 	if in.Kernel == nil || in.CPU == nil || in.Shape == nil {
 		return nil, fmt.Errorf("cpumodel: compile: nil kernel, CPU or shape")
 	}
-	c := &Compiled{cpu: in.CPU, shape: in.Shape, threads: in.Threads, edgesVary: tripsVary(in.Kernel)}
-	if c.threads <= 0 || c.threads > in.CPU.Threads() {
-		c.threads = in.CPU.Threads()
-	}
-
 	est := in.Estimator
 	if est == nil {
 		est = MCAEstimator{}
 	}
+	var cost workItemCost
 	switch e := est.(type) {
 	case MCAEstimator:
 		cc, err := mca.CompileCPI(in.Kernel, in.CPU, in.Shape.Slots, in.Shape.AugBound)
 		if err != nil {
 			return nil, err
 		}
-		c.est = mcaEstCompiled{cc}
+		cost = mcaSlotCost{cc, in.Shape}
 	case FixedCPI:
-		c.est = fixedEstCompiled{prog: in.Shape.Count, cpi: e.CPI}
+		cost = fixedSlotCost{e.CPI, in.Shape}
 	default:
 		return nil, fmt.Errorf("cpumodel: compile: unsupported estimator %s", est.Name())
 	}
-
-	// Static subterm of the Cache_c model: the prefetched-stream refill
-	// cost depends only on the machine.
-	c.streamCost = float64(in.CPU.L1.LatencyCycle) +
-		float64(in.CPU.L2.LatencyCycle)*8/float64(in.CPU.L1.LineBytes)
+	c := &Compiled{newModel(in.CPU, in.Threads, cost)}
+	c.m.edgesFlat = !tripsVary(in.Kernel)
 	return c, nil
 }
 
@@ -135,7 +129,7 @@ func tripsVary(k *ir.Kernel) bool {
 // decision needs of Predict.
 func (c *Compiled) Seconds(pt *ipda.Point, iterFraction float64) (float64, error) {
 	var p Prediction
-	err := c.predict(pt, iterFraction, &p)
+	err := c.m.price(pt, iterFraction, &p)
 	return p.Seconds, err
 }
 
@@ -144,109 +138,6 @@ func (c *Compiled) Seconds(pt *ipda.Point, iterFraction float64) (float64, error
 // Predict.
 func (c *Compiled) Predict(pt *ipda.Point, iterFraction float64) (Prediction, error) {
 	var p Prediction
-	err := c.predict(pt, iterFraction, &p)
+	err := c.m.price(pt, iterFraction, &p)
 	return p, err
-}
-
-// predict replays the interpreted Predict over the launch's resolved
-// point into *p (zero on entry). It models the default static schedule
-// (DynamicChunk == 0), which is the only schedule the offload runtime
-// requests.
-func (c *Compiled) predict(pt *ipda.Point, iterFraction float64, p *Prediction) error {
-	iters := pt.Iters
-	if f := iterFraction; f > 0 && f < 1 {
-		iters = int64(float64(iters)*f + 0.5)
-		if iters < 1 {
-			iters = 1
-		}
-	}
-	if iters <= 0 {
-		return fmt.Errorf("cpumodel: empty iteration space (%d)", iters)
-	}
-	threads := c.threads
-	if int64(threads) > iters {
-		threads = int(iters)
-	}
-	p.Threads = threads
-
-	defaultTrip := c.shape.DefaultTrip
-	cpi := c.est.cycles(pt.Mid, pt.BranchProb, defaultTrip)
-
-	// Edge-of-iteration-space probes for the static-schedule maximum:
-	// skipped where they could only find the midpoint's cost again.
-	if threads > 1 && c.edgesVary {
-		for _, frac := range [2]float64{1 / (2 * float64(threads)),
-			1 - 1/(2*float64(threads))} {
-			copy(pt.Scratch, pt.Vals)
-			c.shape.Augment.Fraction(pt.Scratch, frac)
-			if edgeCPI := c.est.cycles(pt.Scratch, pt.BranchProb, defaultTrip); edgeCPI > cpi {
-				cpi = edgeCPI
-			}
-		}
-	}
-
-	cm := c.cpu
-	if pt.Vectorizable {
-		vf := 1 + float64(cm.VectorLanesF64-1)*cm.VecEfficiency
-		cpi /= vf
-		p.Vectorized = true
-	}
-	p.CyclesPerIter = cpi
-
-	chunk := (iters + int64(threads) - 1) / int64(threads)
-	p.ChunkIters = chunk
-
-	eff := float64(threads)
-	if threads > cm.Cores {
-		cc := float64(cm.Cores)
-		eff = cc * (1 + cm.SMTYield*(float64(threads)/cc-1))
-	}
-	p.EffParallel = eff
-	slowdown := float64(threads) / eff
-
-	p.Fork, p.Schedule, p.Join = cm.OverheadCycles(threads)
-	p.ChunkWork = cpi * float64(chunk) * slowdown
-	p.LoopOverhead = float64(cm.OMP.LoopOverheadIter) * float64(chunk)
-
-	var memCycles float64
-	for i := range c.shape.Sites {
-		s, sp := &c.shape.Sites[i], &pt.Sites[i]
-		// Locality axis: the innermost sequential loop when there is one,
-		// else consecutive work items of the same thread.
-		affine, st, strideOK := s.ThreadAffine, sp.Thread, true
-		if s.HasInner {
-			affine, st, strideOK = s.InnerAffine, sp.Inner, sp.InnerOK
-		}
-		lat := c.streamCost
-		if !affine {
-			lat = float64(cm.MemLatency)
-		} else if strideOK {
-			switch {
-			case st == 0:
-				lat = float64(cm.L1.LatencyCycle)
-			case st == 1 || st == -1:
-				lat = c.streamCost
-			default:
-				lat = float64(cm.MemLatency)
-				if s.ThreadAffine && sp.Thread >= -1 && sp.Thread <= 1 {
-					lat = float64(cm.L2.LatencyCycle)
-				}
-				if abs64(st*s.ElemSize) >= cm.PageBytes {
-					lat += float64(cm.TLBMissPenalty)
-				}
-			}
-		}
-		memCycles += s.Weight * lat
-	}
-	p.Cache = memCycles * float64(chunk)
-
-	if risk := pt.FalseSharingRisk(chunk, cm.L1.LineBytes); risk > 0 {
-		storesPerChunk := pt.Load.Stores * float64(chunk)
-		p.FalseSharing = risk * storesPerChunk * float64(cm.L3.LatencyCycle)
-	}
-
-	p.Cycles = p.Fork + p.Schedule + p.ChunkWork + p.LoopOverhead +
-		p.Cache + p.Join + p.FalseSharing
-	p.Seconds = p.Cycles / (cm.FreqGHz * 1e9)
-	return nil
 }

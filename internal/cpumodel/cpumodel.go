@@ -111,68 +111,116 @@ type Prediction struct {
 	EffParallel   float64
 }
 
-// Predict evaluates the Liao cost model for the kernel on the CPU.
+// Predict evaluates the Liao cost model for the kernel on the CPU: it
+// resolves the launch by symbolic evaluation under the bindings map
+// (ipda.ResolveBindings, the interpreted estimator) and prices it with the
+// arithmetic every Compiled model prices its slot-resolved launches with.
 func Predict(in Input) (Prediction, error) {
 	if in.Kernel == nil || in.CPU == nil {
 		return Prediction{}, fmt.Errorf("cpumodel: nil kernel or CPU")
 	}
-	est := in.Estimator
-	if est == nil {
-		est = MCAEstimator{}
-	}
-	opt := in.CountOpt
-	if opt.DefaultTrip == 0 {
-		opt = ir.DefaultCountOptions()
-	}
-	if opt.Bindings == nil {
-		// Default to hybrid counting: runtime values plus midpoints for
-		// parallel indices, so triangular inner loops resolve to their
-		// mean rather than the 128-iteration fallback.
-		opt.Bindings = ir.MidpointBindings(in.Kernel, in.Bindings)
-	}
-
-	iters, err := in.Kernel.IterSpace().Eval(in.Bindings)
+	opt := in.CountOpt.ForLaunch(in.Kernel, in.Bindings)
+	pt, err := ipda.ResolveBindings(in.Kernel, in.IPDA, in.Bindings, opt)
 	if err != nil {
-		return Prediction{}, fmt.Errorf("cpumodel: iteration space: %w", err)
+		return Prediction{}, fmt.Errorf("cpumodel: %w", err)
 	}
-	if f := in.IterFraction; f > 0 && f < 1 {
-		iters = int64(float64(iters)*f + 0.5)
-		if iters < 1 {
-			iters = 1
-		}
+	cost := &mapCost{est: in.Estimator, k: in.Kernel, cpu: in.CPU, opt: opt, b: in.Bindings}
+	if cost.est == nil {
+		cost.est = MCAEstimator{}
 	}
-	if iters <= 0 {
-		return Prediction{}, fmt.Errorf("cpumodel: empty iteration space (%d)", iters)
+	m := newModel(in.CPU, in.Threads, cost)
+	m.dynamicChunk = in.DynamicChunk
+	var p Prediction
+	if err := m.price(pt, in.IterFraction, &p); err != nil {
+		return Prediction{}, err
 	}
-	threads := in.Threads
-	if threads <= 0 || threads > in.CPU.Threads() {
-		threads = in.CPU.Threads()
+	return p, nil
+}
+
+// workItemCost supplies Machine_cycles_per_iter of a resolved launch: with
+// the parallel indices at the midpoint of their ranges (edge 0), or pinned
+// at the fraction edge of them.
+type workItemCost interface {
+	cycles(pt *ipda.Point, edge float64) (float64, error)
+}
+
+// mapCost asks a CPIEstimator, re-analysing the kernel under the bindings
+// map; it reads nothing off the point.
+type mapCost struct {
+	est CPIEstimator
+	k   *ir.Kernel
+	cpu *machine.CPU
+	opt ir.CountOptions
+	b   symbolic.Bindings
+}
+
+func (m *mapCost) cycles(_ *ipda.Point, edge float64) (float64, error) {
+	opt := m.opt
+	if edge != 0 {
+		opt.Bindings = ir.FractionBindings(m.k, m.b, edge)
 	}
+	return m.est.CyclesPerWorkItem(m.k, m.cpu, opt)
+}
+
+// model is the Liao model of one (CPU, thread count, schedule) over a
+// source of work-item costs: the one pricer of resolved launches, whichever
+// resolver filled them.
+type model struct {
+	cpu     *machine.CPU
+	threads int // capped at the hardware thread count
+	cost    workItemCost
+
+	// dynamicChunk is Input.DynamicChunk; the offload runtime only ever
+	// requests the static schedule, 0.
+	dynamicChunk int64
+	// edgesFlat reports that a work item costs the same everywhere in the
+	// iteration space, so the static schedule's slowest thread need not be
+	// looked for at its edges.
+	edgesFlat bool
+	// streamCost is what a contiguous stream pays per access: the
+	// load-stream prefetcher catches it, so a refill costs roughly an L2
+	// hit, amortized over the line.
+	streamCost float64
+}
+
+func newModel(cpu *machine.CPU, threads int, cost workItemCost) model {
+	if threads <= 0 || threads > cpu.Threads() {
+		threads = cpu.Threads()
+	}
+	return model{cpu: cpu, threads: threads, cost: cost,
+		streamCost: float64(cpu.L1.LatencyCycle) +
+			float64(cpu.L2.LatencyCycle)*8/float64(cpu.L1.LineBytes)}
+}
+
+// price evaluates the model over the resolved launch pt into *p (zero on
+// entry), the target running iterFraction of the iteration space.
+func (m *model) price(pt *ipda.Point, iterFraction float64, p *Prediction) error {
+	iters, err := pt.Span(iterFraction)
+	if err != nil {
+		return fmt.Errorf("cpumodel: %w", err)
+	}
+	threads := m.threads
 	if int64(threads) > iters {
 		threads = int(iters)
 	}
+	p.Threads = threads
 
-	cpi, err := est.CyclesPerWorkItem(in.Kernel, in.CPU, opt)
+	cpi, err := m.cost.cycles(pt, 0)
 	if err != nil {
-		return Prediction{}, err
+		return err
 	}
-
-	p := Prediction{Threads: threads}
-
 	// Figure 3 takes the maximum over threads. Under the default static
 	// schedule, a triangular nest gives its first and last chunks very
 	// different work: evaluate the per-iteration cost at the edges of
 	// the iteration space and charge the slowest thread's chunk. Under a
 	// dynamic schedule the queue balances work to the mean, so the
 	// midpoint estimate (already in cpi) stands, plus per-chunk dispatch.
-	if in.DynamicChunk <= 0 && threads > 1 {
-		for _, frac := range []float64{1 / (2 * float64(threads)),
+	if m.dynamicChunk <= 0 && threads > 1 && !m.edgesFlat {
+		for _, frac := range [2]float64{1 / (2 * float64(threads)),
 			1 - 1/(2*float64(threads))} {
-			edgeOpt := opt
-			edgeOpt.Bindings = ir.FractionBindings(in.Kernel, in.Bindings, frac)
-			edgeCPI, err := est.CyclesPerWorkItem(in.Kernel, in.CPU, edgeOpt)
+			edgeCPI, err := m.cost.cycles(pt, frac)
 			if err != nil {
-				return Prediction{}, err
+				return err
 			}
 			if edgeCPI > cpi {
 				cpi = edgeCPI
@@ -182,8 +230,9 @@ func Predict(in Input) (Prediction, error) {
 
 	// Vectorization of the compiler-generated fallback loop: IPDA proves
 	// lane-contiguity; the generation's SIMD quality scales the win.
-	if in.IPDA != nil && in.IPDA.Vectorizable(in.Bindings) {
-		vf := 1 + float64(in.CPU.VectorLanesF64-1)*in.CPU.VecEfficiency
+	c := m.cpu
+	if pt.Vectorizable {
+		vf := 1 + float64(c.VectorLanesF64-1)*c.VecEfficiency
 		cpi /= vf
 		p.Vectorized = true
 	}
@@ -197,107 +246,96 @@ func Predict(in Input) (Prediction, error) {
 	// SMT de-rating: threads beyond the physical cores add only
 	// SMTYield of a core each, so per-thread throughput drops.
 	eff := float64(threads)
-	if threads > in.CPU.Cores {
-		c := float64(in.CPU.Cores)
-		eff = c * (1 + in.CPU.SMTYield*(float64(threads)/c-1))
+	if threads > c.Cores {
+		cores := float64(c.Cores)
+		eff = cores * (1 + c.SMTYield*(float64(threads)/cores-1))
 	}
 	p.EffParallel = eff
 	slowdown := float64(threads) / eff
 
-	p.Fork, p.Schedule, p.Join = in.CPU.OverheadCycles(threads)
-	if in.DynamicChunk > 0 {
+	p.Fork, p.Schedule, p.Join = c.OverheadCycles(threads)
+	if m.dynamicChunk > 0 {
 		// Schedule_times = chunks handled per thread; each costs one
 		// dispatch round trip to the shared queue.
-		chunks := (iters + in.DynamicChunk - 1) / in.DynamicChunk
+		chunks := (iters + m.dynamicChunk - 1) / m.dynamicChunk
 		perThread := (chunks + int64(threads) - 1) / int64(threads)
-		p.Schedule += float64(perThread) * float64(in.CPU.OMP.ChunkDispatch)
+		p.Schedule += float64(perThread) * float64(c.OMP.ChunkDispatch)
 	}
 	p.ChunkWork = cpi * float64(chunk) * slowdown
-	p.LoopOverhead = float64(in.CPU.OMP.LoopOverheadIter) * float64(chunk)
+	p.LoopOverhead = float64(c.OMP.LoopOverheadIter) * float64(chunk)
 
-	// Cache_c term of Loop_chunk: an analytical memory cost per access
-	// site classified by its IPDA inner stride (this is the locality
-	// information Section II-C says the analysis exposes):
-	//
-	//   stride 0   — loop-invariant operand, register/L1 resident;
-	//   stride ±1  — hardware-prefetched stream: one line fill amortized
-	//                over the elements of the line;
-	//   large      — unprefetchable walk: full memory latency, plus the
-	//                TLB miss penalty (Table II) when the stride crosses
-	//                pages.
-	//
-	// Without IPDA the model falls back to charging every access the
-	// prefetched-stream cost plus a page-grain TLB estimate.
-	load := ir.Count(in.Kernel, opt)
-	c := in.CPU
-	// Contiguous streams are caught by the load-stream prefetcher: a
-	// refill costs roughly an L2 hit, amortized over the line.
-	streamCost := float64(c.L1.LatencyCycle) +
-		float64(c.L2.LatencyCycle)*8/float64(c.L1.LineBytes)
-	if in.IPDA != nil {
-		var memCycles float64
-		for i := range in.IPDA.Sites {
-			s := &in.IPDA.Sites[i]
-			// Locality axis: the innermost sequential loop when there is
-			// one; otherwise consecutive work items of the same thread
-			// (the innermost parallel loop).
-			strideE, affine := s.InnerStride, s.InnerAffine
-			if !s.HasInner {
-				strideE, affine = s.ThreadStride, s.ThreadAffine
-			}
-			lat := streamCost
-			if affine {
-				if st, err := strideE.Eval(in.Bindings); err == nil {
-					elem := s.Access.Elem.Size()
-					switch {
-					case st == 0:
-						lat = float64(c.L1.LatencyCycle)
-					case st == 1 || st == -1:
-						lat = streamCost
-					default:
-						// Large-stride walk. If consecutive work items of
-						// the same thread revisit the neighbouring element
-						// (thread stride ≤ 1 element), the lines stay L2
-						// resident across items; otherwise the walk pays
-						// full memory latency.
-						lat = float64(c.MemLatency)
-						if s.ThreadAffine {
-							if ts, err := s.ThreadStride.Eval(in.Bindings); err == nil &&
-								ts >= -1 && ts <= 1 {
-								lat = float64(c.L2.LatencyCycle)
-							}
-						}
-						if abs64(st*elem) >= c.PageBytes {
-							lat += float64(c.TLBMissPenalty)
-						}
-					}
-				}
-			} else {
-				lat = float64(c.MemLatency)
-			}
-			memCycles += s.Access.Weight * lat
-		}
-		p.Cache = memCycles * float64(chunk)
-	} else {
-		pages := float64(chunk) * load.Mem() * 8 / float64(c.PageBytes)
-		p.Cache = load.Mem()*streamCost*float64(chunk) +
+	// Cache_c term of Loop_chunk. Without IPDA the model falls back to
+	// charging every access the prefetched-stream cost plus a page-grain
+	// TLB estimate.
+	cache := m.siteCycles(pt) * float64(chunk)
+	if !pt.Analyzed {
+		pages := float64(chunk) * pt.Load.Mem() * 8 / float64(c.PageBytes)
+		cache = pt.Load.Mem()*m.streamCost*float64(chunk) +
 			pages*float64(c.TLBMissPenalty)
 	}
+	p.Cache = cache
 
 	// False sharing: stores by adjacent threads within one line serialize
 	// on coherence; penalty ≈ a cross-core transfer per risky store.
-	if in.IPDA != nil {
-		risk := in.IPDA.FalseSharingRisk(in.Bindings, chunk, in.CPU.L1.LineBytes)
-		if risk > 0 {
-			storesPerChunk := load.Stores * float64(chunk)
-			p.FalseSharing = risk * storesPerChunk * float64(in.CPU.L3.LatencyCycle)
-		}
+	if risk := pt.FalseSharingRisk(chunk, c.L1.LineBytes); risk > 0 {
+		storesPerChunk := pt.Load.Stores * float64(chunk)
+		p.FalseSharing = risk * storesPerChunk * float64(c.L3.LatencyCycle)
 	}
 
 	p.Cycles = p.Fork + p.Schedule + p.ChunkWork + p.LoopOverhead +
 		p.Cache + p.Join + p.FalseSharing
-	p.Seconds = p.Cycles / (in.CPU.FreqGHz * 1e9)
-	return p, nil
+	p.Seconds = p.Cycles / (c.FreqGHz * 1e9)
+	return nil
+}
+
+// siteCycles is the analytical memory cost of one work item: each access
+// site classified by its IPDA inner stride (this is the locality
+// information Section II-C says the analysis exposes):
+//
+//	stride 0   — loop-invariant operand, register/L1 resident;
+//	stride ±1  — hardware-prefetched stream: one line fill amortized
+//	             over the elements of the line;
+//	large      — unprefetchable walk: full memory latency, plus the
+//	             TLB miss penalty (Table II) when the stride crosses
+//	             pages.
+func (m *model) siteCycles(pt *ipda.Point) float64 {
+	c := m.cpu
+	var memCycles float64
+	for i := range pt.Sites {
+		s := &pt.Sites[i]
+		// Locality axis: the innermost sequential loop when there is
+		// one; otherwise consecutive work items of the same thread
+		// (the innermost parallel loop).
+		affine, st, strideOK := s.ThreadAffine, s.Thread, true
+		if s.HasInner {
+			affine, st, strideOK = s.InnerAffine, s.Inner, s.InnerOK
+		}
+		lat := m.streamCost
+		if !affine {
+			lat = float64(c.MemLatency)
+		} else if strideOK {
+			switch {
+			case st == 0:
+				lat = float64(c.L1.LatencyCycle)
+			case st == 1 || st == -1:
+				lat = m.streamCost
+			default:
+				// Large-stride walk. If consecutive work items of the
+				// same thread revisit the neighbouring element (thread
+				// stride ≤ 1 element), the lines stay L2 resident across
+				// items; otherwise the walk pays full memory latency.
+				lat = float64(c.MemLatency)
+				if s.ThreadAffine && s.Thread >= -1 && s.Thread <= 1 {
+					lat = float64(c.L2.LatencyCycle)
+				}
+				if abs64(st*s.ElemSize) >= c.PageBytes {
+					lat += float64(c.TLBMissPenalty)
+				}
+			}
+		}
+		memCycles += s.Weight * lat
+	}
+	return memCycles
 }
 
 func abs64(x int64) int64 {

@@ -119,40 +119,71 @@ type Prediction struct {
 // queueing; context initialization is excluded per the paper's protocol).
 const launchOverheadSec = 8e-6
 
-// Predict evaluates the adapted Hong–Kim model.
+// Predict evaluates the adapted Hong–Kim model: it resolves the launch by
+// symbolic evaluation under the bindings map and prices it with the
+// arithmetic every Compiled model prices its slot-resolved launches with.
 func Predict(in Input) (Prediction, error) {
 	if in.Kernel == nil || in.GPU == nil {
 		return Prediction{}, fmt.Errorf("gpumodel: nil kernel or GPU")
 	}
-	g := in.GPU
-	opt := in.CountOpt
-	if opt.DefaultTrip == 0 {
-		opt = ir.DefaultCountOptions()
-	}
-	if opt.Bindings == nil {
-		// Default to hybrid counting: runtime values plus midpoints for
-		// parallel indices, so triangular inner loops resolve to their
-		// mean rather than the 128-iteration fallback.
-		opt.Bindings = ir.MidpointBindings(in.Kernel, in.Bindings)
-	}
-
-	iters, err := in.Kernel.IterSpace().Eval(in.Bindings)
+	m := newModel(in.GPU, in.Link, in.Options)
+	pt, err := m.resolve(in)
 	if err != nil {
-		return Prediction{}, fmt.Errorf("gpumodel: iteration space: %w", err)
+		return Prediction{}, err
 	}
-	frac := 1.0
-	if f := in.IterFraction; f > 0 && f < 1 {
-		frac = f
-		iters = int64(float64(iters)*f + 0.5)
-		if iters < 1 {
-			iters = 1
+	var p Prediction
+	if err := m.price(pt, in.IterFraction, &p); err != nil {
+		return Prediction{}, err
+	}
+	return p, nil
+}
+
+// resolve is the map-form resolver: ipda.ResolveBindings with the device's
+// warp geometry where the options read coalescing off IPDA, and the
+// transfer volume where they price it.
+func (m *model) resolve(in Input) (*ipda.Point, error) {
+	var geoms []ipda.WarpGeom
+	if m.opts.Coalescing == UseIPDA {
+		if in.IPDA == nil {
+			return nil, fmt.Errorf("gpumodel: coalescing source is IPDA but no analysis supplied")
+		}
+		geoms = append(geoms, m.geom)
+	}
+	opt := in.CountOpt.ForLaunch(in.Kernel, in.Bindings)
+	pt, err := ipda.ResolveBindings(in.Kernel, in.IPDA, in.Bindings, opt, geoms...)
+	if err != nil {
+		return nil, fmt.Errorf("gpumodel: %w", err)
+	}
+	if m.opts.IncludeTransfer {
+		if pt.TransferBytes, err = TransferBytes(in.Kernel, in.Bindings); err != nil {
+			return nil, err
 		}
 	}
-	if iters <= 0 {
-		return Prediction{}, fmt.Errorf("gpumodel: empty iteration space (%d)", iters)
-	}
+	return pt, nil
+}
 
-	var p Prediction
+// model is the adapted Hong–Kim model of one (GPU, link, options): the one
+// pricer of resolved launches, whichever resolver filled them.
+type model struct {
+	g    *machine.GPU
+	link machine.Link
+	opts Options
+	geom ipda.WarpGeom
+}
+
+func newModel(g *machine.GPU, link machine.Link, opts Options) model {
+	return model{g: g, link: link, opts: opts,
+		geom: ipda.WarpGeom{WarpSize: g.WarpSize, TransactionBytes: g.L2.LineBytes}}
+}
+
+// price evaluates the model over the resolved launch pt into *p (zero on
+// entry), the device running iterFraction of the iteration space.
+func (m *model) price(pt *ipda.Point, iterFraction float64, p *Prediction) error {
+	g := m.g
+	iters, err := pt.Span(iterFraction)
+	if err != nil {
+		return fmt.Errorf("gpumodel: %w", err)
+	}
 
 	// Grid geometry the OpenMP runtime would select.
 	tpb := g.DefaultBlockSize
@@ -166,7 +197,7 @@ func Predict(in Input) (Prediction, error) {
 	// #OMP_Rep: distinct loop iterations per GPU thread when the grid
 	// does not cover the iteration space.
 	p.OMPRep = 1
-	if in.Options.OMPRep {
+	if m.opts.OMPRep {
 		p.OMPRep = math.Ceil(float64(iters) / float64(blocks*int64(tpb)))
 	}
 
@@ -202,24 +233,16 @@ func Predict(in Input) (Prediction, error) {
 	}
 
 	// Instruction loadout per work item (= per thread per OMP_Rep).
-	load := ir.Count(in.Kernel, opt)
+	load := &pt.Load
 	memInsts := load.Mem()
 	compInsts := load.Total() - memInsts
 	p.MemInsts = memInsts
 
 	// Coalescing inputs.
 	coalFrac := 1.0
-	switch in.Options.Coalescing {
+	switch m.opts.Coalescing {
 	case UseIPDA:
-		if in.IPDA == nil {
-			return Prediction{}, fmt.Errorf("gpumodel: coalescing source is IPDA but no analysis supplied")
-		}
-		sum, err := in.IPDA.GPUCoalescing(in.Bindings, ipda.WarpGeom{
-			WarpSize: g.WarpSize, TransactionBytes: g.L2.LineBytes})
-		if err != nil {
-			return Prediction{}, err
-		}
-		coalFrac = sum.CoalescedFraction()
+		coalFrac = pt.Warp(m.geom).CoalescedFrac
 	case AssumeAllCoalesced:
 		coalFrac = 1
 	case AssumeAllUncoalesced:
@@ -243,8 +266,8 @@ func Predict(in Input) (Prediction, error) {
 	p.MemLatencyUnc = memL + (float64(g.WarpSize)-1)*g.DepartureDelayUncoal
 
 	var memCycles float64
-	if in.Options.CacheAware && in.Options.Coalescing == UseIPDA && in.IPDA != nil {
-		memCycles = cacheAwareMemCycles(in, g, opt)
+	if m.opts.CacheAware && m.opts.Coalescing == UseIPDA {
+		memCycles = m.cacheAwareMemCycles(pt)
 	} else {
 		nCoal := memInsts * coalFrac
 		nUncoal := memInsts * (1 - coalFrac)
@@ -262,20 +285,21 @@ func Predict(in Input) (Prediction, error) {
 	loadBytesPerWarp := float64(g.WarpSize) * 8 // f64 kernels
 	bwPerWarp := g.ClockGHz * 1e9 * loadBytesPerWarp / memL
 	p.MWPPeakBW = g.PeakBandwidthBytes() / (bwPerWarp * float64(activeSMs))
-	p.MWP = math.Min(math.Min(p.MWPWithoutBW, p.MWPPeakBW), N)
-	if p.MWP < 1 {
-		p.MWP = 1
+	mwp := math.Min(math.Min(p.MWPWithoutBW, p.MWPPeakBW), N)
+	if mwp < 1 {
+		mwp = 1
 	}
+	p.MWP = mwp
 
 	// CWP (Figure 5).
+	cwp := N
 	if compCycles > 0 {
-		p.CWP = math.Min((memCycles+compCycles)/compCycles, N)
-	} else {
-		p.CWP = N
+		cwp = math.Min((memCycles+compCycles)/compCycles, N)
 	}
-	if p.CWP < 1 {
-		p.CWP = 1
+	if cwp < 1 {
+		cwp = 1
 	}
+	p.CWP = cwp
 
 	// Execution cycles per SM (Figure 4), scaled by #Rep × #OMP_Rep.
 	var exec float64
@@ -305,18 +329,17 @@ func Predict(in Input) (Prediction, error) {
 	p.LaunchSeconds = launchOverheadSec
 	sec += launchOverheadSec
 
-	if in.Options.IncludeTransfer {
-		bytes, err := TransferBytes(in.Kernel, in.Bindings)
-		if err != nil {
-			return Prediction{}, err
+	if m.opts.IncludeTransfer {
+		frac := 1.0
+		if iterFraction > 0 && iterFraction < 1 {
+			frac = iterFraction
 		}
-		bytes = int64(float64(bytes) * frac)
-		p.TransferBytes = bytes
-		p.TransferSeconds = in.Link.TransferSeconds(bytes)
+		p.TransferBytes = int64(float64(pt.TransferBytes) * frac)
+		p.TransferSeconds = m.link.TransferSeconds(p.TransferBytes)
 		sec += p.TransferSeconds
 	}
 	p.Seconds = sec
-	return p, nil
+	return nil
 }
 
 // cacheAwareMemCycles computes the per-work-item memory cycles with IPDA
@@ -332,68 +355,42 @@ func Predict(in Input) (Prediction, error) {
 //     footprint fits the L2 pay L2-hit latency on subsequent passes.
 //
 // Everything else pays the flat Hong–Kim latency.
-func cacheAwareMemCycles(in Input, g *machine.GPU, opt ir.CountOptions) float64 {
-	geom := ipda.WarpGeom{WarpSize: g.WarpSize, TransactionBytes: g.L2.LineBytes}
+func (m *model) cacheAwareMemCycles(pt *ipda.Point) float64 {
+	g := m.g
 	uncoalPerTx := g.DepartureDelayUncoal
+	access := pt.Warp(m.geom).Access
 	var total float64
-	for i := range in.IPDA.Sites {
-		s := &in.IPDA.Sites[i]
-		wa, err := s.ResolveGPU(in.Bindings, geom)
-		if err != nil {
-			wa = ipda.WarpAccess{Class: ipda.NonUniform, Transactions: g.WarpSize}
-		}
+	for i := range pt.Sites {
+		s, wa := &pt.Sites[i], &access[i]
 		lat := float64(g.MemLatency)
 		switch wa.Class {
 		case ipda.Uniform:
 			lat = float64(g.L1HitLatency)
 		case ipda.Coalesced:
-			if s.HasInner && s.InnerAffine {
-				if st, err := s.InnerStride.Eval(in.Bindings); err == nil && st == 0 {
-					// Loop-invariant within the inner loop: register/L1.
-					lat = float64(g.L1HitLatency)
-				}
+			if s.HasInner && s.InnerOK && s.Inner == 0 {
+				// Loop-invariant within the inner loop: register/L1.
+				lat = float64(g.L1HitLatency)
 			}
 		case ipda.Strided, ipda.Uncoalesced, ipda.NonUniform:
 			lat = float64(g.MemLatency) +
 				float64(wa.Transactions-1)*uncoalPerTx
-			if s.InnerAffine {
-				if st, err := s.InnerStride.Eval(in.Bindings); err == nil &&
-					(st == 1 || st == -1) {
-					// Per-thread streaming: the expensive refill happens
-					// once per cache line of elements.
-					frac := float64(s.Access.Elem.Size()) / float64(g.L1.LineBytes)
-					lat = float64(g.L1HitLatency) + lat*frac
-				}
+			if s.InnerOK && (s.Inner == 1 || s.Inner == -1) {
+				// Per-thread streaming: the expensive refill happens
+				// once per cache line of elements.
+				frac := float64(s.ElemSize) / float64(g.L1.LineBytes)
+				lat = float64(g.L1HitLatency) + lat*frac
 			}
 		}
 		// Re-walked footprint resident in L2.
-		if seq := sequentialLoops(s.Access.Loops); len(seq) >= 2 {
-			inner := seq[len(seq)-1]
-			trip := int64(opt.DefaultTrip)
-			if opt.Bindings != nil {
-				if t, err := inner.TripEval(opt.Bindings); err == nil {
-					trip = t
-				}
-			}
-			fp := trip * int64(wa.Transactions) * g.L2.LineBytes
+		if s.SeqDepth >= 2 {
+			fp := s.SeqTrip * int64(wa.Transactions) * g.L2.LineBytes
 			if fp <= g.L2.SizeBytes && float64(g.L2HitLatency) < lat {
 				lat = float64(g.L2HitLatency)
 			}
 		}
-		total += s.Access.Weight * lat
+		total += s.Weight * lat
 	}
 	return total
-}
-
-// sequentialLoops filters the non-parallel loops of an access context.
-func sequentialLoops(loops []*ir.Loop) []*ir.Loop {
-	var out []*ir.Loop
-	for _, l := range loops {
-		if !l.Parallel {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // TransferBytes sums the host→device bytes (In arrays) and device→host

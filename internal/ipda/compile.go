@@ -14,10 +14,9 @@ import (
 // per-work-item loadout, every access site's strides and warp classes —
 // so a region compiles one Shape, Resolve evaluates it once per launch
 // point into a Point, and each target's cost model is machine arithmetic
-// over that Point. The evaluations replay the interpreted analyses (same
-// site order, same accumulation order, same error fallbacks), so a model
-// reading a Point computes bit-for-bit what it computes re-analysing the
-// kernel under a bindings map.
+// over that Point. Resolve is one of the two resolvers that fill a Point;
+// ResolveBindings, the map form, is the other, and a model prices either's
+// Point with the same code.
 //
 // Whether a stride Eval succeeds depends only on the bound-name set, so
 // it is decided here at compile time: thread strides are required to
@@ -26,7 +25,7 @@ import (
 // them); inner and outer strides get an ok flag because the interpreted
 // paths treat their failures as behavior, not errors.
 type Shape struct {
-	Sites []CompiledSite
+	sites []compiledSite
 
 	// Slots is the layout: the parameters in the order CompileShape was
 	// given them, then the parallel loop variables the augmented vectors
@@ -46,22 +45,10 @@ type Shape struct {
 	iters, bytes symbolic.Compiled
 }
 
-// CompiledSite is what the analysis fixes about one access site at
-// compile time; SitePoint holds its strides at a launch point.
-type CompiledSite struct {
-	Weight   float64
-	ElemSize int64
-	Kind     ir.AccessKind
-	HasInner bool
-
-	ThreadAffine, InnerAffine bool
-
-	// SeqDepth counts the sequential loops around the access; at two or
-	// more, SitePoint.SeqTrip is the innermost one's trip count (the GPU
-	// model's re-walked-footprint refinement).
-	SeqDepth int
-
-	outerOK, innerOK     bool
+// compiledSite is one access site's SitePoint with the analysis' facts
+// filled in, and the programs Resolve runs to fill in the rest.
+type compiledSite struct {
+	fixed                SitePoint
 	thread, outer, inner symbolic.Compiled
 	seqTrip              ir.CompiledTrip
 }
@@ -100,41 +87,29 @@ func CompileShape(r *Result, params []string, defaultTrip int64) (*Shape, error)
 	if sh.Count, err = ir.CompileCount(k, sh.Slots, sh.AugBound); err != nil {
 		return nil, err
 	}
-	sh.Sites = make([]CompiledSite, len(r.Sites))
+	sh.sites = make([]compiledSite, len(r.Sites))
 	for i := range r.Sites {
 		s := &r.Sites[i]
-		cs := &sh.Sites[i]
-		*cs = CompiledSite{
-			Weight:       s.Access.Weight,
-			ElemSize:     s.Access.Elem.Size(),
-			Kind:         s.Access.Kind,
-			HasInner:     s.HasInner,
-			ThreadAffine: s.ThreadAffine,
-			InnerAffine:  s.InnerAffine,
-		}
+		cs := &sh.sites[i]
+		var innerSeq *ir.Loop
+		cs.fixed, innerSeq = s.fixed()
 		if s.ThreadAffine {
 			if cs.thread, err = sh.compile(fmt.Sprintf("site %d thread stride", i), s.ThreadStride); err != nil {
 				return nil, err
 			}
 		}
-		if cs.outerOK = s.OuterAffine && ir.Resolvable(s.OuterStride, sh.Bound); cs.outerOK {
+		if cs.fixed.OuterOK = s.OuterAffine && ir.Resolvable(s.OuterStride, sh.Bound); cs.fixed.OuterOK {
 			if cs.outer, err = symbolic.Compile(s.OuterStride, sh.Slots); err != nil {
 				return nil, err
 			}
 		}
-		if cs.innerOK = s.InnerAffine && ir.Resolvable(s.InnerStride, sh.Bound); cs.innerOK {
+		if cs.fixed.InnerOK = s.InnerAffine && ir.Resolvable(s.InnerStride, sh.Bound); cs.fixed.InnerOK {
 			if cs.inner, err = symbolic.Compile(s.InnerStride, sh.Slots); err != nil {
 				return nil, err
 			}
 		}
-		var seq []*ir.Loop
-		for _, l := range s.Access.Loops {
-			if !l.Parallel {
-				seq = append(seq, l)
-			}
-		}
-		if cs.SeqDepth = len(seq); cs.SeqDepth >= 2 {
-			if cs.seqTrip, err = ir.CompileTrip(seq[len(seq)-1], sh.Slots, sh.AugBound); err != nil {
+		if cs.fixed.SeqDepth >= 2 {
+			if cs.seqTrip, err = ir.CompileTrip(innerSeq, sh.Slots, sh.AugBound); err != nil {
 				return nil, err
 			}
 		}
@@ -150,9 +125,11 @@ func (sh *Shape) compile(what string, e symbolic.Expr) (symbolic.Compiled, error
 	return symbolic.Compile(e, sh.Slots)
 }
 
-// Point is a Shape resolved at one launch point, and the scratch the
-// resolution needs: a caller keeps one per goroutine (NewPoint), writes
-// the launch's parameter values into Vals and calls Resolve.
+// Point is a kernel launch resolved at one launch point — everything the
+// cost models read about it — and the scratch the slot resolution needs: a
+// caller keeps one per goroutine (NewPoint), writes the launch's parameter
+// values into Vals and calls Resolve. ResolveBindings fills one from a
+// bindings map instead, and leaves the slot vectors nil.
 type Point struct {
 	// Vals is the raw slot vector, Mid its midpoint-augmented copy (the
 	// hybrid counting bindings), Scratch a third the CPU model's
@@ -164,22 +141,56 @@ type Point struct {
 	TransferBytes int64      // every In array plus every Out array
 	Load          ir.Loadout // of one work item at the midpoint
 	Vectorizable  bool       // Result.Vectorizable
-	Sites         []SitePoint
+	// Analyzed is false for a launch resolved without a stride analysis
+	// (the map form's nil-IPDA ablation): no Sites, never Vectorizable.
+	Analyzed bool
+	Sites    []SitePoint
 
-	shape *Shape
-	warps []WarpPoint // resolved on demand, one per geometry asked for
+	warps []WarpPoint // one per geometry resolved
 }
 
-// SitePoint is one site's strides at a launch point, in elements. Thread
-// is meaningful when the site is ThreadAffine; InnerOK and OuterOK are
-// false where the interpreted stride evaluation would have failed (or the
-// stride is not affine).
+// SitePoint is one access site at a launch point: what the analysis fixes
+// about the site, then its strides, in elements, and trip count there.
 type SitePoint struct {
+	Weight   float64
+	ElemSize int64
+	Kind     ir.AccessKind
+	HasInner bool
+
+	ThreadAffine, InnerAffine bool
+
+	// SeqDepth counts the sequential loops around the access; at two or
+	// more, SeqTrip is the innermost one's trip count at the midpoint
+	// (DefaultTrip when it does not resolve) — the GPU model's
+	// re-walked-footprint refinement.
+	SeqDepth int
+	SeqTrip  int64
+
+	// Thread is meaningful when the site is ThreadAffine; InnerOK and
+	// OuterOK are false where the stride is not affine or its evaluation
+	// fails (which the bound-name set decides, not the values).
 	Thread, Inner, Outer int64
 	InnerOK, OuterOK     bool
-	// SeqTrip is the innermost sequential loop's trip count at the
-	// midpoint (DefaultTrip when it does not resolve), for SeqDepth >= 2.
-	SeqTrip int64
+}
+
+// fixed is the part of the site's SitePoint no launch changes, and the
+// innermost of the sequential loops around the access (nil without one).
+func (s *Site) fixed() (sp SitePoint, innerSeq *ir.Loop) {
+	sp = SitePoint{
+		Weight:       s.Access.Weight,
+		ElemSize:     s.Access.Elem.Size(),
+		Kind:         s.Access.Kind,
+		HasInner:     s.HasInner,
+		ThreadAffine: s.ThreadAffine,
+		InnerAffine:  s.InnerAffine,
+	}
+	for _, l := range s.Access.Loops {
+		if !l.Parallel {
+			sp.SeqDepth++
+			innerSeq = l
+		}
+	}
+	return sp, innerSeq
 }
 
 // WarpPoint is a launch point's coalescing behaviour under one warp
@@ -195,8 +206,12 @@ type WarpPoint struct {
 func (sh *Shape) NewPoint() *Point {
 	n := len(sh.Slots)
 	vecs := make([]int64, 3*n)
-	return &Point{shape: sh, Sites: make([]SitePoint, len(sh.Sites)),
+	p := &Point{Analyzed: true, Sites: make([]SitePoint, len(sh.sites)),
 		Vals: vecs[:n:n], Mid: vecs[n : 2*n : 2*n], Scratch: vecs[2*n:]}
+	for i := range sh.sites {
+		p.Sites[i] = sh.sites[i].fixed
+	}
+	return p
 }
 
 // Resolve evaluates the shape at the launch whose parameter values are in
@@ -215,28 +230,27 @@ func (sh *Shape) Resolve(p *Point, branchProb float64) {
 	// inner stride of 0 or 1; a body without one vectorizes along the
 	// thread dimension under the same rule.
 	anyInner, innerVec, threadVec := false, true, true
-	for i := range sh.Sites {
-		s, sp := &sh.Sites[i], &p.Sites[i]
-		*sp = SitePoint{InnerOK: s.innerOK, OuterOK: s.outerOK, SeqTrip: sh.DefaultTrip}
-		if s.ThreadAffine {
+	for i := range sh.sites {
+		s, sp := &sh.sites[i], &p.Sites[i]
+		if sp.ThreadAffine {
 			sp.Thread = s.thread.Eval(p.Vals)
 		}
-		if s.innerOK {
+		if sp.InnerOK {
 			sp.Inner = s.inner.Eval(p.Vals)
 		}
-		if s.outerOK {
+		if sp.OuterOK {
 			sp.Outer = s.outer.Eval(p.Vals)
 		}
-		if s.SeqDepth >= 2 {
+		if sp.SeqTrip = sh.DefaultTrip; sp.SeqDepth >= 2 {
 			if t, ok := s.seqTrip.Eval(p.Mid); ok {
 				sp.SeqTrip = t
 			}
 		}
-		if s.HasInner {
+		if sp.HasInner {
 			anyInner = true
 			innerVec = innerVec && sp.InnerOK && (sp.Inner == 0 || sp.Inner == 1)
 		}
-		threadVec = threadVec && s.ThreadAffine && (sp.Thread == 0 || sp.Thread == 1)
+		threadVec = threadVec && sp.ThreadAffine && (sp.Thread == 0 || sp.Thread == 1)
 	}
 	p.Vectorizable = innerVec
 	if !anyInner {
@@ -261,11 +275,11 @@ func (p *Point) Warp(g WarpGeom) *WarpPoint {
 	wp := &p.warps[len(p.warps)-1]
 	wp.Geom, wp.Access = g, wp.Access[:0]
 	var coal, total float64
-	for i := range p.shape.Sites {
-		s := &p.shape.Sites[i]
+	for i := range p.Sites {
+		s := &p.Sites[i]
 		wa := WarpAccess{Class: NonUniform, Transactions: g.WarpSize}
 		if s.ThreadAffine {
-			wa = ClassifyStride(p.Sites[i].Thread*s.ElemSize, s.ElemSize, g)
+			wa = ClassifyStride(s.Thread*s.ElemSize, s.ElemSize, g)
 		}
 		wp.Access = append(wp.Access, wa)
 		total += s.Weight
@@ -281,19 +295,19 @@ func (p *Point) Warp(g WarpGeom) *WarpPoint {
 	return wp
 }
 
-// FalseSharingRisk replicates Result.FalseSharingRisk at the point.
+// FalseSharingRisk is Result.FalseSharingRisk at the point.
 func (p *Point) FalseSharingRisk(chunkIters, lineBytes int64) float64 {
 	var stores, risky float64
-	for i := range p.shape.Sites {
-		s := &p.shape.Sites[i]
+	for i := range p.Sites {
+		s := &p.Sites[i]
 		if s.Kind != ir.AccStore {
 			continue
 		}
 		stores += s.Weight
-		if !p.Sites[i].OuterOK {
+		if !s.OuterOK {
 			continue
 		}
-		dist := p.Sites[i].Outer * chunkIters * s.ElemSize
+		dist := s.Outer * chunkIters * s.ElemSize
 		if dist < 0 {
 			dist = -dist
 		}

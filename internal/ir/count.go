@@ -71,6 +71,21 @@ func DefaultCountOptions() CountOptions {
 	return CountOptions{DefaultTrip: 128, BranchProb: 0.5}
 }
 
+// ForLaunch completes the options a caller left open for counting the
+// launch of k that binds b: the static defaults where DefaultTrip is unset,
+// and hybrid counting where no bindings are given — the runtime values plus
+// midpoints for the parallel indices, so triangular inner loops resolve to
+// their mean rather than the DefaultTrip fallback.
+func (o CountOptions) ForLaunch(k *Kernel, b symbolic.Bindings) CountOptions {
+	if o.DefaultTrip == 0 {
+		o = DefaultCountOptions()
+	}
+	if o.Bindings == nil {
+		o.Bindings = MidpointBindings(k, b)
+	}
+	return o
+}
+
 // FractionBindings augments runtime parameter bindings with parallel loop
 // variables pinned at the given fraction of their range (0 = lower bound,
 // 0.5 = midpoint, 1 = upper bound). It lets the cost model evaluate the

@@ -148,12 +148,14 @@ func (sv *slotVecs) prime() {
 	}
 }
 
-func (sv *slotVecs) predictAt(i int, frac float64) (float64, error) {
+func (sv *slotVecs) predictAt(i int, frac float64) (sec float64, err error) {
 	sv.prime()
 	if p := &sv.cm.progs[i]; p.cpu != nil {
-		return p.cpu.Seconds(sv.pt, frac)
+		sec, err = p.cpu.Seconds(sv.pt, frac)
+	} else {
+		sec, err = p.gpu.Seconds(sv.pt, frac)
 	}
-	return sv.cm.progs[i].gpu.Seconds(sv.pt, frac)
+	return sec, wrapInput(err)
 }
 
 func (sv *slotVecs) predictAll() ([]float64, error) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/hybridsel/hybridsel/internal/ipda"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
@@ -24,22 +25,28 @@ var (
 	// one of the region's symbolic attributes needs (an array size or
 	// loop trip count the compiler transformation must supply).
 	ErrUnboundSymbol = errors.New("offload: unbound symbol")
+	// ErrOutOfRange reports runtime bindings whose values leave the region
+	// nothing the models can price: an empty iteration space.
+	ErrOutOfRange = errors.New("offload: bindings out of range")
 	// ErrKeyHashMismatch reports a slot vector whose claimed key hash is
 	// not the hash of its values under the region's parameter layout: the
 	// caller and the runtime disagree on the region's parameter set.
 	ErrKeyHashMismatch = errors.New("offload: key hash mismatch")
 )
 
-// wrapUnbound tags errors caused by missing runtime bindings with
-// ErrUnboundSymbol so callers can errors.Is-match them; other errors pass
-// through unchanged.
-func wrapUnbound(err error) error {
+// wrapInput tags the errors the caller's bindings cause — a missing value
+// with ErrUnboundSymbol, an empty iteration space with ErrOutOfRange — so
+// callers can errors.Is-match them; other errors pass through unchanged.
+func wrapInput(err error) error {
 	if err == nil {
 		return nil
 	}
 	var u *symbolic.UnboundError
 	if errors.As(err, &u) {
 		return fmt.Errorf("%w: %w", ErrUnboundSymbol, err)
+	}
+	if errors.Is(err, ipda.ErrEmptySpace) {
+		return fmt.Errorf("%w: %w", ErrOutOfRange, err)
 	}
 	return err
 }

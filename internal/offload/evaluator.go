@@ -126,7 +126,7 @@ func (m *mapEval) predictAt(i int, frac float64) (float64, error) {
 			IPDA:         m.r.Analysis,
 			IterFraction: frac,
 		})
-		return cp.Seconds, wrapUnbound(err)
+		return cp.Seconds, wrapInput(err)
 	}
 	gp, err := gpumodel.Predict(gpumodel.Input{
 		Kernel:       m.r.Kernel,
@@ -138,14 +138,14 @@ func (m *mapEval) predictAt(i int, frac float64) (float64, error) {
 		Options:      gpumodel.DefaultOptions(),
 		IterFraction: frac,
 	})
-	return gp.Seconds, wrapUnbound(err)
+	return gp.Seconds, wrapInput(err)
 }
 
 func (m *mapEval) predictAll() ([]float64, error) {
 	// Resolving the stored attributes validates that every runtime
 	// value the symbolic expressions need has been supplied.
 	if _, err := m.r.Attrs.Resolve(m.b, m.r.rt.warpGeom()); err != nil {
-		return nil, wrapUnbound(err)
+		return nil, wrapInput(err)
 	}
 	preds := m.preds
 	for i := range preds {
@@ -161,15 +161,15 @@ func (m *mapEval) predictAll() ([]float64, error) {
 func (m *mapEval) features() (Features, error) {
 	iters, err := m.r.Attrs.IterSpace.Eval(m.b)
 	if err != nil {
-		return Features{}, wrapUnbound(err)
+		return Features{}, wrapInput(err)
 	}
 	bytes, err := m.r.Attrs.TransferBytes.Eval(m.b)
 	if err != nil {
-		return Features{}, wrapUnbound(err)
+		return Features{}, wrapInput(err)
 	}
 	sum, err := m.r.Analysis.GPUCoalescing(m.b, m.r.rt.warpGeom())
 	if err != nil {
-		return Features{}, wrapUnbound(err)
+		return Features{}, wrapInput(err)
 	}
 	return Features{
 		Iterations:    iters,

@@ -666,7 +666,7 @@ func (r *Region) execute(sp *TargetSpec, b symbolic.Bindings, frac float64, bkey
 		cfg.Fraction = frac
 		res, err := sim.SimulateCPU(r.Kernel, sp.CPU, b, cfg)
 		if err != nil {
-			return 0, wrapUnbound(err)
+			return 0, wrapInput(err)
 		}
 		sec = res.Seconds
 	case KindGPU:
@@ -675,7 +675,7 @@ func (r *Region) execute(sp *TargetSpec, b symbolic.Bindings, frac float64, bkey
 		cfg.Fraction = frac
 		res, err := sim.SimulateGPU(r.Kernel, sp.GPU, sp.Link, b, cfg)
 		if err != nil {
-			return 0, wrapUnbound(err)
+			return 0, wrapInput(err)
 		}
 		sec = res.Seconds
 	default:

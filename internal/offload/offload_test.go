@@ -253,6 +253,15 @@ func TestSentinelErrors(t *testing.T) {
 	if _, _, err := regionOf(t, rt, "gemm").Predict(symbolic.Bindings{"wrong": 4}); !errors.Is(err, ErrUnboundSymbol) {
 		t.Fatalf("predict with wrong bindings = %v", err)
 	}
+	// Bindings that leave the region no iteration surface as ErrOutOfRange
+	// whichever evaluator prices the launch.
+	for _, mapForm := range []bool{false, true} {
+		rt := newRT(t, ModelGuided)
+		rt.mapEvalOnly = mapForm
+		if _, err := regionOf(t, rt, "gemm").Decide(symbolic.Bindings{"n": 0}); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("decide over an empty iteration space (map form %v) = %v", mapForm, err)
+		}
+	}
 }
 
 func TestRegionHandleLaunch(t *testing.T) {

@@ -44,12 +44,12 @@ func (e *profileEngine) Branch(taken, act int, scale float64) {
 func (r *Region) ProfileBranches(b symbolic.Bindings) (*ProfileData, error) {
 	lay, err := sim.NewLayout(r.Kernel, b)
 	if err != nil {
-		return nil, wrapUnbound(err)
+		return nil, wrapInput(err)
 	}
 	eng := &profileEngine{}
 	w, err := sim.NewWalker(r.Kernel, b, lay, eng, 1, 64)
 	if err != nil {
-		return nil, wrapUnbound(err)
+		return nil, wrapInput(err)
 	}
 	items := w.Items()
 	samples := int64(32)

@@ -49,7 +49,7 @@ func TestAuditEndpointAndMetrics(t *testing.T) {
 		t.Fatalf("audit report samples=%d regions=%d: %+v",
 			rep.Samples, len(rep.Regions), rep)
 	}
-	if rep.Regions[0].CPU.Factor <= 0 {
+	if tg := rep.Regions[0].Targets; len(tg) != 2 || tg[0].Target != "cpu/base" || tg[0].Factor <= 0 {
 		t.Fatalf("report missing correction factors: %+v", rep.Regions[0])
 	}
 
@@ -67,8 +67,8 @@ func TestAuditEndpointAndMetrics(t *testing.T) {
 		`hybridsel_audit_region_samples_total{region="gemm"} 1`,
 		`hybridsel_audit_region_mispredict_total{region="mvt1"}`,
 		`hybridsel_audit_region_regret_seconds_total{region="gemm"}`,
-		`hybridsel_correction_factor{region="gemm",model="cpu"}`,
-		`hybridsel_correction_factor{region="mvt1",model="gpu"}`,
+		`hybridsel_correction_factor{region="gemm",target="cpu/base"}`,
+		`hybridsel_correction_factor{region="mvt1",target="gpu/base"}`,
 	} {
 		if !bytes.Contains(raw, []byte(want)) {
 			t.Errorf("metrics missing %q", want)

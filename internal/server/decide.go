@@ -369,6 +369,7 @@ const (
 	ErrCodeBadRequest       = "bad_request"
 	ErrCodeUnknownRegion    = "unknown_region"
 	ErrCodeUnboundSymbol    = "unbound_symbol"
+	ErrCodeOutOfRange       = "out_of_range"
 	ErrCodeDeadlineExceeded = "deadline_exceeded"
 	ErrCodeQueueFull        = "queue_full"
 	ErrCodeDraining         = "draining"
@@ -411,6 +412,8 @@ func classify(err error) *ErrorInfo {
 		return errInfo(http.StatusNotFound, ErrCodeUnknownRegion, err.Error())
 	case errors.Is(err, offload.ErrUnboundSymbol):
 		return errInfo(http.StatusUnprocessableEntity, ErrCodeUnboundSymbol, err.Error())
+	case errors.Is(err, offload.ErrOutOfRange):
+		return errInfo(http.StatusUnprocessableEntity, ErrCodeOutOfRange, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		return errInfo(http.StatusServiceUnavailable, ErrCodeDeadlineExceeded, err.Error())
 	default:

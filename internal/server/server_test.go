@@ -142,16 +142,24 @@ func TestDecideErrorsMapToStatus(t *testing.T) {
 	cases := []struct {
 		body string
 		want int
+		code string
 	}{
-		{`{"region":"nope","bindings":{"n":8}}`, http.StatusNotFound},
-		{`{"region":"gemm","bindings":{"m":8}}`, http.StatusUnprocessableEntity},
-		{`{"region":"gemm","bindings":`, http.StatusBadRequest},
-		{`{"bindings":{"n":8}}`, http.StatusBadRequest},
+		{`{"region":"nope","bindings":{"n":8}}`, http.StatusNotFound, ErrCodeUnknownRegion},
+		{`{"region":"gemm","bindings":{"m":8}}`, http.StatusUnprocessableEntity, ErrCodeUnboundSymbol},
+		// An empty iteration space is the caller's input, not a fault of
+		// the daemon's: a 5xx here would be retried and fed to breakers.
+		{`{"region":"gemm","bindings":{"n":0}}`, http.StatusUnprocessableEntity, ErrCodeOutOfRange},
+		{`{"region":"gemm","bindings":`, http.StatusBadRequest, ErrCodeBadRequest},
+		{`{"bindings":{"n":8}}`, http.StatusBadRequest, ErrCodeBadRequest},
 	}
 	for _, c := range cases {
 		resp, raw := postDecide(t, ts.URL, c.body)
-		if resp.StatusCode != c.want {
-			t.Errorf("%s -> %d (%s), want %d", c.body, resp.StatusCode, raw, c.want)
+		var env ErrorEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Errorf("%s: %v (%s)", c.body, err, raw)
+		}
+		if resp.StatusCode != c.want || env.Error.Code != c.code {
+			t.Errorf("%s -> %d %q (%s), want %d %q", c.body, resp.StatusCode, env.Error.Code, raw, c.want, c.code)
 		}
 	}
 }
