@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race chaos fuzz bench-paper vet build api loc
+.PHONY: check test race chaos fuzz bench-paper paper paper-check vet build api loc
 
 # The full verification gate: vet + build + tests (+race, fuzz) + daemon
 # and cluster smokes.
@@ -66,6 +66,18 @@ loc:
 		printf '%6d flags %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -c 'flag\.[A-Z][A-Za-z0-9]*(\"')" "$$d"; \
 	done
 	@printf '%6d total internal/ + cmd/ non-test Go\n' "$$(cat $$(ls internal/*/*.go cmd/*/*.go | grep -v _test.go) | wc -l)"
+
+# The evaluation as a reviewed file: every table and figure offloadsim
+# prints at full fidelity, minus the lines that carry wall time. paper-check
+# regenerates it (under a minute) and diffs it against the committed
+# transcript; `make paper` rewrites the transcript after an intended change
+# of a model term or a study, to be reviewed like predictions.txt.
+PAPER = internal/experiments/testdata/offloadsim_all.txt
+paper_run = $(GO) run ./cmd/offloadsim -exp all | grep -v -e '^\[[a-z0-9]* completed in [^ ]*\]$$' -e '^total [0-9][^ ]*$$'
+paper:
+	$(paper_run) > $(PAPER)
+paper-check:
+	$(paper_run) | diff -u $(PAPER) -
 
 # Regenerate every paper artifact at full fidelity.
 bench-paper:

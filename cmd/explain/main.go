@@ -74,8 +74,6 @@ func main() {
 	fmt.Println("=== Target region ===")
 	fmt.Print(region.Kernel.Print())
 
-	opt := ir.CountOptions{DefaultTrip: 128, BranchProb: 0.5,
-		Bindings: ir.MidpointBindings(k.IR, b)}
 	an := region.Analysis
 	sum, err := an.GPUCoalescing(b, ipda.WarpGeom{
 		WarpSize: plat.GPU.WarpSize, TransactionBytes: plat.GPU.L2.LineBytes})
@@ -96,7 +94,7 @@ func main() {
 	fmt.Printf("  weighted coalesced fraction: %.0f%%   vectorizable on host: %v\n",
 		sum.CoalescedFraction()*100, an.Vectorizable(b))
 
-	load := ir.Count(k.IR, opt)
+	load := ir.Count(k.IR, ir.CountOptions{}.ForLaunch(k.IR, b))
 	fmt.Println("\n=== Instruction loadout (per work item, hybrid counting) ===")
 	fmt.Printf("  fp add/mul/div/special: %.0f/%.0f/%.0f/%.0f   int %.0f   loads %.0f   stores %.0f\n",
 		load.FPAdd, load.FPMul, load.FPDiv, load.FPSpecial,
@@ -104,14 +102,14 @@ func main() {
 
 	cp, err := cpumodel.Predict(cpumodel.Input{
 		Kernel: k.IR, CPU: plat.CPU, Threads: *threads, Bindings: b,
-		CountOpt: opt, IPDA: an,
+		IPDA: an,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	gp, err := gpumodel.Predict(gpumodel.Input{
 		Kernel: k.IR, GPU: plat.GPU, Link: plat.Link, Bindings: b,
-		CountOpt: opt, IPDA: an, Options: gpumodel.DefaultOptions(),
+		IPDA: an, Options: gpumodel.DefaultOptions(),
 	})
 	if err != nil {
 		fatal(err)

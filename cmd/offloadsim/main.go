@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/hybridsel/hybridsel/internal/epcc"
@@ -47,10 +48,14 @@ func main() {
 	}
 
 	start := time.Now()
+	var names []string // every experiment run() was offered
+	ran := false
 	run := func(name string, f func() error) {
+		names = append(names, name)
 		if *exp != "all" && *exp != name {
 			return
 		}
+		ran = true
 		t0 := time.Now()
 		if err := f(); err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
@@ -156,6 +161,11 @@ func main() {
 		return nil
 	})
 
+	if !ran {
+		fmt.Fprintf(os.Stderr, "offloadsim: unknown experiment %q (valid: %s, all)\n",
+			*exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 	if *metrics {
 		fmt.Println(r.Metrics())
 	}

@@ -9,10 +9,11 @@
 // record is fully serializable (JSON): in the paper the compiler embeds it
 // in the binary and the OpenMP runtime queries it by region identifier.
 //
-// At run time, Resolve binds the missing parameter values (array sizes,
-// loop trip counts) and produces the concrete model inputs: exact
-// iteration count, transfer bytes, and the coalesced/uncoalesced access
-// classification that completes the Hong–Kim model.
+// The package is the record and its identity: the runtime completes the
+// models from the analysis the record was built from (ipda.Shape.Resolve
+// over the bound parameter values), not from the stored copy, and keys its
+// decisions by the canonical encoding of those values (bindings.go,
+// keylayout.go).
 package attrdb
 
 import (
@@ -54,13 +55,6 @@ type LoadoutAttr struct {
 	Branches  float64 `json:"branches"`
 }
 
-// toLoadout converts back to the analysis type.
-func (l LoadoutAttr) toLoadout() ir.Loadout {
-	return ir.Loadout{FPAdd: l.FPAdd, FPMul: l.FPMul, FPDiv: l.FPDiv,
-		FPSpecial: l.FPSpecial, IntOps: l.IntOps, Loads: l.Loads,
-		Stores: l.Stores, Branches: l.Branches}
-}
-
 // RegionAttrs is the stored record of one target region.
 type RegionAttrs struct {
 	Region    string        `json:"region"`
@@ -72,18 +66,13 @@ type RegionAttrs struct {
 	Sites         []StrideAttr  `json:"sites"`
 }
 
-// Build populates the record for a kernel — the compile-time half of the
-// framework. The static heuristics (128 iterations, 50% branches) are
-// baked into the loadout and site weights exactly as the paper does.
-func Build(k *ir.Kernel, opt ir.CountOptions) (*RegionAttrs, error) {
-	if opt.DefaultTrip == 0 {
-		opt = ir.DefaultCountOptions()
-	}
-	an, err := ipda.Analyze(k, opt)
-	if err != nil {
-		return nil, err
-	}
-	l := ir.Count(k, opt)
+// Build populates the record of the kernel an analyzes — the compile-time
+// half of the framework. The static heuristics (128 iterations, 50%
+// branches) are baked into the loadout, as they are into the site weights
+// of an analysis under ir.DefaultCountOptions, exactly as the paper does.
+func Build(an *ipda.Result) *RegionAttrs {
+	k := an.Kernel
+	l := ir.Count(k, ir.DefaultCountOptions())
 	ra := &RegionAttrs{
 		Region:        k.Name,
 		Params:        append([]string(nil), k.Params...),
@@ -108,90 +97,7 @@ func Build(k *ir.Kernel, opt ir.CountOptions) (*RegionAttrs, error) {
 			OuterAffine:  s.OuterAffine,
 		})
 	}
-	return ra, nil
-}
-
-// Resolved is the runtime-completed view of a region.
-type Resolved struct {
-	Region        string
-	Iterations    int64
-	TransferBytes int64
-	Loadout       ir.Loadout
-	Coalescing    ipda.CoalescingSummary
-	Vectorizable  bool
-}
-
-// Resolve binds runtime parameter values and completes the record. It
-// returns an error naming the first missing parameter — the compiler
-// transformation must supply every value the symbolic attributes need.
-func (ra *RegionAttrs) Resolve(b symbolic.Bindings, g ipda.WarpGeom) (*Resolved, error) {
-	iters, err := ra.IterSpace.Eval(b)
-	if err != nil {
-		return nil, fmt.Errorf("attrdb: region %s: %w", ra.Region, err)
-	}
-	bytes, err := ra.TransferBytes.Eval(b)
-	if err != nil {
-		return nil, fmt.Errorf("attrdb: region %s: %w", ra.Region, err)
-	}
-	r := &Resolved{
-		Region:        ra.Region,
-		Iterations:    iters,
-		TransferBytes: bytes,
-		Loadout:       ra.Loadout.toLoadout(),
-		Coalescing:    ipda.CoalescingSummary{Sites: map[ipda.Class]int{}},
-		Vectorizable:  true,
-	}
-	var txWeighted float64
-	anyInner := false
-	for i := range ra.Sites {
-		s := &ra.Sites[i]
-		var wa ipda.WarpAccess
-		if !s.ThreadAffine {
-			wa = ipda.WarpAccess{Class: ipda.NonUniform, Transactions: g.WarpSize}
-		} else {
-			stride, err := s.Thread.Eval(b)
-			if err != nil {
-				return nil, fmt.Errorf("attrdb: region %s, site %s: %w", ra.Region, s.Ref, err)
-			}
-			wa = ipda.ClassifyStride(stride*s.Elem, s.Elem, g)
-		}
-		r.Coalescing.TotalWeight += s.Weight
-		r.Coalescing.Sites[wa.Class]++
-		txWeighted += s.Weight * float64(wa.Transactions)
-		switch wa.Class {
-		case ipda.Uniform, ipda.Coalesced:
-			r.Coalescing.CoalescedWeight += s.Weight
-		default:
-			r.Coalescing.UncoalescedWeight += s.Weight
-		}
-
-		if s.HasInner {
-			anyInner = true
-			if !s.InnerAffine {
-				r.Vectorizable = false
-			} else if st, err := s.Inner.Eval(b); err != nil || (st != 0 && st != 1) {
-				r.Vectorizable = false
-			}
-		}
-	}
-	if r.Coalescing.TotalWeight > 0 {
-		r.Coalescing.AvgTransactions = txWeighted / r.Coalescing.TotalWeight
-	}
-	if !anyInner {
-		// No sequential loops: vectorize across the thread dimension.
-		for i := range ra.Sites {
-			s := &ra.Sites[i]
-			if !s.ThreadAffine {
-				r.Vectorizable = false
-				break
-			}
-			if st, err := s.Thread.Eval(b); err != nil || (st != 0 && st != 1) {
-				r.Vectorizable = false
-				break
-			}
-		}
-	}
-	return r, nil
+	return ra
 }
 
 // DB is a collection of region records keyed by region identifier.

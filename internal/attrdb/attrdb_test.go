@@ -10,15 +10,24 @@ import (
 	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
+// build analyzes k under the static heuristics and builds its record.
+func build(t *testing.T, k *ir.Kernel) *RegionAttrs {
+	t.Helper()
+	an, err := ipda.Analyze(k, ir.DefaultCountOptions())
+	if err != nil {
+		t.Fatalf("%s: %v", k.Name, err)
+	}
+	return Build(an)
+}
+
+// TestBuildResolveGemm builds gemm's record and resolves its symbolic
+// attributes at a launch's runtime values.
 func TestBuildResolveGemm(t *testing.T) {
 	g, err := polybench.Get("gemm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := Build(g.IR, ir.DefaultCountOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := build(t, g.IR)
 	if ra.Region != "gemm" || len(ra.Params) != 1 || ra.Params[0] != "n" {
 		t.Fatalf("attrs = %+v", ra)
 	}
@@ -26,37 +35,19 @@ func TestBuildResolveGemm(t *testing.T) {
 		t.Fatalf("sites = %d", len(ra.Sites))
 	}
 
-	res, err := ra.Resolve(symbolic.Bindings{"n": 1100}, ipda.DefaultWarpGeom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != 1100*1100 {
-		t.Fatalf("iterations = %d", res.Iterations)
+	b := symbolic.Bindings{"n": 1100}
+	if iters, err := ra.IterSpace.Eval(b); err != nil || iters != 1100*1100 {
+		t.Fatalf("iterations = %d, %v", iters, err)
 	}
 	// 3 matrices in, C also out: 4 matrix transfers.
-	if res.TransferBytes != 4*1100*1100*8 {
-		t.Fatalf("transfer = %d", res.TransferBytes)
+	if bytes, err := ra.TransferBytes.Eval(b); err != nil || bytes != 4*1100*1100*8 {
+		t.Fatalf("transfer = %d, %v", bytes, err)
 	}
-	if res.Coalescing.CoalescedFraction() != 1 {
-		t.Fatalf("gemm coalescing = %v", res.Coalescing)
+	if _, err := ra.IterSpace.Eval(nil); err == nil {
+		t.Fatal("iteration space resolved without its parameter")
 	}
-	// GEMM's inner k-loop walks a B column: not vectorizable.
-	if res.Vectorizable {
-		t.Fatal("gemm should not be vectorizable")
-	}
-	if res.Loadout.Loads == 0 || res.Loadout.FPMul == 0 {
-		t.Fatalf("loadout = %+v", res.Loadout)
-	}
-}
-
-func TestResolveMissingParam(t *testing.T) {
-	g, _ := polybench.Get("gemm")
-	ra, err := Build(g.IR, ir.DefaultCountOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ra.Resolve(nil, ipda.DefaultWarpGeom()); err == nil {
-		t.Fatal("resolve without bindings accepted")
+	if ra.Loadout.Loads == 0 || ra.Loadout.FPMul == 0 {
+		t.Fatalf("loadout = %+v", ra.Loadout)
 	}
 }
 
@@ -73,12 +64,8 @@ func TestSymbolicStrideSurvivesSerialization(t *testing.T) {
 				ir.Store(ir.R("A", max.Mul(ir.V("a"))), ir.F(1))),
 		},
 	}
-	ra, err := Build(k, ir.DefaultCountOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	db := New()
-	db.Put(ra)
+	db.Put(build(t, k))
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -92,30 +79,26 @@ func TestSymbolicStrideSurvivesSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	// max=1: contiguous -> coalesced; max=1000: uncoalesced.
-	r1, err := ra2.Resolve(symbolic.Bindings{"max": 1}, ipda.DefaultWarpGeom())
-	if err != nil {
-		t.Fatal(err)
+	site := ra2.Sites[0]
+	if !site.ThreadAffine {
+		t.Fatalf("site = %+v", site)
 	}
-	if r1.Coalescing.CoalescedFraction() != 1 {
-		t.Fatalf("max=1: %v", r1.Coalescing)
-	}
-	r2, err := ra2.Resolve(symbolic.Bindings{"max": 1000}, ipda.DefaultWarpGeom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Coalescing.CoalescedFraction() != 0 {
-		t.Fatalf("max=1000: %v", r2.Coalescing)
+	for _, max := range []int64{1, 1000} {
+		stride, err := site.Thread.Eval(symbolic.Bindings{"max": max})
+		if err != nil || stride != max {
+			t.Fatalf("max=%d: thread stride %d, %v", max, stride, err)
+		}
+		class := ipda.ClassifyStride(stride*site.Elem, site.Elem, ipda.DefaultWarpGeom()).Class
+		if coalesced := class == ipda.Coalesced; coalesced != (max == 1) {
+			t.Fatalf("max=%d: class %v", max, class)
+		}
 	}
 }
 
 func TestDBSaveLoadFullSuite(t *testing.T) {
 	db := New()
 	for _, k := range polybench.Suite() {
-		ra, err := Build(k.IR, ir.DefaultCountOptions())
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		db.Put(ra)
+		db.Put(build(t, k.IR))
 	}
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
@@ -128,25 +111,17 @@ func TestDBSaveLoadFullSuite(t *testing.T) {
 	if len(db2.Regions) != len(polybench.Suite()) {
 		t.Fatalf("regions = %d", len(db2.Regions))
 	}
-	// Every region must resolve at both dataset modes after the round
-	// trip, and match a resolve from the in-memory record.
+	// Every record must survive the round trip whole (VerifyDB compares
+	// the serialized records) — the symbolic expressions included, which
+	// must still resolve at both dataset modes.
+	if err := NewSnapshot(db, "", "").VerifyDB(db2); err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range polybench.Suite() {
-		ra, err := db2.Get(k.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, m := range []polybench.Mode{polybench.Test, polybench.Benchmark} {
-			b := k.Bindings(m)
-			got, err := ra.Resolve(b, ipda.DefaultWarpGeom())
-			if err != nil {
-				t.Fatalf("%s/%s: %v", k.Name, m, err)
-			}
-			orig, _ := db.Regions[k.Name].Resolve(b, ipda.DefaultWarpGeom())
-			if got.Iterations != orig.Iterations ||
-				got.TransferBytes != orig.TransferBytes ||
-				got.Coalescing.CoalescedFraction() != orig.Coalescing.CoalescedFraction() ||
-				got.Vectorizable != orig.Vectorizable {
-				t.Fatalf("%s/%s: resolve differs after round trip", k.Name, m)
+			got, err := db2.Regions[k.Name].IterSpace.Eval(k.Bindings(m))
+			if want, _ := k.IR.IterSpace().Eval(k.Bindings(m)); err != nil || got != want {
+				t.Fatalf("%s/%s: iteration space %d (%v), want %d", k.Name, m, got, err, want)
 			}
 		}
 	}
@@ -162,37 +137,5 @@ func TestGetUnknownRegion(t *testing.T) {
 func TestLoadMalformed(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("{not json")); err == nil {
 		t.Fatal("malformed JSON accepted")
-	}
-}
-
-func TestResolveAgreesWithDirectIPDA(t *testing.T) {
-	// The stored-attribute path must agree with running IPDA directly.
-	for _, name := range []string{"mvt1", "atax2", "2dconv", "corr"} {
-		k, _ := polybench.Get(name)
-		b := k.Bindings(polybench.Test)
-		ra, err := Build(k.IR, ir.DefaultCountOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ra.Resolve(b, ipda.DefaultWarpGeom())
-		if err != nil {
-			t.Fatal(err)
-		}
-		an, err := ipda.Analyze(k.IR, ir.DefaultCountOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := an.GPUCoalescing(b, ipda.DefaultWarpGeom())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Coalescing.CoalescedFraction() != direct.CoalescedFraction() {
-			t.Errorf("%s: attrdb %v vs direct %v", name,
-				res.Coalescing.CoalescedFraction(), direct.CoalescedFraction())
-		}
-		if res.Vectorizable != an.Vectorizable(b) {
-			t.Errorf("%s: vectorizable %v vs direct %v", name,
-				res.Vectorizable, an.Vectorizable(b))
-		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-
-	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
 // fnvOffset64 and fnvPrime64 are the FNV-1a 64-bit parameters; Hash uses
@@ -22,14 +20,13 @@ const (
 // the per-launch cost of key construction is a single string allocation,
 // and hashing allocates nothing.
 //
-// All methods take the values as a slot vector ordered by Slot: vals[i]
+// All methods take the values as a slot vector ordered by Names: vals[i]
 // is the value of the i-th name in sorted order. Key, AppendKey and Hash
 // are all defined to agree exactly with BindingsKey / BindingsHash over
 // the bindings map the vector was filled from.
 type KeyLayout struct {
 	names    []string
 	prefixes []string // prefixes[i] = (i>0 ? "," : "") + names[i] + "="
-	slots    map[string]int
 }
 
 // NewKeyLayout builds the layout for the given variable names (order
@@ -42,7 +39,6 @@ func NewKeyLayout(names []string) (*KeyLayout, error) {
 	l := &KeyLayout{
 		names:    sorted,
 		prefixes: make([]string, len(sorted)),
-		slots:    make(map[string]int, len(sorted)),
 	}
 	for i, name := range sorted {
 		if name == "" {
@@ -56,7 +52,6 @@ func NewKeyLayout(names []string) (*KeyLayout, error) {
 		} else {
 			l.prefixes[i] = name + "="
 		}
-		l.slots[name] = i
 	}
 	return l, nil
 }
@@ -67,31 +62,6 @@ func (l *KeyLayout) Len() int { return len(l.names) }
 // Names returns the sorted variable names. The slice is shared; callers
 // must not modify it.
 func (l *KeyLayout) Names() []string { return l.names }
-
-// Slot returns the slot index for name.
-func (l *KeyLayout) Slot(name string) (int, bool) {
-	i, ok := l.slots[name]
-	return i, ok
-}
-
-// Fill copies b into vals (len(vals) must be >= Len) and reports whether
-// b binds exactly the layout's variables — no more, no fewer. A partial
-// or superset binding returns false and leaves vals unspecified; callers
-// fall back to the map-based path so extra variables still influence the
-// canonical key the way BindingsKey would encode them.
-func (l *KeyLayout) Fill(b symbolic.Bindings, vals []int64) bool {
-	if len(b) != len(l.names) {
-		return false
-	}
-	for i, name := range l.names {
-		v, ok := b[name]
-		if !ok {
-			return false
-		}
-		vals[i] = v
-	}
-	return true
-}
 
 // AppendKey appends the canonical key encoding of vals to dst.
 func (l *KeyLayout) AppendKey(dst []byte, vals []int64) []byte {

@@ -20,11 +20,7 @@ func snapshotKernel(t *testing.T, name string) *RegionAttrs {
 				ir.Store(ir.R("B", ir.V("i")), ir.Ld("A", ir.V("i")))),
 		},
 	}
-	ra, err := Build(k, ir.DefaultCountOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ra
+	return build(t, k)
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {

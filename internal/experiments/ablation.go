@@ -1,15 +1,20 @@
 package experiments
 
 import (
+	"fmt"
+
 	"github.com/hybridsel/hybridsel/internal/cpumodel"
 	"github.com/hybridsel/hybridsel/internal/gpumodel"
 	"github.com/hybridsel/hybridsel/internal/ir"
 	"github.com/hybridsel/hybridsel/internal/machine"
 	"github.com/hybridsel/hybridsel/internal/polybench"
 	"github.com/hybridsel/hybridsel/internal/stats"
+	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
-// Variant is one model configuration under ablation.
+// Variant is one model configuration under ablation. A zero CountOpt is
+// the runtime's hybrid counting (ir.CountOptions.ForLaunch): trip counts
+// bound from each kernel's launch values, parallel indices at midpoint.
 type Variant struct {
 	Name     string
 	GPUOpts  gpumodel.Options
@@ -24,16 +29,13 @@ type AblationRow struct {
 	// Agreement is the fraction of kernels where the variant makes the
 	// correct offload decision (the metric that matters to the selector).
 	Agreement float64
-	// Corr is the Pearson correlation of log-speedups... rank-free
-	// correlation of raw speedups.
+	// Corr is the Pearson correlation of the raw speedups.
 	Corr float64
 	// MAPE of predicted vs actual speedup.
 	MAPE float64
 }
 
-// defaultVariant returns the runtime's default configuration. The zero
-// CountOpt is substituted per kernel with hybrid (midpoint-bound) counting
-// at evaluation time.
+// defaultVariant returns the runtime's default configuration.
 func defaultVariant(name string) Variant {
 	return Variant{
 		Name:    name,
@@ -76,8 +78,10 @@ func OMPRepVariants() []Variant {
 // iterations, 50% branches) with fully runtime-bound trip counts — the
 // hybrid upgrade the paper lists as future work.
 func AssumptionVariants() []Variant {
+	// Empty but non-nil bindings keep the counting purely static.
 	static := defaultVariant("static-128/50%")
-	static.CountOpt = staticCountOpt()
+	static.CountOpt = ir.DefaultCountOptions()
+	static.CountOpt.Bindings = symbolic.Bindings{}
 	bound := defaultVariant("runtime-bound-trips")
 	return []Variant{static, bound}
 }
@@ -86,40 +90,23 @@ func AssumptionVariants() []Variant {
 // ground truth at the given host thread count.
 func (r *Runner) Ablate(m polybench.Mode, threads int, variants []Variant) ([]AblationRow, error) {
 	plat := machine.PlatformP9V100()
-	actual := make([]float64, len(r.kernels))
-	err := r.forEachKernel(func(i int, k *polybench.Kernel) error {
-		cpuSec, err := r.CPUSeconds(k, m, plat, threads)
-		if err != nil {
-			return err
-		}
-		gpuSec, err := r.GPUSeconds(k, m, plat)
-		if err != nil {
-			return err
-		}
-		actual[i] = cpuSec / gpuSec
-		return nil
-	})
+	cells, err := r.cells(plat, threads, modePoint(m))
 	if err != nil {
 		return nil, err
+	}
+	actual := make([]float64, len(r.kernels))
+	for i := range r.kernels {
+		actual[i] = offloadSpeedup(cells[i][0].actual)
 	}
 	var rows []AblationRow
 	for _, v := range variants {
 		pred := make([]float64, len(r.kernels))
-		err := r.forEachKernel(func(i int, k *polybench.Kernel) error {
-			opt := v.CountOpt
-			if opt.DefaultTrip == 0 {
-				// Default: hybrid counting with this kernel's values.
-				opt = hybridCountOpt(k, m)
-			}
-			cp, gp, err := PredictVariant(k, m, plat, threads, v.GPUOpts, v.Est, opt)
+		for i, k := range r.kernels {
+			cp, gp, err := PredictVariant(k, m, plat, threads, v)
 			if err != nil {
-				return err
+				return nil, fmt.Errorf("%s: %w", k.Name, err)
 			}
 			pred[i] = cp / gp
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 		rows = append(rows, AblationRow{
 			Variant:   v.Name,

@@ -22,29 +22,28 @@ func TestAuditStudyCalibrationNeverHurts(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if res.RegretCal > res.RegretUncal {
+	if res.RegretCorrected > res.RegretBase {
 		t.Errorf("calibration increased total regret: %.9f > %.9f",
-			res.RegretCal, res.RegretUncal)
+			res.RegretCorrected, res.RegretBase)
 	}
-	if res.GeoCal < res.GeoUncal {
-		t.Errorf("calibration lowered the geomean: %.4f < %.4f",
-			res.GeoCal, res.GeoUncal)
+	if geo, geoCal := res.GeoSpeedups(); geoCal < geo {
+		t.Errorf("calibration lowered the geomean: %.4f < %.4f", geoCal, geo)
 	}
 	var flipped, mispredicted bool
 	for _, row := range res.Rows {
 		// Per-kernel: at rate 1 a kernel's calibrated regret can never
 		// exceed its uncalibrated regret.
-		if row.RegretSecondsCal > row.RegretSeconds {
+		if row.Corrected.Regret > row.Base.Regret {
 			t.Errorf("%s: calibrated regret %.9f > uncalibrated %.9f",
-				row.Kernel, row.RegretSecondsCal, row.RegretSeconds)
+				row.Kernel, row.Corrected.Regret, row.Base.Regret)
 		}
-		if row.TotalSeconds <= 0 || row.TotalSecondsCal <= 0 {
+		if row.Base.Seconds <= 0 || row.Corrected.Seconds <= 0 {
 			t.Errorf("%s: empty totals %+v", row.Kernel, row)
 		}
-		if row.FlipRound > 0 {
+		if row.Corrected.Flip > 0 {
 			flipped = true
 		}
-		if row.Mispredicts > 0 {
+		if row.Base.Wrong > 0 {
 			mispredicted = true
 		}
 	}
@@ -82,11 +81,11 @@ func TestAuditStudyZeroRate(t *testing.T) {
 	if res.Report.Samples != 0 {
 		t.Fatalf("rate 0 audited %d points", res.Report.Samples)
 	}
-	if res.GeoCal != res.GeoUncal || res.RegretCal != res.RegretUncal {
+	if geo, geoCal := res.GeoSpeedups(); geoCal != geo || res.RegretCorrected != res.RegretBase {
 		t.Fatalf("rate 0 changed behaviour: %+v", res)
 	}
 	for _, row := range res.Rows {
-		if row.FlipRound > 0 {
+		if row.Corrected.Flip > 0 {
 			t.Fatalf("%s flipped without any audit", row.Kernel)
 		}
 	}

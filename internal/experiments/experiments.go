@@ -12,6 +12,8 @@
 //     model-guided selector against a 160-thread host.
 //   - Ablations: coalescing source, CPI estimator, #OMP_Rep, and static
 //     counting heuristics.
+//   - Feedback studies (ours): shadow-audit calibration and the residual
+//     learner, two readings of one loop (feedback.go).
 //
 // Ground-truth numbers come from the cycle-approximate simulators
 // (package sim); predictions from the analytical models exactly as the
@@ -51,14 +53,16 @@ type Options struct {
 // Runner executes experiments against shared offload runtimes — one per
 // (platform, host-thread-count) configuration — so every ground-truth
 // simulation and model evaluation is memoized in the runtime's concurrent
-// caches, and every study fans out over a worker pool of
-// kernel x dataset-mode x platform cells.
+// caches: a study reads cells (below), fanned out over a worker pool.
 type Runner struct {
 	opts    Options
 	kernels []*polybench.Kernel
 
 	mu  sync.Mutex
 	rts map[string]*offload.Runtime
+	// decided accumulates the instrumentation of the feedback studies'
+	// private deciding runtimes, which are dropped when a study returns.
+	decided offload.Metrics
 }
 
 // NewRunner builds a runner.
@@ -127,49 +131,72 @@ func (r *Runner) newRuntime(plat machine.Platform, threads int, cal offload.Cali
 	return rt, regions, nil
 }
 
-// region returns kernel k's handle on the shared runtime of one platform
-// and host thread count.
-func (r *Runner) region(k *polybench.Kernel, plat machine.Platform, threads int) (*offload.Region, error) {
-	rt, err := r.runtime(plat, threads)
-	if err != nil {
-		return nil, err
-	}
-	return rt.Region(k.Name)
-}
-
 // Metrics aggregates the instrumentation of every runtime the runner has
 // built (launch, dispatch, cache and model-latency accounting).
 func (r *Runner) Metrics() offload.Metrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var m offload.Metrics
+	m := r.decided
 	for _, rt := range r.rts {
 		m = m.Merge(rt.Metrics())
 	}
 	return m
 }
 
-// CPUSeconds returns the ground-truth host execution time at the given
-// thread count, memoized in the runtime's execution cache.
-func (r *Runner) CPUSeconds(k *polybench.Kernel, m polybench.Mode,
-	plat machine.Platform, threads int) (float64, error) {
-	reg, err := r.region(k, plat, threads)
-	if err != nil {
-		return 0, err
-	}
-	return reg.ExecuteTarget(offload.TargetIDCPUBase, k.Bindings(m))
+// cell is the ground truth of one launch point on one (platform, host
+// thread count) configuration: what each registered target was predicted
+// to take and what it took, by registry ID. Every study prices its
+// choices by reading cells; none of them simulates or evaluates a model
+// itself.
+type cell struct {
+	b symbolic.Bindings
+	// actual holds the simulated seconds and pred the raw model seconds of
+	// every registered target.
+	actual, pred map[string]float64
+	// chosen is the target the raw models rank first; best the ID of the
+	// measured-fastest one (ties on the first registered, the oracle
+	// policy's rule).
+	chosen offload.Candidate
+	best   string
 }
 
-// GPUSeconds returns the ground-truth offload time (kernel + transfer).
-// Device executions are independent of the host thread count, so they are
-// shared through the platform's default runtime.
-func (r *Runner) GPUSeconds(k *polybench.Kernel, m polybench.Mode,
-	plat machine.Platform) (float64, error) {
-	reg, err := r.region(k, plat, 0)
+// cell reads one launch point of kernel k from the shared runtime of the
+// configuration, so each (kernel, point, target) is simulated once per
+// runner however many studies read it.
+func (r *Runner) cell(k *polybench.Kernel, plat machine.Platform, threads int, b symbolic.Bindings) (cell, error) {
+	rt, err := r.runtime(plat, threads)
 	if err != nil {
-		return 0, err
+		return cell{}, err
 	}
-	return reg.ExecuteTarget(offload.TargetIDGPUBase, k.Bindings(m))
+	reg, err := rt.Region(k.Name)
+	if err != nil {
+		return cell{}, err
+	}
+	ranked, err := reg.PredictTargets(b)
+	if err != nil {
+		return cell{}, err
+	}
+	c := cell{b: b, chosen: ranked[0],
+		actual: make(map[string]float64, len(ranked)), pred: make(map[string]float64, len(ranked))}
+	for _, cand := range ranked {
+		c.pred[cand.Target] = cand.PredSeconds
+	}
+	for _, id := range rt.Targets().IDs() {
+		if c.actual[id], err = reg.ExecuteTarget(id, b); err != nil {
+			return cell{}, err
+		}
+		if c.best == "" || c.actual[id] < c.actual[c.best] {
+			c.best = id
+		}
+	}
+	return c, nil
+}
+
+// offloadSpeedup is the paper's axis: how many times faster the base
+// device target is than the base host target, over measured or predicted
+// seconds.
+func offloadSpeedup(sec map[string]float64) float64 {
+	return sec[offload.TargetIDCPUBase] / sec[offload.TargetIDGPUBase]
 }
 
 // forEach runs fn over n work cells on a bounded worker pool, returning
@@ -210,35 +237,41 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 	return firstEr
 }
 
-// forEachKernel fans fn out over the runner's kernels.
-func (r *Runner) forEachKernel(fn func(i int, k *polybench.Kernel) error) error {
-	return r.forEach(len(r.kernels), func(i int) error {
-		if err := fn(i, r.kernels[i]); err != nil {
-			return fmt.Errorf("%s: %w", r.kernels[i].Name, err)
+// modePoint is the one launch point the paper measures a kernel at: its
+// bindings in dataset mode m.
+func modePoint(m polybench.Mode) func(*polybench.Kernel) []symbolic.Bindings {
+	return func(k *polybench.Kernel) []symbolic.Bindings {
+		return []symbolic.Bindings{k.Bindings(m)}
+	}
+}
+
+// cells reads the launch points pts names for each kernel, fanned out
+// over the worker pool — the one place a study's ground truth is
+// simulated. The result is indexed [kernel][point].
+func (r *Runner) cells(plat machine.Platform, threads int,
+	pts func(*polybench.Kernel) []symbolic.Bindings) ([][]cell, error) {
+	type at struct{ k, p int }
+	var todo []at
+	out := make([][]cell, len(r.kernels))
+	for ki, k := range r.kernels {
+		for pi, b := range pts(k) {
+			out[ki] = append(out[ki], cell{b: b})
+			todo = append(todo, at{ki, pi})
 		}
-		return nil
+	}
+	return out, r.forEach(len(todo), func(i int) (err error) {
+		k, c := r.kernels[todo[i].k], &out[todo[i].k][todo[i].p]
+		if *c, err = r.cell(k, plat, threads, c.b); err != nil {
+			err = fmt.Errorf("%s: %w", k.Name, err)
+		}
+		return err
 	})
 }
 
-// staticCountOpt is the paper's purely static counting configuration
-// (128 iterations, 50% branches) used by the assumptions ablation.
-func staticCountOpt() ir.CountOptions {
-	return ir.CountOptions{DefaultTrip: 128, BranchProb: 0.5,
-		Bindings: symbolic.Bindings{}}
-}
-
-// hybridCountOpt mirrors the offload runtime's default: runtime-supplied
-// trip counts with midpoint substitution for parallel indices.
-func hybridCountOpt(k *polybench.Kernel, m polybench.Mode) ir.CountOptions {
-	return ir.CountOptions{DefaultTrip: 128, BranchProb: 0.5,
-		Bindings: ir.MidpointBindings(k.IR, k.Bindings(m))}
-}
-
 // PredictVariant evaluates the analytical models for one kernel with the
-// given variant knobs, returning predicted CPU and GPU seconds.
+// variant's knobs, returning predicted CPU and GPU seconds.
 func PredictVariant(k *polybench.Kernel, m polybench.Mode, plat machine.Platform,
-	threads int, gpuOpts gpumodel.Options, est cpumodel.CPIEstimator,
-	countOpt ir.CountOptions) (cpuSec, gpuSec float64, err error) {
+	threads int, v Variant) (cpuSec, gpuSec float64, err error) {
 	b := k.Bindings(m)
 	an, err := ipda.Analyze(k.IR, ir.DefaultCountOptions())
 	if err != nil {
@@ -246,14 +279,14 @@ func PredictVariant(k *polybench.Kernel, m polybench.Mode, plat machine.Platform
 	}
 	cp, err := cpumodel.Predict(cpumodel.Input{
 		Kernel: k.IR, CPU: plat.CPU, Threads: threads, Bindings: b,
-		CountOpt: countOpt, IPDA: an, Estimator: est,
+		CountOpt: v.CountOpt, IPDA: an, Estimator: v.Est,
 	})
 	if err != nil {
 		return 0, 0, err
 	}
 	gp, err := gpumodel.Predict(gpumodel.Input{
 		Kernel: k.IR, GPU: plat.GPU, Link: plat.Link, Bindings: b,
-		CountOpt: countOpt, IPDA: an, Options: gpuOpts,
+		CountOpt: v.CountOpt, IPDA: an, Options: v.GPUOpts,
 	})
 	if err != nil {
 		return 0, 0, err
@@ -264,8 +297,7 @@ func PredictVariant(k *polybench.Kernel, m polybench.Mode, plat machine.Platform
 // Predict evaluates the models in the runtime's default configuration.
 func Predict(k *polybench.Kernel, m polybench.Mode, plat machine.Platform,
 	threads int) (cpuSec, gpuSec float64, err error) {
-	return PredictVariant(k, m, plat, threads, gpumodel.DefaultOptions(),
-		cpumodel.MCAEstimator{}, hybridCountOpt(k, m))
+	return PredictVariant(k, m, plat, threads, defaultVariant(""))
 }
 
 // ------------------------------------------------------------- Table I --
@@ -278,46 +310,30 @@ type Table1Row struct {
 	// platform (values < 1 are slowdowns, as in the paper).
 	K80Speedup  float64
 	V100Speedup float64
-	// Component times for inspection.
-	P8CPUSec, K80GPUSec, P9CPUSec, V100GPUSec float64
 }
 
-// Table1 reproduces the cross-generation offloading study. The work fans
-// out over one cell per kernel x dataset-mode x platform; concurrent cells
-// write disjoint row fields, and speedups are derived afterwards.
+// Table1 reproduces the cross-generation offloading study: every kernel
+// in both dataset modes against the full host of each platform.
 func (r *Runner) Table1() ([]Table1Row, error) {
-	plats := []machine.Platform{machine.PlatformP8K80(), machine.PlatformP9V100()}
 	modes := []polybench.Mode{polybench.Test, polybench.Benchmark}
-	rows := make([]Table1Row, len(modes)*len(r.kernels))
-	err := r.forEach(len(rows)*len(plats), func(c int) error {
-		pi := c % len(plats)
-		ri := c / len(plats)
-		k := r.kernels[ri/len(modes)]
-		m := modes[ri%len(modes)]
-		plat := plats[pi]
-		cpuSec, err := r.CPUSeconds(k, m, plat, plat.CPU.Threads())
-		if err != nil {
-			return fmt.Errorf("%s/%s on %s: %w", k.Name, m, plat.Name, err)
-		}
-		gpuSec, err := r.GPUSeconds(k, m, plat)
-		if err != nil {
-			return fmt.Errorf("%s/%s on %s: %w", k.Name, m, plat.Name, err)
-		}
-		if pi == 0 {
-			rows[ri].P8CPUSec, rows[ri].K80GPUSec = cpuSec, gpuSec
-		} else {
-			rows[ri].P9CPUSec, rows[ri].V100GPUSec = cpuSec, gpuSec
-		}
-		return nil
-	})
+	pts := func(k *polybench.Kernel) []symbolic.Bindings {
+		return []symbolic.Bindings{k.Bindings(modes[0]), k.Bindings(modes[1])}
+	}
+	k80, err := r.cells(machine.PlatformP8K80(), 0, pts)
 	if err != nil {
 		return nil, err
 	}
-	for ri := range rows {
-		rows[ri].Kernel = r.kernels[ri/len(modes)].Name
-		rows[ri].Mode = modes[ri%len(modes)]
-		rows[ri].K80Speedup = rows[ri].P8CPUSec / rows[ri].K80GPUSec
-		rows[ri].V100Speedup = rows[ri].P9CPUSec / rows[ri].V100GPUSec
+	v100, err := r.cells(machine.PlatformP9V100(), 0, pts)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Table1Row
+	for ki, k := range r.kernels {
+		for mi, m := range modes {
+			rows = append(rows, Table1Row{Kernel: k.Name, Mode: m,
+				K80Speedup:  offloadSpeedup(k80[ki][mi].actual),
+				V100Speedup: offloadSpeedup(v100[ki][mi].actual)})
+		}
 	}
 	return rows, nil
 }
@@ -336,33 +352,20 @@ type PredRow struct {
 // host restricted to `threads` threads (the paper uses 4) on the
 // POWER9+V100 platform.
 func (r *Runner) Figure(m polybench.Mode, threads int) ([]PredRow, error) {
-	plat := machine.PlatformP9V100()
+	cells, err := r.cells(machine.PlatformP9V100(), threads, modePoint(m))
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]PredRow, len(r.kernels))
-	err := r.forEachKernel(func(i int, k *polybench.Kernel) error {
-		cpuSec, err := r.CPUSeconds(k, m, plat, threads)
-		if err != nil {
-			return err
-		}
-		gpuSec, err := r.GPUSeconds(k, m, plat)
-		if err != nil {
-			return err
-		}
-		reg, err := r.region(k, plat, threads)
-		if err != nil {
-			return err
-		}
-		predCPU, predGPU, err := reg.Predict(k.Bindings(m))
-		if err != nil {
-			return err
-		}
+	for i, k := range r.kernels {
+		c := cells[i][0]
 		rows[i] = PredRow{
 			Kernel:    k.Name,
-			Actual:    cpuSec / gpuSec,
-			Predicted: predCPU / predGPU,
+			Actual:    offloadSpeedup(c.actual),
+			Predicted: offloadSpeedup(c.pred),
 		}
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // ------------------------------------------------------------ Figure 8 --
@@ -370,11 +373,13 @@ func (r *Runner) Figure(m polybench.Mode, threads int) ([]PredRow, error) {
 // Fig8Row is one kernel line of the policy comparison.
 type Fig8Row struct {
 	Kernel string
-	// Speedups over the 160-thread host baseline.
+	// Speedups over the 160-thread host baseline: of the base device
+	// target and of the target the models rank first.
 	AlwaysOffload float64
 	ModelGuided   float64
-	ChoseGPU      bool
-	Correct       bool // the model picked the faster target
+	// Chose is the kind of the target the models rank first.
+	Chose   string
+	Correct bool // the model picked the faster target
 }
 
 // Fig8Result aggregates a mode's policy comparison.
@@ -390,48 +395,26 @@ type Fig8Result struct {
 // model-guided selector (and the oracle bound) on the POWER9+V100
 // platform with the full 160-thread host.
 func (r *Runner) Figure8(m polybench.Mode) (Fig8Result, error) {
-	plat := machine.PlatformP9V100()
-	res := Fig8Result{Mode: m, Rows: make([]Fig8Row, len(r.kernels))}
-	err := r.forEachKernel(func(i int, k *polybench.Kernel) error {
-		cpuSec, err := r.CPUSeconds(k, m, plat, 0)
-		if err != nil {
-			return err
-		}
-		gpuSec, err := r.GPUSeconds(k, m, plat)
-		if err != nil {
-			return err
-		}
-		reg, err := r.region(k, plat, 0)
-		if err != nil {
-			return err
-		}
-		predCPU, predGPU, err := reg.Predict(k.Bindings(m))
-		if err != nil {
-			return err
-		}
-		row := Fig8Row{Kernel: k.Name, ChoseGPU: predGPU < predCPU}
-		chosen := cpuSec
-		if row.ChoseGPU {
-			chosen = gpuSec
-		}
-		row.AlwaysOffload = cpuSec / gpuSec
-		row.ModelGuided = cpuSec / chosen
-		row.Correct = (gpuSec < cpuSec) == row.ChoseGPU
-		res.Rows[i] = row
-		return nil
-	})
+	res := Fig8Result{Mode: m}
+	cells, err := r.cells(machine.PlatformP9V100(), 0, modePoint(m))
 	if err != nil {
 		return res, err
 	}
 	var always, guided, oracle []float64
-	for _, row := range res.Rows {
+	for i, k := range r.kernels {
+		c := cells[i][0]
+		host := c.actual[offload.TargetIDCPUBase]
+		row := Fig8Row{
+			Kernel:        k.Name,
+			AlwaysOffload: offloadSpeedup(c.actual),
+			ModelGuided:   host / c.actual[c.chosen.Target],
+			Chose:         c.chosen.Kind.String(),
+			Correct:       c.chosen.Target == c.best,
+		}
+		res.Rows = append(res.Rows, row)
 		always = append(always, row.AlwaysOffload)
 		guided = append(guided, row.ModelGuided)
-		best := row.AlwaysOffload
-		if best < 1 {
-			best = 1
-		}
-		oracle = append(oracle, best)
+		oracle = append(oracle, host/c.actual[c.best])
 	}
 	res.AlwaysGeo = stats.GeoMean(always)
 	res.GuidedGeo = stats.GeoMean(guided)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/hybridsel/hybridsel/internal/machine"
+	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/polybench"
 	"github.com/hybridsel/hybridsel/internal/sim"
 )
@@ -43,20 +44,17 @@ func TestCachingIsStable(t *testing.T) {
 	r, _ := NewRunner(fastOptions("gemm"))
 	k := r.Kernels()[0]
 	plat := machine.PlatformP9V100()
-	a, err := r.CPUSeconds(k, polybench.Test, plat, 20)
-	if err != nil {
-		t.Fatal(err)
+	host := func(threads int) float64 {
+		t.Helper()
+		c, err := r.cell(k, plat, threads, k.Bindings(polybench.Test))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.actual[offload.TargetIDCPUBase]
 	}
-	b, err := r.CPUSeconds(k, polybench.Test, plat, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b, c := host(20), host(20), host(4)
 	if a != b {
 		t.Fatalf("cache not stable: %v vs %v", a, b)
-	}
-	c, err := r.CPUSeconds(k, polybench.Test, plat, 4)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if c == a {
 		t.Fatal("different thread counts must be distinct entries")

@@ -14,9 +14,8 @@ var update = flag.Bool("update", false, "rewrite the golden study renders")
 // TestGoldenRenders pins what the studies print — Figures 6/7, Figure 8,
 // the shadow-audit study at rate 1 and rate 0, and the residual-learner
 // study — at fastOptions fidelity on the kernels the other tests use, in
-// both dataset modes. The files were generated before the studies were
-// refactored onto one ground-truth memo; a refactor leaves them
-// byte-identical (-update only for an intended change of a table).
+// both dataset modes. A refactor leaves the files byte-identical; -update
+// is only for an intended change of a table.
 func TestGoldenRenders(t *testing.T) {
 	const threads = 4
 	for _, m := range []polybench.Mode{polybench.Test, polybench.Benchmark} {

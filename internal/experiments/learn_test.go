@@ -22,20 +22,20 @@ func TestLearnStudyNeverWorseThanEWMA(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if res.RegretLearn > res.RegretEWMA {
+	if res.RegretCorrected > res.RegretBase {
 		t.Errorf("learner increased total regret: %.9f > %.9f",
-			res.RegretLearn, res.RegretEWMA)
+			res.RegretCorrected, res.RegretBase)
 	}
 	var learned, mispredicted bool
 	for _, row := range res.Rows {
-		if row.RegretLearn > row.RegretEWMA {
+		if row.Corrected.Regret > row.Base.Regret {
 			t.Errorf("%s: learner regret %.9f > ewma-only %.9f",
-				row.Kernel, row.RegretLearn, row.RegretEWMA)
+				row.Kernel, row.Corrected.Regret, row.Base.Regret)
 		}
-		if row.Learned > 0 {
+		if row.Corrected.Learned > 0 {
 			learned = true
 		}
-		if row.MispredictsEWMA > 0 {
+		if row.Base.Wrong > 0 {
 			mispredicted = true
 		}
 	}
@@ -50,8 +50,8 @@ func TestLearnStudyNeverWorseThanEWMA(t *testing.T) {
 	// study to demonstrate anything (strictly fewer wrong launches).
 	var wrongE, wrongL int
 	for _, row := range res.Rows {
-		wrongE += row.MispredictsEWMA
-		wrongL += row.MispredictsLearn
+		wrongE += row.Base.Wrong
+		wrongL += row.Corrected.Wrong
 	}
 	if wrongL >= wrongE {
 		t.Errorf("learner fixed no mispredicts: %d vs %d", wrongL, wrongE)
@@ -76,7 +76,7 @@ func TestLearnStudyNeverWorseThanEWMA(t *testing.T) {
 // order make the learner's training stream, and so the study,
 // reproducible.
 func TestLearnStudyDeterministic(t *testing.T) {
-	run := func() LearnResult {
+	run := func() StudyResult {
 		r, _ := NewRunner(fastOptions("gemm", "mvt1"))
 		res, err := r.LearnStudy(polybench.Test, 4, 2, 3, 1)
 		if err != nil {
@@ -85,8 +85,8 @@ func TestLearnStudyDeterministic(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if math.Float64bits(a.RegretLearn) != math.Float64bits(b.RegretLearn) ||
-		math.Float64bits(a.RegretEWMA) != math.Float64bits(b.RegretEWMA) {
+	if math.Float64bits(a.RegretCorrected) != math.Float64bits(b.RegretCorrected) ||
+		math.Float64bits(a.RegretBase) != math.Float64bits(b.RegretBase) {
 		t.Fatalf("regret not reproducible: %+v vs %+v", a, b)
 	}
 	if a.Stats != b.Stats {

@@ -88,16 +88,12 @@ func RenderFigure8(res Fig8Result) string {
 		fmt.Sprintf("Figure 8: suite speedup over 160-thread host, %s mode", res.Mode),
 		"kernel", "always-offload", "model-guided", "chose", "correct")
 	for _, r := range res.Rows {
-		target := "cpu"
-		if r.ChoseGPU {
-			target = "gpu"
-		}
 		ok := "yes"
 		if !r.Correct {
 			ok = "NO"
 		}
 		t.AddRow(r.Kernel, fmt.Sprintf("%.2fx", r.AlwaysOffload),
-			fmt.Sprintf("%.2fx", r.ModelGuided), target, ok)
+			fmt.Sprintf("%.2fx", r.ModelGuided), r.Chose, ok)
 	}
 	var sb strings.Builder
 	sb.WriteString(t.String())
@@ -120,35 +116,70 @@ func RenderAblation(title string, rows []AblationRow) string {
 	return t.String()
 }
 
+// flipRound prints a tally's flip round.
+func flipRound(t Tally) string {
+	if t.Flip > 0 {
+		return fmt.Sprintf("%d", t.Flip)
+	}
+	return "-"
+}
+
 // RenderAudit prints the shadow-audit calibration study: per-kernel
 // mispredict and regret deltas, and the closing geomean gap.
-func RenderAudit(res AuditResult) string {
+func RenderAudit(res StudyResult) string {
 	t := stats.NewTable(
 		fmt.Sprintf("Shadow-audit calibration: %d rounds, %s mode, %d-thread host, rate %.2f",
 			res.Rounds, res.Mode, res.Threads, res.Rate),
 		"kernel", "wrong", "wrong(cal)", "regret(s)", "regret(cal)", "speedup", "speedup(cal)", "flip@")
 	for _, r := range res.Rows {
-		flip := "-"
-		if r.FlipRound > 0 {
-			flip = fmt.Sprintf("%d", r.FlipRound)
-		}
+		speedup, speedupCal := r.Speedups()
 		t.AddRow(r.Kernel,
-			fmt.Sprintf("%d/%d", r.Mispredicts, res.Rounds),
-			fmt.Sprintf("%d/%d", r.MispredictsCal, res.Rounds),
-			fmt.Sprintf("%.6f", r.RegretSeconds),
-			fmt.Sprintf("%.6f", r.RegretSecondsCal),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprintf("%.2fx", r.SpeedupCal),
-			flip)
+			fmt.Sprintf("%d/%d", r.Base.Wrong, res.Rounds),
+			fmt.Sprintf("%d/%d", r.Corrected.Wrong, res.Rounds),
+			fmt.Sprintf("%.6f", r.Base.Regret),
+			fmt.Sprintf("%.6f", r.Corrected.Regret),
+			fmt.Sprintf("%.2fx", speedup),
+			fmt.Sprintf("%.2fx", speedupCal),
+			flipRound(r.Corrected))
 	}
+	geo, geoCal := res.GeoSpeedups()
 	var sb strings.Builder
 	sb.WriteString(t.String())
 	sb.WriteString("\n")
 	sb.WriteString(stats.Bars(
 		[]string{"model-guided (geomean)", "with calibration (geomean)"},
-		[]float64{res.GeoUncal, res.GeoCal}, 40))
+		[]float64{geo, geoCal}, 40))
 	sb.WriteString(fmt.Sprintf("\ntotal regret: %.6fs uncalibrated, %.6fs calibrated\n",
-		res.RegretUncal, res.RegretCal))
+		res.RegretBase, res.RegretCorrected))
 	sb.WriteString(res.Report.String())
+	return sb.String()
+}
+
+// RenderLearn prints the residual-learner study: per-kernel regret under
+// EWMA-only calibration versus the confidence-gated learner.
+func RenderLearn(res StudyResult) string {
+	launches := res.Rounds * res.Points
+	t := stats.NewTable(
+		fmt.Sprintf("Residual learner vs EWMA: %d rounds x %d sizes, %s mode, %d-thread host, rate %.2f, gate %d",
+			res.Rounds, res.Points, res.Mode, res.Threads, res.Rate, res.MinSamples),
+		"kernel", "wrong(ewma)", "wrong(learn)", "regret(ewma)", "regret(learn)", "learned", "flip@")
+	for _, r := range res.Rows {
+		t.AddRow(r.Kernel,
+			fmt.Sprintf("%d/%d", r.Base.Wrong, launches),
+			fmt.Sprintf("%d/%d", r.Corrected.Wrong, launches),
+			fmt.Sprintf("%.6f", r.Base.Regret),
+			fmt.Sprintf("%.6f", r.Corrected.Regret),
+			fmt.Sprintf("%d/%d", r.Corrected.Learned, launches),
+			flipRound(r.Corrected))
+	}
+	var sb strings.Builder
+	sb.WriteString(t.String())
+	sb.WriteString(fmt.Sprintf("\ntotal regret: %.6fs ewma-only, %.6fs learner\n",
+		res.RegretBase, res.RegretCorrected))
+	sb.WriteString(fmt.Sprintf(
+		"learner: %d samples, %d material updates, %d/%d models confident, verdicts %d learned / %d analytical\n",
+		res.Stats.Samples, res.Stats.Updates, res.Stats.ConfidentModels,
+		res.Stats.RegionModels+res.Stats.GlobalModels,
+		res.Stats.LearnedVerdicts, res.Stats.AnalyticalVerdicts))
 	return sb.String()
 }

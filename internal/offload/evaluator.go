@@ -142,11 +142,6 @@ func (m *mapEval) predictAt(i int, frac float64) (float64, error) {
 }
 
 func (m *mapEval) predictAll() ([]float64, error) {
-	// Resolving the stored attributes validates that every runtime
-	// value the symbolic expressions need has been supplied.
-	if _, err := m.r.Attrs.Resolve(m.b, m.r.rt.warpGeom()); err != nil {
-		return nil, wrapInput(err)
-	}
 	preds := m.preds
 	for i := range preds {
 		sec, err := m.predictAt(i, 0)

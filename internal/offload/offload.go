@@ -310,10 +310,6 @@ func (rt *Runtime) Register(k *ir.Kernel) (*Region, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	attrs, err := attrdb.Build(k, ir.DefaultCountOptions())
-	if err != nil {
-		return nil, err
-	}
 	an, err := ipda.Analyze(k, ir.DefaultCountOptions())
 	if err != nil {
 		return nil, err
@@ -321,7 +317,7 @@ func (rt *Runtime) Register(k *ir.Kernel) (*Region, error) {
 	r := &Region{
 		Name:     k.Name,
 		Kernel:   k,
-		Attrs:    attrs,
+		Attrs:    attrdb.Build(an),
 		Analysis: an,
 		rt:       rt,
 		exec:     map[string]float64{},
@@ -336,7 +332,7 @@ func (rt *Runtime) Register(k *ir.Kernel) (*Region, error) {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateRegion, k.Name)
 	}
 	rt.regions[k.Name] = r
-	rt.db.Put(attrs)
+	rt.db.Put(r.Attrs)
 	return r, nil
 }
 

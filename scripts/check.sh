@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's verification gate: static checks, the full test
 # suite (allocation budgets included; race detector on the concurrent
-# packages), a fuzz smoke, and daemon and cluster smokes.
+# packages), the paper's tables and figures against their committed
+# transcript, a fuzz smoke, and daemon and cluster smokes.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,6 +23,11 @@ make -s loc
 
 echo "== go test =="
 go test ./...
+
+echo "== paper artifacts =="
+# Every table and figure at full fidelity, diffed against the committed
+# transcript (internal/experiments/testdata/offloadsim_all.txt).
+make -s paper-check
 
 echo "== go test -race (concurrent packages) =="
 # The package and -count=20 lists live in the Makefile, once.
