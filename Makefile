@@ -55,13 +55,15 @@ api:
 	$(GO) run ./cmd/apidump > api/exported.txt
 
 # The size numbers ROADMAP tracks: non-test Go lines per package
-# directory, the exported-surface line count, the options the two serving
-# commands take, and the internal/ + cmd/ total ROADMAP and CHANGES.md quote.
+# directory, the exported-surface line count, the exported Config fields of
+# the packages it gates, the options the two serving commands take, and the
+# internal/ + cmd/ total ROADMAP and CHANGES.md quote.
 loc:
 	@for d in internal/* cmd/*; do \
 		printf '%6d %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l)" "$$d"; \
 	done
 	@wc -l api/exported.txt
+	@printf '%6d exported Config fields (the packages api/exported.txt gates)\n' "$$($(GO) run ./cmd/apidump -config-fields)"
 	@for d in cmd/hybridseld cmd/loadgen; do \
 		printf '%6d flags %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -c 'flag\.[A-Z][A-Za-z0-9]*(\"')" "$$d"; \
 	done

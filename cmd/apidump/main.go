@@ -19,6 +19,7 @@
 //	apidump                         # dump default packages to stdout
 //	apidump internal/trace          # dump a specific package
 //	apidump -check api/exported.txt # diff against snapshot, exit 1 on drift
+//	apidump -config-fields          # only the number of exported *Config fields (make loc)
 package main
 
 import (
@@ -37,6 +38,8 @@ import (
 func main() {
 	check := flag.String("check", "",
 		"snapshot file to compare against; exits non-zero on any drift")
+	countOnly := flag.Bool("config-fields", false,
+		"print only how many exported fields the exported *Config structs have: the options a caller can set")
 	flag.Parse()
 	dirs := flag.Args()
 	if len(dirs) == 0 {
@@ -53,6 +56,10 @@ func main() {
 		}
 	}
 
+	if *countOnly {
+		fmt.Println(configFields)
+		return
+	}
 	if *check == "" {
 		os.Stdout.Write(out.Bytes())
 		return
@@ -152,6 +159,10 @@ func exportedRecv(recv *ast.FieldList) bool {
 	}
 }
 
+// configFields counts, over everything dumped, the exported fields of the
+// exported struct types named *Config.
+var configFields int
+
 // genDeclEntry renders a const/var/type declaration with unexported
 // names, struct fields, and interface methods pruned. Const/var blocks
 // stay whole so iota ordering changes show up in the snapshot.
@@ -183,6 +194,11 @@ func genDeclEntry(fset *token.FileSet, d *ast.GenDecl) string {
 			c := *s
 			c.Doc, c.Comment = nil, nil
 			c.Type = pruneType(c.Type)
+			if st, ok := c.Type.(*ast.StructType); ok && strings.HasSuffix(c.Name.Name, "Config") {
+				for _, f := range st.Fields.List {
+					configFields += len(f.Names)
+				}
+			}
 			specs = append(specs, &c)
 			exported = true
 		}

@@ -45,14 +45,9 @@ func main() {
 		"show each target's learned residual correction from this learner snapshot (see hybridseld -learn-out)")
 	flag.Parse()
 
-	var plat machine.Platform
-	switch *platform {
-	case "p9v100":
-		plat = machine.PlatformP9V100()
-	case "p8k80":
-		plat = machine.PlatformP8K80()
-	default:
-		fatal(fmt.Errorf("unknown platform %q", *platform))
+	plat, err := machine.ParsePlatform(*platform)
+	if err != nil {
+		fatal(err)
 	}
 
 	k, err := polybench.Get(*kernel)
@@ -100,24 +95,45 @@ func main() {
 		load.FPAdd, load.FPMul, load.FPDiv, load.FPSpecial,
 		load.IntOps, load.Loads, load.Stores)
 
-	cp, err := cpumodel.Predict(cpumodel.Input{
-		Kernel: k.IR, CPU: plat.CPU, Threads: *threads, Bindings: b,
-		IPDA: an,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	gp, err := gpumodel.Predict(gpumodel.Input{
-		Kernel: k.IR, GPU: plat.GPU, Link: plat.Link, Bindings: b,
-		IPDA: an, Options: gpumodel.DefaultOptions(),
-	})
-	if err != nil {
-		fatal(err)
+	// The base pair's model breakdowns: the first-registered target of
+	// each kind the registry has.
+	var cpuModel, gpuModel string
+	for i := 0; i < rt.Targets().Len(); i++ {
+		switch sp := rt.Targets().At(i); {
+		case sp.Kind == offload.KindCPU && cpuModel == "":
+			cp, err := cpumodel.Predict(cpumodel.Input{
+				Kernel: k.IR, CPU: sp.CPU, Threads: sp.Threads, Bindings: b,
+				IPDA: an,
+			})
+			if err != nil {
+				fatal(err)
+			}
+			cpuModel = cp.Format()
+		case sp.Kind == offload.KindGPU && gpuModel == "":
+			gp, err := gpumodel.Predict(gpumodel.Input{
+				Kernel: k.IR, GPU: sp.GPU, Link: sp.Link, Bindings: b,
+				IPDA: an, Options: gpumodel.DefaultOptions(),
+			})
+			if err != nil {
+				fatal(err)
+			}
+			gpuModel = gp.Format()
+		}
 	}
 	fmt.Printf("\n=== %s, %d host threads ===\n", plat.Name, *threads)
-	fmt.Print(cp.Format())
-	fmt.Println()
-	fmt.Print(gp.Format())
+	fmt.Print(cpuModel)
+	// Offloading has a speedup only where there is a host to leave and a
+	// device to go to.
+	speedup := ""
+	if cpuModel != "" && gpuModel != "" {
+		fmt.Println()
+		cpuSec, gpuSec, err := region.Predict(b)
+		if err != nil {
+			fatal(err)
+		}
+		speedup = fmt.Sprintf("predicted speedup of offloading: %.2fx\n", cpuSec/gpuSec)
+	}
+	fmt.Print(gpuModel)
 
 	// The decision feature vector — what a residual learner regresses
 	// over (see internal/learn).
@@ -179,7 +195,7 @@ func main() {
 			how = "GPU offload"
 		}
 		fmt.Printf("\n=== Decision: %s (%s) ===\n", top.Target, how)
-		fmt.Printf("predicted speedup of offloading: %.2fx\n", cp.Seconds/gp.Seconds)
+		fmt.Print(speedup)
 		return
 	}
 
@@ -197,8 +213,7 @@ func main() {
 	}
 	fmt.Printf("\n=== Decision: %s (%s, policy %s) ===\n",
 		out.TargetID, how, out.Policy.Name())
-	fmt.Printf("predicted speedup of offloading: %.2fx\n",
-		out.PredCPUSeconds/out.PredGPUSeconds)
+	fmt.Print(speedup)
 	fmt.Printf("simulated %v execution: %.4gs  (decision overhead %v)\n",
 		out.Target, out.ActualSeconds, out.DecisionOverhead)
 

@@ -162,14 +162,9 @@ func main() {
 	if err != nil {
 		fatal(logger, err)
 	}
-	var plat machine.Platform
-	switch *platform {
-	case "p9v100":
-		plat = machine.PlatformP9V100()
-	case "p8k80":
-		plat = machine.PlatformP8K80()
-	default:
-		fatal(logger, fmt.Errorf("unknown platform %q", *platform))
+	plat, err := machine.ParsePlatform(*platform)
+	if err != nil {
+		fatal(logger, err)
 	}
 
 	reg, err := offload.ParseTargets(plat, *threads, *targets)

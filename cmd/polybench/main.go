@@ -43,14 +43,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var plat machine.Platform
-	switch *platform {
-	case "p9v100":
-		plat = machine.PlatformP9V100()
-	case "p8k80":
-		plat = machine.PlatformP8K80()
-	default:
-		fatal(fmt.Errorf("unknown platform %q", *platform))
+	plat, err := machine.ParsePlatform(*platform)
+	if err != nil {
+		fatal(err)
 	}
 
 	rt := offload.NewRuntime(offload.Config{
@@ -79,9 +74,10 @@ func main() {
 		}
 		total += out.ActualSeconds
 		overhead += out.DecisionOverhead
+		predCPU, predGPU := out.BasePair()
 		t.AddRow(k.Name, out.Target.String(),
 			fmtSec(out.ActualSeconds),
-			fmtSec(out.PredCPUSeconds), fmtSec(out.PredGPUSeconds),
+			fmtSec(predCPU), fmtSec(predGPU),
 			out.DecisionOverhead.Round(time.Microsecond).String())
 	}
 	fmt.Println(t.String())

@@ -41,9 +41,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		predCPU, predGPU := out.BasePair()
 		t.AddRow(fmt.Sprint(n),
-			fmt.Sprintf("%.3gs", out.PredCPUSeconds),
-			fmt.Sprintf("%.3gs", out.PredGPUSeconds),
+			fmt.Sprintf("%.3gs", predCPU),
+			fmt.Sprintf("%.3gs", predGPU),
 			out.Target.String(),
 			fmt.Sprintf("%.3gs", out.ActualSeconds))
 		if out.Target == offload.KindGPU && prev == offload.KindCPU && flipped == "" {

@@ -68,8 +68,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		predCPU, predGPU := out.BasePair()
 		fmt.Printf("max=%-5d stride=%5d elems  class=%-11s tx/warp=%-2d -> run on %s (pred cpu %.3gs, gpu %.3gs)\n",
-			m, wa.ByteStride/8, wa.Class, wa.Transactions, out.Target,
-			out.PredCPUSeconds, out.PredGPUSeconds)
+			m, wa.ByteStride/8, wa.Class, wa.Transactions, out.Target, predCPU, predGPU)
 	}
 }

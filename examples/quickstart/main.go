@@ -42,8 +42,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		predCPU, predGPU := out.BasePair()
 		fmt.Printf("n=%-5d -> %s   predicted cpu %.3gs gpu %.3gs   executed %.3gs   (decision %v, cached %v)\n",
-			n, out.Target, out.PredCPUSeconds, out.PredGPUSeconds,
+			n, out.Target, predCPU, predGPU,
 			out.ActualSeconds, out.DecisionOverhead, out.CacheHit)
 	}
 

@@ -64,8 +64,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		predCPU, predGPU := out.BasePair()
 		fmt.Printf("record  %-8s n=%-6d -> %-5s (pred cpu %.3gs, gpu %.3gs)\n",
-			w.region, w.n, out.Target, out.PredCPUSeconds, out.PredGPUSeconds)
+			w.region, w.n, out.Target, predCPU, predGPU)
 	}
 	if err := rec.Flush(); err != nil {
 		log.Fatal(err)

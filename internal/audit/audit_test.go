@@ -324,8 +324,8 @@ func TestCalibrationFlipsMispredictedKernel(t *testing.T) {
 	}
 	// Raw model output is preserved: calibration steers the policy but
 	// does not rewrite the recorded predictions.
-	if out.PredCPUSeconds != first.PredCPUSeconds ||
-		out.PredGPUSeconds != first.PredGPUSeconds {
+	oc, og := out.BasePair()
+	if fc, fg := first.BasePair(); oc != fc || og != fg {
 		t.Fatalf("calibration rewrote raw predictions: %+v vs %+v",
 			out.Decision, first)
 	}
@@ -359,8 +359,7 @@ func TestAsyncNonBlockingDrop(t *testing.T) {
 	a.Offer(offload.Decision{
 		Region: "gemm", Bindings: symbolic.Bindings{"n": 64},
 		Policy: offload.ModelGuided, Target: offload.KindCPU,
-		TargetID:       offload.TargetIDCPUBase,
-		PredCPUSeconds: 1, PredGPUSeconds: 1,
+		TargetID: offload.TargetIDCPUBase,
 	})
 	<-stalled
 
@@ -371,8 +370,7 @@ func TestAsyncNonBlockingDrop(t *testing.T) {
 		a.Offer(offload.Decision{
 			Region: "gemm", Bindings: symbolic.Bindings{"n": int64(100 + i)},
 			Policy: offload.ModelGuided, Target: offload.KindCPU,
-			TargetID:       offload.TargetIDCPUBase,
-			PredCPUSeconds: 1, PredGPUSeconds: 1,
+			TargetID: offload.TargetIDCPUBase,
 		})
 	}
 	if d := a.dropped.Load(); d < extra-2 {
@@ -390,8 +388,7 @@ func TestAsyncNonBlockingDrop(t *testing.T) {
 	a.Offer(offload.Decision{
 		Region: "gemm", Bindings: symbolic.Bindings{"n": 9999},
 		Policy: offload.ModelGuided, Target: offload.KindCPU,
-		TargetID:       offload.TargetIDCPUBase,
-		PredCPUSeconds: 1, PredGPUSeconds: 1,
+		TargetID: offload.TargetIDCPUBase,
 	})
 	if got := a.dropped.Load(); got != rep.Dropped+1 {
 		t.Fatalf("post-Close offer not counted as dropped (%d vs %d)",
@@ -414,8 +411,7 @@ func TestConcurrentOfferClose(t *testing.T) {
 				a.Offer(offload.Decision{
 					Region: "gemm", Bindings: symbolic.Bindings{"n": int64(64 + g*50 + i)},
 					Policy: offload.ModelGuided, Target: offload.KindGPU,
-					TargetID:       offload.TargetIDGPUBase,
-					PredCPUSeconds: 1, PredGPUSeconds: 1,
+					TargetID: offload.TargetIDGPUBase,
 				})
 			}
 		}(g)

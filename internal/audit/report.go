@@ -174,7 +174,7 @@ func (a *Auditor) RegisterMetrics(s *metrics.Set) {
 	regionRegret := s.Rows("hybridsel_audit_region_regret_seconds_total", "counter",
 		"Time lost to mispredicted targets by region.")
 	factor := s.Rows("hybridsel_correction_factor", "gauge",
-		"Multiplicative calibration applied to a model's predicted seconds (1 = uncorrected).")
+		"Multiplicative calibration applied to a target's predicted seconds (1 = uncorrected).")
 	s.Collect(func() {
 		var rep Report
 		if a != nil {

@@ -114,7 +114,7 @@ func TestBreakerProbeAlwaysSettles(t *testing.T) {
 	const cooldown = 5 * time.Millisecond
 	rows := []struct {
 		name    string
-		hedge   time.Duration // Config.HedgeAfter; 0 for no hedging
+		hedge   time.Duration // Config.hedgeAfter; 0 for no hedging
 		timeout time.Duration // the probing call's own deadline; 0 for none
 		arm     func(target, hedged *replicaStub)
 	}{
@@ -136,8 +136,8 @@ func TestBreakerProbeAlwaysSettles(t *testing.T) {
 	for _, kind := range []string{"Client", "ClusterClient"} {
 		for _, row := range rows {
 			t.Run(kind+"/"+row.name, func(t *testing.T) {
-				cfg := Config{MaxAttempts: 1, BreakerFailures: 1, BreakerCooldown: cooldown,
-					HedgeAfter: row.hedge, DisableHedging: row.hedge == 0}
+				cfg := Config{maxAttempts: 1, breakerFailures: 1, breakerCooldown: cooldown,
+					hedgeAfter: row.hedge, disableHedging: row.hedge == 0}
 				var decide func(context.Context) (*Verdict, error)
 				var state func() BreakerState
 				var target, hedged *replicaStub // the probed daemon, and where its hedge goes

@@ -86,8 +86,8 @@ func newClusterChaosRig(t *testing.T, seed int64, ccfg ClusterConfig) *clusterCh
 		}
 		ccfg.Members = append(ccfg.Members, ClusterMember{ID: id, BaseURL: "http://" + addr})
 	}
-	if ccfg.Vnodes == 0 {
-		ccfg.Vnodes = 64
+	if ccfg.vnodes == 0 {
+		ccfg.vnodes = 64
 	}
 	cc, err := NewCluster(ccfg)
 	if err != nil {
@@ -122,8 +122,8 @@ func newStreamClusterRig(t *testing.T, seed int64, ccfg ClusterConfig) *streamCl
 		r.edges[id] = edge
 		ccfg.Members = append(ccfg.Members, ClusterMember{ID: id, BaseURL: "http://" + addr})
 	}
-	if ccfg.Vnodes == 0 {
-		ccfg.Vnodes = 64
+	if ccfg.vnodes == 0 {
+		ccfg.vnodes = 64
 	}
 	cc, err := NewCluster(ccfg)
 	if err != nil {
@@ -233,8 +233,8 @@ func chaosClusterReqs(n int) []server.DecideRequest {
 func TestChaosRollingRestartLosesNoVerdicts(t *testing.T) {
 	rig := newClusterChaosRig(t, 3, ClusterConfig{
 		Replica: Config{
-			DisableHedging: true, MaxAttempts: 2,
-			BreakerFailures: 1000, Timeout: 2 * time.Second,
+			disableHedging: true, maxAttempts: 2,
+			breakerFailures: 1000, timeout: 2 * time.Second,
 		},
 	})
 	reqs := chaosClusterReqs(24)
@@ -299,8 +299,8 @@ func TestChaosClusterKillLoopReproducible(t *testing.T) {
 	run := func() []string {
 		rig := newClusterChaosRig(t, 17, ClusterConfig{
 			Replica: Config{
-				DisableHedging: true, MaxAttempts: 2,
-				BreakerFailures: 1000, Timeout: 2 * time.Second,
+				disableHedging: true, maxAttempts: 2,
+				breakerFailures: 1000, timeout: 2 * time.Second,
 			},
 		})
 		reqs := chaosClusterReqs(8)
@@ -342,8 +342,8 @@ func TestChaosClusterKillLoopReproducible(t *testing.T) {
 func TestChaosClusterHedgeSuccessorOnly(t *testing.T) {
 	rig := newClusterChaosRig(t, 9, ClusterConfig{
 		Replica: Config{
-			HedgeAfter:      5 * time.Millisecond,
-			BreakerFailures: 1000, Timeout: 2 * time.Second,
+			hedgeAfter:      5 * time.Millisecond,
+			breakerFailures: 1000, timeout: 2 * time.Second,
 		},
 	})
 	// Distinct requests that all live on the same shard: same owner and
@@ -435,13 +435,13 @@ func TestClusterRouteEquivalence(t *testing.T) {
 	// has none and sends named bindings.
 	rig := newStreamClusterRig(t, 5, ClusterConfig{
 		Fallback: fallbackRuntime(t),
-		Replica:  Config{MaxAttempts: 1, BreakerFailures: 1000, StreamConns: 1},
+		Replica:  Config{maxAttempts: 1, breakerFailures: 1000, StreamConns: 1},
 	})
 	hedging := newStreamClusterRig(t, 5, ClusterConfig{
-		Replica: Config{HedgeAfter: 5 * time.Millisecond, BreakerFailures: 1000, StreamConns: 1},
+		Replica: Config{hedgeAfter: 5 * time.Millisecond, breakerFailures: 1000, StreamConns: 1},
 	})
 	// refusing's edges are HTTP proxies, which refuse the Upgrade.
-	refusing := newClusterChaosRig(t, 5, ClusterConfig{Replica: Config{MaxAttempts: 1}})
+	refusing := newClusterChaosRig(t, 5, ClusterConfig{Replica: Config{maxAttempts: 1}})
 	ctx := context.Background()
 	partition := faultnet.TCPFaults{Partition: true}
 	// under serves one request with the edges to some replicas cut, and
@@ -693,9 +693,9 @@ func TestClusterStreamDialIsBounded(t *testing.T) {
 		atLeast  time.Duration
 		atMost   time.Duration
 	}{
-		{"the attempt's deadline", Config{Timeout: 100 * time.Millisecond, MaxAttempts: 1, StreamConns: 1},
+		{"the attempt's deadline", Config{timeout: 100 * time.Millisecond, maxAttempts: 1, StreamConns: 1},
 			ProvenanceRemote, 2, 100 * time.Millisecond, 400 * time.Millisecond},
-		{"a hedge's answer", Config{HedgeAfter: 5 * time.Millisecond, StreamConns: 1},
+		{"a hedge's answer", Config{hedgeAfter: 5 * time.Millisecond, StreamConns: 1},
 			ProvenanceHedged, 1, 5 * time.Millisecond, 400 * time.Millisecond},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -85,16 +85,16 @@ func newChaosRig(t *testing.T, seed int64, ccfg Config) *chaosRig {
 }
 
 // TestChaosBreakerOpensAtThresholdThenHeals: under a full partition the
-// breaker opens after exactly BreakerFailures failed calls (documented
+// breaker opens after exactly breakerFailures failed calls (documented
 // threshold), every caller still gets a fallback verdict, and after the
 // partition heals and the cooldown elapses a single probe closes it.
 func TestChaosBreakerOpensAtThresholdThenHeals(t *testing.T) {
 	const threshold = 3
 	cooldown := 50 * time.Millisecond
 	rig := newChaosRig(t, 1, Config{
-		MaxAttempts: 1, DisableHedging: true,
-		BreakerFailures: threshold, BreakerCooldown: cooldown,
-		Timeout: time.Second,
+		maxAttempts: 1, disableHedging: true,
+		breakerFailures: threshold, breakerCooldown: cooldown,
+		timeout: time.Second,
 	})
 	rig.proxy.SetFaults(faultnet.Faults{Partition: true})
 
@@ -146,9 +146,9 @@ func TestChaosBreakerOpensAtThresholdThenHeals(t *testing.T) {
 // resolves to a remote, hedged, or fallback verdict.
 func TestChaosFlapEveryCallGetsAVerdict(t *testing.T) {
 	rig := newChaosRig(t, 7, Config{
-		MaxAttempts: 2, RetryBackoff: 2 * time.Millisecond,
-		BreakerFailures: 3, BreakerCooldown: 30 * time.Millisecond,
-		DisableHedging: true, Timeout: time.Second,
+		maxAttempts: 2, retryBackoff: 2 * time.Millisecond,
+		breakerFailures: 3, breakerCooldown: 30 * time.Millisecond,
+		disableHedging: true, timeout: time.Second,
 	})
 	sc, err := faultnet.ParseScenario("flap")
 	if err != nil {
@@ -185,9 +185,9 @@ func TestChaosFlapEveryCallGetsAVerdict(t *testing.T) {
 // request, mostly remotely.
 func TestChaosBrownoutRetriesThrough(t *testing.T) {
 	rig := newChaosRig(t, 11, Config{
-		MaxAttempts: 4, RetryBackoff: time.Millisecond,
-		BreakerFailures: 50, // keep the breaker out of this test's way
-		DisableHedging:  true, Timeout: time.Second,
+		maxAttempts: 4, retryBackoff: time.Millisecond,
+		breakerFailures: 50, // keep the breaker out of this test's way
+		disableHedging:  true, timeout: time.Second,
 	})
 	rig.proxy.SetFaults(faultnet.Faults{
 		ErrorRate:  0.4,
@@ -224,8 +224,8 @@ func TestChaosBrownoutRetriesThrough(t *testing.T) {
 // evaluate the same deterministic analytical models.
 func TestChaosPartitionHealFallbackMatchesDaemon(t *testing.T) {
 	rig := newChaosRig(t, 1, Config{
-		MaxAttempts: 1, DisableHedging: true,
-		BreakerFailures: 1000, Timeout: time.Second,
+		maxAttempts: 1, disableHedging: true,
+		breakerFailures: 1000, timeout: time.Second,
 	})
 	reqs := []server.DecideRequest{
 		{Region: "gemm", Bindings: map[string]int64{"n": 64}},
@@ -283,8 +283,8 @@ func TestChaosPartitionHealFallbackMatchesDaemon(t *testing.T) {
 // decide-only traffic is free to hedge.
 func TestChaosHedgesNeverDuplicateSideEffects(t *testing.T) {
 	rig := newChaosRig(t, 1, Config{
-		HedgeAfter: 2 * time.Millisecond, // hedge almost immediately
-		Timeout:    2 * time.Second,
+		hedgeAfter: 2 * time.Millisecond, // hedge almost immediately
+		timeout:    2 * time.Second,
 	})
 	rig.proxy.SetFaults(faultnet.Faults{Latency: 20 * time.Millisecond})
 
@@ -330,10 +330,10 @@ func TestChaosHedgesNeverDuplicateSideEffects(t *testing.T) {
 // under the ~30% fault regime every request completes with a verdict.
 func TestChaosFaults30LoadCompletes(t *testing.T) {
 	rig := newChaosRig(t, 42, Config{
-		MaxAttempts: 4, RetryBackoff: time.Millisecond,
-		BreakerFailures: 5, BreakerCooldown: 20 * time.Millisecond,
-		HedgeAfter: 5 * time.Millisecond,
-		Timeout:    time.Second,
+		maxAttempts: 4, retryBackoff: time.Millisecond,
+		breakerFailures: 5, breakerCooldown: 20 * time.Millisecond,
+		hedgeAfter: 5 * time.Millisecond,
+		timeout:    time.Second,
 	})
 	sc, err := faultnet.ParseScenario("faults30")
 	if err != nil {
@@ -370,9 +370,9 @@ func TestChaosFaults30LoadCompletes(t *testing.T) {
 func TestChaosBinaryTruncationDegradesWithoutLoss(t *testing.T) {
 	frt := fallbackRuntime(t)
 	rig := newChaosRig(t, 21, Config{
-		MaxAttempts: 2, RetryBackoff: time.Millisecond,
-		BreakerFailures: 50, // keep the breaker out of the way
-		DisableHedging:  true, Timeout: time.Second,
+		maxAttempts: 2, retryBackoff: time.Millisecond,
+		breakerFailures: 50, // keep the breaker out of the way
+		disableHedging:  true, timeout: time.Second,
 		Fallback: frt,
 		Binary:   true,
 		RegionParams: func(region string) []string {

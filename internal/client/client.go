@@ -97,16 +97,29 @@ type Verdict struct {
 // call and no fallback runtime was configured.
 var ErrCircuitOpen = errors.New("client: circuit breaker open")
 
-// Defaults applied by New for zero Config fields.
+// The resilience loop's constants. No caller ever set them, so they are
+// not options; this package's tests shorten them through Config's
+// unexported fields.
 const (
-	DefaultMaxAttempts     = 4
-	DefaultRetryBackoff    = 20 * time.Millisecond
-	DefaultTimeout         = 2 * time.Second
-	DefaultBreakerFailures = 5
-	DefaultBreakerCooldown = 500 * time.Millisecond
-	// DefaultStreamConns is the stream connection pool size when
+	// defaultMaxAttempts bounds the walks of the route per logical call,
+	// the first included. A walk asks each endpoint whose breaker admits
+	// it once: a single-daemon client makes at most that many attempts, a
+	// cluster client that many per replica.
+	defaultMaxAttempts = 4
+	// defaultRetryBackoff is the base backoff, slept only when the route
+	// wraps: doubled per walk with ±50% jitter, capped at maxBackoff. A
+	// longer Retry-After from the endpoint about to be re-asked wins.
+	defaultRetryBackoff = 20 * time.Millisecond
+	// defaultTimeout is the per-attempt deadline, hedge included.
+	defaultTimeout = 2 * time.Second
+	// defaultBreakerFailures consecutive eligible failures open an
+	// endpoint's breaker; it stays open for defaultBreakerCooldown, then
+	// half-opens for one probe.
+	defaultBreakerFailures = 5
+	defaultBreakerCooldown = 500 * time.Millisecond
+	// defaultStreamConns is the stream connection pool size when
 	// Config.StreamConns is zero.
-	DefaultStreamConns = 2
+	defaultStreamConns = 2
 )
 
 const (
@@ -130,40 +143,6 @@ type Config struct {
 	// identically to the daemon — platform, policy, threads — and
 	// fallback verdicts match the daemon's bit-for-bit.
 	Fallback *offload.Runtime
-
-	// MaxAttempts bounds the walks of the route per logical call, the
-	// first included. A walk asks each endpoint whose breaker admits it
-	// once: a single-daemon client makes at most MaxAttempts attempts, a
-	// cluster client that many per replica. 0 selects DefaultMaxAttempts;
-	// 1 disables retries (a cluster call still fails over).
-	MaxAttempts int
-	// RetryBackoff is the base backoff, slept only when the route wraps
-	// (on a route of one, after every failed attempt): doubled per walk
-	// with ±50% jitter, capped at one second. A Retry-After longer than
-	// the computed backoff, sent by the endpoint about to be re-asked,
-	// wins.
-	RetryBackoff time.Duration
-	// Timeout is the per-attempt deadline, hedge included. 0 selects
-	// DefaultTimeout.
-	Timeout time.Duration
-
-	// HedgeAfter fixes the hedging delay. The duplicate goes to the next
-	// endpoint of the route whose breaker is closed — the endpoint itself
-	// on a route of one. 0 derives the delay from the endpoint's observed
-	// p99 attempt latency (no hedging before 20 successes) for a
-	// single-daemon Client, and leaves hedging off for a ClusterClient and
-	// its views: hedging in a cluster is opt-in, because a derived
-	// cross-replica delay never fired in any release and a hedge makes a
-	// successor the first replica to see a key (DESIGN.md §16). Only
-	// idempotent (decide-only) calls are hedged — Execute requests
-	// dispatch work and are never duplicated.
-	HedgeAfter     time.Duration
-	DisableHedging bool
-
-	// BreakerFailures consecutive eligible failures open the breaker;
-	// it stays open for BreakerCooldown, then half-opens for one probe.
-	BreakerFailures int
-	BreakerCooldown time.Duration
 
 	// Seed fixes the backoff-jitter RNG for reproducible runs (0 = 1).
 	Seed int64
@@ -198,8 +177,22 @@ type Config struct {
 	// HTTP port via Upgrade on GET /v1/stream, as a cluster always does.
 	StreamAddr string
 	// StreamConns is the stream connection pool size. 0 selects
-	// DefaultStreamConns.
+	// defaultStreamConns.
 	StreamConns int
+
+	// Test hooks: zero selects the default* constant of the same name, and
+	// only this package's tests set them, to make a retry, a deadline or a
+	// breaker trip take milliseconds. hedgeAfter has no constant: zero
+	// derives the delay from the endpoint's p99 for a Client and leaves a
+	// ClusterClient unhedged (hedgeFor; DESIGN.md §16). Only decide-only
+	// calls are ever hedged: an Execute dispatches work.
+	maxAttempts     int
+	retryBackoff    time.Duration
+	timeout         time.Duration
+	hedgeAfter      time.Duration
+	disableHedging  bool
+	breakerFailures int
+	breakerCooldown time.Duration
 }
 
 // withDefaults validates cfg and fills its zero fields with defaults.
@@ -208,12 +201,12 @@ func (cfg Config) withDefaults() (Config, error) {
 		return cfg, errors.New("client: Config.BaseURL is required")
 	}
 	cfg.BaseURL = strings.TrimSuffix(cfg.BaseURL, "/")
-	orDefault(&cfg.MaxAttempts, DefaultMaxAttempts)
-	orDefault(&cfg.RetryBackoff, DefaultRetryBackoff)
-	orDefault(&cfg.Timeout, DefaultTimeout)
-	orDefault(&cfg.BreakerFailures, DefaultBreakerFailures)
-	orDefault(&cfg.BreakerCooldown, DefaultBreakerCooldown)
-	orDefault(&cfg.StreamConns, DefaultStreamConns)
+	orDefault(&cfg.maxAttempts, defaultMaxAttempts)
+	orDefault(&cfg.retryBackoff, defaultRetryBackoff)
+	orDefault(&cfg.timeout, defaultTimeout)
+	orDefault(&cfg.breakerFailures, defaultBreakerFailures)
+	orDefault(&cfg.breakerCooldown, defaultBreakerCooldown)
+	orDefault(&cfg.StreamConns, defaultStreamConns)
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -482,7 +475,7 @@ var errNoFallback = errors.New("client: no fallback runtime configured")
 func (l *loop) call(ctx context.Context, a *ask, route []*endpoint) ([]Verdict, error) {
 	// Only idempotent calls are hedged: an Execute request dispatches
 	// work and is never duplicated.
-	canHedge := !l.cfg.DisableHedging &&
+	canHedge := !l.cfg.disableHedging &&
 		!slices.ContainsFunc(a.reqs, func(r server.DecideRequest) bool { return r.Execute })
 	attempts := 0
 	var err error
@@ -536,7 +529,7 @@ walks:
 			}
 			break
 		}
-		if walk == l.cfg.MaxAttempts {
+		if walk == l.cfg.maxAttempts {
 			err = fmt.Errorf("client: %d attempts failed, last: %w", attempts, err)
 			break
 		}
@@ -583,7 +576,7 @@ func localVerdict(rt *offload.Runtime, req server.DecideRequest, attempts int) V
 
 // backoff computes the jittered exponential delay after a given walk.
 func (l *loop) backoff(walk int) time.Duration {
-	d := l.cfg.RetryBackoff << (walk - 1)
+	d := l.cfg.retryBackoff << (walk - 1)
 	if d > maxBackoff || d <= 0 {
 		d = maxBackoff
 	}
@@ -607,7 +600,7 @@ func (l *loop) backoff(walk int) time.Duration {
 // if it answered, to the primary or to a hedge sent to itself, and its
 // failure even when the hedge to another endpoint answered.
 func (l *loop) attempt(ctx context.Context, a *ask, route []*endpoint, i int, canHedge bool) (vs []Verdict, from *endpoint, err *callErr) {
-	deadline := time.Now().Add(l.cfg.Timeout)
+	deadline := time.Now().Add(l.cfg.timeout)
 	ep := route[i]
 	var to *endpoint
 	var delay time.Duration
@@ -656,14 +649,14 @@ func (l *loop) attempt(ctx context.Context, a *ask, route []*endpoint, i int, ca
 }
 
 // hedgeFor says where and after how long an attempt at route[i] is
-// duplicated (a zero delay: not at all): after Config.HedgeAfter, to the
+// duplicated (a zero delay: not at all): after the hedgeAfter hook, to the
 // next endpoint of the route whose breaker is closed, which on a route of
-// one is the endpoint itself. Without HedgeAfter a single-daemon Client
+// one is the endpoint itself. Without hedgeAfter a single-daemon Client
 // hedges after its endpoint's own p99, and a cluster not at all.
 func (l *loop) hedgeFor(route []*endpoint, i int, streamable bool) (*endpoint, time.Duration) {
-	after := l.cfg.HedgeAfter
+	after := l.cfg.hedgeAfter
 	if after <= 0 && !l.cluster {
-		after = route[0].p99Delay(streamable, l.cfg.Timeout)
+		after = route[0].p99Delay(streamable, l.cfg.timeout)
 	}
 	if len(route) == 1 {
 		return route[0], after

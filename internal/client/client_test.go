@@ -109,7 +109,7 @@ func TestRetryOn5xxThenSuccess(t *testing.T) {
 		okResponse(w, "gemm", "cpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, RetryBackoff: time.Millisecond, DisableHedging: true,
+		BaseURL: ts.URL, retryBackoff: time.Millisecond, disableHedging: true,
 	})
 
 	v, err := c.Decide(context.Background(), gemmReq())
@@ -138,8 +138,8 @@ func TestShedRetryHonorsRetryAfter(t *testing.T) {
 		okResponse(w, "gemm", "gpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, RetryBackoff: time.Millisecond, DisableHedging: true,
-		BreakerFailures: 1, // a shed must NOT trip even a hair-trigger breaker
+		BaseURL: ts.URL, retryBackoff: time.Millisecond, disableHedging: true,
+		breakerFailures: 1, // a shed must NOT trip even a hair-trigger breaker
 	})
 
 	start := time.Now()
@@ -177,7 +177,7 @@ func TestSingleClientRetryLaw(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		breakerFailures int
-		want            []law // by k = 0 … DefaultMaxAttempts
+		want            []law // by k = 0 … defaultMaxAttempts
 	}{
 		{4, []law{
 			{1, 1, 0, ProvenanceRemote, 0},
@@ -212,8 +212,8 @@ func TestSingleClientRetryLaw(t *testing.T) {
 					okResponse(w, "gemm", "cpu/base")
 				})
 				c := newTestClient(t, Config{
-					BaseURL: ts.URL, Fallback: fallbackRuntime(t), DisableHedging: true,
-					RetryBackoff: backoff, BreakerFailures: tc.breakerFailures, BreakerCooldown: time.Hour,
+					BaseURL: ts.URL, Fallback: fallbackRuntime(t), disableHedging: true,
+					retryBackoff: backoff, breakerFailures: tc.breakerFailures, breakerCooldown: time.Hour,
 				})
 				v, err := c.Decide(context.Background(), gemmReq())
 				end := time.Now()
@@ -301,7 +301,7 @@ func TestPermanent4xxFailsFastWithoutFallback(t *testing.T) {
 			http.StatusNotFound)
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, Fallback: fallbackRuntime(t), DisableHedging: true,
+		BaseURL: ts.URL, Fallback: fallbackRuntime(t), disableHedging: true,
 	})
 
 	_, err := c.Decide(context.Background(), server.DecideRequest{Region: "nope"})
@@ -332,8 +332,8 @@ func TestBreakerOpensThenFallsBack(t *testing.T) {
 	})
 	c := newTestClient(t, Config{
 		BaseURL: ts.URL, Fallback: fallbackRuntime(t),
-		MaxAttempts: 1, DisableHedging: true,
-		BreakerFailures: 2, BreakerCooldown: time.Hour,
+		maxAttempts: 1, disableHedging: true,
+		breakerFailures: 2, breakerCooldown: time.Hour,
 	})
 
 	// First two calls exhaust retries and degrade to fallback, feeding
@@ -373,8 +373,8 @@ func TestBreakerOpenWithoutFallbackErrors(t *testing.T) {
 		http.Error(w, "down", http.StatusBadGateway)
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, MaxAttempts: 1, DisableHedging: true,
-		BreakerFailures: 1, BreakerCooldown: time.Hour,
+		BaseURL: ts.URL, maxAttempts: 1, disableHedging: true,
+		breakerFailures: 1, breakerCooldown: time.Hour,
 	})
 	if _, err := c.Decide(context.Background(), gemmReq()); err == nil {
 		t.Fatal("502 with no fallback produced a verdict")
@@ -402,7 +402,7 @@ func TestHedgedRequestWins(t *testing.T) {
 	})
 	defer close(release)
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, HedgeAfter: 10 * time.Millisecond, Timeout: 5 * time.Second,
+		BaseURL: ts.URL, hedgeAfter: 10 * time.Millisecond, timeout: 5 * time.Second,
 	})
 
 	v, err := c.Decide(context.Background(), gemmReq())
@@ -425,7 +425,7 @@ func TestExecuteRequestsAreNeverHedged(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		okResponse(w, "gemm", "gpu/base")
 	})
-	c := newTestClient(t, Config{BaseURL: ts.URL, HedgeAfter: 5 * time.Millisecond})
+	c := newTestClient(t, Config{BaseURL: ts.URL, hedgeAfter: 5 * time.Millisecond})
 
 	req := gemmReq()
 	req.Execute = true
@@ -448,7 +448,7 @@ func TestIdenticalInflightRequestsCoalesce(t *testing.T) {
 		<-gate
 		okResponse(w, "gemm", "gpu/base")
 	})
-	c := newTestClient(t, Config{BaseURL: ts.URL, DisableHedging: true})
+	c := newTestClient(t, Config{BaseURL: ts.URL, disableHedging: true})
 
 	const n = 4
 	verdicts := make([]*Verdict, n)
@@ -507,7 +507,7 @@ func TestDecideBatchPositionsAndClientCoalescing(t *testing.T) {
 		}
 		_ = json.NewEncoder(w).Encode(server.BatchResponseV2{Results: results})
 	})
-	c := newTestClient(t, Config{BaseURL: ts.URL, DisableHedging: true})
+	c := newTestClient(t, Config{BaseURL: ts.URL, disableHedging: true})
 
 	// Each letter is a distinct request; a repeat is a duplicate of its
 	// first occurrence and must come back Coalesced, first occurrences
@@ -547,7 +547,7 @@ func TestDecideBatchFallsBackWholesale(t *testing.T) {
 	})
 	c := newTestClient(t, Config{
 		BaseURL: ts.URL, Fallback: fallbackRuntime(t),
-		MaxAttempts: 1, DisableHedging: true,
+		maxAttempts: 1, disableHedging: true,
 	})
 	out, err := c.DecideBatch(context.Background(), []server.DecideRequest{
 		{Region: "gemm", Bindings: map[string]int64{"n": 256}},

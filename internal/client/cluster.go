@@ -30,14 +30,9 @@ type ClusterMember struct {
 type ClusterConfig struct {
 	// Members is the static replica set (at least one).
 	Members []ClusterMember
-	// Vnodes is the ring's virtual-node count per member
-	// (cluster.DefaultVnodes if 0).
-	Vnodes int
-	// Replica holds the knobs of the one loop every call runs (attempts,
-	// backoff, timeout, hedging) and of each replica's endpoint (breaker,
-	// transports); only BaseURL is set per member. Replica.HedgeAfter is
-	// the cross-replica hedge delay, and a cluster does not hedge without
-	// it (see Config.HedgeAfter).
+	// Replica configures each replica's endpoint (transports, HTTP
+	// client); BaseURL is set per member, and every endpoint rides the
+	// stream.
 	Replica Config
 	// Fallback serves in-process verdicts when every routable replica
 	// has failed, exactly like the single-daemon client's fallback (and
@@ -48,6 +43,11 @@ type ClusterConfig struct {
 	// alive ones and dead members to last resort, preserving ring order
 	// within each class. Ownership itself never moves.
 	Health func(id string) cluster.Health
+
+	// vnodes is a test hook: 0 builds the ring every replica builds for
+	// itself (cluster.NewRing's constant); this package's tests build
+	// smaller ones.
+	vnodes int
 }
 
 // clusterMetrics counts how calls were routed, beside each endpoint's
@@ -103,7 +103,7 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 		}
 		ids[i] = m.ID
 	}
-	ring, err := cluster.NewRing(ids, cfg.Vnodes)
+	ring, err := cluster.NewRing(ids, cfg.vnodes)
 	if err != nil {
 		return nil, err
 	}

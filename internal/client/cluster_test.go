@@ -88,8 +88,8 @@ func testClusterClient(t *testing.T, cfg ClusterConfig) (*ClusterClient, map[str
 		stubs[id] = rs
 		cfg.Members = append(cfg.Members, ClusterMember{ID: id, BaseURL: rs.ts.URL})
 	}
-	if cfg.Vnodes == 0 {
-		cfg.Vnodes = 64
+	if cfg.vnodes == 0 {
+		cfg.vnodes = 64
 	}
 	cc, err := NewCluster(cfg)
 	if err != nil {
@@ -105,7 +105,7 @@ func clusterReq(n int64) server.DecideRequest {
 
 func TestClusterRouteMatchesRing(t *testing.T) {
 	cc, _ := testClusterClient(t, ClusterConfig{
-		Replica: Config{DisableHedging: true},
+		Replica: Config{disableHedging: true},
 	})
 	for n := int64(1); n <= 32; n++ {
 		req := clusterReq(n * 97)
@@ -130,7 +130,7 @@ func TestClusterRouteMatchesRing(t *testing.T) {
 
 func TestClusterFailoverToSuccessor(t *testing.T) {
 	cc, stubs := testClusterClient(t, ClusterConfig{
-		Replica: Config{DisableHedging: true},
+		Replica: Config{disableHedging: true},
 	})
 	req := clusterReq(1100)
 	order := cc.Route(req)
@@ -159,8 +159,9 @@ func TestClusterFailoverToSuccessor(t *testing.T) {
 // whole route has failed.
 func TestClusterFailoverIsPrompt(t *testing.T) {
 	build := func(t *testing.T, fallback *offload.Runtime) (*ClusterClient, map[string]*replicaStub) {
-		// The ring's default too, which the helper would otherwise shrink.
-		return testClusterClient(t, ClusterConfig{Vnodes: cluster.DefaultVnodes, Fallback: fallback})
+		// The ring's own size too: the helper shrinks a zero, and NewRing
+		// takes anything below it for the constant.
+		return testClusterClient(t, ClusterConfig{vnodes: -1, Fallback: fallback})
 	}
 	// attempts is how many attempts were addressed to a replica, by what
 	// became of them.
@@ -292,18 +293,18 @@ func TestClusterFailoverIsPrompt(t *testing.T) {
 			t.Fatalf("error %v; want the last endpoint's refused connection, and no fallback", err)
 		}
 		m := cc.Metrics()
-		if got := m.Replicas[order[0]].Retries; got != DefaultMaxAttempts-1 {
-			t.Errorf("%d sleeps before the owner was re-asked, want %d", got, DefaultMaxAttempts-1)
+		if got := m.Replicas[order[0]].Retries; got != defaultMaxAttempts-1 {
+			t.Errorf("%d sleeps before the owner was re-asked, want %d", got, defaultMaxAttempts-1)
 		}
-		if want := uint64(2 * DefaultMaxAttempts); m.Failovers != want {
-			t.Errorf("%d failovers, want 2 on each of %d walks", m.Failovers, DefaultMaxAttempts)
+		if want := uint64(2 * defaultMaxAttempts); m.Failovers != want {
+			t.Errorf("%d failovers, want 2 on each of %d walks", m.Failovers, defaultMaxAttempts)
 		}
 	})
 }
 
 func TestClusterCrossHedgeTargetsSuccessor(t *testing.T) {
 	cc, stubs := testClusterClient(t, ClusterConfig{
-		Replica: Config{HedgeAfter: 5 * time.Millisecond},
+		Replica: Config{hedgeAfter: 5 * time.Millisecond},
 	})
 	req := clusterReq(2048)
 	order := cc.Route(req)
@@ -334,7 +335,7 @@ func TestClusterHealthDemotesOwner(t *testing.T) {
 	var sick atomic.Value // string: member ID gossip calls dead
 	sick.Store("")
 	cc, stubs := testClusterClient(t, ClusterConfig{
-		Replica: Config{DisableHedging: true},
+		Replica: Config{disableHedging: true},
 		Health: func(id string) cluster.Health {
 			if id == sick.Load().(string) {
 				return cluster.Dead
@@ -400,7 +401,7 @@ func TestClusterRouteIsAPureQuery(t *testing.T) {
 
 func TestClusterBatchShardsByOwner(t *testing.T) {
 	cc, _ := testClusterClient(t, ClusterConfig{
-		Replica: Config{DisableHedging: true},
+		Replica: Config{disableHedging: true},
 	})
 	reqs := make([]server.DecideRequest, 12)
 	for i := range reqs {
@@ -431,7 +432,7 @@ func TestClusterBatchShardsByOwner(t *testing.T) {
 
 func TestClusterBatchFailsOverPerGroup(t *testing.T) {
 	cc, stubs := testClusterClient(t, ClusterConfig{
-		Replica: Config{DisableHedging: true},
+		Replica: Config{disableHedging: true},
 	})
 	reqs := make([]server.DecideRequest, 8)
 	for i := range reqs {
@@ -467,8 +468,8 @@ func TestClusterFallbackWhenAllReplicasDown(t *testing.T) {
 			{ID: "node-a", BaseURL: "http://127.0.0.1:1"},
 			{ID: "node-b", BaseURL: "http://127.0.0.1:1"},
 		},
-		Vnodes:   16,
-		Replica:  Config{DisableHedging: true, RetryBackoff: time.Millisecond, Timeout: 200 * time.Millisecond},
+		vnodes:   16,
+		Replica:  Config{disableHedging: true, retryBackoff: time.Millisecond, timeout: 200 * time.Millisecond},
 		Fallback: fallbackRuntime(t),
 	})
 	if err != nil {

@@ -138,7 +138,7 @@ func TestCodecEquivalence(t *testing.T) {
 	defer sc.Close()
 	degraded := newTestClient(t, Config{
 		BaseURL: "http://127.0.0.1:1", Fallback: fallbackRuntime(t),
-		MaxAttempts: 1, DisableHedging: true,
+		maxAttempts: 1, disableHedging: true,
 	})
 
 	// Each codec answers every row it can spell; nil marks a row it cannot.

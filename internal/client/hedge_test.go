@@ -14,7 +14,7 @@ import (
 // latencies, never from the stale HTTP p99 accumulated before the
 // switch (and vice versa).
 func TestHedgeDelayPerTransport(t *testing.T) {
-	c, err := New(Config{BaseURL: "http://127.0.0.1:1", Timeout: time.Second, Stream: true})
+	c, err := New(Config{BaseURL: "http://127.0.0.1:1", timeout: time.Second, Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestHedgeDelayPerTransport(t *testing.T) {
 
 	// Clamps still apply per transport: a sub-floor stream p99 hedges at
 	// the 500µs floor instead of doubling load immediately.
-	fast, err := New(Config{BaseURL: "http://127.0.0.1:1", Timeout: time.Second, Stream: true})
+	fast, err := New(Config{BaseURL: "http://127.0.0.1:1", timeout: time.Second, Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +83,8 @@ func TestHedgeArmedAllocationBudget(t *testing.T) {
 		c.route[0].ladder[0].Transport = canned
 		return c
 	}
-	unhedged := single(Config{DisableHedging: true})
-	armed := single(Config{HedgeAfter: time.Hour})
+	unhedged := single(Config{disableHedging: true})
+	armed := single(Config{hedgeAfter: time.Hour})
 	cc, err := NewCluster(ClusterConfig{Members: []ClusterMember{
 		{ID: "node-a", BaseURL: "http://127.0.0.1:1"},
 		{ID: "node-b", BaseURL: "http://127.0.0.1:1"},

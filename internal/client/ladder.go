@@ -68,7 +68,7 @@ func newTransport(kind string, cfg *Config, met *counters) Transport {
 			params: cfg.RegionParams,
 			met:    met,
 			slots:  make([]streamSlot, cfg.StreamConns),
-			dial:   StreamDialConfig{Addr: cfg.StreamAddr, URL: cfg.BaseURL, DialTimeout: cfg.Timeout},
+			dial:   StreamDialConfig{Addr: cfg.StreamAddr, URL: cfg.BaseURL},
 		}
 	case TransportHTTPBinary, TransportHTTPJSON:
 		return &httpTransport{
@@ -174,7 +174,7 @@ type rung struct {
 // newEndpoint builds the endpoint for the daemon at cfg.BaseURL.
 func newEndpoint(id string, cfg *Config) *endpoint {
 	ep := &endpoint{id: id}
-	ep.breaker = newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown,
+	ep.breaker = newBreaker(cfg.breakerFailures, cfg.breakerCooldown,
 		func(from, to BreakerState) { ep.met.breakerTransition(to) })
 	add := func(kind string, lat *latencySampler, downgrades *atomic.Uint64) {
 		ep.ladder = append(ep.ladder, &rung{

@@ -81,7 +81,7 @@ func TestNWayEndToEndTraceReplayByteIdentical(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := newTestClient(t, Config{BaseURL: ts.URL, DisableHedging: true})
+	c := newTestClient(t, Config{BaseURL: ts.URL, disableHedging: true})
 
 	ids := map[string]bool{}
 	for _, id := range a.rt.Targets().IDs() {
@@ -222,7 +222,7 @@ func TestNWayConcurrentDecides(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := newTestClient(t, Config{BaseURL: ts.URL, DisableHedging: true})
+	c := newTestClient(t, Config{BaseURL: ts.URL, disableHedging: true})
 
 	ids := map[string]bool{}
 	for _, id := range rt.Targets().IDs() {

@@ -46,8 +46,6 @@ type StreamDialConfig struct {
 	// URL is the daemon base URL, e.g. "http://127.0.0.1:8080". Only
 	// plain http URLs can upgrade; TLS endpoints are a protocol error.
 	URL string
-	// DialTimeout bounds dialing plus the credit handshake (default 2s).
-	DialTimeout time.Duration
 }
 
 // StreamConn is one persistent multiplexed stream connection. It is
@@ -87,13 +85,9 @@ func DialStream(cfg StreamDialConfig) (*StreamConn, error) {
 
 // dialStream is DialStream for a caller that may give up: dial and
 // handshake end with ctx, and by the earliest of ctx's deadline, the
-// given one (zero: none) and DialTimeout.
+// given one (zero: none) and defaultTimeout from now.
 func dialStream(ctx context.Context, cfg StreamDialConfig, deadline time.Time) (*StreamConn, error) {
-	timeout := cfg.DialTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	if by := time.Now().Add(timeout); deadline.IsZero() || by.Before(deadline) {
+	if by := time.Now().Add(defaultTimeout); deadline.IsZero() || by.Before(deadline) {
 		deadline = by
 	}
 	ctx, cancel := context.WithDeadline(ctx, deadline)

@@ -49,9 +49,9 @@ func realStreamDaemon(t *testing.T) (string, string) {
 // verdicts, and the stream verdicts are tagged with their transport.
 func TestStreamDecideMatchesJSON(t *testing.T) {
 	url, addr := realStreamDaemon(t)
-	jsonClient := newTestClient(t, Config{BaseURL: url, DisableHedging: true})
+	jsonClient := newTestClient(t, Config{BaseURL: url, disableHedging: true})
 	streamClient := newTestClient(t, Config{
-		BaseURL: url, DisableHedging: true,
+		BaseURL: url, disableHedging: true,
 		Stream: true, StreamAddr: addr,
 	})
 
@@ -91,7 +91,7 @@ func TestStreamDecideMatchesJSON(t *testing.T) {
 // ride it.
 func TestStreamUpgradeOverHTTPPort(t *testing.T) {
 	url, _ := realStreamDaemon(t)
-	c := newTestClient(t, Config{BaseURL: url, DisableHedging: true, Stream: true})
+	c := newTestClient(t, Config{BaseURL: url, disableHedging: true, Stream: true})
 
 	v, err := c.Decide(context.Background(), gemmReq())
 	if err != nil {
@@ -119,7 +119,7 @@ func TestStreamFailoverToHTTP(t *testing.T) {
 	_ = dead.Close()
 
 	c := newTestClient(t, Config{
-		BaseURL: url, DisableHedging: true,
+		BaseURL: url, disableHedging: true,
 		Stream: true, StreamAddr: deadAddr,
 	})
 	for i := 0; i < 3; i++ {
@@ -162,7 +162,7 @@ func TestStreamStickyDowngrade(t *testing.T) {
 	}()
 
 	c := newTestClient(t, Config{
-		BaseURL: url, DisableHedging: true,
+		BaseURL: url, disableHedging: true,
 		Stream: true, StreamAddr: bogus.Addr().String(),
 	})
 	for i := 0; i < 3; i++ {
@@ -194,7 +194,7 @@ func TestStreamUpgradeRefusedDowngrades(t *testing.T) {
 		}
 		okResponse(w, "gemm", "gpu/base")
 	})
-	c := newTestClient(t, Config{BaseURL: ts.URL, DisableHedging: true, Stream: true})
+	c := newTestClient(t, Config{BaseURL: ts.URL, disableHedging: true, Stream: true})
 
 	for i := 0; i < 3; i++ {
 		v, err := c.Decide(context.Background(), gemmReq())
@@ -217,9 +217,9 @@ func TestStreamUpgradeRefusedDowngrades(t *testing.T) {
 func TestStreamConcurrentStress(t *testing.T) {
 	url, addr := realStreamDaemon(t)
 	c := newTestClient(t, Config{
-		BaseURL: url, DisableHedging: true,
+		BaseURL: url, disableHedging: true,
 		Stream: true, StreamAddr: addr, StreamConns: 2,
-		Timeout: 5 * time.Second,
+		timeout: 5 * time.Second,
 	})
 
 	const goroutines, perG = 16, 30
@@ -276,9 +276,9 @@ func TestChaosStreamMidKillLosesNoVerdicts(t *testing.T) {
 	c := newTestClient(t, Config{
 		BaseURL: url, // HTTP failover goes direct: the daemon is healthy
 		Stream:  true, StreamAddr: proxyAddr, StreamConns: 2,
-		MaxAttempts: 4, RetryBackoff: time.Millisecond,
-		BreakerFailures: 10_000, DisableHedging: true,
-		Timeout: 2 * time.Second,
+		maxAttempts: 4, retryBackoff: time.Millisecond,
+		breakerFailures: 10_000, disableHedging: true,
+		timeout: 2 * time.Second,
 	})
 
 	const goroutines, perG = 8, 40

@@ -62,9 +62,9 @@ func normalizeV2(r server.DecideResponseV2) server.DecideResponseV2 {
 func TestBinaryDecideMatchesJSON(t *testing.T) {
 	url := realDaemon(t)
 	frt := fallbackRuntime(t)
-	jsonClient := newTestClient(t, Config{BaseURL: url, DisableHedging: true})
+	jsonClient := newTestClient(t, Config{BaseURL: url, disableHedging: true})
 	binClient := newTestClient(t, Config{
-		BaseURL: url, DisableHedging: true,
+		BaseURL: url, disableHedging: true,
 		Binary: true, RegionParams: regionParamsHook(frt),
 	})
 
@@ -158,8 +158,8 @@ func TestBinaryDowngradesAgainstJSONOnlyDaemon(t *testing.T) {
 		okResponse(w, "gemm", "gpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, DisableHedging: true, RetryBackoff: time.Millisecond,
-		BreakerFailures: 1, // the downgrade must not feed even a hair-trigger breaker
+		BaseURL: ts.URL, disableHedging: true, retryBackoff: time.Millisecond,
+		breakerFailures: 1, // the downgrade must not feed even a hair-trigger breaker
 		Binary:          true,
 		RegionParams:    func(string) []string { return []string{"n"} },
 	})
@@ -202,7 +202,7 @@ func TestBinaryDowngradesOnUndecodable200(t *testing.T) {
 		okResponse(w, "gemm", "cpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, DisableHedging: true, RetryBackoff: time.Millisecond,
+		BaseURL: ts.URL, disableHedging: true, retryBackoff: time.Millisecond,
 		Binary: true, RegionParams: func(string) []string { return []string{"n"} },
 	})
 	v, err := c.Decide(context.Background(), gemmReq())
@@ -231,7 +231,7 @@ func TestBinarySlotFormRequiresParamAgreement(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			c := newTestClient(t, Config{
-				BaseURL: url, DisableHedging: true, Binary: true, RegionParams: hook,
+				BaseURL: url, disableHedging: true, Binary: true, RegionParams: hook,
 			})
 			v, err := c.Decide(context.Background(), gemmReq())
 			if err != nil {
@@ -282,7 +282,7 @@ func TestRetryAfterHTTPDate(t *testing.T) {
 		okResponse(w, "gemm", "gpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, DisableHedging: true, RetryBackoff: time.Millisecond,
+		BaseURL: ts.URL, disableHedging: true, retryBackoff: time.Millisecond,
 	})
 	start := time.Now()
 	v, err := c.Decide(context.Background(), gemmReq())
@@ -315,7 +315,7 @@ func TestFractionalEnvelopeRetryAfter(t *testing.T) {
 		okResponse(w, "gemm", "gpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, DisableHedging: true, RetryBackoff: time.Millisecond,
+		BaseURL: ts.URL, disableHedging: true, retryBackoff: time.Millisecond,
 	})
 	start := time.Now()
 	if _, err := c.Decide(context.Background(), gemmReq()); err != nil {

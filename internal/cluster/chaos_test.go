@@ -88,7 +88,7 @@ func newGossipChaosRig(t *testing.T, seed int64) *gossipChaosRig {
 		node, err := New(Config{
 			Self:      Member{ID: id, Gossip: gossipURL[id]},
 			Peers:     peers,
-			Vnodes:    64,
+			vnodes:    64,
 			Transport: &HTTPTransport{},
 		})
 		if err != nil {

@@ -69,12 +69,14 @@ type Config struct {
 	// membership (entries matching Self's ID are ignored).
 	Self  Member
 	Peers []Member
-	// Vnodes is the virtual-node count per member (DefaultVnodes if 0).
-	Vnodes int
 	// Transport performs gossip exchanges. Defaults to an HTTPTransport.
 	Transport Transport
 	// Logger receives gossip lifecycle events; nil discards them.
 	Logger *slog.Logger
+
+	// vnodes is a test hook: in-package tests build smaller rings; 0
+	// selects the constant (see NewRing).
+	vnodes int
 }
 
 // memberState is the node's view of one member.
@@ -141,7 +143,7 @@ func New(cfg Config) (*Node, error) {
 		members[p.ID] = &memberState{Member: p, health: Alive, states: map[string]stateBlob{}}
 		ids = append(ids, p.ID)
 	}
-	ring, err := NewRing(ids, cfg.Vnodes)
+	ring, err := NewRing(ids, cfg.vnodes)
 	if err != nil {
 		return nil, err
 	}

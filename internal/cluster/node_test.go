@@ -185,7 +185,7 @@ func testCluster(t *testing.T, n int) ([]*Node, []*setSource, *memTransport) {
 		node, err := New(Config{
 			Self:      members[i],
 			Peers:     peers,
-			Vnodes:    64,
+			vnodes:    64,
 			Transport: mesh.from(members[i].Gossip),
 		})
 		if err != nil {
@@ -321,7 +321,7 @@ func TestGossipHTTPTransport(t *testing.T) {
 	srcB := newSetSource("facts", "beta")
 
 	build := func(self Member, peers []Member, src *setSource) *Node {
-		n, err := New(Config{Self: self, Peers: peers, Vnodes: 64, Transport: &HTTPTransport{}})
+		n, err := New(Config{Self: self, Peers: peers, vnodes: 64, Transport: &HTTPTransport{}})
 		if err != nil {
 			t.Fatal(err)
 		}

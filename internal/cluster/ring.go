@@ -19,11 +19,12 @@ import (
 	"strconv"
 )
 
-// DefaultVnodes is the virtual-node count per member when Config leaves
-// it zero. Per-member share variance shrinks as 1/sqrt(vnodes); 1024
-// points keeps every member within a few percent of fair share for
-// small clusters while ring construction stays trivially cheap.
-const DefaultVnodes = 1024
+// defaultVnodes is the virtual-node count per member. Per-member share
+// variance shrinks as 1/sqrt(vnodes); 1024 points keeps every member
+// within a few percent of fair share for small clusters while ring
+// construction stays trivially cheap. It is a constant, not an option: a
+// replica and the clients routing to it must build the same ring.
+const defaultVnodes = 1024
 
 // fnv-1a, the same hash family attrdb uses for binding keys.
 const (
@@ -78,13 +79,14 @@ type point struct {
 	id   string
 }
 
-// NewRing builds a ring with vnodes virtual nodes per member
-// (DefaultVnodes if vnodes <= 0). IDs are deduplicated; at least one is
-// required. Given the same IDs and vnodes, every caller builds the
-// identical ring whatever the input order.
+// NewRing builds a ring with vnodes virtual nodes per member; 0 (or less)
+// selects the constant every production ring uses, and only tests pass
+// anything else. IDs are deduplicated; at least one is required. Given the
+// same IDs and vnodes, every caller builds the identical ring whatever the
+// input order.
 func NewRing(ids []string, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
-		vnodes = DefaultVnodes
+		vnodes = defaultVnodes
 	}
 	seen := make(map[string]bool, len(ids))
 	sorted := make([]string, 0, len(ids))

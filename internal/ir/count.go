@@ -32,15 +32,6 @@ func (l Loadout) Compute() float64 { return l.FP() + l.IntOps + l.Branches }
 // Total returns all dynamic instructions.
 func (l Loadout) Total() float64 { return l.Compute() + l.Mem() }
 
-// Scale returns the loadout with every counter multiplied by f.
-func (l Loadout) Scale(f float64) Loadout {
-	return Loadout{
-		FPAdd: l.FPAdd * f, FPMul: l.FPMul * f, FPDiv: l.FPDiv * f,
-		FPSpecial: l.FPSpecial * f, IntOps: l.IntOps * f,
-		Loads: l.Loads * f, Stores: l.Stores * f, Branches: l.Branches * f,
-	}
-}
-
 // add accumulates o (already weighted) into l.
 func (l *Loadout) add(o Loadout) {
 	l.FPAdd += o.FPAdd

@@ -46,26 +46,27 @@ import (
 // coalesced fraction.
 const NumFeatures = 5
 
-// Defaults applied by New for zero Config fields.
 const (
-	// DefaultMinSamples is the confidence gate's sample floor: a model
-	// corrects verdicts only once it has absorbed this many ground-truth
-	// observations.
-	DefaultMinSamples = 3
-	// DefaultLambda is the ridge strength on the feature weights. The
+	// defaultMinSamples is the confidence gate's sample floor when
+	// Config.MinSamples is zero: a model corrects verdicts only once it
+	// has absorbed this many ground-truth observations.
+	defaultMinSamples = 3
+	// ridgeLambda is the ridge strength on the feature weights. The
 	// bias term is regularized by biasLambda instead, so a cold model
 	// reduces to a mean-log-error correction rather than extrapolating
-	// from under-determined feature weights.
-	DefaultLambda = 1.0
-	// DefaultMaxVariance bounds the in-sample residual variance (in
-	// squared log space) a model may carry and still pass the confidence
-	// gate; above it the verdict falls back to the analytical ranking.
-	DefaultMaxVariance = 0.5
+	// from under-determined feature weights. A constant, like
+	// gateMaxVariance: replicas merge each other's sufficient statistics
+	// and must solve them alike, so a snapshot written under other values
+	// is refused (validateSnapshot).
+	ridgeLambda = 1.0
+	// biasLambda keeps the normal equations non-singular without
+	// materially shrinking the intercept.
+	biasLambda = 1e-6
+	// gateMaxVariance bounds the in-sample residual variance (in squared
+	// log space) a model may carry and still pass the confidence gate;
+	// above it the verdict falls back to the analytical ranking.
+	gateMaxVariance = 0.5
 )
-
-// biasLambda keeps the normal equations non-singular without materially
-// shrinking the intercept.
-const biasLambda = 1e-6
 
 // changeThreshold is the relative movement of a learned correction below
 // which an update is not worth invalidating memoized decisions — the
@@ -86,17 +87,8 @@ type Config struct {
 	Fallback offload.Calibrator
 
 	// MinSamples is the confidence gate's per-model sample floor
-	// (0 selects DefaultMinSamples).
+	// (0 selects defaultMinSamples).
 	MinSamples int
-
-	// Lambda is the ridge strength on the feature weights (0 selects
-	// DefaultLambda).
-	Lambda float64
-
-	// MaxVariance is the confidence gate's in-sample residual-variance
-	// ceiling (0 selects DefaultMaxVariance; negative disables the
-	// variance half of the gate).
-	MaxVariance float64
 }
 
 // model is one (region, target) — or per-target global — ridge state:
@@ -120,7 +112,7 @@ type model struct {
 
 // add folds one observation and re-solves the weights (a 5x5 system —
 // cheap next to the ground-truth simulation that produced the sample).
-func (m *model) add(x *[NumFeatures]float64, t, lambda float64) {
+func (m *model) add(x *[NumFeatures]float64, t float64) {
 	for i := 0; i < NumFeatures; i++ {
 		for j := 0; j < NumFeatures; j++ {
 			m.gram[i][j] += x[i] * x[j]
@@ -129,22 +121,22 @@ func (m *model) add(x *[NumFeatures]float64, t, lambda float64) {
 	}
 	m.sumT2 += t * t
 	m.n++
-	m.solve(lambda)
+	m.solve()
 }
 
 // solve recomputes w — and with it ok and resVar — from the accumulated
 // sums. Every path that changes the sums ends here: add, and restoreModel
 // for MergeState and Restore.
-func (m *model) solve(lambda float64) {
-	m.ok = m.solveWeights(lambda)
+func (m *model) solve() {
+	m.ok = m.solveWeights()
 	m.resVar = m.variance()
 }
 
 // solveWeights solves (gram + Λ) w = mom with Λ = diag(biasLambda,
-// lambda, ..., lambda), by Gaussian elimination with partial pivoting in
-// fixed order — deterministic for a given state, so snapshot restores
-// reproduce weights bit-for-bit. It reports whether w is usable.
-func (m *model) solveWeights(lambda float64) bool {
+// ridgeLambda, ..., ridgeLambda), by Gaussian elimination with partial
+// pivoting in fixed order — deterministic for a given state, so snapshot
+// restores reproduce weights bit-for-bit. It reports whether w is usable.
+func (m *model) solveWeights() bool {
 	var a [NumFeatures][NumFeatures + 1]float64
 	for i := 0; i < NumFeatures; i++ {
 		for j := 0; j < NumFeatures; j++ {
@@ -154,7 +146,7 @@ func (m *model) solveWeights(lambda float64) bool {
 	}
 	a[0][0] += biasLambda
 	for i := 1; i < NumFeatures; i++ {
-		a[i][i] += lambda
+		a[i][i] += ridgeLambda
 	}
 	for col := 0; col < NumFeatures; col++ {
 		pivot := col
@@ -261,13 +253,7 @@ var (
 // no Fallback the analytical verdicts keep their raw model ranking.
 func New(cfg Config) *Learner {
 	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = DefaultMinSamples
-	}
-	if cfg.Lambda <= 0 {
-		cfg.Lambda = DefaultLambda
-	}
-	if cfg.MaxVariance == 0 {
-		cfg.MaxVariance = DefaultMaxVariance
+		cfg.MinSamples = defaultMinSamples
 	}
 	return &Learner{
 		cfg:     cfg,
@@ -308,7 +294,7 @@ func (l *Learner) passesGate(m *model) bool {
 	if m == nil || !m.ok || m.n < uint64(l.cfg.MinSamples) {
 		return false
 	}
-	return !(l.cfg.MaxVariance > 0 && m.resVar > l.cfg.MaxVariance)
+	return !(m.resVar > gateMaxVariance)
 }
 
 // confidentLocked resolves the model that would correct (region, target)
@@ -404,13 +390,13 @@ func (l *Learner) ObserveVerdict(region string, f offload.Features, ms []audit.T
 			m = &model{}
 			rm[tm.Target] = m
 		}
-		m.add(&x, t, l.cfg.Lambda)
+		m.add(&x, t)
 		g := l.global[tm.Target]
 		if g == nil {
 			g = &model{}
 			l.global[tm.Target] = g
 		}
-		g.add(&x, t, l.cfg.Lambda)
+		g.add(&x, t)
 		l.samples.Add(1)
 
 		after, okAfter := l.effectiveLocked(region, tm.Target, &x)

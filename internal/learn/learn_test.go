@@ -2,6 +2,7 @@ package learn
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -90,7 +91,7 @@ func referenceCorrect(l *Learner, region string, f offload.Features, cands []off
 		if m == nil || !m.ok || m.n < uint64(l.cfg.MinSamples) {
 			return false
 		}
-		return !(l.cfg.MaxVariance > 0 && m.variance() > l.cfg.MaxVariance)
+		return !(m.variance() > gateMaxVariance)
 	}
 	mults := make([]float64, len(cands))
 	confident := len(cands) > 0
@@ -318,7 +319,7 @@ func TestHierarchicalFallback(t *testing.T) {
 // TestSnapshotRoundTrip: snapshot -> write -> read -> restore must
 // reproduce state, corrections and re-serialized bytes exactly.
 func TestSnapshotRoundTrip(t *testing.T) {
-	l := New(Config{MinSamples: 2, Lambda: 0.5, MaxVariance: 0.9})
+	l := New(Config{MinSamples: 2})
 	stream := seedStream(5)
 	for _, s := range stream {
 		l.ObserveVerdict(s.region, s.f, s.ms)
@@ -334,7 +335,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := New(Config{}) // deliberately different config: Restore adopts the snapshot's
+	restored := New(Config{}) // deliberately another MinSamples: Restore adopts the snapshot's
 	if err := restored.Restore(s); err != nil {
 		t.Fatal(err)
 	}
@@ -378,19 +379,58 @@ func stripCounters(s State) State {
 // TestSnapshotRejects exercises the loader's validation.
 func TestSnapshotRejects(t *testing.T) {
 	cases := map[string]string{
-		"future version": `{"version":99,"minSamples":3,"lambda":1}`,
-		"zero version":   `{"version":0,"minSamples":3,"lambda":1}`,
-		"bad minSamples": `{"version":1,"minSamples":0,"lambda":1}`,
-		"bad lambda":     `{"version":1,"minSamples":3,"lambda":-1}`,
-		"bad dims": `{"version":1,"minSamples":3,"lambda":1,
+		"future version": `{"version":99,"minSamples":3,"lambda":1,"maxVariance":0.5}`,
+		"zero version":   `{"version":0,"minSamples":3,"lambda":1,"maxVariance":0.5}`,
+		"bad minSamples": `{"version":1,"minSamples":0,"lambda":1,"maxVariance":0.5}`,
+		"bad lambda":     `{"version":1,"minSamples":3,"lambda":-1,"maxVariance":0.5}`,
+		"bad dims": `{"version":1,"minSamples":3,"lambda":1,"maxVariance":0.5,
 			"global":{"cpu/base":{"n":1,"gram":[[1]],"mom":[1],"sumT2":0}}}`,
-		"zero n": `{"version":1,"minSamples":3,"lambda":1,
+		"zero n": `{"version":1,"minSamples":3,"lambda":1,"maxVariance":0.5,
 			"global":{"cpu/base":{"n":0,"gram":[],"mom":[],"sumT2":0}}}`,
 		"not json": `{{{`,
 	}
 	for name, in := range cases {
 		if _, err := ReadSnapshot(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := ReadSnapshot(strings.NewReader(`{"version":1,"minSamples":3,"lambda":1,"maxVariance":0.5}`)); err != nil {
+		t.Errorf("the cases' common prefix is itself refused: %v", err)
+	}
+}
+
+// TestForeignHyperparametersRefused: lambda and maxVariance are constants
+// of the build, and sufficient statistics gathered under other values are
+// refused by every way into a learner — never re-solved under these. The
+// format still carries both, so a snapshot says what wrote it.
+func TestForeignHyperparametersRefused(t *testing.T) {
+	trained := New(Config{MinSamples: 2})
+	for _, s := range seedStream(3) {
+		trained.ObserveVerdict(s.region, s.f, s.ms)
+	}
+	if s := trained.Snapshot(); s.Lambda != ridgeLambda || s.MaxVariance != gateMaxVariance {
+		t.Fatalf("snapshot writes lambda %v / maxVariance %v, want the constants", s.Lambda, s.MaxVariance)
+	}
+	for name, foreign := range map[string]func(*Snapshot){
+		"lambda":      func(s *Snapshot) { s.Lambda = 0.5 },
+		"maxVariance": func(s *Snapshot) { s.MaxVariance = 0.9 },
+	} {
+		s := trained.Snapshot()
+		foreign(s)
+		into := New(Config{})
+		if err := into.Restore(s); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("foreign %s: Restore = %v, want a refusal naming it", name, err)
+		}
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if changed, err := into.MergeState(data); err == nil || changed {
+			t.Errorf("foreign %s: MergeState = %v, %v, want a refusal", name, changed, err)
+		}
+		if st := into.State(); len(st.Global)+len(st.Regions) != 0 {
+			t.Errorf("foreign %s: a refused state left %d global and %d region models behind",
+				name, len(st.Global), len(st.Regions))
 		}
 	}
 }

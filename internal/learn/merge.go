@@ -39,14 +39,14 @@ func (l *Learner) SnapshotState() []byte {
 
 // MergeState folds a peer replica's SnapshotState into this learner: per
 // model (global and per-region), the winning side's sufficient statistics
-// are kept and the weights re-solved with the local lambda.
-// Hyperparameters stay local. It reports whether anything changed — the
-// signal that this replica's own gossiped snapshot has a new version. A
-// region is reported stale to the runtime when one of its models was
-// replaced and the old or the new one clears the confidence gate: a
-// correction moved, or the gate flipped. A replaced global model
-// invalidates nothing, as when trained locally — ObserveVerdict reports
-// only the region it observed.
+// are kept and the weights re-solved. MinSamples stays local; a state
+// written under another lambda or maxVariance is refused. It reports
+// whether anything changed — the signal that this replica's own gossiped
+// snapshot has a new version. A region is reported stale to the runtime
+// when one of its models was replaced and the old or the new one clears
+// the confidence gate: a correction moved, or the gate flipped. A replaced
+// global model invalidates nothing, as when trained locally —
+// ObserveVerdict reports only the region it observed.
 func (l *Learner) MergeState(data []byte) (changed bool, err error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -57,7 +57,6 @@ func (l *Learner) MergeState(data []byte) (changed bool, err error) {
 	}
 	var stale []string
 	l.mu.Lock()
-	lambda := l.cfg.Lambda
 	// mergeInto reports whether a model that corrects verdicts, before or
 	// after, was replaced.
 	mergeInto := func(dst map[string]*model, id string, ms ModelSnapshot) bool {
@@ -65,7 +64,7 @@ func (l *Learner) MergeState(data []byte) (changed bool, err error) {
 		if m != nil && !modelWins(snapshotModel(m), ms) {
 			return false
 		}
-		dst[id] = restoreModel(ms, lambda)
+		dst[id] = restoreModel(ms)
 		changed = true
 		return l.passesGate(m) || l.passesGate(dst[id])
 	}

@@ -42,8 +42,8 @@ func (l *Learner) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Version:     SnapshotVersion,
 		MinSamples:  l.cfg.MinSamples,
-		Lambda:      l.cfg.Lambda,
-		MaxVariance: l.cfg.MaxVariance,
+		Lambda:      ridgeLambda,
+		MaxVariance: gateMaxVariance,
 		Global:      map[string]ModelSnapshot{},
 		Regions:     map[string]map[string]ModelSnapshot{},
 	}
@@ -77,31 +77,28 @@ func snapshotModel(m *model) ModelSnapshot {
 	return ms
 }
 
-// Restore replaces the learner's models (and hyperparameters, which the
-// stored weights depend on) with the snapshot's state, re-solving every
-// weight vector deterministically. The verdict/sample counters are not
-// part of the state and keep counting. Every region's memoized decisions
-// are reported stale to the runtime.
+// Restore replaces the learner's models and MinSamples with the
+// snapshot's, re-solving every weight vector deterministically. The
+// verdict/sample counters are not part of the state and keep counting.
+// Every region's memoized decisions are reported stale to the runtime.
 func (l *Learner) Restore(s *Snapshot) error {
 	if err := validateSnapshot(s); err != nil {
 		return err
 	}
 	global := make(map[string]*model, len(s.Global))
 	for id, ms := range s.Global {
-		global[id] = restoreModel(ms, s.Lambda)
+		global[id] = restoreModel(ms)
 	}
 	regions := make(map[string]map[string]*model, len(s.Regions))
 	for region, rm := range s.Regions {
 		out := make(map[string]*model, len(rm))
 		for id, ms := range rm {
-			out[id] = restoreModel(ms, s.Lambda)
+			out[id] = restoreModel(ms)
 		}
 		regions[region] = out
 	}
 	l.mu.Lock()
 	l.cfg.MinSamples = s.MinSamples
-	l.cfg.Lambda = s.Lambda
-	l.cfg.MaxVariance = s.MaxVariance
 	l.global = global
 	l.regions = regions
 	notify := l.changed
@@ -110,13 +107,13 @@ func (l *Learner) Restore(s *Snapshot) error {
 	return nil
 }
 
-func restoreModel(ms ModelSnapshot, lambda float64) *model {
+func restoreModel(ms ModelSnapshot) *model {
 	m := &model{n: ms.N, sumT2: ms.SumT2}
 	for i := 0; i < NumFeatures; i++ {
 		copy(m.gram[i][:], ms.Gram[i])
 		m.mom[i] = ms.Mom[i]
 	}
-	m.solve(lambda)
+	m.solve()
 	return m
 }
 
@@ -149,8 +146,12 @@ func validateSnapshot(s *Snapshot) error {
 	if s.MinSamples <= 0 {
 		return fmt.Errorf("learn: snapshot minSamples %d must be positive", s.MinSamples)
 	}
-	if s.Lambda <= 0 {
-		return fmt.Errorf("learn: snapshot lambda %v must be positive", s.Lambda)
+	// The statistics are only as good as the solver that reads them: a
+	// snapshot from a build with other hyperparameters is not re-solved
+	// under these, it is refused.
+	if s.Lambda != ridgeLambda || s.MaxVariance != gateMaxVariance {
+		return fmt.Errorf("learn: snapshot lambda %v / maxVariance %v, this build has %v / %v",
+			s.Lambda, s.MaxVariance, ridgeLambda, gateMaxVariance)
 	}
 	for id, m := range s.Global {
 		if err := validateModel(m); err != nil {

@@ -53,8 +53,8 @@ func (l *Learner) State() State {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	s.MinSamples = l.cfg.MinSamples
-	s.Lambda = l.cfg.Lambda
-	s.MaxVariance = l.cfg.MaxVariance
+	s.Lambda = ridgeLambda
+	s.MaxVariance = gateMaxVariance
 	s.Global = l.targetStatesLocked(l.global)
 	s.Regions = make([]RegionState, 0, len(l.regions))
 	for region, rm := range l.regions {

@@ -503,3 +503,15 @@ func PlatformP8K80() Platform {
 func PlatformP9V100() Platform {
 	return Platform{Name: "POWER9 + V100 (NVLink2)", CPU: POWER9(), GPU: TeslaV100(), Link: NVLink2()}
 }
+
+// ParsePlatform resolves a -platform flag value to one of the paper's two
+// experimental platforms.
+func ParsePlatform(name string) (Platform, error) {
+	switch name {
+	case "p9v100":
+		return PlatformP9V100(), nil
+	case "p8k80":
+		return PlatformP8K80(), nil
+	}
+	return Platform{}, fmt.Errorf("machine: unknown platform %q (have p9v100|p8k80)", name)
+}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -155,5 +156,15 @@ func TestPlatforms(t *testing.T) {
 	}
 	if p1.Link.BandwidthGBs >= p2.Link.BandwidthGBs {
 		t.Error("NVLink should outrun PCIe")
+	}
+	// The flag names resolve to the same two, and a typo is told them.
+	for name, want := range map[string]Platform{"p8k80": p1, "p9v100": p2} {
+		if got, err := ParsePlatform(name); err != nil || got.Name != want.Name {
+			t.Errorf("ParsePlatform(%q) = %q, %v, want %q", name, got.Name, err, want.Name)
+		}
+	}
+	if _, err := ParsePlatform("p9v10"); err == nil ||
+		!strings.Contains(err.Error(), "p8k80") || !strings.Contains(err.Error(), "p9v100") {
+		t.Errorf("ParsePlatform of an unknown name = %v, want an error listing the known ones", err)
 	}
 }

@@ -156,9 +156,8 @@ func traceLaw(t *testing.T, rt *Runtime, region string, b symbolic.Bindings) law
 			t.Fatalf("%s %v: one runtime, two verdicts:\n %+v\n %+v", region, b, tr.Fresh, d)
 		}
 	}
-	if tr.CPU != tr.Fresh.PredCPUSeconds || tr.GPU != tr.Fresh.PredGPUSeconds {
-		t.Fatalf("%s %v: Predict %v/%v, Decide recorded %v/%v", region, b,
-			tr.CPU, tr.GPU, tr.Fresh.PredCPUSeconds, tr.Fresh.PredGPUSeconds)
+	if cpu, gpu := tr.Fresh.BasePair(); tr.CPU != cpu || tr.GPU != gpu {
+		t.Fatalf("%s %v: Predict %v/%v, Decide recorded %v/%v", region, b, tr.CPU, tr.GPU, cpu, gpu)
 	}
 	return tr
 }

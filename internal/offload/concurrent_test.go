@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -112,8 +113,7 @@ func TestConcurrentLaunchStress(t *testing.T) {
 		if f, ok := first[p]; !ok {
 			first[p] = d
 		} else if d.TargetID != f.TargetID ||
-			d.PredCPUSeconds != f.PredCPUSeconds ||
-			d.PredGPUSeconds != f.PredGPUSeconds ||
+			!slices.Equal(d.Candidates, f.Candidates) ||
 			d.ActualSeconds != f.ActualSeconds {
 			t.Fatalf("%s n=%d: decisions diverged across launches", p.region, p.n)
 		}
@@ -194,7 +194,7 @@ func TestConcurrentOraclePolicy(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if out.ActualCPUSeconds <= 0 || out.ActualGPUSeconds <= 0 {
+				if out.ActualSeconds <= 0 {
 					errCh <- errNonPositive
 					return
 				}

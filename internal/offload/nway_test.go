@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/hybridsel/hybridsel/internal/machine"
@@ -19,7 +20,7 @@ func TestClassicPairRankedParity(t *testing.T) {
 			t.Run(plat.name+"/"+path, func(t *testing.T) {
 				rt := NewRuntime(Config{Platform: plat.p, Policy: ModelGuided})
 				rt.mapEvalOnly = path == "interpreted"
-				if !rt.Targets().IsClassicPair() {
+				if ids := rt.Targets().IDs(); !slices.Equal(ids, []string{TargetIDCPUBase, TargetIDGPUBase}) {
 					t.Fatal("default registry is not the classic pair")
 				}
 				for _, k := range polybench.Suite() {
@@ -52,9 +53,9 @@ func TestClassicPairRankedParity(t *testing.T) {
 							t.Errorf("%s/%v: top-1 candidate %s, want %s",
 								k.Name, mode, out.Candidates[0].Target, wantID)
 						}
-						if out.PredCPUSeconds != cpuSec || out.PredGPUSeconds != gpuSec {
-							t.Errorf("%s/%v: base-pair fields %v/%v, predictions %v/%v",
-								k.Name, mode, out.PredCPUSeconds, out.PredGPUSeconds, cpuSec, gpuSec)
+						if c, g := out.BasePair(); c != cpuSec || g != gpuSec {
+							t.Errorf("%s/%v: base pair %v/%v, predictions %v/%v",
+								k.Name, mode, c, g, cpuSec, gpuSec)
 						}
 					}
 				}
@@ -137,6 +138,50 @@ func TestSyntheticRankingTotalOrderAndStable(t *testing.T) {
 					t.Errorf("%s/%v: decision carries %d candidates, ranking has %d",
 						name, mode, len(out.Candidates), len(first))
 				}
+			}
+		}
+	}
+}
+
+// TestBasePairFollowsRegistrationOrder pins Decision.BasePair to Predict on
+// registries other than the classic pair: the first-registered target of
+// each kind wherever the ranking put it, and 0 for a kind that is absent.
+func TestBasePairFollowsRegistrationOrder(t *testing.T) {
+	plat := machine.PlatformP9V100()
+	k, err := polybench.Get("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct{ targets, firstCPU, firstGPU string }{
+		{"synthetic", TargetIDCPUBase, TargetIDGPUBase},
+		{"gpu/prev,cpu/smt2,gpu/base,cpu/base", "cpu/smt2", "gpu/prev"},
+		{"cpu/smt2,cpu/base", "cpu/smt2", ""},
+	} {
+		reg, err := ParseTargets(plat, 0, row.targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRuntime(Config{Platform: plat, Targets: reg}).Register(k.IR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []polybench.Mode{polybench.Test, polybench.Benchmark} {
+			b := k.Bindings(mode)
+			out, err := r.Decide(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]float64{"": 0}
+			for _, c := range out.Candidates {
+				want[c.Target] = c.PredSeconds
+			}
+			cpuSec, gpuSec := out.BasePair()
+			if cpuSec != want[row.firstCPU] || gpuSec != want[row.firstGPU] {
+				t.Errorf("%s/%v: BasePair %v/%v, want %s=%v %s=%v", row.targets, mode,
+					cpuSec, gpuSec, row.firstCPU, want[row.firstCPU], row.firstGPU, want[row.firstGPU])
+			}
+			if pc, pg, err := r.Predict(b); err != nil || pc != cpuSec || pg != gpuSec {
+				t.Errorf("%s/%v: Predict %v/%v (%v), BasePair %v/%v", row.targets, mode, pc, pg, err, cpuSec, gpuSec)
 			}
 		}
 	}

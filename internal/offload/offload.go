@@ -106,9 +106,8 @@ type Config struct {
 	// measured feedback before every policy decision (the online half of
 	// the shadow-audit loop, see internal/audit). It must be safe for
 	// concurrent use and cheap: decide consults it on every cache miss.
-	// Candidate.PredSeconds (and the legacy Decision.PredCPUSeconds/
-	// PredGPUSeconds) always carry the raw model output so traces stay
-	// comparable across calibration states; the calibrated CalSeconds
+	// Candidate.PredSeconds always carries the raw model output so traces
+	// stay comparable across calibration states; the calibrated CalSeconds
 	// only steer the ranking and policy.
 	Calibrator Calibrator
 
@@ -163,12 +162,6 @@ type Decision struct {
 	// its own.
 	Candidates []Candidate
 
-	// PredCPUSeconds/PredGPUSeconds are the raw predictions of the base
-	// CPU-kind and GPU-kind targets (0 when the registry has none),
-	// kept so two-target traces and logs read exactly as before the
-	// N-way redesign.
-	PredCPUSeconds float64
-	PredGPUSeconds float64
 	// SplitFraction is the host share of the iteration space chosen by
 	// a split decision (0 when not splitting).
 	SplitFraction float64
@@ -181,16 +174,29 @@ type Decision struct {
 	// configured Calibrator).
 	Provenance string
 	// ActualSeconds is the executed (simulated) time of the chosen
-	// target; for Oracle both actuals are filled.
+	// target (for Oracle, of the fastest one).
 	ActualSeconds    float64
-	ActualCPUSeconds float64 // 0 if the base CPU target was not executed
-	ActualGPUSeconds float64 // 0 if the base GPU target was not executed
 	DecisionOverhead time.Duration
 
 	// targetIdx is the chosen target's registry index (Registry.Len(), the
 	// pseudo-target's dispatch slot, for a split),
 	// carried so dispatch accounting avoids an ID lookup.
 	targetIdx int
+}
+
+// BasePair projects the ranked verdict onto the paper's binary question:
+// the raw PredSeconds of the first-registered candidate of each kind, 0 for
+// a kind the registry lacks. It is for the readers that keep a pair-shaped
+// output (/v1/decide, the trace format, the command-line tools).
+func (d *Decision) BasePair() (cpuSec, gpuSec float64) {
+	first := [2]int{-1, -1} // per kind (KindCPU, KindGPU): the lowest registration order seen
+	var sec [2]float64
+	for _, c := range d.Candidates {
+		if k := c.Kind; k <= KindGPU && (first[k] < 0 || c.order < first[k]) {
+			first[k], sec[k] = c.order, c.PredSeconds
+		}
+	}
+	return sec[KindCPU], sec[KindGPU]
 }
 
 // Outcome is what Launch returns.
@@ -465,18 +471,6 @@ func (rt *Runtime) appendCandidates(dst []Candidate, preds, cals []float64) []Ca
 	return dst
 }
 
-// basePreds extracts the base pair's raw predictions from registry-ordered
-// ones (0 for a kind the registry lacks).
-func (rt *Runtime) basePreds(preds []float64) (cpu, gpu float64) {
-	if i := rt.targets.baseCPU; i >= 0 {
-		cpu = preds[i]
-	}
-	if i := rt.targets.baseGPU; i >= 0 {
-		gpu = preds[i]
-	}
-	return cpu, gpu
-}
-
 // setChosen fills the decision's chosen-target fields from a registry
 // index (Registry.Len() for a cooperative split).
 func (rt *Runtime) setChosen(d *Decision, idx int) {
@@ -576,7 +570,15 @@ func (r *Region) selectTarget(d *Decision, cands []Candidate, ev evaluator) erro
 // returns the full ranking). Results are memoized in the region's
 // decision cache.
 func (r *Region) Predict(b symbolic.Bindings) (cpuSec, gpuSec float64, err error) {
-	err = r.predicted(b, func(preds []float64) { cpuSec, gpuSec = r.rt.basePreds(preds) })
+	g := r.rt.targets
+	err = r.predicted(b, func(preds []float64) {
+		if g.baseCPU >= 0 {
+			cpuSec = preds[g.baseCPU]
+		}
+		if g.baseGPU >= 0 {
+			gpuSec = preds[g.baseGPU]
+		}
+	})
 	return cpuSec, gpuSec, err
 }
 
@@ -696,7 +698,6 @@ func (r *Region) decide(ev evaluator, d *Decision) error {
 	rt := r.rt
 	v, preds, cals, ok := ev.lookup()
 	if ok && v.decided {
-		d.PredCPUSeconds, d.PredGPUSeconds = rt.basePreds(preds)
 		d.Candidates = rt.appendCandidates(d.Candidates[:0], preds, cals)
 		rankCandidates(d.Candidates)
 		d.SplitFraction = v.frac
@@ -716,7 +717,6 @@ func (r *Region) decide(ev evaluator, d *Decision) error {
 	// Fresh evaluations, or those of a prediction-only entry (stored by
 	// Predict, or under a dynamic constraint): selection starts from the
 	// raw predictions either way, so it is bit-for-bit the same.
-	d.PredCPUSeconds, d.PredGPUSeconds = rt.basePreds(preds)
 	if err := r.selectTarget(d, rt.appendCandidates(d.Candidates[:0], preds, preds), ev); err != nil {
 		return err
 	}
@@ -821,12 +821,6 @@ func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 			if err != nil {
 				return nil, err
 			}
-			switch i {
-			case rt.targets.baseCPU:
-				d.ActualCPUSeconds = sec
-			case rt.targets.baseGPU:
-				d.ActualGPUSeconds = sec
-			}
 			if best < 0 || sec < bestSec {
 				best, bestSec = i, sec
 			}
@@ -850,7 +844,6 @@ func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.ActualCPUSeconds, d.ActualGPUSeconds = cpuSec, gpuSec
 		// Both halves run concurrently; joining adds one barrier.
 		_, _, join := cpuSp.CPU.OverheadCycles(cpuSp.Threads)
 		d.ActualSeconds = maxf(cpuSec, gpuSec) +
@@ -863,12 +856,6 @@ func (r *Region) Launch(b symbolic.Bindings) (*Outcome, error) {
 		return nil, err
 	}
 	d.ActualSeconds = sec
-	switch d.targetIdx {
-	case rt.targets.baseCPU:
-		d.ActualCPUSeconds = sec
-	case rt.targets.baseGPU:
-		d.ActualGPUSeconds = sec
-	}
 	return r.finish(out)
 }
 

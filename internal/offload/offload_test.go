@@ -3,6 +3,7 @@ package offload
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -102,7 +103,8 @@ func TestPoliciesExecuteChosenTarget(t *testing.T) {
 	for _, p := range []Policy{AlwaysCPU, AlwaysGPU, ModelGuided, Oracle} {
 		rt := newRT(t, p)
 		log := observed(rt)
-		out, err := regionOf(t, rt, "gemm").Launch(b)
+		r := regionOf(t, rt, "gemm")
+		out, err := r.Launch(b)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -119,11 +121,12 @@ func TestPoliciesExecuteChosenTarget(t *testing.T) {
 				t.Fatalf("AlwaysGPU chose %v", out.TargetID)
 			}
 		case Oracle:
-			if out.ActualCPUSeconds <= 0 || out.ActualGPUSeconds <= 0 {
-				t.Fatal("oracle must execute both targets")
+			if n := rt.Metrics().ExecCacheMisses; n != 2 {
+				t.Fatalf("oracle executed %d targets, must execute both", n)
 			}
-			if out.ActualSeconds > out.ActualCPUSeconds ||
-				out.ActualSeconds > out.ActualGPUSeconds {
+			cpuSec, _ := r.ExecuteTarget(TargetIDCPUBase, b)
+			gpuSec, _ := r.ExecuteTarget(TargetIDGPUBase, b)
+			if out.ActualSeconds > cpuSec || out.ActualSeconds > gpuSec {
 				t.Fatal("oracle did not keep the faster target")
 			}
 		}
@@ -139,13 +142,13 @@ func TestModelGuidedTracksPredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.PredCPUSeconds <= 0 || out.PredGPUSeconds <= 0 {
-		t.Fatalf("predictions = %v / %v", out.PredCPUSeconds, out.PredGPUSeconds)
+	predCPU, predGPU := out.BasePair()
+	if predCPU <= 0 || predGPU <= 0 {
+		t.Fatalf("predictions = %v / %v", predCPU, predGPU)
 	}
-	wantGPU := out.PredGPUSeconds < out.PredCPUSeconds
+	wantGPU := predGPU < predCPU
 	if (out.Target == KindGPU) != wantGPU {
-		t.Fatalf("target %v inconsistent with predictions %v/%v",
-			out.Target, out.PredCPUSeconds, out.PredGPUSeconds)
+		t.Fatalf("target %v inconsistent with predictions %v/%v", out.Target, predCPU, predGPU)
 	}
 }
 
@@ -280,7 +283,7 @@ func TestRegionHandleLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.PredCPUSeconds != cpuSec || out.PredGPUSeconds != gpuSec {
+	if c, g := out.BasePair(); c != cpuSec || g != gpuSec {
 		t.Fatal("handle launch disagrees with handle predict")
 	}
 	sec, err := region.ExecuteTarget(out.TargetID, b)
@@ -322,7 +325,7 @@ func TestDecisionCacheHitsSkipModelEvaluation(t *testing.T) {
 	}
 	// Identical predictions and target from the cached path.
 	if log[0].TargetID != log[4].TargetID ||
-		log[0].PredCPUSeconds != log[4].PredCPUSeconds {
+		!slices.Equal(log[0].Candidates, log[4].Candidates) {
 		t.Fatal("cached decision differs from evaluated decision")
 	}
 	// Different bindings are distinct cache entries.
@@ -552,8 +555,8 @@ func TestCalibratorSteersDecision(t *testing.T) {
 	if flipped.Target == out.Target {
 		t.Fatalf("calibration did not flip the target from %v", out.Target)
 	}
-	if flipped.PredCPUSeconds != out.PredCPUSeconds ||
-		flipped.PredGPUSeconds != out.PredGPUSeconds {
+	fc, fg := flipped.BasePair()
+	if oc, og := out.BasePair(); fc != oc || fg != og {
 		t.Fatal("calibration leaked into the recorded raw predictions")
 	}
 

@@ -38,11 +38,12 @@ func TestFullSuiteEndToEnd(t *testing.T) {
 		if out.ActualSeconds <= 0 {
 			t.Errorf("%s: non-positive executed time", k.Name)
 		}
-		if out.PredCPUSeconds <= 0 || out.PredGPUSeconds <= 0 {
+		predCPU, predGPU := out.BasePair()
+		if predCPU <= 0 || predGPU <= 0 {
 			t.Errorf("%s: non-positive prediction", k.Name)
 		}
 		// The decision must be consistent with the predictions.
-		wantGPU := out.PredGPUSeconds < out.PredCPUSeconds
+		wantGPU := predGPU < predCPU
 		if (out.Target == KindGPU) != wantGPU {
 			t.Errorf("%s: target %v inconsistent with predictions", k.Name, out.Target)
 		}

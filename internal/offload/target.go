@@ -120,8 +120,8 @@ type Registry struct {
 	specs []TargetSpec
 	byID  map[string]int
 	// baseCPU/baseGPU index the first spec of each kind (-1 when the
-	// registry has none): the pair that anchors the legacy binary fields
-	// (PredCPUSeconds/PredGPUSeconds, split planning, audit actuals).
+	// registry has none): the pair Region.Predict reports and the split
+	// planner divides the iteration space between.
 	baseCPU, baseGPU int
 }
 
@@ -277,14 +277,6 @@ func (g *Registry) index(id string) int {
 	return i
 }
 
-// IsClassicPair reports whether the registry is exactly the historical
-// binary configuration: "cpu/base" then "gpu/base" and nothing else.
-func (g *Registry) IsClassicPair() bool {
-	return len(g.specs) == 2 &&
-		g.specs[0].ID == TargetIDCPUBase && g.specs[0].Kind == KindCPU &&
-		g.specs[1].ID == TargetIDGPUBase && g.specs[1].Kind == KindGPU
-}
-
 // Candidate is one target's entry in a ranked verdict: the raw model
 // prediction and the calibrated value the ranking ordered on
 // (CalSeconds == PredSeconds when no calibrator is configured).
@@ -417,10 +409,6 @@ func (c *capacityConstraint) EndDispatch(targetID string) {
 		c.inFlight.Add(-1)
 	}
 }
-
-// InFlight reports the current tracked dispatch count (for tests and
-// introspection).
-func (c *capacityConstraint) InFlight() int64 { return c.inFlight.Load() }
 
 // ParseConstraint resolves one constraint expression:
 //

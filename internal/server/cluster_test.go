@@ -17,7 +17,6 @@ func TestClusterStatusEndpoint(t *testing.T) {
 		Peers: []cluster.Member{
 			{ID: "node-b", Addr: "127.0.0.1:8081", Gossip: "http://127.0.0.1:1"},
 		},
-		Vnodes: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -239,11 +239,12 @@ func v1Response(region string, out *offload.Outcome, ei *ErrorInfo) DecideRespon
 	if ei != nil {
 		return DecideResponse{Region: region, Error: ei.Message}
 	}
+	cpuSec, gpuSec := out.BasePair()
 	return DecideResponse{
 		Region:         region,
 		Target:         out.Target.String(),
-		PredCPUSeconds: out.PredCPUSeconds,
-		PredGPUSeconds: out.PredGPUSeconds,
+		PredCPUSeconds: cpuSec,
+		PredGPUSeconds: gpuSec,
 		SplitFraction:  out.SplitFraction,
 		CacheHit:       out.CacheHit,
 		ActualSeconds:  out.ActualSeconds,

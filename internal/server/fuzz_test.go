@@ -42,13 +42,13 @@ func fuzzRuntime(f *testing.F, cal offload.Calibrator) *offload.Runtime {
 // documented response shapes.
 func FuzzDecideBody(f *testing.F) {
 	s, err := New(Config{
-		Runtime:  fuzzRuntime(f, nil),
-		MaxBatch: 8,
-		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Runtime: fuzzRuntime(f, nil),
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
+	s.maxBatch = 8
 	h := s.Handler()
 
 	f.Add([]byte(`{"region":"mvt1","bindings":{"n":64}}`))
@@ -106,14 +106,14 @@ func FuzzDecideBody(f *testing.F) {
 func FuzzDecideBodyV2(f *testing.F) {
 	lrn := learn.New(learn.Config{})
 	s, err := New(Config{
-		Runtime:  fuzzRuntime(f, lrn),
-		MaxBatch: 8,
-		Learner:  lrn,
-		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Runtime: fuzzRuntime(f, lrn),
+		Learner: lrn,
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
+	s.maxBatch = 8
 	h := s.Handler()
 
 	f.Add([]byte(`{"region":"mvt1","bindings":{"n":64}}`))

@@ -61,6 +61,9 @@ func TestGoldenAPICompat(t *testing.T) {
 		// learner serves the case from a server with a deterministically
 		// trained residual learner configured.
 		learner bool
+		// targets, when set, is the registry served instead of the classic
+		// pair.
+		targets string
 	}{
 		{name: "v1_decide_single", method: "POST", path: "/v1/decide",
 			body:   `{"region":"gemm","bindings":{"n":64}}`,
@@ -74,6 +77,11 @@ func TestGoldenAPICompat(t *testing.T) {
 			body: `{"requests":[{"region":"gemm","bindings":{"n":64}},` +
 				`{"region":"no-such-region"}]}`,
 			status: http.StatusOK, wantDeprecation: true},
+		// A registry without a GPU has no base GPU seconds to report: the
+		// frozen shape omits the field, it does not invent a device.
+		{name: "v1_decide_cpu_only", method: "POST", path: "/v1/decide",
+			body:   `{"region":"gemm","bindings":{"n":64}}`,
+			status: http.StatusOK, wantDeprecation: true, targets: "cpu/base,cpu/smt2"},
 		{name: "v1_regions", method: "GET", path: "/v1/regions",
 			status: http.StatusOK},
 		{name: "v1_targets", method: "GET", path: "/v1/targets",
@@ -105,6 +113,9 @@ func TestGoldenAPICompat(t *testing.T) {
 			cfg := Config{}
 			if tc.learner {
 				cfg.Learner = goldenLearner()
+			}
+			if tc.targets != "" {
+				cfg.Runtime = testRuntimeOver(t, tc.targets)
 			}
 			s := testServer(t, cfg)
 			ts := httptest.NewServer(s.Handler())

@@ -23,9 +23,8 @@ import (
 func fullDaemon(t *testing.T) *httptest.Server {
 	t.Helper()
 	node, err := cluster.New(cluster.Config{
-		Self:   cluster.Member{ID: "node-a", Addr: "127.0.0.1:8080"},
-		Peers:  []cluster.Member{{ID: "node-b", Addr: "127.0.0.1:8081", Gossip: "http://127.0.0.1:1"}},
-		Vnodes: 16,
+		Self:  cluster.Member{ID: "node-a", Addr: "127.0.0.1:8080"},
+		Peers: []cluster.Member{{ID: "node-b", Addr: "127.0.0.1:8081", Gossip: "http://127.0.0.1:1"}},
 	})
 	if err != nil {
 		t.Fatal(err)

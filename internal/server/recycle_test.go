@@ -175,7 +175,8 @@ func TestWireScratchPooling(t *testing.T) {
 func TestStreamRequestRecycling(t *testing.T) {
 	const credit = 16
 	gate := make(chan struct{})
-	s := testServer(t, Config{Concurrency: 4, StreamCredit: credit})
+	s := testServer(t, Config{Concurrency: 4})
+	s.streamCredit = credit
 	s.holdForTest = func() { <-gate }
 	addr := startStreamServer(t, s)
 	conn, sr, _ := dialStream(t, addr)

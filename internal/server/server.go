@@ -63,14 +63,17 @@ import (
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
-// Defaults applied by New for zero Config fields.
+// Defaults applied by New for zero Config fields, and the two limits that
+// are constants: no caller ever set them.
 const (
-	DefaultQueueDepth     = 1024
-	DefaultRequestTimeout = 5 * time.Second
-	DefaultMaxBatch       = 4096
-	// DefaultStreamCredit is the per-connection in-flight window granted
-	// when Config.StreamCredit is zero.
-	DefaultStreamCredit = 64
+	defaultQueueDepth     = 1024
+	defaultRequestTimeout = 5 * time.Second
+	// defaultMaxBatch caps the number of requests in one batched decide
+	// body.
+	defaultMaxBatch = 4096
+	// defaultStreamCredit bounds in-flight streams per stream connection:
+	// the flow-control window granted on connect.
+	defaultStreamCredit = 64
 )
 
 // Config parameterizes a Server.
@@ -85,19 +88,12 @@ type Config struct {
 	Concurrency int
 	// QueueDepth bounds admitted-but-waiting requests on top of
 	// Concurrency; beyond it requests are shed with 429. 0 selects
-	// DefaultQueueDepth; negative disables queueing (shed unless a
+	// defaultQueueDepth; negative disables queueing (shed unless a
 	// worker slot is immediately free).
 	QueueDepth int
 	// RequestTimeout is the per-request context deadline. 0 selects
-	// DefaultRequestTimeout.
+	// defaultRequestTimeout.
 	RequestTimeout time.Duration
-	// MaxBatch caps the number of requests in one batched /v1/decide
-	// body. 0 selects DefaultMaxBatch.
-	MaxBatch int
-	// StreamCredit bounds in-flight streams per stream connection (the
-	// flow-control window granted on connect). 0 selects
-	// DefaultStreamCredit.
-	StreamCredit int
 	// Logger receives structured request logs (nil = slog.Default).
 	Logger *slog.Logger
 
@@ -141,8 +137,12 @@ type Server struct {
 	streams  streamRegistry
 
 	// holdForTest, when set, runs while an execution slot is held —
-	// lets tests saturate the queue deterministically.
-	holdForTest func()
+	// lets tests saturate the queue deterministically. maxBatch and
+	// streamCredit are the constants; in-package tests shrink them to
+	// reach the limits with a handful of requests.
+	holdForTest  func()
+	maxBatch     int
+	streamCredit int
 }
 
 // New builds a server around a runtime. The runtime's regions may keep
@@ -156,18 +156,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	switch {
 	case cfg.QueueDepth == 0:
-		cfg.QueueDepth = DefaultQueueDepth
+		cfg.QueueDepth = defaultQueueDepth
 	case cfg.QueueDepth < 0:
 		cfg.QueueDepth = 0
 	}
 	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = DefaultRequestTimeout
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.StreamCredit <= 0 {
-		cfg.StreamCredit = DefaultStreamCredit
+		cfg.RequestTimeout = defaultRequestTimeout
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -180,6 +174,9 @@ func New(cfg Config) (*Server, error) {
 		tickets: make(chan struct{}, cfg.Concurrency+cfg.QueueDepth),
 		slots:   make(chan struct{}, cfg.Concurrency),
 		start:   time.Now(),
+
+		maxBatch:     defaultMaxBatch,
+		streamCredit: defaultStreamCredit,
 	}
 	cfg.Runtime.RegisterMetrics(&s.set)
 	cfg.Auditor.RegisterMetrics(&s.set)
@@ -431,9 +428,9 @@ func (s *Server) parseDecide(w http.ResponseWriter, r *http.Request) (*decideBod
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, "parse body: "+err.Error())
 		return nil, false
 	}
-	if req.Requests != nil && len(req.Requests) > s.cfg.MaxBatch {
+	if req.Requests != nil && len(req.Requests) > s.maxBatch {
 		httpError(w, http.StatusRequestEntityTooLarge, ErrCodeBatchTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Requests), s.cfg.MaxBatch))
+			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Requests), s.maxBatch))
 		return nil, false
 	}
 	return &req, true

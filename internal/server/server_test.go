@@ -22,10 +22,19 @@ import (
 )
 
 // testRuntime builds a cheap-simulation runtime over a few kernels.
-func testRuntime(t *testing.T) *offload.Runtime {
+func testRuntime(t *testing.T) *offload.Runtime { return testRuntimeOver(t, "classic") }
+
+// testRuntimeOver is testRuntime over a -targets registry.
+func testRuntimeOver(t *testing.T, targets string) *offload.Runtime {
 	t.Helper()
+	plat := machine.PlatformP9V100()
+	reg, err := offload.ParseTargets(plat, 0, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rt := offload.NewRuntime(offload.Config{
-		Platform: machine.PlatformP9V100(),
+		Platform: plat,
+		Targets:  reg,
 		CPUSim:   sim.CPUConfig{SampleItems: 8, MaxLoopSample: 32},
 		GPUSim:   sim.GPUConfig{SampleWarps: 2, MaxLoopSample: 32, MaxRepSample: 1},
 	})
@@ -207,7 +216,8 @@ func TestDecideBatchCoalesces(t *testing.T) {
 }
 
 func TestBatchTooLarge(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 2})
+	s := testServer(t, Config{})
+	s.maxBatch = 2
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	body := `{"requests":[{"region":"gemm"},{"region":"gemm"},{"region":"gemm"}]}`

@@ -149,7 +149,7 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 	sc := &streamConn{
 		s:      s,
 		conn:   conn,
-		credit: int64(s.cfg.StreamCredit),
+		credit: int64(s.streamCredit),
 		ctx:    ctx,
 		cancel: cancel,
 		out:    &wire.StreamWriter{W: conn, Wrote: s.met.streamWrote},

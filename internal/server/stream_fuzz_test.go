@@ -26,10 +26,11 @@ import (
 // it waits for — within the deadline.
 func FuzzStreamConn(f *testing.F) {
 	rt := fuzzRuntime(f, nil)
-	s, err := New(Config{Runtime: rt, StreamCredit: 4, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s, err := New(Config{Runtime: rt, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	if err != nil {
 		f.Fatal(err)
 	}
+	s.streamCredit = 4
 	l, err := net.Listen("unix", filepath.Join(f.TempDir(), "s"))
 	if err != nil {
 		f.Fatal(err)

@@ -84,8 +84,8 @@ func TestStreamServeBasic(t *testing.T) {
 	s := testServer(t, Config{})
 	addr := startStreamServer(t, s)
 	conn, sr, credit := dialStream(t, addr)
-	if credit != DefaultStreamCredit {
-		t.Fatalf("credit = %d, want %d", credit, DefaultStreamCredit)
+	if credit != defaultStreamCredit {
+		t.Fatalf("credit = %d, want %d", credit, defaultStreamCredit)
 	}
 
 	streamReq(t, conn, 1, "gemm", 1100)
@@ -172,7 +172,8 @@ func TestStreamOutOfOrder(t *testing.T) {
 func TestStreamCreditExhaustion(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	s := testServer(t, Config{Concurrency: 2, StreamCredit: 2})
+	s := testServer(t, Config{Concurrency: 2})
+	s.streamCredit = 2
 	s.holdForTest = func() {
 		entered <- struct{}{}
 		<-release
@@ -286,7 +287,8 @@ func TestStreamDrainGoaway(t *testing.T) {
 // exactly once. Run under -race this doubles as the data-race gate on
 // the reader/worker/combining-writer machinery.
 func TestStreamPipelinedStress(t *testing.T) {
-	s := testServer(t, Config{StreamCredit: 32})
+	s := testServer(t, Config{})
+	s.streamCredit = 32
 	addr := startStreamServer(t, s)
 
 	const conns = 4

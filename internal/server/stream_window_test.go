@@ -57,7 +57,7 @@ func TestStreamFullWindowNeverShed(t *testing.T) {
 	const total = 40000
 	var next, shed, failed atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < server.DefaultStreamCredit; w++ {
+	for w := 0; w < server.StreamCredit; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -39,7 +39,7 @@ func (s *Server) handleDecideWire(w http.ResponseWriter, r *http.Request) {
 		wireError(w, http.StatusBadRequest, ErrCodeBadRequest, "read body: "+err.Error())
 		return
 	}
-	sc.dec.MaxItems = s.cfg.MaxBatch
+	sc.dec.MaxItems = s.maxBatch
 	fr, n, err := sc.dec.Decode(body)
 	switch {
 	case errors.Is(err, wire.ErrTooLarge):

@@ -294,7 +294,8 @@ func TestWireBatchMatchesJSON(t *testing.T) {
 // frame, key-hash mismatches and oversized batches all answer with
 // TypeError frames carrying the stable envelope codes.
 func TestWireRejections(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 2})
+	s := testServer(t, Config{})
+	s.maxBatch = 2
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -341,9 +341,6 @@ func (e Expr) String() string {
 	return sb.String()
 }
 
-// Terms returns the number of monomials in e.
-func (e Expr) Terms() int { return len(e.terms) }
-
 // OpCount returns the number of integer additions and multiplications a
 // naive evaluation of e performs. It is used by the static instruction
 // loadout analysis to account for address-computation work.

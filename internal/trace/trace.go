@@ -51,9 +51,9 @@ type Record struct {
 	TargetID       string  `json:"targetId,omitempty"`
 	PredCPUSeconds float64 `json:"predCpuSeconds"`
 	PredGPUSeconds float64 `json:"predGpuSeconds"`
-	// Candidates is the full ranked verdict, recorded when the registry
-	// holds more than the classic pair (the base-pair fields above carry
-	// the whole story otherwise).
+	// Candidates is the full ranked verdict, recorded unless the registry
+	// is exactly the classic pair (the base-pair fields above — the
+	// decision's BasePair — carry the whole story then).
 	Candidates    []offload.Candidate `json:"candidates,omitempty"`
 	SplitFraction float64             `json:"splitFraction,omitempty"`
 	// ActualSeconds is the executed (simulated) time; 0 for decide-only
@@ -79,21 +79,27 @@ func (r *Record) IsAudit() bool { return r.Kind == KindAudit }
 // The caller supplies the sequence number.
 func FromDecision(seq uint64, d offload.Decision) Record {
 	rec := Record{
-		Seq:            seq,
-		Region:         d.Region,
-		Bindings:       d.Bindings,
-		Policy:         d.Policy.Name(),
-		Target:         d.Target.String(),
-		TargetID:       d.TargetID,
-		PredCPUSeconds: d.PredCPUSeconds,
-		PredGPUSeconds: d.PredGPUSeconds,
-		SplitFraction:  d.SplitFraction,
-		ActualSeconds:  d.ActualSeconds,
+		Seq:           seq,
+		Region:        d.Region,
+		Bindings:      d.Bindings,
+		Policy:        d.Policy.Name(),
+		Target:        d.Target.String(),
+		TargetID:      d.TargetID,
+		SplitFraction: d.SplitFraction,
+		ActualSeconds: d.ActualSeconds,
 	}
-	if len(d.Candidates) > 2 {
+	rec.PredCPUSeconds, rec.PredGPUSeconds = d.BasePair()
+	if !classicPair(d.Candidates) {
 		rec.Candidates = d.Candidates
 	}
 	return rec
+}
+
+// classicPair reports whether a ranking holds exactly "cpu/base" and
+// "gpu/base", in either order.
+func classicPair(cs []offload.Candidate) bool {
+	return len(cs) == 2 && (cs[0].Target == offload.TargetIDCPUBase && cs[1].Target == offload.TargetIDGPUBase ||
+		cs[0].Target == offload.TargetIDGPUBase && cs[1].Target == offload.TargetIDCPUBase)
 }
 
 // Writer appends records to a JSONL stream. It is safe for concurrent
@@ -309,13 +315,12 @@ func compare(rec *Record, d *offload.Decision, executed bool) *Divergence {
 			}
 		}
 	}
-	if d.PredCPUSeconds != rec.PredCPUSeconds {
-		return diverge("predCpuSeconds",
-			fmt.Sprint(rec.PredCPUSeconds), fmt.Sprint(d.PredCPUSeconds))
+	cpuSec, gpuSec := d.BasePair()
+	if cpuSec != rec.PredCPUSeconds {
+		return diverge("predCpuSeconds", fmt.Sprint(rec.PredCPUSeconds), fmt.Sprint(cpuSec))
 	}
-	if d.PredGPUSeconds != rec.PredGPUSeconds {
-		return diverge("predGpuSeconds",
-			fmt.Sprint(rec.PredGPUSeconds), fmt.Sprint(d.PredGPUSeconds))
+	if gpuSec != rec.PredGPUSeconds {
+		return diverge("predGpuSeconds", fmt.Sprint(rec.PredGPUSeconds), fmt.Sprint(gpuSec))
 	}
 	if d.SplitFraction != rec.SplitFraction {
 		return diverge("splitFraction",

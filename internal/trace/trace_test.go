@@ -164,6 +164,52 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	}
 }
 
+// TestReplaySeesSecondTargetDrift: a two-target registry that is not the
+// classic pair has no GPU for predGpuSeconds to carry, so its records hold
+// the ranked candidates, and a replay names the candidate whose prediction
+// moved.
+func TestReplaySeesSecondTargetDrift(t *testing.T) {
+	hostOnly := func(obs func(offload.Decision)) *offload.Runtime {
+		cfg := fastConfig()
+		reg, err := offload.ParseTargets(cfg.Platform, 0, "cpu/base,cpu/smt2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Targets, cfg.Observer = reg, obs
+		return newRuntime(t, cfg, "gemm")
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if _, err := regionOf(t, hostOnly(w.Observer()), "gemm").Launch(symbolic.Bindings{"n": 128}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || len(recs[0].Candidates) != 2 || recs[0].PredGPUSeconds != 0 {
+		t.Fatalf("recorded %+v, want one record with both host candidates and no GPU seconds", recs)
+	}
+	res, err := Replay(hostOnly(nil), recs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Check(); err != nil {
+		t.Fatalf("unperturbed replay: %v", err)
+	}
+	recs[0].Candidates[1].PredSeconds *= 1.01
+	res, err = Replay(hostOnly(nil), recs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.First == nil || res.First.Field != "candidates[1].predSeconds" {
+		t.Fatalf("perturbed second target: first divergence %v, want candidates[1].predSeconds", res.First)
+	}
+}
+
 // TestReplayUnknownRegion surfaces the runtime's sentinel error.
 func TestReplayUnknownRegion(t *testing.T) {
 	recs := []Record{{Region: "nope", Bindings: map[string]int64{"n": 8}}}

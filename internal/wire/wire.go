@@ -87,7 +87,7 @@ const (
 const headerLen = 8
 
 // Decoder sanity caps. They bound single-allocation sizes against
-// malformed input; semantic limits (server MaxBatch, binding counts)
+// malformed input; semantic limits (the server's batch cap, binding counts)
 // are enforced by the server with proper envelope codes.
 const (
 	maxStringLen = 1 << 20

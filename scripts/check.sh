@@ -18,7 +18,7 @@ echo "== api surface gate =="
 # regenerated (make api) and reviewed alongside the change.
 go run ./cmd/apidump -check api/exported.txt
 
-echo "== size: non-test lines per directory, exported surface =="
+echo "== size: non-test lines per directory, exported surface, Config fields, flags =="
 make -s loc
 
 echo "== go test =="
