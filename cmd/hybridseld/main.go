@@ -178,9 +178,8 @@ func main() {
 		Targets:           reg,
 	}
 
-	// Decision trace recording, wired through the runtime observer so it
-	// captures served /v1/decide traffic exactly as an in-process harness
-	// would capture launches.
+	// Decision trace recording: the trace writer observes every served
+	// decision exactly as an in-process harness would capture launches.
 	var tw *trace.Writer
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -189,20 +188,20 @@ func main() {
 		}
 		defer f.Close()
 		tw = trace.NewWriter(f)
-		cfg.Observer = tw.Observer()
 	}
 
-	// The calibrator (and the learner wrapping it) must exist before the
-	// runtime (they are Config hooks); the auditor needs the built
-	// runtime, so it is wired in below via SetObserver.
+	// The corrector — the calibrator, or the learner over it — must exist
+	// before the runtime (it is a Config hook); the auditor that trains it
+	// needs the built runtime.
 	var cal *audit.Calibrator
 	var lrn *learn.Learner
+	var corrector audit.Corrector
 	if *learnOn && *auditRate <= 0 {
 		fatal(logger, errors.New("-learn needs an audit training stream: set -audit-rate > 0"))
 	}
 	if *auditRate > 0 {
 		cal = audit.NewCalibrator(0)
-		cfg.Calibrator = cal
+		cfg.Calibrator, corrector = cal, cal
 		if *learnOn {
 			lrn = learn.New(learn.Config{Fallback: cal, MinSamples: *learnMinSamples})
 			if *learnIn != "" {
@@ -211,20 +210,9 @@ func main() {
 				}
 				logger.Info("learner snapshot loaded", "path", *learnIn)
 			}
-			cfg.Calibrator = lrn
+			cfg.Calibrator, corrector = lrn, lrn
+			logger.Info("residual learner enabled", "min_samples", lrn.Stats().MinSamples)
 		}
-	}
-
-	// Cluster state-replication sources wrap the calibrator and learner
-	// (when present) behind monotonic versions. They are created even
-	// before cluster mode is decided so the audit hook below can bump
-	// them unconditionally — a bump is one atomic add.
-	var sources []*cluster.VersionedSource
-	if cal != nil {
-		sources = append(sources, cluster.NewVersionedSource("calibration", cal.SnapshotState, cal.MergeState))
-	}
-	if lrn != nil {
-		sources = append(sources, cluster.NewVersionedSource("learner", lrn.SnapshotState, lrn.MergeState))
 	}
 
 	rt := offload.NewRuntime(cfg)
@@ -233,43 +221,21 @@ func main() {
 		fatal(logger, err)
 	}
 
+	var observer func(offload.Decision)
+	if tw != nil {
+		observer = tw.Observer()
+	}
 	var auditor *audit.Auditor
 	if *auditRate > 0 {
-		acfg := audit.Config{
-			Runtime:    rt,
-			Rate:       *auditRate,
-			Workers:    *auditWorkers,
-			Calibrator: cal,
-		}
-		if lrn != nil {
-			acfg.Learner = lrn
-			logger.Info("residual learner enabled",
-				"min_samples", lrn.MinSamples())
-		}
+		acfg := audit.Config{Runtime: rt, Rate: *auditRate, Workers: *auditWorkers, Corrector: corrector}
 		if tw != nil {
 			acfg.OnVerdict = audit.RecordObserver(tw)
 		}
-		// Every completed audit verdict may have moved calibration (and
-		// learner) state: mark both for replication on the next gossip
-		// exchange.
-		prev := acfg.OnVerdict
-		acfg.OnVerdict = func(v audit.Verdict) {
-			if prev != nil {
-				prev(v)
-			}
-			for _, src := range sources {
-				src.Bump()
-			}
-		}
 		auditor = audit.New(acfg)
-		var decisionObs func(offload.Decision)
-		if tw != nil {
-			decisionObs = tw.Observer()
-		}
-		rt.SetObserver(auditor.Observer(decisionObs))
-		logger.Info("shadow audit enabled",
-			"rate", *auditRate, "workers", *auditWorkers)
+		observer = auditor.Observer(observer)
+		logger.Info("shadow audit enabled", "rate", *auditRate, "workers", *auditWorkers)
 	}
+	rt.SetObserver(observer)
 	logger.Info("registered regions", "count", len(names), "policy", pol.Name(),
 		"platform", plat.Name, "threads", rt.Config().Threads,
 		"targets", strings.Join(rt.Targets().IDs(), ","))
@@ -326,8 +292,13 @@ func main() {
 		if err != nil {
 			fatal(logger, err)
 		}
-		for _, src := range sources {
-			node.Register(src.Source())
+		// Each state versions itself, so gossip re-encodes it only after an
+		// audit or a merge moved it.
+		if cal != nil {
+			node.Register("calibration", cal)
+		}
+		if lrn != nil {
+			node.Register("learner", lrn)
 		}
 		gossipSrv = &http.Server{Handler: node.Handler()}
 		go func() {

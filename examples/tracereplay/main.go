@@ -21,15 +21,14 @@ import (
 )
 
 func newRuntime(rec *trace.Writer) *offload.Runtime {
-	cfg := offload.Config{
+	rt := offload.NewRuntime(offload.Config{
 		Platform: machine.PlatformP9V100(),
 		Policy:   offload.ModelGuided,
-	}
+	})
 	if rec != nil {
 		// The trace writer observes every completed decision.
-		cfg.Observer = rec.Observer()
+		rt.SetObserver(rec.Observer())
 	}
-	rt := offload.NewRuntime(cfg)
 	for _, name := range []string{"gemm", "mvt1", "2dconv"} {
 		k, err := polybench.Get(name)
 		if err != nil {

@@ -64,34 +64,30 @@ type Config struct {
 	// ground-truth simulation never runs on the request path.
 	Workers int
 
-	// Calibrator, when non-nil, receives every verdict's signed
-	// log-errors and in turn supplies the runtime's prediction
-	// corrections. (It tells the runtime itself when an update made the
-	// region's memoized decisions stale; see offload.Calibrator.)
-	Calibrator *Calibrator
-
-	// Learner, when non-nil, receives every verdict's per-target
-	// ground-truth measurements together with the decision's feature
-	// vector (see offload.Features) — the training stream of the residual
-	// learner in internal/learn.
-	Learner VerdictLearner
+	// Corrector, when non-nil, is trained by every verdict and in turn
+	// supplies the runtime's prediction corrections (it tells the runtime
+	// itself when an update made memoized decisions stale; see
+	// offload.Calibrator) and the report's factor column.
+	Corrector Corrector
 
 	// OnVerdict, when non-nil, is invoked with every completed verdict
-	// (after accounting and calibration) — e.g. trace recording. Inline
+	// (after accounting and correction) — e.g. trace recording. Inline
 	// mode calls it on the offering goroutine; async mode from worker
 	// goroutines, so it must be safe for concurrent use.
 	OnVerdict func(Verdict)
 }
 
-// VerdictLearner consumes audit ground truth incrementally: one call per
-// verdict with the decision's feature vector and every target's
-// measured-vs-predicted seconds. It reports whether the update moved any
-// correction materially. Implementations must be safe for concurrent use
-// — async auditors call from worker goroutines. The interface lives here
-// (not in internal/learn) so the learner can depend on the audit types
-// without a package cycle.
-type VerdictLearner interface {
+// Corrector is what an audit trains: the EWMA Calibrator, or a residual
+// learner over one (internal/learn). ObserveVerdict folds one verdict —
+// the decision's feature vector and every target's measurement, in
+// registry order — and reports whether a correction moved materially;
+// Factor is one target's EWMA factor and the audits that shaped it.
+// Implementations must be safe for concurrent use: async auditors call
+// from worker goroutines. The interface lives here (not in internal/learn)
+// so the learner can depend on the audit types without a package cycle.
+type Corrector interface {
 	ObserveVerdict(region string, f offload.Features, ms []TargetMeasurement) (changed bool)
+	Factor(region, target string) (factor float64, n uint64)
 }
 
 // TargetMeasurement is one registered target's audit of a sampled point:
@@ -192,9 +188,9 @@ func newAuditor(cfg Config, queueDepth int) *Auditor {
 	return a
 }
 
-// Observer adapts the auditor to the offload.Config.Observer hook,
-// chaining to next (may be nil) — so one runtime can both trace and audit
-// its decisions.
+// Observer adapts the auditor to the runtime's observer hook
+// (Runtime.SetObserver), chaining to next (may be nil) — so one runtime
+// can both trace and audit its decisions.
 func (a *Auditor) Observer(next func(offload.Decision)) func(offload.Decision) {
 	return func(d offload.Decision) {
 		if next != nil {
@@ -276,7 +272,7 @@ func Sampled(key string, rate float64) bool {
 }
 
 // audit measures every registered target for the decision and folds the
-// verdict into the accounting, the calibrator, and the OnVerdict hook.
+// verdict into the accounting, the corrector, and the OnVerdict hook.
 func (a *Auditor) audit(d offload.Decision) {
 	rt := a.cfg.Runtime
 	reg := rt.Targets()
@@ -354,19 +350,11 @@ func (a *Auditor) audit(d offload.Decision) {
 	a.regretSec += v.RegretSeconds
 	a.mu.Unlock()
 
-	if a.cfg.Calibrator != nil {
-		logErrs := make(map[string]float64, len(v.Targets))
-		for _, tm := range v.Targets {
-			logErrs[tm.Target] = tm.LogErr
-		}
-		a.cfg.Calibrator.Observe(v.Region, logErrs)
-	}
-	if a.cfg.Learner != nil {
-		// Feed the residual learner the same ground truth, keyed by the
-		// decision's feature vector. A feature-evaluation failure only
-		// skips training — the audit accounting above already landed.
+	if a.cfg.Corrector != nil {
+		// A feature-evaluation failure only skips training — the audit
+		// accounting above already landed.
 		if f, err := region.Features(d.Bindings); err == nil {
-			a.cfg.Learner.ObserveVerdict(v.Region, f, v.Targets)
+			a.cfg.Corrector.ObserveVerdict(v.Region, f, v.Targets)
 		}
 	}
 	if a.cfg.OnVerdict != nil {

@@ -3,6 +3,7 @@ package audit
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -82,6 +83,17 @@ func TestSampledDeterministic(t *testing.T) {
 	}
 }
 
+// measured turns target → signed log-error pairs into one verdict's
+// measurements, in target order: all a Calibrator reads of a verdict.
+func measured(logErrs map[string]float64) []TargetMeasurement {
+	ms := make([]TargetMeasurement, 0, len(logErrs))
+	for id, le := range logErrs {
+		ms = append(ms, TargetMeasurement{Target: id, LogErr: le})
+	}
+	sort.Slice(ms, func(i, j int) bool { return ms[i].Target < ms[j].Target })
+	return ms
+}
+
 func TestCalibratorEWMA(t *testing.T) {
 	c := NewCalibrator(0.5)
 	ln2 := math.Log(2)
@@ -89,7 +101,7 @@ func TestCalibratorEWMA(t *testing.T) {
 
 	// First observation seeds the EWMA directly: factor == exp(logErr),
 	// i.e. calibrated prediction == actual.
-	if !c.Observe("r", map[string]float64{cpuID: ln2, gpuID: -ln2}) {
+	if !c.ObserveVerdict("r", offload.Features{}, measured(map[string]float64{cpuID: ln2, gpuID: -ln2})) {
 		t.Fatal("seeding observation reported no change")
 	}
 	factors := func() (fc, fg float64) {
@@ -115,7 +127,7 @@ func TestCalibratorEWMA(t *testing.T) {
 	}
 
 	// Second observation blends: ewma = 0.5*ln2 + 0.5*0 = ln2/2.
-	if !c.Observe("r", map[string]float64{cpuID: 0, gpuID: 0}) {
+	if !c.ObserveVerdict("r", offload.Features{}, measured(map[string]float64{cpuID: 0, gpuID: 0})) {
 		t.Fatal("halving observation reported no change")
 	}
 	fc, fg = factors()
@@ -125,15 +137,15 @@ func TestCalibratorEWMA(t *testing.T) {
 	}
 
 	// A sub-threshold movement is not worth a cache invalidation.
-	if c.Observe("r", map[string]float64{
+	if c.ObserveVerdict("r", offload.Features{}, measured(map[string]float64{
 		cpuID: math.Log(fc) + 1e-5, gpuID: math.Log(fg) + 1e-5,
-	}) {
+	})) {
 		t.Fatal("negligible movement reported as changed")
 	}
 	_, fg = factors()
 
 	// Targets beyond the base pair calibrate independently.
-	if !c.Observe("r", map[string]float64{"gpu/prev": ln2}) {
+	if !c.ObserveVerdict("r", offload.Features{}, measured(map[string]float64{"gpu/prev": ln2})) {
 		t.Fatal("new target's seeding observation reported no change")
 	}
 	if f, tn := c.Factor("r", "gpu/prev"); tn != 1 || math.Abs(f-2) > 1e-12 {
@@ -273,7 +285,7 @@ func TestCalibrationFlipsMispredictedKernel(t *testing.T) {
 		Threads:    4,
 		Calibrator: cal,
 	}, "mvt1")
-	a := New(Config{Runtime: rt, Rate: 1, Calibrator: cal})
+	a := New(Config{Runtime: rt, Rate: 1, Corrector: cal})
 	defer a.Close()
 
 	b := symbolic.Bindings{"n": 1100}
@@ -401,7 +413,7 @@ func TestAsyncNonBlockingDrop(t *testing.T) {
 func TestConcurrentOfferClose(t *testing.T) {
 	rt := newRT(t, offload.Config{Policy: offload.ModelGuided}, "gemm")
 	cal := NewCalibrator(0)
-	a := newAuditor(Config{Runtime: rt, Rate: 1, Workers: 2, Calibrator: cal}, 4)
+	a := newAuditor(Config{Runtime: rt, Rate: 1, Workers: 2, Corrector: cal}, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

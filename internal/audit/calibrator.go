@@ -33,6 +33,7 @@ type Calibrator struct {
 
 	mu      sync.RWMutex
 	regions map[string]*calState
+	version uint64 // see Version
 	// changed is the runtime's invalidation hook (OnCorrectionChange; a
 	// no-op until one is installed), called without mu held.
 	changed func(region string)
@@ -69,32 +70,41 @@ func (c *Calibrator) OnCorrectionChange(changed func(region string)) {
 	c.mu.Unlock()
 }
 
-// Observe folds one audit's signed log-errors — keyed by registry target
-// ID — into the region's per-target EWMAs. The first observation of a
-// target seeds its EWMA directly (there is no prior to damp against). It
-// reports whether any correction factor moved by more than 1% — in which
-// case the region's memoized decisions are stale and the runtime has been
-// told so.
-func (c *Calibrator) Observe(region string, logErrs map[string]float64) (changed bool) {
+// ObserveVerdict implements Corrector: it folds one audit's signed
+// log-errors into the region's per-target EWMAs, in measurement order (the
+// features are not read). The first observation of a target seeds its
+// EWMA directly (there is no prior to damp against). It reports whether
+// any correction factor moved by more than 1% — in which case the region's
+// memoized decisions are stale and the runtime has been told so.
+func (c *Calibrator) ObserveVerdict(region string, _ offload.Features, ms []TargetMeasurement) (changed bool) {
 	c.mu.Lock()
 	s := c.state(region)
-	for id, le := range logErrs {
-		t := s.target(id)
-		ewma := le
+	for _, tm := range ms {
+		t := s.target(tm.Target)
+		ewma := tm.LogErr
 		if t.n > 0 {
-			ewma = (1-c.alpha)*t.ewma + c.alpha*le
+			ewma = (1-c.alpha)*t.ewma + c.alpha*tm.LogErr
 		}
 		if t.set(t.n+1, ewma) {
 			changed = true
 		}
 	}
 	s.n++
+	c.version++
 	notify := c.changed
 	c.mu.Unlock()
 	if changed {
 		notify(region)
 	}
 	return changed
+}
+
+// Version advances, by one, with every mutation that changes
+// SnapshotState's bytes: an observation, or a merge that changed something.
+func (c *Calibrator) Version() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.version
 }
 
 // state returns the region's row, creating it. Caller holds c.mu.
@@ -150,8 +160,8 @@ func (c *Calibrator) CorrectFeatures(region string, _ offload.Features, cands []
 	return offload.ProvenanceAnalytical
 }
 
-// Factor returns one target's current correction factor for the region
-// and how many audits shaped it (1, 0 when never audited).
+// Factor implements Corrector: one target's current correction factor for
+// the region and how many audits shaped it (1, 0 when never audited).
 func (c *Calibrator) Factor(region, targetID string) (factor float64, n uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -34,14 +34,13 @@ func TestReplayReproducesVerdictsByteIdentical(t *testing.T) {
 			Policy:     offload.ModelGuided,
 			Threads:    4,
 			Calibrator: cal,
-			// Observer is wired below via the auditor chain.
 		}, kernels...)
 		a := New(Config{
-			Runtime:    rt,
-			Rate:       rate,
-			Workers:    0, // inline: verdicts interleave deterministically
-			Calibrator: cal,
-			OnVerdict:  RecordObserver(w),
+			Runtime:   rt,
+			Rate:      rate,
+			Workers:   0, // inline: verdicts interleave deterministically
+			Corrector: cal,
+			OnVerdict: RecordObserver(w),
 		})
 		defer a.Close()
 		rt.SetObserver(a.Observer(w.Observer()))
@@ -74,10 +73,10 @@ func TestReplayReproducesVerdictsByteIdentical(t *testing.T) {
 		Calibrator: cal2,
 	}, kernels...)
 	a2 := New(Config{
-		Runtime:    rt2,
-		Rate:       rate,
-		Calibrator: cal2,
-		OnVerdict:  RecordObserver(w2),
+		Runtime:   rt2,
+		Rate:      rate,
+		Corrector: cal2,
+		OnVerdict: RecordObserver(w2),
 	})
 	defer a2.Close()
 	rt2.SetObserver(a2.Observer(w2.Observer()))

@@ -140,8 +140,8 @@ func (a *Auditor) Report() Report {
 		for i := range rs.targets {
 			me := rs.targets[i].summary()
 			me.Target, me.Factor = reg.At(i).ID, 1
-			if a.cfg.Calibrator != nil {
-				me.Factor, _ = a.cfg.Calibrator.Factor(name, me.Target)
+			if a.cfg.Corrector != nil {
+				me.Factor, _ = a.cfg.Corrector.Factor(name, me.Target)
 			}
 			rr.Targets[i] = me
 		}

@@ -70,10 +70,10 @@ func moreEvolved(local CalTargetState, remote CalTargetState) bool {
 // MergeState folds a peer replica's serialized state into this
 // calibrator: per (region, target), the more-evolved entry (see
 // moreEvolved) wins and its correction factor is recomputed. It reports
-// whether anything changed — the signal that this replica's own gossiped
-// state has a new version. Regions in which a replaced factor moved by
-// more than 1% are reported to the runtime exactly as Observe reports
-// them.
+// whether anything changed — exactly when the snapshot's bytes did, and
+// Version advances with it. Regions in which a replaced factor moved by
+// more than 1% are reported to the runtime exactly as ObserveVerdict
+// reports them.
 func (c *Calibrator) MergeState(data []byte) (changed bool, err error) {
 	var st CalState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -92,6 +92,8 @@ func (c *Calibrator) MergeState(data []byte) (changed bool, err error) {
 	var stale []string
 	c.mu.Lock()
 	for region, rs := range st.Regions {
+		// A region new here is new state, even a row with no targets.
+		changed = changed || c.regions[region] == nil
 		s := c.state(region)
 		if rs.N > s.n {
 			s.n = rs.N
@@ -108,6 +110,9 @@ func (c *Calibrator) MergeState(data []byte) (changed bool, err error) {
 		if moved {
 			stale = append(stale, region)
 		}
+	}
+	if changed {
+		c.version++
 	}
 	notify := c.changed
 	c.mu.Unlock()

@@ -3,14 +3,16 @@ package audit
 import (
 	"bytes"
 	"testing"
+
+	"github.com/hybridsel/hybridsel/internal/offload"
 )
 
 func observeSome(c *Calibrator, region string, rounds int, bias float64) {
 	for i := 0; i < rounds; i++ {
-		c.Observe(region, map[string]float64{
+		c.ObserveVerdict(region, offload.Features{}, measured(map[string]float64{
 			"cpu/base": bias,
 			"gpu/base": -bias / 2,
-		})
+		}))
 	}
 }
 

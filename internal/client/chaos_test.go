@@ -40,11 +40,11 @@ func newChaosRig(t *testing.T, seed int64, ccfg Config) *chaosRig {
 		Platform: machine.PlatformP9V100(),
 		CPUSim:   sim.CPUConfig{SampleItems: 8, MaxLoopSample: 32},
 		GPUSim:   sim.GPUConfig{SampleWarps: 2, MaxLoopSample: 32, MaxRepSample: 1},
-		Observer: func(d offload.Decision) {
-			if d.ActualSeconds > 0 {
-				executed.Add(1)
-			}
-		},
+	})
+	daemonRT.SetObserver(func(d offload.Decision) {
+		if d.ActualSeconds > 0 {
+			executed.Add(1)
+		}
 	})
 	for _, name := range []string{"gemm", "mvt1"} {
 		k, err := polybench.Get(name)

@@ -60,11 +60,11 @@ func newNWayStack(t *testing.T) *nwayStack {
 		}
 	}
 	auditor := audit.New(audit.Config{
-		Runtime:    rt,
-		Rate:       1,
-		Workers:    0, // inline: deterministic audit ordering in the trace
-		Calibrator: cal,
-		OnVerdict:  audit.RecordObserver(tw),
+		Runtime:   rt,
+		Rate:      1,
+		Workers:   0, // inline: deterministic audit ordering in the trace
+		Corrector: cal,
+		OnVerdict: audit.RecordObserver(tw),
 	})
 	rt.SetObserver(auditor.Observer(tw.Observer()))
 	return &nwayStack{rt: rt, auditor: auditor, tw: tw, buf: buf}
@@ -209,7 +209,7 @@ func TestNWayConcurrentDecides(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	auditor := audit.New(audit.Config{Runtime: rt, Rate: 1, Workers: 2, Calibrator: cal})
+	auditor := audit.New(audit.Config{Runtime: rt, Rate: 1, Workers: 2, Corrector: cal})
 	defer auditor.Close()
 	rt.SetObserver(auditor.Observer(nil))
 

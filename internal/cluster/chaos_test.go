@@ -30,7 +30,6 @@ type gossipChaosRig struct {
 	ids   []string
 	nodes map[string]*Node
 	cals  map[string]*audit.Calibrator
-	srcs  map[string]*VersionedSource
 	gemm  map[string]*offload.Region
 }
 
@@ -41,7 +40,6 @@ func newGossipChaosRig(t *testing.T, seed int64) *gossipChaosRig {
 		ids:   []string{"node-a", "node-b", "node-c"},
 		nodes: map[string]*Node{},
 		cals:  map[string]*audit.Calibrator{},
-		srcs:  map[string]*VersionedSource{},
 		gemm:  map[string]*offload.Region{},
 	}
 	t.Cleanup(func() { _ = rig.mesh.Close() })
@@ -95,12 +93,10 @@ func newGossipChaosRig(t *testing.T, seed int64) *gossipChaosRig {
 			t.Fatal(err)
 		}
 		cal := audit.NewCalibrator(0.25)
-		src := NewVersionedSource("calibration", cal.SnapshotState, cal.MergeState)
-		node.Register(src.Source())
+		node.Register("calibration", cal)
 		handlers[id] = node.Handler()
 		rig.nodes[id] = node
 		rig.cals[id] = cal
-		rig.srcs[id] = src
 		rig.gemm[id] = gemmOn(t, cal)
 	}
 	return rig
@@ -140,10 +136,9 @@ func TestChaosSplitBrainHealConverges(t *testing.T) {
 	rig.mesh.Partition([]string{"node-a"}, []string{"node-b", "node-c"})
 
 	// Divergent evidence on each side of the split.
-	rig.cals["node-a"].Observe("gemm", map[string]float64{"cpu/base": 0.5, "gpu/base": -0.125})
-	rig.srcs["node-a"].Bump()
-	rig.cals["node-b"].Observe("mvt1", map[string]float64{"gpu/base": 0.25})
-	rig.srcs["node-b"].Bump()
+	rig.cals["node-a"].ObserveVerdict("gemm", offload.Features{},
+		[]audit.TargetMeasurement{{Target: "cpu/base", LogErr: 0.5}, {Target: "gpu/base", LogErr: -0.125}})
+	rig.cals["node-b"].ObserveVerdict("mvt1", offload.Features{}, []audit.TargetMeasurement{{Target: "gpu/base", LogErr: 0.25}})
 
 	rig.tickAll(4)
 
@@ -213,8 +208,7 @@ func TestChaosGossipNodeKillRecovery(t *testing.T) {
 		t.Fatalf("after sustained kill, node-a sees node-c as %v, want %v", h, Dead)
 	}
 
-	rig.cals["node-a"].Observe("gemm", map[string]float64{"cpu/base": 0.75})
-	rig.srcs["node-a"].Bump()
+	rig.cals["node-a"].ObserveVerdict("gemm", offload.Features{}, []audit.TargetMeasurement{{Target: "cpu/base", LogErr: 0.75}})
 
 	rig.mesh.Heal()
 	rig.tickAll(6)
@@ -250,8 +244,7 @@ func TestChaosLearnedFactorReachesCachedVerdicts(t *testing.T) {
 	}
 
 	// node-a's audits find the GPU model under-estimating gemm about 55x.
-	rig.cals["node-a"].Observe("gemm", map[string]float64{offload.TargetIDGPUBase: 4})
-	rig.srcs["node-a"].Bump()
+	rig.cals["node-a"].ObserveVerdict("gemm", offload.Features{}, []audit.TargetMeasurement{{Target: offload.TargetIDGPUBase, LogErr: 4}})
 	rig.tickAll(2)
 
 	for _, id := range rig.ids {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"sort"
 	"sync"
@@ -44,18 +45,23 @@ type Member struct {
 	Gossip string
 }
 
-// Source is one named, versioned state feed piggybacked on gossip: the
-// calibrator's EWMA factors, the learner's snapshot. Version reads the
-// local replica's state version, which increases whenever the state
-// changes; Snapshot serializes the state, and the node asks for it only
-// when Version moved; Apply folds a peer replica's state in (it must be an
-// idempotent merge — gossip redelivers freely). Apply is never called for
-// states originated by the local member.
-type Source struct {
-	Name     string
-	Version  func() uint64
-	Snapshot func() []byte
-	Apply    func(origin string, version uint64, data []byte) error
+// Source is one replicated state piggybacked on gossip under a name: the
+// calibrator's EWMA factors, the learner's snapshot (audit.Calibrator and
+// learn.Learner are Sources). Version advances whenever SnapshotState's
+// bytes change — by a local observation or a merge — so the node encodes a
+// state only when its version moved. MergeState folds a peer replica's
+// state in; it must be an idempotent merge (gossip redelivers freely), and
+// it is never called with states originated by the local member.
+type Source interface {
+	Version() uint64
+	SnapshotState() []byte
+	MergeState(data []byte) (changed bool, err error)
+}
+
+// namedSource is a registered Source under its gossip name.
+type namedSource struct {
+	name string
+	Source
 }
 
 // suspectAfter and deadAfter are the consecutive direct-exchange failures
@@ -104,7 +110,7 @@ type Node struct {
 
 	mu      sync.Mutex
 	members map[string]*memberState
-	sources []Source
+	sources []namedSource
 	rotate  int // round-robin cursor over gossip peers
 
 	ticks         atomic.Uint64
@@ -129,7 +135,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(discardHandler{})
+		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	members := map[string]*memberState{
 		cfg.Self.ID: {Member: cfg.Self, health: Alive, states: map[string]stateBlob{}},
@@ -160,20 +166,20 @@ func (n *Node) Self() string { return n.cfg.Self.ID }
 // client's failover order, and come back the moment it does.
 func (n *Node) Ring() *Ring { return n.ring }
 
-// Register adds a state source to piggyback on gossip. Register all
-// sources before the first Tick or Handler call.
-func (n *Node) Register(src Source) {
-	if src.Name == "" || src.Version == nil || src.Snapshot == nil || src.Apply == nil {
-		panic("cluster: source needs a name, a Version, a Snapshot and an Apply")
+// Register adds a state source to piggyback on gossip under name.
+// Register all sources before the first Tick or Handler call.
+func (n *Node) Register(name string, src Source) {
+	if name == "" || src == nil {
+		panic("cluster: a source needs a name")
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, s := range n.sources {
-		if s.Name == src.Name {
-			panic("cluster: duplicate source " + src.Name)
+		if s.name == name {
+			panic("cluster: duplicate source " + name)
 		}
 	}
-	n.sources = append(n.sources, src)
+	n.sources = append(n.sources, namedSource{name, src})
 }
 
 // Addr returns a member's decide base URL ("" for unknown members).
@@ -203,15 +209,11 @@ func (n *Node) HealthOf(id string) Health {
 func (n *Node) snapshotView() *wire.GossipMsg {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.snapshotViewLocked()
-}
-
-func (n *Node) snapshotViewLocked() *wire.GossipMsg {
 	self := n.members[n.cfg.Self.ID]
 	for _, src := range n.sources {
 		v := src.Version()
-		if blob, ok := self.states[src.Name]; !ok || v > blob.version {
-			self.states[src.Name] = stateBlob{version: v, data: src.Snapshot()}
+		if blob, ok := self.states[src.name]; !ok || v > blob.version {
+			self.states[src.name] = stateBlob{version: v, data: src.SnapshotState()}
 		}
 	}
 	ids := make([]string, 0, len(n.members))
@@ -256,13 +258,12 @@ func (n *Node) snapshotViewLocked() *wire.GossipMsg {
 //     outranks the rumor everywhere it has spread.
 //   - States merge independently of health, newest version per (member,
 //     source) wins; fresh states from other origins are folded into the
-//     local replica via the matching Source.Apply.
+//     local replica via the matching Source.MergeState.
 func (n *Node) Merge(msg *wire.GossipMsg) {
 	type apply struct {
-		src     Source
-		origin  string
-		version uint64
-		data    []byte
+		src    namedSource
+		origin string
+		data   []byte
 	}
 	var applies []apply
 	n.mu.Lock()
@@ -303,8 +304,8 @@ func (n *Node) Merge(msg *wire.GossipMsg) {
 			}
 			m.states[st.Name] = stateBlob{version: st.Version, data: st.Data}
 			for _, src := range n.sources {
-				if src.Name == st.Name {
-					applies = append(applies, apply{src: src, origin: e.ID, version: st.Version, data: st.Data})
+				if src.name == st.Name {
+					applies = append(applies, apply{src: src, origin: e.ID, data: st.Data})
 				}
 			}
 		}
@@ -313,10 +314,10 @@ func (n *Node) Merge(msg *wire.GossipMsg) {
 	// Apply outside the lock: merges take the calibrator/learner locks
 	// and may be slow; gossip bookkeeping must not block on them.
 	for _, a := range applies {
-		if err := a.src.Apply(a.origin, a.version, a.data); err != nil {
+		if _, err := a.src.MergeState(a.data); err != nil {
 			n.stateErrors.Add(1)
 			n.log.Warn("cluster: apply gossiped state failed",
-				"source", a.src.Name, "origin", a.origin, "err", err)
+				"source", a.src.name, "origin", a.origin, "err", err)
 			continue
 		}
 		n.statesApplied.Add(1)
@@ -440,12 +441,3 @@ func (n *Node) Start(interval time.Duration) (stop func()) {
 		})
 	}
 }
-
-// discardHandler is a slog.Handler that drops everything, so the node
-// can log unconditionally.
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }

@@ -98,16 +98,15 @@ func (m *memTransport) heal() {
 }
 
 // setSource is a tiny CRDT state source for tests: a grow-only string
-// set whose snapshot version counts changes.
+// set whose version counts changes.
 type setSource struct {
-	name string
-	mu   sync.Mutex
-	set  map[string]bool
-	ver  uint64
+	mu  sync.Mutex
+	set map[string]bool
+	ver uint64
 }
 
-func newSetSource(name string, initial ...string) *setSource {
-	s := &setSource{name: name, set: map[string]bool{}}
+func newSetSource(initial ...string) *setSource {
+	s := &setSource{set: map[string]bool{}}
 	for _, v := range initial {
 		s.set[v] = true
 	}
@@ -115,39 +114,37 @@ func newSetSource(name string, initial ...string) *setSource {
 	return s
 }
 
-func (s *setSource) source() Source {
-	return Source{
-		Name: s.name,
-		Version: func() uint64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.ver
-		},
-		Snapshot: func() []byte { return []byte(fmt.Sprint(s.values())) },
-		Apply: func(origin string, version uint64, data []byte) error {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			var vals []string
-			trimmed := bytes.Trim(data, "[]")
-			if len(trimmed) > 0 {
-				vals = append(vals, string(trimmed))
-			}
-			changed := false
-			for _, v := range vals {
-				for _, part := range bytes.Fields([]byte(v)) {
-					if !s.set[string(part)] {
-						s.set[string(part)] = true
-						changed = true
-					}
-				}
-			}
-			if changed {
-				s.ver++
-			}
-			return nil
-		},
-	}
+func (s *setSource) Version() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ver
 }
+
+func (s *setSource) SnapshotState() []byte { return []byte(fmt.Sprint(s.values())) }
+
+func (s *setSource) MergeState(data []byte) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	changed := false
+	for _, part := range bytes.Fields(bytes.Trim(data, "[]")) {
+		if !s.set[string(part)] {
+			s.set[string(part)] = true
+			changed = true
+		}
+	}
+	if changed {
+		s.ver++
+	}
+	return changed, nil
+}
+
+// encodeCounter is a setSource whose bytes are a count of its encodings.
+type encodeCounter struct {
+	*setSource
+	encode func() []byte
+}
+
+func (c encodeCounter) SnapshotState() []byte { return c.encode() }
 
 func (s *setSource) values() []string {
 	s.mu.Lock()
@@ -187,8 +184,8 @@ func testCluster(t *testing.T, n int) ([]*Node, []*setSource, *memTransport) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcs[i] = newSetSource("facts", members[i].ID)
-		node.Register(srcs[i].source())
+		srcs[i] = newSetSource(members[i].ID)
+		node.Register("facts", srcs[i])
 		nodes[i] = node
 		mesh.add(members[i].Gossip, node)
 	}
@@ -232,10 +229,8 @@ func TestGossipSpreadsState(t *testing.T) {
 func TestGossipEncodesASourceOnlyWhenItsVersionMoves(t *testing.T) {
 	nodes, _, _ := testCluster(t, 2)
 	encodes := 0
-	src := NewVersionedSource("counted",
-		func() []byte { encodes++; return []byte(fmt.Sprint(encodes)) },
-		func([]byte) (bool, error) { return false, nil })
-	nodes[0].Register(src.Source())
+	src := encodeCounter{newSetSource(), func() []byte { encodes++; return []byte(fmt.Sprint(encodes)) }}
+	nodes[0].Register("counted", src)
 	held := func() string {
 		nodes[1].mu.Lock()
 		defer nodes[1].mu.Unlock()
@@ -245,10 +240,10 @@ func TestGossipEncodesASourceOnlyWhenItsVersionMoves(t *testing.T) {
 	if encodes != 1 || held() != "1" {
 		t.Fatalf("6 rounds without a change: %d encodes, peer holds %q", encodes, held())
 	}
-	src.Bump()
+	src.MergeState([]byte("[fresh]"))
 	tickAll(nodes, 6)
 	if encodes != 2 || held() != "2" {
-		t.Fatalf("6 rounds after one bump: %d encodes, peer holds %q", encodes, held())
+		t.Fatalf("6 rounds after one change: %d encodes, peer holds %q", encodes, held())
 	}
 }
 
@@ -313,8 +308,8 @@ func TestGossipPartitionConvergesAfterHeal(t *testing.T) {
 	tickAll(nodes, 2)
 	mesh.partition([]string{"mem://node-a"}, []string{"mem://node-b", "mem://node-c"})
 	// Unique facts learned on each side of the split.
-	srcs[0].source().Apply("test", 1, []byte("[left-only]"))
-	srcs[1].source().Apply("test", 1, []byte("[right-only]"))
+	srcs[0].MergeState([]byte("[left-only]"))
+	srcs[1].MergeState([]byte("[right-only]"))
 	tickAll(nodes, 4)
 	// The minority side sees the majority as unreachable.
 	if got := nodes[0].HealthOf("node-b"); got == Alive {
@@ -340,15 +335,15 @@ func TestGossipPartitionConvergesAfterHeal(t *testing.T) {
 // TestGossipHTTPTransport: two nodes gossiping over real HTTP via
 // Handler converge exactly like the in-memory mesh.
 func TestGossipHTTPTransport(t *testing.T) {
-	srcA := newSetSource("facts", "alpha")
-	srcB := newSetSource("facts", "beta")
+	srcA := newSetSource("alpha")
+	srcB := newSetSource("beta")
 
 	build := func(self Member, peers []Member, src *setSource) *Node {
 		n, err := New(Config{Self: self, Peers: peers, vnodes: 64, Transport: &HTTPTransport{}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.Register(src.source())
+		n.Register("facts", src)
 		return n
 	}
 	a := build(Member{ID: "a", Addr: "http://a"}, nil, srcA)

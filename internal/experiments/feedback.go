@@ -13,28 +13,24 @@ import (
 )
 
 // variant is one way of correcting the analytical selector with audit
-// feedback. The zero variant is the paper's selector: nothing corrects
-// it and nothing audits it.
+// feedback: the corrector the variant's deciding runtime consults and its
+// auditor trains. The zero variant is the paper's selector: nothing
+// corrects it and nothing audits it.
 type variant struct {
-	// corrector is what the variant's deciding runtime consults.
-	corrector offload.Calibrator
-	// ewma and learner are what the variant's auditor feeds.
-	ewma    *audit.Calibrator
-	learner audit.VerdictLearner
+	corrector interface {
+		offload.Calibrator
+		audit.Corrector
+	}
 }
 
 // ewmaVariant corrects each region by the EWMA of its audited error.
-func ewmaVariant() variant {
-	cal := audit.NewCalibrator(0)
-	return variant{corrector: cal, ewma: cal}
-}
+func ewmaVariant() variant { return variant{audit.NewCalibrator(0)} }
 
-// learnerVariant corrects by the residual learner, which falls back to an
-// EWMA fed the same audits until a model clears the confidence gate.
+// learnerVariant corrects by the residual learner, which trains and falls
+// back to an EWMA until a model clears the confidence gate.
 func learnerVariant() (variant, *learn.Learner) {
-	cal := audit.NewCalibrator(0)
-	lrn := learn.New(learn.Config{Fallback: cal, MinSamples: LearnMinSamples})
-	return variant{corrector: lrn, ewma: cal, learner: lrn}, lrn
+	lrn := learn.New(learn.Config{Fallback: audit.NewCalibrator(0), MinSamples: LearnMinSamples})
+	return variant{lrn}, lrn
 }
 
 // Tally is what one variant's choices cost on one kernel over a study.
@@ -85,9 +81,8 @@ func (r *Runner) feedback(plat machine.Platform, threads, rounds int, rate float
 			return nil, nil, err
 		}
 		tallies[vi] = make([]Tally, len(r.kernels))
-		if v.ewma != nil {
-			s.auditor = audit.New(audit.Config{Runtime: pricing, Rate: rate,
-				Calibrator: v.ewma, Learner: v.learner})
+		if v.corrector != nil {
+			s.auditor = audit.New(audit.Config{Runtime: pricing, Rate: rate, Corrector: v.corrector})
 			defer s.auditor.Close()
 			s.rt.SetObserver(s.auditor.Offer)
 		}

@@ -38,7 +38,8 @@ func TestMergedCalibrationInvalidatesCache(t *testing.T) {
 	// What the peer replica learned: the GPU model under-estimates gemm
 	// about 55x (log-error 4); the CPU model is right.
 	peerCal := audit.NewCalibrator(0)
-	peerCal.Observe("gemm", map[string]float64{offload.TargetIDCPUBase: 0, offload.TargetIDGPUBase: 4})
+	peerCal.ObserveVerdict("gemm", offload.Features{}, []audit.TargetMeasurement{
+		{Target: offload.TargetIDCPUBase, LogErr: 0}, {Target: offload.TargetIDGPUBase, LogErr: 4}})
 	peerLrn := New(Config{MinSamples: 2})
 	probe := gemmRuntime(t, nil)
 	for _, n := range []int64{200, 300, 400} {

@@ -79,12 +79,12 @@ const maxLogCorrection = 8.0
 
 // Config parameterizes a Learner.
 type Config struct {
-	// Fallback, when non-nil, corrects the verdicts the confidence gate
-	// rejects — the EWMA calibrator in the standard wiring, shared with
-	// the auditor that feeds both. With a zero-state learner every
-	// verdict delegates here, reproducing the pure EWMA behaviour
-	// bit-for-bit.
-	Fallback offload.Calibrator
+	// Fallback, when non-nil, is the EWMA calibrator that corrects the
+	// verdicts the confidence gate rejects. The learner trains it:
+	// ObserveVerdict feeds it every verdict before its own models. With a
+	// zero-state learner every verdict delegates here, reproducing the pure
+	// EWMA behaviour bit-for-bit.
+	Fallback *audit.Calibrator
 
 	// MinSamples is the confidence gate's per-model sample floor
 	// (0 selects defaultMinSamples).
@@ -224,8 +224,8 @@ func (m *model) variance() float64 {
 
 // Learner is the online residual learner. It implements
 // offload.Calibrator (wire as offload.Config.Calibrator) and
-// audit.VerdictLearner (wire as audit.Config.Learner). Safe for
-// concurrent use.
+// audit.Corrector (wire as audit.Config.Corrector). Safe for concurrent
+// use.
 type Learner struct {
 	cfg Config
 
@@ -234,6 +234,7 @@ type Learner struct {
 	// target ID); regions the per-(region, target) models.
 	global  map[string]*model
 	regions map[string]map[string]*model
+	version uint64 // see Version
 	// changed is the runtime's invalidation hook (OnCorrectionChange; a
 	// no-op until one is installed), called without mu held.
 	changed func(region string)
@@ -245,8 +246,8 @@ type Learner struct {
 }
 
 var (
-	_ offload.Calibrator   = (*Learner)(nil)
-	_ audit.VerdictLearner = (*Learner)(nil)
+	_ offload.Calibrator = (*Learner)(nil)
+	_ audit.Corrector    = (*Learner)(nil)
 )
 
 // New builds a learner. A zero Config is valid: defaults apply, and with
@@ -274,9 +275,6 @@ func (l *Learner) OnCorrectionChange(changed func(region string)) {
 	}
 }
 
-// MinSamples returns the effective confidence-gate sample floor.
-func (l *Learner) MinSamples() int { return l.cfg.MinSamples }
-
 // featVec builds the fixed feature vector for one target's prediction at
 // a decision point. predSeconds must be positive.
 func featVec(predSeconds float64, f offload.Features) [NumFeatures]float64 {
@@ -297,15 +295,10 @@ func (l *Learner) passesGate(m *model) bool {
 	return !(m.resVar > gateMaxVariance)
 }
 
-// confidentLocked resolves the model that would correct (region, target)
-// — the region model when it clears the gate, else the global fallback
-// when it does, else nil. Callers hold l.mu (either side).
-func (l *Learner) confidentLocked(region, target string) *model {
-	return l.confidentIn(l.regions[region], target)
-}
-
-// confidentIn is confidentLocked with the region's models already
-// resolved (nil for a region never observed).
+// confidentIn resolves the model that would correct target in the region
+// whose models are rm (nil for a region never observed) — the region model
+// when it clears the gate, else the global fallback when it does, else
+// nil. Callers hold l.mu (either side).
 func (l *Learner) confidentIn(rm map[string]*model, target string) *model {
 	if m := rm[target]; l.passesGate(m) {
 		return m
@@ -362,13 +355,17 @@ func (l *Learner) CorrectFeatures(region string, f offload.Features, cands []off
 	return offload.ProvenanceLearned
 }
 
-// ObserveVerdict implements audit.VerdictLearner: it folds every
-// measured target of one audit verdict into the region's and the global
-// models, in slice order (deterministic for a deterministic audit
-// stream). It reports whether any learned correction at the observed
-// point moved materially — including a gate transition — in which case the
+// ObserveVerdict implements audit.Corrector: it trains the Fallback, then
+// folds every measured target into the region's and the global models in
+// slice order (deterministic for a deterministic audit stream). It reports
+// whether a correction moved materially — the Fallback's, or a learned one
+// at the observed point, a gate transition included — in which case the
 // region's memoized decisions are stale and the runtime has been told so.
 func (l *Learner) ObserveVerdict(region string, f offload.Features, ms []audit.TargetMeasurement) (changed bool) {
+	if l.cfg.Fallback != nil {
+		changed = l.cfg.Fallback.ObserveVerdict(region, f, ms)
+	}
+	moved, trained := false, false
 	l.mu.Lock()
 	for i := range ms {
 		tm := &ms[i]
@@ -398,21 +395,21 @@ func (l *Learner) ObserveVerdict(region string, f offload.Features, ms []audit.T
 		}
 		g.add(&x, t)
 		l.samples.Add(1)
+		trained = true
 
 		after, okAfter := l.effectiveLocked(region, tm.Target, &x)
-		if okBefore != okAfter {
-			changed = true
-		} else if okAfter && relChange(before, after) > changeThreshold {
-			changed = true
-		}
+		moved = moved || okBefore != okAfter || okAfter && relChange(before, after) > changeThreshold
+	}
+	if trained {
+		l.version++
 	}
 	notify := l.changed
 	l.mu.Unlock()
-	if changed {
+	if moved {
 		l.updates.Add(1)
 		notify(region)
 	}
-	return changed
+	return changed || moved
 }
 
 // effectiveLocked evaluates the learned multiplier that would currently
@@ -420,11 +417,30 @@ func (l *Learner) ObserveVerdict(region string, f offload.Features, ms []audit.T
 // fallback owns such verdicts, and its own >1% rule handles their
 // invalidation).
 func (l *Learner) effectiveLocked(region, target string, x *[NumFeatures]float64) (mult float64, ok bool) {
-	m := l.confidentLocked(region, target)
+	m := l.confidentIn(l.regions[region], target)
 	if m == nil {
 		return 0, false
 	}
 	return m.multiplier(x), true
+}
+
+// Factor implements audit.Corrector: the Fallback's EWMA factor (1, 0
+// without one).
+func (l *Learner) Factor(region, target string) (float64, uint64) {
+	if l.cfg.Fallback == nil {
+		return 1, 0
+	}
+	return l.cfg.Fallback.Factor(region, target)
+}
+
+// Version advances, by one, with every mutation that changes
+// SnapshotState's bytes: an observation that trained a model, a merge that
+// changed something, a Restore to other state. (The Fallback versions its
+// own state.)
+func (l *Learner) Version() uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.version
 }
 
 func relChange(old, new float64) float64 {
@@ -445,7 +461,7 @@ func (l *Learner) Multiplier(region, target string, predSeconds float64, f offlo
 	x := featVec(predSeconds, f)
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	m := l.confidentLocked(region, target)
+	m := l.confidentIn(l.regions[region], target)
 	if m == nil {
 		return 1, false
 	}

@@ -236,7 +236,7 @@ func TestConfidenceGate(t *testing.T) {
 	// fallback's output.
 	cands := newCands()
 	want := newCands()
-	cal.Observe(region, map[string]float64{"cpu/base": math.Log(2), "gpu/base": 0})
+	cal.ObserveVerdict(region, f, ms)
 	if prov := l.CorrectFeatures(region, f, cands); prov != offload.ProvenanceAnalytical {
 		t.Fatalf("cold verdict provenance = %q", prov)
 	}
@@ -291,6 +291,48 @@ func TestConfidenceGate(t *testing.T) {
 	}
 	if st.ConfidentModels == 0 {
 		t.Fatalf("no confident models after gate: %+v", st)
+	}
+}
+
+// TestLearnerTrainsItsFallback: the auditor hands a learner its verdicts
+// and nothing else, so the EWMA the learner falls back to below the gate
+// must learn from them exactly as a calibrator fed the same verdicts
+// directly — and correct a below-gate verdict by those factors.
+func TestLearnerTrainsItsFallback(t *testing.T) {
+	fallback, direct := audit.NewCalibrator(0), audit.NewCalibrator(0)
+	l := New(Config{Fallback: fallback, MinSamples: 1 << 20}) // the gate never opens
+	stream := seedStream(3)
+	for _, s := range stream {
+		l.ObserveVerdict(s.region, s.f, s.ms)
+		direct.ObserveVerdict(s.region, s.f, s.ms)
+	}
+	if got, want := fallback.SnapshotState(), direct.SnapshotState(); !bytes.Equal(got, want) {
+		t.Fatalf("the learner's fallback holds\n %s\na calibrator fed the same verdicts holds\n %s", got, want)
+	}
+	s := stream[0]
+	cands := make([]offload.Candidate, len(s.ms))
+	for i, m := range s.ms {
+		cands[i] = offload.Candidate{Target: m.Target, PredSeconds: m.PredSeconds, CalSeconds: m.PredSeconds}
+	}
+	want := append([]offload.Candidate(nil), cands...)
+	direct.CorrectFeatures(s.region, s.f, want)
+	if prov := l.CorrectFeatures(s.region, s.f, cands); prov != offload.ProvenanceAnalytical {
+		t.Fatalf("below-gate verdict provenance = %q", prov)
+	}
+	corrected := false
+	for i := range cands {
+		if math.Float64bits(cands[i].CalSeconds) != math.Float64bits(want[i].CalSeconds) {
+			t.Fatalf("%s corrected to %v, the directly fed calibrator's factor gives %v",
+				cands[i].Target, cands[i].CalSeconds, want[i].CalSeconds)
+		}
+		scale := cands[i].CalSeconds / cands[i].PredSeconds
+		corrected = corrected || scale != 1
+		if f, n := l.Factor(s.region, cands[i].Target); n == 0 || math.Abs(f-scale) > 1e-12 {
+			t.Fatalf("%s: Factor %v from %d audits, verdict scaled by %v", cands[i].Target, f, n, scale)
+		}
+	}
+	if !corrected {
+		t.Fatal("the test has no teeth: every factor is 1")
 	}
 }
 
@@ -461,12 +503,12 @@ func TestCorrectorZeroStateMatchesEWMA(t *testing.T) {
 			// the fallback path is exercised with real corrections.
 			ids := rtA.Targets().IDs()
 			for ki, k := range polybench.Suite() {
-				les := make(map[string]float64, len(ids))
+				les := make([]audit.TargetMeasurement, len(ids))
 				for ti, id := range ids {
-					les[id] = float64((ki*7+ti*3)%9-4) / 10
+					les[ti] = audit.TargetMeasurement{Target: id, LogErr: float64((ki*7+ti*3)%9-4) / 10}
 				}
-				calA.Observe(k.Name, les)
-				calB.Observe(k.Name, les)
+				calA.ObserveVerdict(k.Name, offload.Features{}, les)
+				calB.ObserveVerdict(k.Name, offload.Features{}, les)
 			}
 
 			for _, k := range polybench.Suite() {
@@ -527,7 +569,7 @@ func TestCorrectorZeroStateMatchesEWMA(t *testing.T) {
 // TestConcurrentUse drives observes, corrections and snapshots from many
 // goroutines — meaningful under -race (wired into the check.sh race run).
 func TestConcurrentUse(t *testing.T) {
-	l := New(Config{MinSamples: 2})
+	l := New(Config{Fallback: audit.NewCalibrator(0), MinSamples: 2})
 	stream := seedStream(4)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -546,6 +588,7 @@ func TestConcurrentUse(t *testing.T) {
 				if i%10 == 0 {
 					l.State()
 					l.Stats()
+					l.Version()
 					var buf bytes.Buffer
 					_ = WriteSnapshot(&buf, l.Snapshot())
 				}

@@ -29,8 +29,10 @@ func modelWins(local, remote ModelSnapshot) bool {
 // SnapshotState serializes the learner's snapshot compactly and
 // deterministically: the gossip payload, in the replication shape of
 // audit.Calibrator.
-func (l *Learner) SnapshotState() []byte {
-	b, err := json.Marshal(l.Snapshot())
+func (l *Learner) SnapshotState() []byte { return encode(l.Snapshot()) }
+
+func encode(s *Snapshot) []byte {
+	b, err := json.Marshal(s)
 	if err != nil {
 		panic("learn: marshal snapshot: " + err.Error())
 	}
@@ -41,8 +43,8 @@ func (l *Learner) SnapshotState() []byte {
 // model (global and per-region), the winning side's sufficient statistics
 // are kept and the weights re-solved. MinSamples stays local; a state
 // written under another lambda or maxVariance is refused. It reports
-// whether anything changed — the signal that this replica's own gossiped
-// snapshot has a new version. A region is reported stale to the runtime
+// whether anything changed — exactly when the snapshot's bytes did, and
+// Version advances with it. A region is reported stale to the runtime
 // when one of its models was replaced and the old or the new one clears
 // the confidence gate: a correction moved, or the gate flipped. A replaced
 // global model invalidates nothing, as when trained locally —
@@ -74,8 +76,10 @@ func (l *Learner) MergeState(data []byte) (changed bool, err error) {
 	for region, rm := range s.Regions {
 		dst := l.regions[region]
 		if dst == nil {
+			// A region new here is new state, even one with no models.
 			dst = make(map[string]*model, len(rm))
 			l.regions[region] = dst
+			changed = true
 		}
 		moved := false
 		for id, ms := range rm {
@@ -84,6 +88,9 @@ func (l *Learner) MergeState(data []byte) (changed bool, err error) {
 		if moved {
 			stale = append(stale, region)
 		}
+	}
+	if changed {
+		l.version++
 	}
 	notify := l.changed
 	l.mu.Unlock()

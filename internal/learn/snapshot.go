@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,6 +40,13 @@ type Snapshot struct {
 
 // Snapshot captures the learner's current state.
 func (l *Learner) Snapshot() *Snapshot {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot under the caller's lock (either side).
+func (l *Learner) snapshotLocked() *Snapshot {
 	s := &Snapshot{
 		Version:     SnapshotVersion,
 		MinSamples:  l.cfg.MinSamples,
@@ -47,8 +55,6 @@ func (l *Learner) Snapshot() *Snapshot {
 		Global:      map[string]ModelSnapshot{},
 		Regions:     map[string]map[string]ModelSnapshot{},
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	for id, m := range l.global {
 		s.Global[id] = snapshotModel(m)
 	}
@@ -78,7 +84,8 @@ func snapshotModel(m *model) ModelSnapshot {
 }
 
 // Restore replaces the learner's models and MinSamples with the
-// snapshot's, re-solving every weight vector deterministically. The
+// snapshot's, re-solving every weight vector deterministically; Version
+// advances unless the state was already the snapshot's. The
 // verdict/sample counters are not part of the state and keep counting.
 // Every region's memoized decisions are reported stale to the runtime.
 func (l *Learner) Restore(s *Snapshot) error {
@@ -98,9 +105,13 @@ func (l *Learner) Restore(s *Snapshot) error {
 		regions[region] = out
 	}
 	l.mu.Lock()
+	before := encode(l.snapshotLocked())
 	l.cfg.MinSamples = s.MinSamples
 	l.global = global
 	l.regions = regions
+	if !bytes.Equal(before, encode(l.snapshotLocked())) {
+		l.version++
+	}
 	notify := l.changed
 	l.mu.Unlock()
 	notify("")

@@ -37,7 +37,8 @@
 //   - Every stage is instrumented with lock-free counters and a
 //     model-evaluation latency histogram, exported via Metrics().
 //   - Nothing is retained per launch: a caller that wants a decision
-//     log installs an Observer, which sees every completed Decision.
+//     log installs an observer (SetObserver), which sees every completed
+//     Decision.
 //
 // Policies reproduce the paper's experimental configurations (see
 // policy.go): the compiler default of always offloading, the model-guided
@@ -87,13 +88,6 @@ type Config struct {
 	// default (1024); a negative value disables decision caching.
 	DecisionCacheSize int
 
-	// Observer, when non-nil, is invoked synchronously with every
-	// completed Decision — after Launch dispatches and after each
-	// decide-only call. It runs on the launching goroutine and must be
-	// safe for concurrent use and cheap (trace recorders buffer; anything
-	// slow belongs behind the observer's own queue).
-	Observer func(Decision)
-
 	// Calibrator, when non-nil, adjusts the model predictions with
 	// measured feedback before every policy decision (the online half of
 	// the shadow-audit loop, see internal/audit). It must be safe for
@@ -135,7 +129,7 @@ type Region struct {
 }
 
 // Decision records one launch or decide-only call, as handed to the
-// Observer and returned in the Outcome.
+// observer and returned in the Outcome.
 type Decision struct {
 	Region   string
 	Bindings symbolic.Bindings
@@ -150,7 +144,7 @@ type Decision struct {
 	// ascending by calibrated predicted seconds (ties in registration
 	// order). The slice is owned by the Outcome the decision was made
 	// into: DecideInto and DecideValsInto reuse its storage, so it is valid
-	// until the Outcome is decided into again; an Observer gets a copy of
+	// until the Outcome is decided into again; an observer gets a copy of
 	// its own.
 	Candidates []Candidate
 
@@ -207,10 +201,9 @@ type Runtime struct {
 	// pair derived from the platform), with CPU team sizes normalized.
 	targets *Registry
 
-	// obs is the live observer hook, seeded from Config.Observer and
-	// replaceable via SetObserver (atomically, so wiring an observer that
-	// itself needs the constructed runtime — e.g. a shadow auditor — does
-	// not race with in-flight launches).
+	// obs is the observer hook SetObserver installs (atomically, so wiring
+	// an observer that itself needs the constructed runtime — e.g. a
+	// shadow auditor — does not race with in-flight launches).
 	obs atomic.Pointer[func(Decision)]
 
 	// dispatchID counts completed launches per registry target, indexed
@@ -251,9 +244,6 @@ func NewRuntime(cfg Config) *Runtime {
 		db:         attrdb.New(),
 		regions:    map[string]*Region{},
 	}
-	if cfg.Observer != nil {
-		rt.obs.Store(&cfg.Observer)
-	}
 	if cfg.Calibrator != nil {
 		cfg.Calibrator.OnCorrectionChange(rt.correctionChanged)
 	}
@@ -263,10 +253,14 @@ func NewRuntime(cfg Config) *Runtime {
 // Targets returns the runtime's resolved target registry.
 func (rt *Runtime) Targets() *Registry { return rt.targets }
 
-// SetObserver replaces the decision observer hook. It exists for
-// observers that can only be built once the runtime exists (the shadow
-// auditor holds the runtime it audits); the swap is atomic with respect
-// to concurrent launches. A nil fn removes the hook.
+// SetObserver installs fn as the decision observer, replacing any
+// earlier one: fn is invoked synchronously with every completed Decision —
+// after Launch dispatches and after each decide-only call. It runs on the
+// launching goroutine and must be safe for concurrent use and cheap (trace
+// recorders buffer; anything slow belongs behind the observer's own
+// queue). The swap is atomic with respect to concurrent launches, so an
+// observer that holds the runtime (the shadow auditor) is wired after
+// NewRuntime. A nil fn removes the hook.
 func (rt *Runtime) SetObserver(fn func(Decision)) {
 	if fn == nil {
 		rt.obs.Store(nil)

@@ -204,8 +204,8 @@ func TestVerdictPricedBeforeInvalidationConcurrent(t *testing.T) {
 func TestOutcomeOwnsCandidates(t *testing.T) {
 	cal := &movingCalibrator{factor: 1, next: 64}
 	var seen []Decision
-	rt, r, b := gemmRegion(t, Config{Calibrator: cal, DecisionCacheSize: 2,
-		Observer: func(d Decision) { seen = append(seen, d) }})
+	rt, r, b := gemmRegion(t, Config{Calibrator: cal, DecisionCacheSize: 2})
+	rt.SetObserver(func(d Decision) { seen = append(seen, d) })
 	if _, err := r.Decide(b); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func auditedServer(t *testing.T, cfg Config) (*Server, *audit.Auditor) {
 	t.Helper()
 	rt := testRuntime(t)
 	cal := audit.NewCalibrator(0)
-	a := audit.New(audit.Config{Runtime: rt, Rate: 1, Calibrator: cal})
+	a := audit.New(audit.Config{Runtime: rt, Rate: 1, Corrector: cal})
 	t.Cleanup(a.Close)
 	rt.SetObserver(a.Observer(nil))
 	cfg.Runtime = rt

@@ -15,9 +15,8 @@ func TestAppendAuditRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 
-	cfg := fastConfig()
-	cfg.Observer = w.Observer()
-	rt := newRuntime(t, cfg, "gemm")
+	rt := newRuntime(t, fastConfig(), "gemm")
+	rt.SetObserver(w.Observer())
 	if _, err := regionOf(t, rt, "gemm").Launch(symbolic.Bindings{"n": 64}); err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +76,8 @@ func TestAppendAuditRoundTrip(t *testing.T) {
 func TestReplaySkipsAuditRecords(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	cfg := fastConfig()
-	cfg.Observer = w.Observer()
-	rt := newRuntime(t, cfg, "gemm", "mvt1")
+	rt := newRuntime(t, fastConfig(), "gemm", "mvt1")
+	rt.SetObserver(w.Observer())
 	for _, name := range []string{"gemm", "mvt1"} {
 		if _, err := regionOf(t, rt, name).Launch(symbolic.Bindings{"n": 96}); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package trace records and replays offload-runtime launch traffic.
 //
 // A trace is a JSONL stream of Records, one per decision, in decision
-// order. Recording plugs into any runtime through the offload
-// Config.Observer hook (Writer.Observer), so the same mechanism captures
+// order. Recording plugs into any runtime through its observer hook
+// (Runtime.SetObserver(w.Observer())), so the same mechanism captures
 // in-process launches, a daemon's served decisions, or an experiment
 // sweep. Replay drives a recorded trace back through a runtime — the
 // reproducibility harness: because the analytical models, policies and
@@ -152,8 +152,8 @@ func (w *Writer) append(rec Record) error {
 	return w.err
 }
 
-// Observer adapts the writer to the offload Config.Observer hook,
-// recording every decision the runtime completes.
+// Observer adapts the writer to the runtime's observer hook
+// (Runtime.SetObserver), recording every decision the runtime completes.
 func (w *Writer) Observer() func(offload.Decision) {
 	return func(d offload.Decision) { _ = w.Record(d) }
 }

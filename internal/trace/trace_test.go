@@ -54,9 +54,8 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 	kernels := []string{"gemm", "mvt1", "atax2"}
 	var first bytes.Buffer
 	w1 := NewWriter(&first)
-	cfg := fastConfig()
-	cfg.Observer = w1.Observer()
-	rt1 := newRuntime(t, cfg, kernels...)
+	rt1 := newRuntime(t, fastConfig(), kernels...)
+	rt1.SetObserver(w1.Observer())
 	for i, name := range []string{"gemm", "mvt1", "gemm", "atax2", "mvt1", "gemm"} {
 		n := int64(96 + 32*(i%2))
 		if _, err := regionOf(t, rt1, name).Launch(symbolic.Bindings{"n": n}); err != nil {
@@ -77,9 +76,8 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 
 	var second bytes.Buffer
 	w2 := NewWriter(&second)
-	cfg2 := fastConfig()
-	cfg2.Observer = w2.Observer()
-	rt2 := newRuntime(t, cfg2, kernels...)
+	rt2 := newRuntime(t, fastConfig(), kernels...)
+	rt2.SetObserver(w2.Observer())
 	res, err := Replay(rt2, recs, true)
 	if err != nil {
 		t.Fatal(err)
@@ -101,9 +99,8 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 func TestReplayDecideOnly(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	cfg := fastConfig()
-	cfg.Observer = w.Observer()
-	rt := newRuntime(t, cfg, "gemm")
+	rt := newRuntime(t, fastConfig(), "gemm")
+	rt.SetObserver(w.Observer())
 	for _, n := range []int64{64, 128, 64} {
 		if _, err := regionOf(t, rt, "gemm").Decide(symbolic.Bindings{"n": n}); err != nil {
 			t.Fatal(err)
@@ -133,9 +130,8 @@ func TestReplayDecideOnly(t *testing.T) {
 func TestReplayDivergenceDetected(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	cfg := fastConfig()
-	cfg.Observer = w.Observer()
-	rt := newRuntime(t, cfg, "gemm")
+	rt := newRuntime(t, fastConfig(), "gemm")
+	rt.SetObserver(w.Observer())
 	if _, err := regionOf(t, rt, "gemm").Launch(symbolic.Bindings{"n": 128}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +171,10 @@ func TestReplaySeesSecondTargetDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Targets, cfg.Observer = reg, obs
-		return newRuntime(t, cfg, "gemm")
+		cfg.Targets = reg
+		rt := newRuntime(t, cfg, "gemm")
+		rt.SetObserver(obs)
+		return rt
 	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -224,9 +222,8 @@ func TestReplayUnknownRegion(t *testing.T) {
 func TestConcurrentObserver(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	cfg := fastConfig()
-	cfg.Observer = w.Observer()
-	rt := newRuntime(t, cfg, "gemm", "mvt1")
+	rt := newRuntime(t, fastConfig(), "gemm", "mvt1")
+	rt.SetObserver(w.Observer())
 	regions := []*offload.Region{regionOf(t, rt, "gemm"), regionOf(t, rt, "mvt1")}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

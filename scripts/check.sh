@@ -210,20 +210,19 @@ echo "== cluster smoke: 3-replica ring, mid-run kill, 100% completion =="
 # client across them while one replica is SIGKILLed mid-run. The bar:
 # every call completes with a verdict (the killed replica's keys fail
 # over to their ring successor), node-a's /metrics (with the
-# hybridsel_cluster_ series) lints clean, and the survivors' /v1/cluster
-# must report the dead peer.
+# hybridsel_cluster_ series) lints clean, the survivors' /v1/cluster
+# must report the dead peer, and the calibration and learner state every
+# replica's audits train reaches its peers.
 ca=127.0.0.1:18931; cb=127.0.0.1:18932; cc=127.0.0.1:18933
 ga=127.0.0.1:18941; gb=127.0.0.1:18942; gc=127.0.0.1:18943
-"$tmp/hybridseld" -addr "$ca" -regions gemm,mvt1,2dconv \
-	-node node-a -gossip-addr "$ga" -gossip-interval 100ms \
+replica="-regions gemm,mvt1,2dconv -gossip-interval 100ms -audit-rate 1 -audit-workers 1 -learn"
+"$tmp/hybridseld" -addr "$ca" $replica -node node-a -gossip-addr "$ga" \
 	-peers "node-b=http://$gb,node-c=http://$gc" 2>"$tmp/node-a.log" &
 node_a=$!
-"$tmp/hybridseld" -addr "$cb" -regions gemm,mvt1,2dconv \
-	-node node-b -gossip-addr "$gb" -gossip-interval 100ms \
+"$tmp/hybridseld" -addr "$cb" $replica -node node-b -gossip-addr "$gb" \
 	-peers "node-a=http://$ga,node-c=http://$gc" 2>"$tmp/node-b.log" &
 node_b=$!
-"$tmp/hybridseld" -addr "$cc" -regions gemm,mvt1,2dconv \
-	-node node-c -gossip-addr "$gc" -gossip-interval 100ms \
+"$tmp/hybridseld" -addr "$cc" $replica -node node-c -gossip-addr "$gc" \
 	-peers "node-a=http://$ga,node-b=http://$gb" 2>"$tmp/node-c.log" &
 node_c=$!
 ( sleep 2; kill -9 "$node_c" 2>/dev/null ) &
@@ -268,6 +267,29 @@ if ! awk '
 	kill "$node_a" "$node_b" 2>/dev/null || true
 	exit 1
 fi
+# Replicated state: node-b's audits moved its calibration and learner
+# states, so node-a must hold both at a version > 0 and have merged
+# gossiped states into its own.
+replicated=""
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+	curl -s "http://$ca/v1/cluster" >"$tmp/cluster.json"
+	row=$(grep -o '"id":"node-b"[^}]*}' "$tmp/cluster.json" || true)
+	states="calibration $(printf '%s' "$row" | sed -n 's/.*"calibration":\([0-9]*\).*/\1/p')"
+	states="$states learner $(printf '%s' "$row" | sed -n 's/.*"learner":\([0-9]*\).*/\1/p')"
+	states="$states applied $(sed -n 's/.*"gossipStatesApplied":\([0-9]*\).*/\1/p' "$tmp/cluster.json")"
+	if echo "$states" | awk '{ exit !($2 > 0 && $4 > 0 && $6 > 0) }'; then
+		replicated=1
+		break
+	fi
+	sleep 0.5
+done
+if [ -z "$replicated" ]; then
+	echo "cluster smoke: node-a's view of node-b's state versions and its merges: $states, want all > 0:"
+	cat "$tmp/cluster.json"
+	kill "$node_a" "$node_b" 2>/dev/null || true
+	exit 1
+fi
+echo "cluster smoke: replicated state on node-a ($states)"
 # The survivors' gossip must have declared the killed replica dead.
 dead=""
 for _ in 1 2 3 4 5 6 7 8 9 10; do
