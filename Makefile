@@ -23,7 +23,7 @@ race:
 		./internal/wire/ ./internal/cluster/ ./internal/metrics/ \
 		./internal/audit/
 	$(GO) test -race -count=20 -run 'TestStream(BurstSharesWrites|OutOfOrder|CreditExhaustion|FullWindowNeverShed|DrainGoaway|PipelinedStress|RequestRecycling|DecideNeverWaitsForASlot|ConnIsOneGoroutine|HeldResponsesSurviveABadFrame)' ./internal/server/
-	$(GO) test -race -count=20 -run 'TestStream(WriteCombining|CombinedWriteFailure|ResponsesStayIntact)' ./internal/client/
+	$(GO) test -race -count=20 -run 'TestStream(WriteCombining|CombinedWriteFailure|ResponsesStayIntact|IDsLeaveInOrder|SlotReuse)' ./internal/client/
 	$(GO) test -race -count=20 -run 'TestCluster(FailoverIsPrompt|RouteEquivalence)|TestChaosClusterStreamKill|TestBreakerProbeAlwaysSettles' ./internal/client/
 	$(GO) test -race -count=20 -run 'TestStreamWriter' ./internal/wire/
 	$(GO) test -race -count=20 -run 'TestCache|TestVerdictPricedBeforeInvalidation|TestOutcomeOwnsCandidates' ./internal/offload/

@@ -721,8 +721,8 @@ func TestClusterStreamDialIsBounded(t *testing.T) {
 				t.Fatal("the owner's slot is still locked: its dial outlived the attempt")
 			}
 			defer sl.mu.Unlock()
-			if sl.conn != nil || !time.Now().Before(sl.retryAt) {
-				t.Errorf("the owner's slot holds conn %v and may redial at %v; want none, and a backoff still running", sl.conn, sl.retryAt)
+			if sc := sl.conn.Load(); sc != nil || !time.Now().Before(sl.retryAt) {
+				t.Errorf("the owner's slot holds conn %v and may redial at %v; want none, and a backoff still running", sc, sl.retryAt)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"net/http"
 	"net/url"
@@ -50,21 +51,30 @@ type StreamDialConfig struct {
 
 // StreamConn is one persistent multiplexed stream connection. It is
 // safe for concurrent use: many goroutines may Decide at once, each
-// call claims a stream ID and a unit of the server-granted credit
-// window, and responses are correlated by ID so completions arrive out
-// of order without blocking one another.
+// call claims one of the connection's waiter slots — one per unit of the
+// server-granted credit window — and responses are correlated by stream
+// ID, which names the slot, so completions arrive out of order without
+// blocking one another.
 type StreamConn struct {
-	conn   net.Conn
-	sem    chan struct{} // credit tokens
-	nextID atomic.Uint64
+	conn  net.Conn
+	slots []waiter
+	shift uint // a stream ID is seq<<shift | slot
 
-	mu      sync.Mutex
-	waiters map[uint64]chan *wire.Response
-	idle    []chan *wire.Response // waiter channels of answered calls, empty again
-	away    bool
-	dead    bool
-	err     error
-	done    chan struct{} // closed when the connection dies
+	// free is the stack of unclaimed slots: the top slot's index+1 in the
+	// low 32 bits (0: empty), and above them a count of its changes, so a
+	// claim that read a stale top fails its swap. While it is empty,
+	// starved claimers wait for wake, which has room for a wake per slot:
+	// a release finds it full only when it already holds a wake for every
+	// slot that can be free.
+	free    atomic.Uint64
+	starved atomic.Int32
+	wake    chan struct{}
+
+	away atomic.Bool
+	dead atomic.Bool
+	done chan struct{} // closed when the connection dies
+	mu   sync.Mutex
+	err  error // why it died
 
 	// out combines concurrent callers' request frames into shared writes:
 	// theirs ride the flusher's conn.Write, and a failed write fails flusher
@@ -72,9 +82,31 @@ type StreamConn struct {
 	// read (bursty) the flusher yields once per write, so that the callers
 	// they woke get their next requests aboard.
 	out    *wire.StreamWriter
+	seq    uint64         // requests written; out's lock guards it
 	bursty atomic.Bool    // the read loop's last drain held several responses
 	writes *atomic.Uint64 // conn.Write calls; a pool points it at its metrics
 }
+
+// A waiter slot carries one call at a time: claimed, it is a unit of
+// credit in flight, until the answer (or the connection's death) has been
+// taken from ch. A call that gives up first leaves the slot abandoned, and
+// the answer, when it comes, only frees it. Every change of state is a
+// swap of tag, which names the call by its sequence number, so an answer
+// to any other call than the slot's own — a late one, a repeated one —
+// changes nothing.
+type waiter struct {
+	ch   chan *wire.Response // the answer; nil when the connection died
+	tag  atomic.Uint64       // seq<<2 | state; seq 0 until the call's frame is appended
+	next atomic.Uint32       // the free slot below this one on the stack (index+1)
+}
+
+// Waiter slot states, the low two bits of a tag.
+const (
+	slotFree      = iota // on the free stack
+	slotWaiting          // claimed, its call waiting for the answer
+	slotAnswered         // the answer (or nil) sent on ch, not yet taken
+	slotAbandoned        // its call gave up; the answer frees the slot
+)
 
 // DialStream opens and handshakes one stream connection: dial (raw TCP
 // or HTTP Upgrade), then read the server's TypeCredit grant. A peer
@@ -144,17 +176,19 @@ func newStreamConn(conn net.Conn, deadline time.Time) (*StreamConn, error) {
 	_ = conn.SetDeadline(time.Time{})
 	credit := int(min(f.Credit, 1<<16))
 	sc := &StreamConn{
-		conn:    conn,
-		sem:     make(chan struct{}, credit),
-		waiters: make(map[uint64]chan *wire.Response, credit),
-		done:    make(chan struct{}),
-		writes:  new(atomic.Uint64),
+		conn:   conn,
+		slots:  make([]waiter, credit),
+		shift:  uint(bits.Len(uint(credit - 1))),
+		wake:   make(chan struct{}, credit),
+		done:   make(chan struct{}),
+		writes: new(atomic.Uint64),
 	}
 	sc.out = &wire.StreamWriter{W: conn, Yield: sc.bursty.Load,
 		Wrote: func(int) { sc.writes.Add(1) },
 		Fail:  func(err error) { sc.die(fmt.Errorf("%w: write: %v", errStreamBroken, err)) }}
-	for i := 0; i < credit; i++ {
-		sc.sem <- struct{}{}
+	for i := credit - 1; i >= 0; i-- {
+		sc.slots[i].ch = make(chan *wire.Response, 1)
+		sc.push(uint32(i))
 	}
 	go sc.readLoop(sr)
 	return sc, nil
@@ -202,9 +236,7 @@ func (c *bufferedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 // Usable reports whether the connection can accept new streams (alive
 // and not drained by a server Goaway).
 func (sc *StreamConn) Usable() bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return !sc.dead && !sc.away
+	return !sc.dead.Load() && !sc.away.Load()
 }
 
 // Close tears the connection down, failing any in-flight streams.
@@ -224,93 +256,155 @@ func (sc *StreamConn) Decide(ctx context.Context, req *wire.Request) (*wire.Resp
 
 // decide is Decide, given up on when expire fires too.
 func (sc *StreamConn) decide(ctx context.Context, req *wire.Request, expire <-chan time.Time) (*wire.Response, error) {
-	// Claim a unit of the credit window; the reader returns it when the
-	// response (any response) arrives.
-	select {
-	case <-sc.sem:
-	case <-sc.done:
-		return nil, sc.deathErr()
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-expire:
-		return nil, context.DeadlineExceeded
+	i, err := sc.claim(ctx, expire)
+	if err != nil {
+		return nil, err
 	}
-	id := sc.nextID.Add(1)
-	sc.mu.Lock()
-	if sc.dead {
-		sc.mu.Unlock()
-		return nil, sc.deathErr()
-	}
-	if sc.away {
-		sc.mu.Unlock()
-		sc.sem <- struct{}{}
+	w := &sc.slots[i]
+	w.tag.Store(slotWaiting)
+	if sc.dead.Load() || sc.away.Load() { // a die that missed the slot's claim is seen here
+		if !w.tag.CompareAndSwap(slotWaiting, slotFree) {
+			<-w.ch // die failed it first
+		}
+		sc.release(i)
+		if sc.dead.Load() {
+			return nil, sc.deathErr()
+		}
 		return nil, errStreamGoaway
 	}
-	var ch chan *wire.Response
-	if n := len(sc.idle); n > 0 {
-		ch, sc.idle = sc.idle[n-1], sc.idle[:n-1]
-	} else {
-		ch = make(chan *wire.Response, 1)
-	}
-	sc.waiters[id] = ch
-	sc.mu.Unlock()
 
-	sc.out.End(wire.AppendStreamRequest(sc.out.Begin(), id, req), false)
-	var err error
-	select {
-	case resp := <-ch:
-		// The one send ch was registered for has been received: it is empty
-		// and the reader has let go of it. A call giving up below leaves its ch.
-		sc.mu.Lock()
-		sc.idle = append(sc.idle, ch)
-		sc.mu.Unlock()
-		return resp, nil
-	case <-sc.done:
-		return nil, sc.deathErr()
-	case <-ctx.Done():
-		err = ctx.Err()
-	case <-expire:
-		err = context.DeadlineExceeded
+	// The sequence number is taken where the frame is appended, so stream
+	// IDs leave in order. A swap that fails is a die's: its nil is in ch.
+	buf := sc.out.Begin()
+	sc.seq++
+	seq := sc.seq
+	w.tag.CompareAndSwap(slotWaiting, seq<<2|slotWaiting)
+	sc.out.End(wire.AppendStreamRequest(buf, seq<<sc.shift|uint64(i), req), false)
+
+	var resp *wire.Response
+	if ctx.Done() == nil && expire == nil {
+		resp = <-w.ch
+	} else {
+		select {
+		case resp = <-w.ch:
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-expire:
+			err = context.DeadlineExceeded
+		}
+		if err != nil {
+			if w.tag.CompareAndSwap(seq<<2|slotWaiting, seq<<2|slotAbandoned) {
+				return nil, err // the slot, and its credit unit, stay claimed until the answer arrives
+			}
+			resp = <-w.ch // answered meanwhile: the answer is in ch, or about to be
+		}
 	}
-	sc.mu.Lock()
-	delete(sc.waiters, id)
-	sc.mu.Unlock()
-	// The credit unit stays claimed until the server's response
-	// arrives; the reader returns it even with no waiter left.
-	return nil, err
+	sc.release(i)
+	if resp == nil {
+		return nil, sc.deathErr()
+	}
+	return resp, nil
+}
+
+// claim pops a free waiter slot, waiting while every unit of credit is in
+// flight.
+func (sc *StreamConn) claim(ctx context.Context, expire <-chan time.Time) (uint32, error) {
+	for {
+		if i, ok := sc.pop(); ok {
+			return i, nil
+		}
+		sc.starved.Add(1)
+		i, ok := sc.pop() // a slot freed before the count rose sent no wake
+		var err error
+		if !ok {
+			select {
+			case <-sc.wake:
+				i, ok = sc.pop()
+			case <-sc.done:
+				err = sc.deathErr()
+			case <-ctx.Done():
+				err = ctx.Err()
+			case <-expire:
+				err = context.DeadlineExceeded
+			}
+		}
+		sc.starved.Add(-1)
+		if ok || err != nil {
+			return i, err
+		}
+	}
+}
+
+// release returns slot i, and its unit of credit, to the free stack.
+func (sc *StreamConn) release(i uint32) {
+	sc.slots[i].tag.Store(slotFree)
+	sc.push(i)
+	if sc.starved.Load() > 0 {
+		select {
+		case sc.wake <- struct{}{}:
+		default: // full: a wake is waiting for every slot that can be free
+		}
+	}
+}
+
+func (sc *StreamConn) push(i uint32) {
+	for {
+		top := sc.free.Load()
+		sc.slots[i].next.Store(uint32(top))
+		if sc.free.CompareAndSwap(top, (top>>32+1)<<32|uint64(i+1)) {
+			return
+		}
+	}
+}
+
+func (sc *StreamConn) pop() (uint32, bool) {
+	for {
+		top := sc.free.Load()
+		i := uint32(top)
+		if i == 0 {
+			return 0, false
+		}
+		if sc.free.CompareAndSwap(top, (top>>32+1)<<32|uint64(sc.slots[i-1].next.Load())) {
+			return i - 1, true
+		}
+	}
+}
+
+// deliver hands a response to the call waiting on the slot its stream ID
+// names. An answer to an abandoned call frees the slot; one to an ID that
+// is not in flight (answered already, or never sent) is dropped.
+func (sc *StreamConn) deliver(id uint64, resp *wire.Response) {
+	i, seq := id&(1<<sc.shift-1), id>>sc.shift
+	if i >= uint64(len(sc.slots)) || seq == 0 {
+		return
+	}
+	w := &sc.slots[i]
+	switch {
+	case w.tag.CompareAndSwap(seq<<2|slotWaiting, seq<<2|slotAnswered):
+		w.ch <- resp
+	case w.tag.CompareAndSwap(seq<<2|slotAbandoned, slotFree):
+		sc.release(uint32(i))
+	}
 }
 
 func (sc *StreamConn) readLoop(sr *wire.StreamReader) {
 	delivered := 0 // responses since the reader's buffer last ran dry
+	var f wire.Frame
 	for {
 		if !sr.FrameBuffered() {
 			sc.bursty.Store(delivered > 1)
 			delivered = 0
 		}
-		var f wire.Frame // in place: only the Response the caller keeps is allocated
 		if err := sr.NextInto(&f); err != nil {
 			sc.die(fmt.Errorf("%w: read: %v", errStreamBroken, err))
 			return
 		}
 		switch f.Type {
 		case wire.TypeStreamResponse:
-			sc.mu.Lock()
-			ch := sc.waiters[f.StreamID]
-			delete(sc.waiters, f.StreamID)
-			sc.mu.Unlock()
-			if ch != nil {
-				ch <- f.Resp
-			}
+			sc.deliver(f.StreamID, f.Resp)
 			delivered++
-			// Return the credit unit (also for abandoned waiters).
-			select {
-			case sc.sem <- struct{}{}:
-			default:
-			}
 		case wire.TypeGoaway:
-			sc.mu.Lock()
-			sc.away = true
-			sc.mu.Unlock()
+			sc.away.Store(true)
 		case wire.TypeCredit:
 			// Re-grants are not resized mid-connection; ignore.
 		case wire.TypeError:
@@ -323,29 +417,52 @@ func (sc *StreamConn) readLoop(sr *wire.StreamReader) {
 	}
 }
 
-// die marks the connection dead, fails every in-flight stream, and
-// closes the socket. Idempotent.
+// die marks the connection dead, fails every waiting call through its
+// slot, frees the abandoned slots, and closes the socket. Idempotent.
 func (sc *StreamConn) die(err error) {
 	sc.mu.Lock()
-	if sc.dead {
+	if sc.err != nil {
 		sc.mu.Unlock()
 		return
 	}
-	sc.dead = true
 	sc.err = err
-	sc.waiters = nil
-	close(sc.done)
 	sc.mu.Unlock()
+	sc.dead.Store(true)
+	close(sc.done)
+	for i := range sc.slots {
+		sc.fail(uint32(i))
+	}
 	sc.conn.Close()
+}
+
+// fail ends what slot i carries on a dead connection: a waiting call gets
+// nil, an abandoned slot is freed. It retries a swap lost to the slot's
+// call taking its sequence number or giving up, and leaves the slot to
+// whoever else changed it.
+func (sc *StreamConn) fail(i uint32) {
+	w := &sc.slots[i]
+	for {
+		switch tag := w.tag.Load(); tag & 3 {
+		case slotWaiting:
+			if w.tag.CompareAndSwap(tag, tag&^3|slotAnswered) {
+				w.ch <- nil
+				return
+			}
+		case slotAbandoned:
+			if w.tag.CompareAndSwap(tag, slotFree) {
+				sc.release(i)
+				return
+			}
+		default:
+			return
+		}
+	}
 }
 
 func (sc *StreamConn) deathErr() error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if sc.err != nil {
-		return sc.err
-	}
-	return errStreamBroken
+	return sc.err
 }
 
 // ----------------------------------------------------------- transport --
@@ -363,8 +480,8 @@ type streamTransport struct {
 }
 
 type streamSlot struct {
+	conn    atomic.Pointer[StreamConn] // written under mu
 	mu      sync.Mutex
-	conn    *StreamConn
 	dialed  bool // a connection existed before (reconnects count)
 	retryAt time.Time
 	backoff time.Duration
@@ -375,14 +492,17 @@ type streamSlot struct {
 // deadline, so a silent peer costs the attempt, not a stuck slot.
 func (t *streamTransport) get(ctx context.Context, deadline time.Time) (*StreamConn, error) {
 	sl := &t.slots[int(t.next.Add(1))%len(t.slots)]
+	if sc := sl.conn.Load(); sc != nil && sc.Usable() {
+		return sc, nil
+	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	if sl.conn != nil && sl.conn.Usable() {
-		return sl.conn, nil
-	}
-	if sl.conn != nil {
-		sl.conn.Close()
-		sl.conn = nil
+	if sc := sl.conn.Load(); sc != nil {
+		if sc.Usable() { // redialed meanwhile
+			return sc, nil
+		}
+		sc.Close()
+		sl.conn.Store(nil)
 	}
 	if time.Now().Before(sl.retryAt) {
 		return nil, errStreamBackoff
@@ -399,7 +519,7 @@ func (t *streamTransport) get(ctx context.Context, deadline time.Time) (*StreamC
 	sl.dialed = true
 	sl.backoff = 0
 	sc.writes = &t.met.streamWrites
-	sl.conn = sc
+	sl.conn.Store(sc)
 	return sc, nil
 }
 
@@ -408,9 +528,8 @@ func (t *streamTransport) Close() {
 	for i := range t.slots {
 		sl := &t.slots[i]
 		sl.mu.Lock()
-		if sl.conn != nil {
-			sl.conn.Close()
-			sl.conn = nil
+		if sc := sl.conn.Swap(nil); sc != nil {
+			sc.Close()
 		}
 		sl.mu.Unlock()
 	}

@@ -481,9 +481,7 @@ func TestStreamCombinedWriteFailureFailsEveryRider(t *testing.T) {
 			}
 			<-cc.entered // the flusher is parked inside conn.Write ...
 			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-				sc.mu.Lock()
-				waiting := len(sc.waiters)
-				sc.mu.Unlock()
+				waiting := slotsIn(sc, slotWaiting)
 				if waiting == callers {
 					break // ... and every other caller is at, or past, putting its frame in the buffer
 				}

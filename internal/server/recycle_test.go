@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -52,20 +51,6 @@ func TestWireBatchCountCheckedBeforeAllocation(t *testing.T) {
 	}
 }
 
-// skipIfPoolsDrop skips an allocation budget that counts on sync.Pool
-// handing back what it was given: under the race detector Put drops a
-// quarter of it, by design, and the budget would be measuring that. Call
-// it on one P.
-func skipIfPoolsDrop(t *testing.T) {
-	var p sync.Pool
-	for i := 0; i < 100; i++ {
-		p.Put(t)
-		if p.Get() == nil {
-			t.Skip("sync.Pool drops puts under the race detector; allocation budgets are checked without it")
-		}
-	}
-}
-
 // sink is a ResponseWriter that keeps its buffers between requests, so
 // that what a request allocates is the server's doing.
 type sink struct {
@@ -79,57 +64,6 @@ func (w *sink) WriteHeader(code int) { w.code = code }
 func (w *sink) Write(b []byte) (int, error) {
 	w.body = append(w.body, b...)
 	return len(b), nil
-}
-
-// TestWireBatchAllocatesNothingPerItem: through the whole frame codec —
-// decode, duplicate index, decide, project, encode — a batch costs the same
-// number of allocations at 128 items as at 64: what is left is per request
-// (net/http's, the admission pipeline's), and a decision adds nothing.
-// That holds for a batch of cache hits and for a cold one, every item of
-// which misses, prices, ranks and stores: the pooled scratch's outcomes own
-// the storage their candidates are decided into, and the decision cache
-// stores into the storage an invalidation left behind.
-func TestWireBatchAllocatesNothingPerItem(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	skipIfPoolsDrop(t) // the scratch and the slot vectors are pooled
-	regions := []string{"gemm", "mvt1", "atax2"}
-	var reqs []wire.Request
-	for i := 0; i < 128; i++ {
-		reqs = append(reqs, wireReqFor(regions[i%3], symbolic.Bindings{"n": int64(64 + i)}))
-	}
-	for _, cold := range []bool{false, true} {
-		s := testServer(t, Config{})
-		w := &sink{h: http.Header{}}
-		measure := func(n int) float64 {
-			body := wire.AppendBatchRequest(nil, reqs[:n])
-			return testing.AllocsPerRun(50, func() {
-				if cold {
-					for _, region := range regions {
-						if err := s.rt.InvalidateDecisions(region); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				w.body = w.body[:0]
-				postFrames(s, w, body)
-			})
-		}
-		measure(128) // decide every key once; size the pooled scratch
-		small, large := measure(64), measure(128)
-		fr, _, err := wire.DecodeFrame(w.body)
-		if err != nil || w.code != http.StatusOK || len(fr.Resps) != 128 {
-			t.Fatalf("cold %v: batch answered %d, %+v (%v)", cold, w.code, fr, err)
-		}
-		for i, resp := range fr.Resps {
-			if resp.Err != nil || resp.CacheHit == cold || resp.Region != reqs[i].Region || len(resp.Candidates) != 2 {
-				t.Fatalf("cold %v: item %d: %+v", cold, i, resp)
-			}
-		}
-		if large != small {
-			t.Fatalf("cold %v: a 128-item batch costs %v allocations and a 64-item batch %v: %v per item, want 0",
-				cold, large, small, (large-small)/64)
-		}
-	}
 }
 
 // TestWireScratchPooling: a scratch a huge batch grew is not pooled; one

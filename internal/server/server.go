@@ -304,12 +304,16 @@ func (s *Server) instrument(path string, h func(http.ResponseWriter, *http.Reque
 		requests.count(cw.code)
 		s.met.latency.Observe(dur)
 		// Per-request lines are Debug: at 10k+ decisions/sec an Info-level
-		// access log costs more than the decisions. slog skips the
-		// formatting entirely when the handler level is higher.
-		s.log.Debug("request",
-			"id", id, "method", r.Method, "path", r.URL.Path,
-			"status", cw.code, "bytes", cw.bytes,
-			"dur_us", dur.Microseconds())
+		// access log costs more than the decisions. Asking first keeps the
+		// arguments from being boxed when the line is not wanted: each
+		// number above 255 would be an allocation, so the count would
+		// follow the request's duration and size.
+		if s.log.Enabled(r.Context(), slog.LevelDebug) {
+			s.log.Debug("request",
+				"id", id, "method", r.Method, "path", r.URL.Path,
+				"status", cw.code, "bytes", cw.bytes,
+				"dur_us", dur.Microseconds())
+		}
 	}
 }
 

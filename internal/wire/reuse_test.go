@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -47,20 +46,6 @@ func allocsPerRun(runs int, fn func()) float64 {
 	return testing.AllocsPerRun(runs, fn)
 }
 
-// skipIfPoolsDrop skips an allocation budget that counts on sync.Pool
-// handing back what it was given: under the race detector Put drops a
-// quarter of it, by design, and the budget would be measuring that. Call
-// it on one P.
-func skipIfPoolsDrop(t *testing.T) {
-	var p sync.Pool
-	for i := 0; i < 100; i++ {
-		p.Put(t)
-		if p.Get() == nil {
-			t.Skip("sync.Pool drops puts under the race detector; allocation budgets are checked without it")
-		}
-	}
-}
-
 func TestDecoderBatchRequestDoesNotAllocate(t *testing.T) {
 	reqs, _ := batch64()
 	body := AppendBatchRequest(nil, reqs)
@@ -75,31 +60,6 @@ func TestDecoderBatchRequestDoesNotAllocate(t *testing.T) {
 	}
 	fr, _, _ := dec.Decode(body)
 	if !reflect.DeepEqual(fr.Reqs, reqs) {
-		t.Fatalf("decoded batch differs from what was encoded")
-	}
-}
-
-func TestDecodeFrameBatchResponseBudget(t *testing.T) {
-	skipIfPoolsDrop(t) // DecodeFrame's intern tables are pooled
-	_, resps := batch64()
-	body := AppendBatchResponse(nil, 0, resps)
-	distinct := map[string]bool{}
-	for _, r := range resps {
-		for _, s := range []string{r.Region, r.Verdict, r.Kind, r.Policy, r.Provenance} {
-			distinct[s] = true
-		}
-		for _, c := range r.Candidates {
-			distinct[c.Target], distinct[c.Kind] = true, true
-		}
-	}
-	var fr *Frame
-	got := allocsPerRun(100, func() { fr, _, _ = DecodeFrame(body) })
-	// The Frame, the responses and one candidate arena, plus each name once.
-	if budget := float64(3 + len(distinct)); got > budget {
-		t.Fatalf("DecodeFrame of a 64-item batch response: %v allocs, budget %v (3 + %d distinct strings)",
-			got, budget, len(distinct))
-	}
-	if !reflect.DeepEqual(fr.Resps, resps) {
 		t.Fatalf("decoded batch differs from what was encoded")
 	}
 }
@@ -233,6 +193,38 @@ func FuzzDecoderReuse(f *testing.F) {
 		AppendStreamResponse(nil, 5, &Response{Region: "bare", Verdict: "cpu/base"}),
 		AppendResponse(nil, &Response{Region: "x", Err: &Error{Code: "unknown_region", Message: "no"}}),
 	}
+	// Consecutive frames that change the name at one position — to one of
+	// the same length, to a shorter one, to "" — past the positions
+	// reader.string remembers too: a name matched against the last item's
+	// must decode as fresh as one looked up.
+	wide := resps[9]
+	for len(wide.Candidates) < maxRecent {
+		wide.Candidates = append(wide.Candidates, Candidate{Target: fmt.Sprintf("gpu/v%d", len(wide.Candidates)), Kind: "gpu"})
+	}
+	edited := func(id uint64, edit func(*Response)) []byte {
+		r := wide
+		r.Candidates = append([]Candidate(nil), wide.Candidates...)
+		edit(&r)
+		return AppendStreamResponse(nil, id, &r)
+	}
+	names := []byte(nil)
+	for id, edit := range []func(*Response){
+		func(*Response) {},
+		func(r *Response) { r.Verdict = "gpu/prev" },
+		func(r *Response) { r.Policy = "model-guidex" },
+		func(r *Response) { r.Kind = "" },
+		func(r *Response) { r.Candidates[1].Target = "cpu/b" },
+		func(r *Response) { r.Candidates[2].Kind = "cpu" },
+		func(r *Response) { r.Candidates[maxRecent-1].Target = "gpu/vX" },
+		func(*Response) {},
+	} {
+		names = append(names, edited(uint64(10+id), edit)...)
+	}
+	regions := AppendStreamRequest(nil, 20, &Request{Region: "kernel07", Names: []string{"m", "n"}, Values: []int64{1, 2}})
+	regions = AppendStreamRequest(regions, 21, &Request{Region: "kernel08", Names: []string{"m", "n"}, Values: []int64{1, 2}})
+	regions = AppendStreamRequest(regions, 22, &Request{Region: "kernel08", Names: []string{"n", "m"}, Values: []int64{1, 2}})
+	regions = AppendStreamRequest(regions, 23, &Request{Region: "kernel8", Names: []string{"n", ""}, Values: []int64{1, 2}})
+	probes = append(probes, names, regions)
 	for _, p := range probes {
 		f.Add(p)
 		f.Add(p[:len(p)-3])

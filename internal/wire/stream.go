@@ -5,9 +5,9 @@
 // A stream connection carries pipelined TypeStreamRequest /
 // TypeStreamResponse frames. Each is an ordinary request or response
 // payload prefixed with a uvarint stream ID; the client assigns IDs
-// (strictly increasing from 1 per connection) and matches responses by
-// ID, so completions may arrive out of order and a slow decision never
-// blocks the fast ones pipelined behind it.
+// (non-zero, strictly increasing on the wire per connection) and matches
+// responses by ID, so completions may arrive out of order and a slow
+// decision never blocks the fast ones pipelined behind it.
 //
 // Handshake: the server speaks first. Immediately after accepting a
 // connection it sends a TypeCredit frame granting the flow-control
@@ -102,10 +102,11 @@ func decodeGoawayPayload(r *reader) (*Goaway, error) {
 // ---- Incremental reading ----
 
 // A StreamReader decodes frames incrementally from a long-lived
-// connection. Payload buffer, header and decode state are its own and
-// names are interned across the connection's frames (see maxInterned), so
-// steady-state reads allocate only what the frames hold. It is not safe
-// for concurrent use; each connection owns exactly one reader goroutine.
+// connection. Payload buffer, header and decode state are its own, names
+// are interned across the connection's frames (see maxInterned), and
+// responses are cut from slabs, so steady-state reads allocate next to
+// nothing. It is not safe for concurrent use; each connection owns exactly
+// one reader goroutine.
 type StreamReader struct {
 	br  *bufio.Reader
 	buf []byte
@@ -120,7 +121,7 @@ func NewStreamReader(r io.Reader) *StreamReader {
 	if !ok {
 		br = bufio.NewReaderSize(r, 32<<10)
 	}
-	return &StreamReader{br: br, buf: make([]byte, 0, 2048), r: reader{in: interner{}}}
+	return &StreamReader{br: br, buf: make([]byte, 0, 2048), r: reader{in: interner{}, slabs: true}}
 }
 
 // FrameBuffered reports whether the next frame — header and whole
@@ -154,10 +155,12 @@ func (sr *StreamReader) Next() (*Frame, error) {
 // Next would have returned. A request frame is decoded over the Request
 // *f arrives pointing at, item slices included while they are large
 // enough (any other frame drops it) — so a caller that hands a frame's
-// Request on clears f.Req first. Responses are always allocated. After
-// an error *f holds nothing usable.
+// Request on clears f.Req first. A response, and its Candidates (cap =
+// len), is a cut of the reader's slabs: never decoded into again, it is
+// whoever's it is handed to, and keeping it keeps its slab (20 KiB) alive.
+// After an error *f holds nothing usable.
 func (sr *StreamReader) NextInto(f *Frame) error {
-	sr.r.vals, sr.r.names, sr.r.cands = nil, nil, nil // what a frame was cut from goes with the frame
+	sr.r.vals, sr.r.names = nil, nil // what a request was cut from goes with it
 	hdr := sr.hdr[:]
 	if _, err := io.ReadFull(sr.br, hdr[:1]); err != nil {
 		return err // clean EOF between frames stays io.EOF
