@@ -120,7 +120,7 @@ func main() {
 	attrdbOut := flag.String("attrdb-out", "",
 		"write the registered attribute database as a snapshot and continue")
 	traceOut := flag.String("trace", "",
-		"record every served decision as JSONL to this file")
+		"record every decision this daemon serves as JSONL to this file (a client's leased repeats never reach it)")
 	auditRate := flag.Float64("audit-rate", 0,
 		"shadow-audit sampling rate over distinct decision keys (0 = off, 1 = all)")
 	auditWorkers := flag.Int("audit-workers", 1,

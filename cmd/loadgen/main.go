@@ -332,7 +332,7 @@ func buildWorkload(traceIn, kernels, mode string, distinct int, execute bool, se
 
 // transports are the verdict transport tags, in report order.
 var transports = [...]string{client.TransportHTTPJSON, client.TransportHTTPBinary,
-	client.TransportStream, client.TransportLocal}
+	client.TransportStream, client.TransportLease, client.TransportLocal}
 
 type stats struct {
 	ok atomic.Uint64 // calls answered with verdicts

@@ -102,10 +102,11 @@ func newClusterChaosRig(t *testing.T, seed int64, ccfg ClusterConfig) *clusterCh
 // stream a replica's endpoint upgrades to both cross it, so a cut edge
 // takes both away, as a killed daemon does.
 type streamClusterRig struct {
-	t     *testing.T
-	cc    *ClusterClient
-	ids   []string
-	edges map[string]*faultnet.TCPProxy
+	t      *testing.T
+	cc     *ClusterClient
+	ids    []string
+	edges  map[string]*faultnet.TCPProxy
+	probes int64 // heal's last probe key
 }
 
 func newStreamClusterRig(t *testing.T, seed int64, ccfg ClusterConfig) *streamClusterRig {
@@ -135,27 +136,42 @@ func newStreamClusterRig(t *testing.T, seed int64, ccfg ClusterConfig) *streamCl
 }
 
 // cut puts f on every connection the replicas' edges accept from now on
-// and kills the ones they carry, pooled HTTP and upgraded streams alike.
+// and kills the ones they carry, pooled HTTP and upgraded streams alike,
+// and waits until the client has seen its streams to them die — and with
+// them the leases they granted.
 func (r *streamClusterRig) cut(f faultnet.TCPFaults, ids ...string) {
+	r.t.Helper()
 	for _, id := range ids {
 		r.edges[id].SetFaults(f)
 		r.edges[id].KillActive()
+		st := r.cc.views[id].route[0].ladder[0].Transport.(*streamTransport)
+		until := time.Now().Add(10 * time.Second)
+		for i := range st.slots {
+			for sc := st.slots[i].conn.Load(); sc != nil && sc.Usable(); {
+				if time.Now().After(until) {
+					r.t.Fatalf("%s's stream %d is still usable 10s after its edge was cut", id, i)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 }
 
 // heal lifts the faults and waits until each replica answers a key it
 // owns on a redialed stream, once per pooled connection in a row: the
-// redial backoff a cut leaves behind has lapsed on all of them.
+// redial backoff a cut leaves behind has lapsed on all of them. Every probe
+// is a key not asked before, so no lease answers it.
 func (r *streamClusterRig) heal(ids ...string) {
 	r.t.Helper()
 	for _, id := range ids {
 		r.edges[id].SetFaults(faultnet.TCPFaults{})
-		probe := server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 1}}
-		for r.cc.Route(probe)[0] != id {
-			probe.Bindings["n"]++
-		}
 		until := time.Now().Add(10 * time.Second)
 		for row := 0; row < r.cc.loop.cfg.StreamConns; {
+			r.probes++
+			probe := server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": r.probes}}
+			if r.cc.Route(probe)[0] != id {
+				continue
+			}
 			v, err := r.cc.Decide(context.Background(), probe)
 			switch {
 			case err == nil && v.Replica == id && v.Transport == TransportStream:
@@ -403,9 +419,11 @@ func TestClusterRouteEquivalence(t *testing.T) {
 		code string // expected error code, "" = a verdict
 	}{
 		{name: "miss", req: gemm(700)},
-		{name: "hit", req: gemm(700)},
+		// The daemon's key of the miss, but not the client's: no lease has it.
+		{name: "hit", req: server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 700, "extra": 7}}},
 		{name: "other region", req: server.DecideRequest{Region: "mvt1", Bindings: map[string]int64{"n": 4000}}},
 		{name: "execute", req: server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 96}, Execute: true}},
+		// Asked of the owner, the miss's lease answers it.
 		{name: "duplicate inside a batch", req: gemm(700)},
 		{name: "a name beyond the parameters",
 			req: server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 300, "extra": 1}}},
@@ -470,23 +488,37 @@ func TestClusterRouteEquivalence(t *testing.T) {
 	}
 	batchDown := order(0)[0]
 	var batch []Verdict
+	asked := make([]time.Time, len(rows)) // when the owner route asked each row
 
 	for _, route := range []struct {
 		name  string
 		serve func(i int) (*Verdict, error)
 		want  func(i int) stamp
 	}{
+		// A repeat of an earlier row's decide-only key is answered by the
+		// lease the owner's stream granted with that row's answer, if it
+		// comes within leaseFor of that row's ask; later, by the stream.
 		{"owner",
-			func(i int) (*Verdict, error) { return rig.cc.Decide(ctx, rows[i].req) },
-			func(i int) stamp { return stamp{order(i)[0], ProvenanceRemote, via(i), 1} }},
+			func(i int) (*Verdict, error) { asked[i] = time.Now(); return rig.cc.Decide(ctx, rows[i].req) },
+			func(i int) stamp {
+				for j, earlier := range rows[:i] {
+					if !rows[i].req.Execute && reflect.DeepEqual(earlier.req, rows[i].req) && asked[i].Sub(asked[j]) < leaseFor {
+						return stamp{order(i)[0], ProvenanceRemote, TransportLease, 0}
+					}
+				}
+				return stamp{order(i)[0], ProvenanceRemote, via(i), 1}
+			}},
 		// The owner's stream dies and its redial and its HTTP rung are
 		// refused, all inside the one attempt; then the call walks.
 		{"failed-over successor",
 			func(i int) (*Verdict, error) { return under(rig, partition, rows[i].req, order(i)[0]) },
 			func(i int) stamp { return stamp{order(i)[1], ProvenanceRemote, via(i), 2} }},
 		// The owner accepts and answers 150ms late; the hedge is sent 5ms in.
+		// The successor is healed first: a heal's probe may have hedged to it
+		// and lost, and a stream dial given up leaves its slot in backoff.
 		{"hedge",
 			func(i int) (*Verdict, error) {
+				hedging.heal(order(i)[1])
 				return under(hedging, faultnet.TCPFaults{StallRate: 1, Stall: 150 * time.Millisecond}, rows[i].req, order(i)[0])
 			},
 			func(i int) stamp {
@@ -595,7 +627,10 @@ func TestClusterRouteEquivalence(t *testing.T) {
 func TestChaosClusterStreamKill(t *testing.T) {
 	rig := newStreamClusterRig(t, 11, ClusterConfig{Fallback: fallbackRuntime(t)})
 	ref := fallbackRuntime(t)
-	reqs := chaosClusterReqs(24)
+	// The callers ask the first live keys; the check after the heal asks the
+	// rest, which no lease holds.
+	const live = 24
+	reqs := chaosClusterReqs(2 * live)
 	want := make([]server.DecideResponseV2, len(reqs))
 	for i, req := range reqs {
 		want[i] = referenceResponse(t, ref, req)
@@ -625,7 +660,7 @@ func TestChaosClusterStreamKill(t *testing.T) {
 		callers.Add(1)
 		go func() {
 			defer callers.Done()
-			for i := g; ; i = (i + 1) % len(reqs) {
+			for i := g; ; i = (i + 1) % live {
 				select {
 				case <-stop:
 					return
@@ -652,7 +687,8 @@ func TestChaosClusterStreamKill(t *testing.T) {
 	}
 
 	// Healed, every key is its owner's again, on the stream.
-	for i, req := range reqs {
+	for i, req := range reqs[live:] {
+		i += live
 		v, err := rig.cc.Decide(ctx, req)
 		if err = check(i, v, err); err != nil {
 			t.Fatal(err)

@@ -16,7 +16,10 @@
 //     daemon would have served.
 //
 // One loop (call) serves every verdict, single or batch, one daemon or a
-// cluster. Identical in-flight decide-only requests share one call
+// cluster. A decide-only single the daemon answered on the stream is
+// leased (lease.go): its repeats are served at the launch site, with no
+// network call, until the daemon's epoch moves or leaseFor passes.
+// Identical in-flight decide-only requests share one call
 // (duplicates inside a DecideBatch one item). The call walks its route —
 // one endpoint for a Client, the key's ring successors for a
 // ClusterClient — asking each endpoint whose circuit breaker admits it,
@@ -62,6 +65,7 @@ const (
 	TransportStream     = "stream"
 	TransportHTTPBinary = "http-binary"
 	TransportHTTPJSON   = "http-json"
+	TransportLease      = "lease"
 	TransportLocal      = "local"
 )
 
@@ -75,15 +79,18 @@ type Verdict struct {
 	// Provenance is remote, hedged, or fallback.
 	Provenance Provenance
 	// Attempts counts the passes down a transport ladder the call
-	// consumed, over every endpoint it asked (0 for a pure-fallback
-	// verdict served while every breaker was open).
+	// consumed, over every endpoint it asked (0 for a leased verdict, and
+	// for a pure-fallback verdict served while every breaker was open).
 	Attempts int
 	// Coalesced marks a verdict served by another caller's identical
 	// in-flight request rather than a network call of its own.
 	Coalesced bool
 	// Transport says which transport served the verdict (stream,
-	// http-binary, http-json, or local for fallback verdicts), so
-	// callers and load gates can attribute throughput per transport.
+	// http-binary, http-json, lease for a repeat served from the lease
+	// its stream answer granted — whose Response claims CacheHit and no
+	// DecisionNanos: the daemon was not asked — or local for fallback
+	// verdicts), so callers and load gates can attribute throughput per
+	// transport.
 	Transport string
 	// Replica is the cluster member ID that served the verdict when the
 	// call went through a ClusterClient or one of its views ("" for
@@ -267,7 +274,9 @@ func (c *Client) BreakerState() BreakerState { return c.route[0].breaker.State()
 // Decide returns a verdict for one decision request. Identical
 // decide-only requests in flight at once share a single network call.
 func (c *Client) Decide(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
-	return c.loop.decide(ctx, c.loop.single(req), c.route)
+	var names [4]string
+	var values [4]int64
+	return c.loop.decide(ctx, req, canonical(req, names[:0], values[:0]), c.route)
 }
 
 // DecideBatch returns verdicts for a slice of requests, positionally.
@@ -315,12 +324,14 @@ func bindingsHash(req server.DecideRequest) uint64 {
 
 // ask is one call on its way through the loop: a batch shard, or a single
 // with, in this one allocation, the canonical form of its bindings —
-// worked out once for routing, coalescing and the frame it rides a stream
-// in — and the flight identical requests arriving while it is out share.
+// worked out once for the lease lookup, routing, coalescing and the frame
+// it rides a stream in — and the flight identical requests arriving while
+// it is out share.
 type ask struct {
 	reqs  []server.DecideRequest // one request unless batch
 	batch bool
 	hash  uint64       // a single's bindingsHash
+	names []string     // a single's binding names, canonical order
 	wr    wire.Request // a single's frame, slot form when Config.RegionParams agrees
 	// done is made by the first coalesced caller to arrive, so a call
 	// nobody joins has no channel; once closed, v and err are the outcome.
@@ -328,25 +339,34 @@ type ask struct {
 	v    *Verdict
 	err  error
 	// What the slices above point into.
-	req    [1]server.DecideRequest
-	names  [4]string
-	values [4]int64
+	req  [1]server.DecideRequest
+	nbuf [4]string
+	vbuf [4]int64
 }
 
-// single prepares the ask for one request.
-func (l *loop) single(req server.DecideRequest) *ask {
-	a := &ask{}
-	a.req[0], a.reqs = req, a.req[:]
-	a.wr, a.hash = toWireRequest(req, l.cfg.RegionParams, a.names[:0], a.values[:0])
+// single prepares the ask for one request; a decide-only frame asks for a lease.
+func (l *loop) single(req server.DecideRequest, k canon) *ask {
+	a := &ask{hash: k.hash}
+	a.req[0], a.reqs, a.names = req, a.req[:], append(a.nbuf[:0], k.names...)
+	own := canon{names: a.names, values: append(a.vbuf[:0], k.values...), hash: k.hash}
+	a.wr = own.frame(req, l.cfg.RegionParams)
+	a.wr.Lease = !req.Execute
 	return a
 }
 
-// decide is Decide over a route: one call, shared by the identical
-// decide-only requests in flight with it.
-func (l *loop) decide(ctx context.Context, a *ask, route []*endpoint) (*Verdict, error) {
+// decide is Decide over a route: served from route[0]'s lease when one
+// holds the request, else one call, shared by the identical decide-only
+// requests in flight with it.
+func (l *loop) decide(ctx context.Context, req server.DecideRequest, k canon, route []*endpoint) (*Verdict, error) {
 	met := &route[0].met
 	met.requests.Add(1)
-	req := &a.req[0]
+	if !req.Execute {
+		if v := route[0].leases.get(req.Region, k.hash, k.names, k.values); v != nil {
+			met.leaseHits.Add(1)
+			return v, nil
+		}
+	}
+	a := l.single(req, k)
 	key := reqKey{region: req.Region, hash: a.hash}
 	// Execute dispatches work on the daemon: never shared, never hedged.
 	leads := false
@@ -681,6 +701,7 @@ type latencySampler struct {
 	n       int // total observations
 	cached  time.Duration
 	cachedN int
+	sorted  [256]int64 // p99's scratch
 }
 
 func (s *latencySampler) observe(d time.Duration) {
@@ -705,7 +726,7 @@ func (s *latencySampler) p99(min int) time.Duration {
 	if size > len(s.ring) {
 		size = len(s.ring)
 	}
-	buf := make([]int64, size)
+	buf := s.sorted[:size]
 	copy(buf, s.ring[:size])
 	// Insertion sort: size ≤ 256 and this runs every 32 observations.
 	for i := 1; i < len(buf); i++ {

@@ -188,9 +188,11 @@ func (cc *ClusterClient) route(buf []*endpoint, region string, hash uint64) []*e
 // finally the in-process fallback runtime.
 func (cc *ClusterClient) Decide(ctx context.Context, req server.DecideRequest) (*Verdict, error) {
 	cc.loop.cm.requests.Add(1)
-	a := cc.loop.single(req)
+	var names [4]string
+	var values [4]int64
+	k := canonical(req, names[:0], values[:0])
 	// On the stack for rings of up to eight: the loop keeps no route.
-	return cc.loop.decide(ctx, a, cc.route(make([]*endpoint, 0, 8), req.Region, a.hash))
+	return cc.loop.decide(ctx, req, k, cc.route(make([]*endpoint, 0, 8), req.Region, k.hash))
 }
 
 // DecideBatch returns verdicts positionally, sharding the batch by each

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -18,8 +19,9 @@ import (
 
 // TestCodecEquivalence is the one table holding every codec of the
 // decide core to the same answers. The same request list goes through
-// /v2 JSON single, /v2 JSON batch, frame single, frame batch, the stream
-// and the client's local fallback; each must produce, row for row, the
+// /v2 JSON single, /v2 JSON batch, frame single, frame batch, the stream,
+// a lease the stream granted and the client's local fallback; each must
+// produce, row for row, the
 // DecideResponseV2 an in-process offload.Runtime reference yields
 // (modulo CacheHit and DecisionNanos, which depend on who asked first)
 // or the row's error code. Whatever the spelling, the daemon prices every
@@ -32,11 +34,11 @@ func TestCodecEquivalence(t *testing.T) {
 		return server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": n}}
 	}
 	// A slot vector whose hash is not the hash of its values.
-	mismatch, _ := toWireRequest(gemm(512), params, nil, nil)
+	mismatch := toWireRequest(gemm(512), params)
 	mismatch.KeyHash ^= 0xbad
 	// The slot vector that a bindings map naming more than the parameters
 	// is projected onto.
-	exact, _ := toWireRequest(gemm(300), params, nil, nil)
+	exact := toWireRequest(gemm(300), params)
 	rows := []struct {
 		name string
 		req  server.DecideRequest
@@ -105,7 +107,7 @@ func TestCodecEquivalence(t *testing.T) {
 		}
 		return answer{resp: r}
 	}
-	fromWire := func(r *wire.Response) answer { return fromV2(wireToResponseV2(r)) }
+	fromWire := func(r *wire.Response) answer { return fromV2(wireToResponseV2(r, nil)) }
 	post := func(contentType string, body []byte) (int, []byte) {
 		t.Helper()
 		resp, err := http.Post(url+"/v2/decide", contentType, bytes.NewReader(body))
@@ -129,7 +131,7 @@ func TestCodecEquivalence(t *testing.T) {
 		if rows[i].frame != nil {
 			return rows[i].frame
 		}
-		wr, _ := toWireRequest(rows[i].req, params, nil, nil)
+		wr := toWireRequest(rows[i].req, params)
 		return &wr
 	}
 
@@ -236,6 +238,39 @@ func TestCodecEquivalence(t *testing.T) {
 				resp, err := sc.Decide(context.Background(), frameOf(i))
 				must(err)
 				a := fromWire(resp)
+				out[i] = &a
+			}
+			return out
+		}},
+		// Each row asked twice of a client of its own: a decide-only verdict
+		// is served the second time from the lease the first answer granted.
+		{"client stream, leased repeat", func() []*answer {
+			out := make([]*answer, len(rows))
+			for i, row := range rows {
+				if row.noJSON {
+					continue
+				}
+				leasing := newTestClient(t, Config{
+					BaseURL: url, Stream: true, StreamAddr: streamAddr, RegionParams: params,
+					maxAttempts: 1, disableHedging: true,
+				})
+				var a answer
+				for ask := 0; ask < 2; ask++ {
+					v, err := leasing.Decide(context.Background(), row.req)
+					var re *RemoteError
+					switch {
+					case errors.As(err, &re):
+						a = answer{code: re.Code}
+					case err != nil:
+						t.Fatalf("%s: %v", row.name, err)
+					default:
+						a = fromV2(v.Response)
+						if leased := ask == 1 && !row.req.Execute; leased != (v.Transport == TransportLease) ||
+							leased && (v.Provenance != ProvenanceRemote || v.Attempts != 0) {
+							t.Fatalf("%s, ask %d: %s over %s after %d attempts", row.name, ask, v.Provenance, v.Transport, v.Attempts)
+						}
+					}
+				}
 				out[i] = &a
 			}
 			return out

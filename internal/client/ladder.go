@@ -153,6 +153,7 @@ type endpoint struct {
 	breaker *breaker
 	met     counters
 	ladder  []*rung // stream, HTTP frames, HTTP JSON: those Config enables
+	leases  leases  // the verdicts its stream answered, served again at the launch site
 	// Hedge-delay estimation is per transport: stream and HTTP attempt
 	// latencies live in different regimes (no per-request framing vs
 	// full request/response cycles), so mixing them would fire stream
@@ -244,7 +245,11 @@ func (ep *endpoint) send(ctx context.Context, deadline time.Time, a *ask) ([]Ver
 		start := time.Now()
 		var vs []Verdict
 		if st, ok := r.Transport.(*streamTransport); ok {
-			vs, err = st.single(ctx, deadline, &a.wr)
+			var sc *StreamConn
+			var epoch uint64
+			if vs, sc, epoch, err = st.single(ctx, deadline, &a.wr); err == nil && a.wr.Lease {
+				ep.leases.grant(a, sc, epoch, &vs[0], ep.id)
+			}
 		} else {
 			hctx, cancel := ctx, context.CancelFunc(func() {})
 			if d, ok := ctx.Deadline(); !ok || deadline.Before(d) { // else a hedged attempt's own context
@@ -362,11 +367,11 @@ func (t *httpTransport) encode(reqs []server.DecideRequest, batch bool) (body []
 	case t.frames && batch:
 		wrs := make([]wire.Request, len(reqs))
 		for i := range reqs {
-			wrs[i], _ = toWireRequest(reqs[i], t.params, nil, nil)
+			wrs[i] = toWireRequest(reqs[i], t.params)
 		}
 		return wire.AppendBatchRequest(nil, wrs), wire.ContentType, nil
 	case t.frames:
-		wr, _ := toWireRequest(reqs[0], t.params, nil, nil)
+		wr := toWireRequest(reqs[0], t.params)
 		return wire.AppendRequest(nil, &wr), wire.ContentType, nil
 	case batch:
 		body, err = json.Marshal(struct {
@@ -415,13 +420,13 @@ func decodeFrames(vs []Verdict, data []byte, contentType string, batch bool) err
 	case err != nil:
 		return fmt.Errorf("%w: frame response: %v", errDialect, err)
 	case len(frames) == 1 && !batch && frames[0].Type == wire.TypeResponse:
-		vs[0].Response = wireToResponseV2(frames[0].Resp)
+		vs[0].Response = wireToResponseV2(frames[0].Resp, nil)
 	case len(frames) == 1 && batch && frames[0].Type == wire.TypeBatchResponse:
 		if len(frames[0].Resps) != len(vs) {
 			return fmt.Errorf("client: batch returned %d results for %d requests", len(frames[0].Resps), len(vs))
 		}
 		for i := range vs {
-			vs[i].Response = wireToResponseV2(&frames[0].Resps[i])
+			vs[i].Response = wireToResponseV2(&frames[0].Resps[i], nil)
 		}
 	default:
 		return fmt.Errorf("%w: %d response frames of unexpected type", errDialect, len(frames))

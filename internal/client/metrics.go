@@ -32,6 +32,7 @@ type counters struct {
 	streamFallbacks  metrics.Counter
 	streamReconnects metrics.Counter
 	streamDemotions  metrics.Counter
+	leaseHits        metrics.Counter
 
 	breakerOpened   metrics.Counter
 	breakerHalfOpen metrics.Counter
@@ -103,6 +104,9 @@ type Metrics struct {
 	StreamFallbacks  uint64
 	StreamReconnects uint64
 	StreamDowngrades uint64
+	// LeaseHits counts verdicts served from a lease (TransportLease): no
+	// network call.
+	LeaseHits uint64
 	// BreakerOpened/HalfOpen/Closed count transitions into each state;
 	// BreakerState is the state at snapshot time.
 	BreakerOpened   uint64
@@ -136,6 +140,7 @@ func (m *counters) series(out *Metrics) []counterSeries {
 		{"hybridselc_stream_fallbacks_total", "Attempts that failed over from stream to HTTP.", &m.streamFallbacks, &out.StreamFallbacks},
 		{"hybridselc_stream_reconnects_total", "Stream pool slots redialed after connection death.", &m.streamReconnects, &out.StreamReconnects},
 		{"hybridselc_stream_downgrades_total", "Sticky downgrades from stream transport to HTTP.", &m.streamDemotions, &out.StreamDowngrades},
+		{"hybridselc_lease_hits_total", "Verdicts served from a lease, with no network call.", &m.leaseHits, &out.LeaseHits},
 		{"hybridselc_breaker_open_total", "Circuit breaker transitions to open.", &m.breakerOpened, &out.BreakerOpened},
 		{"hybridselc_breaker_half_open_total", "Circuit breaker transitions to half-open.", &m.breakerHalfOpen, &out.BreakerHalfOpen},
 		{"hybridselc_breaker_close_total", "Circuit breaker transitions to closed.", &m.breakerClosed, &out.BreakerClosed},

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
@@ -75,6 +76,10 @@ type StreamConn struct {
 	done chan struct{} // closed when the connection dies
 	mu   sync.Mutex
 	err  error // why it died
+
+	// epoch is the newest decision epoch the server told of (a stamp or a
+	// TypeEpoch frame), in wire order: a lease granted at an older one is void.
+	epoch atomic.Uint64
 
 	// out combines concurrent callers' request frames into shared writes:
 	// theirs ride the flusher's conn.Write, and a failed write fails flusher
@@ -401,8 +406,11 @@ func (sc *StreamConn) readLoop(sr *wire.StreamReader) {
 		}
 		switch f.Type {
 		case wire.TypeStreamResponse:
+			sc.heard(f.Resp.Epoch)
 			sc.deliver(f.StreamID, f.Resp)
 			delivered++
+		case wire.TypeEpoch:
+			sc.heard(f.Epoch)
 		case wire.TypeGoaway:
 			sc.away.Store(true)
 		case wire.TypeCredit:
@@ -414,6 +422,13 @@ func (sc *StreamConn) readLoop(sr *wire.StreamReader) {
 			sc.die(fmt.Errorf("%w: unexpected frame type %d", errDialect, f.Type))
 			return
 		}
+	}
+}
+
+// heard raises the connection's epoch to e; the read loop is its one writer.
+func (sc *StreamConn) heard(e uint64) {
+	if e > sc.epoch.Load() {
+		sc.epoch.Store(e)
 	}
 }
 
@@ -541,8 +556,9 @@ func (t *streamTransport) Close() {
 // refusal is the call's error.
 func (t *streamTransport) Send(ctx context.Context, reqs []server.DecideRequest, batch bool) ([]Verdict, error) {
 	if !batch {
-		wr, _ := toWireRequest(reqs[0], t.params, nil, nil)
-		return t.single(ctx, time.Time{}, &wr)
+		wr := toWireRequest(reqs[0], t.params)
+		vs, _, _, err := t.single(ctx, time.Time{}, &wr)
+		return vs, err
 	}
 	sc, err := t.get(ctx, time.Time{})
 	if err != nil {
@@ -552,8 +568,9 @@ func (t *streamTransport) Send(ctx context.Context, reqs []server.DecideRequest,
 	errs := make(chan error, len(reqs))
 	for i := range reqs {
 		go func() {
-			wr, _ := toWireRequest(reqs[i], t.params, nil, nil)
-			errs <- t.one(ctx, nil, sc, &wr, &vs[i])
+			wr := toWireRequest(reqs[i], t.params)
+			_, err := t.one(ctx, nil, sc, &wr, &vs[i], nil)
+			errs <- err
 		}()
 	}
 	for range reqs {
@@ -572,11 +589,12 @@ func (t *streamTransport) Send(ctx context.Context, reqs []server.DecideRequest,
 var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
 // single sends one decide-only request, already in frame form, and gives
-// the wait up at deadline (zero: with ctx alone).
-func (t *streamTransport) single(ctx context.Context, deadline time.Time, wr *wire.Request) ([]Verdict, error) {
+// the wait up at deadline (zero: with ctx alone); it returns the connection
+// that answered and its epoch stamp (0: unstamped).
+func (t *streamTransport) single(ctx context.Context, deadline time.Time, wr *wire.Request) ([]Verdict, *StreamConn, uint64, error) {
 	sc, err := t.get(ctx, deadline)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	var expire <-chan time.Time
 	if !deadline.IsZero() {
@@ -589,23 +607,24 @@ func (t *streamTransport) single(ctx context.Context, deadline time.Time, wr *wi
 		defer func() { timer.Stop(); timers.Put(timer) }()
 		expire = timer.C
 	}
-	vs := make([]Verdict, 1)
-	if err = t.one(ctx, expire, sc, wr, &vs[0]); err != nil {
-		return nil, err
+	h := new(held)
+	epoch, err := t.one(ctx, expire, sc, wr, &h.vs[0], h.cands[:0])
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	if e := vs[0].Response.Error; e != nil {
-		return nil, refused(e.Code, e.Message, e.RetryAfter)
+	if e := h.vs[0].Response.Error; e != nil {
+		return nil, nil, 0, refused(e.Code, e.Message, e.RetryAfter)
 	}
-	return vs, nil
+	return h.vs[:], sc, epoch, nil
 }
 
-// one sends one request on sc and fills v from the response.
-func (t *streamTransport) one(ctx context.Context, expire <-chan time.Time, sc *StreamConn, wr *wire.Request, v *Verdict) error {
+// one sends one request on sc, fills v (candidates into cands) and returns its stamp.
+func (t *streamTransport) one(ctx context.Context, expire <-chan time.Time, sc *StreamConn, wr *wire.Request, v *Verdict, cands []offload.Candidate) (uint64, error) {
 	t.met.streamCalls.Add(1)
 	resp, err := sc.decide(ctx, wr, expire)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	*v = Verdict{Response: wireToResponseV2(resp), Provenance: ProvenanceRemote, Attempts: 1, Transport: TransportStream}
-	return nil
+	*v = Verdict{Response: wireToResponseV2(resp, cands), Provenance: ProvenanceRemote, Attempts: 1, Transport: TransportStream}
+	return resp.Epoch, nil
 }

@@ -15,7 +15,7 @@ import (
 
 func slotRequest(region string, n int64) wire.Request {
 	req := server.DecideRequest{Region: region, Bindings: map[string]int64{"n": n}}
-	wr, _ := toWireRequest(req, func(string) []string { return []string{"n"} }, nil, nil)
+	wr := toWireRequest(req, func(string) []string { return []string{"n"} })
 	return wr
 }
 

@@ -396,14 +396,14 @@ func TestStreamWriteCombining(t *testing.T) {
 
 	decide := func(n int64) error {
 		req := server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": n}}
-		wr, _ := toWireRequest(req, nil, nil, nil)
+		wr := toWireRequest(req, nil)
 		resp, err := sc.Decide(context.Background(), &wr)
 		if err != nil {
 			return err
 		}
 		// Compared as the JSON both would be served as: the reference's
 		// candidates carry an in-process field the wire does not.
-		got, _ := json.Marshal(normalizeV2(wireToResponseV2(resp)))
+		got, _ := json.Marshal(normalizeV2(wireToResponseV2(resp, nil)))
 		want, _ := json.Marshal(normalizeV2(server.DecideLocal(ref, req)))
 		if string(got) != string(want) {
 			return fmt.Errorf("n=%d: stream verdict %s, reference %s", n, got, want)
@@ -464,7 +464,7 @@ func TestStreamCombinedWriteFailureFailsEveryRider(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			sc, cc := dialCounted(t, proxyAddr)
-			wr, _ := toWireRequest(gemmReq(), nil, nil, nil)
+			wr := toWireRequest(gemmReq(), nil)
 			if _, err := sc.Decide(context.Background(), &wr); err != nil {
 				t.Fatalf("healthy connection: %v", err)
 			}

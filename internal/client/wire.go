@@ -13,23 +13,39 @@ import (
 // This file maps between the JSON-shaped types callers see and the frame
 // format (internal/wire) the frame and stream transports speak.
 
-// toWireRequest projects a JSON-shaped request onto the frame format and
-// returns attrdb.BindingsHash of its bindings, both from one canonical
-// pass appending to names and values (nil buffers allocate). When the
-// RegionParams hook confirms the binding names are exactly the region's
-// parameter set, the request rides the slot form — values in canonical
-// order plus the key hash the daemon verifies before dropping them into
-// its pooled slot vectors. Otherwise the frame carries named bindings,
-// which the daemon resolves like a JSON map.
-func toWireRequest(req server.DecideRequest, regionParams func(region string) []string, names []string, values []int64) (wire.Request, uint64) {
+// toWireRequest projects a JSON-shaped request onto the frame format.
+// When the RegionParams hook confirms the binding names are exactly the
+// region's parameter set, the request rides the slot form — values in
+// canonical order plus the key hash the daemon verifies before dropping
+// them into its pooled slot vectors. Otherwise the frame carries named
+// bindings, which the daemon resolves like a JSON map.
+func toWireRequest(req server.DecideRequest, regionParams func(region string) []string) wire.Request {
+	return canonical(req, nil, nil).frame(req, regionParams)
+}
+
+// canon is a request's canonical bindings and bindingsHash, on the caller's
+// stack: a single's key to its lease, its route and its flight.
+type canon struct {
+	names  []string
+	values []int64
+	hash   uint64
+}
+
+// canonical appends req's canonical bindings to names and values.
+func canonical(req server.DecideRequest, names []string, values []int64) canon {
 	names, values, hash := attrdb.Canonical(symbolic.Bindings(req.Bindings), names, values)
-	wr := wire.Request{Region: req.Region, Execute: req.Execute, Values: values}
-	if regionParams != nil && len(names) > 0 && slices.Equal(regionParams(req.Region), names) {
-		wr.SlotForm, wr.KeyHash = true, hash
+	return canon{names, values, hash}
+}
+
+// frame is req's frame over k.
+func (k canon) frame(req server.DecideRequest, regionParams func(region string) []string) wire.Request {
+	wr := wire.Request{Region: req.Region, Execute: req.Execute, Values: k.values}
+	if regionParams != nil && len(k.names) > 0 && slices.Equal(regionParams(req.Region), k.names) {
+		wr.SlotForm, wr.KeyHash = true, k.hash
 	} else {
-		wr.Names = names
+		wr.Names = k.names
 	}
-	return wr, hash
+	return wr
 }
 
 // kindFromWire maps a wire kind string back onto the registry enum.
@@ -41,8 +57,9 @@ func kindFromWire(s string) offload.TargetKind {
 }
 
 // wireToResponseV2 projects a response frame back onto the JSON response
-// shape, so callers see one Verdict type regardless of encoding.
-func wireToResponseV2(wr *wire.Response) server.DecideResponseV2 {
+// shape, so callers see one Verdict type regardless of encoding. The
+// candidates go into cands' storage when it has room (nil: allocated).
+func wireToResponseV2(wr *wire.Response, cands []offload.Candidate) server.DecideResponseV2 {
 	resp := server.DecideResponseV2{
 		Region:        wr.Region,
 		Verdict:       wr.Verdict,
@@ -63,7 +80,7 @@ func wireToResponseV2(wr *wire.Response) server.DecideResponseV2 {
 		return resp
 	}
 	if n := len(wr.Candidates); n > 0 {
-		resp.Candidates = make([]offload.Candidate, n)
+		resp.Candidates = slices.Grow(cands[:0], n)[:n:n]
 		for i := range wr.Candidates {
 			wc := &wr.Candidates[i]
 			resp.Candidates[i] = offload.Candidate{

@@ -341,11 +341,11 @@ func TestToWireRequestForms(t *testing.T) {
 			return nil
 		},
 	})
-	wr, _ := toWireRequest(gemmReq(), c.loop.cfg.RegionParams, nil, nil)
+	wr := toWireRequest(gemmReq(), c.loop.cfg.RegionParams)
 	if !wr.SlotForm || wr.KeyHash == 0 || len(wr.Names) != 0 {
 		t.Fatalf("slot form not chosen: %+v", wr)
 	}
-	wr, _ = toWireRequest(server.DecideRequest{Region: "other", Bindings: map[string]int64{"b": 2, "a": 1}}, c.loop.cfg.RegionParams, nil, nil)
+	wr = toWireRequest(server.DecideRequest{Region: "other", Bindings: map[string]int64{"b": 2, "a": 1}}, c.loop.cfg.RegionParams)
 	if wr.SlotForm || !reflect.DeepEqual(wr.Names, []string{"a", "b"}) ||
 		!reflect.DeepEqual(wr.Values, []int64{1, 2}) {
 		t.Fatalf("named form wrong: %+v", wr)

@@ -90,7 +90,46 @@ func (rt *Runtime) warpGeom() ipda.WarpGeom {
 // its own). The execution memoization is untouched: ground truth does not
 // change.
 func (r *Region) InvalidateDecisions() {
+	r.invalidate()
+}
+
+// invalidate is the one funnel every change of a region's decision inputs
+// goes through: it drops the memoized decisions, then advances the epoch,
+// so whoever reads epoch E and then decides never gets an entry the
+// invalidation publishing E dropped.
+func (r *Region) invalidate() {
 	r.decisions.clear()
+	r.rt.advanceEpoch()
+}
+
+// Epoch is the runtime's decision epoch: 1 at NewRuntime, advanced after
+// every invalidation of any region's decisions. A verdict decided after
+// Epoch returned E is the runtime's at E.
+func (rt *Runtime) Epoch() uint64 { return rt.epoch.Load() }
+
+// EpochAdvanced returns a channel closed at the next advance of the epoch,
+// so that a caller that takes it before reading Epoch misses no advance.
+func (rt *Runtime) EpochAdvanced() <-chan struct{} {
+	for {
+		if ch := rt.epochWait.Load(); ch != nil {
+			return *ch
+		}
+		ch := make(chan struct{})
+		if rt.epochWait.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
+}
+
+// advanceEpoch moves the epoch on and wakes whoever waits for it; with
+// nobody waiting it is the one atomic add.
+func (rt *Runtime) advanceEpoch() {
+	rt.epoch.Add(1)
+	if rt.epochWait.Load() != nil {
+		if ch := rt.epochWait.Swap(nil); ch != nil {
+			close(*ch)
+		}
+	}
 }
 
 // InvalidateDecisions is Region.InvalidateDecisions by region name.
@@ -111,10 +150,10 @@ func (rt *Runtime) correctionChanged(region string) {
 	rt.regmu.RLock()
 	defer rt.regmu.RUnlock()
 	if r := rt.regions[region]; r != nil {
-		r.decisions.clear()
+		r.invalidate()
 	} else if region == "" {
 		for _, r := range rt.regions {
-			r.decisions.clear()
+			r.invalidate()
 		}
 	}
 }

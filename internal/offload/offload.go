@@ -220,6 +220,12 @@ type Runtime struct {
 	regions map[string]*Region
 	db      *attrdb.DB
 
+	// epoch counts invalidations (Epoch), and epochWait is the channel
+	// EpochAdvanced hands out, made when first asked for and closed by the
+	// next advance.
+	epoch     atomic.Uint64
+	epochWait atomic.Pointer[chan struct{}]
+
 	met counters
 }
 
@@ -244,6 +250,7 @@ func NewRuntime(cfg Config) *Runtime {
 		db:         attrdb.New(),
 		regions:    map[string]*Region{},
 	}
+	rt.epoch.Store(1)
 	if cfg.Calibrator != nil {
 		cfg.Calibrator.OnCorrectionChange(rt.correctionChanged)
 	}
@@ -410,7 +417,7 @@ func (r *Region) branchProb() float64 {
 func (r *Region) setProfile(p *ProfileData) {
 	r.mu.Lock()
 	r.profile = p
-	r.decisions.clear()
+	r.invalidate()
 	r.mu.Unlock()
 }
 

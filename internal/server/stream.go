@@ -35,7 +35,10 @@ import (
 //     window on connect, requests beyond it answer queue_full on their
 //     own stream, and each response implicitly returns one unit,
 //   - graceful drain by Goaway: in-flight streams complete, later ones
-//     answer a draining error, nothing is left hanging.
+//     answer a draining error, nothing is left hanging,
+//   - leases on request: a Lease request's answer is stamped with the
+//     runtime's epoch, read before deciding, and its connection gets a
+//     second goroutine, pushEpochs, which tells it of every advance.
 
 // StreamUpgradeProto is the Upgrade token negotiating a stream
 // connection over the HTTP port.
@@ -124,6 +127,7 @@ type streamConn struct {
 
 	inflight atomic.Int64   // dispatched, not yet answered: the credit window's measure
 	wg       sync.WaitGroup // executes in flight
+	pusher   sync.WaitGroup // pushEpochs, once a request asked for leases
 
 	lastAccepted atomic.Uint64 // highest stream ID dispatched or answered
 	away         atomic.Bool   // Goaway sent
@@ -165,6 +169,7 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 		sc.wg.Wait()   // let in-flight executes answer
 		conn.Close()
 		cancel()
+		sc.pusher.Wait()
 		s.met.streamConns.Add(-1)
 		s.unregisterStream(sc)
 	}()
@@ -183,6 +188,7 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 	f := &sc.frame
 	var cands []wire.Candidate
 	var out offload.Outcome
+	leased := false // the connection asked for leases, and its pusher runs
 	for {
 		if f.Req != nil && cap(f.Req.Values) > maxPooledBatch {
 			f.Req = nil // what a huge request grew is not kept
@@ -228,13 +234,43 @@ func (s *Server) serveStreamConn(conn net.Conn, src io.Reader) {
 			f.Req = nil // the execute's
 			continue
 		}
+		// The stamp is read before deciding, and the pusher's first advance
+		// channel is taken before the first stamp: no advance goes untold.
+		var epoch uint64
+		if f.Req.Lease {
+			if !leased {
+				leased = true
+				sc.pusher.Add(1)
+				go sc.pushEpochs(s.rt.EpochAdvanced())
+			}
+			epoch = s.rt.Epoch()
+		}
 		it := wireItem(f.Req)
 		ei := decide(sc.ctx, s.rt, &it, &out)
 		resp := projectWireInto(f.Req.Region, &out, ei, cands[:0])
 		if resp.Candidates != nil {
 			cands = resp.Candidates
 		}
+		resp.Epoch = epoch
 		sc.answer(f.StreamID, &resp, sr.FrameBuffered())
+	}
+}
+
+// pushEpochs tells the connection of each advance of the runtime's epoch
+// until it ends: woken by ch, it appends one TypeEpoch frame carrying the
+// epoch current by then, so a burst of advances is one frame. Whoever
+// advances the epoch only closes a channel and never writes to a socket.
+func (sc *streamConn) pushEpochs(ch <-chan struct{}) {
+	defer sc.pusher.Done()
+	rt := sc.s.rt
+	for {
+		select {
+		case <-ch:
+		case <-sc.ctx.Done():
+			return
+		}
+		ch = rt.EpochAdvanced()
+		sc.out.End(wire.AppendEpoch(sc.out.Begin(), rt.Epoch()), false)
 	}
 }
 

@@ -25,6 +25,13 @@ func FuzzWireFrame(f *testing.F) {
 		},
 	}
 	f.Add(AppendResponse(nil, &resp))
+	leased := slot
+	leased.Lease = true
+	f.Add(AppendRequest(nil, &leased))
+	stamped := resp
+	stamped.Epoch = 300
+	f.Add(AppendResponse(nil, &stamped))
+	f.Add(AppendEpoch(nil, 12))
 	f.Add(AppendBatchResponse(nil, 1, []Response{resp, {Region: "x", Err: &Error{Code: "unknown_region", Message: "no"}}}))
 	f.Add(AppendError(nil, &Error{Status: 429, Code: "queue_full", Message: "shed", RetryAfterSeconds: 0.5}))
 	f.Add(append(AppendRequest(nil, &req), AppendRequest(nil, &slot)...))
@@ -90,6 +97,8 @@ func reencode(f *Frame) []byte {
 		return AppendStreamResponse(nil, f.StreamID, f.Resp)
 	case TypeCredit:
 		return AppendCredit(nil, f.Credit)
+	case TypeEpoch:
+		return AppendEpoch(nil, f.Epoch)
 	case TypeGoaway:
 		return AppendGoaway(nil, f.Away)
 	case TypeGossip:

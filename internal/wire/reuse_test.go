@@ -191,6 +191,8 @@ func FuzzDecoderReuse(f *testing.F) {
 		AppendBatchResponse(nil, 1, resps[:5]),
 		AppendStreamResponse(nil, 4, &resps[9]),
 		AppendStreamResponse(nil, 5, &Response{Region: "bare", Verdict: "cpu/base"}),
+		AppendStreamResponse(nil, 6, &Response{Region: "bare", Verdict: "cpu/base", Epoch: 1 << 33}),
+		append(AppendEpoch(nil, 2), AppendStreamRequest(nil, 7, &Request{Region: "mvt1", Lease: true, Names: []string{"n"}, Values: []int64{9}})...),
 		AppendResponse(nil, &Response{Region: "x", Err: &Error{Code: "unknown_region", Message: "no"}}),
 	}
 	// Consecutive frames that change the name at one position — to one of

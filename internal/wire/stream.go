@@ -17,6 +17,11 @@
 // stream dialect and downgrades to HTTP framing. Each response
 // implicitly returns one unit of credit.
 //
+// Leases: a request with Lease set has its response stamped with the
+// server's decision epoch, and subscribes the connection to TypeEpoch
+// frames announcing the epoch's advances. A connection that never asks
+// sees neither.
+//
 // Shutdown: either side sends TypeGoaway carrying the last stream ID it
 // will answer plus a human-readable reason. In-flight streams at or
 // below that ID complete normally; later requests are answered with a
@@ -47,6 +52,9 @@ const (
 	// TypeGoaway announces graceful shutdown: streams with IDs at or
 	// below LastStreamID will be answered, later ones will not.
 	TypeGoaway = 9
+	// TypeEpoch carries the server's decision epoch, pushed when it
+	// advances, only on a connection that asked (Request.Lease).
+	TypeEpoch = 11
 )
 
 // Goaway is the payload of a TypeGoaway frame.
@@ -76,6 +84,13 @@ func AppendStreamResponse(dst []byte, id uint64, r *Response) []byte {
 func AppendCredit(dst []byte, n uint64) []byte {
 	dst, at := beginFrame(dst, TypeCredit)
 	dst = binary.AppendUvarint(dst, n)
+	return endFrame(dst, at)
+}
+
+// AppendEpoch appends a complete TypeEpoch frame.
+func AppendEpoch(dst []byte, epoch uint64) []byte {
+	dst, at := beginFrame(dst, TypeEpoch)
+	dst = binary.AppendUvarint(dst, epoch)
 	return endFrame(dst, at)
 }
 

@@ -28,6 +28,13 @@ func FuzzStreamFrame(f *testing.F) {
 		Err:    &Error{Code: "queue_full", Message: "stream credit exhausted", RetryAfterSeconds: 0.01},
 	}))
 	f.Add(AppendCredit(nil, 64))
+	leased := req
+	leased.Lease = true
+	f.Add(AppendStreamRequest(nil, 3, &leased))
+	stamped := resp
+	stamped.Epoch = 9
+	f.Add(AppendStreamResponse(nil, 3, &stamped))
+	f.Add(AppendEpoch(nil, 10))
 	f.Add(AppendGoaway(nil, &Goaway{LastStreamID: 41, Reason: "draining"}))
 	pipelined := AppendCredit(nil, 8)
 	pipelined = AppendStreamRequest(pipelined, 1, &req)
@@ -73,6 +80,8 @@ func FuzzStreamFrame(f *testing.F) {
 				re = AppendStreamResponse(nil, got.StreamID, got.Resp)
 			case TypeCredit:
 				re = AppendCredit(nil, got.Credit)
+			case TypeEpoch:
+				re = AppendEpoch(nil, got.Epoch)
 			case TypeGoaway:
 				re = AppendGoaway(nil, got.Away)
 			default:

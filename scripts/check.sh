@@ -275,9 +275,9 @@ if ! awk '
 	exit 1
 fi
 # The cluster rides the stream: every replica endpoint upgraded, so the
-# stream carried decisions (the kill pushes some onto HTTP, none onto the
-# fallback runtime), and loadgen's per-transport tally accounts for every
-# decision it attempted.
+# stream carried decisions and granted leases that served repeats (the kill
+# pushes some onto HTTP, none onto the fallback runtime), and loadgen's
+# per-transport tally accounts for every decision it attempted.
 if ! awk '
 	$1 == "decisions" && match($0, /\[[^]]*\]/) {
 		total = $2
@@ -285,8 +285,8 @@ if ! awk '
 		for (i = 1; i <= n; i++) { split(parts[i], kv, " "); by[kv[1]] = kv[2]; sum += kv[2] }
 	}
 	/incomplete/ { incomplete = 1 }
-	END { exit !(by["stream"] > 0 && by["local"] == 0 && sum == total && !incomplete) }' "$tmp/cluster.out"; then
-	echo "cluster smoke: want decisions on the stream, none from the fallback, and a tally that sums to 100%"
+	END { exit !(by["stream"] > 0 && by["lease"] > 0 && by["local"] == 0 && sum == total && !incomplete) }' "$tmp/cluster.out"; then
+	echo "cluster smoke: want decisions on the stream and from leases, none from the fallback, and a tally that sums to 100%"
 	kill "$node_a" "$node_b" 2>/dev/null || true
 	exit 1
 fi
