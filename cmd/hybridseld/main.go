@@ -44,7 +44,7 @@
 // key warm), and GET /v1/cluster exposes membership, incarnations, and
 // replication status alongside hybridsel_cluster_* series on /metrics.
 // Cluster-aware clients (client.NewCluster, loadgen -cluster) route
-// each key to its owner and hedge or fail over to ring successors.
+// each key to its owner and fail over to ring successors.
 //
 // POST /v2/decide additionally speaks the compact binary frame format
 // (internal/wire) via content negotiation: requests with Content-Type

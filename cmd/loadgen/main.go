@@ -22,7 +22,7 @@
 //	loadgen -addr http://127.0.0.1:8080 -wait 5s -min-throughput 10000
 //
 // Resilience runs: -client routes traffic through the production client
-// (retries, hedging, circuit breaker, in-process fallback) instead of a
+// (retries, circuit breaker, in-process fallback) instead of a
 // bare http.Client, and -faults interposes a deterministic fault-injection
 // proxy scripted by a scenario (a faultnet preset name or DSL). Combined,
 // they are the acceptance run — every request must complete with a
@@ -41,8 +41,8 @@
 //
 // Plain runs (no -client, no -cluster) drive one of the production
 // client's bare transports (client.NewTransport): its encoders,
-// connection pool and error typing with none of its coalescing, retries,
-// hedging, breaker or fallback, so every call goes on the network and
+// connection pool and error typing with none of its coalescing, leases,
+// retries, breaker or fallback, so every call goes on the network and
 // sheds, transport failures and server errors are counted as they
 // happen. Every mode speaks /v2/decide.
 //
@@ -114,14 +114,14 @@ func main() {
 		"exit non-zero if decisions/sec falls below this")
 	scrape := flag.Bool("scrape", true, "print daemon-side counters from /metrics after the run")
 	useClient := flag.Bool("client", false,
-		"route traffic through the resilient client (retries, hedging, breaker, fallback)")
+		"route traffic through the resilient client (retries, breaker, fallback)")
 	noFallback := flag.Bool("no-fallback", false,
 		"client mode: disable the in-process fallback runtime")
 	faults := flag.String("faults", "",
 		"front the daemon with a fault-injection proxy scripted by this scenario (preset or DSL)")
 	clusterSet := flag.String("cluster", "",
 		"route through the cluster client over this replica set (comma-separated id=base-url pairs); "+
-			"each key goes to its ring owner with hedging/failover to successors")
+			"each key goes to its ring owner with failover to successors")
 	wireFormat := flag.String("wire", "json", "decide encoding: json|binary|stream")
 	streamAddr := flag.String("stream-addr", "",
 		"raw TCP stream address for -wire stream (empty = HTTP Upgrade on -addr)")
@@ -349,7 +349,6 @@ type stats struct {
 	// Client-mode accounting: verdict provenance and calls the resilient
 	// client could not complete at all (its hard-failure class).
 	remote    atomic.Uint64
-	hedged    atomic.Uint64
 	fallback  atomic.Uint64
 	coalesced atomic.Uint64
 	failed    atomic.Uint64
@@ -516,12 +515,9 @@ func drive(d decider, raw bool, reqs []server.DecideRequest,
 		}
 	}
 	note := func(v *client.Verdict) {
-		switch v.Provenance {
-		case client.ProvenanceHedged:
-			st.hedged.Add(1)
-		case client.ProvenanceFallback:
+		if v.Provenance == client.ProvenanceFallback {
 			st.fallback.Add(1)
-		default:
+		} else {
 			st.remote.Add(1)
 		}
 		if v.Coalesced {
@@ -637,8 +633,8 @@ func newClusterLoadClient(members string, fallback *offload.Runtime, seed int64)
 // routing outcomes first, then each replica's own client snapshot.
 func reportCluster(cc *client.ClusterClient, w io.Writer) {
 	m := cc.Metrics()
-	fmt.Fprintf(w, "cluster      %d requests, %d failovers, %d cross hedges (%d won), %d fallbacks, %d demoted routes\n",
-		m.Requests, m.Failovers, m.CrossHedges, m.CrossHedgeWins, m.Fallbacks, m.Demoted)
+	fmt.Fprintf(w, "cluster      %d requests, %d failovers, %d fallbacks, %d demoted routes\n",
+		m.Requests, m.Failovers, m.Fallbacks, m.Demoted)
 	ids := make([]string, 0, len(m.Replicas))
 	for id := range m.Replicas {
 		ids = append(ids, id)
@@ -656,8 +652,8 @@ func reportCluster(cc *client.ClusterClient, w io.Writer) {
 // -client run, in the same spirit as the daemon scrape.
 func reportClient(c *client.Client, w io.Writer) {
 	m := c.Metrics()
-	fmt.Fprintf(w, "client       %d retries, %d hedges (%d won), %d fallbacks, %d coalesced\n",
-		m.Retries, m.Hedges, m.HedgeWins, m.Fallbacks, m.Coalesced)
+	fmt.Fprintf(w, "client       %d retries, %d fallbacks, %d coalesced\n",
+		m.Retries, m.Fallbacks, m.Coalesced)
 	fmt.Fprintf(w, "breaker      %s (opened %d times), %d retry-after waits honored\n",
 		m.BreakerState, m.BreakerOpened, m.RetryAfterHonored)
 	if m.StreamCalls+m.StreamFallbacks+m.StreamReconnects+m.StreamDowngrades > 0 {
@@ -688,9 +684,9 @@ func (st *stats) report(w io.Writer) {
 		fmt.Fprintf(w, ", %d incomplete", f)
 	}
 	fmt.Fprintln(w)
-	if r, h, fb := st.remote.Load(), st.hedged.Load(), st.fallback.Load(); r+h+fb > 0 {
-		fmt.Fprintf(w, "provenance   %d remote, %d hedged, %d fallback, %d coalesced\n",
-			r, h, fb, st.coalesced.Load())
+	if r, fb := st.remote.Load(), st.fallback.Load(); r+fb > 0 {
+		fmt.Fprintf(w, "provenance   %d remote, %d fallback, %d coalesced\n",
+			r, fb, st.coalesced.Load())
 	}
 	fmt.Fprintf(w, "decisions    %d (%.0f/s)", st.decisions.Load(), st.decisionsPerSec())
 	if tb := st.transportBreakdown(); tb != "" {

@@ -6,7 +6,6 @@ import (
 	"context"
 	"runtime"
 	"testing"
-	"time"
 
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/wire"
@@ -70,7 +69,7 @@ func TestStreamRoundTripAllocationBudget(t *testing.T) {
 // else: one allocation of at most 448 bytes.
 func TestLeasedHitAllocationBudget(t *testing.T) {
 	url, _ := realStreamDaemon(t)
-	c := newTestClient(t, Config{BaseURL: url, Stream: true, disableHedging: true})
+	c := newTestClient(t, Config{BaseURL: url, Stream: true})
 	req := server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 1100}}
 	var v *Verdict
 	var err error
@@ -106,7 +105,7 @@ func TestLeasedHitAllocationBudget(t *testing.T) {
 // allocates nothing, so the whole process counts three.
 func TestNetworkCallAllocationBudget(t *testing.T) {
 	url, _ := realStreamDaemon(t)
-	c := newTestClient(t, Config{BaseURL: url, Stream: true, Fallback: fallbackRuntime(t), disableHedging: true})
+	c := newTestClient(t, Config{BaseURL: url, Stream: true, Fallback: fallbackRuntime(t)})
 	cc, err := NewCluster(ClusterConfig{Members: []ClusterMember{{ID: "node-a", BaseURL: url}}, Fallback: fallbackRuntime(t)})
 	if err != nil {
 		t.Fatal(err)
@@ -154,19 +153,49 @@ func TestNetworkCallAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestLatencySamplerAllocatesNothing: the p99 a hedging client derives
-// its delay from is sorted in the sampler's own scratch.
-func TestLatencySamplerAllocatesNothing(t *testing.T) {
-	var s latencySampler
-	i := 0
-	if allocs := testing.AllocsPerRun(1000, func() {
-		i++
-		s.observe(time.Duration(i*7919%1000) * time.Microsecond)
-		s.p99(hedgeMinSamples)
-	}); allocs != 0 {
-		t.Errorf("observe + p99: %v allocations, want 0", allocs)
+// cannedTransport answers every call at once with the same verdicts: a
+// rung that costs nothing, so what a call allocates is the loop's alone.
+type cannedTransport struct{ vs []Verdict }
+
+func (c cannedTransport) Send(context.Context, []server.DecideRequest, bool) ([]Verdict, error) {
+	return c.vs, nil
+}
+func (cannedTransport) Close() {}
+
+// TestRouteOfThreeAllocationBudget: a route of three endpoints costs what
+// a route of one does, since the ring's successor list and the route both
+// stay on the caller's stack; and a call through a cluster's view costs
+// what a single-daemon Client's does.
+func TestRouteOfThreeAllocationBudget(t *testing.T) {
+	canned := cannedTransport{vs: make([]Verdict, 1)}
+	single := newTestClient(t, Config{BaseURL: "http://127.0.0.1:1"})
+	single.route[0].ladder[0].Transport = canned
+	cc, err := NewCluster(ClusterConfig{Members: []ClusterMember{
+		{ID: "node-a", BaseURL: "http://127.0.0.1:1"},
+		{ID: "node-b", BaseURL: "http://127.0.0.1:1"},
+		{ID: "node-c", BaseURL: "http://127.0.0.1:1"},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p := s.p99(hedgeMinSamples); p < 980*time.Microsecond {
-		t.Errorf("p99 of a uniform millisecond spread is %v", p)
+	t.Cleanup(cc.Close)
+	for _, v := range cc.views {
+		v.route[0].ladder[0].Transport = canned
+	}
+
+	ctx, req := context.Background(), gemmReq()
+	allocs := func(decide func(context.Context, server.DecideRequest) (*Verdict, error)) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if _, err := decide(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain := allocs(single.Decide)
+	if got := allocs(cc.Decide); got > plain {
+		t.Errorf("a call on a route of three allocates %v times, %v on a route of one: want no more", got, plain)
+	}
+	if got := allocs(cc.Client("node-a").Decide); got > plain {
+		t.Errorf("a call through a cluster's view allocates %v times, %v through a Client: want no more", got, plain)
 	}
 }

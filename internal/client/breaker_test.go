@@ -103,10 +103,10 @@ func TestBreakerStateStrings(t *testing.T) {
 // TestBreakerProbeAlwaysSettles: every attempt the breaker admits is
 // settled, the half-open probe above all. A probe answered by something
 // that says nothing about the daemon's health — a shed, a refusal of the
-// request, a caller that gives up, a 429 that loses to the hedge — used
-// to leave the breaker half-open with its one probe taken for good: the
-// daemon was never asked again, a cluster passed the replica over for
-// ever, a fallback answered every verdict locally for ever. Each row opens
+// request, a caller that gives up — used to leave the breaker half-open
+// with its one probe taken for good: the daemon was never asked again, a
+// cluster passed the replica over for ever, a fallback answered every
+// verdict locally for ever. Each row opens
 // the breaker with one 500, lets the cooldown pass, has the probe answered
 // as the row says, and then requires that the daemon is asked again and
 // that its first 200 closes the breaker.
@@ -114,36 +114,23 @@ func TestBreakerProbeAlwaysSettles(t *testing.T) {
 	const cooldown = 5 * time.Millisecond
 	rows := []struct {
 		name    string
-		hedge   time.Duration // Config.hedgeAfter; 0 for no hedging
 		timeout time.Duration // the probing call's own deadline; 0 for none
-		arm     func(target, hedged *replicaStub)
+		arm     func(target *replicaStub)
 	}{
-		{name: "shed", arm: func(target, _ *replicaStub) { target.sheds.Store(1) }},
-		{name: "refused", arm: func(target, _ *replicaStub) { target.refuse.Store(true) }},
+		{name: "shed", arm: func(target *replicaStub) { target.sheds.Store(1) }},
+		{name: "refused", arm: func(target *replicaStub) { target.refuse.Store(true) }},
 		{name: "caller gives up", timeout: 10 * time.Millisecond,
-			arm: func(target, _ *replicaStub) { target.delay.Store(int64(100 * time.Millisecond)) }},
-		// The probe's 429 arrives after the hedge has left and before the
-		// hedge's 200 does: the call succeeds, the probed primary did not.
-		{name: "hedge wins", hedge: 2 * time.Millisecond,
-			arm: func(target, hedged *replicaStub) {
-				target.sheds.Store(1)
-				target.delay.Store(int64(10 * time.Millisecond))
-				if hedged != target {
-					hedged.delay.Store(int64(30 * time.Millisecond))
-				}
-			}},
+			arm: func(target *replicaStub) { target.delay.Store(int64(100 * time.Millisecond)) }},
 	}
 	for _, kind := range []string{"Client", "ClusterClient"} {
 		for _, row := range rows {
 			t.Run(kind+"/"+row.name, func(t *testing.T) {
-				cfg := Config{maxAttempts: 1, breakerFailures: 1, breakerCooldown: cooldown,
-					hedgeAfter: row.hedge, disableHedging: row.hedge == 0}
+				cfg := Config{maxAttempts: 1, breakerFailures: 1, breakerCooldown: cooldown}
 				var decide func(context.Context) (*Verdict, error)
 				var state func() BreakerState
-				var target, hedged *replicaStub // the probed daemon, and where its hedge goes
+				var target *replicaStub // the probed daemon
 				if kind == "Client" {
 					target = newReplicaStub(t, "solo", "gpu/base")
-					hedged = target
 					cfg.BaseURL = target.ts.URL
 					c := newTestClient(t, cfg)
 					decide = func(ctx context.Context) (*Verdict, error) { return c.Decide(ctx, gemmReq()) }
@@ -151,7 +138,7 @@ func TestBreakerProbeAlwaysSettles(t *testing.T) {
 				} else {
 					cc, stubs := testClusterClient(t, ClusterConfig{Replica: cfg})
 					order := cc.Route(gemmReq())
-					target, hedged = stubs[order[0]], stubs[order[1]]
+					target = stubs[order[0]]
 					decide = func(ctx context.Context) (*Verdict, error) { return cc.Decide(ctx, gemmReq()) }
 					state = cc.Client(order[0]).BreakerState
 				}
@@ -164,7 +151,7 @@ func TestBreakerProbeAlwaysSettles(t *testing.T) {
 				}
 
 				time.Sleep(2 * cooldown)
-				row.arm(target, hedged)
+				row.arm(target)
 				asked := target.calls.Load()
 				ctx, cancel := context.Background(), context.CancelFunc(func() {})
 				if row.timeout > 0 {
@@ -177,12 +164,6 @@ func TestBreakerProbeAlwaysSettles(t *testing.T) {
 				}
 				target.refuse.Store(false)
 				target.delay.Store(0)
-				hedged.delay.Store(0)
-				if hedged != target {
-					// From here on it is the probed daemon's own 200 that
-					// counts: a hedge a slow machine lets fire must not win.
-					hedged.fail.Store(true)
-				}
 
 				time.Sleep(2 * cooldown)
 				asked = target.calls.Load()

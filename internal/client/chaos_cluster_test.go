@@ -249,8 +249,7 @@ func chaosClusterReqs(n int) []server.DecideRequest {
 func TestChaosRollingRestartLosesNoVerdicts(t *testing.T) {
 	rig := newClusterChaosRig(t, 3, ClusterConfig{
 		Replica: Config{
-			disableHedging: true, maxAttempts: 2,
-			breakerFailures: 1000, timeout: 2 * time.Second,
+			maxAttempts: 2, breakerFailures: 1000, timeout: 2 * time.Second,
 		},
 	})
 	reqs := chaosClusterReqs(24)
@@ -315,8 +314,7 @@ func TestChaosClusterKillLoopReproducible(t *testing.T) {
 	run := func() []string {
 		rig := newClusterChaosRig(t, 17, ClusterConfig{
 			Replica: Config{
-				disableHedging: true, maxAttempts: 2,
-				breakerFailures: 1000, timeout: 2 * time.Second,
+				maxAttempts: 2, breakerFailures: 1000, timeout: 2 * time.Second,
 			},
 		})
 		reqs := chaosClusterReqs(8)
@@ -352,59 +350,12 @@ func TestChaosClusterKillLoopReproducible(t *testing.T) {
 	}
 }
 
-// TestChaosClusterHedgeSuccessorOnly: a slow (not dead) owner makes the
-// cross-replica hedge fire; the hedge must land on the immediate ring
-// successor and never spill to the third shard.
-func TestChaosClusterHedgeSuccessorOnly(t *testing.T) {
-	rig := newClusterChaosRig(t, 9, ClusterConfig{
-		Replica: Config{
-			hedgeAfter:      5 * time.Millisecond,
-			breakerFailures: 1000, timeout: 2 * time.Second,
-		},
-	})
-	// Distinct requests that all live on the same shard: same owner and
-	// successor, but no client-side coalescing between iterations.
-	first := chaosClusterReqs(1)[0]
-	order := rig.cc.Route(first)
-	var reqs []server.DecideRequest
-	for n := int64(64); len(reqs) < 4 && n < 64_000; n += 53 {
-		req := server.DecideRequest{Region: first.Region, Bindings: map[string]int64{"n": n}}
-		if ro := rig.cc.Route(req); ro[0] == order[0] && ro[1] == order[1] {
-			reqs = append(reqs, req)
-		}
-	}
-	if len(reqs) < 4 {
-		t.Fatalf("found only %d keys on shard %s/%s", len(reqs), order[0], order[1])
-	}
-	rig.mesh.SetFaults("client", order[0], faultnet.Faults{Latency: 150 * time.Millisecond})
-
-	for i, req := range reqs {
-		v, err := rig.cc.Decide(context.Background(), req)
-		if err != nil {
-			t.Fatalf("decide %d: %v", i, err)
-		}
-		if v.Replica != order[1] {
-			t.Fatalf("decide %d served by %q, want hedge at successor %q (order %v)",
-				i, v.Replica, order[1], order)
-		}
-		if v.Provenance != ProvenanceHedged {
-			t.Fatalf("decide %d provenance %q, want %q", i, v.Provenance, ProvenanceHedged)
-		}
-	}
-	m := rig.cc.Metrics()
-	if m.CrossHedges == 0 || m.CrossHedgeWins == 0 {
-		t.Fatalf("hedge metrics %+v", m)
-	}
-	if s := rig.mesh.Proxy("client", order[2]).Stats(); s.Requests != 0 {
-		t.Fatalf("hedge spilled past the successor: %d requests hit %s", s.Requests, order[2])
-	}
-}
-
 // TestClusterRouteEquivalence holds every way the loop can get a request
 // answered to the one answer: the request rows of TestCodecEquivalence
 // that a DecideRequest can spell, served by the owner, by a failed-over
-// successor, by a hedge, inside a batch sharded over owners with one
-// owner down, and by the fallback runtime with every replica down. Each
+// successor, by an owner that refuses the stream, inside a batch sharded
+// over owners with one owner down, and by the fallback runtime with every
+// replica down. Each
 // must be, row for row, the DecideResponseV2 an in-process
 // offload.Runtime yields (CacheHit and DecisionNanos aside, which depend
 // on who asked first) or the row's error code, stamped with the replica,
@@ -449,14 +400,9 @@ func TestClusterRouteEquivalence(t *testing.T) {
 	// add three backoff sleeps to each row. Breakers stay out of the way,
 	// so a cut replica is asked, and fails, every time; one pooled stream
 	// connection per replica, so a healed one is back on it for every call.
-	// rig carries a fallback runtime and so sends slot-form frames, hedging
-	// has none and sends named bindings.
 	rig := newStreamClusterRig(t, 5, ClusterConfig{
 		Fallback: fallbackRuntime(t),
 		Replica:  Config{maxAttempts: 1, breakerFailures: 1000, StreamConns: 1},
-	})
-	hedging := newStreamClusterRig(t, 5, ClusterConfig{
-		Replica: Config{hedgeAfter: 5 * time.Millisecond, breakerFailures: 1000, StreamConns: 1},
 	})
 	// refusing's edges are HTTP proxies, which refuse the Upgrade.
 	refusing := newClusterChaosRig(t, 5, ClusterConfig{Replica: Config{maxAttempts: 1}})
@@ -513,20 +459,6 @@ func TestClusterRouteEquivalence(t *testing.T) {
 		{"failed-over successor",
 			func(i int) (*Verdict, error) { return under(rig, partition, rows[i].req, order(i)[0]) },
 			func(i int) stamp { return stamp{order(i)[1], ProvenanceRemote, via(i), 2} }},
-		// The owner accepts and answers 150ms late; the hedge is sent 5ms in.
-		// The successor is healed first: a heal's probe may have hedged to it
-		// and lost, and a stream dial given up leaves its slot in backoff.
-		{"hedge",
-			func(i int) (*Verdict, error) {
-				hedging.heal(order(i)[1])
-				return under(hedging, faultnet.TCPFaults{StallRate: 1, Stall: 150 * time.Millisecond}, rows[i].req, order(i)[0])
-			},
-			func(i int) stamp {
-				if rows[i].req.Execute { // never duplicated: the slow owner's own answer
-					return stamp{order(i)[0], ProvenanceRemote, TransportHTTPJSON, 1}
-				}
-				return stamp{order(i)[1], ProvenanceHedged, TransportStream, 1}
-			}},
 		{"owner that refuses the stream",
 			func(i int) (*Verdict, error) { return refusing.cc.Decide(ctx, rows[i].req) },
 			func(i int) stamp { return stamp{order(i)[0], ProvenanceRemote, TransportHTTPJSON, 1} }},
@@ -591,13 +523,10 @@ func TestClusterRouteEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if m := hedging.cc.Metrics(); m.CrossHedges == 0 || m.CrossHedgeWins == 0 || m.Failovers != 0 {
-		t.Errorf("the hedge route: %+v", m)
-	}
 	// Cuts cost latency and attempts, never the rung: only a replica that
 	// answered the Upgrade with a refusal lost it, once, on its first single.
 	refused := uint64(0)
-	for _, r := range []*ClusterClient{rig.cc, hedging.cc, refusing.cc} {
+	for _, r := range []*ClusterClient{rig.cc, refusing.cc} {
 		for id, m := range r.Metrics().Replicas {
 			if r == refusing.cc && m.StreamDowngrades <= 1 {
 				refused += m.StreamDowngrades
@@ -611,7 +540,7 @@ func TestClusterRouteEquivalence(t *testing.T) {
 	}
 	// Routing is the ring's alone: the rigs agree on every row.
 	for i := range rows {
-		if !slices.Equal(hedging.cc.Route(rows[i].req), order(i)) || !slices.Equal(refusing.cc.Route(rows[i].req), order(i)) {
+		if !slices.Equal(refusing.cc.Route(rows[i].req), order(i)) {
 			t.Fatalf("%s: the rigs route differently", rows[i].name)
 		}
 	}
@@ -716,50 +645,37 @@ func TestChaosClusterStreamKill(t *testing.T) {
 
 // TestClusterStreamDialIsBounded: a replica that accepts connections and
 // then says nothing, to the Upgrade or to anything else, costs a call the
-// one attempt's deadline — or nothing, when a hedge answered meanwhile and
-// the attempt was given up — and leaves the slot in redial backoff with
-// its lock free, not held by a dial nobody is waiting for.
+// one attempt's deadline, and leaves the slot in redial backoff with its
+// lock free, not held by a dial nobody is waiting for.
 func TestClusterStreamDialIsBounded(t *testing.T) {
 	silent := faultnet.TCPFaults{StallRate: 1, Stall: 600 * time.Millisecond}
-	for _, c := range []struct {
-		name     string
-		replica  Config
-		prov     Provenance
-		attempts int
-		atLeast  time.Duration
-		atMost   time.Duration
-	}{
-		{"the attempt's deadline", Config{timeout: 100 * time.Millisecond, maxAttempts: 1, StreamConns: 1},
-			ProvenanceRemote, 2, 100 * time.Millisecond, 400 * time.Millisecond},
-		{"a hedge's answer", Config{hedgeAfter: 5 * time.Millisecond, StreamConns: 1},
-			ProvenanceHedged, 1, 5 * time.Millisecond, 400 * time.Millisecond},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			rig := newStreamClusterRig(t, 7, ClusterConfig{Replica: c.replica})
-			req := chaosClusterReqs(1)[0]
-			order := rig.cc.Route(req)
-			rig.cut(silent, order[0])
-			start := time.Now()
-			v, err := rig.cc.Decide(context.Background(), req)
-			elapsed := time.Since(start)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.Replica != order[1] || v.Provenance != c.prov || v.Transport != TransportStream || v.Attempts != c.attempts {
-				t.Errorf("served by %q (%s, %s) after %d attempts; want the successor %q (%s, stream) after %d",
-					v.Replica, v.Provenance, v.Transport, v.Attempts, order[1], c.prov, c.attempts)
-			}
-			if elapsed < c.atLeast || elapsed > c.atMost {
-				t.Errorf("the call took %v, want between %v and %v: the silent owner's dial ran past what bounded it", elapsed, c.atLeast, c.atMost)
-			}
-			sl := &rig.cc.views[order[0]].route[0].ladder[0].Transport.(*streamTransport).slots[0]
-			if !sl.mu.TryLock() {
-				t.Fatal("the owner's slot is still locked: its dial outlived the attempt")
-			}
-			defer sl.mu.Unlock()
-			if sc := sl.conn.Load(); sc != nil || !time.Now().Before(sl.retryAt) {
-				t.Errorf("the owner's slot holds conn %v and may redial at %v; want none, and a backoff still running", sc, sl.retryAt)
-			}
+	t.Run("the attempt's deadline", func(t *testing.T) {
+		rig := newStreamClusterRig(t, 7, ClusterConfig{
+			Replica: Config{timeout: 100 * time.Millisecond, maxAttempts: 1, StreamConns: 1},
 		})
-	}
+		req := chaosClusterReqs(1)[0]
+		order := rig.cc.Route(req)
+		rig.cut(silent, order[0])
+		start := time.Now()
+		v, err := rig.cc.Decide(context.Background(), req)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Replica != order[1] || v.Provenance != ProvenanceRemote || v.Transport != TransportStream || v.Attempts != 2 {
+			t.Errorf("served by %q (%s, %s) after %d attempts; want the successor %q (remote, stream) after 2",
+				v.Replica, v.Provenance, v.Transport, v.Attempts, order[1])
+		}
+		if elapsed < 100*time.Millisecond || elapsed > 400*time.Millisecond {
+			t.Errorf("the call took %v, want between 100ms and 400ms: the silent owner's dial ran past what bounded it", elapsed)
+		}
+		sl := &rig.cc.views[order[0]].route[0].ladder[0].Transport.(*streamTransport).slots[0]
+		if !sl.mu.TryLock() {
+			t.Fatal("the owner's slot is still locked: its dial outlived the attempt")
+		}
+		defer sl.mu.Unlock()
+		if sc := sl.conn.Load(); sc != nil || !time.Now().Before(sl.retryAt) {
+			t.Errorf("the owner's slot holds conn %v and may redial at %v; want none, and a backoff still running", sc, sl.retryAt)
+		}
+	})
 }

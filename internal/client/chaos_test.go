@@ -92,9 +92,8 @@ func TestChaosBreakerOpensAtThresholdThenHeals(t *testing.T) {
 	const threshold = 3
 	cooldown := 50 * time.Millisecond
 	rig := newChaosRig(t, 1, Config{
-		maxAttempts: 1, disableHedging: true,
+		maxAttempts: 1, timeout: time.Second,
 		breakerFailures: threshold, breakerCooldown: cooldown,
-		timeout: time.Second,
 	})
 	rig.proxy.SetFaults(faultnet.Faults{Partition: true})
 
@@ -143,12 +142,12 @@ func TestChaosBreakerOpensAtThresholdThenHeals(t *testing.T) {
 
 // TestChaosFlapEveryCallGetsAVerdict: the flap preset (partition
 // flapping on/off) must never surface an error to callers — every call
-// resolves to a remote, hedged, or fallback verdict.
+// resolves to a remote or fallback verdict.
 func TestChaosFlapEveryCallGetsAVerdict(t *testing.T) {
 	rig := newChaosRig(t, 7, Config{
 		maxAttempts: 2, retryBackoff: 2 * time.Millisecond,
 		breakerFailures: 3, breakerCooldown: 30 * time.Millisecond,
-		disableHedging: true, timeout: time.Second,
+		timeout: time.Second,
 	})
 	sc, err := faultnet.ParseScenario("flap")
 	if err != nil {
@@ -185,9 +184,8 @@ func TestChaosFlapEveryCallGetsAVerdict(t *testing.T) {
 // request, mostly remotely.
 func TestChaosBrownoutRetriesThrough(t *testing.T) {
 	rig := newChaosRig(t, 11, Config{
-		maxAttempts: 4, retryBackoff: time.Millisecond,
+		maxAttempts: 4, retryBackoff: time.Millisecond, timeout: time.Second,
 		breakerFailures: 50, // keep the breaker out of this test's way
-		disableHedging:  true, timeout: time.Second,
 	})
 	rig.proxy.SetFaults(faultnet.Faults{
 		ErrorRate:  0.4,
@@ -224,8 +222,7 @@ func TestChaosBrownoutRetriesThrough(t *testing.T) {
 // evaluate the same deterministic analytical models.
 func TestChaosPartitionHealFallbackMatchesDaemon(t *testing.T) {
 	rig := newChaosRig(t, 1, Config{
-		maxAttempts: 1, disableHedging: true,
-		breakerFailures: 1000, timeout: time.Second,
+		maxAttempts: 1, breakerFailures: 1000, timeout: time.Second,
 	})
 	reqs := []server.DecideRequest{
 		{Region: "gemm", Bindings: map[string]int64{"n": 64}},
@@ -277,15 +274,12 @@ func TestChaosPartitionHealFallbackMatchesDaemon(t *testing.T) {
 	}
 }
 
-// TestChaosHedgesNeverDuplicateSideEffects: under latency that makes
-// hedges fire constantly, Execute requests (the side-effecting kind)
-// must appear in the daemon's decision log exactly once each, while
-// decide-only traffic is free to hedge.
+// TestChaosHedgesNeverDuplicateSideEffects: under 20ms of latency on
+// every call, Execute requests (the side-effecting kind) must appear in
+// the daemon's decision log exactly once each: a slow attempt is waited
+// for, never sent again.
 func TestChaosHedgesNeverDuplicateSideEffects(t *testing.T) {
-	rig := newChaosRig(t, 1, Config{
-		hedgeAfter: 2 * time.Millisecond, // hedge almost immediately
-		timeout:    2 * time.Second,
-	})
+	rig := newChaosRig(t, 1, Config{timeout: 2 * time.Second})
 	rig.proxy.SetFaults(faultnet.Faults{Latency: 20 * time.Millisecond})
 
 	const executes = 8
@@ -307,23 +301,6 @@ func TestChaosHedgesNeverDuplicateSideEffects(t *testing.T) {
 		t.Fatalf("daemon decision log shows %d executed decisions for %d Execute requests",
 			got, executes)
 	}
-	if m := rig.client.Metrics(); m.Hedges != 0 {
-		t.Fatalf("Execute requests were hedged: %+v", m)
-	}
-
-	// Decide-only traffic under the same latency does hedge.
-	for i := 0; i < 10; i++ {
-		if _, err := rig.client.Decide(context.Background(), gemmReq()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m := rig.client.Metrics(); m.Hedges == 0 {
-		t.Fatal("20ms latency with a 2ms hedge delay produced zero hedges")
-	}
-	// ...and still dispatches zero extra executions.
-	if got := rig.executed.Load(); got != executes {
-		t.Fatalf("decide-only hedges executed work: %d executed decisions", got)
-	}
 }
 
 // TestChaosFaults30LoadCompletes is the acceptance scenario in miniature:
@@ -332,8 +309,7 @@ func TestChaosFaults30LoadCompletes(t *testing.T) {
 	rig := newChaosRig(t, 42, Config{
 		maxAttempts: 4, retryBackoff: time.Millisecond,
 		breakerFailures: 5, breakerCooldown: 20 * time.Millisecond,
-		hedgeAfter: 5 * time.Millisecond,
-		timeout:    time.Second,
+		timeout: time.Second,
 	})
 	sc, err := faultnet.ParseScenario("faults30")
 	if err != nil {
@@ -350,7 +326,7 @@ func TestChaosFaults30LoadCompletes(t *testing.T) {
 		}
 		byProv[v.Provenance]++
 	}
-	total := byProv[ProvenanceRemote] + byProv[ProvenanceHedged] + byProv[ProvenanceFallback]
+	total := byProv[ProvenanceRemote] + byProv[ProvenanceFallback]
 	if total != n {
 		t.Fatalf("verdicts %d/%d (by provenance: %v)", total, n, byProv)
 	}
@@ -370,9 +346,9 @@ func TestChaosFaults30LoadCompletes(t *testing.T) {
 func TestChaosBinaryTruncationDegradesWithoutLoss(t *testing.T) {
 	frt := fallbackRuntime(t)
 	rig := newChaosRig(t, 21, Config{
-		maxAttempts: 2, retryBackoff: time.Millisecond,
+		maxAttempts: 2, retryBackoff: time.Millisecond, timeout: time.Second,
 		breakerFailures: 50, // keep the breaker out of the way
-		disableHedging:  true, timeout: time.Second,
+
 		Fallback: frt,
 		Binary:   true,
 		RegionParams: func(region string) []string {

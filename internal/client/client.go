@@ -6,9 +6,7 @@
 // carries the full ranked candidate list from /v2/decide (top-1 is the
 // chosen target's registry ID), and always says where it came from:
 //
-//   - remote:   the daemon answered a plain request.
-//   - hedged:   the daemon answered, but it was the hedge — a duplicate
-//     fired after a p99-derived delay — that won the race.
+//   - remote:   the daemon answered.
 //   - fallback: the daemon was unreachable (circuit open, or every
 //     retry failed) and the verdict came from the in-process
 //     compiled-model runtime. Because the analytical models are
@@ -24,10 +22,10 @@
 // one endpoint for a Client, the key's ring successors for a
 // ClusterClient — asking each endpoint whose circuit breaker admits it,
 // and sleeps (exponential backoff + jitter, or a longer Retry-After) only
-// when the route wraps. An idempotent attempt may be hedged, and when
-// the walks are spent the fallback runtime answers. Every step is counted
-// (Metrics / RegisterMetrics, hybridselc_ namespace), mirroring the
-// daemon's own exposition.
+// when the route wraps. An attempt is one send under the per-attempt
+// deadline, and when the walks are spent the fallback runtime answers.
+// Every step is counted (Metrics / RegisterMetrics, hybridselc_
+// namespace), mirroring the daemon's own exposition.
 package client
 
 import (
@@ -55,7 +53,6 @@ type Provenance string
 // Provenance values.
 const (
 	ProvenanceRemote   Provenance = "remote"
-	ProvenanceHedged   Provenance = "hedged"
 	ProvenanceFallback Provenance = "fallback"
 )
 
@@ -72,11 +69,11 @@ const (
 // Verdict is a decision with its delivery story. Response.Verdict is
 // the chosen target's registry ID ("cpu/base", "gpu/prev", ...; "split"
 // for a cooperative split) and Response.Candidates the full ranking, so
-// callers comparing verdicts from different paths (hedged vs primary,
+// callers comparing verdicts from different paths (owner vs successor,
 // fallback vs daemon) compare target identities, not a CPU/GPU boolean.
 type Verdict struct {
 	Response server.DecideResponseV2
-	// Provenance is remote, hedged, or fallback.
+	// Provenance is remote or fallback.
 	Provenance Provenance
 	// Attempts counts the passes down a transport ladder the call
 	// consumed, over every endpoint it asked (0 for a leased verdict, and
@@ -95,8 +92,8 @@ type Verdict struct {
 	// Replica is the cluster member ID that served the verdict when the
 	// call went through a ClusterClient or one of its views ("" for
 	// single-daemon clients and for in-process fallback verdicts), so
-	// callers can audit routing: owner for plain verdicts, a ring
-	// successor for hedged and failed-over ones.
+	// callers can audit routing: the owner, or a ring successor for
+	// failed-over verdicts.
 	Replica string
 }
 
@@ -117,7 +114,7 @@ const (
 	// wraps: doubled per walk with ±50% jitter, capped at maxBackoff. A
 	// longer Retry-After from the endpoint about to be re-asked wins.
 	defaultRetryBackoff = 20 * time.Millisecond
-	// defaultTimeout is the per-attempt deadline, hedge included.
+	// defaultTimeout is the per-attempt deadline.
 	defaultTimeout = 2 * time.Second
 	// defaultBreakerFailures consecutive eligible failures open an
 	// endpoint's breaker; it stays open for defaultBreakerCooldown, then
@@ -129,13 +126,8 @@ const (
 	defaultStreamConns = 2
 )
 
-const (
-	// maxBackoff caps the exponential retry backoff.
-	maxBackoff = time.Second
-	// hedgeMinSamples is how many successful attempts an endpoint must
-	// have seen before a hedge delay is derived from their p99.
-	hedgeMinSamples = 20
-)
+// maxBackoff caps the exponential retry backoff.
+const maxBackoff = time.Second
 
 // Config parameterizes a Client.
 type Config struct {
@@ -189,15 +181,10 @@ type Config struct {
 
 	// Test hooks: zero selects the default* constant of the same name, and
 	// only this package's tests set them, to make a retry, a deadline or a
-	// breaker trip take milliseconds. hedgeAfter has no constant: zero
-	// derives the delay from the endpoint's p99 for a Client and leaves a
-	// ClusterClient unhedged (hedgeFor; DESIGN.md §16). Only decide-only
-	// calls are ever hedged: an Execute dispatches work.
+	// breaker trip take milliseconds.
 	maxAttempts     int
 	retryBackoff    time.Duration
 	timeout         time.Duration
-	hedgeAfter      time.Duration
-	disableHedging  bool
 	breakerFailures int
 	breakerCooldown time.Duration
 }
@@ -294,9 +281,8 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []server.DecideRequest) (
 // jitter source, the flights identical requests share, and the counters
 // that say how calls were routed rather than what one endpoint did.
 type loop struct {
-	cfg     *Config
-	cluster bool // a ClusterClient's, views included: hedging is opt-in
-	cm      clusterMetrics
+	cfg *Config
+	cm  clusterMetrics
 
 	jmu sync.Mutex
 	rng *rand.Rand
@@ -368,7 +354,7 @@ func (l *loop) decide(ctx context.Context, req server.DecideRequest, k canon, ro
 	}
 	a := l.single(req, k)
 	key := reqKey{region: req.Region, hash: a.hash}
-	// Execute dispatches work on the daemon: never shared, never hedged.
+	// Execute dispatches work on the daemon: never shared.
 	leads := false
 	if !req.Execute {
 		l.fmu.Lock()
@@ -493,10 +479,6 @@ var errNoFallback = errors.New("client: no fallback runtime configured")
 // On a route of one every step wraps, which is the classic retry loop; on
 // a cluster route a healthy successor answers after one failed attempt.
 func (l *loop) call(ctx context.Context, a *ask, route []*endpoint) ([]Verdict, error) {
-	// Only idempotent calls are hedged: an Execute request dispatches
-	// work and is never duplicated.
-	canHedge := !l.cfg.disableHedging &&
-		!slices.ContainsFunc(a.reqs, func(r server.DecideRequest) bool { return r.Execute })
 	attempts := 0
 	var err error
 walks:
@@ -513,19 +495,12 @@ walks:
 				l.cm.failovers.Add(1)
 			}
 			attempts++
-			vs, from, cerr := l.attempt(ctx, a, route, i, canHedge)
+			vs, cerr := ep.send(ctx, time.Now().Add(l.cfg.timeout), a)
 			ep.breaker.settle(cerr)
-			if from != ep {
-				// The hedge's endpoint answered. It was asked because its
-				// breaker was closed, not admitted by an Allow: there is no
-				// probe of its to settle, only a failure count to reset.
-				from.breaker.Success()
-				cerr = nil
-			}
 			if cerr == nil {
-				from.met.remoteOK.Add(1)
+				ep.met.remoteOK.Add(1)
 				for j := range vs {
-					vs[j].Attempts, vs[j].Replica = attempts, from.id
+					vs[j].Attempts, vs[j].Replica = attempts, ep.id
 				}
 				return vs, nil
 			}
@@ -605,136 +580,4 @@ func (l *loop) backoff(walk int) time.Duration {
 	l.jmu.Unlock()
 	// Uniform in [d/2, 3d/2): desynchronizes retry storms.
 	return d/2 + time.Duration(j*float64(d))
-}
-
-// attempt asks route[i] under the per-attempt deadline, hedged when the
-// call allows it. An attempt that arms no hedge, as none of a cluster's
-// does by default, has no context of its own. Otherwise the primary runs
-// on the caller's goroutine and the
-// duplicate is armed with a timer, so a hedge that never fires costs the
-// context, the timer, its function and dup: no goroutine or channel of
-// its own. The first success wins and ends the other; when both have failed
-// the primary's error is the attempt's (the hedge's is usually a
-// cancellation echo). from is the endpoint that answered, route[i] when
-// none did. err is route[i]'s own outcome, which settles its breaker: nil
-// if it answered, to the primary or to a hedge sent to itself, and its
-// failure even when the hedge to another endpoint answered.
-func (l *loop) attempt(ctx context.Context, a *ask, route []*endpoint, i int, canHedge bool) (vs []Verdict, from *endpoint, err *callErr) {
-	deadline := time.Now().Add(l.cfg.timeout)
-	ep := route[i]
-	var to *endpoint
-	var delay time.Duration
-	if canHedge {
-		to, delay = l.hedgeFor(route, i, a.streamable())
-	}
-	if delay <= 0 {
-		vs, err = ep.send(ctx, deadline, a)
-		return vs, ep, err
-	}
-	actx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	var dup struct { // the duplicate's outcome, read once sent is done
-		sent sync.WaitGroup
-		vs   []Verdict
-		err  *callErr
-	}
-	dup.sent.Add(1)
-	timer := time.AfterFunc(delay, func() {
-		defer dup.sent.Done()
-		to.met.hedges.Add(1)
-		if to != ep {
-			l.cm.crossHedges.Add(1)
-		}
-		if dup.vs, dup.err = to.send(actx, deadline, a); dup.err == nil {
-			cancel() // the duplicate won: stop waiting for the primary
-		}
-	})
-	vs, err = ep.send(actx, deadline, a)
-	if timer.Stop() || err == nil {
-		return vs, ep, err // the hedge never fired, or the primary won anyway
-	}
-	if dup.sent.Wait(); dup.err != nil {
-		return nil, ep, err
-	}
-	to.met.hedgeWins.Add(1)
-	if to != ep {
-		l.cm.crossHedgeWins.Add(1)
-	} else {
-		err = nil
-	}
-	for j := range dup.vs {
-		dup.vs[j].Provenance = ProvenanceHedged
-	}
-	return dup.vs, to, err
-}
-
-// hedgeFor says where and after how long an attempt at route[i] is
-// duplicated (a zero delay: not at all): after the hedgeAfter hook, to the
-// next endpoint of the route whose breaker is closed, which on a route of
-// one is the endpoint itself. Without hedgeAfter a single-daemon Client
-// hedges after its endpoint's own p99, and a cluster not at all.
-func (l *loop) hedgeFor(route []*endpoint, i int, streamable bool) (*endpoint, time.Duration) {
-	after := l.cfg.hedgeAfter
-	if after <= 0 && !l.cluster {
-		after = route[0].p99Delay(streamable, l.cfg.timeout)
-	}
-	if len(route) == 1 {
-		return route[0], after
-	}
-	if after > 0 {
-		for _, to := range route[i+1:] {
-			if to.breaker.State() == BreakerClosed {
-				return to, after
-			}
-		}
-	}
-	return nil, 0
-}
-
-// --------------------------------------------------------- latency p99 --
-
-// latencySampler keeps a ring of recent successful attempt latencies and
-// serves a cached p99 for hedge-delay derivation.
-type latencySampler struct {
-	mu      sync.Mutex
-	ring    [256]int64
-	n       int // total observations
-	cached  time.Duration
-	cachedN int
-	sorted  [256]int64 // p99's scratch
-}
-
-func (s *latencySampler) observe(d time.Duration) {
-	s.mu.Lock()
-	s.ring[s.n%len(s.ring)] = int64(d)
-	s.n++
-	s.mu.Unlock()
-}
-
-// p99 returns the 99th percentile of the ring, or 0 with fewer than min
-// observations. Recomputed every 32 observations; cached in between.
-func (s *latencySampler) p99(min int) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n < min {
-		return 0
-	}
-	if s.cachedN != 0 && s.n-s.cachedN < 32 {
-		return s.cached
-	}
-	size := s.n
-	if size > len(s.ring) {
-		size = len(s.ring)
-	}
-	buf := s.sorted[:size]
-	copy(buf, s.ring[:size])
-	// Insertion sort: size ≤ 256 and this runs every 32 observations.
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	s.cached = time.Duration(buf[(size-1)*99/100])
-	s.cachedN = s.n
-	return s.cached
 }

@@ -109,7 +109,7 @@ func TestRetryOn5xxThenSuccess(t *testing.T) {
 		okResponse(w, "gemm", "cpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, retryBackoff: time.Millisecond, disableHedging: true,
+		BaseURL: ts.URL, retryBackoff: time.Millisecond,
 	})
 
 	v, err := c.Decide(context.Background(), gemmReq())
@@ -138,7 +138,7 @@ func TestShedRetryHonorsRetryAfter(t *testing.T) {
 		okResponse(w, "gemm", "gpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, retryBackoff: time.Millisecond, disableHedging: true,
+		BaseURL: ts.URL, retryBackoff: time.Millisecond,
 		breakerFailures: 1, // a shed must NOT trip even a hair-trigger breaker
 	})
 
@@ -212,7 +212,7 @@ func TestSingleClientRetryLaw(t *testing.T) {
 					okResponse(w, "gemm", "cpu/base")
 				})
 				c := newTestClient(t, Config{
-					BaseURL: ts.URL, Fallback: fallbackRuntime(t), disableHedging: true,
+					BaseURL: ts.URL, Fallback: fallbackRuntime(t),
 					retryBackoff: backoff, breakerFailures: tc.breakerFailures, breakerCooldown: time.Hour,
 				})
 				v, err := c.Decide(context.Background(), gemmReq())
@@ -301,7 +301,7 @@ func TestPermanent4xxFailsFastWithoutFallback(t *testing.T) {
 			http.StatusNotFound)
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, Fallback: fallbackRuntime(t), disableHedging: true,
+		BaseURL: ts.URL, Fallback: fallbackRuntime(t),
 	})
 
 	_, err := c.Decide(context.Background(), server.DecideRequest{Region: "nope"})
@@ -331,8 +331,7 @@ func TestBreakerOpensThenFallsBack(t *testing.T) {
 		http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, Fallback: fallbackRuntime(t),
-		maxAttempts: 1, disableHedging: true,
+		BaseURL: ts.URL, Fallback: fallbackRuntime(t), maxAttempts: 1,
 		breakerFailures: 2, breakerCooldown: time.Hour,
 	})
 
@@ -373,7 +372,7 @@ func TestBreakerOpenWithoutFallbackErrors(t *testing.T) {
 		http.Error(w, "down", http.StatusBadGateway)
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, maxAttempts: 1, disableHedging: true,
+		BaseURL: ts.URL, maxAttempts: 1,
 		breakerFailures: 1, breakerCooldown: time.Hour,
 	})
 	if _, err := c.Decide(context.Background(), gemmReq()); err == nil {
@@ -385,36 +384,39 @@ func TestBreakerOpenWithoutFallbackErrors(t *testing.T) {
 	}
 }
 
-func TestHedgedRequestWins(t *testing.T) {
-	var calls atomic.Int64
-	release := make(chan struct{})
+// TestSlowAnswerIsAskedOnce: an attempt is one send. A daemon that has
+// answered fast for a while and then answers late is waited for under
+// the attempt's deadline, not asked a second time, and its late answer is
+// an ordinary remote verdict.
+func TestSlowAnswerIsAskedOnce(t *testing.T) {
+	var calls, slow atomic.Int64
 	ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// The primary stalls until the test ends; only the hedge can
-			// answer.
-			select {
-			case <-release:
-			case <-r.Context().Done():
-				return
-			}
+		calls.Add(1)
+		if slow.Load() != 0 {
+			time.Sleep(50 * time.Millisecond)
 		}
 		okResponse(w, "gemm", "gpu/base")
 	})
-	defer close(release)
-	c := newTestClient(t, Config{
-		BaseURL: ts.URL, hedgeAfter: 10 * time.Millisecond, timeout: 5 * time.Second,
-	})
-
-	v, err := c.Decide(context.Background(), gemmReq())
-	if err != nil {
-		t.Fatal(err)
+	c := newTestClient(t, Config{BaseURL: ts.URL})
+	ctx := context.Background()
+	for i := 0; i < 32; i++ {
+		if _, err := c.Decide(ctx, gemmReq()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if v.Provenance != ProvenanceHedged {
-		t.Fatalf("provenance %q", v.Provenance)
-	}
-	m := c.Metrics()
-	if m.Hedges != 1 || m.HedgeWins != 1 {
-		t.Fatalf("metrics %+v", m)
+	slow.Store(1)
+	for i := 0; i < 3; i++ {
+		calls.Store(0)
+		v, err := c.Decide(ctx, gemmReq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("slow decide %d reached the daemon %d times, want once", i, n)
+		}
+		if v.Provenance != ProvenanceRemote || v.Attempts != 1 {
+			t.Fatalf("slow decide %d: provenance %q after %d attempts, want remote after 1", i, v.Provenance, v.Attempts)
+		}
 	}
 }
 
@@ -425,7 +427,7 @@ func TestExecuteRequestsAreNeverHedged(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		okResponse(w, "gemm", "gpu/base")
 	})
-	c := newTestClient(t, Config{BaseURL: ts.URL, hedgeAfter: 5 * time.Millisecond})
+	c := newTestClient(t, Config{BaseURL: ts.URL})
 
 	req := gemmReq()
 	req.Execute = true
@@ -434,9 +436,6 @@ func TestExecuteRequestsAreNeverHedged(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("execute request duplicated: %d calls", calls.Load())
-	}
-	if m := c.Metrics(); m.Hedges != 0 {
-		t.Fatalf("metrics %+v", m)
 	}
 }
 
@@ -448,7 +447,7 @@ func TestIdenticalInflightRequestsCoalesce(t *testing.T) {
 		<-gate
 		okResponse(w, "gemm", "gpu/base")
 	})
-	c := newTestClient(t, Config{BaseURL: ts.URL, disableHedging: true})
+	c := newTestClient(t, Config{BaseURL: ts.URL})
 
 	const n = 4
 	verdicts := make([]*Verdict, n)
@@ -507,7 +506,7 @@ func TestDecideBatchPositionsAndClientCoalescing(t *testing.T) {
 		}
 		_ = json.NewEncoder(w).Encode(server.BatchResponseV2{Results: results})
 	})
-	c := newTestClient(t, Config{BaseURL: ts.URL, disableHedging: true})
+	c := newTestClient(t, Config{BaseURL: ts.URL})
 
 	// Each letter is a distinct request; a repeat is a duplicate of its
 	// first occurrence and must come back Coalesced, first occurrences
@@ -547,7 +546,7 @@ func TestDecideBatchFallsBackWholesale(t *testing.T) {
 	})
 	c := newTestClient(t, Config{
 		BaseURL: ts.URL, Fallback: fallbackRuntime(t),
-		maxAttempts: 1, disableHedging: true,
+		maxAttempts: 1,
 	})
 	out, err := c.DecideBatch(context.Background(), []server.DecideRequest{
 		{Region: "gemm", Bindings: map[string]int64{"n": 256}},

@@ -1,8 +1,7 @@
 // Cluster mode is routing plus the one resilience loop (client.go): each
 // decide's route is its key's successor list on a consistent-hash ring,
 // owner first, demoted by gossip health. The loop fails over along it
-// before it sleeps and hedges, when asked to, to the next replica (never
-// the same node). Breakers, counters and connections are per replica —
+// before it sleeps. Breakers, counters and connections are per replica —
 // one endpoint each — so one sick replica cannot open the breaker for
 // traffic owned by the healthy ones.
 package client
@@ -53,12 +52,10 @@ type ClusterConfig struct {
 // clusterMetrics counts how calls were routed, beside each endpoint's
 // counters of the attempts addressed to it.
 type clusterMetrics struct {
-	requests       metrics.Counter
-	failovers      metrics.Counter
-	crossHedges    metrics.Counter
-	crossHedgeWins metrics.Counter
-	fallbacks      metrics.Counter
-	demoted        metrics.Counter
+	requests  metrics.Counter
+	failovers metrics.Counter
+	fallbacks metrics.Counter
+	demoted   metrics.Counter
 }
 
 // ClusterMetrics is a point-in-time snapshot of the cluster layer.
@@ -68,10 +65,8 @@ type ClusterMetrics struct {
 	// Failovers counts attempts (of a call or a batch group) addressed
 	// to a later replica of the route than its first.
 	Failovers uint64
-	// CrossHedges counts hedges launched at a ring successor;
-	// CrossHedgeWins counts those that finished first.
-	CrossHedges    uint64
-	CrossHedgeWins uint64
+	// Deprecated: always 0; hedging was removed. bench/ still reads it (ROADMAP 6(a)).
+	CrossHedges uint64
 	// Fallbacks counts calls answered by the in-process runtime after
 	// every routable replica failed.
 	Fallbacks uint64
@@ -121,7 +116,6 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 		}
 		if cc.loop == nil {
 			cc.loop = newLoop(&rcfg)
-			cc.loop.cluster = true
 		}
 		cc.views[m.ID] = &Client{loop: cc.loop, route: []*endpoint{newEndpoint(m.ID, &rcfg)}}
 	}
@@ -141,7 +135,7 @@ func (cc *ClusterClient) Ring() *cluster.Ring { return cc.ring }
 // Client returns a single-daemon client of one member (nil for unknown
 // IDs). It is a view: the cluster's own loop over the cluster's own
 // endpoint for that member, so its breaker state, metrics, connections,
-// coalescing, fallback and opt-in hedging are the cluster's, and a call
+// leases, coalescing and fallback are the cluster's, and a call
 // made through it is a call on a route of that one replica. Close the
 // cluster, not the view.
 func (cc *ClusterClient) Client(id string) *Client { return cc.views[id] }
@@ -210,13 +204,11 @@ func (cc *ClusterClient) DecideBatch(ctx context.Context, reqs []server.DecideRe
 // endpoint.
 func (cc *ClusterClient) Metrics() ClusterMetrics {
 	m := ClusterMetrics{
-		Requests:       cc.loop.cm.requests.Load(),
-		Failovers:      cc.loop.cm.failovers.Load(),
-		CrossHedges:    cc.loop.cm.crossHedges.Load(),
-		CrossHedgeWins: cc.loop.cm.crossHedgeWins.Load(),
-		Fallbacks:      cc.loop.cm.fallbacks.Load(),
-		Demoted:        cc.loop.cm.demoted.Load(),
-		Replicas:       make(map[string]Metrics, len(cc.views)),
+		Requests:  cc.loop.cm.requests.Load(),
+		Failovers: cc.loop.cm.failovers.Load(),
+		Fallbacks: cc.loop.cm.fallbacks.Load(),
+		Demoted:   cc.loop.cm.demoted.Load(),
+		Replicas:  make(map[string]Metrics, len(cc.views)),
 	}
 	for id, v := range cc.views {
 		m.Replicas[id] = v.Metrics()
@@ -231,8 +223,6 @@ func (cc *ClusterClient) RegisterMetrics(s *metrics.Set) {
 	m := &cc.loop.cm
 	s.Counter("hybridselc_cluster_requests_total", "Logical requests entering the cluster client.", &m.requests)
 	s.Counter("hybridselc_cluster_failovers_total", "Calls re-routed to a ring successor.", &m.failovers)
-	s.Counter("hybridselc_cluster_hedges_total", "Hedges launched at the ring successor.", &m.crossHedges)
-	s.Counter("hybridselc_cluster_hedge_wins_total", "Successor hedges that finished first.", &m.crossHedgeWins)
 	s.Counter("hybridselc_cluster_fallback_total", "Verdicts served by the cluster fallback runtime.", &m.fallbacks)
 	s.Counter("hybridselc_cluster_demoted_total", "Routes where gossip demoted the ring owner.", &m.demoted)
 	for _, m := range cc.cfg.Members {

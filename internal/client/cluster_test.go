@@ -104,9 +104,7 @@ func clusterReq(n int64) server.DecideRequest {
 }
 
 func TestClusterRouteMatchesRing(t *testing.T) {
-	cc, _ := testClusterClient(t, ClusterConfig{
-		Replica: Config{disableHedging: true},
-	})
+	cc, _ := testClusterClient(t, ClusterConfig{})
 	for n := int64(1); n <= 32; n++ {
 		req := clusterReq(n * 97)
 		key := cluster.RegionKey(req.Region, attrdb.BindingsHash(symbolic.Bindings(req.Bindings)))
@@ -129,9 +127,7 @@ func TestClusterRouteMatchesRing(t *testing.T) {
 }
 
 func TestClusterFailoverToSuccessor(t *testing.T) {
-	cc, stubs := testClusterClient(t, ClusterConfig{
-		Replica: Config{disableHedging: true},
-	})
+	cc, stubs := testClusterClient(t, ClusterConfig{})
 	req := clusterReq(1100)
 	order := cc.Route(req)
 	stubs[order[0]].fail.Store(true)
@@ -153,8 +149,8 @@ func TestClusterFailoverToSuccessor(t *testing.T) {
 }
 
 // TestClusterFailoverIsPrompt pins the loop's one rule, walk before you
-// wait, under production defaults: no retry, backoff, hedge or breaker
-// field is set. An owner that errors, refuses connections or sheds costs
+// wait, under production defaults: no retry, backoff, deadline or
+// breaker field is set. An owner that errors, refuses connections or sheds costs
 // the call one failed attempt and no sleep; the loop sleeps only when the
 // whole route has failed.
 func TestClusterFailoverIsPrompt(t *testing.T) {
@@ -302,40 +298,10 @@ func TestClusterFailoverIsPrompt(t *testing.T) {
 	})
 }
 
-func TestClusterCrossHedgeTargetsSuccessor(t *testing.T) {
-	cc, stubs := testClusterClient(t, ClusterConfig{
-		Replica: Config{hedgeAfter: 5 * time.Millisecond},
-	})
-	req := clusterReq(2048)
-	order := cc.Route(req)
-	// The owner is healthy but slow; the hedge must fire at the ring
-	// successor and win.
-	stubs[order[0]].delay.Store(int64(300 * time.Millisecond))
-
-	v, err := cc.Decide(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Replica != order[1] {
-		t.Fatalf("hedged verdict served by %q, want successor %q (order %v)", v.Replica, order[1], order)
-	}
-	if v.Provenance != ProvenanceHedged {
-		t.Fatalf("provenance %q, want %q", v.Provenance, ProvenanceHedged)
-	}
-	m := cc.Metrics()
-	if m.CrossHedges != 1 || m.CrossHedgeWins != 1 {
-		t.Fatalf("hedge metrics %+v", m)
-	}
-	if stubs[order[2]].calls.Load() != 0 {
-		t.Fatalf("hedge reached %s — hedges must only target the immediate successor", order[2])
-	}
-}
-
 func TestClusterHealthDemotesOwner(t *testing.T) {
 	var sick atomic.Value // string: member ID gossip calls dead
 	sick.Store("")
 	cc, stubs := testClusterClient(t, ClusterConfig{
-		Replica: Config{disableHedging: true},
 		Health: func(id string) cluster.Health {
 			if id == sick.Load().(string) {
 				return cluster.Dead
@@ -400,9 +366,7 @@ func TestClusterRouteIsAPureQuery(t *testing.T) {
 }
 
 func TestClusterBatchShardsByOwner(t *testing.T) {
-	cc, _ := testClusterClient(t, ClusterConfig{
-		Replica: Config{disableHedging: true},
-	})
+	cc, _ := testClusterClient(t, ClusterConfig{})
 	reqs := make([]server.DecideRequest, 12)
 	for i := range reqs {
 		reqs[i] = clusterReq(int64(100 + i*37))
@@ -431,9 +395,7 @@ func TestClusterBatchShardsByOwner(t *testing.T) {
 }
 
 func TestClusterBatchFailsOverPerGroup(t *testing.T) {
-	cc, stubs := testClusterClient(t, ClusterConfig{
-		Replica: Config{disableHedging: true},
-	})
+	cc, stubs := testClusterClient(t, ClusterConfig{})
 	reqs := make([]server.DecideRequest, 8)
 	for i := range reqs {
 		reqs[i] = clusterReq(int64(500 + i*61))
@@ -469,7 +431,7 @@ func TestClusterFallbackWhenAllReplicasDown(t *testing.T) {
 			{ID: "node-b", BaseURL: "http://127.0.0.1:1"},
 		},
 		vnodes:   16,
-		Replica:  Config{disableHedging: true, retryBackoff: time.Millisecond, timeout: 200 * time.Millisecond},
+		Replica:  Config{retryBackoff: time.Millisecond, timeout: 200 * time.Millisecond},
 		Fallback: fallbackRuntime(t),
 	})
 	if err != nil {
@@ -554,7 +516,7 @@ func TestClusterOutOfRangeIsPermanent(t *testing.T) {
 		}
 	}
 	m := rig.cc.Metrics()
-	if m.Failovers != 0 || m.Fallbacks != 0 || m.CrossHedges != 0 {
+	if m.Failovers != 0 || m.Fallbacks != 0 {
 		t.Errorf("the call left the owner: %+v", m)
 	}
 	for id, rm := range m.Replicas {

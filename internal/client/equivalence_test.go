@@ -140,7 +140,7 @@ func TestCodecEquivalence(t *testing.T) {
 	defer sc.Close()
 	degraded := newTestClient(t, Config{
 		BaseURL: "http://127.0.0.1:1", Fallback: fallbackRuntime(t),
-		maxAttempts: 1, disableHedging: true,
+		maxAttempts: 1,
 	})
 
 	// Each codec answers every row it can spell; nil marks a row it cannot.
@@ -252,7 +252,7 @@ func TestCodecEquivalence(t *testing.T) {
 				}
 				leasing := newTestClient(t, Config{
 					BaseURL: url, Stream: true, StreamAddr: streamAddr, RegionParams: params,
-					maxAttempts: 1, disableHedging: true,
+					maxAttempts: 1,
 				})
 				var a answer
 				for ask := 0; ask < 2; ask++ {

@@ -33,8 +33,8 @@ import (
 // same HTTP endpoint.
 
 // Transport is one bare route to the daemon: a single encoding over a
-// single kind of connection, with none of Client's coalescing, retries,
-// hedging, breaker or fallback around it. An endpoint is a ladder of them;
+// single kind of connection, with none of Client's coalescing, leases,
+// retries, breaker or fallback around it. An endpoint is a ladder of them;
 // a load generator drives one directly so every call goes on the network.
 type Transport interface {
 	// Send makes one call and returns one verdict per request, in
@@ -145,28 +145,21 @@ func (e *RemoteError) Shed() bool {
 // --------------------------------------------------------------- ladder --
 
 // endpoint is what the client keeps per daemon: the transport ladder,
-// the circuit breaker, the latency samplers hedge delays derive from, and
-// the counters of the attempts addressed to it. A Client has one; a
-// ClusterClient one per member, shared with that member's view.
+// the circuit breaker, the leases, and the counters of the attempts
+// addressed to it. A Client has one; a ClusterClient one per member,
+// shared with that member's view.
 type endpoint struct {
 	id      string // cluster member ID, "" for a single-daemon client
 	breaker *breaker
 	met     counters
 	ladder  []*rung // stream, HTTP frames, HTTP JSON: those Config enables
 	leases  leases  // the verdicts its stream answered, served again at the launch site
-	// Hedge-delay estimation is per transport: stream and HTTP attempt
-	// latencies live in different regimes (no per-request framing vs
-	// full request/response cycles), so mixing them would fire stream
-	// hedges on stale HTTP p99s and vice versa.
-	latHTTP   latencySampler
-	latStream latencySampler
 }
 
 // rung is one transport on an endpoint's ladder.
 type rung struct {
 	Transport
 	name string
-	lat  *latencySampler
 	// down latches the sticky demotion; downgrades counts its one flip.
 	down       atomic.Bool
 	downgrades *atomic.Uint64
@@ -177,19 +170,19 @@ func newEndpoint(id string, cfg *Config) *endpoint {
 	ep := &endpoint{id: id}
 	ep.breaker = newBreaker(cfg.breakerFailures, cfg.breakerCooldown,
 		func(from, to BreakerState) { ep.met.breakerTransition(to) })
-	add := func(kind string, lat *latencySampler, downgrades *atomic.Uint64) {
+	add := func(kind string, downgrades *atomic.Uint64) {
 		ep.ladder = append(ep.ladder, &rung{
 			Transport: newTransport(kind, cfg, &ep.met),
-			name:      kind, lat: lat, downgrades: downgrades,
+			name:      kind, downgrades: downgrades,
 		})
 	}
 	if cfg.Stream {
-		add(TransportStream, &ep.latStream, &ep.met.streamDemotions)
+		add(TransportStream, &ep.met.streamDemotions)
 	}
 	if cfg.Binary {
-		add(TransportHTTPBinary, &ep.latHTTP, &ep.met.wireDemotions)
+		add(TransportHTTPBinary, &ep.met.wireDemotions)
 	}
-	add(TransportHTTPJSON, &ep.latHTTP, nil)
+	add(TransportHTTPJSON, nil)
 	return ep
 }
 
@@ -203,25 +196,6 @@ func (a *ask) streamable() bool {
 // carries reports whether the rung may take a call right now.
 func (r *rung) carries(streamable bool) bool {
 	return !r.down.Load() && (streamable || r.name != TransportStream)
-}
-
-// p99Delay derives a hedge delay from the endpoint's own attempt
-// latencies (0 = too few to tell), reading the sampler of the transport
-// an attempt at a call would go out on first — the stream rung, always
-// the top one, or HTTP — so an endpoint that switched transports never
-// hedges on the other transport's stale p99.
-func (ep *endpoint) p99Delay(streamable bool, timeout time.Duration) time.Duration {
-	lat := &ep.latHTTP
-	if ep.ladder[0].name == TransportStream && ep.ladder[0].carries(streamable) {
-		lat = &ep.latStream
-	}
-	p99 := lat.p99(hedgeMinSamples)
-	if p99 <= 0 {
-		return 0
-	}
-	// Clamp: hedging below 500µs just doubles load; above half the
-	// attempt timeout it cannot win before the primary times out.
-	return min(max(p99, 500*time.Microsecond), timeout/2)
 }
 
 // callErr is one failed attempt, classified for the resilience loop.
@@ -242,7 +216,6 @@ func (ep *endpoint) send(ctx context.Context, deadline time.Time, a *ask) ([]Ver
 		if !r.carries(streamable) {
 			continue
 		}
-		start := time.Now()
 		var vs []Verdict
 		if st, ok := r.Transport.(*streamTransport); ok {
 			var sc *StreamConn
@@ -252,14 +225,13 @@ func (ep *endpoint) send(ctx context.Context, deadline time.Time, a *ask) ([]Ver
 			}
 		} else {
 			hctx, cancel := ctx, context.CancelFunc(func() {})
-			if d, ok := ctx.Deadline(); !ok || deadline.Before(d) { // else a hedged attempt's own context
+			if d, ok := ctx.Deadline(); !ok || deadline.Before(d) { // else the caller's deadline comes first
 				hctx, cancel = context.WithDeadline(ctx, deadline)
 			}
 			vs, err = r.Send(hctx, a.reqs, a.batch)
 			cancel()
 		}
 		if err == nil {
-			r.lat.observe(time.Since(start))
 			return vs, nil
 		}
 		var re *RemoteError

@@ -103,7 +103,7 @@ func heardOf(t *testing.T, ep *endpoint, e uint64) {
 // the caller's own to scribble on.
 func TestLeasedVerdictEqualsDaemon(t *testing.T) {
 	url, _ := realStreamDaemon(t)
-	single := newTestClient(t, Config{BaseURL: url, Stream: true, disableHedging: true})
+	single := newTestClient(t, Config{BaseURL: url, Stream: true})
 	rig := newStreamClusterRig(t, 3, ClusterConfig{Fallback: fallbackRuntime(t)})
 	ref := fallbackRuntime(t)
 	reqs := chaosClusterReqs(8)
@@ -171,7 +171,7 @@ func TestLeasedVerdictEqualsDaemon(t *testing.T) {
 func TestLeaseDroppedOnEpochAdvance(t *testing.T) {
 	cal := audit.NewCalibrator(0.25)
 	rt, ts := calibratedDaemon(t, cal)
-	c := newTestClient(t, Config{BaseURL: ts.URL, Stream: true, StreamConns: 1, disableHedging: true})
+	c := newTestClient(t, Config{BaseURL: ts.URL, Stream: true, StreamConns: 1})
 	reqs := chaosClusterReqs(6)
 	ctx := context.Background()
 
@@ -328,7 +328,7 @@ func TestLeaseLapsesUnderPartition(t *testing.T) {
 	t.Cleanup(func() { _ = edge.Close() })
 	c := newTestClient(t, Config{
 		BaseURL: "http://127.0.0.1:1", Stream: true, StreamAddr: addr, StreamConns: 1,
-		Fallback: fallbackRuntime(t), maxAttempts: 1, timeout: 50 * time.Millisecond, disableHedging: true,
+		Fallback: fallbackRuntime(t), maxAttempts: 1, timeout: 50 * time.Millisecond,
 	})
 	ctx := context.Background()
 	req := gemmReq()
@@ -501,7 +501,7 @@ func TestLeasesKeepTheAuditedKeySet(t *testing.T) {
 		return slices.Compact(keys)
 	}
 	leasing := audited(func(url, addr string, reqs []server.DecideRequest) {
-		c := newTestClient(t, Config{BaseURL: url, Stream: true, StreamAddr: addr, disableHedging: true})
+		c := newTestClient(t, Config{BaseURL: url, Stream: true, StreamAddr: addr})
 		for _, req := range reqs {
 			if _, err := c.Decide(context.Background(), req); err != nil {
 				t.Fatal(err)
@@ -543,7 +543,7 @@ func TestDaemonObservesOneDecisionPerLease(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	c := newTestClient(t, Config{BaseURL: ts.URL, Stream: true, disableHedging: true})
+	c := newTestClient(t, Config{BaseURL: ts.URL, Stream: true})
 	reqs := chaosClusterReqs(4)
 	for i := 0; i < 400; i++ {
 		if _, err := c.Decide(context.Background(), reqs[i%len(reqs)]); err != nil {

@@ -11,8 +11,6 @@ type counters struct {
 	requests        metrics.Counter
 	remoteOK        metrics.Counter
 	retries         metrics.Counter
-	hedges          metrics.Counter
-	hedgeWins       metrics.Counter
 	fallbacks       metrics.Counter
 	fallbackErrors  metrics.Counter
 	coalesced       metrics.Counter
@@ -63,10 +61,8 @@ type Metrics struct {
 	// Retries counts re-asks after a sleep: the route wrapped with this
 	// endpoint the first to be asked again.
 	Retries uint64
-	// Hedges counts duplicate requests launched at this endpoint;
-	// HedgeWins counts the hedged duplicate finishing first.
-	Hedges    uint64
-	HedgeWins uint64
+	// Deprecated: always 0; hedging was removed. bench/ still reads it (ROADMAP 6(a)).
+	Hedges uint64
 	// Fallbacks counts verdicts served by the in-process runtime;
 	// FallbackErrors counts item-level model errors inside those.
 	Fallbacks      uint64
@@ -122,8 +118,6 @@ func (m *counters) series(out *Metrics) []counterSeries {
 		{"hybridselc_requests_total", "Logical decision requests handed to the client.", &m.requests, &out.Requests},
 		{"hybridselc_remote_ok_total", "Network calls that returned a usable response.", &m.remoteOK, &out.RemoteOK},
 		{"hybridselc_retries_total", "Re-attempts after retryable failures.", &m.retries, &out.Retries},
-		{"hybridselc_hedges_total", "Hedged duplicate requests launched.", &m.hedges, &out.Hedges},
-		{"hybridselc_hedge_wins_total", "Hedged duplicates that finished first.", &m.hedgeWins, &out.HedgeWins},
 		{"hybridselc_fallback_total", "Verdicts served by the in-process fallback runtime.", &m.fallbacks, &out.Fallbacks},
 		{"hybridselc_fallback_errors_total", "Item-level model errors inside fallback verdicts.", &m.fallbackErrors, &out.FallbackErrors},
 		{"hybridselc_coalesced_total", "Requests served by another caller's in-flight call.", &m.coalesced, &out.Coalesced},

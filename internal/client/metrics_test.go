@@ -40,7 +40,7 @@ func expose(t *testing.T, register func(*metrics.Set)) string {
 // checked here and left out of the comparison, so the fixture stays the
 // earlier bytes.
 func TestGoldenMetricsFamilies(t *testing.T) {
-	cc, _ := testClusterClient(t, ClusterConfig{Replica: Config{disableHedging: true}})
+	cc, _ := testClusterClient(t, ClusterConfig{})
 	if _, err := cc.Decide(context.Background(), clusterReq(64)); err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func dialStream(ctx context.Context, cfg StreamDialConfig, deadline time.Time) (
 	if err != nil {
 		return nil, err
 	}
-	// A caller that gives up mid-handshake — its hedge answered — is not
+	// A caller that gives up mid-handshake is not
 	// kept to the deadline by a peer that accepted and says nothing.
 	stop := context.AfterFunc(ctx, func() { _ = raw.SetDeadline(time.Now()) })
 	defer stop()

@@ -49,10 +49,9 @@ func realStreamDaemon(t *testing.T) (string, string) {
 // verdicts, and the stream verdicts are tagged with their transport.
 func TestStreamDecideMatchesJSON(t *testing.T) {
 	url, addr := realStreamDaemon(t)
-	jsonClient := newTestClient(t, Config{BaseURL: url, disableHedging: true})
+	jsonClient := newTestClient(t, Config{BaseURL: url})
 	streamClient := newTestClient(t, Config{
-		BaseURL: url, disableHedging: true,
-		Stream: true, StreamAddr: addr,
+		BaseURL: url, Stream: true, StreamAddr: addr,
 	})
 
 	reqs := []server.DecideRequest{
@@ -91,7 +90,7 @@ func TestStreamDecideMatchesJSON(t *testing.T) {
 // ride it.
 func TestStreamUpgradeOverHTTPPort(t *testing.T) {
 	url, _ := realStreamDaemon(t)
-	c := newTestClient(t, Config{BaseURL: url, disableHedging: true, Stream: true})
+	c := newTestClient(t, Config{BaseURL: url, Stream: true})
 
 	v, err := c.Decide(context.Background(), gemmReq())
 	if err != nil {
@@ -119,8 +118,7 @@ func TestStreamFailoverToHTTP(t *testing.T) {
 	_ = dead.Close()
 
 	c := newTestClient(t, Config{
-		BaseURL: url, disableHedging: true,
-		Stream: true, StreamAddr: deadAddr,
+		BaseURL: url, Stream: true, StreamAddr: deadAddr,
 	})
 	for i := 0; i < 3; i++ {
 		v, err := c.Decide(context.Background(), gemmReq())
@@ -162,8 +160,7 @@ func TestStreamStickyDowngrade(t *testing.T) {
 	}()
 
 	c := newTestClient(t, Config{
-		BaseURL: url, disableHedging: true,
-		Stream: true, StreamAddr: bogus.Addr().String(),
+		BaseURL: url, Stream: true, StreamAddr: bogus.Addr().String(),
 	})
 	for i := 0; i < 3; i++ {
 		v, err := c.Decide(context.Background(), gemmReq())
@@ -194,7 +191,7 @@ func TestStreamUpgradeRefusedDowngrades(t *testing.T) {
 		}
 		okResponse(w, "gemm", "gpu/base")
 	})
-	c := newTestClient(t, Config{BaseURL: ts.URL, disableHedging: true, Stream: true})
+	c := newTestClient(t, Config{BaseURL: ts.URL, Stream: true})
 
 	for i := 0; i < 3; i++ {
 		v, err := c.Decide(context.Background(), gemmReq())
@@ -217,8 +214,7 @@ func TestStreamUpgradeRefusedDowngrades(t *testing.T) {
 func TestStreamConcurrentStress(t *testing.T) {
 	url, addr := realStreamDaemon(t)
 	c := newTestClient(t, Config{
-		BaseURL: url, disableHedging: true,
-		Stream: true, StreamAddr: addr, StreamConns: 2,
+		BaseURL: url, Stream: true, StreamAddr: addr, StreamConns: 2,
 		timeout: 5 * time.Second,
 	})
 
@@ -277,8 +273,7 @@ func TestChaosStreamMidKillLosesNoVerdicts(t *testing.T) {
 		BaseURL: url, // HTTP failover goes direct: the daemon is healthy
 		Stream:  true, StreamAddr: proxyAddr, StreamConns: 2,
 		maxAttempts: 4, retryBackoff: time.Millisecond,
-		breakerFailures: 10_000, disableHedging: true,
-		timeout: 2 * time.Second,
+		breakerFailures: 10_000, timeout: 2 * time.Second,
 	})
 
 	const goroutines, perG = 8, 40

@@ -62,10 +62,9 @@ func normalizeV2(r server.DecideResponseV2) server.DecideResponseV2 {
 func TestBinaryDecideMatchesJSON(t *testing.T) {
 	url := realDaemon(t)
 	frt := fallbackRuntime(t)
-	jsonClient := newTestClient(t, Config{BaseURL: url, disableHedging: true})
+	jsonClient := newTestClient(t, Config{BaseURL: url})
 	binClient := newTestClient(t, Config{
-		BaseURL: url, disableHedging: true,
-		Binary: true, RegionParams: regionParamsHook(frt),
+		BaseURL: url, Binary: true, RegionParams: regionParamsHook(frt),
 	})
 
 	reqs := []server.DecideRequest{
@@ -158,7 +157,7 @@ func TestBinaryDowngradesAgainstJSONOnlyDaemon(t *testing.T) {
 		okResponse(w, "gemm", "gpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, disableHedging: true, retryBackoff: time.Millisecond,
+		BaseURL: ts.URL, retryBackoff: time.Millisecond,
 		breakerFailures: 1, // the downgrade must not feed even a hair-trigger breaker
 		Binary:          true,
 		RegionParams:    func(string) []string { return []string{"n"} },
@@ -202,7 +201,7 @@ func TestBinaryDowngradesOnUndecodable200(t *testing.T) {
 		okResponse(w, "gemm", "cpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, disableHedging: true, retryBackoff: time.Millisecond,
+		BaseURL: ts.URL, retryBackoff: time.Millisecond,
 		Binary: true, RegionParams: func(string) []string { return []string{"n"} },
 	})
 	v, err := c.Decide(context.Background(), gemmReq())
@@ -231,7 +230,7 @@ func TestBinarySlotFormRequiresParamAgreement(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			c := newTestClient(t, Config{
-				BaseURL: url, disableHedging: true, Binary: true, RegionParams: hook,
+				BaseURL: url, Binary: true, RegionParams: hook,
 			})
 			v, err := c.Decide(context.Background(), gemmReq())
 			if err != nil {
@@ -282,7 +281,7 @@ func TestRetryAfterHTTPDate(t *testing.T) {
 		okResponse(w, "gemm", "gpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, disableHedging: true, retryBackoff: time.Millisecond,
+		BaseURL: ts.URL, retryBackoff: time.Millisecond,
 	})
 	start := time.Now()
 	v, err := c.Decide(context.Background(), gemmReq())
@@ -315,7 +314,7 @@ func TestFractionalEnvelopeRetryAfter(t *testing.T) {
 		okResponse(w, "gemm", "gpu/base")
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, disableHedging: true, retryBackoff: time.Millisecond,
+		BaseURL: ts.URL, retryBackoff: time.Millisecond,
 	})
 	start := time.Now()
 	if _, err := c.Decide(context.Background(), gemmReq()); err != nil {

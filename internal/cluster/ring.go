@@ -147,8 +147,8 @@ func (r *Ring) Owner(key uint64) string {
 
 // Successors appends to dst up to n distinct members in ring order
 // starting at the key's owner: the owner first, then the members whose
-// virtual nodes follow clockwise. This is the deterministic failover and
-// hedging order for the key — every replica computes the same list. With
+// virtual nodes follow clockwise. This is the deterministic failover
+// order for the key — every replica computes the same list. With
 // room in dst it allocates nothing.
 func (r *Ring) Successors(dst []string, key uint64, n int) []string {
 	if n <= 0 || n > len(r.ids) {

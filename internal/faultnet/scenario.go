@@ -47,7 +47,7 @@ func (s Scenario) String() string {
 //   - partition-heal: a clean window, a hard partition, a healed window.
 //   - faults30: a sustained ≈30% mixed-fault regime (resets + 5xx bursts
 //   - truncation + jittered latency), the acceptance scenario: every
-//     request must still complete remote, hedged, or fallback.
+//     request must still complete, remote or fallback.
 var Presets = map[string]string{
 	"flap": "400ms:partition;400ms:off;400ms:partition;400ms:off;" +
 		"400ms:partition;400ms:off",

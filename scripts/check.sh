@@ -18,6 +18,17 @@ echo "== api surface gate =="
 # regenerated (make api) and reviewed alongside the change.
 go run ./cmd/apidump -check api/exported.txt
 
+echo "== DESIGN.md size gate =="
+# DESIGN.md may shrink but not grow: a change that adds a section pays for
+# it by trimming another. Lower the ceiling whenever the file shrinks.
+design_ceiling=1840
+design_lines=$(wc -l <DESIGN.md)
+if [ "$design_lines" -gt "$design_ceiling" ]; then
+	echo "DESIGN.md has $design_lines lines, over its ceiling of $design_ceiling"
+	exit 1
+fi
+echo "DESIGN.md: $design_lines lines (ceiling $design_ceiling)"
+
 echo "== size: non-test lines per directory, exported surface, Config fields, flags =="
 make -s loc
 
@@ -149,7 +160,7 @@ fi
 echo "daemon smoke: pprof isolated on $pprof_addr"
 # Chaos smoke: the resilient client drives the same daemon through a
 # scripted ~30% fault regime. loadgen exits non-zero unless every call
-# completed with a verdict (remote, hedged, or fallback) — the
+# completed with a verdict (remote or fallback) — the
 # acceptance bar for the fault-injection harness.
 if ! "$tmp/loadgen" -addr "http://$addr" -client -faults faults30 \
 	-duration 3s -concurrency 4 -kernels gemm,mvt1,2dconv -mode test \
