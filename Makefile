@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamFrame$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoderReuse$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzGossipFrame$$' -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzExprDiff$$' -fuzztime $(FUZZTIME) ./internal/symbolic/
 
 # Refresh the committed exported-API snapshot after an intentional,
 # reviewed surface change (scripts/check.sh gates against it).

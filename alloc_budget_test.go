@@ -5,9 +5,11 @@ package hybridsel
 import (
 	"flag"
 	"testing"
+
+	"github.com/hybridsel/hybridsel/internal/offload"
 )
 
-// TestAllocationBudgets holds the decide and serve benchmarks to their
+// TestAllocationBudgets holds the decide, serve and register benchmarks to their
 // allocations per operation, the one number they report that does not
 // depend on the machine (timing claims are made against bench/, see
 // BENCHMARK.json). Each body runs a fixed number of iterations, enough to
@@ -31,7 +33,9 @@ func TestAllocationBudgets(t *testing.T) {
 		{"ServeJSONSingle", BenchmarkServeJSONSingle, "200x", 130},
 		{"ServeBinarySingle", BenchmarkServeBinarySingle, "200x", 110},
 		{"ServeJSONBatch64", BenchmarkServeJSONBatch64, "200x", 810},
-		{"ServeBinaryBatch64", BenchmarkServeBinaryBatch64, "200x", 112},
+		// Measured 105 with the response decoded: DecodeFrame's pooled
+		// intern table keeps its names from the frame before.
+		{"ServeBinaryBatch64", BenchmarkServeBinaryBatch64, "200x", 110},
 		// The Response and Candidates a stream caller keeps are cuts of the
 		// read loop's slabs: a few hundredths of an allocation, counted 0.
 		{"ServeStreamSingle", BenchmarkServeStreamSingle, "3000x", 0},
@@ -41,6 +45,10 @@ func TestAllocationBudgets(t *testing.T) {
 		// Measured 1: the ring repeats, so nearly every decision is a
 		// leased hit, whose one allocation is the copy the caller keeps.
 		{"ServeCluster", BenchmarkServeCluster, "3000x", 1},
+		// One runtime registering the 24 Polybench regions: measured
+		// 15 963 and 16 914 allocations.
+		{"RegisterSuite/classic", registerSuite(offload.ClassicPair), "5x", 16050},
+		{"RegisterSuite/synthetic", registerSuite(offload.SyntheticTargets), "5x", 17000},
 	} {
 		if err := benchtime.Value.Set(c.iters); err != nil {
 			t.Fatal(err)

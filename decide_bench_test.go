@@ -197,3 +197,30 @@ func BenchmarkDecideMiss(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRegisterSuite is what every daemon, replica and fallback
+// runtime pays before its first decision (bench/'s setup_s): one runtime,
+// all 24 Polybench regions registered, on the classic pair and on the
+// synthetic four-target registry. TestAllocationBudgets holds its
+// allocations per suite.
+func BenchmarkRegisterSuite(b *testing.B) {
+	b.Run("classic", registerSuite(offload.ClassicPair))
+	b.Run("synthetic", registerSuite(offload.SyntheticTargets))
+}
+
+func registerSuite(targets func(machine.Platform, int) *offload.Registry) func(*testing.B) {
+	return func(b *testing.B) {
+		plat := machine.PlatformP9V100()
+		reg, suite := targets(plat, 0), polybench.Suite()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rt := offload.NewRuntime(offload.Config{Platform: plat, Targets: reg})
+			for _, k := range suite {
+				if _, err := rt.Register(k.IR); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

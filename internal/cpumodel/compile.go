@@ -22,6 +22,10 @@ type CompileInput struct {
 	Estimator CPIEstimator
 
 	Shape *ipda.Shape
+
+	// CPI, when set, is the MCAEstimator compiled for this kernel and Shape
+	// on a CPU of the same pipeline (mca.SamePipeline), shared, not redone.
+	CPI *mca.CompiledCPI
 }
 
 // Compiled is the model specialized to one (kernel, CPU, thread count)
@@ -80,9 +84,12 @@ func Compile(in CompileInput) (*Compiled, error) {
 	var cost workItemCost
 	switch e := est.(type) {
 	case MCAEstimator:
-		cc, err := mca.CompileCPI(in.Kernel, in.CPU, in.Shape.Slots, in.Shape.AugBound)
-		if err != nil {
-			return nil, err
+		cc := in.CPI
+		if cc == nil {
+			var err error
+			if cc, err = mca.CompileCPI(in.Kernel, in.CPU, in.Shape.Slots, in.Shape.AugBound); err != nil {
+				return nil, err
+			}
 		}
 		cost = mcaSlotCost{cc, in.Shape}
 	case FixedCPI:
@@ -122,6 +129,12 @@ func tripsVary(k *ir.Kernel) bool {
 		return false
 	}
 	return walk(k.InnerBody())
+}
+
+// CPI is the MCA estimate the model prices work items with; nil under FixedCPI.
+func (c *Compiled) CPI() *mca.CompiledCPI {
+	m, _ := c.m.cost.(mcaSlotCost)
+	return m.c
 }
 
 // Seconds is the predicted time of the region's launch at pt with the

@@ -2,6 +2,7 @@ package mca
 
 import (
 	"fmt"
+	"maps"
 
 	"github.com/hybridsel/hybridsel/internal/ir"
 	"github.com/hybridsel/hybridsel/internal/machine"
@@ -30,6 +31,12 @@ type compiledFactor struct {
 	trip ir.CompiledTrip
 }
 
+// SamePipeline reports whether two CPUs agree on all CompileCPI reads of
+// them — dispatch width, pipes per unit, op table — so one's serves both.
+func SamePipeline(a, b *machine.CPU) bool {
+	return a.DispatchWidth == b.DispatchWidth && a.Ops == b.Ops && maps.Equal(a.Units, b.Units)
+}
+
 // CompileCPI lowers and analyzes one work item of k on cpu, compiling
 // the per-block trip chains against the given slot layout. bound is the
 // name set the evaluation-time (midpoint/fraction-augmented) slot vector
@@ -50,10 +57,9 @@ func CompileCPI(k *ir.Kernel, cpu *machine.CPU, slots map[string]int, bound map[
 		return nil, fmt.Errorf("mca: compile: recorded %d factor paths for %d blocks",
 			len(lw.rec.out), len(lw.prog.Blocks))
 	}
-	rep := Analyze(lw.prog, cpu)
-	c := &CompiledCPI{blocks: make([]compiledCPIBlock, len(rep.Blocks))}
-	for i, st := range rep.Blocks {
-		cb := compiledCPIBlock{cpi: st.CyclesPerIter}
+	c := &CompiledCPI{blocks: make([]compiledCPIBlock, len(lw.prog.Blocks))}
+	for i := range lw.prog.Blocks {
+		cb := compiledCPIBlock{cpi: analyzeBlock(&lw.prog.Blocks[i], cpu).CyclesPerIter}
 		for _, f := range lw.rec.out[i] {
 			cf := compiledFactor{kind: f.kind}
 			if f.kind == factorLoop {

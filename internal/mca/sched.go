@@ -61,6 +61,57 @@ func Analyze(p *Program, cpu *machine.CPU) *Report {
 	return rep
 }
 
+// unitKinds sizes the busy array, indexed by machine.UnitKind: an entry
+// for every value the type can hold.
+const unitKinds = 1 << 8
+
+// resolvedOp is one MOp looked up once per block: its unit's numbers on the
+// core, its operands and results as indices of the replay's ready times.
+type resolvedOp struct {
+	unit       machine.UnitKind
+	pipes      float64 // of the unit on this core; 0 when it has none
+	recip, lat float64
+	def, carry int32   // ready time written, or -1
+	uses       []int32 // ready times read; operands naming none are dropped
+}
+
+// resolve looks the block's ops up on cpu, numbering carried scalars from
+// b.NReg by first appearance; n counts the ready times the ops index.
+func resolve(b *Block, cpu *machine.CPU) (ops []resolvedOp, n int) {
+	carried := map[string]int32{}
+	value := func(name string) int32 {
+		i, ok := carried[name]
+		if !ok {
+			i = int32(b.NReg + len(carried))
+			carried[name] = i
+		}
+		return i
+	}
+	ops = make([]resolvedOp, len(b.Ops))
+	var uses []int32 // each op's are a window of it
+	for i := range b.Ops {
+		op, desc, lo := &b.Ops[i], cpu.Ops[b.Ops[i].Class], len(uses)
+		for _, u := range op.Uses {
+			switch {
+			case u.Carried != "":
+				uses = append(uses, value(u.Carried))
+			case u.VReg >= 0 && u.VReg < b.NReg:
+				uses = append(uses, int32(u.VReg))
+			}
+		}
+		r := resolvedOp{unit: desc.Unit, pipes: float64(cpu.Units[desc.Unit]),
+			recip: float64(desc.Recip), lat: float64(desc.Latency), def: -1, carry: -1, uses: uses[lo:]}
+		if op.Def >= 0 && op.Def < b.NReg {
+			r.def = int32(op.Def)
+		}
+		if op.DefScalar != "" {
+			r.carry = value(op.DefScalar)
+		}
+		ops[i] = r
+	}
+	return ops, b.NReg + len(carried)
+}
+
 // analyzeBlock simulates simIterations of the block: in-order dispatch at
 // the core's width into an out-of-order backend with per-unit pipe
 // reservation and full register dependency tracking (including carried
@@ -71,15 +122,15 @@ func analyzeBlock(b *Block, cpu *machine.CPU) BlockStats {
 	if len(b.Ops) == 0 {
 		return st
 	}
+	ops, n := resolve(b, cpu)
 
 	// Per-unit cumulative busy cycles. The unit constraint is enforced as
 	// a throughput bound — an op cannot start before the unit has had
 	// enough pipe-cycles to absorb all prior work — which lets younger
 	// independent ops issue around older stalled ones, as an
 	// out-of-order backend does.
-	busy := map[machine.UnitKind]float64{}
+	var busy [unitKinds]float64
 
-	carried := map[string]float64{} // scalar name -> ready time
 	width := float64(cpu.DispatchWidth)
 
 	var dispatched float64 // total ops dispatched so far
@@ -88,42 +139,34 @@ func analyzeBlock(b *Block, cpu *machine.CPU) BlockStats {
 	var finishAtHalf float64
 	half := simIterations / 2
 
-	ready := make([]float64, b.NReg)
+	// Registers are reset every iteration; carried scalars persist, and one
+	// not yet defined reads -Inf, which no math.Max picks.
+	ready := make([]float64, n)
+	for i := b.NReg; i < n; i++ {
+		ready[i] = math.Inf(-1)
+	}
 	for it := 0; it < simIterations; it++ {
-		for i := range ready {
-			ready[i] = 0
-		}
-		// Intra-iteration registers start unready only if defined later;
-		// defs overwrite below in program order.
-		for _, op := range b.Ops {
-			desc := cpu.Ops[op.Class]
+		clear(ready[:b.NReg])
+		for i := range ops {
+			op := &ops[i]
 			// In-order dispatch: width ops per cycle, monotone.
 			dispatch := math.Max(prevDispatch, dispatched/width)
 			prevDispatch = dispatch
 			dispatched++
 
 			src := dispatch
-			for _, u := range op.Uses {
-				if u.Carried != "" {
-					if t, ok := carried[u.Carried]; ok {
-						src = math.Max(src, t)
-					}
-					continue
-				}
-				if u.VReg >= 0 && u.VReg < len(ready) {
-					src = math.Max(src, ready[u.VReg])
-				}
+			for _, u := range op.uses {
+				src = math.Max(src, ready[u])
 			}
 			// Unit throughput bound.
-			pipes := float64(cpu.Units[desc.Unit])
-			start := math.Max(src, busy[desc.Unit]/pipes)
-			busy[desc.Unit] += float64(desc.Recip)
-			done := start + float64(desc.Latency)
-			if op.Def >= 0 && op.Def < len(ready) {
-				ready[op.Def] = done
+			start := math.Max(src, busy[op.unit]/op.pipes)
+			busy[op.unit] += op.recip
+			done := start + op.lat
+			if op.def >= 0 {
+				ready[op.def] = done
 			}
-			if op.DefScalar != "" {
-				carried[op.DefScalar] = done
+			if op.carry >= 0 {
+				ready[op.carry] = done
 			}
 			if done > lastFinish {
 				lastFinish = done
@@ -150,34 +193,28 @@ func analyzeBlock(b *Block, cpu *machine.CPU) BlockStats {
 			}
 		}
 	}
-	st.CritChain = critChain(b, cpu)
+	st.CritChain = critChain(ops, ready)
 	return st
 }
 
 // critChain computes the longest latency path through one iteration of the
 // block (registers only; carried scalars contribute their definition's
-// chain).
-func critChain(b *Block, cpu *machine.CPU) float64 {
-	regChain := make([]float64, b.NReg)
-	carried := map[string]float64{}
+// chain, 0 before it). chain is scratch, one entry per ready time.
+func critChain(ops []resolvedOp, chain []float64) float64 {
+	clear(chain)
 	var longest float64
-	for _, op := range b.Ops {
+	for i := range ops {
+		op := &ops[i]
 		var in float64
-		for _, u := range op.Uses {
-			if u.Carried != "" {
-				in = math.Max(in, carried[u.Carried])
-				continue
-			}
-			if u.VReg >= 0 && u.VReg < len(regChain) {
-				in = math.Max(in, regChain[u.VReg])
-			}
+		for _, u := range op.uses {
+			in = math.Max(in, chain[u])
 		}
-		out := in + float64(cpu.Ops[op.Class].Latency)
-		if op.Def >= 0 && op.Def < len(regChain) {
-			regChain[op.Def] = out
+		out := in + op.lat
+		if op.def >= 0 {
+			chain[op.def] = out
 		}
-		if op.DefScalar != "" {
-			carried[op.DefScalar] = out
+		if op.carry >= 0 {
+			chain[op.carry] = out
 		}
 		longest = math.Max(longest, out)
 	}

@@ -8,6 +8,8 @@ import (
 	"github.com/hybridsel/hybridsel/internal/cpumodel"
 	"github.com/hybridsel/hybridsel/internal/gpumodel"
 	"github.com/hybridsel/hybridsel/internal/ipda"
+	"github.com/hybridsel/hybridsel/internal/machine"
+	"github.com/hybridsel/hybridsel/internal/mca"
 )
 
 // targetProg is one registry target's compiled analytical model. Exactly
@@ -63,7 +65,8 @@ func compileRegion(r *Region) (*compiledModels, error) {
 		switch sp.Kind {
 		case KindCPU:
 			progs[i].cpu, err = cpumodel.Compile(cpumodel.CompileInput{
-				Kernel: k, CPU: sp.CPU, Threads: sp.Threads, Shape: shape})
+				Kernel: k, CPU: sp.CPU, Threads: sp.Threads, Shape: shape,
+				CPI: sharedCPI(reg, progs[:i], sp.CPU)})
 		case KindGPU:
 			progs[i].gpu, err = gpumodel.Compile(gpumodel.CompileInput{
 				Kernel: k, GPU: sp.GPU, Link: sp.Link, Options: gpumodel.DefaultOptions(), Shape: shape})
@@ -79,6 +82,17 @@ func compileRegion(r *Region) (*compiledModels, error) {
 		return &slotVecs{r: r, cm: cm, pt: shape.NewPoint(), preds: secs[:n:n], cals: secs[n:]}
 	}
 	return cm, nil
+}
+
+// sharedCPI is the MCA estimate of an earlier CPU target on the same core
+// pipeline, nil when there is none: cpu/smt2 prices with cpu/base's.
+func sharedCPI(reg *Registry, earlier []targetProg, cpu *machine.CPU) *mca.CompiledCPI {
+	for j, p := range earlier {
+		if p.cpu != nil && mca.SamePipeline(reg.specs[j].CPU, cpu) {
+			return p.cpu.CPI()
+		}
+	}
+	return nil
 }
 
 // slotVecs is the slot-program evaluator of one launch point and its

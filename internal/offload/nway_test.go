@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/hybridsel/hybridsel/internal/machine"
+	"github.com/hybridsel/hybridsel/internal/mca"
 	"github.com/hybridsel/hybridsel/internal/polybench"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
@@ -276,4 +277,62 @@ func TestRegistryRejectsUnregistrableSpecs(t *testing.T) {
 			t.Errorf("kind %d: String %q, JSON %s (%v), back %d", kind, kind, enc, err, back)
 		}
 	}
+}
+
+// TestOneCPIPerCorePipeline pins what compileRegion shares: the CPU
+// targets of a region whose core pipelines agree price work items with one
+// *mca.CompiledCPI (cpu/smt2 is a reduced-SMT copy of cpu/base's core),
+// and targets on another generation's pipeline get their own. The law
+// over the mixed registry, and TestCompiledSyntheticMatchesInterpreted
+// and policies.txt over the synthetic one, hold every target's price bit
+// for bit to the map-form model, which shares nothing.
+func TestOneCPIPerCorePipeline(t *testing.T) {
+	p9, p8 := machine.POWER9(), machine.POWER8()
+	mixed, err := NewRegistry(
+		TargetSpec{ID: "cpu/p9", Kind: KindCPU, CPU: p9},
+		TargetSpec{ID: "cpu/p8", Kind: KindCPU, CPU: p8},
+		TargetSpec{ID: "cpu/p8-smt2", Kind: KindCPU, CPU: machine.ReducedSMT(p8, 2)},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := machine.PlatformP9V100()
+	for _, c := range []struct {
+		name          string
+		reg           *Registry
+		shared, apart [][2]string
+	}{
+		{"synthetic", SyntheticTargets(plat, 0), [][2]string{{TargetIDCPUBase, "cpu/smt2"}}, nil},
+		{"mixed", mixed, [][2]string{{"cpu/p8", "cpu/p8-smt2"}}, [][2]string{{"cpu/p9", "cpu/p8"}, {"cpu/p9", "cpu/p8-smt2"}}},
+	} {
+		rt := NewRuntime(Config{Platform: plat, Targets: c.reg})
+		cpi := func(r *Region, id string) *mca.CompiledCPI {
+			for i, have := range r.rt.targets.IDs() {
+				if have == id {
+					if p := r.compiled.progs[i].cpu.CPI(); p != nil {
+						return p
+					}
+				}
+			}
+			t.Fatalf("%s: no CPU target %s with an MCA estimate", c.name, id)
+			return nil
+		}
+		for _, k := range polybench.Suite() {
+			r, err := rt.Register(k.IR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range c.shared {
+				if cpi(r, p[0]) != cpi(r, p[1]) {
+					t.Errorf("%s %s: %s and %s compiled one core pipeline twice", c.name, k.Name, p[0], p[1])
+				}
+			}
+			for _, p := range c.apart {
+				if cpi(r, p[0]) == cpi(r, p[1]) {
+					t.Errorf("%s %s: %s and %s share a CPI across pipelines", c.name, k.Name, p[0], p[1])
+				}
+			}
+		}
+	}
+	checkSuiteLaw(t, Config{Platform: plat, Targets: mixed}, polybench.Test, polybench.Benchmark)
 }

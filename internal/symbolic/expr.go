@@ -12,6 +12,7 @@ package symbolic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -66,24 +67,12 @@ func (e Expr) clone() map[string]term {
 func (e Expr) Add(o Expr) Expr {
 	m := e.clone()
 	for k, t := range o.terms {
-		if ex, ok := m[k]; ok {
-			c := ex.coef + t.coef
-			if c == 0 {
-				delete(m, k)
-			} else {
-				ex.coef = c
-				m[k] = ex
-			}
-		} else {
-			vs := make([]string, len(t.vars))
-			copy(vs, t.vars)
-			m[k] = term{coef: t.coef, vars: vs}
+		if _, ok := m[k]; !ok {
+			t.vars = slices.Clone(t.vars)
 		}
+		addTerm(m, k, t)
 	}
-	if len(m) == 0 {
-		return Expr{}
-	}
-	return Expr{terms: m}
+	return fromTerms(m)
 }
 
 // AddConst returns e + c.
@@ -96,10 +85,7 @@ func (e Expr) Neg() Expr {
 		t.coef = -t.coef
 		m[k] = t
 	}
-	if len(m) == 0 {
-		return Expr{}
-	}
-	return Expr{terms: m}
+	return fromTerms(m)
 }
 
 // Sub returns e - o.
@@ -117,22 +103,10 @@ func (e Expr) Mul(o Expr) Expr {
 			vs = append(vs, a.vars...)
 			vs = append(vs, b.vars...)
 			sort.Strings(vs)
-			k := monoKey(vs)
-			c := a.coef * b.coef
-			if ex, ok := m[k]; ok {
-				c += ex.coef
-			}
-			if c == 0 {
-				delete(m, k)
-			} else {
-				m[k] = term{coef: c, vars: vs}
-			}
+			addTerm(m, monoKey(vs), term{coef: a.coef * b.coef, vars: vs})
 		}
 	}
-	if len(m) == 0 {
-		return Expr{}
-	}
-	return Expr{terms: m}
+	return fromTerms(m)
 }
 
 // MulConst returns e * c.
@@ -141,27 +115,82 @@ func (e Expr) MulConst(c int64) Expr { return e.Mul(Const(c)) }
 // Subst returns e with every occurrence of the variable name replaced by
 // the expression v.
 func (e Expr) Subst(name string, v Expr) Expr {
-	out := Expr{}
+	m := make(map[string]term, len(e.terms))
 	for _, t := range e.terms {
-		f := Const(t.coef)
-		for _, x := range t.vars {
-			if x == name {
-				f = f.Mul(v)
-			} else {
-				f = f.Mul(Sym(x))
-			}
+		others := slices.DeleteFunc(slices.Clone(t.vars), func(x string) bool { return x == name })
+		k := len(t.vars) - len(others)
+		f := Expr{terms: map[string]term{monoKey(others): {coef: t.coef, vars: others}}}
+		for ; k > 0; k-- {
+			f = f.Mul(v)
 		}
-		out = out.Add(f)
+		for key, ft := range f.terms {
+			addTerm(m, key, ft)
+		}
 	}
-	return out
+	return fromTerms(m)
 }
 
 // Diff returns the forward finite difference of e with respect to name:
 // e[name+step] - e[name]. For expressions affine in name this is the exact
 // per-step stride; for higher-degree expressions it is the exact first
-// difference (which may still contain name).
+// difference (which may still contain name). A term c*name^k*rest adds
+// C(k,j)*step^(k-j)*c * name^j*rest for each j < k, with binomials by
+// Pascal's rule and powers by multiplication: exact modulo 2^64, as
+// e.Subst(name, name+step).Sub(e) is.
 func (e Expr) Diff(name string, step int64) Expr {
-	return e.Subst(name, Sym(name).AddConst(step)).Sub(e)
+	if name == "" {
+		panic("symbolic: empty symbol name")
+	}
+	m := make(map[string]term, len(e.terms))
+	var row [8]int64
+	for _, t := range e.terms {
+		// vars is sorted, so name's k copies are the run [lo, lo+k).
+		lo := slices.Index(t.vars, name)
+		if lo < 0 {
+			continue // a term without name cancels
+		}
+		k := 1
+		for lo+k < len(t.vars) && t.vars[lo+k] == name {
+			k++
+		}
+		binom := append(row[:0], 1) // C(k, 0..k) by Pascal's rule
+		for n := 1; n <= k; n++ {
+			binom = append(binom, 1)
+			for j := n - 1; j > 0; j-- {
+				binom[j] += binom[j-1]
+			}
+		}
+		pow := int64(1) // step^(k-j)
+		for j := k - 1; j >= 0; j-- {
+			pow *= step
+			vs := make([]string, 0, len(t.vars)-(k-j))
+			vs = append(vs, t.vars[:lo+j]...)
+			vs = append(vs, t.vars[lo+k:]...)
+			addTerm(m, monoKey(vs), term{coef: t.coef * binom[j] * pow, vars: vs})
+		}
+	}
+	return fromTerms(m)
+}
+
+// addTerm adds t into m under its monomial key, keeping no zero
+// coefficient. m takes t.vars when it had no such term.
+func addTerm(m map[string]term, key string, t term) {
+	if ex, ok := m[key]; ok {
+		t.coef, t.vars = t.coef+ex.coef, ex.vars
+	}
+	if t.coef == 0 {
+		delete(m, key)
+	} else {
+		m[key] = t
+	}
+}
+
+// fromTerms wraps m, the zero polynomial when it is empty.
+func fromTerms(m map[string]term) Expr {
+	if len(m) == 0 {
+		return Expr{}
+	}
+	return Expr{terms: m}
 }
 
 // IsZero reports whether e is the zero polynomial.

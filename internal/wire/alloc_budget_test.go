@@ -15,21 +15,12 @@ import (
 func TestDecodeFrameBatchResponseBudget(t *testing.T) {
 	_, resps := batch64()
 	body := AppendBatchResponse(nil, 0, resps)
-	distinct := map[string]bool{}
-	for _, r := range resps {
-		for _, s := range []string{r.Region, r.Verdict, r.Kind, r.Policy, r.Provenance} {
-			distinct[s] = true
-		}
-		for _, c := range r.Candidates {
-			distinct[c.Target], distinct[c.Kind] = true, true
-		}
-	}
 	var fr *Frame
 	got := allocsPerRun(100, func() { fr, _, _ = DecodeFrame(body) })
-	// The Frame, the responses and one candidate arena, plus each name once.
-	if budget := float64(3 + len(distinct)); got > budget {
-		t.Fatalf("DecodeFrame of a 64-item batch response: %v allocs, budget %v (3 + %d distinct strings)",
-			got, budget, len(distinct))
+	// The Frame, the responses and one candidate arena: the pooled intern
+	// table kept every name from the frame before (allocsPerRun's warm-up).
+	if got > 3 {
+		t.Fatalf("DecodeFrame of a 64-item batch response: %v allocs, budget 3", got)
 	}
 	if !reflect.DeepEqual(fr.Resps, resps) {
 		t.Fatalf("decoded batch differs from what was encoded")

@@ -774,12 +774,13 @@ func (r *reader) decodePayloadInto(f *Frame, typ byte, payload []byte) error {
 	return r.done()
 }
 
-// frameInterners pools DecodeFrame's tables; each is empty while pooled.
+// frameInterners pools DecodeFrame's tables, which keep their names for
+// the next batch frame (bounded like every table: see maxInterned).
 var frameInterners = sync.Pool{New: func() any { return interner{} }}
 
 // DecodeFrame decodes the first frame in data and returns it along with
 // the number of bytes consumed. The frame is the caller's: nothing in it
-// is decoded into again. Names are interned within a batch frame, where
+// is decoded into again. Names are interned across batch frames, where
 // they repeat; a single frame repeats next to nothing. A batch's items are
 // bounded by its payload only (a client trusts its own server's
 // responses); a server uses a Decoder with MaxItems.
@@ -787,7 +788,7 @@ func DecodeFrame(data []byte) (*Frame, int, error) {
 	r, f := reader{}, new(Frame)
 	if len(data) > 3 && (data[3] == TypeBatchRequest || data[3] == TypeBatchResponse) {
 		r.in = frameInterners.Get().(interner)
-		defer func() { clear(r.in); frameInterners.Put(r.in) }()
+		defer frameInterners.Put(r.in)
 	}
 	n, err := r.decodeFrameInto(f, data)
 	if err != nil {

@@ -151,18 +151,24 @@ func wireBatchBodies(b *testing.B) [][]byte {
 }
 
 // runServeBench posts the body ring at the server back-to-back and
-// reports decisions/s plus per-request p50/p99 latency.
+// reports decisions/s plus per-request p50/p99 latency. A binary batch's
+// response is decoded with wire.DecodeFrame, as batch-cold's client does
+// (bench/world.go); every other response is read and dropped.
 func runServeBench(b *testing.B, client *http.Client, url, contentType string, bodies [][]byte, perCall int) {
+	var resp *bytes.Buffer
+	if contentType == wire.ContentType && perCall > 1 {
+		resp = new(bytes.Buffer)
+	}
 	// Warm the decision cache and the connection pool off the clock.
 	for i := 0; i < len(bodies); i++ {
-		serveBenchPost(b, client, url, contentType, bodies[i])
+		serveBenchPost(b, client, url, contentType, bodies[i], resp)
 	}
 	lat := make([]time.Duration, 0, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		serveBenchPost(b, client, url, contentType, bodies[i%len(bodies)])
+		serveBenchPost(b, client, url, contentType, bodies[i%len(bodies)], resp)
 		lat = append(lat, time.Since(start))
 	}
 	b.StopTimer()
@@ -176,15 +182,34 @@ func runServeBench(b *testing.B, client *http.Client, url, contentType string, b
 	}
 }
 
-func serveBenchPost(b *testing.B, client *http.Client, url, contentType string, body []byte) {
+// serveBenchPost posts one body. With buf it decodes the response, a
+// batch frame, from it; without, it drops the response.
+func serveBenchPost(b *testing.B, client *http.Client, url, contentType string, body []byte, buf *bytes.Buffer) {
 	resp, err := client.Post(url, contentType, bytes.NewReader(body))
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
+	if buf != nil {
+		buf.Reset()
+		_, err = buf.ReadFrom(resp.Body)
+	} else {
+		_, err = io.Copy(io.Discard, resp.Body)
+	}
 	resp.Body.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		b.Fatalf("HTTP %d", resp.StatusCode)
+	}
+	if buf != nil {
+		f, _, err := wire.DecodeFrame(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if f.Type != wire.TypeBatchResponse || len(f.Resps) != serveBenchBatch {
+			b.Fatalf("frame type %d with %d responses", f.Type, len(f.Resps))
+		}
 	}
 }
 
