@@ -48,8 +48,8 @@
 //
 // Wire format: -wire binary switches the decide traffic to the compact
 // frame encoding — slot-form binding vectors going out, ranked-candidate
-// frames coming back; -client runs downgrade to JSON automatically if the
-// daemon is too old to answer frames:
+// frames coming back, on the bare transport or, with -client, as the
+// resilient client's HTTP codec:
 //
 //	loadgen -addr http://127.0.0.1:8080 -wire binary -batch 64 -duration 5s
 //
@@ -642,9 +642,9 @@ func reportCluster(cc *client.ClusterClient, w io.Writer) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		rm := m.Replicas[id]
-		fmt.Fprintf(w, "  %-10s %d retries, %d fallbacks, breaker %s (opened %d); stream %d calls, %d fallbacks to HTTP, %d reconnects, %d downgrades\n",
+		fmt.Fprintf(w, "  %-10s %d retries, %d fallbacks, breaker %s (opened %d); stream %d calls, %d fallbacks to HTTP, %d reconnects\n",
 			id, rm.Retries, rm.Fallbacks, rm.BreakerState, rm.BreakerOpened,
-			rm.StreamCalls, rm.StreamFallbacks, rm.StreamReconnects, rm.StreamDowngrades)
+			rm.StreamCalls, rm.StreamFallbacks, rm.StreamReconnects)
 	}
 }
 
@@ -656,9 +656,9 @@ func reportClient(c *client.Client, w io.Writer) {
 		m.Retries, m.Fallbacks, m.Coalesced)
 	fmt.Fprintf(w, "breaker      %s (opened %d times), %d retry-after waits honored\n",
 		m.BreakerState, m.BreakerOpened, m.RetryAfterHonored)
-	if m.StreamCalls+m.StreamFallbacks+m.StreamReconnects+m.StreamDowngrades > 0 {
-		fmt.Fprintf(w, "stream       %d calls, %d fallbacks to HTTP, %d reconnects, %d downgrades\n",
-			m.StreamCalls, m.StreamFallbacks, m.StreamReconnects, m.StreamDowngrades)
+	if m.StreamCalls+m.StreamFallbacks+m.StreamReconnects > 0 {
+		fmt.Fprintf(w, "stream       %d calls, %d fallbacks to HTTP, %d reconnects\n",
+			m.StreamCalls, m.StreamFallbacks, m.StreamReconnects)
 	}
 }
 

@@ -153,8 +153,8 @@ func TestNetworkCallAllocationBudget(t *testing.T) {
 	}
 }
 
-// cannedTransport answers every call at once with the same verdicts: a
-// rung that costs nothing, so what a call allocates is the loop's alone.
+// cannedTransport answers every call at once with the same verdicts: an
+// HTTP codec that costs nothing, so what a call allocates is the loop's alone.
 type cannedTransport struct{ vs []Verdict }
 
 func (c cannedTransport) Send(context.Context, []server.DecideRequest, bool) ([]Verdict, error) {
@@ -169,7 +169,7 @@ func (cannedTransport) Close() {}
 func TestRouteOfThreeAllocationBudget(t *testing.T) {
 	canned := cannedTransport{vs: make([]Verdict, 1)}
 	single := newTestClient(t, Config{BaseURL: "http://127.0.0.1:1"})
-	single.route[0].ladder[0].Transport = canned
+	single.route[0].http = canned
 	cc, err := NewCluster(ClusterConfig{Members: []ClusterMember{
 		{ID: "node-a", BaseURL: "http://127.0.0.1:1"},
 		{ID: "node-b", BaseURL: "http://127.0.0.1:1"},
@@ -180,7 +180,7 @@ func TestRouteOfThreeAllocationBudget(t *testing.T) {
 	}
 	t.Cleanup(cc.Close)
 	for _, v := range cc.views {
-		v.route[0].ladder[0].Transport = canned
+		v.route[0].stream, v.route[0].http = nil, canned
 	}
 
 	ctx, req := context.Background(), gemmReq()

@@ -144,7 +144,7 @@ func (r *streamClusterRig) cut(f faultnet.TCPFaults, ids ...string) {
 	for _, id := range ids {
 		r.edges[id].SetFaults(f)
 		r.edges[id].KillActive()
-		st := r.cc.views[id].route[0].ladder[0].Transport.(*streamTransport)
+		st := r.cc.views[id].route[0].stream
 		until := time.Now().Add(10 * time.Second)
 		for i := range st.slots {
 			for sc := st.slots[i].conn.Load(); sc != nil && sc.Usable(); {
@@ -454,7 +454,7 @@ func TestClusterRouteEquivalence(t *testing.T) {
 				}
 				return stamp{order(i)[0], ProvenanceRemote, via(i), 1}
 			}},
-		// The owner's stream dies and its redial and its HTTP rung are
+		// The owner's stream dies and its redial and its HTTP send are
 		// refused, all inside the one attempt; then the call walks.
 		{"failed-over successor",
 			func(i int) (*Verdict, error) { return under(rig, partition, rows[i].req, order(i)[0]) },
@@ -523,21 +523,6 @@ func TestClusterRouteEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// Cuts cost latency and attempts, never the rung: only a replica that
-	// answered the Upgrade with a refusal lost it, once, on its first single.
-	refused := uint64(0)
-	for _, r := range []*ClusterClient{rig.cc, refusing.cc} {
-		for id, m := range r.Metrics().Replicas {
-			if r == refusing.cc && m.StreamDowngrades <= 1 {
-				refused += m.StreamDowngrades
-			} else if m.StreamDowngrades != 0 {
-				t.Errorf("%s demoted its stream rung %d times (refusing rig: %v)", id, m.StreamDowngrades, r == refusing.cc)
-			}
-		}
-	}
-	if refused == 0 {
-		t.Error("no replica behind an HTTP proxy demoted its stream rung: who refused the Upgrade?")
-	}
 	// Routing is the ring's alone: the rigs agree on every row.
 	for i := range rows {
 		if !slices.Equal(refusing.cc.Route(rows[i].req), order(i)) {
@@ -552,7 +537,7 @@ func TestClusterRouteEquivalence(t *testing.T) {
 // later comes back. No call is lost or answered by the fallback runtime
 // while a successor lives, every verdict is the reference runtime's, and
 // once healed the victim serves its keys again on a redialed stream: the
-// kill cost it connections, not the rung.
+// kill cost it connections, not its stream.
 func TestChaosClusterStreamKill(t *testing.T) {
 	rig := newStreamClusterRig(t, 11, ClusterConfig{Fallback: fallbackRuntime(t)})
 	ref := fallbackRuntime(t)
@@ -635,8 +620,8 @@ func TestChaosClusterStreamKill(t *testing.T) {
 		t.Errorf("the victim redialed %d streams and fell to HTTP %d times; want both to have happened", r.StreamReconnects, r.StreamFallbacks)
 	}
 	for id, r := range m.Replicas {
-		if r.StreamDowngrades != 0 || r.StreamCalls == 0 {
-			t.Errorf("%s: %d stream calls, rung demoted %d times; a kill must not cost the rung", id, r.StreamCalls, r.StreamDowngrades)
+		if r.StreamCalls == 0 {
+			t.Errorf("%s: %d stream calls; a kill must not cost the stream", id, r.StreamCalls)
 		}
 	}
 	t.Logf("failovers=%d victim: reconnects=%d stream→HTTP=%d breaker opens=%d",
@@ -669,7 +654,7 @@ func TestClusterStreamDialIsBounded(t *testing.T) {
 		if elapsed < 100*time.Millisecond || elapsed > 400*time.Millisecond {
 			t.Errorf("the call took %v, want between 100ms and 400ms: the silent owner's dial ran past what bounded it", elapsed)
 		}
-		sl := &rig.cc.views[order[0]].route[0].ladder[0].Transport.(*streamTransport).slots[0]
+		sl := &rig.cc.views[order[0]].route[0].stream.slots[0]
 		if !sl.mu.TryLock() {
 			t.Fatal("the owner's slot is still locked: its dial outlived the attempt")
 		}

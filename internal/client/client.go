@@ -75,9 +75,9 @@ type Verdict struct {
 	Response server.DecideResponseV2
 	// Provenance is remote or fallback.
 	Provenance Provenance
-	// Attempts counts the passes down a transport ladder the call
-	// consumed, over every endpoint it asked (0 for a leased verdict, and
-	// for a pure-fallback verdict served while every breaker was open).
+	// Attempts counts the sends the call made, over every endpoint it
+	// asked (0 for a leased verdict, and for a pure-fallback verdict
+	// served while every breaker was open).
 	Attempts int
 	// Coalesced marks a verdict served by another caller's identical
 	// in-flight request rather than a network call of its own.
@@ -146,12 +146,10 @@ type Config struct {
 	// Seed fixes the backoff-jitter RNG for reproducible runs (0 = 1).
 	Seed int64
 
-	// Binary puts the compact frame format (wire.ContentType) on the
-	// transport ladder above JSON, over the same pooled connections. A
-	// peer that turns out not to speak frames — an old daemon, a
-	// JSON-rewriting middlebox — demotes the rung once, stickily, and the
-	// same attempt goes out again as JSON: no verdict is lost to the
-	// negotiation (Metrics.WireDowngrades counts it).
+	// Binary makes the endpoint's HTTP codec the compact frame format
+	// (wire.ContentType) instead of JSON, over the same pooled
+	// connections. The daemon answers frames on /v2/decide, failures
+	// included.
 	Binary bool
 	// RegionParams returns a region's canonical parameter names in sorted
 	// order (nil/mismatched length = unknown region). Requests whose
@@ -163,13 +161,12 @@ type Config struct {
 	RegionParams func(region string) []string
 
 	// Stream puts a small pool of persistent multiplexed frame-stream
-	// connections (StreamConns of them, redialed with backoff) on top of
-	// the ladder for decide-only single requests; NewCluster sets it for
-	// every replica. A dead, drained or
-	// reconnecting connection falls through to HTTP inside the same
-	// attempt — it costs latency, never a verdict; an endpoint that does
-	// not speak the stream dialect demotes the rung stickily. Execute
-	// and batch requests always use HTTP.
+	// connections (StreamConns of them, redialed with backoff) in front
+	// of HTTP for decide-only single requests; NewCluster sets it for
+	// every replica. A refused, dead, drained or reconnecting connection
+	// sends the call over HTTP inside the same attempt — it costs
+	// latency, never a verdict — and the next call after the slot's
+	// backoff dials again. Execute and batch requests always use HTTP.
 	Stream bool
 	// StreamAddr is the daemon's raw TCP stream listener
 	// (hybridseld -stream-addr). Empty negotiates the stream over the
@@ -249,11 +246,7 @@ func New(cfg Config) (*Client, error) {
 
 // Close tears down any pooled stream connections. In-flight calls finish
 // (stream in-flight fail over to HTTP via the normal retry path).
-func (c *Client) Close() {
-	for _, r := range c.route[0].ladder {
-		r.Close()
-	}
-}
+func (c *Client) Close() { c.route[0].close() }
 
 // BreakerState returns the circuit breaker's current state.
 func (c *Client) BreakerState() BreakerState { return c.route[0].breaker.State() }

@@ -41,10 +41,9 @@ func fallbackRuntime(t *testing.T) *offload.Runtime {
 	return rt
 }
 
-// stubDaemon answers /v2/decide with a canned per-request handler. Like
-// any daemon that predates the stream it has no /v1/stream, so a client
-// that starts on the stream rung demotes it on its first call and h sees
-// decide calls only.
+// stubDaemon answers /v2/decide with a canned per-request handler. It
+// 404s /v1/stream, so a Stream client's decides go out over HTTP and h
+// sees decide calls only.
 func stubDaemon(t *testing.T, h http.HandlerFunc) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()

@@ -29,9 +29,9 @@ type ClusterMember struct {
 type ClusterConfig struct {
 	// Members is the static replica set (at least one).
 	Members []ClusterMember
-	// Replica configures each replica's endpoint (transports, HTTP
+	// Replica configures each replica's endpoint (HTTP codec, HTTP
 	// client); BaseURL is set per member, and every endpoint rides the
-	// stream.
+	// stream, upgraded over that BaseURL.
 	Replica Config
 	// Fallback serves in-process verdicts when every routable replica
 	// has failed, exactly like the single-daemon client's fallback (and
@@ -109,7 +109,7 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 	for _, m := range cfg.Members {
 		rcfg := cfg.Replica
 		rcfg.BaseURL = m.BaseURL
-		// The stream by Upgrade over its own BaseURL: refused, the rung demotes.
+		// The stream by Upgrade over its own BaseURL; refused, the call goes over HTTP.
 		rcfg.Stream, rcfg.StreamAddr = true, ""
 		if rcfg, err = rcfg.withDefaults(); err != nil {
 			return nil, fmt.Errorf("client: cluster member %s: %w", m.ID, err)

@@ -498,7 +498,7 @@ func TestClusterOutOfRangeIsPermanent(t *testing.T) {
 	owner := rig.cc.Route(req)[0]
 	for _, via := range []string{"stream", "http"} {
 		if via == "http" {
-			req.Execute = true // an Execute keeps to the HTTP rungs
+			req.Execute = true // an Execute keeps to HTTP
 		}
 		v, err := rig.cc.Decide(context.Background(), req)
 		var re *RemoteError

@@ -68,8 +68,8 @@ func inState(t *testing.T, cal *audit.Calibrator) *offload.Runtime {
 // conns returns the stream connections ep's pool holds now.
 func conns(ep *endpoint) []*StreamConn {
 	var out []*StreamConn
-	for i := range ep.ladder[0].Transport.(*streamTransport).slots {
-		if sc := ep.ladder[0].Transport.(*streamTransport).slots[i].conn.Load(); sc != nil {
+	for i := range ep.stream.slots {
+		if sc := ep.stream.slots[i].conn.Load(); sc != nil {
 			out = append(out, sc)
 		}
 	}
@@ -554,5 +554,89 @@ func TestDaemonObservesOneDecisionPerLease(t *testing.T) {
 	if m.LeaseHits == 0 || m.Requests != 400 || observed.Load() != m.Requests-m.LeaseHits {
 		t.Errorf("the daemon observed %d decisions of %d, %d served from leases; want every one not leased, and only those",
 			observed.Load(), m.Requests, m.LeaseHits)
+	}
+}
+
+// TestStreamReturnsAfterDrainingUpgrade: a daemon that answers the Upgrade
+// with 503 draining, as one does while it drains, keeps its clients off
+// the stream only while it says so. Meanwhile every decide is the
+// reference verdict over HTTP; once it stops, a decide rides the stream
+// again within 5 s (a slot's redial backoff is at most 2 s) and its repeat
+// is leased — through a Client and through a cluster's view alike.
+func TestStreamReturnsAfterDrainingUpgrade(t *testing.T) {
+	var draining atomic.Bool
+	members := make([]ClusterMember, 3)
+	for i := range members {
+		srv, err := server.New(server.Config{Runtime: fallbackRuntime(t), Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/stream" && draining.Load() {
+				w.Header().Set("Content-Type", "application/json")
+				w.Header().Set("Connection", "close")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				_, _ = io.WriteString(w, `{"error":{"code":"draining","message":"draining"}}`)
+				return
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		members[i] = ClusterMember{ID: fmt.Sprintf("node-%c", 'a'+i), BaseURL: ts.URL}
+	}
+	cc, err := NewCluster(ClusterConfig{Members: members, vnodes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cc.Close)
+	ref := fallbackRuntime(t)
+	key := int64(0) // every decide asks a key not asked before, which no lease holds
+	next := func() server.DecideRequest {
+		key++
+		return server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": 64 + key}}
+	}
+
+	for _, via := range []struct {
+		name string
+		c    *Client
+	}{
+		{"client", newTestClient(t, Config{BaseURL: members[0].BaseURL, Stream: true})},
+		{"cluster view", cc.Client(members[0].ID)},
+	} {
+		draining.Store(true)
+		for i := 0; i < 20; i++ {
+			req := next()
+			v, err := via.c.Decide(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s, draining: decide %d: %v", via.name, i, err)
+			}
+			if v.Transport != TransportHTTPJSON || v.Provenance != ProvenanceRemote ||
+				!reflect.DeepEqual(asServed(t, v.Response), referenceResponse(t, ref, req)) {
+				t.Fatalf("%s, draining: decide %d served %s/%s %+v; want the reference verdict over HTTP",
+					via.name, i, v.Provenance, v.Transport, v.Response)
+			}
+		}
+		if m := via.c.Metrics(); m.StreamCalls != 0 {
+			t.Fatalf("%s, draining: %d decides rode a stream the daemon refused", via.name, m.StreamCalls)
+		}
+
+		draining.Store(false)
+		for until := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			req := next()
+			v, err := via.c.Decide(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s, drained: %v", via.name, err)
+			}
+			if v.Transport == TransportStream {
+				if v, err = via.c.Decide(context.Background(), req); err != nil || v.Transport != TransportLease {
+					t.Fatalf("%s, drained: the repeat of a stream answer was served by %+v, %v; want its lease", via.name, v, err)
+				}
+				break
+			}
+			if time.Now().After(until) {
+				t.Fatalf("%s: no decide rode the stream within 5 s of the daemon accepting it again (%+v)", via.name, via.c.Metrics())
+			}
+		}
 	}
 }

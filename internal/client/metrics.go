@@ -22,14 +22,12 @@ type counters struct {
 
 	retryAfterHonored metrics.Counter
 
-	wireCalls     metrics.Counter
-	wireDemotions metrics.Counter
+	wireCalls metrics.Counter
 
 	streamCalls      metrics.Counter
 	streamWrites     metrics.Counter
 	streamFallbacks  metrics.Counter
 	streamReconnects metrics.Counter
-	streamDemotions  metrics.Counter
 	leaseHits        metrics.Counter
 
 	breakerOpened   metrics.Counter
@@ -76,7 +74,8 @@ type Metrics struct {
 	// Sheds counts 429 responses (daemon admission control).
 	Sheds uint64
 	// TransportErrors counts connection/read failures (resets,
-	// truncations, timeouts); ServerErrors counts 5xx responses;
+	// truncations, timeouts) and 200 answers that do not decode;
+	// ServerErrors counts 5xx responses;
 	// PermanentErrors counts non-retryable 4xx responses.
 	TransportErrors uint64
 	ServerErrors    uint64
@@ -84,22 +83,17 @@ type Metrics struct {
 	// RetryAfterHonored counts backoffs stretched to a server-provided
 	// Retry-After (delay-seconds or HTTP-date form).
 	RetryAfterHonored uint64
-	// WireCalls counts attempts sent in the binary frame format;
-	// WireDowngrades counts sticky downgrades to JSON after the peer
-	// answered frames with something that is not the frame protocol.
-	WireCalls      uint64
-	WireDowngrades uint64
+	// WireCalls counts attempts sent in the binary frame format.
+	WireCalls uint64
 	// StreamCalls counts decides sent over the stream transport;
-	// StreamFallbacks counts attempts that fell through to HTTP after a
-	// stream transport failure (dead connection, Goaway, backoff);
-	// StreamReconnects counts pool slots redialed after a connection
-	// died; StreamDowngrades counts sticky downgrades to HTTP framing
-	// after the peer proved it does not speak the stream dialect.
+	// StreamFallbacks counts attempts that went out over HTTP after a
+	// stream transport failure (refused or dead connection, Goaway,
+	// redial backoff); StreamReconnects counts pool slots redialed after
+	// a connection died.
 	StreamCalls      uint64
 	StreamWrites     uint64 // conn.Write calls that carried StreamCalls: fewer, when callers share them
 	StreamFallbacks  uint64
 	StreamReconnects uint64
-	StreamDowngrades uint64
 	// LeaseHits counts verdicts served from a lease (TransportLease): no
 	// network call.
 	LeaseHits uint64
@@ -128,12 +122,10 @@ func (m *counters) series(out *Metrics) []counterSeries {
 		{"hybridselc_permanent_errors_total", "Non-retryable HTTP 4xx responses.", &m.permanentErrors, &out.PermanentErrors},
 		{"hybridselc_retry_after_honored_total", "Backoffs stretched to a server Retry-After.", &m.retryAfterHonored, &out.RetryAfterHonored},
 		{"hybridselc_wire_calls_total", "Attempts sent in the binary frame format.", &m.wireCalls, &out.WireCalls},
-		{"hybridselc_wire_downgrades_total", "Sticky downgrades from binary frames to JSON.", &m.wireDemotions, &out.WireDowngrades},
 		{"hybridselc_stream_calls_total", "Decides sent over the stream transport.", &m.streamCalls, &out.StreamCalls},
 		{"hybridselc_stream_writes_total", "conn.Write calls on stream connections; below calls when requests share a write.", &m.streamWrites, &out.StreamWrites},
 		{"hybridselc_stream_fallbacks_total", "Attempts that failed over from stream to HTTP.", &m.streamFallbacks, &out.StreamFallbacks},
 		{"hybridselc_stream_reconnects_total", "Stream pool slots redialed after connection death.", &m.streamReconnects, &out.StreamReconnects},
-		{"hybridselc_stream_downgrades_total", "Sticky downgrades from stream transport to HTTP.", &m.streamDemotions, &out.StreamDowngrades},
 		{"hybridselc_lease_hits_total", "Verdicts served from a lease, with no network call.", &m.leaseHits, &out.LeaseHits},
 		{"hybridselc_breaker_open_total", "Circuit breaker transitions to open.", &m.breakerOpened, &out.BreakerOpened},
 		{"hybridselc_breaker_half_open_total", "Circuit breaker transitions to half-open.", &m.breakerHalfOpen, &out.BreakerHalfOpen},

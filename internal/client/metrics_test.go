@@ -66,8 +66,8 @@ func TestGoldenMetricsFamilies(t *testing.T) {
 		keys := slices.DeleteFunc(f.Labels, func(k string) bool { return k == "replica" })
 		fmt.Fprintf(&got, "%s %s [%s] %s\n", f.Name, f.Type, strings.Join(keys, ","), f.Help)
 	}
-	if stream != 5 {
-		t.Errorf("%d hybridselc_stream_ families, want calls, writes, fallbacks, reconnects and downgrades", stream)
+	if stream != 4 {
+		t.Errorf("%d hybridselc_stream_ families, want calls, writes, fallbacks and reconnects", stream)
 	}
 	path := filepath.Join("testdata", "golden", "metrics_families.txt")
 	if *update {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"net"
 	"net/http"
@@ -25,10 +24,10 @@ import (
 // so steady-state decisions cost one frame each way, concurrent callers
 // sharing writes — no per-request HTTP parsing, no connection churn.
 //
-// Which of its failures fall through to HTTP and which demote the rung
-// is the ladder's business (ladder.go); here a peer that provably does
-// not speak the dialect (wrong version byte, no credit handshake, upgrade
-// refused) is errDialect, and a per-stream error response a *RemoteError.
+// A per-stream error response is a *RemoteError; every other failure —
+// a dial, an Upgrade or a handshake that did not work out, a connection
+// that died — is the transport's, and the endpoint (endpoint.go) sends
+// the call over HTTP instead.
 
 // Stream transport errors. All are transport-level: the request was
 // never (or may never be) answered, and the caller should fail over to
@@ -114,8 +113,8 @@ const (
 )
 
 // DialStream opens and handshakes one stream connection: dial (raw TCP
-// or HTTP Upgrade), then read the server's TypeCredit grant. A peer
-// that answers with anything else does not speak the protocol.
+// or HTTP Upgrade), then read the server's TypeCredit grant; any other
+// answer is an error.
 func DialStream(cfg StreamDialConfig) (*StreamConn, error) {
 	return dialStream(context.Background(), cfg, time.Time{})
 }
@@ -134,10 +133,10 @@ func dialStream(ctx context.Context, cfg StreamDialConfig, deadline time.Time) (
 	if addr == "" {
 		u, err := url.Parse(cfg.URL)
 		if err != nil {
-			return nil, fmt.Errorf("%w: parse URL: %v", errDialect, err)
+			return nil, fmt.Errorf("stream: parse URL: %w", err)
 		}
 		if u.Scheme != "http" {
-			return nil, fmt.Errorf("%w: cannot upgrade %q endpoints", errDialect, u.Scheme)
+			return nil, fmt.Errorf("stream: cannot upgrade %q endpoints", u.Scheme)
 		}
 		if addr, host = u.Host, u.Host; u.Port() == "" {
 			addr = net.JoinHostPort(u.Hostname(), "80")
@@ -171,11 +170,11 @@ func newStreamConn(conn net.Conn, deadline time.Time) (*StreamConn, error) {
 	_ = conn.SetDeadline(deadline)
 	sr := wire.NewStreamReader(conn)
 	f, err := sr.Next()
-	if err != nil || f.Type != wire.TypeCredit || f.Credit == 0 {
+	if err == nil && (f.Type != wire.TypeCredit || f.Credit == 0) {
+		err = fmt.Errorf("frame type %d, credit %d", f.Type, f.Credit)
+	}
+	if err != nil {
 		conn.Close()
-		if errors.Is(err, wire.ErrVersion) || errors.Is(err, wire.ErrMalformed) || err == nil {
-			return nil, fmt.Errorf("%w: handshake: %v", errDialect, err)
-		}
 		return nil, fmt.Errorf("stream handshake: %w", err)
 	}
 	_ = conn.SetDeadline(time.Time{})
@@ -201,8 +200,6 @@ func newStreamConn(conn net.Conn, deadline time.Time) (*StreamConn, error) {
 
 // upgrade negotiates the stream over a connection to the HTTP port via
 // GET /v1/stream with Upgrade: hybridsel-stream, closing it on failure.
-// Only an answer proves the peer does not speak the dialect; a connection
-// that fails before one is a transport failure like any other.
 func upgrade(conn net.Conn, host string) (net.Conn, error) {
 	req := "GET /v1/stream HTTP/1.1\r\nHost: " + host +
 		"\r\nConnection: Upgrade\r\nUpgrade: " + server.StreamUpgradeProto + "\r\n\r\n"
@@ -218,15 +215,11 @@ func upgrade(conn net.Conn, host string) (net.Conn, error) {
 		return &bufferedConn{Conn: conn, r: br}, nil
 	}
 	conn.Close()
-	var ne net.Error
-	switch {
-	case err == nil:
-		resp.Body.Close()
-		return nil, fmt.Errorf("%w: upgrade refused with HTTP %d", errDialect, resp.StatusCode)
-	case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &ne):
+	if err != nil {
 		return nil, fmt.Errorf("upgrade response: %w", err)
 	}
-	return nil, fmt.Errorf("%w: upgrade response: %v", errDialect, err)
+	resp.Body.Close()
+	return nil, fmt.Errorf("stream: upgrade refused with HTTP %d", resp.StatusCode)
 }
 
 // bufferedConn reads through the bufio.Reader that may hold bytes the
@@ -419,7 +412,7 @@ func (sc *StreamConn) readLoop(sr *wire.StreamReader) {
 			sc.die(fmt.Errorf("%w: server: %s: %s", errStreamBroken, f.Err.Code, f.Err.Message))
 			return
 		default:
-			sc.die(fmt.Errorf("%w: unexpected frame type %d", errDialect, f.Type))
+			sc.die(fmt.Errorf("%w: unexpected frame type %d", errStreamBroken, f.Type))
 			return
 		}
 	}
@@ -482,10 +475,10 @@ func (sc *StreamConn) deathErr() error {
 
 // ----------------------------------------------------------- transport --
 
-// streamTransport is the stream rung: a pool of persistent connections,
-// dead slots redialed with exponential backoff. Calls round-robin across
-// slots; a slot mid-backoff or mid-drain answers errStreamBackoff and
-// the ladder fails over to HTTP for that attempt.
+// streamTransport is an endpoint's stream: a pool of persistent
+// connections, dead slots redialed with exponential backoff. Calls
+// round-robin across slots; a slot mid-backoff answers errStreamBackoff
+// and the endpoint sends that attempt over HTTP.
 type streamTransport struct {
 	dial   StreamDialConfig
 	params func(region string) []string
@@ -584,8 +577,8 @@ func (t *streamTransport) Send(ctx context.Context, reqs []server.DecideRequest,
 	return vs, nil
 }
 
-// timers holds stopped timers: a ladder attempt's deadline costs a Reset,
-// not a context and a timer of its own.
+// timers holds stopped timers: an attempt's deadline on the stream costs
+// a Reset, not a context and a timer of its own.
 var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
 // single sends one decide-only request, already in frame form, and gives

@@ -80,7 +80,7 @@ func TestStreamDecideMatchesJSON(t *testing.T) {
 		}
 	}
 	m := streamClient.Metrics()
-	if m.StreamCalls != uint64(len(reqs)) || m.StreamFallbacks != 0 || m.StreamDowngrades != 0 {
+	if m.StreamCalls != uint64(len(reqs)) || m.StreamFallbacks != 0 {
 		t.Fatalf("stream metrics %+v", m)
 	}
 }
@@ -99,14 +99,14 @@ func TestStreamUpgradeOverHTTPPort(t *testing.T) {
 	if v.Transport != TransportStream || v.Provenance != ProvenanceRemote {
 		t.Fatalf("verdict transport %q provenance %q", v.Transport, v.Provenance)
 	}
-	if m := c.Metrics(); m.StreamCalls == 0 || m.StreamDowngrades != 0 {
+	if m := c.Metrics(); m.StreamCalls == 0 {
 		t.Fatalf("metrics %+v", m)
 	}
 }
 
 // TestStreamFailoverToHTTP: a dead stream endpoint costs nothing but
 // the failed dial — every verdict still arrives over HTTP in the same
-// attempt, with no sticky downgrade (the endpoint might come back).
+// attempt.
 func TestStreamFailoverToHTTP(t *testing.T) {
 	url, _ := realStreamDaemon(t)
 	// Reserve a port, then close it: dials are refused.
@@ -133,15 +133,13 @@ func TestStreamFailoverToHTTP(t *testing.T) {
 	if m.StreamFallbacks == 0 {
 		t.Fatalf("no stream fallbacks recorded: %+v", m)
 	}
-	if m.StreamDowngrades != 0 {
-		t.Fatalf("refused dial latched a protocol downgrade: %+v", m)
-	}
 }
 
-// TestStreamStickyDowngrade: a peer that answers the handshake with
-// bytes that are not the frame protocol latches the sticky downgrade —
-// later decides never try the stream again.
-func TestStreamStickyDowngrade(t *testing.T) {
+// TestStreamGibberishPeerServedOverHTTP: a peer that answers the
+// handshake with bytes that are not the frame protocol costs no verdict:
+// every decide goes out over HTTP in its one attempt, and the stream is
+// probed again only as the slots' redial backoff allows, not per decide.
+func TestStreamGibberishPeerServedOverHTTP(t *testing.T) {
 	url, _ := realStreamDaemon(t)
 	// A "stream" endpoint that speaks gibberish.
 	bogus, err := net.Listen("tcp", "127.0.0.1:0")
@@ -149,12 +147,14 @@ func TestStreamStickyDowngrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = bogus.Close() })
+	var probes atomic.Int64
 	go func() {
 		for {
 			c, err := bogus.Accept()
 			if err != nil {
 				return
 			}
+			probes.Add(1)
 			_, _ = c.Write([]byte("HTTP/1.1 200 OK\r\n\r\nnot frames"))
 		}
 	}()
@@ -162,55 +162,54 @@ func TestStreamStickyDowngrade(t *testing.T) {
 	c := newTestClient(t, Config{
 		BaseURL: url, Stream: true, StreamAddr: bogus.Addr().String(),
 	})
-	for i := 0; i < 3; i++ {
-		v, err := c.Decide(context.Background(), gemmReq())
-		if err != nil {
-			t.Fatalf("decide %d: %v", i, err)
-		}
-		if v.Transport != TransportHTTPJSON {
-			t.Fatalf("decide %d transport %q", i, v.Transport)
-		}
-	}
-	m := c.Metrics()
-	if m.StreamDowngrades != 1 {
-		t.Fatalf("want exactly one sticky downgrade, got %+v", m)
-	}
-	if m.StreamCalls != 0 {
-		t.Fatalf("decides rode a stream that never handshook: %+v", m)
-	}
+	assertServedOverHTTP(t, c, &probes)
 }
 
-// TestStreamUpgradeRefusedDowngrades: an older daemon without the
-// stream endpoint refuses the Upgrade with a plain HTTP status; the
-// client downgrades stickily and keeps serving over plain HTTP.
-func TestStreamUpgradeRefusedDowngrades(t *testing.T) {
-	ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/stream" {
-			http.NotFound(w, r)
-			return
-		}
-		okResponse(w, "gemm", "gpu/base")
+// TestStreamUpgradeRefusedServedOverHTTP: a peer without the stream
+// endpoint refuses the Upgrade with a plain HTTP status; every decide is
+// still answered over HTTP, and the Upgrade is asked again only as the
+// slots' redial backoff allows.
+func TestStreamUpgradeRefusedServedOverHTTP(t *testing.T) {
+	var probes atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/stream", func(w http.ResponseWriter, r *http.Request) {
+		probes.Add(1)
+		http.NotFound(w, r)
 	})
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) { okResponse(w, "gemm", "gpu/base") })
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
 	c := newTestClient(t, Config{BaseURL: ts.URL, Stream: true})
+	assertServedOverHTTP(t, c, &probes)
+}
 
-	for i := 0; i < 3; i++ {
+// assertServedOverHTTP makes decides through c, whose stream peer never
+// hands out a connection, and wants each answered over HTTP in one
+// attempt, after one try of the stream, with fewer stream probes than
+// decides.
+func assertServedOverHTTP(t *testing.T, c *Client, probes *atomic.Int64) {
+	t.Helper()
+	const decides = 20
+	for i := 0; i < decides; i++ {
 		v, err := c.Decide(context.Background(), gemmReq())
 		if err != nil {
 			t.Fatalf("decide %d: %v", i, err)
 		}
-		if v.Transport != TransportHTTPJSON {
-			t.Fatalf("decide %d transport %q", i, v.Transport)
+		if v.Transport != TransportHTTPJSON || v.Attempts != 1 {
+			t.Fatalf("decide %d: transport %q after %d attempts", i, v.Transport, v.Attempts)
 		}
 	}
 	m := c.Metrics()
-	if m.StreamDowngrades != 1 || m.StreamCalls != 0 {
-		t.Fatalf("metrics %+v", m)
+	if m.StreamCalls != 0 || m.StreamFallbacks != decides {
+		t.Fatalf("decides rode a stream that never handshook, or skipped it: %+v", m)
+	}
+	if p := probes.Load(); p == 0 || p >= decides {
+		t.Fatalf("the stream was probed %d times over %d decides: want at least once, and backed off", p, decides)
 	}
 }
 
 // TestStreamConcurrentStress: many goroutines share a two-connection
-// pool; every decide completes, overwhelmingly over the stream, with
-// no downgrades. Run with -race.
+// pool; every decide completes over the stream. Run with -race.
 func TestStreamConcurrentStress(t *testing.T) {
 	url, addr := realStreamDaemon(t)
 	c := newTestClient(t, Config{
@@ -246,9 +245,6 @@ func TestStreamConcurrentStress(t *testing.T) {
 	if m.StreamCalls < goroutines*perG {
 		t.Fatalf("only %d of %d decides rode the stream: %+v", m.StreamCalls, goroutines*perG, m)
 	}
-	if m.StreamDowngrades != 0 {
-		t.Fatalf("stress latched a downgrade: %+v", m)
-	}
 }
 
 // TestChaosStreamMidKillLosesNoVerdicts is the stream acceptance chaos
@@ -256,7 +252,7 @@ func TestStreamConcurrentStress(t *testing.T) {
 // raw-TCP faultnet proxy whose relays are repeatedly hard-killed
 // mid-stream (plus seeded resets tearing frames at the byte level).
 // Every in-flight decide must fail over to retry or direct HTTP —
-// 100% of issued decides complete, zero protocol downgrades.
+// 100% of issued decides complete, and the stream still carries some.
 func TestChaosStreamMidKillLosesNoVerdicts(t *testing.T) {
 	url, addr := realStreamDaemon(t)
 	proxy := faultnet.NewTCP(addr, 42)
@@ -332,9 +328,6 @@ func TestChaosStreamMidKillLosesNoVerdicts(t *testing.T) {
 		t.Fatalf("verdicts %d/%d by transport %v", n, goroutines*perG, total)
 	}
 	m := c.Metrics()
-	if m.StreamDowngrades != 0 {
-		t.Fatalf("mid-stream kills latched a protocol downgrade: %+v", m)
-	}
 	if total[TransportStream] == 0 {
 		t.Fatalf("nothing rode the stream under chaos: %v (metrics %+v)", total, m)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,23 +133,20 @@ func TestBinaryDecideMatchesJSON(t *testing.T) {
 	if m.WireCalls == 0 {
 		t.Fatalf("binary client made no wire calls: %+v", m)
 	}
-	if m.WireDowngrades != 0 {
-		t.Fatalf("binary client downgraded against a frame-speaking daemon: %+v", m)
-	}
 	if jm := jsonClient.Metrics(); jm.WireCalls != 0 {
 		t.Fatalf("JSON client made wire calls: %+v", jm)
 	}
 }
 
-// TestBinaryDowngradesAgainstJSONOnlyDaemon: an old daemon that answers
-// a frame body with a JSON bad_request envelope triggers exactly one
-// sticky downgrade; the same attempt goes out again as JSON and the
-// verdict arrives without touching the retry budget, the fallback
-// runtime or the breaker.
-func TestBinaryDowngradesAgainstJSONOnlyDaemon(t *testing.T) {
+// TestBinaryJSONBadRequestIsPermanent: a JSON bad_request envelope
+// answering a frame body is the daemon's refusal like any other: the
+// call ends after its one attempt with the daemon's code — no resend, no
+// retry, no fallback verdict, and the breaker is not fed.
+func TestBinaryJSONBadRequestIsPermanent(t *testing.T) {
+	var calls atomic.Int64
 	ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
 		if wire.IsFrameContent(r.Header.Get("Content-Type")) {
-			// An old daemon fails to parse frames as JSON.
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusBadRequest)
 			_, _ = w.Write([]byte(`{"error":{"code":"bad_request","message":"decode body: invalid character"}}`))
@@ -158,61 +156,56 @@ func TestBinaryDowngradesAgainstJSONOnlyDaemon(t *testing.T) {
 	})
 	c := newTestClient(t, Config{
 		BaseURL: ts.URL, retryBackoff: time.Millisecond,
-		breakerFailures: 1, // the downgrade must not feed even a hair-trigger breaker
+		breakerFailures: 1, // a refusal must not feed even a hair-trigger breaker
 		Binary:          true,
-		RegionParams:    func(string) []string { return []string{"n"} },
+		Fallback:        fallbackRuntime(t),
 	})
 
 	v, err := c.Decide(context.Background(), gemmReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Provenance != ProvenanceRemote || v.Attempts != 1 || v.Response.Verdict != "gpu/base" {
-		t.Fatalf("verdict %+v", v)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != server.ErrCodeBadRequest || re.Status != http.StatusBadRequest {
+		t.Fatalf("verdict %+v, error %v; want the daemon's bad_request", v, err)
 	}
 	if c.BreakerState() != BreakerClosed {
-		t.Fatalf("downgrade fed the breaker: %v", c.BreakerState())
-	}
-
-	// The downgrade is sticky: later calls go straight to JSON.
-	if _, err := c.Decide(context.Background(), gemmReq()); err != nil {
-		t.Fatal(err)
+		t.Fatalf("a refusal fed the breaker: %v", c.BreakerState())
 	}
 	m := c.Metrics()
-	if m.WireCalls != 1 || m.WireDowngrades != 1 {
-		t.Fatalf("wire metrics %+v", m)
+	if n := calls.Load(); n != 1 || m.WireCalls != 1 {
+		t.Fatalf("the daemon was asked %d times, %d in frames; want once: %+v", n, m.WireCalls, m)
 	}
-	if m.Retries != 0 || m.PermanentErrors != 0 || m.Fallbacks != 0 {
-		t.Fatalf("downgrade misclassified: %+v", m)
+	if m.PermanentErrors != 1 || m.Retries != 0 || m.Fallbacks != 0 {
+		t.Fatalf("refusal misclassified: %+v", m)
 	}
 }
 
-// TestBinaryDowngradesOnUndecodable200: a 200 whose body is not the
-// frame protocol (a rewriting proxy injecting JSON) downgrades and
-// resends as JSON rather than surfacing garbage or losing the verdict.
-func TestBinaryDowngradesOnUndecodable200(t *testing.T) {
+// TestBinaryUndecodable200IsATransportFailure: a 200 whose body is not
+// the frame answer asked for (here JSON under a frame Content-Type) is
+// never surfaced as a verdict: it is a retryable transport failure,
+// counted, and a call that meets nothing else ends at the fallback
+// runtime after its retries.
+func TestBinaryUndecodable200IsATransportFailure(t *testing.T) {
+	var calls atomic.Int64
 	ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
-		// Claims frames, answers JSON: Content-Type lies.
-		if wire.IsFrameContent(r.Header.Get("Content-Type")) {
-			w.Header().Set("Content-Type", wire.ContentType)
-			_ = json.NewEncoder(w).Encode(server.DecideResponseV2{Region: "gemm", Verdict: "gpu/base"})
-			return
-		}
-		okResponse(w, "gemm", "cpu/base")
+		calls.Add(1)
+		w.Header().Set("Content-Type", wire.ContentType)
+		_ = json.NewEncoder(w).Encode(server.DecideResponseV2{Region: "gemm", Verdict: "gpu/base"})
 	})
 	c := newTestClient(t, Config{
-		BaseURL: ts.URL, retryBackoff: time.Millisecond,
-		Binary: true, RegionParams: func(string) []string { return []string{"n"} },
+		BaseURL: ts.URL, retryBackoff: time.Millisecond, maxAttempts: 3,
+		breakerFailures: 1000, // keep the breaker out of the way
+		Binary:          true,
+		Fallback:        fallbackRuntime(t),
 	})
 	v, err := c.Decide(context.Background(), gemmReq())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Response.Verdict != "cpu/base" || v.Attempts != 1 {
-		t.Fatalf("verdict %+v", v)
+	if v.Provenance != ProvenanceFallback || v.Attempts != 3 {
+		t.Fatalf("verdict %+v; want the fallback's after 3 attempts", v)
 	}
-	if m := c.Metrics(); m.WireDowngrades != 1 {
-		t.Fatalf("metrics %+v", m)
+	m := c.Metrics()
+	if n := calls.Load(); n != 3 || m.TransportErrors != 3 || m.Retries != 2 || m.PermanentErrors != 0 {
+		t.Fatalf("the daemon was asked %d times; metrics %+v", n, m)
 	}
 }
 
@@ -239,7 +232,7 @@ func TestBinarySlotFormRequiresParamAgreement(t *testing.T) {
 			if v.Provenance != ProvenanceRemote || v.Response.Verdict == "" {
 				t.Fatalf("verdict %+v", v)
 			}
-			if m := c.Metrics(); m.WireCalls != 1 || m.WireDowngrades != 0 {
+			if m := c.Metrics(); m.WireCalls != 1 {
 				t.Fatalf("metrics %+v", m)
 			}
 		})

@@ -340,8 +340,8 @@ func (n *Node) gossipPeers() []Member {
 }
 
 // Tick runs one gossip round: exchange full state with the next peer in
-// a deterministic round-robin rotation. Exchange failures feed the
-// suspect/dead ladder; successes reset it. Calling Tick from a test
+// a deterministic round-robin rotation. Exchange failures move the peer
+// toward suspect, then dead; successes reset it. Calling Tick from a test
 // instead of Start makes gossip progress fully deterministic.
 func (n *Node) Tick(ctx context.Context) {
 	n.ticks.Add(1)

@@ -13,9 +13,8 @@
 // connection it sends a TypeCredit frame granting the flow-control
 // window — the maximum number of streams the client may have in flight
 // (sent but unanswered). A client that reads anything else (or a frame
-// with the wrong version byte) treats the endpoint as not speaking the
-// stream dialect and downgrades to HTTP framing. Each response
-// implicitly returns one unit of credit.
+// with the wrong version byte) drops the connection and sends that
+// call over HTTP. Each response implicitly returns one unit of credit.
 //
 // Leases: a request with Lease set has its response stamped with the
 // server's decision epoch, and subscribes the connection to TypeEpoch

@@ -21,7 +21,7 @@ go run ./cmd/apidump -check api/exported.txt
 echo "== DESIGN.md size gate =="
 # DESIGN.md may shrink but not grow: a change that adds a section pays for
 # it by trimming another. Lower the ceiling whenever the file shrinks.
-design_ceiling=1840
+design_ceiling=1820
 design_lines=$(wc -l <DESIGN.md)
 if [ "$design_lines" -gt "$design_ceiling" ]; then
 	echo "DESIGN.md has $design_lines lines, over its ceiling of $design_ceiling"
