@@ -205,7 +205,7 @@ func BenchmarkSelectorOverhead(b *testing.B) {
 	plat := machine.PlatformP9V100()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Predict(k, polybench.Test, plat, 160); err != nil {
+		if _, _, err := experiments.PredictVariant(k, polybench.Test, plat, 160, experiments.DefaultVariant("")); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 // Command explain prints the full white-box reasoning behind one target
-// selection: the kernel pseudocode, the IPDA access analysis, the base
-// pair's model breakdowns, the ranked verdict over every registered
-// target, and the decision the offload runtime actually takes (with its
+// selection: the kernel pseudocode, the IPDA access analysis, every
+// registered target's model breakdown (Region.Terms), the ranked verdict
+// over them, and the decision the offload runtime actually takes (with its
 // ground-truth validation launch and instrumentation). This is the
 // transparency argument of the paper made concrete — every term of the
 // decision is inspectable, unlike an ML model's inference.
@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/hybridsel/hybridsel/internal/cpumodel"
-	"github.com/hybridsel/hybridsel/internal/gpumodel"
 	"github.com/hybridsel/hybridsel/internal/ipda"
 	"github.com/hybridsel/hybridsel/internal/ir"
 	"github.com/hybridsel/hybridsel/internal/learn"
@@ -96,50 +94,34 @@ func main() {
 		load.IntOps, load.Loads, load.Stores)
 
 	// The ranked verdict over every registered target, printed below the
-	// base pair's breakdowns; the base pair are two of its entries.
+	// breakdowns of the seconds it ranks.
 	cands, err := region.PredictTargets(b)
 	if err != nil {
 		fatal(err)
 	}
-
-	// The base pair's model breakdowns: the first-registered target of
-	// each kind the registry has.
-	var cpuModel, gpuModel string
-	for i := 0; i < rt.Targets().Len(); i++ {
-		switch sp := rt.Targets().At(i); {
-		case sp.Kind == offload.KindCPU && cpuModel == "":
-			cp, err := cpumodel.Predict(cpumodel.Input{
-				Kernel: k.IR, CPU: sp.CPU, Threads: sp.Threads, Bindings: b,
-				IPDA: an,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			cpuModel = cp.Format()
-		case sp.Kind == offload.KindGPU && gpuModel == "":
-			gp, err := gpumodel.Predict(gpumodel.Input{
-				Kernel: k.IR, GPU: sp.GPU, Link: sp.Link, Bindings: b,
-				IPDA: an, Options: gpumodel.DefaultOptions(),
-			})
-			if err != nil {
-				fatal(err)
-			}
-			gpuModel = gp.Format()
-		}
+	terms, err := region.Terms(b)
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Printf("\n=== %s, %d host threads ===\n", plat.Name, *threads)
-	fmt.Print(cpuModel)
+	for i, t := range terms {
+		if i > 0 {
+			fmt.Println()
+		}
+		if t.CPU != nil {
+			fmt.Print(t.CPU.Format())
+		} else {
+			fmt.Print(t.GPU.Format())
+		}
+	}
 	// Offloading has a speedup only where there is a host to leave and a
 	// device to go to. The pair is read off the ranking by registration
 	// order (BasePair's rule), not by rank: cpu/smt2 or gpu/prev may
 	// outrank a base target.
 	speedup := ""
-	if cpuModel != "" && gpuModel != "" {
-		fmt.Println()
-		cpuSec, gpuSec := (&offload.Decision{Candidates: cands}).BasePair()
+	if cpuSec, gpuSec := (&offload.Decision{Candidates: cands}).BasePair(); cpuSec > 0 && gpuSec > 0 {
 		speedup = fmt.Sprintf("predicted speedup of offloading: %.2fx\n", cpuSec/gpuSec)
 	}
-	fmt.Print(gpuModel)
 
 	// The decision feature vector — what a residual learner regresses
 	// over (see internal/learn).

@@ -126,9 +126,6 @@ func NewRing(ids []string, vnodes int) (*Ring, error) {
 // callers must not mutate it.
 func (r *Ring) Members() []string { return r.ids }
 
-// Vnodes returns the virtual-node count per member.
-func (r *Ring) Vnodes() int { return r.vnodes }
-
 // at returns the index of the first ring point at or after key,
 // wrapping past the top of the keyspace.
 func (r *Ring) at(key uint64) int {

@@ -37,7 +37,7 @@ type Status struct {
 func (n *Node) Status() Status {
 	st := Status{
 		Self:          n.cfg.Self.ID,
-		Vnodes:        n.ring.Vnodes(),
+		Vnodes:        n.ring.vnodes,
 		Ticks:         n.ticks.Load(),
 		Exchanges:     n.exchanges.Load(),
 		ExchangeFails: n.exchangeFails.Load(),

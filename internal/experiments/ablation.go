@@ -35,8 +35,8 @@ type AblationRow struct {
 	MAPE float64
 }
 
-// defaultVariant returns the runtime's default configuration.
-func defaultVariant(name string) Variant {
+// DefaultVariant returns the runtime's default configuration, named name.
+func DefaultVariant(name string) Variant {
 	return Variant{
 		Name:    name,
 		GPUOpts: gpumodel.DefaultOptions(),
@@ -47,10 +47,10 @@ func defaultVariant(name string) Variant {
 // CoalescingVariants ablates the IPDA coalescing analysis against the
 // crude assumptions of prior work (paper Section IV-C).
 func CoalescingVariants() []Variant {
-	ipdaV := defaultVariant("ipda-coalescing")
-	coal := defaultVariant("assume-all-coalesced")
+	ipdaV := DefaultVariant("ipda-coalescing")
+	coal := DefaultVariant("assume-all-coalesced")
 	coal.GPUOpts.Coalescing = gpumodel.AssumeAllCoalesced
-	uncoal := defaultVariant("assume-all-uncoalesced")
+	uncoal := DefaultVariant("assume-all-uncoalesced")
 	uncoal.GPUOpts.Coalescing = gpumodel.AssumeAllUncoalesced
 	return []Variant{ipdaV, coal, uncoal}
 }
@@ -58,18 +58,18 @@ func CoalescingVariants() []Variant {
 // CPIVariants ablates the MCA pipeline analysis against flat
 // cycles-per-instruction guesses (paper Section IV-A.1).
 func CPIVariants() []Variant {
-	mca := defaultVariant("llvm-mca")
-	f1 := defaultVariant("fixed-cpi-1.0")
+	mca := DefaultVariant("llvm-mca")
+	f1 := DefaultVariant("fixed-cpi-1.0")
 	f1.Est = cpumodel.FixedCPI{CPI: 1}
-	f4 := defaultVariant("fixed-cpi-4.0")
+	f4 := DefaultVariant("fixed-cpi-4.0")
 	f4.Est = cpumodel.FixedCPI{CPI: 4}
 	return []Variant{mca, f1, f4}
 }
 
 // OMPRepVariants ablates the paper's #OMP_Rep grid-coverage extension.
 func OMPRepVariants() []Variant {
-	on := defaultVariant("omp-rep-on")
-	off := defaultVariant("omp-rep-off")
+	on := DefaultVariant("omp-rep-on")
+	off := DefaultVariant("omp-rep-off")
 	off.GPUOpts.OMPRep = false
 	return []Variant{on, off}
 }
@@ -79,10 +79,10 @@ func OMPRepVariants() []Variant {
 // hybrid upgrade the paper lists as future work.
 func AssumptionVariants() []Variant {
 	// Empty but non-nil bindings keep the counting purely static.
-	static := defaultVariant("static-128/50%")
+	static := DefaultVariant("static-128/50%")
 	static.CountOpt = ir.DefaultCountOptions()
 	static.CountOpt.Bindings = symbolic.Bindings{}
-	bound := defaultVariant("runtime-bound-trips")
+	bound := DefaultVariant("runtime-bound-trips")
 	return []Variant{static, bound}
 }
 

@@ -293,12 +293,6 @@ func PredictVariant(k *polybench.Kernel, m polybench.Mode, plat machine.Platform
 	return cp.Seconds, gp.Seconds, nil
 }
 
-// Predict evaluates the models in the runtime's default configuration.
-func Predict(k *polybench.Kernel, m polybench.Mode, plat machine.Platform,
-	threads int) (cpuSec, gpuSec float64, err error) {
-	return PredictVariant(k, m, plat, threads, defaultVariant(""))
-}
-
 // ------------------------------------------------------------- Table I --
 
 // Table1Row is one kernel/mode line of Table I.

@@ -208,7 +208,7 @@ func TestPredictVariantErrors(t *testing.T) {
 	// Unknown thread count is clamped; nil platform CPU would be a
 	// programming error — exercise the happy path plus mode coverage.
 	for _, m := range []polybench.Mode{polybench.Test, polybench.Benchmark} {
-		c, g, err := Predict(k, m, machine.PlatformP9V100(), 160)
+		c, g, err := PredictVariant(k, m, machine.PlatformP9V100(), 160, DefaultVariant(""))
 		if err != nil || c <= 0 || g <= 0 {
 			t.Fatalf("%s: %v %v %v", m, c, g, err)
 		}

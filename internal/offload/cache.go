@@ -288,8 +288,8 @@ func (c *decisionCache) put(hash uint64, vals []int64, pred, cal []float64, v ve
 	return evicted, false
 }
 
-// clear drops every entry (profiling or calibration changed the model
-// inputs) and starts a new generation in every shard. Only the index is
+// clear drops every entry (a calibration or the caller changed the
+// model inputs) and starts a new generation in every shard. Only the index is
 // reset: the slab keeps its storage for the entries to come.
 func (c *decisionCache) clear() {
 	for i := range c.shards {

@@ -8,6 +8,7 @@ import (
 	"github.com/hybridsel/hybridsel/internal/cpumodel"
 	"github.com/hybridsel/hybridsel/internal/gpumodel"
 	"github.com/hybridsel/hybridsel/internal/ipda"
+	"github.com/hybridsel/hybridsel/internal/ir"
 	"github.com/hybridsel/hybridsel/internal/machine"
 	"github.com/hybridsel/hybridsel/internal/mca"
 )
@@ -55,7 +56,7 @@ func compileRegion(r *Region) (*compiledModels, error) {
 	}
 	// Slot layout: parameters in the layout's canonical (sorted) order,
 	// then the parallel loop variables of the augmented vectors.
-	shape, err := ipda.CompileShape(r.Analysis, layout.Names(), defaultTrip)
+	shape, err := ipda.CompileShape(r.Analysis, layout.Names(), ir.DefaultCountOptions().DefaultTrip)
 	if err != nil {
 		return nil, err
 	}
@@ -150,11 +151,11 @@ func (sv *slotVecs) store(ranked []Candidate, v verdict) {
 
 func (sv *slotVecs) key() string { return sv.cm.layout.Key(sv.params()) }
 
-// prime resolves the region's shape at the point, once, and reads the
-// branch probability it is counted under.
+// prime resolves the region's shape at the point, once, under the static
+// assumptions the map form counts with (ir.CountOptions.ForLaunch).
 func (sv *slotVecs) prime() {
 	if !sv.primed {
-		sv.cm.shape.Resolve(sv.pt, sv.r.branchProb())
+		sv.cm.shape.Resolve(sv.pt, ir.DefaultCountOptions().BranchProb)
 		sv.primed = true
 	}
 }

@@ -88,7 +88,8 @@ type lawTrace struct {
 	Fresh, Hit          Decision // Decide on a cold cache, then again
 	CPU, GPU            float64  // PredictTargets' base pair after an invalidation
 	Ranked              []Candidate
-	ViaVals, ViaValsHit Decision // DecideVals on the invalidated cache, then again
+	Terms               []float64 // Terms' seconds per target, registry order
+	ViaVals, ViaValsHit Decision  // DecideVals on the invalidated cache, then again
 	// AtFraction is every target priced on lawFractions of the iteration
 	// space from one bound evaluator, as the split planner prices them:
 	// what a launch point shares between its targets (the loadout, the
@@ -124,6 +125,17 @@ func traceLaw(t *testing.T, rt *Runtime, region string, b symbolic.Bindings) law
 		t.Fatalf("%s %v: predict targets: %v", region, b, err)
 	}
 	tr.CPU, tr.GPU = (&Decision{Candidates: tr.Ranked}).BasePair()
+	before := rt.Metrics()
+	terms, err := r.Terms(b)
+	if err != nil {
+		t.Fatalf("%s %v: terms: %v", region, b, err)
+	}
+	if after := rt.Metrics(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("%s %v: Terms moved the metrics:\n %+v\n %+v", region, b, before, after)
+	}
+	for _, tt := range terms {
+		tr.Terms = append(tr.Terms, tt.seconds())
+	}
 	vals := slotVals(t, r, b)
 	tr.ViaVals = scrub(r.DecideVals(vals))
 	tr.ViaValsHit = scrub(r.DecideVals(vals))
@@ -156,6 +168,24 @@ func traceLaw(t *testing.T, rt *Runtime, region string, b symbolic.Bindings) law
 	}
 	if cpu, gpu := tr.Fresh.BasePair(); tr.CPU != cpu || tr.GPU != gpu {
 		t.Fatalf("%s %v: PredictTargets %v/%v, Decide recorded %v/%v", region, b, tr.CPU, tr.GPU, cpu, gpu)
+	}
+	// Terms breaks down the seconds PredictTargets ranks, target by target.
+	ranked := make(map[string]float64, len(tr.Ranked))
+	for _, c := range tr.Ranked {
+		ranked[c.Target] = c.PredSeconds
+	}
+	if len(terms) != rt.targets.Len() {
+		t.Fatalf("%s %v: Terms gave %d targets, the registry has %d", region, b, len(terms), rt.targets.Len())
+	}
+	for i, tt := range terms {
+		sp := &rt.targets.specs[i]
+		if tt.Target != sp.ID || tt.Kind != sp.Kind || (tt.CPU != nil) != (sp.Kind == KindCPU) || (tt.GPU != nil) != (sp.Kind == KindGPU) {
+			t.Fatalf("%s %v: Terms[%d] is %s/%v (cpu %v, gpu %v), the registry has %s/%v",
+				region, b, i, tt.Target, tt.Kind, tt.CPU != nil, tt.GPU != nil, sp.ID, sp.Kind)
+		}
+		if sec, ok := ranked[tt.Target]; !ok || sec != tt.seconds() {
+			t.Fatalf("%s %v: %s: Terms %v s, PredictTargets %v s", region, b, tt.Target, tt.seconds(), sec)
+		}
 	}
 	return tr
 }

@@ -120,8 +120,8 @@ func TestConcurrentLaunchStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedOperations races launches, predictions, profiling,
-// metrics snapshots and an observer against each other (race-detector
+// TestConcurrentMixedOperations races launches, predictions,
+// invalidations, metrics snapshots and an observer against each other (race-detector
 // fodder for every lock in the runtime).
 func TestConcurrentMixedOperations(t *testing.T) {
 	rt := NewRuntime(stressConfig(ModelGuided))
@@ -153,10 +153,7 @@ func TestConcurrentMixedOperations(t *testing.T) {
 					return
 				}
 				if i%4 == 0 {
-					if _, err := r.ProfileBranches(b); err != nil {
-						errCh <- err
-						return
-					}
+					r.InvalidateDecisions()
 				}
 				_ = rt.Metrics()
 				_ = seen()

@@ -4,9 +4,9 @@ import "testing"
 
 // TestEveryInvalidationAdvancesTheEpoch: the epoch starts at 1 and each
 // door into the invalidation funnel — InvalidateDecisions, a calibrator's
-// change of one region or of all, a profile — moves it on by one per
-// region invalidated, after the decisions are gone, and closes what
-// EpochAdvanced handed out before it.
+// change of one region or of all — moves it on by one per region
+// invalidated, after the decisions are gone, and closes what EpochAdvanced
+// handed out before it.
 func TestEveryInvalidationAdvancesTheEpoch(t *testing.T) {
 	cal := &movingCalibrator{factor: 1}
 	rt, r, b := gemmRegion(t, Config{Calibrator: cal})
@@ -18,11 +18,6 @@ func TestEveryInvalidationAdvancesTheEpoch(t *testing.T) {
 		func() { cal.changed("gemm") },
 		func() { cal.changed("") },
 		func() { cal.changed("not registered") }, // invalidates nothing, advances nothing
-		func() {
-			if _, err := r.ProfileBranches(b); err != nil {
-				t.Fatal(err)
-			}
-		},
 	} {
 		if _, err := r.Decide(b); err != nil {
 			t.Fatal(err)

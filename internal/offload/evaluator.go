@@ -5,13 +5,8 @@ import (
 
 	"github.com/hybridsel/hybridsel/internal/cpumodel"
 	"github.com/hybridsel/hybridsel/internal/gpumodel"
-	"github.com/hybridsel/hybridsel/internal/ir"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
-
-// defaultTrip is the iteration count assumed for a loop whose trip count
-// does not resolve at the bound point.
-const defaultTrip = 128
 
 // evaluator prices one launch point — a region under one set of runtime
 // values — for the decide body, which never looks at the values itself.
@@ -90,54 +85,91 @@ func (r *Region) evaluatorOf(sv *slotVecs, b symbolic.Bindings) evaluator {
 	return &mapEval{slotVecs: sv, b: b}
 }
 
-// mapEval is the map-form evaluator: cpumodel.Predict and gpumodel.Predict
-// re-analysing the kernel under a bindings map at every call. It keeps the
-// slot evaluator's cache probe, so the two forms share one store.
+// mapEval is the map-form evaluator: every target priced through the
+// region's door to the model terms (termsAt), which re-analyses the kernel
+// under a bindings map at every call. It keeps the slot evaluator's cache
+// probe, so the two forms share one store.
 type mapEval struct {
 	*slotVecs
 	b symbolic.Bindings
-
-	// opt is the hybrid counting configuration, built at the first model
-	// evaluation: the runtime supplies loop trip counts (paper Section
-	// IV: "array sizes, loop trip counts, arbitrary variable values"),
-	// with parallel indices substituted at their midpoint so triangular
-	// inner loops resolve to their mean; loops that still do not resolve
-	// fall back to defaultTrip, and branches to 50% (or the measured rate
-	// after ProfileRegion).
-	opt     ir.CountOptions
-	counted bool
 }
 
 func (m *mapEval) predictAt(i int, frac float64) (float64, error) {
-	if !m.counted {
-		m.opt = ir.CountOptions{DefaultTrip: defaultTrip, BranchProb: m.r.branchProb(),
-			Bindings: ir.MidpointBindings(m.r.Kernel, m.b)}
-		m.counted = true
+	t, err := m.r.termsAt(i, m.b, frac)
+	return t.seconds(), err
+}
+
+// TargetTerms is one registered target's model breakdown at a launch
+// point: every term the analytical model priced, not just the seconds the
+// ranking reads. Exactly one of CPU and GPU is set, matching Kind.
+type TargetTerms struct {
+	Target string
+	Kind   TargetKind
+	CPU    *cpumodel.Prediction
+	GPU    *gpumodel.Prediction
+}
+
+// seconds is the predicted wall time the terms add up to.
+func (t TargetTerms) seconds() float64 {
+	if t.CPU != nil {
+		return t.CPU.Seconds
 	}
-	sp := &m.r.rt.targets.specs[i]
+	return t.GPU.Seconds
+}
+
+// Terms returns every registered target's model breakdown at b, in
+// registry order: the terms behind the seconds PredictTargets ranks, which
+// equal them bit for bit. A parameter b leaves out is ErrUnboundSymbol, as
+// for a launch. It prices the map form afresh and touches no cache or
+// counter, so explaining a decision never changes one.
+func (r *Region) Terms(b symbolic.Bindings) ([]TargetTerms, error) {
+	ev, err := r.bind(b)
+	if err != nil {
+		return nil, err
+	}
+	ev.release()
+	terms := make([]TargetTerms, r.rt.targets.Len())
+	for i := range terms {
+		if terms[i], err = r.termsAt(i, b, 0); err != nil {
+			return nil, err
+		}
+	}
+	return terms, nil
+}
+
+// termsAt is the region's one door to the model terms: registry target i
+// priced at b running the fraction frac of the iteration space (the
+// models' convention: 0 means all of it), with the runtime's hybrid
+// counting — the values in b, parallel indices at their midpoint, the
+// paper's static defaults for the rest (ir.CountOptions.ForLaunch). The
+// map-form evaluator and Terms read the models through it; the slot
+// programs are held to it bit for bit.
+func (r *Region) termsAt(i int, b symbolic.Bindings, frac float64) (TargetTerms, error) {
+	sp := &r.rt.targets.specs[i]
+	t := TargetTerms{Target: sp.ID, Kind: sp.Kind}
 	if sp.Kind == KindCPU {
 		cp, err := cpumodel.Predict(cpumodel.Input{
-			Kernel:       m.r.Kernel,
+			Kernel:       r.Kernel,
 			CPU:          sp.CPU,
 			Threads:      sp.Threads,
-			Bindings:     m.b,
-			CountOpt:     m.opt,
-			IPDA:         m.r.Analysis,
+			Bindings:     b,
+			IPDA:         r.Analysis,
 			IterFraction: frac,
 		})
-		return cp.Seconds, wrapInput(err)
+		t.CPU = &cp
+		return t, wrapInput(err)
 	}
 	gp, err := gpumodel.Predict(gpumodel.Input{
-		Kernel:       m.r.Kernel,
+		Kernel:       r.Kernel,
 		GPU:          sp.GPU,
 		Link:         sp.Link,
-		Bindings:     m.b,
-		CountOpt:     m.opt,
-		IPDA:         m.r.Analysis,
+		Bindings:     b,
+		IPDA:         r.Analysis,
 		Options:      gpumodel.DefaultOptions(),
 		IterFraction: frac,
 	})
-	return gp.Seconds, wrapInput(err)
+	t.GPU = &gp
+	return t, wrapInput(err)
 }
 
 func (m *mapEval) predictAll() ([]float64, error) {

@@ -210,7 +210,7 @@ func TestCompiledSyntheticMatchesInterpreted(t *testing.T) {
 	plat := machine.PlatformP9V100()
 	tx64 := *plat.GPU
 	tx64.Name, tx64.L2.LineBytes = plat.GPU.Name+"/tx64", 64
-	reg, err := NewRegistry(append(SyntheticTargets(plat, 160).specs,
+	reg, err := newRegistry(append(SyntheticTargets(plat, 160).specs,
 		TargetSpec{ID: "gpu/tx64", Kind: KindGPU, GPU: &tx64, Link: plat.Link})...)
 	if err != nil {
 		t.Fatal(err)
@@ -259,11 +259,11 @@ func TestRegistryRejectsUnregistrableSpecs(t *testing.T) {
 		"gpu without machine": {{ID: "gpu/x", Kind: KindGPU}},
 		"duplicate ID":        {cpu, cpu},
 	} {
-		if g, err := NewRegistry(specs...); err == nil {
+		if g, err := newRegistry(specs...); err == nil {
 			t.Errorf("%s: registered %v", name, g.IDs())
 		}
 	}
-	if _, err := NewRegistry(cpu); err != nil {
+	if _, err := newRegistry(cpu); err != nil {
 		t.Fatalf("a one-target registry must build: %v", err)
 	}
 	// The kind's names are the wire vocabulary of /v1 and /v2 ("target",
@@ -288,7 +288,7 @@ func TestRegistryRejectsUnregistrableSpecs(t *testing.T) {
 // for bit to the map-form model, which shares nothing.
 func TestOneCPIPerCorePipeline(t *testing.T) {
 	p9, p8 := machine.POWER9(), machine.POWER8()
-	mixed, err := NewRegistry(
+	mixed, err := newRegistry(
 		TargetSpec{ID: "cpu/p9", Kind: KindCPU, CPU: p9},
 		TargetSpec{ID: "cpu/p8", Kind: KindCPU, CPU: p8},
 		TargetSpec{ID: "cpu/p8-smt2", Kind: KindCPU, CPU: machine.ReducedSMT(p8, 2)},

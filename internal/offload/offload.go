@@ -105,7 +105,7 @@ type Config struct {
 // Region is one registered target region with its generated versions,
 // stored attributes, and per-region caches. The handle — created by
 // Runtime.Register, looked up by Runtime.Region — is how a region is
-// launched, decided, predicted, measured and profiled.
+// launched, decided, predicted, measured and explained.
 type Region struct {
 	Name     string
 	Kernel   *ir.Kernel
@@ -118,12 +118,11 @@ type Region struct {
 	// Register time.
 	compiled *compiledModels
 
-	// mu guards the per-region mutable state below (the decision cache
-	// carries its own sharded locks); launches on different regions take
+	// mu guards exec, the ground-truth memo (the decision cache carries
+	// its own sharded locks); launches on different regions take
 	// different locks and never contend.
-	mu      sync.Mutex
-	profile *ProfileData
-	exec    map[string]float64
+	mu   sync.Mutex
+	exec map[string]float64
 
 	decisions *decisionCache
 }
@@ -193,7 +192,7 @@ type Outcome struct {
 // Runtime is the offloading runtime. Registration is typically performed
 // up front (the compiler role); a Region's Launch, Decide, PredictTargets
 // and Measure are safe for arbitrary concurrent use, including
-// concurrently with Register and ProfileBranches.
+// concurrently with Register and InvalidateDecisions.
 type Runtime struct {
 	cfg Config
 
@@ -392,34 +391,6 @@ func (rt *Runtime) dispatchTarget(i int) (string, TargetKind) {
 }
 
 // ------------------------------------------------------ region methods --
-
-// Profile returns the region's recorded profiling observations (nil until
-// ProfileRegion has run).
-func (r *Region) Profile() *ProfileData {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.profile
-}
-
-// branchProb returns the region's effective branch probability: measured
-// when a profile exists, the paper's 50% heuristic otherwise.
-func (r *Region) branchProb() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.profile != nil {
-		return r.profile.BranchProb
-	}
-	return 0.5
-}
-
-// setProfile installs profiling observations and invalidates the memoized
-// decisions, whose model inputs just changed.
-func (r *Region) setProfile(p *ProfileData) {
-	r.mu.Lock()
-	r.profile = p
-	r.invalidate()
-	r.mu.Unlock()
-}
 
 // evalAll runs the analytical model of every registered target for the
 // full iteration space, in registry order, recording one model-pass

@@ -466,26 +466,6 @@ func TestMetricsConsistency(t *testing.T) {
 	}
 }
 
-func TestProfileInvalidatesDecisionCache(t *testing.T) {
-	rt := newRT(t, ModelGuided)
-	b := symbolic.Bindings{"n": 256}
-	if _, err := regionOf(t, rt, "2dconv").Launch(b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := regionOf(t, rt, "2dconv").ProfileBranches(b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := regionOf(t, rt, "2dconv").Launch(b); err != nil {
-		t.Fatal(err)
-	}
-	m := rt.Metrics()
-	// The post-profile launch must re-evaluate the models, not reuse the
-	// pre-profile decision.
-	if m.DecisionCacheMisses != 2 {
-		t.Fatalf("misses = %d, want 2 (profile must invalidate)", m.DecisionCacheMisses)
-	}
-}
-
 // TestCacheInvariantMixedTraffic pins the documented decision-cache
 // invariant under mixed Launch/Decide traffic: every call that reaches
 // the decision stage resolves to exactly one cache hit or miss, so

@@ -111,7 +111,7 @@ func (s TargetSpec) validate() error {
 // Registry is an ordered, immutable set of execution targets. Order is
 // significant: it is the deterministic tie-break of the ranking (equal
 // calibrated predictions rank in registration order) and the dual-
-// execution order of the oracle policy. Build one with NewRegistry (or
+// execution order of the oracle policy. Build one with ParseTargets (or
 // the ClassicPair/SyntheticTargets helpers) and hand it to Config.Targets
 // before NewRuntime; it must not be mutated afterwards.
 type Registry struct {
@@ -123,8 +123,8 @@ type Registry struct {
 	baseCPU, baseGPU int
 }
 
-// NewRegistry builds a registry from specs in order. IDs must be unique.
-func NewRegistry(specs ...TargetSpec) (*Registry, error) {
+// newRegistry builds a registry from specs in order. IDs must be unique.
+func newRegistry(specs ...TargetSpec) (*Registry, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("offload: empty target registry")
 	}
@@ -159,7 +159,7 @@ func NewRegistry(specs ...TargetSpec) (*Registry, error) {
 // ranked verdicts are bit-for-bit identical to the historical binary
 // decisions.
 func ClassicPair(p machine.Platform, threads int) *Registry {
-	g, err := NewRegistry(
+	g, err := newRegistry(
 		TargetSpec{ID: TargetIDCPUBase, Kind: KindCPU, CPU: p.CPU, Threads: threads},
 		TargetSpec{ID: TargetIDGPUBase, Kind: KindGPU, GPU: p.GPU, Link: p.Link},
 	)
@@ -182,7 +182,7 @@ func SyntheticTargets(p machine.Platform, threads int) *Registry {
 		prevGPU, prevLink = machine.TeslaK80(), machine.PCIe3()
 	}
 	smt := machine.ReducedSMT(p.CPU, 2)
-	g, err := NewRegistry(
+	g, err := newRegistry(
 		TargetSpec{ID: TargetIDCPUBase, Kind: KindCPU, CPU: p.CPU, Threads: threads},
 		TargetSpec{ID: TargetIDGPUBase, Kind: KindGPU, GPU: p.GPU, Link: p.Link},
 		TargetSpec{ID: "gpu/prev", Kind: KindGPU, GPU: prevGPU, Link: prevLink},
@@ -218,7 +218,7 @@ func ParseTargets(p machine.Platform, threads int, s string) (*Registry, error) 
 		}
 		specs = append(specs, sp)
 	}
-	return NewRegistry(specs...)
+	return newRegistry(specs...)
 }
 
 // withResolvedThreads returns a copy of the registry with every CPU
@@ -234,7 +234,7 @@ func (g *Registry) withResolvedThreads() *Registry {
 			s.Threads = s.CPU.Threads()
 		}
 	}
-	out, err := NewRegistry(specs...)
+	out, err := newRegistry(specs...)
 	if err != nil {
 		// g was already validated; a copy cannot fail.
 		panic(err)
