@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -117,18 +118,27 @@ func TestInternTableBound(t *testing.T) {
 			t.Fatalf("decoded region %q, want %q", f.Req.Region, region)
 		}
 	}
+	// interned counts the table's names and the longest of them.
+	interned := func() (names, longest int) {
+		for _, s := range sr.r.in.s {
+			if s != "" {
+				names, longest = names+1, max(longest, len(s))
+			}
+		}
+		return names, longest
+	}
 	decode("gemm")
 	for i := 0; i < 10000; i++ {
 		decode("invented-" + strconv.Itoa(i))
-		if n := len(sr.r.in); n > maxInterned {
+		if n, _ := interned(); n > maxInterned {
 			t.Fatalf("intern table holds %d entries after %d names, bound %d", n, i+1, maxInterned)
 		}
 	}
 	decode(strings.Repeat("x", maxInternLen+1))
-	if _, ok := sr.r.in[strings.Repeat("x", maxInternLen+1)]; ok {
-		t.Fatalf("a name of more than %d bytes was interned", maxInternLen)
+	if _, longest := interned(); longest > maxInternLen {
+		t.Fatalf("a name of %d bytes was interned, bound %d", longest, maxInternLen)
 	}
-	decode("gemm") // first sighting since the table last started over, at the latest
+	decode("gemm") // first sighting since an invented name took its slot, at the latest
 	frame := AppendStreamRequest(nil, 2, &Request{Region: "gemm", SlotForm: true, Values: []int64{7}})
 	if got := allocsPerRun(100, func() {
 		stream.Write(frame)
@@ -137,6 +147,56 @@ func TestInternTableBound(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("decoding a known name into a recycled request: %v allocs, want 0", got)
+	}
+}
+
+// TestInternCollisionsDecodeExactly: names that land in one probe window —
+// more of them than it holds: an 8-byte name, longer names that share its
+// first word and one length, so that only their tails tell them apart, and
+// short names of other words — decode byte-exact in any interleaving,
+// through a StreamReader's table and a Decoder's alike.
+func TestInternCollisionsDecodeExactly(t *testing.T) {
+	homeOf := func(s string) uint {
+		_, home := key([]byte(s))
+		return home
+	}
+	window := []string{"abcdefgh"}
+	for _, name := range []func(i int) string{
+		func(i int) string { return "abcdefgh" + strconv.Itoa(i) },
+		func(i int) string { return "k" + strconv.Itoa(i) },
+	} {
+		for i, found := 1000, 0; i < 10000 && found < 3; i++ {
+			if s := name(i); homeOf(s) == homeOf(window[0]) {
+				window, found = append(window, s), found+1
+			}
+		}
+	}
+	if len(window) != 7 {
+		t.Fatalf("found %q in one probe window, want 7 names", window)
+	}
+
+	r := rand.New(rand.NewSource(46))
+	var stream bytes.Buffer
+	sr := NewStreamReader(&stream)
+	dec := new(Decoder)
+	var f Frame
+	for i := 0; i < 2000; i++ {
+		a, b := window[r.Intn(len(window))], window[r.Intn(len(window))]
+		req := Request{Region: a, Names: []string{b, a}, Values: []int64{1, 2}}
+		stream.Write(AppendStreamRequest(nil, uint64(i), &req))
+		if err := sr.NextInto(&f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Req.Region != a || f.Req.Names[0] != b || f.Req.Names[1] != a {
+			t.Fatalf("stream request %d: decoded %q %q, want %q %q %q", i, f.Req.Region, f.Req.Names, a, b, a)
+		}
+		got, _, err := dec.Decode(AppendBatchRequest(nil, []Request{{Region: b}, req}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Reqs[0].Region != b || got.Reqs[1].Region != a || got.Reqs[1].Names[0] != b {
+			t.Fatalf("batch request %d: decoded %q %q, want %q %q", i, got.Reqs[0].Region, got.Reqs[1].Region, b, a)
+		}
 	}
 }
 
@@ -196,11 +256,11 @@ func FuzzDecoderReuse(f *testing.F) {
 		AppendResponse(nil, &Response{Region: "x", Err: &Error{Code: "unknown_region", Message: "no"}}),
 	}
 	// Consecutive frames that change the name at one position — to one of
-	// the same length, to a shorter one, to "" — past the positions
-	// reader.string remembers too: a name matched against the last item's
-	// must decode as fresh as one looked up.
+	// the same length, to a shorter one, to "" — past the 16th position
+	// too: a name matched against one the table holds must decode as fresh
+	// as one read for the first time.
 	wide := resps[9]
-	for len(wide.Candidates) < maxRecent {
+	for len(wide.Candidates) < 16 {
 		wide.Candidates = append(wide.Candidates, Candidate{Target: fmt.Sprintf("gpu/v%d", len(wide.Candidates)), Kind: "gpu"})
 	}
 	edited := func(id uint64, edit func(*Response)) []byte {
@@ -217,7 +277,7 @@ func FuzzDecoderReuse(f *testing.F) {
 		func(r *Response) { r.Kind = "" },
 		func(r *Response) { r.Candidates[1].Target = "cpu/b" },
 		func(r *Response) { r.Candidates[2].Kind = "cpu" },
-		func(r *Response) { r.Candidates[maxRecent-1].Target = "gpu/vX" },
+		func(r *Response) { r.Candidates[15].Target = "gpu/vX" },
 		func(*Response) {},
 	} {
 		names = append(names, edited(uint64(10+id), edit)...)

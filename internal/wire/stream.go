@@ -116,15 +116,14 @@ func decodeGoawayPayload(r *reader) (*Goaway, error) {
 // ---- Incremental reading ----
 
 // A StreamReader decodes frames incrementally from a long-lived
-// connection. Payload buffer, header and decode state are its own, names
-// are interned across the connection's frames (see maxInterned), and
-// responses are cut from slabs, so steady-state reads allocate next to
-// nothing. It is not safe for concurrent use; each connection owns exactly
-// one reader goroutine.
+// connection: where they sit in its bufio.Reader's buffer, and nothing
+// decoded aliases it. Names are interned across the connection's frames
+// (see maxInterned) and responses cut from slabs, so steady-state reads
+// allocate next to nothing. It is not safe for concurrent use; each
+// connection owns exactly one reader goroutine.
 type StreamReader struct {
 	br  *bufio.Reader
-	buf []byte
-	hdr [headerLen]byte
+	buf []byte // frames larger than br's buffer only
 	r   reader
 }
 
@@ -135,7 +134,7 @@ func NewStreamReader(r io.Reader) *StreamReader {
 	if !ok {
 		br = bufio.NewReaderSize(r, 32<<10)
 	}
-	return &StreamReader{br: br, buf: make([]byte, 0, 2048), r: reader{in: interner{}, slabs: true}}
+	return &StreamReader{br: br, r: reader{in: new(internTable), slabs: true}}
 }
 
 // FrameBuffered reports whether the next frame — header and whole
@@ -175,31 +174,41 @@ func (sr *StreamReader) Next() (*Frame, error) {
 // After an error *f holds nothing usable.
 func (sr *StreamReader) NextInto(f *Frame) error {
 	sr.r.vals, sr.r.names = nil, nil // what a request was cut from goes with it
-	hdr := sr.hdr[:]
-	if _, err := io.ReadFull(sr.br, hdr[:1]); err != nil {
+	hdr, err := sr.br.Peek(headerLen)
+	if len(hdr) == 0 {
 		return err // clean EOF between frames stays io.EOF
-	}
-	if _, err := io.ReadFull(sr.br, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
+	} else if err != nil {
+		return unexpected(err)
 	}
 	typ, plen, err := checkHeader(hdr)
 	if err != nil {
 		return err
 	}
-	if cap(sr.buf) < plen {
-		sr.buf = make([]byte, plen)
-	}
-	payload := sr.buf[:plen]
-	if _, err := io.ReadFull(sr.br, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	n := headerLen + plen
+	if n > sr.br.Size() { // copied out, header and all
+		if cap(sr.buf) < n {
+			sr.buf = make([]byte, n)
 		}
-		return err
+		if _, err := io.ReadFull(sr.br, sr.buf[:n]); err != nil {
+			return err // the header is buffered: never a bare io.EOF
+		}
+		return sr.r.decodePayloadInto(f, typ, sr.buf[headerLen:n])
 	}
-	return sr.r.decodePayloadInto(f, typ, payload)
+	frame, err := sr.br.Peek(n)
+	if err != nil {
+		return unexpected(err)
+	}
+	err = sr.r.decodePayloadInto(f, typ, frame[headerLen:])
+	sr.br.Discard(n) // buffered: cannot fail
+	return err
+}
+
+// unexpected is err from reading a frame whose first bytes had arrived.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // ---- Combined writing ----

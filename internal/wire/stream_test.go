@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -131,12 +132,85 @@ func TestStreamReaderNoAlias(t *testing.T) {
 	}
 }
 
+// TestStreamReaderInPlaceNoAlias: a frame decoded where its bytes sit in
+// the reader's buffer keeps every field bit for bit after the buffer has
+// been refilled and overwritten, one delivered in small pieces as much as
+// one copied out of a buffer too small for it; and a batch response larger
+// than the buffer decodes as DecodeFrame decodes it.
+func TestStreamReaderInPlaceNoAlias(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	var stream []byte
+	stream = AppendStreamRequest(stream, 1, &Request{Region: "gemm", Lease: true, Names: []string{"m", "n"}, Values: []int64{128, 1100}})
+	stream = AppendStreamResponse(stream, 2, &Response{Region: "gemm", Verdict: "gpu/base", Kind: "gpu",
+		Policy: "model-guided", Provenance: "analytical", SplitFraction: 0.25, DecisionNanos: 700, Epoch: 9,
+		Candidates: []Candidate{{Target: "gpu/base", Kind: "gpu", PredSeconds: 1e-3, CalSeconds: 2e-3},
+			{Target: "cpu/a-target-name-longer-than-eight-bytes", Kind: "cpu", PredSeconds: 3e-3, CalSeconds: 4e-3}}})
+	stream = AppendError(stream, &Error{Status: 503, Code: "draining", Message: "the daemon is draining", RetryAfterSeconds: 0.5})
+	stream = AppendGoaway(stream, &Goaway{LastStreamID: 2, Reason: "shutting down"})
+	kept := len(stream)
+	for i := 0; i < 100; i++ {
+		req, resp := randRequest(r), randResponse(r)
+		if i%2 == 0 {
+			stream = AppendStreamRequest(stream, uint64(3+i), &req)
+		} else {
+			stream = AppendStreamResponse(stream, uint64(3+i), &resp)
+		}
+	}
+	want, err := DecodeAll(stream[:kept])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]func() io.Reader{
+		"in place, 7-byte pieces": func() io.Reader { return &cutReader{data: stream, piece: 7} },
+		"copied, 16-byte buffer":  func() io.Reader { return bufio.NewReaderSize(&cutReader{data: stream, piece: 7}, 16) },
+	} {
+		sr := NewStreamReader(src())
+		got := make([]*Frame, len(want))
+		for i := range got {
+			if got[i], err = sr.Next(); err != nil {
+				t.Fatalf("%s: frame %d: %v", name, i, err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			if _, err := sr.Next(); err != nil {
+				t.Fatalf("%s: frame %d: %v", name, len(want)+i, err)
+			}
+		}
+		if _, err := sr.Next(); err != io.EOF {
+			t.Fatalf("%s: want io.EOF after the last frame, got %v", name, err)
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s: frame %d changed by later reads:\n got %+v\nwant %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	_, resps := batch64()
+	big := AppendBatchResponse(nil, 3, append(append(append(resps, resps...), resps...), resps...))
+	if len(big) <= 32<<10 {
+		t.Fatalf("batch response of %d bytes fits the default buffer", len(big))
+	}
+	wantBig, _, err := DecodeFrame(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBig, err := NewStreamReader(&cutReader{data: big, piece: 1000}).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotBig, wantBig) {
+		t.Fatal("a batch response larger than the buffer decodes unlike DecodeFrame")
+	}
+}
+
 // cutReader hands out data[:cut] on its first Read and the rest on its
-// second, the way a burst of frames arrives split across two segments,
-// and counts the Reads.
+// second, the way a burst of frames arrives split across two segments —
+// in Reads of at most piece bytes, if piece is set — and counts the Reads.
 type cutReader struct {
 	data      []byte
 	cut, off  int
+	piece     int
 	readCalls int
 }
 
@@ -148,6 +222,9 @@ func (r *cutReader) Read(p []byte) (int, error) {
 	}
 	if r.off == end {
 		return 0, io.EOF
+	}
+	if r.piece > 0 {
+		end = min(end, r.off+r.piece)
 	}
 	n := copy(p, r.data[r.off:end])
 	r.off += n

@@ -102,6 +102,10 @@ var (
 	ErrMalformed = errors.New("wire: malformed frame")
 	ErrVersion   = fmt.Errorf("%w: version mismatch", ErrMalformed)
 	ErrTooLarge  = errors.New("wire: frame too large")
+
+	// made once, so the scalar readers stay small
+	errShortVarint = fmt.Errorf("%w: truncated varint", ErrMalformed)
+	errShortWord   = fmt.Errorf("%w: truncated 8-byte field", ErrMalformed)
 )
 
 // Request is one decide request. Bindings travel in one of two shapes:
@@ -344,36 +348,65 @@ func AppendError(dst []byte, e *Error) []byte {
 // The intern table's bounds. A decoder meets the same few dozen region,
 // target, kind, policy and provenance names over and over; reader.string
 // hands every sighting after the first the same immutable string. The
-// bounds are constants, not knobs: 256 entries is several times any
+// bounds are constants, not knobs: 256 slots is several times any
 // deployment's vocabulary, and a lookup standing in for an allocation
-// must not become a cache somebody sizes. A table that fills (a peer
-// inventing names) is emptied and starts over; longer strings are never
+// must not become a cache somebody sizes. Longer strings are never
 // entered, so a table pins at most 256 × 64 bytes.
 const (
 	maxInterned  = 256
 	maxInternLen = 64
+	internProbe  = 4      // slots a lookup looks at, from the name's home on
+	internShift  = 64 - 8 // a hash's top log2(maxInterned) bits are the home
 )
 
-// maxRecent is how many positions of an item reader.string remembers: a
-// response names its region, verdict, kind, policy, provenance and two per
-// candidate, and the item before it most often named the same.
-const maxRecent = 16
+// internTable is the fixed name table behind reader.string: open-addressed,
+// keyed by a name's length and its first 8 bytes read as one word, so a
+// name of at most 8 bytes is matched by an integer compare and only a
+// longer one's tail byte by byte. A name whose probe window is full
+// overwrites one of its slots, in turn: the table is bounded by its arrays,
+// and nothing ever empties it. An empty slot (w 0, s "") is the empty name's.
+type internTable struct {
+	w      [maxInterned]uint64 // a name's first word
+	s      [maxInterned]string
+	victim uint8 // counts the overwrites; picks the slot of a full window
+}
 
-// interner is the bounded string table behind reader.string; nil: none.
-type interner map[string]string
-
-func (in interner) get(b []byte) string {
-	if s, ok := in[string(b)]; ok { // a lookup by converted bytes does not allocate
-		return s
+// key returns b's first 8 bytes (fewer: zero-padded) as a little-endian
+// word — one masked load where b's storage runs on for 8 bytes — and b's
+// home slot, hashed from that word, its length and, past 8 bytes, its last 8.
+func key(b []byte) (w uint64, home uint) {
+	n := len(b)
+	if cap(b) < 8 {
+		var a [8]byte
+		b = a[:copy(a[:], b)]
 	}
-	s := string(b)
-	if in != nil && len(b) <= maxInternLen {
-		if len(in) >= maxInterned {
-			clear(in)
+	w = binary.LittleEndian.Uint64(b[:8:8]) & (^uint64(0) >> uint(64-8*min(n, 8)))
+	h := w + uint64(n)
+	if n > 8 {
+		h ^= binary.LittleEndian.Uint64(b[n-8:]) * 0xff51afd7ed558ccd
+	}
+	return w, uint(h * 0x9e3779b97f4a7c15 >> internShift)
+}
+
+func (t *internTable) get(b []byte) string {
+	n := len(b)
+	w, home := key(b)
+	free := -1
+	for k := uint(0); k < internProbe; k++ {
+		i := (home + k) % maxInterned
+		if t.w[i] == w && len(t.s[i]) == n && (n <= 8 || t.s[i][8:] == string(b[8:])) {
+			return t.s[i]
 		}
-		in[s] = s
+		if free < 0 && len(t.s[i]) == 0 {
+			free = int(i)
+		}
 	}
-	return s
+	if free < 0 {
+		t.victim++
+		free = int((home + uint(t.victim)%internProbe) % maxInterned)
+	}
+	t.w[free], t.s[free] = w, string(b)
+	return t.s[free]
 }
 
 // reader is the decode state of one frame: a bounds-checked cursor over
@@ -382,11 +415,9 @@ type reader struct {
 	b []byte
 	i int
 
-	in       interner
-	recent   [maxRecent]string // by position in the item: the last name decoded there
-	pos      int               // position in the current item of the next name
-	maxItems int               // a batch request of more items is ErrTooLarge; 0: payload-bounded
-	left     int               // items of the frame not yet decoded, the current one included
+	in       *internTable // nil: none
+	maxItems int          // a batch request of more items is ErrTooLarge; 0: payload-bounded
+	left     int          // items of the frame not yet decoded, the current one included
 
 	vals  []int64
 	names []string
@@ -423,21 +454,21 @@ func (r *reader) response() *Response {
 }
 
 func (r *reader) uvarint() (uint64, error) {
+	if r.i < len(r.b) && r.b[r.i] < 0x80 { // flags, lengths and counts, mostly
+		r.i++
+		return uint64(r.b[r.i-1]), nil
+	}
 	v, n := binary.Uvarint(r.b[r.i:])
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated uvarint", ErrMalformed)
+		return 0, errShortVarint
 	}
 	r.i += n
 	return v, nil
 }
 
 func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.i:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint", ErrMalformed)
-	}
-	r.i += n
-	return v, nil
+	u, err := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1), err // binary.Varint's zig-zag
 }
 
 func (r *reader) float() (float64, error) {
@@ -447,7 +478,7 @@ func (r *reader) float() (float64, error) {
 
 func (r *reader) uint64() (uint64, error) {
 	if r.i+8 > len(r.b) {
-		return 0, fmt.Errorf("%w: truncated 8-byte field", ErrMalformed)
+		return 0, errShortWord
 	}
 	v := binary.LittleEndian.Uint64(r.b[r.i:])
 	r.i += 8
@@ -469,25 +500,17 @@ func (r *reader) raw() ([]byte, error) {
 }
 
 // string reads a name of the wire vocabulary through the intern table:
-// the (immutable) result may be shared with other frames. A name equal to
-// the one the last item held at the same position is that string, compared
-// and not hashed.
+// the (immutable) result may be shared with other frames.
 func (r *reader) string() (string, error) {
+	// A name the table takes has a one-byte length prefix (maxInternLen < 0x80).
+	if i := r.i + 1; r.in != nil && i <= len(r.b) {
+		if n := int(r.b[i-1]); n <= maxInternLen && i+n <= len(r.b) {
+			r.i = i + n
+			return r.in.get(r.b[i : i+n]), nil
+		}
+	}
 	b, err := r.raw()
-	if err != nil || r.in == nil {
-		return string(b), err
-	}
-	k := r.pos
-	r.pos++
-	if k >= maxRecent || len(b) > maxInternLen {
-		return r.in.get(b), nil
-	}
-	if s := r.recent[k]; s == string(b) {
-		return s, nil
-	}
-	s := r.in.get(b)
-	r.recent[k] = s
-	return s, nil
+	return string(b), err
 }
 
 // text reads free text (error message, goaway reason): never interned.
@@ -543,7 +566,6 @@ func slots[T any](r *reader, own []T, a *[]T, n, size int) []T {
 // decodeRequestInto decodes one request payload over *req; a recycled
 // stream request keeps its Values and Names storage (see slots).
 func decodeRequestInto(r *reader, req *Request) error {
-	r.pos = 0
 	flags, err := r.uvarint()
 	if err != nil {
 		return err
@@ -607,7 +629,6 @@ func decodeErrorPayload(r *reader) (*Error, error) {
 // decodeResponseInto decodes one response payload over the zero *resp,
 // its Candidates a cut of the frame's arena, or of the reader's slab.
 func decodeResponseInto(r *reader, resp *Response) error {
-	r.pos = 0
 	flags, err := r.uvarint()
 	if err != nil {
 		return err
@@ -711,7 +732,7 @@ func (r *reader) decodeFrameInto(f *Frame, data []byte) (int, error) {
 // single response is cut from the reader's slabs if it keeps them;
 // everything else is allocated. After an error *f holds nothing usable.
 func (r *reader) decodePayloadInto(f *Frame, typ byte, payload []byte) error {
-	r.b, r.i, r.left, r.pos = payload, 0, 1, 0
+	r.b, r.i, r.left = payload, 0, 1
 	req, reqs := f.Req, f.Reqs
 	*f = Frame{Type: typ}
 	var err error
@@ -776,7 +797,7 @@ func (r *reader) decodePayloadInto(f *Frame, typ byte, payload []byte) error {
 
 // frameInterners pools DecodeFrame's tables, which keep their names for
 // the next batch frame (bounded like every table: see maxInterned).
-var frameInterners = sync.Pool{New: func() any { return interner{} }}
+var frameInterners = sync.Pool{New: func() any { return new(internTable) }}
 
 // DecodeFrame decodes the first frame in data and returns it along with
 // the number of bytes consumed. The frame is the caller's: nothing in it
@@ -787,7 +808,7 @@ var frameInterners = sync.Pool{New: func() any { return interner{} }}
 func DecodeFrame(data []byte) (*Frame, int, error) {
 	r, f := reader{}, new(Frame)
 	if len(data) > 3 && (data[3] == TypeBatchRequest || data[3] == TypeBatchResponse) {
-		r.in = frameInterners.Get().(interner)
+		r.in = frameInterners.Get().(*internTable)
 		defer frameInterners.Put(r.in)
 	}
 	n, err := r.decodeFrameInto(f, data)
@@ -819,7 +840,7 @@ type Decoder struct {
 func (d *Decoder) Decode(data []byte) (*Frame, int, error) {
 	r, f := &d.r, &d.frame
 	if r.in == nil {
-		r.in = interner{}
+		r.in = new(internTable)
 	}
 	r.maxItems = d.MaxItems
 	r.vals, r.names, r.cands = r.vals[:0], r.names[:0], r.cands[:0]

@@ -21,7 +21,7 @@ go run ./cmd/apidump -check api/exported.txt
 echo "== DESIGN.md size gate =="
 # DESIGN.md may shrink but not grow: a change that adds a section pays for
 # it by trimming another. Lower the ceiling whenever the file shrinks.
-design_ceiling=1818
+design_ceiling=1816
 design_lines=$(wc -l <DESIGN.md)
 if [ "$design_lines" -gt "$design_ceiling" ]; then
 	echo "DESIGN.md has $design_lines lines, over its ceiling of $design_ceiling"
@@ -34,6 +34,11 @@ make -s loc
 
 echo "== go test =="
 go test ./...
+
+echo "== wire decode benchmarks, one iteration each =="
+# The decode layer's benchmarks fail on any decode error, so one pass
+# of each is a check; their timings are for a change's layer attribution.
+go test -run '^$' -bench 'StreamReader|DecodeFrameBatch|DecoderBatch' -benchtime 1x ./internal/wire
 
 echo "== paper artifacts =="
 # Every table and figure at full fidelity, diffed against the committed
