@@ -25,7 +25,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestStream(BurstSharesWrites|OutOfOrder|CreditExhaustion|FullWindowNeverShed|DrainGoaway|PipelinedStress|RequestRecycling|DecideNeverWaitsForASlot|ConnIsOneGoroutine|HeldResponsesSurviveABadFrame)' ./internal/server/
 	$(GO) test -race -count=20 -run 'TestStream(WriteCombining|CombinedWriteFailure|ResponsesStayIntact|IDsLeaveInOrder|SlotReuse)' ./internal/client/
 	$(GO) test -race -count=20 -run 'TestCluster(FailoverIsPrompt|RouteEquivalence)|TestChaosClusterStreamKill|TestBreakerProbeAlwaysSettles' ./internal/client/
-	$(GO) test -race -count=20 -run 'TestLeasedVerdictEqualsDaemon|TestLease(DroppedOnEpochAdvance|LapsesUnderPartition)|TestChaosLearnedFactorReachesLeasedVerdicts|TestStreamReturnsAfterDrainingUpgrade' ./internal/client/
+	$(GO) test -race -count=20 -run 'TestLeasedVerdictEqualsDaemon|TestLeasedCopiesAreTheCallers|TestLease(DroppedOnEpochAdvance|LapsesUnderPartition)|TestChaosLearnedFactorReachesLeasedVerdicts|TestStreamReturnsAfterDrainingUpgrade' ./internal/client/
 	$(GO) test -race -count=20 -run 'TestBareStreamConnNeverGetsEpochs' ./internal/server/
 	$(GO) test -race -count=20 -run 'TestStreamWriter' ./internal/wire/
 	$(GO) test -race -count=20 -run 'TestCache|TestVerdictPricedBeforeInvalidation|TestOutcomeOwnsCandidates' ./internal/offload/

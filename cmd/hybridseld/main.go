@@ -300,7 +300,7 @@ func main() {
 		if lrn != nil {
 			node.Register("learner", lrn)
 		}
-		gossipSrv = &http.Server{Handler: node.Handler()}
+		gossipSrv = &http.Server{Handler: node.Handler(), ReadHeaderTimeout: server.HeaderTimeout}
 		go func() {
 			if err := gossipSrv.Serve(gl); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("gossip listener", "err", err)

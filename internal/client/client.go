@@ -310,6 +310,7 @@ type ask struct {
 	reqs  []server.DecideRequest // one request unless batch
 	batch bool
 	hash  uint64       // a single's bindingsHash
+	key   uint64       // and its ring key
 	names []string     // a single's binding names, canonical order
 	wr    wire.Request // a single's frame, slot form when Config.RegionParams agrees
 	// done is made by the first coalesced caller to arrive, so a call
@@ -325,9 +326,9 @@ type ask struct {
 
 // single prepares the ask for one request; a decide-only frame asks for a lease.
 func (l *loop) single(req server.DecideRequest, k canon) *ask {
-	a := &ask{hash: k.hash}
+	a := &ask{hash: k.hash, key: k.key}
 	a.req[0], a.reqs, a.names = req, a.req[:], append(a.nbuf[:0], k.names...)
-	own := canon{names: a.names, values: append(a.vbuf[:0], k.values...), hash: k.hash}
+	own := canon{names: a.names, values: append(a.vbuf[:0], k.values...), hash: k.hash, key: k.key}
 	a.wr = own.frame(req, l.cfg.RegionParams)
 	a.wr.Lease = !req.Execute
 	return a
@@ -340,7 +341,7 @@ func (l *loop) decide(ctx context.Context, req server.DecideRequest, k canon, ro
 	met := &route[0].met
 	met.requests.Add(1)
 	if !req.Execute {
-		if v := route[0].leases.get(req.Region, k.hash, k.names, k.values); v != nil {
+		if v := route[0].leases.get(req.Region, k); v != nil {
 			met.leaseHits.Add(1)
 			return v, nil
 		}

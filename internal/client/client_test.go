@@ -22,7 +22,7 @@ import (
 )
 
 // fallbackRuntime builds the in-process runtime used for degraded mode.
-func fallbackRuntime(t *testing.T) *offload.Runtime {
+func fallbackRuntime(t testing.TB) *offload.Runtime {
 	t.Helper()
 	rt := offload.NewRuntime(offload.Config{
 		Platform: machine.PlatformP9V100(),
@@ -60,7 +60,7 @@ func okResponse(w http.ResponseWriter, region, verdict string) {
 	_ = json.NewEncoder(w).Encode(server.DecideResponseV2{Region: region, Verdict: verdict})
 }
 
-func newTestClient(t *testing.T, cfg Config) *Client {
+func newTestClient(t testing.TB, cfg Config) *Client {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {

@@ -83,6 +83,7 @@ type ClusterClient struct {
 	loop  *loop
 	cfg   ClusterConfig
 	ring  *cluster.Ring
+	eps   []*endpoint        // each member's, parallel to ring.Members()
 	views map[string]*Client // one per member: the loop over its endpoint alone
 }
 
@@ -119,6 +120,9 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 		}
 		cc.views[m.ID] = &Client{loop: cc.loop, route: []*endpoint{newEndpoint(m.ID, &rcfg)}}
 	}
+	for _, id := range ring.Members() {
+		cc.eps = append(cc.eps, cc.views[id].route[0])
+	}
 	return cc, nil
 }
 
@@ -144,35 +148,39 @@ func (cc *ClusterClient) Client(id string) *Client { return cc.views[id] }
 // key's ring successor list, alive members first, suspect next, dead
 // last, ring order preserved within each class.
 func (cc *ClusterClient) Route(req server.DecideRequest) []string {
-	order, _ := cc.order(nil, req.Region, bindingsHash(req))
-	return order
+	order, _ := cc.order(nil, cluster.RegionKey(req.Region, bindingsHash(req)))
+	ids := make([]string, len(order))
+	for i, m := range order {
+		ids[i] = cc.ring.Members()[m]
+	}
+	return ids
 }
 
-// order is Route from an already-hashed request, appended to buf, and
+// order is Route for a ring key, as member indices appended to buf, and
 // whether gossip demoted the ring owner.
-func (cc *ClusterClient) order(buf []string, region string, hash uint64) (order []string, demoted bool) {
-	order = cc.ring.Successors(buf, cluster.RegionKey(region, hash), 0)
+func (cc *ClusterClient) order(buf []int, key uint64) (order []int, demoted bool) {
+	order = cc.ring.Successors(buf, key)
 	if cc.cfg.Health == nil {
 		return order, false
 	}
 	// A stable sort by health class: a member gossip cannot classify
 	// routes last rather than vanish.
-	owner := order[0]
-	slices.SortStableFunc(order, func(a, b string) int {
-		return cmp.Compare(min(cc.cfg.Health(a), cluster.Dead+1), min(cc.cfg.Health(b), cluster.Dead+1))
+	ids, owner := cc.ring.Members(), order[0]
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(min(cc.cfg.Health(ids[a]), cluster.Dead+1), min(cc.cfg.Health(ids[b]), cluster.Dead+1))
 	})
 	return order, order[0] != owner
 }
 
-// route appends a request's endpoints, in Route order, to buf.
-func (cc *ClusterClient) route(buf []*endpoint, region string, hash uint64) []*endpoint {
-	var ids [8]string // on the stack for rings of up to eight
-	order, demoted := cc.order(ids[:0], region, hash)
+// route appends the endpoints of a ring key's route, in Route order, to buf.
+func (cc *ClusterClient) route(buf []*endpoint, key uint64) []*endpoint {
+	var members [8]int // on the stack for rings of up to eight
+	order, demoted := cc.order(members[:0], key)
 	if demoted {
 		cc.loop.cm.demoted.Add(1)
 	}
-	for _, id := range order {
-		buf = append(buf, cc.views[id].route[0])
+	for _, m := range order {
+		buf = append(buf, cc.eps[m])
 	}
 	return buf
 }
@@ -186,7 +194,7 @@ func (cc *ClusterClient) Decide(ctx context.Context, req server.DecideRequest) (
 	var values [4]int64
 	k := canonical(req, names[:0], values[:0])
 	// On the stack for rings of up to eight: the loop keeps no route.
-	return cc.loop.decide(ctx, req, k, cc.route(make([]*endpoint, 0, 8), req.Region, k.hash))
+	return cc.loop.decide(ctx, req, k, cc.route(make([]*endpoint, 0, 8), k.key))
 }
 
 // DecideBatch returns verdicts positionally, sharding the batch by each
@@ -196,7 +204,7 @@ func (cc *ClusterClient) Decide(ctx context.Context, req server.DecideRequest) (
 func (cc *ClusterClient) DecideBatch(ctx context.Context, reqs []server.DecideRequest) ([]Verdict, error) {
 	cc.loop.cm.requests.Add(uint64(len(reqs)))
 	return cc.loop.decideBatch(ctx, reqs, func(region string, hash uint64) []*endpoint {
-		return cc.route(nil, region, hash)
+		return cc.route(nil, cluster.RegionKey(region, hash))
 	})
 }
 

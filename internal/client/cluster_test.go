@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -108,9 +110,10 @@ func TestClusterRouteMatchesRing(t *testing.T) {
 	for n := int64(1); n <= 32; n++ {
 		req := clusterReq(n * 97)
 		key := cluster.RegionKey(req.Region, attrdb.BindingsHash(symbolic.Bindings(req.Bindings)))
-		want := cc.Ring().Successors(nil, key, 0)
+		want := cc.Ring().Successors(nil, key)
 		got := cc.Route(req)
-		if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		ids := cc.Ring().Members()
+		if len(got) != 3 || len(want) != 3 || got[0] != ids[want[0]] || got[1] != ids[want[1]] || got[2] != ids[want[2]] {
 			t.Fatalf("n=%d: route %v, ring successors %v", n, got, want)
 		}
 		// Routing is a pure function of the request.
@@ -526,6 +529,61 @@ func TestClusterOutOfRangeIsPermanent(t *testing.T) {
 		}
 		if rm.BreakerState != BreakerClosed || rm.BreakerOpened != 0 {
 			t.Errorf("%s: breaker %v, opened %d times", id, rm.BreakerState, rm.BreakerOpened)
+		}
+	}
+}
+
+// refusingTransport fails every call as a dead connection would, after
+// noting which member was asked.
+type refusingTransport struct {
+	id    string
+	asked *[]string
+}
+
+func (r refusingTransport) Send(context.Context, []server.DecideRequest, bool) ([]Verdict, error) {
+	*r.asked = append(*r.asked, r.id)
+	return nil, errors.New("refused")
+}
+func (refusingTransport) Close() {}
+
+// TestClusterRouteIsTheWalkDecideTakes: over generated member sets of 1 to
+// 70 members with 1 to 1024 virtual nodes each, with and without a Health
+// hook (one that also reports health no class names), the replicas Decide
+// asks when every one of them fails are Route's, in Route's order.
+func TestClusterRouteIsTheWalkDecideTakes(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5eed38))
+	ctx := context.Background()
+	for trial := 0; trial < 16; trial++ {
+		members := make([]ClusterMember, 1+rng.Intn(70))
+		health := map[string]cluster.Health{}
+		for i := range members {
+			members[i] = ClusterMember{ID: fmt.Sprintf("m%02d", i), BaseURL: "http://127.0.0.1:1"}
+			health[members[i].ID] = cluster.Health(rng.Intn(int(cluster.Dead) + 2))
+		}
+		cfg := ClusterConfig{Members: members, vnodes: 1 + rng.Intn(1024),
+			Replica: Config{maxAttempts: 1, breakerFailures: 1 << 20}}
+		if trial%2 == 1 {
+			cfg.Health = func(id string) cluster.Health { return health[id] }
+		}
+		cc, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cc.Close)
+		var asked []string
+		for id, v := range cc.views {
+			v.route[0].stream, v.route[0].http = nil, refusingTransport{id, &asked}
+		}
+		for k := 0; k < 20; k++ {
+			req := clusterReq(1 + rng.Int63n(1<<20))
+			asked = asked[:0]
+			if _, err := cc.Decide(ctx, req); err == nil {
+				t.Fatal("a call every replica refused answered")
+			}
+			if route := cc.Route(req); !slices.Equal(asked, route) {
+				t.Fatalf("%d members, %d vnodes, health hook %v: Decide asked %v, Route says %v",
+					len(members), cfg.vnodes, cfg.Health != nil, asked, route)
+			}
 		}
 	}
 }

@@ -529,6 +529,153 @@ func TestLeasesKeepTheAuditedKeySet(t *testing.T) {
 	}
 }
 
+// TestLeasedCopiesAreTheCallers: callers racing over one key, through a
+// Client and through a ClusterClient, are each served a Verdict and
+// candidate storage no other leased hit shares. A caller that writes over
+// its copy and appends to its candidates changes neither the copy served
+// with it nor the next one. Under -race a shared cut is also a data race.
+func TestLeasedCopiesAreTheCallers(t *testing.T) {
+	url, _ := realStreamDaemon(t)
+	single := newTestClient(t, Config{BaseURL: url, Stream: true})
+	rig := newStreamClusterRig(t, 3, ClusterConfig{Fallback: fallbackRuntime(t)})
+	req := chaosClusterReqs(1)[0]
+	want := referenceResponse(t, fallbackRuntime(t), req)
+	for _, c := range []struct {
+		name   string
+		decide func(context.Context, server.DecideRequest) (*Verdict, error)
+	}{
+		{"client", single.Decide},
+		{"cluster", rig.cc.Decide},
+	} {
+		// Every leased copy, and the candidates it was served with, kept so
+		// that no slab is freed and reused.
+		type served struct {
+			v     *Verdict
+			cands []offload.Candidate
+		}
+		kept := make([][]served, 4)
+		errs := make(chan string, len(kept))
+		var wg sync.WaitGroup
+		for g := range kept {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				// hit returns a leased verdict, or nil for one the network
+				// answered or for a failure, which it keeps in err.
+				hit := func() *Verdict {
+					v, derr := c.decide(context.Background(), req)
+					if derr != nil {
+						err = derr
+						return nil
+					}
+					if v.Transport != TransportLease {
+						return nil
+					}
+					kept[g] = append(kept[g], served{v, v.Response.Candidates})
+					return v
+				}
+				for i := 0; i < 300; i++ {
+					a, b := hit(), hit()
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					if a == nil || b == nil {
+						continue
+					}
+					if cap(a.Response.Candidates) != len(a.Response.Candidates) {
+						errs <- fmt.Sprintf("leased candidates len %d cap %d", len(a.Response.Candidates), cap(a.Response.Candidates))
+						return
+					}
+					a.Response.Verdict, a.Response.Candidates[0].CalSeconds = "scribbled", -1
+					a.Response.Candidates = append(a.Response.Candidates, offload.Candidate{Target: "appended"})
+					if !reflect.DeepEqual(asServed(t, b.Response), want) {
+						errs <- "writing to one leased copy changed the one served with it"
+						return
+					}
+					if next := hit(); err == nil && next != nil && !reflect.DeepEqual(asServed(t, next.Response), want) {
+						errs <- "writing to one leased copy changed the next"
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatalf("%s: %s", c.name, e)
+		}
+		verdicts, cands := map[*Verdict]bool{}, map[*offload.Candidate]bool{}
+		for _, ss := range kept {
+			for _, s := range ss {
+				if verdicts[s.v] {
+					t.Fatalf("%s: one Verdict served to two leased hits", c.name)
+				}
+				verdicts[s.v] = true
+				for i := range s.cands {
+					if cands[&s.cands[i]] {
+						t.Fatalf("%s: one candidate's storage served to two leased hits", c.name)
+					}
+					cands[&s.cands[i]] = true
+				}
+			}
+		}
+		if len(verdicts) < 100 {
+			t.Fatalf("%s: %d leased hits, want the racers served mostly from the lease", c.name, len(verdicts))
+		}
+	}
+}
+
+// BenchmarkLeasedHit is a repeat served from a lease over a real stream
+// daemon, through a Client and through a ClusterClient of three members:
+// what a launch pays for a decision its daemon already answered. It fails
+// unless a decision was leased, so one iteration of it is a check.
+func BenchmarkLeasedHit(b *testing.B) {
+	url, _ := realStreamDaemon(b)
+	single := newTestClient(b, Config{BaseURL: url, Stream: true})
+	cc, err := NewCluster(ClusterConfig{Members: []ClusterMember{
+		{ID: "node-a", BaseURL: url}, {ID: "node-b", BaseURL: url}, {ID: "node-c", BaseURL: url},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(cc.Close)
+	for _, c := range []struct {
+		name   string
+		decide func(context.Context, server.DecideRequest) (*Verdict, error)
+		leases func() (n uint64)
+	}{
+		{"client", single.Decide, func() uint64 { return single.Metrics().LeaseHits }},
+		{"cluster", cc.Decide, func() (n uint64) {
+			for _, m := range cc.Metrics().Replicas {
+				n += m.LeaseHits
+			}
+			return n
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx, req := context.Background(), gemmReq()
+			decide := func() {
+				if _, err := c.decide(ctx, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			decide() // the call that grants the lease
+			leased := c.leases()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decide()
+			}
+			b.StopTimer()
+			if c.leases() == leased {
+				b.Fatal("no decision was served from a lease")
+			}
+		})
+	}
+}
+
 // TestDaemonObservesOneDecisionPerLease: behind a leasing client the
 // daemon's observer — what its -trace file and its auditor are fed — sees
 // the decisions that crossed the wire, a key's first ask and its renewals,

@@ -23,7 +23,7 @@ import (
 // realStreamDaemon stands up a live server over the fallback-runtime
 // kernel set, serving HTTP on an httptest server and the raw stream
 // protocol on its own TCP listener. Returns (baseURL, streamAddr).
-func realStreamDaemon(t *testing.T) (string, string) {
+func realStreamDaemon(t testing.TB) (string, string) {
 	t.Helper()
 	srv, err := server.New(server.Config{
 		Runtime: fallbackRuntime(t),

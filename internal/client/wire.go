@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"github.com/hybridsel/hybridsel/internal/attrdb"
+	"github.com/hybridsel/hybridsel/internal/cluster"
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/server"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
@@ -23,18 +24,20 @@ func toWireRequest(req server.DecideRequest, regionParams func(region string) []
 	return canonical(req, nil, nil).frame(req, regionParams)
 }
 
-// canon is a request's canonical bindings and bindingsHash, on the caller's
-// stack: a single's key to its lease, its route and its flight.
+// canon is a request's canonical bindings, their bindingsHash and its ring
+// key, on the caller's stack: a single's key to its lease, its route and its
+// flight.
 type canon struct {
 	names  []string
 	values []int64
 	hash   uint64
+	key    uint64 // cluster.RegionKey(region, hash): the ring's and the lease table's
 }
 
 // canonical appends req's canonical bindings to names and values.
 func canonical(req server.DecideRequest, names []string, values []int64) canon {
 	names, values, hash := attrdb.Canonical(symbolic.Bindings(req.Bindings), names, values)
-	return canon{names, values, hash}
+	return canon{names, values, hash, cluster.RegionKey(req.Region, hash)}
 }
 
 // frame is req's frame over k.

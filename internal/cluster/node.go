@@ -161,11 +161,6 @@ func New(cfg Config) (*Node, error) {
 // Self returns the local member's ID.
 func (n *Node) Self() string { return n.cfg.Self.ID }
 
-// Ring returns the static membership ring. Ownership never follows
-// health: a dead owner's keys are served by its ring successors via the
-// client's failover order, and come back the moment it does.
-func (n *Node) Ring() *Ring { return n.ring }
-
 // Register adds a state source to piggyback on gossip under name.
 // Register all sources before the first Tick or Handler call.
 func (n *Node) Register(name string, src Source) {

@@ -13,9 +13,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 )
 
@@ -74,9 +74,10 @@ type Ring struct {
 	points []point // sorted by hash
 }
 
+// point is a virtual node: its position and the index of its member in ids.
 type point struct {
-	hash uint64
-	id   string
+	hash   uint64
+	member int
 }
 
 // NewRing builds a ring with vnodes virtual nodes per member; 0 (or less)
@@ -102,22 +103,20 @@ func NewRing(ids []string, vnodes int) (*Ring, error) {
 	if len(sorted) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one member")
 	}
-	sort.Strings(sorted)
+	slices.Sort(sorted)
 	r := &Ring{ids: sorted, vnodes: vnodes, points: make([]point, 0, len(sorted)*vnodes)}
-	for _, id := range sorted {
+	for m, id := range sorted {
 		// Each virtual node hashes "id#k". Ties across members are
-		// broken by ID so the point order is total and deterministic.
+		// broken by ID — the member index, ids being sorted — so the
+		// point order is total and deterministic.
 		base := fnvString(uint64(fnvOffset), id)
 		for k := 0; k < vnodes; k++ {
 			h := mix64(fnvString(fnvString(base, "#"), strconv.Itoa(k)))
-			r.points = append(r.points, point{hash: h, id: id})
+			r.points = append(r.points, point{hash: h, member: m})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		return r.points[i].id < r.points[j].id
+	slices.SortFunc(r.points, func(a, b point) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.member, b.member))
 	})
 	return r, nil
 }
@@ -129,34 +128,40 @@ func (r *Ring) Members() []string { return r.ids }
 // at returns the index of the first ring point at or after key,
 // wrapping past the top of the keyspace.
 func (r *Ring) at(key uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
-	if i == len(r.points) {
-		i = 0
+	lo, hi := 0, len(r.points)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.points[m].hash < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return i
+	if lo == len(r.points) {
+		lo = 0
+	}
+	return lo
 }
 
 // Owner returns the member owning key: the member whose virtual node is
 // first at or clockwise-after the key.
 func (r *Ring) Owner(key uint64) string {
-	return r.points[r.at(key)].id
+	return r.ids[r.points[r.at(key)].member]
 }
 
-// Successors appends to dst up to n distinct members in ring order
-// starting at the key's owner: the owner first, then the members whose
-// virtual nodes follow clockwise. This is the deterministic failover
-// order for the key — every replica computes the same list. With
-// room in dst it allocates nothing.
-func (r *Ring) Successors(dst []string, key uint64, n int) []string {
-	if n <= 0 || n > len(r.ids) {
-		n = len(r.ids)
-	}
+// Successors appends every member to dst, as its index in Members(), in
+// ring order starting at the key's owner: the owner first, then the
+// members whose virtual nodes follow clockwise. This is the deterministic
+// failover order for the key — every replica computes the same list.
+// With room in dst it allocates nothing.
+func (r *Ring) Successors(dst []int, key uint64) []int {
 	first := len(dst)
-	start := r.at(key)
-	for i := 0; i < len(r.points) && len(dst)-first < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !slices.Contains(dst[first:], p.id) {
-			dst = append(dst, p.id)
+	for i := r.at(key); len(dst)-first < len(r.ids); i++ {
+		if i == len(r.points) {
+			i = 0
+		}
+		if m := r.points[i].member; !slices.Contains(dst[first:], m) {
+			dst = append(dst, m)
 		}
 	}
 	return dst

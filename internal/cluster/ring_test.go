@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -50,19 +54,22 @@ func TestRingOwnershipDeterministic(t *testing.T) {
 		if a.Owner(key) != b.Owner(key) {
 			t.Fatalf("owner disagreement for %#x: %s vs %s", key, a.Owner(key), b.Owner(key))
 		}
-		sa, sb := a.Successors(nil, key, 3), b.Successors(nil, key, 3)
+		sa, sb := a.Successors(nil, key), b.Successors(nil, key)
 		if !reflect.DeepEqual(sa, sb) {
 			t.Fatalf("successor disagreement for %#x: %v vs %v", key, sa, sb)
 		}
-		if sa[0] != a.Owner(key) {
-			t.Fatalf("successors[0] = %s, want owner %s", sa[0], a.Owner(key))
+		if a.Members()[sa[0]] != a.Owner(key) {
+			t.Fatalf("successors[0] = %s, want owner %s", a.Members()[sa[0]], a.Owner(key))
 		}
-		seen := map[string]bool{}
-		for _, id := range sa {
-			if seen[id] {
-				t.Fatalf("duplicate member %s in successors %v", id, sa)
+		seen := map[int]bool{}
+		for _, m := range sa {
+			if seen[m] {
+				t.Fatalf("duplicate member %d in successors %v", m, sa)
 			}
-			seen[id] = true
+			seen[m] = true
+		}
+		if len(sa) != len(ids) {
+			t.Fatalf("successors %v of %d members", sa, len(ids))
 		}
 	}
 }
@@ -174,5 +181,93 @@ func TestNewRingRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
 		t.Error("empty member ID accepted")
+	}
+}
+
+// strPoint is a virtual node labelled by its member's ID.
+type strPoint struct {
+	hash uint64
+	id   string
+}
+
+// refPoints builds the ring's points as the ring once kept them, labelled
+// by member ID, for refSuccessors.
+func refPoints(ids []string, vnodes int) []strPoint {
+	var pts []strPoint
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		base := fnvString(uint64(fnvOffset), id)
+		for k := 0; k < vnodes; k++ {
+			pts = append(pts, strPoint{mix64(fnvString(fnvString(base, "#"), strconv.Itoa(k))), id})
+		}
+	}
+	sort.Slice(pts, func(i, j int) bool {
+		if pts[i].hash != pts[j].hash {
+			return pts[i].hash < pts[j].hash
+		}
+		return pts[i].id < pts[j].id
+	})
+	return pts
+}
+
+// refSuccessors is the successor walk as the ring once did it, kept here as
+// the reference: a point found with sort.Search, and members walked as
+// strings until all n are listed.
+func refSuccessors(pts []strPoint, n int, key uint64) []string {
+	start := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= key })
+	var out []string
+	for i := 0; i < len(pts) && len(out) < n; i++ {
+		if id := pts[(start+i)%len(pts)].id; !slices.Contains(out, id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestSuccessorsMatchStringWalk: over generated member sets of 1 to 70
+// members, 1 to 1024 virtual nodes each, the walk by member index names the
+// members the string walk does, in its order, for random keys and for keys
+// on, just past and at the edges of the ring's own points; and Owner is its
+// first.
+func TestSuccessorsMatchStringWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(ringSeed))
+	for trial := 0; trial < 40; trial++ {
+		ids := make([]string, 1+rng.Intn(70))
+		for i := range ids {
+			ids[i] = fmt.Sprintf("m%x", rng.Intn(4*len(ids))) // duplicates too
+		}
+		vnodes := 1 + rng.Intn(1024)
+		if trial == 0 {
+			vnodes = defaultVnodes
+		}
+		r, err := NewRing(ids, vnodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := refPoints(ids, vnodes)
+		keys := []uint64{0, math.MaxUint64}
+		for i := 0; i < 50; i++ {
+			p := r.points[rng.Intn(len(r.points))].hash
+			keys = append(keys, rng.Uint64(), p, p+1, p-1)
+		}
+		var dst []int
+		for _, key := range keys {
+			want := refSuccessors(pts, len(r.Members()), key)
+			dst = r.Successors(dst[:0], key)
+			got := make([]string, len(dst))
+			for i, m := range dst {
+				got[i] = r.Members()[m]
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d members, %d vnodes, key %#x: walk %v, string walk %v", len(r.Members()), vnodes, key, got, want)
+			}
+			if r.Owner(key) != want[0] {
+				t.Fatalf("%d members, %d vnodes, key %#x: owner %s, string walk %v", len(r.Members()), vnodes, key, r.Owner(key), want)
+			}
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
 // PprofServer serves the net/http/pprof handlers on a listener of their
@@ -36,7 +35,7 @@ func StartPprof(addr string, logger *slog.Logger) (*PprofServer, error) {
 		return nil, err
 	}
 	p := &PprofServer{
-		srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
+		srv: &http.Server{Handler: mux, ReadHeaderTimeout: HeaderTimeout},
 		ln:  ln,
 		err: make(chan error, 1),
 	}

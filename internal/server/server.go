@@ -76,6 +76,12 @@ const (
 	defaultStreamCredit = 64
 )
 
+// HeaderTimeout is how long each HTTP server of the daemon — decisions,
+// gossip, pprof — waits for a request's header: a peer that sends part of
+// one and stalls is disconnected, not held. A connection upgraded to a
+// stream is past its header and keeps no deadline.
+const HeaderTimeout = 5 * time.Second
+
 // Config parameterizes a Server.
 type Config struct {
 	// Runtime is the decision runtime to serve (required).
@@ -137,12 +143,14 @@ type Server struct {
 	streams  streamRegistry
 
 	// holdForTest, when set, runs while an execution slot is held —
-	// lets tests saturate the queue deterministically. maxBatch and
-	// streamCredit are the constants; in-package tests shrink them to
-	// reach the limits with a handful of requests.
-	holdForTest  func()
-	maxBatch     int
-	streamCredit int
+	// lets tests saturate the queue deterministically. maxBatch,
+	// streamCredit and headerTimeout are the constants; in-package tests
+	// shrink them to reach the limits with a handful of requests, or in
+	// milliseconds.
+	holdForTest   func()
+	maxBatch      int
+	streamCredit  int
+	headerTimeout time.Duration
 }
 
 // New builds a server around a runtime. The runtime's regions may keep
@@ -175,8 +183,9 @@ func New(cfg Config) (*Server, error) {
 		slots:   make(chan struct{}, cfg.Concurrency),
 		start:   time.Now(),
 
-		maxBatch:     defaultMaxBatch,
-		streamCredit: defaultStreamCredit,
+		maxBatch:      defaultMaxBatch,
+		streamCredit:  defaultStreamCredit,
+		headerTimeout: HeaderTimeout,
 	}
 	cfg.Runtime.RegisterMetrics(&s.set)
 	cfg.Auditor.RegisterMetrics(&s.set)
@@ -215,7 +224,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Serve accepts connections on l until Shutdown.
 func (s *Server) Serve(l net.Listener) error {
-	s.httpSrv = &http.Server{Handler: s.mux}
+	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: s.headerTimeout}
 	err := s.httpSrv.Serve(l)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -522,5 +523,62 @@ func TestStreamOutOfOrderBehindHeld(t *testing.T) {
 	close(release)
 	if f, err := sr.Next(); err != nil || f.StreamID != 1 || f.Resp.Err != nil {
 		t.Fatalf("held stream answered %+v, %v, want stream 1 ok", f, err)
+	}
+}
+
+// TestHeaderDeadline: on the daemon's HTTP port a peer that sends half of
+// a request's header and stalls is disconnected once the header deadline
+// passes, with no answer; a connection upgraded to a stream and left idle
+// well past that deadline keeps deciding.
+func TestHeaderDeadline(t *testing.T) {
+	s := testServer(t, Config{})
+	s.headerTimeout = 50 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	addr := l.Addr().String()
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+
+	half := dial()
+	fmt.Fprintf(half, "POST /v2/decide HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\n", addr)
+	if got, err := io.ReadAll(half); err != nil || len(got) != 0 {
+		t.Fatalf("half a header: read %q, %v; want the connection closed with no answer", got, err)
+	}
+
+	up := dial()
+	fmt.Fprintf(up, "GET /v1/stream HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
+		addr, StreamUpgradeProto)
+	br := bufio.NewReader(up)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: %v %v", resp, err)
+	}
+	sr := wire.NewStreamReader(br)
+	if f, err := sr.Next(); err != nil || f.Type != wire.TypeCredit {
+		t.Fatalf("handshake after upgrade: %v %+v", err, f)
+	}
+	time.Sleep(6 * s.headerTimeout)
+	streamReq(t, up, 1, "gemm", 1100)
+	if f, err := sr.Next(); err != nil || f.Type != wire.TypeStreamResponse || f.Resp.Err != nil {
+		t.Fatalf("the upgraded stream, idle past the header deadline, answered %+v, %v", f, err)
 	}
 }

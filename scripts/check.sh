@@ -35,10 +35,12 @@ make -s loc
 echo "== go test =="
 go test ./...
 
-echo "== wire decode benchmarks, one iteration each =="
-# The decode layer's benchmarks fail on any decode error, so one pass
-# of each is a check; their timings are for a change's layer attribution.
+echo "== wire decode and leased-hit benchmarks, one iteration each =="
+# The decode layer's benchmarks fail on any decode error, and the leased
+# hit's unless a decision was served from a lease, so one pass of each is
+# a check; their timings are for a change's layer attribution.
 go test -run '^$' -bench 'StreamReader|DecodeFrameBatch|DecoderBatch' -benchtime 1x ./internal/wire
+go test -run '^$' -bench 'LeasedHit' -benchtime 1x ./internal/client
 
 echo "== paper artifacts =="
 # Every table and figure at full fidelity, diffed against the committed
