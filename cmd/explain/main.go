@@ -1,5 +1,8 @@
 // Command explain prints the full white-box reasoning behind one target
-// selection: the kernel pseudocode, the IPDA access analysis, every
+// selection: the kernel pseudocode, the IPDA access analysis (per-site
+// strides, coalescing classes and transactions per warp, host
+// vectorizability and false-sharing risk), the instruction loadout, the
+// machine-code-analyzer pipeline report for the host CPU, every
 // registered target's model breakdown (Region.Terms), the ranked verdict
 // over them, and the decision the offload runtime actually takes (with its
 // ground-truth validation launch and instrumentation). This is the
@@ -13,6 +16,7 @@
 //	explain -kernel gemm -launch=false    # models only, no simulation
 //	explain -kernel gemm -targets synthetic   # rank an N-way registry
 //	explain -kernel gemm -learn-snapshot w.json  # learned corrections per target
+//	explain -list                         # the Polybench kernels it knows
 package main
 
 import (
@@ -25,8 +29,10 @@ import (
 	"github.com/hybridsel/hybridsel/internal/ir"
 	"github.com/hybridsel/hybridsel/internal/learn"
 	"github.com/hybridsel/hybridsel/internal/machine"
+	"github.com/hybridsel/hybridsel/internal/mca"
 	"github.com/hybridsel/hybridsel/internal/offload"
 	"github.com/hybridsel/hybridsel/internal/polybench"
+	"github.com/hybridsel/hybridsel/internal/stats"
 	"github.com/hybridsel/hybridsel/internal/symbolic"
 )
 
@@ -41,7 +47,15 @@ func main() {
 		"target registry: classic|synthetic|comma-separated IDs (e.g. cpu/base,gpu/base,gpu/prev)")
 	learnSnap := flag.String("learn-snapshot", "",
 		"show each target's learned residual correction from this learner snapshot (see hybridseld -learn-out)")
+	list := flag.Bool("list", false, "list the Polybench kernels and exit")
 	flag.Parse()
+
+	if *list {
+		for _, k := range polybench.Suite() {
+			fmt.Printf("%-13s (%s)\n", k.Name, k.Bench)
+		}
+		return
+	}
 
 	plat, err := machine.ParsePlatform(*platform)
 	if err != nil {
@@ -67,31 +81,55 @@ func main() {
 	fmt.Println("=== Target region ===")
 	fmt.Print(region.Kernel.Print())
 
+	// The access analysis the runtime registered: weights are the static
+	// per-work-item counts the coalesced fraction is weighted by.
 	an := region.Analysis
-	sum, err := an.GPUCoalescing(b, ipda.WarpGeom{
-		WarpSize: plat.GPU.WarpSize, TransactionBytes: plat.GPU.L2.LineBytes})
+	geom := ipda.WarpGeom{WarpSize: plat.GPU.WarpSize, TransactionBytes: plat.GPU.L2.LineBytes}
+	sum, err := an.GPUCoalescing(b, geom)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println("\n=== IPDA ===")
+	fmt.Printf("thread dimension: %s   outer parallel dimension: %s\n", an.ThreadVar, an.OuterVar)
+	t := stats.NewTable("", "access", "kind", "weight",
+		"IPD_thread (elems)", "class", "tx/warp", "inner stride")
 	for i := range an.Sites {
 		s := &an.Sites[i]
 		stride := s.ThreadStride.String()
 		if !s.ThreadAffine {
 			stride = "(non-affine)"
 		}
-		wa, _ := s.ResolveGPU(b, ipda.DefaultWarpGeom())
-		fmt.Printf("  %-16s %-5s IPD_thread = %-10s -> %s\n",
-			s.Access.Ref, s.Access.Kind, stride, wa.Class)
+		inner := "-"
+		if s.HasInner {
+			inner = s.InnerStride.String()
+		}
+		wa, _ := s.ResolveGPU(b, geom) // cannot fail: GPUCoalescing resolved every site
+		t.AddRow(s.Access.Ref.String(), s.Access.Kind.String(),
+			fmt.Sprintf("%.0f", s.Access.Weight), stride,
+			wa.Class.String(), fmt.Sprintf("%d", wa.Transactions), inner)
 	}
-	fmt.Printf("  weighted coalesced fraction: %.0f%%   vectorizable on host: %v\n",
-		sum.CoalescedFraction()*100, an.Vectorizable(b))
+	fmt.Print(t.String())
+	fmt.Printf("weighted coalesced fraction: %.0f%%   avg transactions/warp: %.1f   vectorizable on host: %v\n",
+		sum.CoalescedFraction()*100, sum.AvgTransactions, an.Vectorizable(b))
+	fmt.Printf("false-sharing risk at chunk=1: %.0f%%\n",
+		an.FalseSharingRisk(b, 1, plat.CPU.L1.LineBytes)*100)
 
 	load := ir.Count(k.IR, ir.CountOptions{}.ForLaunch(k.IR, b))
 	fmt.Println("\n=== Instruction loadout (per work item, hybrid counting) ===")
 	fmt.Printf("  fp add/mul/div/special: %.0f/%.0f/%.0f/%.0f   int %.0f   loads %.0f   stores %.0f\n",
 		load.FPAdd, load.FPMul, load.FPDiv, load.FPSpecial,
 		load.IntOps, load.Loads, load.Stores)
+
+	// The host pipeline replay behind the CPU model's cycles per
+	// iteration, with the loops' trip counts bound at the launch.
+	opt := ir.DefaultCountOptions()
+	opt.Bindings = ir.MidpointBindings(k.IR, b)
+	prog, err := mca.Lower(k.IR, opt)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Println("\n=== MCA ===")
+	fmt.Print(mca.Analyze(prog, plat.CPU).Format())
 
 	// The ranked verdict over every registered target, printed below the
 	// breakdowns of the seconds it ranks.
@@ -209,7 +247,7 @@ func fatal(err error) {
 	switch {
 	case errors.Is(err, offload.ErrUnknownRegion):
 		fmt.Fprintf(os.Stderr, "explain: %v\n", err)
-		fmt.Fprintf(os.Stderr, "hint: pass -kernel one of the registered Polybench kernels (see `go run ./cmd/ipda -list` or polybench.Suite()).\n")
+		fmt.Fprintf(os.Stderr, "hint: pass -kernel one of the registered Polybench kernels (see `go run ./cmd/explain -list`).\n")
 	case errors.Is(err, offload.ErrUnboundSymbol):
 		fmt.Fprintf(os.Stderr, "explain: %v\n", err)
 		fmt.Fprintf(os.Stderr, "hint: the kernel's symbolic attributes need a runtime value this command did not bind; supply the problem size with -n.\n")

@@ -9,7 +9,7 @@
 //
 //	hybridseld -addr :8080
 //	hybridseld -addr :8080 -stream-addr :8090         # persistent stream transport
-//	hybridseld -addr 127.0.0.1:8080 -policy model-guided -queue 512
+//	hybridseld -addr 127.0.0.1:8080 -policy model-guided
 //	hybridseld -regions gemm,mvt1 -trace /tmp/decisions.jsonl
 //	hybridseld -targets synthetic                   # rank an N-way registry
 //	hybridseld -targets cpu/base,gpu/base,cpu/smt2  # rank only the targets one may pick
@@ -103,16 +103,10 @@ func main() {
 	threads := flag.Int("threads", 160, "host thread count")
 	policy := flag.String("policy", "model-guided",
 		"policy: model-guided|always-gpu|always-cpu|oracle|split")
-	cacheSize := flag.Int("cache", 0,
-		"decision-cache entries per region (0 = default, <0 = disabled)")
 	targets := flag.String("targets", "classic",
 		"target registry: classic|synthetic|comma-separated IDs (e.g. cpu/base,gpu/base,gpu/prev)")
 	regions := flag.String("regions", "",
 		"comma-separated kernel subset (default: full Polybench suite)")
-	queue := flag.Int("queue", 0,
-		"admission queue depth beyond the worker pool (0 = default)")
-	workers := flag.Int("workers", 0, "request concurrency (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline")
 	drain := flag.Duration("drain", 10*time.Second,
 		"grace period for in-flight requests on shutdown")
 	attrdbIn := flag.String("attrdb", "",
@@ -171,11 +165,10 @@ func main() {
 	}
 
 	cfg := offload.Config{
-		Platform:          plat,
-		Threads:           *threads,
-		Policy:            pol,
-		DecisionCacheSize: *cacheSize,
-		Targets:           reg,
+		Platform: plat,
+		Threads:  *threads,
+		Policy:   pol,
+		Targets:  reg,
 	}
 
 	// Decision trace recording: the trace writer observes every served
@@ -313,14 +306,11 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Runtime:        rt,
-		Concurrency:    *workers,
-		QueueDepth:     *queue,
-		RequestTimeout: *timeout,
-		Logger:         logger,
-		Auditor:        auditor,
-		Learner:        lrn,
-		Cluster:        node,
+		Runtime: rt,
+		Logger:  logger,
+		Auditor: auditor,
+		Learner: lrn,
+		Cluster: node,
 	})
 	if err != nil {
 		fatal(logger, err)

@@ -125,8 +125,6 @@ func main() {
 	wireFormat := flag.String("wire", "json", "decide encoding: json|binary|stream")
 	streamAddr := flag.String("stream-addr", "",
 		"raw TCP stream address for -wire stream (empty = HTTP Upgrade on -addr)")
-	streamConns := flag.Int("stream-conns", 0,
-		"persistent connections for plain -wire stream runs (0 = 2)")
 	flag.Parse()
 
 	kind, ok := map[string]string{
@@ -205,7 +203,7 @@ func main() {
 	cfg := client.Config{
 		BaseURL: target, Seed: *seed,
 		Binary: kind == client.TransportHTTPBinary,
-		Stream: kind == client.TransportStream, StreamAddr: *streamAddr, StreamConns: *streamConns,
+		Stream: kind == client.TransportStream, StreamAddr: *streamAddr,
 	}
 	if kind != client.TransportHTTPJSON {
 		params := polybenchParams(*kernels)

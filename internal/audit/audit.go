@@ -114,13 +114,10 @@ type TargetMeasurement struct {
 type Verdict struct {
 	Region   string
 	Bindings map[string]int64
-	// Chosen is the kind of target the audited decision dispatched (or
-	// would have); Best the kind of the measured-fastest target. ChosenID
-	// and BestID carry the registry target IDs — the authoritative
-	// comparison in an N-way registry (two targets of the same kind are
-	// different verdicts by ID but not by kind).
-	Chosen   offload.TargetKind
-	Best     offload.TargetKind
+	// ChosenID is the registry ID of the target the audited decision
+	// dispatched (or would have); BestID that of the measured-fastest
+	// target. In an N-way registry two targets of one kind are different
+	// verdicts, so the comparison is by ID.
 	ChosenID string
 	BestID   string
 	// Targets holds every registered target's measurement, in registry
@@ -295,7 +292,6 @@ func (a *Auditor) audit(d offload.Decision) {
 	v := Verdict{
 		Region:   d.Region,
 		Bindings: d.Bindings,
-		Chosen:   d.Target,
 		ChosenID: d.TargetID,
 		Targets:  make([]TargetMeasurement, len(ms)),
 	}
@@ -321,7 +317,7 @@ func (a *Auditor) audit(d offload.Decision) {
 		a.execErrs.Add(1)
 		return
 	}
-	v.BestID, v.Best = ms[best].Target, ms[best].Kind
+	v.BestID = ms[best].Target
 	v.Mispredict = v.ChosenID != v.BestID
 	if v.Mispredict {
 		v.RegretSeconds = v.Targets[chosen].ActualSeconds - v.Targets[best].ActualSeconds

@@ -202,20 +202,20 @@ func TestInlineAuditAccounting(t *testing.T) {
 		t.Fatalf("OnVerdict saw %d verdicts", len(verdicts))
 	}
 	for _, v := range verdicts {
-		// Best is the measured-faster target; regret only on mispredicts.
+		// BestID is the measured-faster target; regret only on mispredicts.
 		cpu, gpu := v.Targets[0], v.Targets[1]
 		if cpu.Target != offload.TargetIDCPUBase || gpu.Target != offload.TargetIDGPUBase {
 			t.Fatalf("%s: targets %q, %q out of registry order", v.Region, cpu.Target, gpu.Target)
 		}
-		best := offload.KindCPU
+		best := cpu.Target
 		if gpu.ActualSeconds < cpu.ActualSeconds {
-			best = offload.KindGPU
+			best = gpu.Target
 		}
-		if v.Best != best {
-			t.Fatalf("%s: best %v, actuals cpu=%v gpu=%v",
-				v.Region, v.Best, cpu.ActualSeconds, gpu.ActualSeconds)
+		if v.BestID != best {
+			t.Fatalf("%s: best %s, actuals cpu=%v gpu=%v",
+				v.Region, v.BestID, cpu.ActualSeconds, gpu.ActualSeconds)
 		}
-		if v.Mispredict != (v.Chosen != v.Best) {
+		if v.Mispredict != (v.ChosenID != v.BestID) {
 			t.Fatalf("%s: mispredict flag inconsistent", v.Region)
 		}
 		if !v.Mispredict && v.RegretSeconds != 0 {

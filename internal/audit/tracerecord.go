@@ -9,7 +9,8 @@ import (
 // writer assigns the sequence number on Append. All fields are
 // deterministic functions of the audited decision and the simulators, so
 // replaying the same traffic at the same sampling rate reproduces the
-// verdict stream byte for byte. The record format carries the base pair's
+// verdict stream byte for byte. Its two kind strings are the chosen and
+// best measurements' kinds. The record format carries the base pair's
 // seconds only: the measurements of the first-registered target of each
 // kind, the pair the audited decision's own record carries (0 for a kind
 // the registry lacks).
@@ -18,14 +19,18 @@ func (v Verdict) TraceRecord() trace.Record {
 		Kind:          trace.KindAudit,
 		Region:        v.Region,
 		Bindings:      v.Bindings,
-		Target:        v.Chosen.String(),
 		TargetID:      v.ChosenID,
-		BestTarget:    v.Best.String(),
 		BestTargetID:  v.BestID,
 		Mispredict:    v.Mispredict,
 		RegretSeconds: v.RegretSeconds,
 	}
 	for _, tm := range v.Targets {
+		if tm.Target == v.ChosenID {
+			rec.Target = tm.kind.String()
+		}
+		if tm.Target == v.BestID {
+			rec.BestTarget = tm.kind.String()
+		}
 		switch {
 		case !tm.base:
 		case tm.kind == offload.KindCPU:

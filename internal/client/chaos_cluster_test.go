@@ -166,7 +166,7 @@ func (r *streamClusterRig) heal(ids ...string) {
 	for _, id := range ids {
 		r.edges[id].SetFaults(faultnet.TCPFaults{})
 		until := time.Now().Add(10 * time.Second)
-		for row := 0; row < r.cc.loop.cfg.StreamConns; {
+		for row := 0; row < r.cc.loop.cfg.streamConns; {
 			r.probes++
 			probe := server.DecideRequest{Region: "gemm", Bindings: map[string]int64{"n": r.probes}}
 			if r.cc.Route(probe)[0] != id {
@@ -402,7 +402,7 @@ func TestClusterRouteEquivalence(t *testing.T) {
 	// connection per replica, so a healed one is back on it for every call.
 	rig := newStreamClusterRig(t, 5, ClusterConfig{
 		Fallback: fallbackRuntime(t),
-		Replica:  Config{maxAttempts: 1, breakerFailures: 1000, StreamConns: 1},
+		Replica:  Config{maxAttempts: 1, breakerFailures: 1000, streamConns: 1},
 	})
 	// refusing's edges are HTTP proxies, which refuse the Upgrade.
 	refusing := newClusterChaosRig(t, 5, ClusterConfig{Replica: Config{maxAttempts: 1}})
@@ -636,7 +636,7 @@ func TestClusterStreamDialIsBounded(t *testing.T) {
 	silent := faultnet.TCPFaults{StallRate: 1, Stall: 600 * time.Millisecond}
 	t.Run("the attempt's deadline", func(t *testing.T) {
 		rig := newStreamClusterRig(t, 7, ClusterConfig{
-			Replica: Config{timeout: 100 * time.Millisecond, maxAttempts: 1, StreamConns: 1},
+			Replica: Config{timeout: 100 * time.Millisecond, maxAttempts: 1, streamConns: 1},
 		})
 		req := chaosClusterReqs(1)[0]
 		order := rig.cc.Route(req)

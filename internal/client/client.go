@@ -121,8 +121,7 @@ const (
 	// half-opens for one probe.
 	defaultBreakerFailures = 5
 	defaultBreakerCooldown = 500 * time.Millisecond
-	// defaultStreamConns is the stream connection pool size when
-	// Config.StreamConns is zero.
+	// defaultStreamConns is the stream connection pool size.
 	defaultStreamConns = 2
 )
 
@@ -161,29 +160,27 @@ type Config struct {
 	RegionParams func(region string) []string
 
 	// Stream puts a small pool of persistent multiplexed frame-stream
-	// connections (StreamConns of them, redialed with backoff) in front
-	// of HTTP for decide-only single requests; NewCluster sets it for
-	// every replica. A refused, dead, drained or reconnecting connection
-	// sends the call over HTTP inside the same attempt — it costs
-	// latency, never a verdict — and the next call after the slot's
+	// connections (defaultStreamConns of them, redialed with backoff) in
+	// front of HTTP for decide-only single requests; NewCluster sets it
+	// for every replica. A refused, dead, drained or reconnecting
+	// connection sends the call over HTTP inside the same attempt — it
+	// costs latency, never a verdict — and the next call after the slot's
 	// backoff dials again. Execute and batch requests always use HTTP.
 	Stream bool
 	// StreamAddr is the daemon's raw TCP stream listener
 	// (hybridseld -stream-addr). Empty negotiates the stream over the
 	// HTTP port via Upgrade on GET /v1/stream, as a cluster always does.
 	StreamAddr string
-	// StreamConns is the stream connection pool size. 0 selects
-	// defaultStreamConns.
-	StreamConns int
 
 	// Test hooks: zero selects the default* constant of the same name, and
 	// only this package's tests set them, to make a retry, a deadline or a
-	// breaker trip take milliseconds.
+	// breaker trip take milliseconds, or to pin a stream to one connection.
 	maxAttempts     int
 	retryBackoff    time.Duration
 	timeout         time.Duration
 	breakerFailures int
 	breakerCooldown time.Duration
+	streamConns     int
 }
 
 // withDefaults validates cfg and fills its zero fields with defaults.
@@ -197,7 +194,7 @@ func (cfg Config) withDefaults() (Config, error) {
 	orDefault(&cfg.timeout, defaultTimeout)
 	orDefault(&cfg.breakerFailures, defaultBreakerFailures)
 	orDefault(&cfg.breakerCooldown, defaultBreakerCooldown)
-	orDefault(&cfg.StreamConns, defaultStreamConns)
+	orDefault(&cfg.streamConns, defaultStreamConns)
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}

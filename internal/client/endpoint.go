@@ -56,7 +56,7 @@ func newStreamTransport(cfg *Config, met *counters) *streamTransport {
 	return &streamTransport{
 		params: cfg.RegionParams,
 		met:    met,
-		slots:  make([]streamSlot, cfg.StreamConns),
+		slots:  make([]streamSlot, cfg.streamConns),
 		dial:   StreamDialConfig{Addr: cfg.StreamAddr, URL: cfg.BaseURL},
 	}
 }

@@ -171,7 +171,7 @@ func TestLeasedVerdictEqualsDaemon(t *testing.T) {
 func TestLeaseDroppedOnEpochAdvance(t *testing.T) {
 	cal := audit.NewCalibrator(0.25)
 	rt, ts := calibratedDaemon(t, cal)
-	c := newTestClient(t, Config{BaseURL: ts.URL, Stream: true, StreamConns: 1})
+	c := newTestClient(t, Config{BaseURL: ts.URL, Stream: true, streamConns: 1})
 	reqs := chaosClusterReqs(6)
 	ctx := context.Background()
 
@@ -327,7 +327,7 @@ func TestLeaseLapsesUnderPartition(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = edge.Close() })
 	c := newTestClient(t, Config{
-		BaseURL: "http://127.0.0.1:1", Stream: true, StreamAddr: addr, StreamConns: 1,
+		BaseURL: "http://127.0.0.1:1", Stream: true, StreamAddr: addr, streamConns: 1,
 		Fallback: fallbackRuntime(t), maxAttempts: 1, timeout: 50 * time.Millisecond,
 	})
 	ctx := context.Background()

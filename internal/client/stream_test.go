@@ -213,7 +213,7 @@ func assertServedOverHTTP(t *testing.T, c *Client, probes *atomic.Int64) {
 func TestStreamConcurrentStress(t *testing.T) {
 	url, addr := realStreamDaemon(t)
 	c := newTestClient(t, Config{
-		BaseURL: url, Stream: true, StreamAddr: addr, StreamConns: 2,
+		BaseURL: url, Stream: true, StreamAddr: addr, streamConns: 2,
 		timeout: 5 * time.Second,
 	})
 
@@ -267,7 +267,7 @@ func TestChaosStreamMidKillLosesNoVerdicts(t *testing.T) {
 
 	c := newTestClient(t, Config{
 		BaseURL: url, // HTTP failover goes direct: the daemon is healthy
-		Stream:  true, StreamAddr: proxyAddr, StreamConns: 2,
+		Stream:  true, StreamAddr: proxyAddr, streamConns: 2,
 		maxAttempts: 4, retryBackoff: time.Millisecond,
 		breakerFailures: 10_000, timeout: 2 * time.Second,
 	})

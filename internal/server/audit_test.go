@@ -105,7 +105,7 @@ func TestAuditEndpointDisabledWithoutAuditor(t *testing.T) {
 // with the audit loop wired in: sampling must never turn admission-queue
 // pressure into blocking.
 func TestSaturationStillShedsWithAuditor(t *testing.T) {
-	s, _ := auditedServer(t, Config{Concurrency: 1, QueueDepth: -1})
+	s, _ := auditedServer(t, Config{concurrency: 1, queueDepth: -1})
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
 	s.holdForTest = func() {

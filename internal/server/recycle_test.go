@@ -109,7 +109,7 @@ func TestWireScratchPooling(t *testing.T) {
 func TestStreamRequestRecycling(t *testing.T) {
 	const credit = 16
 	gate := make(chan struct{})
-	s := testServer(t, Config{Concurrency: 4})
+	s := testServer(t, Config{concurrency: 4})
 	s.streamCredit = credit
 	s.holdForTest = func() { <-gate }
 	addr := startStreamServer(t, s)

@@ -25,15 +25,15 @@
 // seconds) appears only on transient rejections (429/503), mirroring the
 // Retry-After header.
 //
-// Backpressure model: a request first claims one of QueueDepth admission
-// tickets — none free means the service is saturated beyond its queue and
-// the request is shed immediately with 429 and Retry-After (shedding at
-// the door is what keeps the daemon deadlock-free: no request ever waits
-// on an unbounded line). An admitted request then waits for one of
-// Concurrency execution slots, bounded by its deadline; the wait is the
+// Backpressure model: a request first claims one of GOMAXPROCS + 1024
+// admission tickets — none free means the service is saturated beyond its
+// queue and the request is shed immediately with 429 and Retry-After
+// (shedding at the door is what keeps the daemon deadlock-free: no request
+// ever waits on an unbounded line). An admitted request then waits for one
+// of GOMAXPROCS execution slots, bounded by its deadline; the wait is the
 // "queue", the slots are the "workers". Every admitted request runs under
-// a context deadline (RequestTimeout), so a stuck model evaluation cannot
-// pin a slot forever. A stream connection (stream.go) is bounded by its
+// a 5 s context deadline, so a stuck model evaluation cannot pin a slot
+// forever. A stream connection (stream.go) is bounded by its
 // credit window instead: its decides wait for nothing, and only its
 // executes take a slot.
 package server
@@ -63,11 +63,11 @@ import (
 	"github.com/hybridsel/hybridsel/internal/wire"
 )
 
-// Defaults applied by New for zero Config fields, and the two limits that
-// are constants: no caller ever set them.
+// The limits are constants: no caller ever set one to another value.
+// Tests shrink them through Config's and Server's hooks.
 const (
-	defaultQueueDepth     = 1024
-	defaultRequestTimeout = 5 * time.Second
+	defaultQueueDepth     = 1024            // admitted-but-waiting requests beyond the slots
+	defaultRequestTimeout = 5 * time.Second // per-request context deadline
 	// defaultMaxBatch caps the number of requests in one batched decide
 	// body.
 	defaultMaxBatch = 4096
@@ -87,19 +87,6 @@ type Config struct {
 	// Runtime is the decision runtime to serve (required).
 	Runtime *offload.Runtime
 
-	// Concurrency bounds what executes at once of what can wait: HTTP
-	// requests and stream executes, one execution slot each. A decide-only
-	// stream request never waits and holds no slot — the reader of its
-	// connection answers it. 0 selects GOMAXPROCS.
-	Concurrency int
-	// QueueDepth bounds admitted-but-waiting requests on top of
-	// Concurrency; beyond it requests are shed with 429. 0 selects
-	// defaultQueueDepth; negative disables queueing (shed unless a
-	// worker slot is immediately free).
-	QueueDepth int
-	// RequestTimeout is the per-request context deadline. 0 selects
-	// defaultRequestTimeout.
-	RequestTimeout time.Duration
 	// Logger receives structured request logs (nil = slog.Default).
 	Logger *slog.Logger
 
@@ -122,6 +109,16 @@ type Config struct {
 	// folded into /metrics. Lifecycle (the gossip loop, the gossip
 	// listener) stays with the caller.
 	Cluster *cluster.Node
+
+	// Test hooks, set only by this package's tests to saturate the queue
+	// or expire a deadline with a handful of requests: the execution slots
+	// (0 = GOMAXPROCS; one per HTTP request or stream execute — a
+	// decide-only stream request holds none), the queue beyond them
+	// (0 = defaultQueueDepth, negative = none) and the request deadline
+	// (0 = defaultRequestTimeout).
+	concurrency    int
+	queueDepth     int
+	requestTimeout time.Duration
 }
 
 // Server is the HTTP decision service.
@@ -132,8 +129,8 @@ type Server struct {
 	mux     *http.ServeMux
 	httpSrv *http.Server
 
-	tickets chan struct{} // admission: Concurrency + QueueDepth
-	slots   chan struct{} // execution: Concurrency
+	tickets chan struct{} // admission: concurrency + queueDepth
+	slots   chan struct{} // execution: concurrency
 
 	start    time.Time
 	draining atomic.Bool
@@ -159,17 +156,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Runtime == nil {
 		return nil, errors.New("server: Config.Runtime is required")
 	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = runtime.GOMAXPROCS(0)
+	if cfg.concurrency <= 0 {
+		cfg.concurrency = runtime.GOMAXPROCS(0)
 	}
 	switch {
-	case cfg.QueueDepth == 0:
-		cfg.QueueDepth = defaultQueueDepth
-	case cfg.QueueDepth < 0:
-		cfg.QueueDepth = 0
+	case cfg.queueDepth == 0:
+		cfg.queueDepth = defaultQueueDepth
+	case cfg.queueDepth < 0:
+		cfg.queueDepth = 0
 	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = defaultRequestTimeout
+	if cfg.requestTimeout <= 0 {
+		cfg.requestTimeout = defaultRequestTimeout
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -179,8 +176,8 @@ func New(cfg Config) (*Server, error) {
 		rt:      cfg.Runtime,
 		log:     cfg.Logger,
 		mux:     http.NewServeMux(),
-		tickets: make(chan struct{}, cfg.Concurrency+cfg.QueueDepth),
-		slots:   make(chan struct{}, cfg.Concurrency),
+		tickets: make(chan struct{}, cfg.concurrency+cfg.queueDepth),
+		slots:   make(chan struct{}, cfg.concurrency),
 		start:   time.Now(),
 
 		maxBatch:      defaultMaxBatch,
@@ -279,7 +276,7 @@ func (s *Server) admit(h func(http.ResponseWriter, *http.Request)) http.HandlerF
 			httpError(w, http.StatusTooManyRequests, ErrCodeQueueFull, "admission queue full")
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout)
 		defer cancel()
 		select {
 		case s.slots <- struct{}{}:

@@ -228,7 +228,7 @@ func TestBatchTooLarge(t *testing.T) {
 }
 
 func TestLoadSheddingWhenQueueFull(t *testing.T) {
-	s := testServer(t, Config{Concurrency: 1, QueueDepth: -1})
+	s := testServer(t, Config{concurrency: 1, queueDepth: -1})
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
 	s.holdForTest = func() {
@@ -263,8 +263,8 @@ func TestLoadSheddingWhenQueueFull(t *testing.T) {
 }
 
 func TestQueuedRequestTimesOut(t *testing.T) {
-	s := testServer(t, Config{Concurrency: 1, QueueDepth: 1,
-		RequestTimeout: 50 * time.Millisecond})
+	s := testServer(t, Config{concurrency: 1, queueDepth: 1,
+		requestTimeout: 50 * time.Millisecond})
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
 	s.holdForTest = func() {

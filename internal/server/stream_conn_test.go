@@ -30,7 +30,7 @@ func TestStreamDecideNeverWaitsForASlot(t *testing.T) {
 	parked := make(chan struct{})
 	release := sync.OnceFunc(func() { close(parked) })
 	entered := make(chan struct{}, 2)
-	s := testServer(t, Config{Concurrency: 2})
+	s := testServer(t, Config{concurrency: 2})
 	s.holdForTest = func() {
 		entered <- struct{}{}
 		<-parked
@@ -100,7 +100,7 @@ func streamGoroutines() int {
 func TestStreamConnIsOneGoroutine(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	s := testServer(t, Config{Concurrency: 2})
+	s := testServer(t, Config{concurrency: 2})
 	s.holdForTest = func() {
 		entered <- struct{}{}
 		<-release

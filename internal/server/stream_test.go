@@ -135,7 +135,7 @@ func TestStreamOutOfOrder(t *testing.T) {
 	release := make(chan struct{})
 	blocked := make(chan struct{}, 1)
 	var once sync.Once
-	s := testServer(t, Config{Concurrency: 4})
+	s := testServer(t, Config{concurrency: 4})
 	s.holdForTest = func() {
 		var wait bool
 		once.Do(func() { wait = true; blocked <- struct{}{} })
@@ -173,7 +173,7 @@ func TestStreamOutOfOrder(t *testing.T) {
 func TestStreamCreditExhaustion(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	s := testServer(t, Config{Concurrency: 2})
+	s := testServer(t, Config{concurrency: 2})
 	s.streamCredit = 2
 	s.holdForTest = func() {
 		entered <- struct{}{}
@@ -224,7 +224,7 @@ func TestStreamCreditExhaustion(t *testing.T) {
 func TestStreamDrainGoaway(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	s := testServer(t, Config{Concurrency: 2})
+	s := testServer(t, Config{concurrency: 2})
 	s.holdForTest = func() {
 		entered <- struct{}{}
 		<-release
@@ -485,7 +485,7 @@ func TestStreamOutOfOrderBehindHeld(t *testing.T) {
 	release := make(chan struct{})
 	blocked := make(chan struct{}, 1)
 	var once sync.Once
-	s := testServer(t, Config{Concurrency: 4})
+	s := testServer(t, Config{concurrency: 4})
 	s.holdForTest = func() {
 		var wait bool
 		once.Do(func() { wait = true; blocked <- struct{}{} })
